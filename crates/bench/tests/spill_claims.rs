@@ -6,11 +6,16 @@
 //!    a peak resident footprint no higher than the budget plus one bounded
 //!    queue transient — the in-flight morsels and reducer queues the
 //!    budget cannot shed because only absorbed reducer state spills.
-//! 2. **Spill really happened.** The budgeted run reports
-//!    `spill_bytes > 0`, so the claim cannot silently pass in-memory.
+//! 2. **Spill really happened, into one file.** The budgeted run reports
+//!    `spill_bytes > 0`, so the claim cannot silently pass in-memory, and
+//!    its counters say how: `spill_runs > 1` runs appended to
+//!    `spill_files == 1` segment, replayed by `spill_reloads ≥ 1` reads —
+//!    the file-per-run layout this replaced would report one file per
+//!    run. Counters, not timings, so the claim cannot flake.
 //! 3. **Zero pressure, zero I/O.** The same workload without a budget
-//!    reports `spill_bytes == 0` — the spill path costs nothing until the
-//!    gauge actually crosses a budget.
+//!    reports `spill_bytes == 0` and all three counters 0 — the spill
+//!    path costs nothing, not even an empty directory, until the gauge
+//!    actually crosses a budget.
 //! 4. **No file outlives its query.** The spill base directory is empty
 //!    once the runs complete (`QueryTicket::drop` hygiene).
 //!
@@ -66,6 +71,15 @@ fn a_quarter_budget_completes_exactly_with_peak_held_near_the_budget() {
     );
     assert_eq!(unbudgeted.join.spill_secs, 0.0);
     assert_eq!(unbudgeted.join.reload_secs, 0.0);
+    assert_eq!(
+        (
+            unbudgeted.join.spill_runs,
+            unbudgeted.join.spill_reloads,
+            unbudgeted.join.spill_files
+        ),
+        (0, 0, 0),
+        "an unbudgeted run creates no segment and moves no run"
+    );
 
     // The enforcement claim: a quarter of the observed peak as budget.
     let budget_bytes = unbudgeted.join.peak_resident_bytes / 4;
@@ -94,8 +108,17 @@ fn a_quarter_budget_completes_exactly_with_peak_held_near_the_budget() {
     );
     assert!(budgeted.join.spill_secs > 0.0);
     assert!(
-        budgeted.join.reload_secs > 0.0,
+        budgeted.join.reload_secs > 0.0 && budgeted.join.spill_reloads > 0,
         "spilled runs must be replayed, not lost"
+    );
+    assert_eq!(
+        budgeted.join.spill_files, 1,
+        "one segment per query, however many runs ({})",
+        budgeted.join.spill_runs
+    );
+    assert!(
+        budgeted.join.spill_runs > 1,
+        "the one-file claim is vacuous with a single run"
     );
 
     // Peak stays within the budget plus one queue transient: the bounded

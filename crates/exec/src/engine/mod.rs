@@ -73,7 +73,7 @@ pub use runtime::{
     CancelToken, EngineRuntime, Poll, QueryTicket, RuntimeConfig, RuntimeMetrics, RuntimeScope,
     TaskCx, TaskGroup, WakeSet, Waker,
 };
-pub use spill::{SpillConfig, SpillContext, SpillRun};
+pub use spill::{SpillConfig, SpillContext, SpillRun, SpillTotals};
 pub use transport::{
     LinkProfile, RemoteExchangeReceiver, RemoteExchangeSender, RemoteQueue, TransportConfig,
     TransportFailure, TransportKind,
@@ -197,13 +197,9 @@ pub struct EngineOutcome {
     /// Final routing-table epoch (== `regions_migrated`; separate so tests
     /// can cross-check the table against the coordinator's tally).
     pub routing_epoch: u64,
-    /// Bytes written to spill files by this run (out-of-core execution
-    /// under a memory budget; zero without budget pressure).
-    pub spill_bytes: u64,
-    /// Wall time spent writing spill runs.
-    pub spill_secs: f64,
-    /// Wall time spent reading spill runs back for replay.
-    pub reload_secs: f64,
+    /// This run's spill I/O (out-of-core execution under a memory budget;
+    /// all zero without budget pressure).
+    pub spill: SpillTotals,
     /// Bytes the transport's data writers put on the wire (frame headers
     /// included); zero for in-process queues.
     pub wire_bytes: u64,
@@ -447,9 +443,7 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     // report this run's contribution as a delta. Concurrent stages over one
     // context produce overlapping deltas — the plan driver overrides its
     // merged totals from the context's absolute counters.
-    let spill_start = io
-        .spill
-        .map(|ctx| (ctx.spill_bytes(), ctx.spill_secs(), ctx.reload_secs()));
+    let spill_start = io.spill.map(SpillContext::totals);
 
     let mut owned: Vec<Vec<u32>> = vec![Vec::new(); reducers];
     for (region, &q) in table.snapshot().iter().enumerate() {
@@ -581,16 +575,12 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
         migration_tuples: migration_tuples.into_inner(),
         migration_secs: tally.migration_secs,
         routing_epoch: table.epoch(),
-        spill_bytes: 0,
-        spill_secs: 0.0,
-        reload_secs: 0.0,
+        spill: SpillTotals::default(),
         wire_bytes: remote_queues.iter().map(|q| q.wire_bytes()).sum(),
         cancelled,
     };
-    if let (Some(ctx), Some((b0, s0, r0))) = (io.spill, spill_start) {
-        outcome.spill_bytes = ctx.spill_bytes().saturating_sub(b0);
-        outcome.spill_secs = (ctx.spill_secs() - s0).max(0.0);
-        outcome.reload_secs = (ctx.reload_secs() - r0).max(0.0);
+    if let (Some(ctx), Some(start)) = (io.spill, spill_start) {
+        outcome.spill = ctx.totals().since(&start);
     }
     if !cancelled {
         debug_assert_eq!(

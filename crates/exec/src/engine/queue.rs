@@ -88,9 +88,9 @@ pub struct RegionBatch {
 pub struct MigratedRegion {
     pub build: ColumnBatch,
     pub pending: ColumnBatch,
-    /// Descriptors of the region's spilled build runs: the files travel
-    /// with the region (the per-query spill directory is shared by every
-    /// reducer of the query, so paths stay valid across owners).
+    /// Descriptors of the region's spilled build runs: the records stay
+    /// where they are (the per-query spill segment is shared by every
+    /// reducer of the query, so offsets stay valid across owners).
     pub spilled_build: Vec<SpillRun>,
     /// Descriptors of the region's spilled pre-seal probe runs.
     pub spilled_pending: Vec<SpillRun>,

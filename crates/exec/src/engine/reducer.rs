@@ -91,10 +91,10 @@ struct RegionState {
     /// Build-side runs spilled to disk under budget pressure; each is
     /// reloaded transiently and swept against every probe chunk (a
     /// sort-merge join distributes over any run partition of its build
-    /// side), then deleted when the region completes.
+    /// side), and retired when the region completes.
     spilled_build: Vec<SpillRun>,
     /// Probe tuples spilled pre-sweep; replayed as extra probe chunks at
-    /// the next flush (or at finish), then deleted.
+    /// the next flush (or at finish), then retired.
     spilled_pending: Vec<SpillRun>,
     sealed: bool,
     input: u64,
@@ -381,18 +381,8 @@ impl<'a> ReducerTask<'a> {
                 .sh
                 .spill
                 .expect("spilled outbox without a spill context");
-            match ctx.read_run_into(&run, pool.take(run.tuples() as usize)) {
-                Ok(batch) => {
-                    self.sh.gauge.add(batch.len() as u64);
-                    ctx.remove_run(&run);
-                    self.outbox.push_back(batch);
-                }
-                Err(e) => {
-                    ctx.record_failure(format!("outbox reload failed: {e}"));
-                    self.sh.cancel.cancel();
-                    ctx.remove_run(&run);
-                }
-            }
+            self.outbox
+                .extend(Self::reload(ctx, self.sh, &run, pool, "outbox"));
         }
     }
 
@@ -529,8 +519,8 @@ impl<'a> ReducerTask<'a> {
         let state = MigratedRegion {
             build: mem::take(&mut st.build),
             pending: mem::take(&mut st.pending),
-            // Spilled runs ship as descriptors: the per-query spill dir is
-            // shared, so the new owner reloads the same files. Their
+            // Spilled runs ship as descriptors: the per-query segment is
+            // shared, so the new owner reloads the same records. Their
             // tuples stay out of `in_flight` (they are not resident), and
             // the coordinator already charged their re-read cost into the
             // move decision.
@@ -658,11 +648,7 @@ impl<'a> ReducerTask<'a> {
                 .map(|(i, _)| i)
                 .expect("transient > 0 implies a non-empty run");
             let victim = st.runs.swap_remove(i);
-            let (written, tail) = Self::write_capped(ctx, sh, victim);
-            for run in &written {
-                sh.board.add_spilled(region, run.tuples());
-            }
-            st.spilled_build.extend(written);
+            let tail = Self::write_capped(ctx, sh, victim, Some(region), &mut st.spilled_build);
             if !tail.is_empty() {
                 st.runs.push(tail);
                 return;
@@ -670,28 +656,34 @@ impl<'a> ReducerTask<'a> {
         }
     }
 
-    /// Writes one (sorted) victim as a sequence of runs of at most
+    /// Writes one victim (sorted, unless it is an outbox batch, which
+    /// nothing reads in order) as a sequence of runs of at most
     /// `probe_chunk` tuples each — capping run granularity keeps the
     /// reload transient during replay one chunk wide instead of the whole
     /// victim wide, which is what lets a budgeted run's realized peak
     /// stay near its trigger. The gauge is debited per written slice.
-    /// Returns the descriptors written and the unwritten tail: empty on
-    /// success, the still-resident remainder when a write failed (the
-    /// failure is recorded and the cooperative cancel flag raised here).
+    /// Descriptors go to `out` (and, for a region's state, onto the spill
+    /// board). Returns the unwritten tail: empty on success, the
+    /// still-resident remainder when a write failed (the failure is
+    /// recorded and the cooperative cancel flag raised here).
     fn write_capped(
         ctx: &SpillContext,
         sh: &ReducerShared<'_>,
         mut victim: ColumnBatch,
-    ) -> (Vec<SpillRun>, ColumnBatch) {
+        region: Option<u32>,
+        out: &mut impl Extend<SpillRun>,
+    ) -> ColumnBatch {
         let cap = sh.probe_chunk.max(1);
-        let mut written = Vec::new();
         let mut off = 0;
         while off < victim.len() {
             let end = (off + cap).min(victim.len());
             match ctx.write_run(&victim.keys()[off..end], &victim.payloads()[off..end]) {
                 Ok(run) => {
                     sh.gauge.sub((end - off) as u64);
-                    written.push(run);
+                    if let Some(region) = region {
+                        sh.board.add_spilled(region, run.tuples());
+                    }
+                    out.extend([run]);
                     off = end;
                 }
                 Err(e) => {
@@ -701,8 +693,29 @@ impl<'a> ReducerTask<'a> {
                 }
             }
         }
-        let tail = victim.split_off(off);
-        (written, tail)
+        victim.split_off(off)
+    }
+
+    /// Reloads a spilled run into a pooled buffer and charges it to the
+    /// gauge; a failed read is recorded and cancels the query.
+    fn reload(
+        ctx: &SpillContext,
+        sh: &ReducerShared<'_>,
+        run: &SpillRun,
+        pool: &BatchPool,
+        what: &str,
+    ) -> Option<ColumnBatch> {
+        match ctx.read_run_into(run, pool.take(run.tuples() as usize)) {
+            Ok(batch) => {
+                sh.gauge.add(batch.len() as u64);
+                Some(batch)
+            }
+            Err(e) => {
+                ctx.record_failure(format!("{what} reload failed: {e}"));
+                sh.cancel.cancel();
+                None
+            }
+        }
     }
 
     /// Writes one victim to disk and drops it from resident state. The
@@ -743,11 +756,8 @@ impl<'a> ReducerTask<'a> {
             // contract the flush replay relies on, and one slicing into
             // capped sub-runs keeps each slice sorted too (the sweep
             // distributes over any partition of the build into runs).
-            let (written, tail) = Self::write_capped(ctx, sh, victim);
-            for run in &written {
-                sh.board.add_spilled(region as u32, run.tuples());
-            }
-            st.spilled_build.extend(written);
+            let region_id = Some(region as u32);
+            let tail = Self::write_capped(ctx, sh, victim, region_id, &mut st.spilled_build);
             if tail.is_empty() {
                 return true;
             }
@@ -776,11 +786,8 @@ impl<'a> ReducerTask<'a> {
             // Probe runs must land sorted: the replay sweeps each run as a
             // self-contained, pre-sorted probe chunk.
             victim.sort_by_key();
-            let (written, tail) = Self::write_capped(ctx, sh, victim);
-            for run in &written {
-                sh.board.add_spilled(region as u32, run.tuples());
-            }
-            st.spilled_pending.extend(written);
+            let region_id = Some(region as u32);
+            let tail = Self::write_capped(ctx, sh, victim, region_id, &mut st.spilled_pending);
             if tail.is_empty() {
                 return true;
             }
@@ -788,9 +795,10 @@ impl<'a> ReducerTask<'a> {
             return false;
         }
 
-        // Rung 3: largest staged outbox batch. Batch order across the
-        // exchange is immaterial (the downstream mapper re-routes per
-        // tuple), so pulling one out of the middle is safe.
+        // Rung 3: largest staged outbox batch, written as it stands. Batch
+        // and tuple order across the exchange are immaterial (the
+        // downstream mapper re-routes per tuple), so pulling one out of
+        // the middle is safe and sorting it would be wasted work.
         let Some((i, _)) = self
             .outbox
             .iter()
@@ -801,10 +809,8 @@ impl<'a> ReducerTask<'a> {
         else {
             return false;
         };
-        let mut victim = self.outbox.remove(i).expect("indexed above");
-        victim.sort_by_key();
-        let (written, tail) = Self::write_capped(ctx, sh, victim);
-        self.spilled_outbox.extend(written);
+        let victim = self.outbox.remove(i).expect("indexed above");
+        let tail = Self::write_capped(ctx, sh, victim, None, &mut self.spilled_outbox);
         if tail.is_empty() {
             return true;
         }
@@ -840,24 +846,14 @@ impl<'a> ReducerTask<'a> {
             sh.board.sub_spilled(region, run.tuples());
             // Zone fence: a spilled probe run whose fence can't join any
             // build key is dropped without reloading a byte — only its
-            // bookkeeping (spill board, file removal) runs. `candidate` on
-            // the conservative union fence is exact in the negative
+            // spill-board bookkeeping runs. `candidate` on the
+            // conservative union fence is exact in the negative
             // direction, so the skipped run provably contributes no pairs.
             if !sh.cond.candidate(&build_zone, run.key_range()) {
-                ctx.remove_run(&run);
                 continue;
             }
-            match ctx.read_run_into(&run, pool.take(run.tuples() as usize)) {
-                Ok(probe) => {
-                    sh.gauge.add(probe.len() as u64);
-                    ctx.remove_run(&run);
-                    Self::sweep_chunk(st, sh, me, probe, outbox, pool);
-                }
-                Err(e) => {
-                    ctx.record_failure(format!("probe reload failed: {e}"));
-                    sh.cancel.cancel();
-                    ctx.remove_run(&run);
-                }
+            if let Some(probe) = Self::reload(ctx, sh, &run, pool, "probe") {
+                Self::sweep_chunk(st, sh, me, probe, outbox, pool);
             }
         }
     }
@@ -891,19 +887,12 @@ impl<'a> ReducerTask<'a> {
                 if !sh.cond.candidate(run.key_range(), &probe_zone) {
                     continue;
                 }
-                match ctx.read_run_into(run, pool.take(run.tuples() as usize)) {
-                    Ok(build) => {
-                        sh.gauge.add(build.len() as u64);
-                        let (c, x) = Self::sweep_one(&build, &probe, sh, outbox, pool);
-                        sh.gauge.sub(build.len() as u64);
-                        pool.put(build);
-                        count += c;
-                        checksum ^= x;
-                    }
-                    Err(e) => {
-                        ctx.record_failure(format!("build reload failed: {e}"));
-                        sh.cancel.cancel();
-                    }
+                if let Some(build) = Self::reload(ctx, sh, run, pool, "build") {
+                    let (c, x) = Self::sweep_one(&build, &probe, sh, outbox, pool);
+                    sh.gauge.sub(build.len() as u64);
+                    pool.put(build);
+                    count += c;
+                    checksum ^= x;
                 }
             }
         }
@@ -1010,14 +999,10 @@ impl<'a> ReducerTask<'a> {
             }
             sh.gauge.sub(st.build.len() as u64);
             pool.put(mem::take(&mut st.build));
-            if let Some(ctx) = sh.spill {
-                // Spilled build runs persist across flushes (each probe
-                // chunk re-reads them); the region completing is what
-                // finally retires the files.
-                for run in st.spilled_build.drain(..) {
-                    sh.board.sub_spilled(region as u32, run.tuples());
-                    ctx.remove_run(&run);
-                }
+            // Spilled build runs persist across flushes (each probe chunk
+            // re-reads them); the region completing is what retires them.
+            for run in st.spilled_build.drain(..) {
+                sh.board.sub_spilled(region as u32, run.tuples());
             }
             results.push(RegionResult {
                 region: region as u32,
@@ -1030,19 +1015,12 @@ impl<'a> ReducerTask<'a> {
     }
 
     fn discard(&mut self) {
-        let sh = self.sh;
-        let gauge = sh.gauge;
+        let gauge = self.sh.gauge;
         for slot in self.states.iter_mut() {
             if let Some(st) = slot.take() {
+                // Spilled tuples are not in the gauge, and their records
+                // die with the ticket's spill dir.
                 gauge.sub(st.resident_tuples());
-                // Spilled tuples are not in the gauge; just retire the
-                // files (best-effort — the ticket's spill dir is removed
-                // wholesale on drop regardless).
-                if let Some(ctx) = sh.spill {
-                    for run in st.spilled_build.iter().chain(&st.spilled_pending) {
-                        ctx.remove_run(run);
-                    }
-                }
             }
         }
         for parked in self.parked.iter_mut() {
@@ -1053,11 +1031,7 @@ impl<'a> ReducerTask<'a> {
         for batch in self.outbox.drain(..) {
             gauge.sub(batch.len() as u64);
         }
-        if let Some(ctx) = sh.spill {
-            for run in self.spilled_outbox.drain(..) {
-                ctx.remove_run(&run);
-            }
-        }
+        self.spilled_outbox.clear();
     }
 }
 

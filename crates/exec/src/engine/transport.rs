@@ -477,22 +477,17 @@ fn code_rel(code: u64) -> Result<Rel, String> {
 }
 
 fn put_run(out: &mut Vec<u8>, run: &SpillRun) {
+    out.extend_from_slice(&run.offset().to_le_bytes());
     out.extend_from_slice(&run.tuples().to_le_bytes());
     let kr = run.key_range();
     out.extend_from_slice(&kr.lo.to_le_bytes());
     out.extend_from_slice(&kr.hi.to_le_bytes());
-    // Spill paths are engine-generated ASCII under the temp dir; a truly
-    // non-UTF-8 OS path would round-trip lossily, which only matters if the
-    // adopting process can't open it — and it would fail loudly there.
-    let path = run.path().to_string_lossy();
-    out.extend_from_slice(&(path.len() as u32).to_le_bytes());
-    out.extend_from_slice(path.as_bytes());
 }
 
 /// Serializes the non-tuple state of a [`MigratedRegion`]: tallies, seal
-/// flag, and the *descriptors* of its spilled runs. The spill files
-/// themselves stay on the shared per-query spill directory — they travel
-/// by path, not by value, exactly like an in-process migration.
+/// flag, and the *descriptors* of its spilled runs. The records
+/// themselves stay in the shared per-query spill segment — they travel by
+/// offset, not by value, exactly like an in-process migration.
 fn encode_region_meta(state: &MigratedRegion) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.push(state.sealed as u8);
@@ -543,17 +538,15 @@ impl Meta<'_> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// A run descriptor names nothing but an extent of the query's own
+    /// segment: one that overflows is rejected here, one past the segment
+    /// tail at reload (`SpillContext::read_run_into`).
     fn run(&mut self) -> Result<SpillRun, String> {
+        let offset = self.u64()?;
         let tuples = self.u64()?;
         let lo = self.i64()?;
         let hi = self.i64()?;
-        let path_len = self.u32()? as usize;
-        let path = String::from_utf8_lossy(self.take(path_len)?).into_owned();
-        Ok(SpillRun::from_parts(
-            path.into(),
-            tuples,
-            ewh_core::KeyRange { lo, hi },
-        ))
+        SpillRun::from_parts(offset, tuples, ewh_core::KeyRange { lo, hi })
     }
 
     fn runs(&mut self) -> Result<Vec<SpillRun>, String> {
@@ -1304,7 +1297,6 @@ impl Drop for RemoteExchangeReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn cols(n: usize) -> ColumnBatch {
         let mut b = ColumnBatch::with_capacity(n);
@@ -1340,10 +1332,11 @@ mod tests {
             build: cols(5),
             pending: cols(3),
             spilled_build: vec![SpillRun::from_parts(
-                PathBuf::from("/tmp/ewh-test/run-0"),
+                4096,
                 1000,
                 ewh_core::KeyRange { lo: -5, hi: 900 },
-            )],
+            )
+            .expect("representable extent")],
             spilled_pending: vec![],
             sealed: true,
             input: 77,
@@ -1372,9 +1365,32 @@ mod tests {
         );
         assert_eq!(state.spilled_build.len(), 1);
         let run = &state.spilled_build[0];
-        assert_eq!(run.tuples(), 1000);
+        assert_eq!((run.offset(), run.tuples()), (4096, 1000));
         assert_eq!(run.key_range().lo, -5);
-        assert_eq!(run.path(), PathBuf::from("/tmp/ewh-test/run-0").as_path());
+    }
+
+    #[test]
+    fn an_adopt_descriptor_overflowing_the_segment_is_a_decode_error() {
+        let state = MigratedRegion {
+            spilled_pending: vec![
+                SpillRun::from_parts(64, 3, ewh_core::KeyRange { lo: 0, hi: 2 })
+                    .expect("representable extent"),
+            ],
+            sealed: true,
+            ..Default::default()
+        };
+        let mut meta = encode_region_meta(&state);
+        // The descriptor is the sidecar's last 32 bytes; point its offset
+        // at the end of the address space.
+        let at = meta.len() - 32;
+        meta[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut wire = Vec::new();
+        encode_frame(&mut wire, FRAME_ADOPT, 4, 0, &meta, &ColumnBatch::new());
+        let mut dec = FrameDecoder::new();
+        dec.feed(&wire);
+        let frame = dec.next_frame().expect("valid frame").expect("complete");
+        let err = decode_delivery(frame).expect_err("hostile offset must not decode");
+        assert!(err.contains("overflows"), "got: {err}");
     }
 
     #[test]

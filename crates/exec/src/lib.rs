@@ -62,7 +62,8 @@ pub use engine::{
     EngineOutcome, EngineRuntime, Exchange, FragmentPort, LinkProfile, MemGauge, Morsel,
     MorselPlan, OnlineStats, PortPop, ProgressBoard, QueryTicket, RemoteExchangeReceiver,
     RemoteExchangeSender, RemoteQueue, RuntimeConfig, RuntimeMetrics, Source, SpillConfig,
-    SpillContext, SpillRun, StageSink, Straggler, TransportConfig, TransportFailure, TransportKind,
+    SpillContext, SpillRun, SpillTotals, StageSink, Straggler, TransportConfig, TransportFailure,
+    TransportKind,
 };
 pub use local_join::{
     local_join, output_tuple, pair_payload, sweep_columns, sweep_columns_each, sweep_sorted,

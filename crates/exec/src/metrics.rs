@@ -3,6 +3,8 @@
 
 use ewh_core::CostModel;
 
+use crate::engine::SpillTotals;
+
 /// Metrics of one join execution.
 #[derive(Clone, Debug, Default)]
 pub struct JoinStats {
@@ -75,13 +77,20 @@ pub struct JoinStats {
     /// queue. Empty under batch execution.
     pub reducer_busy_secs: Vec<f64>,
     pub reducer_idle_secs: Vec<f64>,
-    /// Bytes written to spill files under a memory budget (0 without
-    /// budget pressure, and always 0 under batch execution).
+    /// Bytes appended to the query's spill segment under a memory budget
+    /// (0 without budget pressure, and always 0 under batch execution).
     pub spill_bytes: u64,
     /// Wall time spent writing spill runs.
     pub spill_secs: f64,
     /// Wall time spent reading spill runs back for replay.
     pub reload_secs: f64,
+    /// Spill runs appended.
+    pub spill_runs: u64,
+    /// Spill runs read back (a build run counts once per replaying chunk).
+    pub spill_reloads: u64,
+    /// Spill files created: 1 once anything spilled (one segment per
+    /// query, however many runs), else 0.
+    pub spill_files: u64,
     /// Bytes the framed transport's data writers put on the wire, frame
     /// headers included (0 for in-process queues and under batch
     /// execution).
@@ -136,7 +145,20 @@ impl JoinStats {
         self.spill_bytes += other.spill_bytes;
         self.spill_secs += other.spill_secs;
         self.reload_secs += other.reload_secs;
+        self.spill_runs += other.spill_runs;
+        self.spill_reloads += other.spill_reloads;
+        self.spill_files += other.spill_files;
         self.wire_bytes += other.wire_bytes;
+    }
+
+    /// Overwrites the six spill fields from a context's counters.
+    pub(crate) fn set_spill(&mut self, t: &SpillTotals) {
+        self.spill_bytes = t.bytes;
+        self.spill_secs = t.write_secs;
+        self.reload_secs = t.reload_secs;
+        self.spill_runs = t.runs;
+        self.spill_reloads = t.reloads;
+        self.spill_files = t.files;
     }
 
     /// Summed reducer idle time across tasks (0 under batch execution).

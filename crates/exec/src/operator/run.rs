@@ -249,12 +249,10 @@ pub fn stats_from_outcome(
         sweep_secs: out.sweep_secs,
         reducer_busy_secs: out.busy_secs.clone(),
         reducer_idle_secs: out.idle_secs.clone(),
-        spill_bytes: out.spill_bytes,
-        spill_secs: out.spill_secs,
-        reload_secs: out.reload_secs,
         wire_bytes: out.wire_bytes,
         ..Default::default()
     };
+    stats.set_spill(&out.spill);
     stats.compute_max_weight(&cfg.cost);
     stats.sim_join_secs =
         ewh_core::CostModel::milli_to_secs(stats.max_weight_milli, cfg.units_per_sec);

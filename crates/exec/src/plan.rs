@@ -423,9 +423,7 @@ pub fn run_plan(
     // shared context; override the merged sums with the context's absolute
     // totals, which count every byte exactly once.
     if let Some(ctx) = spill {
-        total.spill_bytes = ctx.spill_bytes();
-        total.spill_secs = ctx.spill_secs();
-        total.reload_secs = ctx.reload_secs();
+        total.set_spill(&ctx.totals());
     }
     let last = stage_stats.last().expect("at least the root stage");
     let (output_total, checksum) = (last.output_total, last.checksum);

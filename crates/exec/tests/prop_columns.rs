@@ -96,10 +96,9 @@ proptest! {
         prop_assert_eq!(run.tuples(), tuples.len() as u64);
         // Accounting is exact per-column bytes: 8-byte count prefix plus
         // 16 bytes (one key + one payload) per tuple.
-        prop_assert_eq!(ctx.spill_bytes(), 8 + tuples.len() as u64 * TUPLE_BYTES);
+        prop_assert_eq!(ctx.totals().bytes, 8 + tuples.len() as u64 * TUPLE_BYTES);
         let replayed = ctx.read_run(&run).expect("spill read failed");
         prop_assert_eq!(replayed, batch);
-        ctx.remove_run(&run);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

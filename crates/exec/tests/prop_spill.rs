@@ -6,12 +6,14 @@
 //! all four scheme kinds, with and without migration thresholds forced to
 //! fire. This certifies the whole spill ladder, the merge-replay of
 //! spilled runs during the sweep, and the shipping of spilled-run
-//! descriptors across a region migration.
+//! descriptors across a region migration — the adopter reads the donor's
+//! runs out of the query's one shared segment file, by offset.
 //!
 //! Deterministic companions pin the claims the properties could silently
-//! stop exercising: a pressured run actually reports `spill_bytes > 0`,
-//! spill files never outlive their query (success path), and an injected
-//! spill-write fault cancels the query cleanly — the panic surfaces at the
+//! stop exercising: a pressured run actually reports `spill_bytes > 0`
+//! from many runs in exactly one file, spill files never outlive their
+//! query (success path), and an injected spill-write fault — on the first
+//! write or mid-run — cancels the query cleanly: the panic surfaces at the
 //! driver, no pool worker deadlocks, and the temp dir is still reclaimed.
 
 use std::panic::AssertUnwindSafe;
@@ -205,6 +207,11 @@ fn forced_budget_spills_matches_oracle_and_cleans_up() {
         "a 5% budget must force actual spill I/O"
     );
     assert!(spilling.join.spill_secs > 0.0);
+    assert!(spilling.join.spill_runs > 1 && spilling.join.spill_reloads > 0);
+    assert_eq!(
+        spilling.join.spill_files, 1,
+        "every run of the query shares one segment"
+    );
     assert_no_leftover_spill(&base_dir);
 
     // Zero pressure on the same workload: no budget, no spill I/O at all.
@@ -222,14 +229,24 @@ fn forced_budget_spills_matches_oracle_and_cleans_up() {
     assert_eq!(unbudgeted.join.output_total, batch.join.output_total);
     assert_eq!(unbudgeted.join.spill_bytes, 0);
     assert_eq!(unbudgeted.join.spill_secs, 0.0);
+    assert_eq!(
+        (
+            unbudgeted.join.spill_runs,
+            unbudgeted.join.spill_reloads,
+            unbudgeted.join.spill_files
+        ),
+        (0, 0, 0)
+    );
     let _ = std::fs::remove_dir_all(&base_dir);
 }
 
 /// An I/O failure mid-spill cancels the query *cleanly*: the injected
-/// write fault (`fail_after_bytes: Some(0)` fails the very first run) is
-/// recorded, mappers and reducers wind down cooperatively — no pool worker
-/// deadlocks — and the driver re-raises the failure as a panic at the
-/// query join. The pool must stay healthy for the next query, and the
+/// write fault — `fail_after_bytes: Some(0)` fails the very first run,
+/// before any segment exists; `Some(4096)` fails the first write past
+/// 4 KiB, with a live segment and the failed victim's tail still resident
+/// — is recorded, mappers and reducers wind down cooperatively — no pool
+/// worker deadlocks — and the driver re-raises the failure as a panic at
+/// the query join. The pool must stay healthy for the next query, and the
 /// ticket's `Drop` must reclaim the spill dir on this path too.
 #[test]
 fn spill_write_fault_cancels_query_and_pool_survives() {
@@ -245,30 +262,32 @@ fn spill_write_fault_cancels_query_and_pool_survives() {
         queue_tuples: 256,
         ..Default::default()
     };
-    let faulty = OperatorConfig {
-        mode: ExecMode::Pipelined,
-        spill: SpillConfig {
-            budget_tuples: Some(64),
-            temp_dir: Some(base_dir.clone()),
-            fail_after_bytes: Some(0),
-        },
-        ..base.clone()
-    };
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &faulty)
-    }));
-    let err = result.expect_err("a failing spill write must surface as a panic at the join");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_else(|| "<non-string panic>".into());
-    assert!(
-        msg.contains("spill"),
-        "panic should carry the spill failure, got: {msg}"
-    );
-    // Unwinding dropped the ticket, which reclaims the spill directory
-    // even on the failure path.
-    assert_no_leftover_spill(&base_dir);
+    for fail_after_bytes in [0, 4096] {
+        let faulty = OperatorConfig {
+            mode: ExecMode::Pipelined,
+            spill: SpillConfig {
+                budget_tuples: Some(64),
+                temp_dir: Some(base_dir.clone()),
+                fail_after_bytes: Some(fail_after_bytes),
+            },
+            ..base.clone()
+        };
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &faulty)
+        }));
+        let err = result.expect_err("a failing spill write must surface as a panic at the join");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "<non-string panic>".into());
+        assert!(
+            msg.contains("spill"),
+            "panic should carry the spill failure, got: {msg}"
+        );
+        // Unwinding dropped the ticket, which reclaims the spill directory
+        // even on the failure path.
+        assert_no_leftover_spill(&base_dir);
+    }
 
     // The pool was not poisoned: the same runtime completes a healthy
     // budgeted query afterwards (no deadlocked workers holding slots).

@@ -12,18 +12,21 @@
 //! Deterministic companions cover the failure surface: a truncated stream
 //! leaves the decoder reporting buffered mid-frame bytes, a corrupted
 //! length field surfaces as a `FrameError` (never a panic or a wild
-//! allocation), and a corrupt frame injected into a live engine run cancels
-//! the query *cooperatively* — the pool survives and completes the next
-//! transport query.
+//! allocation), a run descriptor forged in an `ADOPT` sidecar — whatever
+//! offset and count it claims — can only be refused or read bytes of the
+//! query's own segment, and a corrupt frame injected into a live engine
+//! run cancels the query *cooperatively* — the pool survives and completes
+//! the next transport query.
 
 use std::panic::AssertUnwindSafe;
 
 use ewh_core::{
-    encode_frame, ColumnBatch, FrameDecoder, FrameError, JoinCondition, Key, SchemeKind, Tuple,
+    encode_frame, ColumnBatch, FrameDecoder, FrameError, JoinCondition, Key, KeyRange, SchemeKind,
+    Tuple, TUPLE_BYTES,
 };
 use ewh_exec::{
-    run_operator, AdaptiveConfig, EngineRuntime, ExecMode, OperatorConfig, SpillConfig, Straggler,
-    TransportConfig,
+    run_operator, AdaptiveConfig, EngineRuntime, ExecMode, OperatorConfig, SpillConfig,
+    SpillContext, SpillRun, Straggler, TransportConfig,
 };
 use proptest::prelude::*;
 
@@ -84,6 +87,38 @@ proptest! {
         prop_assert_eq!(f.batch.keys(), batch.keys());
         prop_assert_eq!(f.batch.payloads(), batch.payloads());
         prop_assert_eq!(dec.pending_bytes(), 0, "no bytes may linger after a full frame");
+    }
+
+    // An `ADOPT` sidecar is wire input: the run descriptors in it name an
+    // offset and a tuple count of the adopter's own choosing. Whatever
+    // they claim, rebuilding the descriptor either fails (the extent
+    // overflows) or reloading it does (the extent crosses the segment
+    // tail, or the length prefix found there disagrees) — and a reload
+    // that succeeds returned exactly `tuples` tuples from inside the
+    // segment. Never a panic, never an allocation sized by the forged
+    // count, never a byte from outside the query's own records.
+    #[test]
+    fn forged_run_descriptors_cannot_reach_outside_the_segment(
+        batches in prop::collection::vec(batch_strategy(40), 1..6),
+        offset in prop_oneof![any::<u64>(), 0u64..4096, Just(u64::MAX - 7)],
+        tuples in prop_oneof![any::<u64>(), 0u64..64, Just(u64::MAX / TUPLE_BYTES)],
+    ) {
+        let dir = std::env::temp_dir()
+            .join(format!("ewh-prop-transport-{}-forged", std::process::id()));
+        let ctx = SpillContext::new(dir.clone(), None);
+        for batch in &batches {
+            let run = ctx.write_batch(batch).expect("append");
+            prop_assert_eq!(&ctx.read_run(&run).expect("honest descriptor"), batch);
+        }
+        let segment_bytes = ctx.totals().bytes;
+        let fence = KeyRange { lo: Key::MIN, hi: Key::MAX };
+        if let Ok(forged) = SpillRun::from_parts(offset, tuples, fence) {
+            if let Ok(batch) = ctx.read_run(&forged) {
+                prop_assert_eq!(batch.len() as u64, tuples);
+                prop_assert!(offset + 8 + tuples * TUPLE_BYTES <= segment_bytes);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
