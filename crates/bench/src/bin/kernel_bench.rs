@@ -14,7 +14,7 @@
 //! ```
 
 use ewh_bench::kernels::{run_kernels, KernelReport};
-use ewh_bench::{print_table, RunConfig};
+use ewh_bench::{commit, json_escape, print_table, RunConfig};
 
 /// Tuples per kernel input at scale 1.0 for the first tier: the columns
 /// fit in L2/L3, so this tier measures the loop bodies themselves.
@@ -82,9 +82,15 @@ fn main() {
     }
 
     let mut json = String::from("{\n");
+    // Every kernel runs on the calling thread: `threads` is 1 whatever the
+    // host offers.
     json.push_str(&format!(
-        "  \"bench\": \"kernel_bench\",\n  \"chunk\": {},\n  \"reps\": {},\n  \"seed\": {},\n  \"tiers\": [\n",
-        CHUNK, reps, rc.seed
+        "  \"bench\": \"kernel_bench\",\n  \"commit\": \"{}\",\n  \"host_cores\": {},\n  \"threads\": 1,\n  \"chunk\": {},\n  \"reps\": {},\n  \"seed\": {},\n  \"tiers\": [\n",
+        json_escape(&commit()),
+        std::thread::available_parallelism().map_or(0, |p| p.get()),
+        CHUNK,
+        reps,
+        rc.seed
     ));
     for (t, (n, domain, reports)) in tiers.iter().enumerate() {
         json.push_str(&format!(

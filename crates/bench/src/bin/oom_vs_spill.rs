@@ -28,7 +28,9 @@
 //!     [--scale 1.0] [--budget-frac 0.25] [--json BENCH_spill.json]
 //! ```
 
-use ewh_bench::{check_pipelined_scale, json_escape, print_table, retail_hotkey, RunConfig};
+use ewh_bench::{
+    check_pipelined_scale, commit, json_escape, print_table, retail_hotkey, RunConfig,
+};
 use ewh_core::{SchemeKind, TUPLE_BYTES};
 use ewh_exec::{
     run_operator, EngineRuntime, ExecMode, OperatorConfig, OperatorRun, OutputWork, SpillConfig,
@@ -64,17 +66,6 @@ fn run(
         ..query_config(rc, w)
     };
     run_operator(rt, SchemeKind::Csio, &w.r1, &w.r2, &w.cond, &cfg)
-}
-
-/// The checkout the numbers came from (`-dirty` when it has local edits).
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
 }
 
 fn main() {

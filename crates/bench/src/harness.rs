@@ -132,6 +132,18 @@ pub fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
+/// The checkout a `BENCH_*.json` record's numbers came from (`-dirty` when
+/// it has local edits).
+pub fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 /// Warns (stderr) when a workload is too small for pipelined-vs-batch
 /// peak-memory comparisons to mean anything: below ~3× the engine's bounded
 /// buffers (reducer queues + in-flight morsels + probe chunks) most of the

@@ -29,7 +29,7 @@ pub mod latency;
 pub mod workloads;
 
 pub use harness::{
-    check_pipelined_scale, check_plan_scale, json_escape, mib, print_table, rho_oi,
+    check_pipelined_scale, check_plan_scale, commit, json_escape, mib, print_table, rho_oi,
     run_all_schemes, run_scheme, RunConfig,
 };
 pub use latency::{percentile, run_mode, LatencyScenario, ModeOutcome};

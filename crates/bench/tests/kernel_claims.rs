@@ -26,6 +26,25 @@ fn every_kernel_agrees_across_layouts() {
             assert!(r.col.min <= r.col.median && r.col.median <= r.col.max);
         }
     }
+
+    // A sparse probe — one 256-tuple chunk against a whole region's build,
+    // what the engine sweeps — makes the columnar kernel leap over the
+    // build keys between matches, which the dense halves above never do.
+    let tuples = ewh_bench::kernels::kernel_tuples(30_256, 30_000, 13);
+    let (mut build, mut probe) = (tuples[..30_000].to_vec(), tuples[30_000..].to_vec());
+    build.sort_by_key(|t| t.key);
+    probe.sort_by_key(|t| t.key);
+    let (build_cols, probe_cols) = (
+        ColumnBatch::from_tuples(&build),
+        ColumnBatch::from_tuples(&probe),
+    );
+    for cond in [JoinCondition::Equi, JoinCondition::Band { beta: 1 }] {
+        assert_eq!(
+            sweep_aos(&build, &probe, &cond),
+            sweep_cols(&build_cols, &probe_cols, &cond),
+            "sweep layouts disagree on a sparse probe under {cond:?}"
+        );
+    }
 }
 
 #[test]

@@ -14,11 +14,12 @@
 //!   the owning reducer's bounded queue (backpressure: a full queue blocks
 //!   the mapper). Ownership is resolved per fragment through the shared
 //!   epoch-versioned [`ewh_core::RoutingTable`] — never baked into the plan.
-//! * **Reducers** build each owned region's sorted `R1` state incrementally
-//!   from the arriving fragments. When the last `R1` morsel is routed, the
-//!   finishing mapper broadcasts a seal; reducers merge their sorted runs
-//!   and from then on sweep `R2` probe chunks immediately, freeing each
-//!   chunk after its sweep. The full probe side is never resident.
+//! * **Reducers** collect each owned region's `R1` fragments as they
+//!   arrive. When the last `R1` morsel is routed, the finishing mapper
+//!   broadcasts a seal; reducers sort each region's fragments into its
+//!   build side once, and from then on sweep `R2` probe chunks
+//!   immediately, freeing each chunk after its sweep. The full probe side
+//!   is never resident.
 //! * A **migration coordinator** (`coordinator` module) watches reducer
 //!   heartbeats on the shared [`ProgressBoard`] after the `R1` seal and
 //!   reassigns regions from backlogged reducers to idle ones at run time —
@@ -68,7 +69,7 @@ pub use morsel::{Claim, MemGauge, Morsel, MorselPlan, Source};
 pub use pool::BatchPool;
 pub use port::{BatchPort, DeliveryPort, FragmentPort, PortPop};
 pub use queue::{BoundedQueue, Delivery, MigratedRegion, RegionBatch};
-pub use reducer::{merge_sorted_runs, merge_sorted_runs_pairwise, RegionResult};
+pub use reducer::{merge_sorted_runs, RegionResult};
 pub use runtime::{
     CancelToken, EngineRuntime, Poll, QueryTicket, RuntimeConfig, RuntimeMetrics, RuntimeScope,
     TaskCx, TaskGroup, WakeSet, Waker,
@@ -179,8 +180,8 @@ pub struct EngineOutcome {
     /// Total time mappers spent routing: the batched router scans plus the
     /// write-combining scatter that builds every per-region fragment.
     pub route_secs: f64,
-    /// Total time reducers spent merging sorted runs (seal, migration
-    /// adoption and finish merges).
+    /// Total time reducers spent sealing build sides: the one sort of a
+    /// region's collected runs (at the `R1` seal, a migration or finish).
     pub merge_secs: f64,
     /// Total time reducers spent sweeping probe chunks against build state.
     pub sweep_secs: f64,

@@ -41,8 +41,8 @@ pub enum Delivery {
     /// Tuples of one relation routed to one region.
     Batch(RegionBatch),
     /// Every `R1` tuple of every morsel has been enqueued (broadcast by the
-    /// mapper that routes the last `R1` morsel). Regions may merge their
-    /// sorted `R1` runs and start sweeping probe chunks.
+    /// mapper that routes the last `R1` morsel). Regions may sort their
+    /// `R1` runs into the build side and start sweeping probe chunks.
     SealR1,
     /// Every tuple of both relations has been enqueued; flush buffered probe
     /// chunks. Under the legacy (uncoordinated) protocol this also

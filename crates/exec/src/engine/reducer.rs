@@ -1,6 +1,8 @@
-//! Reducer tasks: consume routed fragments from a bounded queue, build each
-//! owned region's sorted `R1` state incrementally, and sweep probe (`R2`)
-//! chunks against it as soon as the region's build side is sealed.
+//! Reducer tasks: consume routed fragments from a bounded queue, collect
+//! each owned region's `R1` fragments, sort them into the region's build
+//! side once at the seal, and sweep probe (`R2`) chunks against it from
+//! then on. Order is made where it is needed and nowhere else: at the seal,
+//! and on the way to disk for a run that spills before it.
 //!
 //! Memory discipline is the point: probe fragments are buffered only up to
 //! one chunk (`probe_chunk` tuples) per region and freed right after their
@@ -60,7 +62,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ewh_core::{ColumnBatch, JoinCondition, Key, KeyRange, Rel, RoutingTable};
+use ewh_core::{ColumnBatch, JoinCondition, KeyRange, Rel, RoutingTable};
 
 use crate::local_join::{sweep_columns, sweep_columns_each, KeyFrom, OutputWork};
 
@@ -81,10 +83,11 @@ const DELIVERIES_PER_POLL: usize = 32;
 /// Per-region accumulator.
 #[derive(Debug, Default)]
 struct RegionState {
-    /// Sorted `R1` column runs (each incoming fragment is
-    /// permutation-sorted on arrival); merged into `build` at the R1 seal.
+    /// `R1` fragments in arrival order, unsorted: the seal sorts their
+    /// concatenation once, and a run that spills first is sorted on its
+    /// way out (see `take_sorted_run`).
     runs: Vec<ColumnBatch>,
-    /// Merged, sorted build columns (valid once `sealed` is set).
+    /// The sorted build columns (valid once `sealed` is set).
     build: ColumnBatch,
     /// Probe tuples waiting for the seal or for a full chunk.
     pending: ColumnBatch,
@@ -103,6 +106,15 @@ struct RegionState {
 }
 
 impl RegionState {
+    /// Removes pre-seal run `i` as a spill victim, sorted: every build or
+    /// probe run in the segment is key-sorted (the replay sweeps each as
+    /// it stands), and arrival order does not make it so.
+    fn take_sorted_run(&mut self, i: usize) -> ColumnBatch {
+        let mut run = self.runs.swap_remove(i);
+        run.sort_by_key();
+        run
+    }
+
     fn resident_tuples(&self) -> u64 {
         (self.runs.iter().map(ColumnBatch::len).sum::<usize>()
             + self.build.len()
@@ -189,7 +201,7 @@ pub struct ReducerShared<'a> {
     /// the zero-crossing wake above (an in-flight dip to zero mid-run is
     /// not quiescence).
     pub mappers_done: &'a AtomicBool,
-    /// Cumulative run-merge wall time (one clock pair per `merge_gauged`
+    /// Cumulative seal-sort wall time (one clock pair per `merge_gauged`
     /// pass), aggregated across reducers into `JoinStats::merge_secs`.
     pub merge_nanos: &'a AtomicU64,
     /// Cumulative sweep wall time (one clock pair per build×chunk sweep
@@ -435,10 +447,6 @@ impl<'a> ReducerTask<'a> {
         match rel {
             Rel::R1 => {
                 debug_assert!(!st.sealed, "R1 fragment after the R1 seal");
-                // Incremental sorted build: permutation-sort the fragment's
-                // columns now, merge the runs once at the seal — O(n log n)
-                // total, off the mappers' critical path.
-                tuples.sort_by_key();
                 st.runs.push(tuples);
                 sh.board.add_build(region, n);
             }
@@ -477,9 +485,7 @@ impl<'a> ReducerTask<'a> {
             if st.sealed {
                 continue;
             }
-            Self::shed_runs_before_merge(st, sh, region as u32);
-            st.build = Self::merge_gauged(mem::take(&mut st.runs), sh);
-            st.sealed = true;
+            Self::seal(st, sh, region as u32);
             sh.board.note_region_sealed(me);
             if st.pending.len() >= sh.probe_chunk {
                 Self::flush(st, sh, me, region as u32, &mut self.outbox, pool);
@@ -511,9 +517,7 @@ impl<'a> ReducerTask<'a> {
             .take()
             .expect("Migrate for a region this reducer does not own");
         if !st.sealed {
-            Self::shed_runs_before_merge(&mut st, sh, region);
-            st.build = Self::merge_gauged(mem::take(&mut st.runs), sh);
-            st.sealed = true;
+            Self::seal(&mut st, sh, region);
             sh.board.note_region_sealed(self.me);
         }
         let state = MigratedRegion {
@@ -584,10 +588,19 @@ impl<'a> ReducerTask<'a> {
         sh.quiesce.wake_all();
     }
 
-    /// Merges a region's sorted runs, charging the merge's memory transient
-    /// to the gauge: the merged output coexists with the source runs until
-    /// the merge completes, so the region briefly holds up to 2× its build
-    /// side. Charging the full size for the whole merge is a (slight)
+    /// Seals a region's build side — the one path `SealR1`, a migration
+    /// that overtakes it, and `finish` all take: shed what the budget
+    /// cannot hold through the sort, then sort the rest into `build`.
+    fn seal(st: &mut RegionState, sh: &ReducerShared<'_>, region: u32) {
+        Self::shed_runs_before_merge(st, sh, region);
+        st.build = Self::merge_gauged(mem::take(&mut st.runs), sh);
+        st.sealed = true;
+    }
+
+    /// Sorts a region's runs into one, charging the memory transient to
+    /// the gauge: the sorted output (and the sort's scratch) coexists with
+    /// the source runs, so the region briefly holds up to 2× its build
+    /// side. Charging the full size for the whole pass is a (slight)
     /// overestimate of the instantaneous extra — the gauge must never
     /// under-report the high-water mark it exists to measure.
     fn merge_gauged(runs: Vec<ColumnBatch>, sh: &ReducerShared<'_>) -> ColumnBatch {
@@ -623,14 +636,14 @@ impl<'a> ReducerTask<'a> {
         }
     }
 
-    /// Sheds a region's sorted runs to disk until the merge transient
-    /// (`merge_gauged` briefly holds the merged copy alongside its
-    /// sources) fits under the query's budget. Without this, sealing a
-    /// hot region while the gauge already sits at the spill trigger would
-    /// spike resident memory to roughly twice that region's state — the
-    /// one place the budget could silently leak. Shed runs skip the merge
-    /// and stay on disk as capped sub-runs the sweep replays like any
-    /// other spilled build run.
+    /// Sheds a region's runs to disk, each sorted on its way out, until
+    /// the seal's transient (`merge_gauged` briefly holds the sorted copy
+    /// alongside its sources) fits under the query's budget. Without
+    /// this, sealing a hot region while the gauge already sits at the
+    /// spill trigger would spike resident memory to roughly twice that
+    /// region's state — the one place the budget could silently leak.
+    /// Shed runs skip the seal and stay on disk as capped sub-runs the
+    /// sweep replays like any other spilled build run.
     fn shed_runs_before_merge(st: &mut RegionState, sh: &ReducerShared<'_>, region: u32) {
         let (Some(ctx), Some(budget)) = (sh.spill, sh.budget_tuples) else {
             return;
@@ -647,7 +660,7 @@ impl<'a> ReducerTask<'a> {
                 .max_by_key(|(_, r)| r.len())
                 .map(|(i, _)| i)
                 .expect("transient > 0 implies a non-empty run");
-            let victim = st.runs.swap_remove(i);
+            let victim = st.take_sorted_run(i);
             let tail = Self::write_capped(ctx, sh, victim, Some(region), &mut st.spilled_build);
             if !tail.is_empty() {
                 st.runs.push(tail);
@@ -730,8 +743,8 @@ impl<'a> ReducerTask<'a> {
     fn spill_once(&mut self, ctx: &SpillContext) -> bool {
         let sh = self.sh;
 
-        // Rung 1: largest build-side victim — a pre-seal sorted run
-        // (`Some(i)`) or the sealed, merged build (`None`).
+        // Rung 1: largest build-side victim — a pre-seal run (`Some(i)`)
+        // or the sealed build (`None`).
         let mut best: Option<(usize, Option<usize>, usize)> = None;
         for (region, slot) in self.states.iter().enumerate() {
             let Some(st) = slot.as_ref() else { continue };
@@ -748,21 +761,21 @@ impl<'a> ReducerTask<'a> {
             let st = self.states[region]
                 .as_mut()
                 .expect("chosen from live states");
+            // Either way the victim is key-sorted — the segment's contract,
+            // which the flush replay relies on — and slicing it into capped
+            // sub-runs keeps each slice sorted too (the sweep distributes
+            // over any partition of the build into runs).
             let victim = match run_idx {
-                Some(i) => st.runs.swap_remove(i),
+                Some(i) => st.take_sorted_run(i),
                 None => mem::take(&mut st.build),
             };
-            // Runs and sealed builds are already key-sorted — the run-file
-            // contract the flush replay relies on, and one slicing into
-            // capped sub-runs keeps each slice sorted too (the sweep
-            // distributes over any partition of the build into runs).
             let region_id = Some(region as u32);
             let tail = Self::write_capped(ctx, sh, victim, region_id, &mut st.spilled_build);
             if tail.is_empty() {
                 return true;
             }
-            // A sorted tail is itself a valid run wherever the victim
-            // came from; the query is being cancelled regardless.
+            // The tail of a sorted victim is sorted, so it is a valid build
+            // (or run) again; the query is being cancelled regardless.
             match run_idx {
                 Some(_) => st.runs.push(tail),
                 None => st.build = tail,
@@ -988,11 +1001,9 @@ impl<'a> ReducerTask<'a> {
         for (region, slot) in self.states.iter_mut().enumerate() {
             let Some(st) = slot.as_mut() else { continue };
             // A region that saw no R1 seal can only mean an empty plan where
-            // the orchestrator pre-sealed; merge whatever is there.
+            // the orchestrator pre-sealed; seal whatever is there.
             if !st.sealed {
-                Self::shed_runs_before_merge(st, sh, region as u32);
-                st.build = Self::merge_gauged(mem::take(&mut st.runs), sh);
-                st.sealed = true;
+                Self::seal(st, sh, region as u32);
             }
             if !st.pending.is_empty() || !st.spilled_pending.is_empty() {
                 Self::flush(st, sh, me, region as u32, &mut self.outbox, pool);
@@ -1035,133 +1046,170 @@ impl<'a> ReducerTask<'a> {
     }
 }
 
-/// K-way loser-tree merge of key-sorted column runs: every tuple is copied
-/// exactly once, with one O(log k) replay per pop, so a hot region that
-/// accumulated many fragments (or spill sub-runs) merges in a single pass
-/// instead of log k full rewrites. Ties break toward the lower run index —
-/// the same order the pairwise oracle produces — so the two functions are
-/// bit-identical on any input, duplicate keys and payload order included.
-pub fn merge_sorted_runs(mut runs: Vec<ColumnBatch>) -> ColumnBatch {
-    // Empty runs contribute nothing and the survivors keep their relative
-    // order, so dropping them up front preserves the tie-break sequence.
-    runs.retain(|r| !r.is_empty());
-    match runs.len() {
-        0 => return ColumnBatch::new(),
-        1 => return runs.pop().expect("one run"),
-        2 => {
-            let b = runs.pop().expect("two runs");
-            let a = runs.pop().expect("two runs");
-            return merge_two(a, b);
-        }
-        _ => {}
+/// Seals a set of runs into one key-sorted batch: the runs are appended in
+/// order and the concatenation is sorted once, stably — which *is* the
+/// stable k-way merge (equal keys keep run order, then position within the
+/// run), whether or not each run arrived sorted. One
+/// [`ColumnBatch::sort_by_key`] over `n` tuples is a few radix passes over
+/// two contiguous columns; a tournament over hundreds of fragment-sized
+/// runs pays a cache-missing comparison chain per tuple instead.
+pub fn merge_sorted_runs(runs: Vec<ColumnBatch>) -> ColumnBatch {
+    let mut out = ColumnBatch::with_capacity(runs.iter().map(ColumnBatch::len).sum());
+    for mut run in runs {
+        out.append(&mut run);
     }
-    let k = runs.len();
-    let cols: Vec<(&[Key], &[u64])> = runs.iter().map(|r| (r.keys(), r.payloads())).collect();
-    let total = cols.iter().map(|(ks, _)| ks.len()).sum::<usize>();
-    let mut pos = vec![0usize; k];
-
-    // `a` beats `b` when its current head must pop first. Exhausted runs
-    // (and the `usize::MAX` empty-slot sentinel) never beat anything.
-    let beats = |a: usize, b: usize, pos: &[usize]| -> bool {
-        if a == usize::MAX || pos[a] >= cols[a].0.len() {
-            return false;
-        }
-        if b == usize::MAX || pos[b] >= cols[b].0.len() {
-            return true;
-        }
-        let (ka, kb) = (cols[a].0[pos[a]], cols[b].0[pos[b]]);
-        ka < kb || (ka == kb && a < b)
-    };
-
-    // Complete binary tournament: external node `k + r` is run r, internal
-    // nodes 1..k each store the LOSER of their subtree's final; the overall
-    // winner sits in `tree[0]`. Built bottom-up so odd k folds in naturally.
-    let mut tree = vec![usize::MAX; k];
-    let mut winner_at = vec![usize::MAX; 2 * k];
-    for (r, slot) in winner_at[k..].iter_mut().enumerate() {
-        *slot = r;
-    }
-    for t in (1..k).rev() {
-        let (a, b) = (winner_at[2 * t], winner_at[2 * t + 1]);
-        if beats(a, b, &pos) {
-            winner_at[t] = a;
-            tree[t] = b;
-        } else {
-            winner_at[t] = b;
-            tree[t] = a;
-        }
-    }
-    tree[0] = winner_at[1];
-
-    let mut out = ColumnBatch::with_capacity(total);
-    for _ in 0..total {
-        let w = tree[0];
-        let (ks, ps) = cols[w];
-        out.push(ks[pos[w]], ps[pos[w]]);
-        pos[w] += 1;
-        // Replay leaf-to-root: the popped run (possibly exhausted now)
-        // re-fights the stored losers along its path; each node keeps the
-        // loser and the winner climbs on.
-        let mut winner = w;
-        let mut t = (k + w) / 2;
-        while t >= 1 {
-            if beats(tree[t], winner, &pos) {
-                std::mem::swap(&mut tree[t], &mut winner);
-            }
-            t /= 2;
-        }
-        tree[0] = winner;
-    }
-    out
-}
-
-/// Balanced pairwise merge of key-sorted column runs — the pre-loser-tree
-/// implementation, kept as the bit-identity oracle for `merge_sorted_runs`
-/// (property tests compare the two on adversarial run sets).
-pub fn merge_sorted_runs_pairwise(mut runs: Vec<ColumnBatch>) -> ColumnBatch {
-    if runs.is_empty() {
-        return ColumnBatch::new();
-    }
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(a, b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    runs.pop().expect("non-empty by construction")
-}
-
-fn merge_two(a: ColumnBatch, b: ColumnBatch) -> ColumnBatch {
-    let mut out = ColumnBatch::with_capacity(a.len() + b.len());
-    let (ak, ap) = (a.keys(), a.payloads());
-    let (bk, bp) = (b.keys(), b.payloads());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ak.len() && j < bk.len() {
-        if ak[i] <= bk[j] {
-            out.push(ak[i], ap[i]);
-            i += 1;
-        } else {
-            out.push(bk[j], bp[j]);
-            j += 1;
-        }
-    }
-    if i < ak.len() {
-        out.extend_from_range(&a, i..ak.len());
-    }
-    if j < bk.len() {
-        out.extend_from_range(&b, j..bk.len());
-    }
+    out.sort_by_key();
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{BoundedQueue, EngineRuntime, Poll};
+    use std::sync::Mutex;
+
+    /// Polls reducer `me` on `rt` until its terminal delivery.
+    fn drive(
+        rt: &EngineRuntime,
+        sh: &ReducerShared<'_>,
+        me: usize,
+        owned: &[u32],
+    ) -> ReducerOutcome {
+        let slot = Mutex::new(None);
+        rt.scope(|s| {
+            let mut task = ReducerTask::new(sh, me, owned);
+            let slot = &slot;
+            s.spawn(move |cx| match task.poll(cx) {
+                ReducerStep::Working => Poll::Yielded,
+                ReducerStep::Parked => Poll::Pending,
+                ReducerStep::Done(outcome) => {
+                    *slot.lock().expect("outcome slot") = Some(outcome);
+                    Poll::Ready
+                }
+            });
+        });
+        slot.into_inner()
+            .expect("outcome slot")
+            .expect("reducer finished")
+    }
+
+    #[test]
+    fn a_migrate_that_overtakes_seal_r1_sorts_the_arrival_order_runs_it_ships() {
+        // The coordinator starts moving regions once `r1_remaining` reads
+        // zero, which the last mapper publishes *before* its `SealR1`
+        // broadcast reaches every queue: a `Migrate` can overtake the seal,
+        // and the old owner must then seal on its own — over runs that are
+        // no longer sorted on arrival. No schedule forces that order from
+        // outside, so the deliveries are queued by hand.
+        let rt = EngineRuntime::new(2);
+        let queues: Vec<Arc<DeliveryPort>> = (0..2)
+            .map(|_| Arc::new(BoundedQueue::new(1 << 16)) as Arc<DeliveryPort>)
+            .collect();
+        let table = RoutingTable::new(&[0]);
+        let board = ProgressBoard::new(2, 1);
+        let gauge = MemGauge::default();
+        let cond = JoinCondition::Band { beta: 1 };
+        let cancel = CancelToken::new();
+        let quiesce = WakeSet::new();
+        let (in_flight, adoptions, migration_tuples) =
+            (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let (merge_nanos, sweep_nanos) = (AtomicU64::new(0), AtomicU64::new(0));
+        let mappers_done = AtomicBool::new(false);
+        let sh = ReducerShared {
+            queues: &queues,
+            table: &table,
+            board: &board,
+            gauge: &gauge,
+            cond: &cond,
+            work: OutputWork::Touch,
+            probe_chunk: 4,
+            in_flight: &in_flight,
+            adoptions: &adoptions,
+            migration_tuples: &migration_tuples,
+            coordinated: true,
+            straggler: None,
+            sink: None,
+            key_from: KeyFrom::Probe,
+            budget_tuples: None,
+            spill: None,
+            cancel: &cancel,
+            quiesce: &quiesce,
+            mappers_done: &mappers_done,
+            merge_nanos: &merge_nanos,
+            sweep_nanos: &sweep_nanos,
+        };
+        // What a mapper does per shipped fragment.
+        let ship = |to: usize, rel: Rel, tuples: ColumnBatch| {
+            let n = tuples.len() as u64;
+            gauge.add(n);
+            in_flight.fetch_add(n, Ordering::AcqRel);
+            queues[to].push_unbounded(Delivery::Batch(RegionBatch {
+                region: 0,
+                rel,
+                epoch: table.epoch(),
+                tuples,
+            }));
+        };
+        let tagged = |tag: u64, keys: &[i64]| -> ColumnBatch {
+            keys.iter()
+                .enumerate()
+                .map(|(i, &k)| ewh_core::Tuple::new(k, tag << 16 | i as u64))
+                .collect()
+        };
+        let build_runs = [
+            tagged(1, &[9, 1, 5, 1]),
+            tagged(2, &[2, 8, 2]),
+            tagged(3, &[5, 5, 0]),
+        ];
+        let probe_runs = [tagged(4, &[6, 0, 3, 9, 1]), tagged(5, &[2, 2, 7])];
+
+        for run in &build_runs {
+            ship(0, Rel::R1, run.clone());
+        }
+        table.migrate(0, 1);
+        queues[0].push_unbounded(Delivery::Migrate { region: 0 });
+        queues[0].push_unbounded(Delivery::SealR1);
+        queues[0].push_unbounded(Delivery::Finish);
+        let donor = drive(&rt, &sh, 0, &[0]);
+        assert!(!donor.aborted && donor.results.is_empty());
+
+        // The shipped state is the stable sort of the arrival-order runs.
+        let PortPop::Item(Delivery::Adopt { region: 0, state }) = queues[1].try_pop() else {
+            panic!("the donor ships exactly one Adopt");
+        };
+        assert!(state.sealed);
+        assert_eq!(state.build, merge_sorted_runs(build_runs.to_vec()));
+        assert!(state.build.is_sorted_by_key());
+        queues[1].push_unbounded(Delivery::Adopt { region: 0, state });
+
+        queues[1].push_unbounded(Delivery::SealR1);
+        for run in &probe_runs {
+            ship(1, Rel::R2, run.clone());
+        }
+        queues[1].push_unbounded(Delivery::Finish);
+        let adopter = drive(&rt, &sh, 1, &[]);
+        let [result] = &adopter.results[..] else {
+            panic!("the adopter owns the one region");
+        };
+        let (mut count, mut checksum) = (0u64, 0u64);
+        for b in build_runs.iter().flat_map(ColumnBatch::iter_tuples) {
+            for p in probe_runs.iter().flat_map(ColumnBatch::iter_tuples) {
+                if cond.matches(b.key, p.key) {
+                    count += 1;
+                    checksum ^= crate::local_join::pair_payload(b.payload, p.payload);
+                }
+            }
+        }
+        assert!(count > 0);
+        assert_eq!((result.output, result.checksum), (count, checksum));
+        assert_eq!(result.input, 18);
+        assert_eq!(in_flight.load(Ordering::Acquire), 0);
+        assert_eq!(
+            gauge.current_tuples(),
+            0,
+            "every charged tuple was released"
+        );
+    }
 
     fn cols(keys: &[i64]) -> ColumnBatch {
         let mut b = ColumnBatch::with_capacity(keys.len());
@@ -1192,9 +1240,10 @@ mod tests {
     }
 
     #[test]
-    fn loser_tree_matches_pairwise_merge_with_duplicates() {
+    fn merge_is_stable_across_runs_sorted_or_not() {
         // Payloads encode (run, position) so any stability slip — equal
-        // keys emitted in the wrong run order — flips the comparison.
+        // keys emitted in the wrong run order — flips the comparison with
+        // a std stable sort of the concatenation.
         let make = |runs: &[&[i64]]| -> Vec<ColumnBatch> {
             runs.iter()
                 .enumerate()
@@ -1210,12 +1259,15 @@ mod tests {
             make(&[&[1, 5, 9], &[2, 2, 8], &[0], &[], &[3, 4, 10, 11]]),
             make(&[&[7, 7, 7], &[7, 7], &[7], &[7, 7, 7, 7]]),
             make(&[&[-3, 0, 0, 2], &[0, 0], &[-3, 5], &[0], &[1, 1], &[], &[2]]),
+            // Arrival order, as `absorb` now leaves it.
+            make(&[&[9, 1, 5, 1], &[2, 8, 2], &[], &[5, 5, 0]]),
+            make(&[&[3, 1, 2]]),
         ];
         for runs in cases {
-            let a = merge_sorted_runs(runs.clone());
-            let b = merge_sorted_runs_pairwise(runs);
-            assert_eq!(a.keys(), b.keys());
-            assert_eq!(a.payloads(), b.payloads());
+            let mut expect: Vec<ewh_core::Tuple> =
+                runs.iter().flat_map(ColumnBatch::iter_tuples).collect();
+            expect.sort_by_key(|t| t.key);
+            assert_eq!(merge_sorted_runs(runs).to_tuples(), expect);
         }
     }
 }

@@ -4,8 +4,8 @@
 //! (§VI-A): J logical workers multiplexed onto one persistent
 //! [`EngineRuntime`] worker pool, the morsel-driven pipelined [`engine`]
 //! (mapper tasks batch-route morsels over bounded per-region queues to
-//! reducer tasks that build sorted region state incrementally and sweep
-//! probe chunks as they stream in), sort+sweep [`local_join`]s, and the
+//! reducer tasks that collect each region's build side, sort it once at
+//! the seal and sweep probe chunks as they stream in), sort+sweep [`local_join`]s, and the
 //! [`run_operator`] driver that reports the paper's metrics — simulated
 //! time from the validated cost model, measured wall time, network tuples,
 //! cluster memory (modeled and actually-resident peak), and per-worker
@@ -58,12 +58,11 @@ mod shuffle;
 
 pub use adaptive::{simulate as simulate_adaptive, AdaptiveConfig, AdaptiveOutcome, TaskSpec};
 pub use engine::{
-    merge_sorted_runs, merge_sorted_runs_pairwise, BatchPool, EngineConfig, EngineIo,
-    EngineOutcome, EngineRuntime, Exchange, FragmentPort, LinkProfile, MemGauge, Morsel,
-    MorselPlan, OnlineStats, PortPop, ProgressBoard, QueryTicket, RemoteExchangeReceiver,
-    RemoteExchangeSender, RemoteQueue, RuntimeConfig, RuntimeMetrics, Source, SpillConfig,
-    SpillContext, SpillRun, SpillTotals, StageSink, Straggler, TransportConfig, TransportFailure,
-    TransportKind,
+    merge_sorted_runs, BatchPool, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange,
+    FragmentPort, LinkProfile, MemGauge, Morsel, MorselPlan, OnlineStats, PortPop, ProgressBoard,
+    QueryTicket, RemoteExchangeReceiver, RemoteExchangeSender, RemoteQueue, RuntimeConfig,
+    RuntimeMetrics, Source, SpillConfig, SpillContext, SpillRun, SpillTotals, StageSink, Straggler,
+    TransportConfig, TransportFailure, TransportKind,
 };
 pub use local_join::{
     local_join, output_tuple, pair_payload, sweep_columns, sweep_columns_each, sweep_sorted,

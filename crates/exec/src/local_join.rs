@@ -83,10 +83,14 @@ pub fn local_join(
 ///
 /// Narrows `r1` to the tuples whose joinable range can reach the probe's
 /// key span first: both `jr` endpoints are non-decreasing in the key (the
-/// staircase property), so the relevant `R1` tuples form one contiguous
-/// run found by two binary searches. A small probe chunk against a large
-/// sorted side therefore costs `O(log |r1| + relevant + output)` instead
-/// of `O(|r1|)`.
+/// staircase property), so those tuples form one contiguous run found by
+/// two binary searches. Every tuple of that run is then visited, matched
+/// or not, so a sweep costs `O(log |r1| + span + |r2| + output)` where
+/// `span` counts the `r1` tuples between the probe's smallest and largest
+/// key — all of `r1` when a small probe chunk spans its key range. That is
+/// the right trade for the batch oracle this kernel serves (one dense
+/// sweep per region); the engine's per-chunk sweeps use the columnar
+/// kernel below, which skips the unmatched stretches.
 #[inline]
 fn sweep_ranges(
     r1: &[Tuple],
@@ -124,9 +128,9 @@ fn sweep_ranges(
     count
 }
 
-/// The sweep over *pre-sorted* inputs — the pipelined engine calls this
-/// once per probe chunk against a region's sealed, sorted `R1` state. See
-/// `sweep_ranges` above for the shared kernel and its complexity.
+/// The sweep over *pre-sorted* inputs — the batch path's per-region join
+/// once both sides are sorted. See `sweep_ranges` above for the shared
+/// kernel and its complexity.
 pub fn sweep_sorted(
     r1: &[Tuple],
     r2: &[Tuple],
@@ -190,6 +194,17 @@ pub fn sweep_sorted_into(
 /// build-side match is reported as an *index range* of probe positions so
 /// callers fold the parallel payload column in tight contiguous loops the
 /// compiler can autovectorize.
+///
+/// The two sides *leapfrog*: a build key whose probe window comes out
+/// empty does not step to its neighbour but gallops the build cursor to
+/// the first key that can reach the next unmatched probe key, and the
+/// sweep ends the moment the probe is exhausted. Every leap lands on a
+/// build key that either matches or moves the probe cursor forward, so a
+/// sweep costs `O(log |build| + m · log gap + matched + output)` with
+/// `m = min(|build|, |probe|)` and `matched` the build tuples that have a
+/// partner, each of which pays for itself in output. A 256-tuple probe
+/// chunk against a region's whole sorted build costs what the chunk joins
+/// with, not what lies between its smallest and largest key.
 #[inline]
 fn sweep_ranges_cols(
     build_keys: &[Key],
@@ -206,26 +221,39 @@ fn sweep_ranges_cols(
     let probe_max = probe_keys[probe_keys.len() - 1];
     let start = build_keys.partition_point(|&k| cond.joinable_range(k).hi < probe_min);
     let end = build_keys.partition_point(|&k| cond.joinable_range(k).lo <= probe_max);
+    let build_keys = &build_keys[..end];
 
     let mut count = 0u64;
     let mut lo = 0usize;
     let mut hi = 0usize;
-    let mut prev_key = None;
-    for (off, &k1) in build_keys[start..end].iter().enumerate() {
-        // Sorted input puts duplicate build keys adjacent, and the probe
-        // window depends only on the key — a repeated key reuses the
-        // previous `lo..hi` without touching the probe column at all.
-        if prev_key != Some(k1) {
-            prev_key = Some(k1);
-            let jr = cond.joinable_range(k1);
-            lo = gallop_while(probe_keys, lo, |k| k < jr.lo);
-            if hi < lo {
-                hi = lo;
-            }
-            hi = gallop_while(probe_keys, hi, |k| k <= jr.hi);
+    let mut i = start;
+    // One iteration per distinct build key: its probe window, then either
+    // a leap (the window is empty) or the run of its duplicates.
+    while i < end {
+        let k1 = build_keys[i];
+        let jr = cond.joinable_range(k1);
+        lo = gallop_while(probe_keys, lo, |k| k < jr.lo);
+        hi = gallop_while(probe_keys, hi.max(lo), |k| k <= jr.hi);
+        if hi == lo {
+            // `lo` only moves forward, so once it runs off the probe no
+            // later build key has a partner either.
+            let Some(&next) = probe_keys.get(lo) else {
+                break;
+            };
+            // Every build key whose range ends below `next` has an empty
+            // window too (its `lo` is at least this one): leap over them.
+            i = gallop_while(build_keys, i + 1, |k| cond.joinable_range(k).hi < next);
+            continue;
         }
-        count += (hi - lo) as u64;
-        on_range(start + off, lo..hi);
+        // Sorted input puts duplicate build keys adjacent, and the probe
+        // window depends only on the key — the whole run of `k1` shares
+        // `lo..hi` without touching the probe column again.
+        let run_start = i;
+        while i < end && build_keys[i] == k1 {
+            on_range(i, lo..hi);
+            i += 1;
+        }
+        count += ((hi - lo) * (i - run_start)) as u64;
     }
     count
 }

@@ -60,8 +60,9 @@ pub struct JoinStats {
     /// per-region fragment (0 under batch execution, which shuffles up
     /// front instead).
     pub route_secs: f64,
-    /// Total reducer time merging sorted runs — seal, migration and finish
-    /// merges (0 under batch execution).
+    /// Total reducer time sealing build sides — the one sort of a region's
+    /// collected runs at the `R1` seal, a migration or finish (0 under
+    /// batch execution).
     pub merge_secs: f64,
     /// Total reducer time sweeping probe chunks against build state (0
     /// under batch execution, which joins per region after the shuffle).

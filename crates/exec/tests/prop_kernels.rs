@@ -1,28 +1,43 @@
-//! Property-based oracles for the cache-conscious kernels: the loser-tree
-//! k-way merge matches the pairwise 2-way merge exactly (duplicates and
-//! stability included), the write-combining scatter router builds the same
-//! fragments in the same order as batch-route-then-gather under adversarial
-//! skew (all tuples into one region, empty regions, grouped and generic
-//! paths), and zone-fence candidacy never disagrees with a real sweep.
+//! Property-based oracles for the cache-conscious kernels: the seal
+//! (`merge_sorted_runs`) equals a std stable sort of the concatenated runs
+//! whether or not they arrive sorted, the write-combining scatter router
+//! builds the same fragments in the same order as batch-route-then-gather
+//! under adversarial skew (all tuples into one region, empty regions,
+//! grouped and generic paths), zone-fence candidacy never disagrees with a
+//! real sweep, and the leapfrogging columnar sweeps equal a nested-loop
+//! join for every condition on the probe-chunk shapes the engine produces
+//! (a small chunk spanning a large build, gaps, exhausted sides, extreme
+//! keys), in one shot and chunk by chunk.
 
 use ewh_core::{
     ColumnBatch, GridRouter, HashRouter, IneqOp, JoinCondition, Key, KeyRange, RandomRouter, Rel,
     RouteBatch, RouteBuckets, RouteScatter, Router, Tuple,
 };
-use ewh_exec::{merge_sorted_runs, merge_sorted_runs_pairwise, sweep_columns, OutputWork};
+use ewh_exec::{
+    merge_sorted_runs, pair_payload, sweep_columns, sweep_columns_each, KeyFrom, OutputWork,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Sorted runs with duplicate-heavy keys; payloads encode `(run, index)` so
-/// any reordering of equal keys — a stability bug — changes the output.
+/// Runs with duplicate-heavy keys, each either sorted (a spill sub-run, a
+/// replayed fragment) or in arrival order (what `absorb` hands the seal);
+/// payloads encode `(run, index)` so any reordering of equal keys — a
+/// stability bug — changes the output. The long arm crosses into the radix
+/// tier of `ColumnBatch::sort_by_key`, negative keys included.
 fn runs_strategy() -> impl Strategy<Value = Vec<ColumnBatch>> {
-    prop::collection::vec(prop::collection::vec(-10i64..10, 0..60), 0..7).prop_map(|key_runs| {
+    let run = prop_oneof![
+        prop::collection::vec(-10i64..10, 0..60),
+        prop::collection::vec(-300i64..300, 0..700),
+    ];
+    prop::collection::vec((run, any::<bool>()), 0..7).prop_map(|key_runs| {
         key_runs
             .into_iter()
             .enumerate()
-            .map(|(r, mut keys)| {
-                keys.sort_unstable();
+            .map(|(r, (mut keys, sorted))| {
+                if sorted {
+                    keys.sort_unstable();
+                }
                 keys.iter()
                     .enumerate()
                     .map(|(i, &k)| Tuple::new(k, (r as u64) << 32 | i as u64))
@@ -106,15 +121,13 @@ fn zone_of(batch: &ColumnBatch) -> KeyRange {
 
 proptest! {
     #[test]
-    fn loser_tree_merge_matches_pairwise_oracle(runs in runs_strategy()) {
-        let merged = merge_sorted_runs(runs.clone());
-        let oracle = merge_sorted_runs_pairwise(runs.clone());
-        // Exact equality — payload order included — proves the loser tree
-        // keeps the pairwise merge's stability on duplicate keys.
-        prop_assert_eq!(merged.to_tuples(), oracle.to_tuples());
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-        prop_assert_eq!(oracle.len(), total);
-        prop_assert!(oracle.is_sorted_by_key());
+    fn merge_matches_a_stable_sort_of_the_concatenation(runs in runs_strategy()) {
+        // The simplest correct merge: concatenate, std stable sort. Exact
+        // equality — payload order included — is the stable k-way merge's
+        // contract (ties toward the lower run, then the lower position).
+        let mut oracle: Vec<Tuple> = runs.iter().flat_map(ColumnBatch::iter_tuples).collect();
+        oracle.sort_by_key(|t| t.key);
+        prop_assert_eq!(merge_sorted_runs(runs).to_tuples(), oracle);
     }
 
     #[test]
@@ -165,6 +178,191 @@ proptest! {
         // both directions of the fence contract are pinned).
         if count > 0 {
             prop_assert!(cond.candidate(&zone_of(&build), &zone_of(&probe)));
+        }
+    }
+}
+
+const CONDS: [JoinCondition; 8] = [
+    JoinCondition::Equi,
+    JoinCondition::Band { beta: 0 },
+    JoinCondition::Band { beta: 4 },
+    JoinCondition::Inequality(IneqOp::Lt),
+    JoinCondition::Inequality(IneqOp::Le),
+    JoinCondition::Inequality(IneqOp::Gt),
+    JoinCondition::Inequality(IneqOp::Ge),
+    JoinCondition::EquiBand { shift: 8, beta: 2 },
+];
+
+/// A key-sorted batch over `keys`, payloads distinct per position.
+fn sorted_batch(mut keys: Vec<Key>, tag: u64) -> ColumnBatch {
+    keys.sort_unstable();
+    keys.iter()
+        .enumerate()
+        .map(|(i, &k)| Tuple::new(k, tag << 40 | i as u64))
+        .collect()
+}
+
+fn random_keys(n: usize, domain: std::ops::Range<Key>, seed: u64) -> Vec<Key> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n).map(|_| rng.gen_range(domain.clone())).collect()
+}
+
+/// Does build key `a` join probe key `b`? `matches` is the definition, but
+/// its band arithmetic overflows at the ends of the key space; there the
+/// joinable range (saturating, and pinned equal to `matches` by
+/// `ewh_core`'s own tests) stands in.
+type Joins = fn(&JoinCondition, Key, Key) -> bool;
+const BY_MATCHES: Joins = |cond, a, b| cond.matches(a, b);
+const BY_RANGE: Joins = |cond, a, b| cond.joinable_range(a).contains(b);
+
+/// The build/probe shapes a probe-chunk sweep meets and the dense one-shot
+/// kernel never told apart.
+fn sweep_shapes() -> Vec<(&'static str, ColumnBatch, ColumnBatch, Joins)> {
+    let shape = |name, build: Vec<Key>, probe: Vec<Key>, joins| {
+        (name, sorted_batch(build, 1), sorted_batch(probe, 2), joins)
+    };
+    let far = 1 << 40;
+    vec![
+        // What the engine sweeps: one chunk whose keys span the region.
+        shape(
+            "256-key probe inside a 64k-key build",
+            (0..65_536).collect(),
+            random_keys(256, 0..65_536, 41),
+            BY_MATCHES,
+        ),
+        shape(
+            "dense probe against a sparse build",
+            (0..64).map(|i| i * 1000 + 500).collect(),
+            (0..20_000).map(|i| i * 3).collect(),
+            BY_MATCHES,
+        ),
+        shape(
+            "one hot key on both sides",
+            [vec![7; 300], random_keys(40, 0..64, 43)].concat(),
+            [vec![7; 300], random_keys(40, 0..64, 47)].concat(),
+            BY_MATCHES,
+        ),
+        shape(
+            "disjoint key ranges, interleaved",
+            [(0..100).collect::<Vec<Key>>(), (1000..1100).collect()].concat(),
+            [(500..600).collect::<Vec<Key>>(), (2000..2100).collect()].concat(),
+            BY_MATCHES,
+        ),
+        shape(
+            "probe entirely past the last build key",
+            random_keys(500, 0..400, 53),
+            random_keys(500, far..far + 400, 59),
+            BY_MATCHES,
+        ),
+        shape(
+            "probe entirely before the first build key",
+            random_keys(500, far..far + 400, 61),
+            random_keys(500, 0..400, 67),
+            BY_MATCHES,
+        ),
+        shape(
+            "keys at Key::MIN and Key::MAX",
+            vec![
+                Key::MIN,
+                Key::MIN,
+                Key::MIN + 1,
+                -9,
+                0,
+                0,
+                9,
+                Key::MAX - 1,
+                Key::MAX,
+                Key::MAX,
+            ],
+            vec![
+                Key::MIN,
+                Key::MIN + 3,
+                -1,
+                0,
+                1,
+                Key::MAX - 3,
+                Key::MAX,
+                Key::MAX,
+            ],
+            BY_RANGE,
+        ),
+    ]
+}
+
+#[test]
+fn leapfrog_sweeps_equal_a_nested_loop_join_on_every_chunk_shape() {
+    for (name, build, probe, joins) in sweep_shapes() {
+        for cond in CONDS {
+            let ctx = format!("{name}, {cond:?}");
+            // The nested loop, lazily and build-major — the order the
+            // kernel emits in — so that even the 64k-key shape's millions
+            // of inequality pairs are compared one by one without being
+            // held: equal sequences are equal multisets.
+            let mut expect = build.iter_tuples().flat_map(|b| {
+                probe
+                    .iter_tuples()
+                    .filter(move |p| joins(&cond, b.key, p.key))
+                    .map(move |p| (p.key, pair_payload(b.payload, p.payload)))
+            });
+            // Folded over the oracle's pairs as they are matched off; the
+            // exhaustion check below makes it the whole join's fold.
+            let (mut count, mut checksum) = (0u64, 0u64);
+            let each = sweep_columns_each(&build, &probe, &cond, KeyFrom::Probe, |k, p| {
+                let pair = expect.next();
+                assert_eq!(Some((k, p)), pair, "{ctx}");
+                count += 1;
+                checksum ^= p;
+            });
+            assert_eq!(expect.next(), None, "{ctx}: pairs missing");
+            assert_eq!(each, (count, checksum), "{ctx}");
+            let touch = sweep_columns(&build, &probe, &cond, OutputWork::Touch);
+            assert_eq!(touch, (count, checksum), "{ctx}");
+            let counted = sweep_columns(&build, &probe, &cond, OutputWork::Count);
+            assert_eq!(counted, (count, 0), "{ctx}");
+        }
+    }
+}
+
+#[test]
+fn chunked_sweeps_equal_the_one_shot_sweep() {
+    // The engine joins a region's build against the probe side one chunk
+    // at a time, each chunk sorted on its own: the pair set partitions
+    // across chunks, so counts add, checksums XOR and the emitted pairs
+    // union to the one-shot result — at every chunk size, down to the
+    // single-tuple chunk where every sweep is one leap.
+    let build = sorted_batch(random_keys(600, 0..400, 71), 1);
+    let arrival = random_keys(600, 0..400, 73);
+    let probe_tuples: Vec<Tuple> = arrival
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| Tuple::new(k, 2 << 40 | i as u64))
+        .collect();
+    let sweep = |probe: &ColumnBatch, cond: &JoinCondition, out: &mut Vec<(Key, u64)>| {
+        let each = sweep_columns_each(&build, probe, cond, KeyFrom::Build, |k, p| out.push((k, p)));
+        assert_eq!(each, sweep_columns(&build, probe, cond, OutputWork::Touch));
+        each
+    };
+    for cond in CONDS {
+        let mut whole: ColumnBatch = probe_tuples.iter().copied().collect();
+        whole.sort_by_key();
+        let mut expect_pairs = Vec::new();
+        let expect = sweep(&whole, &cond, &mut expect_pairs);
+        expect_pairs.sort_unstable();
+        for chunk_size in [1usize, 7, 64, 256] {
+            let (mut count, mut checksum, mut pairs) = (0u64, 0u64, Vec::new());
+            for chunk in probe_tuples.chunks(chunk_size) {
+                let mut chunk: ColumnBatch = chunk.iter().copied().collect();
+                chunk.sort_by_key();
+                let (c, x) = sweep(&chunk, &cond, &mut pairs);
+                count += c;
+                checksum ^= x;
+            }
+            pairs.sort_unstable();
+            assert_eq!((count, checksum), expect, "{cond:?} chunk {chunk_size}");
+            assert!(
+                pairs == expect_pairs,
+                "{cond:?} chunk {chunk_size}: pairs differ"
+            );
         }
     }
 }

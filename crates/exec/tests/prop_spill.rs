@@ -7,7 +7,11 @@
 //! fire. This certifies the whole spill ladder, the merge-replay of
 //! spilled runs during the sweep, and the shipping of spilled-run
 //! descriptors across a region migration — the adopter reads the donor's
-//! runs out of the query's one shared segment file, by offset.
+//! runs out of the query's one shared segment file, by offset. Each case
+//! also drives the engine once over a segment the test owns and reads it
+//! back record by record: every build and probe run in it must be
+//! key-sorted, the contract the replay sweeps rely on now that a run is
+//! sorted on its way to disk instead of on arrival.
 //!
 //! Deterministic companions pin the claims the properties could silently
 //! stop exercising: a pressured run actually reports `spill_bytes > 0`
@@ -19,9 +23,11 @@
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
-use ewh_core::{JoinCondition, Key, SchemeKind, Tuple};
+use ewh_core::{build_ci, ColumnBatch, JoinCondition, Key, RoutingTable, SchemeKind, Tuple};
+use ewh_exec::engine::run_pipelined_io;
 use ewh_exec::{
-    run_operator, AdaptiveConfig, EngineRuntime, ExecMode, OperatorConfig, SpillConfig,
+    run_operator, AdaptiveConfig, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, ExecMode,
+    KeyFrom, MorselPlan, OperatorConfig, Source, SpillConfig, SpillContext,
 };
 use proptest::prelude::*;
 
@@ -75,6 +81,70 @@ fn assert_no_leftover_spill(base: &Path) {
     }
 }
 
+/// Runs the join under CI on the engine itself, spilling into a segment
+/// under `dir` that outlives the run, and returns the outcome with the key
+/// column of every record in that segment, in file order. CI scatters at
+/// random, so every fragment arrives unsorted; without a downstream sink
+/// every record is a build or a probe run.
+#[allow(clippy::too_many_arguments)] // one engine run's inputs, used once each
+fn run_over_an_owned_segment(
+    rt: &EngineRuntime,
+    r1: &[Tuple],
+    r2: &[Tuple],
+    cond: &JoinCondition,
+    base: &OperatorConfig,
+    adaptive: AdaptiveConfig,
+    budget: u64,
+    dir: &Path,
+) -> (EngineOutcome, Vec<Vec<Key>>) {
+    let scheme = build_ci(base.j, r1.len() as u64, r2.len() as u64, None);
+    let cfg = EngineConfig {
+        queue_tuples: base.queue_tuples,
+        adaptive,
+        ..EngineConfig::for_tasks(base.threads, base.morsel_tuples, base.seed)
+    };
+    let owners: Vec<u32> = (0..scheme.num_regions())
+        .map(|r| (r % cfg.reducers) as u32)
+        .collect();
+    let (c1, c2) = (ColumnBatch::from_tuples(r1), ColumnBatch::from_tuples(r2));
+    let ctx = SpillContext::new(dir.to_path_buf(), None);
+    let outcome = run_pipelined_io(
+        rt,
+        EngineIo {
+            r1: Source::Scan(&c1),
+            r2: Source::Scan(&c2),
+            router: &scheme.router,
+            cond,
+            table: &RoutingTable::new(&owners),
+            plan: &MorselPlan::new(r1.len(), r2.len(), base.morsel_tuples),
+            sink: None,
+            key_from: KeyFrom::Probe,
+            gauge: None,
+            cancel: None,
+            budget_tuples: Some(budget),
+            spill: Some(&ctx),
+            links: None,
+        },
+        &cfg,
+    );
+    assert_eq!(ctx.take_failure(), None);
+
+    // `count | key slab | payload slab` records, back to back.
+    let mut runs = Vec::new();
+    if ctx.totals().files == 1 {
+        let bytes = std::fs::read(dir.join("segment.spill")).expect("the segment");
+        let mut words = bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
+        while let Some(n) = words.next() {
+            runs.push(words.by_ref().take(n as usize).map(|k| k as Key).collect());
+            assert_eq!(words.by_ref().take(n as usize).count() as u64, n);
+        }
+    }
+    assert_eq!(runs.len() as u64, ctx.totals().runs);
+    (outcome, runs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
@@ -102,6 +172,12 @@ proptest! {
             queue_tuples: 64,
             ..Default::default()
         };
+        let adaptive = if migrate {
+            forced_migration()
+        } else {
+            AdaptiveConfig::default()
+        };
+        let mut oracle = (0, 0);
         for kind in [SchemeKind::Ci, SchemeKind::Csi, SchemeKind::Csio, SchemeKind::Hash] {
             let batch = run_operator(
                 &rt,
@@ -111,6 +187,7 @@ proptest! {
                 &cond,
                 &OperatorConfig { mode: ExecMode::Batch, ..base.clone() },
             );
+            oracle = (batch.join.output_total, batch.join.checksum);
             let spilling = run_operator(
                 &rt,
                 kind,
@@ -124,11 +201,7 @@ proptest! {
                         temp_dir: Some(base_dir.clone()),
                         fail_after_bytes: None,
                     },
-                    adaptive: if migrate {
-                        forced_migration()
-                    } else {
-                        AdaptiveConfig::default()
-                    },
+                    adaptive,
                     ..base.clone()
                 },
             );
@@ -151,6 +224,19 @@ proptest! {
             );
         }
         assert_no_leftover_spill(&base_dir);
+
+        // The same pressure over a segment that outlives its run: what was
+        // spilled — pre-seal runs in arrival order among it — went to disk
+        // sorted, and replaying it still computes the oracle's join.
+        let owned = base_dir.join("owned-segment");
+        let (out, runs) =
+            run_over_an_owned_segment(&rt, &r1, &r2, &cond, &base, adaptive, budget, &owned);
+        prop_assert!(!out.cancelled);
+        prop_assert_eq!((out.output_total(), out.checksum()), oracle);
+        prop_assert_eq!(out.spill.runs, runs.len() as u64);
+        for (i, keys) in runs.iter().enumerate() {
+            prop_assert!(keys.is_sorted(), "spilled run {} of {} is not key-sorted", i, runs.len());
+        }
         let _ = std::fs::remove_dir_all(&base_dir);
     }
 }

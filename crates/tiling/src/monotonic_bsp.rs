@@ -69,66 +69,79 @@ impl<'a> MonotonicBspSolver<'a> {
                 }
             }
         }
-        // Seed with the root: on non-staircase matrices its corners need not
-        // be candidate cells, yet the DP always starts there.
-        if let Some(root) = grid.shrink(grid.full()) {
-            rects.push(root);
-        }
-        let mut index: HashMap<u64, ()> = rects.iter().map(|r| (r.pack(), ())).collect();
-        // Closure pass: any shrunken split half not in the set is appended
-        // and processed in turn (a no-op on monotonic matrices).
-        let mut i = 0;
-        while i < rects.len() {
-            let rm = rects[i];
-            i += 1;
-            let mut visit = |part: Rect| {
-                if let Some(half) = grid.shrink(part) {
-                    if index.insert(half.pack(), ()).is_none() {
-                        rects.push(half);
-                    }
-                }
-            };
-            for k in rm.r0..rm.r1 {
-                let (a, b) = rm.split_h(k);
-                visit(a);
-                visit(b);
-            }
-            for k in rm.c0..rm.c1 {
-                let (a, b) = rm.split_v(k);
-                visit(a);
-                visit(b);
-            }
-        }
-
-        rects.sort_unstable_by_key(|r| (r.semi_perimeter(), r.pack()));
-        rects.dedup();
-        let index: HashMap<u64, u32> = rects
+        // Arrival ids: a rectangle's position in `rects` until the sort.
+        let mut ids: HashMap<u64, u32> = rects
             .iter()
             .enumerate()
             .map(|(i, r)| (r.pack(), i as u32))
             .collect();
-
-        let weights: Vec<u64> = rects.iter().map(|&r| grid.weight(r)).collect();
-        let mut split_start = Vec::with_capacity(rects.len() + 1);
-        let mut split_pairs = Vec::new();
-        split_start.push(0u32);
-        for &rm in &rects {
-            let half_idx = |part: Rect| -> u32 {
+        let mut intern = |rects: &mut Vec<Rect>, r: Rect| -> u32 {
+            *ids.entry(r.pack()).or_insert_with(|| {
+                rects.push(r);
+                (rects.len() - 1) as u32
+            })
+        };
+        // Seed with the root: on non-staircase matrices its corners need not
+        // be candidate cells, yet the DP always starts there.
+        if let Some(root) = grid.shrink(grid.full()) {
+            intern(&mut rects, root);
+        }
+        // One pass shrinks each half of every splitter of every rectangle
+        // exactly once, recording the pair by arrival id. A half not in the
+        // set yet is appended and processed in turn — the closure, which
+        // adds nothing on monotonic matrices.
+        let mut arrival_start = Vec::with_capacity(rects.len() + 1);
+        let mut arrival_pairs = Vec::new();
+        arrival_start.push(0usize);
+        let mut i = 0;
+        while i < rects.len() {
+            let rm = rects[i];
+            i += 1;
+            let mut half_id = |part: Rect| -> u32 {
                 match grid.shrink(part) {
                     None => EMPTY,
-                    Some(h) => *index.get(&h.pack()).expect("closure covers all halves"),
+                    Some(half) => intern(&mut rects, half),
                 }
             };
             for k in rm.r0..rm.r1 {
                 let (a, b) = rm.split_h(k);
-                split_pairs.push((half_idx(a), half_idx(b)));
+                arrival_pairs.push((half_id(a), half_id(b)));
             }
             for k in rm.c0..rm.c1 {
                 let (a, b) = rm.split_v(k);
-                split_pairs.push((half_idx(a), half_idx(b)));
+                arrival_pairs.push((half_id(a), half_id(b)));
             }
+            arrival_start.push(arrival_pairs.len());
+        }
+
+        // Sort, then resolve arrival ids to sorted positions.
+        let mut order: Vec<u32> = (0..rects.len() as u32).collect();
+        order.sort_unstable_by_key(|&id| {
+            let r = rects[id as usize];
+            (r.semi_perimeter(), r.pack())
+        });
+        let mut position = vec![0u32; rects.len()];
+        for (pos, &id) in order.iter().enumerate() {
+            position[id as usize] = pos as u32;
+        }
+        let resolve = |id: u32| match id {
+            EMPTY => EMPTY,
+            id => position[id as usize],
+        };
+        let mut split_start = Vec::with_capacity(rects.len() + 1);
+        let mut split_pairs = Vec::with_capacity(arrival_pairs.len());
+        split_start.push(0u32);
+        for &id in &order {
+            let splits = arrival_start[id as usize]..arrival_start[id as usize + 1];
+            split_pairs.extend(
+                arrival_pairs[splits]
+                    .iter()
+                    .map(|&(a, b)| (resolve(a), resolve(b))),
+            );
             split_start.push(split_pairs.len() as u32);
         }
+        let rects: Vec<Rect> = order.iter().map(|&id| rects[id as usize]).collect();
+        let weights: Vec<u64> = rects.iter().map(|&r| grid.weight(r)).collect();
 
         MonotonicBspSolver {
             grid,
