@@ -193,7 +193,6 @@ fn main() {
         workers,
         max_concurrent_queries: queries.max(1),
         memory_budget_tuples: None,
-        pending_nap_micros: None,
     });
 
     // Oracle + reference: the same N queries back to back on the pool.

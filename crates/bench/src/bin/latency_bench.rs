@@ -1,16 +1,14 @@
-//! Small-query latency under a mixed workload: event-driven waker parking
-//! vs the legacy `PENDING_NAP` poll loop it replaced.
+//! Small-query latency under a mixed workload on the shared, event-driven
+//! worker pool.
 //!
 //! An open-loop arrival process fires `--small` interactive RETAIL queries
 //! at a fixed `--interval-ms` while one `--analytic-scale` RETAIL query
-//! occupies the same shared pool (see `ewh_bench::latency` for the
-//! harness). Each mode runs on a fresh pool of `--workers` threads; the
-//! nap baseline re-queues every `Pending` task after a 10µs sleep exactly
-//! like the pre-waker scheduler did (`RuntimeConfig::pending_nap_micros`).
+//! occupies the same pool of `--workers` threads (see `ewh_bench::latency`
+//! for the harness, which also checks every small query against its serial
+//! run).
 //!
-//! Reports p50/p99 small-query latency per mode plus the runtime's poll
-//! counters — the spurious-poll collapse is the headline of the waker
-//! scheduler. Emits TSV plus a JSON document for `BENCH_latency.json`:
+//! Reports p50/p99 small-query latency plus the runtime's scheduler
+//! counters. Emits TSV plus a JSON document for `BENCH_latency.json`:
 //!
 //! ```sh
 //! cargo run --release -p ewh-bench --bin latency_bench -- \
@@ -20,10 +18,7 @@
 
 use std::time::Duration;
 
-use ewh_bench::{json_escape, print_table, run_mode, LatencyScenario};
-
-/// The nap the old scheduler slept between `Pending` re-polls.
-const NAP_MICROS: u64 = 10;
+use ewh_bench::{commit, json_escape, print_table, run_mode, LatencyScenario};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -47,69 +42,53 @@ fn main() {
     };
     let json_path = flag("--json");
 
-    let nap = run_mode(&sc, Some(NAP_MICROS));
-    let waker = run_mode(&sc, None);
+    let run = run_mode(&sc);
 
-    assert_eq!(nap.small_output, waker.small_output, "small output drifted");
-    assert_eq!(nap.small_checksum, waker.small_checksum);
-    assert_eq!(nap.analytic_output, waker.analytic_output);
-    assert_eq!(nap.analytic_checksum, waker.analytic_checksum);
-
-    let rows: Vec<Vec<String>> = [("nap", &nap), ("waker", &waker)]
-        .iter()
-        .map(|(label, m)| {
-            vec![
-                label.to_string(),
-                format!("{:.3}", m.p50_secs() * 1e3),
-                format!("{:.3}", m.p99_secs() * 1e3),
-                format!("{:.4}", m.analytic_wall_secs),
-                format!("{}", m.spurious_polls),
-                format!("{}", m.wakeups),
-                format!("{:.4}", m.parked_secs),
-            ]
-        })
-        .collect();
     print_table(
         &format!(
             "latency_bench (RETAIL, {} small @ {:?} beside one {}x analytic, {}-worker pool)",
             sc.small_queries, sc.interval, sc.analytic_scale, sc.workers
         ),
         &[
-            "mode",
             "p50_ms",
             "p99_ms",
             "analytic_s",
+            "tasks_spawned",
             "spurious_polls",
             "wakeups",
             "parked_s",
         ],
-        &rows,
+        &[vec![
+            format!("{:.3}", run.p50_secs() * 1e3),
+            format!("{:.3}", run.p99_secs() * 1e3),
+            format!("{:.4}", run.analytic_wall_secs),
+            format!("{}", run.tasks_spawned),
+            format!("{}", run.spurious_polls),
+            format!("{}", run.wakeups),
+            format!("{:.4}", run.parked_secs),
+        ]],
     );
 
-    let p99_improvement = nap.p99_secs() / waker.p99_secs().max(1e-9);
-    let spurious_ratio = nap.spurious_polls as f64 / waker.spurious_polls.max(1) as f64;
     let json = format!(
-        "{{\n  \"bench\": \"latency_bench\",\n  \"workload\": \"{}\",\n  \"small_queries\": {},\n  \"interval_ms\": {},\n  \"small_scale\": {},\n  \"analytic_scale\": {},\n  \"workers\": {},\n  \"small_output\": {},\n  \"analytic_output\": {},\n  \"nap_p50_ms\": {:.4},\n  \"nap_p99_ms\": {:.4},\n  \"waker_p50_ms\": {:.4},\n  \"waker_p99_ms\": {:.4},\n  \"p99_improvement\": {:.4},\n  \"nap_spurious_polls\": {},\n  \"waker_spurious_polls\": {},\n  \"spurious_poll_ratio\": {:.1},\n  \"waker_wakeups\": {},\n  \"waker_parked_secs\": {:.6},\n  \"nap_makespan_secs\": {:.6},\n  \"waker_makespan_secs\": {:.6}\n}}\n",
+        "{{\n  \"bench\": \"latency_bench\",\n  \"commit\": \"{}\",\n  \"host_cores\": {},\n  \"threads\": {},\n  \"workload\": \"{}\",\n  \"small_queries\": {},\n  \"interval_ms\": {},\n  \"small_scale\": {},\n  \"analytic_scale\": {},\n  \"small_output\": {},\n  \"analytic_output\": {},\n  \"p50_ms\": {:.4},\n  \"p99_ms\": {:.4},\n  \"tasks_spawned\": {},\n  \"polls\": {},\n  \"spurious_polls\": {},\n  \"wakeups\": {},\n  \"parked_secs\": {:.6},\n  \"makespan_secs\": {:.6}\n}}\n",
+        json_escape(&commit()),
+        std::thread::available_parallelism().map_or(0, |p| p.get()),
+        sc.workers,
         json_escape("RETAIL"),
         sc.small_queries,
         sc.interval.as_millis(),
         sc.small_scale,
         sc.analytic_scale,
-        sc.workers,
-        waker.small_output,
-        waker.analytic_output,
-        nap.p50_secs() * 1e3,
-        nap.p99_secs() * 1e3,
-        waker.p50_secs() * 1e3,
-        waker.p99_secs() * 1e3,
-        p99_improvement,
-        nap.spurious_polls,
-        waker.spurious_polls,
-        spurious_ratio,
-        waker.wakeups,
-        waker.parked_secs,
-        nap.makespan_secs,
-        waker.makespan_secs,
+        run.small_output,
+        run.analytic_output,
+        run.p50_secs() * 1e3,
+        run.p99_secs() * 1e3,
+        run.tasks_spawned,
+        run.polls,
+        run.spurious_polls,
+        run.wakeups,
+        run.parked_secs,
+        run.makespan_secs,
     );
     match json_path {
         Some(path) => {

@@ -8,12 +8,10 @@
 //! arrival — so scheduler-induced queueing delay counts against the
 //! scheduler, the way it does for a real interactive client.
 //!
-//! The same scenario runs under both `Pending`-handling policies of the
-//! runtime ([`RuntimeConfig::pending_nap_micros`]): the event-driven waker
-//! parking that is the engine's default, and the legacy nap-and-requeue
-//! poll loop it replaced. The `latency_bench` binary seeds
-//! `BENCH_latency.json` from the comparison; `tests/latency_claims.rs`
-//! asserts the cross-mode output equality and the spurious-poll collapse.
+//! The `latency_bench` binary seeds `BENCH_latency.json` from one run;
+//! `tests/latency_claims.rs` asserts what must hold of the event-driven
+//! scheduler in counters: every small query equals its serial run, tasks
+//! really park and are really woken, and a block costs one `Pending` poll.
 
 use std::thread;
 use std::time::{Duration, Instant};
@@ -26,7 +24,7 @@ use ewh_exec::{
 use crate::harness::RunConfig;
 use crate::workloads::{retail_hotkey, Workload};
 
-/// Knobs of one open-loop run (shared by both scheduler modes).
+/// Knobs of one open-loop run.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencyScenario {
     /// Small interactive queries launched over the run.
@@ -57,9 +55,9 @@ impl Default for LatencyScenario {
     }
 }
 
-/// What one scheduler mode produced: the sorted small-query latency
-/// distribution, the outputs (for cross-mode equality checks), and the
-/// runtime-counter deltas attributable to this run.
+/// What one open-loop run produced: the sorted small-query latency
+/// distribution, the outputs, and the runtime-counter deltas attributable
+/// to this run.
 #[derive(Clone, Debug)]
 pub struct ModeOutcome {
     /// Small-query latencies (scheduled arrival → completion), sorted.
@@ -70,6 +68,7 @@ pub struct ModeOutcome {
     pub analytic_checksum: u64,
     pub analytic_wall_secs: f64,
     pub makespan_secs: f64,
+    pub tasks_spawned: u64,
     pub polls: u64,
     pub spurious_polls: u64,
     pub wakeups: u64,
@@ -117,10 +116,10 @@ fn query_config(
     }
 }
 
-/// Runs the scenario once under the given `Pending` policy (`None` =
-/// event-driven waker parking, `Some(micros)` = legacy nap-and-requeue) on
-/// a fresh pool, and returns the mode's outcome.
-pub fn run_mode(sc: &LatencyScenario, pending_nap_micros: Option<u64>) -> ModeOutcome {
+/// Runs the scenario once on a fresh pool. Every small query must equal —
+/// count and checksum — the same query run alone on the idle pool first;
+/// that is asserted here.
+pub fn run_mode(sc: &LatencyScenario) -> ModeOutcome {
     let small_w = retail_hotkey(sc.small_scale, sc.seed);
     let analytic_w = retail_hotkey(sc.analytic_scale, sc.seed ^ 0xA11);
     // Small queries count their output (latency is about scheduling, not
@@ -134,12 +133,20 @@ pub fn run_mode(sc: &LatencyScenario, pending_nap_micros: Option<u64>) -> ModeOu
     let rt = EngineRuntime::with_config(RuntimeConfig {
         workers: sc.workers,
         // Admission must never throttle the open-loop arrivals: queueing
-        // delay should come from the scheduler under test, not the ticket
-        // queue.
+        // delay should come from the scheduler, not the ticket queue.
         max_concurrent_queries: sc.small_queries + 2,
         memory_budget_tuples: None,
-        pending_nap_micros,
     });
+    // The serial reference: the small query with the pool to itself.
+    let serial = run_operator(
+        &rt,
+        SchemeKind::Csio,
+        &small_w.r1,
+        &small_w.r2,
+        &small_w.cond,
+        &small_cfg,
+    );
+    let (small_output, small_checksum) = (serial.join.output_total, serial.join.checksum);
     let before = rt.metrics();
     let start = Instant::now();
 
@@ -178,10 +185,9 @@ pub fn run_mode(sc: &LatencyScenario, pending_nap_micros: Option<u64>) -> ModeOu
     let makespan_secs = start.elapsed().as_secs_f64();
     let after = rt.metrics();
 
-    let (small_output, small_checksum) = (smalls[0].0, smalls[0].1);
     for (i, &(out, sum, _)) in smalls.iter().enumerate() {
-        assert_eq!(out, small_output, "small query {i} output drifted");
-        assert_eq!(sum, small_checksum, "small query {i} checksum drifted");
+        assert_eq!(out, small_output, "small query {i}: output != serial");
+        assert_eq!(sum, small_checksum, "small query {i}: checksum != serial");
     }
     let mut latencies_secs: Vec<f64> = smalls.iter().map(|q| q.2).collect();
     latencies_secs.sort_by(|a, b| a.total_cmp(b));
@@ -194,6 +200,7 @@ pub fn run_mode(sc: &LatencyScenario, pending_nap_micros: Option<u64>) -> ModeOu
         analytic_checksum: analytic.join.checksum,
         analytic_wall_secs: analytic.join.wall_join_secs,
         makespan_secs,
+        tasks_spawned: after.tasks_spawned - before.tasks_spawned,
         polls: after.polls - before.polls,
         spurious_polls: after.spurious_polls - before.spurious_polls,
         wakeups: after.wakeups - before.wakeups,

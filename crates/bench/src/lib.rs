@@ -21,10 +21,9 @@
 //! | `plan_vs_materialize`     | §IV-B chained joins: streamed vs materialized intermediates |
 //! | `concurrent_queries`      | shared worker-pool runtime vs spawn-per-query |
 //! | `oom_vs_spill`            | memory-budgeted out-of-core run vs unbudgeted in-memory peak |
-//! | `latency_bench`           | open-loop small-query latency: waker parking vs the nap loop |
+//! | `latency_bench`           | open-loop small-query latency and scheduler counters on a shared pool |
 
 pub mod harness;
-pub mod kernels;
 pub mod latency;
 pub mod workloads;
 

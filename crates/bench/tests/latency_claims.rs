@@ -1,20 +1,16 @@
-//! Claims behind `BENCH_latency.json` (the `latency_bench` binary): under
-//! an open-loop mixed workload, event-driven waker parking answers small
-//! interactive queries faster than the legacy `PENDING_NAP` poll loop, and
-//! collapses the spurious-poll count — while both schedulers produce
-//! bit-identical query outputs.
+//! Claims behind `BENCH_latency.json` (the `latency_bench` binary), stated
+//! in counters: under an open-loop mixed workload on the event-driven
+//! scheduler every small interactive query equals its serial run, tasks
+//! really park and are really woken, and a genuine block costs one
+//! `Pending` poll. Wall-time claims live in the repository benchmark, not
+//! here.
 //!
-//! The scenario here is a scaled-down version of the bench default so the
-//! test stays CI-sized in debug builds; the seeded JSON's headline numbers
-//! (p99 ~5x, spurious polls >100x) come from the release binary at its
-//! default scale.
+//! The scenario is a scaled-down version of the bench default so the test
+//! stays CI-sized in debug builds.
 
 use std::time::Duration;
 
 use ewh_bench::{run_mode, LatencyScenario};
-
-/// The nap the old scheduler slept between `Pending` re-polls.
-const NAP_MICROS: u64 = 10;
 
 fn claims_scenario() -> LatencyScenario {
     LatencyScenario {
@@ -28,56 +24,29 @@ fn claims_scenario() -> LatencyScenario {
 }
 
 #[test]
-fn waker_parking_beats_the_nap_loop_without_changing_outputs() {
-    let sc = claims_scenario();
-    let nap = run_mode(&sc, Some(NAP_MICROS));
-    let waker = run_mode(&sc, None);
+fn small_queries_match_their_serial_run_and_a_block_costs_one_pending_poll() {
+    // `run_mode` itself asserts that every small query beside the analytic
+    // one produced the count and checksum of the same query run alone.
+    let run = run_mode(&claims_scenario());
+    assert!(run.small_output > 0 && run.analytic_output > 0);
+    assert_eq!(run.latencies_secs.len(), 8);
 
-    // Scheduling policy must be invisible in the results: both modes (and
-    // every small query within a mode — asserted inside `run_mode`)
-    // produce bit-identical outputs.
-    assert_eq!(nap.small_output, waker.small_output);
-    assert_eq!(nap.small_checksum, waker.small_checksum);
-    assert_eq!(nap.analytic_output, waker.analytic_output);
-    assert_eq!(nap.analytic_checksum, waker.analytic_checksum);
-    assert!(waker.small_output > 0 && waker.analytic_output > 0);
+    // Parking must actually happen, be undone by a wake, and show up in
+    // the metrics.
+    assert!(run.wakeups > 0, "no parked task was ever woken");
+    assert!(run.parked_secs > 0.0, "no parked time was recorded");
 
-    // A genuine block costs exactly one Pending poll under waker parking;
-    // under the nap loop every blocked task re-polls per sweep for as long
-    // as it stays blocked. The release bench shows >100x; debug builds
-    // shift the poll/work mix, so the gate here is deliberately looser.
+    // A `Pending` poll either parks the task — and every park ends in
+    // exactly one counted wake — or bounces because the wake landed while
+    // the task was still being polled. Bounces are races (0–3 a run over
+    // 20 debug and 20 release runs of this scenario, 45 tasks), so a
+    // scheduler that re-polled blocked tasks — the nap loop this replaced
+    // took ~160 `Pending` polls per wake — cannot stay under this bound.
     assert!(
-        nap.spurious_polls as f64 >= 5.0 * waker.spurious_polls.max(1) as f64,
-        "nap loop produced {} spurious polls vs waker {} — the poll-loop \
-         tax the waker scheduler removes has vanished",
-        nap.spurious_polls,
-        waker.spurious_polls
-    );
-
-    // Every wakeup re-enqueued a parked job; parking must actually happen
-    // (the whole point), and parked time must be visible in the metrics.
-    assert!(waker.wakeups > 0, "no parked task was ever woken");
-    assert!(waker.parked_secs > 0.0, "no parked time was recorded");
-    assert_eq!(
-        nap.wakeups, 0,
-        "the nap loop never parks, so nothing should be woken"
-    );
-
-    // The latency guard. The *directional* p99 claim (~5x at release
-    // scale) lives in `BENCH_latency.json`: on a saturated small host in
-    // debug, every core is busy with query compute, so both schedulers'
-    // latencies are CPU-queueing-dominated and their gap is noise — waker
-    // p99 up to ~1.7x nap p99 has been observed on a 1-core runner with
-    // both modes healthy. The test therefore only guards against a
-    // *blowup* (a lost wakeup stalling a small query until the analytic
-    // drains would blow far past 3x).
-    assert!(
-        waker.p99_secs() <= 3.0 * nap.p99_secs(),
-        "waker p99 {:.1}ms blew past 3x the nap-loop p99 {:.1}ms (latencies: \
-         waker {:?}, nap {:?})",
-        waker.p99_secs() * 1e3,
-        nap.p99_secs() * 1e3,
-        waker.latencies_secs,
-        nap.latencies_secs
+        run.spurious_polls <= run.wakeups + run.tasks_spawned,
+        "{} Pending polls for {} wakeups of {} tasks: blocked tasks are being re-polled",
+        run.spurious_polls,
+        run.wakeups,
+        run.tasks_spawned
     );
 }

@@ -73,7 +73,6 @@ fn shared_runtime() -> EngineRuntime {
         workers: WORKERS,
         max_concurrent_queries: QUERIES,
         memory_budget_tuples: None,
-        pending_nap_micros: None,
     })
 }
 
@@ -182,7 +181,6 @@ fn shared_pool_beats_spawn_per_query_on_aggregate_makespan() {
         workers: host,
         max_concurrent_queries: QUERIES,
         memory_budget_tuples: None,
-        pending_nap_micros: None,
     });
     run_query(&rt, &w, &cfg); // warm caches/pages outside the timed region
 
@@ -300,7 +298,6 @@ fn budgeted_admission_holds_each_tenant_inside_its_carved_slice() {
         max_concurrent_queries: QUERIES,
         // admit(None) carves total / QUERIES for each tenant.
         memory_budget_tuples: Some(slice_tuples * QUERIES as u64),
-        pending_nap_micros: None,
     });
     // Drop the advisory capacity request: a tenant asking for the whole
     // cluster capacity would clamp to the *entire* budget instead of

@@ -12,8 +12,8 @@ use std::sync::Mutex;
 use ewh_bench::{bcb, retail_hotkey, RunConfig, Workload};
 use ewh_core::SchemeKind;
 use ewh_exec::{
-    run_operator, AdaptiveConfig, EngineRuntime, ExecMode, LinkProfile, OperatorConfig,
-    OperatorRun, OutputWork, Straggler, TransportConfig,
+    run_operator, run_plan, AdaptiveConfig, EngineRuntime, ExecMode, LinkProfile, OperatorConfig,
+    OperatorRun, OutputWork, StageSpec, Straggler, TransportConfig,
 };
 
 /// Timing-sensitive claims must not share the machine with each other.
@@ -149,8 +149,8 @@ fn the_move_cost_gate_prices_the_link() {
     };
     let w = retail_hotkey(rc.scale, rc.seed);
     let rt = rc.runtime();
-    let run_with_links = |bandwidth: f64, rtt: f64| {
-        let cfg = OperatorConfig {
+    let with_links = |bandwidth: f64, rtt: f64| {
+        OperatorConfig {
             mode: ExecMode::Pipelined,
             output_work: OutputWork::Count,
             adaptive: AdaptiveConfig {
@@ -172,7 +172,10 @@ fn the_move_cost_gate_prices_the_link() {
                 rc.threads
             ]),
             ..rc.operator_config(&w)
-        };
+        }
+    };
+    let run_with_links = |bandwidth: f64, rtt: f64| {
+        let cfg = with_links(bandwidth, rtt);
         run_operator(&rt, SchemeKind::Csio, &w.r1, &w.r2, &w.cond, &cfg)
     };
     let fast = run_with_links(1e9, 1e-4);
@@ -186,6 +189,21 @@ fn the_move_cost_gate_prices_the_link() {
     assert_eq!(
         thin.join.regions_migrated, 0,
         "a thin link must decline the same backlog: shipping costs more than draining"
+    );
+
+    // A plan's stages go through the same driver, so they price the same
+    // links: without them the flat gate's persistence waiver would move the
+    // straggler's regions.
+    let first = StageSpec {
+        kind: SchemeKind::Csio,
+        cond: w.cond,
+    };
+    let thin_plan = run_plan(&rt, &w.r1, &w.r2, &first, &[], &with_links(1e3, 5e-2));
+    assert_eq!(thin_plan.output_total, thin.join.output_total);
+    assert_eq!(thin_plan.checksum, thin.join.checksum);
+    assert_eq!(
+        thin_plan.total.regions_migrated, 0,
+        "a plan stage must price the thin link like the operator does"
     );
 }
 

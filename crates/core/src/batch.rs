@@ -193,26 +193,16 @@ impl ColumnBatch {
         }
     }
 
-    /// The batch `[indices[0], indices[1], ..]` — a columnar gather.
-    /// Fragment build (per-region routing buckets) and sort-permutation
-    /// application both reduce to this.
-    pub fn gather(&self, indices: &[u32]) -> ColumnBatch {
-        Self::gather_from(&self.keys, &self.payloads, indices)
-    }
-
-    /// [`gather`](Self::gather) over bare column slices — lets callers
-    /// gather out of a sub-range (a morsel's window of a base relation)
-    /// with indices relative to that window. Each column is filled by its
-    /// own pass over the index list: the per-pass random accesses then stay
-    /// inside a single source array (one window of it fits in L1), and the
+    /// The batch `[indices[0], indices[1], ..]` — a columnar gather, which
+    /// is how the permutation-sort tier applies its index permutation. Each
+    /// column is filled by its own pass over the index list: the per-pass
+    /// random accesses then stay inside a single source array, and the
     /// exact-size `collect` writes the destination without a per-element
-    /// capacity branch — together that is what keeps the two 8-byte column
-    /// gathers competitive with one 16-byte struct copy.
-    pub fn gather_from(keys: &[Key], payloads: &[u64], indices: &[u32]) -> ColumnBatch {
-        debug_assert_eq!(keys.len(), payloads.len());
+    /// capacity branch.
+    pub fn gather(&self, indices: &[u32]) -> ColumnBatch {
         ColumnBatch {
-            keys: indices.iter().map(|&i| keys[i as usize]).collect(),
-            payloads: indices.iter().map(|&i| payloads[i as usize]).collect(),
+            keys: indices.iter().map(|&i| self.keys[i as usize]).collect(),
+            payloads: indices.iter().map(|&i| self.payloads[i as usize]).collect(),
         }
     }
 

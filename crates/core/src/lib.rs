@@ -38,8 +38,7 @@ pub use join::{IneqOp, JoinCondition};
 pub use matrix::JoinMatrix;
 pub use region::Region;
 pub use router::{
-    GridRouter, HashRouter, RandomRouter, Rel, RouteBatch, RouteBuckets, RouteScatter, Router,
-    RoutingTable,
+    GridRouter, HashRouter, RandomRouter, Rel, RouteBatch, RouteScatter, Router, RoutingTable,
 };
 pub use schemes::{
     build_ci, build_csi, build_csio, build_hash, BuildInfo, CsiParams, HashParams, PartitionScheme,

@@ -21,93 +21,17 @@ pub enum Rel {
     R2,
 }
 
-/// Scatter result of routing one batch of tuples: for every region, the
-/// indices (into the batch) of the tuples it receives. Reused across batches
-/// so per-region buffers keep their capacity; [`RouteBuckets::clear`] resets
-/// only the regions touched by the previous batch.
-#[derive(Clone, Debug)]
-pub struct RouteBuckets {
-    by_region: Vec<Vec<u32>>,
-    touched: Vec<u32>,
-}
-
-impl RouteBuckets {
-    pub fn new(n_regions: usize) -> Self {
-        RouteBuckets {
-            by_region: vec![Vec::new(); n_regions],
-            touched: Vec::new(),
-        }
-    }
-
-    pub fn n_regions(&self) -> usize {
-        self.by_region.len()
-    }
-
-    /// Region ids that received at least one tuple of the current batch, in
-    /// first-touch order (deterministic given the routing decisions).
-    pub fn touched(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// Batch indices routed to `region`.
-    pub fn region(&self, region: u32) -> &[u32] {
-        &self.by_region[region as usize]
-    }
-
-    /// Appends batch index `idx` to `region`'s bucket.
-    #[inline]
-    pub fn push(&mut self, region: u32, idx: u32) {
-        let bucket = &mut self.by_region[region as usize];
-        if bucket.is_empty() {
-            self.touched.push(region);
-        }
-        bucket.push(idx);
-    }
-
-    /// Resets the buckets touched by the last batch (O(touched), keeps
-    /// capacity).
-    pub fn clear(&mut self) {
-        for &r in &self.touched {
-            self.by_region[r as usize].clear();
-        }
-        self.touched.clear();
-    }
-}
-
-/// Batch routing: the entry point the morsel-driven executor uses so that
-/// routing work amortizes per-morsel instead of per-tuple.
-///
-/// The provided [`route_batch`](RouteBatch::route_batch) default loops
-/// [`route_one`](RouteBatch::route_one) over the batch with a reused scratch
-/// buffer; implementors can override it to hoist per-batch invariants (the
-/// [`Router`] impl dispatches its enum variant once per batch rather than
-/// once per tuple).
+/// Batch routing: the entry point the morsel-driven executor uses, so that
+/// routing work amortizes per morsel instead of per tuple. One method, one
+/// implementor ([`Router`]); the per-tuple [`Router::route_r1`] /
+/// [`Router::route_r2`] are the oracle it is tested against.
 pub trait RouteBatch {
-    /// Routes one key of relation `rel`, appending the receiving region ids
-    /// to `out`.
-    fn route_one(&self, rel: Rel, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>);
-
-    /// Routes a whole batch of keys into per-region index buckets.
-    /// `buckets` must span at least every routable region id and is *not*
-    /// cleared here — callers clear between batches to reuse capacity.
-    fn route_batch(&self, rel: Rel, keys: &[Key], rng: &mut impl Rng, buckets: &mut RouteBuckets) {
-        let mut scratch: Vec<u32> = Vec::with_capacity(8);
-        for (i, &k) in keys.iter().enumerate() {
-            scratch.clear();
-            self.route_one(rel, k, &mut *rng, &mut scratch);
-            for &region in &scratch {
-                buckets.push(region, i as u32);
-            }
-        }
-    }
-
     /// Routes a whole batch *and* builds every touched region's fragment in
     /// one two-pass histogram-then-scatter (see [`RouteScatter`]). Consumes
-    /// the RNG in exactly the per-tuple order of
-    /// [`route_batch`](Self::route_batch), so content-insensitive routing
-    /// decisions are identical across the two paths. `scatter` is cleared
-    /// here (it fully owns its per-batch lifecycle, unlike `route_batch`'s
-    /// buckets).
+    /// the RNG in exactly the order a per-tuple `route_r1` / `route_r2`
+    /// loop over the batch would, so content-insensitive routing decisions
+    /// are identical across the two. `scatter` is cleared here: it owns its
+    /// per-batch lifecycle.
     fn route_scatter(
         &self,
         rel: Rel,
@@ -115,16 +39,7 @@ pub trait RouteBatch {
         payloads: &[u64],
         rng: &mut impl Rng,
         scatter: &mut RouteScatter,
-    ) {
-        scatter.clear();
-        let mut scratch: Vec<u32> = Vec::with_capacity(8);
-        for &k in keys {
-            scratch.clear();
-            self.route_one(rel, k, &mut *rng, &mut scratch);
-            scatter.record(&scratch);
-        }
-        scatter.scatter_columns(keys, payloads);
-    }
+    );
 }
 
 /// Tuples a write-combining staging lane holds before it bursts into its
@@ -136,8 +51,7 @@ const WC_LANE: usize = 64;
 /// Staging lanes a [`RouteScatter`] keeps spare fragment allocations for.
 const SPARE_FRAGMENTS: usize = 32;
 
-/// Two-pass histogram-then-scatter routing: the cache-conscious successor
-/// of routing into [`RouteBuckets`] and gathering each fragment afterwards.
+/// Two-pass histogram-then-scatter routing.
 ///
 /// Pass 1 (`record`, driven by
 /// [`RouteBatch::route_scatter`]) routes every key once, accumulating a
@@ -150,11 +64,11 @@ const SPARE_FRAGMENTS: usize = 32;
 /// thus always hit hot staging memory, and the (cold) fragments are only
 /// ever written in `WC_LANE`-sized bursts.
 ///
-/// Bit-identity contract: for every region, the fragment equals
-/// `ColumnBatch::gather_from(keys, payloads, buckets.region(r))` of the
-/// [`RouteBuckets`] path on the same routing decisions, and
-/// [`touched`](Self::touched) lists regions in the same first-touch order —
-/// the batch-oracle property tests compare the two paths directly.
+/// Bit-identity contract: for every region, the fragment holds — in batch
+/// order — exactly the tuples a per-tuple [`Router::route_r1`] /
+/// [`Router::route_r2`] loop sends there on the same RNG, and
+/// [`touched`](Self::touched) lists regions in that loop's first-touch
+/// order; the property tests compare the two directly.
 #[derive(Debug, Default)]
 pub struct RouteScatter {
     /// Per-region tuple count of the current batch (reset via `touched`).
@@ -199,7 +113,7 @@ impl RouteScatter {
     }
 
     /// Region ids that received at least one tuple of the current batch, in
-    /// first-touch order (same order as [`RouteBuckets::touched`]).
+    /// first-touch order.
     pub fn touched(&self) -> &[u32] {
         &self.touched
     }
@@ -262,7 +176,7 @@ impl RouteScatter {
     /// Pass 2: allocates each touched region's fragment at its exact
     /// histogram size and replays the recorded destinations through the
     /// write-combining lanes. Fragment contents end up in batch order per
-    /// region — identical to the gather of a [`RouteBuckets`] bucket.
+    /// region.
     fn scatter_columns(&mut self, keys: &[Key], payloads: &[u64]) {
         debug_assert_eq!(keys.len(), payloads.len());
         debug_assert_eq!(self.offsets.len(), keys.len());
@@ -324,8 +238,8 @@ impl RouteScatter {
     /// `group_of` draws each tuple's group in batch order, consuming any
     /// RNG exactly as the scalar per-tuple router would; `members` appends
     /// a group's member regions in the scalar router's emission order, so
-    /// [`touched`](Self::touched) keeps the first-touch region order of
-    /// the [`RouteBuckets`] path and the bit-identity contract holds.
+    /// [`touched`](Self::touched) keeps the per-tuple loop's first-touch
+    /// region order and the bit-identity contract holds.
     pub fn route_grouped(
         &mut self,
         keys: &[Key],
@@ -513,45 +427,8 @@ pub enum Router {
 }
 
 impl RouteBatch for Router {
-    #[inline]
-    fn route_one(&self, rel: Rel, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>) {
-        match rel {
-            Rel::R1 => self.route_r1(k, rng, out),
-            Rel::R2 => self.route_r2(k, rng, out),
-        }
-    }
-
-    /// Amortized override: one variant dispatch per batch, scratch buffer
-    /// reused across the whole morsel.
-    fn route_batch(&self, rel: Rel, keys: &[Key], rng: &mut impl Rng, buckets: &mut RouteBuckets) {
-        let mut scratch: Vec<u32> = Vec::with_capacity(8);
-        macro_rules! scatter {
-            (|$k:ident, $out:ident| $route:expr) => {
-                for (i, &$k) in keys.iter().enumerate() {
-                    scratch.clear();
-                    {
-                        let $out = &mut scratch;
-                        $route;
-                    }
-                    for &region in &scratch {
-                        buckets.push(region, i as u32);
-                    }
-                }
-            };
-        }
-        match (self, rel) {
-            (Router::Grid(g), Rel::R1) => scatter!(|k, out| g.route_r1(k, out)),
-            (Router::Grid(g), Rel::R2) => scatter!(|k, out| g.route_r2(k, out)),
-            (Router::Random(r), Rel::R1) => scatter!(|_k, out| r.route_r1(&mut *rng, out)),
-            (Router::Random(r), Rel::R2) => scatter!(|_k, out| r.route_r2(&mut *rng, out)),
-            (Router::Hash(h), Rel::R1) => scatter!(|k, out| h.route_r1(k, &mut *rng, out)),
-            (Router::Hash(h), Rel::R2) => scatter!(|k, out| h.route_r2(k, out)),
-        }
-    }
-
-    /// Amortized override of the two-pass scatter: one variant dispatch per
-    /// batch for the routing pass, same RNG draw order as `route_batch`.
-    /// Routers whose destination sets are disjoint region groups — the
+    /// One variant dispatch per batch for the routing pass. Routers whose
+    /// destination sets are disjoint region groups — the
     /// content-insensitive matrix (a whole row/column per tuple) and the
     /// hash partitioner's `R1` side (one bucket per tuple) — take the
     /// grouped fast path, which scatters each tuple once and bulk-clones
@@ -889,50 +766,39 @@ mod tests {
         assert!(out.iter().all(|&id| id % 8 == col));
     }
 
-    #[test]
-    fn route_batch_matches_per_tuple_routing_for_grid() {
-        let r = Router::Grid(grid());
-        let keys: Vec<Key> = vec![5, 25, 12, 99, 0, 19, 20];
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut buckets = RouteBuckets::new(3);
-        r.route_batch(Rel::R1, &keys, &mut rng, &mut buckets);
-
-        // Reference: per-tuple routing into index buckets.
-        let mut expect = vec![Vec::new(); 3];
+    /// The routing oracle: a per-tuple `route_r1` / `route_r2` loop filling
+    /// per-region index buckets, regions listed in first-touch order.
+    fn per_tuple_buckets(
+        router: &Router,
+        rel: Rel,
+        keys: &[Key],
+        n_regions: usize,
+        rng: &mut SmallRng,
+    ) -> (Vec<u32>, Vec<Vec<u32>>) {
+        let mut buckets = vec![Vec::new(); n_regions];
+        let mut touched = Vec::new();
         let mut out = Vec::new();
         for (i, &k) in keys.iter().enumerate() {
             out.clear();
-            r.route_r1(k, &mut rng, &mut out);
+            match rel {
+                Rel::R1 => router.route_r1(k, rng, &mut out),
+                Rel::R2 => router.route_r2(k, rng, &mut out),
+            }
             for &region in &out {
-                expect[region as usize].push(i as u32);
+                if buckets[region as usize].is_empty() {
+                    touched.push(region);
+                }
+                buckets[region as usize].push(i as u32);
             }
         }
-        for region in 0..3u32 {
-            assert_eq!(
-                buckets.region(region),
-                &expect[region as usize][..],
-                "region {region}"
-            );
-        }
-        // Touched lists exactly the non-empty regions.
-        let mut touched: Vec<u32> = buckets.touched().to_vec();
-        touched.sort_unstable();
-        let non_empty: Vec<u32> = (0..3u32)
-            .filter(|&r| !expect[r as usize].is_empty())
-            .collect();
-        assert_eq!(touched, non_empty);
-
-        // Clearing resets only what was touched and keeps the struct usable.
-        buckets.clear();
-        assert!(buckets.touched().is_empty());
-        assert!((0..3u32).all(|r| buckets.region(r).is_empty()));
+        (touched, buckets)
     }
 
     #[test]
     fn route_scatter_matches_buckets_and_gather() {
-        // The WC two-pass scatter must reproduce the RouteBuckets path
-        // bit for bit: same fragments (contents and per-region order),
-        // same first-touch region order, same RNG consumption.
+        // The WC two-pass scatter must reproduce the per-tuple oracle bit
+        // for bit: same fragments (contents and per-region order), same
+        // first-touch region order, same RNG consumption.
         let routers = [
             Router::Grid(grid()),
             Router::Random(RandomRouter { rows: 4, cols: 8 }),
@@ -942,55 +808,27 @@ mod tests {
             for rel in [Rel::R1, Rel::R2] {
                 let keys: Vec<Key> = (0..300).map(|i| (i * 7) % 64).collect();
                 let payloads: Vec<u64> = (0..300).map(|i| i as u64 * 3).collect();
+                let batch = ColumnBatch::from_columns(keys.clone(), payloads.clone());
                 let n_regions = 64;
-
-                let mut rng = SmallRng::seed_from_u64(77);
-                let mut buckets = RouteBuckets::new(n_regions);
-                router.route_batch(rel, &keys, &mut rng, &mut buckets);
-
-                let mut rng = SmallRng::seed_from_u64(77);
                 let mut sc = RouteScatter::new(n_regions);
-                router.route_scatter(rel, &keys, &payloads, &mut rng, &mut sc);
-
-                assert_eq!(sc.touched(), buckets.touched());
-                for (slot, &region) in buckets.touched().to_vec().iter().enumerate() {
-                    let expect = ColumnBatch::gather_from(&keys, &payloads, buckets.region(region));
-                    assert_eq!(sc.take_fragment(slot), expect, "region {region}");
-                }
-                // A second batch through the same scratch stays correct
-                // (recycled fragment allocations, cleared histogram).
-                let mut rng = SmallRng::seed_from_u64(78);
-                let mut buckets2 = RouteBuckets::new(n_regions);
-                router.route_batch(rel, &keys[..97], &mut rng, &mut buckets2);
-                let mut rng = SmallRng::seed_from_u64(78);
-                router.route_scatter(rel, &keys[..97], &payloads[..97], &mut rng, &mut sc);
-                assert_eq!(sc.touched(), buckets2.touched());
-                for (slot, &region) in buckets2.touched().to_vec().iter().enumerate() {
-                    let expect = ColumnBatch::gather_from(
-                        &keys[..97],
-                        &payloads[..97],
-                        buckets2.region(region),
-                    );
-                    assert_eq!(sc.take_fragment(slot), expect, "region {region}");
+                let mut oracle_rng = SmallRng::seed_from_u64(77);
+                let mut rng = SmallRng::seed_from_u64(77);
+                // The second batch goes through the same scratch (recycled
+                // fragment allocations, cleared histogram) on the RNG the
+                // first one left behind.
+                for len in [300, 97] {
+                    let (touched, buckets) =
+                        per_tuple_buckets(&router, rel, &keys[..len], n_regions, &mut oracle_rng);
+                    router.route_scatter(rel, &keys[..len], &payloads[..len], &mut rng, &mut sc);
+                    assert_eq!(sc.touched(), touched);
+                    for (slot, &region) in touched.iter().enumerate() {
+                        let expect = batch.gather(&buckets[region as usize]);
+                        assert_eq!(sc.take_fragment(slot), expect, "region {region}");
+                    }
+                    assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
                 }
             }
         }
-    }
-
-    #[test]
-    fn route_batch_random_replicates_full_bands() {
-        let r = Router::Random(RandomRouter { rows: 4, cols: 8 });
-        let keys: Vec<Key> = (0..100).collect();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut buckets = RouteBuckets::new(32);
-        r.route_batch(Rel::R1, &keys, &mut rng, &mut buckets);
-        // Every R1 key lands in exactly `cols` regions of one row band.
-        let total: usize = buckets
-            .touched()
-            .iter()
-            .map(|&r| buckets.region(r).len())
-            .sum();
-        assert_eq!(total, 100 * 8);
     }
 
     #[test]

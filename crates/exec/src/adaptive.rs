@@ -30,8 +30,9 @@ pub struct TaskSpec {
 /// can be compared under one configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveConfig {
-    /// Enable idle-steals-from-busiest reassignment (in the engine: the
-    /// run-time region migration coordinator).
+    /// Enable idle-steals-from-busiest reassignment. In the engine: let
+    /// the coordinator migrate regions at run time; with it off the
+    /// coordinator still terminates the run but never moves a region.
     pub reassign: bool,
     /// Cost of re-shipping one tuple of a stolen region, as a fraction of
     /// the input cost `wi` (the "tuples move twice" penalty; 1.0 means a
@@ -48,9 +49,6 @@ pub struct AdaptiveConfig {
     pub migrate_backlog_tuples: usize,
     /// Engine only: the migration coordinator's poll interval.
     pub poll_micros: u64,
-    /// Engine only: cap on run-time region migrations per execution (each
-    /// region migrates at most once regardless).
-    pub max_migrations: usize,
     /// Engine only, used with per-link profiles: the reducer drain rate
     /// that converts a tuple backlog into seconds, so the migration gate
     /// can compare backlog relief against the shipping time over the
@@ -70,7 +68,6 @@ impl Default for AdaptiveConfig {
             // sibling idles is a genuine straggler, not noise.
             migrate_backlog_tuples: 2048,
             poll_micros: 200,
-            max_migrations: usize::MAX,
             // A sort-merge reducer absorbs on the order of ten million
             // tuples a second on one core; the gate only needs the right
             // order of magnitude (both sides scale with it).

@@ -18,10 +18,11 @@
 //!    completed, which keeps the latency accounting exact and gives the
 //!    pipeline time to react before the next decision.
 //!
-//! 2. **Quiescence-driven termination.** With migrations in play, `SealAll`
-//!    no longer means "no more data can reach you": migrated state and
-//!    fenced-off fragments travel reducer → reducer after the mappers exit.
-//!    The coordinator therefore broadcasts [`Delivery::Finish`] only when
+//! 2. **Quiescence-driven termination** — of every run, migrating or not
+//!    (with `AdaptiveConfig::reassign` off this is the coordinator's whole
+//!    job). `SealAll` does not mean "no more data can reach you": migrated
+//!    state and fenced-off fragments travel reducer → reducer after the
+//!    mappers exit. The coordinator broadcasts [`Delivery::Finish`] only when
 //!    the mappers have finished, every routed tuple has been absorbed into
 //!    some region's state (`in_flight == 0`), and no migration handshake is
 //!    pending — at which point no queue can ever receive data again.
@@ -142,13 +143,6 @@ pub struct CoordinatorTask<'a> {
 
 impl<'a> CoordinatorTask<'a> {
     pub fn new(sh: &'a CoordinatorShared<'a>) -> Self {
-        // The orchestrator only spawns a coordinator under the coordinated
-        // protocol; with `reassign` off, reducers terminate on `SealAll` and
-        // no one would consume a `Finish`.
-        debug_assert!(
-            sh.adaptive.reassign,
-            "coordinator spawned with reassign off"
-        );
         CoordinatorTask {
             sh,
             tally: MigrationTally::default(),
@@ -195,8 +189,8 @@ impl<'a> CoordinatorTask<'a> {
             broadcast(sh.queues, || Delivery::Finish);
             return CoordinatorStep::Done(self.tally);
         }
-        if self.pending_since.is_none()
-            && self.started < sh.adaptive.max_migrations as u64
+        if sh.adaptive.reassign
+            && self.pending_since.is_none()
             && sh.r1_remaining.load(Ordering::Acquire) == 0
         {
             match try_migrate(sh, &mut self.migrated, self.starved_polls) {

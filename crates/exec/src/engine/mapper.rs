@@ -147,10 +147,9 @@ pub struct MapperShared<'a> {
     /// incremented here per pushed fragment, decremented by reducers on
     /// absorption. The coordinator's quiescence test.
     pub in_flight: &'a AtomicU64,
-    /// Nanoseconds spent in `route_batch` plus the fragment ship passes
-    /// (per-region columnar gathers and their queue pushes; park stalls
-    /// excluded) — the routing-kernel time `JoinStats::route_secs`
-    /// reports.
+    /// Nanoseconds spent in `route_scatter` plus the fragment ship passes
+    /// (taking each built fragment and pushing it; park stalls excluded) —
+    /// the routing-kernel time `JoinStats::route_secs` reports.
     pub route_nanos: &'a AtomicU64,
     pub seed: u64,
     /// Cooperative cancellation: checked every poll, and registered with at
@@ -222,7 +221,7 @@ impl<'a> MapperTask<'a> {
         }
         if self.unit.is_some() {
             // One clock pair around the whole ship pass — per-fragment
-            // timing costs more than the gathers it would measure. A full
+            // timing costs more than the pushes it would measure. A full
             // queue bounces `try_push_or_park` immediately, so the park
             // stall itself never lands in this account (it is
             // backpressure, tracked by the queue).
@@ -359,8 +358,7 @@ impl<'a> MapperTask<'a> {
                     return true;
                 };
                 // The scatter pass pre-built this fragment; it's charged to
-                // the gauge only here, as it leaves for the wire, so the
-                // accounting sequence matches the old lazy gather exactly.
+                // the gauge only here, as it leaves for the wire.
                 let fragment = self.scatter.take_fragment(unit.next);
                 sh.gauge.add(fragment.len() as u64);
                 sh.network_tuples

@@ -84,7 +84,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ewh_core::{ColumnBatch, JoinCondition, Router, RoutingTable, Tuple};
+use ewh_core::{JoinCondition, Router, RoutingTable};
 
 use crate::adaptive::AdaptiveConfig;
 use crate::local_join::{KeyFrom, OutputWork};
@@ -120,8 +120,8 @@ pub struct EngineConfig {
     pub seed: u64,
     pub work: OutputWork,
     /// Run-time migration knobs (shared with the adaptive simulation).
-    /// `adaptive.reassign` selects the coordinated protocol; with it off the
-    /// engine runs the legacy fixed-placement seal protocol.
+    /// With `adaptive.reassign` off the coordinator never moves a region;
+    /// it terminates the run at quiescence either way.
     pub adaptive: AdaptiveConfig,
     /// Optional injected straggler (see [`Straggler`]).
     pub straggler: Option<Straggler>,
@@ -210,6 +210,11 @@ pub struct EngineOutcome {
     /// and real mutations to the shared routing table, which a resumed run
     /// over the same table inherits — before the cancellation landed.
     pub cancelled: bool,
+    /// Why the engine cancelled itself: `spill failure: …` (recorded on the
+    /// run's [`SpillContext`], by this run or by another stage sharing it)
+    /// or `transport failure: …`, with the reason. `None` on a completed
+    /// run and on one cancelled through [`EngineIo::cancel`].
+    pub failure: Option<String>,
 }
 
 impl EngineOutcome {
@@ -225,8 +230,6 @@ impl EngineOutcome {
 /// The inputs and wiring of one pipelined operator execution — what flows
 /// in (two [`Source`]s), how it routes (router + routing table + morsel
 /// plan) and where the output goes (an optional downstream [`StageSink`]).
-/// Grouping these keeps [`run_pipelined_io`] callable from both the
-/// one-shot operator layer and the chained plan executor.
 #[derive(Clone, Copy)]
 pub struct EngineIo<'a> {
     /// Build side. Must be a scan today: a streamed build side would need
@@ -236,7 +239,10 @@ pub struct EngineIo<'a> {
     pub r2: Source<'a>,
     pub router: &'a Router,
     pub cond: &'a JoinCondition,
-    /// Region → reducer ownership (see [`run_pipelined`]).
+    /// Region → reducer ownership: initial values `< cfg.reducers` (the
+    /// operator layer seeds it with LPT over estimated region weights),
+    /// mutated by the migration coordinator when `cfg.adaptive.reassign`
+    /// is on.
     pub table: &'a RoutingTable,
     /// Morsel decomposition of the *scan* sources (an exchange side
     /// contributes zero morsels — its batches arrive pre-cut).
@@ -249,6 +255,9 @@ pub struct EngineIo<'a> {
     /// [`EngineOutcome::peak_resident_tuples`] reports the plan-global
     /// high-water mark (exchange buffers included). `None`: private gauge.
     pub gauge: Option<&'a MemGauge>,
+    /// Checked by mappers between morsels; a cancelled run discards all
+    /// reducer state and reports [`EngineOutcome::cancelled`] — the
+    /// unconsumed remainder of `plan` stays claimable by a follow-up run.
     pub cancel: Option<&'a CancelToken>,
     /// Spill trigger, in tuples: reducers shed state to disk while the
     /// gauge sits above this. `None` disables out-of-core execution.
@@ -262,55 +271,8 @@ pub struct EngineIo<'a> {
     pub links: Option<&'a [LinkProfile]>,
 }
 
-/// Runs one pipelined join execution over two in-memory relations — the
-/// classic operator entry point, forwarding to [`run_pipelined_io`].
-///
-/// `table` publishes region → reducer ownership (initial values
-/// `< cfg.reducers`; the operator layer seeds it with LPT over estimated
-/// region weights) and is mutated by the migration coordinator when
-/// `cfg.adaptive.reassign` is on. `cancel` is checked by mappers between
-/// morsels; a cancelled run discards all reducer state and reports
-/// [`EngineOutcome::cancelled`] — the unconsumed remainder of `plan` stays
-/// claimable by a follow-up run (see the adaptive fallback).
-#[allow(clippy::too_many_arguments)] // an execution plan, not a builder
-pub fn run_pipelined(
-    rt: &EngineRuntime,
-    r1: &[Tuple],
-    r2: &[Tuple],
-    router: &Router,
-    cond: &JoinCondition,
-    table: &RoutingTable,
-    plan: &MorselPlan,
-    cfg: &EngineConfig,
-    cancel: Option<&CancelToken>,
-) -> EngineOutcome {
-    // One transpose per run; every routed fragment, region sort, and sweep
-    // downstream works on the columnar layout.
-    let r1 = ColumnBatch::from_tuples(r1);
-    let r2 = ColumnBatch::from_tuples(r2);
-    run_pipelined_io(
-        rt,
-        EngineIo {
-            r1: Source::Scan(&r1),
-            r2: Source::Scan(&r2),
-            router,
-            cond,
-            table,
-            plan,
-            sink: None,
-            key_from: KeyFrom::Probe,
-            gauge: None,
-            cancel,
-            budget_tuples: None,
-            spill: None,
-            links: None,
-        },
-        cfg,
-    )
-}
-
-/// Runs one pipelined operator over generalized [`Source`]s — the entry
-/// point of the composable plan executor (see [`EngineIo`]).
+/// Runs one pipelined operator over generalized [`Source`]s (see
+/// [`EngineIo`]) — the engine's one entry point.
 ///
 /// All mapper/reducer/coordinator work executes as tasks on `rt`'s shared
 /// worker pool; the calling thread only orchestrates (it waits for the
@@ -374,10 +336,6 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     // Wakes the parked coordinator on the events its termination check
     // watches; also bumped by the orchestrator after the stores below.
     let quiesce = WakeSet::new();
-    // The coordinated protocol (heartbeats + run-time migration + Finish
-    // termination) is selected by the adaptive config; with reassignment
-    // off the engine runs the legacy SealAll-terminated protocol untouched.
-    let coordinated = cfg.adaptive.reassign;
 
     // An empty relation — or a portion fully claimed before this run —
     // never triggers a mapper-side seal; pre-seal here. (SealAll further
@@ -414,7 +372,6 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
         in_flight: &in_flight,
         adoptions: &adoptions,
         migration_tuples: &migration_tuples,
-        coordinated,
         straggler: cfg.straggler,
         sink: io.sink,
         key_from: io.key_from,
@@ -501,18 +458,16 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
             });
         }
         let coordinator_group = s.group();
-        if coordinated {
-            let mut task = CoordinatorTask::new(&coordinator_shared);
-            let slot = &tally_slot;
-            s.spawn_in(&coordinator_group, move |cx| match task.poll(cx) {
-                CoordinatorStep::Idle => Poll::Pending,
-                CoordinatorStep::Busy => Poll::Yielded,
-                CoordinatorStep::Done(tally) => {
-                    *slot.lock().expect("tally slot poisoned") = Some(tally);
-                    Poll::Ready
-                }
-            });
-        }
+        let mut coordinator = CoordinatorTask::new(&coordinator_shared);
+        let slot = &tally_slot;
+        s.spawn_in(&coordinator_group, move |cx| match coordinator.poll(cx) {
+            CoordinatorStep::Idle => Poll::Pending,
+            CoordinatorStep::Busy => Poll::Yielded,
+            CoordinatorStep::Done(tally) => {
+                *slot.lock().expect("tally slot poisoned") = Some(tally);
+                Poll::Ready
+            }
+        });
         let mapper_group = s.group();
         for _ in 0..cfg.mappers.max(1) {
             let mut task = MapperTask::new(&mapper_shared);
@@ -523,8 +478,8 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
         // chain is broken: stop the coordinator and abort the reducers
         // explicitly. Control messages bypass queue bounds, so this cannot
         // deadlock. Otherwise hand termination to the coordinator (Finish
-        // at quiescence) or, uncoordinated, to the SealAll chain. Either
-        // way, wake the parked coordinator to observe the store.
+        // at quiescence). Either way, wake the parked coordinator to
+        // observe the store.
         let broken = !seal.sealed_all();
         if broken {
             abort.store(true, Ordering::Release);
@@ -555,9 +510,19 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     let tally = tally_slot
         .into_inner()
         .expect("tally slot poisoned")
-        .unwrap_or_default();
+        .expect("coordinator task finished without a tally");
 
-    let cancelled = outcomes.iter().any(|o| o.aborted);
+    // A recorded I/O failure cancels the run even if no reducer aborted: a
+    // reducer drops the chunk it could not reload, and once the mappers are
+    // done its cancel stops no one — the join may be short of pairs.
+    let spill_failure = io.spill.and_then(SpillContext::failure);
+    let wire_failure = transport_failure.and_then(|latch| latch.reason());
+    let failure = match (spill_failure, wire_failure) {
+        (Some(why), _) => Some(format!("spill failure: {why}")),
+        (None, Some(why)) => Some(format!("transport failure: {why}")),
+        (None, None) => None,
+    };
+    let cancelled = failure.is_some() || outcomes.iter().any(|o| o.aborted);
     let mut outcome = EngineOutcome {
         per_region_input: vec![0; n_regions],
         per_region_output: vec![0; n_regions],
@@ -579,6 +544,7 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
         spill: SpillTotals::default(),
         wire_bytes: remote_queues.iter().map(|q| q.wire_bytes()).sum(),
         cancelled,
+        failure,
     };
     if let (Some(ctx), Some(start)) = (io.spill, spill_start) {
         outcome.spill = ctx.totals().since(&start);
@@ -612,7 +578,7 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ewh_core::{build_ci, build_csio, CostModel, HistogramParams, Key};
+    use ewh_core::{build_ci, build_csio, ColumnBatch, CostModel, HistogramParams, Key, Tuple};
     use std::thread;
 
     /// A small pool for the unit tests: 4 workers regardless of the host,
@@ -626,6 +592,43 @@ mod tests {
             .enumerate()
             .map(|(i, &k)| Tuple::new(k, i as u64))
             .collect()
+    }
+
+    /// Runs the engine over two in-memory relations: one transpose per
+    /// side, no sink, private gauge.
+    #[allow(clippy::too_many_arguments)] // an execution plan, not a builder
+    fn run_pipelined(
+        rt: &EngineRuntime,
+        r1: &[Tuple],
+        r2: &[Tuple],
+        router: &Router,
+        cond: &JoinCondition,
+        table: &RoutingTable,
+        plan: &MorselPlan,
+        cfg: &EngineConfig,
+        cancel: Option<&CancelToken>,
+    ) -> EngineOutcome {
+        let r1 = ColumnBatch::from_tuples(r1);
+        let r2 = ColumnBatch::from_tuples(r2);
+        run_pipelined_io(
+            rt,
+            EngineIo {
+                r1: Source::Scan(&r1),
+                r2: Source::Scan(&r2),
+                router,
+                cond,
+                table,
+                plan,
+                sink: None,
+                key_from: KeyFrom::Probe,
+                gauge: None,
+                cancel,
+                budget_tuples: None,
+                spill: None,
+                links: None,
+            },
+            cfg,
+        )
     }
 
     fn nested_loop(r1: &[Tuple], r2: &[Tuple], cond: &JoinCondition) -> (u64, u64) {
@@ -1168,7 +1171,7 @@ mod tests {
     }
 
     #[test]
-    fn migration_disabled_runs_the_legacy_protocol() {
+    fn migration_disabled_finishes_without_moving_a_region() {
         let k: Vec<Key> = (0..1500).map(|i| (i % 90) as Key).collect();
         let (r1, r2) = (tuples(&k), tuples(&k));
         let cond = JoinCondition::Equi;

@@ -7,7 +7,7 @@
 //! decomposition up front and hands out morsels through an atomic cursor, so
 //! any number of mapper tasks can claim work without further coordination,
 //! and an aborted run can report exactly which morsels were never consumed
-//! (the adaptive CI fallback re-routes only those instead of re-morselizing).
+//! (a follow-up run over the same plan routes only those).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -207,12 +207,6 @@ impl MorselPlan {
     pub fn unconsumed(&self) -> usize {
         self.total() - self.consumed()
     }
-
-    /// Rewinds the cursor for callers that want to re-route the whole plan
-    /// from scratch instead of resuming the unconsumed remainder.
-    pub fn reset(&self) {
-        self.next.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Cluster-wide resident-tuple gauge: incremented when a routed batch is
@@ -286,9 +280,6 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         assert_eq!(plan.consumed(), plan.total());
-        plan.reset();
-        assert_eq!(plan.consumed(), 0);
-        assert!(plan.claim().is_some());
     }
 
     #[test]

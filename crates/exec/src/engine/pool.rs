@@ -61,11 +61,6 @@ impl BatchPool {
             spare.push(batch);
         }
     }
-
-    /// Batches currently stashed (tests / introspection).
-    pub fn stashed(&self) -> usize {
-        self.spare.borrow().len()
-    }
 }
 
 #[cfg(test)]
@@ -78,24 +73,24 @@ mod tests {
         let mut donated = ColumnBatch::with_capacity(100);
         donated.push(1, 1);
         pool.put(donated);
-        assert_eq!(pool.stashed(), 1);
+        assert_eq!(pool.spare.borrow().len(), 1);
 
         let got = pool.take(50);
         assert!(got.is_empty(), "recycled batches come back cleared");
         assert!(got.capacity() >= 100);
-        assert_eq!(pool.stashed(), 0);
+        assert_eq!(pool.spare.borrow().len(), 0);
 
         // Nothing big enough stashed: a fresh allocation, stash untouched.
         pool.put(ColumnBatch::with_capacity(10));
         let fresh = pool.take(1000);
         assert!(fresh.capacity() >= 1000);
-        assert_eq!(pool.stashed(), 1);
+        assert_eq!(pool.spare.borrow().len(), 1);
     }
 
     #[test]
     fn capacityless_batches_are_not_stashed() {
         let pool = BatchPool::new();
         pool.put(ColumnBatch::new());
-        assert_eq!(pool.stashed(), 0);
+        assert_eq!(pool.spare.borrow().len(), 0);
     }
 }

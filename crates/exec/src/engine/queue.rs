@@ -45,10 +45,8 @@ pub enum Delivery {
     /// `R1` runs into the build side and start sweeping probe chunks.
     SealR1,
     /// Every tuple of both relations has been enqueued; flush buffered probe
-    /// chunks. Under the legacy (uncoordinated) protocol this also
-    /// terminates the reducer; under the migration coordinator the reducer
-    /// keeps draining until [`Delivery::Finish`], because migrated state and
-    /// fenced-off fragments may still arrive.
+    /// chunks. The reducer keeps draining until [`Delivery::Finish`],
+    /// because migrated state and fenced-off fragments may still arrive.
     SealAll,
     /// Coordinator → current region owner: pack the region's state and ship
     /// it to the routing table's (already updated) new owner.

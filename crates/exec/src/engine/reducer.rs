@@ -54,7 +54,8 @@
 //! Every absorbed tuple decrements the engine-wide in-flight counter; the
 //! coordinator broadcasts [`Delivery::Finish`] only at quiescence, which is
 //! what lets reducers keep draining after `SealAll` without ever dropping a
-//! late fragment.
+//! late fragment. `Finish` is the one way a run completes, whether or not
+//! any region ever moves.
 
 use std::collections::VecDeque;
 use std::mem;
@@ -171,10 +172,6 @@ pub struct ReducerShared<'a> {
     pub adoptions: &'a AtomicU64,
     /// Tuples shipped between reducers by migrations.
     pub migration_tuples: &'a AtomicU64,
-    /// Coordinated termination: keep draining past `SealAll` until the
-    /// coordinator's `Finish`. When false (legacy protocol, migration off),
-    /// `SealAll` terminates the reducer directly.
-    pub coordinated: bool,
     /// Fault-injection: slow down one reducer's absorption path.
     pub straggler: Option<Straggler>,
     /// Chained plans: ship each swept chunk's output downstream (and feed
@@ -293,16 +290,10 @@ impl<'a> ReducerTask<'a> {
             match delivery {
                 Delivery::Batch(batch) => self.on_batch(batch, pool),
                 Delivery::SealR1 => self.on_seal_r1(pool),
-                Delivery::SealAll if !self.sh.coordinated => {
-                    self.finished = Some(self.finish(pool));
-                }
                 Delivery::SealAll => self.on_seal_all(pool),
                 Delivery::Migrate { region } => self.on_migrate(region),
                 Delivery::Adopt { region, state } => self.on_adopt(region, *state, pool),
-                Delivery::Finish => {
-                    debug_assert!(self.sh.coordinated, "Finish without a coordinator");
-                    self.finished = Some(self.finish(pool));
-                }
+                Delivery::Finish => self.finished = Some(self.finish(pool)),
                 Delivery::Abort => {
                     self.discard();
                     self.busy_secs += start.elapsed().as_secs_f64();
@@ -493,10 +484,10 @@ impl<'a> ReducerTask<'a> {
         }
     }
 
-    /// `SealAll` under the coordinated protocol: every mapper-routed tuple
-    /// is enqueued somewhere, but migrated state and fenced fragments may
-    /// still arrive — eagerly sweep what is buffered (freeing the memory
-    /// early) and keep draining until `Finish`.
+    /// `SealAll`: every mapper-routed tuple is enqueued somewhere, but
+    /// migrated state and fenced fragments may still arrive — eagerly sweep
+    /// what is buffered (freeing the memory early) and keep draining until
+    /// `Finish`.
     fn on_seal_all(&mut self, pool: &BatchPool) {
         let sh = self.sh;
         let me = self.me;
@@ -1126,7 +1117,6 @@ mod tests {
             in_flight: &in_flight,
             adoptions: &adoptions,
             migration_tuples: &migration_tuples,
-            coordinated: true,
             straggler: None,
             sink: None,
             key_from: KeyFrom::Probe,

@@ -23,8 +23,7 @@
 //!   then *parked*: it leaves the deques entirely and is re-enqueued only
 //!   when the resource transitions and wakes it. Workers holding no
 //!   runnable work park indefinitely on the injector condvar — there is no
-//!   blind re-poll sweep and no idle nap; the old `PENDING_NAP` /
-//!   `IDLE_PARK` backoff constants are gone.
+//!   blind re-poll sweep and no idle nap.
 //! * **Lost-wakeup protocol.** A resource transition racing between a
 //!   task's last failed `try_*` and its waker registration must still wake
 //!   the task. Resources with their own lock (queues, exchanges) register
@@ -57,9 +56,7 @@
 //!   ticket, so a query's peak is measured against the slice it was
 //!   granted. Admission blocks the *client* thread, never a pool worker;
 //!   calling it from inside a task would deadlock the pool and is the one
-//!   usage rule this module imposes. Event-driven callers use
-//!   [`EngineRuntime::try_admit`] plus the [`EngineRuntime::admission_wake`]
-//!   registry instead of blocking.
+//!   usage rule this module imposes.
 //!
 //! Timers are the one legitimately *timed* wait left: [`TaskCx::sleep`]
 //! arms an entry in a shared deadline heap, idle workers bound their park
@@ -529,12 +526,6 @@ pub struct RuntimeConfig {
     /// query carves its slice out of this (see [`EngineRuntime::admit`]);
     /// `None` disables budget gating (tickets still carry a gauge).
     pub memory_budget_tuples: Option<u64>,
-    /// Benchmark baseline knob: when set, a task that polls `Pending` is
-    /// re-queued after a nap of this many microseconds instead of parking
-    /// on its waker — the pre-waker `PENDING_NAP` poll loop, kept only so
-    /// `latency_bench` can A/B the two schedulers on one binary. `None`
-    /// (the default everywhere) is event-driven parking.
-    pub pending_nap_micros: Option<u64>,
 }
 
 impl RuntimeConfig {
@@ -547,7 +538,6 @@ impl RuntimeConfig {
             workers,
             max_concurrent_queries: workers.max(2),
             memory_budget_tuples: None,
-            pending_nap_micros: None,
         }
     }
 }
@@ -565,10 +555,8 @@ pub struct RuntimeMetrics {
     pub tasks_stolen: u64,
     /// Individual `poll` invocations across all tasks.
     pub polls: u64,
-    /// Polls that returned [`Poll::Pending`]. Under event-driven parking a
-    /// genuine block costs exactly one of these (register, park, wake);
-    /// under the old nap loop every blocked task burned one per 10µs
-    /// sweep — the headline ratio of the waker change.
+    /// Polls that returned [`Poll::Pending`]: a genuine block costs exactly
+    /// one of these (register, park, wake).
     pub spurious_polls: u64,
     /// Parked jobs re-enqueued by a [`Waker::wake`].
     pub wakeups: u64,
@@ -719,10 +707,6 @@ struct PoolShared {
     next_deadline: AtomicU64,
     /// Zero point of the timer clock.
     epoch: Instant,
-    /// [`RuntimeConfig::pending_nap_micros`] as a duration: `Some` switches
-    /// the worker loop's `Pending` handling from waker parking to the
-    /// legacy nap-and-requeue poll loop (benchmark baseline only).
-    pending_nap: Option<Duration>,
     // Counters (all relaxed: they are metrics, never synchronization).
     tasks_spawned: AtomicU64,
     tasks_completed: AtomicU64,
@@ -736,10 +720,6 @@ struct PoolShared {
     admission_wait_nanos: AtomicU64,
     admission: Mutex<Admission>,
     admission_cv: Condvar,
-    /// Waker registry for admission slots: woken whenever a ticket drops,
-    /// so a task-side [`EngineRuntime::try_admit`] retry loop parks instead
-    /// of polling.
-    admission_wake: WakeSet,
 }
 
 impl PoolShared {
@@ -800,7 +780,6 @@ impl EngineRuntime {
             }),
             next_deadline: AtomicU64::new(NO_DEADLINE),
             epoch: Instant::now(),
-            pending_nap: cfg.pending_nap_micros.map(Duration::from_micros),
             tasks_spawned: AtomicU64::new(0),
             tasks_completed: AtomicU64::new(0),
             tasks_stolen: AtomicU64::new(0),
@@ -816,7 +795,6 @@ impl EngineRuntime {
                 budget_in_use: 0,
             }),
             admission_cv: Condvar::new(),
-            admission_wake: WakeSet::new(),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -884,11 +862,22 @@ impl EngineRuntime {
         }
     }
 
-    /// The slot/budget computation shared by [`EngineRuntime::admit`] and
-    /// [`EngineRuntime::try_admit`]: what this query would be granted.
-    fn admission_grant(&self, requested_tuples: Option<u64>) -> (Option<u64>, u64, usize) {
+    /// Admits one query, blocking the *client* thread until an admission
+    /// slot — and, under a global memory budget, enough unreserved budget —
+    /// is available. `requested_tuples` is the query's own estimate (e.g.
+    /// its configured memory capacity); with a global budget and no
+    /// request, the query gets an equal `total / max_concurrent` slice. A
+    /// request larger than the whole budget is clamped to it rather than
+    /// rejected, and waits for the pool to drain.
+    ///
+    /// Must never be called from inside a pool task: it would park the
+    /// worker the unblocking query needs.
+    pub fn admit(&self, requested_tuples: Option<u64>) -> QueryTicket<'_> {
+        let start = Instant::now();
+        let sh = &self.shared;
         let max_q = self.cfg.max_concurrent_queries.max(1);
-        let budget = match self.cfg.memory_budget_tuples {
+        let total = self.cfg.memory_budget_tuples;
+        let budget = match total {
             Some(total) => Some(match requested_tuples {
                 Some(r) => r.clamp(1, total),
                 None => (total / max_q as u64).max(1),
@@ -898,28 +887,24 @@ impl EngineRuntime {
         // Only a budget-gated runtime carves anything: a bare request on an
         // un-budgeted runtime is advisory (it sizes the ticket's
         // over-budget check) and must not show up as budget "in use".
-        let carved = if self.cfg.memory_budget_tuples.is_some() {
+        let carved = if total.is_some() {
             budget.unwrap_or(0)
         } else {
             0
         };
-        (budget, carved, max_q)
-    }
-
-    fn admission_blocked(&self, adm: &Admission, carved: u64, max_q: usize) -> bool {
-        let slots_full = adm.active >= max_q;
+        let mut adm = sh.admission.lock().expect("admission poisoned");
         // Budget gating only defers while someone else holds budget to
         // return — an empty pool always admits, so one oversized query
         // can never wedge the queue.
-        let budget_full = match self.cfg.memory_budget_tuples {
-            Some(total) => adm.active > 0 && adm.budget_in_use + carved > total,
-            None => false,
-        };
-        slots_full || budget_full
-    }
-
-    fn issue_ticket(&self, budget: Option<u64>, carved: u64, wait: Duration) -> QueryTicket<'_> {
-        let sh = &self.shared;
+        while adm.active >= max_q
+            || total.is_some_and(|t| adm.active > 0 && adm.budget_in_use + carved > t)
+        {
+            adm = sh.admission_cv.wait(adm).expect("admission poisoned");
+        }
+        adm.active += 1;
+        adm.budget_in_use += carved;
+        drop(adm);
+        let wait = start.elapsed();
         sh.admissions.fetch_add(1, Ordering::Relaxed);
         sh.admission_wait_nanos
             .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
@@ -931,55 +916,6 @@ impl EngineRuntime {
             wait,
             spill_dir: OnceLock::new(),
         }
-    }
-
-    /// Admits one query, blocking the *client* thread until an admission
-    /// slot — and, under a global memory budget, enough unreserved budget —
-    /// is available. `requested_tuples` is the query's own estimate (e.g.
-    /// its configured memory capacity); with a global budget and no
-    /// request, the query gets an equal `total / max_concurrent` slice. A
-    /// request larger than the whole budget is clamped to it rather than
-    /// rejected, and waits for the pool to drain.
-    ///
-    /// Must never be called from inside a pool task (it would park the
-    /// worker the unblocking query needs) — tasks use
-    /// [`EngineRuntime::try_admit`] with the [`EngineRuntime::admission_wake`]
-    /// registry instead.
-    pub fn admit(&self, requested_tuples: Option<u64>) -> QueryTicket<'_> {
-        let start = Instant::now();
-        let sh = &self.shared;
-        let (budget, carved, max_q) = self.admission_grant(requested_tuples);
-        let mut adm = sh.admission.lock().expect("admission poisoned");
-        while self.admission_blocked(&adm, carved, max_q) {
-            adm = sh.admission_cv.wait(adm).expect("admission poisoned");
-        }
-        adm.active += 1;
-        adm.budget_in_use += carved;
-        drop(adm);
-        self.issue_ticket(budget, carved, start.elapsed())
-    }
-
-    /// Non-blocking [`EngineRuntime::admit`]: `None` when no slot (or
-    /// budget) is free right now. Event-driven callers read
-    /// [`EngineRuntime::admission_wake`]'s generation before this call and
-    /// register on failure — every ticket drop wakes that set.
-    pub fn try_admit(&self, requested_tuples: Option<u64>) -> Option<QueryTicket<'_>> {
-        let sh = &self.shared;
-        let (budget, carved, max_q) = self.admission_grant(requested_tuples);
-        let mut adm = sh.admission.lock().expect("admission poisoned");
-        if self.admission_blocked(&adm, carved, max_q) {
-            return None;
-        }
-        adm.active += 1;
-        adm.budget_in_use += carved;
-        drop(adm);
-        Some(self.issue_ticket(budget, carved, Duration::ZERO))
-    }
-
-    /// The waker registry behind [`EngineRuntime::try_admit`]: woken on
-    /// every [`QueryTicket`] drop.
-    pub fn admission_wake(&self) -> &WakeSet {
-        &self.shared.admission_wake
     }
 
     /// Runs `f` with a [`RuntimeScope`] through which borrowed tasks can be
@@ -1126,9 +1062,6 @@ impl Drop for QueryTicket<'_> {
         adm.budget_in_use -= self.carved;
         drop(adm);
         sh.admission_cv.notify_all();
-        // A freed slot is a resource transition like any other: wake tasks
-        // parked on try_admit.
-        sh.admission_wake.wake_all();
     }
 }
 
@@ -1255,14 +1188,6 @@ fn steal_job(shared: &PoolShared, me: usize) -> Option<Job> {
 }
 
 fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
-    // Nap-mode emulation state: consecutive `Pending` polls. The legacy
-    // loop napped once per full sweep of the local deque (when the streak
-    // covered every local job and nothing was stealable), not once per
-    // blocked poll — napping per poll makes the baseline `n_blocked` times
-    // slower than the loop it emulates, and under open-loop arrivals that
-    // compounds (slower service → deeper backlog → more blocked tasks per
-    // sweep → slower still) into a runaway crawl.
-    let mut pending_streak = 0usize;
     // This worker's batch-recycling stash; every task polled here shares
     // it through the `TaskCx`, so buffers circulate across the tasks that
     // happen to land on this worker.
@@ -1298,7 +1223,6 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
                     // else: a timer is already due — loop and fire it.
                 }
             }
-            pending_streak = 0;
             continue;
         };
         let start = Instant::now();
@@ -1314,46 +1238,12 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         shared.polls.fetch_add(1, Ordering::Relaxed);
         match polled {
-            Ok(Poll::Ready) => {
-                complete_job(shared, job, None);
-                pending_streak = 0;
-            }
-            Err(panic) => {
-                complete_job(shared, job, Some(panic));
-                pending_streak = 0;
-            }
-            Ok(Poll::Yielded) => {
-                enqueue_local(shared, me, job);
-                pending_streak = 0;
-            }
+            Ok(Poll::Ready) => complete_job(shared, job, None),
+            Err(panic) => complete_job(shared, job, Some(panic)),
+            Ok(Poll::Yielded) => enqueue_local(shared, me, job),
             Ok(Poll::Pending) => {
                 shared.spurious_polls.fetch_add(1, Ordering::Relaxed);
-                if let Some(nap) = shared.pending_nap {
-                    // Legacy poll-loop emulation (benchmark baseline): the
-                    // task is requeued *first* so a sibling can steal it
-                    // meanwhile, and the worker never parks. Like the old
-                    // loop, the nap lands only once the `Pending` streak
-                    // covers the whole local deque and nothing is stealable
-                    // — one nap per sweep of blocked tasks, not one per
-                    // blocked poll. Registered wakers still fire but find
-                    // the task queued and latch NOTIFIED, which the next
-                    // `begin_poll` simply clears.
-                    enqueue_local(shared, me, job);
-                    pending_streak += 1;
-                    let len = shared.deques[me].lock().expect("deque poisoned").len();
-                    if pending_streak >= len {
-                        if let Some(other) = steal_job(shared, me) {
-                            shared.runnable.fetch_add(1, Ordering::Relaxed);
-                            shared.deques[me]
-                                .lock()
-                                .expect("deque poisoned")
-                                .push_front(other);
-                        } else if !shared.shutdown.load(Ordering::Acquire) {
-                            thread::sleep(nap);
-                        }
-                        pending_streak = 0;
-                    }
-                } else if waker.is_armed() {
+                if waker.is_armed() {
                     if let Err(job) = waker.try_park(job) {
                         // A wake latched mid-poll: the awaited transition
                         // already happened, so run again instead.
@@ -1405,8 +1295,8 @@ mod tests {
         // A single-worker pool must still complete a dependency chain where
         // task B parks until task A flips a flag: B registers with a
         // WakeSet and parks off the deques, A runs, flips the flag and
-        // wakes the set, B is re-enqueued and completes. This replaces the
-        // old nap-and-re-poll loop — if the wake is lost, this test hangs.
+        // wakes the set, B is re-enqueued and completes — if the wake is
+        // lost, this test hangs.
         let rt = EngineRuntime::new(1);
         let flag = AtomicBool::new(false);
         let wake = WakeSet::new();
@@ -1669,7 +1559,6 @@ mod tests {
             workers: 2,
             max_concurrent_queries: 1,
             memory_budget_tuples: None,
-            pending_nap_micros: None,
         });
         let t1 = rt.admit(None);
         assert_eq!(rt.metrics().active_queries, 1);
@@ -1694,33 +1583,11 @@ mod tests {
     }
 
     #[test]
-    fn try_admit_refuses_instead_of_blocking_and_drop_wakes_the_registry() {
-        let rt = EngineRuntime::with_config(RuntimeConfig {
-            workers: 1,
-            max_concurrent_queries: 1,
-            memory_budget_tuples: None,
-            pending_nap_micros: None,
-        });
-        let gen = rt.admission_wake().generation();
-        let t1 = rt.try_admit(None).expect("empty pool admits");
-        assert!(rt.try_admit(None).is_none(), "slot is taken");
-        drop(t1);
-        assert!(
-            rt.admission_wake().generation() > gen,
-            "ticket drop must advance the admission wake generation"
-        );
-        let t2 = rt.try_admit(None).expect("freed slot admits");
-        drop(t2);
-        assert_eq!(rt.metrics().admissions, 2);
-    }
-
-    #[test]
     fn budget_is_carved_and_returned() {
         let rt = EngineRuntime::with_config(RuntimeConfig {
             workers: 1,
             max_concurrent_queries: 4,
             memory_budget_tuples: Some(1000),
-            pending_nap_micros: None,
         });
         let a = rt.admit(Some(600));
         assert_eq!(a.budget_tuples(), Some(600));
@@ -1769,7 +1636,6 @@ mod tests {
             workers: 1,
             max_concurrent_queries: 1,
             memory_budget_tuples: Some(0),
-            pending_nap_micros: None,
         });
         let t = rt.admit(Some(10));
         assert_eq!(t.budget_tuples(), Some(1));
@@ -1783,7 +1649,6 @@ mod tests {
             workers: 1,
             max_concurrent_queries: 2,
             memory_budget_tuples: None,
-            pending_nap_micros: None,
         });
         let t = rt.admit(Some(5000));
         // The request sizes the ticket's over-budget check but carves

@@ -34,9 +34,9 @@
 //! I/O failures are not panics inside pool tasks: a failure is recorded
 //! here and the query is cancelled cooperatively through its
 //! [`CancelToken`](super::CancelToken) — whose wake also reaches tasks
-//! parked on queues or exchanges — and the driver re-raises it at the
-//! query join (see `execute_join_pipelined`), exactly like
-//! `Exchange::abandon` surfaces a downstream unwind.
+//! parked on queues or exchanges — and the stage driver re-raises it at
+//! the query join, exactly like `Exchange::abandon` surfaces a downstream
+//! unwind.
 //!
 //! Lifetime: the first spilled run creates directory and segment — a query
 //! that never spills touches no file system — and
@@ -343,13 +343,14 @@ impl SpillContext {
         slot.get_or_insert(msg);
     }
 
-    /// Takes the recorded failure, if any — the driver calls this after
-    /// the engine returns and re-raises it as a panic at the query join.
-    pub fn take_failure(&self) -> Option<String> {
+    /// The recorded failure, if any. It stays recorded: every stage of a
+    /// plan that the failure cancelled reports the same reason
+    /// ([`EngineOutcome::failure`](super::EngineOutcome::failure)).
+    pub fn failure(&self) -> Option<String> {
         self.failure
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .take()
+            .clone()
     }
 
     /// Has a spill write failed? Reducers stop spilling once set (the
@@ -560,8 +561,7 @@ mod tests {
         ctx.record_failure("boom".into());
         assert!(ctx.failed());
         ctx.record_failure("later".into());
-        assert_eq!(ctx.take_failure().as_deref(), Some("boom"));
-        assert!(!ctx.failed());
+        assert_eq!(ctx.failure().as_deref(), Some("boom"));
     }
 
     #[test]

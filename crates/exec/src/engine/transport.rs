@@ -37,6 +37,7 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -143,14 +144,15 @@ impl TransportFailure {
         })
     }
 
-    /// Records the first failure; returns whether this call was it.
-    pub(crate) fn trip(&self, why: String) -> bool {
-        let first = !self.failed.swap(true, Ordering::AcqRel);
-        if first {
-            *self.reason.lock().expect("failure reason poisoned") = Some(why);
-        }
+    /// Trips the latch; the first reason wins. The reason is stored before
+    /// the flag, so whoever observes `failed()` finds it.
+    pub(crate) fn trip(&self, why: String) {
+        self.reason
+            .lock()
+            .expect("failure reason poisoned")
+            .get_or_insert(why);
+        self.failed.store(true, Ordering::Release);
         self.wake.wake_all();
-        first
     }
 
     pub fn failed(&self) -> bool {
@@ -264,6 +266,11 @@ impl Drop for PipeReader {
         self.0.state.lock().expect("pipe poisoned").read_closed = true;
         self.0.ready.notify_all();
     }
+}
+
+/// Spawns one named transport I/O thread.
+fn io_thread(name: &str, body: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name.into()).spawn(body)
 }
 
 /// The four stream endpoints of one remote queue: a data plane
@@ -664,6 +671,74 @@ pub(crate) fn decode_delivery(frame: Frame) -> Result<Delivery, String> {
 }
 
 // ---------------------------------------------------------------------------
+// Frame pump
+// ---------------------------------------------------------------------------
+
+/// Why [`pump_frames`] stopped short of a clean end of stream. Each link
+/// words its own failure reason (or, for the exchange sender's credit
+/// reader, shrugs off a vanished peer) from these.
+enum PumpError {
+    /// EOF with part of a frame still buffered.
+    Truncated,
+    Read(io::Error),
+    /// A corrupt frame, or one the link's handler refused.
+    Frame(String),
+}
+
+impl PumpError {
+    /// The link's failure reason: its own words for a truncated stream,
+    /// `"<read>: <io error>"` for a failed read, the frame error as is.
+    fn reason(self, truncated: &str, read: &str) -> String {
+        match self {
+            PumpError::Truncated => truncated.into(),
+            PumpError::Read(e) => format!("{read}: {e}"),
+            PumpError::Frame(why) => why,
+        }
+    }
+}
+
+/// The reader loop of every link: read into a `buf_len`-byte buffer, feed
+/// the incremental decoder, hand each complete frame to `on_frame`.
+/// Returns `Ok` on a clean EOF at a frame boundary (normal teardown for
+/// the queue links) or when the handler breaks out (the exchange's
+/// `CLOSE`); everything else is a [`PumpError`].
+fn pump_frames(
+    src: &mut impl Read,
+    buf_len: usize,
+    mut on_frame: impl FnMut(Frame) -> Result<ControlFlow<()>, String>,
+) -> Result<(), PumpError> {
+    let mut dec = FrameDecoder::new();
+    let mut buf = vec![0u8; buf_len];
+    loop {
+        match src.read(&mut buf) {
+            Ok(0) if dec.pending_bytes() > 0 => return Err(PumpError::Truncated),
+            Ok(0) => return Ok(()),
+            Ok(n) => dec.feed(&buf[..n]),
+            Err(e) => return Err(PumpError::Read(e)),
+        }
+        while let Some(frame) = dec
+            .next_frame()
+            .map_err(|e| PumpError::Frame(e.to_string()))?
+        {
+            if on_frame(frame).map_err(PumpError::Frame)?.is_break() {
+                return Ok(());
+            }
+        }
+    }
+}
+
+/// The frame handler of both credit back-channels: a `CREDIT` frame
+/// returns its weight to `gate`; any other kind is refused as
+/// `"unexpected kind <k> <whence>"`.
+fn credit_frame(gate: &CreditGate, f: &Frame, whence: &str) -> Result<ControlFlow<()>, String> {
+    if f.kind != FRAME_CREDIT {
+        return Err(format!("unexpected kind {} {whence}", f.kind));
+    }
+    gate.credit(f.a as usize);
+    Ok(ControlFlow::Continue(()))
+}
+
+// ---------------------------------------------------------------------------
 // RemoteQueue
 // ---------------------------------------------------------------------------
 
@@ -726,25 +801,21 @@ impl RemoteQueue {
             let corrupt = cfg.corrupt_frame;
             let (failure, gate, staging) = (failure.clone(), gate.clone(), staging.clone());
             let wire_bytes = wire_bytes.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ewh-xport-data-tx".into())
-                    .spawn(move || {
-                        let mut n = 0u64;
-                        while let Ok(mut buf) = data_rx.recv() {
-                            if corrupt == Some(n) && buf.len() > 21 {
-                                buf[21] ^= 0xFF; // inflate the extra_len field
-                            }
-                            n += 1;
-                            pacer.pace(buf.len());
-                            if let Err(e) = out.write_all(&buf) {
-                                trip_link(&failure, &gate, &staging, format!("data write: {e}"));
-                                return;
-                            }
-                            wire_bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
-                        }
-                    })?,
-            );
+            threads.push(io_thread("ewh-xport-data-tx", move || {
+                let mut n = 0u64;
+                while let Ok(mut buf) = data_rx.recv() {
+                    if corrupt == Some(n) && buf.len() > 21 {
+                        buf[21] ^= 0xFF; // inflate the extra_len field
+                    }
+                    n += 1;
+                    pacer.pace(buf.len());
+                    if let Err(e) = out.write_all(&buf) {
+                        trip_link(&failure, &gate, &staging, format!("data write: {e}"));
+                        return;
+                    }
+                    wire_bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+                }
+            })?);
         }
 
         // Data reader: incremental decode into the staging queue. A clean
@@ -753,142 +824,52 @@ impl RemoteQueue {
         {
             let mut src = wire.data_in;
             let (failure, gate, staging) = (failure.clone(), gate.clone(), staging.clone());
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ewh-xport-data-rx".into())
-                    .spawn(move || {
-                        let mut dec = FrameDecoder::new();
-                        let mut buf = vec![0u8; 64 * 1024];
-                        loop {
-                            match src.read(&mut buf) {
-                                Ok(0) => {
-                                    if dec.pending_bytes() > 0 {
-                                        trip_link(
-                                            &failure,
-                                            &gate,
-                                            &staging,
-                                            "stream truncated mid-frame".into(),
-                                        );
-                                    }
-                                    return;
-                                }
-                                Ok(n) => {
-                                    dec.feed(&buf[..n]);
-                                    loop {
-                                        match dec.next_frame() {
-                                            Ok(Some(frame)) => match decode_delivery(frame) {
-                                                Ok(d) => staging.push_unbounded(d),
-                                                Err(why) => {
-                                                    trip_link(&failure, &gate, &staging, why);
-                                                    return;
-                                                }
-                                            },
-                                            Ok(None) => break,
-                                            Err(e) => {
-                                                trip_link(&failure, &gate, &staging, e.to_string());
-                                                return;
-                                            }
-                                        }
-                                    }
-                                }
-                                Err(e) => {
-                                    trip_link(&failure, &gate, &staging, format!("data read: {e}"));
-                                    return;
-                                }
-                            }
-                        }
-                    })?,
-            );
+            threads.push(io_thread("ewh-xport-data-rx", move || {
+                let pumped = pump_frames(&mut src, 64 * 1024, |frame| {
+                    staging.push_unbounded(decode_delivery(frame)?);
+                    Ok(ControlFlow::Continue(()))
+                });
+                if let Err(e) = pumped {
+                    let why = e.reason("stream truncated mid-frame", "data read");
+                    trip_link(&failure, &gate, &staging, why);
+                }
+            })?);
         }
 
         // Credit writer: coalesces pending credits into one frame per wake.
         {
             let mut out = wire.credit_out;
             let (failure, gate, staging) = (failure.clone(), gate.clone(), staging.clone());
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ewh-xport-credit-tx".into())
-                    .spawn(move || {
-                        let empty = ColumnBatch::new();
-                        let mut buf = Vec::with_capacity(64);
-                        while let Ok(mut w) = credit_rx.recv() {
-                            while let Ok(more) = credit_rx.try_recv() {
-                                w += more;
-                            }
-                            buf.clear();
-                            encode_frame(&mut buf, FRAME_CREDIT, w, 0, &[], &empty);
-                            if let Err(e) = out.write_all(&buf) {
-                                trip_link(&failure, &gate, &staging, format!("credit write: {e}"));
-                                return;
-                            }
-                        }
-                    })?,
-            );
+            threads.push(io_thread("ewh-xport-credit-tx", move || {
+                let empty = ColumnBatch::new();
+                let mut buf = Vec::with_capacity(64);
+                while let Ok(mut w) = credit_rx.recv() {
+                    while let Ok(more) = credit_rx.try_recv() {
+                        w += more;
+                    }
+                    buf.clear();
+                    encode_frame(&mut buf, FRAME_CREDIT, w, 0, &[], &empty);
+                    if let Err(e) = out.write_all(&buf) {
+                        trip_link(&failure, &gate, &staging, format!("credit write: {e}"));
+                        return;
+                    }
+                }
+            })?);
         }
 
         // Credit reader: returns window to the gate, waking parked pushers.
         {
             let mut src = wire.credit_in;
             let (failure, gate, staging) = (failure.clone(), gate.clone(), staging.clone());
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ewh-xport-credit-rx".into())
-                    .spawn(move || {
-                        let mut dec = FrameDecoder::new();
-                        let mut buf = vec![0u8; 4096];
-                        loop {
-                            match src.read(&mut buf) {
-                                Ok(0) => {
-                                    if dec.pending_bytes() > 0 {
-                                        trip_link(
-                                            &failure,
-                                            &gate,
-                                            &staging,
-                                            "credit stream truncated".into(),
-                                        );
-                                    }
-                                    return;
-                                }
-                                Ok(n) => {
-                                    dec.feed(&buf[..n]);
-                                    loop {
-                                        match dec.next_frame() {
-                                            Ok(Some(f)) if f.kind == FRAME_CREDIT => {
-                                                gate.credit(f.a as usize);
-                                            }
-                                            Ok(Some(f)) => {
-                                                trip_link(
-                                                    &failure,
-                                                    &gate,
-                                                    &staging,
-                                                    format!(
-                                                        "unexpected kind {} on credit link",
-                                                        f.kind
-                                                    ),
-                                                );
-                                                return;
-                                            }
-                                            Ok(None) => break,
-                                            Err(e) => {
-                                                trip_link(&failure, &gate, &staging, e.to_string());
-                                                return;
-                                            }
-                                        }
-                                    }
-                                }
-                                Err(e) => {
-                                    trip_link(
-                                        &failure,
-                                        &gate,
-                                        &staging,
-                                        format!("credit read: {e}"),
-                                    );
-                                    return;
-                                }
-                            }
-                        }
-                    })?,
-            );
+            threads.push(io_thread("ewh-xport-credit-rx", move || {
+                let pumped = pump_frames(&mut src, 4096, |f| {
+                    credit_frame(&gate, &f, "on credit link")
+                });
+                if let Err(e) = pumped {
+                    let why = e.reason("credit stream truncated", "credit read");
+                    trip_link(&failure, &gate, &staging, why);
+                }
+            })?);
         }
 
         Ok(Arc::new(RemoteQueue {
@@ -922,13 +903,33 @@ impl RemoteQueue {
         }
     }
 
-    fn credit_for(&self, item: &Delivery) {
-        let w = delivery_weight(item);
+    /// Non-blocking bounded push; a bounced one registers `waker` (if any)
+    /// with the gate. On a failed link the delivery is discarded: the run
+    /// is unwinding.
+    fn offer(&self, item: Delivery, waker: Option<&Waker>) -> Result<(), Delivery> {
+        if self.failure.failed() {
+            return Ok(());
+        }
+        if self.gate.try_acquire(delivery_weight(&item), waker) {
+            self.send(item);
+            Ok(())
+        } else {
+            Err(item)
+        }
+    }
+
+    /// Returns a popped delivery's weight to the producer as credit.
+    fn credited(&self, popped: Option<Delivery>) -> PortPop<Delivery> {
+        let Some(item) = popped else {
+            return PortPop::Empty;
+        };
+        let w = delivery_weight(&item);
         if w > 0 {
             if let Some(tx) = self.credit_tx.lock().expect("credit tx poisoned").as_ref() {
                 let _ = tx.send(w as u64);
             }
         }
+        PortPop::Item(item)
     }
 }
 
@@ -956,27 +957,11 @@ impl FragmentPort for RemoteQueue {
     }
 
     fn try_push(&self, item: Delivery) -> Result<(), Delivery> {
-        if self.failure.failed() {
-            return Ok(()); // discarded: the run is unwinding
-        }
-        if self.gate.try_acquire(delivery_weight(&item), None) {
-            self.send(item);
-            Ok(())
-        } else {
-            Err(item)
-        }
+        self.offer(item, None)
     }
 
     fn try_push_or_park(&self, item: Delivery, waker: &Waker) -> Result<(), Delivery> {
-        if self.failure.failed() {
-            return Ok(());
-        }
-        if self.gate.try_acquire(delivery_weight(&item), Some(waker)) {
-            self.send(item);
-            Ok(())
-        } else {
-            Err(item)
-        }
+        self.offer(item, Some(waker))
     }
 
     fn push_unbounded(&self, item: Delivery) {
@@ -985,23 +970,11 @@ impl FragmentPort for RemoteQueue {
     }
 
     fn try_pop(&self) -> PortPop<Delivery> {
-        match BoundedQueue::try_pop(&self.staging) {
-            Some(item) => {
-                self.credit_for(&item);
-                PortPop::Item(item)
-            }
-            None => PortPop::Empty,
-        }
+        self.credited(BoundedQueue::try_pop(&self.staging))
     }
 
     fn try_pop_or_park(&self, waker: &Waker) -> PortPop<Delivery> {
-        match BoundedQueue::try_pop_or_park(&self.staging, waker) {
-            Some(item) => {
-                self.credit_for(&item);
-                PortPop::Item(item)
-            }
-            None => PortPop::Empty,
-        }
+        self.credited(BoundedQueue::try_pop_or_park(&self.staging, waker))
     }
 
     /// No-op: lifecycle is in-band, as on the local queue.
@@ -1059,42 +1032,17 @@ impl RemoteExchangeSender {
             let gate = gate.clone();
             let failure = failure.clone();
             let mut src = rd;
-            std::thread::Builder::new()
-                .name("ewh-xchg-credit-rx".into())
-                .spawn(move || {
-                    let mut dec = FrameDecoder::new();
-                    let mut buf = vec![0u8; 4096];
-                    loop {
-                        match src.read(&mut buf) {
-                            Ok(0) => return,
-                            Ok(n) => {
-                                dec.feed(&buf[..n]);
-                                loop {
-                                    match dec.next_frame() {
-                                        Ok(Some(f)) if f.kind == FRAME_CREDIT => {
-                                            gate.credit(f.a as usize);
-                                        }
-                                        Ok(Some(f)) => {
-                                            failure.trip(format!(
-                                                "unexpected kind {} from receiver",
-                                                f.kind
-                                            ));
-                                            gate.fail();
-                                            return;
-                                        }
-                                        Ok(None) => break,
-                                        Err(e) => {
-                                            failure.trip(e.to_string());
-                                            gate.fail();
-                                            return;
-                                        }
-                                    }
-                                }
-                            }
-                            Err(_) => return,
-                        }
-                    }
-                })?
+            io_thread("ewh-xchg-credit-rx", move || {
+                // A receiver that goes away — EOF, even mid-frame, or a
+                // failed read — is not this side's failure to report: the
+                // next `push` fails on its own write.
+                let pumped =
+                    pump_frames(&mut src, 4096, |f| credit_frame(&gate, &f, "from receiver"));
+                if let Err(PumpError::Frame(why)) = pumped {
+                    failure.trip(why);
+                    gate.fail();
+                }
+            })?
         };
         Ok(RemoteExchangeSender {
             out: Mutex::new(sock),
@@ -1178,88 +1126,41 @@ impl RemoteExchangeReceiver {
             let exchange = exchange.clone();
             let failure = failure.clone();
             let mut src = sock;
-            std::thread::Builder::new()
-                .name("ewh-xchg-data-rx".into())
-                .spawn(move || {
-                    let mut dec = FrameDecoder::new();
-                    let mut buf = vec![0u8; 64 * 1024];
-                    let mut credit = Vec::with_capacity(64);
-                    let empty = ColumnBatch::new();
-                    let fail = |failure: &TransportFailure, exchange: &Exchange, why: String| {
-                        failure.trip(why);
-                        // Close (not abandon): the downstream engine sees a
-                        // normal end of stream and terminates; the caller
-                        // must check `failed()` before trusting the result.
-                        exchange.close();
-                    };
-                    loop {
-                        match src.read(&mut buf) {
-                            Ok(0) => {
-                                if dec.pending_bytes() > 0 {
-                                    fail(&failure, &exchange, "truncated mid-frame".into());
-                                } else {
-                                    fail(
-                                        &failure,
-                                        &exchange,
-                                        "sender vanished without CLOSE".into(),
-                                    );
-                                }
-                                return;
-                            }
-                            Ok(n) => {
-                                dec.feed(&buf[..n]);
-                                loop {
-                                    match dec.next_frame() {
-                                        Ok(Some(f)) if f.kind == FRAME_XBATCH => {
-                                            let w = f.batch.len() as u64;
-                                            exchange.push(f.batch);
-                                            if w > 0 {
-                                                credit.clear();
-                                                encode_frame(
-                                                    &mut credit,
-                                                    FRAME_CREDIT,
-                                                    w,
-                                                    0,
-                                                    &[],
-                                                    &empty,
-                                                );
-                                                if wr.write_all(&credit).is_err() {
-                                                    fail(
-                                                        &failure,
-                                                        &exchange,
-                                                        "credit write failed".into(),
-                                                    );
-                                                    return;
-                                                }
-                                            }
-                                        }
-                                        Ok(Some(f)) if f.kind == FRAME_CLOSE => {
-                                            exchange.close();
-                                            return;
-                                        }
-                                        Ok(Some(f)) => {
-                                            fail(
-                                                &failure,
-                                                &exchange,
-                                                format!("unexpected kind {}", f.kind),
-                                            );
-                                            return;
-                                        }
-                                        Ok(None) => break,
-                                        Err(e) => {
-                                            fail(&failure, &exchange, e.to_string());
-                                            return;
-                                        }
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                fail(&failure, &exchange, format!("read: {e}"));
-                                return;
-                            }
+            io_thread("ewh-xchg-data-rx", move || {
+                let mut credit = Vec::with_capacity(64);
+                let empty = ColumnBatch::new();
+                let mut closed = false;
+                let pumped = pump_frames(&mut src, 64 * 1024, |f| match f.kind {
+                    FRAME_XBATCH => {
+                        let w = f.batch.len() as u64;
+                        exchange.push(f.batch);
+                        if w > 0 {
+                            credit.clear();
+                            encode_frame(&mut credit, FRAME_CREDIT, w, 0, &[], &empty);
+                            wr.write_all(&credit)
+                                .map_err(|_| "credit write failed".to_string())?;
                         }
+                        Ok(ControlFlow::Continue(()))
                     }
-                })?
+                    FRAME_CLOSE => {
+                        closed = true;
+                        Ok(ControlFlow::Break(()))
+                    }
+                    other => Err(format!("unexpected kind {other}")),
+                });
+                let failed = match pumped {
+                    Ok(()) if closed => None,
+                    Ok(()) => Some("sender vanished without CLOSE".into()),
+                    Err(e) => Some(e.reason("truncated mid-frame", "read")),
+                };
+                if let Some(why) = failed {
+                    failure.trip(why);
+                }
+                // Close (not abandon), failed or not: the downstream engine
+                // sees a normal end of stream and terminates; the caller
+                // must check `failed()` before trusting the result.
+                exchange.close();
+            })?
         };
         Ok(RemoteExchangeReceiver {
             exchange,

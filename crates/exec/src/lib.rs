@@ -43,10 +43,10 @@
 //! `tests/prop_plan.rs`).
 //!
 //! Also implements the operational extensions of the paper: the
-//! high-selectivity CI fallback (§VI-E, [`run_operator_adaptive`], which in
-//! pipelined mode re-routes only the unconsumed morsels of the abandoned
-//! attempt's plan) and heterogeneous clusters via capacity-aware region
-//! assignment (Appendix A5, [`assign_regions`]).
+//! high-selectivity CI fallback (§VI-E, [`run_operator_adaptive`]: CSIO is
+//! abandoned before its first morsel is claimed, so no tuple is shuffled
+//! twice) and heterogeneous clusters via capacity-aware region assignment
+//! (Appendix A5, [`assign_regions`]).
 
 mod adaptive;
 pub mod engine;
@@ -70,9 +70,8 @@ pub use local_join::{
 };
 pub use metrics::JoinStats;
 pub use operator::{
-    assign_regions, build_scheme, build_scheme_from_keys, execute_join, execute_join_pipelined,
-    lpt_schedule, run_operator, run_operator_adaptive, stats_from_outcome, ExecMode,
-    FallbackPolicy, OperatorConfig, OperatorRun,
+    assign_regions, build_scheme, build_scheme_from_keys, execute_join, lpt_schedule, run_operator,
+    run_operator_adaptive, ExecMode, FallbackPolicy, OperatorConfig, OperatorRun,
 };
 pub use plan::{run_plan, run_plan_materialized, ChainStage, PlanRun, PlanStageRun, StageSpec};
 pub use shuffle::{shuffle, Shuffled};

@@ -529,23 +529,28 @@ mod tests {
             JoinCondition::Inequality(IneqOp::Ge),
             JoinCondition::EquiBand { shift: 8, beta: 2 },
         ];
-        for cond in conds {
-            let k1: Vec<Key> = (0..400).map(|_| rng.gen_range(0..70)).collect();
-            let k2: Vec<Key> = (0..400).map(|_| rng.gen_range(0..70)).collect();
-            let mut r1 = tuples(&k1);
-            let mut r2 = tuples(&k2);
-            r1.sort_unstable_by_key(|t| t.key);
-            r2.sort_unstable_by_key(|t| t.key);
-            let (expect_c, expect_s) = sweep_sorted(&r1, &r2, &cond, OutputWork::Touch);
+        // Dense sides, then the shape the engine sweeps — one probe chunk
+        // against a whole region's build — where the columnar kernel leaps
+        // over the build keys between matches.
+        for (n1, n2, domain) in [(400, 400, 70), (30_000, 256, 30_000)] {
+            for cond in conds {
+                let k1: Vec<Key> = (0..n1).map(|_| rng.gen_range(0..domain)).collect();
+                let k2: Vec<Key> = (0..n2).map(|_| rng.gen_range(0..domain)).collect();
+                let mut r1 = tuples(&k1);
+                let mut r2 = tuples(&k2);
+                r1.sort_unstable_by_key(|t| t.key);
+                r2.sort_unstable_by_key(|t| t.key);
+                let (expect_c, expect_s) = sweep_sorted(&r1, &r2, &cond, OutputWork::Touch);
 
-            let b1 = ColumnBatch::from_tuples(&r1);
-            let b2 = ColumnBatch::from_tuples(&r2);
-            let (c, s) = sweep_columns(&b1, &b2, &cond, OutputWork::Touch);
-            assert_eq!(c, expect_c, "{cond:?}");
-            assert_eq!(s, expect_s, "{cond:?}");
-            let (cc, cs) = sweep_columns(&b1, &b2, &cond, OutputWork::Count);
-            assert_eq!(cc, expect_c, "{cond:?}");
-            assert_eq!(cs, 0);
+                let b1 = ColumnBatch::from_tuples(&r1);
+                let b2 = ColumnBatch::from_tuples(&r2);
+                let (c, s) = sweep_columns(&b1, &b2, &cond, OutputWork::Touch);
+                assert_eq!(c, expect_c, "{cond:?} {n1}x{n2}");
+                assert_eq!(s, expect_s, "{cond:?} {n1}x{n2}");
+                let (cc, cs) = sweep_columns(&b1, &b2, &cond, OutputWork::Count);
+                assert_eq!(cc, expect_c, "{cond:?} {n1}x{n2}");
+                assert_eq!(cs, 0);
+            }
         }
     }
 

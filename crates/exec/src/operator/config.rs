@@ -83,7 +83,8 @@ pub struct OperatorConfig {
     /// engine's migration coordinator and the discrete-event simulation
     /// ([`crate::simulate_adaptive`]), so predicted and realized
     /// reassignment counts can be compared. `reassign: false` freezes the
-    /// initial placement (the legacy protocol).
+    /// initial placement: the coordinator still ends the run at quiescence
+    /// but never moves a region.
     pub adaptive: AdaptiveConfig,
     /// Fault injection: slow one reducer task down (benchmarks/tests only).
     /// In a chained plan the same injection applies to every stage.

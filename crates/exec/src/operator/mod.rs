@@ -13,8 +13,8 @@
 //! * [`config`] — cluster + operator configuration and execution modes;
 //! * [`stats`] — statistics collection and scheme building (full-relation
 //!   and sampled-key variants, modeled statistics time);
-//! * [`run`] — the execution drivers (batch oracle, pipelined engine,
-//!   placement, the adaptive CI fallback).
+//! * [`run`] — the execution drivers (batch oracle, query admission and
+//!   the one pipelined stage driver, placement, the adaptive CI fallback).
 
 mod config;
 mod run;
@@ -22,8 +22,7 @@ mod stats;
 
 pub use config::{ExecMode, FallbackPolicy, OperatorConfig};
 pub use run::{
-    assign_regions, execute_join, execute_join_pipelined, lpt_schedule, run_operator,
-    run_operator_adaptive, stats_from_outcome, OperatorRun,
+    assign_regions, execute_join, lpt_schedule, run_operator, run_operator_adaptive, OperatorRun,
 };
-pub(crate) use run::{engine_setup, execute_join_with};
+pub(crate) use run::{execute_join_with, run_stage, AdmittedQuery};
 pub use stats::{build_scheme, build_scheme_from_keys, extract_keys};

@@ -1,5 +1,6 @@
-//! Execution drivers: region placement, the batch oracle, the pipelined
-//! engine driver, and the adaptive CI fallback.
+//! Execution drivers: region placement, the batch oracle, query admission
+//! and the one pipelined stage driver (shared with the plan executor), and
+//! the adaptive CI fallback.
 
 use std::thread;
 use std::time::Instant;
@@ -9,8 +10,8 @@ use ewh_core::{
 };
 
 use crate::engine::{
-    run_pipelined_io, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, MemGauge, MorselPlan,
-    Source, SpillContext,
+    run_pipelined_io, AbandonOnDrop, CloseOnDrop, EngineConfig, EngineIo, EngineOutcome,
+    EngineRuntime, MorselPlan, QueryTicket, Source, SpillContext, StageSink,
 };
 use crate::local_join::KeyFrom;
 use crate::{local_join, shuffle, JoinStats, Shuffled};
@@ -209,9 +210,8 @@ pub fn execute_join(
 /// Folds a completed engine run into the operator's [`JoinStats`]
 /// accounting: per-region tallies aggregate to per-worker loads over
 /// `region_to_worker`, volumes convert to bytes, and the simulated join
-/// time is recomputed from the realized weights. Shared by the one-shot
-/// pipelined driver and the chained plan executor.
-pub fn stats_from_outcome(
+/// time is recomputed from the realized weights.
+fn stats_from_outcome(
     out: &EngineOutcome,
     region_to_worker: &[u32],
     cfg: &OperatorConfig,
@@ -260,18 +260,13 @@ pub fn stats_from_outcome(
 }
 
 /// Derives one pipelined stage's engine configuration and initial
-/// region → reducer routing table from the operator config — shared by the
-/// one-shot pipelined driver and every stage of a chained plan, so a
-/// placement or seed-derivation change can never make the two diverge.
+/// region → reducer routing table from the operator config.
 ///
 /// Initial reducer-task placement is LPT by estimated region weight, so a
 /// hot region gets a task to itself instead of queueing behind siblings;
 /// it is published through the epoch-versioned routing table, which the
 /// migration coordinator may rewrite at run time.
-pub(crate) fn engine_setup(
-    scheme: &PartitionScheme,
-    cfg: &OperatorConfig,
-) -> (EngineConfig, RoutingTable) {
+fn engine_setup(scheme: &PartitionScheme, cfg: &OperatorConfig) -> (EngineConfig, RoutingTable) {
     let n_regions = scheme.num_regions();
     let mut engine_cfg = EngineConfig::for_tasks(cfg.threads, cfg.morsel_tuples, cfg.seed ^ 0x5F);
     engine_cfg.queue_tuples = cfg.queue_tuples;
@@ -289,31 +284,81 @@ pub(crate) fn engine_setup(
     (engine_cfg, table)
 }
 
-/// Executes the join on the morsel-driven pipelined engine — as task
-/// batches on the shared `rt` pool, never on threads of its own. Mirrors
-/// [`execute_join`]'s accounting while never materializing the full shuffle:
-/// `mem_bytes` still reports the modeled full-materialization footprint for
-/// comparability, while `peak_resident_bytes` reports what the engine
-/// actually held at its high-water mark. `gauge` is the query's memory
-/// gauge (an admitted query passes its ticket's; `None` uses a private
-/// one). With `budget_tuples` and a `spill` context, reducers shed state
-/// to disk whenever the gauge exceeds the budget; a spill I/O failure
-/// cancels the run cooperatively and resurfaces here as a panic.
-#[allow(clippy::too_many_arguments)] // an execution plan, not a builder
-pub fn execute_join_pipelined(
+/// One admitted query on the shared runtime: its ticket (admission slot,
+/// memory gauge, scoped spill directory), the spill budget that binds, and
+/// the spill context that goes with it. An operator holds one for its one
+/// stage, a plan one for all of its stages — they charge one gauge, so the
+/// budget bounds the plan-global footprint and any stage may be picked as
+/// the spill victim.
+pub(crate) struct AdmittedQuery<'rt> {
+    /// Declared before the ticket so it drops first: the segment closes
+    /// before the ticket removes the directory it lives in.
+    pub spill: Option<SpillContext>,
+    pub budget_tuples: Option<u64>,
+    pub ticket: QueryTicket<'rt>,
+}
+
+impl<'rt> AdmittedQuery<'rt> {
+    /// Admits the query (blocking the client thread), requesting the
+    /// configured memory capacity as its budget slice. It spills under
+    /// whichever budget binds: an explicit operator override, else the
+    /// slice admission carved from the runtime's global budget. The spill
+    /// context lives in the ticket's scoped temp dir, removed wholesale
+    /// when the ticket drops — success, cancel and panic paths alike.
+    pub fn admit(rt: &'rt EngineRuntime, cfg: &OperatorConfig) -> Self {
+        let ticket = rt.admit(cfg.mem_capacity_bytes.map(|b| (b / TUPLE_BYTES).max(1)));
+        let budget_tuples = cfg.spill.budget_tuples.or(ticket.budget_tuples());
+        let spill = budget_tuples.map(|_| {
+            SpillContext::new(
+                ticket
+                    .spill_dir(cfg.spill.temp_dir.as_deref())
+                    .to_path_buf(),
+                cfg.spill.fail_after_bytes,
+            )
+        });
+        AdmittedQuery {
+            spill,
+            budget_tuples,
+            ticket,
+        }
+    }
+}
+
+/// Runs one pipelined stage of an admitted query — placement, engine,
+/// accounting — as task batches on the shared `rt` pool, never on threads
+/// of its own; the calling thread only orchestrates. `sink` is where the
+/// stage's probe output streams (`None` for a final or only stage); it is
+/// closed when the engine returns — or unwinds — which is what terminates
+/// the downstream operator.
+///
+/// Mirrors [`execute_join`]'s accounting while never materializing the
+/// full shuffle: `mem_bytes` still reports the modeled full-materialization
+/// footprint for comparability, `peak_resident_bytes` what the query's
+/// gauge actually held at its high-water mark.
+///
+/// This is the one place an engine run that cancelled itself — a spill
+/// I/O failure, a dead or corrupt transport link; every pool task unwound
+/// through the normal abort protocol — resurfaces: as a panic carrying the
+/// reason, on the driving thread, where a caller can catch it at the query
+/// join.
+#[allow(clippy::too_many_arguments)] // one stage's wiring, used once each
+pub(crate) fn run_stage(
     rt: &EngineRuntime,
-    r1: &[Tuple],
-    r2: &[Tuple],
+    query: &AdmittedQuery<'_>,
+    r1: Source<'_>,
+    r2: Source<'_>,
     scheme: &PartitionScheme,
     cond: &JoinCondition,
-    region_to_worker: &[u32],
-    plan: &MorselPlan,
+    key_from: KeyFrom,
+    sink: Option<StageSink<'_>>,
     cfg: &OperatorConfig,
-    gauge: Option<&MemGauge>,
-    budget_tuples: Option<u64>,
-    spill: Option<&SpillContext>,
 ) -> JoinStats {
-    debug_assert_eq!(region_to_worker.len(), scheme.num_regions());
+    // Teardown guards, armed before anything can panic: close this stage's
+    // output (so the downstream consumer terminates) and abandon its input
+    // (so the upstream producer can never stay blocked in `push` against a
+    // consumer that unwound). Both are harmless after normal completion.
+    let close_guard = sink.map(CloseOnDrop);
+    let _abandon_guard = AbandonOnDrop(r2.exchange());
     let (engine_cfg, table) = engine_setup(scheme, cfg);
     if let Some(links) = &cfg.links {
         assert!(
@@ -323,45 +368,38 @@ pub fn execute_join_pipelined(
             engine_cfg.reducers
         );
     }
-
-    // One transpose per side; the engine routes, sorts, and sweeps columns.
-    let r1 = ColumnBatch::from_tuples(r1);
-    let r2 = ColumnBatch::from_tuples(r2);
+    let plan = MorselPlan::new(
+        r1.scan_cols().len(),
+        r2.scan_cols().len(),
+        cfg.morsel_tuples,
+    );
     let out = run_pipelined_io(
         rt,
         EngineIo {
-            r1: Source::Scan(&r1),
-            r2: Source::Scan(&r2),
+            r1,
+            r2,
             router: &scheme.router,
             cond,
             table: &table,
-            plan,
-            sink: None,
-            key_from: KeyFrom::Probe,
-            gauge,
+            plan: &plan,
+            sink,
+            key_from,
+            gauge: Some(query.ticket.gauge()),
             cancel: None,
-            budget_tuples,
-            spill,
+            budget_tuples: query.budget_tuples,
+            spill: query.spill.as_ref(),
             links: cfg.links.as_deref(),
         },
         &engine_cfg,
     );
-    // A spill I/O failure tore the query down cooperatively (every pool
-    // task unwound through the normal abort protocol); re-raise it on the
-    // driving thread, where a caller can catch it at the plan join.
-    if let Some(ctx) = spill {
-        if let Some(msg) = ctx.take_failure() {
-            panic!("query cancelled by spill failure: {msg}");
-        }
+    if out.cancelled {
+        // No cancel token goes in above, so the engine cancelled itself.
+        let why = out.failure.as_deref().unwrap_or("an unrecorded failure");
+        panic!("query cancelled by {why}");
     }
-    // A transport link failure (corrupt frame, dead socket) tears the run
-    // down cooperatively the same way; re-raise it here so callers see one
-    // surface for both I/O failure classes.
-    if out.cancelled && cfg.transport.is_some() {
-        panic!("query cancelled by transport failure");
-    }
-    debug_assert!(!out.cancelled, "operator-level runs are never cancelled");
-    stats_from_outcome(&out, region_to_worker, cfg)
+    drop(close_guard); // close the downstream exchange: upstream quiescence
+    let map = assign_regions(scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
+    stats_from_outcome(&out, &map, cfg)
 }
 
 /// Runs the full operator with the given scheme kind, as one *admitted
@@ -378,7 +416,7 @@ pub fn run_operator(
     cfg: &OperatorConfig,
 ) -> OperatorRun {
     let (scheme, stats_wall_secs) = build_scheme(kind, r1, r2, cond, cfg);
-    run_with_scheme(rt, scheme, stats_wall_secs, r1, r2, cond, cfg, false, None)
+    run_with_scheme(rt, scheme, stats_wall_secs, r1, r2, cond, cfg, false)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -391,58 +429,32 @@ fn run_with_scheme(
     cond: &JoinCondition,
     cfg: &OperatorConfig,
     fell_back: bool,
-    // A pre-built morsel plan to (re)use — the adaptive fallback hands over
-    // the plan of the abandoned attempt so only its unconsumed morsels are
-    // routed.
-    plan: Option<&MorselPlan>,
 ) -> OperatorRun {
-    let map = assign_regions(&scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
     let join = match cfg.mode {
         ExecMode::Batch => {
+            let map = assign_regions(&scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
             let shuffled = shuffle(r1, r2, &scheme, cfg.threads, cfg.seed ^ 0x5F);
             execute_join(shuffled, cond, &map, cfg)
         }
+        // An operator is a one-stage plan: admit, transpose each side once
+        // (the engine routes, sorts, and sweeps columns), run the stage.
+        // The ticket is released at the end of this arm.
         ExecMode::Pipelined => {
-            let fresh;
-            let plan = match plan {
-                Some(p) => p,
-                None => {
-                    fresh = MorselPlan::new(r1.len(), r2.len(), cfg.morsel_tuples);
-                    &fresh
-                }
-            };
-            // Admission: one ticket per query, requesting the configured
-            // memory capacity as its budget slice (client-thread blocking;
-            // released when the ticket drops at the end of this arm).
-            let ticket = rt.admit(cfg.mem_capacity_bytes.map(|b| (b / TUPLE_BYTES).max(1)));
-            // Spill under whichever budget binds: an explicit operator
-            // override, else the slice admission carved from the runtime's
-            // global budget. The spill context lives in the ticket's scoped
-            // temp dir, removed wholesale when the ticket drops — success,
-            // cancel and panic paths alike.
-            let budget = cfg.spill.budget_tuples.or(ticket.budget_tuples());
-            let spill_ctx = budget.map(|_| {
-                SpillContext::new(
-                    ticket
-                        .spill_dir(cfg.spill.temp_dir.as_deref())
-                        .to_path_buf(),
-                    cfg.spill.fail_after_bytes,
-                )
-            });
-            let mut stats = execute_join_pipelined(
+            let query = AdmittedQuery::admit(rt, cfg);
+            let c1 = ColumnBatch::from_tuples(r1);
+            let c2 = ColumnBatch::from_tuples(r2);
+            let mut stats = run_stage(
                 rt,
-                r1,
-                r2,
+                &query,
+                Source::Scan(&c1),
+                Source::Scan(&c2),
                 &scheme,
                 cond,
-                &map,
-                plan,
+                KeyFrom::Probe,
+                None,
                 cfg,
-                Some(ticket.gauge()),
-                budget,
-                spill_ctx.as_ref(),
             );
-            stats.admission_wait_secs = ticket.admission_wait_secs();
+            stats.admission_wait_secs = query.ticket.admission_wait_secs();
             stats
         }
     };
@@ -461,12 +473,10 @@ fn run_with_scheme(
 
 /// Runs CSIO with the CI fallback policy.
 ///
-/// In pipelined mode the fallback shares one [`MorselPlan`] between the
-/// abandoned CSIO attempt and the CI run: the CI engine re-routes only the
-/// morsels the CSIO engine never consumed, instead of re-morselizing the
-/// inputs from scratch. Because Stream-Sample learns the exact `m` during
-/// statistics — before the first morsel is claimed — that is the whole plan,
-/// and no tuple is ever shuffled twice.
+/// Stream-Sample learns the exact `m` during statistics — before the first
+/// morsel is claimed — so abandoning CSIO costs its statistics time and
+/// nothing else: the CI run routes every morsel exactly once and no tuple
+/// is ever shuffled twice.
 pub fn run_operator_adaptive(
     rt: &EngineRuntime,
     r1: &[Tuple],
@@ -478,29 +488,16 @@ pub fn run_operator_adaptive(
     let (scheme, csio_wall) = build_scheme(SchemeKind::Csio, r1, r2, cond, cfg);
     let n = r1.len().max(r2.len()) as u64;
     let rho = scheme.build.m_est as f64 / n.max(1) as f64;
-    let plan = MorselPlan::new(r1.len(), r2.len(), cfg.morsel_tuples);
     if rho > policy.rho_threshold {
-        // Abandon CSIO: keep its (wasted) stats cost on the books, run CI
-        // over the same plan's unconsumed morsels.
-        debug_assert_eq!(plan.consumed(), 0, "fallback fires before execution starts");
+        // Abandon CSIO: keep its (wasted) stats cost on the books, run CI.
         let wasted_sim = stats_sim_secs(&scheme, n, cfg);
         let (ci, ci_wall) = build_scheme(SchemeKind::Ci, r1, r2, cond, cfg);
-        let mut run = run_with_scheme(
-            rt,
-            ci,
-            csio_wall + ci_wall,
-            r1,
-            r2,
-            cond,
-            cfg,
-            true,
-            Some(&plan),
-        );
+        let mut run = run_with_scheme(rt, ci, csio_wall + ci_wall, r1, r2, cond, cfg, true);
         run.stats_sim_secs += wasted_sim;
         run.total_sim_secs += wasted_sim;
         return run;
     }
-    run_with_scheme(rt, scheme, csio_wall, r1, r2, cond, cfg, false, Some(&plan))
+    run_with_scheme(rt, scheme, csio_wall, r1, r2, cond, cfg, false)
 }
 
 #[cfg(test)]
@@ -712,10 +709,19 @@ mod tests {
                 &cond,
                 &cfg,
             );
-            let map = assign_regions(&scheme, cfg.j, None, &cfg.cost);
-            let plan = MorselPlan::new(r1.len(), r2.len(), cfg.morsel_tuples);
-            let stats = execute_join_pipelined(
-                &rt, &r1, &r2, &scheme, &cond, &map, &plan, &cfg, None, None, None,
+            let query = AdmittedQuery::admit(&rt, &cfg);
+            let c1 = ColumnBatch::from_tuples(&r1);
+            let c2 = ColumnBatch::from_tuples(&r2);
+            let stats = run_stage(
+                &rt,
+                &query,
+                Source::Scan(&c1),
+                Source::Scan(&c2),
+                &scheme,
+                &cond,
+                KeyFrom::Probe,
+                None,
+                &cfg,
             );
             assert_eq!(stats.output_total, expect, "{kind}");
         }

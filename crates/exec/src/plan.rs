@@ -60,19 +60,17 @@
 //! (identical `output_total` / `checksum`, property-tested in
 //! `tests/prop_plan.rs`) and as the peak-memory comparison target.
 
+use std::panic::resume_unwind;
 use std::thread;
 use std::time::Instant;
 
 use ewh_core::{ColumnBatch, JoinCondition, PartitionScheme, SchemeKind, Tuple, TUPLE_BYTES};
 
-use crate::engine::{
-    run_pipelined_io, AbandonOnDrop, CloseOnDrop, EngineIo, EngineRuntime, Exchange, MemGauge,
-    MorselPlan, OnlineStats, Source, SpillContext, StageSink,
-};
+use crate::engine::{EngineRuntime, Exchange, OnlineStats, Source, StageSink};
 use crate::local_join::{sweep_sorted_into, KeyFrom};
 use crate::operator::{
-    assign_regions, build_scheme, build_scheme_from_keys, engine_setup, execute_join_with,
-    extract_keys, stats_from_outcome, OperatorConfig,
+    assign_regions, build_scheme, build_scheme_from_keys, execute_join_with, extract_keys,
+    run_stage, AdmittedQuery, OperatorConfig,
 };
 use crate::{execute_join, shuffle, JoinStats, Shuffled};
 
@@ -147,71 +145,6 @@ impl PlanRun {
     }
 }
 
-/// Runs one pipelined stage: placement, engine, accounting. `sink` is where
-/// this stage's probe output streams (None for the final stage); the sink
-/// is closed when the engine returns — or unwinds — which is what
-/// terminates the downstream operator. All of the stage's mapper / reducer
-/// / coordinator work runs as tasks on the shared `rt` pool; the thread
-/// calling this only orchestrates.
-#[allow(clippy::too_many_arguments)]
-fn run_stage(
-    rt: &EngineRuntime,
-    r1: Source<'_>,
-    r2: Source<'_>,
-    scheme: &PartitionScheme,
-    cond: &JoinCondition,
-    key_from: KeyFrom,
-    sink: Option<StageSink<'_>>,
-    gauge: &MemGauge,
-    budget_tuples: Option<u64>,
-    spill: Option<&SpillContext>,
-    cfg: &OperatorConfig,
-) -> JoinStats {
-    // Teardown guards, armed before anything can panic: close this stage's
-    // output (so the downstream consumer terminates) and abandon its input
-    // (so the upstream producer can never stay blocked in `push` against a
-    // consumer that unwound). Both are harmless after normal completion.
-    let close_guard = sink.map(CloseOnDrop);
-    let _abandon_guard = AbandonOnDrop(r2.exchange());
-    let (engine_cfg, table) = engine_setup(scheme, cfg);
-    let plan = MorselPlan::new(
-        r1.scan_cols().len(),
-        r2.scan_cols().len(),
-        cfg.morsel_tuples,
-    );
-    let out = run_pipelined_io(
-        rt,
-        EngineIo {
-            r1,
-            r2,
-            router: &scheme.router,
-            cond,
-            table: &table,
-            plan: &plan,
-            sink,
-            key_from,
-            gauge: Some(gauge),
-            cancel: None,
-            budget_tuples,
-            spill,
-            links: None,
-        },
-        &engine_cfg,
-    );
-    // A spill I/O failure cancelled this stage cooperatively; re-raise it
-    // here so the panic propagates through the stage driver to the plan
-    // join (the teardown guards above unwind the neighbors).
-    if let Some(ctx) = spill {
-        if let Some(msg) = ctx.take_failure() {
-            panic!("plan stage cancelled by spill failure: {msg}");
-        }
-    }
-    debug_assert!(!out.cancelled, "plan stages are never cancelled");
-    drop(close_guard); // close the downstream exchange: upstream quiescence
-    let map = assign_regions(scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
-    stats_from_outcome(&out, &map, cfg)
-}
-
 /// Builds a chain stage's scheme from the frozen online sample. An empty
 /// sample (empty or near-empty intermediate) degrades to CI: with nothing
 /// observed there is nothing to balance, and CI routes any key.
@@ -268,23 +201,9 @@ pub fn run_plan(
 ) -> PlanRun {
     let start = Instant::now();
     let n_chain = chain.len();
-    let ticket = rt.admit(cfg.mem_capacity_bytes.map(|b| (b / TUPLE_BYTES).max(1)));
-    let gauge = ticket.gauge();
-    // One spill budget and context for the whole plan: all stages charge
-    // the shared gauge, so the plan-global footprint is what the budget
-    // bounds and any stage may be picked as the spill victim. The context's
-    // files live in the ticket's scoped temp dir (removed when the ticket
-    // drops, panic paths included).
-    let budget = cfg.spill.budget_tuples.or(ticket.budget_tuples());
-    let spill_ctx = budget.map(|_| {
-        SpillContext::new(
-            ticket
-                .spill_dir(cfg.spill.temp_dir.as_deref())
-                .to_path_buf(),
-            cfg.spill.fail_after_bytes,
-        )
-    });
-    let spill = spill_ctx.as_ref();
+    // One ticket, gauge, spill budget and spill context for the whole plan.
+    let query = AdmittedQuery::admit(rt, cfg);
+    let query = &query;
     let exchanges: Vec<Exchange> = (0..n_chain)
         .map(|_| Exchange::new(cfg.exchange_tuples.max(2)))
         .collect();
@@ -343,15 +262,13 @@ pub fn run_plan(
             handles.push(s.spawn(move || {
                 run_stage(
                     rt,
+                    query,
                     Source::Scan(r1_cols),
                     Source::Scan(r2_cols),
                     scheme0,
                     cond,
                     KeyFrom::Probe,
                     sink,
-                    gauge,
-                    budget,
-                    spill,
                     cfg,
                 )
             }));
@@ -391,22 +308,22 @@ pub fn run_plan(
             handles.push(s.spawn(move || {
                 run_stage(
                     rt,
+                    query,
                     Source::Scan(base),
                     source,
                     &scheme,
                     cond,
                     KeyFrom::Build,
                     sink,
-                    gauge,
-                    budget,
-                    spill,
                     cfg,
                 )
             }));
         }
+        // A stage that failed re-raises here with its own payload — the
+        // reason `run_stage` panicked with reaches the plan's caller.
         let joined: Vec<JoinStats> = handles
             .into_iter()
-            .map(|h| h.join().expect("plan stage panicked"))
+            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
             .collect();
         joined
     });
@@ -418,11 +335,11 @@ pub fn run_plan(
     }
     // The plan holds one ticket; charge its admission wait once, not per
     // stage.
-    total.admission_wait_secs = ticket.admission_wait_secs();
+    total.admission_wait_secs = query.ticket.admission_wait_secs();
     // Per-stage spill deltas overlap when stages run concurrently over the
     // shared context; override the merged sums with the context's absolute
     // totals, which count every byte exactly once.
-    if let Some(ctx) = spill {
+    if let Some(ctx) = &query.spill {
         total.set_spill(&ctx.totals());
     }
     let last = stage_stats.last().expect("at least the root stage");
@@ -444,7 +361,7 @@ pub fn run_plan(
         stages,
         output_total,
         checksum,
-        peak_resident_bytes: gauge.peak_tuples() * TUPLE_BYTES,
+        peak_resident_bytes: query.ticket.gauge().peak_tuples() * TUPLE_BYTES,
         wall_secs,
         total,
     }

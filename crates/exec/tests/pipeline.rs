@@ -219,7 +219,7 @@ fn execute_join_handles_a_hot_region_end_to_end() {
 }
 
 #[test]
-fn adaptive_fallback_reuses_the_morsel_plan_in_pipelined_mode() {
+fn adaptive_fallback_routes_every_morsel_exactly_once_in_pipelined_mode() {
     // Cross-product-like join: every key matches everything → fallback.
     let k = vec![0i64; 1500];
     let (r1, r2) = (tuples(&k), tuples(&k));
@@ -242,8 +242,8 @@ fn adaptive_fallback_reuses_the_morsel_plan_in_pipelined_mode() {
     assert!(run.fell_back);
     assert_eq!(run.kind, SchemeKind::Ci);
     assert_eq!(run.join.output_total, 1500 * 1500);
-    // The CI engine routed the abandoned plan's morsels exactly once — no
-    // tuple was shuffled twice and nothing was re-morselized.
+    // CSIO was abandoned before its first morsel was claimed: the CI
+    // engine routed every morsel exactly once, no tuple shuffled twice.
     let expect_morsels = 2 * 1500u64.div_ceil(128);
     assert_eq!(run.join.morsels_routed, expect_morsels);
 }

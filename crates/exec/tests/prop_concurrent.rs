@@ -304,9 +304,15 @@ fn failing_spilling_tenant_does_not_poison_a_healthy_co_tenant() {
             healthy_handle.join().expect("healthy co-tenant panicked"),
         )
     });
+    let payload = faulty_result
+        .expect_err("the spill-faulted tenant must cancel with a panic at its plan join");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
     assert!(
-        faulty_result.is_err(),
-        "the spill-faulted tenant must cancel with a panic at its plan join"
+        msg.contains("spill write failed"),
+        "the plan join must carry the stage's failure reason, got: {msg:?}"
     );
     assert_eq!(healthy_run.output_total, oracle.output_total);
     assert_eq!(healthy_run.checksum, oracle.checksum);

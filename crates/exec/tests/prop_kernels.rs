@@ -1,9 +1,10 @@
 //! Property-based oracles for the cache-conscious kernels: the seal
 //! (`merge_sorted_runs`) equals a std stable sort of the concatenated runs
 //! whether or not they arrive sorted, the write-combining scatter router
-//! builds the same fragments in the same order as batch-route-then-gather
-//! under adversarial skew (all tuples into one region, empty regions,
-//! grouped and generic paths), zone-fence candidacy never disagrees with a
+//! builds the same fragments in the same order as a per-tuple
+//! `route_r1` / `route_r2` loop filling per-region buckets, under
+//! adversarial skew (all tuples into one region, empty regions, grouped
+//! and generic paths), zone-fence candidacy never disagrees with a
 //! real sweep, and the leapfrogging columnar sweeps equal a nested-loop
 //! join for every condition on the probe-chunk shapes the engine produces
 //! (a small chunk spanning a large build, gaps, exhausted sides, extreme
@@ -11,7 +12,7 @@
 
 use ewh_core::{
     ColumnBatch, GridRouter, HashRouter, IneqOp, JoinCondition, Key, KeyRange, RandomRouter, Rel,
-    RouteBatch, RouteBuckets, RouteScatter, Router, Tuple,
+    RouteBatch, RouteScatter, Router, Tuple,
 };
 use ewh_exec::{
     merge_sorted_runs, pair_payload, sweep_columns, sweep_columns_each, KeyFrom, OutputWork,
@@ -140,9 +141,25 @@ proptest! {
         let (router, n_regions) = router_regions;
         let payloads: Vec<u64> = (0..keys.len() as u64).map(|i| i << 8 | 0xE1).collect();
 
-        let mut buckets = RouteBuckets::new(n_regions);
+        // The oracle: route tuple by tuple, bucket the batch indices per
+        // region, list regions in first-touch order.
+        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_regions];
+        let mut touched: Vec<u32> = Vec::new();
         let mut rng = SmallRng::seed_from_u64(seed);
-        router.route_batch(rel, &keys, &mut rng, &mut buckets);
+        let mut out = Vec::new();
+        for (i, &k) in keys.iter().enumerate() {
+            out.clear();
+            match rel {
+                Rel::R1 => router.route_r1(k, &mut rng, &mut out),
+                Rel::R2 => router.route_r2(k, &mut rng, &mut out),
+            }
+            for &region in &out {
+                if buckets[region as usize].is_empty() {
+                    touched.push(region);
+                }
+                buckets[region as usize].push(i as u32);
+            }
+        }
         let oracle_after: u64 = rng.gen();
 
         let mut scatter = RouteScatter::new(n_regions);
@@ -151,12 +168,12 @@ proptest! {
         let scatter_after: u64 = rng.gen();
 
         // Same RNG consumption, same first-touch region order, and every
-        // fragment bit-identical to the gather of the bucket path.
+        // fragment bit-identical to the gather of the oracle's bucket.
         prop_assert_eq!(scatter_after, oracle_after);
-        prop_assert_eq!(scatter.touched().to_vec(), buckets.touched().to_vec());
-        for (slot, &region) in buckets.touched().iter().enumerate() {
-            let expect =
-                ColumnBatch::gather_from(&keys, &payloads, buckets.region(region));
+        prop_assert_eq!(scatter.touched(), &touched[..]);
+        let batch = ColumnBatch::from_columns(keys.clone(), payloads.clone());
+        for (slot, &region) in touched.iter().enumerate() {
+            let expect = batch.gather(&buckets[region as usize]);
             let got = scatter.take_fragment(slot);
             prop_assert_eq!(got, expect, "region {} fragment diverged", region);
         }

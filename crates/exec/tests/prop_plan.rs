@@ -7,7 +7,8 @@
 //! is trivially correct, so agreement certifies the exchange protocol, the
 //! sampled downstream scheme build, and the chained termination end to
 //! end. Also exercised with migration thresholds forced to fire on every
-//! stage.
+//! stage, and with reassignment off (every stage then ends on its
+//! coordinator's `Finish` without a region ever moving).
 
 use ewh_core::{JoinCondition, Key, SchemeKind, Tuple};
 use ewh_exec::{
@@ -34,7 +35,15 @@ fn tuples(keys: &[Key]) -> Vec<Tuple> {
         .collect()
 }
 
-fn plan_config(seed: u64, morsel_tuples: usize, force_migration: bool) -> OperatorConfig {
+/// How a plan's stages handle run-time skew.
+#[derive(Clone, Copy, Debug)]
+enum Migration {
+    Off,
+    Default,
+    Forced,
+}
+
+fn plan_config(seed: u64, morsel_tuples: usize, migration: Migration) -> OperatorConfig {
     let mut cfg = OperatorConfig {
         j: 4,
         threads: 3,
@@ -46,11 +55,15 @@ fn plan_config(seed: u64, morsel_tuples: usize, force_migration: bool) -> Operat
         stats_reservoir_tuples: 64,
         ..Default::default()
     };
-    if force_migration {
-        cfg.threads = 4;
-        cfg.adaptive.reassign = true;
-        cfg.adaptive.migrate_backlog_tuples = 1;
-        cfg.adaptive.poll_micros = 50;
+    match migration {
+        Migration::Off => cfg.adaptive.reassign = false,
+        Migration::Default => {}
+        Migration::Forced => {
+            cfg.threads = 4;
+            cfg.adaptive.reassign = true;
+            cfg.adaptive.migrate_backlog_tuples = 1;
+            cfg.adaptive.poll_micros = 50;
+        }
     }
     cfg
 }
@@ -72,28 +85,28 @@ proptest! {
         for kind in [SchemeKind::Ci, SchemeKind::Csi, SchemeKind::Csio, SchemeKind::Hash] {
             let first = StageSpec { kind, cond: cond1 };
             let chain = [ChainStage { base: &c, spec: StageSpec { kind, cond: cond2 } }];
-            for force_migration in [false, true] {
-                let cfg = plan_config(seed, morsel_tuples, force_migration);
+            for migration in [Migration::Off, Migration::Default, Migration::Forced] {
+                let cfg = plan_config(seed, morsel_tuples, migration);
                 let pipe = run_plan(&EngineRuntime::new(4), &a, &b, &first, &chain, &cfg);
                 let mat = run_plan_materialized(&a, &b, &first, &chain, &cfg);
                 prop_assert_eq!(
                     pipe.output_total,
                     mat.output_total,
-                    "{} {:?}/{:?} morsel={} migration={}",
+                    "{} {:?}/{:?} morsel={} migration={:?}",
                     kind,
                     cond1,
                     cond2,
                     morsel_tuples,
-                    force_migration
+                    migration
                 );
                 prop_assert_eq!(
                     pipe.checksum,
                     mat.checksum,
-                    "{} {:?}/{:?} checksum (migration={})",
+                    "{} {:?}/{:?} checksum (migration={:?})",
                     kind,
                     cond1,
                     cond2,
-                    force_migration
+                    migration
                 );
                 // Stage-level output sizes agree too: the streamed
                 // intermediate is the materialized one, tuple for tuple.

@@ -3,8 +3,8 @@
 //! build runs, pre-seal probe pendings, and (in chained plans) outbox
 //! batches to disk — the pipelined engine's `output_total` and XOR
 //! `checksum` must stay bit-identical to the `ExecMode::Batch` oracle for
-//! all four scheme kinds, with and without migration thresholds forced to
-//! fire. This certifies the whole spill ladder, the merge-replay of
+//! all four scheme kinds — with reassignment off, at its defaults, and with
+//! migration thresholds forced to fire. This certifies the whole spill ladder, the merge-replay of
 //! spilled runs during the sweep, and the shipping of spilled-run
 //! descriptors across a region migration — the adopter reads the donor's
 //! runs out of the query's one shared segment file, by offset. Each case
@@ -17,8 +17,9 @@
 //! stop exercising: a pressured run actually reports `spill_bytes > 0`
 //! from many runs in exactly one file, spill files never outlive their
 //! query (success path), and an injected spill-write fault — on the first
-//! write or mid-run — cancels the query cleanly: the panic surfaces at the
-//! driver, no pool worker deadlocks, and the temp dir is still reclaimed.
+//! write or mid-run, in an operator or in a stage of a plan — cancels the
+//! query cleanly: the panic surfaces at the driver with the write error in
+//! it, no pool worker deadlocks, and the temp dir is still reclaimed.
 
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -26,8 +27,9 @@ use std::path::{Path, PathBuf};
 use ewh_core::{build_ci, ColumnBatch, JoinCondition, Key, RoutingTable, SchemeKind, Tuple};
 use ewh_exec::engine::run_pipelined_io;
 use ewh_exec::{
-    run_operator, AdaptiveConfig, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, ExecMode,
-    KeyFrom, MorselPlan, OperatorConfig, Source, SpillConfig, SpillContext,
+    run_operator, run_plan, AdaptiveConfig, ChainStage, EngineConfig, EngineIo, EngineOutcome,
+    EngineRuntime, ExecMode, KeyFrom, MorselPlan, OperatorConfig, Source, SpillConfig,
+    SpillContext, StageSpec,
 };
 use proptest::prelude::*;
 
@@ -127,7 +129,7 @@ fn run_over_an_owned_segment(
         },
         &cfg,
     );
-    assert_eq!(ctx.take_failure(), None);
+    assert_eq!(ctx.failure(), None);
 
     // `count | key slab | payload slab` records, back to back.
     let mut runs = Vec::new();
@@ -155,7 +157,7 @@ proptest! {
         cond in condition_strategy(),
         j in 1usize..7,
         seed in 0u64..1000,
-        migrate in any::<bool>(),
+        migration in 0u8..3,
     ) {
         let (r1, r2) = (tuples(&k1), tuples(&k2));
         // ~10% of the input: virtually everything a reducer absorbs must
@@ -172,10 +174,10 @@ proptest! {
             queue_tuples: 64,
             ..Default::default()
         };
-        let adaptive = if migrate {
-            forced_migration()
-        } else {
-            AdaptiveConfig::default()
+        let adaptive = match migration {
+            0 => AdaptiveConfig { reassign: false, ..Default::default() },
+            1 => AdaptiveConfig::default(),
+            _ => forced_migration(),
         };
         let mut oracle = (0, 0);
         for kind in [SchemeKind::Ci, SchemeKind::Csi, SchemeKind::Csio, SchemeKind::Hash] {
@@ -208,11 +210,11 @@ proptest! {
             prop_assert_eq!(
                 spilling.join.output_total,
                 batch.join.output_total,
-                "{} {:?} budget={} migrate={}",
+                "{} {:?} budget={} migration={}",
                 kind,
                 cond,
                 budget,
-                migrate
+                migration
             );
             prop_assert_eq!(
                 spilling.join.checksum,
@@ -348,6 +350,17 @@ fn spill_write_fault_cancels_query_and_pool_survives() {
         queue_tuples: 256,
         ..Default::default()
     };
+    // The same fault inside a plan — one stage, then two with the second
+    // fed by an exchange — must reach the `run_plan` call the same way as
+    // it reaches `run_operator`'s.
+    let first = StageSpec {
+        kind: SchemeKind::Csio,
+        cond,
+    };
+    let chain = [ChainStage {
+        base: &r1,
+        spec: first,
+    }];
     for fail_after_bytes in [0, 4096] {
         let faulty = OperatorConfig {
             mode: ExecMode::Pipelined,
@@ -358,21 +371,32 @@ fn spill_write_fault_cancels_query_and_pool_survives() {
             },
             ..base.clone()
         };
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &faulty)
-        }));
-        let err = result.expect_err("a failing spill write must surface as a panic at the join");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "<non-string panic>".into());
-        assert!(
-            msg.contains("spill"),
-            "panic should carry the spill failure, got: {msg}"
-        );
-        // Unwinding dropped the ticket, which reclaims the spill directory
-        // even on the failure path.
-        assert_no_leftover_spill(&base_dir);
+        // As an operator, then as a plan of one stage and of two.
+        for plan_stages in [None, Some(0), Some(1)] {
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| match plan_stages {
+                None => drop(run_operator(
+                    &rt,
+                    SchemeKind::Csio,
+                    &r1,
+                    &r2,
+                    &cond,
+                    &faulty,
+                )),
+                Some(n) => drop(run_plan(&rt, &r1, &r2, &first, &chain[..n], &faulty)),
+            }))
+            .expect_err("a failing spill write must surface as a panic at the join");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "<non-string panic>".into());
+            assert!(
+                msg.contains("spill failure: spill write failed: injected spill-write fault"),
+                "{plan_stages:?}: panic should carry the spill failure and its reason, got: {msg}"
+            );
+            // Unwinding dropped the ticket, which reclaims the spill
+            // directory even on the failure path.
+            assert_no_leftover_spill(&base_dir);
+        }
     }
 
     // The pool was not poisoned: the same runtime completes a healthy

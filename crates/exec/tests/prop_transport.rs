@@ -15,8 +15,9 @@
 //! allocation), a run descriptor forged in an `ADOPT` sidecar — whatever
 //! offset and count it claims — can only be refused or read bytes of the
 //! query's own segment, and a corrupt frame injected into a live engine
-//! run cancels the query *cooperatively* — the pool survives and completes
-//! the next transport query.
+//! run cancels the query *cooperatively* — an operator's or a plan's,
+//! whichever stage the link belongs to — and the pool survives and
+//! completes the next transport query.
 
 use std::panic::AssertUnwindSafe;
 
@@ -25,8 +26,9 @@ use ewh_core::{
     Tuple, TUPLE_BYTES,
 };
 use ewh_exec::{
-    run_operator, AdaptiveConfig, EngineRuntime, ExecMode, OperatorConfig, SpillConfig,
-    SpillContext, SpillRun, Straggler, TransportConfig,
+    run_operator, run_plan, run_plan_materialized, AdaptiveConfig, ChainStage, EngineRuntime,
+    ExecMode, OperatorConfig, SpillConfig, SpillContext, SpillRun, StageSpec, Straggler,
+    TransportConfig,
 };
 use proptest::prelude::*;
 
@@ -352,6 +354,14 @@ fn spilling_transport_run_with_forced_migration_matches_oracle() {
     );
 }
 
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "<non-string panic>".into())
+}
+
 /// A corrupted frame on a live link cancels the query *cooperatively*: the
 /// failure latch trips, every parked task is woken and unwinds through the
 /// normal abort protocol (no pool worker deadlocks, no process panic from
@@ -382,11 +392,7 @@ fn a_corrupt_frame_cancels_the_query_and_the_pool_survives() {
         run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &poisoned)
     }));
     let err = result.expect_err("a corrupt frame must surface as a panic at the query join");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_else(|| "<non-string panic>".into());
+    let msg = panic_message(err);
     assert!(
         msg.contains("transport"),
         "panic should carry the transport failure, got: {msg}"
@@ -423,4 +429,69 @@ fn a_corrupt_frame_cancels_the_query_and_the_pool_survives() {
         healthy.join.wire_bytes > 0,
         "a TCP run must report wire traffic"
     );
+}
+
+/// The same fault inside a plan: every stage's links ride the configured
+/// transport, so a corrupt first frame kills a stage of a one-stage plan
+/// and of a two-stage one alike. The plan must fail at its join with the
+/// transport failure in the message — not return an empty join — and the
+/// pool must then run healthy plans over loopback and TCP, bit-identical
+/// to the materialized oracle.
+#[test]
+fn a_corrupt_frame_in_a_plan_stage_fails_the_plan_and_the_pool_survives() {
+    let keys: Vec<Key> = (0..2000).map(|i| (i % 100) as Key).collect();
+    let (a, b, c) = (tuples(&keys), tuples(&keys), tuples(&keys[..400]));
+    let first = StageSpec {
+        kind: SchemeKind::Csio,
+        cond: JoinCondition::Equi,
+    };
+    let chain = [ChainStage {
+        base: &c,
+        spec: first,
+    }];
+    let rt = EngineRuntime::new(4);
+    let base = OperatorConfig {
+        j: 4,
+        threads: 4,
+        morsel_tuples: 128,
+        queue_tuples: 256,
+        exchange_tuples: 1024,
+        stats_cutoff_tuples: 256,
+        ..Default::default()
+    };
+    let over = |transport: TransportConfig| OperatorConfig {
+        transport: Some(transport),
+        ..base.clone()
+    };
+    let poisoned = over(TransportConfig {
+        corrupt_frame: Some(0),
+        ..TransportConfig::loopback()
+    });
+    for stages in [&chain[..0], &chain[..]] {
+        let oracle = run_plan_materialized(&a, &b, &first, stages, &base);
+        assert!(oracle.output_total > 0);
+
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_plan(&rt, &a, &b, &first, stages, &poisoned)
+        }));
+        let msg = match result {
+            Ok(run) => panic!(
+                "a corrupt frame must fail the plan, not return {} of {} rows",
+                run.output_total, oracle.output_total
+            ),
+            Err(payload) => panic_message(payload),
+        };
+        assert!(
+            msg.contains("transport"),
+            "{} chain stage(s): panic should carry the transport failure, got: {msg}",
+            stages.len()
+        );
+
+        for healthy in [TransportConfig::loopback(), TransportConfig::tcp()] {
+            let run = run_plan(&rt, &a, &b, &first, stages, &over(healthy));
+            assert_eq!(run.output_total, oracle.output_total, "{healthy:?}");
+            assert_eq!(run.checksum, oracle.checksum, "{healthy:?}");
+            assert!(run.total.wire_bytes > 0, "{healthy:?}: nothing on the wire");
+        }
+    }
 }

@@ -5,11 +5,14 @@
 //! more engine tasks than pool workers force every block to really park
 //! (there is always other runnable work, so nothing is saved by the
 //! NOTIFIED fast path), and forced migration fires Migrate/Adopt fences
-//! mid-stream. A registration that races a transition — the classic lost
-//! wakeup — deadlocks the run (every worker parked, the missed waiter
-//! never re-enqueued); a double wake or a stale wake corrupts scheduling
-//! order, which the bit-identical [`ExecMode::Batch`] oracle comparison
-//! catches. Repeated seeds explore fresh interleavings on every run.
+//! mid-stream. A second seed set runs with reassignment off: those runs
+//! still end on the coordinator's quiescence `Finish`, so its park is one
+//! more edge a transition must wake. A registration that races a
+//! transition — the classic lost wakeup — deadlocks the run (every worker
+//! parked, the missed waiter never re-enqueued); a double wake or a stale
+//! wake corrupts scheduling order, which the bit-identical
+//! [`ExecMode::Batch`] oracle comparison catches. Repeated seeds explore
+//! fresh interleavings on every run.
 //!
 //! CI runs this file under a named step with a hard timeout, so a hang
 //! fails loudly instead of stalling the suite; the in-process watchdog
@@ -44,7 +47,7 @@ fn hotkey_tuples(n: usize, domain: Key, seed: u64) -> Vec<Tuple> {
         .collect()
 }
 
-fn stress_config(seed: u64) -> OperatorConfig {
+fn stress_config(seed: u64, reassign: bool) -> OperatorConfig {
     OperatorConfig {
         j: 4,
         // Many tasks per query: far more than the pool's workers, so
@@ -57,7 +60,7 @@ fn stress_config(seed: u64) -> OperatorConfig {
         queue_tuples: 8,
         exchange_tuples: 64,
         adaptive: AdaptiveConfig {
-            reassign: true,
+            reassign,
             move_cost_factor: 0.0,
             migrate_backlog_tuples: 1,
             poll_micros: 20,
@@ -90,8 +93,9 @@ fn tiny_queues_many_tasks_and_migration_never_lose_a_wakeup() {
         })
     };
 
-    for seed in 0..12u64 {
-        let cfg = stress_config(seed);
+    // Twelve seeds under forced migration, six with reassignment off.
+    for seed in 0..18u64 {
+        let cfg = stress_config(seed, seed < 12);
         let r1 = hotkey_tuples(1500, 40, seed ^ 0x51);
         let r2 = hotkey_tuples(1500, 40, seed ^ 0x52);
         let cond = JoinCondition::Equi;
@@ -112,7 +116,6 @@ fn tiny_queues_many_tasks_and_migration_never_lose_a_wakeup() {
             workers: 2,
             max_concurrent_queries: 3,
             memory_budget_tuples: None,
-            pending_nap_micros: None,
         });
         let pipelined_cfg = OperatorConfig {
             mode: ExecMode::Pipelined,
