@@ -1,13 +1,12 @@
-//! Criterion bench: the sampling substrate — Stream-Sample (sequential vs
-//! parallel), equi-depth histogram construction, alias tables and weighted
-//! reservoirs.
+//! Criterion bench: the sampling substrate — the census → sweep → draw
+//! pipeline of Stream-Sample, equi-depth histogram construction, alias
+//! tables and weighted reservoirs.
 
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use ewh_sampling::{
-    bernoulli_sample, parallel_stream_sample, stream_sample, AliasTable, EquiDepthHistogram,
-    KeyedCounts, WeightedReservoir,
+    bernoulli_sample, stream_sample, AliasTable, EquiDepthHistogram, KeyedCounts, WeightedReservoir,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -26,20 +25,24 @@ fn bench_stream_sample(c: &mut Criterion) {
     let r1 = keys(100_000, 1);
     let r2 = keys(100_000, 2);
     let jr = |k: i64| (k - 2, k + 2);
-    let d2equi = KeyedCounts::from_keys(r2.clone());
-    group.bench_function("sequential_so2000", |b| {
-        let mut rng = SmallRng::seed_from_u64(3);
-        b.iter(|| stream_sample(&r1, &d2equi, jr, 2000, &mut rng).m);
+    // The three steps a scheme build pays, one bench each: the one sort per
+    // relation (or none, on a sorted column), the d2 sweep, the draw.
+    group.bench_function("census_unsorted_100k", |b| {
+        b.iter(|| KeyedCounts::census(&r2).num_distinct());
     });
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel_so2000", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| parallel_stream_sample(&r1, &r2, jr, 2000, t, 4).m);
-            },
-        );
-    }
+    let mut sorted = r1.clone();
+    sorted.sort_unstable();
+    group.bench_function("census_sorted_100k", |b| {
+        b.iter(|| KeyedCounts::census(&sorted).num_distinct());
+    });
+    let (d1, d2equi) = (KeyedCounts::census(&r1), KeyedCounts::census(&r2));
+    group.bench_function("sweep_d2_100k", |b| {
+        b.iter(|| d2equi.range_counts(d1.keys(), jr).sum::<u64>());
+    });
+    group.bench_function("sweep_and_draw_so2000", |b| {
+        let mut rng = SmallRng::seed_from_u64(3);
+        b.iter(|| stream_sample(&d1, &d2equi, jr, 2000, &mut rng).m);
+    });
     group.finish();
 }
 

@@ -54,6 +54,9 @@ fn bench_regionalization(c: &mut Criterion) {
     // coarse size (nc = 2J = 64) — MONOTONICBSP only; the dense baseline is
     // intractable here, which is the paper's point.
     let grid = band_grid(64, 2);
+    group.bench_function("monotonic_tables_nc64", |b| {
+        b.iter(|| MonotonicBspSolver::new(&grid).state_count());
+    });
     group.bench_function("monotonic_j32_nc64", |b| {
         b.iter(|| partition_max_weight(&grid, 32, TilingAlgo::MonotonicBsp).max_weight);
     });

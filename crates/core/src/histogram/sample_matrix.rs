@@ -4,16 +4,22 @@
 //! * the **input** distribution through approximate equi-depth histograms
 //!   (`ns` buckets per relation; boundaries form the `ns × ns` grid), and
 //! * the **output** distribution through a uniform random sample of the join
-//!   output obtained by parallel Stream-Sample, which also yields the exact
-//!   output size `m`.
+//!   output obtained by Stream-Sample, which also yields the exact output
+//!   size `m`.
 //!
 //! This is what gives the region-weight proximity property `w(rs) ≈ w(r)`:
 //! multi-attribute histograms track only frequency and cannot provide it.
+//!
+//! Each relation is sorted once, into its census ([`KeyedCounts`]); both
+//! histograms, `d2equi`, every `d2` and the Appendix A5 rebuilds read the
+//! two censuses.
+
+use std::thread;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use ewh_sampling::{bernoulli_sample, ks, parallel_stream_sample, EquiDepthHistogram};
+use ewh_sampling::{ks, stream_sample, EquiDepthHistogram, KeyedCounts};
 
 use crate::{HistogramParams, JoinCondition, Key};
 
@@ -96,23 +102,6 @@ fn distribute(total: u64, parts: usize) -> Vec<u64> {
     (0..parts).map(|i| base + (i < extra) as u64).collect()
 }
 
-/// Builds an approximate equi-depth histogram over a relation's keys.
-fn input_histogram(keys: &[Key], ns: usize, seed: u64) -> (EquiDepthHistogram, usize) {
-    let n = keys.len() as u64;
-    if n == 0 {
-        return (EquiDepthHistogram::single_bucket(), 0);
-    }
-    let si = EquiDepthHistogram::required_sample_size(n, ns, 0.5, 0.01).min(keys.len());
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut sample = bernoulli_sample(keys, si as f64 / n as f64, &mut rng);
-    if sample.is_empty() {
-        // Degenerate rate; fall back to the first keys.
-        sample = keys[..si.max(1).min(keys.len())].to_vec();
-    }
-    let h = EquiDepthHistogram::from_sample(&mut sample, ns);
-    (h, si)
-}
-
 /// Splits the listed buckets at the median of the sampled keys they contain
 /// (Appendix A5 case (ii): "we divide only the row and/or column of the
 /// overweighted cell(s)"). A bucket whose samples all share one key is
@@ -173,6 +162,13 @@ fn candidate_intervals(
         .collect()
 }
 
+/// Number of candidate cells of a staircase of column intervals.
+fn candidate_cells(cand: &[(u32, u32)]) -> u64 {
+    cand.iter()
+        .map(|&(lo, hi)| if lo <= hi { (hi - lo + 1) as u64 } else { 0 })
+        .sum()
+}
+
 /// Stage 1 driver: builds `MS` from the raw key columns.
 pub fn build_sample_matrix(
     r1_keys: &[Key],
@@ -189,28 +185,47 @@ pub fn build_sample_matrix(
         .unwrap_or_else(|| HistogramParams::recommended_ns(n, params.j))
         .max(1);
 
-    let (mut row_hist, si1) = input_histogram(r1_keys, ns, params.seed ^ 0x11);
-    let (mut col_hist, si2) = input_histogram(r2_keys, ns, params.seed ^ 0x22);
-    let mut cand = candidate_intervals(&row_hist, &col_hist, cond);
-    let mut nsc: u64 = cand
-        .iter()
-        .map(|&(lo, hi)| if lo <= hi { (hi - lo + 1) as u64 } else { 0 })
-        .sum();
-
-    let mut so = params
-        .so_override
-        .unwrap_or_else(|| ks::output_sample_size(nsc as usize));
-    let sample = parallel_stream_sample(
-        r1_keys,
-        r2_keys,
-        |k| {
+    // The one sort each relation gets, the two sides side by side.
+    let (d1, d2equi) = if params.threads >= 2 {
+        thread::scope(|s| {
+            let d2equi = s.spawn(|| KeyedCounts::census(r2_keys));
+            let d1 = KeyedCounts::census(r1_keys);
+            (d1, d2equi.join().expect("census worker panicked"))
+        })
+    } else {
+        (KeyedCounts::census(r1_keys), KeyedCounts::census(r2_keys))
+    };
+    let histograms = |ns: usize| {
+        let (rows, si1) =
+            EquiDepthHistogram::from_relation(r1_keys, Some(&d1), ns, params.seed ^ 0x11);
+        let (cols, si2) =
+            EquiDepthHistogram::from_relation(r2_keys, Some(&d2equi), ns, params.seed ^ 0x22);
+        (rows, cols, si1.max(si2))
+    };
+    let sample_output = |so: usize, seed: u64| {
+        let joinable = |k| {
             let r = cond.joinable_range(k);
             (r.lo, r.hi)
-        },
-        so,
-        params.threads,
-        params.seed ^ 0x33,
-    );
+        };
+        stream_sample(
+            &d1,
+            &d2equi,
+            joinable,
+            so,
+            &mut SmallRng::seed_from_u64(seed),
+        )
+    };
+    let output_sample_size = |nsc: u64| {
+        params
+            .so_override
+            .unwrap_or_else(|| ks::output_sample_size(nsc as usize))
+    };
+
+    let (mut row_hist, mut col_hist, si) = histograms(ns);
+    let mut cand = candidate_intervals(&row_hist, &col_hist, cond);
+    let mut nsc = candidate_cells(&cand);
+    let mut so = output_sample_size(nsc);
+    let sample = sample_output(so, params.seed ^ 0x33);
     let m = sample.m;
     let mut pairs = sample.pairs;
 
@@ -234,32 +249,13 @@ pub fn build_sample_matrix(
         }
         if target_ns != ns {
             ns = target_ns;
-            let (rh, _) = input_histogram(r1_keys, ns, params.seed ^ 0x11);
-            let (ch, _) = input_histogram(r2_keys, ns, params.seed ^ 0x22);
-            row_hist = rh;
-            col_hist = ch;
+            (row_hist, col_hist, _) = histograms(ns);
             cand = candidate_intervals(&row_hist, &col_hist, cond);
-            nsc = cand
-                .iter()
-                .map(|&(lo, hi)| if lo <= hi { (hi - lo + 1) as u64 } else { 0 })
-                .sum();
-            let new_so = params
-                .so_override
-                .unwrap_or_else(|| ks::output_sample_size(nsc as usize));
+            nsc = candidate_cells(&cand);
+            let new_so = output_sample_size(nsc);
             if new_so > so {
                 so = new_so;
-                pairs = parallel_stream_sample(
-                    r1_keys,
-                    r2_keys,
-                    |k| {
-                        let r = cond.joinable_range(k);
-                        (r.lo, r.hi)
-                    },
-                    so,
-                    params.threads,
-                    params.seed ^ 0x44,
-                )
-                .pairs;
+                pairs = sample_output(so, params.seed ^ 0x44).pairs;
             }
         }
     }
@@ -292,23 +288,13 @@ pub fn build_sample_matrix(
             col_hist = split_buckets(&col_hist, overweight.iter().map(|&(_, c)| c as usize), &k2s);
             cand = candidate_intervals(&row_hist, &col_hist, cond);
         }
-        nsc = cand
-            .iter()
-            .map(|&(lo, hi)| if lo <= hi { (hi - lo + 1) as u64 } else { 0 })
-            .sum();
+        nsc = candidate_cells(&cand);
     }
 
     let points: Vec<(u32, u32)> = pairs
         .iter()
         .map(|&(k1, k2)| (row_hist.bucket_of(k1) as u32, col_hist.bucket_of(k2) as u32))
         .collect();
-
-    let d2equi_distinct = {
-        // Cheap estimate: distinct keys in the (already sorted) histogram
-        // sample would undercount; use an exact pass only when small, else
-        // approximate by n2 (upper bound; used only by the cost model).
-        n2
-    };
 
     SampleMatrix {
         row_tuples: distribute(n1, row_hist.num_buckets()),
@@ -319,9 +305,9 @@ pub fn build_sample_matrix(
         cand,
         m,
         so: if m == 0 { 0 } else { so },
-        si: si1.max(si2),
+        si,
         nsc,
-        d2equi_distinct,
+        d2equi_distinct: d2equi.num_distinct() as u64,
     }
 }
 

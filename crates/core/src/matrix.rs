@@ -23,7 +23,7 @@ impl JoinMatrix {
         cond.validate();
         r1.sort_unstable();
         r2.sort_unstable();
-        let d2equi = KeyedCounts::from_keys(r2.clone());
+        let d2equi = KeyedCounts::census(&r2);
         JoinMatrix {
             r1,
             r2,

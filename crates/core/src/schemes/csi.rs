@@ -15,10 +15,7 @@
 
 use std::time::Instant;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-use ewh_sampling::{bernoulli_sample, EquiDepthHistogram};
+use ewh_sampling::EquiDepthHistogram;
 
 use crate::{
     BuildInfo, GridRouter, JoinCondition, Key, KeyRange, PartitionScheme, Region, Router,
@@ -195,23 +192,12 @@ pub fn build_csi(
     let n2 = r2_keys.len() as u64;
 
     // Input statistics: equi-depth histograms with p buckets each. The
-    // required sample for p buckets can exceed small test relations; cap at
-    // the relation itself (exact histogram — generous to CSI).
-    let hist_for = |keys: &[Key], seed: u64| -> (EquiDepthHistogram, usize) {
-        if keys.is_empty() {
-            return (EquiDepthHistogram::single_bucket(), 0);
-        }
-        let si = EquiDepthHistogram::required_sample_size(keys.len() as u64, params.p, 0.5, 0.01)
-            .min(keys.len());
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut sample = bernoulli_sample(keys, si as f64 / keys.len() as f64, &mut rng);
-        if sample.is_empty() {
-            sample = keys[..1].to_vec();
-        }
-        (EquiDepthHistogram::from_sample(&mut sample, params.p), si)
-    };
-    let (row_hist, si1) = hist_for(r1_keys, params.seed ^ 0xC51);
-    let (col_hist, si2) = hist_for(r2_keys, params.seed ^ 0xC52);
+    // required sample for p buckets can exceed small test relations; it is
+    // then the relation itself (exact histogram — generous to CSI).
+    let (row_hist, si1) =
+        EquiDepthHistogram::from_relation(r1_keys, None, params.p, params.seed ^ 0xC51);
+    let (col_hist, si2) =
+        EquiDepthHistogram::from_relation(r2_keys, None, params.p, params.seed ^ 0xC52);
 
     let hist_start = Instant::now();
     let p1 = row_hist.num_buckets();
@@ -298,7 +284,8 @@ pub fn build_csi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn keys(n: usize, f: impl Fn(i64) -> i64) -> Vec<Key> {
         (0..n as i64).map(f).collect()

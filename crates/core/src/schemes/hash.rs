@@ -67,7 +67,7 @@ pub fn build_hash(
             if keys.is_empty() || other_n == 0 {
                 continue;
             }
-            let counts = KeyedCounts::from_keys(keys.to_vec());
+            let counts = KeyedCounts::census(keys);
             let cut = (keys.len() as f64 * frac).max(1.0) as u64;
             for (&k, &c) in counts.keys().iter().zip(counts.counts()) {
                 if c >= cut {

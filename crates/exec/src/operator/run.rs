@@ -17,7 +17,7 @@ use crate::local_join::KeyFrom;
 use crate::{local_join, shuffle, JoinStats, Shuffled};
 
 use super::config::{ExecMode, FallbackPolicy, OperatorConfig};
-use super::stats::{build_scheme, stats_sim_secs};
+use super::stats::{build_scheme, build_scheme_from_keys, stats_sim_secs};
 
 /// A completed operator run.
 #[derive(Clone, Debug)]
@@ -176,10 +176,7 @@ pub(crate) fn execute_join_with<R: Send>(
         mem_bytes,
         // Batch execution holds the full shuffle resident while joining.
         peak_resident_bytes: mem_bytes,
-        overflowed: cfg
-            .mem_capacity_bytes
-            .map(|cap| mem_bytes > cap)
-            .unwrap_or(false),
+        overflowed: cfg.mem_capacity_bytes.is_some_and(|cap| mem_bytes > cap),
         wall_join_secs,
         checksum,
         ..Default::default()
@@ -235,8 +232,7 @@ fn stats_from_outcome(
         peak_resident_bytes,
         overflowed: cfg
             .mem_capacity_bytes
-            .map(|cap| peak_resident_bytes > cap)
-            .unwrap_or(false),
+            .is_some_and(|cap| peak_resident_bytes > cap),
         wall_join_secs: out.wall_secs,
         checksum: out.checksum(),
         morsels_routed: out.morsels_routed,
@@ -415,60 +411,7 @@ pub fn run_operator(
     cond: &JoinCondition,
     cfg: &OperatorConfig,
 ) -> OperatorRun {
-    let (scheme, stats_wall_secs) = build_scheme(kind, r1, r2, cond, cfg);
-    run_with_scheme(rt, scheme, stats_wall_secs, r1, r2, cond, cfg, false)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_with_scheme(
-    rt: &EngineRuntime,
-    scheme: PartitionScheme,
-    stats_wall_secs: f64,
-    r1: &[Tuple],
-    r2: &[Tuple],
-    cond: &JoinCondition,
-    cfg: &OperatorConfig,
-    fell_back: bool,
-) -> OperatorRun {
-    let join = match cfg.mode {
-        ExecMode::Batch => {
-            let map = assign_regions(&scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
-            let shuffled = shuffle(r1, r2, &scheme, cfg.threads, cfg.seed ^ 0x5F);
-            execute_join(shuffled, cond, &map, cfg)
-        }
-        // An operator is a one-stage plan: admit, transpose each side once
-        // (the engine routes, sorts, and sweeps columns), run the stage.
-        // The ticket is released at the end of this arm.
-        ExecMode::Pipelined => {
-            let query = AdmittedQuery::admit(rt, cfg);
-            let c1 = ColumnBatch::from_tuples(r1);
-            let c2 = ColumnBatch::from_tuples(r2);
-            let mut stats = run_stage(
-                rt,
-                &query,
-                Source::Scan(&c1),
-                Source::Scan(&c2),
-                &scheme,
-                cond,
-                KeyFrom::Probe,
-                None,
-                cfg,
-            );
-            stats.admission_wait_secs = query.ticket.admission_wait_secs();
-            stats
-        }
-    };
-    let stats_sim = stats_sim_secs(&scheme, r1.len().max(r2.len()) as u64, cfg);
-    OperatorRun {
-        kind: scheme.kind,
-        num_regions: scheme.num_regions(),
-        total_sim_secs: stats_sim + join.sim_join_secs,
-        stats_sim_secs: stats_sim,
-        stats_wall_secs,
-        build: scheme.build,
-        join,
-        fell_back,
-    }
+    run(rt, kind, None, r1, r2, cond, cfg)
 }
 
 /// Runs CSIO with the CI fallback policy.
@@ -485,19 +428,78 @@ pub fn run_operator_adaptive(
     cfg: &OperatorConfig,
     policy: &FallbackPolicy,
 ) -> OperatorRun {
-    let (scheme, csio_wall) = build_scheme(SchemeKind::Csio, r1, r2, cond, cfg);
-    let n = r1.len().max(r2.len()) as u64;
+    run(rt, SchemeKind::Csio, Some(policy), r1, r2, cond, cfg)
+}
+
+/// The operator behind both entry points: statistics, the fallback decision
+/// when there is a policy, then the join in the configured mode.
+fn run(
+    rt: &EngineRuntime,
+    kind: SchemeKind,
+    fallback: Option<&FallbackPolicy>,
+    r1: &[Tuple],
+    r2: &[Tuple],
+    cond: &JoinCondition,
+    cfg: &OperatorConfig,
+) -> OperatorRun {
+    // Pipelined mode transposes each side once, up front: statistics read
+    // the key columns and the engine routes, sorts, and sweeps the same
+    // batches, so no side is copied a second time. Batch mode works on rows.
+    let cols = matches!(cfg.mode, ExecMode::Pipelined)
+        .then(|| (ColumnBatch::from_tuples(r1), ColumnBatch::from_tuples(r2)));
+    let (n1, n2) = (r1.len() as u64, r2.len() as u64);
+    let n = n1.max(n2);
+    let (mut scheme, mut stats_wall_secs) = match &cols {
+        Some((c1, c2)) => build_scheme_from_keys(kind, c1.keys(), c2.keys(), n1, n2, cond, cfg),
+        None => build_scheme(kind, r1, r2, cond, cfg),
+    };
     let rho = scheme.build.m_est as f64 / n.max(1) as f64;
-    if rho > policy.rho_threshold {
-        // Abandon CSIO: keep its (wasted) stats cost on the books, run CI.
-        let wasted_sim = stats_sim_secs(&scheme, n, cfg);
-        let (ci, ci_wall) = build_scheme(SchemeKind::Ci, r1, r2, cond, cfg);
-        let mut run = run_with_scheme(rt, ci, csio_wall + ci_wall, r1, r2, cond, cfg, true);
-        run.stats_sim_secs += wasted_sim;
-        run.total_sim_secs += wasted_sim;
-        return run;
+    let fell_back = fallback.is_some_and(|policy| rho > policy.rho_threshold);
+    let mut wasted_sim = 0.0;
+    if fell_back {
+        // Abandon CSIO: keep its (wasted) stats cost on the books, run CI —
+        // which reads the cardinalities and no key.
+        wasted_sim = stats_sim_secs(&scheme, n, cfg);
+        let (ci, ci_wall) = build_scheme_from_keys(SchemeKind::Ci, &[], &[], n1, n2, cond, cfg);
+        scheme = ci;
+        stats_wall_secs += ci_wall;
     }
-    run_with_scheme(rt, scheme, csio_wall, r1, r2, cond, cfg, false)
+    let join = match &cols {
+        None => {
+            let map = assign_regions(&scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
+            let shuffled = shuffle(r1, r2, &scheme, cfg.threads, cfg.seed ^ 0x5F);
+            execute_join(shuffled, cond, &map, cfg)
+        }
+        // An operator is a one-stage plan: admit, run the stage over the
+        // transposed sides. The ticket is released at the end of this arm.
+        Some((c1, c2)) => {
+            let query = AdmittedQuery::admit(rt, cfg);
+            let mut stats = run_stage(
+                rt,
+                &query,
+                Source::Scan(c1),
+                Source::Scan(c2),
+                &scheme,
+                cond,
+                KeyFrom::Probe,
+                None,
+                cfg,
+            );
+            stats.admission_wait_secs = query.ticket.admission_wait_secs();
+            stats
+        }
+    };
+    let stats_sim = stats_sim_secs(&scheme, n, cfg);
+    OperatorRun {
+        kind: scheme.kind,
+        num_regions: scheme.num_regions(),
+        total_sim_secs: stats_sim + join.sim_join_secs + wasted_sim,
+        stats_sim_secs: stats_sim + wasted_sim,
+        stats_wall_secs,
+        build: scheme.build,
+        join,
+        fell_back,
+    }
 }
 
 #[cfg(test)]

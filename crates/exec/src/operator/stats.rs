@@ -1,13 +1,14 @@
 //! Statistics collection and scheme building: the operator's "plan time".
 //!
 //! Two entry points build a [`PartitionScheme`]:
-//! * [`build_scheme`] — from two fully resident relations (the classic
-//!   one-shot operator and the first stage of every chained plan);
+//! * [`build_scheme`] — from two fully resident relations in row layout
+//!   (the batch oracle and the materialized plan baseline);
 //! * [`build_scheme_from_keys`] — from bare key slices plus cardinality
-//!   hints, which is how a chained plan builds a *downstream* operator's
-//!   scheme out of the online sample collected while the upstream probe
-//!   streams (the probe side's keys are a uniform reservoir sample, the
-//!   build side's keys are exact).
+//!   hints. The pipelined operator and a plan's root stage pass the key
+//!   columns of their transposed inputs; a chained plan builds a
+//!   *downstream* operator's scheme out of the online sample collected
+//!   while the upstream probe streams (the probe side's keys are a uniform
+//!   reservoir sample, the build side's keys are exact).
 
 use std::time::Instant;
 
@@ -18,13 +19,11 @@ use ewh_core::{
 
 use super::config::OperatorConfig;
 
-/// Join keys of a tuple slice (the statistics pass's projection).
-pub fn extract_keys(tuples: &[Tuple]) -> Vec<Key> {
-    tuples.iter().map(|t| t.key).collect()
-}
-
-/// Builds the requested scheme from two resident relations (measures wall
-/// time into the result).
+/// Builds the requested scheme from two resident relations in row layout
+/// (measures wall time into the result): the statistics pass projects each
+/// side's join keys into a column of their own. The pipelined paths, which
+/// transpose their inputs anyway, hand [`build_scheme_from_keys`] the key
+/// columns they already hold instead.
 pub fn build_scheme(
     kind: SchemeKind,
     r1: &[Tuple],
@@ -32,15 +31,10 @@ pub fn build_scheme(
     cond: &JoinCondition,
     cfg: &OperatorConfig,
 ) -> (PartitionScheme, f64) {
-    build_scheme_from_keys(
-        kind,
-        &extract_keys(r1),
-        &extract_keys(r2),
-        r1.len() as u64,
-        r2.len() as u64,
-        cond,
-        cfg,
-    )
+    let keys = |r: &[Tuple]| -> Vec<Key> { r.iter().map(|t| t.key).collect() };
+    let (k1, k2) = (keys(r1), keys(r2));
+    let (n1, n2) = (k1.len() as u64, k2.len() as u64);
+    build_scheme_from_keys(kind, &k1, &k2, n1, n2, cond, cfg)
 }
 
 /// Builds the requested scheme from key slices. `n1` / `n2` are the (true

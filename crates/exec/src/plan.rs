@@ -69,8 +69,8 @@ use ewh_core::{ColumnBatch, JoinCondition, PartitionScheme, SchemeKind, Tuple, T
 use crate::engine::{EngineRuntime, Exchange, OnlineStats, Source, StageSink};
 use crate::local_join::{sweep_sorted_into, KeyFrom};
 use crate::operator::{
-    assign_regions, build_scheme, build_scheme_from_keys, execute_join_with, extract_keys,
-    run_stage, AdmittedQuery, OperatorConfig,
+    assign_regions, build_scheme, build_scheme_from_keys, execute_join_with, run_stage,
+    AdmittedQuery, OperatorConfig,
 };
 use crate::{execute_join, shuffle, JoinStats, Shuffled};
 
@@ -150,11 +150,11 @@ impl PlanRun {
 /// observed there is nothing to balance, and CI routes any key.
 fn build_chain_scheme(
     stage: &ChainStage<'_>,
+    base: &ColumnBatch,
     sample: &[ewh_core::Key],
     est_probe_tuples: u64,
     cfg: &OperatorConfig,
 ) -> (PartitionScheme, f64) {
-    let base_keys = extract_keys(stage.base);
     let kind = if sample.is_empty() {
         SchemeKind::Ci
     } else {
@@ -162,9 +162,9 @@ fn build_chain_scheme(
     };
     build_scheme_from_keys(
         kind,
-        &base_keys,
+        base.keys(),
         sample,
-        stage.base.len() as u64,
+        base.len() as u64,
         est_probe_tuples.max(1),
         &stage.spec.cond,
         cfg,
@@ -218,18 +218,27 @@ pub fn run_plan(
         })
         .collect();
 
-    let (scheme0, wall0) = build_scheme(first.kind, r1, r2, &first.cond, cfg);
-    let root_m_est = scheme0.build.m_est;
-
-    // Transpose every scan source once, before the stage tasks spawn: the
-    // engine routes, sorts, and sweeps on columnar batches, and the
-    // borrows must outlive the scoped stage threads below.
+    // Transpose every scan source once, before statistics and before the
+    // stage tasks spawn: scheme builds read the key columns, the engine
+    // routes, sorts, and sweeps on the same batches, and the borrows must
+    // outlive the scoped stage threads below.
     let r1_cols = ColumnBatch::from_tuples(r1);
     let r2_cols = ColumnBatch::from_tuples(r2);
     let base_cols: Vec<ColumnBatch> = chain
         .iter()
         .map(|stage| ColumnBatch::from_tuples(stage.base))
         .collect();
+
+    let (scheme0, wall0) = build_scheme_from_keys(
+        first.kind,
+        r1_cols.keys(),
+        r2_cols.keys(),
+        r1.len() as u64,
+        r2.len() as u64,
+        &first.cond,
+        cfg,
+    );
+    let root_m_est = scheme0.build.m_est;
 
     struct StageMeta {
         kind: SchemeKind,
@@ -288,7 +297,7 @@ pub fn run_plan(
             } else {
                 cut.seen
             };
-            let (scheme, wall) = build_chain_scheme(stage, &cut.sample, est, cfg);
+            let (scheme, wall) = build_chain_scheme(stage, &base_cols[i], &cut.sample, est, cfg);
             metas.push(StageMeta {
                 kind: scheme.kind,
                 num_regions: scheme.num_regions(),

@@ -1,4 +1,8 @@
-use crate::Key;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+use crate::keyed::run_of;
+use crate::{bernoulli_sample, Key, KeyedCounts};
 
 /// An approximate equi-depth histogram over join keys, built from a uniform
 /// sample (Chaudhuri, Motwani & Narasayya, SIGMOD 1998).
@@ -22,19 +26,57 @@ impl EquiDepthHistogram {
     /// keys. The sample is sorted in place.
     pub fn from_sample(sample: &mut [Key], buckets: usize) -> Self {
         assert!(buckets >= 1);
-        sample.sort_unstable();
-        let mut bounds = Vec::with_capacity(buckets + 1);
-        bounds.push(Key::MIN);
-        if !sample.is_empty() {
-            for b in 1..buckets {
-                let q = sample[b * sample.len() / buckets];
-                if q > *bounds.last().unwrap() {
-                    bounds.push(q);
-                }
-            }
+        if sample.is_empty() {
+            return Self::single_bucket();
         }
-        bounds.push(Key::MAX);
-        EquiDepthHistogram { bounds }
+        sample.sort_unstable();
+        Self::from_ascending((1..buckets).map(|b| sample[b * sample.len() / buckets]))
+    }
+
+    /// The histogram [`from_sample`](Self::from_sample) builds over a whole
+    /// relation, read off the relation's census: quantile `b·n/buckets` is a
+    /// rank looked up through the prefix sums (one forward walk for all of
+    /// them), so no sorted copy of the relation is made for it.
+    pub fn from_counts(census: &KeyedCounts, buckets: usize) -> Self {
+        assert!(buckets >= 1);
+        let n = census.total() as usize;
+        if n == 0 {
+            return Self::single_bucket();
+        }
+        let mut i = 0;
+        Self::from_ascending((1..buckets).map(|b| {
+            i = run_of(census.prefix(), i, (b * n / buckets) as u64);
+            census.keys()[i]
+        }))
+    }
+
+    /// An approximate equi-depth histogram of a relation's key column — the
+    /// one way both content-sensitive schemes turn a relation into buckets —
+    /// and the input sample size `si` behind it: [`required_sample_size`]
+    /// (bucket-size error 0.5, failure probability 0.01) keys drawn by
+    /// Bernoulli sampling seeded with `seed`. When the required sample reaches
+    /// the relation the rate clamps to 1, and the histogram is read off the
+    /// relation's census: `census`, or one built here for a caller without.
+    ///
+    /// [`required_sample_size`]: Self::required_sample_size
+    pub fn from_relation(
+        keys: &[Key],
+        census: Option<&KeyedCounts>,
+        buckets: usize,
+        seed: u64,
+    ) -> (Self, usize) {
+        let n = keys.len();
+        let si = Self::required_sample_size(n as u64, buckets, 0.5, 0.01).min(n);
+        if si < n {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut sample = bernoulli_sample(keys, si as f64 / n as f64, &mut rng);
+            return (Self::from_sample(&mut sample, buckets), si);
+        }
+        let hist = match census {
+            Some(census) => Self::from_counts(census, buckets),
+            None => Self::from_counts(&KeyedCounts::census(keys), buckets),
+        };
+        (hist, si)
     }
 
     /// Builds a degenerate single-bucket histogram (used when a relation is
@@ -48,9 +90,13 @@ impl EquiDepthHistogram {
     /// Builds directly from explicit interior boundaries (ascending). Used by
     /// tests and by schemes that compute exact quantiles.
     pub fn from_bounds(interior: &[Key]) -> Self {
-        let mut bounds = Vec::with_capacity(interior.len() + 2);
-        bounds.push(Key::MIN);
-        for &b in interior {
+        Self::from_ascending(interior.iter().copied())
+    }
+
+    /// Bounds from non-decreasing interior boundaries, repeats collapsed.
+    fn from_ascending(interior: impl Iterator<Item = Key>) -> Self {
+        let mut bounds = vec![Key::MIN];
+        for b in interior {
             if b > *bounds.last().unwrap() {
                 bounds.push(b);
             }

@@ -14,64 +14,52 @@ pub struct KeyedCounts {
     prefix: Vec<u64>,
 }
 
+/// The run of cumulative counts `cum` (`cum[i]` = items before run `i`) that
+/// holds item `rank`, scanning forward from run `from`: the first `i >= from`
+/// with `cum[i + 1] > rank`. Resolving ascending ranks this way is one walk.
+#[inline]
+pub(crate) fn run_of(cum: &[u64], from: usize, rank: u64) -> usize {
+    from + cum[from + 1..].iter().take_while(|&&c| c <= rank).count()
+}
+
 impl KeyedCounts {
+    /// The census of a relation's key column: every consumer of a relation's
+    /// statistics (its equi-depth histogram, `d2equi`, Stream-Sample's `R1`
+    /// weights) reads this one structure, so a scheme build sorts each
+    /// relation once. An already sorted column is aggregated in place, with
+    /// no copy and no sort.
+    pub fn census(keys: &[Key]) -> Self {
+        if keys.is_sorted() {
+            Self::from_sorted(keys)
+        } else {
+            Self::from_keys(keys.to_vec())
+        }
+    }
+
     /// Aggregates a multiset of keys. `O(n log n)`.
     pub fn from_keys(mut keys: Vec<Key>) -> Self {
         keys.sort_unstable();
-        let mut distinct = Vec::new();
-        let mut counts = Vec::new();
-        for k in keys {
-            match distinct.last() {
-                Some(&last) if last == k => *counts.last_mut().unwrap() += 1,
-                _ => {
-                    distinct.push(k);
-                    counts.push(1u64);
-                }
-            }
-        }
-        Self::from_sorted_distinct(distinct, counts)
+        Self::from_sorted(&keys)
     }
 
-    /// Builds from already-aggregated `(key, count)` pairs in strictly
-    /// ascending key order (used when merging per-partition aggregates).
-    pub fn from_sorted_distinct(keys: Vec<Key>, counts: Vec<u64>) -> Self {
-        debug_assert_eq!(keys.len(), counts.len());
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "keys must be strictly ascending"
-        );
-        let mut prefix = Vec::with_capacity(keys.len() + 1);
-        prefix.push(0);
-        for &c in &counts {
-            prefix.push(prefix.last().unwrap() + c);
+    /// Run-length encodes an ascending key list.
+    fn from_sorted(sorted: &[Key]) -> Self {
+        let mut keys = Vec::new();
+        let mut counts = Vec::new();
+        let mut prefix = vec![0];
+        let mut i = 0;
+        while i < sorted.len() {
+            let run = sorted[i..].iter().take_while(|&&k| k == sorted[i]).count();
+            keys.push(sorted[i]);
+            counts.push(run as u64);
+            i += run;
+            prefix.push(i as u64);
         }
         KeyedCounts {
             keys,
             counts,
             prefix,
         }
-    }
-
-    /// Merges several per-partition aggregates (keys may repeat across
-    /// parts) into one.
-    pub fn merge(parts: &[KeyedCounts]) -> Self {
-        let mut all: Vec<(Key, u64)> = parts
-            .iter()
-            .flat_map(|p| p.keys.iter().copied().zip(p.counts.iter().copied()))
-            .collect();
-        all.sort_unstable_by_key(|&(k, _)| k);
-        let mut keys = Vec::with_capacity(all.len());
-        let mut counts = Vec::with_capacity(all.len());
-        for (k, c) in all {
-            match keys.last() {
-                Some(&last) if last == k => *counts.last_mut().unwrap() += c,
-                _ => {
-                    keys.push(k);
-                    counts.push(c);
-                }
-            }
-        }
-        Self::from_sorted_distinct(keys, counts)
     }
 
     /// Total multiplicity.
@@ -96,6 +84,12 @@ impl KeyedCounts {
         &self.counts
     }
 
+    /// `prefix()[i]` = total multiplicity of `keys()[..i]`.
+    #[inline]
+    pub(crate) fn prefix(&self) -> &[u64] {
+        &self.prefix
+    }
+
     /// Index of the first key `>= k`.
     #[inline]
     fn lower_bound(&self, k: Key) -> usize {
@@ -112,6 +106,39 @@ impl KeyedCounts {
         let a = self.lower_bound(lo);
         let b = self.keys.partition_point(|&x| x <= hi);
         self.prefix[b] - self.prefix[a]
+    }
+
+    /// [`range_count`](Self::range_count) of `joinable(k)` for every key of an
+    /// ascending list, by one monotone two-pointer sweep over the two sorted
+    /// key lists: `O(|keys| + distinct)`, where a `range_count` per key pays
+    /// two binary searches.
+    ///
+    /// The sweep relies on what every monotonic join condition provides —
+    /// both endpoints of `joinable(k)` non-decreasing in `k`. A key whose
+    /// endpoint decreases is still counted exactly: that pointer re-seats
+    /// itself by binary search, so a non-monotone closure costs time, never
+    /// correctness.
+    pub fn range_counts<'a>(
+        &'a self,
+        keys: &'a [Key],
+        joinable: impl Fn(Key) -> (Key, Key) + 'a,
+    ) -> impl Iterator<Item = u64> + 'a {
+        // `a`: first key >= lo; `b`: first key > hi.
+        let (mut a, mut b) = (0, 0);
+        let (mut prev_lo, mut prev_hi) = (Key::MIN, Key::MIN);
+        keys.iter().map(move |&k| {
+            let (lo, hi) = joinable(k);
+            if lo < prev_lo {
+                a = self.lower_bound(lo);
+            }
+            if hi < prev_hi {
+                b = self.keys.partition_point(|&x| x <= hi);
+            }
+            a += self.keys[a..].iter().take_while(|&&x| x < lo).count();
+            b += self.keys[b..].iter().take_while(|&&x| x <= hi).count();
+            (prev_lo, prev_hi) = (lo, hi);
+            self.prefix[b].saturating_sub(self.prefix[a])
+        })
     }
 
     /// Picks the `u`-th tuple (0-based) among the tuples whose key lies in
@@ -173,15 +200,5 @@ mod tests {
         // Full range.
         assert_eq!(kc.pick_in_range(Key::MIN, Key::MAX, 0), 10);
         assert_eq!(kc.pick_in_range(Key::MIN, Key::MAX, 5), 30);
-    }
-
-    #[test]
-    fn merge_equals_single_shot() {
-        let a = KeyedCounts::from_keys(vec![1, 2, 2, 8]);
-        let b = KeyedCounts::from_keys(vec![2, 3, 8, 8]);
-        let merged = KeyedCounts::merge(&[a, b]);
-        let direct = KeyedCounts::from_keys(vec![1, 2, 2, 8, 2, 3, 8, 8]);
-        assert_eq!(merged.keys(), direct.keys());
-        assert_eq!(merged.counts(), direct.counts());
     }
 }

@@ -9,19 +9,21 @@
 //! * [`EquiDepthHistogram`] — approximate equi-depth histograms built from a
 //!   uniform sample, with the sample-size bound of Chaudhuri, Motwani &
 //!   Narasayya (SIGMOD 1998).
-//! * [`KeyedCounts`] — sorted distinct join keys with multiplicities and
-//!   prefix sums; this is the paper's `d2equi` structure, and its range
+//! * [`KeyedCounts`] — a relation's *census*: sorted distinct join keys with
+//!   multiplicities and prefix sums, built by the one sort a scheme build
+//!   spends on the relation. It is the paper's `d2equi` structure; its range
 //!   queries implement the `d2` (joinable-set size) computation for any join
-//!   condition with contiguous joinable ranges.
+//!   condition with contiguous joinable ranges, and its prefix sums are the
+//!   exact quantiles of the relation.
 //! * [`AliasTable`] — Walker/Vose alias method for O(1) weighted draws.
 //! * [`WeightedReservoir`] — weighted reservoir sampling without replacement
 //!   (Efraimidis & Spirakis, IPL 2006) with mergeable reservoirs, as used by
 //!   the paper's one-pass parallel S1 construction.
-//! * [`stream_sample`] / [`parallel_stream_sample`] — the (parallelized)
-//!   Stream-Sample algorithm of Chaudhuri, Motwani & Narasayya (SIGMOD 1999),
-//!   extended from equi-joins to band/inequality joins: produces a uniform
-//!   random sample of the join *output* without executing the join, plus the
-//!   exact output size `m`.
+//! * [`stream_sample`] — the Stream-Sample algorithm of Chaudhuri, Motwani &
+//!   Narasayya (SIGMOD 1999), extended from equi-joins to band/inequality
+//!   joins: from the two censuses, one monotone sweep and a sorted-rank walk
+//!   produce a uniform random sample of the join *output* without executing
+//!   the join, plus the exact output size `m`.
 //! * [`ks`] — Kolmogorov-Smirnov and χ² helpers used to size and validate the
 //!   output sample (Appendix A1).
 
@@ -38,7 +40,7 @@ pub use bernoulli::{bernoulli_sample, bernoulli_sample_by};
 pub use equi_depth::EquiDepthHistogram;
 pub use keyed::KeyedCounts;
 pub use reservoir::WeightedReservoir;
-pub use stream_sample::{parallel_stream_sample, stream_sample, OutputSample};
+pub use stream_sample::{stream_sample, OutputSample};
 
 /// Join keys are signed 64-bit integers throughout the workspace.
 pub type Key = i64;

@@ -8,223 +8,104 @@
 //! becomes every `R2` tuple whose key falls in a contiguous range `jr(k1)`
 //! determined by the join condition.
 //!
-//! The algorithm (MapReduce steps of §IV-A):
-//! 1. Aggregate `R2` into `d2equi`: distinct keys with multiplicities
-//!    ([`KeyedCounts`]).
-//! 2. For each `R1` tuple compute `d2(k1) = |joinable set|` via a range
-//!    count; draw a with-replacement sample `S1` of size `so` from `R1`
-//!    weighted by `d2`. The exact output size is `m = Σ_t1 d2(t1.key)` — a
+//! The algorithm, on the censuses ([`KeyedCounts`]) of the two relations —
+//! `d1` of `R1`, and `d2equi` of `R2`, which *is* the paper's `d2equi`:
+//! 1. **Sweep.** For each distinct `R1` key, `d2(k1) = |joinable set|` comes
+//!    from one monotone two-pointer pass over the two sorted key lists
+//!    ([`KeyedCounts::range_counts`]); the running sum of
+//!    `mult1(k1) · d2(k1)` is the cumulative weight of the join output in
+//!    `(k1, k2)` order, and its total is the exact output size `m` — a
 //!    byproduct the sample matrix needs anyway.
-//! 3. For each `ts1 ∈ S1`, pick a joinable key from `d2equi` with probability
-//!    proportional to its multiplicity; emit the key pair.
+//! 2. **Draw.** `so` uniform ranks in `[0, m)`, sorted, are resolved by one
+//!    walk over the cumulative weights: a rank lands on `k1` with probability
+//!    proportional to its output contribution, and its offset inside `k1`'s
+//!    block picks the partner uniformly within the joinable set (a key of
+//!    `d2equi` with probability proportional to its multiplicity).
 //!
-//! Each emitted `(k1, k2)` pair is then a uniform draw from the join output:
-//! step 2 picks `t1` proportionally to its output contribution and step 3
-//! uniformizes within the joinable set.
+//! Each emitted `(k1, k2)` pair is thus a uniform draw, with replacement,
+//! from the join output enumerated in key order. The sample is a function of
+//! the two censuses and the RNG alone: no partitioning of the input enters
+//! it, so it does not depend on how many threads built the censuses.
 
-use std::thread;
+use rand::Rng;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-use crate::{AliasTable, Key, KeyedCounts};
+use crate::keyed::run_of;
+use crate::{Key, KeyedCounts};
 
 /// A uniform random sample of the join output (join keys only — the sample
 /// feeds the sample matrix, it is never propagated in the query plan), plus
 /// the exact output size.
 #[derive(Clone, Debug)]
 pub struct OutputSample {
-    /// `(k1, k2)` join-key pairs, each a uniform draw from the join output.
+    /// `(k1, k2)` join-key pairs, each a uniform draw from the join output,
+    /// in ascending output order.
     pub pairs: Vec<(Key, Key)>,
     /// Exact join output size `m = Σ_{t1 ∈ R1} d2(t1.key)`.
     pub m: u64,
 }
 
-/// Sequential Stream-Sample. `joinable` maps an `R1` key to the inclusive
-/// `R2` key range it joins with (the join condition's joinable range).
+/// Stream-Sample over the censuses of `R1` (`d1`) and `R2` (`d2equi`).
+/// `joinable` maps an `R1` key to the inclusive `R2` key range it joins with
+/// (the join condition's joinable range); its endpoints should be
+/// non-decreasing in the key, as they are for every monotonic condition —
+/// see [`KeyedCounts::range_counts`] for what happens when they are not.
+/// `O(distinct1 + distinct2 + so log n)`.
 pub fn stream_sample(
-    r1_keys: &[Key],
+    d1: &KeyedCounts,
     d2equi: &KeyedCounts,
     joinable: impl Fn(Key) -> (Key, Key),
     so: usize,
     rng: &mut impl Rng,
 ) -> OutputSample {
-    // Aggregate R1 so weights are per distinct key: w(k) = mult1(k) · d2(k).
-    let d1 = KeyedCounts::from_keys(r1_keys.to_vec());
-    let mut weights = Vec::with_capacity(d1.num_distinct());
-    let mut ranges = Vec::with_capacity(d1.num_distinct());
-    let mut m: u64 = 0;
-    for (&k, &c) in d1.keys().iter().zip(d1.counts()) {
-        let (lo, hi) = joinable(k);
-        let d2 = d2equi.range_count(lo, hi);
-        weights.push(c * d2);
-        ranges.push((lo, hi));
+    // cum[i] = output tuples whose R1 key precedes d1.keys()[i].
+    let mut cum = Vec::with_capacity(d1.num_distinct() + 1);
+    let mut m = 0u64;
+    cum.push(m);
+    for (d2, &c) in d2equi.range_counts(d1.keys(), &joinable).zip(d1.counts()) {
         m += c * d2;
+        cum.push(m);
     }
-    let pairs = draw_pairs(d1.keys(), &weights, &ranges, d2equi, so, m, rng);
-    OutputSample { pairs, m }
-}
-
-/// Draws `so` WR samples over distinct R1 keys (weights `w`), then picks the
-/// R2 partner uniformly within the joinable set.
-fn draw_pairs(
-    keys: &[Key],
-    weights: &[u64],
-    ranges: &[(Key, Key)],
-    d2equi: &KeyedCounts,
-    so: usize,
-    m: u64,
-    rng: &mut impl Rng,
-) -> Vec<(Key, Key)> {
-    if m == 0 {
-        return Vec::new();
-    }
-    let alias = AliasTable::new(weights).expect("m > 0 implies positive weight");
-    let mut pairs = Vec::with_capacity(so);
-    for _ in 0..so {
-        let i = alias.sample(rng);
-        let (lo, hi) = ranges[i];
-        let d2 = d2equi.range_count(lo, hi);
-        debug_assert!(d2 > 0, "sampled a key with empty joinable set");
-        let u = rng.gen_range(0..d2);
-        pairs.push((keys[i], d2equi.pick_in_range(lo, hi, u)));
-    }
-    pairs
-}
-
-/// Parallel Stream-Sample over `threads` logical partitions, mirroring the
-/// paper's MapReduce formulation:
-/// * step 1 (build `d2equi`) aggregates `R2` per partition and merges;
-/// * step 2 partitions `R1`, computes per-partition `d2` weights and weight
-///   totals, splits the `so` draws across partitions proportionally to their
-///   total weight (multinomial), and samples each partition independently;
-/// * step 3 is embarrassingly parallel per drawn tuple.
-///
-/// Deterministic for a fixed `seed` and `threads`.
-pub fn parallel_stream_sample(
-    r1_keys: &[Key],
-    r2_keys: &[Key],
-    joinable: impl Fn(Key) -> (Key, Key) + Sync,
-    so: usize,
-    threads: usize,
-    seed: u64,
-) -> OutputSample {
-    let threads = threads.max(1);
-
-    // Step 1: d2equi by parallel aggregation + merge.
-    let parts: Vec<KeyedCounts> = thread::scope(|s| {
-        let handles: Vec<_> = chunks(r2_keys, threads)
-            .map(|chunk| s.spawn(move || KeyedCounts::from_keys(chunk.to_vec())))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("d2equi worker panicked"))
-            .collect()
-    });
-    let d2equi = KeyedCounts::merge(&parts);
-
-    // Step 2: per-partition weights over distinct R1 keys.
-    struct Part {
-        keys: Vec<Key>,
-        weights: Vec<u64>,
-        ranges: Vec<(Key, Key)>,
-        total: u64,
-    }
-    let joinable = &joinable;
-    let d2equi_ref = &d2equi;
-    let parts: Vec<Part> = thread::scope(|s| {
-        let handles: Vec<_> = chunks(r1_keys, threads)
-            .map(|chunk| {
-                s.spawn(move || {
-                    let d1 = KeyedCounts::from_keys(chunk.to_vec());
-                    let mut weights = Vec::with_capacity(d1.num_distinct());
-                    let mut ranges = Vec::with_capacity(d1.num_distinct());
-                    let mut total = 0u64;
-                    for (&k, &c) in d1.keys().iter().zip(d1.counts()) {
-                        let (lo, hi) = joinable(k);
-                        let d2 = d2equi_ref.range_count(lo, hi);
-                        weights.push(c * d2);
-                        ranges.push((lo, hi));
-                        total += c * d2;
-                    }
-                    Part {
-                        keys: d1.keys().to_vec(),
-                        weights,
-                        ranges,
-                        total,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("d2 worker panicked"))
-            .collect()
-    });
-
-    let m: u64 = parts.iter().map(|p| p.total).sum();
     if m == 0 {
         return OutputSample {
             pairs: Vec::new(),
-            m: 0,
+            m,
         };
     }
-
-    // Multinomial split of the so draws across partitions by weight.
-    let mut quota = vec![0usize; parts.len()];
-    {
-        let totals: Vec<u64> = parts.iter().map(|p| p.total).collect();
-        let alias = AliasTable::new(&totals).expect("m > 0");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        for _ in 0..so {
-            quota[alias.sample(&mut rng)] += 1;
-        }
-    }
-
-    // Steps 2b + 3 in parallel: per-partition WR draws and partner picks.
-    let pairs: Vec<(Key, Key)> = thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .iter()
-            .zip(&quota)
-            .enumerate()
-            .map(|(t, (part, &q))| {
-                s.spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(
-                        seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    draw_pairs(
-                        &part.keys,
-                        &part.weights,
-                        &part.ranges,
-                        d2equi_ref,
-                        q,
-                        part.total,
-                        &mut rng,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sampling worker panicked"))
-            .collect()
-    });
-
+    let mut ranks: Vec<u64> = (0..so).map(|_| rng.gen_range(0..m)).collect();
+    ranks.sort_unstable();
+    let mut i = 0;
+    let pairs = ranks
+        .into_iter()
+        .map(|rank| {
+            i = run_of(&cum, i, rank);
+            let k1 = d1.keys()[i];
+            let (lo, hi) = joinable(k1);
+            let d2 = (cum[i + 1] - cum[i]) / d1.counts()[i];
+            (k1, d2equi.pick_in_range(lo, hi, (rank - cum[i]) % d2))
+        })
+        .collect();
     OutputSample { pairs, m }
-}
-
-/// Splits a slice into at most `n` contiguous chunks of near-equal size,
-/// skipping empty ones.
-fn chunks<T>(items: &[T], n: usize) -> impl Iterator<Item = &[T]> {
-    let len = items.len();
-    let per = len.div_ceil(n.max(1)).max(1);
-    items.chunks(per)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ks::{chi_square, chi_square_critical};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    /// Censuses, then the sampler, seeded.
+    fn sample(
+        r1: &[Key],
+        r2: &[Key],
+        joinable: impl Fn(Key) -> (Key, Key),
+        so: usize,
+        seed: u64,
+    ) -> OutputSample {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (d1, d2equi) = (KeyedCounts::census(r1), KeyedCounts::census(r2));
+        stream_sample(&d1, &d2equi, joinable, so, &mut rng)
+    }
 
     /// Brute-force join output for verification.
     fn exact_join(r1: &[Key], r2: &[Key], joinable: impl Fn(Key) -> (Key, Key)) -> Vec<(Key, Key)> {
@@ -246,9 +127,7 @@ mod tests {
         let r2: Vec<Key> = vec![0, 2, 3, 3, 8, 10];
         let beta = 1;
         let jr = |k: Key| (k - beta, k + beta);
-        let d2equi = KeyedCounts::from_keys(r2.clone());
-        let mut rng = SmallRng::seed_from_u64(1);
-        let s = stream_sample(&r1, &d2equi, jr, 100, &mut rng);
+        let s = sample(&r1, &r2, jr, 100, 1);
         assert_eq!(s.m as usize, exact_join(&r1, &r2, jr).len());
         assert_eq!(s.pairs.len(), 100);
         // Every sampled pair must satisfy the join condition.
@@ -262,9 +141,7 @@ mod tests {
         let r1: Vec<Key> = vec![0, 1, 2];
         let r2: Vec<Key> = vec![100, 200];
         let jr = |k: Key| (k - 1, k + 1);
-        let d2equi = KeyedCounts::from_keys(r2);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let s = stream_sample(&r1, &d2equi, jr, 50, &mut rng);
+        let s = sample(&r1, &r2, jr, 50, 2);
         assert_eq!(s.m, 0);
         assert!(s.pairs.is_empty());
     }
@@ -301,10 +178,8 @@ mod tests {
             v
         };
 
-        let d2equi = KeyedCounts::from_keys(r2.clone());
-        let mut rng = SmallRng::seed_from_u64(33);
         let so = 40_000;
-        let s = stream_sample(&r1, &d2equi, jr, so, &mut rng);
+        let s = sample(&r1, &r2, jr, so, 33);
         assert_eq!(s.m, m);
 
         let mut observed = vec![0u64; categories.len()];
@@ -329,32 +204,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_semantics() {
-        let r1: Vec<Key> = (0..500).map(|i| i % 37).collect();
-        let r2: Vec<Key> = (0..700).map(|i| (i * 3) % 41).collect();
-        let jr = |k: Key| (k - 3, k + 3);
-        let exact_m = exact_join(&r1, &r2, jr).len() as u64;
-
-        for threads in [1usize, 2, 4, 7] {
-            let s = parallel_stream_sample(&r1, &r2, jr, 2000, threads, 99);
-            assert_eq!(s.m, exact_m, "threads = {threads}");
-            assert_eq!(s.pairs.len(), 2000);
-            for &(a, b) in &s.pairs {
-                assert!((a - b).abs() <= 3);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_is_deterministic_per_seed() {
+    fn sample_is_deterministic_per_seed() {
         let r1: Vec<Key> = (0..300).collect();
         let r2: Vec<Key> = (0..300).collect();
         let jr = |k: Key| (k, k);
-        let a = parallel_stream_sample(&r1, &r2, jr, 500, 3, 7);
-        let b = parallel_stream_sample(&r1, &r2, jr, 500, 3, 7);
-        assert_eq!(a.pairs, b.pairs);
-        let c = parallel_stream_sample(&r1, &r2, jr, 500, 3, 8);
-        assert_ne!(a.pairs, c.pairs, "different seeds should differ");
+        let a = sample(&r1, &r2, jr, 500, 7);
+        assert_eq!(a.pairs, sample(&r1, &r2, jr, 500, 7).pairs);
+        assert_ne!(
+            a.pairs,
+            sample(&r1, &r2, jr, 500, 8).pairs,
+            "different seeds should differ"
+        );
     }
 
     #[test]
@@ -363,9 +223,7 @@ mod tests {
         let r1: Vec<Key> = vec![1, 5, 9];
         let r2: Vec<Key> = vec![2, 4, 6, 8, 10];
         let jr = |k: Key| (k + 1, Key::MAX);
-        let d2equi = KeyedCounts::from_keys(r2.clone());
-        let mut rng = SmallRng::seed_from_u64(5);
-        let s = stream_sample(&r1, &d2equi, jr, 200, &mut rng);
+        let s = sample(&r1, &r2, jr, 200, 5);
         // d2: 1→5, 5→3, 9→1 ⇒ m = 9.
         assert_eq!(s.m, 9);
         for &(a, b) in &s.pairs {

@@ -72,25 +72,4 @@ proptest! {
         // distinct values by at most the two MIN/MAX sentinel buckets.
         prop_assert!(h.num_buckets() <= distinct.len() + 1, "{} buckets for {} distinct", h.num_buckets(), distinct.len());
     }
-
-    #[test]
-    fn merge_is_associative_for_counts(
-        a in prop::collection::vec(-10i64..10, 0..40),
-        b in prop::collection::vec(-10i64..10, 0..40),
-        c in prop::collection::vec(-10i64..10, 0..40),
-    ) {
-        let ka = KeyedCounts::from_keys(a.clone());
-        let kb = KeyedCounts::from_keys(b.clone());
-        let kc_ = KeyedCounts::from_keys(c.clone());
-        let left = KeyedCounts::merge(&[KeyedCounts::merge(&[ka.clone(), kb.clone()]), kc_.clone()]);
-        let right = KeyedCounts::merge(&[ka, KeyedCounts::merge(&[kb, kc_])]);
-        prop_assert_eq!(left.keys(), right.keys());
-        prop_assert_eq!(left.counts(), right.counts());
-        let mut all = a;
-        all.extend(b);
-        all.extend(c);
-        let direct = KeyedCounts::from_keys(all);
-        prop_assert_eq!(left.keys(), direct.keys());
-        prop_assert_eq!(left.counts(), direct.counts());
-    }
 }

@@ -1,16 +1,34 @@
 //! Statistical validation of the sampling substrate: distributional
-//! correctness under merging, parallelism and skew — the properties
-//! Appendix A1 of the paper relies on.
+//! correctness under merging and skew — the properties Appendix A1 of the
+//! paper relies on.
 
 use ewh_sampling::ks::{chi_square, chi_square_critical, ks_critical, ks_statistic_uniform};
 use ewh_sampling::{
-    parallel_stream_sample, stream_sample, EquiDepthHistogram, Key, KeyedCounts, WeightedReservoir,
+    stream_sample, EquiDepthHistogram, Key, KeyedCounts, OutputSample, WeightedReservoir,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// The one sampler over the censuses of two key columns, seeded.
+fn sample(
+    r1: &[Key],
+    r2: &[Key],
+    joinable: impl Fn(Key) -> (Key, Key),
+    so: usize,
+    seed: u64,
+) -> OutputSample {
+    let (d1, d2equi) = (KeyedCounts::census(r1), KeyedCounts::census(r2));
+    stream_sample(
+        &d1,
+        &d2equi,
+        joinable,
+        so,
+        &mut SmallRng::seed_from_u64(seed),
+    )
+}
+
 #[test]
-fn parallel_stream_sample_is_uniform_over_output() {
+fn stream_sample_is_uniform_over_output() {
     // Strong skew on both sides; the χ² test runs over per-k1 marginals.
     let mut r1: Vec<Key> = Vec::new();
     for k in 0..30 {
@@ -30,7 +48,7 @@ fn parallel_stream_sample_is_uniform_over_output() {
     let d1 = KeyedCounts::from_keys(r1.clone());
 
     let so = 30_000;
-    let s = parallel_stream_sample(&r1, &r2, jr, so, 3, 42);
+    let s = sample(&r1, &r2, jr, so, 42);
 
     // Expected marginal of k1 in a uniform output sample: mult1(k1)*d2(k1)/m.
     let mut expected = Vec::new();
@@ -75,8 +93,7 @@ fn stream_sample_positions_pass_ks_against_output_cdf() {
     }
     let m = acc;
 
-    let mut rng = SmallRng::seed_from_u64(7);
-    let s = stream_sample(&r1, &d2equi, jr, 4000, &mut rng);
+    let s = sample(&r1, &r2, jr, 4000, 7);
     assert_eq!(s.m, m);
     // Positions: contribution of k1's block start plus a uniform draw inside
     // the block — approximate each sample by the middle of its (k1, k2) run.
@@ -165,11 +182,11 @@ fn equi_depth_error_bound_holds_with_prescribed_sample_size() {
 }
 
 #[test]
-fn inequality_joinable_ranges_in_parallel_sampler() {
+fn inequality_joinable_ranges_in_stream_sample() {
     // a >= b: joinable range [MIN, a]; exact m = sum of ranks.
     let r1: Vec<Key> = (0..100).collect();
     let r2: Vec<Key> = (0..100).collect();
-    let s = parallel_stream_sample(&r1, &r2, |k| (Key::MIN, k), 500, 2, 3);
+    let s = sample(&r1, &r2, |k| (Key::MIN, k), 500, 3);
     let expect: u64 = (1..=100).sum();
     assert_eq!(s.m, expect);
     for &(a, b) in &s.pairs {
@@ -179,13 +196,10 @@ fn inequality_joinable_ranges_in_parallel_sampler() {
 
 #[test]
 fn zero_and_one_sized_output_samples() {
-    let r1: Vec<Key> = vec![1, 2, 3];
-    let r2: Vec<Key> = vec![2];
-    let d2equi = KeyedCounts::from_keys(r2);
-    let mut rng = SmallRng::seed_from_u64(5);
-    let s = stream_sample(&r1, &d2equi, |k| (k, k), 0, &mut rng);
+    let (r1, r2): (Vec<Key>, Vec<Key>) = (vec![1, 2, 3], vec![2]);
+    let s = sample(&r1, &r2, |k| (k, k), 0, 5);
     assert_eq!(s.m, 1);
     assert!(s.pairs.is_empty());
-    let s = stream_sample(&r1, &d2equi, |k| (k, k), 1, &mut rng);
+    let s = sample(&r1, &r2, |k| (k, k), 1, 5);
     assert_eq!(s.pairs, vec![(2, 2)]);
 }

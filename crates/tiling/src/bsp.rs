@@ -107,6 +107,12 @@ impl<'a> BspSolver<'a> {
         self.n_row_ivs * self.n_col_ivs
     }
 
+    /// Weight of every rectangle of the DP table: the values of δ at which
+    /// `solve(δ)` can change.
+    pub(crate) fn rect_weights(&self) -> Vec<u64> {
+        self.order.iter().map(|&r| self.grid.weight(r)).collect()
+    }
+
     /// Solves for a given δ. Returns the covering regions, or `None` when
     /// some single candidate cell is heavier than δ.
     pub fn solve(&self, delta: u64) -> Option<Vec<Rect>> {

@@ -13,12 +13,13 @@
 //!   partitioning (Algorithm 1 of the paper).
 //! * [`monotonic_bsp`] — the paper's novel MONOTONICBSP (Algorithm 2),
 //!   which enumerates only minimal candidate rectangles (Lemma 3.4) and
-//!   thereby reduces BSP's `O(nc⁴)` space / `O(nc⁵)` time to `O(ncc²)` space
-//!   and `O(ncc² · nc log nc)` time for monotonic join matrices.
+//!   thereby reduces BSP's `O(nc⁴)` space / `O(nc⁵)` time to `O(ncc²)`
+//!   states and `O(ncc² · nc)` time for monotonic join matrices (the paper's
+//!   `log nc` shrink per splitter is `O(1)` here).
 //! * [`partition_max_weight`] — the regionalization driver: a binary search
 //!   over the maximum region weight δ (BSP solves the dual problem — given δ,
-//!   minimize the number of regions — so we search for the smallest δ that
-//!   fits in the available `J` regions).
+//!   minimize the number of regions — so we search the rectangle weights for
+//!   the smallest δ that fits in the available `J` regions).
 //! * [`coarsen`] — the grid-partitioning (RTILE, MAX-WEIGHT metric)
 //!   coarsening stage after Muthukrishnan & Suel (J. Algorithms 2005),
 //!   implemented as alternating exact 1-D re-optimization, with the

@@ -19,16 +19,132 @@
 //! 3. per δ probe of the regionalization binary search, runs a pure
 //!    array-DP pass over the sorted rectangles — no hashing, no geometry.
 //!
-//! Space is `O(ncc² · nc)` for the split tables; each `solve(δ)` touches
-//! every splitter of every rectangle once, the paper's
-//! `O(ncc² · nc log nc)` with the `log nc` shrink folded into precompute.
+//! Space is `O(ncc² · nc)` for the split tables, and so is the time of both
+//! the constructor and each `solve(δ)`: a rectangle of `h × w` cells gets
+//! the shrunken halves of all its `h + w − 2` splitters from two passes of
+//! prefix/suffix bounding boxes over per-row and per-column next/previous-
+//! candidate tables — `O(1)` a splitter on any grid, where the paper shrinks
+//! each half in `O(log nc)` — and a probe touches every splitter once.
+//! Regionalization bisects over the distinct rectangle weights, the only
+//! places feasibility can change: `log₂(states)` probes.
 
 use std::collections::HashMap;
 
 use crate::{Grid, Rect, INFEASIBLE};
 
-/// "No candidate cells in this half" marker in the split tables.
+/// "No candidate cells in this half" marker in the split tables; also "no
+/// such cell / rectangle" in the constructor's lookup tables.
 const EMPTY: u32 = u32::MAX;
+
+/// The bounding box of the candidate cells met so far while sweeping the
+/// lines (rows or columns) of a rectangle: the lines it spans and the
+/// positions it spans within them.
+#[derive(Clone, Copy)]
+struct BBox {
+    first: u32,
+    last: u32,
+    lo: u32,
+    hi: u32,
+}
+
+impl BBox {
+    const NONE: BBox = BBox {
+        first: EMPTY,
+        last: 0,
+        lo: EMPTY,
+        hi: 0,
+    };
+
+    /// Grows by one line's candidate span (`lo > hi`: the line has none).
+    fn with(self, line: u32, (lo, hi): (u32, u32)) -> BBox {
+        if lo > hi {
+            return self;
+        }
+        BBox {
+            first: self.first.min(line),
+            last: self.last.max(line),
+            lo: self.lo.min(lo),
+            hi: self.hi.max(hi),
+        }
+    }
+
+    /// The rectangle whose lines run along `first..=last`, if any.
+    fn rect(self, to_rect: impl Fn(BBox) -> Rect) -> Option<Rect> {
+        (self.first != EMPTY).then(|| to_rect(self))
+    }
+}
+
+/// Next/previous-candidate tables along every line of one orientation of
+/// the grid (its rows, or its columns).
+struct Lines {
+    len: usize,
+    /// `next[line · len + p]`: the first candidate position `>= p`, or `EMPTY`.
+    next: Vec<u32>,
+    /// `prev[line · len + p]`: the last candidate position `<= p` (0 if none;
+    /// only read together with `next`, which tells).
+    prev: Vec<u32>,
+}
+
+impl Lines {
+    fn new(n_lines: u32, len: u32, is_candidate: impl Fn(u32, u32) -> bool) -> Self {
+        let mut next = vec![EMPTY; n_lines as usize * len as usize];
+        let mut prev = vec![0; next.len()];
+        for line in 0..n_lines {
+            let at = line as usize * len as usize;
+            let mut seen = 0;
+            for p in 0..len {
+                if is_candidate(line, p) {
+                    seen = p;
+                }
+                prev[at + p as usize] = seen;
+            }
+            let mut seen = EMPTY;
+            for p in (0..len).rev() {
+                if is_candidate(line, p) {
+                    seen = p;
+                }
+                next[at + p as usize] = seen;
+            }
+        }
+        Lines {
+            len: len as usize,
+            next,
+            prev,
+        }
+    }
+
+    /// Candidate span of `line` within positions `p0..=p1` (`lo > hi`: none).
+    #[inline]
+    fn span(&self, line: u32, p0: u32, p1: u32) -> (u32, u32) {
+        let at = line as usize * self.len;
+        (self.next[at + p0 as usize], self.prev[at + p1 as usize])
+    }
+
+    /// Every split of the lines `l0..=l1`, restricted to positions
+    /// `p0..=p1`, after line `k = l0, …, l1 − 1`: the bounding boxes of the
+    /// candidates in lines `l0..=k` and in lines `k+1..=l1`. One backward
+    /// pass fills `suffix` (scratch), one forward pass emits.
+    fn splits(
+        &self,
+        (l0, l1): (u32, u32),
+        (p0, p1): (u32, u32),
+        suffix: &mut Vec<BBox>,
+        mut emit: impl FnMut(BBox, BBox),
+    ) {
+        suffix.clear();
+        suffix.resize((l1 - l0) as usize, BBox::NONE);
+        let mut after = BBox::NONE;
+        for k in (l0..l1).rev() {
+            after = after.with(k + 1, self.span(k + 1, p0, p1));
+            suffix[(k - l0) as usize] = after;
+        }
+        let mut upto = BBox::NONE;
+        for k in l0..l1 {
+            upto = upto.with(k, self.span(k, p0, p1));
+            emit(upto, suffix[(k - l0) as usize]);
+        }
+    }
+}
 
 #[derive(Clone, Copy, Debug)]
 enum Plan {
@@ -58,25 +174,38 @@ impl<'a> MonotonicBspSolver<'a> {
     /// Enumerates candidate-cornered rectangles (Lemma 3.4), closes the set
     /// under split+shrink, and builds the DP tables.
     pub fn new(grid: &'a Grid) -> Self {
+        let n_cols = grid.n_cols() as usize;
         let cells = grid.candidate_cells();
-        let mut rects = Vec::with_capacity(cells.len() * cells.len() / 2 + 1);
+        let ncc = cells.len();
+        // Candidate-cornered rectangles are interned through a dense
+        // `(UL cell, LR cell) → arrival id` table; a rectangle's arrival id
+        // is its position in `rects` until the sort.
+        let mut cell_rank = vec![EMPTY; grid.n_rows() as usize * n_cols];
+        for (rank, &(r, c)) in cells.iter().enumerate() {
+            cell_rank[r as usize * n_cols + c as usize] = rank as u32;
+        }
+        let mut cornered = vec![EMPTY; ncc * ncc];
+        let mut rects = Vec::with_capacity(ncc * ncc / 2 + 1);
         for (a, &(r0, c0)) in cells.iter().enumerate() {
-            for &(r1, c1) in &cells[a..] {
+            for (b, &(r1, c1)) in cells.iter().enumerate().skip(a) {
                 // Cells come in row-major order so r1 >= r0; the staircase
                 // orientation means minimal rects also satisfy c1 >= c0.
                 if c1 >= c0 {
+                    cornered[a * ncc + b] = rects.len() as u32;
                     rects.push(Rect::new(r0, c0, r1, c1));
                 }
             }
         }
-        // Arrival ids: a rectangle's position in `rects` until the sort.
-        let mut ids: HashMap<u64, u32> = rects
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.pack(), i as u32))
-            .collect();
+        // Everything else — the closure's rectangles on non-staircase grids —
+        // goes through a hash map.
+        let mut others: HashMap<u64, u32> = HashMap::new();
         let mut intern = |rects: &mut Vec<Rect>, r: Rect| -> u32 {
-            *ids.entry(r.pack()).or_insert_with(|| {
+            let ul = cell_rank[r.r0 as usize * n_cols + r.c0 as usize];
+            let lr = cell_rank[r.r1 as usize * n_cols + r.c1 as usize];
+            if ul != EMPTY && lr != EMPTY {
+                return cornered[ul as usize * ncc + lr as usize];
+            }
+            *others.entry(r.pack()).or_insert_with(|| {
                 rects.push(r);
                 (rects.len() - 1) as u32
             })
@@ -86,10 +215,13 @@ impl<'a> MonotonicBspSolver<'a> {
         if let Some(root) = grid.shrink(grid.full()) {
             intern(&mut rects, root);
         }
-        // One pass shrinks each half of every splitter of every rectangle
-        // exactly once, recording the pair by arrival id. A half not in the
-        // set yet is appended and processed in turn — the closure, which
-        // adds nothing on monotonic matrices.
+        // One pass records, by arrival id, the shrunken halves of every
+        // splitter of every rectangle. A half not in the set yet is appended
+        // and processed in turn — the closure, which adds nothing on
+        // monotonic matrices.
+        let rows = Lines::new(grid.n_rows(), grid.n_cols(), |r, c| grid.is_candidate(r, c));
+        let cols = Lines::new(grid.n_cols(), grid.n_rows(), |c, r| grid.is_candidate(r, c));
+        let mut suffix = Vec::new();
         let mut arrival_start = Vec::with_capacity(rects.len() + 1);
         let mut arrival_pairs = Vec::new();
         arrival_start.push(0usize);
@@ -97,20 +229,18 @@ impl<'a> MonotonicBspSolver<'a> {
         while i < rects.len() {
             let rm = rects[i];
             i += 1;
-            let mut half_id = |part: Rect| -> u32 {
-                match grid.shrink(part) {
-                    None => EMPTY,
-                    Some(half) => intern(&mut rects, half),
-                }
+            let mut half_id = |half: Option<Rect>| match half {
+                None => EMPTY,
+                Some(half) => intern(&mut rects, half),
             };
-            for k in rm.r0..rm.r1 {
-                let (a, b) = rm.split_h(k);
-                arrival_pairs.push((half_id(a), half_id(b)));
-            }
-            for k in rm.c0..rm.c1 {
-                let (a, b) = rm.split_v(k);
-                arrival_pairs.push((half_id(a), half_id(b)));
-            }
+            let by_rows = |b: BBox| Rect::new(b.first, b.lo, b.last, b.hi);
+            rows.splits((rm.r0, rm.r1), (rm.c0, rm.c1), &mut suffix, |a, b| {
+                arrival_pairs.push((half_id(a.rect(by_rows)), half_id(b.rect(by_rows))));
+            });
+            let by_cols = |b: BBox| Rect::new(b.lo, b.first, b.hi, b.last);
+            cols.splits((rm.c0, rm.c1), (rm.r0, rm.r1), &mut suffix, |a, b| {
+                arrival_pairs.push((half_id(a.rect(by_cols)), half_id(b.rect(by_cols))));
+            });
             arrival_start.push(arrival_pairs.len());
         }
 
@@ -156,6 +286,26 @@ impl<'a> MonotonicBspSolver<'a> {
     /// comparison of Table III.
     pub fn state_count(&self) -> usize {
         self.rects.len()
+    }
+
+    /// Weight of every enumerated rectangle: the values of δ at which
+    /// `solve(δ)` can change.
+    pub(crate) fn rect_weights(&self) -> &[u64] {
+        &self.weights
+    }
+
+    /// The DP tables — rectangles, their weights, each rectangle's range
+    /// into the split pairs, the split pairs — for the test that compares
+    /// them with the shrink-every-half formulation.
+    #[doc(hidden)]
+    #[allow(clippy::type_complexity)]
+    pub fn tables(&self) -> (&[Rect], &[u64], &[u32], &[(u32, u32)]) {
+        (
+            &self.rects,
+            &self.weights,
+            &self.split_start,
+            &self.split_pairs,
+        )
     }
 
     /// A lower bound on any feasible δ given `j` regions: the heavier of the

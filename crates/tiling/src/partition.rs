@@ -14,7 +14,7 @@ pub enum TilingAlgo {
     /// Baseline dense DP (`O(nc⁵)` time, `O(nc⁴)` space). Accuracy baseline;
     /// use only on small grids.
     Bsp,
-    /// The paper's MONOTONICBSP (`O(ncc²·nc log nc)` time, `O(ncc²)` space).
+    /// The paper's MONOTONICBSP (`O(ncc²·nc)` time a probe, `O(ncc²)` states).
     MonotonicBsp,
 }
 
@@ -97,6 +97,10 @@ pub fn validate_partition(grid: &Grid, regions: &[Rect], delta: u64) -> Result<(
 /// Regionalization: the smallest δ whose tiling uses at most `j` regions,
 /// found by binary search (§III-C), together with the tiling itself.
 ///
+/// A solver compares δ with rectangle weights and nothing else, so the
+/// search bisects over the sorted distinct rectangle weights above the
+/// lower bound — `log₂(states)` probes — rather than over every integer.
+///
 /// `j >= 1`. Returns an empty partition when the grid has no candidate cells.
 pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partition {
     assert!(j >= 1, "need at least one region");
@@ -108,15 +112,6 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
             max_weight: 0,
         };
     }
-
-    // δ below the heaviest candidate cell is never feasible (regions live on
-    // cell granularity and w is monotone), nor is δ below the per-region
-    // share of the weight any partition must cover; δ = w(full matrix)
-    // always is.
-    let mut lo = grid
-        .max_candidate_cell_weight()
-        .max(grid.covered_weight() / j as u64);
-    let mut hi = grid.weight(full);
 
     enum Solver<'a> {
         Dense(BspSolver<'a>),
@@ -133,18 +128,33 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
         }
     };
 
+    // δ below the heaviest candidate cell is never feasible (regions live on
+    // cell granularity and w is monotone), nor is δ below the per-region
+    // share of the weight any partition must cover; the heaviest rectangle
+    // covers every candidate, so the last δ always is.
+    let floor = grid
+        .max_candidate_cell_weight()
+        .max(grid.covered_weight() / j as u64);
+    let mut deltas = match &solver {
+        Solver::Dense(s) => s.rect_weights(),
+        Solver::Monotonic(s) => s.rect_weights().to_vec(),
+    };
+    deltas.retain(|&w| w > floor);
+    deltas.push(floor);
+    deltas.sort_unstable();
+    deltas.dedup();
+
     let feasible =
         |regions: &Option<Vec<Rect>>| regions.as_ref().map(|r| r.len() <= j).unwrap_or(false);
 
-    let mut best = solve(hi).expect("delta = total weight is always feasible");
-    debug_assert!(best.len() <= 1 || j >= best.len());
-    let mut best_delta = hi;
+    let (mut lo, mut hi) = (0, deltas.len() - 1);
+    let mut best = solve(deltas[hi]).expect("the heaviest rectangle's weight is always feasible");
+    debug_assert_eq!(best.len(), 1);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let sol = solve(mid);
+        let sol = solve(deltas[mid]);
         if feasible(&sol) {
             best = sol.unwrap();
-            best_delta = mid;
             hi = mid;
         } else {
             lo = mid + 1;
@@ -154,7 +164,7 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
     let max_weight = best.iter().map(|r| grid.weight(*r)).max().unwrap_or(0);
     Partition {
         regions: best,
-        delta: best_delta,
+        delta: deltas[hi],
         max_weight,
     }
 }

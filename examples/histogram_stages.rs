@@ -39,7 +39,7 @@ fn main() {
         ms.so, ms.nsc
     );
     println!(
-        "  exact m       = {} output tuples (from parallel Stream-Sample)",
+        "  exact m       = {} output tuples (from Stream-Sample)",
         ms.m
     );
     println!(

@@ -1,10 +1,154 @@
 //! Property-based tests of the tiling substrate: random staircase grids,
 //! random weights — partitions must always be valid, MONOTONICBSP must match
 //! the dense baseline, and the regionalization objective must be monotone in
-//! the number of machines.
+//! the number of machines. MONOTONICBSP's tables and the δ search are held
+//! to the simple formulations they replaced, which live here: a worklist
+//! that shrinks every half of every splitter, and a bisection over every
+//! integer δ.
 
-use ewh::tiling::{bsp, monotonic_bsp, partition_max_weight, validate_partition, Grid, TilingAlgo};
+use std::collections::HashMap;
+
+use ewh::tiling::{
+    bsp, monotonic_bsp, partition_max_weight, validate_partition, BspSolver, Grid,
+    MonotonicBspSolver, Rect, TilingAlgo,
+};
 use proptest::prelude::*;
+
+/// "No candidate cells in this half" in the split tables.
+const EMPTY: u32 = u32::MAX;
+
+/// MONOTONICBSP's DP tables `(rects, weights, split_start, split_pairs)` the
+/// simple way: enumerate the candidate-cornered rectangles, then run a
+/// worklist that cuts each rectangle at every splitter, shrinks both halves
+/// with [`Grid::shrink`] and interns them through a hash map — the closure
+/// under split + shrink — and sort by (semi-perimeter, packed key).
+#[allow(clippy::type_complexity)]
+fn oracle_tables(grid: &Grid) -> (Vec<Rect>, Vec<u64>, Vec<u32>, Vec<(u32, u32)>) {
+    let cells = grid.candidate_cells();
+    let mut rects = Vec::new();
+    for (a, &(r0, c0)) in cells.iter().enumerate() {
+        for &(r1, c1) in &cells[a..] {
+            if c1 >= c0 {
+                rects.push(Rect::new(r0, c0, r1, c1));
+            }
+        }
+    }
+    let mut ids: HashMap<u64, u32> = rects
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (r.pack(), i as u32))
+        .collect();
+    let mut intern = |rects: &mut Vec<Rect>, r: Rect| -> u32 {
+        *ids.entry(r.pack()).or_insert_with(|| {
+            rects.push(r);
+            (rects.len() - 1) as u32
+        })
+    };
+    if let Some(root) = grid.shrink(grid.full()) {
+        intern(&mut rects, root);
+    }
+    let mut splits: Vec<Vec<(u32, u32)>> = Vec::new();
+    let mut i = 0;
+    while i < rects.len() {
+        let rm = rects[i];
+        i += 1;
+        let mut half_id = |part: Rect| match grid.shrink(part) {
+            None => EMPTY,
+            Some(half) => intern(&mut rects, half),
+        };
+        let mut mine = Vec::new();
+        for k in rm.r0..rm.r1 {
+            let (a, b) = rm.split_h(k);
+            mine.push((half_id(a), half_id(b)));
+        }
+        for k in rm.c0..rm.c1 {
+            let (a, b) = rm.split_v(k);
+            mine.push((half_id(a), half_id(b)));
+        }
+        splits.push(mine);
+    }
+    let mut order: Vec<usize> = (0..rects.len()).collect();
+    order.sort_unstable_by_key(|&id| (rects[id].semi_perimeter(), rects[id].pack()));
+    let mut position = vec![0u32; rects.len()];
+    for (pos, &id) in order.iter().enumerate() {
+        position[id] = pos as u32;
+    }
+    let resolve = |id: u32| {
+        if id == EMPTY {
+            EMPTY
+        } else {
+            position[id as usize]
+        }
+    };
+    let mut split_start = vec![0u32];
+    let mut split_pairs = Vec::new();
+    for &id in &order {
+        split_pairs.extend(splits[id].iter().map(|&(a, b)| (resolve(a), resolve(b))));
+        split_start.push(split_pairs.len() as u32);
+    }
+    let sorted: Vec<Rect> = order.iter().map(|&id| rects[id]).collect();
+    let weights = sorted.iter().map(|&r| grid.weight(r)).collect();
+    (sorted, weights, split_start, split_pairs)
+}
+
+/// Regionalization the simple way: bisect every integer δ between the lower
+/// bound and the weight of the whole grid.
+fn oracle_partition(grid: &Grid, j: usize, algo: TilingAlgo) -> (Vec<Rect>, u64, u64) {
+    let (dense, monotonic);
+    let solve: &dyn Fn(u64) -> Option<Vec<Rect>> = match algo {
+        TilingAlgo::Bsp => {
+            dense = BspSolver::new(grid);
+            &|delta| dense.solve(delta)
+        }
+        TilingAlgo::MonotonicBsp => {
+            monotonic = MonotonicBspSolver::new(grid);
+            &|delta| monotonic.solve(delta)
+        }
+    };
+    let mut lo = grid
+        .max_candidate_cell_weight()
+        .max(grid.covered_weight() / j as u64);
+    let mut hi = grid.weight(grid.full());
+    let mut best = solve(hi).expect("delta = total weight is always feasible");
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match solve(mid) {
+            Some(regions) if regions.len() <= j => {
+                best = regions;
+                hi = mid;
+            }
+            _ => lo = mid + 1,
+        }
+    }
+    let max_weight = best.iter().map(|r| grid.weight(*r)).max().unwrap_or(0);
+    (best, hi, max_weight)
+}
+
+/// Both new formulations against their oracles on one grid.
+fn check_against_oracles(grid: &Grid, max_j: usize, dense_too: bool) -> Result<(), TestCaseError> {
+    let solver = MonotonicBspSolver::new(grid);
+    let (rects, weights, split_start, split_pairs) = oracle_tables(grid);
+    prop_assert_eq!(solver.state_count(), rects.len());
+    let got = solver.tables();
+    prop_assert_eq!(got.0, &rects[..]);
+    prop_assert_eq!(got.1, &weights[..]);
+    prop_assert_eq!(got.2, &split_start[..]);
+    prop_assert_eq!(got.3, &split_pairs[..]);
+    if grid.cand_count(grid.full()) == 0 {
+        return Ok(());
+    }
+    let algos = [TilingAlgo::MonotonicBsp, TilingAlgo::Bsp];
+    for &algo in &algos[..1 + dense_too as usize] {
+        for j in 1..=max_j {
+            let p = partition_max_weight(grid, j, algo);
+            let (regions, delta, max_weight) = oracle_partition(grid, j, algo);
+            prop_assert_eq!(p.delta, delta, "{:?} j={}", algo, j);
+            prop_assert_eq!(p.max_weight, max_weight, "{:?} j={}", algo, j);
+            prop_assert_eq!(&p.regions, &regions, "{:?} j={}", algo, j);
+        }
+    }
+    Ok(())
+}
 
 /// A random monotone staircase grid: per-row candidate intervals with
 /// non-decreasing endpoints, random input weights, random output weights on
@@ -34,8 +178,71 @@ fn staircase_grid() -> impl Strategy<Value = Grid> {
     })
 }
 
+/// A random `rows × cols` grid, 1…9 a side, whose cells are candidates with
+/// probability `density`/8 — from empty through anything but a staircase to
+/// fully candidate — with random weights (non-candidate cells carry output
+/// weight too: the tables must not care).
+fn random_grid() -> impl Strategy<Value = Grid> {
+    (1usize..10, 1usize..10, 0u32..9).prop_flat_map(|(rows, cols, density)| {
+        let row_w = prop::collection::vec(0u64..20, rows);
+        let col_w = prop::collection::vec(0u64..20, cols);
+        let cells = prop::collection::vec((0u32..8, 0u64..50), rows * cols);
+        (row_w, col_w, cells).prop_map(move |(row_w, col_w, cells)| {
+            let cand: Vec<bool> = cells.iter().map(|&(coin, _)| coin < density).collect();
+            let out: Vec<u64> = cells.iter().map(|&(_, w)| w).collect();
+            Grid::new(&row_w, &col_w, &out, &cand)
+        })
+    })
+}
+
+/// Hand-made shapes: anti-staircase, a cross, single row / column, fully
+/// candidate, empty, one cell.
+fn shaped_grids() -> Vec<(&'static str, Grid)> {
+    let build = |name, rows: usize, cols: usize, is_cand: &dyn Fn(usize, usize) -> bool| {
+        let cand: Vec<bool> = (0..rows * cols)
+            .map(|i| is_cand(i / cols, i % cols))
+            .collect();
+        let out: Vec<u64> = (0..rows * cols).map(|i| (i as u64 * 7) % 11 + 1).collect();
+        let row_w: Vec<u64> = (0..rows as u64).map(|i| i % 3 + 1).collect();
+        let col_w: Vec<u64> = (0..cols as u64).map(|i| (i * 5) % 4).collect();
+        (name, Grid::new(&row_w, &col_w, &out, &cand))
+    };
+    vec![
+        build("anti-staircase", 7, 7, &|r, c| r + c == 6 || r + c == 5),
+        build("cross", 8, 6, &|r, c| r == c || r + c == 5),
+        build("staircase band", 9, 9, &|r, c| r.abs_diff(c) <= 1),
+        build("single row", 1, 9, &|_, c| c != 4),
+        build("single column", 9, 1, &|r, _| r % 3 != 1),
+        build("fully candidate", 5, 6, &|_, _| true),
+        build("empty", 4, 5, &|_, _| false),
+        build("one cell", 6, 6, &|r, c| (r, c) == (2, 4)),
+        build("corners", 6, 7, &|r, c| {
+            (r == 0 || r == 5) && (c == 0 || c == 6)
+        }),
+    ]
+}
+
+#[test]
+fn tables_and_delta_search_equal_their_oracles_on_shaped_grids() {
+    for (name, grid) in shaped_grids() {
+        check_against_oracles(&grid, 8, true).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn tables_and_delta_search_equal_their_oracles_on_staircase_grids(grid in staircase_grid()) {
+        check_against_oracles(&grid, 8, true)?;
+    }
+
+    #[test]
+    fn tables_and_delta_search_equal_their_oracles_on_random_grids(grid in random_grid()) {
+        // The dense baseline on the small half only: its probes are O(n⁵).
+        let small = grid.n_rows() * grid.n_cols() <= 36;
+        check_against_oracles(&grid, 8, small)?;
+    }
 
     #[test]
     fn monotonic_bsp_partitions_are_always_valid(grid in staircase_grid(), delta_frac in 1u64..8) {
