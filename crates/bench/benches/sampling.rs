@@ -1,12 +1,12 @@
 //! Criterion bench: the sampling substrate — the census → sweep → draw
-//! pipeline of Stream-Sample, equi-depth histogram construction, alias
-//! tables and weighted reservoirs.
+//! pipeline of Stream-Sample, equi-depth histogram construction and weighted
+//! reservoirs.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ewh_sampling::{
-    bernoulli_sample, stream_sample, AliasTable, EquiDepthHistogram, KeyedCounts, WeightedReservoir,
+    bernoulli_sample, stream_sample, EquiDepthHistogram, KeyedCounts, WeightedReservoir,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,14 +61,6 @@ fn bench_structures(c: &mut Criterion) {
         b.iter(|| {
             let mut sample = ks[..20_000].to_vec();
             EquiDepthHistogram::from_sample(&mut sample, 1000).num_buckets()
-        });
-    });
-    let weights: Vec<u64> = (1..10_000u64).collect();
-    group.bench_function("alias_build_and_1k_draws", |b| {
-        let mut rng = SmallRng::seed_from_u64(7);
-        b.iter(|| {
-            let at = AliasTable::new(&weights).unwrap();
-            (0..1000).map(|_| at.sample(&mut rng)).sum::<usize>()
         });
     });
     group.bench_function("weighted_reservoir_100k_offers", |b| {

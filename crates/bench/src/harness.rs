@@ -1,12 +1,15 @@
 //! Shared experiment harness: consistent operator configuration, scheme
-//! sweeps, and TSV table printing for the per-figure binaries.
+//! sweeps, and the scale guard of the peak-memory claims.
 
 use ewh_core::{CostModel, CsiParams, HistogramParams, SchemeKind, TUPLE_BYTES};
-use ewh_exec::{run_operator, EngineRuntime, OperatorConfig, OperatorRun};
+use ewh_exec::{
+    run_operator, AdaptiveConfig, EngineRuntime, OperatorConfig, OperatorRun, RuntimeConfig,
+    Straggler,
+};
 
-use crate::workloads::{ChainWorkload, Workload};
+use crate::workloads::Workload;
 
-/// Experiment-level knobs shared by all binaries.
+/// Experiment-level knobs shared by all subcommands.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
     /// Data scale relative to the defaults (1.0 ≈ 1/1000 of the paper).
@@ -37,29 +40,10 @@ impl Default for RunConfig {
 
 impl RunConfig {
     /// A shared worker-pool runtime sized to this config's `threads` — the
-    /// per-binary stand-in for the host-global pool a server would own.
+    /// per-run stand-in for the host-global pool a server would own.
     /// Build it once per experiment; every query of the run shares it.
     pub fn runtime(&self) -> EngineRuntime {
         EngineRuntime::new(self.threads)
-    }
-
-    /// Parses `--scale X --j N --seed S --csi-p P` style flags; unknown
-    /// flags are ignored so binaries can add their own.
-    pub fn from_args() -> Self {
-        let mut rc = RunConfig::default();
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            let next = || args.get(i + 1).cloned().unwrap_or_default();
-            match args[i].as_str() {
-                "--scale" => rc.scale = next().parse().expect("--scale takes a float"),
-                "--j" => rc.j = next().parse().expect("--j takes an integer"),
-                "--threads" => rc.threads = next().parse().expect("--threads takes an integer"),
-                "--seed" => rc.seed = next().parse().expect("--seed takes an integer"),
-                "--csi-p" => rc.csi_p = next().parse().expect("--csi-p takes an integer"),
-                _ => {}
-            }
-        }
-        rc
     }
 
     /// The fixed cluster memory capacity (the paper's 720 GB analogue):
@@ -69,18 +53,9 @@ impl RunConfig {
         (4.5 * 2.0 * crate::workloads::BICD_ORDERS as f64 * self.scale * TUPLE_BYTES as f64) as u64
     }
 
-    /// Operator configuration for one workload.
-    pub fn operator_config(&self, w: &Workload) -> OperatorConfig {
-        self.config_with_cost(w.cost)
-    }
-
-    /// Operator configuration for a chained workload (shared by every
-    /// stage of the plan).
-    pub fn chain_config(&self, w: &ChainWorkload) -> OperatorConfig {
-        self.config_with_cost(w.cost)
-    }
-
-    fn config_with_cost(&self, cost: CostModel) -> OperatorConfig {
+    /// Operator configuration for a workload (or every stage of a chained
+    /// one) with the given cost model.
+    pub fn operator_config(&self, cost: CostModel) -> OperatorConfig {
         OperatorConfig {
             j: self.j,
             threads: self.threads,
@@ -97,6 +72,31 @@ impl RunConfig {
     }
 }
 
+/// One pool for several tenants: `workers` threads, at most `queries`
+/// admitted at once, and optionally a runtime-global memory budget that
+/// admission carves into equal per-tenant slices.
+pub fn shared_pool(
+    workers: usize,
+    queries: usize,
+    memory_budget_tuples: Option<u64>,
+) -> EngineRuntime {
+    EngineRuntime::with_config(RuntimeConfig {
+        workers,
+        max_concurrent_queries: queries.max(1),
+        memory_budget_tuples,
+    })
+}
+
+/// Runs one workload under one scheme and an explicit configuration.
+pub fn run_with(
+    rt: &EngineRuntime,
+    w: &Workload,
+    kind: SchemeKind,
+    cfg: &OperatorConfig,
+) -> OperatorRun {
+    run_operator(rt, kind, &w.r1, &w.r2, &w.cond, cfg)
+}
+
 /// Runs one workload under one scheme on the shared runtime.
 pub fn run_scheme(
     rt: &EngineRuntime,
@@ -104,8 +104,7 @@ pub fn run_scheme(
     kind: SchemeKind,
     rc: &RunConfig,
 ) -> OperatorRun {
-    let cfg = rc.operator_config(w);
-    run_operator(rt, kind, &w.r1, &w.r2, &w.cond, &cfg)
+    run_with(rt, w, kind, &rc.operator_config(w.cost))
 }
 
 /// Runs all three schemes on a workload.
@@ -116,24 +115,13 @@ pub fn run_all_schemes(rt: &EngineRuntime, w: &Workload, rc: &RunConfig) -> Vec<
         .collect()
 }
 
-/// Measured output/input ratio of a completed run.
-pub fn rho_oi(w: &Workload, run: &OperatorRun) -> f64 {
-    run.join.output_total as f64 / w.n_input() as f64
-}
-
 /// `MiB` pretty-printer.
 pub fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
 
-/// Minimal JSON string escaping for the bench binaries' reports (one
-/// definition, shared so every `BENCH_*.json` escapes identically).
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// The checkout a `BENCH_*.json` record's numbers came from (`-dirty` when
-/// it has local edits).
+/// The checkout a `--json` record's numbers came from (`-dirty` when it has
+/// local edits).
 pub fn commit() -> String {
     std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
@@ -144,59 +132,48 @@ pub fn commit() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Warns (stderr) when a workload is too small for pipelined-vs-batch
-/// peak-memory comparisons to mean anything: below ~3× the engine's bounded
-/// buffers (reducer queues + in-flight morsels + probe chunks) most of the
-/// input fits in flight at once and "peak resident" legitimately approaches
-/// the total — the small-scale footgun documented after PR 2. Returns
-/// whether the workload is safely above the floor, so claims tests can
-/// assert on it.
-pub fn check_pipelined_scale(w: &Workload, cfg: &OperatorConfig) -> bool {
+/// Warns (stderr) when a workload is too small for pipelined-vs-batch (or
+/// plan-vs-materialized) peak-memory comparisons to mean anything: below ~3×
+/// the engine's bounded buffers (reducer queues + in-flight morsels + probe
+/// chunks) most of the input fits in flight at once and "peak resident"
+/// legitimately approaches the total — the small-scale footgun documented
+/// after PR 2. `n_input` counts base-relation tuples: on a chain they are the
+/// smallest streams in play. Returns whether the workload is safely above
+/// the floor, so claims tests can assert on it.
+pub fn check_pipelined_scale(name: &str, n_input: u64, cfg: &OperatorConfig) -> bool {
     let floor = cfg.min_pipelined_input_tuples();
-    let ok = w.n_input() >= floor;
+    let ok = n_input >= floor;
     if !ok {
         eprintln!(
-            "warning: workload `{}` has {} input tuples, below the ~{} floor where \
-             pipelined peak-resident comparisons are meaningful (inputs must dwarf the \
-             engine's bounded buffers); grow --scale or shrink queue/morsel sizes",
-            w.name,
-            w.n_input(),
-            floor
+            "warning: workload `{name}` has {n_input} input tuples, below the ~{floor} floor \
+             where pipelined peak-resident comparisons are meaningful (inputs must dwarf the \
+             engine's bounded buffers); grow --scale or shrink queue/morsel sizes"
         );
     }
     ok
 }
 
-/// The chained analogue of [`check_pipelined_scale`]: every stage of a
-/// plan-vs-materialize comparison must sit above the bounded-buffer floor,
-/// and the base relations are the smallest streams in play (the
-/// intermediate is strictly larger on the hot-key chain). Returns whether
-/// the workload is safely above the floor.
-pub fn check_plan_scale(w: &ChainWorkload, cfg: &OperatorConfig) -> bool {
-    let floor = cfg.min_pipelined_input_tuples();
-    let ok = w.n_input() >= floor;
-    if !ok {
-        eprintln!(
-            "warning: chained workload `{}` has {} base input tuples, below the ~{} floor \
-             where plan-vs-materialize peak-resident comparisons are meaningful; grow \
-             --scale or shrink queue/morsel sizes",
-            w.name,
-            w.n_input(),
-            floor
-        );
-    }
-    ok
-}
+/// The injected fault of every straggler scenario but the `pipeline`
+/// table's: 20 µs per absorbed tuple on reducer 0, enough for the slowed
+/// reducer to dominate the makespan unless its regions migrate.
+pub const SLOW_REDUCER: Straggler = Straggler {
+    reducer: 0,
+    nanos_per_tuple: 20_000,
+};
 
-/// Prints a TSV header followed by rows (all binaries emit
-/// machine-greppable TSV so EXPERIMENTS.md can quote them directly).
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("# {title}");
-    println!("{}", header.join("\t"));
-    for row in rows {
-        println!("{}", row.join("\t"));
+/// Thresholds that force the coordinator to migrate (the
+/// `prop_migration.rs` pattern): a zero move-cost gate and a one-tuple
+/// backlog. Scenarios that use them show that the Migrate/Adopt protocol
+/// works, not that the default damping fires under some build's timing;
+/// pair them with [`SLOW_REDUCER`] so the backlog persists.
+pub fn forced_migration(poll_micros: u64) -> AdaptiveConfig {
+    AdaptiveConfig {
+        reassign: true,
+        move_cost_factor: 0.0,
+        migrate_backlog_tuples: 1,
+        poll_micros,
+        ..Default::default()
     }
-    println!();
 }
 
 #[cfg(test)]

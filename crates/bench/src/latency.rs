@@ -8,20 +8,19 @@
 //! arrival — so scheduler-induced queueing delay counts against the
 //! scheduler, the way it does for a real interactive client.
 //!
-//! The `latency_bench` binary seeds `BENCH_latency.json` from one run;
-//! `tests/latency_claims.rs` asserts what must hold of the event-driven
-//! scheduler in counters: every small query equals its serial run, tasks
-//! really park and are really woken, and a block costs one `Pending` poll.
+//! The `latency` subcommand prints one run; `tests/latency_claims.rs`
+//! asserts what must hold of the event-driven scheduler in counters: every
+//! small query equals its serial run, tasks really park and are really
+//! woken, and a block costs one `Pending` poll.
 
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ewh_core::SchemeKind;
-use ewh_exec::{
-    run_operator, EngineRuntime, ExecMode, OperatorConfig, OperatorRun, OutputWork, RuntimeConfig,
-};
+use ewh_exec::{ExecMode, OperatorConfig, OperatorRun, OutputWork};
 
-use crate::harness::RunConfig;
+use crate::cli::{f, Args, Flag, Kind, Report, Subcommand, Table};
+use crate::harness::{run_with, shared_pool, RunConfig};
 use crate::workloads::{retail_hotkey, Workload};
 
 /// Knobs of one open-loop run.
@@ -112,7 +111,7 @@ fn query_config(
         // Small queries sit below the default retail scale; shrink the
         // bounded buffers so their pipelines still do real streaming.
         queue_tuples: 1024,
-        ..rc.operator_config(w)
+        ..rc.operator_config(w.cost)
     }
 }
 
@@ -130,37 +129,17 @@ pub fn run_mode(sc: &LatencyScenario) -> ModeOutcome {
     let small_cfg = query_config(sc, sc.small_scale, OutputWork::Count, &small_w);
     let analytic_cfg = query_config(sc, sc.analytic_scale, OutputWork::Touch, &analytic_w);
 
-    let rt = EngineRuntime::with_config(RuntimeConfig {
-        workers: sc.workers,
-        // Admission must never throttle the open-loop arrivals: queueing
-        // delay should come from the scheduler, not the ticket queue.
-        max_concurrent_queries: sc.small_queries + 2,
-        memory_budget_tuples: None,
-    });
+    // Admission must never throttle the open-loop arrivals: queueing delay
+    // should come from the scheduler, not the ticket queue.
+    let rt = shared_pool(sc.workers, sc.small_queries + 2, None);
     // The serial reference: the small query with the pool to itself.
-    let serial = run_operator(
-        &rt,
-        SchemeKind::Csio,
-        &small_w.r1,
-        &small_w.r2,
-        &small_w.cond,
-        &small_cfg,
-    );
+    let serial = run_with(&rt, &small_w, SchemeKind::Csio, &small_cfg);
     let (small_output, small_checksum) = (serial.join.output_total, serial.join.checksum);
     let before = rt.metrics();
     let start = Instant::now();
 
     let (analytic, smalls): (OperatorRun, Vec<(u64, u64, f64)>) = thread::scope(|s| {
-        let analytic = s.spawn(|| {
-            run_operator(
-                &rt,
-                SchemeKind::Csio,
-                &analytic_w.r1,
-                &analytic_w.r2,
-                &analytic_w.cond,
-                &analytic_cfg,
-            )
-        });
+        let analytic = s.spawn(|| run_with(&rt, &analytic_w, SchemeKind::Csio, &analytic_cfg));
         // The open-loop dispatcher: arrival k is *scheduled* at
         // start + (k+1)·interval, and its latency clock starts there even
         // if the host is late dispatching the client thread.
@@ -170,7 +149,7 @@ pub fn run_mode(sc: &LatencyScenario) -> ModeOutcome {
                 let (rt, w, cfg) = (&rt, &small_w, &small_cfg);
                 thread::sleep(scheduled.saturating_duration_since(Instant::now()));
                 s.spawn(move || {
-                    let run = run_operator(rt, SchemeKind::Csio, &w.r1, &w.r2, &w.cond, cfg);
+                    let run = run_with(rt, w, SchemeKind::Csio, cfg);
                     let latency = scheduled.elapsed().as_secs_f64();
                     (run.join.output_total, run.join.checksum, latency)
                 })
@@ -206,4 +185,58 @@ pub fn run_mode(sc: &LatencyScenario) -> ModeOutcome {
         wakeups: after.wakeups - before.wakeups,
         parked_secs: (after.parked_secs - before.parked_secs).max(0.0),
     }
+}
+
+pub const SUBCOMMAND: Subcommand = Subcommand::new(
+    "latency",
+    &[
+        Flag("--small", Kind::Count),
+        Flag("--interval-ms", Kind::Int),
+        Flag("--analytic-scale", Kind::Positive),
+        Flag("--workers", Kind::Count),
+    ],
+    print,
+);
+
+/// p50/p99 are timing; `spurious_polls` / `wakeups` / `tasks_spawned` are
+/// the counters `latency_claims.rs` bounds.
+fn print(args: &Args, report: &mut Report) {
+    let d = LatencyScenario::default();
+    let sc = LatencyScenario {
+        small_queries: args.get("--small").unwrap_or(d.small_queries),
+        interval: args
+            .get("--interval-ms")
+            .map_or(d.interval, Duration::from_millis),
+        analytic_scale: args.get("--analytic-scale").unwrap_or(d.analytic_scale),
+        workers: args.get("--workers").unwrap_or(d.workers),
+        seed: args.rc.seed,
+        ..d
+    };
+    report.rc.threads = sc.workers;
+    let run = run_mode(&sc);
+    let mut table = Table::new(
+        format!(
+            "latency (RETAIL, {} small @ {:?} beside one {}x analytic, {}-worker pool)",
+            sc.small_queries, sc.interval, sc.analytic_scale, sc.workers
+        ),
+        &[
+            "p50_ms",
+            "p99_ms",
+            "analytic_s",
+            "tasks_spawned",
+            "spurious_polls",
+            "wakeups",
+            "parked_s",
+        ],
+    );
+    table.row(vec![
+        f(run.p50_secs() * 1e3, 3),
+        f(run.p99_secs() * 1e3, 3),
+        f(run.analytic_wall_secs, 4),
+        run.tasks_spawned.into(),
+        run.spurious_polls.into(),
+        run.wakeups.into(),
+        f(run.parked_secs, 4),
+    ]);
+    report.push(table);
 }

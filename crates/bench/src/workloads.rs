@@ -259,13 +259,9 @@ impl ChainWorkload {
 /// CHAIN: the chained hot-key workload — `A ⋈ B` concentrates ≈ half of
 /// its output on one SKU, so the second hop's probe *stream* is an order
 /// of magnitude more skewed than any base relation (multi-way
-/// intermediate skew; not a paper workload). Both hops default to CSIO so
-/// the second hop's scheme is built from online intermediate statistics.
-pub fn chain_hotkey(scale: f64, seed: u64) -> ChainWorkload {
-    chain_hotkey_with(ewh_core::SchemeKind::Csio, scale, seed)
-}
-
-/// [`chain_hotkey`] with an explicit scheme kind for both hops.
+/// intermediate skew; not a paper workload). Both hops run under `kind`;
+/// with CSIO the second hop's scheme is built from online intermediate
+/// statistics.
 pub fn chain_hotkey_with(kind: ewh_core::SchemeKind, scale: f64, seed: u64) -> ChainWorkload {
     let params = ChainParams {
         n: ((CHAIN_N as f64 * scale) as usize).max(2_000),
@@ -391,7 +387,7 @@ mod tests {
 
     #[test]
     fn chain_intermediate_is_more_skewed_than_its_inputs() {
-        let w = chain_hotkey(0.3, 7);
+        let w = chain_hotkey_with(ewh_core::SchemeKind::Csio, 0.3, 7);
         assert_eq!(w.n_input() as usize, w.a.len() + w.b.len() + w.c.len());
         // The design target the plan executor's claims lean on: around
         // half the intermediate on one key.

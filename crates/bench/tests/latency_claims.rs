@@ -1,8 +1,7 @@
-//! Claims behind `BENCH_latency.json` (the `latency_bench` binary), stated
-//! in counters: under an open-loop mixed workload on the event-driven
-//! scheduler every small interactive query equals its serial run, tasks
-//! really park and are really woken, and a genuine block costs one
-//! `Pending` poll. Wall-time claims live in the repository benchmark, not
+//! Claims of the `latency` subcommand's scenario, stated in counters: under
+//! an open-loop mixed workload on the event-driven scheduler every small
+//! interactive query equals its serial run, tasks really park and are
+//! really woken, and a genuine block costs one `Pending` poll. Wall-time claims live in the repository benchmark, not
 //! here.
 //!
 //! The scenario is a scaled-down version of the bench default so the test

@@ -8,12 +8,10 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use ewh_bench::{bcb, check_pipelined_scale, retail_hotkey, RunConfig, Workload};
+use ewh_bench::pipeline::{migration_run, pair_config, run_both};
+use ewh_bench::{bcb, check_pipelined_scale, retail_hotkey, run_scheme, RunConfig, SLOW_REDUCER};
 use ewh_core::SchemeKind;
-use ewh_exec::{
-    run_operator, AdaptiveConfig, EngineRuntime, ExecMode, OperatorConfig, OperatorRun, OutputWork,
-    Straggler,
-};
+use ewh_exec::OutputWork;
 
 /// These tests assert on timing-sensitive properties (peak resident memory,
 /// idle time, migration counts) and one of them sleeps hard; running them
@@ -25,51 +23,13 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Config for the peak-memory claim: halved reducer queues, so the bounded
-/// buffers sit well below the inputs. RETAIL's equi self-join has no
+/// Queue bound for the peak-memory claim: halved reducer queues, so the
+/// bounded buffers sit well below the inputs. RETAIL's equi self-join has no
 /// replication (pipelined routed volume == batch shuffle volume), which
 /// makes its margin the thinnest of all workloads — at the default queue
 /// bound a momentarily backlogged queue plus the hot region's merge
 /// transient could brush the batch footprint.
-fn claim_config(w: &Workload, rc: &RunConfig, work: OutputWork) -> OperatorConfig {
-    OperatorConfig {
-        output_work: work,
-        queue_tuples: 2048,
-        ..rc.operator_config(w)
-    }
-}
-
-fn run_both(
-    rt: &EngineRuntime,
-    w: &Workload,
-    rc: &RunConfig,
-    work: OutputWork,
-) -> (ewh_exec::OperatorRun, ewh_exec::OperatorRun) {
-    let base = claim_config(w, rc, work);
-    let batch = run_operator(
-        rt,
-        SchemeKind::Csio,
-        &w.r1,
-        &w.r2,
-        &w.cond,
-        &OperatorConfig {
-            mode: ExecMode::Batch,
-            ..base.clone()
-        },
-    );
-    let pipe = run_operator(
-        rt,
-        SchemeKind::Csio,
-        &w.r1,
-        &w.r2,
-        &w.cond,
-        &OperatorConfig {
-            mode: ExecMode::Pipelined,
-            ..base
-        },
-    );
-    (batch, pipe)
-}
+const QUEUE_TUPLES: usize = 2048;
 
 #[test]
 fn pipelined_peak_memory_beats_batch_on_zipf_and_hotkey_workloads() {
@@ -94,12 +54,13 @@ fn pipelined_peak_memory_beats_batch_on_zipf_and_hotkey_workloads() {
         // The comparison below is only meaningful above the small-scale
         // floor (inputs must dwarf the engine's bounded buffers) — assert
         // it so a future scale tweak cannot silently hollow the claim out.
+        let cfg = pair_config(w, &rc, *work, Some(QUEUE_TUPLES));
         assert!(
-            check_pipelined_scale(w, &claim_config(w, &rc, *work)),
+            check_pipelined_scale(&w.name, w.n_input(), &cfg),
             "{}: workload too small for a meaningful peak-memory claim",
             w.name
         );
-        let (batch, pipe) = run_both(&rt, w, &rc, *work);
+        let (batch, pipe) = run_both(&rt, w, &cfg);
         assert_eq!(
             pipe.join.output_total, batch.join.output_total,
             "{}",
@@ -119,26 +80,6 @@ fn pipelined_peak_memory_beats_batch_on_zipf_and_hotkey_workloads() {
     }
 }
 
-fn migration_run(
-    rt: &EngineRuntime,
-    w: &Workload,
-    rc: &RunConfig,
-    reassign: bool,
-    straggler: Option<Straggler>,
-) -> OperatorRun {
-    let cfg = OperatorConfig {
-        mode: ExecMode::Pipelined,
-        output_work: OutputWork::Count,
-        adaptive: AdaptiveConfig {
-            reassign,
-            ..Default::default()
-        },
-        straggler,
-        ..rc.operator_config(w)
-    };
-    run_operator(rt, SchemeKind::Csio, &w.r1, &w.r2, &w.cond, &cfg)
-}
-
 #[test]
 fn migration_recovers_a_straggling_reducer() {
     let _serial = serial();
@@ -155,13 +96,9 @@ fn migration_recovers_a_straggling_reducer() {
         ..Default::default()
     };
     let w = retail_hotkey(rc.scale, rc.seed);
-    let straggler = Some(Straggler {
-        reducer: 0,
-        nanos_per_tuple: 20_000,
-    });
     let rt = rc.runtime();
-    let frozen = migration_run(&rt, &w, &rc, false, straggler);
-    let adaptive = migration_run(&rt, &w, &rc, true, straggler);
+    let frozen = migration_run(&rt, &w, &rc, SchemeKind::Csio, false, Some(SLOW_REDUCER));
+    let adaptive = migration_run(&rt, &w, &rc, SchemeKind::Csio, true, Some(SLOW_REDUCER));
 
     assert_eq!(frozen.join.output_total, adaptive.join.output_total);
     assert_eq!(frozen.join.checksum, adaptive.join.checksum);
@@ -200,7 +137,7 @@ fn balanced_csio_runs_migrate_almost_nothing() {
         ..Default::default()
     };
     let w = retail_hotkey(rc.scale, rc.seed);
-    let run = migration_run(&rc.runtime(), &w, &rc, true, None);
+    let run = migration_run(&rc.runtime(), &w, &rc, SchemeKind::Csio, true, None);
     // ≤ 2, not 0: on an oversubscribed host the OS can hold a pool worker
     // (and with it a reducer) off-CPU long enough to look starved for the
     // damping window, and the cheap corrective move it triggers is correct
@@ -226,10 +163,9 @@ fn hotkey_workload_is_output_skewed_for_input_only_schemes() {
         ..Default::default()
     };
     let w = retail_hotkey(rc.scale, rc.seed);
-    let cfg = rc.operator_config(&w);
     let rt = rc.runtime();
-    let csi = run_operator(&rt, SchemeKind::Csi, &w.r1, &w.r2, &w.cond, &cfg);
-    let csio = run_operator(&rt, SchemeKind::Csio, &w.r1, &w.r2, &w.cond, &cfg);
+    let csi = run_scheme(&rt, &w, SchemeKind::Csi, &rc);
+    let csio = run_scheme(&rt, &w, SchemeKind::Csio, &rc);
     assert_eq!(csi.join.output_total, csio.join.output_total);
     assert!(
         csio.join.max_weight_milli < csi.join.max_weight_milli,

@@ -6,9 +6,9 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use ewh_bench::{chain_hotkey, chain_hotkey_with, check_plan_scale, RunConfig};
+use ewh_bench::plan::{run, PlanOutcome};
+use ewh_bench::RunConfig;
 use ewh_core::SchemeKind;
-use ewh_exec::{run_plan, run_plan_materialized, OperatorConfig};
 
 /// Timing-sensitive peak-memory assertions; serialized for the same reason
 /// as `pipeline_claims.rs` (concurrent tests starve each other's reducers
@@ -19,14 +19,9 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn claims_config(rc: &RunConfig, w: &ewh_bench::ChainWorkload) -> OperatorConfig {
-    OperatorConfig {
-        // Keep the bounded buffers well under the base-relation sizes so
-        // the scale guard holds (see `min_pipelined_input_tuples`).
-        queue_tuples: 1024,
-        ..rc.chain_config(w)
-    }
-}
+/// Keeps the bounded buffers well under the base-relation sizes so the
+/// scale guard holds (see `min_pipelined_input_tuples`).
+const QUEUE_TUPLES: usize = 1024;
 
 #[test]
 fn pipelined_plan_peak_memory_beats_materialized_baseline() {
@@ -37,19 +32,21 @@ fn pipelined_plan_peak_memory_beats_materialized_baseline() {
         threads: 4,
         ..Default::default()
     };
-    let w = chain_hotkey(rc.scale, rc.seed);
-    let cfg = claims_config(&rc, &w);
+    let PlanOutcome {
+        w,
+        cfg,
+        above_floor,
+        pipe,
+        mat,
+    } = run(SchemeKind::Csio, &rc, Some(QUEUE_TUPLES));
     // The comparison below is only meaningful above the small-input floor
     // (base relations must dwarf the engine's bounded buffers) — assert it
     // so a future scale tweak cannot silently hollow the claim out.
     assert!(
-        check_plan_scale(&w, &cfg),
+        above_floor,
         "{}: workload too small for a meaningful plan peak-memory claim",
         w.name
     );
-    let chain = w.chain();
-    let pipe = run_plan(&rc.runtime(), &w.a, &w.b, &w.first, &chain, &cfg);
-    let mat = run_plan_materialized(&w.a, &w.b, &w.first, &chain, &cfg);
 
     // The materialized baseline's joins run on the batch path — the
     // correctness oracle. The streamed plan must match it exactly.
@@ -91,12 +88,14 @@ fn hash_chain_shows_the_same_memory_profile() {
         threads: 4,
         ..Default::default()
     };
-    let w = chain_hotkey_with(SchemeKind::Hash, rc.scale, rc.seed);
-    let cfg = claims_config(&rc, &w);
-    assert!(check_plan_scale(&w, &cfg), "{}: below scale floor", w.name);
-    let chain = w.chain();
-    let pipe = run_plan(&rc.runtime(), &w.a, &w.b, &w.first, &chain, &cfg);
-    let mat = run_plan_materialized(&w.a, &w.b, &w.first, &chain, &cfg);
+    let PlanOutcome {
+        w,
+        above_floor,
+        pipe,
+        mat,
+        ..
+    } = run(SchemeKind::Hash, &rc, Some(QUEUE_TUPLES));
+    assert!(above_floor, "{}: below scale floor", w.name);
     assert_eq!(pipe.output_total, mat.output_total);
     assert_eq!(pipe.checksum, mat.checksum);
     assert!(

@@ -22,21 +22,17 @@
 //! **Scale floor:** like every pipelined claim, these runs must respect
 //! `OperatorConfig::min_pipelined_input_tuples` — inputs must dwarf the
 //! engine's bounded buffers (reducer queues + in-flight morsels + probe
-//! chunks), which is why `claims_config` halves the queue bound and the
+//! chunks), which is why `query_config` halves the queue bound and the
 //! first test asserts `check_pipelined_scale`. Shrinking `--scale` (or
 //! growing queues) below that floor hollows the claims out instead of
 //! failing loudly.
 
 use std::sync::{Mutex, MutexGuard};
-use std::thread;
-use std::time::Instant;
 
-use ewh_bench::{check_pipelined_scale, retail_hotkey, RunConfig, Workload};
-use ewh_core::{SchemeKind, TUPLE_BYTES};
-use ewh_exec::{
-    run_operator, AdaptiveConfig, EngineRuntime, ExecMode, OperatorConfig, OperatorRun, OutputWork,
-    RuntimeConfig, Straggler,
-};
+use ewh_bench::concurrent::{query_config, run_concurrent, run_query, straggler_beside_healthy};
+use ewh_bench::{check_pipelined_scale, retail_hotkey, shared_pool, RunConfig};
+use ewh_core::TUPLE_BYTES;
+use ewh_exec::OperatorConfig;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -57,81 +53,23 @@ fn claims_rc() -> RunConfig {
     }
 }
 
-fn claims_config(rc: &RunConfig, w: &Workload) -> OperatorConfig {
-    OperatorConfig {
-        mode: ExecMode::Pipelined,
-        output_work: OutputWork::Count,
-        // Halved queues keep the bounded buffers under the retail input at
-        // this scale (the min_pipelined_input_tuples floor).
-        queue_tuples: 1024,
-        ..rc.operator_config(w)
-    }
-}
-
-fn shared_runtime() -> EngineRuntime {
-    EngineRuntime::with_config(RuntimeConfig {
-        workers: WORKERS,
-        max_concurrent_queries: QUERIES,
-        memory_budget_tuples: None,
-    })
-}
-
-fn run_query(rt: &EngineRuntime, w: &Workload, cfg: &OperatorConfig) -> OperatorRun {
-    run_operator(rt, SchemeKind::Csio, &w.r1, &w.r2, &w.cond, cfg)
-}
-
-/// Fires `n` queries at once; `shared` = one pool for all, else one
-/// private `pool_workers`-wide pool per query (the spawn-per-query
-/// baseline).
-fn concurrent_makespan(
-    n: usize,
-    shared: Option<&EngineRuntime>,
-    pool_workers: usize,
-    w: &Workload,
-    cfg: &OperatorConfig,
-) -> (f64, Vec<OperatorRun>) {
-    let start = Instant::now();
-    let runs: Vec<OperatorRun> = thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|_| {
-                s.spawn(move || {
-                    let own;
-                    let rt = match shared {
-                        Some(rt) => rt,
-                        None => {
-                            own = EngineRuntime::new(pool_workers);
-                            &own
-                        }
-                    };
-                    run_query(rt, w, cfg)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query thread panicked"))
-            .collect()
-    });
-    (start.elapsed().as_secs_f64(), runs)
-}
-
 #[test]
 fn eight_concurrent_queries_on_one_pool_match_the_serial_oracle() {
     let _serial = serial();
     let rc = claims_rc();
     let w = retail_hotkey(rc.scale, rc.seed);
-    let cfg = claims_config(&rc, &w);
+    let cfg = query_config(&rc, &w);
     assert!(
-        check_pipelined_scale(&w, &cfg),
+        check_pipelined_scale(&w.name, w.n_input(), &cfg),
         "{}: workload below the min_pipelined_input_tuples floor — the
          runtime claims are only meaningful above it",
         w.name
     );
-    let rt = shared_runtime();
+    let rt = shared_pool(WORKERS, QUERIES, None);
     let oracle = run_query(&rt, &w, &cfg);
     assert!(oracle.join.output_total > 0);
 
-    let (_, runs) = concurrent_makespan(QUERIES, Some(&rt), WORKERS, &w, &cfg);
+    let (_, runs) = run_concurrent(QUERIES, Some(&rt), WORKERS, &w, &cfg);
     for (i, run) in runs.iter().enumerate() {
         assert_eq!(
             run.join.output_total, oracle.join.output_total,
@@ -176,12 +114,8 @@ fn shared_pool_beats_spawn_per_query_on_aggregate_makespan() {
         .unwrap_or(2);
     let rc = claims_rc();
     let w = retail_hotkey(rc.scale, rc.seed);
-    let cfg = claims_config(&rc, &w);
-    let rt = EngineRuntime::with_config(RuntimeConfig {
-        workers: host,
-        max_concurrent_queries: QUERIES,
-        memory_budget_tuples: None,
-    });
+    let cfg = query_config(&rc, &w);
+    let rt = shared_pool(host, QUERIES, None);
     run_query(&rt, &w, &cfg); // warm caches/pages outside the timed region
 
     // Interleave the two arms so slow-host drift (thermal, noisy
@@ -189,9 +123,8 @@ fn shared_pool_beats_spawn_per_query_on_aggregate_makespan() {
     let mut shared_times = Vec::with_capacity(SAMPLES);
     let mut spawn_times = Vec::with_capacity(SAMPLES);
     for round in 0..SAMPLES {
-        let (shared_makespan, shared_runs) =
-            concurrent_makespan(QUERIES, Some(&rt), host, &w, &cfg);
-        let (spawn_makespan, spawn_runs) = concurrent_makespan(QUERIES, None, host, &w, &cfg);
+        let (shared_makespan, shared_runs) = run_concurrent(QUERIES, Some(&rt), host, &w, &cfg);
+        let (spawn_makespan, spawn_runs) = run_concurrent(QUERIES, None, host, &w, &cfg);
         assert_eq!(
             shared_runs[0].join.output_total, spawn_runs[0].join.output_total,
             "round {round}"
@@ -218,44 +151,15 @@ fn straggler_query_still_migrates_while_a_healthy_query_shares_the_pool() {
     let _serial = serial();
     let rc = claims_rc();
     let w = retail_hotkey(rc.scale, rc.seed);
-    let base = claims_config(&rc, &w);
-    // Forced thresholds (the `prop_migration.rs` pattern): the claim here
-    // is that the Migrate/Adopt/fence protocol works across tenants, not
-    // that the default damping fires under debug-build timing.
-    let slow_cfg = OperatorConfig {
-        adaptive: AdaptiveConfig {
-            reassign: true,
-            move_cost_factor: 0.0,
-            migrate_backlog_tuples: 1,
-            poll_micros: 50,
-            ..Default::default()
-        },
-        straggler: Some(Straggler {
-            reducer: 0,
-            nanos_per_tuple: 20_000,
-        }),
-        ..base.clone()
-    };
-    let rt = shared_runtime();
+    let base = query_config(&rc, &w);
+    let rt = shared_pool(WORKERS, QUERIES, None);
     let oracle = run_query(&rt, &w, &base);
 
-    let (slow, healthy) = thread::scope(|s| {
-        let rt = &rt;
-        let slow = s.spawn({
-            let slow_cfg = &slow_cfg;
-            let w = &w;
-            move || run_query(rt, w, slow_cfg)
-        });
-        let healthy = s.spawn({
-            let base = &base;
-            let w = &w;
-            move || run_query(rt, w, base)
-        });
-        (
-            slow.join().expect("straggler query panicked"),
-            healthy.join().expect("healthy query panicked"),
-        )
-    });
+    // The straggler query runs under forced thresholds (the
+    // `prop_migration.rs` pattern): the claim here is that the
+    // Migrate/Adopt/fence protocol works across tenants, not that the
+    // default damping fires under debug-build timing.
+    let (slow, healthy) = straggler_beside_healthy(&rt, &w, &base);
     assert_eq!(slow.join.output_total, oracle.join.output_total);
     assert_eq!(slow.join.checksum, oracle.join.checksum);
     assert_eq!(healthy.join.output_total, oracle.join.output_total);
@@ -286,19 +190,15 @@ fn budgeted_admission_holds_each_tenant_inside_its_carved_slice() {
     // does its job.
     let rc = claims_rc();
     let w = retail_hotkey(rc.scale, rc.seed);
-    let cfg = claims_config(&rc, &w);
-    let unbudgeted_rt = shared_runtime();
+    let cfg = query_config(&rc, &w);
+    let unbudgeted_rt = shared_pool(WORKERS, QUERIES, None);
     let oracle = run_query(&unbudgeted_rt, &w, &cfg);
     assert!(oracle.join.output_total > 0);
     assert_eq!(oracle.join.spill_bytes, 0, "no budget, no spill");
 
     let slice_tuples = (oracle.join.peak_resident_bytes / TUPLE_BYTES / 4).max(1);
-    let rt = EngineRuntime::with_config(RuntimeConfig {
-        workers: WORKERS,
-        max_concurrent_queries: QUERIES,
-        // admit(None) carves total / QUERIES for each tenant.
-        memory_budget_tuples: Some(slice_tuples * QUERIES as u64),
-    });
+    // admit(None) carves total / QUERIES for each tenant.
+    let rt = shared_pool(WORKERS, QUERIES, Some(slice_tuples * QUERIES as u64));
     // Drop the advisory capacity request: a tenant asking for the whole
     // cluster capacity would clamp to the *entire* budget instead of
     // taking the equal slice this claim is about.
@@ -306,7 +206,7 @@ fn budgeted_admission_holds_each_tenant_inside_its_carved_slice() {
         mem_capacity_bytes: None,
         ..cfg
     };
-    let (_, runs) = concurrent_makespan(QUERIES, Some(&rt), WORKERS, &w, &cfg);
+    let (_, runs) = run_concurrent(QUERIES, Some(&rt), WORKERS, &w, &cfg);
     let slice_bytes = slice_tuples * TUPLE_BYTES;
     let transient_bytes = cfg.min_pipelined_input_tuples() as u64 * TUPLE_BYTES;
     for (i, run) in runs.iter().enumerate() {

@@ -25,9 +25,8 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use ewh_bench::{check_pipelined_scale, retail_hotkey, RunConfig};
-use ewh_core::{SchemeKind, TUPLE_BYTES};
-use ewh_exec::{run_operator, ExecMode, OperatorConfig, OutputWork, SpillConfig};
+use ewh_bench::spill::{run, SpillScenario};
+use ewh_bench::RunConfig;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -38,32 +37,31 @@ fn serial() -> MutexGuard<'static, ()> {
 #[test]
 fn a_quarter_budget_completes_exactly_with_peak_held_near_the_budget() {
     let _serial = serial();
-    let rc = RunConfig {
-        scale: 1.0,
-        j: 16,
-        threads: 4,
-        ..Default::default()
-    };
-    let w = retail_hotkey(rc.scale, rc.seed);
-    // Count mode: the hot key's quadratic output would dominate the run
-    // without touching the memory story. Halved queues keep the bounded
-    // buffers (the part of the footprint a budget cannot shed) small
-    // relative to the reducer state it can.
-    let base = OperatorConfig {
-        mode: ExecMode::Pipelined,
-        output_work: OutputWork::Count,
+    let spill_dir = std::env::temp_dir().join(format!("ewh-spill-claims-{}", std::process::id()));
+    // Halved queues keep the bounded buffers (the part of the footprint a
+    // budget cannot shed) small relative to the reducer state it can. The
+    // trigger is the budget itself, so the peak may pass it by one queue
+    // transient — the bound asserted below.
+    let out = run(&SpillScenario {
+        rc: RunConfig {
+            scale: 1.0,
+            j: 16,
+            threads: 4,
+            ..Default::default()
+        },
         queue_tuples: 1024,
-        ..rc.operator_config(&w)
-    };
+        morsel_tuples: None,
+        budget_frac: 0.25,
+        headroom: false,
+        temp_dir: Some(spill_dir.clone()),
+    });
     assert!(
-        check_pipelined_scale(&w, &base),
-        "{}: workload below the floor where peak-resident claims mean anything",
-        w.name
+        out.above_floor,
+        "RETAIL: workload below the floor where peak-resident claims mean anything"
     );
-    let rt = rc.runtime();
+    let (unbudgeted, budgeted) = (&out.unbudgeted, &out.budgeted);
 
     // Zero-pressure baseline: no budget, so the spill path must not run.
-    let unbudgeted = run_operator(&rt, SchemeKind::Csio, &w.r1, &w.r2, &w.cond, &base);
     assert!(unbudgeted.join.output_total > 0);
     assert_eq!(
         unbudgeted.join.spill_bytes, 0,
@@ -83,28 +81,13 @@ fn a_quarter_budget_completes_exactly_with_peak_held_near_the_budget() {
 
     // The enforcement claim: a quarter of the observed peak as budget.
     let budget_bytes = unbudgeted.join.peak_resident_bytes / 4;
-    let budget_tuples = (budget_bytes / TUPLE_BYTES).max(1);
-    let spill_dir = std::env::temp_dir().join(format!("ewh-spill-claims-{}", std::process::id()));
-    let budgeted = run_operator(
-        &rt,
-        SchemeKind::Csio,
-        &w.r1,
-        &w.r2,
-        &w.cond,
-        &OperatorConfig {
-            spill: SpillConfig {
-                budget_tuples: Some(budget_tuples),
-                temp_dir: Some(spill_dir.clone()),
-                fail_after_bytes: None,
-            },
-            ..base.clone()
-        },
-    );
+    assert_eq!(out.budget_bytes, budget_bytes);
     assert_eq!(budgeted.join.output_total, unbudgeted.join.output_total);
     assert_eq!(budgeted.join.checksum, unbudgeted.join.checksum);
     assert!(
         budgeted.join.spill_bytes > 0,
-        "a quarter budget must force real spill I/O (budget {budget_tuples} tuples)"
+        "a quarter budget must force real spill I/O (budget {} tuples)",
+        out.trigger_tuples
     );
     assert!(budgeted.join.spill_secs > 0.0);
     assert!(
@@ -126,14 +109,13 @@ fn a_quarter_budget_completes_exactly_with_peak_held_near_the_budget() {
     // the `min_pipelined_input_tuples` term) are mapper-side state the
     // budget cannot spill, and a merge/reload transiently doubles one
     // region's runs. Anything beyond that bound means enforcement leaked.
-    let transient_bytes = base.min_pipelined_input_tuples() as u64 * TUPLE_BYTES;
-    let bound = budget_bytes + transient_bytes;
+    let bound = budget_bytes + out.transient_bytes;
     assert!(
         budgeted.join.peak_resident_bytes <= bound,
         "budgeted peak {} bytes exceeds budget {} + queue transient {}",
         budgeted.join.peak_resident_bytes,
         budget_bytes,
-        transient_bytes
+        out.transient_bytes
     );
     // And the budget was a real constraint, not a no-op: it sits well
     // under what the run would otherwise have held resident.

@@ -3,61 +3,22 @@
 //! results over loopback pipes and real TCP sockets, migration included),
 //! the migration coordinator's move-cost gate is communication-aware (the
 //! same backlog migrates across a fast link and is declined across a thin
-//! one), and the two-process `distributed_join` harness reproduces the
+//! one), and the two-process `transport` subcommand reproduces the
 //! in-process oracle over real sockets.
 
 use std::process::Command;
 use std::sync::Mutex;
 
-use ewh_bench::{bcb, retail_hotkey, RunConfig, Workload};
+use ewh_bench::transport::{link_gate, oracle, wire_identity, wire_run};
+use ewh_bench::{bcb, RunConfig};
 use ewh_core::SchemeKind;
-use ewh_exec::{
-    run_operator, run_plan, AdaptiveConfig, EngineRuntime, ExecMode, LinkProfile, OperatorConfig,
-    OperatorRun, OutputWork, StageSpec, Straggler, TransportConfig,
-};
+use ewh_exec::TransportConfig;
 
 /// Timing-sensitive claims must not share the machine with each other.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn transport_run(
-    rt: &EngineRuntime,
-    w: &Workload,
-    rc: &RunConfig,
-    kind: SchemeKind,
-    transport: Option<TransportConfig>,
-    migrate: bool,
-) -> OperatorRun {
-    let cfg = OperatorConfig {
-        mode: ExecMode::Pipelined,
-        transport,
-        // Forced-migration thresholds need a persistent backlog: a remote
-        // queue's `used_tuples` only drains after the credit round-trip,
-        // so an idle-target window is racy without a straggler.
-        adaptive: if migrate {
-            AdaptiveConfig {
-                reassign: true,
-                move_cost_factor: 0.0,
-                migrate_backlog_tuples: 1,
-                poll_micros: 20,
-                ..Default::default()
-            }
-        } else {
-            AdaptiveConfig {
-                reassign: false,
-                ..Default::default()
-            }
-        },
-        straggler: migrate.then_some(Straggler {
-            reducer: 0,
-            nanos_per_tuple: 20_000,
-        }),
-        ..rc.operator_config(w)
-    };
-    run_operator(rt, kind, &w.r1, &w.r2, &w.cond, &cfg)
 }
 
 /// All four schemes over loopback pipes and TCP sockets produce the exact
@@ -74,32 +35,17 @@ fn framed_wires_reproduce_the_oracle_on_every_scheme() {
     };
     let w = bcb(2, rc.scale, rc.seed);
     let rt = rc.runtime();
-    let oracle = run_operator(
-        &rt,
-        SchemeKind::Ci,
-        &w.r1,
-        &w.r2,
-        &w.cond,
-        &OperatorConfig {
-            mode: ExecMode::Batch,
-            ..rc.operator_config(&w)
-        },
-    );
-    for kind in [
-        SchemeKind::Ci,
-        SchemeKind::Csi,
-        SchemeKind::Csio,
-        SchemeKind::Hash,
-    ] {
-        for transport in [TransportConfig::loopback(), TransportConfig::tcp()] {
-            let run = transport_run(&rt, &w, &rc, kind, Some(transport), false);
-            assert_eq!(run.join.output_total, oracle.join.output_total, "{kind:?}");
-            assert_eq!(run.join.checksum, oracle.join.checksum, "{kind:?}");
-            assert!(
-                run.join.wire_bytes > 0,
-                "{kind:?}: framed deliveries must be accounted on the wire"
-            );
-        }
+    let oracle = oracle(&rt, &w, &rc);
+    let runs = wire_identity(&rt, &w, &rc);
+    assert_eq!(runs.len(), 8, "four schemes over two wires");
+    for r in &runs {
+        let (kind, run) = (r.kind, &r.run);
+        assert_eq!(run.join.output_total, oracle.join.output_total, "{kind:?}");
+        assert_eq!(run.join.checksum, oracle.join.checksum, "{kind:?}");
+        assert!(
+            run.join.wire_bytes > 0,
+            "{kind:?}: framed deliveries must be accounted on the wire"
+        );
     }
 }
 
@@ -116,8 +62,8 @@ fn migration_over_tcp_preserves_the_answer() {
     };
     let w = bcb(2, rc.scale, rc.seed);
     let rt = rc.runtime();
-    let frozen = transport_run(&rt, &w, &rc, SchemeKind::Csio, None, false);
-    let moved = transport_run(
+    let frozen = wire_run(&rt, &w, &rc, SchemeKind::Csio, None, false);
+    let moved = wire_run(
         &rt,
         &w,
         &rc,
@@ -147,39 +93,8 @@ fn the_move_cost_gate_prices_the_link() {
         threads: 4,
         ..Default::default()
     };
-    let w = retail_hotkey(rc.scale, rc.seed);
-    let rt = rc.runtime();
-    let with_links = |bandwidth: f64, rtt: f64| {
-        OperatorConfig {
-            mode: ExecMode::Pipelined,
-            output_work: OutputWork::Count,
-            adaptive: AdaptiveConfig {
-                reassign: true,
-                // Honest drain rate for a 20 µs/tuple straggler, so the
-                // backlog-relief side of the gate is priced realistically.
-                drain_tuples_per_sec: 50_000.0,
-                ..Default::default()
-            },
-            straggler: Some(Straggler {
-                reducer: 0,
-                nanos_per_tuple: 20_000,
-            }),
-            links: Some(vec![
-                LinkProfile {
-                    bandwidth_bytes_per_sec: bandwidth,
-                    rtt_secs: rtt,
-                };
-                rc.threads
-            ]),
-            ..rc.operator_config(&w)
-        }
-    };
-    let run_with_links = |bandwidth: f64, rtt: f64| {
-        let cfg = with_links(bandwidth, rtt);
-        run_operator(&rt, SchemeKind::Csio, &w.r1, &w.r2, &w.cond, &cfg)
-    };
-    let fast = run_with_links(1e9, 1e-4);
-    let thin = run_with_links(1e3, 5e-2);
+    let gate = link_gate(&rc);
+    let (fast, thin, thin_plan) = (&gate.fast, &gate.thin, &gate.thin_plan);
     assert_eq!(fast.join.output_total, thin.join.output_total);
     assert_eq!(fast.join.checksum, thin.join.checksum);
     assert!(
@@ -194,11 +109,6 @@ fn the_move_cost_gate_prices_the_link() {
     // A plan's stages go through the same driver, so they price the same
     // links: without them the flat gate's persistence waiver would move the
     // straggler's regions.
-    let first = StageSpec {
-        kind: SchemeKind::Csio,
-        cond: w.cond,
-    };
-    let thin_plan = run_plan(&rt, &w.r1, &w.r2, &first, &[], &with_links(1e3, 5e-2));
     assert_eq!(thin_plan.output_total, thin.join.output_total);
     assert_eq!(thin_plan.checksum, thin.join.checksum);
     assert_eq!(
@@ -214,14 +124,15 @@ fn the_move_cost_gate_prices_the_link() {
 #[test]
 fn two_processes_over_real_sockets_reproduce_the_oracle() {
     let _serial = serial();
-    let out = Command::new(env!("CARGO_BIN_EXE_distributed_join"))
-        .args(["--claims", "--scale", "0.2", "--threads", "4", "--j", "8"])
+    let out = Command::new(env!("CARGO_BIN_EXE_ewh-bench"))
+        .args(["transport", "--claims"])
+        .args(["--scale", "0.2", "--threads", "4", "--j", "8"])
         .output()
-        .expect("spawn distributed_join");
+        .expect("spawn ewh-bench transport");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
-        "distributed_join --claims failed:\n{stdout}\n{}",
+        "transport --claims failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("CLAIMS OK"), "unexpected output:\n{stdout}");

@@ -24,9 +24,9 @@
 //!   heartbeats on the shared [`ProgressBoard`] after the `R1` seal and
 //!   reassigns regions from backlogged reducers to idle ones at run time —
 //!   the paper's §V adaptive skew handling made real inside the engine. Its
-//!   behavior is driven by the same [`AdaptiveConfig`] as the discrete-event
-//!   simulation in [`crate::simulate_adaptive`], so predicted and realized
-//!   reassignment counts can be compared.
+//!   behavior is driven by the same [`AdaptiveConfig`] as the bench crate's
+//!   discrete-event simulation (`ewh_bench::simulate`), so predicted and
+//!   realized reassignment counts can be compared.
 //!
 //! Peak resident memory is tracked by a cluster-wide [`MemGauge`]; a
 //! completed run reports it alongside per-reducer busy/idle time,

@@ -33,7 +33,7 @@
 //! re-resolve per fragment, and a migration coordinator watches reducer
 //! heartbeats ([`ProgressBoard`]) to reassign regions from backlogged
 //! reducers to idle ones mid-run — driven by the same [`AdaptiveConfig`]
-//! as the §V discrete-event simulation ([`simulate_adaptive`]), so
+//! as the §V discrete-event simulation (`ewh_bench::simulate`), so
 //! predicted and realized reassignment counts are comparable.
 //!
 //! The barrier-phased batch path ([`shuffle`] + [`execute_join`]) is kept as
@@ -56,7 +56,7 @@ mod operator;
 mod plan;
 mod shuffle;
 
-pub use adaptive::{simulate as simulate_adaptive, AdaptiveConfig, AdaptiveOutcome, TaskSpec};
+pub use adaptive::AdaptiveConfig;
 pub use engine::{
     merge_sorted_runs, BatchPool, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange,
     FragmentPort, LinkProfile, MemGauge, Morsel, MorselPlan, OnlineStats, PortPop, ProgressBoard,

@@ -80,8 +80,8 @@ pub struct OperatorConfig {
     /// plan's deadlock-freedom argument.
     pub stats_cutoff_tuples: usize,
     /// Run-time skew handling: the same config drives the pipelined
-    /// engine's migration coordinator and the discrete-event simulation
-    /// ([`crate::simulate_adaptive`]), so predicted and realized
+    /// engine's migration coordinator and the bench crate's discrete-event
+    /// simulation (`ewh_bench::simulate`), so predicted and realized
     /// reassignment counts can be compared. `reassign: false` freezes the
     /// initial placement: the coordinator still ends the run at quiescence
     /// but never moves a region.

@@ -15,7 +15,6 @@
 //!   queries implement the `d2` (joinable-set size) computation for any join
 //!   condition with contiguous joinable ranges, and its prefix sums are the
 //!   exact quantiles of the relation.
-//! * [`AliasTable`] — Walker/Vose alias method for O(1) weighted draws.
 //! * [`WeightedReservoir`] — weighted reservoir sampling without replacement
 //!   (Efraimidis & Spirakis, IPL 2006) with mergeable reservoirs, as used by
 //!   the paper's one-pass parallel S1 construction.
@@ -27,7 +26,6 @@
 //! * [`ks`] — Kolmogorov-Smirnov and χ² helpers used to size and validate the
 //!   output sample (Appendix A1).
 
-mod alias;
 mod bernoulli;
 mod equi_depth;
 mod keyed;
@@ -35,7 +33,6 @@ pub mod ks;
 mod reservoir;
 mod stream_sample;
 
-pub use alias::AliasTable;
 pub use bernoulli::{bernoulli_sample, bernoulli_sample_by};
 pub use equi_depth::EquiDepthHistogram;
 pub use keyed::KeyedCounts;

@@ -1,30 +1,12 @@
 //! Property-based tests of the sampling data structures.
 
-use ewh_sampling::{AliasTable, EquiDepthHistogram, Key, KeyedCounts, WeightedReservoir};
+use ewh_sampling::{EquiDepthHistogram, Key, KeyedCounts, WeightedReservoir};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    #[test]
-    fn alias_never_draws_zero_weight_indices(
-        weights in prop::collection::vec(0u64..100, 1..50),
-        seed in 0u64..10_000,
-    ) {
-        match AliasTable::new(&weights) {
-            None => prop_assert!(weights.iter().all(|&w| w == 0)),
-            Some(at) => {
-                prop_assert_eq!(at.len(), weights.len());
-                let mut rng = SmallRng::seed_from_u64(seed);
-                for _ in 0..200 {
-                    let i = at.sample(&mut rng);
-                    prop_assert!(weights[i] > 0, "drew zero-weight index {}", i);
-                }
-            }
-        }
-    }
 
     #[test]
     fn reservoir_size_is_min_of_capacity_and_positive_items(
