@@ -21,7 +21,7 @@ use rand::SeedableRng;
 
 use ewh_sampling::{ks, stream_sample, EquiDepthHistogram, KeyedCounts};
 
-use crate::{HistogramParams, JoinCondition, Key};
+use crate::{HistogramParams, JoinCondition, Key, KeyRange};
 
 /// The sparse sample matrix.
 #[derive(Clone, Debug)]
@@ -151,8 +151,7 @@ fn candidate_intervals(
     (0..row_hist.num_buckets())
         .map(|i| {
             let (rlo, rhi) = row_hist.bucket_range(i);
-            let lo = cond.joinable_range(rlo).lo;
-            let hi = cond.joinable_range(rhi).hi;
+            let KeyRange { lo, hi } = cond.joinable_span(&KeyRange::new(rlo, rhi));
             if lo > hi {
                 (1u32, 0u32)
             } else {

@@ -58,7 +58,7 @@ impl JoinCondition {
     pub fn matches(&self, a: Key, b: Key) -> bool {
         match *self {
             JoinCondition::Equi => a == b,
-            JoinCondition::Band { beta } => (a - b).abs() <= beta,
+            JoinCondition::Band { beta } => a.abs_diff(b) <= beta as u64,
             JoinCondition::Inequality(op) => match op {
                 IneqOp::Lt => a < b,
                 IneqOp::Le => a <= b,
@@ -77,7 +77,8 @@ impl JoinCondition {
     /// The *joinable range* of `a`: the inclusive range of `R2` keys that
     /// satisfy the condition with `a`. Always contiguous; both endpoints are
     /// non-decreasing functions of `a` (the staircase property — asserted by
-    /// property tests).
+    /// property tests) over the [`partnered_keys`](Self::partnered_keys);
+    /// outside them it is [`KeyRange::empty`].
     #[inline]
     pub fn joinable_range(&self, a: Key) -> KeyRange {
         match *self {
@@ -86,9 +87,13 @@ impl JoinCondition {
                 KeyRange::new(a.saturating_sub(beta), a.saturating_add(beta))
             }
             JoinCondition::Inequality(op) => match op {
-                IneqOp::Lt => KeyRange::new(a.saturating_add(1), Key::MAX),
+                IneqOp::Lt => a
+                    .checked_add(1)
+                    .map_or(KeyRange::empty(), |lo| KeyRange::new(lo, Key::MAX)),
                 IneqOp::Le => KeyRange::new(a, Key::MAX),
-                IneqOp::Gt => KeyRange::new(Key::MIN, a.saturating_sub(1)),
+                IneqOp::Gt => a
+                    .checked_sub(1)
+                    .map_or(KeyRange::empty(), |hi| KeyRange::new(Key::MIN, hi)),
                 IneqOp::Ge => KeyRange::new(Key::MIN, a),
             },
             JoinCondition::EquiBand { shift, beta } => {
@@ -104,22 +109,38 @@ impl JoinCondition {
         }
     }
 
+    /// The `R1` keys that have a partner at all: every key, except that a
+    /// strict inequality finds nothing above `Key::MAX` or below `Key::MIN`.
+    #[inline]
+    pub fn partnered_keys(&self) -> KeyRange {
+        match *self {
+            JoinCondition::Inequality(IneqOp::Lt) => KeyRange::new(Key::MIN, Key::MAX - 1),
+            JoinCondition::Inequality(IneqOp::Gt) => KeyRange::new(Key::MIN + 1, Key::MAX),
+            _ => KeyRange::full(),
+        }
+    }
+
+    /// The union of `jr(a)` over `a ∈ r1`. Because `jr` endpoints are
+    /// non-decreasing over the partnered keys and consecutive joinable
+    /// ranges overlap or touch, it is exactly `[jr(lo).lo, jr(hi).hi]` for
+    /// the partnered part `[lo, hi]` of `r1`.
+    #[inline]
+    pub fn joinable_span(&self, r1: &KeyRange) -> KeyRange {
+        let live = self.partnered_keys();
+        let (lo, hi) = (r1.lo.max(live.lo), r1.hi.min(live.hi));
+        if lo > hi {
+            return KeyRange::empty();
+        }
+        KeyRange::new(self.joinable_range(lo).lo, self.joinable_range(hi).hi)
+    }
+
     /// Exact candidacy check for key-range rectangles: may any `(a, b)` with
-    /// `a ∈ r1`, `b ∈ r2` satisfy the condition?
-    ///
-    /// Because `jr` endpoints are non-decreasing in `a` and consecutive
-    /// joinable ranges overlap or touch, the union of `jr(a)` over `a ∈ r1`
-    /// is exactly `[jr(r1.lo).lo, jr(r1.hi).hi]`; candidacy reduces to one
-    /// interval intersection. This is the O(1) boundary-only check that CSI
-    /// and CSIO rely on (§II-B).
+    /// `a ∈ r1`, `b ∈ r2` satisfy the condition? One interval intersection
+    /// with [`joinable_span`](Self::joinable_span) — the O(1) boundary-only
+    /// check that CSI and CSIO rely on (§II-B).
     #[inline]
     pub fn candidate(&self, r1: &KeyRange, r2: &KeyRange) -> bool {
-        if r1.is_empty() || r2.is_empty() {
-            return false;
-        }
-        let lo = self.joinable_range(r1.lo).lo;
-        let hi = self.joinable_range(r1.hi).hi;
-        lo <= r2.hi && r2.lo <= hi
+        self.joinable_span(r1).intersects(r2)
     }
 
     /// All conditions modeled here are monotonic; exposed for symmetry with
@@ -152,13 +173,16 @@ mod tests {
         JoinCondition::EquiBand { shift: 16, beta: 2 },
     ];
 
+    /// Where `saturating_add/sub` used to bite.
+    const EXTREMES: [Key; 7] = [Key::MIN, Key::MIN + 1, -1, 0, 1, Key::MAX - 1, Key::MAX];
+
     #[test]
     fn joinable_range_agrees_with_matches() {
         // jr(a) must contain exactly the keys b with matches(a, b).
         for cond in CONDS {
-            for a in 0..64i64 {
+            for a in (0..64).chain(EXTREMES) {
                 let jr = cond.joinable_range(a);
-                for b in 0..64i64 {
+                for b in (0..64).chain(EXTREMES) {
                     assert_eq!(
                         cond.matches(a, b),
                         jr.contains(b),
@@ -171,11 +195,19 @@ mod tests {
 
     #[test]
     fn joinable_endpoints_are_non_decreasing() {
-        // The staircase property everything else depends on.
+        // The staircase property everything else depends on, over every key
+        // that has a partner.
         for cond in CONDS {
-            let mut prev = cond.joinable_range(0);
-            for a in 1..200i64 {
+            let live = cond.partnered_keys();
+            let mut prev = KeyRange::new(Key::MIN, Key::MIN);
+            for a in [Key::MIN, Key::MIN + 1, -1]
+                .into_iter()
+                .chain(0..200)
+                .chain([Key::MAX - 1, Key::MAX])
+                .filter(|&a| live.contains(a))
+            {
                 let jr = cond.joinable_range(a);
+                assert!(!jr.is_empty(), "{cond:?} a={a} has a partner");
                 assert!(jr.lo >= prev.lo, "{cond:?} lo decreased at a={a}");
                 assert!(jr.hi >= prev.hi, "{cond:?} hi decreased at a={a}");
                 prev = jr;
@@ -201,6 +233,21 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+            // At the extremes: a brute force over these keys alone is exact,
+            // since the closest pair of two ranges sits at their endpoints.
+            let ranges = |lo: Key| EXTREMES.into_iter().filter(move |&hi| lo <= hi);
+            for (alo, blo) in EXTREMES.into_iter().flat_map(|a| EXTREMES.map(|b| (a, b))) {
+                for (ahi, bhi) in ranges(alo).flat_map(|a| ranges(blo).map(move |b| (a, b))) {
+                    let (r1, r2) = (KeyRange::new(alo, ahi), KeyRange::new(blo, bhi));
+                    let within = |r: KeyRange| EXTREMES.into_iter().filter(move |&k| r.contains(k));
+                    let brute = within(r1).any(|a| within(r2).any(|b| cond.matches(a, b)));
+                    assert_eq!(
+                        cond.candidate(&r1, &r2),
+                        brute,
+                        "{cond:?} r1={r1:?} r2={r2:?}"
+                    );
                 }
             }
         }

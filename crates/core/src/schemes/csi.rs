@@ -208,8 +208,7 @@ pub fn build_csi(
     let iv: Vec<(u32, u32)> = (0..p1)
         .map(|i| {
             let (rlo, rhi) = row_hist.bucket_range(i);
-            let lo = cond.joinable_range(rlo).lo;
-            let hi = cond.joinable_range(rhi).hi;
+            let KeyRange { lo, hi } = cond.joinable_span(&KeyRange::new(rlo, rhi));
             if lo > hi {
                 (1u32, 0u32)
             } else {

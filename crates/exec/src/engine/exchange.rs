@@ -6,15 +6,16 @@
 //!
 //! ## Exchange
 //!
-//! Upstream reducers push output batches as they sweep probe chunks;
-//! downstream mappers pop batches and route them like morsels. The queue is
-//! bounded in tuples, so a slow downstream operator exerts backpressure all
-//! the way up the chain (upstream reducers block pushing, their queues fill,
-//! upstream mappers block). Because query plans are DAGs this can only slow
-//! the pipeline down, never deadlock it. [`Exchange::close`] (called once
-//! the upstream operator has quiesced) is what lets the downstream seal
-//! protocol fire: a closed, fully routed exchange is the streamed
-//! equivalent of "the last morsel was claimed".
+//! An [`Exchange`] is a `Channel<ColumnBatch>` (see the `channel` module
+//! for the bound and the wake protocol). Upstream reducers push output
+//! batches as they sweep probe chunks; downstream mappers pop batches and
+//! route them like morsels. A slow downstream operator therefore exerts
+//! backpressure all the way up the chain (upstream reducers park pushing,
+//! their queues fill, upstream mappers park). Because query plans are DAGs
+//! this can only slow the pipeline down, never deadlock it.
+//! [`Channel::close`] (called once the upstream operator has quiesced) is
+//! what lets the downstream seal protocol fire: a closed, fully routed
+//! exchange is the streamed equivalent of "the last morsel was claimed".
 //!
 //! Under a memory budget, an upstream reducer may spill batches *staged
 //! for* this exchange (its outbox — the last rung of the spill ladder, see
@@ -36,7 +37,6 @@
 //! caller, so the scheme is always ready before backpressure could reach
 //! the producer — the construction is deadlock-free by design.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -46,304 +46,20 @@ use rand::SeedableRng;
 use ewh_core::{ColumnBatch, Key};
 use ewh_sampling::WeightedReservoir;
 
-use super::runtime::Waker;
+use super::channel::{Channel, Weigh};
 
-/// One observation from [`Exchange::pop_wait`].
-#[derive(Debug)]
-pub enum PopWait {
-    /// The next batch.
-    Batch(ColumnBatch),
-    /// Closed and drained — the end of the stream.
-    Closed,
-    /// Nothing arrived within the timeout; the stream is still open.
-    TimedOut,
-}
-
-/// One observation from the non-blocking [`Exchange::try_pop`].
-#[derive(Debug)]
-pub enum TryPop {
-    /// The next batch.
-    Batch(ColumnBatch),
-    /// Closed and drained — the end of the stream.
-    Closed,
-    /// Momentarily empty but still open; the consuming task parks itself.
-    Empty,
-}
-
-/// A bounded MPMC queue of intermediate-tuple batches between two chained
+/// The bounded channel of intermediate-tuple batches between two chained
 /// operators.
-#[derive(Debug)]
-pub struct Exchange {
-    inner: Mutex<ExchangeInner>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity_tuples: usize,
-}
+pub type Exchange = Channel<ColumnBatch>;
 
-#[derive(Debug)]
-struct ExchangeInner {
-    batches: VecDeque<ColumnBatch>,
-    /// Tuples currently buffered.
-    used: usize,
-    /// Batches ever pushed (stable once `closed`).
-    pushed: u64,
-    closed: bool,
-    /// The consumer is gone (its stage unwound): producers must never
-    /// block again; pushes are discarded.
-    abandoned: bool,
-    /// Tasks parked on an empty exchange (downstream mappers); woken by
-    /// any push, and by close/abandon. Registered under this mutex, so no
-    /// push can slip between a failed pop and the registration.
-    consumer_waiters: Vec<Waker>,
-    /// Tasks parked on a full exchange (upstream reducers flushing their
-    /// outbox); woken by any pop, and by close/abandon.
-    producer_waiters: Vec<Waker>,
-}
-
-impl Exchange {
-    pub fn new(capacity_tuples: usize) -> Self {
-        Exchange {
-            inner: Mutex::new(ExchangeInner {
-                batches: VecDeque::new(),
-                used: 0,
-                pushed: 0,
-                closed: false,
-                abandoned: false,
-                consumer_waiters: Vec::new(),
-                producer_waiters: Vec::new(),
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity_tuples: capacity_tuples.max(1),
-        }
+/// A batch occupies its tuples; an empty one is never enqueued.
+impl Weigh for ColumnBatch {
+    fn weight(&self) -> usize {
+        self.len()
     }
 
-    /// Blocking push: waits while the queue is at capacity. A batch larger
-    /// than the whole capacity is admitted once the queue is empty (it
-    /// could never fit otherwise). Empty batches are dropped. Pushing after
-    /// [`close`](Exchange::close) is a bug in the producer.
-    ///
-    /// Memory-accounting contract: the producer charges the batch to the
-    /// **consuming engine's** [`MemGauge`](super::MemGauge) *before*
-    /// pushing (the reducer-side [`StageSink`] path does this), and the
-    /// consuming mapper releases it after routing — which is why a chained
-    /// plan must share one gauge across all its stages.
-    pub fn push(&self, batch: ColumnBatch) {
-        if batch.is_empty() {
-            return;
-        }
-        let n = batch.len();
-        let mut inner = self.inner.lock().expect("exchange poisoned");
-        debug_assert!(!inner.closed, "push after close");
-        while !inner.abandoned && inner.used > 0 && inner.used + n > self.capacity_tuples {
-            inner = self.not_full.wait(inner).expect("exchange poisoned");
-        }
-        if inner.abandoned {
-            // The consumer unwound; discard so the producer can run to
-            // completion and the failure propagates at the plan's joins
-            // instead of deadlocking. (Gauge accounting is best-effort on
-            // this path — the plan is already failing.)
-            return;
-        }
-        inner.used += n;
-        inner.pushed += 1;
-        inner.batches.push_back(batch);
-        let waiters = std::mem::take(&mut inner.consumer_waiters);
-        drop(inner);
-        self.not_empty.notify_one();
-        for w in &waiters {
-            w.wake();
-        }
-    }
-
-    /// Non-blocking push for tasks running on the shared worker pool: on a
-    /// full exchange the batch is handed back (`Err`) and the producing
-    /// task parks itself instead of the whole pool worker — with every
-    /// stage of a plan multiplexed onto one fixed pool, a *blocking* push
-    /// here could suspend the very workers the downstream consumer needs,
-    /// which is a deadlock the per-stage thread teams never had to worry
-    /// about. Admission rules match [`Exchange::push`]: empty batches are
-    /// dropped, an oversized batch is admitted once the queue is empty, and
-    /// after [`abandon`](Exchange::abandon) pushes are discarded (reported
-    /// as `Ok`, so the producer runs to completion).
-    pub fn try_push(&self, batch: ColumnBatch) -> Result<(), ColumnBatch> {
-        self.try_push_impl(batch, None)
-    }
-
-    /// [`try_push`](Exchange::try_push) that, on a full exchange, registers
-    /// `waker` to be woken by the next pop (or close/abandon) — under the
-    /// same lock as the failed attempt, so the freeing transition can
-    /// never race past unobserved. `Err` means "parked: return `Pending`".
-    pub fn try_push_or_park(&self, batch: ColumnBatch, waker: &Waker) -> Result<(), ColumnBatch> {
-        self.try_push_impl(batch, Some(waker))
-    }
-
-    fn try_push_impl(&self, batch: ColumnBatch, park: Option<&Waker>) -> Result<(), ColumnBatch> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let n = batch.len();
-        let mut inner = self.inner.lock().expect("exchange poisoned");
-        debug_assert!(!inner.closed, "push after close");
-        if inner.abandoned {
-            return Ok(());
-        }
-        if inner.used > 0 && inner.used + n > self.capacity_tuples {
-            if let Some(waker) = park {
-                waker.register_in(&mut inner.producer_waiters);
-            }
-            return Err(batch);
-        }
-        inner.used += n;
-        inner.pushed += 1;
-        inner.batches.push_back(batch);
-        let waiters = std::mem::take(&mut inner.consumer_waiters);
-        drop(inner);
-        self.not_empty.notify_one();
-        for w in &waiters {
-            w.wake();
-        }
-        Ok(())
-    }
-
-    /// Non-blocking pop for tasks running on the shared worker pool (see
-    /// [`TryPop`]).
-    pub fn try_pop(&self) -> TryPop {
-        self.try_pop_impl(None)
-    }
-
-    /// [`try_pop`](Exchange::try_pop) that, on an empty-but-open exchange,
-    /// registers `waker` to be woken by the next push or by
-    /// [`close`](Exchange::close). `Empty` means "parked: return
-    /// `Pending`".
-    pub fn try_pop_or_park(&self, waker: &Waker) -> TryPop {
-        self.try_pop_impl(Some(waker))
-    }
-
-    fn try_pop_impl(&self, park: Option<&Waker>) -> TryPop {
-        let mut inner = self.inner.lock().expect("exchange poisoned");
-        if let Some(batch) = inner.batches.pop_front() {
-            inner.used -= batch.len();
-            let waiters = std::mem::take(&mut inner.producer_waiters);
-            drop(inner);
-            self.not_full.notify_all();
-            for w in &waiters {
-                w.wake();
-            }
-            return TryPop::Batch(batch);
-        }
-        if inner.closed {
-            TryPop::Closed
-        } else {
-            if let Some(waker) = park {
-                waker.register_in(&mut inner.consumer_waiters);
-            }
-            TryPop::Empty
-        }
-    }
-
-    /// Consumer-side teardown: marks the consumer as gone, waking and
-    /// unblocking every producer (their future pushes are discarded). Safe
-    /// to call after normal completion too — a drained, closed exchange
-    /// never sees another push. This is what keeps a panicking downstream
-    /// stage from deadlocking its upstream producer mid-`push`.
-    pub fn abandon(&self) {
-        let mut inner = self.inner.lock().expect("exchange poisoned");
-        inner.abandoned = true;
-        let mut waiters = std::mem::take(&mut inner.producer_waiters);
-        waiters.append(&mut inner.consumer_waiters);
-        drop(inner);
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-        for w in &waiters {
-            w.wake();
-        }
-    }
-
-    /// Marks the stream complete: no batch will ever be pushed again. Wakes
-    /// every blocked consumer so they can observe the end of stream.
-    pub fn close(&self) {
-        let mut inner = self.inner.lock().expect("exchange poisoned");
-        inner.closed = true;
-        let mut waiters = std::mem::take(&mut inner.consumer_waiters);
-        waiters.append(&mut inner.producer_waiters);
-        drop(inner);
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-        for w in &waiters {
-            w.wake();
-        }
-    }
-
-    /// Blocking pop: the next batch, or `None` once the exchange is closed
-    /// and drained (the consumer-side end of stream).
-    pub fn pop(&self) -> Option<ColumnBatch> {
-        loop {
-            match self.pop_wait(std::time::Duration::from_secs(3600)) {
-                PopWait::Batch(batch) => return Some(batch),
-                PopWait::Closed => return None,
-                PopWait::TimedOut => {}
-            }
-        }
-    }
-
-    /// [`pop`](Exchange::pop) with a bounded wait, so a consumer can
-    /// interleave the wait with other checks (the engine's mappers re-check
-    /// cancellation between waits — a cancelled run must not hang on a
-    /// stalled upstream producer).
-    pub fn pop_wait(&self, timeout: std::time::Duration) -> PopWait {
-        let mut inner = self.inner.lock().expect("exchange poisoned");
-        loop {
-            if let Some(batch) = inner.batches.pop_front() {
-                inner.used -= batch.len();
-                let waiters = std::mem::take(&mut inner.producer_waiters);
-                drop(inner);
-                self.not_full.notify_all();
-                for w in &waiters {
-                    w.wake();
-                }
-                return PopWait::Batch(batch);
-            }
-            if inner.closed {
-                return PopWait::Closed;
-            }
-            let (guard, result) = self
-                .not_empty
-                .wait_timeout(inner, timeout)
-                .expect("exchange poisoned");
-            inner = guard;
-            if result.timed_out() {
-                // Re-check under the lock once before reporting: a push may
-                // have raced the timeout.
-                if let Some(batch) = inner.batches.pop_front() {
-                    inner.used -= batch.len();
-                    let waiters = std::mem::take(&mut inner.producer_waiters);
-                    drop(inner);
-                    self.not_full.notify_all();
-                    for w in &waiters {
-                        w.wake();
-                    }
-                    return PopWait::Batch(batch);
-                }
-                if inner.closed {
-                    return PopWait::Closed;
-                }
-                return PopWait::TimedOut;
-            }
-        }
-    }
-
-    /// Is the stream complete *and* has the consumer routed every batch?
-    /// `routed` is the consumer's count of batches it finished processing —
-    /// the downstream seal protocol's end-of-relation test.
-    pub fn drained(&self, routed: u64) -> bool {
-        let inner = self.inner.lock().expect("exchange poisoned");
-        inner.closed && inner.batches.is_empty() && routed == inner.pushed
-    }
-
-    /// Tuples currently buffered.
-    pub fn used_tuples(&self) -> usize {
-        self.inner.lock().expect("exchange poisoned").used
+    fn is_void(&self) -> bool {
+        self.is_empty()
     }
 }
 
@@ -488,7 +204,7 @@ impl Drop for CloseOnDrop<'_> {
 
 /// Abandons a stage's *input* exchange on drop — the consumer-side
 /// counterpart of [`CloseOnDrop`]: if the consuming operator unwinds, its
-/// upstream producer must not stay blocked in [`Exchange::push`] forever.
+/// upstream producer must not stay blocked in [`Channel::push`] forever.
 /// Running it after normal completion is harmless (the stream is already
 /// closed and drained).
 pub struct AbandonOnDrop<'a>(pub Option<&'a Exchange>);
@@ -503,6 +219,7 @@ impl Drop for AbandonOnDrop<'_> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::port::FragmentPort;
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::thread;
@@ -539,49 +256,6 @@ mod tests {
         assert!(ex.drained(20));
         assert!(!ex.drained(19));
         assert_eq!(ex.used_tuples(), 0);
-    }
-
-    #[test]
-    fn oversized_batches_are_admitted_when_empty() {
-        let ex = Exchange::new(2);
-        ex.push(batch(&[1, 2, 3, 4, 5])); // larger than capacity
-        assert_eq!(ex.used_tuples(), 5);
-        assert_eq!(ex.pop().expect("present").len(), 5);
-        ex.close();
-        assert!(ex.pop().is_none());
-    }
-
-    #[test]
-    fn empty_batches_are_dropped() {
-        let ex = Exchange::new(4);
-        ex.push(ColumnBatch::new());
-        ex.close();
-        assert!(ex.pop().is_none());
-        assert!(ex.drained(0));
-    }
-
-    #[test]
-    fn try_push_and_try_pop_respect_capacity_and_close() {
-        let ex = Exchange::new(4);
-        assert!(
-            ex.try_push(ColumnBatch::new()).is_ok(),
-            "empty batches drop"
-        );
-        assert!(ex.try_push(batch(&[1, 2, 3])).is_ok());
-        let bounced = ex.try_push(batch(&[4, 5]));
-        assert_eq!(bounced.expect_err("full").len(), 2);
-        assert!(matches!(ex.try_pop(), TryPop::Batch(b) if b.len() == 3));
-        assert!(matches!(ex.try_pop(), TryPop::Empty));
-        assert!(ex.try_push(batch(&[9; 7])).is_ok(), "oversized on empty");
-        assert!(matches!(ex.try_pop(), TryPop::Batch(_)));
-        ex.close();
-        assert!(matches!(ex.try_pop(), TryPop::Closed));
-        // Post-abandon pushes are silently discarded, like the blocking path.
-        let ex = Exchange::new(2);
-        ex.abandon();
-        assert!(ex.try_push(batch(&[1, 2, 3, 4])).is_ok());
-        ex.close();
-        assert!(ex.drained(0), "the discarded push was never counted");
     }
 
     #[test]

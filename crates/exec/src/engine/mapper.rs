@@ -31,7 +31,7 @@
 //!
 //! * a full reducer queue — the waker is registered with that queue's
 //!   producer list under the queue's own lock
-//!   ([`BoundedQueue::try_push_or_park`]); the in-progress unit keeps its
+//!   ([`FragmentPort::try_push_or_park`]); the in-progress unit keeps its
 //!   routed buckets and the one built-but-unshipped fragment across polls,
 //!   and the accumulated stall is reported to the queue's backpressure
 //!   account when the push finally lands;
@@ -40,7 +40,7 @@
 //!   routes the last `R1` morsel (generation read before the countdown
 //!   check, so the last decrement can never race past the registration);
 //! * an empty (but open) upstream exchange during the drain phase
-//!   ([`Exchange::try_pop_or_park`]).
+//!   ([`FragmentPort::try_pop_or_park`] on the [`Exchange`]).
 //!
 //! Every park also registers with the query's [`CancelToken`]: a parked
 //! task is never re-polled, so cancellation must *wake* it to be observed.
@@ -54,9 +54,9 @@ use rand::SeedableRng;
 
 use ewh_core::{ColumnBatch, Key, Rel, RouteBatch, RouteScatter, Router, RoutingTable};
 
-use super::exchange::{Exchange, TryPop};
+use super::exchange::Exchange;
 use super::morsel::{Claim, MemGauge, MorselPlan};
-use super::port::DeliveryPort;
+use super::port::{DeliveryPort, FragmentPort, PortPop};
 use super::queue::{Delivery, RegionBatch};
 use super::runtime::{CancelToken, Poll, TaskCx, WakeSet, Waker};
 
@@ -290,7 +290,7 @@ impl<'a> MapperTask<'a> {
             return Poll::Ready;
         };
         match exchange.try_pop_or_park(cx.waker()) {
-            TryPop::Batch(batch) => {
+            PortPop::Item(batch) => {
                 let seq = sh.seal.exchange_claims.fetch_add(1, Ordering::Relaxed);
                 // Disjoint RNG stream space from plan morsel indices.
                 self.route_unit(u64::MAX - seq, Rel::R2, batch.keys(), batch.payloads());
@@ -302,14 +302,14 @@ impl<'a> MapperTask<'a> {
                 });
                 Poll::Yielded
             }
-            TryPop::Closed => {
+            PortPop::Closed => {
                 // Closed and empty. Re-check the seal: the mapper that
                 // routed the final batch may have observed the exchange
                 // still open.
                 sh.seal.maybe_seal_all(sh.queues);
                 Poll::Ready
             }
-            TryPop::Empty => {
+            PortPop::Empty => {
                 // Consumer waker is registered with the exchange; a raced
                 // cancel re-polls instead of parking.
                 if sh.cancel.park(cx.waker()) {

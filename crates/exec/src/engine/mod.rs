@@ -48,6 +48,7 @@
 //! lives in [`crate::run_plan`].
 
 mod board;
+mod channel;
 mod coordinator;
 mod exchange;
 mod mapper;
@@ -61,14 +62,14 @@ mod spill;
 mod transport;
 
 pub use board::ProgressBoard;
+pub use channel::{Channel, Weigh};
 pub use exchange::{
-    AbandonOnDrop, CloseOnDrop, Exchange, IntermediateStats, OnlineStats, PopWait, StageSink,
-    TryPop,
+    AbandonOnDrop, CloseOnDrop, Exchange, IntermediateStats, OnlineStats, StageSink,
 };
 pub use morsel::{Claim, MemGauge, Morsel, MorselPlan, Source};
 pub use pool::BatchPool;
-pub use port::{BatchPort, DeliveryPort, FragmentPort, PortPop};
-pub use queue::{BoundedQueue, Delivery, MigratedRegion, RegionBatch};
+pub use port::{DeliveryPort, FragmentPort, PortPop};
+pub use queue::{Delivery, MigratedRegion, RegionBatch};
 pub use reducer::{merge_sorted_runs, RegionResult};
 pub use runtime::{
     CancelToken, EngineRuntime, Poll, QueryTicket, RuntimeConfig, RuntimeMetrics, RuntimeScope,
@@ -129,7 +130,7 @@ pub struct EngineConfig {
     /// (loopback pipes or localhost TCP) instead of in-process queues:
     /// the full distributed data plane — encode, credit flow control,
     /// incremental decode — behind the same [`FragmentPort`] contract.
-    /// `None`: plain in-process [`BoundedQueue`]s.
+    /// `None`: plain in-process [`Channel`]s.
     pub transport: Option<TransportConfig>,
 }
 
@@ -310,7 +311,7 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
             })
             .collect(),
         _ => (0..reducers)
-            .map(|_| Arc::new(BoundedQueue::new(cfg.queue_tuples)) as Arc<port::DeliveryPort>)
+            .map(|_| Arc::new(Channel::new(cfg.queue_tuples)) as Arc<port::DeliveryPort>)
             .collect(),
     };
     let local_gauge = MemGauge::default();

@@ -1,29 +1,26 @@
-//! The `FragmentPort` trait: the push/pop/park/close/abandon surface every
-//! fragment channel in the engine speaks, extracted so mapper, reducer, and
-//! coordinator code stops naming concrete queue types.
+//! The `FragmentPort` trait: the push/pop/park surface every delivery
+//! channel in the engine speaks, so mapper, reducer and coordinator code
+//! never names a concrete channel type.
 //!
-//! Three families implement it:
+//! Two families implement it:
 //!
-//! * [`BoundedQueue`] — the in-process mapper→reducer delivery queue
-//!   (`Item = Delivery`). `close`/`abandon` are no-ops: its lifecycle is
-//!   driven by in-band control messages (`SealAll`/`Finish`/`Abort`), so it
-//!   never reports [`PortPop::Closed`].
-//! * [`Exchange`] — the inter-operator batch queue (`Item = ColumnBatch`),
-//!   with out-of-band close/abandon.
-//! * The remote variants in [`super::transport`] — the same contracts
-//!   carried over a framed byte stream, with credit-based flow control
-//!   standing in for the shared-memory bound.
+//! * [`Channel<T>`](super::channel::Channel) — the in-process bounded
+//!   channel, one generic impl: `Channel<Delivery>` is a reducer's delivery
+//!   queue (its lifecycle is the in-band `SealAll` / `Finish` / `Abort`, so
+//!   it never reports [`PortPop::Closed`]), `Channel<ColumnBatch>` is the
+//!   inter-operator [`Exchange`](super::Exchange).
+//! * [`RemoteQueue`](super::RemoteQueue) — the same contract carried over a
+//!   framed byte stream, with credit-based flow control standing in for the
+//!   shared-memory bound.
 //!
-//! The contract mirrors what the concrete types already promise: a failed
-//! `try_*_or_park` registered the waker *under the same lock* as the failed
-//! attempt, so the freeing transition can never race past unobserved; a
-//! bounced push hands the item back untouched; `push_unbounded` bypasses
-//! the bound for traffic that must never deadlock behind it.
+//! The contract: a bounced [`offer`](FragmentPort::offer) hands the item
+//! back untouched and, given a waker, registered it *under the same lock*
+//! as the failed attempt, so the freeing transition can never race past
+//! unobserved (likewise an empty [`take`](FragmentPort::take));
+//! [`push_unbounded`](FragmentPort::push_unbounded) bypasses the bound for
+//! traffic that must never deadlock behind it.
 
-use ewh_core::ColumnBatch;
-
-use super::exchange::{Exchange, TryPop};
-use super::queue::{BoundedQueue, Delivery};
+use super::queue::Delivery;
 use super::runtime::Waker;
 
 /// One observation from a non-blocking port pop.
@@ -34,47 +31,30 @@ pub enum PortPop<T> {
     /// Momentarily empty but still open; a parked caller will be woken.
     Empty,
     /// Closed and drained — the end of the stream. Ports whose lifecycle is
-    /// in-band ([`BoundedQueue`]) never report this.
+    /// in-band (delivery queues) never report this.
     Closed,
 }
 
 /// A bounded MPMC fragment channel: the engine's abstraction over local
-/// queues, inter-operator exchanges, and framed network links.
+/// channels and framed network links.
 pub trait FragmentPort: Send + Sync {
     /// What travels through the port (delivery messages or raw batches).
     type Item;
 
-    /// Blocking bounded push, for client threads outside the pool.
-    fn push(&self, item: Self::Item);
-
-    /// Non-blocking bounded push; hands the item back when at capacity.
-    fn try_push(&self, item: Self::Item) -> Result<(), Self::Item>;
-
-    /// [`try_push`](Self::try_push) that registers `waker` (under the same
-    /// lock as the failed attempt) to be woken by the next freeing
-    /// transition. `Err` means "parked: return `Pending`".
-    fn try_push_or_park(&self, item: Self::Item, waker: &Waker) -> Result<(), Self::Item>;
+    /// Non-blocking bounded push; hands the item back when at capacity,
+    /// with `park` (if any) registered to be woken by the next freeing
+    /// transition. `Err` after parking means "return `Pending`".
+    fn offer(&self, item: Self::Item, park: Option<&Waker>) -> Result<(), Self::Item>;
 
     /// Non-blocking push that bypasses the capacity bound (weight still
     /// accounted) — for control traffic and reducer→reducer forwarding
     /// where blocking could form a waiting cycle.
     fn push_unbounded(&self, item: Self::Item);
 
-    /// Non-blocking pop.
-    fn try_pop(&self) -> PortPop<Self::Item>;
-
-    /// [`try_pop`](Self::try_pop) that registers `waker` to be woken by the
-    /// next push (or close/abandon). `Empty` means "parked: return
-    /// `Pending`".
-    fn try_pop_or_park(&self, waker: &Waker) -> PortPop<Self::Item>;
-
-    /// Producer-side end of stream. No-op for ports with in-band lifecycle.
-    fn close(&self);
-
-    /// Consumer-side teardown: producers must never block again; their
-    /// pushes are silently discarded. No-op for ports with in-band
-    /// lifecycle.
-    fn abandon(&self);
+    /// Non-blocking pop; on an empty-but-open port `park` (if any) is
+    /// registered to be woken by the next push (or close/abandon). `Empty`
+    /// after parking means "return `Pending`".
+    fn take(&self, park: Option<&Waker>) -> PortPop<Self::Item>;
 
     /// Tuples currently occupying the port — the queue-depth heartbeat the
     /// migration coordinator reads when hunting for stragglers. For a
@@ -83,181 +63,35 @@ pub trait FragmentPort: Send + Sync {
     /// end-to-end.
     fn used_tuples(&self) -> usize;
 
-    /// Charges producer-side blocked time observed outside the port.
+    /// Charges producer-side blocked time observed outside the port: a task
+    /// that parked on a bounced push reports the stall once it unblocks.
     fn note_blocked(&self, nanos: u64);
 
     /// Total time producers spent blocked on this port.
     fn blocked_secs(&self) -> f64;
+
+    /// [`offer`](Self::offer) without parking.
+    fn try_push(&self, item: Self::Item) -> Result<(), Self::Item> {
+        self.offer(item, None)
+    }
+
+    /// [`offer`](Self::offer) that parks `waker` on a bounce.
+    fn try_push_or_park(&self, item: Self::Item, waker: &Waker) -> Result<(), Self::Item> {
+        self.offer(item, Some(waker))
+    }
+
+    /// [`take`](Self::take) without parking.
+    fn try_pop(&self) -> PortPop<Self::Item> {
+        self.take(None)
+    }
+
+    /// [`take`](Self::take) that parks `waker` on an empty port.
+    fn try_pop_or_park(&self, waker: &Waker) -> PortPop<Self::Item> {
+        self.take(Some(waker))
+    }
 }
 
 /// The engine's delivery channel as a trait object — what `MapperShared`,
 /// `ReducerShared`, and `CoordinatorShared` hold instead of a concrete
 /// queue slice.
 pub type DeliveryPort = dyn FragmentPort<Item = Delivery>;
-
-/// The inter-operator batch channel as a trait object.
-pub type BatchPort = dyn FragmentPort<Item = ColumnBatch>;
-
-impl FragmentPort for BoundedQueue {
-    type Item = Delivery;
-
-    fn push(&self, item: Delivery) {
-        BoundedQueue::push(self, item);
-    }
-
-    fn try_push(&self, item: Delivery) -> Result<(), Delivery> {
-        BoundedQueue::try_push(self, item)
-    }
-
-    fn try_push_or_park(&self, item: Delivery, waker: &Waker) -> Result<(), Delivery> {
-        BoundedQueue::try_push_or_park(self, item, waker)
-    }
-
-    fn push_unbounded(&self, item: Delivery) {
-        BoundedQueue::push_unbounded(self, item);
-    }
-
-    fn try_pop(&self) -> PortPop<Delivery> {
-        match BoundedQueue::try_pop(self) {
-            Some(item) => PortPop::Item(item),
-            None => PortPop::Empty,
-        }
-    }
-
-    fn try_pop_or_park(&self, waker: &Waker) -> PortPop<Delivery> {
-        match BoundedQueue::try_pop_or_park(self, waker) {
-            Some(item) => PortPop::Item(item),
-            None => PortPop::Empty,
-        }
-    }
-
-    /// No-op: a delivery queue's end of stream is the in-band
-    /// [`Delivery::Finish`] / [`Delivery::Abort`] message.
-    fn close(&self) {}
-
-    /// No-op: reducers drain to a control message even when aborting, so
-    /// producers never need an out-of-band release.
-    fn abandon(&self) {}
-
-    fn used_tuples(&self) -> usize {
-        BoundedQueue::used_tuples(self)
-    }
-
-    fn note_blocked(&self, nanos: u64) {
-        BoundedQueue::note_blocked(self, nanos);
-    }
-
-    fn blocked_secs(&self) -> f64 {
-        BoundedQueue::blocked_secs(self)
-    }
-}
-
-impl FragmentPort for Exchange {
-    type Item = ColumnBatch;
-
-    fn push(&self, item: ColumnBatch) {
-        Exchange::push(self, item);
-    }
-
-    fn try_push(&self, item: ColumnBatch) -> Result<(), ColumnBatch> {
-        Exchange::try_push(self, item)
-    }
-
-    fn try_push_or_park(&self, item: ColumnBatch, waker: &Waker) -> Result<(), ColumnBatch> {
-        Exchange::try_push_or_park(self, item, waker)
-    }
-
-    /// The exchange has no unbounded lane (its only producers are reducer
-    /// outboxes, which spill rather than overrun); a blocking push is the
-    /// closest contract match for must-deliver traffic.
-    fn push_unbounded(&self, item: ColumnBatch) {
-        Exchange::push(self, item);
-    }
-
-    fn try_pop(&self) -> PortPop<ColumnBatch> {
-        match Exchange::try_pop(self) {
-            TryPop::Batch(b) => PortPop::Item(b),
-            TryPop::Empty => PortPop::Empty,
-            TryPop::Closed => PortPop::Closed,
-        }
-    }
-
-    fn try_pop_or_park(&self, waker: &Waker) -> PortPop<ColumnBatch> {
-        match Exchange::try_pop_or_park(self, waker) {
-            TryPop::Batch(b) => PortPop::Item(b),
-            TryPop::Empty => PortPop::Empty,
-            TryPop::Closed => PortPop::Closed,
-        }
-    }
-
-    fn close(&self) {
-        Exchange::close(self);
-    }
-
-    fn abandon(&self) {
-        Exchange::abandon(self);
-    }
-
-    fn used_tuples(&self) -> usize {
-        Exchange::used_tuples(self)
-    }
-
-    /// The exchange does not account producer stalls (its backpressure is
-    /// reported by the upstream engine's own queues).
-    fn note_blocked(&self, _nanos: u64) {}
-
-    fn blocked_secs(&self) -> f64 {
-        0.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ewh_core::Rel;
-
-    fn cols(n: usize) -> ColumnBatch {
-        let mut b = ColumnBatch::with_capacity(n);
-        for i in 0..n {
-            b.push(i as i64, i as u64);
-        }
-        b
-    }
-
-    fn delivery(n: usize) -> Delivery {
-        Delivery::Batch(super::super::queue::RegionBatch {
-            region: 0,
-            rel: Rel::R2,
-            epoch: 0,
-            tuples: cols(n),
-        })
-    }
-
-    #[test]
-    fn the_port_surface_matches_the_queue_semantics() {
-        let q = BoundedQueue::new(4);
-        let port: &DeliveryPort = &q;
-        assert!(port.try_push(delivery(3)).is_ok());
-        assert!(port.try_push(delivery(3)).is_err(), "bounced at capacity");
-        port.push_unbounded(delivery(9));
-        assert_eq!(port.used_tuples(), 12);
-        assert!(matches!(port.try_pop(), PortPop::Item(_)));
-        assert!(matches!(port.try_pop(), PortPop::Item(_)));
-        // A queue is never Closed — lifecycle is in-band.
-        port.close();
-        port.abandon();
-        assert!(matches!(port.try_pop(), PortPop::Empty));
-    }
-
-    #[test]
-    fn the_port_surface_matches_the_exchange_semantics() {
-        let ex = Exchange::new(4);
-        let port: &BatchPort = &ex;
-        assert!(port.try_push(cols(3)).is_ok());
-        assert!(port.try_push(cols(2)).is_err(), "bounced at capacity");
-        assert!(matches!(port.try_pop(), PortPop::Item(_)));
-        assert!(matches!(port.try_pop(), PortPop::Empty));
-        port.close();
-        assert!(matches!(port.try_pop(), PortPop::Closed));
-    }
-}

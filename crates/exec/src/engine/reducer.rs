@@ -18,8 +18,8 @@
 //! registered on the queue's consumer list) instead of an OS thread. When
 //! the stage ships output downstream ([`StageSink`]), swept batches go
 //! through an *outbox*: a sweep's output is staged locally and pushed to
-//! the inter-operator exchange with non-blocking
-//! [`Exchange::try_push_or_park`](super::Exchange::try_push_or_park) — a
+//! the inter-operator exchange with the non-blocking
+//! [`FragmentPort::try_push_or_park`] — a
 //! blocking push would suspend a pool worker the downstream consumer may
 //! need, which on a shared pool is a deadlock, not just a stall. While the
 //! outbox is non-empty the reducer processes no further deliveries, so
@@ -71,7 +71,7 @@ use super::board::ProgressBoard;
 use super::exchange::StageSink;
 use super::morsel::MemGauge;
 use super::pool::BatchPool;
-use super::port::{DeliveryPort, PortPop};
+use super::port::{DeliveryPort, FragmentPort, PortPop};
 use super::queue::{Delivery, MigratedRegion, RegionBatch};
 use super::runtime::{CancelToken, TaskCx, WakeSet, Waker};
 use super::spill::{SpillContext, SpillRun};
@@ -1056,7 +1056,7 @@ pub fn merge_sorted_runs(runs: Vec<ColumnBatch>) -> ColumnBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BoundedQueue, EngineRuntime, Poll};
+    use crate::engine::{Channel, EngineRuntime, Poll};
     use std::sync::Mutex;
 
     /// Polls reducer `me` on `rt` until its terminal delivery.
@@ -1094,7 +1094,7 @@ mod tests {
         // outside, so the deliveries are queued by hand.
         let rt = EngineRuntime::new(2);
         let queues: Vec<Arc<DeliveryPort>> = (0..2)
-            .map(|_| Arc::new(BoundedQueue::new(1 << 16)) as Arc<DeliveryPort>)
+            .map(|_| Arc::new(Channel::new(1 << 16)) as Arc<DeliveryPort>)
             .collect();
         let table = RoutingTable::new(&[0]);
         let board = ProgressBoard::new(2, 1);

@@ -17,8 +17,8 @@
 //! * **Event-driven parking, not polling.** `Pending` is a contract, not a
 //!   hint: before returning it the task must have registered its
 //!   [`Waker`] (via [`TaskCx::waker`]) with whichever resource blocked it —
-//!   a [`BoundedQueue`](super::queue::BoundedQueue) slot, an
-//!   [`Exchange`](super::exchange::Exchange) batch, a [`WakeSet`]
+//!   a [`Channel`](super::channel::Channel) slot or item (a reducer's
+//!   queue, an [`Exchange`](super::exchange::Exchange)), a [`WakeSet`]
 //!   countdown, a [`CancelToken`], or a [`TaskCx::sleep`] timer. The job is
 //!   then *parked*: it leaves the deques entirely and is re-enqueued only
 //!   when the resource transitions and wakes it. Workers holding no

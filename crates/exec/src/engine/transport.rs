@@ -9,18 +9,17 @@
 //!
 //! ## Credit-based flow control
 //!
-//! A [`BoundedQueue`] bounds *resident tuples*; a byte stream has no shared
-//! counter to bound against. The `CreditGate` reproduces the queue's
-//! admission rule on the producer side: every sent delivery charges its
+//! An in-process channel bounds *resident tuples*; a byte stream has no
+//! shared counter to bound against. The producer side of a link is
+//! therefore a `CreditGate` — the channel's own admission window (see the
+//! `channel` module) without the queue: every sent delivery charges its
 //! tuple weight against the window, and the consumer returns that weight as
 //! a `CREDIT` frame on a dedicated back-channel once the delivery is popped.
-//! `outstanding` therefore counts tuples in flight end to end — in the
-//! writer's buffer, on the wire, and in the consumer-side staging queue —
-//! so [`FragmentPort::used_tuples`] keeps feeding the migration
-//! coordinator's backlog heuristics unchanged. The admission rule is
-//! bit-for-bit the queue's (`w > 0 && outstanding > 0 && outstanding + w >
-//! capacity` bounces; an oversized delivery is admitted alone), so swapping
-//! a local queue for a remote one cannot introduce a new deadlock.
+//! The window's `used` therefore counts tuples in flight end to end — in
+//! the writer's buffer, on the wire, and in the consumer-side staging
+//! channel — so [`FragmentPort::used_tuples`] keeps feeding the migration
+//! coordinator's backlog heuristics unchanged, and swapping a local queue
+//! for a remote one cannot introduce a new deadlock: it is the same rule.
 //!
 //! ## Ordering and failure
 //!
@@ -45,9 +44,10 @@ use std::time::{Duration, Instant};
 
 use ewh_core::{encode_frame, ColumnBatch, Frame, FrameDecoder, Key, Rel, TUPLE_BYTES};
 
+use super::channel::{Channel, CreditGate, Weigh};
 use super::exchange::Exchange;
 use super::port::{FragmentPort, PortPop};
-use super::queue::{delivery_weight, BoundedQueue, Delivery, MigratedRegion, RegionBatch};
+use super::queue::{Delivery, MigratedRegion, RegionBatch};
 use super::runtime::{WakeSet, Waker};
 use super::spill::SpillRun;
 
@@ -247,11 +247,7 @@ impl Read for PipeReader {
         let mut st = self.0.state.lock().expect("pipe poisoned");
         loop {
             if !st.buf.is_empty() {
-                let n = out.len().min(st.buf.len());
-                for (i, b) in st.buf.drain(..n).enumerate() {
-                    out[i] = b;
-                }
-                return Ok(n);
+                return st.buf.read(out);
             }
             if st.write_closed {
                 return Ok(0);
@@ -312,126 +308,6 @@ fn make_wire(kind: TransportKind) -> io::Result<Wire> {
                 credit_in: Box::new(credit_in),
             })
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Credit gate
-// ---------------------------------------------------------------------------
-
-struct GateInner {
-    outstanding: usize,
-    waiters: Vec<Waker>,
-    failed: bool,
-}
-
-/// Producer-side tuple window mirroring [`BoundedQueue`]'s admission rule.
-/// `outstanding` is charged on send and returned by `CREDIT` frames, so it
-/// counts tuples in flight end to end.
-pub(crate) struct CreditGate {
-    capacity: usize,
-    inner: Mutex<GateInner>,
-    freed: Condvar,
-    blocked_nanos: AtomicU64,
-}
-
-impl CreditGate {
-    pub(crate) fn new(capacity_tuples: usize) -> Arc<Self> {
-        Arc::new(CreditGate {
-            capacity: capacity_tuples.max(1),
-            inner: Mutex::new(GateInner {
-                outstanding: 0,
-                waiters: Vec::new(),
-                failed: false,
-            }),
-            freed: Condvar::new(),
-            blocked_nanos: AtomicU64::new(0),
-        })
-    }
-
-    /// The queue's admission rule verbatim: bounce only when the window is
-    /// non-empty and `w` would overrun it (an oversized delivery is
-    /// admitted alone). A failed gate admits everything — the caller
-    /// discards. A bounced call with a waker registers it under the gate
-    /// lock, so the freeing credit can never race past unobserved.
-    fn try_acquire(&self, w: usize, waker: Option<&Waker>) -> bool {
-        let mut g = self.inner.lock().expect("credit gate poisoned");
-        if g.failed {
-            return true;
-        }
-        if w > 0 && g.outstanding > 0 && g.outstanding + w > self.capacity {
-            if let Some(waker) = waker {
-                waker.register_in(&mut g.waiters);
-            }
-            return false;
-        }
-        g.outstanding += w;
-        true
-    }
-
-    /// Blocking acquire for client threads outside the pool. Returns
-    /// `false` when the gate failed while (or before) waiting.
-    fn acquire_blocking(&self, w: usize) -> bool {
-        let mut g = self.inner.lock().expect("credit gate poisoned");
-        let start = Instant::now();
-        while !g.failed && w > 0 && g.outstanding > 0 && g.outstanding + w > self.capacity {
-            g = self.freed.wait(g).expect("credit gate poisoned");
-        }
-        if start.elapsed() > Duration::ZERO {
-            self.blocked_nanos
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        if g.failed {
-            return false;
-        }
-        g.outstanding += w;
-        true
-    }
-
-    /// Unbounded admission: weight accounted, bound bypassed (control
-    /// traffic and reducer→reducer forwarding must never deadlock).
-    fn acquire_unbounded(&self, w: usize) {
-        let mut g = self.inner.lock().expect("credit gate poisoned");
-        if !g.failed {
-            g.outstanding += w;
-        }
-    }
-
-    /// Returns `w` tuples of window and wakes every parked producer (the
-    /// queue wakes all producers per pop for the same reason: a big freed
-    /// weight may admit several small waiters).
-    fn credit(&self, w: usize) {
-        let waiters = {
-            let mut g = self.inner.lock().expect("credit gate poisoned");
-            g.outstanding = g.outstanding.saturating_sub(w);
-            std::mem::take(&mut g.waiters)
-        };
-        self.freed.notify_all();
-        for waker in waiters {
-            waker.wake();
-        }
-    }
-
-    /// Poisons the gate: every parked producer wakes and every subsequent
-    /// acquire is admitted (and discarded by the caller).
-    fn fail(&self) {
-        let waiters = {
-            let mut g = self.inner.lock().expect("credit gate poisoned");
-            g.failed = true;
-            std::mem::take(&mut g.waiters)
-        };
-        self.freed.notify_all();
-        for waker in waiters {
-            waker.wake();
-        }
-    }
-
-    fn outstanding(&self) -> usize {
-        self.inner.lock().expect("credit gate poisoned").outstanding
-    }
-
-    fn blocked_nanos(&self) -> u64 {
-        self.blocked_nanos.load(Ordering::Relaxed)
     }
 }
 
@@ -734,7 +610,7 @@ fn credit_frame(gate: &CreditGate, f: &Frame, whence: &str) -> Result<ControlFlo
     if f.kind != FRAME_CREDIT {
         return Err(format!("unexpected kind {} {whence}", f.kind));
     }
-    gate.credit(f.a as usize);
+    gate.release(f.a as usize);
     Ok(ControlFlow::Continue(()))
 }
 
@@ -743,9 +619,14 @@ fn credit_frame(gate: &CreditGate, f: &Frame, whence: &str) -> Result<ControlFlo
 // ---------------------------------------------------------------------------
 
 /// Trips the shared failure latch and unblocks both ends of the link:
-/// producers through the poisoned gate, the consumer through an in-band
+/// producers through the abandoned gate, the consumer through an in-band
 /// `Abort` (the reducer's native unwind path).
-fn trip_link(failure: &TransportFailure, gate: &CreditGate, staging: &BoundedQueue, why: String) {
+fn trip_link(
+    failure: &TransportFailure,
+    gate: &CreditGate,
+    staging: &Channel<Delivery>,
+    why: String,
+) {
     failure.trip(why);
     // Unconditionally, even when another link already tripped the shared
     // latch: each failing link must unblock its *own* consumer in-band. The
@@ -753,27 +634,27 @@ fn trip_link(failure: &TransportFailure, gate: &CreditGate, staging: &BoundedQue
     // to cross this link's wire, which is exactly what just died. Both
     // calls are idempotent; a duplicate `Abort` is harmless (the reducer
     // unwinds on the first).
-    gate.fail();
+    gate.abandon();
     staging.push_unbounded(Delivery::Abort);
 }
 
 /// A mapper→reducer delivery channel carried over a framed byte stream,
-/// speaking the exact [`FragmentPort`] contract of [`BoundedQueue`].
+/// speaking the exact [`FragmentPort`] contract of the in-process
+/// [`Channel`].
 ///
-/// Producer side: `try_push*` charges the `CreditGate` and hands the
-/// encoded frame to the data-writer thread. Consumer side: the data-reader
-/// thread decodes arriving frames into a staging [`BoundedQueue`] (whose
-/// waker plumbing parks/wakes the reducer unchanged); every pop returns the
-/// delivery's weight as a `CREDIT` frame on the back-channel.
+/// Producer side: a push charges the `CreditGate` and hands the encoded
+/// frame to the data-writer thread. Consumer side: the data-reader thread
+/// decodes arriving frames into a staging [`Channel`] (whose waker plumbing
+/// parks/wakes the reducer unchanged); every pop returns the delivery's
+/// weight as a `CREDIT` frame on the back-channel.
 pub struct RemoteQueue {
-    staging: Arc<BoundedQueue>,
+    staging: Arc<Channel<Delivery>>,
     gate: Arc<CreditGate>,
     failure: Arc<TransportFailure>,
     data_tx: Mutex<Option<mpsc::Sender<Vec<u8>>>>,
     credit_tx: Mutex<Option<mpsc::Sender<u64>>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     wire_bytes: Arc<AtomicU64>,
-    note_nanos: AtomicU64,
 }
 
 impl RemoteQueue {
@@ -785,7 +666,7 @@ impl RemoteQueue {
         failure: Arc<TransportFailure>,
     ) -> io::Result<Arc<RemoteQueue>> {
         let wire = make_wire(cfg.kind)?;
-        let staging = Arc::new(BoundedQueue::new(capacity_tuples));
+        let staging = Arc::new(Channel::new(capacity_tuples));
         let gate = CreditGate::new(capacity_tuples);
         let wire_bytes = Arc::new(AtomicU64::new(0));
         let (data_tx, data_rx) = mpsc::channel::<Vec<u8>>();
@@ -880,7 +761,6 @@ impl RemoteQueue {
             credit_tx: Mutex::new(Some(credit_tx)),
             threads: Mutex::new(threads),
             wire_bytes,
-            note_nanos: AtomicU64::new(0),
         }))
     }
 
@@ -902,35 +782,6 @@ impl RemoteQueue {
             let _ = tx.send(buf);
         }
     }
-
-    /// Non-blocking bounded push; a bounced one registers `waker` (if any)
-    /// with the gate. On a failed link the delivery is discarded: the run
-    /// is unwinding.
-    fn offer(&self, item: Delivery, waker: Option<&Waker>) -> Result<(), Delivery> {
-        if self.failure.failed() {
-            return Ok(());
-        }
-        if self.gate.try_acquire(delivery_weight(&item), waker) {
-            self.send(item);
-            Ok(())
-        } else {
-            Err(item)
-        }
-    }
-
-    /// Returns a popped delivery's weight to the producer as credit.
-    fn credited(&self, popped: Option<Delivery>) -> PortPop<Delivery> {
-        let Some(item) = popped else {
-            return PortPop::Empty;
-        };
-        let w = delivery_weight(&item);
-        if w > 0 {
-            if let Some(tx) = self.credit_tx.lock().expect("credit tx poisoned").as_ref() {
-                let _ = tx.send(w as u64);
-            }
-        }
-        PortPop::Item(item)
-    }
 }
 
 impl Drop for RemoteQueue {
@@ -949,40 +800,35 @@ impl Drop for RemoteQueue {
 impl FragmentPort for RemoteQueue {
     type Item = Delivery;
 
-    fn push(&self, item: Delivery) {
-        let w = delivery_weight(&item);
-        if self.gate.acquire_blocking(w) {
-            self.send(item);
+    /// On a failed link the delivery is discarded: the run is unwinding.
+    fn offer(&self, item: Delivery, park: Option<&Waker>) -> Result<(), Delivery> {
+        if self.failure.failed() {
+            return Ok(());
         }
-    }
-
-    fn try_push(&self, item: Delivery) -> Result<(), Delivery> {
-        self.offer(item, None)
-    }
-
-    fn try_push_or_park(&self, item: Delivery, waker: &Waker) -> Result<(), Delivery> {
-        self.offer(item, Some(waker))
+        if !self.gate.admit_or_park(item.weight(), park) {
+            return Err(item);
+        }
+        self.send(item);
+        Ok(())
     }
 
     fn push_unbounded(&self, item: Delivery) {
-        self.gate.acquire_unbounded(delivery_weight(&item));
+        self.gate.admit_unbounded(item.weight());
         self.send(item);
     }
 
-    fn try_pop(&self) -> PortPop<Delivery> {
-        self.credited(BoundedQueue::try_pop(&self.staging))
-    }
-
-    fn try_pop_or_park(&self, waker: &Waker) -> PortPop<Delivery> {
-        self.credited(BoundedQueue::try_pop_or_park(&self.staging, waker))
-    }
-
-    /// No-op: lifecycle is in-band, as on the local queue.
-    fn close(&self) {}
-
-    /// Consumer teardown: producers must never block again.
-    fn abandon(&self) {
-        self.gate.fail();
+    /// Returns a popped delivery's weight to the producer as credit.
+    fn take(&self, park: Option<&Waker>) -> PortPop<Delivery> {
+        let popped = self.staging.take(park);
+        if let PortPop::Item(item) = &popped {
+            let w = item.weight();
+            if w > 0 {
+                if let Some(tx) = self.credit_tx.lock().expect("credit tx poisoned").as_ref() {
+                    let _ = tx.send(w as u64);
+                }
+            }
+        }
+        popped
     }
 
     /// Window charged but not yet credited back: tuples in the writer's
@@ -990,15 +836,15 @@ impl FragmentPort for RemoteQueue {
     /// generalization of queue depth the coordinator's backlog heuristics
     /// expect.
     fn used_tuples(&self) -> usize {
-        self.gate.outstanding()
+        self.gate.used()
     }
 
     fn note_blocked(&self, nanos: u64) {
-        self.note_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.gate.note_blocked(nanos);
     }
 
     fn blocked_secs(&self) -> f64 {
-        (self.note_nanos.load(Ordering::Relaxed) + self.gate.blocked_nanos()) as f64 * 1e-9
+        self.gate.blocked_secs()
     }
 }
 
@@ -1040,7 +886,7 @@ impl RemoteExchangeSender {
                     pump_frames(&mut src, 4096, |f| credit_frame(&gate, &f, "from receiver"));
                 if let Err(PumpError::Frame(why)) = pumped {
                     failure.trip(why);
-                    gate.fail();
+                    gate.abandon();
                 }
             })?
         };
@@ -1055,7 +901,7 @@ impl RemoteExchangeSender {
 
     /// Blocking bounded push: waits for window, then writes one frame.
     pub fn push(&self, batch: &ColumnBatch) -> io::Result<()> {
-        if !self.gate.acquire_blocking(batch.len()) {
+        if !self.gate.admit_blocking(batch.len()) {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 self.failure
@@ -1319,19 +1165,6 @@ mod tests {
         assert!(matches!(got[2], Delivery::Migrate { region: 7 }));
         assert!(matches!(got[3], Delivery::Finish));
         assert!(matches!(got[4], Delivery::Abort));
-    }
-
-    #[test]
-    fn the_credit_gate_mirrors_the_queue_admission_rule() {
-        let gate = CreditGate::new(10);
-        assert!(gate.try_acquire(8, None));
-        assert!(!gate.try_acquire(3, None), "8 + 3 > 10 bounces");
-        assert!(gate.try_acquire(2, None), "8 + 2 == 10 admitted");
-        gate.credit(10);
-        assert!(gate.try_acquire(100, None), "oversized admitted alone");
-        assert_eq!(gate.outstanding(), 100);
-        gate.fail();
-        assert!(gate.try_acquire(100, None), "failed gate admits everything");
     }
 
     fn round_trip_over(kind: TransportKind) {
