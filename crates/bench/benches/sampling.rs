@@ -1,13 +1,10 @@
 //! Criterion bench: the sampling substrate — the census → sweep → draw
-//! pipeline of Stream-Sample, equi-depth histogram construction and weighted
-//! reservoirs.
+//! pipeline of Stream-Sample and equi-depth histogram construction.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ewh_sampling::{
-    bernoulli_sample, stream_sample, EquiDepthHistogram, KeyedCounts, WeightedReservoir,
-};
+use ewh_sampling::{bernoulli_sample, stream_sample, EquiDepthHistogram, KeyedCounts};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,16 +58,6 @@ fn bench_structures(c: &mut Criterion) {
         b.iter(|| {
             let mut sample = ks[..20_000].to_vec();
             EquiDepthHistogram::from_sample(&mut sample, 1000).num_buckets()
-        });
-    });
-    group.bench_function("weighted_reservoir_100k_offers", |b| {
-        let mut rng = SmallRng::seed_from_u64(8);
-        b.iter(|| {
-            let mut r = WeightedReservoir::new(1024);
-            for (i, &k) in ks.iter().take(100_000).enumerate() {
-                r.offer(i as u64, (k as u64 % 16) + 1, &mut rng);
-            }
-            r.len()
         });
     });
     group.finish();

@@ -1,15 +1,15 @@
-//! Chained query plans: the pipelined executor (streamed intermediates +
-//! online statistics, `ewh_exec::run_plan`) against the classic
-//! materialize-between-operators execution (`run_plan_materialized`) on the
-//! chained hot-key workload — §IV-B's multi-way strategy, compared on peak
-//! resident memory and makespan. The `plan` subcommand prints the pair per
+//! Chained query plans: the pipelined executor (streamed intermediates,
+//! every stage planned from propagated censuses, `ewh_exec::run_plan`)
+//! against the classic materialize-between-operators execution
+//! (`run_plan_materialized`) on the chained hot-key workload — §IV-B's
+//! multi-way strategy, compared on peak resident memory and makespan. The `plan` subcommand prints the pair per
 //! scheme with its per-stage breakdown; `tests/plan_claims.rs` asserts on
 //! the same outcome.
 
 use ewh_core::SchemeKind;
 use ewh_exec::{run_plan, run_plan_materialized, OperatorConfig, PlanRun};
 
-use crate::cli::{f, Args, Report, Subcommand, Table};
+use crate::cli::{f, Args, Flag, Kind, Report, Subcommand, Table};
 use crate::harness::{check_pipelined_scale, mib, RunConfig};
 use crate::workloads::{chain_hotkey_with, ChainWorkload};
 
@@ -63,13 +63,29 @@ fn modes(out: &PlanOutcome) -> [(&'static str, &PlanRun); 2] {
     [("pipelined", &out.pipe), ("materialized", &out.mat)]
 }
 
-pub const SUBCOMMAND: Subcommand = Subcommand::new("plan", &[], print);
+/// The balance the chain recipe's final stage must reach under CSIO: its
+/// hot cell holds half the output and no key range splits it, so anything
+/// near 1 means the block did.
+pub const MAX_FINAL_IMBALANCE: f64 = 2.0;
+
+pub const SUBCOMMAND: Subcommand =
+    Subcommand::new("plan", &[Flag("--claims", Kind::Switch)], print);
 
 fn print(args: &Args, report: &mut Report) {
     let rc = args.rc;
-    // CSIO exercises the online-statistics path end to end; hash is the
-    // equi-join state of the art and shows the same memory profile.
+    // CSIO exercises the propagated statistics and the hot-cell block end
+    // to end; hash is the equi-join state of the art and shows the same
+    // memory profile.
     let csio = run(SchemeKind::Csio, &rc, None);
+    if args.has("--claims") {
+        let last = csio.pipe.stages.last().expect("a plan has stages");
+        let imbalance = last.join.imbalance(&csio.cfg.cost);
+        assert!(
+            imbalance <= MAX_FINAL_IMBALANCE,
+            "{}: final-stage imbalance {imbalance:.2} above {MAX_FINAL_IMBALANCE}",
+            csio.w.name
+        );
+    }
     let hash = run(SchemeKind::Hash, &rc, None);
     let mut table = Table::new(
         format!(
@@ -105,8 +121,10 @@ fn print(args: &Args, report: &mut Report) {
     }
     report.push(table);
 
-    // Per-stage breakdown of the CSIO pair: where the time and statistics
-    // went (sample sizes and cutoffs only exist on the pipelined side).
+    // Per-stage breakdown of the CSIO pair: what each stage was planned
+    // into, how evenly it ran, and where the time went (`census_keys` is the
+    // propagated census a pipelined chain stage was planned from; the
+    // materialized side counts its resident intermediate instead).
     let mut stages = Table::new(
         format!("per-stage breakdown (CSIO, {})", csio.w.name),
         &[
@@ -114,9 +132,11 @@ fn print(args: &Args, report: &mut Report) {
             "stage",
             "scheme",
             "regions",
+            "blocks",
             "output",
-            "stats_sample",
-            "stats_cutoff_seen",
+            "imbalance",
+            "network_per_intermediate",
+            "census_keys",
             "stats_wall_s",
             "join_wall_s",
             "backpressure_s",
@@ -127,14 +147,27 @@ fn print(args: &Args, report: &mut Report) {
     );
     for (mode, run) in modes(&csio) {
         for (i, s) in run.stages.iter().enumerate() {
+            let blocks: Vec<String> = s.blocks.iter().map(|(a, b)| format!("{a}x{b}")).collect();
+            // Network tuples per intermediate tuple the stage receives (per
+            // probe tuple for the root, which receives a base relation).
+            let probe_tuples = match i.checked_sub(1) {
+                None => csio.w.b.len() as u64,
+                Some(up) => run.stages[up].join.output_total,
+            };
             stages.row(vec![
                 mode.into(),
                 i.into(),
                 s.kind.into(),
                 s.num_regions.into(),
+                if blocks.is_empty() {
+                    "-".into()
+                } else {
+                    blocks.join(",").into()
+                },
                 s.join.output_total.into(),
+                f(s.join.imbalance(&csio.cfg.cost), 3),
+                f(s.join.network_tuples as f64 / probe_tuples.max(1) as f64, 3),
                 s.sample_tuples.into(),
-                s.cutoff_seen.into(),
                 f(s.stats_wall_secs, 4),
                 f(s.join.wall_join_secs, 4),
                 f(s.join.backpressure_secs, 4),

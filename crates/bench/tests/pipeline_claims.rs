@@ -67,6 +67,8 @@ fn pipelined_peak_memory_beats_batch_on_zipf_and_hotkey_workloads() {
             w.name
         );
         assert_eq!(pipe.join.checksum, batch.join.checksum, "{}", w.name);
+        // Count mode's checksum is a real one too (partner-count parity).
+        assert_ne!(batch.join.checksum, 0, "{}", w.name);
         // Batch holds the full replicated shuffle; the pipeline must stay
         // strictly below it.
         assert!(

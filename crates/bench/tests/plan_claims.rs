@@ -1,12 +1,14 @@
 //! Acceptance claims of the composable plan executor on the chained
-//! hot-key workload: the pipelined plan (streamed intermediates + online
-//! statistics) must produce exactly the materialize-between-operators
-//! baseline's join — the batch-path oracle — while holding strictly less
-//! peak resident memory, at a scale safely above the bounded-buffer floor.
+//! hot-key workload: the pipelined plan (streamed intermediates, planned
+//! from propagated censuses) must produce exactly the
+//! materialize-between-operators baseline's join — the batch-path oracle —
+//! while holding strictly less peak resident memory, at a scale safely above
+//! the bounded-buffer floor, and its final stage must come out balanced: the
+//! hot cell no key range can split is a block of regions.
 
 use std::sync::{Mutex, MutexGuard};
 
-use ewh_bench::plan::{run, PlanOutcome};
+use ewh_bench::plan::{run, PlanOutcome, MAX_FINAL_IMBALANCE};
 use ewh_bench::RunConfig;
 use ewh_core::SchemeKind;
 
@@ -65,14 +67,24 @@ fn pipelined_plan_peak_memory_beats_materialized_baseline() {
         mat.peak_resident_bytes
     );
 
-    // The chain stage's scheme really was built from online statistics: a
-    // non-empty frozen sample, cut before the stream ended.
+    // The chain stage was planned from the propagated census of the
+    // intermediate — at most one entry per distinct key, never a pass over
+    // the stream — and the hot cell it found became a block, which is what
+    // balances the stage.
     let chained = &pipe.stages[1];
     assert!(chained.sample_tuples > 0);
-    assert!(chained.cutoff_seen >= cfg.effective_stats_cutoff() as u64 || chained.stats_complete);
-    // And the sample was a genuine prefix cut, not a full materialized
-    // pass: the intermediate kept streaming long past the freeze.
-    assert!(chained.cutoff_seen < pipe.intermediate_tuples());
+    assert!((chained.sample_tuples as u64) < pipe.intermediate_tuples());
+    assert!(
+        !chained.blocks.is_empty(),
+        "{}: no block for the hot cell",
+        w.name
+    );
+    let imbalance = chained.join.imbalance(&cfg.cost);
+    assert!(
+        imbalance <= MAX_FINAL_IMBALANCE,
+        "{}: final-stage imbalance {imbalance:.2}",
+        w.name
+    );
 }
 
 #[test]
@@ -104,4 +116,47 @@ fn hash_chain_shows_the_same_memory_profile() {
         pipe.peak_resident_bytes,
         mat.peak_resident_bytes
     );
+}
+
+#[test]
+fn the_planned_schemes_do_not_depend_on_the_order_of_the_inputs() {
+    let _serial = serial();
+    // The chain recipe at 1/20 of the benchmark's scale, its three relations
+    // shuffled ten ways under one seed: a scheme planned from censuses is a
+    // function of the key multisets, so every stage comes out with the same
+    // regions — rectangles, estimates, blocks — and routes the same number
+    // of tuples. (Planned from the first tuples to arrive, stage 1 differed
+    // from run to run.)
+    use ewh_bench::chain_hotkey_with;
+    use ewh_exec::run_plan;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    let rc = RunConfig {
+        scale: 0.2,
+        j: 32,
+        threads: 2,
+        ..Default::default()
+    };
+    let mut w = chain_hotkey_with(SchemeKind::Csio, rc.scale, rc.seed);
+    let cfg = rc.operator_config(w.cost);
+    let rt = rc.runtime();
+    let mut rng = SmallRng::seed_from_u64(23);
+    let mut reference = None;
+    for order in 0..10 {
+        for rel in [&mut w.a, &mut w.b, &mut w.c] {
+            for k in (1..rel.len()).rev() {
+                rel.swap(k, rng.gen_range(0..=k));
+            }
+        }
+        let run = run_plan(&rt, &w.a, &w.b, &w.first, &w.chain(), &cfg);
+        let planned: Vec<_> = run
+            .stages
+            .iter()
+            .map(|s| (s.regions.clone(), s.blocks.clone(), s.join.network_tuples))
+            .collect();
+        assert!(!run.stages[1].blocks.is_empty(), "order {order}");
+        let reference = reference.get_or_insert_with(|| planned.clone());
+        assert_eq!(&planned, reference, "order {order}");
+    }
 }

@@ -32,7 +32,7 @@ use std::sync::{Mutex, MutexGuard};
 use ewh_bench::concurrent::{query_config, run_concurrent, run_query, straggler_beside_healthy};
 use ewh_bench::{check_pipelined_scale, retail_hotkey, shared_pool, RunConfig};
 use ewh_core::TUPLE_BYTES;
-use ewh_exec::OperatorConfig;
+use ewh_exec::{ExecMode, OperatorConfig};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -68,6 +68,18 @@ fn eight_concurrent_queries_on_one_pool_match_the_serial_oracle() {
     let rt = shared_pool(WORKERS, QUERIES, None);
     let oracle = run_query(&rt, &w, &cfg);
     assert!(oracle.join.output_total > 0);
+    // The serial run is itself held to the batch path, on a checksum that
+    // is one: Count mode folds every tuple's partner-count parity.
+    let batch_cfg = OperatorConfig {
+        mode: ExecMode::Batch,
+        ..cfg.clone()
+    };
+    let batch = run_query(&rt, &w, &batch_cfg);
+    assert_ne!(batch.join.checksum, 0, "RETAIL's identity check is vacuous");
+    assert_eq!(
+        (oracle.join.output_total, oracle.join.checksum),
+        (batch.join.output_total, batch.join.checksum)
+    );
 
     let (_, runs) = run_concurrent(QUERIES, Some(&rt), WORKERS, &w, &cfg);
     for (i, run) in runs.iter().enumerate() {

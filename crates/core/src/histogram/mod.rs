@@ -22,7 +22,9 @@ mod sample_matrix;
 
 pub use coarsen::{coarsen_sample_matrix, CoarsenedMatrix};
 pub use regionalize::{regionalize, Regionalization};
-pub use sample_matrix::{build_sample_matrix, SampleMatrix};
+pub use sample_matrix::{
+    build_sample_matrix, censuses, sample_matrix_from_stats, SampleMatrix, SideStats,
+};
 
 /// Tunables of the histogram pipeline. Defaults follow the paper; overrides
 /// exist for the ablation benches (`nc = J` vs `2J` vs `4J`, `ns` vs the

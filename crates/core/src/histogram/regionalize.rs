@@ -6,20 +6,33 @@
 //! of rectangular regions of weight ≤ δ. The smallest δ that fits within the
 //! available `J` regions wins; regions are then translated back to key
 //! ranges with their input/output estimates attached.
+//!
+//! A single `MC` cell heavier than δ — one hot key against one hot key is
+//! the case no cut can split — is charged `k = ⌈w/δ⌉` of the `J` regions by
+//! the tiling, and becomes a *block* here: `k` regions over the cell's key
+//! rectangle, laid out `a × b` as the 1-Bucket scheme would (the shape that
+//! minimizes the per-region input `rows/a + cols/b`), with the cell's
+//! estimates divided among them. See [`crate::GridBlock`] for the routing.
 
 use ewh_tiling::{partition_max_weight, TilingAlgo};
 
 use crate::histogram::CoarsenedMatrix;
+use crate::schemes::choose_shape;
 use crate::{KeyRange, Region};
 
 /// The equi-weight histogram `MH`.
 #[derive(Clone, Debug)]
 pub struct Regionalization {
-    /// Regions in key-range space with tuple estimates.
+    /// Regions in key-range space with tuple estimates, a block's regions
+    /// together (each with the block's rectangle and its share of the
+    /// estimates).
     pub regions: Vec<Region>,
-    /// The same regions in coarse-grid coordinates `(r0, r1, c0, c1)` — the
-    /// router indexes grid cells, not keys.
+    /// The tiling in coarse-grid coordinates `(r0, r1, c0, c1)` — the router
+    /// indexes grid cells, not keys.
     pub rects: Vec<(usize, usize, usize, usize)>,
+    /// Block shape `(a, b)` of each tiling rectangle; `(1, 1)` is one
+    /// ordinary region.
+    pub shapes: Vec<(u32, u32)>,
     /// δ found by the binary search (milli-units).
     pub delta: u64,
     /// Estimated maximum region weight (milli-units) — `CSIO-est` in Fig 4h.
@@ -38,7 +51,8 @@ pub fn regionalize(mc: &CoarsenedMatrix, j: usize, baseline_bsp: bool) -> Region
     let ncols = mc.n_cols();
     let mut regions = Vec::with_capacity(partition.regions.len());
     let mut rects = Vec::with_capacity(partition.regions.len());
-    for r in &partition.regions {
+    let mut shapes = Vec::with_capacity(partition.regions.len());
+    for (r, &shares) in partition.regions.iter().zip(&partition.shares) {
         let rows = KeyRange::new(
             mc.row_range(r.r0 as usize).lo,
             mc.row_range(r.r1 as usize).hi,
@@ -47,30 +61,30 @@ pub fn regionalize(mc: &CoarsenedMatrix, j: usize, baseline_bsp: bool) -> Region
             mc.col_range(r.c0 as usize).lo,
             mc.col_range(r.c1 as usize).hi,
         );
-        let est_input: u64 = mc.row_tuples[r.r0 as usize..=r.r1 as usize]
-            .iter()
-            .sum::<u64>()
-            + mc.col_tuples[r.c0 as usize..=r.c1 as usize]
-                .iter()
-                .sum::<u64>();
+        let row_tuples: u64 = mc.row_tuples[r.r0 as usize..=r.r1 as usize].iter().sum();
+        let col_tuples: u64 = mc.col_tuples[r.c0 as usize..=r.c1 as usize].iter().sum();
         let mut est_output = 0u64;
         for row in r.r0 as usize..=r.r1 as usize {
             est_output += mc.out_tuples[row * ncols + r.c0 as usize..=row * ncols + r.c1 as usize]
                 .iter()
                 .sum::<u64>();
         }
-        regions.push(Region {
+        let (a, b) = choose_shape(shares as usize, row_tuples, col_tuples);
+        let region = Region {
             rows,
             cols,
-            est_input,
-            est_output,
-        });
+            est_input: row_tuples.div_ceil(a as u64) + col_tuples.div_ceil(b as u64),
+            est_output: est_output.div_ceil(shares as u64),
+        };
+        regions.extend((0..shares).map(|_| region));
         rects.push((r.r0 as usize, r.r1 as usize, r.c0 as usize, r.c1 as usize));
+        shapes.push((a, b));
     }
 
     Regionalization {
         regions,
         rects,
+        shapes,
         delta: partition.delta,
         est_max_weight: partition.max_weight,
     }

@@ -11,8 +11,11 @@
 //! multi-attribute histograms track only frequency and cannot provide it.
 //!
 //! Each relation is sorted once, into its census ([`KeyedCounts`]); both
-//! histograms, `d2equi`, every `d2` and the Appendix A5 rebuilds read the
-//! two censuses.
+//! histograms, their per-bucket tuple counts, `d2equi`, every `d2` and the
+//! Appendix A5 rebuilds read the two censuses — and nothing else, so a side
+//! can as well be a census that was never counted from resident tuples
+//! ([`SideStats`]): the propagated census of a plan's intermediate, or a
+//! sample weighed up to the relation it was drawn from.
 
 use std::thread;
 
@@ -28,8 +31,9 @@ use crate::{HistogramParams, JoinCondition, Key, KeyRange};
 pub struct SampleMatrix {
     pub row_hist: EquiDepthHistogram,
     pub col_hist: EquiDepthHistogram,
-    /// Estimated tuples per row bucket (uniform `n1/ns` by the equi-depth
-    /// property; remainders spread so the total is exactly `n1`).
+    /// Estimated tuples per row bucket: `n1/ns` by the equi-depth property
+    /// for a resident relation, counted off the census otherwise (see
+    /// [`SideStats::counted`]).
     pub row_tuples: Vec<u64>,
     pub col_tuples: Vec<u64>,
     /// Output-sample hits: one `(row bucket, col bucket)` per sampled output
@@ -92,6 +96,67 @@ pub(crate) fn scale_count(count: u64, m: u64, so: usize) -> u64 {
         return 0;
     }
     ((count as u128 * m as u128) / so as u128) as u64
+}
+
+/// What a scheme build knows about one input: its key census and the
+/// number of tuples the census stands for.
+#[derive(Clone, Copy, Debug)]
+pub struct SideStats<'a> {
+    pub census: &'a KeyedCounts,
+    /// The census's own total for a relation (or the exact census of a
+    /// stream); the relation's cardinality for the census of a sample of it,
+    /// which every count read off the census is then scaled up to.
+    pub tuples: u64,
+    /// Whether a histogram bucket's tuples are counted off the census or
+    /// taken to be `n/ns`, the equi-depth property. Counting is exact; a
+    /// resident relation keeps the paper's `n/ns` (the two differ wherever
+    /// a key outweighs a bucket, and the recorded benchmark numbers of the
+    /// single-stage workloads are of schemes built with `n/ns`).
+    pub counted: bool,
+}
+
+impl<'a> SideStats<'a> {
+    /// A resident relation, by its census.
+    pub fn relation(census: &'a KeyedCounts) -> Self {
+        SideStats {
+            census,
+            tuples: census.total(),
+            counted: false,
+        }
+    }
+
+    /// A census standing for `tuples` tuples nobody holds: the propagated
+    /// census of a plan's intermediate (`tuples` its total), or the census
+    /// of a sample of a larger relation.
+    pub fn counted(census: &'a KeyedCounts, tuples: u64) -> Self {
+        SideStats {
+            census,
+            tuples,
+            counted: true,
+        }
+    }
+
+    /// `count` census tuples in relation tuples.
+    fn scale(&self, count: u64) -> u64 {
+        match self.census.total() {
+            total if total == self.tuples || total == 0 => count,
+            total => (count as u128 * self.tuples as u128 / total as u128) as u64,
+        }
+    }
+
+    /// Tuples per bucket of `hist`: `distribute`d evenly, or counted — a
+    /// single-key bucket holding half a stream is not `n/ns` tuples.
+    fn bucket_tuples(&self, hist: &EquiDepthHistogram) -> Vec<u64> {
+        if !self.counted {
+            return distribute(self.tuples, hist.num_buckets());
+        }
+        (0..hist.num_buckets())
+            .map(|b| {
+                let (lo, hi) = hist.bucket_range(b);
+                self.scale(self.census.range_count(lo, hi))
+            })
+            .collect()
+    }
 }
 
 /// Splits `total` into `parts` near-equal integers summing to `total`.
@@ -175,17 +240,18 @@ pub fn build_sample_matrix(
     cond: &JoinCondition,
     params: &HistogramParams,
 ) -> SampleMatrix {
-    cond.validate();
-    let n1 = r1_keys.len() as u64;
-    let n2 = r2_keys.len() as u64;
-    let n = n1.max(n2);
-    let mut ns = params
-        .ns_override
-        .unwrap_or_else(|| HistogramParams::recommended_ns(n, params.j))
-        .max(1);
+    let (d1, d2equi) = censuses(r1_keys, r2_keys, params.threads);
+    sample_matrix_from_stats(
+        SideStats::relation(&d1),
+        SideStats::relation(&d2equi),
+        cond,
+        params,
+    )
+}
 
-    // The one sort each relation gets, the two sides side by side.
-    let (d1, d2equi) = if params.threads >= 2 {
+/// The one sort each relation gets, the two sides side by side.
+pub fn censuses(r1_keys: &[Key], r2_keys: &[Key], threads: usize) -> (KeyedCounts, KeyedCounts) {
+    if threads >= 2 {
         thread::scope(|s| {
             let d2equi = s.spawn(|| KeyedCounts::census(r2_keys));
             let d1 = KeyedCounts::census(r1_keys);
@@ -193,26 +259,41 @@ pub fn build_sample_matrix(
         })
     } else {
         (KeyedCounts::census(r1_keys), KeyedCounts::census(r2_keys))
+    }
+}
+
+/// Stage 1 from the two sides' statistics.
+pub fn sample_matrix_from_stats(
+    s1: SideStats<'_>,
+    s2: SideStats<'_>,
+    cond: &JoinCondition,
+    params: &HistogramParams,
+) -> SampleMatrix {
+    cond.validate();
+    let (d1, d2equi) = (s1.census, s2.census);
+    let (n1, n2) = (s1.tuples, s2.tuples);
+    let n = n1.max(n2);
+    let mut ns = params
+        .ns_override
+        .unwrap_or_else(|| HistogramParams::recommended_ns(n, params.j))
+        .max(1);
+
+    // The input sample a histogram of `ns` buckets asks for reaches the
+    // census long before the census is worth sampling: exact quantiles.
+    let si = |side: &SideStats<'_>, ns| {
+        EquiDepthHistogram::required_sample_size(side.tuples, ns, 0.5, 0.01)
+            .min(side.census.total() as usize)
     };
     let histograms = |ns: usize| {
-        let (rows, si1) =
-            EquiDepthHistogram::from_relation(r1_keys, Some(&d1), ns, params.seed ^ 0x11);
-        let (cols, si2) =
-            EquiDepthHistogram::from_relation(r2_keys, Some(&d2equi), ns, params.seed ^ 0x22);
-        (rows, cols, si1.max(si2))
+        (
+            EquiDepthHistogram::from_counts(d1, ns),
+            EquiDepthHistogram::from_counts(d2equi, ns),
+            si(&s1, ns).max(si(&s2, ns)),
+        )
     };
     let sample_output = |so: usize, seed: u64| {
-        let joinable = |k| {
-            let r = cond.joinable_range(k);
-            (r.lo, r.hi)
-        };
-        stream_sample(
-            &d1,
-            &d2equi,
-            joinable,
-            so,
-            &mut SmallRng::seed_from_u64(seed),
-        )
+        let rng = &mut SmallRng::seed_from_u64(seed);
+        stream_sample(d1, d2equi, |k| cond.joinable_bounds(k), so, rng)
     };
     let output_sample_size = |nsc: u64| {
         params
@@ -225,7 +306,8 @@ pub fn build_sample_matrix(
     let mut nsc = candidate_cells(&cand);
     let mut so = output_sample_size(nsc);
     let sample = sample_output(so, params.seed ^ 0x33);
-    let m = sample.m;
+    // Pairs of the two censuses, in pairs of the two relations.
+    let m = s2.scale(s1.scale(sample.m));
     let mut pairs = sample.pairs;
 
     // Appendix A5 adjustments once m is known. Both rebuild the histograms at
@@ -296,8 +378,8 @@ pub fn build_sample_matrix(
         .collect();
 
     SampleMatrix {
-        row_tuples: distribute(n1, row_hist.num_buckets()),
-        col_tuples: distribute(n2, col_hist.num_buckets()),
+        row_tuples: s1.bucket_tuples(&row_hist),
+        col_tuples: s2.bucket_tuples(&col_hist),
         row_hist,
         col_hist,
         points,
@@ -356,6 +438,42 @@ mod tests {
         let ms = build_sample_matrix(&r1, &r2, &cond, &params);
         assert_eq!(ms.row_tuples.iter().sum::<u64>(), 3001);
         assert_eq!(ms.col_tuples.iter().sum::<u64>(), 2000);
+    }
+
+    #[test]
+    fn a_sample_is_weighed_up_to_the_relation_it_stands_for() {
+        // The same censuses, the probe side standing for ten times its own
+        // size: same histograms and output sample, ten times the column
+        // tuples and ten times m — a sample is not the relation.
+        let r1 = uniform_keys(3000, 7);
+        let r2: Vec<Key> = (0..400).map(|i| (i * i) % 3000).collect();
+        let cond = JoinCondition::Band { beta: 1 };
+        let params = HistogramParams {
+            j: 4,
+            ns_override: Some(40),
+            ..Default::default()
+        };
+        let (d1, d2) = censuses(&r1, &r2, 1);
+        let build = |tuples| {
+            let s2 = SideStats::counted(&d2, tuples);
+            sample_matrix_from_stats(SideStats::relation(&d1), s2, &cond, &params)
+        };
+        let (own, tenfold) = (build(400), build(4000));
+        assert_eq!(own.col_tuples.iter().sum::<u64>(), 400);
+        let scaled: Vec<u64> = own.col_tuples.iter().map(|t| 10 * t).collect();
+        assert_eq!(tenfold.col_tuples, scaled);
+        assert_eq!(tenfold.row_tuples, own.row_tuples);
+        assert_eq!(tenfold.m, 10 * own.m);
+        assert_eq!(tenfold.points, own.points);
+        // Counted buckets are what the census holds, not n/ns: the squares
+        // mod 3000 are far from uniform.
+        let flat = build_sample_matrix(&r1, &r2, &cond, &params);
+        assert_eq!(flat.col_hist.bounds(), own.col_hist.bounds());
+        assert_ne!(flat.col_tuples, own.col_tuples);
+        for (b, &t) in own.col_tuples.iter().enumerate() {
+            let (lo, hi) = own.col_hist.bucket_range(b);
+            assert_eq!(t, d2.range_count(lo, hi));
+        }
     }
 
     #[test]

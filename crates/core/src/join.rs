@@ -109,6 +109,14 @@ impl JoinCondition {
         }
     }
 
+    /// [`joinable_range`](Self::joinable_range) as the `(lo, hi)` pair the
+    /// census sweeps of `ewh_sampling` take (`lo > hi`: no partner).
+    #[inline]
+    pub fn joinable_bounds(&self, a: Key) -> (Key, Key) {
+        let KeyRange { lo, hi } = self.joinable_range(a);
+        (lo, hi)
+    }
+
     /// The `R1` keys that have a partner at all: every key, except that a
     /// strict inequality finds nothing above `Key::MAX` or below `Key::MIN`.
     #[inline]

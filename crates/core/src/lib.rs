@@ -33,15 +33,16 @@ mod types;
 pub use batch::ColumnBatch;
 pub use cost::CostModel;
 pub use frame::{encode_frame, Frame, FrameDecoder, FrameError, MAX_FRAME_BODY};
-pub use histogram::HistogramParams;
+pub use histogram::{HistogramParams, SideStats};
 pub use join::{IneqOp, JoinCondition};
 pub use matrix::JoinMatrix;
 pub use region::Region;
 pub use router::{
-    GridRouter, HashRouter, RandomRouter, Rel, RouteBatch, RouteScatter, Router, RoutingTable,
+    GridBlock, GridRouter, HashRouter, RandomRouter, Rel, RouteBatch, RouteScatter, Router,
+    RoutingTable,
 };
 pub use schemes::{
-    build_ci, build_csi, build_csio, build_hash, BuildInfo, CsiParams, HashParams, PartitionScheme,
-    SchemeKind,
+    build_ci, build_csi, build_csi_from_stats, build_csio, build_csio_from_stats, build_hash,
+    build_hash_from_stats, BuildInfo, CsiParams, HashParams, PartitionScheme, SchemeKind,
 };
 pub use types::{Key, KeyRange, Tuple, TUPLE_BYTES};

@@ -5,7 +5,9 @@
 //! every region intersecting that row (column). The content-insensitive
 //! scheme (CI / 1-Bucket) ignores the key entirely: an `R1` tuple picks a
 //! random row *band* of the J = a×b region grid and is replicated to the `b`
-//! regions of that band (§II-A).
+//! regions of that band (§II-A). A grid region too heavy for one machine and
+//! too small to cut — one hot key — is a [`GridBlock`]: the same 1-Bucket
+//! scatter, confined to that region's rectangle.
 
 use std::mem;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -30,8 +32,10 @@ pub trait RouteBatch {
     /// one two-pass histogram-then-scatter (see [`RouteScatter`]). Consumes
     /// the RNG in exactly the order a per-tuple `route_r1` / `route_r2`
     /// loop over the batch would, so content-insensitive routing decisions
-    /// are identical across the two. `scatter` is cleared here: it owns its
-    /// per-batch lifecycle.
+    /// are identical across the two — except over a grid with
+    /// [`GridBlock`]s, which draws once per block and batch where the
+    /// per-tuple loop draws once per block and tuple. `scatter` is cleared
+    /// here: it owns its per-batch lifecycle.
     fn route_scatter(
         &self,
         rel: Rel,
@@ -68,7 +72,10 @@ const SPARE_FRAGMENTS: usize = 32;
 /// order — exactly the tuples a per-tuple [`Router::route_r1`] /
 /// [`Router::route_r2`] loop sends there on the same RNG, and
 /// [`touched`](Self::touched) lists regions in that loop's first-touch
-/// order; the property tests compare the two directly.
+/// order; the property tests compare the two directly. Over a grid with
+/// [`GridBlock`]s the contract is per *block*: the block's regions together
+/// hold what the loop sends to the block (each tuple once per sub-row or
+/// sub-column), and one batch lands in one sub-row / sub-column of it.
 #[derive(Debug, Default)]
 pub struct RouteScatter {
     /// Per-region tuple count of the current batch (reset via `touched`).
@@ -489,8 +496,11 @@ impl RouteBatch for Router {
             };
         }
         match (self, rel) {
-            (Router::Grid(g), Rel::R1) => route_pass!(|k, out| g.route_r1(k, out)),
-            (Router::Grid(g), Rel::R2) => route_pass!(|k, out| g.route_r2(k, out)),
+            (Router::Grid(g), _) => {
+                // One draw per block for the whole batch (see `GridBlock`).
+                let picks: Vec<u32> = g.blocks.iter().map(|b| b.draw(rel, rng)).collect();
+                route_pass!(|k, out| g.route(rel, k, |t| picks[t], out))
+            }
             (Router::Random(_), _) => unreachable!("grouped fast path above"),
             (Router::Hash(_), Rel::R1) => unreachable!("grouped fast path above"),
             (Router::Hash(h), Rel::R2) => route_pass!(|k, out| h.route_r2(k, out)),
@@ -504,7 +514,7 @@ impl Router {
     #[inline]
     pub fn route_r1(&self, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>) {
         match self {
-            Router::Grid(g) => g.route_r1(k, out),
+            Router::Grid(g) => g.route_r1(k, rng, out),
             Router::Random(r) => r.route_r1(rng, out),
             Router::Hash(h) => h.route_r1(k, rng, out),
         }
@@ -514,9 +524,47 @@ impl Router {
     #[inline]
     pub fn route_r2(&self, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>) {
         match self {
-            Router::Grid(g) => g.route_r2(k, out),
+            Router::Grid(g) => g.route_r2(k, rng, out),
             Router::Random(r) => r.route_r2(rng, out),
             Router::Hash(h) => h.route_r2(k, out),
+        }
+    }
+}
+
+/// The regions standing in for one region of the grid's tiling: `a × b` of
+/// them, ids `base + i·b + j`, over the *same* key rectangle — the 1-Bucket
+/// scheme (§II-A) inside that rectangle. An `R1` tuple of the rectangle goes
+/// to one sub-row `i` (its `b` regions), an `R2` tuple to one sub-column `j`
+/// (its `a` regions), so each pair still meets in exactly one region, and
+/// every other region of the grid is untouched. Any choice of sub-row is
+/// correct; it is drawn uniformly so the block's regions share the load.
+/// `a = b = 1` is an ordinary region.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GridBlock {
+    pub base: u32,
+    pub a: u32,
+    pub b: u32,
+}
+
+impl GridBlock {
+    /// The sub-row (`R1`) or sub-column (`R2`) a tuple goes to: drawn iff
+    /// there is more than one.
+    #[inline]
+    fn draw(&self, rel: Rel, rng: &mut impl Rng) -> u32 {
+        match rel {
+            Rel::R1 if self.a > 1 => rng.gen_range(0..self.a),
+            Rel::R2 if self.b > 1 => rng.gen_range(0..self.b),
+            _ => 0,
+        }
+    }
+
+    /// Appends the regions of sub-row (sub-column) `pick`.
+    #[inline]
+    fn push(&self, rel: Rel, pick: u32, out: &mut Vec<u32>) {
+        let GridBlock { base, a, b } = *self;
+        match rel {
+            Rel::R1 => out.extend((0..b).map(|j| base + pick * b + j)),
+            Rel::R2 => out.extend((0..a).map(|i| base + i * b + pick)),
         }
     }
 }
@@ -526,13 +574,17 @@ impl Router {
 /// `row_bounds` has one entry per grid row plus a trailing sentinel; grid row
 /// `i` covers keys `[row_bounds[i], row_bounds[i+1])`, with the outer bounds
 /// at `Key::MIN` / `Key::MAX` so every key maps somewhere. `by_row[i]` lists
-/// the regions whose row range covers grid row `i` (likewise `by_col`).
+/// the tiling regions whose row range covers grid row `i` (likewise
+/// `by_col`); tiling region `t` stands for the regions of `blocks[t]`, and
+/// when no region is a block (`blocks` empty) for region `t` itself — such a
+/// grid routes by key alone and draws nothing from the RNG.
 #[derive(Clone, Debug)]
 pub struct GridRouter {
     row_bounds: Vec<Key>,
     col_bounds: Vec<Key>,
     by_row: Vec<Vec<u32>>,
     by_col: Vec<Vec<u32>>,
+    blocks: Vec<GridBlock>,
 }
 
 impl GridRouter {
@@ -543,6 +595,20 @@ impl GridRouter {
         col_bounds: Vec<Key>,
         region_rects: &[(usize, usize, usize, usize)],
     ) -> Self {
+        let shapes = vec![(1, 1); region_rects.len()];
+        Self::with_blocks(row_bounds, col_bounds, region_rects, &shapes)
+    }
+
+    /// [`new`](Self::new) over a tiling whose region `t` is an
+    /// `shapes[t] = (a, b)` [`GridBlock`]; region ids follow the tiling's
+    /// order, a block's `a·b` ids together.
+    pub fn with_blocks(
+        row_bounds: Vec<Key>,
+        col_bounds: Vec<Key>,
+        region_rects: &[(usize, usize, usize, usize)],
+        shapes: &[(u32, u32)],
+    ) -> Self {
+        assert_eq!(region_rects.len(), shapes.len());
         let n_rows = row_bounds.len() - 1;
         let n_cols = col_bounds.len() - 1;
         let mut by_row = vec![Vec::new(); n_rows];
@@ -556,12 +622,27 @@ impl GridRouter {
                 col.push(id as u32);
             }
         }
+        let mut blocks = Vec::new();
+        if shapes.iter().any(|&shape| shape != (1, 1)) {
+            let mut base = 0;
+            for &(a, b) in shapes {
+                assert!(a >= 1 && b >= 1, "a block has at least one region");
+                blocks.push(GridBlock { base, a, b });
+                base += a * b;
+            }
+        }
         GridRouter {
             row_bounds,
             col_bounds,
             by_row,
             by_col,
+            blocks,
         }
+    }
+
+    /// The blocks of the tiling, in region order (empty: none is one).
+    pub fn blocks(&self) -> &[GridBlock] {
+        &self.blocks
     }
 
     #[inline]
@@ -569,14 +650,32 @@ impl GridRouter {
         (bounds.partition_point(|&b| b <= k) - 1).min(bounds.len() - 2)
     }
 
+    /// Appends the regions of a tuple of `rel` with key `k`; `pick(t)` is
+    /// the sub-row (sub-column) of block `t` it goes to.
     #[inline]
-    pub fn route_r1(&self, k: Key, out: &mut Vec<u32>) {
-        out.extend_from_slice(&self.by_row[Self::cell_of(&self.row_bounds, k)]);
+    fn route(&self, rel: Rel, k: Key, mut pick: impl FnMut(usize) -> u32, out: &mut Vec<u32>) {
+        let line = match rel {
+            Rel::R1 => &self.by_row[Self::cell_of(&self.row_bounds, k)],
+            Rel::R2 => &self.by_col[Self::cell_of(&self.col_bounds, k)],
+        };
+        if self.blocks.is_empty() {
+            out.extend_from_slice(line);
+        } else {
+            for &t in line {
+                self.blocks[t as usize].push(rel, pick(t as usize), out);
+            }
+        }
+    }
+
+    /// One tuple routed on its own: every block it meets is drawn for it.
+    #[inline]
+    pub fn route_r1(&self, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>) {
+        self.route(Rel::R1, k, |t| self.blocks[t].draw(Rel::R1, rng), out);
     }
 
     #[inline]
-    pub fn route_r2(&self, k: Key, out: &mut Vec<u32>) {
-        out.extend_from_slice(&self.by_col[Self::cell_of(&self.col_bounds, k)]);
+    pub fn route_r2(&self, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>) {
+        self.route(Rel::R2, k, |t| self.blocks[t].draw(Rel::R2, rng), out);
     }
 
     /// Grid row index of a key (exposed for tests and diagnostics).
@@ -829,6 +928,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_block_takes_one_sub_row_per_batch_and_keeps_each_tiling_regions_multiset() {
+        // The 3x3 grid above with its 2x2 region a 2×3 block (ids 0..6), the
+        // right column an ordinary region (6) and the strip a 1×2 block
+        // (7, 8). Per tiling region the scatter must hold what the per-tuple
+        // loop holds — every tuple of its rows `b` times (columns: `a`
+        // times) — with a whole batch in one sub-row / sub-column of each
+        // block; the ordinary region's fragment is the loop's, bit for bit.
+        let bounds = vec![Key::MIN, 10, 20, Key::MAX];
+        let rects = [(0, 1, 0, 1), (0, 2, 2, 2), (2, 2, 0, 1)];
+        let shapes = [(2, 3), (1, 1), (1, 2)];
+        let grid = GridRouter::with_blocks(bounds.clone(), bounds, &rects, &shapes);
+        let tiling_of = |region: u32| {
+            let at = |b: &&GridBlock| (b.base..b.base + b.a * b.b).contains(&region);
+            let block = grid.blocks().iter().find(at).expect("a region of the grid");
+            (block.base, *block)
+        };
+        let router = Router::Grid(grid.clone());
+        let keys: Vec<Key> = (0..300).map(|i| (i * 7) % 30).collect();
+        let payloads: Vec<u64> = (0..300).collect();
+        let mut sc = RouteScatter::new(9);
+        let (mut rng, mut oracle_rng) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(6));
+        let mut sub_rows_seen = std::collections::BTreeSet::new();
+        for rel in [Rel::R1, Rel::R2] {
+            for batch in keys.chunks(40).zip(payloads.chunks(40)) {
+                let (touched, buckets) =
+                    per_tuple_buckets(&router, rel, batch.0, 9, &mut oracle_rng);
+                router.route_scatter(rel, batch.0, batch.1, &mut rng, &mut sc);
+                // Tuples (by payload) per tiling region, from both.
+                let mut got = std::collections::BTreeMap::<u32, Vec<u64>>::new();
+                let mut expect = got.clone();
+                let mut lanes = std::collections::BTreeMap::<u32, Vec<u32>>::new();
+                for (slot, &region) in sc.touched().to_vec().iter().enumerate() {
+                    let (t, block) = tiling_of(region);
+                    let frag = sc.take_fragment(slot);
+                    if block.a * block.b == 1 {
+                        let mine = ColumnBatch::from_columns(batch.0.to_vec(), batch.1.to_vec())
+                            .gather(&buckets[region as usize]);
+                        assert_eq!(frag, mine, "ordinary region {region}");
+                    }
+                    got.entry(t).or_default().extend(frag.payloads());
+                    let lane = match rel {
+                        Rel::R1 => (region - block.base) / block.b,
+                        Rel::R2 => (region - block.base) % block.b,
+                    };
+                    lanes.entry(t).or_default().push(lane);
+                }
+                for &region in &touched {
+                    let idx = buckets[region as usize].iter();
+                    let tuples = idx.map(|&i| batch.1[i as usize]);
+                    expect
+                        .entry(tiling_of(region).0)
+                        .or_default()
+                        .extend(tuples);
+                }
+                for list in got.values_mut().chain(expect.values_mut()) {
+                    list.sort_unstable();
+                }
+                assert_eq!(got, expect, "{rel:?}");
+                for (t, mut lane) in lanes {
+                    lane.dedup();
+                    assert_eq!(lane.len(), 1, "{rel:?}: block {t} split a batch: {lane:?}");
+                    sub_rows_seen.insert((rel == Rel::R1, t, lane[0]));
+                }
+            }
+        }
+        // Over the batches every sub-row and sub-column was drawn: 2 + 1 for
+        // R1 (the strip has one row), 3 + 2 for R2, plus the plain region.
+        assert_eq!(sub_rows_seen.len(), (2 + 1 + 1) + (3 + 1 + 2));
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::time::Instant;
 
 use ewh_sampling::EquiDepthHistogram;
 
+use crate::histogram::SideStats;
 use crate::{
     BuildInfo, GridRouter, JoinCondition, Key, KeyRange, PartitionScheme, Region, Router,
     SchemeKind,
@@ -187,18 +188,46 @@ pub fn build_csi(
     j: usize,
     params: &CsiParams,
 ) -> PartitionScheme {
-    cond.validate();
-    let n1 = r1_keys.len() as u64;
-    let n2 = r2_keys.len() as u64;
-
     // Input statistics: equi-depth histograms with p buckets each. The
     // required sample for p buckets can exceed small test relations; it is
     // then the relation itself (exact histogram — generous to CSI).
-    let (row_hist, si1) =
-        EquiDepthHistogram::from_relation(r1_keys, None, params.p, params.seed ^ 0xC51);
-    let (col_hist, si2) =
-        EquiDepthHistogram::from_relation(r2_keys, None, params.p, params.seed ^ 0xC52);
+    let (row_hist, si1) = EquiDepthHistogram::from_relation(r1_keys, params.p, params.seed ^ 0xC51);
+    let (col_hist, si2) = EquiDepthHistogram::from_relation(r2_keys, params.p, params.seed ^ 0xC52);
+    let (n1, n2) = (r1_keys.len() as u64, r2_keys.len() as u64);
+    csi_over(row_hist, col_hist, n1, n2, si1.max(si2), cond, j, params.p)
+}
 
+/// [`build_csi`] from the two sides' statistics: the histograms are the
+/// exact quantiles of the censuses, the bucket sizes those of the relations
+/// the censuses stand for.
+pub fn build_csi_from_stats(
+    s1: SideStats<'_>,
+    s2: SideStats<'_>,
+    cond: &JoinCondition,
+    j: usize,
+    params: &CsiParams,
+) -> PartitionScheme {
+    let row_hist = EquiDepthHistogram::from_counts(s1.census, params.p);
+    let col_hist = EquiDepthHistogram::from_counts(s2.census, params.p);
+    let si = s1.census.total().max(s2.census.total()) as usize;
+    csi_over(
+        row_hist, col_hist, s1.tuples, s2.tuples, si, cond, j, params.p,
+    )
+}
+
+/// The M-Bucket-I cover over two input histograms.
+#[allow(clippy::too_many_arguments)] // the two sides' statistics, used once each
+fn csi_over(
+    row_hist: EquiDepthHistogram,
+    col_hist: EquiDepthHistogram,
+    n1: u64,
+    n2: u64,
+    si: usize,
+    cond: &JoinCondition,
+    j: usize,
+    p: usize,
+) -> PartitionScheme {
+    cond.validate();
     let hist_start = Instant::now();
     let p1 = row_hist.num_buckets();
     let p2 = col_hist.num_buckets();
@@ -269,8 +298,8 @@ pub fn build_csi(
         regions,
         router: Router::Grid(router),
         build: BuildInfo {
-            ns: params.p,
-            si: si1.max(si2),
+            ns: p,
+            si,
             hist_secs,
             // Two MapReduce passes over both inputs (§VI-D: CSI needs one
             // more pass than CSIO's shared scan).

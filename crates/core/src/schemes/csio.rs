@@ -8,7 +8,10 @@
 
 use std::time::Instant;
 
-use crate::histogram::{build_sample_matrix, coarsen_sample_matrix, regionalize, HistogramParams};
+use crate::histogram::{
+    censuses, coarsen_sample_matrix, regionalize, sample_matrix_from_stats, HistogramParams,
+    SideStats,
+};
 use crate::{
     BuildInfo, CostModel, GridRouter, JoinCondition, Key, PartitionScheme, Router, SchemeKind,
 };
@@ -21,16 +24,32 @@ pub fn build_csio(
     cost: &CostModel,
     params: &HistogramParams,
 ) -> PartitionScheme {
-    cond.validate();
-    let n1 = r1_keys.len() as u64;
-    let n2 = r2_keys.len() as u64;
+    let (d1, d2equi) = censuses(r1_keys, r2_keys, params.threads);
+    build_csio_from_stats(
+        SideStats::relation(&d1),
+        SideStats::relation(&d2equi),
+        cond,
+        cost,
+        params,
+    )
+}
+
+/// Builds the CSIO scheme from the two sides' statistics — all it reads.
+pub fn build_csio_from_stats(
+    s1: SideStats<'_>,
+    s2: SideStats<'_>,
+    cond: &JoinCondition,
+    cost: &CostModel,
+    params: &HistogramParams,
+) -> PartitionScheme {
+    let (n1, n2) = (s1.tuples, s2.tuples);
 
     // Stage 1 includes the sampling scans; the histogram-algorithm clock of
     // Table V starts once samples exist, i.e. at coarsening. Sampling-side
     // data-structure time (bucket mapping of so points) is O(so log ns) and
     // included in stage 1 here; it is negligible and the split matches how
     // the paper separates "collecting statistics" from "histogram algorithm".
-    let ms = build_sample_matrix(r1_keys, r2_keys, cond, params);
+    let ms = sample_matrix_from_stats(s1, s2, cond, params);
 
     let hist_start = Instant::now();
     let mc = coarsen_sample_matrix(
@@ -44,8 +63,12 @@ pub fn build_csio(
     let reg = regionalize(&mc, params.j, params.baseline_bsp);
     let hist_secs = hist_start.elapsed().as_secs_f64();
 
-    let rects = reg.rects.clone();
-    let router = GridRouter::new(mc.row_bounds.clone(), mc.col_bounds.clone(), &rects);
+    let router = GridRouter::with_blocks(
+        mc.row_bounds.clone(),
+        mc.col_bounds.clone(),
+        &reg.rects,
+        &reg.shapes,
+    );
 
     PartitionScheme {
         kind: SchemeKind::Csio,

@@ -21,6 +21,7 @@
 
 use ewh_sampling::KeyedCounts;
 
+use crate::histogram::SideStats;
 use crate::{BuildInfo, JoinCondition, Key, PartitionScheme, Region, Router, SchemeKind};
 use crate::{HashRouter, KeyRange};
 
@@ -49,6 +50,26 @@ pub fn build_hash(
     j: usize,
     params: &HashParams,
 ) -> PartitionScheme {
+    // Heavy hitters from exact aggregation (generous to the baseline; the
+    // original uses samples).
+    let (d1, d2) = (KeyedCounts::census(r1_keys), KeyedCounts::census(r2_keys));
+    build_hash_from_stats(
+        SideStats::relation(&d1),
+        SideStats::relation(&d2),
+        cond,
+        j,
+        params,
+    )
+}
+
+/// [`build_hash`] from the two sides' statistics.
+pub fn build_hash_from_stats(
+    s1: SideStats<'_>,
+    s2: SideStats<'_>,
+    cond: &JoinCondition,
+    j: usize,
+    params: &HashParams,
+) -> PartitionScheme {
     cond.validate();
     let beta = match cond {
         JoinCondition::Equi => 0,
@@ -59,16 +80,13 @@ pub fn build_hash(
         ),
     };
 
-    // Heavy hitters from exact aggregation (generous to the baseline; the
-    // original uses samples).
     let mut heavy: Vec<Key> = Vec::new();
     if let Some(frac) = params.heavy_fraction {
-        for (keys, other_n) in [(r1_keys, r2_keys.len()), (r2_keys, r1_keys.len())] {
-            if keys.is_empty() || other_n == 0 {
+        for (counts, other) in [(s1.census, s2.census), (s2.census, s1.census)] {
+            if counts.total() == 0 || other.total() == 0 {
                 continue;
             }
-            let counts = KeyedCounts::census(keys);
-            let cut = (keys.len() as f64 * frac).max(1.0) as u64;
+            let cut = (counts.total() as f64 * frac).max(1.0) as u64;
             for (&k, &c) in counts.keys().iter().zip(counts.counts()) {
                 if c >= cut {
                     heavy.push(k);
@@ -79,8 +97,7 @@ pub fn build_hash(
         heavy.dedup();
     }
 
-    let n1 = r1_keys.len() as u64;
-    let n2 = r2_keys.len() as u64;
+    let (n1, n2) = (s1.tuples, s2.tuples);
     let replication = 2 * beta as u64 + 1;
     let regions = (0..j)
         .map(|_| Region {

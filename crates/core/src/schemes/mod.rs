@@ -7,9 +7,10 @@ mod csio;
 mod hash;
 
 pub use ci::build_ci;
-pub use csi::{build_csi, CsiParams};
-pub use csio::build_csio;
-pub use hash::{build_hash, HashParams};
+pub(crate) use ci::choose_shape;
+pub use csi::{build_csi, build_csi_from_stats, CsiParams};
+pub use csio::{build_csio, build_csio_from_stats};
+pub use hash::{build_hash, build_hash_from_stats, HashParams};
 
 use crate::{CostModel, Region, Router};
 

@@ -41,11 +41,10 @@
 //! intermediate batches as the upstream produces them; the upstream
 //! operator's quiescence — it closes the exchange after its own `Finish` —
 //! is what drives the downstream `SealAll`. A [`StageSink`] on the
-//! producing side ships every swept chunk downstream and feeds the
-//! [`OnlineStats`] reservoir, so the next operator's partitioning scheme is
-//! built from statistics collected *during* the upstream probe, never from
-//! a second pass over a materialized intermediate. The plan-level driver
-//! lives in [`crate::run_plan`].
+//! producing side ships every swept chunk downstream. The next operator's
+//! partitioning scheme does not wait for any of it: the plan-level driver
+//! ([`crate::run_plan`]) builds every stage's scheme before the first stage
+//! starts, from the base relations' censuses propagated through each join.
 
 mod board;
 mod channel;
@@ -63,9 +62,7 @@ mod transport;
 
 pub use board::ProgressBoard;
 pub use channel::{Channel, Weigh};
-pub use exchange::{
-    AbandonOnDrop, CloseOnDrop, Exchange, IntermediateStats, OnlineStats, StageSink,
-};
+pub use exchange::{AbandonOnDrop, CloseOnDrop, Exchange, StageSink};
 pub use morsel::{Claim, MemGauge, Morsel, MorselPlan, Source};
 pub use pool::BatchPool;
 pub use port::{DeliveryPort, FragmentPort, PortPop};

@@ -25,7 +25,12 @@
 //! outbox is non-empty the reducer processes no further deliveries, so
 //! upstream backpressure still propagates (its queue fills, mappers park);
 //! the price is that at most one sweep's output can sit staged beyond the
-//! exchange bound, and the shared gauge charges it honestly.
+//! exchange bound, and the shared gauge charges it honestly. That holds for
+//! the seals too: a seal does not sweep every region inside its delivery, it
+//! *queues* the regions that need a sweep, and the poll loop takes one a
+//! turn — after the outbox has drained, before the next delivery is popped —
+//! so `SealAll` over a dozen buffered regions stages one region's output at
+//! a time, not all of it at once.
 //!
 //! A parked reducer is woken by a push to its queue (including the
 //! unbounded control pushes: `Abort`, `Adopt`, forwards) or, when parked
@@ -174,8 +179,8 @@ pub struct ReducerShared<'a> {
     pub migration_tuples: &'a AtomicU64,
     /// Fault-injection: slow down one reducer's absorption path.
     pub straggler: Option<Straggler>,
-    /// Chained plans: ship each swept chunk's output downstream (and feed
-    /// the online statistics) instead of folding it into a checksum only.
+    /// Chained plans: ship each swept chunk's output downstream instead of
+    /// folding it into a checksum only.
     pub sink: Option<StageSink<'a>>,
     /// Which side's key the emitted intermediate carries (see [`KeyFrom`]).
     pub key_from: KeyFrom,
@@ -222,9 +227,14 @@ pub struct ReducerTask<'a> {
     /// spill ladder); reloaded one at a time once the resident outbox
     /// drains into the exchange.
     spilled_outbox: VecDeque<SpillRun>,
-    /// Region tallies computed by the terminal delivery; `Some` while the
-    /// outbox still holds the final batches.
-    finished: Option<Vec<RegionResult>>,
+    /// Regions whose buffered probe tuples a seal queued for a sweep, taken
+    /// one per loop turn of [`poll`](Self::poll). Always empty when a
+    /// delivery is popped, so an entry's region is still owned, sealed and
+    /// unchanged when its turn comes.
+    sweep_queue: VecDeque<u32>,
+    /// `Finish` arrived: tally the regions once `sweep_queue` and the
+    /// outbox have drained.
+    finishing: bool,
     busy_secs: f64,
     idle_secs: f64,
     /// Start of the current park (empty queue / blocked outbox).
@@ -245,18 +255,20 @@ impl<'a> ReducerTask<'a> {
             parked: (0..n_regions).map(|_| Vec::new()).collect(),
             outbox: VecDeque::new(),
             spilled_outbox: VecDeque::new(),
-            finished: None,
+            sweep_queue: VecDeque::new(),
+            finishing: false,
             busy_secs: 0.0,
             idle_secs: 0.0,
             idle_since: None,
         }
     }
 
-    /// Drains up to [`DELIVERIES_PER_POLL`] deliveries (flushing the
-    /// outbox between them) and reports how the orchestrator should
-    /// reschedule the task. A `Parked` step always leaves the task's waker
-    /// registered with whichever resource refused it (the downstream
-    /// exchange or this reducer's own queue).
+    /// Takes up to [`DELIVERIES_PER_POLL`] steps — a queued region sweep
+    /// if there is one, else a delivery — flushing the outbox between them,
+    /// and reports how the orchestrator should reschedule the task. A
+    /// `Parked` step always leaves the task's waker registered with
+    /// whichever resource refused it (the downstream exchange or this
+    /// reducer's own queue).
     pub fn poll(&mut self, cx: &TaskCx<'_>) -> ReducerStep {
         let start = Instant::now();
         let queue = &self.sh.queues[self.me];
@@ -270,12 +282,23 @@ impl<'a> ReducerTask<'a> {
                 // abandonment at cancel) wakes us.
                 break self.park(queue.as_ref(), processed);
             }
-            if let Some(results) = self.finished.take() {
-                // Terminal already processed; the outbox just drained.
-                break ReducerStep::Done(self.outcome(results, false));
-            }
             if processed >= DELIVERIES_PER_POLL {
                 break ReducerStep::Working;
+            }
+            if let Some(region) = self.sweep_queue.pop_front() {
+                let st = self.states[region as usize]
+                    .as_mut()
+                    .expect("a queued region stays owned until its sweep");
+                Self::flush(st, self.sh, self.me, region, &mut self.outbox, pool);
+                processed += 1;
+                self.maybe_spill();
+                continue;
+            }
+            if self.finishing {
+                // Terminal already processed; its last sweep's output just
+                // drained.
+                let results = self.tally(pool);
+                break ReducerStep::Done(self.outcome(results, false));
             }
             let delivery = match queue.try_pop_or_park(cx.waker()) {
                 PortPop::Item(d) => d,
@@ -289,11 +312,11 @@ impl<'a> ReducerTask<'a> {
             processed += 1;
             match delivery {
                 Delivery::Batch(batch) => self.on_batch(batch, pool),
-                Delivery::SealR1 => self.on_seal_r1(pool),
-                Delivery::SealAll => self.on_seal_all(pool),
+                Delivery::SealR1 => self.on_seal_r1(),
+                Delivery::SealAll => self.on_seal_all(),
                 Delivery::Migrate { region } => self.on_migrate(region),
                 Delivery::Adopt { region, state } => self.on_adopt(region, *state, pool),
-                Delivery::Finish => self.finished = Some(self.finish(pool)),
+                Delivery::Finish => self.on_finish(),
                 Delivery::Abort => {
                     self.discard();
                     self.busy_secs += start.elapsed().as_secs_f64();
@@ -319,7 +342,10 @@ impl<'a> ReducerTask<'a> {
     fn park(&mut self, queue: &DeliveryPort, processed: usize) -> ReducerStep {
         self.sh.board.set_idle(
             self.me,
-            queue.used_tuples() == 0 && self.outbox.is_empty() && self.spilled_outbox.is_empty(),
+            queue.used_tuples() == 0
+                && self.outbox.is_empty()
+                && self.spilled_outbox.is_empty()
+                && self.sweep_queue.is_empty(),
         );
         if self.idle_since.is_none() {
             self.idle_since = Some(Instant::now());
@@ -466,7 +492,7 @@ impl<'a> ReducerTask<'a> {
         }
     }
 
-    fn on_seal_r1(&mut self, pool: &BatchPool) {
+    fn on_seal_r1(&mut self) {
         let sh = self.sh;
         let me = self.me;
         for (region, slot) in self.states.iter_mut().enumerate() {
@@ -479,7 +505,7 @@ impl<'a> ReducerTask<'a> {
             Self::seal(st, sh, region as u32);
             sh.board.note_region_sealed(me);
             if st.pending.len() >= sh.probe_chunk {
-                Self::flush(st, sh, me, region as u32, &mut self.outbox, pool);
+                self.sweep_queue.push_back(region as u32);
             }
         }
     }
@@ -488,13 +514,11 @@ impl<'a> ReducerTask<'a> {
     /// migrated state and fenced fragments may still arrive — eagerly sweep
     /// what is buffered (freeing the memory early) and keep draining until
     /// `Finish`.
-    fn on_seal_all(&mut self, pool: &BatchPool) {
-        let sh = self.sh;
-        let me = self.me;
-        for (region, slot) in self.states.iter_mut().enumerate() {
-            let Some(st) = slot.as_mut() else { continue };
+    fn on_seal_all(&mut self) {
+        for (region, slot) in self.states.iter().enumerate() {
+            let Some(st) = slot.as_ref() else { continue };
             if st.sealed && !(st.pending.is_empty() && st.spilled_pending.is_empty()) {
-                Self::flush(st, sh, me, region as u32, &mut self.outbox, pool);
+                self.sweep_queue.push_back(region as u32);
             }
         }
     }
@@ -937,8 +961,8 @@ impl<'a> ReducerTask<'a> {
     }
 
     /// One build × probe sweep. With a sink, the swept pairs are
-    /// materialized in emission-sized batches, offered to the online
-    /// statistics collector, charged to the shared gauge, and staged on
+    /// materialized in emission-sized batches, charged to the shared gauge,
+    /// and staged on
     /// the outbox for the downstream exchange (see the module docs — the
     /// outbox is what keeps a full exchange from suspending a pool
     /// worker). The gauge charge is released by the downstream mapper
@@ -957,7 +981,6 @@ impl<'a> ReducerTask<'a> {
                 let cap = sink.batch_tuples.max(1);
                 let mut buf = pool.take(cap);
                 let mut ship = |batch: ColumnBatch| {
-                    sink.stats.offer(batch.keys());
                     sh.gauge.add(batch.len() as u64);
                     outbox.push_back(batch);
                 };
@@ -981,14 +1004,14 @@ impl<'a> ReducerTask<'a> {
         out
     }
 
-    fn finish(&mut self, pool: &BatchPool) -> Vec<RegionResult> {
+    /// `Finish`: queue the last sweeps; the poll loop tallies once they are
+    /// through.
+    fn on_finish(&mut self) {
         let sh = self.sh;
-        let me = self.me;
         debug_assert!(
             self.parked.iter().all(Vec::is_empty),
             "finish with fenced fragments still parked"
         );
-        let mut results = Vec::new();
         for (region, slot) in self.states.iter_mut().enumerate() {
             let Some(st) = slot.as_mut() else { continue };
             // A region that saw no R1 seal can only mean an empty plan where
@@ -997,8 +1020,19 @@ impl<'a> ReducerTask<'a> {
                 Self::seal(st, sh, region as u32);
             }
             if !st.pending.is_empty() || !st.spilled_pending.is_empty() {
-                Self::flush(st, sh, me, region as u32, &mut self.outbox, pool);
+                self.sweep_queue.push_back(region as u32);
             }
+        }
+        self.finishing = true;
+    }
+
+    /// Frees every owned region's build side and reports its tallies.
+    fn tally(&mut self, pool: &BatchPool) -> Vec<RegionResult> {
+        let sh = self.sh;
+        let mut results = Vec::new();
+        for (region, slot) in self.states.iter_mut().enumerate() {
+            let Some(st) = slot.as_mut() else { continue };
+            debug_assert!(st.pending.is_empty() && st.spilled_pending.is_empty());
             sh.gauge.sub(st.build.len() as u64);
             pool.put(mem::take(&mut st.build));
             // Spilled build runs persist across flushes (each probe chunk
@@ -1084,6 +1118,142 @@ mod tests {
             .expect("reducer finished")
     }
 
+    /// Everything a hand-built [`ReducerShared`] borrows.
+    struct Rig {
+        queues: Vec<Arc<DeliveryPort>>,
+        table: RoutingTable,
+        board: ProgressBoard,
+        gauge: MemGauge,
+        cond: JoinCondition,
+        cancel: CancelToken,
+        quiesce: WakeSet,
+        counters: [AtomicU64; 5],
+        mappers_done: AtomicBool,
+    }
+
+    impl Rig {
+        fn new(reducers: usize, owners: &[u32], cond: JoinCondition) -> Self {
+            Rig {
+                queues: (0..reducers)
+                    .map(|_| Arc::new(Channel::new(1 << 16)) as Arc<DeliveryPort>)
+                    .collect(),
+                table: RoutingTable::new(owners),
+                board: ProgressBoard::new(reducers, owners.len()),
+                gauge: MemGauge::default(),
+                cond,
+                cancel: CancelToken::new(),
+                quiesce: WakeSet::new(),
+                counters: Default::default(),
+                mappers_done: AtomicBool::new(false),
+            }
+        }
+
+        fn shared<'a>(
+            &'a self,
+            probe_chunk: usize,
+            sink: Option<StageSink<'a>>,
+        ) -> ReducerShared<'a> {
+            let [in_flight, adoptions, migration_tuples, merge_nanos, sweep_nanos] = &self.counters;
+            ReducerShared {
+                queues: &self.queues,
+                table: &self.table,
+                board: &self.board,
+                gauge: &self.gauge,
+                cond: &self.cond,
+                work: OutputWork::Touch,
+                probe_chunk,
+                in_flight,
+                adoptions,
+                migration_tuples,
+                straggler: None,
+                sink,
+                key_from: KeyFrom::Probe,
+                budget_tuples: None,
+                spill: None,
+                cancel: &self.cancel,
+                quiesce: &self.quiesce,
+                mappers_done: &self.mappers_done,
+                merge_nanos,
+                sweep_nanos,
+            }
+        }
+
+        /// What a mapper does per shipped fragment.
+        fn ship(&self, to: usize, region: u32, rel: Rel, tuples: ColumnBatch) {
+            let n = tuples.len() as u64;
+            self.gauge.add(n);
+            self.counters[0].fetch_add(n, Ordering::AcqRel);
+            self.queues[to].push_unbounded(Delivery::Batch(RegionBatch {
+                region,
+                rel,
+                epoch: self.table.epoch(),
+                tuples,
+            }));
+        }
+    }
+
+    #[test]
+    fn a_seal_sweeps_one_region_a_turn_so_the_outbox_holds_one_regions_output() {
+        // 16 regions, each 20 build × 20 probe tuples on one key, every
+        // probe buffer under the chunk size: all 16 wait for `SealAll`, and
+        // each then sweeps to 400 output tuples. Swept inside the one
+        // delivery, all 6 400 sit staged at once; swept a turn at a time
+        // behind a 256-tuple exchange, never much more than one region's.
+        const REGIONS: u32 = 16;
+        let rt = EngineRuntime::new(2);
+        let rig = Rig::new(1, &[0; REGIONS as usize], JoinCondition::Equi);
+        let exchange = super::super::Exchange::new(256);
+        let sink = StageSink {
+            exchange: &exchange,
+            batch_tuples: 64,
+        };
+        let sh = rig.shared(64, Some(sink));
+        let side = |tag: u64| -> ColumnBatch {
+            (0..20)
+                .map(|i| ewh_core::Tuple::new(7, tag << 8 | i))
+                .collect()
+        };
+        for region in 0..REGIONS {
+            rig.ship(0, region, Rel::R1, side(1));
+        }
+        rig.queues[0].push_unbounded(Delivery::SealR1);
+        for region in 0..REGIONS {
+            rig.ship(0, region, Rel::R2, side(2));
+        }
+        rig.queues[0].push_unbounded(Delivery::SealAll);
+        rig.queues[0].push_unbounded(Delivery::Finish);
+        let state = REGIONS as u64 * 40;
+        assert_eq!(rig.gauge.current_tuples(), state);
+
+        let owned: Vec<u32> = (0..REGIONS).collect();
+        let (outcome, emitted) = std::thread::scope(|s| {
+            // The downstream mapper: take a batch, release its charge.
+            let consumer = s.spawn(|| {
+                let mut emitted = 0u64;
+                while let Some(batch) = exchange.pop() {
+                    emitted += batch.len() as u64;
+                    rig.gauge.sub(batch.len() as u64);
+                }
+                emitted
+            });
+            let outcome = drive(&rt, &sh, 0, &owned);
+            exchange.close();
+            (outcome, consumer.join().expect("consumer"))
+        });
+        assert_eq!(emitted, REGIONS as u64 * 400);
+        assert_eq!(outcome.results.len(), REGIONS as usize);
+        assert!(outcome.results.iter().all(|r| r.output == 400));
+        assert_eq!(rig.gauge.current_tuples(), 0);
+        // Resident state, a full exchange, one region's sweep, the batch in
+        // the consumer's hands.
+        let bound = state + 256 + 400 + 64;
+        let peak = rig.gauge.peak_tuples();
+        assert!(
+            peak <= bound,
+            "peak {peak} tuples: the seal staged more than a region"
+        );
+    }
+
     #[test]
     fn a_migrate_that_overtakes_seal_r1_sorts_the_arrival_order_runs_it_ships() {
         // The coordinator starts moving regions once `r1_remaining` reads
@@ -1093,53 +1263,17 @@ mod tests {
         // no longer sorted on arrival. No schedule forces that order from
         // outside, so the deliveries are queued by hand.
         let rt = EngineRuntime::new(2);
-        let queues: Vec<Arc<DeliveryPort>> = (0..2)
-            .map(|_| Arc::new(Channel::new(1 << 16)) as Arc<DeliveryPort>)
-            .collect();
-        let table = RoutingTable::new(&[0]);
-        let board = ProgressBoard::new(2, 1);
-        let gauge = MemGauge::default();
-        let cond = JoinCondition::Band { beta: 1 };
-        let cancel = CancelToken::new();
-        let quiesce = WakeSet::new();
-        let (in_flight, adoptions, migration_tuples) =
-            (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
-        let (merge_nanos, sweep_nanos) = (AtomicU64::new(0), AtomicU64::new(0));
-        let mappers_done = AtomicBool::new(false);
-        let sh = ReducerShared {
-            queues: &queues,
-            table: &table,
-            board: &board,
-            gauge: &gauge,
-            cond: &cond,
-            work: OutputWork::Touch,
-            probe_chunk: 4,
-            in_flight: &in_flight,
-            adoptions: &adoptions,
-            migration_tuples: &migration_tuples,
-            straggler: None,
-            sink: None,
-            key_from: KeyFrom::Probe,
-            budget_tuples: None,
-            spill: None,
-            cancel: &cancel,
-            quiesce: &quiesce,
-            mappers_done: &mappers_done,
-            merge_nanos: &merge_nanos,
-            sweep_nanos: &sweep_nanos,
-        };
-        // What a mapper does per shipped fragment.
-        let ship = |to: usize, rel: Rel, tuples: ColumnBatch| {
-            let n = tuples.len() as u64;
-            gauge.add(n);
-            in_flight.fetch_add(n, Ordering::AcqRel);
-            queues[to].push_unbounded(Delivery::Batch(RegionBatch {
-                region: 0,
-                rel,
-                epoch: table.epoch(),
-                tuples,
-            }));
-        };
+        let rig = Rig::new(2, &[0], JoinCondition::Band { beta: 1 });
+        let sh = rig.shared(4, None);
+        let Rig {
+            queues,
+            table,
+            gauge,
+            cond,
+            ..
+        } = &rig;
+        let in_flight = &rig.counters[0];
+        let ship = |to: usize, rel: Rel, tuples: ColumnBatch| rig.ship(to, 0, rel, tuples);
         let tagged = |tag: u64, keys: &[i64]| -> ColumnBatch {
             keys.iter()
                 .enumerate()

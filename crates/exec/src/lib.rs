@@ -21,10 +21,11 @@
 //! Operators *compose*: [`run_plan`] executes a left-deep chain of 2-way
 //! joins (§IV-B's multi-way strategy) in which every reducer's probe output
 //! streams through a bounded [`Exchange`] into the
-//! downstream operator's mappers, the downstream partitioning scheme is
-//! built from online reservoir statistics collected during the upstream
-//! probe ([`engine::OnlineStats`]), and an upstream operator's quiescence
-//! drives the downstream seal — intermediates are never fully resident.
+//! downstream operator's mappers, every stage's partitioning scheme is
+//! built at plan time from exact statistics (the base relations' key
+//! censuses, propagated through each join), and an upstream operator's
+//! quiescence drives the downstream seal — intermediates are never fully
+//! resident.
 //! [`run_plan_materialized`] keeps the classic materialize-between-
 //! operators execution as the oracle and comparison baseline.
 //!
@@ -59,19 +60,20 @@ mod shuffle;
 pub use adaptive::AdaptiveConfig;
 pub use engine::{
     merge_sorted_runs, BatchPool, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange,
-    FragmentPort, LinkProfile, MemGauge, Morsel, MorselPlan, OnlineStats, PortPop, ProgressBoard,
-    QueryTicket, RemoteExchangeReceiver, RemoteExchangeSender, RemoteQueue, RuntimeConfig,
-    RuntimeMetrics, Source, SpillConfig, SpillContext, SpillRun, SpillTotals, StageSink, Straggler,
+    FragmentPort, LinkProfile, MemGauge, Morsel, MorselPlan, PortPop, ProgressBoard, QueryTicket,
+    RemoteExchangeReceiver, RemoteExchangeSender, RemoteQueue, RuntimeConfig, RuntimeMetrics,
+    Source, SpillConfig, SpillContext, SpillRun, SpillTotals, StageSink, Straggler,
     TransportConfig, TransportFailure, TransportKind,
 };
 pub use local_join::{
-    local_join, output_tuple, pair_payload, sweep_columns, sweep_columns_each, sweep_sorted,
-    sweep_sorted_each, sweep_sorted_into, KeyFrom, OutputWork,
+    local_join, output_tuple, pair_payload, pair_tag, sweep_columns, sweep_columns_each,
+    sweep_sorted, sweep_sorted_each, sweep_sorted_into, KeyFrom, OutputWork,
 };
 pub use metrics::JoinStats;
 pub use operator::{
-    assign_regions, build_scheme, build_scheme_from_keys, execute_join, lpt_schedule, run_operator,
-    run_operator_adaptive, ExecMode, FallbackPolicy, OperatorConfig, OperatorRun,
+    assign_regions, build_scheme, build_scheme_from_keys, build_scheme_from_stats, execute_join,
+    lpt_schedule, run_operator, run_operator_adaptive, ExecMode, FallbackPolicy, OperatorConfig,
+    OperatorRun,
 };
 pub use plan::{run_plan, run_plan_materialized, ChainStage, PlanRun, PlanStageRun, StageSpec};
 pub use shuffle::{shuffle, Shuffled};

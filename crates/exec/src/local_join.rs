@@ -10,7 +10,8 @@
 //! Output handling is configurable: [`OutputWork::Touch`] folds every output
 //! tuple's payloads into a checksum (standing in for the per-output-tuple
 //! post-processing cost — writing to disk or shipping to the next operator —
-//! that `wo` models), [`OutputWork::Count`] only counts.
+//! that `wo` models), [`OutputWork::Count`] counts, and folds a checksum it
+//! can take a whole partner run at a time ([`pair_tag`]).
 
 use std::ops::Range;
 
@@ -19,7 +20,8 @@ use ewh_core::{ColumnBatch, JoinCondition, Key, KeyRange, Tuple};
 /// How much work to spend per output tuple.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OutputWork {
-    /// Count matches only (O(1) per `R1` tuple after the sweep).
+    /// Count matches (O(1) per `R1` tuple after the sweep); the checksum
+    /// pins which tuples matched an odd number of times, not each pair.
     Count,
     /// Touch every output tuple (realistic `wo` cost), producing a checksum.
     Touch,
@@ -48,6 +50,53 @@ pub fn pair_payload(build: u64, probe: u64) -> u64 {
     build.wrapping_mul(31).wrapping_add(probe)
 }
 
+/// What one matched pair contributes to [`OutputWork::Count`]'s checksum —
+/// [`pair_payload`]'s counterpart, and like it the single definition. It is
+/// XOR-separable into a build part and a probe part, which is what lets a
+/// whole partner run be folded at once (`CountFold`).
+#[inline]
+pub fn pair_tag(build: u64, probe: u64) -> u64 {
+    side_tag(build) ^ side_tag(probe).rotate_left(32)
+}
+
+#[inline]
+fn side_tag(payload: u64) -> u64 {
+    (payload ^ (payload >> 31)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// [`OutputWork::Count`]'s checksum: the XOR of [`pair_tag`] over every
+/// matched pair — order-invariant, and XOR-combinable across chunks, runs
+/// and regions exactly like the pair checksum, yet `O(1)` per build tuple:
+/// a partner run folds to its probe parts' XOR (one prefix array over the
+/// probe side) and, when its length is odd, the build part. It therefore
+/// pins the *parity* of every tuple's partner count, on both sides, where
+/// the count pins their total: a pair produced in the wrong place, or
+/// twice, moves one of the two.
+struct CountFold {
+    /// `prefix[i]` = XOR of the probe parts before position `i`.
+    prefix: Vec<u64>,
+}
+
+impl CountFold {
+    fn over(probe_payloads: impl Iterator<Item = u64>) -> Self {
+        let mut acc = 0u64;
+        let parts = probe_payloads.map(|p| {
+            acc ^= side_tag(p).rotate_left(32);
+            acc
+        });
+        CountFold {
+            prefix: std::iter::once(0).chain(parts).collect(),
+        }
+    }
+
+    /// The fold of `build` matched with probe positions `partners`.
+    #[inline]
+    fn run(&self, build: u64, partners: Range<usize>) -> u64 {
+        let odd = (partners.len() as u64 & 1).wrapping_neg();
+        self.prefix[partners.end] ^ self.prefix[partners.start] ^ (side_tag(build) & odd)
+    }
+}
+
 /// The canonical output tuple of one matched pair — the single definition
 /// both the pipelined plan executor and the materialize-between-operators
 /// baseline use, so chained results are comparable bit for bit. The payload
@@ -63,7 +112,7 @@ pub fn output_tuple(build: &Tuple, probe: &Tuple, key_from: KeyFrom) -> Tuple {
 }
 
 /// Joins one worker's buckets in place (sorts both). Returns
-/// `(output_count, checksum)`; the checksum is 0 under [`OutputWork::Count`].
+/// `(output_count, checksum)`.
 pub fn local_join(
     r1: &mut [Tuple],
     r2: &mut [Tuple],
@@ -114,7 +163,7 @@ fn sweep_ranges(
     r1: &[Tuple],
     r2: &[Tuple],
     cond: &JoinCondition,
-    mut on_range: impl FnMut(&Tuple, &[Tuple]),
+    mut on_range: impl FnMut(&Tuple, Range<usize>),
 ) -> u64 {
     if r1.is_empty() || r2.is_empty() {
         return 0;
@@ -142,7 +191,7 @@ fn sweep_ranges(
             hi += 1;
         }
         count += (hi - lo) as u64;
-        on_range(t1, &r2[lo..hi]);
+        on_range(t1, lo..hi);
     }
     count
 }
@@ -160,9 +209,14 @@ pub fn sweep_sorted(
     let count = match work {
         // Count mode never iterates the partner runs: O(relevant), not
         // O(output).
-        OutputWork::Count => sweep_ranges(r1, r2, cond, |_, _| {}),
+        OutputWork::Count => {
+            let fold = CountFold::over(r2.iter().map(|t| t.payload));
+            sweep_ranges(r1, r2, cond, |t1, partners| {
+                checksum ^= fold.run(t1.payload, partners)
+            })
+        }
         OutputWork::Touch => sweep_ranges(r1, r2, cond, |t1, partners| {
-            for t2 in partners {
+            for t2 in &r2[partners] {
                 checksum ^= pair_payload(t1.payload, t2.payload);
             }
         }),
@@ -186,7 +240,7 @@ pub fn sweep_sorted_each(
 ) -> (u64, u64) {
     let mut checksum = 0u64;
     let count = sweep_ranges(r1, r2, cond, |t1, partners| {
-        for t2 in partners {
+        for t2 in &r2[partners] {
             let t = output_tuple(t1, t2, key_from);
             checksum ^= t.payload;
             emit(t);
@@ -337,7 +391,12 @@ pub fn sweep_columns(
     let pp = probe.payloads();
     let mut checksum = 0u64;
     let count = match work {
-        OutputWork::Count => sweep_ranges_cols(bk, probe.keys(), cond, |_, _| {}),
+        OutputWork::Count => {
+            let fold = CountFold::over(pp.iter().copied());
+            sweep_ranges_cols(bk, probe.keys(), cond, |i, r| {
+                checksum ^= fold.run(bp[i], r)
+            })
+        }
         OutputWork::Touch => sweep_ranges_cols(bk, probe.keys(), cond, |i, r| {
             // Four independent XOR lanes break the serial dependence on the
             // accumulator; XOR's commutativity makes the re-association
@@ -539,12 +598,37 @@ mod tests {
     }
 
     #[test]
-    fn count_mode_skips_checksum() {
-        let mut r1 = tuples(&[1, 2, 3]);
-        let mut r2 = tuples(&[1, 2, 3]);
-        let (c, s) = local_join(&mut r1, &mut r2, &JoinCondition::Equi, OutputWork::Count);
-        assert_eq!(c, 3);
-        assert_eq!(s, 0);
+    fn count_mode_folds_partner_parity() {
+        // Count's checksum is the XOR over matched pairs of the two tuples'
+        // tags — the tags of the tuples with an odd partner count — whatever
+        // the chunking, on both kernels, without visiting a pair.
+        let mut rng = SmallRng::seed_from_u64(23);
+        let k1: Vec<Key> = (0..200).map(|_| rng.gen_range(0..30)).collect();
+        let k2: Vec<Key> = (0..200).map(|_| rng.gen_range(0..30)).collect();
+        for cond in [JoinCondition::Equi, JoinCondition::Band { beta: 2 }] {
+            let (mut r1, mut r2) = (tuples(&k1), tuples(&k2));
+            let (mut count, mut expect) = (0u64, 0u64);
+            for (a, b) in r1.iter().flat_map(|a| r2.iter().map(move |b| (a, b))) {
+                if cond.matches(a.key, b.key) {
+                    count += 1;
+                    expect ^= pair_tag(a.payload, b.payload);
+                }
+            }
+            assert_ne!(expect, 0);
+            assert_eq!(
+                local_join(&mut r1, &mut r2, &cond, OutputWork::Count),
+                (count, expect)
+            );
+            let build = ColumnBatch::from_tuples(&r1);
+            let (mut c, mut s) = (0u64, 0u64);
+            for chunk in r2.chunks(37) {
+                let probe = ColumnBatch::from_tuples(chunk);
+                let (cc, ss) = sweep_columns(&build, &probe, &cond, OutputWork::Count);
+                c += cc;
+                s ^= ss;
+            }
+            assert_eq!((c, s), (count, expect), "{cond:?}");
+        }
     }
 
     #[test]
@@ -594,9 +678,10 @@ mod tests {
                 let (c, s) = sweep_columns(&b1, &b2, &cond, OutputWork::Touch);
                 assert_eq!(c, expect_c, "{cond:?} {shape:?}");
                 assert_eq!(s, expect_s, "{cond:?} {shape:?}");
-                let (cc, cs) = sweep_columns(&b1, &b2, &cond, OutputWork::Count);
-                assert_eq!(cc, expect_c, "{cond:?} {shape:?}");
-                assert_eq!(cs, 0);
+                let counted = sweep_columns(&b1, &b2, &cond, OutputWork::Count);
+                let expect = sweep_sorted(&r1, &r2, &cond, OutputWork::Count);
+                assert_eq!(counted, expect, "{cond:?} {shape:?}");
+                assert_eq!(counted.0, expect_c, "{cond:?} {shape:?}");
             }
         }
     }

@@ -71,14 +71,11 @@ pub struct OperatorConfig {
     /// operators in a query plan ([`crate::run_plan`]). Backpressure knob of
     /// the inter-operator stream.
     pub exchange_tuples: usize,
-    /// Reservoir capacity of the online intermediate statistics collected
-    /// during an upstream operator's probe (chained plans).
+    /// Read by `benchmark/src/replay.rs` only: the size of the key sample
+    /// its replay builds a chain stage's scheme from. Nothing in this
+    /// workspace samples an intermediate — [`crate::run_plan`] plans every
+    /// stage from propagated censuses.
     pub stats_reservoir_tuples: usize,
-    /// Intermediate tuples to observe before a downstream scheme is built
-    /// from the online sample. Clamped to `exchange_tuples / 2` at run time
-    /// so the cutoff always fires before the exchange could fill — the
-    /// plan's deadlock-freedom argument.
-    pub stats_cutoff_tuples: usize,
     /// Run-time skew handling: the same config drives the pipelined
     /// engine's migration coordinator and the bench crate's discrete-event
     /// simulation (`ewh_bench::simulate`), so predicted and realized
@@ -133,7 +130,6 @@ impl Default for OperatorConfig {
             queue_tuples: 4096,
             exchange_tuples: 16_384,
             stats_reservoir_tuples: 4096,
-            stats_cutoff_tuples: 8192,
             adaptive: AdaptiveConfig::default(),
             straggler: None,
             spill: SpillConfig::default(),
@@ -156,14 +152,6 @@ impl OperatorConfig {
         let buffered = engine.reducers * (self.queue_tuples + engine.probe_chunk)
             + engine.mappers * self.morsel_tuples;
         3 * buffered as u64
-    }
-
-    /// The effective online-statistics cutoff: the configured target,
-    /// clamped so it fires strictly before the inter-operator exchange can
-    /// fill (see [`OperatorConfig::stats_cutoff_tuples`]).
-    pub fn effective_stats_cutoff(&self) -> usize {
-        self.stats_cutoff_tuples
-            .clamp(1, (self.exchange_tuples / 2).max(1))
     }
 }
 

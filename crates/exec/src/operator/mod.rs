@@ -25,4 +25,4 @@ pub use run::{
     assign_regions, execute_join, lpt_schedule, run_operator, run_operator_adaptive, OperatorRun,
 };
 pub(crate) use run::{execute_join_with, run_stage, AdmittedQuery};
-pub use stats::{build_scheme, build_scheme_from_keys};
+pub use stats::{build_scheme, build_scheme_from_keys, build_scheme_from_stats};

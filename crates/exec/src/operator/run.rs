@@ -679,6 +679,44 @@ mod tests {
     }
 
     #[test]
+    fn a_key_sample_is_weighed_as_the_relation_it_stands_for() {
+        // `n2` is the relation's size, `k2` may be a sample of it: ten times
+        // the cardinality is ten times the estimated output, under CSIO
+        // (census counts) and CSI (bucket units) alike — and a slice passed
+        // with its own length is the relation, built as `build_csio` builds.
+        let k1 = random_keys(4000, 600, 31);
+        let k2 = random_keys(500, 600, 32);
+        let cond = JoinCondition::Band { beta: 1 };
+        let cfg = OperatorConfig {
+            j: 6,
+            threads: 2,
+            ..Default::default()
+        };
+        let build = |kind, n2: u64| {
+            let (scheme, _) = build_scheme_from_keys(kind, &k1, &k2, 4000, n2, &cond, &cfg);
+            scheme
+        };
+        let (own, tenfold) = (build(SchemeKind::Csio, 500), build(SchemeKind::Csio, 5000));
+        assert!(own.build.m_est > 0);
+        assert_eq!(tenfold.build.m_est, 10 * own.build.m_est);
+        let probe_input = |s: &PartitionScheme| s.regions.iter().map(|r| r.est_input).sum::<u64>();
+        assert!(probe_input(&tenfold) > probe_input(&own) + 4000);
+        let csi_unit = |s: &PartitionScheme| s.regions.iter().map(|r| r.est_input).max().unwrap();
+        assert!(csi_unit(&build(SchemeKind::Csi, 5000)) > csi_unit(&build(SchemeKind::Csi, 500)));
+
+        let params = ewh_core::HistogramParams {
+            j: 6,
+            seed: cfg.seed,
+            threads: cfg.threads,
+            ..cfg.hist
+        };
+        let direct = ewh_core::build_csio(&k1, &k2, &cond, &cfg.cost, &params);
+        assert_eq!(own.regions, direct.regions);
+        assert_eq!(own.build.m_est, direct.build.m_est);
+        assert_eq!(own.build.delta, direct.build.delta);
+    }
+
+    #[test]
     fn sampled_scheme_build_routes_every_key() {
         // A scheme built from a *sample* of one side must still produce the
         // exact join (grid routers clamp out-of-sample keys into the

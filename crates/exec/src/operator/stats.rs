@@ -1,20 +1,24 @@
 //! Statistics collection and scheme building: the operator's "plan time".
 //!
-//! Two entry points build a [`PartitionScheme`]:
+//! Three entry points build a [`PartitionScheme`]:
 //! * [`build_scheme`] — from two fully resident relations in row layout
 //!   (the batch oracle and the materialized plan baseline);
-//! * [`build_scheme_from_keys`] — from bare key slices plus cardinality
-//!   hints. The pipelined operator and a plan's root stage pass the key
-//!   columns of their transposed inputs; a chained plan builds a
-//!   *downstream* operator's scheme out of the online sample collected
-//!   while the upstream probe streams (the probe side's keys are a uniform
-//!   reservoir sample, the build side's keys are exact).
+//! * [`build_scheme_from_keys`] — from bare key slices plus the
+//!   cardinalities they stand for: the pipelined operator passes the key
+//!   columns of its transposed inputs, a caller holding a *sample* of a side
+//!   passes the sample with the side's true size;
+//! * [`build_scheme_from_stats`] — from one [`SideStats`] a side, which is
+//!   all any scheme reads. A chained plan builds every stage from the base
+//!   relations' censuses and the census of each intermediate *propagated*
+//!   through the join before it ([`ewh_sampling::join_census_r1`]).
 
 use std::time::Instant;
 
+use ewh_core::histogram::censuses;
 use ewh_core::{
-    build_ci, build_csi, build_csio, build_hash, CostModel, CsiParams, HistogramParams,
-    JoinCondition, Key, PartitionScheme, SchemeKind, Tuple,
+    build_ci, build_csi, build_csi_from_stats, build_csio_from_stats, build_hash_from_stats,
+    CostModel, CsiParams, HistogramParams, JoinCondition, Key, PartitionScheme, SchemeKind,
+    SideStats, Tuple,
 };
 
 use super::config::OperatorConfig;
@@ -37,13 +41,12 @@ pub fn build_scheme(
     build_scheme_from_keys(kind, &k1, &k2, n1, n2, cond, cfg)
 }
 
-/// Builds the requested scheme from key slices. `n1` / `n2` are the (true
-/// or estimated) relation cardinalities — they drive CI's replication-
-/// minimizing grid shape, which matters exactly when a key slice is a
-/// sample rather than the full relation. Content-sensitive schemes derive
-/// their histograms from the key slices directly: a uniform sample
-/// preserves the key distribution, so equi-weight boundaries computed on it
-/// transfer to the full stream.
+/// Builds the requested scheme from key slices standing for relations of
+/// `n1` / `n2` tuples. Where a slice is shorter than its relation — a
+/// sample — every tuple count and the output size read off it are weighed
+/// up by `n / |keys|`: a uniform sample preserves the key distribution, so
+/// boundaries computed on it transfer to the relation, and its counts do
+/// once scaled.
 pub fn build_scheme_from_keys(
     kind: SchemeKind,
     k1: &[Key],
@@ -54,28 +57,58 @@ pub fn build_scheme_from_keys(
     cfg: &OperatorConfig,
 ) -> (PartitionScheme, f64) {
     let start = Instant::now();
-    let j_regions = cfg.j_regions.unwrap_or(cfg.j);
+    let resident = (n1, n2) == (k1.len() as u64, k2.len() as u64);
     let scheme = match kind {
+        // CI reads no key, and CSI's point is to need no sort: it samples
+        // the resident columns.
         SchemeKind::Ci => build_ci(cfg.j, n1, n2, None),
-        SchemeKind::Csi => {
-            let params = CsiParams {
-                seed: cfg.seed,
-                ..cfg.csi
+        SchemeKind::Csi if resident => build_csi(k1, k2, cond, j_regions(cfg), &csi_params(cfg)),
+        _ => {
+            let (d1, d2) = censuses(k1, k2, cfg.threads);
+            let (s1, s2) = match resident {
+                true => (SideStats::relation(&d1), SideStats::relation(&d2)),
+                false => (SideStats::counted(&d1, n1), SideStats::counted(&d2, n2)),
             };
-            build_csi(k1, k2, cond, j_regions, &params)
+            build_scheme_from_stats(kind, s1, s2, cond, cfg)
         }
+    };
+    (scheme, start.elapsed().as_secs_f64())
+}
+
+fn j_regions(cfg: &OperatorConfig) -> usize {
+    cfg.j_regions.unwrap_or(cfg.j)
+}
+
+fn csi_params(cfg: &OperatorConfig) -> CsiParams {
+    CsiParams {
+        seed: cfg.seed,
+        ..cfg.csi
+    }
+}
+
+/// Builds the requested scheme from the two sides' statistics — all any
+/// scheme reads; no key column is touched.
+pub fn build_scheme_from_stats(
+    kind: SchemeKind,
+    s1: SideStats<'_>,
+    s2: SideStats<'_>,
+    cond: &JoinCondition,
+    cfg: &OperatorConfig,
+) -> PartitionScheme {
+    match kind {
+        SchemeKind::Ci => build_ci(cfg.j, s1.tuples, s2.tuples, None),
+        SchemeKind::Csi => build_csi_from_stats(s1, s2, cond, j_regions(cfg), &csi_params(cfg)),
         SchemeKind::Csio => {
             let params = HistogramParams {
-                j: j_regions,
+                j: j_regions(cfg),
                 seed: cfg.seed,
                 threads: cfg.threads,
                 ..cfg.hist
             };
-            build_csio(k1, k2, cond, &cfg.cost, &params)
+            build_csio_from_stats(s1, s2, cond, &cfg.cost, &params)
         }
-        SchemeKind::Hash => build_hash(k1, k2, cond, cfg.j, &cfg.hash),
-    };
-    (scheme, start.elapsed().as_secs_f64())
+        SchemeKind::Hash => build_hash_from_stats(s1, s2, cond, cfg.j, &cfg.hash),
+    }
 }
 
 /// Modeled statistics time: scan passes at `scan_cost_factor · wi` per tuple

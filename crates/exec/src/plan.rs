@@ -20,15 +20,17 @@
 //!   immediately, sealed early); the **probe** side is the streamed
 //!   intermediate, swept chunk by chunk and freed. Left-deep chains always
 //!   build on base relations, which is what keeps the memory profile flat.
-//! * The downstream partitioning scheme is built from **online
-//!   statistics**: a [`WeightedReservoir`](ewh_sampling::WeightedReservoir)
-//!   sample of intermediate join keys fed by the upstream probe
-//!   ([`OnlineStats`]), frozen after [`OperatorConfig::stats_cutoff_tuples`]
-//!   observed tuples (clamped below the exchange capacity, so the cutoff
-//!   always fires before backpressure could reach the producer — the
-//!   construction cannot deadlock). There is no second pass over a
-//!   materialized intermediate, because there is no materialized
-//!   intermediate.
+//! * Every stage's partitioning scheme is built from **exact statistics at
+//!   plan time**, before the first stage is spawned. An intermediate tuple
+//!   carries the key of one of its two inputs, so the key census of an
+//!   intermediate is computable from the censuses of those inputs
+//!   ([`join_census_r2`] for the root, whose output is keyed by its probe
+//!   side; [`join_census_r1`] for a chain stage, keyed by its build side) —
+//!   `O(distinct keys)`, no tuple touched. One census per base relation,
+//!   propagated by induction down the chain, gives every stage
+//!   `(census(base_i), census(intermediate_i))`: the same statistics a
+//!   second pass over the materialized intermediate would count, without
+//!   the intermediate and independent of the order it arrives in.
 //! * Termination composes: when an upstream operator quiesces (its own
 //!   `Finish`), it closes its output exchange, which is precisely what
 //!   lets the downstream operator's `SealAll` fire — the cross-operator
@@ -41,8 +43,10 @@
 //! Run-time skew handling composes too: each stage runs its own migration
 //! coordinator (when [`AdaptiveConfig::reassign`](crate::AdaptiveConfig) is
 //! on), so a skewed *intermediate* — where multi-way plans actually fall
-//! over — is caught twice: by the online-statistics scheme build, and by
-//! run-time region migration if the frozen sample missed a late hot key.
+//! over — is caught twice: by a scheme built from its exact census (a hot
+//! key that no range can split gets a block of regions, see
+//! [`ewh_core::GridBlock`]), and by run-time region migration when a
+//! reducer falls behind anyway.
 //!
 //! Execution-wise a plan is one *admitted query* on the shared
 //! [`EngineRuntime`]: all of its stages' mapper/reducer/coordinator work
@@ -64,12 +68,16 @@ use std::panic::resume_unwind;
 use std::thread;
 use std::time::Instant;
 
-use ewh_core::{ColumnBatch, JoinCondition, PartitionScheme, SchemeKind, Tuple, TUPLE_BYTES};
+use ewh_core::histogram::censuses;
+use ewh_core::{
+    ColumnBatch, JoinCondition, PartitionScheme, Region, SchemeKind, SideStats, Tuple, TUPLE_BYTES,
+};
+use ewh_sampling::{join_census_r1, join_census_r2, KeyedCounts};
 
-use crate::engine::{EngineRuntime, Exchange, OnlineStats, Source, StageSink};
+use crate::engine::{AbandonOnDrop, EngineRuntime, Exchange, Source, StageSink};
 use crate::local_join::{sweep_sorted_into, KeyFrom};
 use crate::operator::{
-    assign_regions, build_scheme, build_scheme_from_keys, execute_join_with, run_stage,
+    assign_regions, build_scheme, build_scheme_from_stats, execute_join_with, run_stage,
     AdmittedQuery, OperatorConfig,
 };
 use crate::{execute_join, shuffle, JoinStats, Shuffled};
@@ -96,20 +104,23 @@ pub struct ChainStage<'a> {
 /// What one stage of a completed plan reports.
 #[derive(Clone, Debug)]
 pub struct PlanStageRun {
-    /// Scheme actually built (degrades to CI when the frozen sample was
-    /// empty — an empty intermediate leaves nothing to balance).
+    /// Scheme actually built (degrades to CI when the intermediate is
+    /// empty — nothing to balance).
     pub kind: SchemeKind,
     pub num_regions: usize,
-    /// Wall-clock of building this stage's scheme.
+    /// The planned regions, with the estimates they were balanced on — a
+    /// function of the inputs' key multisets and the seed, never of arrival
+    /// order.
+    pub regions: Vec<Region>,
+    /// Shape `(a, b)` of every block of more than one region (see
+    /// [`ewh_core::GridBlock`]); empty when no cell needed one.
+    pub blocks: Vec<(u32, u32)>,
+    /// Wall-clock of this stage's statistics: its base relation's census,
+    /// the scheme build, and the census propagated to the next stage.
     pub stats_wall_secs: f64,
-    /// Online sample size the scheme was built from (0 for the root stage,
-    /// which sees full base statistics).
+    /// Distinct keys of the propagated census the scheme was built from (0
+    /// for the root stage, which reads two base relations).
     pub sample_tuples: usize,
-    /// Intermediate tuples observed before the sample froze.
-    pub cutoff_seen: u64,
-    /// Whether the upstream had already finished at the freeze (the sample
-    /// then covers the whole intermediate).
-    pub stats_complete: bool,
     pub join: JoinStats,
 }
 
@@ -145,34 +156,77 @@ impl PlanRun {
     }
 }
 
-/// Builds a chain stage's scheme from the frozen online sample. An empty
-/// sample (empty or near-empty intermediate) degrades to CI: with nothing
-/// observed there is nothing to balance, and CI routes any key.
-fn build_chain_scheme(
-    stage: &ChainStage<'_>,
-    base: &ColumnBatch,
-    sample: &[ewh_core::Key],
-    est_probe_tuples: u64,
-    cfg: &OperatorConfig,
-) -> (PartitionScheme, f64) {
-    let kind = if sample.is_empty() {
-        SchemeKind::Ci
-    } else {
-        stage.spec.kind
+/// Shapes of `scheme`'s blocks of more than one region.
+fn block_shapes(scheme: &PartitionScheme) -> Vec<(u32, u32)> {
+    let ewh_core::Router::Grid(grid) = &scheme.router else {
+        return Vec::new();
     };
-    build_scheme_from_keys(
-        kind,
-        base.keys(),
-        sample,
-        base.len() as u64,
-        est_probe_tuples.max(1),
-        &stage.spec.cond,
-        cfg,
-    )
+    let shapes = grid.blocks().iter().map(|b| (b.a, b.b));
+    shapes.filter(|&(a, b)| a * b > 1).collect()
+}
+
+/// One stage's plan-time result: its scheme and what [`PlanStageRun`]
+/// reports about building it.
+struct PlannedStage {
+    scheme: PartitionScheme,
+    stats_wall_secs: f64,
+    sample_tuples: usize,
+}
+
+/// Builds every stage's scheme from exact statistics (see the module docs):
+/// one census per base relation, each intermediate's census by induction.
+fn plan_stages(
+    r1: &ColumnBatch,
+    r2: &ColumnBatch,
+    first: &StageSpec,
+    chain: &[ChainStage<'_>],
+    base_cols: &[ColumnBatch],
+    cfg: &OperatorConfig,
+) -> Vec<PlannedStage> {
+    let mut planned = Vec::with_capacity(1 + chain.len());
+    let start = Instant::now();
+    let (d1, d2) = censuses(r1.keys(), r2.keys(), cfg.threads);
+    let (s1, s2) = (SideStats::relation(&d1), SideStats::relation(&d2));
+    let scheme = build_scheme_from_stats(first.kind, s1, s2, &first.cond, cfg);
+    // The root emits its probe side's key.
+    let mut probe = match chain {
+        [] => KeyedCounts::default(),
+        _ => join_census_r2(&d1, &d2, |k| first.cond.joinable_bounds(k)),
+    };
+    planned.push(PlannedStage {
+        scheme,
+        stats_wall_secs: start.elapsed().as_secs_f64(),
+        sample_tuples: 0,
+    });
+    for (i, (stage, base)) in chain.iter().zip(base_cols).enumerate() {
+        let start = Instant::now();
+        let build = KeyedCounts::census(base.keys());
+        // With nothing to probe there is nothing to balance, and CI routes
+        // any key.
+        let kind = match probe.total() {
+            0 => SchemeKind::Ci,
+            _ => stage.spec.kind,
+        };
+        let s1 = SideStats::relation(&build);
+        let s2 = SideStats::counted(&probe, probe.total());
+        let scheme = build_scheme_from_stats(kind, s1, s2, &stage.spec.cond, cfg);
+        let sample_tuples = probe.num_distinct();
+        // A chain stage emits its build side's key.
+        if i + 1 < chain.len() {
+            probe = join_census_r1(&build, &probe, |k| stage.spec.cond.joinable_bounds(k));
+        }
+        planned.push(PlannedStage {
+            scheme,
+            stats_wall_secs: start.elapsed().as_secs_f64(),
+            sample_tuples,
+        });
+    }
+    planned
 }
 
 /// Executes a left-deep chained query plan on the pipelined engine with
-/// streamed intermediates and online statistics (see the module docs).
+/// streamed intermediates, every stage planned from exact statistics before
+/// the first one starts (see the module docs).
 ///
 /// The root stage joins `r1 ⋈ r2` under `first`; each [`ChainStage`] then
 /// joins its base relation (build side) against the running intermediate
@@ -189,8 +243,7 @@ fn build_chain_scheme(
 /// the ticket's memory gauge so the reported peak is plan-global. The only
 /// threads this function creates are one parked *driver* per stage —
 /// coordination-only: each spends its life blocked in the stage's scope
-/// join, executing no join work, while the main thread blocks on each
-/// boundary's online-statistics cutoff in turn.
+/// join, executing no join work.
 pub fn run_plan(
     rt: &EngineRuntime,
     r1: &[Tuple],
@@ -207,16 +260,6 @@ pub fn run_plan(
     let exchanges: Vec<Exchange> = (0..n_chain)
         .map(|_| Exchange::new(cfg.exchange_tuples.max(2)))
         .collect();
-    let cutoff = cfg.effective_stats_cutoff();
-    let stats: Vec<OnlineStats> = (0..n_chain)
-        .map(|i| {
-            OnlineStats::new(
-                cfg.stats_reservoir_tuples,
-                cutoff,
-                cfg.seed ^ ((i as u64 + 1) << 17),
-            )
-        })
-        .collect();
 
     // Transpose every scan source once, before statistics and before the
     // stage tasks spawn: scheme builds read the key columns, the engine
@@ -229,100 +272,50 @@ pub fn run_plan(
         .map(|stage| ColumnBatch::from_tuples(stage.base))
         .collect();
 
-    let (scheme0, wall0) = build_scheme_from_keys(
-        first.kind,
-        r1_cols.keys(),
-        r2_cols.keys(),
-        r1.len() as u64,
-        r2.len() as u64,
-        &first.cond,
-        cfg,
-    );
-    let root_m_est = scheme0.build.m_est;
-
-    struct StageMeta {
-        kind: SchemeKind,
-        num_regions: usize,
-        stats_wall_secs: f64,
-        sample_tuples: usize,
-        cutoff_seen: u64,
-        stats_complete: bool,
-    }
-    let mut metas = vec![StageMeta {
-        kind: scheme0.kind,
-        num_regions: scheme0.num_regions(),
-        stats_wall_secs: wall0,
-        sample_tuples: 0,
-        cutoff_seen: 0,
-        stats_complete: true,
-    }];
+    // Every scheme exists before any stage does: whatever a scheme build
+    // can panic on, it panics here, with nothing running yet.
+    let planned = plan_stages(&r1_cols, &r2_cols, first, chain, &base_cols, cfg);
 
     let stage_stats: Vec<JoinStats> = thread::scope(|s| {
+        // If this driver unwinds between two spawns, no consumer will ever
+        // pop the stages already running: abandon every exchange on the way
+        // out so their producers cannot stay blocked in `push` and the
+        // scope can join. Harmless after normal completion.
+        let _abandon: Vec<AbandonOnDrop<'_>> =
+            exchanges.iter().map(|ex| AbandonOnDrop(Some(ex))).collect();
+        let sink_of = |i: usize| {
+            exchanges.get(i).map(|exchange| StageSink {
+                exchange,
+                batch_tuples: cfg.morsel_tuples.max(1),
+            })
+        };
         let mut handles = Vec::with_capacity(1 + n_chain);
-        {
-            let sink = exchanges.first().map(|exchange| StageSink {
-                exchange,
-                stats: &stats[0],
-                batch_tuples: cfg.morsel_tuples.max(1),
-            });
-            let scheme0 = &scheme0;
-            let cond = &first.cond;
-            let (r1_cols, r2_cols) = (&r1_cols, &r2_cols);
-            handles.push(s.spawn(move || {
-                run_stage(
-                    rt,
-                    query,
-                    Source::Scan(r1_cols),
-                    Source::Scan(r2_cols),
-                    scheme0,
-                    cond,
+        for (i, stage) in planned.iter().enumerate() {
+            let scheme = &stage.scheme;
+            let sink = sink_of(i);
+            let (build, probe, cond, key_from) = match i.checked_sub(1) {
+                None => (
+                    &r1_cols,
+                    Source::Scan(&r2_cols),
+                    &first.cond,
                     KeyFrom::Probe,
-                    sink,
-                    cfg,
-                )
-            }));
-        }
-        // Chain stages start as their schemes become buildable: the driver
-        // blocks on each boundary's online-statistics cutoff in turn, then
-        // launches the downstream operator while everything upstream keeps
-        // running. Each stage task owns its scheme outright.
-        for (i, stage) in chain.iter().enumerate() {
-            let cut = stats[i].wait_cutoff();
-            // Probe cardinality estimate for CI's grid shape: the exact
-            // count when the stream already closed, otherwise the best
-            // available projection (the root's Stream-Sample `m` is exact
-            // for CSIO; deeper stages fall back to the observed prefix).
-            let est = if !cut.complete && i == 0 {
-                cut.seen.max(root_m_est)
-            } else {
-                cut.seen
+                ),
+                Some(c) => (
+                    &base_cols[c],
+                    Source::Exchange(&exchanges[c]),
+                    &chain[c].spec.cond,
+                    KeyFrom::Build,
+                ),
             };
-            let (scheme, wall) = build_chain_scheme(stage, &base_cols[i], &cut.sample, est, cfg);
-            metas.push(StageMeta {
-                kind: scheme.kind,
-                num_regions: scheme.num_regions(),
-                stats_wall_secs: wall,
-                sample_tuples: cut.sample.len(),
-                cutoff_seen: cut.seen,
-                stats_complete: cut.complete,
-            });
-            let sink = exchanges.get(i + 1).map(|exchange| StageSink {
-                exchange,
-                stats: &stats[i + 1],
-                batch_tuples: cfg.morsel_tuples.max(1),
-            });
-            let source = Source::Exchange(&exchanges[i]);
-            let base = &base_cols[i];
-            let cond = &stage.spec.cond;
             handles.push(s.spawn(move || {
                 run_stage(
                     rt,
                     query,
-                    Source::Scan(base),
-                    source,
-                    &scheme,
+                    Source::Scan(build),
+                    probe,
+                    scheme,
                     cond,
-                    KeyFrom::Build,
+                    key_from,
                     sink,
                     cfg,
                 )
@@ -353,16 +346,16 @@ pub fn run_plan(
     }
     let last = stage_stats.last().expect("at least the root stage");
     let (output_total, checksum) = (last.output_total, last.checksum);
-    let stages = metas
+    let stages = planned
         .into_iter()
         .zip(stage_stats)
-        .map(|(m, join)| PlanStageRun {
-            kind: m.kind,
-            num_regions: m.num_regions,
-            stats_wall_secs: m.stats_wall_secs,
-            sample_tuples: m.sample_tuples,
-            cutoff_seen: m.cutoff_seen,
-            stats_complete: m.stats_complete,
+        .map(|(p, join)| PlanStageRun {
+            kind: p.scheme.kind,
+            num_regions: p.scheme.num_regions(),
+            blocks: block_shapes(&p.scheme),
+            regions: p.scheme.regions,
+            stats_wall_secs: p.stats_wall_secs,
+            sample_tuples: p.sample_tuples,
             join,
         })
         .collect();
@@ -430,10 +423,10 @@ pub fn run_plan_materialized(
             stages.push(PlanStageRun {
                 kind: scheme.kind,
                 num_regions: scheme.num_regions(),
+                blocks: block_shapes(scheme),
+                regions: scheme.regions.clone(),
                 stats_wall_secs: wall,
                 sample_tuples: 0,
-                cutoff_seen: 0,
-                stats_complete: true,
                 join,
             });
         };
@@ -530,8 +523,6 @@ mod tests {
             morsel_tuples: 128,
             queue_tuples: 512,
             exchange_tuples: 1024,
-            stats_cutoff_tuples: 400,
-            stats_reservoir_tuples: 256,
             ..Default::default()
         }
     }
@@ -566,9 +557,8 @@ mod tests {
             mat.stages[0].join.output_total
         );
         assert_eq!(pipe.intermediate_tuples(), mat.intermediate_tuples());
-        // The chain stage's scheme was built from a frozen online sample.
+        // The chain stage's scheme was built from a propagated census.
         assert!(pipe.stages[1].sample_tuples > 0);
-        assert!(pipe.stages[1].cutoff_seen > 0);
         // Totals aggregate via JoinStats::merge.
         assert_eq!(
             pipe.total.output_total,

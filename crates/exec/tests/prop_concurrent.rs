@@ -120,7 +120,6 @@ proptest! {
                     morsel_tuples: 64,
                     queue_tuples: 128,
                     exchange_tuples: 512,
-                    stats_cutoff_tuples: 100,
                     adaptive: forced_migration(),
                     ..Default::default()
                 },
@@ -198,7 +197,6 @@ fn concurrent_quarter_budget_spilling_tenants_match_their_oracles() {
         morsel_tuples: 64,
         queue_tuples: 128,
         exchange_tuples: 512,
-        stats_cutoff_tuples: 100,
         adaptive: forced_migration(),
         ..Default::default()
     };
@@ -272,7 +270,6 @@ fn failing_spilling_tenant_does_not_poison_a_healthy_co_tenant() {
         morsel_tuples: 64,
         queue_tuples: 128,
         exchange_tuples: 512,
-        stats_cutoff_tuples: 100,
         adaptive: forced_migration(),
         ..Default::default()
     };

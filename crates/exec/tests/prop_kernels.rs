@@ -15,7 +15,8 @@ use ewh_core::{
     RouteBatch, RouteScatter, Router, Tuple,
 };
 use ewh_exec::{
-    merge_sorted_runs, pair_payload, sweep_columns, sweep_columns_each, KeyFrom, OutputWork,
+    merge_sorted_runs, pair_payload, pair_tag, sweep_columns, sweep_columns_each, KeyFrom,
+    OutputWork,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -319,23 +320,24 @@ fn leapfrog_sweeps_equal_a_nested_loop_join_on_every_chunk_shape() {
                 probe
                     .iter_tuples()
                     .filter(move |p| joins(&cond, b.key, p.key))
-                    .map(move |p| (p.key, pair_payload(b.payload, p.payload)))
+                    .map(move |p| (p.key, b.payload, p.payload))
             });
             // Folded over the oracle's pairs as they are matched off; the
             // exhaustion check below makes it the whole join's fold.
-            let (mut count, mut checksum) = (0u64, 0u64);
+            let (mut count, mut checksum, mut tags) = (0u64, 0u64, 0u64);
             let each = sweep_columns_each(&build, &probe, &cond, KeyFrom::Probe, |k, p| {
-                let pair = expect.next();
-                assert_eq!(Some((k, p)), pair, "{ctx}");
+                let (key, b, pp) = expect.next().unwrap_or_else(|| panic!("{ctx}: extra pair"));
+                assert_eq!((k, p), (key, pair_payload(b, pp)), "{ctx}");
                 count += 1;
                 checksum ^= p;
+                tags ^= pair_tag(b, pp);
             });
             assert_eq!(expect.next(), None, "{ctx}: pairs missing");
             assert_eq!(each, (count, checksum), "{ctx}");
             let touch = sweep_columns(&build, &probe, &cond, OutputWork::Touch);
             assert_eq!(touch, (count, checksum), "{ctx}");
             let counted = sweep_columns(&build, &probe, &cond, OutputWork::Count);
-            assert_eq!(counted, (count, 0), "{ctx}");
+            assert_eq!(counted, (count, tags), "{ctx}");
         }
     }
 }

@@ -456,7 +456,6 @@ fn a_corrupt_frame_in_a_plan_stage_fails_the_plan_and_the_pool_survives() {
         morsel_tuples: 128,
         queue_tuples: 256,
         exchange_tuples: 1024,
-        stats_cutoff_tuples: 256,
         ..Default::default()
     };
     let over = |transport: TransportConfig| OperatorConfig {

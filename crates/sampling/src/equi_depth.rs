@@ -50,21 +50,16 @@ impl EquiDepthHistogram {
         }))
     }
 
-    /// An approximate equi-depth histogram of a relation's key column — the
-    /// one way both content-sensitive schemes turn a relation into buckets —
-    /// and the input sample size `si` behind it: [`required_sample_size`]
-    /// (bucket-size error 0.5, failure probability 0.01) keys drawn by
-    /// Bernoulli sampling seeded with `seed`. When the required sample reaches
-    /// the relation the rate clamps to 1, and the histogram is read off the
-    /// relation's census: `census`, or one built here for a caller without.
+    /// An approximate equi-depth histogram of a relation's key column — how
+    /// a scheme that sorts nothing (CSI) turns a resident relation into
+    /// buckets — and the input sample size `si` behind it:
+    /// [`required_sample_size`] (bucket-size error 0.5, failure probability
+    /// 0.01) keys drawn by Bernoulli sampling seeded with `seed`. When the
+    /// required sample reaches the relation the rate clamps to 1, and the
+    /// histogram is read off the relation's census.
     ///
     /// [`required_sample_size`]: Self::required_sample_size
-    pub fn from_relation(
-        keys: &[Key],
-        census: Option<&KeyedCounts>,
-        buckets: usize,
-        seed: u64,
-    ) -> (Self, usize) {
+    pub fn from_relation(keys: &[Key], buckets: usize, seed: u64) -> (Self, usize) {
         let n = keys.len();
         let si = Self::required_sample_size(n as u64, buckets, 0.5, 0.01).min(n);
         if si < n {
@@ -72,11 +67,7 @@ impl EquiDepthHistogram {
             let mut sample = bernoulli_sample(keys, si as f64 / n as f64, &mut rng);
             return (Self::from_sample(&mut sample, buckets), si);
         }
-        let hist = match census {
-            Some(census) => Self::from_counts(census, buckets),
-            None => Self::from_counts(&KeyedCounts::census(keys), buckets),
-        };
-        (hist, si)
+        (Self::from_counts(&KeyedCounts::census(keys), buckets), si)
     }
 
     /// Builds a degenerate single-bucket histogram (used when a relation is

@@ -46,14 +46,35 @@ impl KeyedCounts {
     fn from_sorted(sorted: &[Key]) -> Self {
         let mut keys = Vec::new();
         let mut counts = Vec::new();
-        let mut prefix = vec![0];
         let mut i = 0;
         while i < sorted.len() {
             let run = sorted[i..].iter().take_while(|&&k| k == sorted[i]).count();
             keys.push(sorted[i]);
             counts.push(run as u64);
             i += run;
-            prefix.push(i as u64);
+        }
+        Self::from_runs(keys, counts)
+    }
+
+    /// A census given as runs: strictly ascending `keys`, each with its
+    /// multiplicity (a zero run is dropped). This is how a census that was
+    /// *computed* rather than counted — the key census of a join's output,
+    /// see [`join_census_r1`](crate::join_census_r1) — becomes one. Totals
+    /// saturate at `u64::MAX`.
+    pub fn from_runs(mut keys: Vec<Key>, mut counts: Vec<u64>) -> Self {
+        assert_eq!(keys.len(), counts.len());
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "runs not ascending");
+        if counts.contains(&0) {
+            let mut kept = counts.iter().map(|&c| c > 0);
+            keys.retain(|_| kept.next().unwrap());
+            counts.retain(|&c| c > 0);
+        }
+        let mut prefix = Vec::with_capacity(keys.len() + 1);
+        let mut total = 0u64;
+        prefix.push(total);
+        for &c in &counts {
+            total = total.saturating_add(c);
+            prefix.push(total);
         }
         KeyedCounts {
             keys,
@@ -123,6 +144,18 @@ impl KeyedCounts {
         keys: &'a [Key],
         joinable: impl Fn(Key) -> (Key, Key) + 'a,
     ) -> impl Iterator<Item = u64> + 'a {
+        self.range_spans(keys, joinable)
+            .map(|(a, b)| self.prefix[b].saturating_sub(self.prefix[a]))
+    }
+
+    /// The sweep behind [`range_counts`](Self::range_counts): for every key
+    /// of the ascending list, the half-open span `a..b` of this census's
+    /// distinct keys that lie in `joinable(k)` (`a >= b`: none do).
+    pub(crate) fn range_spans<'a>(
+        &'a self,
+        keys: &'a [Key],
+        joinable: impl Fn(Key) -> (Key, Key) + 'a,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
         // `a`: first key >= lo; `b`: first key > hi.
         let (mut a, mut b) = (0, 0);
         let (mut prev_lo, mut prev_hi) = (Key::MIN, Key::MIN);
@@ -137,7 +170,7 @@ impl KeyedCounts {
             a += self.keys[a..].iter().take_while(|&&x| x < lo).count();
             b += self.keys[b..].iter().take_while(|&&x| x <= hi).count();
             (prev_lo, prev_hi) = (lo, hi);
-            self.prefix[b].saturating_sub(self.prefix[a])
+            (a, b)
         })
     }
 

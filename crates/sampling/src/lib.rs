@@ -15,14 +15,14 @@
 //!   queries implement the `d2` (joinable-set size) computation for any join
 //!   condition with contiguous joinable ranges, and its prefix sums are the
 //!   exact quantiles of the relation.
-//! * [`WeightedReservoir`] — weighted reservoir sampling without replacement
-//!   (Efraimidis & Spirakis, IPL 2006) with mergeable reservoirs, as used by
-//!   the paper's one-pass parallel S1 construction.
 //! * [`stream_sample`] — the Stream-Sample algorithm of Chaudhuri, Motwani &
 //!   Narasayya (SIGMOD 1999), extended from equi-joins to band/inequality
 //!   joins: from the two censuses, one monotone sweep and a sorted-rank walk
 //!   produce a uniform random sample of the join *output* without executing
-//!   the join, plus the exact output size `m`.
+//!   the join, plus the exact output size `m`. Its siblings
+//!   [`join_census_r1`] / [`join_census_r2`] compute the exact key census
+//!   of that output from the same two censuses — the statistics a chained
+//!   plan's next operator is planned from.
 //! * [`ks`] — Kolmogorov-Smirnov and χ² helpers used to size and validate the
 //!   output sample (Appendix A1).
 
@@ -30,14 +30,12 @@ mod bernoulli;
 mod equi_depth;
 mod keyed;
 pub mod ks;
-mod reservoir;
 mod stream_sample;
 
 pub use bernoulli::{bernoulli_sample, bernoulli_sample_by};
 pub use equi_depth::EquiDepthHistogram;
 pub use keyed::KeyedCounts;
-pub use reservoir::WeightedReservoir;
-pub use stream_sample::{stream_sample, OutputSample};
+pub use stream_sample::{join_census_r1, join_census_r2, stream_sample, OutputSample};
 
 /// Join keys are signed 64-bit integers throughout the workspace.
 pub type Key = i64;

@@ -87,6 +87,54 @@ pub fn stream_sample(
     OutputSample { pairs, m }
 }
 
+/// The key census of the join *output* when each output tuple carries its
+/// `R1` key — exact, without executing the join: key `k1` appears
+/// `mult1(k1) · d2(k1)` times, the products [`stream_sample`] accumulates
+/// into its cumulative weights. `O(distinct1 + distinct2)`; counts saturate.
+pub fn join_census_r1(
+    d1: &KeyedCounts,
+    d2equi: &KeyedCounts,
+    joinable: impl Fn(Key) -> (Key, Key),
+) -> KeyedCounts {
+    let counts = d2equi
+        .range_counts(d1.keys(), &joinable)
+        .zip(d1.counts())
+        .map(|(d2, &c)| c.saturating_mul(d2))
+        .collect();
+    KeyedCounts::from_runs(d1.keys().to_vec(), counts)
+}
+
+/// The key census of the join output when each output tuple carries its
+/// `R2` key: key `k2` appears `mult2(k2) · |{t1 : k2 ∈ joinable(t1.key)}|`
+/// times. The partner counts come from one range-add sweep — every distinct
+/// `R1` key adds its multiplicity over the span of `d2equi`'s distinct keys
+/// it joins with, and a running sum reads the totals off.
+/// `O(distinct1 + distinct2)`; counts saturate.
+pub fn join_census_r2(
+    d1: &KeyedCounts,
+    d2equi: &KeyedCounts,
+    joinable: impl Fn(Key) -> (Key, Key),
+) -> KeyedCounts {
+    // opens[i] / closes[i]: R1 tuples whose span starts / ended at key i.
+    let n = d2equi.num_distinct();
+    let (mut opens, mut closes) = (vec![0u64; n + 1], vec![0u64; n + 1]);
+    for ((a, b), &c) in d2equi.range_spans(d1.keys(), &joinable).zip(d1.counts()) {
+        if a < b {
+            opens[a] = opens[a].saturating_add(c);
+            closes[b] = closes[b].saturating_add(c);
+        }
+    }
+    let mut partners = 0u64;
+    let counts = (0..n)
+        .map(|i| {
+            // Saturated sums only ever over-count a census already at the cap.
+            partners = partners.saturating_add(opens[i]).saturating_sub(closes[i]);
+            partners.saturating_mul(d2equi.counts()[i])
+        })
+        .collect();
+    KeyedCounts::from_runs(d2equi.keys().to_vec(), counts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

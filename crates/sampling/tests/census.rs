@@ -1,11 +1,15 @@
 //! The census and everything a scheme build reads off it, each against the
 //! simple formulation it replaced: a `BTreeMap` count, the histogram over a
 //! sorted copy of the relation, a `range_count` per key, the Bernoulli
-//! histogram written out by hand.
+//! histogram written out by hand — and the census of a join's output
+//! against the output of the nested loop.
 
 use std::collections::BTreeMap;
 
-use ewh_sampling::{bernoulli_sample, stream_sample, EquiDepthHistogram, Key, KeyedCounts};
+use ewh_sampling::{
+    bernoulli_sample, join_census_r1, join_census_r2, stream_sample, EquiDepthHistogram, Key,
+    KeyedCounts,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,16 +92,15 @@ fn from_counts_bounds_equal_from_sample_over_the_sorted_relation() {
 
 #[test]
 fn a_relation_smaller_than_its_required_sample_is_read_off_the_census() {
-    // si = n: the rate clamps to 1, whether the caller brings the census or not.
+    // si = n: the rate clamps to 1 and the quantiles are exact.
     let keys: Vec<Key> = (0..3000).map(|i| (i * 37) % 1000).collect();
-    let census = KeyedCounts::census(&keys);
     let expect = EquiDepthHistogram::from_sample(&mut keys.clone(), 64);
-    for given in [Some(&census), None] {
-        let (hist, si) = EquiDepthHistogram::from_relation(&keys, given, 64, 9);
-        assert_eq!(si, keys.len());
-        assert_eq!(hist.bounds(), expect.bounds());
-    }
-    let (hist, si) = EquiDepthHistogram::from_relation(&[], None, 64, 9);
+    let (hist, si) = EquiDepthHistogram::from_relation(&keys, 64, 9);
+    assert_eq!(si, keys.len());
+    assert_eq!(hist.bounds(), expect.bounds());
+    let exact = EquiDepthHistogram::from_counts(&KeyedCounts::census(&keys), 64);
+    assert_eq!(hist.bounds(), exact.bounds());
+    let (hist, si) = EquiDepthHistogram::from_relation(&[], 64, 9);
     assert_eq!((hist.num_buckets(), si), (1, 0));
 }
 
@@ -115,7 +118,7 @@ fn bernoulli_path_draws_what_it_always_drew() {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut drawn = bernoulli_sample(&keys, si as f64 / n as f64, &mut rng);
     let expect = EquiDepthHistogram::from_sample(&mut drawn, p);
-    let (hist, got_si) = EquiDepthHistogram::from_relation(&keys, None, p, seed);
+    let (hist, got_si) = EquiDepthHistogram::from_relation(&keys, p, seed);
     assert_eq!(got_si, si);
     assert_eq!(hist.bounds(), expect.bounds());
     assert!(hist.num_buckets() > p / 2);
@@ -191,4 +194,108 @@ fn non_monotone_joinable_ranges_still_count_exactly() {
         .sum::<u64>();
     let s = stream_sample(&d1, &d2equi, scramble, 0, &mut SmallRng::seed_from_u64(1));
     assert_eq!(s.m, brute);
+}
+
+/// The eight join conditions the workspace tests everything on (`join.rs`'s
+/// `CONDS`), spelled as the sampling crate sees a condition — a joinable
+/// range — next to the pair predicate the range must agree with.
+type Joinable = fn(Key) -> (Key, Key);
+type Matches = fn(Key, Key) -> bool;
+const EMPTY: (Key, Key) = (1, 0);
+const CONDS: [(&str, Joinable, Matches); 8] = [
+    ("equi", |k| (k, k), |a, b| a == b),
+    ("band 0", |k| (k, k), |a, b| a == b),
+    (
+        "band 3",
+        |k| (k.saturating_sub(3), k.saturating_add(3)),
+        |a, b| a.abs_diff(b) <= 3,
+    ),
+    (
+        "<",
+        |k| k.checked_add(1).map_or(EMPTY, |lo| (lo, Key::MAX)),
+        |a, b| a < b,
+    ),
+    ("<=", |k| (k, Key::MAX), |a, b| a <= b),
+    (
+        ">",
+        |k| k.checked_sub(1).map_or(EMPTY, |hi| (Key::MIN, hi)),
+        |a, b| a > b,
+    ),
+    (">=", |k| (Key::MIN, k), |a, b| a >= b),
+    (
+        "equi+band 2 (shift 16)",
+        |k| {
+            let p = k.rem_euclid(16);
+            (
+                k.saturating_sub(p.min(2)),
+                k.saturating_add((15 - p).min(2)),
+            )
+        },
+        |a, b| a.div_euclid(16) == b.div_euclid(16) && a.abs_diff(b) <= 2,
+    ),
+];
+
+#[test]
+fn census_join_equals_the_census_of_the_brute_force_join_output() {
+    // Keys from the extremes and their neighbours plus a small dense domain,
+    // random multiplicities: the census of the join output keyed by either
+    // side, computed from the two input censuses, is the census of the
+    // output the nested loop produces — tuple for tuple.
+    let edge = [Key::MIN, Key::MIN + 1, -1, 0, 1, Key::MAX - 1, Key::MAX];
+    let mut rng = SmallRng::seed_from_u64(0xCE5 ^ 23);
+    for round in 0..60 {
+        let mut draw = |dense: usize| -> Vec<Key> {
+            let mut keys: Vec<Key> = Vec::new();
+            for &k in &edge {
+                keys.extend(std::iter::repeat_n(k, rng.gen_range(0..4)));
+            }
+            keys.extend((0..dense).map(|_| rng.gen_range(-20..40i64)));
+            keys
+        };
+        let (r1, r2) = (draw(round % 7 * 9), draw(round % 5 * 11));
+        let (d1, d2) = (KeyedCounts::census(&r1), KeyedCounts::census(&r2));
+        for (name, joinable, matches) in CONDS {
+            let (mut by_r1, mut by_r2) = (Vec::new(), Vec::new());
+            for &a in &r1 {
+                for &b in &r2 {
+                    if matches(a, b) {
+                        by_r1.push(a);
+                        by_r2.push(b);
+                    }
+                }
+            }
+            for (side, got, expect) in [
+                ("r1", join_census_r1(&d1, &d2, joinable), by_r1),
+                ("r2", join_census_r2(&d1, &d2, joinable), by_r2),
+            ] {
+                let expect = KeyedCounts::census(&expect);
+                assert_eq!(got.keys(), expect.keys(), "{name} by {side}, round {round}");
+                assert_eq!(got.counts(), expect.counts(), "{name} by {side}");
+                assert_eq!(got.total(), expect.total(), "{name} by {side}");
+            }
+        }
+    }
+}
+
+#[test]
+fn census_join_saturates_instead_of_overflowing() {
+    // Two keys a side, each 2^40 strong: every product is 2^80.
+    let d = KeyedCounts::from_runs(vec![1, 2], vec![1 << 40, 1 << 40]);
+    assert_eq!(d.total(), 1 << 41);
+    for joined in [
+        join_census_r1(&d, &d, |_| (Key::MIN, Key::MAX)),
+        join_census_r2(&d, &d, |_| (Key::MIN, Key::MAX)),
+    ] {
+        assert_eq!(joined.keys(), &[1, 2]);
+        assert_eq!(joined.counts(), &[u64::MAX, u64::MAX]);
+        assert_eq!(joined.total(), u64::MAX);
+        assert_eq!(
+            joined.range_count(2, 2),
+            0,
+            "a saturated prefix counts nothing more"
+        );
+    }
+    // A zero run vanishes.
+    let sparse = KeyedCounts::from_runs(vec![1, 5, 9], vec![3, 0, 2]);
+    assert_eq!((sparse.keys(), sparse.counts()), (&[1, 9][..], &[3, 2][..]));
 }

@@ -1,31 +1,10 @@
 //! Property-based tests of the sampling data structures.
 
-use ewh_sampling::{EquiDepthHistogram, Key, KeyedCounts, WeightedReservoir};
+use ewh_sampling::{EquiDepthHistogram, Key, KeyedCounts};
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    #[test]
-    fn reservoir_size_is_min_of_capacity_and_positive_items(
-        weights in prop::collection::vec(0u64..5, 0..80),
-        cap in 1usize..20,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut r = WeightedReservoir::new(cap);
-        for (i, &w) in weights.iter().enumerate() {
-            r.offer(i, w, &mut rng);
-        }
-        let positive = weights.iter().filter(|&&w| w > 0).count();
-        prop_assert_eq!(r.len(), positive.min(cap));
-        // Selected items must all have positive weight.
-        for (i, _) in r.into_items() {
-            prop_assert!(weights[i] > 0);
-        }
-    }
 
     #[test]
     fn keyed_counts_pick_is_inverse_of_rank(

@@ -3,9 +3,7 @@
 //! paper relies on.
 
 use ewh_sampling::ks::{chi_square, chi_square_critical, ks_critical, ks_statistic_uniform};
-use ewh_sampling::{
-    stream_sample, EquiDepthHistogram, Key, KeyedCounts, OutputSample, WeightedReservoir,
-};
+use ewh_sampling::{stream_sample, EquiDepthHistogram, Key, KeyedCounts, OutputSample};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,48 +107,6 @@ fn stream_sample_positions_pass_ks_against_output_cdf() {
     let d = ks_statistic_uniform(&positions);
     // Block-start discretization adds slack; allow 3x the 1% critical value.
     assert!(d < 3.0 * ks_critical(positions.len(), 0.01), "KS d = {d}");
-}
-
-#[test]
-fn reservoir_merge_matches_single_machine_distribution() {
-    // Inclusion frequency of a weighted item must be unchanged whether the
-    // stream is processed whole or in merged partitions.
-    let trials = 4000;
-    let k = 4;
-    let items: Vec<(u64, u64)> = (0..40).map(|i| (i, 1 + (i % 8))).collect();
-    let mut hits_single = 0u32;
-    let mut hits_merged = 0u32;
-    let mut rng = SmallRng::seed_from_u64(11);
-    for _ in 0..trials {
-        let mut r = WeightedReservoir::new(k);
-        for &(i, w) in &items {
-            r.offer(i, w, &mut rng);
-        }
-        if r.into_items().iter().any(|&(i, _)| i == 7) {
-            hits_single += 1;
-        }
-
-        let mut a = WeightedReservoir::new(k);
-        let mut b = WeightedReservoir::new(k);
-        for &(i, w) in &items[..20] {
-            a.offer(i, w, &mut rng);
-        }
-        for &(i, w) in &items[20..] {
-            b.offer(i, w, &mut rng);
-        }
-        a.merge(b);
-        if a.into_items().iter().any(|&(i, _)| i == 7) {
-            hits_merged += 1;
-        }
-    }
-    let (p1, p2) = (
-        hits_single as f64 / trials as f64,
-        hits_merged as f64 / trials as f64,
-    );
-    assert!(
-        (p1 - p2).abs() < 0.04,
-        "merged ({p2:.3}) vs single ({p1:.3}) inclusion probabilities diverge"
-    );
 }
 
 #[test]

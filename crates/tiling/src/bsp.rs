@@ -12,7 +12,7 @@
 //! It exists as the accuracy baseline for [`crate::monotonic_bsp`], which
 //! must produce the same region counts on monotonic matrices.
 
-use crate::{Grid, Rect, INFEASIBLE};
+use crate::{region_shares, Grid, Rect, INFEASIBLE};
 
 /// How a rectangle is covered in the DP solution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,8 +27,6 @@ enum Plan {
     H(u32),
     /// Split vertically after column `k`.
     V(u32),
-    /// A single cell heavier than δ: cannot be covered.
-    Stuck,
 }
 
 /// Dense bottom-up BSP solver. Reusable across δ values (the rectangle
@@ -113,8 +111,11 @@ impl<'a> BspSolver<'a> {
         self.order.iter().map(|&r| self.grid.weight(r)).collect()
     }
 
-    /// Solves for a given δ. Returns the covering regions, or `None` when
-    /// some single candidate cell is heavier than δ.
+    /// Solves for a given δ, under [`MonotonicBspSolver::solve`]'s rule: a
+    /// single cell heavier than δ is a region charged `⌈w/δ⌉`. `None` only
+    /// when the charge overflows.
+    ///
+    /// [`MonotonicBspSolver::solve`]: crate::MonotonicBspSolver::solve
     pub fn solve(&self, delta: u64) -> Option<Vec<Rect>> {
         let mut count = vec![0u32; self.state_count()];
         let mut plan = vec![Plan::Empty; self.state_count()];
@@ -131,13 +132,14 @@ impl<'a> BspSolver<'a> {
                 plan[idx] = Plan::Shrink;
                 continue;
             }
-            if self.grid.weight(rect) <= delta {
-                count[idx] = 1;
+            let weight = self.grid.weight(rect);
+            if weight <= delta || rect.area() == 1 {
+                count[idx] = region_shares(weight, delta);
                 plan[idx] = Plan::Leaf;
                 continue;
             }
             let mut best = INFEASIBLE;
-            let mut best_plan = Plan::Stuck;
+            let mut best_plan = Plan::Leaf;
             for k in rect.r0..rect.r1 {
                 let (a, b) = rect.split_h(k);
                 let c = count[self.index(a)].saturating_add(count[self.index(b)]);
@@ -188,13 +190,12 @@ impl<'a> BspSolver<'a> {
                 self.extract(plan, a, out);
                 self.extract(plan, b, out);
             }
-            Plan::Stuck => unreachable!("extraction reached an infeasible rectangle"),
         }
     }
 }
 
-/// One-shot baseline BSP: regions covering all candidate cells with weight
-/// ≤ δ, or `None` if δ is below some single candidate cell's weight.
+/// One-shot baseline BSP: regions covering all candidate cells, each of
+/// weight ≤ δ unless it is a single cell.
 pub fn bsp(grid: &Grid, delta: u64) -> Option<Vec<Rect>> {
     BspSolver::new(grid).solve(delta)
 }
@@ -230,7 +231,14 @@ mod tests {
     fn small_delta_is_infeasible() {
         let g = band_grid(6, 1);
         // Even a single candidate cell weighs 1 (row) + 1 (col) + 1 (out) = 3.
-        assert!(bsp(&g, 2).is_none());
+        // A delta below that no longer is infeasible: at delta 2 every one
+        // of the 16 cells is its own region, charged ⌈3/2⌉ of the budget —
+        // which makes it infeasible for any budget under 32. Only delta 0,
+        // which no number of regions can pay for, has no partition at all.
+        let regions = bsp(&g, 2).expect("a cell over delta is charged, not refused");
+        assert!(regions.iter().all(|r| r.area() == 1));
+        assert_eq!(validate_partition(&g, &regions, 2), Ok(16 * 2));
+        assert!(bsp(&g, 0).is_none());
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! improves the grid: fix the column cuts and re-optimize the row cuts
 //! *exactly* (binary search over the cell-weight bound φ with a greedy slab
 //! feasibility check), then swap dimensions, until the max cell weight stops
-//! improving.
+//! improving. A single fine line heavier than φ cannot be cut any further:
+//! it becomes a slab of its own rather than making φ infeasible, so one
+//! heavy hitter does not set the bound every other slab is packed to (the
+//! tiling stage gives such a cell several regions instead, see
+//! [`crate::partition_max_weight`]).
 //!
 //! *MonotonicCoarsening*: non-candidate cells weigh 0 (they are never
 //! assigned to a machine), and for monotonic joins each fine row's candidate
@@ -228,7 +232,7 @@ fn optimize_cuts(
         .collect();
 
     // Greedy sweep: can we form ≤ nc slabs with every candidate coarse cell
-    // weighing ≤ phi? Returns the cuts on success.
+    // of a multi-line slab weighing ≤ phi? Returns the cuts on success.
     let mut val = vec![0u64; n_slabs];
     let mut feasible = |phi: u64| -> Option<Vec<u32>> {
         let mut cuts = vec![0u32];
@@ -288,10 +292,13 @@ fn optimize_cuts(
                     iv = new_iv;
                     lines += 1;
                     i += 1;
+                } else if lines == 0 {
+                    // An irreducible unit never fails a feasibility test: a
+                    // single line over phi is a slab of its own, charged to
+                    // the slab budget like any other.
+                    i += 1;
+                    break;
                 } else {
-                    if lines == 0 {
-                        return None; // a single line already exceeds phi
-                    }
                     // Roll the tentative points back and close the slab.
                     for k in range {
                         val[pt_slab[k] as usize] -= view.pt_w[k];

@@ -19,7 +19,9 @@
 //! * [`partition_max_weight`] — the regionalization driver: a binary search
 //!   over the maximum region weight δ (BSP solves the dual problem — given δ,
 //!   minimize the number of regions — so we search the rectangle weights for
-//!   the smallest δ that fits in the available `J` regions).
+//!   the smallest δ that fits in the available `J` regions). A single cell
+//!   heavier than δ is charged `⌈w/δ⌉` regions ([`region_shares`]) instead of
+//!   making δ infeasible.
 //! * [`coarsen`] — the grid-partitioning (RTILE, MAX-WEIGHT metric)
 //!   coarsening stage after Muthukrishnan & Suel (J. Algorithms 2005),
 //!   implemented as alternating exact 1-D re-optimization, with the
@@ -43,11 +45,11 @@ pub use coarsen::{
 pub use grid::Grid;
 pub use monotonic_bsp::{monotonic_bsp, MonotonicBspSolver};
 pub use partition::{
-    partition_max_weight, validate_partition, Partition, PartitionError, TilingAlgo,
+    partition_max_weight, region_shares, validate_partition, Partition, PartitionError, TilingAlgo,
 };
 pub use rect::Rect;
 
-/// Sentinel region count for "this rectangle cannot be covered at the given
-/// δ" (a single cell already exceeds δ). Saturating arithmetic keeps DP sums
-/// involving this value above any real region count.
+/// Sentinel region count for "the charge overflowed" (a single cell a
+/// quarter of `u32::MAX` times heavier than δ). Saturating arithmetic keeps
+/// DP sums involving this value above any real region count.
 pub(crate) const INFEASIBLE: u32 = u32::MAX / 4;

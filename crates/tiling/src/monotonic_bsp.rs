@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use crate::{Grid, Rect, INFEASIBLE};
+use crate::{region_shares, Grid, Rect, INFEASIBLE};
 
 /// "No candidate cells in this half" marker in the split tables; also "no
 /// such cell / rectangle" in the constructor's lookup tables.
@@ -151,7 +151,6 @@ enum Plan {
     Leaf,
     /// Index into the split-pair table.
     Split(u32),
-    Stuck,
 }
 
 /// Reusable MONOTONICBSP solver: enumeration, sorting and split tables are
@@ -308,21 +307,21 @@ impl<'a> MonotonicBspSolver<'a> {
         )
     }
 
-    /// A lower bound on any feasible δ given `j` regions: the heavier of the
-    /// largest candidate cell and (covered weight)/j (see
-    /// [`Grid::covered_weight`]).
+    /// A lower bound on any feasible δ given `j` regions: (covered
+    /// weight)/j (see [`Grid::covered_weight`]) — no cell bounds δ from
+    /// below, a heavy one is charged more regions instead.
     pub fn delta_lower_bound(&self, j: usize) -> u64 {
         if self.rects.is_empty() {
             return 0;
         }
-        self.grid
-            .max_candidate_cell_weight()
-            .max(self.grid.covered_weight() / j.max(1) as u64)
+        self.grid.covered_weight() / j.max(1) as u64
     }
 
     /// Solves for a given δ: regions covering every candidate cell exactly
-    /// once with each region's weight ≤ δ, or `None` when a single candidate
-    /// cell exceeds δ.
+    /// once, minimizing the regions *charged* ([`region_shares`]): a region
+    /// weighs at most δ and is charged one, except a single cell heavier
+    /// than δ — nothing can split it, so it never fails the test and is
+    /// charged `⌈w/δ⌉`. `None` only when the charge overflows.
     pub fn solve(&self, delta: u64) -> Option<Vec<Rect>> {
         let Some(root) = self.grid.shrink(self.grid.full()) else {
             return Some(Vec::new()); // no candidate cells at all
@@ -330,16 +329,15 @@ impl<'a> MonotonicBspSolver<'a> {
 
         let n = self.rects.len();
         let mut count = vec![0u32; n];
-        let mut plan = vec![Plan::Stuck; n];
+        let mut plan = vec![Plan::Leaf; n];
         for i in 0..n {
-            if self.weights[i] <= delta {
-                count[i] = 1;
-                plan[i] = Plan::Leaf;
+            let range = self.split_start[i]..self.split_start[i + 1];
+            if self.weights[i] <= delta || range.is_empty() {
+                count[i] = region_shares(self.weights[i], delta);
                 continue;
             }
             let mut best = INFEASIBLE;
             let mut best_split = 0u32;
-            let range = self.split_start[i]..self.split_start[i + 1];
             for s in range {
                 let (a, b) = self.split_pairs[s as usize];
                 let ca = if a == EMPTY { 0 } else { count[a as usize] };
@@ -380,7 +378,6 @@ impl<'a> MonotonicBspSolver<'a> {
                     self.extract(b as usize, plan, out);
                 }
             }
-            Plan::Stuck => unreachable!("extraction reached an infeasible rectangle"),
         }
     }
 }
@@ -486,9 +483,24 @@ mod tests {
     #[test]
     fn heavy_cell_below_delta_is_infeasible() {
         let g = band_grid(8, 1, Some((3, 3, 100)));
-        // Cell (3,3) weighs 1 + 1 + 100 = 102; smaller δ cannot be met.
-        assert!(monotonic_bsp(&g, 101).is_none());
-        assert!(monotonic_bsp(&g, 102).is_some());
+        // Cell (3,3) weighs 1 + 1 + 100 = 102. At δ = 102 it is one region
+        // like any other. Below, it is still one region — nothing splits a
+        // cell — but charged ⌈102/δ⌉ of the budget: δ = 101 is infeasible
+        // for the budget that δ = 102 fits exactly, not for every budget.
+        let hot = Rect::new(3, 3, 3, 3);
+        let at = monotonic_bsp(&g, 102).unwrap();
+        let budget = validate_partition(&g, &at, 102).unwrap();
+        assert_eq!(budget, at.len() as u32);
+        for (delta, shares) in [(101u64, 2u32), (51, 2), (50, 3), (10, 11)] {
+            let regions = monotonic_bsp(&g, delta).unwrap();
+            assert!(regions.contains(&hot), "delta {delta}");
+            let over: Vec<_> = regions.iter().filter(|r| g.weight(**r) > delta).collect();
+            assert_eq!(over, [&hot], "delta {delta}");
+            let charged = validate_partition(&g, &regions, delta).unwrap();
+            assert_eq!(charged, regions.len() as u32 - 1 + shares, "delta {delta}");
+            assert!(charged > budget, "delta {delta}");
+        }
+        assert!(monotonic_bsp(&g, 0).is_none());
     }
 
     #[test]
@@ -531,16 +543,16 @@ mod tests {
         let solver = MonotonicBspSolver::new(&g);
         for j in [1usize, 2, 4, 8] {
             let lb = solver.delta_lower_bound(j);
-            // Nothing below the bound may be feasible with <= j regions.
+            // Nothing below the bound may be charged <= j regions — the hot
+            // cell's shares included, which is why no cell enters the bound.
             if lb > 0 {
-                if let Some(regions) = solver.solve(lb - 1) {
-                    assert!(
-                        regions.len() > j,
-                        "j={j}: {} regions at delta {}",
-                        regions.len(),
-                        lb - 1
-                    );
-                }
+                let regions = solver.solve(lb - 1).unwrap();
+                let charged = validate_partition(&g, &regions, lb - 1).unwrap();
+                assert!(
+                    charged as usize > j,
+                    "j={j}: charged {charged} at delta {}",
+                    lb - 1
+                );
             }
         }
     }

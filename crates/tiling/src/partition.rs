@@ -5,8 +5,14 @@
 //! maximum region weight. §III-C of the paper bridges the two with a binary
 //! search over δ; the region count is non-increasing in δ, so the smallest
 //! feasible δ is well-defined.
+//!
+//! One rule covers what no tiling can split: a single candidate cell heavier
+//! than δ never makes δ infeasible, it is *charged* `⌈w/δ⌉` of the region
+//! budget ([`region_shares`]). The caller gives such a region that many
+//! machines (the histogram lays a 1-Bucket block over it), so one heavy
+//! hitter costs its fair share of `J` instead of setting δ for everyone.
 
-use crate::{BspSolver, Grid, MonotonicBspSolver, Rect};
+use crate::{BspSolver, Grid, MonotonicBspSolver, Rect, INFEASIBLE};
 
 /// Which tiling algorithm regionalization runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,14 +24,30 @@ pub enum TilingAlgo {
     MonotonicBsp,
 }
 
-/// The result of regionalization: at most `j` rectangular regions covering
-/// every candidate cell exactly once, with `max_weight` = max region weight.
+/// Regions of the budget a rectangle of weight `weight` is charged at δ:
+/// one when it fits, `⌈weight/δ⌉` when it does not (only a single cell is
+/// ever kept over δ). Saturates at the solvers' overflow sentinel, which is
+/// also what no number of weightless regions can pay: δ = 0.
+pub fn region_shares(weight: u64, delta: u64) -> u32 {
+    match delta {
+        _ if weight <= delta => 1,
+        0 => INFEASIBLE,
+        _ => weight.div_ceil(delta).min(INFEASIBLE as u64) as u32,
+    }
+}
+
+/// The result of regionalization: rectangular regions covering every
+/// candidate cell exactly once, charged at most `j` shares in total, with
+/// `max_weight` = max weight per share.
 #[derive(Clone, Debug)]
 pub struct Partition {
     pub regions: Vec<Rect>,
-    /// The δ found by the binary search (≥ the realized max region weight).
+    /// [`region_shares`] of each region at `delta`, parallel to `regions`:
+    /// 1, or more for a single cell heavier than `delta`.
+    pub shares: Vec<u32>,
+    /// The δ found by the binary search (≥ `max_weight`).
     pub delta: u64,
-    /// The realized maximum region weight.
+    /// The realized maximum of `⌈weight / shares⌉` over the regions.
     pub max_weight: u64,
 }
 
@@ -36,7 +58,8 @@ pub enum PartitionError {
     Overlap(Rect, Rect),
     /// A candidate cell is covered by no region.
     UncoveredCandidate { row: u32, col: u32 },
-    /// A region exceeds the weight bound it was built for.
+    /// A region that a split could still shrink exceeds the weight bound it
+    /// was built for.
     Overweight { rect: Rect, weight: u64, delta: u64 },
 }
 
@@ -62,8 +85,14 @@ impl std::error::Error for PartitionError {}
 
 /// Checks the §II problem definition: regions are pairwise disjoint, every
 /// candidate cell is covered by exactly one region (0-cells by at most one,
-/// which disjointness implies), and no region exceeds `delta`.
-pub fn validate_partition(grid: &Grid, regions: &[Rect], delta: u64) -> Result<(), PartitionError> {
+/// which disjointness implies), and no region exceeds `delta` unless it is
+/// one candidate cell. Returns the shares the regions are charged at
+/// `delta` ([`region_shares`], summed) — what must fit the machine budget.
+pub fn validate_partition(
+    grid: &Grid,
+    regions: &[Rect],
+    delta: u64,
+) -> Result<u32, PartitionError> {
     for (i, a) in regions.iter().enumerate() {
         for b in &regions[i + 1..] {
             if a.intersects(b) {
@@ -71,15 +100,17 @@ pub fn validate_partition(grid: &Grid, regions: &[Rect], delta: u64) -> Result<(
             }
         }
     }
+    let mut shares = 0u32;
     for r in regions {
         let w = grid.weight(*r);
-        if w > delta {
+        if w > delta && !(r.area() == 1 && grid.is_candidate(r.r0, r.c0)) {
             return Err(PartitionError::Overweight {
                 rect: *r,
                 weight: w,
                 delta,
             });
         }
+        shares = shares.saturating_add(region_shares(w, delta));
     }
     let covered: u32 = regions.iter().map(|r| grid.cand_count(*r)).sum();
     if covered != grid.cand_count(grid.full()) {
@@ -91,15 +122,16 @@ pub fn validate_partition(grid: &Grid, regions: &[Rect], delta: u64) -> Result<(
             }
         }
     }
-    Ok(())
+    Ok(shares)
 }
 
-/// Regionalization: the smallest δ whose tiling uses at most `j` regions,
-/// found by binary search (§III-C), together with the tiling itself.
+/// Regionalization: the smallest δ whose tiling is charged at most `j`
+/// regions, found by binary search (§III-C), together with the tiling itself.
 ///
-/// A solver compares δ with rectangle weights and nothing else, so the
-/// search bisects over the sorted distinct rectangle weights above the
-/// lower bound — `log₂(states)` probes — rather than over every integer.
+/// A solver compares δ with rectangle weights and, for a single cell over δ,
+/// with `⌈w/k⌉`, and nothing else, so the search bisects over the sorted
+/// distinct values of both kinds above the lower bound — `log₂(states)`
+/// probes — rather than over every integer.
 ///
 /// `j >= 1`. Returns an empty partition when the grid has no candidate cells.
 pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partition {
@@ -108,6 +140,7 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
     if grid.cand_count(full) == 0 {
         return Partition {
             regions: Vec::new(),
+            shares: Vec::new(),
             delta: 0,
             max_weight: 0,
         };
@@ -128,24 +161,40 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
         }
     };
 
-    // δ below the heaviest candidate cell is never feasible (regions live on
-    // cell granularity and w is monotone), nor is δ below the per-region
-    // share of the weight any partition must cover; the heaviest rectangle
-    // covers every candidate, so the last δ always is.
-    let floor = grid
-        .max_candidate_cell_weight()
-        .max(grid.covered_weight() / j as u64);
+    // δ below the per-region share of the weight any partition must cover is
+    // never feasible; the heaviest rectangle covers every candidate, so the
+    // last δ always is. Between the two, the charge changes where a
+    // rectangle starts to fit (its weight) and where a heavy cell needs one
+    // share fewer (`⌈w/k⌉`).
+    let floor = grid.covered_weight() / j as u64;
     let mut deltas = match &solver {
         Solver::Dense(s) => s.rect_weights(),
         Solver::Monotonic(s) => s.rect_weights().to_vec(),
     };
+    for (row, col) in grid.candidate_cells() {
+        let w = grid.weight(Rect::new(row, col, row, col));
+        deltas.extend(
+            (2..=j as u64)
+                .map(|k| w.div_ceil(k))
+                .take_while(|&d| d > floor),
+        );
+    }
     deltas.retain(|&w| w > floor);
     deltas.push(floor);
     deltas.sort_unstable();
     deltas.dedup();
 
-    let feasible =
-        |regions: &Option<Vec<Rect>>| regions.as_ref().map(|r| r.len() <= j).unwrap_or(false);
+    let charged = |regions: &[Rect], delta: u64| -> u64 {
+        regions
+            .iter()
+            .map(|r| region_shares(grid.weight(*r), delta) as u64)
+            .sum()
+    };
+    let feasible = |regions: &Option<Vec<Rect>>, delta: u64| {
+        regions
+            .as_ref()
+            .is_some_and(|r| charged(r, delta) <= j as u64)
+    };
 
     let (mut lo, mut hi) = (0, deltas.len() - 1);
     let mut best = solve(deltas[hi]).expect("the heaviest rectangle's weight is always feasible");
@@ -153,7 +202,7 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         let sol = solve(deltas[mid]);
-        if feasible(&sol) {
+        if feasible(&sol, deltas[mid]) {
             best = sol.unwrap();
             hi = mid;
         } else {
@@ -161,10 +210,21 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
         }
     }
 
-    let max_weight = best.iter().map(|r| grid.weight(*r)).max().unwrap_or(0);
+    let delta = deltas[hi];
+    let shares: Vec<u32> = best
+        .iter()
+        .map(|r| region_shares(grid.weight(*r), delta))
+        .collect();
+    let max_weight = best
+        .iter()
+        .zip(&shares)
+        .map(|(r, &k)| grid.weight(*r).div_ceil(k as u64))
+        .max()
+        .unwrap_or(0);
     Partition {
         regions: best,
-        delta: deltas[hi],
+        shares,
+        delta,
         max_weight,
     }
 }

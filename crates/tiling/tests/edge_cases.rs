@@ -9,10 +9,19 @@ use ewh_tiling::{
 fn one_by_one_grid() {
     let g = Grid::new(&[3], &[4], &[5], &[true]);
     assert_eq!(g.weight(g.full()), 12);
-    // Feasible at exactly its weight, infeasible below.
-    assert_eq!(monotonic_bsp(&g, 12).unwrap(), vec![Rect::new(0, 0, 0, 0)]);
-    assert!(monotonic_bsp(&g, 11).is_none());
-    assert_eq!(bsp(&g, 12).unwrap().len(), 1);
+    // One region at any delta: charged one at its weight, ⌈12/δ⌉ below.
+    let cell = vec![Rect::new(0, 0, 0, 0)];
+    for (delta, shares) in [(12u64, 1u32), (11, 2), (6, 2), (5, 3), (1, 12)] {
+        assert_eq!(monotonic_bsp(&g, delta).unwrap(), cell);
+        assert_eq!(bsp(&g, delta).unwrap(), cell);
+        assert_eq!(validate_partition(&g, &cell, delta), Ok(shares));
+    }
+    // With j machines the cell gets all of them.
+    let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp);
+    assert_eq!(
+        (p.regions, p.shares, p.delta, p.max_weight),
+        (cell, vec![4], 3, 3)
+    );
 }
 
 #[test]
@@ -218,13 +227,17 @@ fn equi_weight_1d_single_slab_and_degenerate() {
 
 #[test]
 fn partition_splits_while_it_reduces_max_weight() {
-    // The objective is min-max weight, not min regions: with j = 8 machines
+    // The objective is min-max weight, not min regions: with j = 4 machines
     // available the 2×2 grid splits into four cell regions of weight 3
-    // instead of one region of weight 8.
+    // instead of one region of weight 8 — and with j = 8 each cell is charged
+    // two of them, for a weight of ⌈3/2⌉ a share.
     let g = Grid::new(&[1, 1], &[1, 1], &[1, 1, 1, 1], &[true; 4]);
+    let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp);
+    assert_eq!((p.max_weight, p.regions.len()), (3, 4));
+    assert_eq!(p.shares, vec![1; 4]);
     let p = partition_max_weight(&g, 8, TilingAlgo::MonotonicBsp);
-    assert_eq!(p.max_weight, 3);
-    assert_eq!(p.regions.len(), 4);
+    assert_eq!((p.max_weight, p.regions.len()), (2, 4));
+    assert_eq!(p.shares, vec![2; 4]);
     // With a single machine it must of course be one region.
     let p1 = partition_max_weight(&g, 1, TilingAlgo::MonotonicBsp);
     assert_eq!(p1.regions.len(), 1);

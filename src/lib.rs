@@ -8,8 +8,8 @@
 //! * [`core`] — join model, cost model, the CI / CSI / CSIO
 //!   partitioning schemes and the three-stage equi-weight histogram.
 //! * [`tiling`] — BSP, MONOTONICBSP and grid coarsening.
-//! * [`sampling`] — Bernoulli, equi-depth, reservoirs, the key census
-//!   and Stream-Sample.
+//! * [`sampling`] — Bernoulli, equi-depth, the key census, Stream-Sample
+//!   and the census of a join's output.
 //! * [`exec`] — the shared-nothing execution engine (morsel-driven
 //!   pipeline, batch oracle, local joins, metrics, operator runner, CI
 //!   fallback, and the composable query-plan executor with streamed

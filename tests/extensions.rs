@@ -168,8 +168,17 @@ fn count_and_touch_output_work_agree_on_counts() {
     };
     let count = run_operator(test_rt(), SchemeKind::Csio, &r1, &r2, &cond, &count_cfg);
     assert_eq!(touch.join.output_total, count.join.output_total);
-    assert_eq!(count.join.checksum, 0);
+    // Two different folds over the same pairs: Touch XORs every pair's
+    // payload, Count the tags of the tuples matched an odd number of times.
     assert_ne!(touch.join.checksum, 0);
+    assert_ne!(count.join.checksum, 0);
+    assert_ne!(count.join.checksum, touch.join.checksum);
+    let batch_cfg = OperatorConfig {
+        mode: ewh::exec::ExecMode::Batch,
+        ..count_cfg
+    };
+    let batch = run_operator(test_rt(), SchemeKind::Csio, &r1, &r2, &cond, &batch_cfg);
+    assert_eq!(batch.join.checksum, count.join.checksum);
 }
 
 #[test]

@@ -4,12 +4,14 @@
 //! the number of machines. MONOTONICBSP's tables and the δ search are held
 //! to the simple formulations they replaced, which live here: a worklist
 //! that shrinks every half of every splitter, and a bisection over every
-//! integer δ.
+//! integer δ. Throughout, a partition is measured in the regions it is
+//! *charged* (`region_shares`): one per region, `⌈w/δ⌉` for a single cell
+//! heavier than δ — the one thing allowed over δ.
 
 use std::collections::HashMap;
 
 use ewh::tiling::{
-    bsp, monotonic_bsp, partition_max_weight, validate_partition, BspSolver, Grid,
+    bsp, monotonic_bsp, partition_max_weight, region_shares, validate_partition, BspSolver, Grid,
     MonotonicBspSolver, Rect, TilingAlgo,
 };
 use proptest::prelude::*;
@@ -91,6 +93,14 @@ fn oracle_tables(grid: &Grid) -> (Vec<Rect>, Vec<u64>, Vec<u32>, Vec<(u32, u32)>
     (sorted, weights, split_start, split_pairs)
 }
 
+/// Regions `regions` are charged at `delta`.
+fn charged(grid: &Grid, regions: &[Rect], delta: u64) -> u64 {
+    let shares = regions
+        .iter()
+        .map(|r| region_shares(grid.weight(*r), delta));
+    shares.map(u64::from).sum()
+}
+
 /// Regionalization the simple way: bisect every integer δ between the lower
 /// bound and the weight of the whole grid.
 fn oracle_partition(grid: &Grid, j: usize, algo: TilingAlgo) -> (Vec<Rect>, u64, u64) {
@@ -105,22 +115,24 @@ fn oracle_partition(grid: &Grid, j: usize, algo: TilingAlgo) -> (Vec<Rect>, u64,
             &|delta| monotonic.solve(delta)
         }
     };
-    let mut lo = grid
-        .max_candidate_cell_weight()
-        .max(grid.covered_weight() / j as u64);
+    let mut lo = grid.covered_weight() / j as u64;
     let mut hi = grid.weight(grid.full());
     let mut best = solve(hi).expect("delta = total weight is always feasible");
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         match solve(mid) {
-            Some(regions) if regions.len() <= j => {
+            Some(regions) if charged(grid, &regions, mid) <= j as u64 => {
                 best = regions;
                 hi = mid;
             }
             _ => lo = mid + 1,
         }
     }
-    let max_weight = best.iter().map(|r| grid.weight(*r)).max().unwrap_or(0);
+    let per_share = |r: &Rect| {
+        let w = grid.weight(*r);
+        w.div_ceil(region_shares(w, hi) as u64)
+    };
+    let max_weight = best.iter().map(per_share).max().unwrap_or(0);
     (best, hi, max_weight)
 }
 
@@ -145,6 +157,11 @@ fn check_against_oracles(grid: &Grid, max_j: usize, dense_too: bool) -> Result<(
             prop_assert_eq!(p.delta, delta, "{:?} j={}", algo, j);
             prop_assert_eq!(p.max_weight, max_weight, "{:?} j={}", algo, j);
             prop_assert_eq!(&p.regions, &regions, "{:?} j={}", algo, j);
+            let shares: Vec<u32> = regions
+                .iter()
+                .map(|r| region_shares(grid.weight(*r), delta))
+                .collect();
+            prop_assert_eq!(&p.shares, &shares, "{:?} j={}", algo, j);
         }
     }
     Ok(())
@@ -246,22 +263,25 @@ proptest! {
 
     #[test]
     fn monotonic_bsp_partitions_are_always_valid(grid in staircase_grid(), delta_frac in 1u64..8) {
+        // No δ is infeasible: whatever exceeds it is one candidate cell,
+        // which is all `validate_partition` lets through.
         let total = grid.weight(grid.full());
         let delta = (total / delta_frac).max(1);
-        if let Some(regions) = monotonic_bsp(&grid, delta) {
-            prop_assert!(validate_partition(&grid, &regions, delta).is_ok());
-        } else {
-            // Infeasible only when a candidate cell exceeds delta.
-            prop_assert!(grid.max_candidate_cell_weight() > delta);
-        }
+        let regions = monotonic_bsp(&grid, delta).expect("every delta has a partition");
+        let shares = validate_partition(&grid, &regions, delta);
+        prop_assert_eq!(shares, Ok(charged(&grid, &regions, delta) as u32));
+        let over = regions.iter().filter(|r| grid.weight(**r) > delta).count();
+        prop_assert_eq!(over > 0, shares.unwrap() as usize > regions.len());
     }
 
     #[test]
     fn monotonic_matches_dense_baseline(grid in staircase_grid(), delta_frac in 1u64..8) {
+        // Hierarchical optima may differ in shape, the minimal charge may not.
         let total = grid.weight(grid.full());
         let delta = (total / delta_frac).max(1);
-        let a = bsp(&grid, delta).map(|r| r.len());
-        let b = monotonic_bsp(&grid, delta).map(|r| r.len());
+        let a = bsp(&grid, delta).map(|r| charged(&grid, &r, delta));
+        let b = monotonic_bsp(&grid, delta).map(|r| charged(&grid, &r, delta));
+        prop_assert!(a.is_some());
         prop_assert_eq!(a, b);
     }
 
@@ -270,24 +290,69 @@ proptest! {
         let mut prev = u64::MAX;
         for j in [1usize, 2, 4, 8] {
             let p = partition_max_weight(&grid, j, TilingAlgo::MonotonicBsp);
-            prop_assert!(p.regions.len() <= j);
             prop_assert!(p.max_weight <= prev, "j={}: {} > {}", j, p.max_weight, prev);
-            prop_assert!(validate_partition(&grid, &p.regions, p.delta).is_ok());
+            let shares = validate_partition(&grid, &p.regions, p.delta);
+            prop_assert_eq!(shares, Ok(p.shares.iter().sum::<u32>()));
+            prop_assert!(shares.unwrap() as usize <= j);
             prev = p.max_weight;
         }
     }
 
     #[test]
     fn delta_from_binary_search_is_tight(grid in staircase_grid(), j in 1usize..6) {
-        // No smaller delta may admit a partition within j regions.
+        // No smaller delta may admit a partition charged within j regions.
         let p = partition_max_weight(&grid, j, TilingAlgo::MonotonicBsp);
-        if p.delta > grid.max_candidate_cell_weight() && p.delta > 0 {
-            let smaller = monotonic_bsp(&grid, p.delta - 1);
+        if p.delta > grid.covered_weight() / j as u64 {
+            let smaller = monotonic_bsp(&grid, p.delta - 1).expect("every delta has a partition");
             prop_assert!(
-                smaller.map(|r| r.len() > j).unwrap_or(true),
+                charged(&grid, &smaller, p.delta - 1) > j as u64,
                 "delta {} not minimal",
                 p.delta
             );
+        }
+    }
+
+    #[test]
+    fn an_irreducible_cell_is_charged_its_shares(
+        grid in staircase_grid(),
+        hot in (0usize..100, 200u64..5000),
+        j in 2usize..9,
+    ) {
+        // One candidate cell made far heavier than everything else: it
+        // alone may exceed δ, it is charged ⌈w/δ⌉ of the budget, the budget
+        // holds, and the reported maximum is per share.
+        let cells = grid.candidate_cells();
+        let (row, col) = cells[hot.0 % cells.len()];
+        let (nr, nc) = (grid.n_rows() as usize, grid.n_cols() as usize);
+        let cell = |r, c| Rect::new(r, c, r, c);
+        let mut out = vec![0u64; nr * nc];
+        let mut cand = vec![false; nr * nc];
+        for &(r, c) in &cells {
+            cand[r as usize * nc + c as usize] = true;
+            out[r as usize * nc + c as usize] = 1;
+        }
+        out[row as usize * nc + col as usize] = hot.1;
+        let hot_grid = Grid::new(&vec![1; nr], &vec![1; nc], &out, &cand);
+        let p = partition_max_weight(&hot_grid, j, TilingAlgo::MonotonicBsp);
+        prop_assert_eq!(p.regions.len(), p.shares.len());
+        prop_assert!(p.shares.iter().sum::<u32>() as usize <= j);
+        let mut max = 0;
+        for (r, &k) in p.regions.iter().zip(&p.shares) {
+            let w = hot_grid.weight(*r);
+            prop_assert_eq!(k, region_shares(w, p.delta));
+            prop_assert_eq!(k > 1, w > p.delta);
+            if w > p.delta {
+                prop_assert_eq!(*r, cell(row, col), "only the hot cell may exceed delta");
+            }
+            max = max.max(w.div_ceil(k as u64));
+        }
+        prop_assert_eq!(p.max_weight, max);
+        prop_assert!(p.max_weight <= p.delta);
+        prop_assert!(validate_partition(&hot_grid, &p.regions, p.delta).is_ok());
+        // A multi-cell region over δ is still refused.
+        let full = hot_grid.shrink(hot_grid.full()).unwrap();
+        if full.area() > 1 && hot_grid.weight(full) > 1 {
+            prop_assert!(validate_partition(&hot_grid, &[full], hot_grid.weight(full) - 1).is_err());
         }
     }
 }
