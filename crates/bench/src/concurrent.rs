@@ -132,10 +132,11 @@ fn stage_sums(runs: &[OperatorRun]) -> [Cell; 3] {
 fn print(args: &Args, report: &mut Report) {
     let queries: usize = args.get("--queries").unwrap_or(8);
     let workers: usize = args.get("--workers").unwrap_or(8);
-    // Task-team size per query == pool size, matching what the old code
-    // spawned per query (that is the point of the comparison).
+    // Task-team size per query == pool size (half mappers, half reducers),
+    // matching what the old code spawned per query (that is the point of
+    // the comparison).
     let rc = RunConfig {
-        threads: workers,
+        threads: (workers / 2).max(1),
         ..args.rc
     };
     report.rc = rc;

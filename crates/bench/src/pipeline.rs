@@ -147,10 +147,12 @@ fn print(args: &Args, report: &mut Report) {
     );
     for (w, work) in &workloads {
         let cfg = pair_config(w, &rc, *work, None);
-        check_pipelined_scale(&w.name, w.n_input(), &cfg);
+        // Below the floor the bounded buffers hold most of the input and
+        // the comparison means nothing: warned about, not asserted.
+        let above_floor = check_pipelined_scale(&w.name, w.n_input(), &cfg);
         let (batch, pipe) = run_both(&rt, w, &cfg);
         assert!(
-            pipe.join.peak_resident_bytes < batch.join.peak_resident_bytes,
+            !above_floor || pipe.join.peak_resident_bytes < batch.join.peak_resident_bytes,
             "{}: pipelined peak {} not below batch {}",
             w.name,
             pipe.join.peak_resident_bytes,
@@ -176,10 +178,9 @@ fn print(args: &Args, report: &mut Report) {
     }
     report.push(table);
 
-    // Migration needs several reducer tasks to exist at all; oversubscribe
-    // the cores if the host has fewer (blocked tasks yield the CPU).
+    // Migration needs a second reducer task to exist at all.
     let rc = RunConfig {
-        threads: rc.threads.max(4),
+        threads: rc.threads.max(2),
         ..rc
     };
     let rt = rc.runtime();

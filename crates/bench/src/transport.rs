@@ -357,11 +357,11 @@ fn run_distributed(
 }
 
 /// The 4 schemes × {frozen, forced migration} two-process runs of BCB-2
-/// against `oracle`. The worker's task team is at least four wide, so the
-/// forced rows always have a second reducer to migrate to.
+/// against `oracle`. The worker's stage has at least two reducers, so the
+/// forced rows always have one to migrate to.
 pub fn two_process_matrix(rc: &RunConfig, w: &Workload, oracle: &OperatorRun) -> Vec<WorkerRun> {
     let rc = RunConfig {
-        threads: rc.threads.max(4),
+        threads: rc.threads.max(2),
         ..*rc
     };
     let mut rows = Vec::new();

@@ -42,7 +42,7 @@ fn pipelined_peak_memory_beats_batch_on_zipf_and_hotkey_workloads() {
     let rc = RunConfig {
         scale: 0.3,
         j: 16,
-        threads: 4,
+        threads: 2,
         ..Default::default()
     };
     let workloads = [

@@ -31,7 +31,7 @@ fn pipelined_plan_peak_memory_beats_materialized_baseline() {
     let rc = RunConfig {
         scale: 1.0,
         j: 16,
-        threads: 4,
+        threads: 2,
         ..Default::default()
     };
     let PlanOutcome {
@@ -97,7 +97,7 @@ fn hash_chain_shows_the_same_memory_profile() {
     let rc = RunConfig {
         scale: 0.6,
         j: 16,
-        threads: 4,
+        threads: 2,
         ..Default::default()
     };
     let PlanOutcome {
@@ -159,4 +159,51 @@ fn the_planned_schemes_do_not_depend_on_the_order_of_the_inputs() {
         let reference = reference.get_or_insert_with(|| planned.clone());
         assert_eq!(&planned, reference, "order {order}");
     }
+}
+
+#[test]
+fn a_wider_stage_adds_its_queues_to_the_peak_and_not_its_sweeps() {
+    let _serial = serial();
+    // The chain recipe with one mapper and one reducer a stage, then four of
+    // each. A hot probe chunk of stage 0 joins to several exchanges' worth
+    // of output; swept whole it sat in its reducer's outbox, so four
+    // reducers would add four chunks' output to the peak. Swept a slice a
+    // turn, a reducer stages one exchange's worth at most, and the wider
+    // stage costs what its bounded buffers hold: per stage three more
+    // queues with their probe chunks and three more morsels in flight,
+    // three more slices in front of the exchange. Placement is frozen — a
+    // region that migrates parks fragments outside every bound.
+    use ewh_bench::chain_hotkey_with;
+    use ewh_core::TUPLE_BYTES;
+    use ewh_exec::{run_plan, OperatorConfig};
+
+    let peak_with = |threads: usize| -> (OperatorConfig, u64, u64) {
+        let rc = RunConfig {
+            scale: 1.0,
+            j: 16,
+            threads,
+            ..Default::default()
+        };
+        let w = chain_hotkey_with(SchemeKind::Csio, rc.scale, rc.seed);
+        let mut cfg = rc.operator_config(w.cost);
+        cfg.adaptive.reassign = false;
+        cfg.queue_tuples = QUEUE_TUPLES;
+        cfg.exchange_tuples = 2 * QUEUE_TUPLES;
+        let run = run_plan(&rc.runtime(), &w.a, &w.b, &w.first, &w.chain(), &cfg);
+        assert!(run.output_total > 0);
+        (cfg, run.peak_resident_bytes, run.intermediate_tuples())
+    };
+    let (narrow, narrow_peak, intermediate) = peak_with(1);
+    let (wide, wide_peak, _) = peak_with(4);
+    let stages = 2;
+    let added_tuples =
+        stages * (wide.min_pipelined_input_tuples() - narrow.min_pipelined_input_tuples()) / 3
+            + 3 * (wide.exchange_tuples + wide.morsel_tuples) as u64;
+    assert!(
+        wide_peak <= narrow_peak + added_tuples * TUPLE_BYTES,
+        "threads 4 peaks at {wide_peak} B, threads 1 at {narrow_peak} B: \
+         more than the {added_tuples} tuples its buffers add"
+    );
+    // The claim has content: the stream is many times what was allowed.
+    assert!(intermediate > 4 * added_tuples);
 }

@@ -47,8 +47,9 @@ fn claims_rc() -> RunConfig {
     RunConfig {
         scale: 1.0,
         j: 16,
-        // Per-query task-team size; the pool itself is WORKERS wide.
-        threads: WORKERS,
+        // Per-query task team: WORKERS / 2 mappers and as many reducers,
+        // one task a pool worker.
+        threads: WORKERS / 2,
         ..Default::default()
     }
 }

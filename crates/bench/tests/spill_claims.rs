@@ -46,7 +46,7 @@ fn a_quarter_budget_completes_exactly_with_peak_held_near_the_budget() {
         rc: RunConfig {
             scale: 1.0,
             j: 16,
-            threads: 4,
+            threads: 2,
             ..Default::default()
         },
         queue_tuples: 1024,

@@ -207,6 +207,11 @@ impl<T: Weigh> Channel<T> {
         self.state.lock().expect("channel poisoned")
     }
 
+    /// The bound, in tuples, this channel was built with.
+    pub fn capacity(&self) -> usize {
+        self.lock().window.capacity
+    }
+
     /// Enqueues an admitted item and wakes the consumers. On an abandoned
     /// channel the item is discarded instead, so the producer runs to
     /// completion and the failure surfaces at the query's join rather than

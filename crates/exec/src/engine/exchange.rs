@@ -44,13 +44,14 @@ impl Weigh for ColumnBatch {
 }
 
 /// Where a pipelined operator ships its probe output: the downstream
-/// exchange. Reducers emit in batches of at most `batch_tuples`, flushed
-/// from *inside* the probe sweep — a hot region's single sweep can produce
-/// orders of magnitude more output than any bounded buffer, and pushing it
-/// whole would bypass the exchange bound (oversized batches are admitted
-/// when the queue is empty). Each batch is charged to the shared memory
-/// gauge and pushed; downstream backpressure therefore throttles the sweep
-/// itself.
+/// exchange. A reducer materializes a sweep's pairs in batches of at most
+/// `batch_tuples`, charges each to the shared memory gauge and stages it on
+/// its outbox, which it drains into the exchange without ever blocking a
+/// pool worker. A hot chunk can join to orders of magnitude more output
+/// than any bounded buffer, so a sweep takes only as much of its chunk as
+/// fills the exchange once (its capacity is the bound, read off the
+/// channel) and goes on when the outbox has drained: downstream
+/// backpressure throttles the sweep a slice at a time.
 #[derive(Clone, Copy, Debug)]
 pub struct StageSink<'a> {
     pub exchange: &'a Exchange,

@@ -6,7 +6,10 @@
 //! shared worker-pool [`EngineRuntime`] (the `runtime` module), not OS
 //! threads: a fixed pool multiplexes the tasks of every concurrently
 //! admitted query, and a task that would block — a full queue, an empty
-//! exchange — parks itself instead of a worker:
+//! exchange — parks itself instead of a worker. A stage submits as many
+//! mappers as reducers ([`EngineConfig::for_tasks`]), each count enough to
+//! fill the pool, so a worker freed by a parked task of one side always
+//! finds a runnable task of the other:
 //!
 //! * **Mappers** claim fixed-size [`Morsel`]s of either relation from a
 //!   shared [`MorselPlan`] and batch-route them through the scheme's
@@ -41,7 +44,8 @@
 //! intermediate batches as the upstream produces them; the upstream
 //! operator's quiescence — it closes the exchange after its own `Finish` —
 //! is what drives the downstream `SealAll`. A [`StageSink`] on the
-//! producing side ships every swept chunk downstream. The next operator's
+//! producing side ships swept output downstream, a slice of a chunk sized
+//! to the exchange at a time. The next operator's
 //! partitioning scheme does not wait for any of it: the plan-level driver
 //! ([`crate::run_plan`]) builds every stage's scheme before the first stage
 //! starts, from the base relations' censuses propagated through each join.
@@ -132,19 +136,20 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Splits a query's task budget into mapper and reducer tasks (half
-    /// each, at least one of both). These are *schedulable tasks* on the
-    /// shared [`EngineRuntime`], not OS threads: the pool multiplexes
-    /// them, so a task budget above the pool size just means finer
-    /// interleaving, never host oversubscription (which is why the old
-    /// per-stage thread-splitting this replaced is gone).
+    /// A stage of `tasks` mapper tasks *and* `tasks` reducer tasks (at
+    /// least one of each). These are *schedulable tasks* on the shared
+    /// [`EngineRuntime`], not OS threads: the pool multiplexes them, so
+    /// more tasks than workers just means finer interleaving, never host
+    /// oversubscription. Both sides get the full count because the two
+    /// sides of the pipeline rarely weigh the same: with as many reducers
+    /// as workers, a worker whose mapper parks on a full queue picks up a
+    /// reducer (and the other way round), so every worker stays busy
+    /// whichever side is the heavy one.
     pub fn for_tasks(tasks: usize, morsel_tuples: usize, seed: u64) -> Self {
         let tasks = tasks.max(1);
-        let reducers = (tasks / 2).max(1);
-        let mappers = (tasks - reducers).max(1);
         EngineConfig {
-            mappers,
-            reducers,
+            mappers: tasks,
+            reducers: tasks,
             queue_tuples: 4 * morsel_tuples.max(1),
             // A fraction of the morsel size: a region fed by several morsels
             // flushes (and frees) probe chunks mid-stream instead of only at

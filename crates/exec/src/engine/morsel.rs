@@ -171,15 +171,18 @@ impl MorselPlan {
     /// seal can only sit in unbounded per-region `pending` buffers (no
     /// region can sweep yet), so racing ahead into `R2` while some mapper
     /// is still shipping `R1` buys no pipelining and can balloon the
-    /// resident peak to the whole probe side.
+    /// resident peak to the whole probe side. The gate comes before the
+    /// end of the plan: a probe side that streams in through an exchange
+    /// has no `R2` morsel to stand at, and [`Claim::Drained`] is what sends
+    /// a mapper to the exchange.
     pub fn try_claim(&self, allow_r2: bool) -> Claim {
         loop {
             let cur = self.next.load(Ordering::Acquire);
-            if cur >= self.total() {
-                return Claim::Drained;
-            }
             if !allow_r2 && cur >= self.r1_morsels() {
                 return Claim::Blocked;
+            }
+            if cur >= self.total() {
+                return Claim::Drained;
             }
             if self
                 .next
@@ -280,6 +283,25 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         assert_eq!(plan.consumed(), plan.total());
+    }
+
+    #[test]
+    fn the_build_phase_gate_holds_at_the_end_of_a_plan_whose_probe_side_streams() {
+        // No `R2` morsels: the probe side arrives through an exchange. With
+        // `R1` claimed but still shipping, a second mapper must wait — sent
+        // to the exchange, it would fill unsealed regions' pending buffers.
+        let plan = MorselPlan::new(40, 0, 16);
+        for _ in 0..plan.r1_morsels() {
+            assert!(matches!(plan.try_claim(false), Claim::Claimed(_)));
+        }
+        assert!(matches!(plan.try_claim(false), Claim::Blocked));
+        assert!(matches!(plan.try_claim(true), Claim::Drained));
+        // A scan probe side is gated at its first morsel, as ever.
+        let plan = MorselPlan::new(16, 16, 16);
+        assert!(matches!(plan.try_claim(false), Claim::Claimed(_)));
+        assert!(matches!(plan.try_claim(false), Claim::Blocked));
+        assert!(matches!(plan.try_claim(true), Claim::Claimed(_)));
+        assert!(matches!(plan.try_claim(true), Claim::Drained));
     }
 
     #[test]

@@ -24,13 +24,22 @@
 //! need, which on a shared pool is a deadlock, not just a stall. While the
 //! outbox is non-empty the reducer processes no further deliveries, so
 //! upstream backpressure still propagates (its queue fills, mappers park);
-//! the price is that at most one sweep's output can sit staged beyond the
-//! exchange bound, and the shared gauge charges it honestly. That holds for
-//! the seals too: a seal does not sweep every region inside its delivery, it
-//! *queues* the regions that need a sweep, and the poll loop takes one a
-//! turn — after the outbox has drained, before the next delivery is popped —
-//! so `SealAll` over a dozen buffered regions stages one region's output at
-//! a time, not all of it at once.
+//! the price is that at most one *slice's* output can sit staged beyond the
+//! exchange bound, and the shared gauge charges it honestly. A slice is as
+//! much of a sorted probe chunk as joins to one exchange of output — a
+//! single tuple if its partners alone are more — because a hot chunk's
+//! whole output can be twenty exchanges, and every reducer of a stage may
+//! hold one.
+//!
+//! No handler sweeps: a fragment that fills a chunk, a seal, an adoption
+//! only *queue* the regions that need a sweep (`sweep_queue`), and the poll
+//! loop is the one place a sweep starts — one slice a turn, after the
+//! outbox has drained, before the next delivery is popped; a region with
+//! more to sweep keeps the head of the queue. So `SealAll` over a dozen
+//! buffered regions stages one slice at a time, not all their output at
+//! once, and no fragment or `Migrate` reaches a half-swept chunk. The spill
+//! ladder can: what is left of a chunk is pending probe state like any
+//! other, spilled sorted and replayed as a run.
 //!
 //! A parked reducer is woken by a push to its queue (including the
 //! unbounded control pushes: `Abort`, `Adopt`, forwards) or, when parked
@@ -70,7 +79,7 @@ use std::time::{Duration, Instant};
 
 use ewh_core::{ColumnBatch, JoinCondition, KeyRange, Rel, RoutingTable};
 
-use crate::local_join::{sweep_columns, sweep_columns_each, KeyFrom, OutputWork};
+use crate::local_join::{sweep_columns, sweep_columns_each, tail_within, KeyFrom, OutputWork};
 
 use super::board::ProgressBoard;
 use super::exchange::StageSink;
@@ -227,10 +236,11 @@ pub struct ReducerTask<'a> {
     /// spill ladder); reloaded one at a time once the resident outbox
     /// drains into the exchange.
     spilled_outbox: VecDeque<SpillRun>,
-    /// Regions whose buffered probe tuples a seal queued for a sweep, taken
-    /// one per loop turn of [`poll`](Self::poll). Always empty when a
-    /// delivery is popped, so an entry's region is still owned, sealed and
-    /// unchanged when its turn comes.
+    /// Regions with buffered probe tuples to sweep, queued by the delivery
+    /// that filled a chunk or sealed them; [`poll`](Self::poll) sweeps one
+    /// slice of the head per loop turn. Always empty when a delivery is
+    /// popped, so an entry's region is still owned, sealed and untouched by
+    /// any fragment when its turn comes.
     sweep_queue: VecDeque<u32>,
     /// `Finish` arrived: tally the regions once `sweep_queue` and the
     /// outbox have drained.
@@ -263,10 +273,10 @@ impl<'a> ReducerTask<'a> {
         }
     }
 
-    /// Takes up to [`DELIVERIES_PER_POLL`] steps — a queued region sweep
-    /// if there is one, else a delivery — flushing the outbox between them,
-    /// and reports how the orchestrator should reschedule the task. A
-    /// `Parked` step always leaves the task's waker registered with
+    /// Takes up to [`DELIVERIES_PER_POLL`] steps — one slice of a queued
+    /// region's sweep if there is one, else a delivery — flushing the outbox
+    /// between them, and reports how the orchestrator should reschedule the
+    /// task. A `Parked` step always leaves the task's waker registered with
     /// whichever resource refused it (the downstream exchange or this
     /// reducer's own queue).
     pub fn poll(&mut self, cx: &TaskCx<'_>) -> ReducerStep {
@@ -289,7 +299,11 @@ impl<'a> ReducerTask<'a> {
                 let st = self.states[region as usize]
                     .as_mut()
                     .expect("a queued region stays owned until its sweep");
-                Self::flush(st, self.sh, self.me, region, &mut self.outbox, pool);
+                if Self::flush(st, self.sh, self.me, region, &mut self.outbox, pool) {
+                    // More to sweep: its next slice goes before any other
+                    // region's, so a half-swept chunk is finished first.
+                    self.sweep_queue.push_front(region);
+                }
                 processed += 1;
                 self.maybe_spill();
                 continue;
@@ -474,11 +488,18 @@ impl<'a> ReducerTask<'a> {
                 pool.put(tuples);
                 sh.board.add_probe(region, n);
                 if st.sealed && st.pending.len() >= sh.probe_chunk {
-                    Self::flush(st, sh, self.me, region, &mut self.outbox, pool);
+                    self.queue_sweep(region);
                 }
             }
         }
         Self::sub_in_flight(sh, n);
+    }
+
+    /// Queues `region` for a sweep turn of the poll loop, once.
+    fn queue_sweep(&mut self, region: u32) {
+        if !self.sweep_queue.contains(&region) {
+            self.sweep_queue.push_back(region);
+        }
     }
 
     /// Decrements the routed-but-unabsorbed counter, waking the quiescence
@@ -590,12 +611,11 @@ impl<'a> ReducerTask<'a> {
         for batch in mem::take(&mut self.parked[region as usize]) {
             self.absorb(batch, pool);
         }
-        let me = self.me;
         let st = self.states[region as usize]
-            .as_mut()
+            .as_ref()
             .expect("just installed");
         if st.sealed && st.pending.len() >= sh.probe_chunk {
-            Self::flush(st, sh, me, region, &mut self.outbox, pool);
+            self.queue_sweep(region);
         }
         // Publish completion last: the coordinator may start the next
         // handshake (or declare quiescence) the moment it sees this.
@@ -846,14 +866,23 @@ impl<'a> ReducerTask<'a> {
         false
     }
 
-    /// Sweeps and frees the region's buffered probe state: the resident
-    /// pending chunk first, then every probe run spilled under budget
-    /// pressure, replayed one at a time so the reload transient stays one
-    /// chunk wide. Each chunk is swept against the resident build *and*
-    /// every spilled build run — a sort-merge join distributes over any
-    /// partition of its build side into sorted runs and of its probe side
-    /// into chunks, and the order-invariant XOR checksum makes the
-    /// recombination bit-identical to the in-memory sweep.
+    /// Sweeps and frees one chunk of the region's buffered probe state and
+    /// reports whether more is left, in which case the poll loop gives the
+    /// region the next turn too. The chunk is the resident pending tuples
+    /// or, once those are gone, one probe run spilled under budget pressure
+    /// (replayed one a turn, so the reload transient stays one chunk wide).
+    /// It is swept against the resident build *and* every spilled build run
+    /// — a sort-merge join distributes over any partition of its build side
+    /// into sorted runs and of its probe side into chunks, and the
+    /// order-invariant XOR checksum makes the recombination bit-identical
+    /// to the in-memory sweep.
+    ///
+    /// With a sink, the same distributivity bounds what a turn stages: only
+    /// the chunk's tail whose pairs fit the downstream exchange is swept
+    /// ([`tail_within`]; the tail, so a slice copies itself and not the
+    /// remainder) and the sorted rest stays in `pending`. The slice is sized
+    /// from the resident build alone: spilled build runs exist only under a
+    /// budget, which then bounds the outbox too (the ladder's last rung).
     fn flush(
         st: &mut RegionState,
         sh: &ReducerShared<'_>,
@@ -861,29 +890,44 @@ impl<'a> ReducerTask<'a> {
         region: u32,
         outbox: &mut VecDeque<ColumnBatch>,
         pool: &BatchPool,
-    ) {
+    ) -> bool {
         debug_assert!(st.sealed);
-        let mut resident = mem::take(&mut st.pending);
-        resident.sort_by_key();
-        if !resident.is_empty() {
-            Self::sweep_chunk(st, sh, me, resident, outbox, pool);
-        }
-        let build_zone = Self::build_zone(st);
-        for run in mem::take(&mut st.spilled_pending) {
+        let mut chunk = mem::take(&mut st.pending);
+        chunk.sort_by_key();
+        if chunk.is_empty() && !st.spilled_pending.is_empty() {
             let ctx = sh.spill.expect("spilled pending without a spill context");
-            sh.board.sub_spilled(region, run.tuples());
-            // Zone fence: a spilled probe run whose fence can't join any
-            // build key is dropped without reloading a byte — only its
-            // spill-board bookkeeping runs. `candidate` on the
-            // conservative union fence is exact in the negative
-            // direction, so the skipped run provably contributes no pairs.
-            if !sh.cond.candidate(&build_zone, run.key_range()) {
-                continue;
-            }
-            if let Some(probe) = Self::reload(ctx, sh, &run, pool, "probe") {
-                Self::sweep_chunk(st, sh, me, probe, outbox, pool);
+            let build_zone = Self::build_zone(st);
+            while let Some(run) = st.spilled_pending.pop() {
+                sh.board.sub_spilled(region, run.tuples());
+                // Zone fence: a spilled probe run whose fence can't join any
+                // build key is dropped without reloading a byte — only its
+                // spill-board bookkeeping runs. `candidate` on the
+                // conservative union fence is exact in the negative
+                // direction, so the skipped run provably contributes no pairs.
+                if !sh.cond.candidate(&build_zone, run.key_range()) {
+                    continue;
+                }
+                if let Some(probe) = Self::reload(ctx, sh, &run, pool, "probe") {
+                    chunk = probe;
+                    break;
+                }
             }
         }
+        if let Some(sink) = sh.sink {
+            // At most an exchange of tuples is looked at, so the count costs
+            // what a slice may hold, not what a long chunk still does.
+            let cap = sink.exchange.capacity();
+            let tail = &chunk.keys()[chunk.len().saturating_sub(cap)..];
+            let keep = tail_within(&st.build, tail, sh.cond, cap);
+            if keep < chunk.len() {
+                let slice = chunk.split_off(chunk.len() - keep);
+                st.pending = mem::replace(&mut chunk, slice);
+            }
+        }
+        if !chunk.is_empty() {
+            Self::sweep_chunk(st, sh, me, chunk, outbox, pool);
+        }
+        !(st.pending.is_empty() && st.spilled_pending.is_empty())
     }
 
     /// Sweeps one sorted probe chunk against the region's full build side
@@ -962,10 +1006,9 @@ impl<'a> ReducerTask<'a> {
 
     /// One build × probe sweep. With a sink, the swept pairs are
     /// materialized in emission-sized batches, charged to the shared gauge,
-    /// and staged on
-    /// the outbox for the downstream exchange (see the module docs — the
-    /// outbox is what keeps a full exchange from suspending a pool
-    /// worker). The gauge charge is released by the downstream mapper
+    /// and staged on the outbox for the downstream exchange (see the module
+    /// docs — the outbox is what keeps a full exchange from suspending a
+    /// pool worker). The gauge charge is released by the downstream mapper
     /// once it has routed the batch.
     fn sweep_one(
         build: &ColumnBatch,
@@ -1100,16 +1143,32 @@ mod tests {
         me: usize,
         owned: &[u32],
     ) -> ReducerOutcome {
+        drive_with(rt, sh, me, owned, |_| {})
+    }
+
+    /// [`drive`], with a look at the task after every poll.
+    fn drive_with(
+        rt: &EngineRuntime,
+        sh: &ReducerShared<'_>,
+        me: usize,
+        owned: &[u32],
+        mut after_poll: impl FnMut(&ReducerTask<'_>) + Send,
+    ) -> ReducerOutcome {
         let slot = Mutex::new(None);
         rt.scope(|s| {
             let mut task = ReducerTask::new(sh, me, owned);
             let slot = &slot;
-            s.spawn(move |cx| match task.poll(cx) {
-                ReducerStep::Working => Poll::Yielded,
-                ReducerStep::Parked => Poll::Pending,
-                ReducerStep::Done(outcome) => {
-                    *slot.lock().expect("outcome slot") = Some(outcome);
-                    Poll::Ready
+            let after_poll = &mut after_poll;
+            s.spawn(move |cx| {
+                let step = task.poll(cx);
+                after_poll(&task);
+                match step {
+                    ReducerStep::Working => Poll::Yielded,
+                    ReducerStep::Parked => Poll::Pending,
+                    ReducerStep::Done(outcome) => {
+                        *slot.lock().expect("outcome slot") = Some(outcome);
+                        Poll::Ready
+                    }
                 }
             });
         });
@@ -1252,6 +1311,97 @@ mod tests {
             peak <= bound,
             "peak {peak} tuples: the seal staged more than a region"
         );
+    }
+
+    #[test]
+    fn a_sweep_stages_one_exchange_of_output_a_turn_whatever_the_chunk_joins_with() {
+        // One region, 300 build tuples on key 7, one 256-tuple probe chunk.
+        // Swept whole, the chunk's output sits in the outbox at once (all
+        // 76 800 pairs of the first shape); swept by slices sized to the
+        // exchange, never more than one exchange of it — or one tuple's
+        // partners, where those alone exceed the exchange.
+        const BUILD: u64 = 300;
+        const BATCH: usize = 64;
+        let rt = EngineRuntime::new(2);
+        let hot_between = |cold: usize| -> Vec<i64> {
+            let below = (0..cold / 2).map(|i| i as i64 % 7);
+            let above = (0..cold - cold / 2).map(|i| 1000 + i as i64);
+            below.chain(above).chain((cold..256).map(|_| 7)).collect()
+        };
+        // (exchange capacity, probe keys): every tuple hot; a run of hot
+        // tuples between cold ones, which an average over the chunk would
+        // sweep in one slice; partners that outnumber the exchange.
+        for (cap, probe_keys) in [
+            (1024, hot_between(0)),
+            (1024, hot_between(200)),
+            (256, hot_between(128)),
+        ] {
+            let rig = Rig::new(1, &[0], JoinCondition::Equi);
+            let exchange = super::super::Exchange::new(cap);
+            let sink = StageSink {
+                exchange: &exchange,
+                batch_tuples: BATCH,
+            };
+            let sh = rig.shared(probe_keys.len(), Some(sink));
+            // Payloads that make `pair_payload` injective.
+            let build: ColumnBatch = (0..BUILD)
+                .map(|i| ewh_core::Tuple::new(7, (i + 1) << 12))
+                .collect();
+            let probe: ColumnBatch = probe_keys
+                .iter()
+                .enumerate()
+                .map(|(j, &k)| ewh_core::Tuple::new(k, j as u64 + 1))
+                .collect();
+            rig.ship(0, 0, Rel::R1, build.clone());
+            rig.queues[0].push_unbounded(Delivery::SealR1);
+            rig.ship(0, 0, Rel::R2, probe.clone());
+            rig.queues[0].push_unbounded(Delivery::SealAll);
+            rig.queues[0].push_unbounded(Delivery::Finish);
+            let state = BUILD + probe_keys.len() as u64;
+
+            let mut emitted = Vec::new();
+            let mut take = |batch: ColumnBatch| {
+                rig.gauge.sub(batch.len() as u64);
+                emitted.extend_from_slice(batch.payloads());
+            };
+            let mut most_staged = 0;
+            // The downstream mapper, one batch a turn.
+            let outcome = drive_with(&rt, &sh, 0, &[0], |task| {
+                let staged: usize = task.outbox.iter().map(ColumnBatch::len).sum();
+                most_staged = most_staged.max(staged);
+                if let PortPop::Item(batch) = exchange.try_pop() {
+                    take(batch);
+                }
+            });
+            exchange.close();
+            while let Some(batch) = exchange.pop() {
+                take(batch);
+            }
+
+            let mut expect = Vec::new();
+            let mut sorted_probe = probe.clone();
+            sorted_probe.sort_by_key();
+            sweep_columns_each(&build, &sorted_probe, &rig.cond, KeyFrom::Probe, |_, p| {
+                expect.push(p)
+            });
+            assert!(expect.len() as u64 >= 56 * BUILD);
+            expect.sort_unstable();
+            emitted.sort_unstable();
+            assert_eq!(emitted, expect, "cap {cap}");
+            assert_eq!(outcome.results[0].output, expect.len() as u64);
+            assert_eq!(rig.gauge.current_tuples(), 0);
+
+            let slice = cap + BUILD as usize + BATCH;
+            assert!(
+                most_staged <= slice,
+                "cap {cap}: {most_staged} tuples staged beyond the exchange"
+            );
+            let peak = rig.gauge.peak_tuples();
+            assert!(
+                peak <= state + (cap + slice) as u64,
+                "cap {cap}: peak {peak} tuples"
+            );
+        }
     }
 
     #[test]

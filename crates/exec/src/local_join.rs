@@ -459,6 +459,42 @@ pub fn sweep_columns_each(
     (count, checksum)
 }
 
+/// How many of the sorted `probe_keys`, counted from the end, a sweep against
+/// `build` can take before it yields more than `cap` pairs — at least one,
+/// so a lone tuple with more partners than that is swept alone. One pass of
+/// the columnar kernel that visits no pair: every build tuple opens and
+/// closes its partner window in a difference array, whose running sum is
+/// each probe tuple's partner count. Exact rather than the chunk's average,
+/// because a sorted chunk puts a hot key's tuples side by side.
+pub fn tail_within(
+    build: &ColumnBatch,
+    probe_keys: &[Key],
+    cond: &JoinCondition,
+    cap: usize,
+) -> usize {
+    let (bk, _) = partnered_columns(build, cond);
+    let mut windows = vec![0i64; probe_keys.len() + 1];
+    let pairs = sweep_ranges_cols(bk, probe_keys, cond, |_, r| {
+        windows[r.start] += 1;
+        windows[r.end] -= 1;
+    });
+    if pairs <= cap as u64 {
+        return probe_keys.len();
+    }
+    // The partner count of tuple `j` is the sum of `windows[..=j]`; the
+    // whole array sums to zero, so walk it down from the end.
+    let (mut partners, mut taken, mut keep) = (0i64, 0u64, 0usize);
+    for &w in windows[1..].iter().rev() {
+        partners -= w;
+        taken += partners as u64;
+        if keep > 0 && taken > cap as u64 {
+            break;
+        }
+        keep += 1;
+    }
+    keep
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,6 +744,39 @@ mod tests {
             assert_eq!(s, expect_s);
             assert_eq!(out.to_tuples(), expect, "same pairs in the same order");
         }
+    }
+
+    #[test]
+    fn tail_within_is_the_longest_tail_under_the_cap() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        let conds = [
+            JoinCondition::Equi,
+            JoinCondition::Band { beta: 3 },
+            JoinCondition::Inequality(IneqOp::Le),
+            JoinCondition::EquiBand { shift: 8, beta: 2 },
+        ];
+        for cond in conds {
+            // A hot key among cold ones, so partner counts are far from even.
+            let mut k1: Vec<Key> = (0..300).map(|_| rng.gen_range(0..60)).collect();
+            let mut k2: Vec<Key> = (0..200).map(|_| rng.gen_range(0..60)).collect();
+            k1.extend([30; 80]);
+            k2.extend([30; 40]);
+            k1.sort_unstable();
+            k2.sort_unstable();
+            let build = ColumnBatch::from_tuples(&tuples(&k1));
+            let pairs_of = |tail: &[Key]| nested_loop(&tuples(&k1), &tuples(tail), &cond);
+            for cap in [0, 1, 50, 1000, 5000, usize::MAX] {
+                let keep = tail_within(&build, &k2, &cond, cap);
+                assert!((1..=k2.len()).contains(&keep), "{cond:?} cap {cap}");
+                let taken = pairs_of(&k2[k2.len() - keep..]);
+                assert!(keep == 1 || taken <= cap as u64, "{cond:?} cap {cap}");
+                if keep < k2.len() {
+                    let one_more = pairs_of(&k2[k2.len() - keep - 1..]);
+                    assert!(one_more > cap as u64, "{cond:?} cap {cap}");
+                }
+            }
+        }
+        assert_eq!(tail_within(&ColumnBatch::new(), &[], &conds[0], 8), 0);
     }
 
     #[test]

@@ -23,13 +23,14 @@ pub enum ExecMode {
 pub struct OperatorConfig {
     /// Number of workers (the paper's J).
     pub j: usize,
-    /// Per-query task parallelism: how many schedulable engine tasks
-    /// (mappers + reducers, split by [`EngineConfig::for_tasks`]) one
-    /// operator stage submits to the shared
-    /// [`EngineRuntime`](crate::EngineRuntime). The pool multiplexes tasks
-    /// from every concurrent query onto its fixed worker set, so this is a
-    /// fairness/granularity knob, not an OS thread count. (The batch
-    /// oracle still uses it as its thread-team size.)
+    /// Per-query task parallelism: how many mapper tasks and how many
+    /// reducer tasks, each, one operator stage submits to the shared
+    /// [`EngineRuntime`](crate::EngineRuntime)
+    /// ([`EngineConfig::for_tasks`]). The pool multiplexes tasks from every
+    /// concurrent query onto its fixed worker set, so this is a
+    /// fairness/granularity knob, not an OS thread count; set to the pool's
+    /// worker count, either side of the pipeline can occupy every worker.
+    /// (The batch oracle still uses it as its thread-team size.)
     pub threads: usize,
     pub seed: u64,
     pub cost: CostModel,

@@ -679,6 +679,57 @@ mod tests {
     }
 
     #[test]
+    fn a_stage_gets_threads_mappers_and_threads_reducers_and_every_reducer_has_input() {
+        for t in [0, 1, 2, 3, 5, 8] {
+            let engine = EngineConfig::for_tasks(t, 1024, 7);
+            assert_eq!((engine.mappers, engine.reducers), (t.max(1), t.max(1)));
+        }
+        let k1 = random_keys(6000, 3000, 41);
+        let k2 = random_keys(6000, 3000, 42);
+        let cond = JoinCondition::Band { beta: 2 };
+        let (r1, r2) = (tuples(&k1), tuples(&k2));
+        // The benchmark's shape: as many workers as `threads` at 2.
+        let rt = EngineRuntime::new(2);
+        for threads in [1, 2, 3, 5] {
+            let cfg = OperatorConfig {
+                j: 8,
+                threads,
+                ..Default::default()
+            };
+            let batch_cfg = OperatorConfig {
+                mode: ExecMode::Batch,
+                ..cfg.clone()
+            };
+            let batch = run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &batch_cfg);
+            let pipe = run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &cfg);
+            assert!(batch.join.output_total > 0);
+            assert_eq!(
+                (pipe.join.output_total, pipe.join.checksum),
+                (batch.join.output_total, batch.join.checksum),
+                "threads {threads}"
+            );
+            assert_eq!(pipe.join.reducer_busy_secs.len(), threads);
+            assert_eq!(pipe.join.reducer_idle_secs.len(), threads);
+
+            // The placement the stage ran under: every reducer owns regions
+            // that receive input (the scheme does not depend on `threads`).
+            let (scheme, _) =
+                build_scheme_from_keys(SchemeKind::Csio, &k1, &k2, 6000, 6000, &cond, &cfg);
+            let (engine, table) = engine_setup(&scheme, &cfg);
+            assert_eq!((engine.mappers, engine.reducers), (threads, threads));
+            let region_input = shuffle(&r1, &r2, &scheme, 1, cfg.seed).per_region_input();
+            let mut reducer_input = vec![0u64; engine.reducers];
+            for (region, &owner) in table.snapshot().iter().enumerate() {
+                reducer_input[owner as usize] += region_input[region];
+            }
+            assert!(
+                reducer_input.iter().all(|&n| n > 0),
+                "threads {threads}: {reducer_input:?}"
+            );
+        }
+    }
+
+    #[test]
     fn a_key_sample_is_weighed_as_the_relation_it_stands_for() {
         // `n2` is the relation's size, `k2` may be a sample of it: ten times
         // the cardinality is ten times the estimated output, under CSIO

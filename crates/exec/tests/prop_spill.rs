@@ -131,7 +131,16 @@ fn run_over_an_owned_segment(
     );
     assert_eq!(ctx.failure(), None);
 
-    // `count | key slab | payload slab` records, back to back.
+    let runs: Vec<Vec<Key>> = segment_records(&ctx, dir)
+        .into_iter()
+        .map(|(keys, _)| keys)
+        .collect();
+    (outcome, runs)
+}
+
+/// Every record of the segment under `dir`, in file order: `count | key
+/// slab | payload slab`, back to back.
+fn segment_records(ctx: &SpillContext, dir: &Path) -> Vec<(Vec<Key>, Vec<u64>)> {
     let mut runs = Vec::new();
     if ctx.totals().files == 1 {
         let bytes = std::fs::read(dir.join("segment.spill")).expect("the segment");
@@ -139,12 +148,14 @@ fn run_over_an_owned_segment(
             .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
         while let Some(n) = words.next() {
-            runs.push(words.by_ref().take(n as usize).map(|k| k as Key).collect());
-            assert_eq!(words.by_ref().take(n as usize).count() as u64, n);
+            let keys: Vec<Key> = words.by_ref().take(n as usize).map(|k| k as Key).collect();
+            let payloads: Vec<u64> = words.by_ref().take(n as usize).collect();
+            assert_eq!(payloads.len() as u64, n);
+            runs.push((keys, payloads));
         }
     }
     assert_eq!(runs.len() as u64, ctx.totals().runs);
-    (outcome, runs)
+    runs
 }
 
 proptest! {
@@ -326,6 +337,111 @@ fn forced_budget_spills_matches_oracle_and_cleans_up() {
         (0, 0, 0)
     );
     let _ = std::fs::remove_dir_all(&base_dir);
+}
+
+/// A sweep that feeds a downstream exchange stops at one exchange of output
+/// and leaves the sorted rest of its chunk in the region's pending buffer —
+/// where the spill ladder finds it like any other probe state. One region,
+/// 300 build × 256 probe tuples on one key, a budget the buffered state fits
+/// under and one slice's output does not: the rest of the chunk goes to
+/// disk half-swept, comes back as a probe run, and the pairs are the batch
+/// oracle's.
+#[test]
+fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
+    use ewh_exec::engine::{CloseOnDrop, Exchange, MemGauge, StageSink};
+
+    const BUILD: u64 = 300;
+    const PROBE: u64 = 256;
+    // Payloads that tell a record's origin: build, probe, or emitted pair.
+    let r1: Vec<Tuple> = (0..BUILD).map(|i| Tuple::new(7, (i + 1) << 12)).collect();
+    let r2: Vec<Tuple> = (0..PROBE).map(|j| Tuple::new(7, j + 1)).collect();
+    let cond = JoinCondition::Equi;
+    let batch = run_operator(
+        &EngineRuntime::new(2),
+        SchemeKind::Ci,
+        &r1,
+        &r2,
+        &cond,
+        &OperatorConfig {
+            mode: ExecMode::Batch,
+            j: 1,
+            threads: 1,
+            ..Default::default()
+        },
+    );
+    assert_eq!(batch.join.output_total, BUILD * PROBE);
+
+    let dir = spill_base("sliced");
+    let ctx = SpillContext::new(dir.clone(), None);
+    let scheme = build_ci(1, BUILD, PROBE, None);
+    // The whole probe side is one morsel, one fragment, one chunk.
+    let cfg = EngineConfig {
+        probe_chunk: PROBE as usize,
+        ..EngineConfig::for_tasks(1, PROBE as usize, 5)
+    };
+    let (c1, c2) = (ColumnBatch::from_tuples(&r1), ColumnBatch::from_tuples(&r2));
+    let exchange = Exchange::new(1024);
+    let gauge = MemGauge::default();
+    let sink = StageSink {
+        exchange: &exchange,
+        batch_tuples: 64,
+    };
+    let rt = EngineRuntime::new(2);
+    let (emitted, out) = std::thread::scope(|s| {
+        let consumer = s.spawn(|| {
+            let (mut count, mut checksum) = (0u64, 0u64);
+            while let Some(batch) = exchange.pop() {
+                count += batch.len() as u64;
+                checksum = batch.payloads().iter().fold(checksum, |x, p| x ^ p);
+                gauge.sub(batch.len() as u64);
+            }
+            (count, checksum)
+        });
+        let _close = CloseOnDrop(sink);
+        let out = run_pipelined_io(
+            &rt,
+            EngineIo {
+                r1: Source::Scan(&c1),
+                r2: Source::Scan(&c2),
+                router: &scheme.router,
+                cond: &cond,
+                table: &RoutingTable::new(&[0]),
+                plan: &MorselPlan::new(r1.len(), r2.len(), PROBE as usize),
+                sink: Some(sink),
+                key_from: KeyFrom::Probe,
+                gauge: Some(&gauge),
+                cancel: None,
+                // Above build + chunk (and the seal's sort transient), below
+                // build + chunk + a slice of three tuples' 900 pairs.
+                budget_tuples: Some(700),
+                spill: Some(&ctx),
+                links: None,
+            },
+            &cfg,
+        );
+        exchange.close();
+        (consumer.join().expect("consumer panicked"), out)
+    });
+    assert!(!out.cancelled, "{:?}", out.failure);
+    assert_eq!(emitted, (batch.join.output_total, batch.join.checksum));
+    assert_eq!((out.output_total(), out.checksum()), emitted);
+    assert_eq!(gauge.current_tuples(), 0);
+
+    // Nothing spilled before the first slice, so a probe record is what that
+    // slice left behind: sorted, and short of the chunk by the slice.
+    let records = segment_records(&ctx, &dir);
+    let probe_tuples: usize = records
+        .iter()
+        .filter(|(_, payloads)| payloads.iter().all(|&p| p <= PROBE))
+        .map(|(keys, _)| keys.len())
+        .sum();
+    assert!(
+        (1..PROBE as usize).contains(&probe_tuples),
+        "{probe_tuples} probe tuples in the segment"
+    );
+    assert!(out.spill.reloads > 0);
+    drop(ctx);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An I/O failure mid-spill cancels the query *cleanly*: the injected

@@ -238,20 +238,6 @@ impl Grid {
         }
         total
     }
-
-    /// Maximum weight over all *candidate* cells (1×1 rectangles). A lower
-    /// bound for any achievable δ, since regions live on cell granularity.
-    pub fn max_candidate_cell_weight(&self) -> u64 {
-        let mut max = 0;
-        for i in 0..self.n_rows {
-            for j in 0..self.n_cols {
-                if self.is_candidate(i, j) {
-                    max = max.max(self.weight(Rect::new(i, j, i, j)));
-                }
-            }
-        }
-        max
-    }
 }
 
 #[cfg(test)]
@@ -334,14 +320,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn max_candidate_cell_weight_ignores_noncandidates() {
-        // A non-candidate cell with huge output weight must not matter.
-        let out = vec![0, 999, 0, 1];
-        let cand = vec![true, false, false, true];
-        let g = Grid::new(&[1, 1], &[1, 1], &out, &cand);
-        assert_eq!(g.max_candidate_cell_weight(), 2 + 1);
     }
 }

@@ -307,16 +307,6 @@ impl<'a> MonotonicBspSolver<'a> {
         )
     }
 
-    /// A lower bound on any feasible δ given `j` regions: (covered
-    /// weight)/j (see [`Grid::covered_weight`]) — no cell bounds δ from
-    /// below, a heavy one is charged more regions instead.
-    pub fn delta_lower_bound(&self, j: usize) -> u64 {
-        if self.rects.is_empty() {
-            return 0;
-        }
-        self.grid.covered_weight() / j.max(1) as u64
-    }
-
     /// Solves for a given δ: regions covering every candidate cell exactly
     /// once, minimizing the regions *charged* ([`region_shares`]): a region
     /// weighs at most δ and is charged one, except a single cell heavier
@@ -535,25 +525,5 @@ mod tests {
         let solver = MonotonicBspSolver::new(&g);
         // Pairs (a, b) with a <= b over 16 cells: 16*17/2 = 136.
         assert_eq!(solver.state_count(), 136);
-    }
-
-    #[test]
-    fn delta_lower_bound_is_sound() {
-        let g = band_grid(12, 1, Some((4, 4, 30)));
-        let solver = MonotonicBspSolver::new(&g);
-        for j in [1usize, 2, 4, 8] {
-            let lb = solver.delta_lower_bound(j);
-            // Nothing below the bound may be charged <= j regions — the hot
-            // cell's shares included, which is why no cell enters the bound.
-            if lb > 0 {
-                let regions = solver.solve(lb - 1).unwrap();
-                let charged = validate_partition(&g, &regions, lb - 1).unwrap();
-                assert!(
-                    charged as usize > j,
-                    "j={j}: charged {charged} at delta {}",
-                    lb - 1
-                );
-            }
-        }
     }
 }

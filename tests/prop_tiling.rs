@@ -310,6 +310,18 @@ proptest! {
                 p.delta
             );
         }
+        // The search's floor is sound: j regions of at most δ a share cover
+        // at most j·δ, so below covered/j the charge exceeds j — whatever a
+        // hot cell weighs, which is why no cell enters the floor.
+        let floor = grid.covered_weight() / j as u64;
+        if floor > 1 {
+            let below = monotonic_bsp(&grid, floor - 1).expect("every delta has a partition");
+            prop_assert!(
+                charged(&grid, &below, floor - 1) > j as u64,
+                "floor {} is not a lower bound",
+                floor
+            );
+        }
     }
 
     #[test]
