@@ -3,19 +3,18 @@
 //! and `tests/transport_claims.rs` asserts on:
 //!
 //! * **wire identity** ([`wire_identity`], [`wire_run`]) — all four schemes
-//!   over loopback pipes and real TCP sockets, one process, against the
-//!   in-process batch oracle; forced migration ships sealed region state
-//!   across the wire;
+//!   over TCP links, one process, against the in-process batch oracle;
+//!   forced migration ships sealed region state across the wire;
 //! * **the link gate** ([`link_gate`]) — the communication-aware migration
 //!   gate: the same straggler backlog is migrated across a fast link and
 //!   declined across a thin one, by an operator and by a plan stage;
 //! * **the two-process matrix** ([`two_process_matrix`]) — a worker process
 //!   (this same binary, `transport --role worker`) binds a localhost TCP
-//!   listener, the parent ships both relations over
-//!   [`RemoteExchangeSender`] links, and the worker executes the join with
-//!   its mapper → reducer deliveries *also* on the framed transport. Output
-//!   counts and checksums must be bit-identical to the in-process oracle on
-//!   all four schemes, frozen and with forced migration.
+//!   listener, the parent ships both relations over [`LinkSender`]s, and
+//!   the worker runs the whole join — mappers and reducers — with its
+//!   mapper → reducer deliveries *also* on framed links. Output counts and
+//!   checksums must be bit-identical to the in-process oracle on all four
+//!   schemes, frozen and with forced migration.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpListener;
@@ -26,8 +25,8 @@ use ewh_core::{ColumnBatch, RoutingTable, SchemeKind, Tuple};
 use ewh_exec::engine::{run_pipelined_io, EngineIo, Source};
 use ewh_exec::{
     build_scheme, run_plan, AdaptiveConfig, EngineConfig, EngineRuntime, Exchange, ExecMode,
-    KeyFrom, LinkProfile, MemGauge, MorselPlan, OperatorConfig, OperatorRun, OutputWork, PlanRun,
-    RemoteExchangeReceiver, RemoteExchangeSender, StageSpec, Straggler, TransportConfig,
+    KeyFrom, LinkProfile, LinkReceiver, LinkSender, MemGauge, MorselPlan, OperatorConfig,
+    OperatorRun, OutputWork, PlanRun, StageSpec, Straggler, TransportConfig,
 };
 
 use crate::cli::{f, Args, Flag, Kind, Report, Subcommand, Table};
@@ -90,26 +89,17 @@ pub fn oracle(rt: &EngineRuntime, w: &Workload, rc: &RunConfig) -> OperatorRun {
     run_with(rt, w, SchemeKind::Ci, &cfg)
 }
 
-/// One frozen run of the wire-identity scenario.
-pub struct WireRun {
-    pub kind: SchemeKind,
-    pub wire: &'static str,
-    pub run: OperatorRun,
-}
-
-/// All four schemes over loopback pipes and TCP sockets on BCB-2.
-pub fn wire_identity(rt: &EngineRuntime, w: &Workload, rc: &RunConfig) -> Vec<WireRun> {
-    let mut runs = Vec::new();
-    for kind in SCHEMES {
-        for (wire, transport) in [
-            ("loopback", TransportConfig::loopback()),
-            ("tcp", TransportConfig::tcp()),
-        ] {
-            let run = wire_run(rt, w, rc, kind, Some(transport), false);
-            runs.push(WireRun { kind, wire, run });
-        }
-    }
-    runs
+/// All four schemes over TCP links on BCB-2, frozen.
+pub fn wire_identity(
+    rt: &EngineRuntime,
+    w: &Workload,
+    rc: &RunConfig,
+) -> Vec<(SchemeKind, OperatorRun)> {
+    let tcp = Some(TransportConfig::tcp());
+    SCHEMES
+        .into_iter()
+        .map(|kind| (kind, wire_run(rt, w, rc, kind, tcp, false)))
+        .collect()
 }
 
 /// The link-gate scenario's three runs.
@@ -194,22 +184,22 @@ fn run_worker(args: &Args) {
     std::io::stdout().flush().expect("flush");
 
     // R1 first: the build side must be a scan, so drain it to a resident
-    // ColumnBatch before the engine starts. The bounded staging exchange +
-    // credit window backpressure the parent while we drain.
-    let rx1 = RemoteExchangeReceiver::accept(&listener, WINDOW).expect("accept r1");
+    // ColumnBatch before the engine starts. The credit window backpressures
+    // the parent while we drain.
+    let rx1 = LinkReceiver::<ColumnBatch>::accept(&listener).expect("accept r1");
     let mut r1 = ColumnBatch::new();
-    while let Some(mut batch) = rx1.exchange().pop() {
+    while let Some(mut batch) = rx1.pop() {
         r1.append(&mut batch);
     }
     rx1.join().expect("r1 stream failed");
 
     // R2 streams straight into the probe side while the engine runs. The
-    // socket receiver stages into its own exchange without touching any
-    // memory gauge, so a forwarding hop re-pushes each batch under the
-    // engine's gauge contract (producers credit what they push — see
-    // `run_pipelined_io`'s leak check).
-    let rx2 = RemoteExchangeReceiver::accept(&listener, WINDOW).expect("accept r2");
-    let staged = rx2.exchange().clone();
+    // receiver stages without touching any memory gauge, so a forwarding
+    // hop pops it and re-pushes each batch under the engine's gauge
+    // contract (producers credit what they push — see `run_pipelined_io`'s
+    // leak check); the bounded exchange stops the pops, which stops the
+    // credits, which parks the parent.
+    let rx2 = LinkReceiver::<ColumnBatch>::accept(&listener).expect("accept r2");
     let exchange = Exchange::new(WINDOW);
     let gauge = MemGauge::default();
 
@@ -230,7 +220,7 @@ fn run_worker(args: &Args) {
     let start = Instant::now();
     let out = std::thread::scope(|s| {
         s.spawn(|| {
-            while let Some(batch) = staged.pop() {
+            while let Some(batch) = rx2.pop() {
                 gauge.add(batch.len() as u64);
                 exchange.push(batch);
             }
@@ -286,18 +276,13 @@ pub struct WorkerRun {
 }
 
 /// Ships one relation over a fresh socket connection in morsel-sized
-/// batches. Returns the framed byte volume put on the wire.
+/// batches. Returns the bytes the sender put on the wire.
 fn ship(addr: &str, tuples: &[Tuple]) -> u64 {
-    let sender = RemoteExchangeSender::connect(addr, WINDOW).expect("connect");
-    let mut bytes = 0u64;
+    let sender = LinkSender::connect(addr, WINDOW).expect("connect");
     for part in tuples.chunks(4096) {
-        let batch = ColumnBatch::from_tuples(part);
-        // Frame body: 29-byte fixed header + 16 bytes per tuple.
-        bytes += 4 + 29 + 16 * batch.len() as u64;
-        sender.push(&batch).expect("push");
+        sender.push(ColumnBatch::from_tuples(part)).expect("push");
     }
-    sender.finish().expect("finish");
-    bytes
+    sender.finish().expect("finish")
 }
 
 /// One distributed run: re-executes this binary as the worker, ships R1
@@ -442,25 +427,17 @@ fn print(args: &Args, report: &mut Report) {
     assert!(all_ok, "distributed runs diverged from the oracle");
 
     let mut table = Table::new(
-        "one-process wire identity (frozen placement)",
-        &[
-            "scheme",
-            "wire",
-            "output",
-            "checksum",
-            "wire_bytes",
-            "status",
-        ],
+        "one-process wire identity over TCP (frozen placement)",
+        &["scheme", "output", "checksum", "wire_bytes", "status"],
     );
     let mut all_ok = true;
-    for r in wire_identity(&rt, &w, &rc) {
-        let j = &r.run.join;
+    for (kind, run) in wire_identity(&rt, &w, &rc) {
+        let j = &run.join;
         let ok = (j.output_total, j.checksum) == (oracle.join.output_total, oracle.join.checksum)
             && j.wire_bytes > 0;
         all_ok &= ok;
         table.row(vec![
-            r.kind.into(),
-            r.wire.into(),
+            kind.into(),
             j.output_total.into(),
             format!("{:#x}", j.checksum).into(),
             j.wire_bytes.into(),

@@ -1,6 +1,6 @@
 //! Transport claims, asserted in CI: the framed transport is a drop-in
 //! carrier for the engine's mapper → reducer contract (bit-identical
-//! results over loopback pipes and real TCP sockets, migration included),
+//! results over real TCP sockets, migration included),
 //! the migration coordinator's move-cost gate is communication-aware (the
 //! same backlog migrates across a fast link and is declined across a thin
 //! one), and the two-process `transport` subcommand reproduces the
@@ -21,9 +21,9 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// All four schemes over loopback pipes and TCP sockets produce the exact
-/// output count and checksum of the in-process batch oracle — the framed
-/// transport honors the push/pop contract bit for bit.
+/// All four schemes over TCP links produce the exact output count and
+/// checksum of the in-process batch oracle — the framed transport honors
+/// the push/pop contract bit for bit.
 #[test]
 fn framed_wires_reproduce_the_oracle_on_every_scheme() {
     let _serial = serial();
@@ -37,9 +37,8 @@ fn framed_wires_reproduce_the_oracle_on_every_scheme() {
     let rt = rc.runtime();
     let oracle = oracle(&rt, &w, &rc);
     let runs = wire_identity(&rt, &w, &rc);
-    assert_eq!(runs.len(), 8, "four schemes over two wires");
-    for r in &runs {
-        let (kind, run) = (r.kind, &r.run);
+    assert_eq!(runs.len(), 4, "four schemes");
+    for (kind, run) in &runs {
         assert_eq!(run.join.output_total, oracle.join.output_total, "{kind:?}");
         assert_eq!(run.join.checksum, oracle.join.checksum, "{kind:?}");
         assert!(
@@ -117,10 +116,11 @@ fn the_move_cost_gate_prices_the_link() {
     );
 }
 
-/// The two-process harness: mapper and reducer halves in separate OS
-/// processes over real sockets, all four schemes with migration forced on
-/// and off, checked against the in-process oracle by the binary itself
-/// (`--claims` exits non-zero on any mismatch).
+/// The two-process harness: the parent ships both relations over real
+/// sockets to a worker process that runs the join (its deliveries on TCP
+/// links too), all four schemes with migration forced on and off, checked
+/// against the in-process oracle by the binary itself (`--claims` exits
+/// non-zero on any mismatch).
 #[test]
 fn two_processes_over_real_sockets_reproduce_the_oracle() {
     let _serial = serial();

@@ -1,8 +1,8 @@
 //! Length-prefixed wire frames for columnar tuple batches.
 //!
 //! The transport layer in `ewh-exec` ships epoch-stamped [`ColumnBatch`]
-//! fragments between processes over byte streams (TCP sockets, in-memory
-//! loopback pipes). The payload layout deliberately reuses the spill-file
+//! fragments between processes over byte streams (localhost TCP
+//! connections). The payload layout deliberately reuses the spill-file
 //! layout (`u64` LE tuple count, then the whole key column as one `i64` LE
 //! slab, then the whole payload column as one `u64` LE slab): both columns
 //! are already contiguous fixed-width arrays, so on a little-endian target

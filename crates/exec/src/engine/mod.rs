@@ -78,8 +78,7 @@ pub use runtime::{
 };
 pub use spill::{SpillConfig, SpillContext, SpillRun, SpillTotals};
 pub use transport::{
-    LinkProfile, RemoteExchangeReceiver, RemoteExchangeSender, RemoteQueue, TransportConfig,
-    TransportFailure, TransportKind,
+    Framed, LinkProfile, LinkReceiver, LinkSender, RemoteQueue, TransportConfig, TransportFailure,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -127,10 +126,10 @@ pub struct EngineConfig {
     pub adaptive: AdaptiveConfig,
     /// Optional injected straggler (see [`Straggler`]).
     pub straggler: Option<Straggler>,
-    /// Carry mapper→reducer deliveries over a framed byte-stream transport
-    /// (loopback pipes or localhost TCP) instead of in-process queues:
-    /// the full distributed data plane — encode, credit flow control,
-    /// incremental decode — behind the same [`FragmentPort`] contract.
+    /// Carry mapper→reducer deliveries over framed links, one localhost
+    /// TCP connection each, instead of in-process queues: the full
+    /// distributed data plane — encode, credit flow control, incremental
+    /// decode — behind the same [`FragmentPort`] contract.
     /// `None`: plain in-process [`Channel`]s.
     pub transport: Option<TransportConfig>,
 }

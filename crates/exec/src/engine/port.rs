@@ -10,8 +10,8 @@
 //!   it never reports [`PortPop::Closed`]), `Channel<ColumnBatch>` is the
 //!   inter-operator [`Exchange`](super::Exchange).
 //! * [`RemoteQueue`](super::RemoteQueue) — the same contract carried over a
-//!   framed byte stream, with credit-based flow control standing in for the
-//!   shared-memory bound.
+//!   framed link on one TCP connection, with credit-based flow control
+//!   standing in for the shared-memory bound.
 //!
 //! The contract: a bounced [`offer`](FragmentPort::offer) hands the item
 //! back untouched and, given a waker, registered it *under the same lock*

@@ -1,51 +1,59 @@
-//! The distributed exchange: framed byte-stream transports behind the
-//! [`FragmentPort`] contract.
+//! The distributed exchange: one framed link type over one TCP connection,
+//! behind the [`FragmentPort`] contract.
 //!
-//! Two carriers ship the same wire format (see [`ewh_core::encode_frame`]):
-//! an in-memory loopback pipe and real TCP sockets on localhost. Both are
-//! driven by dedicated I/O threads so the engine's pool tasks never block
-//! on a socket — a task that would overrun the link's credit window parks
-//! exactly like it would on a full in-process queue.
+//! A link is a [`LinkSender`] and a [`LinkReceiver`] at the two ends of one
+//! localhost TCP connection: frames (see [`ewh_core::encode_frame`]) flow
+//! from sender to receiver, `CREDIT` frames flow back on the same socket.
+//! Each half owns two I/O threads — the sender a writer and a credit
+//! reader, the receiver a frame reader and a credit writer — so the
+//! engine's pool tasks never block on a socket: a task that would overrun
+//! the link's credit window parks exactly like it would on a full
+//! in-process queue. Both halves are generic over what the link carries
+//! ([`Framed`]): a [`RemoteQueue`] is the two halves of a `Delivery` link
+//! joined in one process behind the engine's mapper → reducer contract;
+//! `ewh-bench transport` ships relations over the two halves of a
+//! `ColumnBatch` link in two processes.
 //!
 //! ## Credit-based flow control
 //!
 //! An in-process channel bounds *resident tuples*; a byte stream has no
-//! shared counter to bound against. The producer side of a link is
-//! therefore a `CreditGate` — the channel's own admission window (see the
-//! `channel` module) without the queue: every sent delivery charges its
-//! tuple weight against the window, and the consumer returns that weight as
-//! a `CREDIT` frame on a dedicated back-channel once the delivery is popped.
-//! The window's `used` therefore counts tuples in flight end to end — in
-//! the writer's buffer, on the wire, and in the consumer-side staging
-//! channel — so [`FragmentPort::used_tuples`] keeps feeding the migration
-//! coordinator's backlog heuristics unchanged, and swapping a local queue
-//! for a remote one cannot introduce a new deadlock: it is the same rule.
+//! shared counter to bound against. The sender therefore holds a
+//! `CreditGate` — the channel's own admission window (see the `channel`
+//! module) without the queue: every sent item charges its tuple weight
+//! against the window, and the receiver returns that weight as a `CREDIT`
+//! frame once the item is popped from its staging channel. The window's
+//! `used` therefore counts tuples in flight end to end — in the writer's
+//! buffer, on the wire, and staged at the receiver — so
+//! [`FragmentPort::used_tuples`] keeps feeding the migration coordinator's
+//! backlog heuristics unchanged, and swapping a local queue for a remote
+//! one cannot introduce a new deadlock: it is the same rule.
 //!
-//! ## Ordering and failure
+//! ## End of stream, ordering and failure
 //!
 //! Frames are written by one thread and decoded in arrival order by one
 //! thread: the link is FIFO, which is the same no-reordering assumption the
-//! in-process queues give the epoch-fencing protocol. A link that dies
-//! mid-stream (I/O error, corrupt or truncated frame) trips the run's
-//! [`TransportFailure`]: the gate releases every parked producer (their
-//! subsequent pushes are discarded — the run is doomed), an in-band
-//! [`Delivery::Abort`] is injected into the staging queue so a parked
-//! consumer wakes and unwinds, and the engine's watcher task cancels the
-//! query cooperatively. Nothing panics on a bad byte.
+//! in-process queues give the epoch-fencing protocol. Each direction ends
+//! with `CLOSE` followed by a half-close (`shutdown(Write)`; with a cloned
+//! socket, dropping one handle does not end the stream). Anything else
+//! that ends a stream — EOF without `CLOSE`, an I/O error, a corrupt,
+//! truncated or unexpected frame — trips the link's [`TransportFailure`].
+//! The sender abandons its gate, releasing every parked producer (their
+//! later pushes are discarded — the run is doomed). The receiver hands its
+//! consumer the in-band [`Delivery::Abort`] (on a `Delivery` link), closes
+//! its staging channel and ends its credit stream without `CLOSE`, so the
+//! sender trips too; the engine's watcher task cancels the query
+//! cooperatively. Nothing panics on a bad byte.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::ops::ControlFlow;
+use std::marker::PhantomData;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use ewh_core::{encode_frame, ColumnBatch, Frame, FrameDecoder, Key, Rel, TUPLE_BYTES};
 
 use super::channel::{Channel, CreditGate, Weigh};
-use super::exchange::Exchange;
 use super::port::{FragmentPort, PortPop};
 use super::queue::{Delivery, MigratedRegion, RegionBatch};
 use super::runtime::{WakeSet, Waker};
@@ -83,41 +91,18 @@ impl LinkProfile {
     }
 }
 
-/// Which byte carrier a remote queue rides on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransportKind {
-    /// An in-memory pipe: the full framed protocol (encode, credit flow,
-    /// incremental decode) without kernel sockets.
-    Loopback,
-    /// Real TCP sockets on localhost, one connection per direction.
-    Tcp,
-}
-
-/// Per-run transport selection and fault knobs (part of `EngineConfig`).
+/// Per-run transport settings (part of `EngineConfig`): every mapper →
+/// reducer link is one localhost TCP connection.
 #[derive(Clone, Copy, Debug)]
 pub struct TransportConfig {
-    pub kind: TransportKind,
-    /// Pace the data writer to this many bytes per second — an asymmetric-
-    /// link emulator for benchmarks. `None`: unthrottled.
-    pub throttle_bytes_per_sec: Option<u64>,
     /// Fault injection for tests: flip a length byte in the Nth data frame
     /// (0-based) so the decoder sees a corrupt stream mid-run.
     pub corrupt_frame: Option<u64>,
 }
 
 impl TransportConfig {
-    pub fn loopback() -> Self {
-        TransportConfig {
-            kind: TransportKind::Loopback,
-            throttle_bytes_per_sec: None,
-            corrupt_frame: None,
-        }
-    }
-
     pub fn tcp() -> Self {
         TransportConfig {
-            kind: TransportKind::Tcp,
-            throttle_bytes_per_sec: None,
             corrupt_frame: None,
         }
     }
@@ -185,164 +170,24 @@ impl TransportFailure {
 }
 
 // ---------------------------------------------------------------------------
-// Byte carriers
+// Codecs
 // ---------------------------------------------------------------------------
 
-struct PipeState {
-    buf: VecDeque<u8>,
-    write_closed: bool,
-    read_closed: bool,
-}
+/// What a link carries, and how it crosses the wire: a [`Delivery`] on an
+/// engine link, a [`ColumnBatch`] on a relation-shipping one.
+pub trait Framed: Weigh + Send + Sized + 'static {
+    /// Appends the item as one frame.
+    fn encode(&self, out: &mut Vec<u8>);
 
-struct PipeShared {
-    state: Mutex<PipeState>,
-    ready: Condvar,
-}
+    /// Rebuilds an item from a frame; an `Err` fails the link.
+    fn decode(frame: Frame) -> Result<Self, String>;
 
-/// The write half of an in-memory byte pipe. Dropping it is EOF for the
-/// reader — exactly a socket's close semantics, which is what the clean
-/// shutdown path relies on.
-struct PipeWriter(Arc<PipeShared>);
-
-struct PipeReader(Arc<PipeShared>);
-
-fn pipe() -> (PipeWriter, PipeReader) {
-    let shared = Arc::new(PipeShared {
-        state: Mutex::new(PipeState {
-            buf: VecDeque::new(),
-            write_closed: false,
-            read_closed: false,
-        }),
-        ready: Condvar::new(),
-    });
-    (PipeWriter(shared.clone()), PipeReader(shared))
-}
-
-impl Write for PipeWriter {
-    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
-        let mut st = self.0.state.lock().expect("pipe poisoned");
-        if st.read_closed {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "reader gone"));
-        }
-        st.buf.extend(bytes);
-        drop(st);
-        self.0.ready.notify_all();
-        Ok(bytes.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
+    /// Handed to the consumer in-band when the link dies, before its staging
+    /// channel closes. `None`: the close alone ends the consumer.
+    fn abort() -> Option<Self> {
+        None
     }
 }
-
-impl Drop for PipeWriter {
-    fn drop(&mut self) {
-        self.0.state.lock().expect("pipe poisoned").write_closed = true;
-        self.0.ready.notify_all();
-    }
-}
-
-impl Read for PipeReader {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        let mut st = self.0.state.lock().expect("pipe poisoned");
-        loop {
-            if !st.buf.is_empty() {
-                return st.buf.read(out);
-            }
-            if st.write_closed {
-                return Ok(0);
-            }
-            st = self.0.ready.wait(st).expect("pipe poisoned");
-        }
-    }
-}
-
-impl Drop for PipeReader {
-    fn drop(&mut self) {
-        self.0.state.lock().expect("pipe poisoned").read_closed = true;
-        self.0.ready.notify_all();
-    }
-}
-
-/// Spawns one named transport I/O thread.
-fn io_thread(name: &str, body: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
-    std::thread::Builder::new().name(name.into()).spawn(body)
-}
-
-/// The four stream endpoints of one remote queue: a data plane
-/// (producer → consumer) and a credit back-channel (consumer → producer).
-struct Wire {
-    data_out: Box<dyn Write + Send>,
-    data_in: Box<dyn Read + Send>,
-    credit_out: Box<dyn Write + Send>,
-    credit_in: Box<dyn Read + Send>,
-}
-
-fn make_wire(kind: TransportKind) -> io::Result<Wire> {
-    match kind {
-        TransportKind::Loopback => {
-            let (dw, dr) = pipe();
-            let (cw, cr) = pipe();
-            Ok(Wire {
-                data_out: Box::new(dw),
-                data_in: Box::new(dr),
-                credit_out: Box::new(cw),
-                credit_in: Box::new(cr),
-            })
-        }
-        TransportKind::Tcp => {
-            let listener = TcpListener::bind("127.0.0.1:0")?;
-            let addr = listener.local_addr()?;
-            // Sequential connect/accept keeps the pairing deterministic.
-            let data_out = TcpStream::connect(addr)?;
-            let (data_in, _) = listener.accept()?;
-            let credit_out = TcpStream::connect(addr)?;
-            let (credit_in, _) = listener.accept()?;
-            for s in [&data_out, &data_in, &credit_out, &credit_in] {
-                s.set_nodelay(true)?;
-            }
-            Ok(Wire {
-                data_out: Box::new(data_out),
-                data_in: Box::new(data_in),
-                credit_out: Box::new(credit_out),
-                credit_in: Box::new(credit_in),
-            })
-        }
-    }
-}
-
-/// Paces a writer thread to a target byte rate (the benchmark's link
-/// throttle). Sleeps before each write so sustained throughput converges
-/// to the rate from above.
-struct Pacer {
-    rate: Option<f64>,
-    start: Instant,
-    sent: u64,
-}
-
-impl Pacer {
-    fn new(bytes_per_sec: Option<u64>) -> Self {
-        Pacer {
-            rate: bytes_per_sec.map(|r| (r.max(1)) as f64),
-            start: Instant::now(),
-            sent: 0,
-        }
-    }
-
-    fn pace(&mut self, bytes: usize) {
-        let Some(rate) = self.rate else { return };
-        self.sent += bytes as u64;
-        let due = self.sent as f64 / rate;
-        let elapsed = self.start.elapsed().as_secs_f64();
-        if due > elapsed {
-            std::thread::sleep(Duration::from_secs_f64(due - elapsed));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Delivery codec
-// ---------------------------------------------------------------------------
 
 fn rel_code(rel: Rel) -> u64 {
     match rel {
@@ -453,382 +298,520 @@ fn split_batch(batch: &ColumnBatch, at: usize) -> (ColumnBatch, ColumnBatch) {
     )
 }
 
-/// Appends one delivery as a wire frame. Tuple-carrying deliveries ship
-/// their columns as the frame's two slabs (two memcpys on a little-endian
-/// target); `Adopt` concatenates build + pending and records the split
-/// point in header word `b`.
-pub(crate) fn encode_delivery(out: &mut Vec<u8>, d: &Delivery) {
-    let empty = ColumnBatch::new();
-    match d {
-        Delivery::Batch(rb) => encode_frame(
-            out,
-            FRAME_BATCH,
-            rel_code(rb.rel) << 32 | rb.region as u64,
-            rb.epoch,
-            &[],
-            &rb.tuples,
-        ),
-        Delivery::SealR1 => encode_frame(out, FRAME_SEAL_R1, 0, 0, &[], &empty),
-        Delivery::SealAll => encode_frame(out, FRAME_SEAL_ALL, 0, 0, &[], &empty),
-        Delivery::Migrate { region } => {
-            encode_frame(out, FRAME_MIGRATE, *region as u64, 0, &[], &empty)
-        }
-        Delivery::Adopt { region, state } => {
-            let meta = encode_region_meta(state);
-            let mut keys: Vec<Key> = Vec::with_capacity(state.build.len() + state.pending.len());
-            keys.extend_from_slice(state.build.keys());
-            keys.extend_from_slice(state.pending.keys());
-            let mut payloads: Vec<u64> = Vec::with_capacity(keys.capacity());
-            payloads.extend_from_slice(state.build.payloads());
-            payloads.extend_from_slice(state.pending.payloads());
-            let combined = ColumnBatch::from_columns(keys, payloads);
-            encode_frame(
-                out,
-                FRAME_ADOPT,
-                *region as u64,
-                state.build.len() as u64,
-                &meta,
-                &combined,
-            );
-        }
-        Delivery::Finish => encode_frame(out, FRAME_FINISH, 0, 0, &[], &empty),
-        Delivery::Abort => encode_frame(out, FRAME_ABORT, 0, 0, &[], &empty),
-    }
-}
-
-/// Reassembles a delivery from a decoded frame.
-pub(crate) fn decode_delivery(frame: Frame) -> Result<Delivery, String> {
-    match frame.kind {
-        FRAME_BATCH => Ok(Delivery::Batch(RegionBatch {
-            region: (frame.a & 0xFFFF_FFFF) as u32,
-            rel: code_rel(frame.a >> 32)?,
-            epoch: frame.b,
-            tuples: frame.batch,
-        })),
-        FRAME_SEAL_R1 => Ok(Delivery::SealR1),
-        FRAME_SEAL_ALL => Ok(Delivery::SealAll),
-        FRAME_MIGRATE => Ok(Delivery::Migrate {
-            region: frame.a as u32,
-        }),
-        FRAME_ADOPT => {
-            let build_len = frame.b as usize;
-            if build_len > frame.batch.len() {
-                return Err(format!(
-                    "adopt split {build_len} beyond batch of {}",
-                    frame.batch.len()
-                ));
-            }
-            let (build, pending) = split_batch(&frame.batch, build_len);
-            let mut meta = Meta(&frame.extra);
-            let sealed = meta.u8()? != 0;
-            let input = meta.u64()?;
-            let output = meta.u64()?;
-            let checksum = meta.u64()?;
-            let spilled_build = meta.runs()?;
-            let spilled_pending = meta.runs()?;
-            Ok(Delivery::Adopt {
-                region: frame.a as u32,
-                state: Box::new(MigratedRegion {
-                    build,
-                    pending,
-                    spilled_build,
-                    spilled_pending,
-                    sealed,
-                    input,
-                    output,
-                    checksum,
-                }),
-            })
-        }
-        FRAME_FINISH => Ok(Delivery::Finish),
-        FRAME_ABORT => Ok(Delivery::Abort),
-        other => Err(format!("unexpected frame kind {other} on a data link")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Frame pump
-// ---------------------------------------------------------------------------
-
-/// Why [`pump_frames`] stopped short of a clean end of stream. Each link
-/// words its own failure reason (or, for the exchange sender's credit
-/// reader, shrugs off a vanished peer) from these.
-enum PumpError {
-    /// EOF with part of a frame still buffered.
-    Truncated,
-    Read(io::Error),
-    /// A corrupt frame, or one the link's handler refused.
-    Frame(String),
-}
-
-impl PumpError {
-    /// The link's failure reason: its own words for a truncated stream,
-    /// `"<read>: <io error>"` for a failed read, the frame error as is.
-    fn reason(self, truncated: &str, read: &str) -> String {
+impl Framed for Delivery {
+    /// Tuple-carrying deliveries ship their columns as the frame's two
+    /// slabs (two memcpys on a little-endian target); `Adopt` concatenates
+    /// build + pending and records the split point in header word `b`.
+    fn encode(&self, out: &mut Vec<u8>) {
+        let empty = ColumnBatch::new();
         match self {
-            PumpError::Truncated => truncated.into(),
-            PumpError::Read(e) => format!("{read}: {e}"),
-            PumpError::Frame(why) => why,
+            Delivery::Batch(rb) => encode_frame(
+                out,
+                FRAME_BATCH,
+                rel_code(rb.rel) << 32 | rb.region as u64,
+                rb.epoch,
+                &[],
+                &rb.tuples,
+            ),
+            Delivery::SealR1 => encode_frame(out, FRAME_SEAL_R1, 0, 0, &[], &empty),
+            Delivery::SealAll => encode_frame(out, FRAME_SEAL_ALL, 0, 0, &[], &empty),
+            Delivery::Migrate { region } => {
+                encode_frame(out, FRAME_MIGRATE, *region as u64, 0, &[], &empty)
+            }
+            Delivery::Adopt { region, state } => {
+                let meta = encode_region_meta(state);
+                let mut keys: Vec<Key> =
+                    Vec::with_capacity(state.build.len() + state.pending.len());
+                keys.extend_from_slice(state.build.keys());
+                keys.extend_from_slice(state.pending.keys());
+                let mut payloads: Vec<u64> = Vec::with_capacity(keys.capacity());
+                payloads.extend_from_slice(state.build.payloads());
+                payloads.extend_from_slice(state.pending.payloads());
+                let combined = ColumnBatch::from_columns(keys, payloads);
+                encode_frame(
+                    out,
+                    FRAME_ADOPT,
+                    *region as u64,
+                    state.build.len() as u64,
+                    &meta,
+                    &combined,
+                );
+            }
+            Delivery::Finish => encode_frame(out, FRAME_FINISH, 0, 0, &[], &empty),
+            Delivery::Abort => encode_frame(out, FRAME_ABORT, 0, 0, &[], &empty),
+        }
+    }
+
+    fn decode(frame: Frame) -> Result<Delivery, String> {
+        match frame.kind {
+            FRAME_BATCH => Ok(Delivery::Batch(RegionBatch {
+                region: (frame.a & 0xFFFF_FFFF) as u32,
+                rel: code_rel(frame.a >> 32)?,
+                epoch: frame.b,
+                tuples: frame.batch,
+            })),
+            FRAME_SEAL_R1 => Ok(Delivery::SealR1),
+            FRAME_SEAL_ALL => Ok(Delivery::SealAll),
+            FRAME_MIGRATE => Ok(Delivery::Migrate {
+                region: frame.a as u32,
+            }),
+            FRAME_ADOPT => {
+                let build_len = frame.b as usize;
+                if build_len > frame.batch.len() {
+                    return Err(format!(
+                        "adopt split {build_len} beyond batch of {}",
+                        frame.batch.len()
+                    ));
+                }
+                let (build, pending) = split_batch(&frame.batch, build_len);
+                let mut meta = Meta(&frame.extra);
+                let sealed = meta.u8()? != 0;
+                let input = meta.u64()?;
+                let output = meta.u64()?;
+                let checksum = meta.u64()?;
+                let spilled_build = meta.runs()?;
+                let spilled_pending = meta.runs()?;
+                Ok(Delivery::Adopt {
+                    region: frame.a as u32,
+                    state: Box::new(MigratedRegion {
+                        build,
+                        pending,
+                        spilled_build,
+                        spilled_pending,
+                        sealed,
+                        input,
+                        output,
+                        checksum,
+                    }),
+                })
+            }
+            FRAME_FINISH => Ok(Delivery::Finish),
+            FRAME_ABORT => Ok(Delivery::Abort),
+            other => Err(format!("unexpected frame kind {other} on a delivery link")),
+        }
+    }
+
+    /// The reducer's native unwind path. The watcher's broadcast `Abort`
+    /// cannot reach this reducer: it would have to cross the wire that just
+    /// died.
+    fn abort() -> Option<Delivery> {
+        Some(Delivery::Abort)
+    }
+}
+
+impl Framed for ColumnBatch {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_frame(out, FRAME_XBATCH, 0, 0, &[], self);
+    }
+
+    fn decode(frame: Frame) -> Result<ColumnBatch, String> {
+        match frame.kind {
+            FRAME_XBATCH => Ok(frame.batch),
+            other => Err(format!("unexpected frame kind {other} on a batch link")),
         }
     }
 }
 
-/// The reader loop of every link: read into a `buf_len`-byte buffer, feed
-/// the incremental decoder, hand each complete frame to `on_frame`.
-/// Returns `Ok` on a clean EOF at a frame boundary (normal teardown for
-/// the queue links) or when the handler breaks out (the exchange's
-/// `CLOSE`); everything else is a [`PumpError`].
+// ---------------------------------------------------------------------------
+// Stream plumbing
+// ---------------------------------------------------------------------------
+
+/// Spawns one named transport I/O thread.
+fn io_thread(name: &str, body: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name.into()).spawn(body)
+}
+
+/// Ends this side's stream: `CLOSE`, then the half-close. Returns the bytes
+/// written.
+fn write_close(out: &mut TcpStream) -> io::Result<u64> {
+    let mut buf = Vec::with_capacity(64);
+    encode_frame(&mut buf, FRAME_CLOSE, 0, 0, &[], &ColumnBatch::new());
+    out.write_all(&buf)?;
+    out.shutdown(Shutdown::Write)?;
+    Ok(buf.len() as u64)
+}
+
+/// The reader loop of both halves: read into a `buf_len`-byte buffer, feed
+/// the incremental decoder, hand each frame to `on_frame`. `Ok` only for
+/// the one clean end — `CLOSE`, then EOF; whatever else ends the stream is
+/// returned as the reason.
 fn pump_frames(
-    src: &mut impl Read,
+    src: &mut TcpStream,
     buf_len: usize,
-    mut on_frame: impl FnMut(Frame) -> Result<ControlFlow<()>, String>,
-) -> Result<(), PumpError> {
+    mut on_frame: impl FnMut(Frame) -> Result<(), String>,
+) -> Result<(), String> {
     let mut dec = FrameDecoder::new();
     let mut buf = vec![0u8; buf_len];
+    let mut closed = false;
     loop {
         match src.read(&mut buf) {
-            Ok(0) if dec.pending_bytes() > 0 => return Err(PumpError::Truncated),
-            Ok(0) => return Ok(()),
+            Ok(0) if dec.pending_bytes() > 0 => return Err("truncated mid-frame".into()),
+            Ok(0) if closed => return Ok(()),
+            Ok(0) => return Err("peer vanished without CLOSE".into()),
             Ok(n) => dec.feed(&buf[..n]),
-            Err(e) => return Err(PumpError::Read(e)),
+            Err(e) => return Err(format!("read: {e}")),
         }
-        while let Some(frame) = dec
-            .next_frame()
-            .map_err(|e| PumpError::Frame(e.to_string()))?
-        {
-            if on_frame(frame).map_err(PumpError::Frame)?.is_break() {
-                return Ok(());
+        while let Some(frame) = dec.next_frame().map_err(|e| e.to_string())? {
+            match frame.kind {
+                kind if closed => return Err(format!("frame kind {kind} after CLOSE")),
+                FRAME_CLOSE => closed = true,
+                _ => on_frame(frame)?,
             }
         }
     }
 }
 
-/// The frame handler of both credit back-channels: a `CREDIT` frame
-/// returns its weight to `gate`; any other kind is refused as
-/// `"unexpected kind <k> <whence>"`.
-fn credit_frame(gate: &CreditGate, f: &Frame, whence: &str) -> Result<ControlFlow<()>, String> {
-    if f.kind != FRAME_CREDIT {
-        return Err(format!("unexpected kind {} {whence}", f.kind));
+fn join_all(threads: &mut Vec<JoinHandle<()>>) {
+    for handle in threads.drain(..) {
+        let _ = handle.join();
     }
-    gate.release(f.a as usize);
-    Ok(ControlFlow::Continue(()))
 }
 
 // ---------------------------------------------------------------------------
-// RemoteQueue
+// The two halves of a link
 // ---------------------------------------------------------------------------
 
-/// Trips the shared failure latch and unblocks both ends of the link:
-/// producers through the abandoned gate, the consumer through an in-band
-/// `Abort` (the reducer's native unwind path).
-fn trip_link(
-    failure: &TransportFailure,
-    gate: &CreditGate,
-    staging: &Channel<Delivery>,
-    why: String,
-) {
-    failure.trip(why);
-    // Unconditionally, even when another link already tripped the shared
-    // latch: each failing link must unblock its *own* consumer in-band. The
-    // watcher's broadcast `Abort` cannot reach this reducer — it would have
-    // to cross this link's wire, which is exactly what just died. Both
-    // calls are idempotent; a duplicate `Abort` is harmless (the reducer
-    // unwinds on the first).
-    gate.abandon();
-    staging.push_unbounded(Delivery::Abort);
-}
-
-/// A mapper→reducer delivery channel carried over a framed byte stream,
-/// speaking the exact [`FragmentPort`] contract of the in-process
-/// [`Channel`].
-///
-/// Producer side: a push charges the `CreditGate` and hands the encoded
-/// frame to the data-writer thread. Consumer side: the data-reader thread
-/// decodes arriving frames into a staging [`Channel`] (whose waker plumbing
-/// parks/wakes the reducer unchanged); every pop returns the delivery's
-/// weight as a `CREDIT` frame on the back-channel.
-pub struct RemoteQueue {
-    staging: Arc<Channel<Delivery>>,
+/// The producing half of a link: a `CreditGate` charged on send, a writer
+/// thread that puts frames on the socket in order, and a credit reader that
+/// returns the receiver's `CREDIT`s to the gate.
+pub struct LinkSender<T> {
     gate: Arc<CreditGate>,
     failure: Arc<TransportFailure>,
-    data_tx: Mutex<Option<mpsc::Sender<Vec<u8>>>>,
-    credit_tx: Mutex<Option<mpsc::Sender<u64>>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Encoded frames for the writer; `None` once the stream is ended.
+    frames: Option<mpsc::Sender<Vec<u8>>>,
+    sock: TcpStream,
     wire_bytes: Arc<AtomicU64>,
+    threads: Vec<JoinHandle<()>>,
+    item: PhantomData<fn(T)>,
 }
 
-impl RemoteQueue {
-    /// Builds the link and spawns its four I/O threads (data writer/reader,
-    /// credit writer/reader). `failure` is shared by every link of a run.
-    pub fn spawn(
-        cfg: &TransportConfig,
-        capacity_tuples: usize,
-        failure: Arc<TransportFailure>,
-    ) -> io::Result<Arc<RemoteQueue>> {
-        let wire = make_wire(cfg.kind)?;
-        let staging = Arc::new(Channel::new(capacity_tuples));
-        let gate = CreditGate::new(capacity_tuples);
-        let wire_bytes = Arc::new(AtomicU64::new(0));
-        let (data_tx, data_rx) = mpsc::channel::<Vec<u8>>();
-        let (credit_tx, credit_rx) = mpsc::channel::<u64>();
-        let mut threads = Vec::with_capacity(4);
+impl<T: Framed> LinkSender<T> {
+    /// Connects to a [`LinkReceiver::accept`]ing peer. `window_tuples`
+    /// bounds the tuples in flight; the link has a failure latch of its own.
+    pub fn connect(addr: &str, window_tuples: usize) -> io::Result<Self> {
+        let sock = TcpStream::connect(addr)?;
+        Self::spawn(sock, window_tuples, TransportFailure::new(), None)
+    }
 
-        // Data writer: paces (optional throttle), injects the optional test
-        // fault, and writes frames in FIFO order. Exits when the queue is
-        // dropped (channel closed), which closes the stream → reader EOF.
-        {
-            let mut out = wire.data_out;
-            let mut pacer = Pacer::new(cfg.throttle_bytes_per_sec);
-            let corrupt = cfg.corrupt_frame;
-            let (failure, gate, staging) = (failure.clone(), gate.clone(), staging.clone());
-            let wire_bytes = wire_bytes.clone();
-            threads.push(io_thread("ewh-xport-data-tx", move || {
-                let mut n = 0u64;
-                while let Ok(mut buf) = data_rx.recv() {
-                    if corrupt == Some(n) && buf.len() > 21 {
-                        buf[21] ^= 0xFF; // inflate the extra_len field
+    fn spawn(
+        sock: TcpStream,
+        window_tuples: usize,
+        failure: Arc<TransportFailure>,
+        corrupt_frame: Option<u64>,
+    ) -> io::Result<Self> {
+        sock.set_nodelay(true)?;
+        let gate = CreditGate::new(window_tuples);
+        let wire_bytes = Arc::new(AtomicU64::new(0));
+        let (frames, queued) = mpsc::channel::<Vec<u8>>();
+        let fail = {
+            let (failure, gate) = (failure.clone(), gate.clone());
+            move |why: String| {
+                failure.trip(why);
+                gate.abandon();
+            }
+        };
+
+        // Writer: frames in FIFO order (the optional test fault inflates
+        // the Nth one's extra_len field), then `CLOSE` once the stream is
+        // ended.
+        let mut out = sock.try_clone()?;
+        let (wire, fail_write) = (wire_bytes.clone(), fail.clone());
+        let writer = io_thread("ewh-link-tx", move || {
+            let mut n = 0u64;
+            let written = queued
+                .iter()
+                .try_for_each(|mut buf| {
+                    if corrupt_frame == Some(n) && buf.len() > 21 {
+                        buf[21] ^= 0xFF;
                     }
                     n += 1;
-                    pacer.pace(buf.len());
-                    if let Err(e) = out.write_all(&buf) {
-                        trip_link(&failure, &gate, &staging, format!("data write: {e}"));
-                        return;
-                    }
-                    wire_bytes.fetch_add(buf.len() as u64, Ordering::Relaxed);
+                    out.write_all(&buf)?;
+                    wire.fetch_add(buf.len() as u64, Ordering::Relaxed);
+                    Ok(())
+                })
+                .and_then(|()| write_close(&mut out));
+            match written {
+                Ok(close) => {
+                    wire.fetch_add(close, Ordering::Relaxed);
                 }
-            })?);
-        }
-
-        // Data reader: incremental decode into the staging queue. A clean
-        // EOF on a frame boundary is the normal teardown; everything else
-        // trips the failure latch.
-        {
-            let mut src = wire.data_in;
-            let (failure, gate, staging) = (failure.clone(), gate.clone(), staging.clone());
-            threads.push(io_thread("ewh-xport-data-rx", move || {
-                let pumped = pump_frames(&mut src, 64 * 1024, |frame| {
-                    staging.push_unbounded(decode_delivery(frame)?);
-                    Ok(ControlFlow::Continue(()))
-                });
-                if let Err(e) = pumped {
-                    let why = e.reason("stream truncated mid-frame", "data read");
-                    trip_link(&failure, &gate, &staging, why);
-                }
-            })?);
-        }
-
-        // Credit writer: coalesces pending credits into one frame per wake.
-        {
-            let mut out = wire.credit_out;
-            let (failure, gate, staging) = (failure.clone(), gate.clone(), staging.clone());
-            threads.push(io_thread("ewh-xport-credit-tx", move || {
-                let empty = ColumnBatch::new();
-                let mut buf = Vec::with_capacity(64);
-                while let Ok(mut w) = credit_rx.recv() {
-                    while let Ok(more) = credit_rx.try_recv() {
-                        w += more;
-                    }
-                    buf.clear();
-                    encode_frame(&mut buf, FRAME_CREDIT, w, 0, &[], &empty);
-                    if let Err(e) = out.write_all(&buf) {
-                        trip_link(&failure, &gate, &staging, format!("credit write: {e}"));
-                        return;
-                    }
-                }
-            })?);
-        }
+                Err(e) => fail_write(format!("write: {e}")),
+            }
+        })?;
 
         // Credit reader: returns window to the gate, waking parked pushers.
-        {
-            let mut src = wire.credit_in;
-            let (failure, gate, staging) = (failure.clone(), gate.clone(), staging.clone());
-            threads.push(io_thread("ewh-xport-credit-rx", move || {
-                let pumped = pump_frames(&mut src, 4096, |f| {
-                    credit_frame(&gate, &f, "on credit link")
-                });
-                if let Err(e) = pumped {
-                    let why = e.reason("credit stream truncated", "credit read");
-                    trip_link(&failure, &gate, &staging, why);
+        let mut src = sock.try_clone()?;
+        let credited = gate.clone();
+        let credits = io_thread("ewh-link-credit-rx", move || {
+            let ended = pump_frames(&mut src, 4096, |f| match f.kind {
+                FRAME_CREDIT => {
+                    credited.release(f.a as usize);
+                    Ok(())
                 }
-            })?);
-        }
+                other => Err(format!("unexpected frame kind {other}")),
+            });
+            if let Err(why) = ended {
+                fail(format!("credit stream: {why}"));
+            }
+        })?;
 
-        Ok(Arc::new(RemoteQueue {
-            staging,
+        Ok(LinkSender {
             gate,
             failure,
-            data_tx: Mutex::new(Some(data_tx)),
-            credit_tx: Mutex::new(Some(credit_tx)),
-            threads: Mutex::new(threads),
+            frames: Some(frames),
+            sock,
             wire_bytes,
-        }))
+            threads: vec![writer, credits],
+            item: PhantomData,
+        })
     }
 
-    /// Bytes the data writer put on the wire (frame headers included).
-    pub fn wire_bytes(&self) -> u64 {
-        self.wire_bytes.load(Ordering::Relaxed)
-    }
-
-    pub fn failure(&self) -> &Arc<TransportFailure> {
-        &self.failure
-    }
-
-    fn send(&self, item: Delivery) {
-        let mut buf = Vec::new();
-        encode_delivery(&mut buf, &item);
-        if let Some(tx) = self.data_tx.lock().expect("data tx poisoned").as_ref() {
-            // A send after the writer died parks the frame in a dead
-            // channel; the failure latch is already tripped.
-            let _ = tx.send(buf);
-        }
-    }
-}
-
-impl Drop for RemoteQueue {
-    fn drop(&mut self) {
-        // Closing the channels ends the writer threads, which drop their
-        // stream ends, which EOFs the reader threads: a full quiesce with
-        // no sentinel traffic.
-        self.data_tx.lock().expect("data tx poisoned").take();
-        self.credit_tx.lock().expect("credit tx poisoned").take();
-        for handle in self.threads.lock().expect("threads poisoned").drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl FragmentPort for RemoteQueue {
-    type Item = Delivery;
-
-    /// On a failed link the delivery is discarded: the run is unwinding.
-    fn offer(&self, item: Delivery, park: Option<&Waker>) -> Result<(), Delivery> {
+    /// Non-blocking bounded push for pool tasks; hands the item back (with
+    /// `park` registered) when the window is full. On a failed link the
+    /// item is discarded: the run is unwinding.
+    pub(crate) fn offer(&self, item: T, park: Option<&Waker>) -> Result<(), T> {
         if self.failure.failed() {
             return Ok(());
         }
         if !self.gate.admit_or_park(item.weight(), park) {
             return Err(item);
         }
-        self.send(item);
+        self.send(&item);
         Ok(())
     }
 
-    fn push_unbounded(&self, item: Delivery) {
+    pub(crate) fn push_unbounded(&self, item: T) {
         self.gate.admit_unbounded(item.weight());
-        self.send(item);
+        self.send(&item);
     }
 
-    /// Returns a popped delivery's weight to the producer as credit.
-    fn take(&self, park: Option<&Waker>) -> PortPop<Delivery> {
-        let popped = self.staging.take(park);
-        if let PortPop::Item(item) = &popped {
-            let w = item.weight();
-            if w > 0 {
-                if let Some(tx) = self.credit_tx.lock().expect("credit tx poisoned").as_ref() {
-                    let _ = tx.send(w as u64);
+    /// Blocking bounded push, for client threads outside the pool. `Err`
+    /// carries the failure reason: every trip this half sees abandons its
+    /// gate.
+    pub fn push(&self, item: T) -> Result<(), String> {
+        if !self.gate.admit_blocking(item.weight()) {
+            let why = self.failure.reason();
+            return Err(why.unwrap_or_else(|| "link failed".into()));
+        }
+        self.send(&item);
+        Ok(())
+    }
+
+    fn send(&self, item: &T) {
+        let mut buf = Vec::new();
+        item.encode(&mut buf);
+        if let Some(frames) = &self.frames {
+            // A send after the writer died parks the frame in a dead
+            // channel; the failure latch is already tripped.
+            let _ = frames.send(buf);
+        }
+    }
+
+    /// Bytes the writer put on the wire, frame headers (and, once the
+    /// stream has ended, its `CLOSE`) included.
+    fn wire_bytes(&self) -> u64 {
+        self.wire_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Ends the stream and waits for the receiver to end its credit stream.
+    /// Returns the bytes put on the wire, or the failure reason.
+    pub fn finish(mut self) -> Result<u64, String> {
+        self.frames = None;
+        join_all(&mut self.threads);
+        match self.failure.reason() {
+            Some(why) => Err(why),
+            None => Ok(self.wire_bytes()),
+        }
+    }
+}
+
+impl<T> Drop for LinkSender<T> {
+    fn drop(&mut self) {
+        // A sender dropped before its stream ended (an unwinding client)
+        // must not look finished: cut the socket first, so the writer fails
+        // instead of sending `CLOSE`.
+        if self.frames.is_some() {
+            let _ = self.sock.shutdown(Shutdown::Both);
+            self.frames = None;
+        }
+        join_all(&mut self.threads);
+    }
+}
+
+/// The consuming half of a link: a reader thread that decodes frames into a
+/// staging [`Channel`] (whose waker plumbing parks and wakes the consumer
+/// unchanged), and a credit writer that returns each popped item's weight
+/// as a `CREDIT` frame, coalescing what is pending into one frame per wake.
+pub struct LinkReceiver<T> {
+    staging: Arc<Channel<T>>,
+    failure: Arc<TransportFailure>,
+    /// Weights to credit back; `None` once the credit stream is ended.
+    credits: Option<mpsc::Sender<u64>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl<T: Framed> LinkReceiver<T> {
+    /// Accepts one [`LinkSender::connect`]. The link has a failure latch of
+    /// its own.
+    pub fn accept(listener: &TcpListener) -> io::Result<Self> {
+        let (sock, _) = listener.accept()?;
+        Self::spawn(sock, TransportFailure::new())
+    }
+
+    fn spawn(sock: TcpStream, failure: Arc<TransportFailure>) -> io::Result<Self> {
+        sock.set_nodelay(true)?;
+        // Staging is pushed unbounded: what it holds is bounded by the
+        // sender's credit window, which only a pop replenishes.
+        let staging = Arc::new(Channel::new(usize::MAX));
+        let (credits, returned) = mpsc::channel::<u64>();
+
+        // Reader: decodes into the staging channel until the sender's
+        // `CLOSE` and half-close. A dying stream also ends the credit stream
+        // without `CLOSE`, so the sender trips too, and drains the socket,
+        // so its writer never blocks on a reader that is gone.
+        let mut src = sock.try_clone()?;
+        let (staged, tripped) = (staging.clone(), failure.clone());
+        let reader = io_thread("ewh-link-rx", move || {
+            let ended = pump_frames(&mut src, 64 * 1024, |f| {
+                staged.push_unbounded(T::decode(f)?);
+                Ok(())
+            });
+            if let Err(why) = &ended {
+                tripped.trip(format!("data stream: {why}"));
+                if let Some(abort) = T::abort() {
+                    staged.push_unbounded(abort);
                 }
             }
+            staged.close();
+            if ended.is_err() {
+                let _ = src.shutdown(Shutdown::Write);
+                let _ = io::copy(&mut src, &mut io::sink());
+            }
+        })?;
+
+        let mut out = sock;
+        let credit_failure = failure.clone();
+        let credit_writer = io_thread("ewh-link-credit-tx", move || {
+            let empty = ColumnBatch::new();
+            let mut buf = Vec::with_capacity(64);
+            let written = returned
+                .iter()
+                .try_for_each(|w| {
+                    buf.clear();
+                    let w = w + returned.try_iter().sum::<u64>();
+                    encode_frame(&mut buf, FRAME_CREDIT, w, 0, &[], &empty);
+                    out.write_all(&buf)
+                })
+                .and_then(|()| write_close(&mut out));
+            if let Err(e) = written {
+                credit_failure.trip(format!("credit write: {e}"));
+            }
+        })?;
+
+        Ok(LinkReceiver {
+            staging,
+            failure,
+            credits: Some(credits),
+            threads: vec![reader, credit_writer],
+        })
+    }
+
+    /// Non-blocking pop for pool tasks; a popped item's weight goes back to
+    /// the sender as credit.
+    pub(crate) fn take(&self, park: Option<&Waker>) -> PortPop<T> {
+        let popped = self.staging.take(park);
+        if let PortPop::Item(item) = &popped {
+            self.credit(item.weight());
         }
         popped
+    }
+
+    /// Blocking pop for client threads: `None` once the stream has ended —
+    /// cleanly or not, which [`join`](Self::join) tells.
+    pub fn pop(&self) -> Option<T> {
+        let item = self.staging.pop()?;
+        self.credit(item.weight());
+        Some(item)
+    }
+
+    fn credit(&self, w: usize) {
+        if let (true, Some(credits)) = (w > 0, &self.credits) {
+            let _ = credits.send(w as u64);
+        }
+    }
+
+    /// Ends the credit stream and joins both threads; `Err` carries the
+    /// failure reason if the stream did not end with a clean `CLOSE`.
+    pub fn join(mut self) -> Result<(), String> {
+        self.credits = None;
+        join_all(&mut self.threads);
+        self.failure.reason().map_or(Ok(()), Err)
+    }
+}
+
+impl<T> Drop for LinkReceiver<T> {
+    fn drop(&mut self) {
+        self.credits = None;
+        join_all(&mut self.threads);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// RemoteQueue
+// ---------------------------------------------------------------------------
+
+/// A mapper→reducer delivery channel carried over one TCP connection: the
+/// two halves of a `Delivery` link joined in-process, speaking the exact
+/// [`FragmentPort`] contract of the in-process [`Channel`].
+pub struct RemoteQueue {
+    tx: LinkSender<Delivery>,
+    rx: LinkReceiver<Delivery>,
+}
+
+impl RemoteQueue {
+    /// Opens the connection and spawns both halves' four I/O threads.
+    /// `failure` is shared by every link of a run.
+    pub fn spawn(
+        cfg: &TransportConfig,
+        capacity_tuples: usize,
+        failure: Arc<TransportFailure>,
+    ) -> io::Result<Arc<RemoteQueue>> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let out = TcpStream::connect(listener.local_addr()?)?;
+        let (inbound, _) = listener.accept()?;
+        Ok(Arc::new(RemoteQueue {
+            tx: LinkSender::spawn(out, capacity_tuples, failure.clone(), cfg.corrupt_frame)?,
+            rx: LinkReceiver::spawn(inbound, failure)?,
+        }))
+    }
+
+    /// Bytes the data writer put on the wire (frame headers included).
+    pub fn wire_bytes(&self) -> u64 {
+        self.tx.wire_bytes()
+    }
+}
+
+impl Drop for RemoteQueue {
+    fn drop(&mut self) {
+        // Both directions end before either half joins: the sender's credit
+        // reader waits for the receiver's `CLOSE`.
+        self.tx.frames = None;
+        self.rx.credits = None;
+    }
+}
+
+impl FragmentPort for RemoteQueue {
+    type Item = Delivery;
+
+    fn offer(&self, item: Delivery, park: Option<&Waker>) -> Result<(), Delivery> {
+        self.tx.offer(item, park)
+    }
+
+    fn push_unbounded(&self, item: Delivery) {
+        self.tx.push_unbounded(item);
+    }
+
+    fn take(&self, park: Option<&Waker>) -> PortPop<Delivery> {
+        self.rx.take(park)
     }
 
     /// Window charged but not yet credited back: tuples in the writer's
@@ -836,213 +819,24 @@ impl FragmentPort for RemoteQueue {
     /// generalization of queue depth the coordinator's backlog heuristics
     /// expect.
     fn used_tuples(&self) -> usize {
-        self.gate.used()
+        self.tx.gate.used()
     }
 
     fn note_blocked(&self, nanos: u64) {
-        self.gate.note_blocked(nanos);
+        self.tx.gate.note_blocked(nanos);
     }
 
     fn blocked_secs(&self) -> f64 {
-        self.gate.blocked_secs()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-process exchange
-// ---------------------------------------------------------------------------
-
-/// The producing half of a cross-process [`Exchange`]: batches go out as
-/// frames on one TCP connection, credits come back on the same socket.
-/// Used by the distributed benchmark's parent process to stream a relation
-/// into a worker process.
-pub struct RemoteExchangeSender {
-    out: Mutex<TcpStream>,
-    gate: Arc<CreditGate>,
-    failure: Arc<TransportFailure>,
-    reader: Option<JoinHandle<()>>,
-    scratch: Mutex<Vec<u8>>,
-}
-
-impl RemoteExchangeSender {
-    /// Connects to a [`RemoteExchangeReceiver`]. `window_tuples` bounds the
-    /// tuples in flight toward the receiver (its staging exchange adds its
-    /// own bound downstream).
-    pub fn connect(addr: &str, window_tuples: usize) -> io::Result<Self> {
-        let sock = TcpStream::connect(addr)?;
-        sock.set_nodelay(true)?;
-        let rd = sock.try_clone()?;
-        let gate = CreditGate::new(window_tuples);
-        let failure = TransportFailure::new();
-        let reader = {
-            let gate = gate.clone();
-            let failure = failure.clone();
-            let mut src = rd;
-            io_thread("ewh-xchg-credit-rx", move || {
-                // A receiver that goes away — EOF, even mid-frame, or a
-                // failed read — is not this side's failure to report: the
-                // next `push` fails on its own write.
-                let pumped =
-                    pump_frames(&mut src, 4096, |f| credit_frame(&gate, &f, "from receiver"));
-                if let Err(PumpError::Frame(why)) = pumped {
-                    failure.trip(why);
-                    gate.abandon();
-                }
-            })?
-        };
-        Ok(RemoteExchangeSender {
-            out: Mutex::new(sock),
-            gate,
-            failure,
-            reader: Some(reader),
-            scratch: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Blocking bounded push: waits for window, then writes one frame.
-    pub fn push(&self, batch: &ColumnBatch) -> io::Result<()> {
-        if !self.gate.admit_blocking(batch.len()) {
-            return Err(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                self.failure
-                    .reason()
-                    .unwrap_or_else(|| "link failed".into()),
-            ));
-        }
-        let mut buf = self.scratch.lock().expect("scratch poisoned");
-        buf.clear();
-        encode_frame(&mut buf, FRAME_XBATCH, 0, 0, &[], batch);
-        self.out
-            .lock()
-            .expect("sender socket poisoned")
-            .write_all(&buf)
-    }
-
-    /// End of stream: sends `CLOSE`, half-closes the socket, and reaps the
-    /// credit reader.
-    pub fn finish(mut self) -> io::Result<()> {
-        {
-            let mut buf = self.scratch.lock().expect("scratch poisoned");
-            buf.clear();
-            encode_frame(&mut buf, FRAME_CLOSE, 0, 0, &[], &ColumnBatch::new());
-            let mut out = self.out.lock().expect("sender socket poisoned");
-            out.write_all(&buf)?;
-            out.shutdown(std::net::Shutdown::Write)?;
-        }
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-        Ok(())
-    }
-}
-
-impl Drop for RemoteExchangeSender {
-    fn drop(&mut self) {
-        // An un-finished sender (error path) still closes the socket by
-        // dropping it; just don't leave the reader thread dangling.
-        if let Some(reader) = self.reader.take() {
-            let _ = self
-                .out
-                .lock()
-                .map(|s| s.shutdown(std::net::Shutdown::Both));
-            let _ = reader.join();
-        }
-    }
-}
-
-/// The consuming half: accepts one sender connection, decodes arriving
-/// batches into a bounded [`Exchange`] (blocking when the downstream
-/// engine lags — which stops the reads, which stops the credits, which
-/// parks the sender: end-to-end backpressure), and credits each batch as
-/// it is staged.
-pub struct RemoteExchangeReceiver {
-    exchange: Arc<Exchange>,
-    failure: Arc<TransportFailure>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl RemoteExchangeReceiver {
-    pub fn accept(listener: &TcpListener, capacity_tuples: usize) -> io::Result<Self> {
-        let (sock, _) = listener.accept()?;
-        sock.set_nodelay(true)?;
-        let mut wr = sock.try_clone()?;
-        let exchange = Arc::new(Exchange::new(capacity_tuples));
-        let failure = TransportFailure::new();
-        let thread = {
-            let exchange = exchange.clone();
-            let failure = failure.clone();
-            let mut src = sock;
-            io_thread("ewh-xchg-data-rx", move || {
-                let mut credit = Vec::with_capacity(64);
-                let empty = ColumnBatch::new();
-                let mut closed = false;
-                let pumped = pump_frames(&mut src, 64 * 1024, |f| match f.kind {
-                    FRAME_XBATCH => {
-                        let w = f.batch.len() as u64;
-                        exchange.push(f.batch);
-                        if w > 0 {
-                            credit.clear();
-                            encode_frame(&mut credit, FRAME_CREDIT, w, 0, &[], &empty);
-                            wr.write_all(&credit)
-                                .map_err(|_| "credit write failed".to_string())?;
-                        }
-                        Ok(ControlFlow::Continue(()))
-                    }
-                    FRAME_CLOSE => {
-                        closed = true;
-                        Ok(ControlFlow::Break(()))
-                    }
-                    other => Err(format!("unexpected kind {other}")),
-                });
-                let failed = match pumped {
-                    Ok(()) if closed => None,
-                    Ok(()) => Some("sender vanished without CLOSE".into()),
-                    Err(e) => Some(e.reason("truncated mid-frame", "read")),
-                };
-                if let Some(why) = failed {
-                    failure.trip(why);
-                }
-                // Close (not abandon), failed or not: the downstream engine
-                // sees a normal end of stream and terminates; the caller
-                // must check `failed()` before trusting the result.
-                exchange.close();
-            })?
-        };
-        Ok(RemoteExchangeReceiver {
-            exchange,
-            failure,
-            thread: Some(thread),
-        })
-    }
-
-    /// The staging exchange the engine consumes (`Source::Exchange`).
-    pub fn exchange(&self) -> &Arc<Exchange> {
-        &self.exchange
-    }
-
-    /// Joins the reader; `Err` carries the failure reason if the stream
-    /// did not end with a clean `CLOSE`.
-    pub fn join(mut self) -> Result<(), String> {
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-        match self.failure.reason() {
-            Some(why) => Err(why),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Drop for RemoteExchangeReceiver {
-    fn drop(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.tx.gate.blocked_secs()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
+    use super::super::port::DeliveryPort;
+    use super::super::runtime::{EngineRuntime, Poll};
     use super::*;
 
     fn cols(n: usize) -> ColumnBatch {
@@ -1073,6 +867,23 @@ mod tests {
         }
     }
 
+    fn next_item(port: &DeliveryPort) -> Delivery {
+        drain_until(Duration::from_secs(10), || match port.try_pop() {
+            PortPop::Item(d) => Some(d),
+            _ => None,
+        })
+    }
+
+    fn decode_all(wire: &[u8]) -> Vec<Delivery> {
+        let mut dec = FrameDecoder::new();
+        dec.feed(wire);
+        let mut got = Vec::new();
+        while let Some(f) = dec.next_frame().expect("valid") {
+            got.push(Delivery::decode(f).expect("decodes"));
+        }
+        got
+    }
+
     #[test]
     fn adopt_round_trips_through_the_codec() {
         let state = MigratedRegion {
@@ -1095,11 +906,8 @@ mod tests {
             state: Box::new(state),
         };
         let mut wire = Vec::new();
-        encode_delivery(&mut wire, &d);
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire);
-        let frame = dec.next_frame().expect("valid").expect("complete");
-        let Delivery::Adopt { region, state } = decode_delivery(frame).expect("decodes") else {
+        d.encode(&mut wire);
+        let Some(Delivery::Adopt { region, state }) = decode_all(&wire).pop() else {
             panic!("wrong variant");
         };
         assert_eq!(region, 4);
@@ -1136,7 +944,7 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
         let frame = dec.next_frame().expect("valid frame").expect("complete");
-        let err = decode_delivery(frame).expect_err("hostile offset must not decode");
+        let err = Delivery::decode(frame).expect_err("hostile offset must not decode");
         assert!(err.contains("overflows"), "got: {err}");
     }
 
@@ -1151,14 +959,9 @@ mod tests {
         ];
         let mut wire = Vec::new();
         for d in &deliveries {
-            encode_delivery(&mut wire, d);
+            d.encode(&mut wire);
         }
-        let mut dec = FrameDecoder::new();
-        dec.feed(&wire);
-        let mut got = Vec::new();
-        while let Some(f) = dec.next_frame().expect("valid") {
-            got.push(decode_delivery(f).expect("decodes"));
-        }
+        let got = decode_all(&wire);
         assert_eq!(got.len(), 5);
         assert!(matches!(got[0], Delivery::SealR1));
         assert!(matches!(got[1], Delivery::SealAll));
@@ -1167,29 +970,18 @@ mod tests {
         assert!(matches!(got[4], Delivery::Abort));
     }
 
-    fn round_trip_over(kind: TransportKind) {
+    #[test]
+    fn tcp_link_round_trips_in_order() {
         let failure = TransportFailure::new();
-        let q = RemoteQueue::spawn(
-            &TransportConfig {
-                kind,
-                throttle_bytes_per_sec: None,
-                corrupt_frame: None,
-            },
-            1 << 20,
-            failure.clone(),
-        )
-        .expect("link");
-        let port: &super::super::port::DeliveryPort = &*q;
+        let q =
+            RemoteQueue::spawn(&TransportConfig::tcp(), 1 << 20, failure.clone()).expect("link");
+        let port: &DeliveryPort = &*q;
         for region in 0..32u32 {
             assert!(port.try_push(batch_delivery(region, 100)).is_ok());
         }
         port.push_unbounded(Delivery::SealAll);
         for region in 0..32u32 {
-            let d = drain_until(Duration::from_secs(10), || match port.try_pop() {
-                PortPop::Item(d) => Some(d),
-                _ => None,
-            });
-            let Delivery::Batch(rb) = d else {
+            let Delivery::Batch(rb) = next_item(port) else {
                 panic!("expected a batch")
             };
             assert_eq!(rb.region, region, "FIFO order preserved");
@@ -1197,11 +989,7 @@ mod tests {
             assert_eq!(rb.tuples.keys(), cols(100).keys());
             assert_eq!(rb.tuples.payloads(), cols(100).payloads());
         }
-        let d = drain_until(Duration::from_secs(10), || match port.try_pop() {
-            PortPop::Item(d) => Some(d),
-            _ => None,
-        });
-        assert!(matches!(d, Delivery::SealAll));
+        assert!(matches!(next_item(port), Delivery::SealAll));
         // Credits drain the window back to zero.
         drain_until(Duration::from_secs(10), || {
             (port.used_tuples() == 0).then_some(())
@@ -1211,28 +999,15 @@ mod tests {
     }
 
     #[test]
-    fn loopback_link_round_trips_in_order() {
-        round_trip_over(TransportKind::Loopback);
-    }
-
-    #[test]
-    fn tcp_link_round_trips_in_order() {
-        round_trip_over(TransportKind::Tcp);
-    }
-
-    #[test]
     fn the_window_bounces_like_a_full_queue() {
         let failure = TransportFailure::new();
-        let q = RemoteQueue::spawn(&TransportConfig::loopback(), 100, failure).expect("link");
-        let port: &super::super::port::DeliveryPort = &*q;
+        let q = RemoteQueue::spawn(&TransportConfig::tcp(), 100, failure).expect("link");
+        let port: &DeliveryPort = &*q;
         assert!(port.try_push(batch_delivery(0, 80)).is_ok());
         let bounced = port.try_push(batch_delivery(1, 50));
         assert!(bounced.is_err(), "window overrun hands the delivery back");
         // Popping the staged batch returns credit and re-admits.
-        drain_until(Duration::from_secs(10), || match port.try_pop() {
-            PortPop::Item(d) => Some(d),
-            _ => None,
-        });
+        next_item(port);
         drain_until(Duration::from_secs(10), || {
             port.try_push(batch_delivery(1, 50)).is_ok().then_some(())
         });
@@ -1241,22 +1016,13 @@ mod tests {
     #[test]
     fn a_corrupt_frame_trips_the_failure_latch_and_aborts_in_band() {
         let failure = TransportFailure::new();
-        let q = RemoteQueue::spawn(
-            &TransportConfig {
-                kind: TransportKind::Loopback,
-                throttle_bytes_per_sec: None,
-                corrupt_frame: Some(0),
-            },
-            1 << 20,
-            failure.clone(),
-        )
-        .expect("link");
-        let port: &super::super::port::DeliveryPort = &*q;
+        let cfg = TransportConfig {
+            corrupt_frame: Some(0),
+        };
+        let q = RemoteQueue::spawn(&cfg, 1 << 20, failure.clone()).expect("link");
+        let port: &DeliveryPort = &*q;
         assert!(port.try_push(batch_delivery(0, 64)).is_ok());
-        let d = drain_until(Duration::from_secs(10), || match port.try_pop() {
-            PortPop::Item(d) => Some(d),
-            _ => None,
-        });
+        let d = next_item(port);
         assert!(
             matches!(d, Delivery::Abort),
             "corruption surfaces as an in-band abort, got {d:?}"
@@ -1268,45 +1034,136 @@ mod tests {
         assert!(port.try_push(batch_delivery(2, 1 << 19)).is_ok());
     }
 
+    /// The uniform end-of-stream rule on a delivery link: a sender that
+    /// vanishes mid-stream without `CLOSE` trips the latch, and the reducer
+    /// gets what was sent, then the in-band `Abort`, then the closed port.
+    #[test]
+    fn a_sender_that_vanishes_without_close_aborts_the_reducer_in_band() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let failure = TransportFailure::new();
+        let accepted = listener.accept().expect("accept").0;
+        let rx = LinkReceiver::<Delivery>::spawn(accepted, failure.clone()).expect("receiver");
+        let mut wire = Vec::new();
+        batch_delivery(3, 10).encode(&mut wire);
+        Delivery::SealR1.encode(&mut wire);
+        peer.write_all(&wire).expect("write");
+        drop(peer);
+        // Nothing is popped (so no credit is written) before the trip: the
+        // reason is the reader's.
+        drain_until(Duration::from_secs(10), || failure.failed().then_some(()));
+        let reason = failure.reason().expect("tripped");
+        assert!(reason.contains("without CLOSE"), "got: {reason}");
+        let mut got = Vec::new();
+        while let PortPop::Item(d) = rx.take(None) {
+            got.push(d);
+        }
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert!(matches!(
+            got[0],
+            Delivery::Batch(RegionBatch { region: 3, .. })
+        ));
+        assert!(matches!(got[1], Delivery::SealR1));
+        assert!(matches!(got[2], Delivery::Abort));
+        assert!(matches!(rx.take(None), PortPop::Closed));
+    }
+
+    /// The same rule on a relation-shipping link: the consumer drains what
+    /// arrived, and `join` reports the failure.
+    #[test]
+    fn a_sender_that_vanishes_without_close_fails_the_shipping_join() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let rx = LinkReceiver::<ColumnBatch>::accept(&listener).expect("accept");
+        let mut wire = Vec::new();
+        cols(7).encode(&mut wire);
+        peer.write_all(&wire).expect("write");
+        drop(peer);
+        drain_until(Duration::from_secs(10), || {
+            rx.failure.failed().then_some(())
+        });
+        assert_eq!(rx.pop().map(|b| b.len()), Some(7));
+        assert!(rx.pop().is_none());
+        let err = rx.join().expect_err("no CLOSE, no clean end");
+        assert!(err.contains("without CLOSE"), "got: {err}");
+    }
+
+    /// And in the other direction: a receiver that vanishes releases a
+    /// client blocked on the window with the failure.
+    #[test]
+    fn a_receiver_that_vanishes_fails_a_blocked_push() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let tx = LinkSender::<ColumnBatch>::connect(&addr, 4).expect("connect");
+        drop(listener.accept().expect("accept"));
+        tx.push(cols(10))
+            .expect("an empty window admits an oversized batch");
+        let err = tx.push(cols(10)).expect_err("nobody will ever credit it");
+        assert!(err.contains("credit stream"), "got: {err}");
+    }
+
+    /// Teardown with deliveries nobody popped and a producer parked on the
+    /// full window, on a healthy link and on one whose reader failed (it
+    /// drains the socket until the sender's half-close): the drop ends both
+    /// directions and joins all four I/O threads. Only the reader pushes
+    /// into the staging channel, and only before it closes it.
+    #[test]
+    fn dropping_a_backlogged_queue_joins_every_io_thread() {
+        let waker = Mutex::new(None);
+        EngineRuntime::new(1).scope(|s| {
+            let waker = &waker;
+            s.spawn(move |cx| {
+                *waker.lock().expect("waker") = Some(cx.waker().clone());
+                Poll::Ready
+            });
+        });
+        let waker = waker.into_inner().expect("waker").expect("spawned");
+        for corrupt_frame in [None, Some(1)] {
+            let failure = TransportFailure::new();
+            let cfg = TransportConfig { corrupt_frame };
+            let q = RemoteQueue::spawn(&cfg, 100, failure.clone()).expect("link");
+            assert!(q.try_push(batch_delivery(0, 80)).is_ok());
+            q.push_unbounded(Delivery::SealR1);
+            if corrupt_frame.is_some() {
+                drain_until(Duration::from_secs(10), || failure.failed().then_some(()));
+            } else {
+                assert!(q.try_push_or_park(batch_delivery(1, 50), &waker).is_err());
+            }
+            let (done, dropped) = mpsc::channel();
+            let dropper = std::thread::spawn(move || {
+                drop(q);
+                let _ = done.send(());
+            });
+            dropped
+                .recv_timeout(Duration::from_secs(10))
+                .expect("drop must join every I/O thread");
+            dropper.join().expect("dropper");
+        }
+    }
+
     #[test]
     fn the_remote_exchange_streams_batches_cross_socket() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        let receiver = RemoteExchangeReceiver::accept_after_connect(&listener, 4096, &addr);
-        let (receiver, sender) = receiver;
-        let exchange = receiver.exchange().clone();
         let producer = std::thread::spawn(move || {
+            let tx = LinkSender::<ColumnBatch>::connect(&addr, 2048).expect("connect");
             for i in 0..64 {
-                sender.push(&cols(100 + i)).expect("push");
+                tx.push(cols(100 + i)).expect("push");
             }
-            sender.finish().expect("finish");
+            tx.finish().expect("finish")
         });
+        let rx = LinkReceiver::<ColumnBatch>::accept(&listener).expect("accept");
         let mut got = 0usize;
         let mut batches = 0usize;
-        while let Some(b) = exchange.pop() {
+        while let Some(b) = rx.pop() {
             got += b.len();
             batches += 1;
         }
-        producer.join().expect("producer");
+        rx.join().expect("clean close");
+        let wire = producer.join().expect("producer");
         assert_eq!(batches, 64);
         assert_eq!(got, (0..64).map(|i| 100 + i).sum::<usize>());
-        receiver.join().expect("clean close");
-    }
-
-    impl RemoteExchangeReceiver {
-        /// Test helper: connect and accept without a second thread.
-        fn accept_after_connect(
-            listener: &TcpListener,
-            capacity: usize,
-            addr: &str,
-        ) -> (RemoteExchangeReceiver, RemoteExchangeSender) {
-            let addr = addr.to_string();
-            let sender = std::thread::spawn(move || {
-                RemoteExchangeSender::connect(&addr, 2048).expect("connect")
-            });
-            let receiver = RemoteExchangeReceiver::accept(listener, capacity).expect("accept");
-            (receiver, sender.join().expect("sender thread"))
-        }
+        assert!(wire as usize > got * TUPLE_BYTES as usize);
     }
 
     #[test]

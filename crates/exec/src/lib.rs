@@ -60,10 +60,9 @@ mod shuffle;
 pub use adaptive::AdaptiveConfig;
 pub use engine::{
     merge_sorted_runs, BatchPool, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange,
-    FragmentPort, LinkProfile, MemGauge, Morsel, MorselPlan, PortPop, ProgressBoard, QueryTicket,
-    RemoteExchangeReceiver, RemoteExchangeSender, RemoteQueue, RuntimeConfig, RuntimeMetrics,
-    Source, SpillConfig, SpillContext, SpillRun, SpillTotals, StageSink, Straggler,
-    TransportConfig, TransportFailure, TransportKind,
+    FragmentPort, LinkProfile, LinkReceiver, LinkSender, MemGauge, Morsel, MorselPlan, PortPop,
+    ProgressBoard, QueryTicket, RemoteQueue, RuntimeConfig, RuntimeMetrics, Source, SpillConfig,
+    SpillContext, SpillRun, SpillTotals, StageSink, Straggler, TransportConfig, TransportFailure,
 };
 pub use local_join::{
     local_join, output_tuple, pair_payload, pair_tag, sweep_columns, sweep_columns_each,

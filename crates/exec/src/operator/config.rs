@@ -94,8 +94,8 @@ pub struct OperatorConfig {
     /// is enforced instead; with neither, queries never spill.
     pub spill: SpillConfig,
     /// Run the pipelined engine's mapper → reducer deliveries over the
-    /// framed byte-stream transport (in-process loopback pipes or real
-    /// localhost TCP sockets) instead of shared-memory queues — the same
+    /// framed transport (one localhost TCP connection per reducer) instead
+    /// of shared-memory queues — the same
     /// `FragmentPort` contract, with a credit window in place of the shared
     /// tuple counter. `None` keeps the in-process queues.
     pub transport: Option<TransportConfig>,

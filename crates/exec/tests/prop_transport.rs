@@ -3,8 +3,8 @@
 //! `i64` keys, slabs past the decoder's 64 KiB compaction threshold) no
 //! matter how the byte stream is chopped into reads, and the whole
 //! pipelined engine must produce output identical to the `ExecMode::Batch`
-//! oracle when every mapper → reducer delivery crosses a framed link —
-//! loopback pipes or real localhost TCP sockets, with and without
+//! oracle when every mapper → reducer delivery crosses a framed link — a
+//! real localhost TCP connection, with and without
 //! migration thresholds forced to fire (`MIGRATE`/`ADOPT` control frames
 //! ride the same wire as data), and with a spill budget forcing adopted
 //! regions to ship their on-disk run descriptors through the codec.
@@ -236,10 +236,10 @@ fn forced_migration() -> AdaptiveConfig {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
-    // The whole engine over framed links — loopback pipes and real TCP
-    // sockets — stays bit-identical to the batch oracle on every scheme,
-    // with and without forced migration (sealed regions then travel as
-    // ADOPT frames on the same stream as the data they interleave with).
+    // The whole engine over framed TCP links stays bit-identical to the
+    // batch oracle on every scheme, with and without forced migration
+    // (sealed regions then travel as ADOPT frames on the same stream as the
+    // data they interleave with).
     #[test]
     fn transport_engine_equals_batch_oracle(
         k1 in prop::collection::vec(0i64..60, 0..200),
@@ -248,11 +248,9 @@ proptest! {
         j in 1usize..6,
         seed in 0u64..1000,
         migrate in any::<bool>(),
-        tcp in any::<bool>(),
     ) {
         let (r1, r2) = (tuples(&k1), tuples(&k2));
         let cond = JoinCondition::Band { beta };
-        let transport = if tcp { TransportConfig::tcp() } else { TransportConfig::loopback() };
         let rt = EngineRuntime::new(4);
         let base = OperatorConfig {
             j,
@@ -271,18 +269,18 @@ proptest! {
                 &rt, kind, &r1, &r2, &cond,
                 &OperatorConfig {
                     mode: ExecMode::Pipelined,
-                    transport: Some(transport),
+                    transport: Some(TransportConfig::tcp()),
                     adaptive: if migrate { forced_migration() } else { AdaptiveConfig::default() },
                     ..base.clone()
                 },
             );
             prop_assert_eq!(
                 framed.join.output_total, batch.join.output_total,
-                "{} beta={} tcp={} migrate={}", kind, beta, tcp, migrate
+                "{} beta={} migrate={}", kind, beta, migrate
             );
             prop_assert_eq!(
                 framed.join.checksum, batch.join.checksum,
-                "{} beta={} tcp={} checksum", kind, beta, tcp
+                "{} beta={} checksum", kind, beta
             );
         }
     }
@@ -324,7 +322,7 @@ fn spilling_transport_run_with_forced_migration_matches_oracle() {
         &cond,
         &OperatorConfig {
             mode: ExecMode::Pipelined,
-            transport: Some(TransportConfig::loopback()),
+            transport: Some(TransportConfig::tcp()),
             adaptive: forced_migration(),
             // A straggling reducer keeps one link visibly backlogged while
             // its sibling drains — without it the forced thresholds race
@@ -384,7 +382,6 @@ fn a_corrupt_frame_cancels_the_query_and_the_pool_survives() {
         mode: ExecMode::Pipelined,
         transport: Some(TransportConfig {
             corrupt_frame: Some(0),
-            ..TransportConfig::loopback()
         }),
         ..base.clone()
     };
@@ -435,8 +432,8 @@ fn a_corrupt_frame_cancels_the_query_and_the_pool_survives() {
 /// transport, so a corrupt first frame kills a stage of a one-stage plan
 /// and of a two-stage one alike. The plan must fail at its join with the
 /// transport failure in the message — not return an empty join — and the
-/// pool must then run healthy plans over loopback and TCP, bit-identical
-/// to the materialized oracle.
+/// pool must then run a healthy plan over TCP, bit-identical to the
+/// materialized oracle.
 #[test]
 fn a_corrupt_frame_in_a_plan_stage_fails_the_plan_and_the_pool_survives() {
     let keys: Vec<Key> = (0..2000).map(|i| (i % 100) as Key).collect();
@@ -464,7 +461,6 @@ fn a_corrupt_frame_in_a_plan_stage_fails_the_plan_and_the_pool_survives() {
     };
     let poisoned = over(TransportConfig {
         corrupt_frame: Some(0),
-        ..TransportConfig::loopback()
     });
     for stages in [&chain[..0], &chain[..]] {
         let oracle = run_plan_materialized(&a, &b, &first, stages, &base);
@@ -486,11 +482,9 @@ fn a_corrupt_frame_in_a_plan_stage_fails_the_plan_and_the_pool_survives() {
             stages.len()
         );
 
-        for healthy in [TransportConfig::loopback(), TransportConfig::tcp()] {
-            let run = run_plan(&rt, &a, &b, &first, stages, &over(healthy));
-            assert_eq!(run.output_total, oracle.output_total, "{healthy:?}");
-            assert_eq!(run.checksum, oracle.checksum, "{healthy:?}");
-            assert!(run.total.wire_bytes > 0, "{healthy:?}: nothing on the wire");
-        }
+        let run = run_plan(&rt, &a, &b, &first, stages, &over(TransportConfig::tcp()));
+        assert_eq!(run.output_total, oracle.output_total);
+        assert_eq!(run.checksum, oracle.checksum);
+        assert!(run.total.wire_bytes > 0, "nothing on the wire");
     }
 }

@@ -52,8 +52,8 @@ pub mod prelude {
     };
     pub use ewh_exec::{
         run_operator, run_operator_adaptive, run_plan, run_plan_materialized, ChainStage,
-        EngineRuntime, ExecMode, FallbackPolicy, LinkProfile, OperatorConfig, OperatorRun,
-        OutputWork, PlanRun, RemoteExchangeReceiver, RemoteExchangeSender, RuntimeConfig,
-        SpillConfig, StageSpec, TransportConfig, TransportKind,
+        EngineRuntime, ExecMode, FallbackPolicy, LinkProfile, LinkReceiver, LinkSender,
+        OperatorConfig, OperatorRun, OutputWork, PlanRun, RuntimeConfig, SpillConfig, StageSpec,
+        TransportConfig,
     };
 }
