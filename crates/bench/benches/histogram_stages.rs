@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ewh_bench::bcb;
+use ewh_bench::{bcb, bicd};
 use ewh_core::histogram::{build_sample_matrix, coarsen_sample_matrix, regionalize};
 use ewh_core::{HistogramParams, Key};
 
@@ -70,5 +70,35 @@ fn bench_monotonic_coarsening(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_stages, bench_monotonic_coarsening);
+fn bench_bicd_coarsening(c: &mut Criterion) {
+    // The coarsening input of the benchmark's `bicd_csio` (960k ORDERS, seed
+    // 236, J = 32): ns 7 839 fine lines a side, so ≈ 31 k output points,
+    // nc = 2J = 64, four alternations.
+    let mut group = c.benchmark_group("coarsening_bicd_csio_shape");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300));
+    let w = bicd(4.0, 236);
+    let params = HistogramParams {
+        j: 32,
+        seed: 236,
+        threads: 2,
+        ..Default::default()
+    };
+    let ms = build_sample_matrix(&keys_of(&w.r1), &keys_of(&w.r2), &w.cond, &params);
+    let (nc, iters) = (params.nc(), params.coarsen_iters);
+    let id = format!("ns{}_so{}_nc{nc}", ms.n_rows(), ms.so);
+    group.bench_function(id, |b| {
+        b.iter(|| coarsen_sample_matrix(&ms, &w.cond, &w.cost, nc, iters, true).n_rows());
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_stages,
+    bench_monotonic_coarsening,
+    bench_bicd_coarsening
+);
 criterion_main!(benches);

@@ -53,7 +53,9 @@ pub struct HistogramParams {
     pub rho_b_opt: bool,
     /// RNG seed (all sampling is deterministic given the seed).
     pub seed: u64,
-    /// Worker threads for the parallel sampling jobs.
+    /// Threads for the census pair: at 2 or more the two relations are
+    /// counted side by side. Nothing else in the build reads it, so the
+    /// sample and the scheme do not depend on it.
     pub threads: usize,
 }
 

@@ -39,8 +39,7 @@ mod rect;
 
 pub use bsp::{bsp, BspSolver};
 pub use coarsen::{
-    coarsen, equi_weight_1d, grid_cell_weights, grid_max_cell_weight, CoarsenConfig, SparseGrid,
-    SparsePoint,
+    coarsen, grid_cell_weights, grid_max_cell_weight, CoarsenConfig, SparseGrid, SparsePoint,
 };
 pub use grid::Grid;
 pub use monotonic_bsp::{monotonic_bsp, MonotonicBspSolver};

@@ -1,9 +1,29 @@
 //! Edge-case and degenerate-input tests for the tiling substrate.
 
 use ewh_tiling::{
-    bsp, coarsen, equi_weight_1d, grid_max_cell_weight, monotonic_bsp, partition_max_weight,
-    validate_partition, CoarsenConfig, Grid, Rect, SparseGrid, SparsePoint, TilingAlgo,
+    bsp, coarsen, grid_max_cell_weight, monotonic_bsp, partition_max_weight, validate_partition,
+    CoarsenConfig, Grid, Rect, SparseGrid, SparsePoint, TilingAlgo,
 };
+
+/// The least heaviest slab of `w` cut into at most `k` contiguous slabs, by
+/// trying every set of cuts.
+fn min_max_slab(w: &[u64], k: usize) -> u64 {
+    let n = w.len();
+    (0u32..1 << (n - 1))
+        .filter(|mask| (mask.count_ones() as usize) < k)
+        .map(|mask| {
+            let (mut max, mut acc) = (0u64, 0u64);
+            for (i, &x) in w.iter().enumerate() {
+                if i > 0 && mask & (1 << (i - 1)) != 0 {
+                    (max, acc) = (max.max(acc), 0);
+                }
+                acc += x;
+            }
+            max.max(acc)
+        })
+        .min()
+        .unwrap()
+}
 
 #[test]
 fn one_by_one_grid() {
@@ -35,13 +55,7 @@ fn single_row_grid_behaves_like_1d_partition() {
         validate_partition(&g, &p.regions, p.delta).unwrap();
         assert!(p.regions.len() <= j);
         // Compare against the exact 1-D min-max partition.
-        let cuts = equi_weight_1d(&out, j);
-        let best_1d = cuts
-            .windows(2)
-            .map(|w| out[w[0] as usize..w[1] as usize].iter().sum::<u64>())
-            .max()
-            .unwrap();
-        assert_eq!(p.max_weight, best_1d, "j={j}");
+        assert_eq!(p.max_weight, min_max_slab(&out, j), "j={j}");
     }
 }
 
@@ -218,11 +232,23 @@ fn coarsen_single_hot_point() {
 }
 
 #[test]
-fn equi_weight_1d_single_slab_and_degenerate() {
-    assert_eq!(equi_weight_1d(&[7, 7, 7], 1), vec![0, 3]);
-    assert_eq!(equi_weight_1d(&[0, 0, 0, 0], 2).first(), Some(&0));
-    let cuts = equi_weight_1d(&[u64::MAX / 4, u64::MAX / 4], 2);
-    assert_eq!(cuts, vec![0, 1, 2]);
+fn single_column_coarsening_single_slab_and_degenerate() {
+    let row_cuts = |w: &[u64], nc| {
+        let n = w.len() as u32;
+        let cand = vec![(0, 0); n as usize];
+        let sg = SparseGrid::new(n, 1, w.to_vec(), vec![0], Vec::new(), cand);
+        let cfg = CoarsenConfig {
+            nc,
+            iters: 2,
+            monotonic: true,
+        };
+        coarsen(&sg, &cfg).0
+    };
+    assert_eq!(row_cuts(&[7, 7, 7], 1), vec![0, 3]);
+    assert_eq!(row_cuts(&[0, 0, 0, 0], 2), vec![0, 4]);
+    assert_eq!(row_cuts(&[u64::MAX / 4, u64::MAX / 4], 2), vec![0, 1, 2]);
+    // φ = 2·(u64::MAX/4): the sweep packs the first two lines.
+    assert_eq!(row_cuts(&[u64::MAX / 4; 3], 2), vec![0, 2, 3]);
 }
 
 #[test]

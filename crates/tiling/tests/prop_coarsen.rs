@@ -1,9 +1,7 @@
 //! Property-based tests of the coarsening stage: cut validity, objective
 //! bounds, and the monotonic shortcut's agreement with the generic sweep.
 
-use ewh_tiling::{
-    coarsen, equi_weight_1d, grid_max_cell_weight, CoarsenConfig, SparseGrid, SparsePoint,
-};
+use ewh_tiling::{coarsen, grid_max_cell_weight, CoarsenConfig, SparseGrid, SparsePoint};
 use proptest::prelude::*;
 
 /// Random sparse grid with a staircase candidate structure.
@@ -83,34 +81,51 @@ proptest! {
     }
 
     #[test]
-    fn monotonic_flag_changes_nothing_on_valid_staircases(
+    fn monotonic_flag_only_matters_on_a_sparse_staircase(
         sg in sparse_grid(),
         nc in 2usize..6,
     ) {
-        // Candidate-aware and candidate-blind coarsening solve different
-        // objectives in general, but both must produce valid cuts and
-        // finite objectives on staircase inputs.
-        let m = coarsen(&sg, &CoarsenConfig { nc, iters: 3, monotonic: true });
-        let g = coarsen(&sg, &CoarsenConfig { nc, iters: 3, monotonic: false });
-        check_cuts(&m.0, sg.n_rows, nc)?;
-        check_cuts(&g.0, sg.n_rows, nc)?;
-        // The generic objective (all cells candidates) upper-bounds the
-        // candidate-restricted one under its own cuts.
-        let wm = grid_max_cell_weight(&sg, &m.0, &m.1);
-        let wg = grid_max_cell_weight(&sg, &g.0, &g.1);
-        prop_assert!(wm <= wg.max(wm), "sanity"); // never panics; documents intent
+        // Where every cell is a candidate, the candidate-aware sweep has
+        // nothing to skip; off a staircase, coarsening cannot track
+        // candidates and treats every cell as one. Either way the flag must
+        // not move a cut.
+        let both = |sg: &SparseGrid| {
+            let cfg = |monotonic| CoarsenConfig { nc, iters: 3, monotonic };
+            (coarsen(sg, &cfg(true)), coarsen(sg, &cfg(false)))
+        };
+        let n = sg.n_rows;
+        let full = SparseGrid { cand: vec![(0, n - 1); n as usize], ..sg.clone() };
+        let (m, g) = both(&full);
+        prop_assert_eq!(m, g);
+        // The diagonal band upside down: endpoints fall, no staircase.
+        let flipped: Vec<(u32, u32)> = sg.cand.iter().rev().copied().collect();
+        let anti = SparseGrid { cand: flipped, ..sg };
+        prop_assert!(!anti.is_staircase());
+        let (m, g) = both(&anti);
+        check_cuts(&m.0, n, nc)?;
+        prop_assert_eq!(m, g);
     }
 
     #[test]
-    fn equi_weight_1d_is_optimal(weights in prop::collection::vec(0u64..40, 1..14), k in 1usize..6) {
-        let cuts = equi_weight_1d(&weights, k);
+    fn single_column_coarsening_is_the_1d_min_max_partition(
+        weights in prop::collection::vec(0u64..40, 1..14),
+        k in 1usize..6,
+        col_w in 0u64..5,
+    ) {
+        // Against one column every pass is the 1-D min-max partition of the
+        // rows, shifted by the column's weight.
+        let n = weights.len() as u32;
+        let cand = vec![(0, 0); n as usize];
+        let sg = SparseGrid::new(n, 1, weights.clone(), vec![col_w], Vec::new(), cand);
+        let (cuts, cols) = coarsen(&sg, &CoarsenConfig { nc: k, iters: 2, monotonic: true });
+        check_cuts(&cuts, n, k)?;
+        let got = grid_max_cell_weight(&sg, &cuts, &cols) - col_w;
         let slab_max = |cuts: &[u32]| {
             cuts.windows(2)
                 .map(|c| weights[c[0] as usize..c[1] as usize].iter().sum::<u64>())
                 .max()
                 .unwrap()
         };
-        let got = slab_max(&cuts);
         // Exhaustive check over all partitions into <= k slabs (n <= 13).
         let n = weights.len();
         let mut best = u64::MAX;
