@@ -25,8 +25,8 @@ use ewh_core::{ColumnBatch, RoutingTable, SchemeKind, Tuple};
 use ewh_exec::engine::{run_pipelined_io, EngineIo, Source};
 use ewh_exec::{
     build_scheme, run_plan, AdaptiveConfig, EngineConfig, EngineRuntime, Exchange, ExecMode,
-    KeyFrom, LinkProfile, LinkReceiver, LinkSender, MemGauge, MorselPlan, OperatorConfig,
-    OperatorRun, OutputWork, PlanRun, StageSpec, Straggler, TransportConfig,
+    KeyFrom, LinkProfile, LinkReceiver, LinkSender, MemGauge, OperatorConfig, OperatorRun,
+    OutputWork, PlanRun, StageSpec, Straggler, TransportConfig,
 };
 
 use crate::cli::{f, Args, Flag, Kind, Report, Subcommand, Table};
@@ -214,7 +214,6 @@ fn run_worker(args: &Args) {
         .map(|r| (r % engine_cfg.reducers) as u32)
         .collect();
     let table = RoutingTable::new(&region_to_reducer);
-    let plan = MorselPlan::new(r1.len(), 0, cfg.morsel_tuples);
 
     let rt = rc.runtime();
     let start = Instant::now();
@@ -234,7 +233,6 @@ fn run_worker(args: &Args) {
                 router: &scheme.router,
                 cond: &w.cond,
                 table: &table,
-                plan: &plan,
                 sink: None,
                 key_from: KeyFrom::Probe,
                 gauge: Some(&gauge),

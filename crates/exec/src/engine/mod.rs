@@ -114,6 +114,8 @@ pub struct EngineConfig {
     pub mappers: usize,
     /// Reducer task count.
     pub reducers: usize,
+    /// Tuples per scan morsel — the mappers' scheduling quantum.
+    pub morsel_tuples: usize,
     /// Bounded queue capacity, in tuples, per reducer.
     pub queue_tuples: usize,
     /// Probe tuples buffered per region before a sweep.
@@ -149,6 +151,7 @@ impl EngineConfig {
         EngineConfig {
             mappers: tasks,
             reducers: tasks,
+            morsel_tuples: morsel_tuples.max(1),
             queue_tuples: 4 * morsel_tuples.max(1),
             // A fraction of the morsel size: a region fed by several morsels
             // flushes (and frees) probe chunks mid-stream instead of only at
@@ -208,9 +211,8 @@ pub struct EngineOutcome {
     pub wire_bytes: u64,
     /// True when the run was cancelled. Per-region join tallies are zeroed
     /// (reducer state is discarded), but morsel/network counters and the
-    /// migration fields above are preserved: they describe real work done —
-    /// and real mutations to the shared routing table, which a resumed run
-    /// over the same table inherits — before the cancellation landed.
+    /// migration fields above are preserved: they describe real work done
+    /// before the cancellation landed.
     pub cancelled: bool,
     /// Why the engine cancelled itself: `spill failure: …` (recorded on the
     /// run's [`SpillContext`], by this run or by another stage sharing it)
@@ -230,8 +232,10 @@ impl EngineOutcome {
 }
 
 /// The inputs and wiring of one pipelined operator execution — what flows
-/// in (two [`Source`]s), how it routes (router + routing table + morsel
-/// plan) and where the output goes (an optional downstream [`StageSink`]).
+/// in (two [`Source`]s), how it routes (router + routing table) and where
+/// the output goes (an optional downstream [`StageSink`]). The engine cuts
+/// the scan sources into a fresh [`MorselPlan`] of
+/// [`EngineConfig::morsel_tuples`] each run.
 #[derive(Clone, Copy)]
 pub struct EngineIo<'a> {
     /// Build side. Must be a scan today: a streamed build side would need
@@ -246,9 +250,6 @@ pub struct EngineIo<'a> {
     /// mutated by the migration coordinator when `cfg.adaptive.reassign`
     /// is on.
     pub table: &'a RoutingTable,
-    /// Morsel decomposition of the *scan* sources (an exchange side
-    /// contributes zero morsels — its batches arrive pre-cut).
-    pub plan: &'a MorselPlan,
     /// Ship probe output downstream (chained plans).
     pub sink: Option<StageSink<'a>>,
     /// Which side's key emitted intermediates carry.
@@ -258,8 +259,7 @@ pub struct EngineIo<'a> {
     /// high-water mark (exchange buffers included). `None`: private gauge.
     pub gauge: Option<&'a MemGauge>,
     /// Checked by mappers between morsels; a cancelled run discards all
-    /// reducer state and reports [`EngineOutcome::cancelled`] — the
-    /// unconsumed remainder of `plan` stays claimable by a follow-up run.
+    /// reducer state and reports [`EngineOutcome::cancelled`].
     pub cancel: Option<&'a CancelToken>,
     /// Spill trigger, in tuples: reducers shed state to disk while the
     /// gauge sits above this. `None` disables out-of-core execution.
@@ -289,7 +289,10 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     );
     let r1 = io.r1.scan_cols();
     let r2 = io.r2.scan_cols();
-    let (router, cond, table, plan) = (io.router, io.cond, io.table, io.plan);
+    let (router, cond, table) = (io.router, io.cond, io.table);
+    // Morsels of the scan sources; an exchange side contributes none — its
+    // batches arrive pre-cut.
+    let plan = &MorselPlan::new(r1.len(), r2.len(), cfg.morsel_tuples);
     let n_regions = table.n_regions();
     let reducers = cfg.reducers.max(1);
     debug_assert!(table.snapshot().iter().all(|&q| (q as usize) < reducers));
@@ -320,11 +323,7 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     let board = ProgressBoard::new(reducers, n_regions);
     let default_cancel = CancelToken::new();
     let cancel = io.cancel.unwrap_or(&default_cancel);
-    // Seed the seal countdowns from the *unconsumed* remainder: a resumed
-    // plan (cancelled earlier run) only routes what is left, so counting
-    // the full plan would leave the seals unreachable.
-    let r1_left = plan.r1_unconsumed();
-    let seal = SealState::new(r1_left, plan.unconsumed(), io.r2.exchange());
+    let seal = SealState::new(plan.r1_morsels(), plan.total(), io.r2.exchange());
     let network_tuples = AtomicU64::new(0);
     let morsels_routed = AtomicU64::new(0);
     let route_nanos = AtomicU64::new(0);
@@ -339,10 +338,10 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     // watches; also bumped by the orchestrator after the stores below.
     let quiesce = WakeSet::new();
 
-    // An empty relation — or a portion fully claimed before this run —
-    // never triggers a mapper-side seal; pre-seal here. (SealAll further
-    // requires a drained exchange when the probe side streams.)
-    if r1_left == 0 {
+    // An empty relation never triggers a mapper-side seal; pre-seal here.
+    // (SealAll further requires a drained exchange when the probe side
+    // streams.)
+    if plan.r1_morsels() == 0 {
         broadcast(&queues, || Delivery::SealR1);
     }
     seal.maybe_seal_all(&queues);
@@ -606,7 +605,6 @@ mod tests {
         router: &Router,
         cond: &JoinCondition,
         table: &RoutingTable,
-        plan: &MorselPlan,
         cfg: &EngineConfig,
         cancel: Option<&CancelToken>,
     ) -> EngineOutcome {
@@ -620,7 +618,6 @@ mod tests {
                 router,
                 cond,
                 table,
-                plan,
                 sink: None,
                 key_from: KeyFrom::Probe,
                 gauge: None,
@@ -657,10 +654,10 @@ mod tests {
     ) -> EngineOutcome {
         let region_to_reducer: Vec<u32> = (0..n_regions).map(|r| (r % reducers) as u32).collect();
         let table = RoutingTable::new(&region_to_reducer);
-        let plan = MorselPlan::new(r1.len(), r2.len(), morsel);
         let cfg = EngineConfig {
             mappers: 2,
             reducers,
+            morsel_tuples: morsel,
             queue_tuples: 2048,
             probe_chunk: morsel,
             seed: 7,
@@ -669,7 +666,7 @@ mod tests {
             straggler: None,
             transport: None,
         };
-        run_pipelined(&test_rt(), r1, r2, router, cond, &table, &plan, &cfg, None)
+        run_pipelined(&test_rt(), r1, r2, router, cond, &table, &cfg, None)
     }
 
     #[test]
@@ -759,7 +756,7 @@ mod tests {
     }
 
     #[test]
-    fn pre_set_cancel_aborts_and_leaves_the_plan_resumable() {
+    fn pre_set_cancel_aborts_before_any_claim() {
         let k: Vec<Key> = (0..4000).collect();
         let (r1, r2) = (tuples(&k), tuples(&k));
         let cond = JoinCondition::Equi;
@@ -767,10 +764,10 @@ mod tests {
         let region_to_reducer: Vec<u32> =
             (0..scheme.num_regions()).map(|r| (r % 2) as u32).collect();
         let table = RoutingTable::new(&region_to_reducer);
-        let plan = MorselPlan::new(r1.len(), r2.len(), 256);
         let cfg = EngineConfig {
             mappers: 2,
             reducers: 2,
+            morsel_tuples: 256,
             queue_tuples: 2048,
             probe_chunk: 256,
             seed: 3,
@@ -781,90 +778,19 @@ mod tests {
         };
         let cancel = CancelToken::new();
         cancel.cancel();
-        let rt = test_rt();
         let out = run_pipelined(
-            &rt,
+            &test_rt(),
             &r1,
             &r2,
             &scheme.router,
             &cond,
             &table,
-            &plan,
             &cfg,
             Some(&cancel),
         );
         assert!(out.cancelled);
         assert_eq!(out.output_total(), 0);
         assert_eq!(out.morsels_routed, 0, "cancel was set before any claim");
-
-        // The same plan drives a follow-up run to the full, correct result
-        // (tokens are one-shot, so the resume gets a fresh one).
-        let cancel = CancelToken::new();
-        let out = run_pipelined(
-            &rt,
-            &r1,
-            &r2,
-            &scheme.router,
-            &cond,
-            &table,
-            &plan,
-            &cfg,
-            Some(&cancel),
-        );
-        assert!(!out.cancelled);
-        assert_eq!(out.output_total(), 4000);
-    }
-
-    #[test]
-    fn partially_consumed_plan_resumes_and_seals() {
-        // Simulate a prior (cancelled) run that claimed a prefix of the plan,
-        // including all of R1: a resumed engine run must seed its seal
-        // countdowns from the remainder, route only the unconsumed morsels,
-        // and terminate normally instead of aborting.
-        let k: Vec<Key> = (0..1000).collect();
-        let (r1, r2) = (tuples(&k), tuples(&k));
-        let cond = JoinCondition::Equi;
-        let scheme = build_ci(4, 1000, 1000, None);
-        let region_to_reducer: Vec<u32> =
-            (0..scheme.num_regions()).map(|r| (r % 2) as u32).collect();
-        let cfg = EngineConfig {
-            mappers: 2,
-            reducers: 2,
-            queue_tuples: 2048,
-            probe_chunk: 128,
-            seed: 5,
-            work: OutputWork::Touch,
-            adaptive: AdaptiveConfig::default(),
-            straggler: None,
-            transport: None,
-        };
-        let rt = test_rt();
-        for pre_claimed in [1usize, 4, 6] {
-            let table = RoutingTable::new(&region_to_reducer);
-            let plan = MorselPlan::new(r1.len(), r2.len(), 256); // 4 + 4 morsels
-            for _ in 0..pre_claimed {
-                plan.claim().expect("plan has 8 morsels");
-            }
-            let out = run_pipelined(
-                &rt,
-                &r1,
-                &r2,
-                &scheme.router,
-                &cond,
-                &table,
-                &plan,
-                &cfg,
-                None,
-            );
-            assert!(
-                !out.cancelled,
-                "resume with {pre_claimed} pre-claimed morsels aborted"
-            );
-            assert_eq!(out.morsels_routed as usize, 8 - pre_claimed);
-            // Only the remainder's pairs are produced (a subset join), but
-            // the run must complete and account its routed volume.
-            assert!(out.network_tuples > 0);
-        }
     }
 
     #[test]
@@ -881,10 +807,10 @@ mod tests {
         let region_to_reducer: Vec<u32> =
             (0..scheme.num_regions()).map(|r| (r % 2) as u32).collect();
         let table = RoutingTable::new(&region_to_reducer);
-        let plan = MorselPlan::new(r1.len(), r2.len(), 128);
         let cfg = EngineConfig {
             mappers: 2,
             reducers: 2,
+            morsel_tuples: 128,
             queue_tuples: 512,
             probe_chunk: 64,
             seed: 11,
@@ -908,7 +834,6 @@ mod tests {
             &scheme.router,
             &cond,
             &table,
-            &plan,
             &cfg,
             None,
         );
@@ -950,7 +875,6 @@ mod tests {
         let region_to_reducer: Vec<u32> =
             (0..n_regions).map(|r| (r % cfg.reducers) as u32).collect();
         let table = RoutingTable::new(&region_to_reducer);
-        let plan = MorselPlan::new(r1.len(), 0, 128);
         let r1 = ColumnBatch::from_tuples(r1);
         let exchange = Exchange::new(capacity);
         let gauge = MemGauge::default();
@@ -971,7 +895,6 @@ mod tests {
                     router,
                     cond,
                     table: &table,
-                    plan: &plan,
                     sink: None,
                     key_from: crate::local_join::KeyFrom::Probe,
                     gauge: Some(&gauge),
@@ -1016,6 +939,7 @@ mod tests {
         let cfg = EngineConfig {
             mappers: 2,
             reducers: 2,
+            morsel_tuples: 128,
             queue_tuples: 1024,
             probe_chunk: 128,
             seed: 7,
@@ -1052,6 +976,7 @@ mod tests {
         let cfg = EngineConfig {
             mappers: 2,
             reducers: 2,
+            morsel_tuples: 128,
             queue_tuples: 512,
             probe_chunk: 64,
             seed: 19,
@@ -1095,12 +1020,12 @@ mod tests {
         let region_to_reducer: Vec<u32> =
             (0..scheme.num_regions()).map(|r| (r % 2) as u32).collect();
         let table = RoutingTable::new(&region_to_reducer);
-        let plan = MorselPlan::new(r1.len(), 0, 128);
         let exchange = Exchange::new(256); // open for the whole test
         let cancel = CancelToken::new();
         let cfg = EngineConfig {
             mappers: 2,
             reducers: 2,
+            morsel_tuples: 128,
             queue_tuples: 512,
             probe_chunk: 64,
             seed: 23,
@@ -1126,7 +1051,6 @@ mod tests {
                     router: &scheme.router,
                     cond: &cond,
                     table: &table,
-                    plan: &plan,
                     sink: None,
                     key_from: crate::local_join::KeyFrom::Probe,
                     gauge: None,
@@ -1150,6 +1074,7 @@ mod tests {
         let cfg = EngineConfig {
             mappers: 2,
             reducers: 2,
+            morsel_tuples: 128,
             queue_tuples: 64,
             probe_chunk: 16,
             seed: 3,
@@ -1182,10 +1107,10 @@ mod tests {
         let region_to_reducer: Vec<u32> =
             (0..scheme.num_regions()).map(|r| (r % 3) as u32).collect();
         let table = RoutingTable::new(&region_to_reducer);
-        let plan = MorselPlan::new(r1.len(), r2.len(), 200);
         let cfg = EngineConfig {
             mappers: 2,
             reducers: 3,
+            morsel_tuples: 200,
             queue_tuples: 1024,
             probe_chunk: 100,
             seed: 13,
@@ -1204,7 +1129,6 @@ mod tests {
             &scheme.router,
             &cond,
             &table,
-            &plan,
             &cfg,
             None,
         );

@@ -5,9 +5,8 @@
 //! scheduling quantum of the pipelined engine (after Leis et al.'s
 //! morsel-driven parallelism). The [`MorselPlan`] describes the full
 //! decomposition up front and hands out morsels through an atomic cursor, so
-//! any number of mapper tasks can claim work without further coordination,
-//! and an aborted run can report exactly which morsels were never consumed
-//! (a follow-up run over the same plan routes only those).
+//! any number of mapper tasks can claim work without further coordination.
+//! Every engine run cuts a fresh one.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -119,10 +118,6 @@ impl MorselPlan {
         }
     }
 
-    pub fn morsel_tuples(&self) -> usize {
-        self.morsel_tuples
-    }
-
     pub fn r1_morsels(&self) -> usize {
         self.n1.div_ceil(self.morsel_tuples)
     }
@@ -158,15 +153,9 @@ impl MorselPlan {
         }
     }
 
-    /// Claims the next unconsumed morsel; `None` once the plan is drained.
-    pub fn claim(&self) -> Option<Morsel> {
-        let index = self.next.fetch_add(1, Ordering::Relaxed);
-        (index < self.total()).then(|| self.describe(index))
-    }
-
-    /// [`claim`](Self::claim) with a build-phase gate: when `allow_r2` is
-    /// false, a cursor standing at the first `R2` morsel stays put and the
-    /// claim reports [`Claim::Blocked`]. The engine's mappers gate `R2`
+    /// Claims the next unclaimed morsel, behind a build-phase gate: when
+    /// `allow_r2` is false, a cursor standing at the first `R2` morsel stays
+    /// put and the claim reports [`Claim::Blocked`]. The engine's mappers gate `R2`
     /// claims on the `R1` seal countdown — probe tuples routed before the
     /// seal can only sit in unbounded per-region `pending` buffers (no
     /// region can sweep yet), so racing ahead into `R2` while some mapper
@@ -192,23 +181,6 @@ impl MorselPlan {
                 return Claim::Claimed(self.describe(cur));
             }
         }
-    }
-
-    /// Morsels handed out so far (== routed morsels once a run completes; on
-    /// a cancelled run, `total() - consumed()` morsels were never routed).
-    pub fn consumed(&self) -> usize {
-        self.next.load(Ordering::Relaxed).min(self.total())
-    }
-
-    /// `R1` morsels not yet claimed — what a (resumed) engine run will
-    /// route before its `SealR1` fires.
-    pub fn r1_unconsumed(&self) -> usize {
-        self.r1_morsels().saturating_sub(self.consumed())
-    }
-
-    /// Morsels of both relations not yet claimed.
-    pub fn unconsumed(&self) -> usize {
-        self.total() - self.consumed()
     }
 }
 
@@ -277,12 +249,12 @@ mod tests {
     fn claim_drains_each_morsel_exactly_once() {
         let plan = MorselPlan::new(100, 50, 16);
         let mut seen = vec![false; plan.total()];
-        while let Some(m) = plan.claim() {
+        while let Claim::Claimed(m) = plan.try_claim(true) {
             assert!(!seen[m.index], "morsel {} claimed twice", m.index);
             seen[m.index] = true;
         }
         assert!(seen.iter().all(|&s| s));
-        assert_eq!(plan.consumed(), plan.total());
+        assert!(matches!(plan.try_claim(true), Claim::Drained));
     }
 
     #[test]
@@ -308,7 +280,7 @@ mod tests {
     fn empty_relations_yield_no_morsels() {
         let plan = MorselPlan::new(0, 0, 1024);
         assert_eq!(plan.total(), 0);
-        assert!(plan.claim().is_none());
+        assert!(matches!(plan.try_claim(true), Claim::Drained));
     }
 
     #[test]

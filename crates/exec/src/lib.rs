@@ -6,10 +6,10 @@
 //! (mapper tasks batch-route morsels over bounded per-region queues to
 //! reducer tasks that collect each region's build side, sort it once at
 //! the seal and sweep probe chunks as they stream in), sort+sweep [`local_join`]s, and the
-//! [`run_operator`] driver that reports the paper's metrics — simulated
-//! time from the validated cost model, measured wall time, network tuples,
-//! cluster memory (modeled and actually-resident peak), and per-worker
-//! loads.
+//! [`run_operator`] driver whose [`OperatorRun`] reports the paper's
+//! metrics — simulated time from the validated cost model, measured wall
+//! time, network tuples, cluster memory (modeled and actually-resident
+//! peak), and per-worker loads.
 //!
 //! The runtime is what makes the system *multi-tenant*: queries are
 //! admitted (with a concurrency limit and per-query memory budgets carved
@@ -27,7 +27,11 @@
 //! quiescence drives the downstream seal — intermediates are never fully
 //! resident.
 //! [`run_plan_materialized`] keeps the classic materialize-between-
-//! operators execution as the oracle and comparison baseline.
+//! operators execution as the oracle and comparison baseline. There is one
+//! query path: an operator is the one-stage plan — [`run_plan`]'s executor
+//! under [`ExecMode::Pipelined`], [`run_plan_materialized`]'s under
+//! [`ExecMode::Batch`] — and every stage of a [`PlanRun`] reports the same
+//! [`OperatorRun`] an operator returns.
 //!
 //! The engine handles skew at run time, too: region → reducer ownership
 //! lives in an epoch-versioned [`ewh_core::RoutingTable`] that mappers
@@ -60,9 +64,9 @@ mod shuffle;
 pub use adaptive::AdaptiveConfig;
 pub use engine::{
     merge_sorted_runs, BatchPool, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange,
-    FragmentPort, LinkProfile, LinkReceiver, LinkSender, MemGauge, Morsel, MorselPlan, PortPop,
-    ProgressBoard, QueryTicket, RemoteQueue, RuntimeConfig, RuntimeMetrics, Source, SpillConfig,
-    SpillContext, SpillRun, SpillTotals, StageSink, Straggler, TransportConfig, TransportFailure,
+    FragmentPort, LinkProfile, LinkReceiver, LinkSender, MemGauge, Morsel, PortPop, ProgressBoard,
+    QueryTicket, RemoteQueue, RuntimeConfig, RuntimeMetrics, Source, SpillConfig, SpillContext,
+    SpillRun, SpillTotals, StageSink, Straggler, TransportConfig, TransportFailure,
 };
 pub use local_join::{
     local_join, output_tuple, pair_payload, pair_tag, sweep_columns, sweep_columns_each,
@@ -74,5 +78,5 @@ pub use operator::{
     lpt_schedule, run_operator, run_operator_adaptive, ExecMode, FallbackPolicy, OperatorConfig,
     OperatorRun,
 };
-pub use plan::{run_plan, run_plan_materialized, ChainStage, PlanRun, PlanStageRun, StageSpec};
+pub use plan::{run_plan, run_plan_materialized, ChainStage, PlanRun, StageSpec};
 pub use shuffle::{shuffle, Shuffled};

@@ -18,8 +18,8 @@ pub struct JoinStats {
     /// Realized maximum region weight in milli-units — the paper's
     /// "computed after the join execution" weights of Fig. 4h.
     pub max_weight_milli: u64,
-    /// Simulated join time: max worker weight at the configured
-    /// units-per-second rate (the paper's cost model, validated by Fig. 4h).
+    /// Simulated join time: max worker weight at a fixed units-per-second
+    /// rate (the paper's cost model, validated by Fig. 4h).
     pub sim_join_secs: f64,
     /// Measured wall-clock of the threaded local-join phase.
     pub wall_join_secs: f64,
@@ -172,15 +172,15 @@ impl JoinStats {
         self.reducer_busy_secs.iter().sum()
     }
 
+    /// Each worker's realized weight under `cost`.
+    fn worker_weights<'a>(&'a self, cost: &'a CostModel) -> impl Iterator<Item = u64> + 'a {
+        let loads = self.per_worker_input.iter().zip(&self.per_worker_output);
+        loads.map(|(&i, &o)| cost.weight(i, o))
+    }
+
     /// Recomputes the realized max weight from per-worker loads.
     pub fn compute_max_weight(&mut self, cost: &CostModel) {
-        self.max_weight_milli = self
-            .per_worker_input
-            .iter()
-            .zip(&self.per_worker_output)
-            .map(|(&i, &o)| cost.weight(i, o))
-            .max()
-            .unwrap_or(0);
+        self.max_weight_milli = self.worker_weights(cost).max().unwrap_or(0);
     }
 
     pub fn max_input(&self) -> u64 {
@@ -194,12 +194,7 @@ impl JoinStats {
     /// Load imbalance: max worker weight over mean worker weight (1.0 =
     /// perfect balance).
     pub fn imbalance(&self, cost: &CostModel) -> f64 {
-        let weights: Vec<u64> = self
-            .per_worker_input
-            .iter()
-            .zip(&self.per_worker_output)
-            .map(|(&i, &o)| cost.weight(i, o))
-            .collect();
+        let weights: Vec<u64> = self.worker_weights(cost).collect();
         let max = weights.iter().copied().max().unwrap_or(0) as f64;
         let mean = weights.iter().sum::<u64>() as f64 / weights.len().max(1) as f64;
         if mean == 0.0 {

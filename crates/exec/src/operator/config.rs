@@ -46,17 +46,6 @@ pub struct OperatorConfig {
     pub j_regions: Option<usize>,
     /// Relative worker capacities (heterogeneous clusters); length `j`.
     pub capacities: Option<Vec<f64>>,
-    /// Simulated per-worker processing rate in work units per second.
-    pub units_per_sec: f64,
-    /// Cost of scanning one tuple during statistics collection, as a
-    /// fraction of `wi` (§VI-D: scans repartition join keys only, cheaper
-    /// than full shuffle processing).
-    pub scan_cost_factor: f64,
-    /// Modeled cost of the histogram algorithm itself, as a fraction of `wi`
-    /// per input tuple, run on a single machine (Theorem 3.1: the whole
-    /// chain is O(n) local time). Applies to CSIO on `max(n1, n2)` and to
-    /// CSI on its `p` buckets; CI has no statistics at all.
-    pub hist_cost_factor: f64,
     /// Cluster memory capacity; exceeding it flags
     /// [`JoinStats::overflowed`](crate::JoinStats::overflowed).
     pub mem_capacity_bytes: Option<u64>,
@@ -121,9 +110,6 @@ impl Default for OperatorConfig {
             hash: HashParams::default(),
             j_regions: None,
             capacities: None,
-            units_per_sec: 2.0e6,
-            scan_cost_factor: 0.5,
-            hist_cost_factor: 0.02,
             mem_capacity_bytes: None,
             output_work: OutputWork::Touch,
             mode: ExecMode::default(),

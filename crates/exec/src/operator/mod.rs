@@ -11,10 +11,12 @@
 //!
 //! Split by concern:
 //! * [`config`] — cluster + operator configuration and execution modes;
-//! * [`stats`] — statistics collection and scheme building (full-relation
-//!   and sampled-key variants, modeled statistics time);
-//! * [`run`] — the execution drivers (batch oracle, query admission and
-//!   the one pipelined stage driver, placement, the adaptive CI fallback).
+//! * [`stats`] — statistics collection and scheme building (the one
+//!   planner for a stage over two resident relations, sampled-key and
+//!   per-side-statistics variants, modeled statistics time);
+//! * [`run`] — the stage record, placement, the batch oracle, the one
+//!   accounting of region tallies, query admission, the one pipelined stage
+//!   driver, and the operator itself: a one-stage plan (`crate::plan`).
 
 mod config;
 mod run;
@@ -26,3 +28,4 @@ pub use run::{
 };
 pub(crate) use run::{execute_join_with, run_stage, AdmittedQuery};
 pub use stats::{build_scheme, build_scheme_from_keys, build_scheme_from_stats};
+pub(crate) use stats::{keys, plan_resident, stats_sim_secs, PlannedStage};

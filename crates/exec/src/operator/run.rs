@@ -1,34 +1,53 @@
-//! Execution drivers: region placement, the batch oracle, query admission
-//! and the one pipelined stage driver (shared with the plan executor), and
-//! the adaptive CI fallback.
+//! The query drivers' shared parts: the stage record, region placement,
+//! the batch oracle, the one accounting of region tallies, query admission
+//! and the one pipelined stage driver — and the operator, a one-stage plan
+//! whose own code is the choice of the §VI-E CI fallback.
 
 use std::thread;
 use std::time::Instant;
 
 use ewh_core::{
-    ColumnBatch, JoinCondition, PartitionScheme, RoutingTable, SchemeKind, Tuple, TUPLE_BYTES,
+    BuildInfo, CostModel, JoinCondition, PartitionScheme, Region, RoutingTable, SchemeKind, Tuple,
+    TUPLE_BYTES,
 };
 
 use crate::engine::{
-    run_pipelined_io, AbandonOnDrop, CloseOnDrop, EngineConfig, EngineIo, EngineOutcome,
-    EngineRuntime, MorselPlan, QueryTicket, Source, SpillContext, StageSink,
+    run_pipelined_io, AbandonOnDrop, CloseOnDrop, EngineConfig, EngineIo, EngineRuntime,
+    QueryTicket, Source, SpillContext, StageSink,
 };
 use crate::local_join::KeyFrom;
-use crate::{local_join, shuffle, JoinStats, Shuffled};
+use crate::plan::{self, StageSpec};
+use crate::{local_join, JoinStats, Shuffled};
 
 use super::config::{ExecMode, FallbackPolicy, OperatorConfig};
-use super::stats::{build_scheme, build_scheme_from_keys, stats_sim_secs};
+use super::stats::{PlannedStage, UNITS_PER_SEC};
 
-/// A completed operator run.
+/// What one stage of a query reports — the operator's only stage, or one
+/// stage of a plan ([`crate::PlanRun::stages`]).
 #[derive(Clone, Debug)]
 pub struct OperatorRun {
+    /// Scheme actually built (CI after a §VI-E fallback, and for a chain
+    /// stage whose intermediate is empty — nothing to balance).
     pub kind: SchemeKind,
     pub num_regions: usize,
-    pub build: ewh_core::BuildInfo,
-    /// Modeled statistics time (scan passes + measured histogram algorithm).
+    /// The planned regions, with the estimates they were balanced on — a
+    /// function of the inputs' key multisets and the seed, never of arrival
+    /// order.
+    pub regions: Vec<Region>,
+    /// Shape `(a, b)` of every block of more than one region (see
+    /// [`ewh_core::GridBlock`]); empty when no cell needed one.
+    pub blocks: Vec<(u32, u32)>,
+    pub build: BuildInfo,
+    /// Modeled statistics time (scan passes + histogram algorithm), an
+    /// abandoned CSIO build's included.
     pub stats_sim_secs: f64,
-    /// Measured wall-clock of building the scheme.
+    /// Measured wall-clock of the stage's statistics: the scheme build,
+    /// plus, in a streamed chain, its base relation's census and the census
+    /// propagated to the next stage.
     pub stats_wall_secs: f64,
+    /// Distinct keys of the propagated census a streamed chain stage's
+    /// scheme was built from; 0 for a stage over two resident relations.
+    pub sample_tuples: usize,
     pub join: JoinStats,
     /// `stats_sim_secs + join.sim_join_secs` — the paper's "total execution
     /// time".
@@ -38,10 +57,38 @@ pub struct OperatorRun {
 }
 
 impl OperatorRun {
+    /// The one constructor: what planning a stage reported, and what
+    /// running it measured.
+    pub(crate) fn new(planned: PlannedStage, join: JoinStats) -> Self {
+        let scheme = planned.scheme;
+        OperatorRun {
+            kind: scheme.kind,
+            num_regions: scheme.num_regions(),
+            blocks: block_shapes(&scheme),
+            regions: scheme.regions,
+            build: scheme.build,
+            stats_sim_secs: planned.stats_sim_secs,
+            stats_wall_secs: planned.stats_wall_secs,
+            sample_tuples: planned.sample_tuples,
+            total_sim_secs: planned.stats_sim_secs + join.sim_join_secs,
+            join,
+            fell_back: planned.fell_back,
+        }
+    }
+
     /// Output/input cost ratio ρoi of the executed join.
     pub fn rho_oi(&self, n_input: u64) -> f64 {
         self.join.output_total as f64 / n_input.max(1) as f64
     }
+}
+
+/// Shapes of `scheme`'s blocks of more than one region.
+fn block_shapes(scheme: &PartitionScheme) -> Vec<(u32, u32)> {
+    let ewh_core::Router::Grid(grid) = &scheme.router else {
+        return Vec::new();
+    };
+    let shapes = grid.blocks().iter().map(|b| (b.a, b.b));
+    shapes.filter(|&(a, b)| a * b > 1).collect()
 }
 
 /// LPT (longest processing time first) list scheduling: assigns each
@@ -84,7 +131,7 @@ pub fn assign_regions(
     scheme: &PartitionScheme,
     j: usize,
     capacities: Option<&[f64]>,
-    cost: &ewh_core::CostModel,
+    cost: &CostModel,
 ) -> Vec<u32> {
     let n = scheme.num_regions();
     if n <= j && capacities.is_none() {
@@ -94,12 +141,49 @@ pub fn assign_regions(
     lpt_schedule(&weights, capacities, j)
 }
 
+/// The one accounting of a stage's region tallies, batch and pipelined
+/// alike: folds per-region input and output onto the workers of
+/// `region_to_worker`, and derives the realized max weight, the simulated
+/// join time (at [`UNITS_PER_SEC`]) and the overflow flag — the resident
+/// peak against the configured capacity. `mem_bytes` is the modeled
+/// full-shuffle footprint of `network_tuples`. Each path adds what only it
+/// measures.
+fn tally_regions(
+    per_region_input: &[u64],
+    per_region_output: &[u64],
+    region_to_worker: &[u32],
+    network_tuples: u64,
+    peak_resident_bytes: u64,
+    cfg: &OperatorConfig,
+) -> JoinStats {
+    debug_assert_eq!(region_to_worker.len(), per_region_input.len());
+    let mut per_worker_input = vec![0u64; cfg.j];
+    let mut per_worker_output = vec![0u64; cfg.j];
+    for (r, &worker) in region_to_worker.iter().enumerate() {
+        per_worker_input[worker as usize] += per_region_input[r];
+        per_worker_output[worker as usize] += per_region_output[r];
+    }
+    let mut stats = JoinStats {
+        output_total: per_region_output.iter().sum(),
+        per_worker_input,
+        per_worker_output,
+        network_tuples,
+        mem_bytes: network_tuples * TUPLE_BYTES,
+        peak_resident_bytes,
+        overflowed: cfg
+            .mem_capacity_bytes
+            .is_some_and(|cap| peak_resident_bytes > cap),
+        ..Default::default()
+    };
+    stats.compute_max_weight(&cfg.cost);
+    stats.sim_join_secs = CostModel::milli_to_secs(stats.max_weight_milli, UNITS_PER_SEC);
+    stats
+}
+
 /// The batch join core behind [`execute_join`] and the plan baseline's
 /// emitting variant: joins the shuffled regions across threads with a
 /// caller-supplied per-region join (which may carry extra output `R`, e.g.
 /// a materialized intermediate) and assembles the complete [`JoinStats`].
-/// There is exactly one copy of this accounting — the batch oracle and the
-/// materialize-between-operators baseline cannot drift apart.
 pub(crate) fn execute_join_with<R: Send>(
     mut shuffled: Shuffled,
     region_to_worker: &[u32],
@@ -108,11 +192,11 @@ pub(crate) fn execute_join_with<R: Send>(
 ) -> (JoinStats, Vec<(usize, R)>) {
     let per_region_input = shuffled.per_region_input();
     let network_tuples = shuffled.network_tuples;
-    let mem_bytes = shuffled.mem_bytes();
+    // Batch execution holds the full shuffle resident while joining.
+    let peak_resident_bytes = shuffled.mem_bytes();
 
     let start = Instant::now();
     let n_regions = shuffled.r1.len();
-    debug_assert_eq!(region_to_worker.len(), n_regions);
     let threads = cfg.threads.max(1).min(n_regions.max(1));
     // Schedule regions onto threads LPT-by-input-weight: a round-robin
     // interleave strands cores when one region dominates (the hot region
@@ -153,37 +237,26 @@ pub(crate) fn execute_join_with<R: Send>(
     });
     let wall_join_secs = start.elapsed().as_secs_f64();
 
-    let mut per_worker_input = vec![0u64; cfg.j];
-    let mut per_worker_output = vec![0u64; cfg.j];
-    for (r, &input) in per_region_input.iter().enumerate() {
-        per_worker_input[region_to_worker[r] as usize] += input;
-    }
+    let mut per_region_output = vec![0u64; n_regions];
     let mut checksum = 0u64;
-    let mut output_total = 0u64;
     let mut extras = Vec::with_capacity(results.len());
     for (r, count, sum, extra) in results {
-        per_worker_output[region_to_worker[r] as usize] += count;
-        output_total += count;
+        per_region_output[r] = count;
         checksum ^= sum;
         extras.push((r, extra));
     }
-
-    let mut stats = JoinStats {
-        output_total,
-        per_worker_input,
-        per_worker_output,
-        network_tuples,
-        mem_bytes,
-        // Batch execution holds the full shuffle resident while joining.
-        peak_resident_bytes: mem_bytes,
-        overflowed: cfg.mem_capacity_bytes.is_some_and(|cap| mem_bytes > cap),
+    let stats = JoinStats {
         wall_join_secs,
         checksum,
-        ..Default::default()
+        ..tally_regions(
+            &per_region_input,
+            &per_region_output,
+            region_to_worker,
+            network_tuples,
+            peak_resident_bytes,
+            cfg,
+        )
     };
-    stats.compute_max_weight(&cfg.cost);
-    stats.sim_join_secs =
-        ewh_core::CostModel::milli_to_secs(stats.max_weight_milli, cfg.units_per_sec);
     (stats, extras)
 }
 
@@ -201,57 +274,6 @@ pub fn execute_join(
         let (count, sum) = local_join(r1, r2, cond, work);
         (count, sum, ())
     });
-    stats
-}
-
-/// Folds a completed engine run into the operator's [`JoinStats`]
-/// accounting: per-region tallies aggregate to per-worker loads over
-/// `region_to_worker`, volumes convert to bytes, and the simulated join
-/// time is recomputed from the realized weights.
-fn stats_from_outcome(
-    out: &EngineOutcome,
-    region_to_worker: &[u32],
-    cfg: &OperatorConfig,
-) -> JoinStats {
-    let n_regions = out.per_region_input.len();
-    debug_assert_eq!(region_to_worker.len(), n_regions);
-    let mut per_worker_input = vec![0u64; cfg.j];
-    let mut per_worker_output = vec![0u64; cfg.j];
-    for r in 0..n_regions {
-        per_worker_input[region_to_worker[r] as usize] += out.per_region_input[r];
-        per_worker_output[region_to_worker[r] as usize] += out.per_region_output[r];
-    }
-    let mem_bytes = out.network_tuples * TUPLE_BYTES;
-    let peak_resident_bytes = out.peak_resident_tuples * TUPLE_BYTES;
-    let mut stats = JoinStats {
-        output_total: out.output_total(),
-        per_worker_input,
-        per_worker_output,
-        network_tuples: out.network_tuples,
-        mem_bytes,
-        peak_resident_bytes,
-        overflowed: cfg
-            .mem_capacity_bytes
-            .is_some_and(|cap| peak_resident_bytes > cap),
-        wall_join_secs: out.wall_secs,
-        checksum: out.checksum(),
-        morsels_routed: out.morsels_routed,
-        regions_migrated: out.regions_migrated,
-        migration_tuples: out.migration_tuples,
-        migration_secs: out.migration_secs,
-        backpressure_secs: out.backpressure_secs,
-        route_secs: out.route_secs,
-        merge_secs: out.merge_secs,
-        sweep_secs: out.sweep_secs,
-        reducer_busy_secs: out.busy_secs.clone(),
-        reducer_idle_secs: out.idle_secs.clone(),
-        wire_bytes: out.wire_bytes,
-        ..Default::default()
-    };
-    stats.set_spill(&out.spill);
-    stats.compute_max_weight(&cfg.cost);
-    stats.sim_join_secs =
-        ewh_core::CostModel::milli_to_secs(stats.max_weight_milli, cfg.units_per_sec);
     stats
 }
 
@@ -282,10 +304,9 @@ fn engine_setup(scheme: &PartitionScheme, cfg: &OperatorConfig) -> (EngineConfig
 
 /// One admitted query on the shared runtime: its ticket (admission slot,
 /// memory gauge, scoped spill directory), the spill budget that binds, and
-/// the spill context that goes with it. An operator holds one for its one
-/// stage, a plan one for all of its stages — they charge one gauge, so the
-/// budget bounds the plan-global footprint and any stage may be picked as
-/// the spill victim.
+/// the spill context that goes with it. A query holds one for all of its
+/// stages — they charge one gauge, so the budget bounds the query-global
+/// footprint and any stage may be picked as the spill victim.
 pub(crate) struct AdmittedQuery<'rt> {
     /// Declared before the ticket so it drops first: the segment closes
     /// before the ticket removes the directory it lives in.
@@ -327,10 +348,10 @@ impl<'rt> AdmittedQuery<'rt> {
 /// closed when the engine returns — or unwinds — which is what terminates
 /// the downstream operator.
 ///
-/// Mirrors [`execute_join`]'s accounting while never materializing the
-/// full shuffle: `mem_bytes` still reports the modeled full-materialization
-/// footprint for comparability, `peak_resident_bytes` what the query's
-/// gauge actually held at its high-water mark.
+/// Never materializes the full shuffle: `mem_bytes` still reports the
+/// modeled full-materialization footprint for comparability with the batch
+/// path, `peak_resident_bytes` what the query's gauge actually held at its
+/// high-water mark.
 ///
 /// This is the one place an engine run that cancelled itself — a spill
 /// I/O failure, a dead or corrupt transport link; every pool task unwound
@@ -364,11 +385,6 @@ pub(crate) fn run_stage(
             engine_cfg.reducers
         );
     }
-    let plan = MorselPlan::new(
-        r1.scan_cols().len(),
-        r2.scan_cols().len(),
-        cfg.morsel_tuples,
-    );
     let out = run_pipelined_io(
         rt,
         EngineIo {
@@ -377,7 +393,6 @@ pub(crate) fn run_stage(
             router: &scheme.router,
             cond,
             table: &table,
-            plan: &plan,
             sink,
             key_from,
             gauge: Some(query.ticket.gauge()),
@@ -395,14 +410,39 @@ pub(crate) fn run_stage(
     }
     drop(close_guard); // close the downstream exchange: upstream quiescence
     let map = assign_regions(scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
-    stats_from_outcome(&out, &map, cfg)
+    let mut stats = JoinStats {
+        checksum: out.checksum(),
+        wall_join_secs: out.wall_secs,
+        morsels_routed: out.morsels_routed,
+        regions_migrated: out.regions_migrated,
+        migration_tuples: out.migration_tuples,
+        migration_secs: out.migration_secs,
+        backpressure_secs: out.backpressure_secs,
+        route_secs: out.route_secs,
+        merge_secs: out.merge_secs,
+        sweep_secs: out.sweep_secs,
+        reducer_busy_secs: out.busy_secs,
+        reducer_idle_secs: out.idle_secs,
+        wire_bytes: out.wire_bytes,
+        ..tally_regions(
+            &out.per_region_input,
+            &out.per_region_output,
+            &map,
+            out.network_tuples,
+            out.peak_resident_tuples * TUPLE_BYTES,
+            cfg,
+        )
+    };
+    stats.set_spill(&out.spill);
+    stats
 }
 
-/// Runs the full operator with the given scheme kind, as one *admitted
-/// query* on the shared runtime: the pipelined engine's tasks execute on
-/// `rt`'s fixed worker pool (never on per-query threads), gated by the
-/// runtime's admission queue, with the query's memory charged to the
-/// gauge of the ticket it was granted.
+/// Runs the full operator with the given scheme kind: a one-stage plan.
+/// Under [`ExecMode::Pipelined`] it runs what [`crate::run_plan`] runs with
+/// an empty chain — one admitted query whose stage executes as task batches
+/// on `rt`'s shared pool, orchestrated from the calling thread; under
+/// [`ExecMode::Batch`] what [`crate::run_plan_materialized`] runs. The
+/// stage's `join.admission_wait_secs` is the query's admission wait.
 pub fn run_operator(
     rt: &EngineRuntime,
     kind: SchemeKind,
@@ -431,8 +471,8 @@ pub fn run_operator_adaptive(
     run(rt, SchemeKind::Csio, Some(policy), r1, r2, cond, cfg)
 }
 
-/// The operator behind both entry points: statistics, the fallback decision
-/// when there is a policy, then the join in the configured mode.
+/// The operator behind both entry points: a one-stage plan in the
+/// configured mode, its root planned under the fallback policy if any.
 fn run(
     rt: &EngineRuntime,
     kind: SchemeKind,
@@ -442,70 +482,22 @@ fn run(
     cond: &JoinCondition,
     cfg: &OperatorConfig,
 ) -> OperatorRun {
-    // Pipelined mode transposes each side once, up front: statistics read
-    // the key columns and the engine routes, sorts, and sweeps the same
-    // batches, so no side is copied a second time. Batch mode works on rows.
-    let cols = matches!(cfg.mode, ExecMode::Pipelined)
-        .then(|| (ColumnBatch::from_tuples(r1), ColumnBatch::from_tuples(r2)));
-    let (n1, n2) = (r1.len() as u64, r2.len() as u64);
-    let n = n1.max(n2);
-    let (mut scheme, mut stats_wall_secs) = match &cols {
-        Some((c1, c2)) => build_scheme_from_keys(kind, c1.keys(), c2.keys(), n1, n2, cond, cfg),
-        None => build_scheme(kind, r1, r2, cond, cfg),
+    let root = StageSpec { kind, cond: *cond };
+    let mut query = match cfg.mode {
+        ExecMode::Pipelined => plan::pipelined(rt, r1, r2, &root, &[], cfg, fallback),
+        ExecMode::Batch => plan::materialized(r1, r2, &root, &[], cfg, fallback),
     };
-    let rho = scheme.build.m_est as f64 / n.max(1) as f64;
-    let fell_back = fallback.is_some_and(|policy| rho > policy.rho_threshold);
-    let mut wasted_sim = 0.0;
-    if fell_back {
-        // Abandon CSIO: keep its (wasted) stats cost on the books, run CI —
-        // which reads the cardinalities and no key.
-        wasted_sim = stats_sim_secs(&scheme, n, cfg);
-        let (ci, ci_wall) = build_scheme_from_keys(SchemeKind::Ci, &[], &[], n1, n2, cond, cfg);
-        scheme = ci;
-        stats_wall_secs += ci_wall;
-    }
-    let join = match &cols {
-        None => {
-            let map = assign_regions(&scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
-            let shuffled = shuffle(r1, r2, &scheme, cfg.threads, cfg.seed ^ 0x5F);
-            execute_join(shuffled, cond, &map, cfg)
-        }
-        // An operator is a one-stage plan: admit, run the stage over the
-        // transposed sides. The ticket is released at the end of this arm.
-        Some((c1, c2)) => {
-            let query = AdmittedQuery::admit(rt, cfg);
-            let mut stats = run_stage(
-                rt,
-                &query,
-                Source::Scan(c1),
-                Source::Scan(c2),
-                &scheme,
-                cond,
-                KeyFrom::Probe,
-                None,
-                cfg,
-            );
-            stats.admission_wait_secs = query.ticket.admission_wait_secs();
-            stats
-        }
-    };
-    let stats_sim = stats_sim_secs(&scheme, n, cfg);
-    OperatorRun {
-        kind: scheme.kind,
-        num_regions: scheme.num_regions(),
-        total_sim_secs: stats_sim + join.sim_join_secs + wasted_sim,
-        stats_sim_secs: stats_sim + wasted_sim,
-        stats_wall_secs,
-        build: scheme.build,
-        join,
-        fell_back,
-    }
+    let mut stage = query.stages.pop().expect("a one-stage plan");
+    stage.join.admission_wait_secs = query.total.admission_wait_secs;
+    stage
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::stats::build_scheme_from_keys;
     use super::*;
-    use ewh_core::{JoinMatrix, Key};
+    use crate::shuffle;
+    use ewh_core::{ColumnBatch, JoinMatrix, Key};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -541,6 +533,10 @@ mod tests {
         for kind in [SchemeKind::Ci, SchemeKind::Csi, SchemeKind::Csio] {
             let run = run_operator(&rt, kind, &r1, &r2, &cond, &cfg);
             assert_eq!(run.join.output_total, expect, "{kind}");
+            // Simulated join time is the slowest worker's weight at the
+            // fixed processing rate.
+            let rate_secs = run.join.max_weight_milli as f64 / 1000.0 / UNITS_PER_SEC;
+            assert_eq!(run.join.sim_join_secs, rate_secs, "{kind}");
             assert!(run.total_sim_secs >= run.join.sim_join_secs);
         }
     }
@@ -791,7 +787,7 @@ mod tests {
             SchemeKind::Csio,
             SchemeKind::Hash,
         ] {
-            let (scheme, _) = super::super::stats::build_scheme_from_keys(
+            let (scheme, _) = build_scheme_from_keys(
                 kind,
                 &k1,
                 &sample,

@@ -1,16 +1,20 @@
 //! Statistics collection and scheme building: the operator's "plan time".
 //!
 //! Three entry points build a [`PartitionScheme`]:
-//! * [`build_scheme`] — from two fully resident relations in row layout
-//!   (the batch oracle and the materialized plan baseline);
+//! * [`build_scheme`] — from two fully resident relations in row layout;
 //! * [`build_scheme_from_keys`] — from bare key slices plus the
-//!   cardinalities they stand for: the pipelined operator passes the key
-//!   columns of its transposed inputs, a caller holding a *sample* of a side
-//!   passes the sample with the side's true size;
+//!   cardinalities they stand for: slices as long as their relations are
+//!   the relations, and a caller holding a *sample* of a side passes the
+//!   sample with the side's true size;
 //! * [`build_scheme_from_stats`] — from one [`SideStats`] a side, which is
-//!   all any scheme reads. A chained plan builds every stage from the base
-//!   relations' censuses and the census of each intermediate *propagated*
-//!   through the join before it ([`ewh_sampling::join_census_r1`]).
+//!   all any scheme reads. A chained plan builds every streamed stage from
+//!   the base relation's census and the census of its intermediate
+//!   *propagated* through the join before it
+//!   ([`ewh_sampling::join_census_r1`]).
+//!
+//! Every query driver plans a stage over two resident relations the one
+//! way `plan_resident` does — the operator, a pipelined plan's root and
+//! every stage of the materialized baseline alike.
 
 use std::time::Instant;
 
@@ -20,14 +24,28 @@ use ewh_core::{
     CostModel, CsiParams, HistogramParams, JoinCondition, Key, PartitionScheme, SchemeKind,
     SideStats, Tuple,
 };
+use ewh_sampling::KeyedCounts;
 
-use super::config::OperatorConfig;
+use super::config::{FallbackPolicy, OperatorConfig};
+use crate::plan::StageSpec;
+
+/// Processing rate of one simulated worker, in work units per second: what
+/// turns the paper's weights into simulated seconds.
+pub(crate) const UNITS_PER_SEC: f64 = 2.0e6;
+
+/// Cost of scanning one tuple during statistics collection, as a fraction
+/// of `wi` (§VI-D: scans repartition join keys only, cheaper than full
+/// shuffle processing).
+const SCAN_COST_FACTOR: f64 = 0.5;
+
+/// Modeled cost of the histogram algorithm itself, as a fraction of `wi`
+/// per input tuple, run on a single machine (Theorem 3.1: the whole chain
+/// is O(n) local time).
+const HIST_COST_FACTOR: f64 = 0.02;
 
 /// Builds the requested scheme from two resident relations in row layout
 /// (measures wall time into the result): the statistics pass projects each
-/// side's join keys into a column of their own. The pipelined paths, which
-/// transpose their inputs anyway, hand [`build_scheme_from_keys`] the key
-/// columns they already hold instead.
+/// side's join keys into a column of their own.
 pub fn build_scheme(
     kind: SchemeKind,
     r1: &[Tuple],
@@ -35,18 +53,23 @@ pub fn build_scheme(
     cond: &JoinCondition,
     cfg: &OperatorConfig,
 ) -> (PartitionScheme, f64) {
-    let keys = |r: &[Tuple]| -> Vec<Key> { r.iter().map(|t| t.key).collect() };
     let (k1, k2) = (keys(r1), keys(r2));
     let (n1, n2) = (k1.len() as u64, k2.len() as u64);
     build_scheme_from_keys(kind, &k1, &k2, n1, n2, cond, cfg)
 }
 
+/// A relation's join-key column.
+pub(crate) fn keys(r: &[Tuple]) -> Vec<Key> {
+    r.iter().map(|t| t.key).collect()
+}
+
 /// Builds the requested scheme from key slices standing for relations of
-/// `n1` / `n2` tuples. Where a slice is shorter than its relation — a
-/// sample — every tuple count and the output size read off it are weighed
-/// up by `n / |keys|`: a uniform sample preserves the key distribution, so
-/// boundaries computed on it transfer to the relation, and its counts do
-/// once scaled.
+/// `n1` / `n2` tuples. Slices as long as their relations are planned as
+/// `plan_resident` plans them. Where a slice is shorter than its relation
+/// — a sample — every tuple count and the output size read off it are
+/// weighed up by `n / |keys|`: a uniform sample preserves the key
+/// distribution, so boundaries computed on it transfer to the relation, and
+/// its counts do once scaled.
 pub fn build_scheme_from_keys(
     kind: SchemeKind,
     k1: &[Key],
@@ -59,20 +82,81 @@ pub fn build_scheme_from_keys(
     let start = Instant::now();
     let resident = (n1, n2) == (k1.len() as u64, k2.len() as u64);
     let scheme = match kind {
-        // CI reads no key, and CSI's point is to need no sort: it samples
-        // the resident columns.
+        _ if resident => {
+            let spec = StageSpec { kind, cond: *cond };
+            plan_resident(&spec, k1, k2, cfg, None, false).0.scheme
+        }
         SchemeKind::Ci => build_ci(cfg.j, n1, n2, None),
-        SchemeKind::Csi if resident => build_csi(k1, k2, cond, j_regions(cfg), &csi_params(cfg)),
         _ => {
             let (d1, d2) = censuses(k1, k2, cfg.threads);
-            let (s1, s2) = match resident {
-                true => (SideStats::relation(&d1), SideStats::relation(&d2)),
-                false => (SideStats::counted(&d1, n1), SideStats::counted(&d2, n2)),
-            };
+            let (s1, s2) = (SideStats::counted(&d1, n1), SideStats::counted(&d2, n2));
             build_scheme_from_stats(kind, s1, s2, cond, cfg)
         }
     };
     (scheme, start.elapsed().as_secs_f64())
+}
+
+/// What planning one stage yields: its scheme, and what the stage's
+/// [`OperatorRun`](super::OperatorRun) reports about building it.
+pub(crate) struct PlannedStage {
+    pub scheme: PartitionScheme,
+    /// Wall-clock of the stage's statistics and scheme build.
+    pub stats_wall_secs: f64,
+    /// Modeled statistics time, an abandoned CSIO build's included.
+    pub stats_sim_secs: f64,
+    /// Distinct keys of the propagated census a streamed stage was built
+    /// from; 0 for a stage over two resident relations.
+    pub sample_tuples: usize,
+    /// Whether §VI-E's fallback abandoned CSIO for CI.
+    pub fell_back: bool,
+}
+
+/// Plans one stage over two resident key columns, the one way every query
+/// driver does: CI reads the cardinalities and no key, CSI's point is to
+/// need no sort — it samples the columns — and CSIO and HASH read a census
+/// pair. `keep_censuses` hands that pair back for a chain to propagate from
+/// its root, counted here if the scheme did not need it: each column is
+/// sorted once either way. Under a `fallback` policy, a CSIO scheme whose
+/// exact `m` reveals a high-selectivity join (§VI-E) is abandoned for CI
+/// before the first morsel is claimed: its statistics time stays on the
+/// books and no tuple is shuffled twice.
+pub(crate) fn plan_resident(
+    spec: &StageSpec,
+    k1: &[Key],
+    k2: &[Key],
+    cfg: &OperatorConfig,
+    fallback: Option<&FallbackPolicy>,
+    keep_censuses: bool,
+) -> (PlannedStage, Option<(KeyedCounts, KeyedCounts)>) {
+    let start = Instant::now();
+    let (n1, n2) = (k1.len() as u64, k2.len() as u64);
+    let n = n1.max(n2);
+    let counted = matches!(spec.kind, SchemeKind::Csio | SchemeKind::Hash) || keep_censuses;
+    let pair = counted.then(|| censuses(k1, k2, cfg.threads));
+    let mut scheme = match spec.kind {
+        SchemeKind::Ci => build_ci(cfg.j, n1, n2, None),
+        SchemeKind::Csi => build_csi(k1, k2, &spec.cond, j_regions(cfg), &csi_params(cfg)),
+        kind => {
+            let (d1, d2) = pair.as_ref().expect("counted above");
+            let (s1, s2) = (SideStats::relation(d1), SideStats::relation(d2));
+            build_scheme_from_stats(kind, s1, s2, &spec.cond, cfg)
+        }
+    };
+    let rho = scheme.build.m_est as f64 / n.max(1) as f64;
+    let fell_back = fallback.is_some_and(|policy| rho > policy.rho_threshold);
+    let mut abandoned_sim = 0.0;
+    if fell_back {
+        abandoned_sim = stats_sim_secs(&scheme, n, cfg);
+        scheme = build_ci(cfg.j, n1, n2, None);
+    }
+    let planned = PlannedStage {
+        stats_sim_secs: stats_sim_secs(&scheme, n, cfg) + abandoned_sim,
+        stats_wall_secs: start.elapsed().as_secs_f64(),
+        scheme,
+        sample_tuples: 0,
+        fell_back,
+    };
+    (planned, pair.filter(|_| keep_censuses))
 }
 
 fn j_regions(cfg: &OperatorConfig) -> usize {
@@ -111,22 +195,22 @@ pub fn build_scheme_from_stats(
     }
 }
 
-/// Modeled statistics time: scan passes at `scan_cost_factor · wi` per tuple
-/// parallelized over J workers, plus the histogram algorithm at
-/// `hist_cost_factor · wi` per tuple on a single machine (its input size is
-/// `max(n1, n2)` for CSIO's 3-stage chain, `p` for CSI's cover heuristic).
-/// The *measured* histogram wall time stays available in
-/// [`ewh_core::BuildInfo::hist_secs`] for Table V, where runs of the same
-/// scale compare against each other.
-pub fn stats_sim_secs(scheme: &PartitionScheme, n: u64, cfg: &OperatorConfig) -> f64 {
+/// Modeled statistics time: scan passes at [`SCAN_COST_FACTOR`]` · wi` per
+/// tuple parallelized over J workers, plus the histogram algorithm at
+/// [`HIST_COST_FACTOR`]` · wi` per tuple on a single machine (its input
+/// size is `max(n1, n2)` for CSIO's 3-stage chain, `p` for CSI's cover
+/// heuristic; CI and HASH have none). The *measured* histogram wall time
+/// stays available in [`ewh_core::BuildInfo::hist_secs`] for Table V, where
+/// runs of the same scale compare against each other.
+pub(crate) fn stats_sim_secs(scheme: &PartitionScheme, n: u64, cfg: &OperatorConfig) -> f64 {
     let scan_milli = (scheme.build.stats_scan_tuples as f64 / cfg.j as f64)
         * cfg.cost.wi_milli as f64
-        * cfg.scan_cost_factor;
+        * SCAN_COST_FACTOR;
     let hist_input = match scheme.kind {
         SchemeKind::Ci | SchemeKind::Hash => 0,
         SchemeKind::Csi => scheme.build.ns as u64,
         SchemeKind::Csio => n,
     };
-    let hist_milli = hist_input as f64 * cfg.cost.wi_milli as f64 * cfg.hist_cost_factor;
-    CostModel::milli_to_secs((scan_milli + hist_milli) as u64, cfg.units_per_sec)
+    let hist_milli = hist_input as f64 * cfg.cost.wi_milli as f64 * HIST_COST_FACTOR;
+    CostModel::milli_to_secs((scan_milli + hist_milli) as u64, UNITS_PER_SEC)
 }

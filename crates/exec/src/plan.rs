@@ -3,6 +3,12 @@
 //! executed using a sequence of our 2-way joins", without ever
 //! materializing the sequence's intermediates.
 //!
+//! Every query runs through this module: an operator
+//! ([`run_operator`](crate::run_operator)) is the one-stage plan, run by
+//! [`run_plan`]'s executor under [`ExecMode::Pipelined`](crate::ExecMode)
+//! and by [`run_plan_materialized`]'s under `ExecMode::Batch`. Each stage
+//! reports one [`OperatorRun`].
+//!
 //! ## The pipelined executor ([`run_plan`])
 //!
 //! A plan is one root join over two base relations plus a chain of
@@ -21,9 +27,10 @@
 //!   intermediate, swept chunk by chunk and freed. Left-deep chains always
 //!   build on base relations, which is what keeps the memory profile flat.
 //! * Every stage's partitioning scheme is built from **exact statistics at
-//!   plan time**, before the first stage is spawned. An intermediate tuple
-//!   carries the key of one of its two inputs, so the key census of an
-//!   intermediate is computable from the censuses of those inputs
+//!   plan time**, before the first stage starts. The root is planned
+//!   over its two resident relations like any operator; an intermediate
+//!   tuple carries the key of one of its two inputs, so the key census of
+//!   an intermediate is computable from the censuses of those inputs
 //!   ([`join_census_r2`] for the root, whose output is keyed by its probe
 //!   side; [`join_census_r1`] for a chain stage, keyed by its build side) —
 //!   `O(distinct keys)`, no tuple touched. One census per base relation,
@@ -35,7 +42,7 @@
 //!   `Finish`), it closes its output exchange, which is precisely what
 //!   lets the downstream operator's `SealAll` fire — the cross-operator
 //!   extension of the engine's seal protocol.
-//! * All stages share one [`MemGauge`], so
+//! * All stages share one [`MemGauge`](crate::MemGauge), so
 //!   [`PlanRun::peak_resident_bytes`] is the *plan-global* high-water mark
 //!   of everything resident at once: routed fragments, sealed build
 //!   state, probe chunks, and exchange buffers.
@@ -49,11 +56,10 @@
 //! reducer falls behind anyway.
 //!
 //! Execution-wise a plan is one *admitted query* on the shared
-//! [`EngineRuntime`]: all of its stages' mapper/reducer/coordinator work
-//! runs as task batches on the runtime's fixed worker pool, concurrently
-//! with any other query sharing that pool. No stage owns threads of its
-//! own — the per-stage `cfg.threads` split of earlier revisions (and the
-//! host oversubscription it caused on multi-stage plans) is gone.
+//! [`EngineRuntime`], admitted once every scheme is built: all of its
+//! stages' mapper/reducer/coordinator work runs as task batches on the
+//! runtime's fixed worker pool, concurrently with any other query sharing
+//! that pool. No stage owns threads of its own.
 //!
 //! ## The baseline ([`run_plan_materialized`])
 //!
@@ -68,17 +74,14 @@ use std::panic::resume_unwind;
 use std::thread;
 use std::time::Instant;
 
-use ewh_core::histogram::censuses;
-use ewh_core::{
-    ColumnBatch, JoinCondition, PartitionScheme, Region, SchemeKind, SideStats, Tuple, TUPLE_BYTES,
-};
+use ewh_core::{ColumnBatch, JoinCondition, SchemeKind, SideStats, Tuple, TUPLE_BYTES};
 use ewh_sampling::{join_census_r1, join_census_r2, KeyedCounts};
 
 use crate::engine::{AbandonOnDrop, EngineRuntime, Exchange, Source, StageSink};
 use crate::local_join::{sweep_sorted_into, KeyFrom};
 use crate::operator::{
-    assign_regions, build_scheme, build_scheme_from_stats, execute_join_with, run_stage,
-    AdmittedQuery, OperatorConfig,
+    assign_regions, build_scheme_from_stats, execute_join_with, keys, plan_resident, run_stage,
+    stats_sim_secs, AdmittedQuery, FallbackPolicy, OperatorConfig, OperatorRun, PlannedStage,
 };
 use crate::{execute_join, shuffle, JoinStats, Shuffled};
 
@@ -101,33 +104,12 @@ pub struct ChainStage<'a> {
     pub spec: StageSpec,
 }
 
-/// What one stage of a completed plan reports.
-#[derive(Clone, Debug)]
-pub struct PlanStageRun {
-    /// Scheme actually built (degrades to CI when the intermediate is
-    /// empty — nothing to balance).
-    pub kind: SchemeKind,
-    pub num_regions: usize,
-    /// The planned regions, with the estimates they were balanced on — a
-    /// function of the inputs' key multisets and the seed, never of arrival
-    /// order.
-    pub regions: Vec<Region>,
-    /// Shape `(a, b)` of every block of more than one region (see
-    /// [`ewh_core::GridBlock`]); empty when no cell needed one.
-    pub blocks: Vec<(u32, u32)>,
-    /// Wall-clock of this stage's statistics: its base relation's census,
-    /// the scheme build, and the census propagated to the next stage.
-    pub stats_wall_secs: f64,
-    /// Distinct keys of the propagated census the scheme was built from (0
-    /// for the root stage, which reads two base relations).
-    pub sample_tuples: usize,
-    pub join: JoinStats,
-}
-
 /// A completed query-plan execution.
 #[derive(Clone, Debug)]
 pub struct PlanRun {
-    pub stages: Vec<PlanStageRun>,
+    /// One record per stage, root first — the same [`OperatorRun`] an
+    /// operator returns for its one stage.
+    pub stages: Vec<OperatorRun>,
     /// Final operator's output size.
     pub output_total: u64,
     /// Final operator's order-invariant output checksum.
@@ -139,7 +121,11 @@ pub struct PlanRun {
     /// End-to-end makespan, statistics included (stages overlap under
     /// [`run_plan`], run back to back under the baseline).
     pub wall_secs: f64,
-    /// [`JoinStats::merge`] over all stages (volumes add, peaks max).
+    /// [`JoinStats::merge`] over all stages (volumes add, peaks max). Under
+    /// [`run_plan`] it also carries the plan's admission wait (charged once:
+    /// the plan holds one ticket) and the shared spill context's absolute
+    /// counters, which count every byte once where concurrent stages'
+    /// deltas overlap.
     pub total: JoinStats,
 }
 
@@ -154,27 +140,47 @@ impl PlanRun {
             .map(|s| s.join.output_total)
             .sum()
     }
+
+    /// The one assembly of a completed plan from its planned stages and
+    /// what running them measured; `query` is the pipelined plan's admitted
+    /// query.
+    fn assemble(
+        planned: Vec<PlannedStage>,
+        joins: Vec<JoinStats>,
+        peak_resident_bytes: u64,
+        start: Instant,
+        query: Option<&AdmittedQuery<'_>>,
+    ) -> PlanRun {
+        let stages: Vec<OperatorRun> = planned
+            .into_iter()
+            .zip(joins)
+            .map(|(planned, join)| OperatorRun::new(planned, join))
+            .collect();
+        let mut total = JoinStats::default();
+        for stage in &stages {
+            total.merge(&stage.join);
+        }
+        if let Some(query) = query {
+            total.admission_wait_secs = query.ticket.admission_wait_secs();
+            if let Some(ctx) = &query.spill {
+                total.set_spill(&ctx.totals());
+            }
+        }
+        let last = &stages.last().expect("at least the root stage").join;
+        PlanRun {
+            output_total: last.output_total,
+            checksum: last.checksum,
+            peak_resident_bytes,
+            wall_secs: start.elapsed().as_secs_f64(),
+            total,
+            stages,
+        }
+    }
 }
 
-/// Shapes of `scheme`'s blocks of more than one region.
-fn block_shapes(scheme: &PartitionScheme) -> Vec<(u32, u32)> {
-    let ewh_core::Router::Grid(grid) = &scheme.router else {
-        return Vec::new();
-    };
-    let shapes = grid.blocks().iter().map(|b| (b.a, b.b));
-    shapes.filter(|&(a, b)| a * b > 1).collect()
-}
-
-/// One stage's plan-time result: its scheme and what [`PlanStageRun`]
-/// reports about building it.
-struct PlannedStage {
-    scheme: PartitionScheme,
-    stats_wall_secs: f64,
-    sample_tuples: usize,
-}
-
-/// Builds every stage's scheme from exact statistics (see the module docs):
-/// one census per base relation, each intermediate's census by induction.
+/// Plans every stage before any runs (see the module docs): the root over
+/// its two resident relations, each chain stage from its base relation's
+/// census and its intermediate's census, propagated by induction.
 fn plan_stages(
     r1: &ColumnBatch,
     r2: &ColumnBatch,
@@ -182,22 +188,19 @@ fn plan_stages(
     chain: &[ChainStage<'_>],
     base_cols: &[ColumnBatch],
     cfg: &OperatorConfig,
+    fallback: Option<&FallbackPolicy>,
 ) -> Vec<PlannedStage> {
-    let mut planned = Vec::with_capacity(1 + chain.len());
     let start = Instant::now();
-    let (d1, d2) = censuses(r1.keys(), r2.keys(), cfg.threads);
-    let (s1, s2) = (SideStats::relation(&d1), SideStats::relation(&d2));
-    let scheme = build_scheme_from_stats(first.kind, s1, s2, &first.cond, cfg);
+    let (k1, k2) = (r1.keys(), r2.keys());
+    let (mut root, pair) = plan_resident(first, k1, k2, cfg, fallback, !chain.is_empty());
     // The root emits its probe side's key.
-    let mut probe = match chain {
-        [] => KeyedCounts::default(),
-        _ => join_census_r2(&d1, &d2, |k| first.cond.joinable_bounds(k)),
+    let mut probe = match &pair {
+        Some((d1, d2)) => join_census_r2(d1, d2, |k| first.cond.joinable_bounds(k)),
+        None => KeyedCounts::default(),
     };
-    planned.push(PlannedStage {
-        scheme,
-        stats_wall_secs: start.elapsed().as_secs_f64(),
-        sample_tuples: 0,
-    });
+    root.stats_wall_secs = start.elapsed().as_secs_f64();
+    let mut planned = Vec::with_capacity(1 + chain.len());
+    planned.push(root);
     for (i, (stage, base)) in chain.iter().zip(base_cols).enumerate() {
         let start = Instant::now();
         let build = KeyedCounts::census(base.keys());
@@ -210,15 +213,18 @@ fn plan_stages(
         let s1 = SideStats::relation(&build);
         let s2 = SideStats::counted(&probe, probe.total());
         let scheme = build_scheme_from_stats(kind, s1, s2, &stage.spec.cond, cfg);
+        let n = (base.len() as u64).max(probe.total());
         let sample_tuples = probe.num_distinct();
         // A chain stage emits its build side's key.
         if i + 1 < chain.len() {
             probe = join_census_r1(&build, &probe, |k| stage.spec.cond.joinable_bounds(k));
         }
         planned.push(PlannedStage {
+            stats_sim_secs: stats_sim_secs(&scheme, n, cfg),
             scheme,
             stats_wall_secs: start.elapsed().as_secs_f64(),
             sample_tuples,
+            fell_back: false,
         });
     }
     planned
@@ -235,15 +241,15 @@ fn plan_stages(
 /// joined* relation's attribute to the next operator, matching the
 /// materialized baseline tuple for tuple.
 ///
-/// The whole plan is **one admitted query** on the shared runtime: it
-/// holds a single admission ticket, every stage's mapper/reducer/
-/// coordinator work runs as task batches on `rt`'s fixed pool (there is no
-/// per-stage thread-splitting anymore — concurrent stages, like concurrent
-/// queries, just interleave on the same workers), and all stages charge
-/// the ticket's memory gauge so the reported peak is plan-global. The only
-/// threads this function creates are one parked *driver* per stage —
-/// coordination-only: each spends its life blocked in the stage's scope
-/// join, executing no join work.
+/// The whole plan is **one admitted query** on the shared runtime, admitted
+/// after every scheme is built: it holds a single admission ticket, every
+/// stage's mapper/reducer/coordinator work runs as task batches on `rt`'s
+/// fixed pool (concurrent stages, like concurrent queries, just interleave
+/// on the same workers), and all stages charge the ticket's memory gauge so
+/// the reported peak is plan-global. The last stage is driven from the
+/// calling thread; each upstream stage gets one parked *driver* thread —
+/// coordination-only: it spends its life blocked in the stage's scope join,
+/// executing no join work. A one-stage plan spawns none.
 pub fn run_plan(
     rt: &EngineRuntime,
     r1: &[Tuple],
@@ -252,54 +258,58 @@ pub fn run_plan(
     chain: &[ChainStage<'_>],
     cfg: &OperatorConfig,
 ) -> PlanRun {
-    let start = Instant::now();
-    let n_chain = chain.len();
-    // One ticket, gauge, spill budget and spill context for the whole plan.
-    let query = AdmittedQuery::admit(rt, cfg);
-    let query = &query;
-    let exchanges: Vec<Exchange> = (0..n_chain)
-        .map(|_| Exchange::new(cfg.exchange_tuples.max(2)))
-        .collect();
+    pipelined(rt, r1, r2, first, chain, cfg, None)
+}
 
+/// [`run_plan`] with the root planned under an optional §VI-E fallback
+/// policy — the executor behind the pipelined operator too.
+pub(crate) fn pipelined(
+    rt: &EngineRuntime,
+    r1: &[Tuple],
+    r2: &[Tuple],
+    first: &StageSpec,
+    chain: &[ChainStage<'_>],
+    cfg: &OperatorConfig,
+    fallback: Option<&FallbackPolicy>,
+) -> PlanRun {
+    let start = Instant::now();
     // Transpose every scan source once, before statistics and before the
-    // stage tasks spawn: scheme builds read the key columns, the engine
+    // stage drivers spawn: scheme builds read the key columns, the engine
     // routes, sorts, and sweeps on the same batches, and the borrows must
-    // outlive the scoped stage threads below.
-    let r1_cols = ColumnBatch::from_tuples(r1);
-    let r2_cols = ColumnBatch::from_tuples(r2);
-    let base_cols: Vec<ColumnBatch> = chain
+    // outlive the scoped driver threads below.
+    let r1_cols = &ColumnBatch::from_tuples(r1);
+    let r2_cols = &ColumnBatch::from_tuples(r2);
+    let base_cols: &Vec<ColumnBatch> = &chain
         .iter()
         .map(|stage| ColumnBatch::from_tuples(stage.base))
         .collect();
 
-    // Every scheme exists before any stage does: whatever a scheme build
-    // can panic on, it panics here, with nothing running yet.
-    let planned = plan_stages(&r1_cols, &r2_cols, first, chain, &base_cols, cfg);
+    // Every scheme exists before the query is admitted and before any stage
+    // runs: whatever a scheme build can panic on, it panics here, holding
+    // no ticket, with nothing running.
+    let planned = plan_stages(r1_cols, r2_cols, first, chain, base_cols, cfg, fallback);
 
-    let stage_stats: Vec<JoinStats> = thread::scope(|s| {
-        // If this driver unwinds between two spawns, no consumer will ever
-        // pop the stages already running: abandon every exchange on the way
-        // out so their producers cannot stay blocked in `push` and the
-        // scope can join. Harmless after normal completion.
+    // One ticket, gauge, spill budget and spill context for the whole plan.
+    let query = &AdmittedQuery::admit(rt, cfg);
+    let exchanges: &Vec<Exchange> = &(0..chain.len())
+        .map(|_| Exchange::new(cfg.exchange_tuples.max(2)))
+        .collect();
+
+    let joins: Vec<JoinStats> = thread::scope(|s| {
+        let planned = &planned;
+        // If a stage unwinds, no consumer may ever pop the stages upstream
+        // of it: abandon every exchange on the way out so their producers
+        // cannot stay blocked in `push` and the scope can join. Harmless
+        // after normal completion.
         let _abandon: Vec<AbandonOnDrop<'_>> =
             exchanges.iter().map(|ex| AbandonOnDrop(Some(ex))).collect();
-        let sink_of = |i: usize| {
-            exchanges.get(i).map(|exchange| StageSink {
+        let run = move |i: usize| {
+            let sink = exchanges.get(i).map(|exchange| StageSink {
                 exchange,
                 batch_tuples: cfg.morsel_tuples.max(1),
-            })
-        };
-        let mut handles = Vec::with_capacity(1 + n_chain);
-        for (i, stage) in planned.iter().enumerate() {
-            let scheme = &stage.scheme;
-            let sink = sink_of(i);
+            });
             let (build, probe, cond, key_from) = match i.checked_sub(1) {
-                None => (
-                    &r1_cols,
-                    Source::Scan(&r2_cols),
-                    &first.cond,
-                    KeyFrom::Probe,
-                ),
+                None => (r1_cols, Source::Scan(r2_cols), &first.cond, KeyFrom::Probe),
                 Some(c) => (
                     &base_cols[c],
                     Source::Exchange(&exchanges[c]),
@@ -307,66 +317,25 @@ pub fn run_plan(
                     KeyFrom::Build,
                 ),
             };
-            handles.push(s.spawn(move || {
-                run_stage(
-                    rt,
-                    query,
-                    Source::Scan(build),
-                    probe,
-                    scheme,
-                    cond,
-                    key_from,
-                    sink,
-                    cfg,
-                )
-            }));
-        }
+            let scheme = &planned[i].scheme;
+            let build = Source::Scan(build);
+            run_stage(rt, query, build, probe, scheme, cond, key_from, sink, cfg)
+        };
+        let last = chain.len();
+        let upstream: Vec<_> = (0..last).map(|i| s.spawn(move || run(i))).collect();
+        let tail = run(last);
         // A stage that failed re-raises here with its own payload — the
         // reason `run_stage` panicked with reaches the plan's caller.
-        let joined: Vec<JoinStats> = handles
+        let mut joins: Vec<JoinStats> = upstream
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
             .collect();
-        joined
+        joins.push(tail);
+        joins
     });
 
-    let wall_secs = start.elapsed().as_secs_f64();
-    let mut total = JoinStats::default();
-    for s in &stage_stats {
-        total.merge(s);
-    }
-    // The plan holds one ticket; charge its admission wait once, not per
-    // stage.
-    total.admission_wait_secs = query.ticket.admission_wait_secs();
-    // Per-stage spill deltas overlap when stages run concurrently over the
-    // shared context; override the merged sums with the context's absolute
-    // totals, which count every byte exactly once.
-    if let Some(ctx) = &query.spill {
-        total.set_spill(&ctx.totals());
-    }
-    let last = stage_stats.last().expect("at least the root stage");
-    let (output_total, checksum) = (last.output_total, last.checksum);
-    let stages = planned
-        .into_iter()
-        .zip(stage_stats)
-        .map(|(p, join)| PlanStageRun {
-            kind: p.scheme.kind,
-            num_regions: p.scheme.num_regions(),
-            blocks: block_shapes(&p.scheme),
-            regions: p.scheme.regions,
-            stats_wall_secs: p.stats_wall_secs,
-            sample_tuples: p.sample_tuples,
-            join,
-        })
-        .collect();
-    PlanRun {
-        stages,
-        output_total,
-        checksum,
-        peak_resident_bytes: query.ticket.gauge().peak_tuples() * TUPLE_BYTES,
-        wall_secs,
-        total,
-    }
+    let peak = query.ticket.gauge().peak_tuples() * TUPLE_BYTES;
+    PlanRun::assemble(planned, joins, peak, start, Some(query))
 }
 
 /// [`execute_join`]'s emitting sibling: joins the shuffled regions across
@@ -397,7 +366,9 @@ fn execute_join_emit(
 /// The materialize-between-operators baseline: each stage runs to
 /// completion, its output is fully materialized, statistics are rebuilt
 /// from scratch with a second pass over the intermediate, and only then
-/// does the next stage start — §IV-B executed the pre-pipeline way.
+/// does the next stage start — §IV-B executed the pre-pipeline way. Every
+/// stage is planned over its two resident relations as an operator plans
+/// its one stage, and runs on the batch path.
 ///
 /// Doubles as the plan executor's correctness oracle (its final
 /// `output_total` / `checksum` come from the batch path, which is
@@ -414,83 +385,55 @@ pub fn run_plan_materialized(
     chain: &[ChainStage<'_>],
     cfg: &OperatorConfig,
 ) -> PlanRun {
+    materialized(r1, r2, first, chain, cfg, None)
+}
+
+/// [`run_plan_materialized`] with the root planned under an optional §VI-E
+/// fallback policy — the executor behind the batch operator too.
+pub(crate) fn materialized(
+    r1: &[Tuple],
+    r2: &[Tuple],
+    first: &StageSpec,
+    chain: &[ChainStage<'_>],
+    cfg: &OperatorConfig,
+    fallback: Option<&FallbackPolicy>,
+) -> PlanRun {
     let start = Instant::now();
-    let mut stages: Vec<PlanStageRun> = Vec::with_capacity(1 + chain.len());
+    let mut planned = Vec::with_capacity(1 + chain.len());
+    let mut joins = Vec::with_capacity(1 + chain.len());
     let mut peak_model: u64 = 0;
-
-    let push_stage =
-        |stages: &mut Vec<PlanStageRun>, scheme: &PartitionScheme, wall: f64, join: JoinStats| {
-            stages.push(PlanStageRun {
-                kind: scheme.kind,
-                num_regions: scheme.num_regions(),
-                blocks: block_shapes(scheme),
-                regions: scheme.regions.clone(),
-                stats_wall_secs: wall,
-                sample_tuples: 0,
-                join,
-            });
+    let mut intermediate: Vec<Tuple> = Vec::new();
+    for i in 0..=chain.len() {
+        let (build, probe, spec, fallback, key_from) = match i.checked_sub(1) {
+            None => (r1, r2, first, fallback, KeyFrom::Probe),
+            Some(c) => (
+                chain[c].base,
+                &intermediate[..],
+                &chain[c].spec,
+                None,
+                KeyFrom::Build,
+            ),
         };
-
-    // Root stage.
-    let (scheme0, wall0) = build_scheme(first.kind, r1, r2, &first.cond, cfg);
-    let map0 = assign_regions(&scheme0, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
-    let shuffled0 = shuffle(r1, r2, &scheme0, cfg.threads, cfg.seed ^ 0x5F);
-    let (stats0, mut intermediate) = if chain.is_empty() {
-        (execute_join(shuffled0, &first.cond, &map0, cfg), Vec::new())
-    } else {
-        execute_join_emit(shuffled0, &first.cond, &map0, cfg, KeyFrom::Probe)
-    };
-    peak_model = peak_model.max(stats0.mem_bytes + intermediate.len() as u64 * TUPLE_BYTES);
-    push_stage(&mut stages, &scheme0, wall0, stats0);
-
-    for (i, stage) in chain.iter().enumerate() {
-        // The second statistics pass the pipelined executor eliminates:
-        // full key extraction over the materialized intermediate.
-        let (scheme, wall) = build_scheme(
-            stage.spec.kind,
-            stage.base,
-            &intermediate,
-            &stage.spec.cond,
-            cfg,
-        );
-        let map = assign_regions(&scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
-        let shuffled = shuffle(
-            stage.base,
-            &intermediate,
-            &scheme,
-            cfg.threads,
-            cfg.seed ^ 0x5F,
-        );
-        let inbound = intermediate.len() as u64 * TUPLE_BYTES;
-        let is_last = i + 1 == chain.len();
-        let (stats, next) = if is_last {
-            (
-                execute_join(shuffled, &stage.spec.cond, &map, cfg),
-                Vec::new(),
-            )
+        // For a chain stage, the second statistics pass the pipelined
+        // executor eliminates: full key extraction over the materialized
+        // intermediate.
+        let (k1, k2) = (keys(build), keys(probe));
+        let (stage, _) = plan_resident(spec, &k1, &k2, cfg, fallback, false);
+        let map = assign_regions(&stage.scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
+        let shuffled = shuffle(build, probe, &stage.scheme, cfg.threads, cfg.seed ^ 0x5F);
+        let inbound = if i == 0 { 0 } else { probe.len() as u64 } * TUPLE_BYTES;
+        let (join, next) = if i == chain.len() {
+            (execute_join(shuffled, &spec.cond, &map, cfg), Vec::new())
         } else {
-            execute_join_emit(shuffled, &stage.spec.cond, &map, cfg, KeyFrom::Build)
+            execute_join_emit(shuffled, &spec.cond, &map, cfg, key_from)
         };
         let outbound = next.len() as u64 * TUPLE_BYTES;
-        peak_model = peak_model.max(stats.mem_bytes + inbound.max(outbound));
-        push_stage(&mut stages, &scheme, wall, stats);
+        peak_model = peak_model.max(join.mem_bytes + inbound.max(outbound));
+        planned.push(stage);
+        joins.push(join);
         intermediate = next;
     }
-
-    let wall_secs = start.elapsed().as_secs_f64();
-    let mut total = JoinStats::default();
-    for s in &stages {
-        total.merge(&s.join);
-    }
-    let last = &stages.last().expect("at least the root stage").join;
-    PlanRun {
-        output_total: last.output_total,
-        checksum: last.checksum,
-        peak_resident_bytes: peak_model,
-        wall_secs,
-        total,
-        stages,
-    }
+    PlanRun::assemble(planned, joins, peak_model, start, None)
 }
 
 #[cfg(test)]
@@ -630,21 +573,64 @@ mod tests {
         assert_eq!(mat.output_total, 0);
     }
 
+    /// An operator is a one-stage plan: pipelined it equals `run_plan`,
+    /// batch it equals `run_plan_materialized`, for every kind — CSI at a
+    /// `p` whose sample is smaller than the relation, so a stage planned
+    /// from census quantiles would differ from the operator's.
     #[test]
     fn single_stage_plan_equals_the_one_shot_operator() {
-        let a = tuples(&random_keys(2000, 300, 31));
-        let b = tuples(&random_keys(2000, 300, 32));
-        let cfg = small_cfg();
-        let first = StageSpec {
-            kind: SchemeKind::Csio,
-            cond: JoinCondition::Band { beta: 2 },
+        use crate::{run_operator, ExecMode};
+        let a = tuples(&random_keys(20_000, 200_000, 31));
+        let b = tuples(&random_keys(20_000, 200_000, 32));
+        let cfg = OperatorConfig {
+            j: 8,
+            threads: 2,
+            csi: ewh_core::CsiParams {
+                p: 16,
+                ..Default::default()
+            },
+            ..Default::default()
         };
-        let rt = test_rt();
-        let pipe = run_plan(&rt, &a, &b, &first, &[], &cfg);
-        let one_shot = crate::run_operator(&rt, first.kind, &a, &b, &first.cond, &cfg);
-        assert_eq!(pipe.output_total, one_shot.join.output_total);
-        assert_eq!(pipe.checksum, one_shot.join.checksum);
-        assert_eq!(pipe.stages.len(), 1);
+        let batch = OperatorConfig {
+            mode: ExecMode::Batch,
+            ..cfg.clone()
+        };
+        let rt = EngineRuntime::new(2);
+        let band = JoinCondition::Band { beta: 2 };
+        for (kind, cond) in [
+            (SchemeKind::Ci, band),
+            (SchemeKind::Csi, band),
+            (SchemeKind::Csio, band),
+            (SchemeKind::Hash, JoinCondition::Equi),
+        ] {
+            let first = StageSpec { kind, cond };
+            let pairs = [
+                (
+                    run_operator(&rt, kind, &a, &b, &cond, &cfg),
+                    run_plan(&rt, &a, &b, &first, &[], &cfg),
+                ),
+                (
+                    run_operator(&rt, kind, &a, &b, &cond, &batch),
+                    run_plan_materialized(&a, &b, &first, &[], &batch),
+                ),
+            ];
+            for (op, plan) in pairs {
+                let [stage] = &plan.stages[..] else {
+                    panic!("{kind}: {} stages", plan.stages.len());
+                };
+                assert!(op.join.output_total > 0, "{kind}");
+                assert_eq!(stage.num_regions, op.num_regions, "{kind}");
+                assert_eq!(stage.regions, op.regions, "{kind}");
+                assert_eq!(stage.join.per_worker_input, op.join.per_worker_input);
+                assert_eq!(stage.join.per_worker_output, op.join.per_worker_output);
+                assert_eq!(stage.join.network_tuples, op.join.network_tuples);
+                assert_eq!(
+                    (plan.output_total, plan.checksum),
+                    (op.join.output_total, op.join.checksum),
+                    "{kind}"
+                );
+            }
+        }
     }
 
     #[test]

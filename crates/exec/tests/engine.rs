@@ -151,29 +151,6 @@ fn zero_capacity_worker_is_rejected() {
 }
 
 #[test]
-fn sim_time_scales_inversely_with_units_per_sec() {
-    let k = random_keys(2000, 500, 8);
-    let (r1, r2) = (tuples(&k), tuples(&k));
-    let cond = JoinCondition::Band { beta: 1 };
-    let slow = OperatorConfig {
-        j: 4,
-        units_per_sec: 1e6,
-        ..Default::default()
-    };
-    let fast = OperatorConfig {
-        j: 4,
-        units_per_sec: 4e6,
-        ..Default::default()
-    };
-    let rt = EngineRuntime::new(4);
-    let a = run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &slow);
-    let b = run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &fast);
-    assert_eq!(a.join.max_weight_milli, b.join.max_weight_milli);
-    let ratio = a.join.sim_join_secs / b.join.sim_join_secs;
-    assert!((ratio - 4.0).abs() < 1e-9, "ratio {ratio}");
-}
-
-#[test]
 fn hash_scheme_runs_end_to_end_on_band_join() {
     let k1 = random_keys(4000, 1500, 9);
     let k2 = random_keys(4000, 1500, 10);

@@ -22,7 +22,7 @@ use ewh_core::{
 use ewh_exec::engine::{run_pipelined_io, CloseOnDrop, SpillContext};
 use ewh_exec::{
     pair_payload, run_plan, run_plan_materialized, shuffle, AdaptiveConfig, ChainStage,
-    EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange, KeyFrom, MemGauge, MorselPlan,
+    EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange, KeyFrom, MemGauge,
     OperatorConfig, Source, StageSink, StageSpec, Straggler,
 };
 use rand::rngs::SmallRng;
@@ -155,7 +155,6 @@ fn engine_pairs(
         std::env::temp_dir().join(format!("ewh-prop-blocks-{}-{cond:?}", std::process::id()));
     let spill = SpillContext::new(dir.clone(), None);
     let table = RoutingTable::new(&owners);
-    let plan = MorselPlan::new(c1.len(), c2.len(), 32);
     let exchange = Exchange::new(256);
     let gauge = MemGauge::default();
     let sink = StageSink {
@@ -180,7 +179,6 @@ fn engine_pairs(
             router: &scheme.router,
             cond,
             table: &table,
-            plan: &plan,
             sink: Some(sink),
             key_from: KeyFrom::Probe,
             gauge: Some(&gauge),

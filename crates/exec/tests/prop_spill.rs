@@ -28,8 +28,7 @@ use ewh_core::{build_ci, ColumnBatch, JoinCondition, Key, RoutingTable, SchemeKi
 use ewh_exec::engine::run_pipelined_io;
 use ewh_exec::{
     run_operator, run_plan, AdaptiveConfig, ChainStage, EngineConfig, EngineIo, EngineOutcome,
-    EngineRuntime, ExecMode, KeyFrom, MorselPlan, OperatorConfig, Source, SpillConfig,
-    SpillContext, StageSpec,
+    EngineRuntime, ExecMode, KeyFrom, OperatorConfig, Source, SpillConfig, SpillContext, StageSpec,
 };
 use proptest::prelude::*;
 
@@ -118,7 +117,6 @@ fn run_over_an_owned_segment(
             router: &scheme.router,
             cond,
             table: &RoutingTable::new(&owners),
-            plan: &MorselPlan::new(r1.len(), r2.len(), base.morsel_tuples),
             sink: None,
             key_from: KeyFrom::Probe,
             gauge: None,
@@ -406,7 +404,6 @@ fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
                 router: &scheme.router,
                 cond: &cond,
                 table: &RoutingTable::new(&[0]),
-                plan: &MorselPlan::new(r1.len(), r2.len(), PROBE as usize),
                 sink: Some(sink),
                 key_from: KeyFrom::Probe,
                 gauge: Some(&gauge),
