@@ -1,13 +1,17 @@
 //! Tuple routing: which regions receive an incoming tuple.
 //!
 //! Content-sensitive schemes (CSI, CSIO) route by join key: the key maps to a
-//! grid row (column) through the histogram boundaries, and the tuple goes to
-//! every region intersecting that row (column). The content-insensitive
+//! grid row (column) through the histogram boundaries — one read of a
+//! direct-indexed table per key — and the tuple goes to every region
+//! intersecting that row (column). The content-insensitive
 //! scheme (CI / 1-Bucket) ignores the key entirely: an `R1` tuple picks a
 //! random row *band* of the J = a×b region grid and is replicated to the `b`
 //! regions of that band (§II-A). A grid region too heavy for one machine and
 //! too small to cut — one hot key — is a [`GridBlock`]: the same 1-Bucket
-//! scatter, confined to that region's rectangle.
+//! scatter, confined to that region's rectangle. A batch is routed by *line*
+//! (grid row or column, matrix band, hash bucket): every tuple of a line goes
+//! to the same regions, so each line's regions are worked out once per batch
+//! ([`RouteScatter`]).
 
 use std::mem;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -52,21 +56,30 @@ pub trait RouteBatch {
 /// fragments themselves are written in cache-line-sized bulk copies.
 const WC_LANE: usize = 64;
 
-/// Staging lanes a [`RouteScatter`] keeps spare fragment allocations for.
+/// Retired fragment allocations a [`RouteScatter`] keeps for reuse.
 const SPARE_FRAGMENTS: usize = 32;
 
-/// Two-pass histogram-then-scatter routing.
+/// Two-pass histogram-then-scatter routing, driven by
+/// [`RouteBatch::route_scatter`]. Pass 1 counts where every tuple goes, so
+/// that each touched region's fragment is allocated at its exact final
+/// size. Pass 2 writes every tuple through a small cache-resident
+/// *write-combining lane* per region; a full lane flushes in one bulk copy
+/// per column, so the cold fragments are only ever written in
+/// `WC_LANE`-sized bursts. There are two ways through:
 ///
-/// Pass 1 (`record`, driven by
-/// [`RouteBatch::route_scatter`]) routes every key once, accumulating a
-/// per-region histogram and the flattened per-tuple destination lists
-/// (CSR layout). Pass 2 (`scatter_columns`)
-/// allocates each touched region's fragment at its exact final size, then
-/// replays the destinations, writing each tuple's key/payload into a small
-/// cache-resident *write-combining lane* per region; a full lane flushes
-/// in one bulk copy per column. The scattered stores of the per-tuple loop
-/// thus always hit hot staging memory, and the (cold) fragments are only
-/// ever written in `WC_LANE`-sized bursts.
+/// * **By line**: the grid, the content-insensitive matrix and the hash
+///   partitioner's `R1` side. Within a batch every tuple of one *line* — a
+///   grid row or column, a matrix row band or column, a hash bucket — goes
+///   to the same regions (a block's sub-row is drawn once per batch). Pass
+///   1 records one line per tuple, then each touched line's regions are
+///   listed once, in first-touch order. A line none of whose regions
+///   another touched line reaches (a matrix row band, a hot key's block
+///   confined to one grid row) is scattered into its first region's
+///   fragment only, and its other regions take a bulk copy of that
+///   fragment. Any other line is scattered into each of its regions.
+/// * **By tuple**: the hash partitioner's `R2` band fan-out, whose region
+///   lists differ key by key. Pass 1 records every tuple's region list
+///   (CSR layout) and pass 2 replays it.
 ///
 /// Bit-identity contract: for every region, the fragment holds — in batch
 /// order — exactly the tuples a per-tuple [`Router::route_r1`] /
@@ -84,26 +97,28 @@ pub struct RouteScatter {
     slot_of: Vec<u32>,
     /// Regions in first-touch order.
     touched: Vec<u32>,
-    /// Flattened per-tuple destination region lists (CSR values).
+    /// Per tuple: its index into `lines` (by line), or its flattened region
+    /// list (by tuple, the CSR values).
     dests: Vec<u32>,
-    /// CSR offsets: tuple `i` goes to `dests[offsets[i]..offsets[i+1]]`.
+    /// CSR offsets (by tuple): tuple `i` goes to `dests[offsets[i]..offsets[i+1]]`.
     offsets: Vec<u32>,
-    /// Write-combining staging lanes, [`WC_LANE`] slots per touched region.
-    lane_keys: Vec<Key>,
-    lane_payloads: Vec<u64>,
-    lane_len: Vec<u32>,
+    /// Per-line tuple count, and line → index into `lines` (valid iff
+    /// counted).
+    line_counts: Vec<u32>,
+    line_slot: Vec<u32>,
+    /// Touched lines in first-touch order, as `(line, start, len)`: the
+    /// fragment slots pass 2 writes the line's tuples to are
+    /// `writes[start..start + len]`.
+    lines: Vec<(u32, u32, u32)>,
+    writes: Vec<u32>,
+    /// `(first slot, regions)` of each line whose regions hold its tuples
+    /// alone: pass 2 writes the first, and the others copy it.
+    copies: Vec<(u32, u32)>,
+    lanes: Lanes,
     /// Built fragments, parallel to `touched`.
     frags: Vec<ColumnBatch>,
     /// Retired fragment allocations recycled into future batches.
     spare: Vec<ColumnBatch>,
-    /// Grouped fast-path state (see [`route_grouped`](Self::route_grouped)):
-    /// per-group tuple counts, group id → `grp_touched` slot, groups in
-    /// first-touch order, and each touched group's contiguous span of
-    /// fragment slots within `touched`.
-    grp_counts: Vec<u32>,
-    grp_slot: Vec<u32>,
-    grp_touched: Vec<u32>,
-    grp_spans: Vec<(u32, u32)>,
 }
 
 impl RouteScatter {
@@ -146,25 +161,24 @@ impl RouteScatter {
         for &r in &self.touched {
             self.counts[r as usize] = 0;
         }
-        for &g in &self.grp_touched {
-            self.grp_counts[g as usize] = 0;
+        for &(line, ..) in &self.lines {
+            self.line_counts[line as usize] = 0;
         }
         self.touched.clear();
-        self.grp_touched.clear();
-        self.grp_spans.clear();
         self.dests.clear();
         self.offsets.clear();
-        for f in self.frags.drain(..) {
-            if self.spare.len() < SPARE_FRAGMENTS && f.capacity() > 0 {
-                let mut f = f;
-                f.clear();
-                self.spare.push(f);
-            }
+        self.lines.clear();
+        self.writes.clear();
+        self.copies.clear();
+        let mut frags = mem::take(&mut self.frags);
+        for f in frags.drain(..) {
+            self.recycle(f);
         }
+        self.frags = frags;
     }
 
-    /// Pass-1 entry: records one tuple's destination regions (histogram +
-    /// first-touch order + CSR append). Must be called once per tuple, in
+    /// Pass 1 by tuple: records one tuple's destination regions (histogram,
+    /// first-touch order, CSR append). Must be called once per tuple, in
     /// batch order.
     #[inline]
     fn record(&mut self, regions: &[u32]) {
@@ -180,169 +194,169 @@ impl RouteScatter {
         self.offsets.push(self.dests.len() as u32);
     }
 
-    /// Pass 2: allocates each touched region's fragment at its exact
-    /// histogram size and replays the recorded destinations through the
-    /// write-combining lanes. Fragment contents end up in batch order per
-    /// region.
-    fn scatter_columns(&mut self, keys: &[Key], payloads: &[u64]) {
-        debug_assert_eq!(keys.len(), payloads.len());
-        debug_assert_eq!(self.offsets.len(), keys.len());
-        let nt = self.touched.len();
+    /// Allocates each touched region's fragment at its exact batch size.
+    fn open_fragments(&mut self) {
         debug_assert!(self.frags.is_empty());
         for &r in &self.touched {
-            let cap = self.counts[r as usize] as usize;
             let mut f = self.spare.pop().unwrap_or_default();
-            f.reserve(cap);
+            f.reserve(self.counts[r as usize] as usize);
             self.frags.push(f);
-        }
-        self.lane_keys.resize(nt * WC_LANE, 0);
-        self.lane_payloads.resize(nt * WC_LANE, 0);
-        self.lane_len.clear();
-        self.lane_len.resize(nt, 0);
-        let mut from = 0usize;
-        for (i, (&k, &p)) in keys.iter().zip(payloads).enumerate() {
-            let to = self.offsets[i] as usize;
-            for &r in &self.dests[from..to] {
-                let s = self.slot_of[r as usize] as usize;
-                let len = self.lane_len[s] as usize;
-                let base = s * WC_LANE;
-                self.lane_keys[base + len] = k;
-                self.lane_payloads[base + len] = p;
-                if len + 1 == WC_LANE {
-                    self.frags[s].extend_from_slices(
-                        &self.lane_keys[base..base + WC_LANE],
-                        &self.lane_payloads[base..base + WC_LANE],
-                    );
-                    self.lane_len[s] = 0;
-                } else {
-                    self.lane_len[s] = len as u32 + 1;
-                }
-            }
-            from = to;
-        }
-        for s in 0..nt {
-            let len = self.lane_len[s] as usize;
-            if len > 0 {
-                let base = s * WC_LANE;
-                self.frags[s].extend_from_slices(
-                    &self.lane_keys[base..base + len],
-                    &self.lane_payloads[base..base + len],
-                );
-                self.lane_len[s] = 0;
-            }
         }
     }
 
-    /// Grouped fast path for routers whose per-tuple destination sets are
-    /// *disjoint groups* of regions — a whole row (or column) of the
-    /// content-insensitive matrix, a single hash bucket. Every member
-    /// region of a group receives the identical fragment, so instead of
-    /// scattering each of the `replication × n` copies tuple-by-tuple,
-    /// this records one group id per tuple, scatters each tuple *once*
-    /// into its group's fragment, and bulk-clones that fragment to the
-    /// group's sibling regions afterwards.
-    ///
-    /// `group_of` draws each tuple's group in batch order, consuming any
-    /// RNG exactly as the scalar per-tuple router would; `members` appends
-    /// a group's member regions in the scalar router's emission order, so
-    /// [`touched`](Self::touched) keeps the per-tuple loop's first-touch
-    /// region order and the bit-identity contract holds.
-    pub fn route_grouped(
+    /// Pass 2 by tuple: replays the recorded destinations.
+    fn scatter_columns(&mut self, keys: &[Key], payloads: &[u64]) {
+        debug_assert_eq!(self.offsets.len(), keys.len());
+        self.open_fragments();
+        self.lanes.open(0..self.touched.len() as u32);
+        let mut from = 0usize;
+        for (&to, (&k, &p)) in self.offsets.iter().zip(keys.iter().zip(payloads)) {
+            for &r in &self.dests[from..to as usize] {
+                let lane = self.slot_of[r as usize] as usize;
+                self.lanes.stage(lane, &mut self.frags, k, p);
+            }
+            from = to as usize;
+        }
+        self.lanes.flush(&mut self.frags);
+    }
+
+    /// The by-line path (see the type docs). `line_of` gives each tuple's
+    /// line in batch order, drawing from any RNG exactly as the per-tuple
+    /// router would; `members` appends a line's regions in that router's
+    /// emission order.
+    fn route_lines(
         &mut self,
         keys: &[Key],
         payloads: &[u64],
-        n_groups: usize,
-        mut group_of: impl FnMut(Key) -> u32,
+        n_lines: usize,
+        mut line_of: impl FnMut(Key) -> u32,
         mut members: impl FnMut(u32, &mut Vec<u32>),
     ) {
         self.clear();
-        if self.grp_counts.len() < n_groups {
-            self.grp_counts.resize(n_groups, 0);
-            self.grp_slot.resize(n_groups, 0);
+        if self.line_counts.len() < n_lines {
+            self.line_counts.resize(n_lines, 0);
+            self.line_slot.resize(n_lines, 0);
         }
-        let mut scratch: Vec<u32> = Vec::with_capacity(8);
-        self.dests.reserve(keys.len());
         for &k in keys {
-            let g = group_of(k);
-            let c = &mut self.grp_counts[g as usize];
-            if *c == 0 {
-                self.grp_slot[g as usize] = self.grp_touched.len() as u32;
-                self.grp_touched.push(g);
-                let start = self.touched.len() as u32;
-                scratch.clear();
-                members(g, &mut scratch);
-                for &r in &scratch {
-                    debug_assert_eq!(self.counts[r as usize], 0, "groups must be disjoint");
+            let line = line_of(k) as usize;
+            if self.line_counts[line] == 0 {
+                self.line_slot[line] = self.lines.len() as u32;
+                self.lines.push((line as u32, 0, 0));
+            }
+            self.line_counts[line] += 1;
+            self.dests.push(self.line_slot[line]);
+        }
+        // Every tuple of a line lists the line's regions, so listing each
+        // touched line's once, in first-touch order, touches regions in the
+        // per-tuple loop's order.
+        let mut regions = Vec::new();
+        for (line, start, len) in &mut self.lines {
+            regions.clear();
+            members(*line, &mut regions);
+            (*start, *len) = (self.writes.len() as u32, regions.len() as u32);
+            for &r in &regions {
+                let c = &mut self.counts[r as usize];
+                if *c == 0 {
                     self.slot_of[r as usize] = self.touched.len() as u32;
                     self.touched.push(r);
                 }
-                self.grp_spans.push((start, scratch.len() as u32));
+                *c += self.line_counts[*line as usize];
+                self.writes.push(self.slot_of[r as usize]);
             }
-            *c += 1;
-            // `dests` holds the per-tuple *group slot* in this mode (the
-            // generic path stores flattened region lists instead).
-            self.dests.push(self.grp_slot[g as usize]);
         }
-        self.scatter_grouped(keys, payloads);
+        // A line whose regions hold its tuples alone touched them all
+        // first, so their slots are consecutive: it writes the first, and
+        // the rest copy it.
+        let mut all_alone = true;
+        for (line, start, len) in &mut self.lines {
+            let n = self.line_counts[*line as usize];
+            let slots = &self.writes[*start as usize..(*start + *len) as usize];
+            let alone = |&s: &u32| self.counts[self.touched[s as usize] as usize] == n;
+            if *len > 0 && slots.iter().all(alone) {
+                self.copies.push((slots[0], *len));
+                *len = 1;
+            } else {
+                all_alone = false;
+            }
+        }
+        self.open_fragments();
+        let tuples = self.dests.iter().zip(keys.iter().zip(payloads));
+        if all_alone {
+            // Each line writes a slot of its own, so lane `i` can be line
+            // `i`'s: a tuple's line is its lane, without the span lookup the
+            // loop below pays per tuple (1–3 ns a tuple on the
+            // content-insensitive matrix, whose lines are always alone).
+            self.lanes.open(self.copies.iter().map(|&(first, _)| first));
+            for (&i, (&k, &p)) in tuples {
+                self.lanes.stage(i as usize, &mut self.frags, k, p);
+            }
+        } else {
+            self.lanes.open(0..self.touched.len() as u32);
+            for (&i, (&k, &p)) in tuples {
+                let (_, start, len) = self.lines[i as usize];
+                for &slot in &self.writes[start as usize..(start + len) as usize] {
+                    self.lanes.stage(slot as usize, &mut self.frags, k, p);
+                }
+            }
+        }
+        self.lanes.flush(&mut self.frags);
+        for &(first, len) in &self.copies {
+            let (head, tail) = self.frags.split_at_mut(first as usize + 1);
+            let src = &head[first as usize];
+            for f in &mut tail[..len as usize - 1] {
+                f.extend_from_slices(src.keys(), src.payloads());
+            }
+        }
+    }
+}
+
+/// Write-combining staging lanes of [`WC_LANE`] tuples, lane `i` bursting
+/// into fragment slot `slot[i]`.
+#[derive(Debug, Default)]
+struct Lanes {
+    keys: Vec<Key>,
+    payloads: Vec<u64>,
+    len: Vec<u32>,
+    slot: Vec<u32>,
+}
+
+impl Lanes {
+    /// Opens an empty lane per fragment slot of `slots`.
+    fn open(&mut self, slots: impl IntoIterator<Item = u32>) {
+        self.slot.clear();
+        self.slot.extend(slots);
+        let n = self.slot.len();
+        self.keys.resize(n * WC_LANE, 0);
+        self.payloads.resize(n * WC_LANE, 0);
+        self.len.clear();
+        self.len.resize(n, 0);
     }
 
-    /// Pass 2 of the grouped path: one write-combining scatter per tuple
-    /// into its group's first fragment slot, then bulk clones to siblings.
-    fn scatter_grouped(&mut self, keys: &[Key], payloads: &[u64]) {
-        debug_assert!(self.frags.is_empty());
-        // Exact-size fragment per touched region; a group's member slots
-        // are contiguous in `touched`, so slot order equals group order.
-        for (gi, &g) in self.grp_touched.iter().enumerate() {
-            let cap = self.grp_counts[g as usize] as usize;
-            let (_, len) = self.grp_spans[gi];
-            for _ in 0..len {
-                let mut f = self.spare.pop().unwrap_or_default();
-                f.reserve(cap);
-                self.frags.push(f);
-            }
+    /// Stages one tuple in `lane`; a full lane bursts into its fragment.
+    #[inline(always)]
+    fn stage(&mut self, lane: usize, frags: &mut [ColumnBatch], k: Key, p: u64) {
+        let len = self.len[lane] as usize;
+        let base = lane * WC_LANE;
+        self.keys[base + len] = k;
+        self.payloads[base + len] = p;
+        if len + 1 == WC_LANE {
+            frags[self.slot[lane] as usize].extend_from_slices(
+                &self.keys[base..base + WC_LANE],
+                &self.payloads[base..base + WC_LANE],
+            );
+            self.len[lane] = 0;
+        } else {
+            self.len[lane] = len as u32 + 1;
         }
-        let ng = self.grp_touched.len();
-        self.lane_keys.resize(ng * WC_LANE, 0);
-        self.lane_payloads.resize(ng * WC_LANE, 0);
-        self.lane_len.clear();
-        self.lane_len.resize(ng, 0);
-        for (i, (&k, &p)) in keys.iter().zip(payloads).enumerate() {
-            let gs = self.dests[i] as usize;
-            let len = self.lane_len[gs] as usize;
-            let base = gs * WC_LANE;
-            self.lane_keys[base + len] = k;
-            self.lane_payloads[base + len] = p;
-            if len + 1 == WC_LANE {
-                let slot = self.grp_spans[gs].0 as usize;
-                self.frags[slot].extend_from_slices(
-                    &self.lane_keys[base..base + WC_LANE],
-                    &self.lane_payloads[base..base + WC_LANE],
-                );
-                self.lane_len[gs] = 0;
-            } else {
-                self.lane_len[gs] = len as u32 + 1;
-            }
-        }
-        for gs in 0..ng {
-            let len = self.lane_len[gs] as usize;
-            if len > 0 {
-                let base = gs * WC_LANE;
-                let slot = self.grp_spans[gs].0 as usize;
-                self.frags[slot].extend_from_slices(
-                    &self.lane_keys[base..base + len],
-                    &self.lane_payloads[base..base + len],
-                );
-                self.lane_len[gs] = 0;
-            }
-        }
-        // Sibling regions of a group take a bulk copy of the group's
-        // fragment — two memcpys per clone instead of a per-tuple scatter.
-        for &(start, len) in &self.grp_spans {
-            for s in start + 1..start + len {
-                let (head, tail) = self.frags.split_at_mut(s as usize);
-                let src = &head[start as usize];
-                tail[0].extend_from_slices(src.keys(), src.payloads());
-            }
+    }
+
+    /// Flushes what every lane still holds into its fragment.
+    fn flush(&mut self, frags: &mut [ColumnBatch]) {
+        for (lane, (len, &slot)) in self.len.iter_mut().zip(&self.slot).enumerate() {
+            let range = lane * WC_LANE..lane * WC_LANE + *len as usize;
+            frags[slot as usize]
+                .extend_from_slices(&self.keys[range.clone()], &self.payloads[range]);
+            *len = 0;
         }
     }
 }
@@ -434,13 +448,9 @@ pub enum Router {
 }
 
 impl RouteBatch for Router {
-    /// One variant dispatch per batch for the routing pass. Routers whose
-    /// destination sets are disjoint region groups — the
-    /// content-insensitive matrix (a whole row/column per tuple) and the
-    /// hash partitioner's `R1` side (one bucket per tuple) — take the
-    /// grouped fast path, which scatters each tuple once and bulk-clones
-    /// replicated fragments; the grid router's overlapping region ranges
-    /// and the hash band fan-out keep the generic per-destination scatter.
+    /// One variant dispatch per batch. The grid, the content-insensitive
+    /// matrix and the hash partitioner's `R1` side route by line, the hash
+    /// band fan-out of `R2` by tuple (see [`RouteScatter`]).
     fn route_scatter(
         &self,
         rel: Rel,
@@ -449,10 +459,23 @@ impl RouteBatch for Router {
         rng: &mut impl Rng,
         scatter: &mut RouteScatter,
     ) {
+        debug_assert_eq!(keys.len(), payloads.len());
         match (self, rel) {
+            (Router::Grid(g), _) => {
+                // One draw per block for the whole batch (see `GridBlock`).
+                let picks: Vec<u32> = g.blocks.iter().map(|b| b.draw(rel, rng)).collect();
+                let (index, lines) = g.axis(rel);
+                scatter.route_lines(
+                    keys,
+                    payloads,
+                    lines.len(),
+                    |k| index.line_of(k) as u32,
+                    |line, out| g.members(rel, &lines[line as usize], |t| picks[t], out),
+                );
+            }
             (Router::Random(r), Rel::R1) => {
                 let cols = r.cols;
-                return scatter.route_grouped(
+                scatter.route_lines(
                     keys,
                     payloads,
                     r.rows as usize,
@@ -462,7 +485,7 @@ impl RouteBatch for Router {
             }
             (Router::Random(r), Rel::R2) => {
                 let (rows, cols) = (r.rows, r.cols);
-                return scatter.route_grouped(
+                scatter.route_lines(
                     keys,
                     payloads,
                     cols as usize,
@@ -471,7 +494,7 @@ impl RouteBatch for Router {
                 );
             }
             (Router::Hash(h), Rel::R1) => {
-                return scatter.route_grouped(
+                scatter.route_lines(
                     keys,
                     payloads,
                     h.num_buckets() as usize,
@@ -479,33 +502,17 @@ impl RouteBatch for Router {
                     |b, out| out.push(b),
                 );
             }
-            _ => {}
-        }
-        scatter.clear();
-        let mut scratch: Vec<u32> = Vec::with_capacity(8);
-        macro_rules! route_pass {
-            (|$k:ident, $out:ident| $route:expr) => {
-                for &$k in keys {
-                    scratch.clear();
-                    {
-                        let $out = &mut scratch;
-                        $route;
-                    }
-                    scatter.record(&scratch);
+            (Router::Hash(h), Rel::R2) => {
+                scatter.clear();
+                let mut out = Vec::with_capacity(8);
+                for &k in keys {
+                    out.clear();
+                    h.route_r2(k, &mut out);
+                    scatter.record(&out);
                 }
-            };
-        }
-        match (self, rel) {
-            (Router::Grid(g), _) => {
-                // One draw per block for the whole batch (see `GridBlock`).
-                let picks: Vec<u32> = g.blocks.iter().map(|b| b.draw(rel, rng)).collect();
-                route_pass!(|k, out| g.route(rel, k, |t| picks[t], out))
+                scatter.scatter_columns(keys, payloads);
             }
-            (Router::Random(_), _) => unreachable!("grouped fast path above"),
-            (Router::Hash(_), Rel::R1) => unreachable!("grouped fast path above"),
-            (Router::Hash(h), Rel::R2) => route_pass!(|k, out| h.route_r2(k, out)),
         }
-        scatter.scatter_columns(keys, payloads);
     }
 }
 
@@ -569,19 +576,91 @@ impl GridBlock {
     }
 }
 
+/// One axis of a grid: the line each key falls in, read off a
+/// direct-indexed table instead of a binary search over the bounds.
+///
+/// Line `i` covers keys `[bounds[i], upper[i])`, where `upper` is the grid's
+/// bounds without the leading `Key::MIN`; the last line ends at `Key::MAX`
+/// and holds it too. Slot `s` of the table covers the `2^shift` keys from
+/// `lo + (s << shift)`, `lo` the first interior bound, and `first[s]` is the
+/// line of that key. A key's line is thus one table read and a look at the
+/// bounds inside its slot: one compare, without a branch, when the slot
+/// holds at most one. About `2 · lines` slots span the interior bounds. Slot
+/// keys are computed in `u128` / `i128`, since over a span of nearly `2^64`
+/// keys `s << shift` passes `u64::MAX`.
+#[derive(Clone, Debug)]
+struct LineIndex {
+    upper: Vec<Key>,
+    lo: Key,
+    shift: u32,
+    first: Vec<u32>,
+}
+
+impl LineIndex {
+    fn new(bounds: &[Key]) -> Self {
+        debug_assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
+        let upper = bounds[1..].to_vec();
+        let inner = &upper[..upper.len() - 1];
+        let (Some(&lo), Some(&hi)) = (inner.first(), inner.last()) else {
+            // One line: every key is in it.
+            return LineIndex {
+                upper,
+                lo: Key::MAX,
+                shift: 0,
+                first: vec![0, 0],
+            };
+        };
+        let span = hi.abs_diff(lo) as u128;
+        let mut shift = 0;
+        while span >> shift >= 2 * inner.len() as u128 {
+            shift += 1;
+        }
+        let first = (0..=(span >> shift) + 1)
+            .map(|s| {
+                let key = lo as i128 + (s << shift) as i128;
+                inner.partition_point(|&b| b as i128 <= key) as u32
+            })
+            .collect();
+        LineIndex {
+            upper,
+            lo,
+            shift,
+            first,
+        }
+    }
+
+    #[inline]
+    fn line_of(&self, k: Key) -> usize {
+        if k < self.lo {
+            return 0;
+        }
+        let s = ((k.abs_diff(self.lo) >> self.shift) as usize).min(self.first.len() - 2);
+        let (a, b) = (self.first[s] as usize, self.first[s + 1] as usize);
+        if b - a > 1 {
+            return a + self.upper[a..b].partition_point(|&bound| bound <= k);
+        }
+        // At most one bound in the slot: `upper[a]`, line `a`'s end. With
+        // none, `upper[a]` lies past the slot and so above `k` — unless it
+        // is the last line's `Key::MAX` and `k` is too, which `b > a` rules
+        // out.
+        a + ((b > a) & (self.upper[a] <= k)) as usize
+    }
+}
+
 /// Content-sensitive router over a key-range grid.
 ///
-/// `row_bounds` has one entry per grid row plus a trailing sentinel; grid row
-/// `i` covers keys `[row_bounds[i], row_bounds[i+1])`, with the outer bounds
-/// at `Key::MIN` / `Key::MAX` so every key maps somewhere. `by_row[i]` lists
-/// the tiling regions whose row range covers grid row `i` (likewise
-/// `by_col`); tiling region `t` stands for the regions of `blocks[t]`, and
-/// when no region is a block (`blocks` empty) for region `t` itself — such a
-/// grid routes by key alone and draws nothing from the RNG.
+/// Grid row `i` covers keys `[row_bounds[i], row_bounds[i+1])` of the
+/// bounds it is built from, one entry per grid row plus a trailing
+/// sentinel, the outer ones `Key::MIN` / `Key::MAX` so every key maps
+/// somewhere (a `LineIndex` per axis holds them). `by_row[i]` lists the
+/// tiling regions whose row range covers grid row `i` (likewise `by_col`);
+/// tiling region `t` stands for the regions of `blocks[t]`, and when no
+/// region is a block (`blocks` empty) for region `t` itself — such a grid
+/// routes by key alone and draws nothing from the RNG.
 #[derive(Clone, Debug)]
 pub struct GridRouter {
-    row_bounds: Vec<Key>,
-    col_bounds: Vec<Key>,
+    rows: LineIndex,
+    cols: LineIndex,
     by_row: Vec<Vec<u32>>,
     by_col: Vec<Vec<u32>>,
     blocks: Vec<GridBlock>,
@@ -632,8 +711,8 @@ impl GridRouter {
             }
         }
         GridRouter {
-            row_bounds,
-            col_bounds,
+            rows: LineIndex::new(&row_bounds),
+            cols: LineIndex::new(&col_bounds),
             by_row,
             by_col,
             blocks,
@@ -645,19 +724,25 @@ impl GridRouter {
         &self.blocks
     }
 
-    #[inline]
-    fn cell_of(bounds: &[Key], k: Key) -> usize {
-        (bounds.partition_point(|&b| b <= k) - 1).min(bounds.len() - 2)
+    /// `rel`'s axis: its line index, and each line's tiling regions.
+    fn axis(&self, rel: Rel) -> (&LineIndex, &[Vec<u32>]) {
+        match rel {
+            Rel::R1 => (&self.rows, &self.by_row),
+            Rel::R2 => (&self.cols, &self.by_col),
+        }
     }
 
-    /// Appends the regions of a tuple of `rel` with key `k`; `pick(t)` is
-    /// the sub-row (sub-column) of block `t` it goes to.
+    /// Appends the regions of a tuple of `rel` whose line holds the tiling
+    /// regions `line`; `pick(t)` is the sub-row (sub-column) of block `t`
+    /// it goes to.
     #[inline]
-    fn route(&self, rel: Rel, k: Key, mut pick: impl FnMut(usize) -> u32, out: &mut Vec<u32>) {
-        let line = match rel {
-            Rel::R1 => &self.by_row[Self::cell_of(&self.row_bounds, k)],
-            Rel::R2 => &self.by_col[Self::cell_of(&self.col_bounds, k)],
-        };
+    fn members(
+        &self,
+        rel: Rel,
+        line: &[u32],
+        mut pick: impl FnMut(usize) -> u32,
+        out: &mut Vec<u32>,
+    ) {
         if self.blocks.is_empty() {
             out.extend_from_slice(line);
         } else {
@@ -669,22 +754,29 @@ impl GridRouter {
 
     /// One tuple routed on its own: every block it meets is drawn for it.
     #[inline]
+    fn route(&self, rel: Rel, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>) {
+        let (index, lines) = self.axis(rel);
+        let line = &lines[index.line_of(k)];
+        self.members(rel, line, |t| self.blocks[t].draw(rel, rng), out);
+    }
+
+    #[inline]
     pub fn route_r1(&self, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>) {
-        self.route(Rel::R1, k, |t| self.blocks[t].draw(Rel::R1, rng), out);
+        self.route(Rel::R1, k, rng, out);
     }
 
     #[inline]
     pub fn route_r2(&self, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>) {
-        self.route(Rel::R2, k, |t| self.blocks[t].draw(Rel::R2, rng), out);
+        self.route(Rel::R2, k, rng, out);
     }
 
     /// Grid row index of a key (exposed for tests and diagnostics).
     pub fn row_of(&self, k: Key) -> usize {
-        Self::cell_of(&self.row_bounds, k)
+        self.rows.line_of(k)
     }
 
     pub fn col_of(&self, k: Key) -> usize {
-        Self::cell_of(&self.col_bounds, k)
+        self.cols.line_of(k)
     }
 }
 
@@ -765,8 +857,8 @@ impl HashRouter {
 
     /// The single region an `R1` tuple with key `k` routes to, drawing
     /// from the RNG exactly as [`route_r1`](Self::route_r1) does (heavy
-    /// keys scatter to a random region) — the grouped-scatter fast path's
-    /// per-tuple group function.
+    /// keys scatter to a random region) — the by-line scatter's line of an
+    /// `R1` tuple.
     #[inline]
     pub fn bucket_r1(&self, k: Key, rng: &mut impl Rng) -> u32 {
         if self.is_heavy(k) {

@@ -3,21 +3,26 @@
 //! whether or not they arrive sorted, the write-combining scatter router
 //! builds the same fragments in the same order as a per-tuple
 //! `route_r1` / `route_r2` loop filling per-region buckets, under
-//! adversarial skew (all tuples into one region, empty regions, grouped
-//! and generic paths), zone-fence candidacy never disagrees with a
+//! adversarial skew (all tuples into one region, empty regions, random
+//! grids whose lines share regions, by-line and by-tuple paths) — over a
+//! grid with blocks, the same multiset per tiling region with one sub-row
+//! per block and batch — a grid's line table equals a binary search over
+//! its bounds, zone-fence candidacy never disagrees with a
 //! real sweep, and the leapfrogging columnar sweeps equal a nested-loop
 //! join for every condition on the probe-chunk shapes the engine produces
 //! (a small chunk spanning a large build, gaps, exhausted sides, extreme
 //! keys), in one shot and chunk by chunk.
 
 use ewh_core::{
-    ColumnBatch, GridRouter, HashRouter, IneqOp, JoinCondition, Key, KeyRange, RandomRouter, Rel,
-    RouteBatch, RouteScatter, Router, Tuple,
+    ColumnBatch, GridBlock, GridRouter, HashRouter, IneqOp, JoinCondition, Key, KeyRange,
+    RandomRouter, Rel, RouteBatch, RouteScatter, Router, Tuple,
 };
 use ewh_exec::{
     merge_sorted_runs, pair_payload, pair_tag, sweep_columns, sweep_columns_each, KeyFrom,
     OutputWork,
 };
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -50,11 +55,14 @@ fn runs_strategy() -> impl Strategy<Value = Vec<ColumnBatch>> {
 }
 
 /// Key columns with adversarial shapes: uniform, all-one-key (every tuple
-/// routes to a single region under content-sensitive routers), and
-/// two-cluster (most regions stay empty).
+/// routes to a single region under content-sensitive routers), two-cluster
+/// (most regions stay empty), and wide (the whole `i64` range, its ends
+/// included, mixed with narrow keys).
 fn keys_strategy() -> impl Strategy<Value = Vec<Key>> {
+    let wide = prop_oneof![any::<i64>(), -50i64..50, Just(Key::MIN), Just(Key::MAX)];
     prop_oneof![
         prop::collection::vec(-50i64..50, 0..400),
+        prop::collection::vec(wide, 0..400),
         (0..400usize, -50i64..50).prop_map(|(n, k)| vec![k; n]),
         (
             prop::collection::vec(any::<bool>(), 0..400),
@@ -65,9 +73,110 @@ fn keys_strategy() -> impl Strategy<Value = Vec<Key>> {
     ]
 }
 
-/// A router plus its region count: the content-insensitive matrix and the
-/// hash partitioner take the grouped scatter fast path, the grid router the
-/// generic per-destination path.
+/// Interior bounds of one grid axis plus the outer `Key::MIN` / `Key::MAX`:
+/// up to 69 of them (1–70 lines), drawn narrow (among the keys
+/// `keys_strategy` draws), across the whole `i64` range (`Key::MIN + 1` and
+/// `Key::MAX - 1` included, so the line table spans nearly `2^64` keys), or
+/// clustered (a narrow clump and far outliers, so one slot of the line
+/// table holds many bounds).
+fn axis_bounds(rng: &mut SmallRng) -> Vec<Key> {
+    let n = rng.gen_range(0..70);
+    let mut inner: Vec<Key> = match rng.gen_range(0..3) {
+        0 => (0..n).map(|_| rng.gen_range(-60..60)).collect(),
+        1 => (0..n)
+            .map(|i| match i {
+                0 => Key::MIN + 1,
+                1 => Key::MAX - 1,
+                _ => rng.gen(),
+            })
+            .collect(),
+        _ => (0..n)
+            .map(|i| {
+                if i % 8 == 0 {
+                    rng.gen()
+                } else {
+                    rng.gen_range(-20..20)
+                }
+            })
+            .collect(),
+    };
+    inner.retain(|&b| b != Key::MIN && b != Key::MAX);
+    inner.sort_unstable();
+    inner.dedup();
+    [vec![Key::MIN], inner, vec![Key::MAX]].concat()
+}
+
+/// A grid over two `axis_bounds` axes, tiled by 1–12 rectangles drawn
+/// independently: their row and column spans overlap, so lines share
+/// regions, and a line no rectangle spans has none. With `blocked`, tiling
+/// region `t` is an `a × b` block, `1 ≤ a, b ≤ 3`. Returns the router and
+/// its region count.
+fn random_grid(seed: u64, blocked: bool) -> (GridRouter, usize) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (rows, cols) = (axis_bounds(&mut rng), axis_bounds(&mut rng));
+    let span = |rng: &mut SmallRng, lines: usize| {
+        let (a, b) = (rng.gen_range(0..lines), rng.gen_range(0..lines));
+        (a.min(b), a.max(b))
+    };
+    let (mut rects, mut shapes) = (Vec::new(), Vec::new());
+    for _ in 0..rng.gen_range(1..13) {
+        let (r0, r1) = span(&mut rng, rows.len() - 1);
+        let (c0, c1) = span(&mut rng, cols.len() - 1);
+        rects.push((r0, r1, c0, c1));
+        shapes.push(match blocked {
+            true => (rng.gen_range(1..4), rng.gen_range(1..4)),
+            false => (1, 1),
+        });
+    }
+    let n_regions = shapes.iter().map(|&(a, b)| (a * b) as usize).sum();
+    let grid = GridRouter::with_blocks(rows, cols, &rects, &shapes);
+    (grid, n_regions)
+}
+
+/// The block `region` belongs to (a region of a block-free grid is a
+/// `1 × 1` block of its own).
+fn block_of(grid: &GridRouter, region: u32) -> GridBlock {
+    let within = |b: &&GridBlock| (b.base..b.base + b.a * b.b).contains(&region);
+    let plain = GridBlock {
+        base: region,
+        a: 1,
+        b: 1,
+    };
+    grid.blocks().iter().find(within).copied().unwrap_or(plain)
+}
+
+/// The routing oracle: a per-tuple `route_r1` / `route_r2` loop filling
+/// per-region buckets of batch indices, regions listed in first-touch
+/// order.
+fn per_tuple_buckets(
+    router: &Router,
+    rel: Rel,
+    keys: &[Key],
+    n_regions: usize,
+    rng: &mut SmallRng,
+) -> (Vec<u32>, Vec<Vec<u32>>) {
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_regions];
+    let mut touched: Vec<u32> = Vec::new();
+    let mut out = Vec::new();
+    for (i, &k) in keys.iter().enumerate() {
+        out.clear();
+        match rel {
+            Rel::R1 => router.route_r1(k, rng, &mut out),
+            Rel::R2 => router.route_r2(k, rng, &mut out),
+        }
+        for &region in &out {
+            if buckets[region as usize].is_empty() {
+                touched.push(region);
+            }
+            buckets[region as usize].push(i as u32);
+        }
+    }
+    (touched, buckets)
+}
+
+/// A router plus its region count. The content-insensitive matrix, the hash
+/// partitioner's `R1` side and random block-free grids (see `random_grid`)
+/// take the by-line scatter, the hash band fan-out of `R2` the by-tuple one.
 fn router_strategy() -> impl Strategy<Value = (Router, usize)> {
     prop_oneof![
         (1u32..4, 1u32..4).prop_map(|(rows, cols)| {
@@ -81,12 +190,9 @@ fn router_strategy() -> impl Strategy<Value = (Router, usize)> {
                 (Router::Hash(HashRouter::new(j, beta, heavy)), j as usize)
             }
         ),
-        Just({
-            // A 2×2 key grid whose four regions each cover one cell.
-            let bounds = vec![Key::MIN, 0, Key::MAX];
-            let rects = [(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)];
-            let g = GridRouter::new(bounds.clone(), bounds, &rects);
-            (Router::Grid(g), 4)
+        any::<u64>().prop_map(|seed| {
+            let (grid, n_regions) = random_grid(seed, false);
+            (Router::Grid(grid), n_regions)
         }),
     ]
 }
@@ -142,25 +248,8 @@ proptest! {
         let (router, n_regions) = router_regions;
         let payloads: Vec<u64> = (0..keys.len() as u64).map(|i| i << 8 | 0xE1).collect();
 
-        // The oracle: route tuple by tuple, bucket the batch indices per
-        // region, list regions in first-touch order.
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); n_regions];
-        let mut touched: Vec<u32> = Vec::new();
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut out = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            out.clear();
-            match rel {
-                Rel::R1 => router.route_r1(k, &mut rng, &mut out),
-                Rel::R2 => router.route_r2(k, &mut rng, &mut out),
-            }
-            for &region in &out {
-                if buckets[region as usize].is_empty() {
-                    touched.push(region);
-                }
-                buckets[region as usize].push(i as u32);
-            }
-        }
+        let (touched, buckets) = per_tuple_buckets(&router, rel, &keys, n_regions, &mut rng);
         let oracle_after: u64 = rng.gen();
 
         let mut scatter = RouteScatter::new(n_regions);
@@ -177,6 +266,83 @@ proptest! {
             let expect = batch.gather(&buckets[region as usize]);
             let got = scatter.take_fragment(slot);
             prop_assert_eq!(got, expect, "region {} fragment diverged", region);
+        }
+    }
+
+    #[test]
+    fn a_blocked_grid_keeps_each_tiling_regions_multiset_in_one_sub_row_per_batch(
+        keys in keys_strategy(),
+        grid_regions in any::<u64>().prop_map(|seed| random_grid(seed, true)),
+        rel in prop_oneof![Just(Rel::R1), Just(Rel::R2)],
+        seed in any::<u64>(),
+    ) {
+        // Per-tuple draws and per-batch draws pick different sub-rows, so
+        // the oracle is per tiling region: the tuples the loop sends to a
+        // block, each once per region of a sub-row (`R2`: sub-column).
+        let (grid, n_regions) = grid_regions;
+        let router = Router::Grid(grid.clone());
+        let payloads: Vec<u64> = (0..keys.len() as u64).collect();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (touched, buckets) = per_tuple_buckets(&router, rel, &keys, n_regions, &mut rng);
+        let mut scatter = RouteScatter::new(n_regions);
+        router.route_scatter(rel, &keys, &payloads, &mut rng, &mut scatter);
+
+        // Sorted payloads per tiling region (keyed by its block's first
+        // region), from the loop and from the scatter.
+        let mut expect = BTreeMap::<u32, Vec<u64>>::new();
+        for &region in &touched {
+            let tuples = buckets[region as usize].iter().map(|&i| payloads[i as usize]);
+            expect.entry(block_of(&grid, region).base).or_default().extend(tuples);
+        }
+        let batch = ColumnBatch::from_columns(keys.clone(), payloads.clone());
+        let mut got = BTreeMap::<u32, Vec<u64>>::new();
+        let mut per_block = BTreeMap::<u32, Vec<(u32, ColumnBatch)>>::new();
+        for (slot, &region) in scatter.touched().to_vec().iter().enumerate() {
+            let fragment = scatter.take_fragment(slot);
+            let block = block_of(&grid, region);
+            if block.a * block.b == 1 {
+                let mine = batch.gather(&buckets[region as usize]);
+                prop_assert_eq!(&fragment, &mine, "plain region {} diverged", region);
+            }
+            got.entry(block.base).or_default().extend(fragment.payloads());
+            per_block.entry(block.base).or_default().push((region, fragment));
+        }
+        for list in got.values_mut().chain(expect.values_mut()) {
+            list.sort_unstable();
+        }
+        prop_assert_eq!(got, expect);
+        // The batch fills one whole sub-row (sub-column) of each block it
+        // reaches: every region of it, each with the same tuples.
+        for (base, fragments) in per_block {
+            let block = block_of(&grid, base);
+            let (width, mut lanes): (u32, Vec<u32>) = match rel {
+                Rel::R1 => (block.b, fragments.iter().map(|f| (f.0 - base) / block.b).collect()),
+                Rel::R2 => (block.a, fragments.iter().map(|f| (f.0 - base) % block.b).collect()),
+            };
+            lanes.dedup();
+            prop_assert_eq!(lanes.len(), 1, "block {} split a batch", base);
+            prop_assert_eq!(fragments.len() as u32, width, "block {}", base);
+            prop_assert!(fragments.iter().all(|f| f.1 == fragments[0].1), "block {}", base);
+        }
+    }
+
+    #[test]
+    fn the_line_table_equals_a_binary_search_over_the_bounds(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (rows, cols) = (axis_bounds(&mut rng), axis_bounds(&mut rng));
+        let whole = [(0, rows.len() - 2, 0, cols.len() - 2)];
+        let grid = GridRouter::new(rows.clone(), cols.clone(), &whole);
+        for (bounds, rel) in [(&rows, Rel::R1), (&cols, Rel::R2)] {
+            let near = bounds.iter().flat_map(|&b| [b.saturating_sub(1), b, b.saturating_add(1)]);
+            let random: Vec<Key> = (0..100).flat_map(|_| [rng.gen(), rng.gen_range(-70..70)]).collect();
+            for k in near.chain([Key::MIN, Key::MAX]).chain(random) {
+                let line = match rel {
+                    Rel::R1 => grid.row_of(k),
+                    Rel::R2 => grid.col_of(k),
+                };
+                let oracle = (bounds.partition_point(|&b| b <= k) - 1).min(bounds.len() - 2);
+                prop_assert_eq!(line, oracle, "key {} over {:?}", k, bounds);
+            }
         }
     }
 

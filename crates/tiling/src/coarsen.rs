@@ -831,6 +831,23 @@ mod tests {
             });
             prop_assert!(wrong.is_empty(), "(φ, minimum, cuts): {:?}", wrong);
         }
+
+        #[test]
+        fn col_cand_spans_the_rows_whose_interval_holds_each_column(sg in random_grid(24)) {
+            // A superset always; on a staircase exact, but for rows without
+            // candidates, which add no cell.
+            for (j, &(lo, hi)) in sg.col_cand().iter().enumerate() {
+                let holds = |i: usize| sg.cand[i].0 as usize <= j && j <= sg.cand[i].1 as usize;
+                let rows: Vec<usize> = (0..sg.n_rows as usize).filter(|&i| holds(i)).collect();
+                let spanned = |i: &usize| (lo as usize..=hi as usize).contains(i);
+                prop_assert!(rows.iter().all(spanned), "column {} misses a row", j);
+                if sg.is_staircase() {
+                    let has_cand = |&i: &usize| sg.cand[i].0 <= sg.cand[i].1;
+                    let within: Vec<usize> = (lo as usize..=hi as usize).filter(has_cand).collect();
+                    prop_assert_eq!(within, rows, "column {}", j);
+                }
+            }
+        }
     }
 
     #[test]
