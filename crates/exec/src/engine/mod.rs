@@ -118,7 +118,10 @@ pub struct EngineConfig {
     pub morsel_tuples: usize,
     /// Bounded queue capacity, in tuples, per reducer.
     pub queue_tuples: usize,
-    /// Probe tuples buffered per region before a sweep.
+    /// The floor of a region's probe buffer: a sealed region sweeps once
+    /// it buffers this many tuples and an eighth of its resident build (the
+    /// floor alone while the query is over its spill budget). Also the cap
+    /// on every spilled run, so a replay reloads at most this many tuples.
     pub probe_chunk: usize,
     pub seed: u64,
     pub work: OutputWork,
@@ -153,9 +156,9 @@ impl EngineConfig {
             reducers: tasks,
             morsel_tuples: morsel_tuples.max(1),
             queue_tuples: 4 * morsel_tuples.max(1),
-            // A fraction of the morsel size: a region fed by several morsels
-            // flushes (and frees) probe chunks mid-stream instead of only at
-            // the final seal. The floor keeps per-sweep overhead amortized.
+            // A fraction of the morsel size: the floor under a region's
+            // probe buffer (its build sets the rest, see the reducer) and
+            // the spill-run cap, which bounds a replay's reload transient.
             probe_chunk: (morsel_tuples / 4).max(64),
             seed,
             work: OutputWork::Touch,

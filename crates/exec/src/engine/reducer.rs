@@ -4,11 +4,19 @@
 //! then on. Order is made where it is needed and nowhere else: at the seal,
 //! and on the way to disk for a run that spills before it.
 //!
-//! Memory discipline is the point: probe fragments are buffered only up to
-//! one chunk (`probe_chunk` tuples) per region and freed right after their
-//! sweep, and a region's build state is freed the moment the region
-//! completes — the engine never holds the full shuffle materialization the
-//! batch path does.
+//! Memory discipline is the point: a sealed region buffers probe fragments
+//! until they make a chunk worth sweeping — an eighth of its resident
+//! build, and never fewer than `probe_chunk` tuples — and frees them right
+//! after their sweep, and a region's build state is freed the moment the
+//! region completes — the engine never holds the full shuffle
+//! materialization the batch path does. The buffer is what pays for the
+//! sweep: a chunk of `c` sorted probe tuples against `b` build tuples costs
+//! about `c` gallops across the build while `c ≪ b`, each a cache miss, and
+//! a walk of the build in order once `c` reaches `b / 8` (about eight build
+//! tuples a probe tuple, the per-input cost the paper's region weight
+//! charges). While the query sits over its spill budget a region sweeps at
+//! the floor, since the sweep then frees memory that would otherwise go to
+//! disk.
 //!
 //! ## Cooperative scheduling
 //!
@@ -95,6 +103,10 @@ use super::Straggler;
 /// firehosed reducer cannot monopolize a pool slot against other queries.
 const DELIVERIES_PER_POLL: usize = 32;
 
+/// Resident build tuples per buffered probe tuple at which a sealed region
+/// sweeps (see the module docs for why).
+const BUILD_PER_PROBE: usize = 8;
+
 /// Per-region accumulator.
 #[derive(Debug, Default)]
 struct RegionState {
@@ -104,7 +116,8 @@ struct RegionState {
     runs: Vec<ColumnBatch>,
     /// The sorted build columns (valid once `sealed` is set).
     build: ColumnBatch,
-    /// Probe tuples waiting for the seal or for a full chunk.
+    /// Probe tuples waiting for the seal or for a sweep to be due
+    /// (`sweep_due`).
     pending: ColumnBatch,
     /// Build-side runs spilled to disk under budget pressure; each is
     /// reloaded transiently and swept against every probe chunk (a
@@ -134,6 +147,20 @@ impl RegionState {
         (self.runs.iter().map(ColumnBatch::len).sum::<usize>()
             + self.build.len()
             + self.pending.len()) as u64
+    }
+
+    /// Whether the sealed region's probe buffer is due for a sweep: at
+    /// least `floor` tuples and, unless the query is `pressed` over its
+    /// spill budget (a sweep then frees what would otherwise go to disk),
+    /// an eighth of the resident build. A spilled build is not resident, so
+    /// its region keeps the floor.
+    fn sweep_due(&self, floor: usize, pressed: bool) -> bool {
+        let due = if pressed {
+            floor
+        } else {
+            floor.max(self.build.len() / BUILD_PER_PROBE)
+        };
+        self.sealed && self.pending.len() >= due
     }
 }
 
@@ -177,8 +204,10 @@ pub struct ReducerShared<'a> {
     pub gauge: &'a MemGauge,
     pub cond: &'a JoinCondition,
     pub work: OutputWork,
-    /// Probe tuples buffered per region before a sweep is worth it
-    /// (normalized to ≥ 1 by the orchestrator).
+    /// The fewest probe tuples a region buffers before a sweep (normalized
+    /// to ≥ 1 by the orchestrator); a region with a resident build waits
+    /// for an eighth of it unless the query is over its budget. Also the
+    /// cap on every spilled run.
     pub probe_chunk: usize,
     /// Tuples routed but not yet absorbed into region state.
     pub in_flight: &'a AtomicU64,
@@ -218,6 +247,14 @@ pub struct ReducerShared<'a> {
     /// Cumulative sweep wall time (one clock pair per build×chunk sweep
     /// pass), aggregated across reducers into `JoinStats::sweep_secs`.
     pub sweep_nanos: &'a AtomicU64,
+}
+
+impl ReducerShared<'_> {
+    /// The query's gauge sits over its spill budget.
+    fn pressed(&self) -> bool {
+        self.budget_tuples
+            .is_some_and(|b| self.gauge.current_tuples() > b)
+    }
 }
 
 /// One reducer task: drains queue `me` until finished or aborted.
@@ -487,7 +524,7 @@ impl<'a> ReducerTask<'a> {
                 // buffer or spill reload on this worker.
                 pool.put(tuples);
                 sh.board.add_probe(region, n);
-                if st.sealed && st.pending.len() >= sh.probe_chunk {
+                if st.sweep_due(sh.probe_chunk, sh.pressed()) {
                     self.queue_sweep(region);
                 }
             }
@@ -525,7 +562,7 @@ impl<'a> ReducerTask<'a> {
             }
             Self::seal(st, sh, region as u32);
             sh.board.note_region_sealed(me);
-            if st.pending.len() >= sh.probe_chunk {
+            if st.sweep_due(sh.probe_chunk, sh.pressed()) {
                 self.sweep_queue.push_back(region as u32);
             }
         }
@@ -614,7 +651,7 @@ impl<'a> ReducerTask<'a> {
         let st = self.states[region as usize]
             .as_ref()
             .expect("just installed");
-        if st.sealed && st.pending.len() >= sh.probe_chunk {
+        if st.sweep_due(sh.probe_chunk, sh.pressed()) {
             self.queue_sweep(region);
         }
         // Publish completion last: the coordinator may start the next
@@ -1483,6 +1520,157 @@ mod tests {
             0,
             "every charged tuple was released"
         );
+    }
+
+    /// Probe tuples a fragment carries in the cadence tests below.
+    const FRAGMENT: usize = 64;
+
+    /// Queues, for each `(build, probe)` size pair, one region's build
+    /// side, `SealR1`, then every region's probe side in interleaved
+    /// [`FRAGMENT`]-tuple fragments, `SealAll` and `Finish`. Build keys
+    /// cycle over 1 024 values; probe keys visit the same values out of
+    /// order. Returns each region's `(count, checksum)` as one sweep of its
+    /// whole sorted probe side computes it.
+    fn stream_after_seal(rig: &Rig, sizes: &[(usize, usize)]) -> Vec<(u64, u64)> {
+        let side = |region: usize, rel: u64, n: usize, stride: u64| -> ColumnBatch {
+            (0..n as u64)
+                .map(|i| {
+                    let key = (i * stride % 1024) as i64;
+                    ewh_core::Tuple::new(key, (region as u64) << 40 | rel << 32 | i)
+                })
+                .collect()
+        };
+        let builds: Vec<ColumnBatch> = (0..sizes.len())
+            .map(|r| side(r, 1, sizes[r].0, 1))
+            .collect();
+        let probes: Vec<ColumnBatch> = (0..sizes.len())
+            .map(|r| side(r, 2, sizes[r].1, 7919))
+            .collect();
+        for (r, build) in builds.iter().enumerate() {
+            rig.ship(0, r as u32, Rel::R1, build.clone());
+        }
+        rig.queues[0].push_unbounded(Delivery::SealR1);
+        let longest = sizes.iter().map(|&(_, p)| p).max().unwrap_or(0);
+        for off in (0..longest).step_by(FRAGMENT) {
+            for (r, probe) in probes.iter().enumerate() {
+                if off < probe.len() {
+                    let mut fragment = ColumnBatch::new();
+                    fragment.extend_from_range(probe, off..(off + FRAGMENT).min(probe.len()));
+                    rig.ship(0, r as u32, Rel::R2, fragment);
+                }
+            }
+        }
+        rig.queues[0].push_unbounded(Delivery::SealAll);
+        rig.queues[0].push_unbounded(Delivery::Finish);
+        builds
+            .into_iter()
+            .zip(probes)
+            .map(|(mut build, mut probe)| {
+                build.sort_by_key();
+                probe.sort_by_key();
+                sweep_columns(&build, &probe, &rig.cond, OutputWork::Touch)
+            })
+            .collect()
+    }
+
+    /// Drives reducer 0 over the regions `stream_after_seal` queued and
+    /// checks, after every poll, that no region buffers more than `limit`
+    /// (its probe tuples due for a sweep) plus one fragment and that no
+    /// spilled run exceeds the floor; returns the outcome once the tallies
+    /// equal one whole-probe sweep per region.
+    fn drive_within(
+        rt: &EngineRuntime,
+        sh: &ReducerShared<'_>,
+        expect: &[(u64, u64)],
+        limit: impl Fn(usize) -> usize + Send,
+    ) -> ReducerOutcome {
+        let owned: Vec<u32> = (0..expect.len() as u32).collect();
+        let mut most = vec![0; expect.len()];
+        let mut longest_run = 0;
+        let outcome = drive_with(rt, sh, 0, &owned, |task| {
+            for (r, most) in most.iter_mut().enumerate() {
+                let st = task.states[r].as_ref().expect("the region stays owned");
+                *most = (*most).max(st.pending.len());
+                for run in st.spilled_build.iter().chain(&st.spilled_pending) {
+                    longest_run = longest_run.max(run.tuples());
+                }
+            }
+        });
+        for (r, &most) in most.iter().enumerate() {
+            let bound = limit(r) + FRAGMENT;
+            assert!(
+                most <= bound,
+                "region {r} buffered {most} > {bound} probe tuples"
+            );
+        }
+        assert!(
+            longest_run <= sh.probe_chunk as u64,
+            "a spilled run of {longest_run} tuples"
+        );
+        let tallies: Vec<(u64, u64)> = outcome
+            .results
+            .iter()
+            .map(|r| (r.output, r.checksum))
+            .collect();
+        assert_eq!(tallies, expect);
+        assert!(expect.iter().all(|&(count, _)| count > 0));
+        outcome
+    }
+
+    #[test]
+    fn a_region_sweeps_once_its_probe_buffer_holds_an_eighth_of_its_build() {
+        // Region 0 holds a build of B = 4 096 and is probed by P = 16 384
+        // tuples; beside it on the same reducer, region 1's build of 256 has
+        // an eighth under the floor of 64. At the floor, region 0 would
+        // sweep P / 64 = 256 chunks, each a gallop across its whole build;
+        // at an eighth of its build, 32 of 512 tuples walk it in order.
+        const FLOOR: usize = 64;
+        let sizes = [(4096, 16_384), (256, 2048)];
+        let rt = EngineRuntime::new(2);
+        let rig = Rig::new(1, &[0, 0], JoinCondition::Band { beta: 1 });
+        let sh = rig.shared(FLOOR, None);
+        let expect = stream_after_seal(&rig, &sizes);
+        let due = |r: usize| FLOOR.max(sizes[r].0 / BUILD_PER_PROBE);
+        drive_within(&rt, &sh, &expect, due);
+        let most: u64 = (0..sizes.len())
+            .map(|r| sizes[r].1.div_ceil(due(r)) as u64 + 1)
+            .sum();
+        let swept = rig.board.chunks_swept(0);
+        assert!(swept <= most, "{swept} sweeps, at most {most} are due");
+        assert_eq!(rig.gauge.current_tuples(), 0);
+    }
+
+    #[test]
+    fn a_query_over_its_budget_sweeps_at_the_floor() {
+        // The same region under a budget of half its build. Without a spill
+        // context nothing sheds, so the gauge sits over the budget from the
+        // first delivery to the last and only the pressure clause keeps the
+        // buffer at the floor. With one, the ladder sheds the build (an
+        // empty resident build keeps the floor too) in runs of at most the
+        // floor, and replays them under every chunk.
+        const FLOOR: usize = 64;
+        let sizes = [(4096, 16_384)];
+        let dir = std::env::temp_dir().join(format!("ewh-reducer-pressed-{}", std::process::id()));
+        let ctx = SpillContext::new(dir.clone(), None);
+        for spill in [None, Some(&ctx)] {
+            let rt = EngineRuntime::new(2);
+            let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
+            let sh = ReducerShared {
+                budget_tuples: Some(2048),
+                spill,
+                ..rig.shared(FLOOR, None)
+            };
+            let expect = stream_after_seal(&rig, &sizes);
+            drive_within(&rt, &sh, &expect, |_| FLOOR);
+            let swept = rig.board.chunks_swept(0);
+            let fewest = (sizes[0].1 / (FLOOR + FRAGMENT)) as u64;
+            assert!(swept >= fewest, "{swept} sweeps under pressure");
+            assert_eq!(rig.gauge.current_tuples(), 0);
+        }
+        assert!(ctx.totals().runs > 0, "the build went to disk");
+        assert_eq!(ctx.failure(), None);
+        drop(ctx);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn cols(keys: &[i64]) -> ColumnBatch {

@@ -66,6 +66,9 @@ pub struct JoinStats {
     pub merge_secs: f64,
     /// Total reducer time sweeping probe chunks against build state (0
     /// under batch execution, which joins per region after the shuffle).
+    /// A region's chunks hold an eighth of its build or more (the
+    /// `probe_chunk` floor under budget pressure), so this grows with the
+    /// region's input and output, not with build × probe / chunk.
     pub sweep_secs: f64,
     /// Time this query waited in the shared runtime's admission queue
     /// before its tasks could be submitted (0 under batch execution, and

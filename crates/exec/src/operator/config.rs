@@ -133,7 +133,10 @@ impl OperatorConfig {
     /// fraction of the whole input at once, and peak-resident comparisons
     /// against the batch path's full materialization are meaningless (the
     /// small-scale footgun documented after PR 2). Benchmarks warn below
-    /// this floor; claims tests assert above it.
+    /// this floor; claims tests assert above it. A probe chunk counts at
+    /// its floor (`EngineConfig::probe_chunk`), the part a budget cannot
+    /// shed: what a region buffers beyond it, up to an eighth of its
+    /// build, is spillable state like the build itself.
     pub fn min_pipelined_input_tuples(&self) -> u64 {
         let engine = EngineConfig::for_tasks(self.threads, self.morsel_tuples, self.seed);
         let buffered = engine.reducers * (self.queue_tuples + engine.probe_chunk)

@@ -24,7 +24,9 @@
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
-use ewh_core::{build_ci, ColumnBatch, JoinCondition, Key, RoutingTable, SchemeKind, Tuple};
+use ewh_core::{
+    build_ci, ColumnBatch, JoinCondition, Key, RoutingTable, SchemeKind, Tuple, TUPLE_BYTES,
+};
 use ewh_exec::engine::run_pipelined_io;
 use ewh_exec::{
     run_operator, run_plan, AdaptiveConfig, ChainStage, EngineConfig, EngineIo, EngineOutcome,
@@ -156,6 +158,29 @@ fn segment_records(ctx: &SpillContext, dir: &Path) -> Vec<(Vec<Key>, Vec<u64>)> 
     runs
 }
 
+/// The segment's contract: every build and probe run is key-sorted (the
+/// replay sweeps each as it stands) and at most `cap` tuples long — the
+/// `probe_chunk` floor, however far past it a region's probe buffer grew
+/// before it spilled, so a reload charges at most that to the gauge.
+fn check_segment(runs: &[Vec<Key>], cap: usize) -> Result<(), TestCaseError> {
+    for (i, keys) in runs.iter().enumerate() {
+        prop_assert!(
+            keys.is_sorted(),
+            "spilled run {} of {} is not key-sorted",
+            i,
+            runs.len()
+        );
+        prop_assert!(
+            keys.len() <= cap,
+            "spilled run {} holds {} > {} tuples",
+            i,
+            keys.len(),
+            cap
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
@@ -245,11 +270,102 @@ proptest! {
         prop_assert!(!out.cancelled);
         prop_assert_eq!((out.output_total(), out.checksum()), oracle);
         prop_assert_eq!(out.spill.runs, runs.len() as u64);
-        for (i, keys) in runs.iter().enumerate() {
-            prop_assert!(keys.is_sorted(), "spilled run {} of {} is not key-sorted", i, runs.len());
-        }
+        check_segment(&runs, probe_chunk(&base))?;
         let _ = std::fs::remove_dir_all(&base_dir);
     }
+}
+
+// A loose budget, 50–90% of what the same query peaks at without one. A
+// region with a resident build buffers up to an eighth of it before a sweep,
+// so the gauge crosses such a budget mid-run and falls back under it as
+// sweeps and spills free memory: pressure comes and goes, and with it the
+// rule a region sweeps by (the floor while pressed). Inputs of 600–2 400
+// tuples a side over 1–3 regions give builds whose eighth is above the
+// 64-tuple floor.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    #[test]
+    fn loosely_budgeted_engine_equals_batch_oracle(
+        k1 in prop::collection::vec(0i64..300, 600..2400),
+        k2 in prop::collection::vec(0i64..300, 600..2400),
+        cond in condition_strategy(),
+        j in 1usize..4,
+        seed in 0u64..1000,
+        percent in 50u64..91,
+        forced in any::<bool>(),
+    ) {
+        let (r1, r2) = (tuples(&k1), tuples(&k2));
+        let base_dir = spill_base("loose");
+        let rt = EngineRuntime::new(4);
+        let base = OperatorConfig {
+            j,
+            threads: 4,
+            seed,
+            morsel_tuples: 48,
+            queue_tuples: 64,
+            ..Default::default()
+        };
+        let adaptive = if forced {
+            forced_migration()
+        } else {
+            AdaptiveConfig { reassign: false, ..Default::default() }
+        };
+        let pipelined = |budget_tuples: Option<u64>| OperatorConfig {
+            mode: ExecMode::Pipelined,
+            spill: SpillConfig {
+                budget_tuples,
+                temp_dir: Some(base_dir.clone()),
+                fail_after_bytes: None,
+            },
+            adaptive,
+            ..base.clone()
+        };
+        let (mut oracle, mut ci_budget) = ((0, 0), 0);
+        for kind in [SchemeKind::Ci, SchemeKind::Csi, SchemeKind::Csio, SchemeKind::Hash] {
+            let batch = run_operator(
+                &rt,
+                kind,
+                &r1,
+                &r2,
+                &cond,
+                &OperatorConfig { mode: ExecMode::Batch, ..base.clone() },
+            );
+            oracle = (batch.join.output_total, batch.join.checksum);
+            let unbudgeted = run_operator(&rt, kind, &r1, &r2, &cond, &pipelined(None));
+            let peak = unbudgeted.join.peak_resident_bytes / TUPLE_BYTES;
+            let budget = (peak * percent / 100).max(8);
+            if matches!(kind, SchemeKind::Ci) {
+                ci_budget = budget;
+            }
+            let spilling = run_operator(&rt, kind, &r1, &r2, &cond, &pipelined(Some(budget)));
+            prop_assert_eq!(
+                (spilling.join.output_total, spilling.join.checksum),
+                oracle,
+                "{} {:?} budget={} of peak {} forced={}",
+                kind,
+                cond,
+                budget,
+                peak,
+                forced
+            );
+        }
+        assert_no_leftover_spill(&base_dir);
+
+        let owned = base_dir.join("owned-segment");
+        let (out, runs) =
+            run_over_an_owned_segment(&rt, &r1, &r2, &cond, &base, adaptive, ci_budget, &owned);
+        prop_assert!(!out.cancelled);
+        prop_assert_eq!((out.output_total(), out.checksum()), oracle);
+        check_segment(&runs, probe_chunk(&base))?;
+        let _ = std::fs::remove_dir_all(&base_dir);
+    }
+}
+
+/// The floor under a region's probe buffer at `base`'s morsel size, and the
+/// cap on every spilled run.
+fn probe_chunk(base: &OperatorConfig) -> usize {
+    EngineConfig::for_tasks(base.threads, base.morsel_tuples, base.seed).probe_chunk
 }
 
 /// Deterministic companion: a pressured run *must* actually spill (so the
