@@ -1,6 +1,7 @@
 //! Transport claims, asserted in CI: the framed transport is a drop-in
 //! carrier for the engine's mapper → reducer contract (bit-identical
-//! results over real TCP sockets, migration included),
+//! results over real TCP sockets, migration included), a replicated
+//! fragment crosses a link once per reducer, not once per region,
 //! the migration coordinator's move-cost gate is communication-aware (the
 //! same backlog migrates across a fast link and is declined across a thin
 //! one), and the two-process `transport` subcommand reproduces the
@@ -11,7 +12,7 @@ use std::sync::Mutex;
 
 use ewh_bench::transport::{link_gate, oracle, wire_identity, wire_run};
 use ewh_bench::{bcb, RunConfig};
-use ewh_core::SchemeKind;
+use ewh_core::{SchemeKind, FRAME_HEADER_BYTES, TUPLE_BYTES};
 use ewh_exec::TransportConfig;
 
 /// Timing-sensitive claims must not share the machine with each other.
@@ -46,6 +47,47 @@ fn framed_wires_reproduce_the_oracle_on_every_scheme() {
             "{kind:?}: framed deliveries must be accounted on the wire"
         );
     }
+}
+
+/// One copy per reducer on the wire. CI at J = 32 is a 4 × 8 matrix, so it
+/// delivers every input tuple to 6 regions on average; on two reducers a
+/// row band's 8 regions sit 4 and 4, and a column's 4 on one reducer. So at
+/// most 2 copies' worth of slab bytes cross the wire per input tuple, plus
+/// each delivery's header and sibling ids — at most one delivery per region
+/// a morsel touches.
+#[test]
+fn ci_puts_one_copy_per_reducer_on_the_wire() {
+    let _serial = serial();
+    let rc = RunConfig {
+        scale: 0.3,
+        j: 32,
+        threads: 2,
+        ..Default::default()
+    };
+    let w = bcb(2, rc.scale, rc.seed);
+    let rt = rc.runtime();
+    let tcp = Some(TransportConfig::tcp());
+    let run = wire_run(&rt, &w, &rc, SchemeKind::Ci, tcp, false);
+    let input = (w.r1.len() + w.r2.len()) as u64;
+    assert_eq!(w.r1.len(), w.r2.len());
+    assert_eq!(
+        run.join.network_tuples,
+        6 * input,
+        "tuples delivered to regions"
+    );
+    let j = rc.j as u64;
+    let headers = run.join.morsels_routed * j * (FRAME_HEADER_BYTES as u64 + 4 * j);
+    let slabs = 2 * TUPLE_BYTES * input;
+    let wire = run.join.wire_bytes;
+    assert!(
+        wire <= slabs + headers,
+        "{wire} wire bytes for {input} input tuples: over 2 copies ({slabs}) + headers ({headers})"
+    );
+    eprintln!(
+        "CI j=32 on 2 reducers: {:.2} wire bytes per input tuple ({:.2} copies)",
+        wire as f64 / input as f64,
+        wire as f64 / (TUPLE_BYTES * input) as f64
+    );
 }
 
 /// A forced migration over TCP sockets ships sealed region state across a

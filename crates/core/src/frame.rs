@@ -31,6 +31,10 @@ use crate::types::Key;
 /// Fixed bytes of one frame body: kind + a + b + extra_len + count.
 const BODY_FIXED: usize = 1 + 8 + 8 + 4 + 8;
 
+/// Bytes of one encoded frame besides its sidecar and slabs: the length
+/// prefix and the fixed body fields.
+pub const FRAME_HEADER_BYTES: usize = 4 + BODY_FIXED;
+
 /// Hard ceiling on one frame's body, validated before buffering: a corrupt
 /// length prefix must not make the decoder allocate gigabytes. 1 GiB admits
 /// a ~33 M tuple batch — far beyond any queue capacity in this codebase.

@@ -32,6 +32,7 @@ mod types;
 
 pub use batch::ColumnBatch;
 pub use cost::CostModel;
+pub use frame::FRAME_HEADER_BYTES;
 pub use frame::{encode_frame, Frame, FrameDecoder, FrameError, MAX_FRAME_BODY};
 pub use histogram::{HistogramParams, SideStats};
 pub use join::{IneqOp, JoinCondition};

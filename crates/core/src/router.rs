@@ -14,6 +14,7 @@
 //! ([`RouteScatter`]).
 
 use std::mem;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use rand::Rng;
@@ -75,8 +76,12 @@ const SPARE_FRAGMENTS: usize = 32;
 ///   listed once, in first-touch order. A line none of whose regions
 ///   another touched line reaches (a matrix row band, a hot key's block
 ///   confined to one grid row) is scattered into its first region's
-///   fragment only, and its other regions take a bulk copy of that
-///   fragment. Any other line is scattered into each of its regions.
+///   fragment only: its regions' slots are a *group* sharing that one
+///   fragment, and a copy is made only when a slot is taken while another
+///   of the group is still untaken ([`take_fragment`](Self::take_fragment)),
+///   or not at all when the group is taken whole
+///   ([`take_group`](Self::take_group)). Any other line is scattered into
+///   each of its regions.
 /// * **By tuple**: the hash partitioner's `R2` band fan-out, whose region
 ///   lists differ key by key. Pass 1 records every tuple's region list
 ///   (CSR layout) and pass 2 replays it.
@@ -111,9 +116,11 @@ pub struct RouteScatter {
     /// `writes[start..start + len]`.
     lines: Vec<(u32, u32, u32)>,
     writes: Vec<u32>,
-    /// `(first slot, regions)` of each line whose regions hold its tuples
-    /// alone: pass 2 writes the first, and the others copy it.
-    copies: Vec<(u32, u32)>,
+    /// `(first slot, slots, untaken slots)` of each group — a line whose
+    /// regions hold its tuples alone: pass 2 writes the first slot's
+    /// fragment, and the group's slots share it. Groups are runs of
+    /// consecutive slots, listed in first-slot order.
+    copies: Vec<(u32, u32, u32)>,
     lanes: Lanes,
     /// Built fragments, parallel to `touched`.
     frags: Vec<ColumnBatch>,
@@ -141,10 +148,49 @@ impl RouteScatter {
     }
 
     /// The built fragment of `touched()[slot]`, leaving an empty batch in
-    /// its place. Only meaningful after the scatter pass has run (via
-    /// [`RouteBatch::route_scatter`]).
+    /// its place; each slot is taken at most once. Only meaningful after
+    /// the scatter pass has run (via [`RouteBatch::route_scatter`]). A slot
+    /// of a group gets a copy of the group's fragment while another of its
+    /// slots is untaken, and the last one taken gets the fragment itself.
     pub fn take_fragment(&mut self, slot: usize) -> ColumnBatch {
-        mem::take(&mut self.frags[slot])
+        let Some((first, _, left)) = self.group(slot).map(|g| &mut self.copies[g]) else {
+            return mem::take(&mut self.frags[slot]);
+        };
+        *left -= 1;
+        let (first, last) = (*first as usize, *left == 0);
+        if last {
+            return mem::take(&mut self.frags[first]);
+        }
+        let mut copy = self.spare.pop().unwrap_or_default();
+        copy.extend_from_slices(self.frags[first].keys(), self.frags[first].payloads());
+        copy
+    }
+
+    /// The slots sharing `touched()[slot]`'s fragment — its group, or
+    /// `slot` alone — and that fragment, with no copy made; every slot of
+    /// the range counts as taken. `slot` is the first of its group, none of
+    /// whose slots was taken yet.
+    pub fn take_group(&mut self, slot: usize) -> (Range<usize>, ColumnBatch) {
+        let slots = match self.group(slot).map(|g| &mut self.copies[g]) {
+            Some((first, len, left)) => {
+                debug_assert!(
+                    *first as usize == slot && left == len,
+                    "a whole, untaken group"
+                );
+                *left = 0;
+                slot..slot + *len as usize
+            }
+            None => slot..slot + 1,
+        };
+        (slots, mem::take(&mut self.frags[slot]))
+    }
+
+    /// The index into `copies` of the group holding `slot`, if any.
+    fn group(&self, slot: usize) -> Option<usize> {
+        let after = self.copies.partition_point(|c| c.0 as usize <= slot);
+        let g = after.checked_sub(1)?;
+        let (first, len, _) = self.copies[g];
+        (slot < (first + len) as usize).then_some(g)
     }
 
     /// Donates a retired batch's allocation for reuse as a future fragment.
@@ -194,10 +240,20 @@ impl RouteScatter {
         self.offsets.push(self.dests.len() as u32);
     }
 
-    /// Allocates each touched region's fragment at its exact batch size.
+    /// Allocates each touched region's fragment at its exact batch size —
+    /// of a group, only the first slot's, which pass 2 writes.
     fn open_fragments(&mut self) {
         debug_assert!(self.frags.is_empty());
-        for &r in &self.touched {
+        let mut groups = self.copies.iter().peekable();
+        let mut shared = 0..0;
+        for (slot, &r) in self.touched.iter().enumerate() {
+            if let Some(&(_, len, _)) = groups.next_if(|g| g.0 as usize == slot) {
+                shared = slot + 1..slot + len as usize;
+            }
+            if shared.contains(&slot) {
+                self.frags.push(ColumnBatch::default());
+                continue;
+            }
             let mut f = self.spare.pop().unwrap_or_default();
             f.reserve(self.counts[r as usize] as usize);
             self.frags.push(f);
@@ -266,14 +322,14 @@ impl RouteScatter {
         }
         // A line whose regions hold its tuples alone touched them all
         // first, so their slots are consecutive: it writes the first, and
-        // the rest copy it.
+        // the group shares it.
         let mut all_alone = true;
         for (line, start, len) in &mut self.lines {
             let n = self.line_counts[*line as usize];
             let slots = &self.writes[*start as usize..(*start + *len) as usize];
             let alone = |&s: &u32| self.counts[self.touched[s as usize] as usize] == n;
             if *len > 0 && slots.iter().all(alone) {
-                self.copies.push((slots[0], *len));
+                self.copies.push((slots[0], *len, *len));
                 *len = 1;
             } else {
                 all_alone = false;
@@ -286,7 +342,8 @@ impl RouteScatter {
             // `i`'s: a tuple's line is its lane, without the span lookup the
             // loop below pays per tuple (1–3 ns a tuple on the
             // content-insensitive matrix, whose lines are always alone).
-            self.lanes.open(self.copies.iter().map(|&(first, _)| first));
+            self.lanes
+                .open(self.copies.iter().map(|&(first, ..)| first));
             for (&i, (&k, &p)) in tuples {
                 self.lanes.stage(i as usize, &mut self.frags, k, p);
             }
@@ -300,13 +357,6 @@ impl RouteScatter {
             }
         }
         self.lanes.flush(&mut self.frags);
-        for &(first, len) in &self.copies {
-            let (head, tail) = self.frags.split_at_mut(first as usize + 1);
-            let src = &head[first as usize];
-            for f in &mut tail[..len as usize - 1] {
-                f.extend_from_slices(src.keys(), src.payloads());
-            }
-        }
     }
 }
 
@@ -1019,6 +1069,47 @@ mod tests {
                     assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_group_shares_one_fragment_taken_in_any_order_or_whole() {
+        // A matrix row band's regions hold its tuples alone: one group of
+        // `cols` slots. Taken slot by slot in reverse, or as whole groups,
+        // every region still gets exactly its oracle fragment.
+        let router = Router::Random(RandomRouter { rows: 3, cols: 4 });
+        let keys: Vec<Key> = (0..200).collect();
+        let payloads: Vec<u64> = (0..200).map(|i| i * 5 + 1).collect();
+        let batch = ColumnBatch::from_columns(keys.clone(), payloads.clone());
+        let mut sc = RouteScatter::new(12);
+        let (touched, buckets) =
+            per_tuple_buckets(&router, Rel::R1, &keys, 12, &mut SmallRng::seed_from_u64(3));
+        let expect = |region: u32| batch.gather(&buckets[region as usize]);
+        router.route_scatter(
+            Rel::R1,
+            &keys,
+            &payloads,
+            &mut SmallRng::seed_from_u64(3),
+            &mut sc,
+        );
+        for slot in (0..touched.len()).rev() {
+            assert_eq!(sc.take_fragment(slot), expect(touched[slot]));
+        }
+        router.route_scatter(
+            Rel::R1,
+            &keys,
+            &payloads,
+            &mut SmallRng::seed_from_u64(3),
+            &mut sc,
+        );
+        let mut slot = 0;
+        while slot < touched.len() {
+            let (slots, fragment) = sc.take_group(slot);
+            assert_eq!(slots.len(), 4, "a row band is one group");
+            for s in slots.clone() {
+                assert_eq!(fragment, expect(touched[s]));
+            }
+            slot = slots.end;
         }
     }
 

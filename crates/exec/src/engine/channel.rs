@@ -557,6 +557,7 @@ mod tests {
                     rel: Rel::R2,
                     epoch: 0,
                     tuples: cols(id, n),
+                    siblings: Vec::new(),
                 }),
                 1 => Delivery::Adopt {
                     region: id,

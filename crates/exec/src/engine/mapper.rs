@@ -11,6 +11,14 @@
 //! relies on the table's ordering contract (owner stored before the epoch
 //! bump) to tell pre-migration stragglers from post-migration traffic.
 //!
+//! Replication is shipped once per reducer, not once per region. The
+//! regions of a line that hold its tuples alone — a content-insensitive row
+//! band or column, a hot key's block within one grid row — share one
+//! fragment in the scatter ([`RouteScatter::take_group`]). The mapper sends
+//! it to each reducer owning some of them as one delivery, naming that
+//! reducer's other regions of the line as the delivery's siblings, and
+//! copies it once per extra reducer; the reducer makes the siblings' copies.
+//!
 //! Mappers coordinate the *seal protocol* without a central barrier
 //! ([`SealState`]): atomic countdowns track unrouted scan morsels, and for
 //! an exchange-fed probe side a routed-batch counter is checked against the
@@ -32,7 +40,7 @@
 //! * a full reducer queue — the waker is registered with that queue's
 //!   producer list under the queue's own lock
 //!   ([`FragmentPort::try_push_or_park`]); the in-progress unit keeps its
-//!   routed buckets and the one built-but-unshipped fragment across polls,
+//!   routed fragments and the one bounced delivery's tuples across polls,
 //!   and the accumulated stall is reported to the queue's backpressure
 //!   account when the push finally lands;
 //! * the `R2` gate while the build phase is still shipping — the waker
@@ -144,8 +152,9 @@ pub struct MapperShared<'a> {
     pub network_tuples: &'a AtomicU64,
     pub morsels_routed: &'a AtomicU64,
     /// Tuples routed but not yet absorbed into some region's state —
-    /// incremented here per pushed fragment, decremented by reducers on
-    /// absorption. The coordinator's quiescence test.
+    /// incremented here per delivery, once per region it feeds, and
+    /// decremented by reducers on absorption. The coordinator's quiescence
+    /// test.
     pub in_flight: &'a AtomicU64,
     /// Nanoseconds spent in `route_scatter` plus the fragment ship passes
     /// (taking each built fragment and pushing it; park stalls excluded) —
@@ -166,17 +175,22 @@ enum UnitSource {
 }
 
 /// One unit of routing work in flight across polls: the scatter's touched
-/// snapshot plus the ship cursor.
+/// snapshot, the ship cursor and the group being shipped.
 struct InFlightUnit {
     source: UnitSource,
     /// Snapshot of the touched region list (fragments stay parked in
     /// `MapperTask::scatter` until taken for shipping).
     touched: Vec<u32>,
-    /// Next entry of `touched` to take and ship.
+    /// Next slot of `touched` to take from the scatter.
     next: usize,
-    /// A fragment already taken (and charged to the gauge / volume
-    /// counters) whose push bounced off a full queue.
-    built: Option<(u32, ColumnBatch)>,
+    /// Regions of the group being shipped that no delivery carried yet:
+    /// the slots sharing one fragment, or a single region.
+    group: Vec<u32>,
+    /// The group's tuples, while a delivery still needs them.
+    tuples: Option<ColumnBatch>,
+    /// Tuples whose delivery bounced off a full queue, and what that
+    /// delivery was charged to the gauge and volume counters.
+    bounced: Option<(ColumnBatch, u64)>,
 }
 
 /// One mapper task. Routes the scan plan, then drains the probe exchange
@@ -264,12 +278,8 @@ impl<'a> MapperTask<'a> {
                     let keys = &side.keys()[morsel.range()];
                     let payloads = &side.payloads()[morsel.range()];
                     self.route_unit(morsel.index as u64, morsel.rel, keys, payloads);
-                    self.unit = Some(InFlightUnit {
-                        source: UnitSource::Scan { rel: morsel.rel },
-                        touched: self.scatter.touched().to_vec(),
-                        next: 0,
-                        built: None,
-                    });
+                    let source = UnitSource::Scan { rel: morsel.rel };
+                    self.unit = Some(InFlightUnit::new(source, self.scatter.touched()));
                     return Poll::Yielded;
                 }
                 Claim::Blocked => {
@@ -294,12 +304,8 @@ impl<'a> MapperTask<'a> {
                 let seq = sh.seal.exchange_claims.fetch_add(1, Ordering::Relaxed);
                 // Disjoint RNG stream space from plan morsel indices.
                 self.route_unit(u64::MAX - seq, Rel::R2, batch.keys(), batch.payloads());
-                self.unit = Some(InFlightUnit {
-                    source: UnitSource::Batch { tuples: batch },
-                    touched: self.scatter.touched().to_vec(),
-                    next: 0,
-                    built: None,
-                });
+                let source = UnitSource::Batch { tuples: batch };
+                self.unit = Some(InFlightUnit::new(source, self.scatter.touched()));
                 Poll::Yielded
             }
             PortPop::Closed => {
@@ -339,60 +345,82 @@ impl<'a> MapperTask<'a> {
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Ships the in-progress unit's fragments, one region at a time,
-    /// resolving ownership per fragment at push time. Returns `false` (and
-    /// leaves the cursor where it was) when a push bounces off a full
-    /// queue — with `waker` registered on that queue's producer list, so
-    /// the consumer's next pop re-polls us.
+    /// Ships the in-progress unit's fragments, group by group: one delivery
+    /// per owning reducer, the first unshipped region of the group with the
+    /// others that reducer owns as its siblings, resolving ownership at
+    /// push time. Returns `false` (and leaves the cursor where it was) when
+    /// a push bounces off a full queue — with `waker` registered on that
+    /// queue's producer list, so the consumer's next pop re-polls us.
     fn ship_fragments(&mut self, waker: &Waker) -> bool {
         let sh = self.shared;
         let unit = self.unit.as_mut().expect("ship without a unit");
         loop {
-            if unit.built.is_none() {
-                let Some(&region) = unit.touched.get(unit.next) else {
+            if unit.group.is_empty() {
+                if unit.next == unit.touched.len() {
                     // Every fragment shipped; account the final stall (if
                     // any) and report the unit complete.
                     if let Some((q, since)) = self.blocked.take() {
                         sh.queues[q].note_blocked(since.elapsed().as_nanos() as u64);
                     }
                     return true;
-                };
-                // The scatter pass pre-built this fragment; it's charged to
-                // the gauge only here, as it leaves for the wire.
-                let fragment = self.scatter.take_fragment(unit.next);
-                sh.gauge.add(fragment.len() as u64);
-                sh.network_tuples
-                    .fetch_add(fragment.len() as u64, Ordering::Relaxed);
-                sh.in_flight
-                    .fetch_add(fragment.len() as u64, Ordering::AcqRel);
-                unit.built = Some((region, fragment));
+                }
+                let (slots, tuples) = self.scatter.take_group(unit.next);
+                unit.group.extend_from_slice(&unit.touched[slots.clone()]);
+                unit.next = slots.end;
+                unit.tuples = Some(tuples);
             }
-            let (region, fragment) = unit.built.take().expect("just built");
-            // Epoch before owner: the table's ordering contract makes a
-            // stale-owner push always carry a pre-migration stamp. Both are
-            // re-read on every retry, so a fragment parked behind a full
-            // queue re-routes if its region migrated meanwhile.
+            // Epoch before owners: the table's ordering contract makes a
+            // stale-owner push always carry a pre-migration stamp, for the
+            // head and every sibling. All are re-read on every retry, so a
+            // delivery parked behind a full queue regroups if one of its
+            // regions migrated meanwhile.
             let epoch = sh.table.epoch();
-            let owner = sh.table.owner_of(region) as usize;
-            match sh.queues[owner].try_push_or_park(
-                Delivery::Batch(RegionBatch {
-                    region,
-                    rel: unit.rel(),
-                    epoch,
-                    tuples: fragment,
-                }),
-                waker,
-            ) {
+            let owner = sh.table.owner_of(unit.group[0]);
+            // The head's owner's regions to the front: `group[..n]` ride.
+            let mut n = 1;
+            for i in 1..unit.group.len() {
+                if sh.table.owner_of(unit.group[i]) == owner {
+                    unit.group.swap(n, i);
+                    n += 1;
+                }
+            }
+            // The last delivery of a group takes its tuples; any other
+            // takes a copy. Whatever regroups on a retry, some copy stays in
+            // hand until the group's last delivery.
+            let last = n == unit.group.len();
+            let (tuples, charged) = match unit.bounced.take() {
+                Some(bounced) => bounced,
+                None if last => (unit.tuples.take().expect("the group's tuples"), 0),
+                None => (unit.tuples.clone().expect("the group's tuples"), 0),
+            };
+            if last {
+                if let Some(spare) = unit.tuples.take() {
+                    self.scatter.recycle(spare);
+                }
+            } else if unit.tuples.is_none() {
+                unit.tuples = Some(tuples.clone());
+            }
+            // Charged as it leaves for the wire: what its regions will hold.
+            let charge = (tuples.len() * n) as u64;
+            recharge(sh, charged, charge);
+            let delivery = Delivery::Batch(RegionBatch {
+                region: unit.group[0],
+                rel: unit.rel(),
+                epoch,
+                tuples,
+                siblings: unit.group[1..n].to_vec(),
+            });
+            match sh.queues[owner as usize].try_push_or_park(delivery, waker) {
                 Ok(()) => {
-                    unit.next += 1;
+                    unit.group.drain(..n);
                     if let Some((q, since)) = self.blocked.take() {
                         sh.queues[q].note_blocked(since.elapsed().as_nanos() as u64);
                     }
                 }
                 Err(Delivery::Batch(b)) => {
-                    unit.built = Some((region, b.tuples));
+                    unit.bounced = Some((b.tuples, charge));
                     if self.blocked.is_none() {
-                        self.blocked = Some((owner, Instant::now()));
+                        self.blocked = Some((owner as usize, Instant::now()));
                     }
                     return false;
                 }
@@ -440,19 +468,15 @@ impl<'a> MapperTask<'a> {
     }
 
     /// Rolls back the accounting of a cancelled in-progress unit: the
-    /// built-but-unshipped fragment (charged to the gauge and volume
-    /// counters) and, for an exchange batch, the batch's own gauge charge.
+    /// bounced delivery (charged to the gauge and volume counters) and, for
+    /// an exchange batch, the batch's own gauge charge.
     fn discard_unit(&mut self) {
         let sh = self.shared;
         let Some(unit) = self.unit.take() else {
             return;
         };
-        if let Some((_, fragment)) = unit.built {
-            sh.gauge.sub(fragment.len() as u64);
-            sh.network_tuples
-                .fetch_sub(fragment.len() as u64, Ordering::Relaxed);
-            sh.in_flight
-                .fetch_sub(fragment.len() as u64, Ordering::AcqRel);
+        if let Some((_, charged)) = unit.bounced {
+            recharge(sh, charged, 0);
         }
         if let UnitSource::Batch { tuples } = unit.source {
             sh.gauge.sub(tuples.len() as u64);
@@ -462,7 +486,34 @@ impl<'a> MapperTask<'a> {
     }
 }
 
+/// Moves a delivery's charge to the gauge, the volume counter and the
+/// in-flight count from `from` tuples to `to`.
+fn recharge(sh: &MapperShared<'_>, from: u64, to: u64) {
+    if to > from {
+        let more = to - from;
+        sh.gauge.add(more);
+        sh.network_tuples.fetch_add(more, Ordering::Relaxed);
+        sh.in_flight.fetch_add(more, Ordering::AcqRel);
+    } else if from > to {
+        let less = from - to;
+        sh.gauge.sub(less);
+        sh.network_tuples.fetch_sub(less, Ordering::Relaxed);
+        sh.in_flight.fetch_sub(less, Ordering::AcqRel);
+    }
+}
+
 impl InFlightUnit {
+    fn new(source: UnitSource, touched: &[u32]) -> Self {
+        InFlightUnit {
+            source,
+            touched: touched.to_vec(),
+            next: 0,
+            group: Vec::new(),
+            tuples: None,
+            bounced: None,
+        }
+    }
+
     fn rel(&self) -> Rel {
         match &self.source {
             UnitSource::Scan { rel, .. } => *rel,

@@ -176,9 +176,11 @@ pub struct EngineOutcome {
     pub per_region_input: Vec<u64>,
     pub per_region_output: Vec<u64>,
     pub per_region_checksum: Vec<u64>,
-    /// Tuples pushed mapper → reducer (== the batch path's network volume
-    /// for deterministic routers). Migration shipping is accounted
-    /// separately in [`EngineOutcome::migration_tuples`].
+    /// Tuples delivered mapper → reducer, counted once per region they feed
+    /// (== the batch path's network volume for deterministic routers); a
+    /// grouped delivery carries its tuples once but counts them per region.
+    /// Migration shipping is accounted separately in
+    /// [`EngineOutcome::migration_tuples`].
     pub network_tuples: u64,
     /// High-water mark of resident routed tuples across the cluster.
     pub peak_resident_tuples: u64,
@@ -210,7 +212,8 @@ pub struct EngineOutcome {
     /// all zero without budget pressure).
     pub spill: SpillTotals,
     /// Bytes the transport's data writers put on the wire (frame headers
-    /// included); zero for in-process queues.
+    /// and sibling ids included), one copy of a replicated fragment per
+    /// reducer; zero for in-process queues.
     pub wire_bytes: u64,
     /// True when the run was cancelled. Per-region join tallies are zeroed
     /// (reducer state is discarded), but morsel/network counters and the
@@ -311,7 +314,7 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     let queues: Vec<Arc<port::DeliveryPort>> = match (&cfg.transport, &transport_failure) {
         (Some(tcfg), Some(latch)) => (0..reducers)
             .map(|_| {
-                let q = RemoteQueue::spawn(tcfg, cfg.queue_tuples, latch.clone())
+                let q = RemoteQueue::spawn(tcfg, cfg.queue_tuples, n_regions, latch.clone())
                     .expect("transport link setup failed");
                 remote_queues.push(q.clone());
                 q as Arc<port::DeliveryPort>

@@ -19,7 +19,8 @@ use super::spill::SpillRun;
 /// One message on a reducer's queue.
 #[derive(Debug)]
 pub enum Delivery {
-    /// Tuples of one relation routed to one region.
+    /// Tuples of one relation routed to one region, or to several of this
+    /// reducer's regions that take the same tuples (see [`RegionBatch`]).
     Batch(RegionBatch),
     /// Every `R1` tuple of every morsel has been enqueued (broadcast by the
     /// mapper that routes the last `R1` morsel). Regions may sort their
@@ -44,19 +45,26 @@ pub enum Delivery {
     Abort,
 }
 
-/// A routed fragment: the tuples of one relation that one morsel sent to one
-/// region.
+/// A routed fragment: the tuples of one relation that one morsel sent to
+/// `region` and, when they hold the same tuples, to each of `siblings` —
+/// the other regions of a replicated line that the receiving reducer owned
+/// when the mapper resolved them. One copy travels; the reducer makes the
+/// siblings' own.
 #[derive(Debug)]
 pub struct RegionBatch {
     pub region: u32,
     pub rel: Rel,
-    /// Routing epoch observed when the owning reducer was resolved — the
-    /// engine's per-region migration fence (see `reducer.rs`).
+    /// Routing epoch observed before the owners of `region` and every
+    /// sibling were resolved — the engine's per-region migration fence (see
+    /// `reducer.rs`).
     pub epoch: u64,
     /// The fragment's tuples, in columnar layout end to end: gathered from
     /// the morsel's columns by the mapper, sorted and swept column-wise by
     /// the reducer.
     pub tuples: ColumnBatch,
+    /// Further regions that take a copy of `tuples`, distinct from `region`
+    /// and from each other (empty: `region` alone).
+    pub siblings: Vec<u32>,
 }
 
 /// The shipped state of one migrated region: the sealed, sorted build side,
@@ -92,8 +100,9 @@ impl MigratedRegion {
 impl Weigh for Delivery {
     fn weight(&self) -> usize {
         match self {
-            // An empty batch still occupies a queue slot's worth of space.
-            Delivery::Batch(b) => b.tuples.len().max(1),
+            // What the receiver will hold: a copy of the tuples a region (an
+            // empty batch still occupies a queue slot's worth of space).
+            Delivery::Batch(b) => b.tuples.len().max(1) * (1 + b.siblings.len()),
             // Shipped migration state is real resident memory in the queue.
             Delivery::Adopt { state, .. } => state.tuples() as usize,
             _ => 0,
@@ -128,6 +137,7 @@ mod tests {
                 rel: Rel::R2,
                 epoch: 0,
                 tuples: cols(n),
+                siblings: Vec::new(),
             })
         };
         // Fill the queue so the producer task must park, then have a
@@ -184,6 +194,33 @@ mod tests {
         });
         assert_eq!(q.used_tuples(), 9);
         assert!(matches!(q.pop(), Some(Delivery::Adopt { .. })));
+        assert_eq!(q.used_tuples(), 0);
+    }
+
+    #[test]
+    fn a_grouped_batch_weighs_a_copy_per_region() {
+        let q = Channel::new(64);
+        let grouped = |n: usize, siblings: Vec<u32>| {
+            Delivery::Batch(RegionBatch {
+                region: 0,
+                rel: Rel::R1,
+                epoch: 0,
+                tuples: cols(n),
+                siblings,
+            })
+        };
+        q.push_unbounded(grouped(5, vec![1, 2, 3]));
+        assert_eq!(q.used_tuples(), 20);
+        q.push_unbounded(grouped(0, vec![4]));
+        assert_eq!(
+            q.used_tuples(),
+            22,
+            "an empty group still holds a slot a region"
+        );
+        // The window bounces what the regions would hold, not the one copy.
+        assert!(q.try_push(grouped(11, vec![5, 6, 7])).is_err());
+        assert!(matches!(q.pop(), Some(Delivery::Batch(_))));
+        assert!(matches!(q.pop(), Some(Delivery::Batch(_))));
         assert_eq!(q.used_tuples(), 0);
     }
 }

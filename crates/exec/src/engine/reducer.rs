@@ -18,6 +18,11 @@
 //! the floor, since the sweep then frees memory that would otherwise go to
 //! disk.
 //!
+//! A replicated fragment arrives once per reducer: a delivery names the
+//! sibling regions of this reducer that take the same tuples, and the
+//! reducer makes their copies, each of which goes through the same
+//! per-region path (absorb, park or forward) as the delivery's own region.
+//!
 //! ## Cooperative scheduling
 //!
 //! A reducer is a task on the shared worker-pool runtime: each
@@ -362,7 +367,7 @@ impl<'a> ReducerTask<'a> {
             self.unpark();
             processed += 1;
             match delivery {
-                Delivery::Batch(batch) => self.on_batch(batch, pool),
+                Delivery::Batch(batch) => self.on_delivery(batch, pool),
                 Delivery::SealR1 => self.on_seal_r1(),
                 Delivery::SealAll => self.on_seal_all(),
                 Delivery::Migrate { region } => self.on_migrate(region),
@@ -466,6 +471,30 @@ impl<'a> ReducerTask<'a> {
         }
     }
 
+    /// A routed delivery: each sibling's fragment, then the head's, one
+    /// region at a time through [`on_batch`](Self::on_batch). An owned probe
+    /// sibling appends straight from the head's columns; any other sibling
+    /// gets a copy of its own (a build run, or a parked or forwarded
+    /// fragment, which never carries siblings).
+    fn on_delivery(&mut self, mut batch: RegionBatch, pool: &BatchPool) {
+        for region in mem::take(&mut batch.siblings) {
+            if batch.rel == Rel::R2 && self.states[region as usize].is_some() {
+                self.absorb_probe(region, &batch.tuples);
+                continue;
+            }
+            let mut tuples = pool.take(batch.tuples.len());
+            tuples.extend_from_slices(batch.tuples.keys(), batch.tuples.payloads());
+            let sibling = RegionBatch {
+                region,
+                tuples,
+                siblings: Vec::new(),
+                ..batch
+            };
+            self.on_batch(sibling, pool);
+        }
+        self.on_batch(batch, pool);
+    }
+
     /// Data fragment: absorb if owned, otherwise apply the migration fence
     /// (park ahead of an adoption, or forward a pre-migration straggler to
     /// the current owner).
@@ -496,40 +525,57 @@ impl<'a> ReducerTask<'a> {
         let RegionBatch {
             region,
             rel,
-            epoch: _,
-            mut tuples,
+            tuples,
+            ..
         } = batch;
-        let n = tuples.len() as u64;
-        if let Some(s) = self.sh.straggler {
-            if s.reducer == self.me && n > 0 {
-                // The injected fault really does occupy the pool worker —
-                // exactly what a slow node does to a shared cluster.
-                std::thread::sleep(Duration::from_nanos(n.saturating_mul(s.nanos_per_tuple)));
-            }
+        if rel == Rel::R2 {
+            self.absorb_probe(region, &tuples);
+            // The fragment's allocation feeds the next outbox buffer or
+            // spill reload on this worker.
+            pool.put(tuples);
+            return;
         }
+        let n = tuples.len() as u64;
+        self.straggle(n);
+        let sh = self.sh;
+        let st = self.states[region as usize]
+            .as_mut()
+            .expect("absorb of an unowned region");
+        debug_assert!(!st.sealed, "R1 fragment after the R1 seal");
+        st.input += n;
+        st.runs.push(tuples);
+        sh.board.add_build(region, n);
+        Self::sub_in_flight(sh, n);
+    }
+
+    /// Appends probe tuples to an owned region's buffer, queueing the
+    /// region's sweep once one is due.
+    fn absorb_probe(&mut self, region: u32, tuples: &ColumnBatch) {
+        let n = tuples.len() as u64;
+        self.straggle(n);
         let sh = self.sh;
         let st = self.states[region as usize]
             .as_mut()
             .expect("absorb of an unowned region");
         st.input += n;
-        match rel {
-            Rel::R1 => {
-                debug_assert!(!st.sealed, "R1 fragment after the R1 seal");
-                st.runs.push(tuples);
-                sh.board.add_build(region, n);
-            }
-            Rel::R2 => {
-                st.pending.append(&mut tuples);
-                // The emptied fragment's allocation feeds the next outbox
-                // buffer or spill reload on this worker.
-                pool.put(tuples);
-                sh.board.add_probe(region, n);
-                if st.sweep_due(sh.probe_chunk, sh.pressed()) {
-                    self.queue_sweep(region);
-                }
-            }
+        st.pending
+            .extend_from_slices(tuples.keys(), tuples.payloads());
+        sh.board.add_probe(region, n);
+        if st.sweep_due(sh.probe_chunk, sh.pressed()) {
+            self.queue_sweep(region);
         }
         Self::sub_in_flight(sh, n);
+    }
+
+    /// The injected straggler's cost of absorbing `n` tuples. The fault
+    /// really does occupy the pool worker — exactly what a slow node does
+    /// to a shared cluster.
+    fn straggle(&self, n: u64) {
+        if let Some(s) = self.sh.straggler {
+            if s.reducer == self.me && n > 0 {
+                std::thread::sleep(Duration::from_nanos(n.saturating_mul(s.nanos_per_tuple)));
+            }
+        }
     }
 
     /// Queues `region` for a sweep turn of the poll loop, once.
@@ -1284,6 +1330,7 @@ mod tests {
                 rel,
                 epoch: self.table.epoch(),
                 tuples,
+                siblings: Vec::new(),
             }));
         }
     }
@@ -1520,6 +1567,126 @@ mod tests {
             0,
             "every charged tuple was released"
         );
+    }
+
+    #[test]
+    fn a_sibling_that_migrates_between_a_bounced_push_and_its_retry_is_regrouped() {
+        use super::super::mapper::{MapperShared, MapperTask, SealState};
+        use super::super::morsel::MorselPlan;
+        use ewh_core::{RandomRouter, Router};
+
+        // A 2 × 1 matrix: an `R1` tuple goes to its row's region, an `R2`
+        // tuple to both regions — one group, both on reducer 0, whose queue
+        // holds 8 tuples. The probe morsel's grouped push bounces; region 1
+        // moves to reducer 1; the retry must split the group and stamp the
+        // moved region's delivery after the migration.
+        let rt = EngineRuntime::new(2);
+        let rig = Rig {
+            queues: [8, 64]
+                .map(|cap| Arc::new(Channel::new(cap)) as Arc<DeliveryPort>)
+                .to_vec(),
+            ..Rig::new(2, &[0, 0], JoinCondition::Equi)
+        };
+        let sh = rig.shared(4, None);
+        let side = |tag: u64| -> ColumnBatch {
+            (0..8)
+                .map(|i| ewh_core::Tuple::new(i as i64 % 3, tag << 8 | i))
+                .collect()
+        };
+        let (r1, r2) = (side(1), side(2));
+        let plan = MorselPlan::new(r1.len(), r2.len(), 8);
+        let router = Router::Random(RandomRouter { rows: 2, cols: 1 });
+        let seal = SealState::new(plan.r1_morsels(), plan.total(), None);
+        let [network_tuples, morsels_routed, route_nanos] = [0; 3].map(AtomicU64::new);
+        let mappers = MapperShared {
+            plan: &plan,
+            r1: &r1,
+            r2: &r2,
+            router: &router,
+            table: &rig.table,
+            queues: &rig.queues,
+            seal: &seal,
+            gauge: &rig.gauge,
+            network_tuples: &network_tuples,
+            morsels_routed: &morsels_routed,
+            in_flight: &rig.counters[0],
+            route_nanos: &route_nanos,
+            seed: 5,
+            cancel: &rig.cancel,
+        };
+        let mut mapper = MapperTask::new(&mappers);
+        let mut reducers = [
+            ReducerTask::new(&sh, 0, &[0, 1]),
+            ReducerTask::new(&sh, 1, &[]),
+        ];
+        let results = Mutex::new(Vec::new());
+        rt.scope(|s| {
+            let (rig, results) = (&rig, &results);
+            s.spawn(move |cx| {
+                // Route and ship the build morsel (8 tuples fill queue 0),
+                // then route the probe morsel: its group bounces.
+                let steps: Vec<Poll> = (0..4).map(|_| mapper.poll(cx)).collect();
+                assert!(matches!(steps[3], Poll::Pending), "{steps:?}");
+                rig.table.migrate(1, 1);
+                rig.queues[0].push_unbounded(Delivery::Migrate { region: 1 });
+                // Reducer 0 drains its queue and ships region 1 away; the
+                // retry finds room and regroups.
+                reducers[0].poll(cx);
+                assert!(matches!(mapper.poll(cx), Poll::Yielded));
+                let mut probes = Vec::new();
+                for q in &rig.queues {
+                    let mut items = Vec::new();
+                    while let PortPop::Item(d) = q.try_pop() {
+                        if let Delivery::Batch(b) = &d {
+                            probes.push((b.region, b.epoch, b.siblings.clone()));
+                        }
+                        items.push(d);
+                    }
+                    items.push(Delivery::Finish);
+                    for d in items {
+                        q.push_unbounded(d);
+                    }
+                }
+                let moved = rig.table.migrated_at(1);
+                assert_eq!(probes, vec![(0, moved, vec![]), (1, moved, vec![])]);
+                for reducer in &mut reducers {
+                    let outcome = loop {
+                        if let ReducerStep::Done(outcome) = reducer.poll(cx) {
+                            break outcome;
+                        }
+                    };
+                    results.lock().expect("results").push(outcome.results);
+                }
+                Poll::Ready
+            });
+        });
+        let results = results.into_inner().expect("results");
+        let regions: Vec<Vec<u32>> = results
+            .iter()
+            .map(|r| r.iter().map(|r| r.region).collect())
+            .collect();
+        assert_eq!(
+            regions,
+            [vec![0], vec![1]],
+            "region 1 ended at its new owner"
+        );
+        let (mut count, mut checksum) = (0u64, 0u64);
+        for b in r1.iter_tuples() {
+            for p in r2.iter_tuples().filter(|p| p.key == b.key) {
+                count += 1;
+                checksum ^= crate::local_join::pair_payload(b.payload, p.payload);
+            }
+        }
+        let tallies = results.iter().flatten();
+        let got = tallies.fold((0, 0), |(c, x), r| (c + r.output, x ^ r.checksum));
+        assert_eq!(got, (count, checksum));
+        assert_eq!(network_tuples.into_inner(), 8 + 2 * 8);
+        assert_eq!(
+            rig.counters[0].load(Ordering::Acquire),
+            0,
+            "nothing in flight"
+        );
+        assert_eq!(rig.gauge.current_tuples(), 0, "every charge released");
     }
 
     /// Probe tuples a fragment carries in the cadence tests below.

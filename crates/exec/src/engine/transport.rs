@@ -14,13 +14,27 @@
 //! `ewh-bench transport` ships relations over the two halves of a
 //! `ColumnBatch` link in two processes.
 //!
+//! ## What a batch looks like on the wire
+//!
+//! A [`Delivery::Batch`] is one `BATCH` frame: header word `a` holds the
+//! relation (high half) and the head region (low half), `b` the epoch
+//! stamp, the two slabs the tuples once, and the `extra` sidecar the
+//! sibling regions as `u32` LE ids — the other regions of the receiving
+//! reducer that take a copy of the same tuples (empty for one region). So a
+//! replicated fragment crosses a link once, whatever number of that
+//! reducer's regions it feeds; the reducer makes the copies. Every region
+//! id off the wire — a batch's head and siblings, a `MIGRATE`'s or an
+//! `ADOPT`'s region — is checked against the run's region count before any
+//! reducer indexes by it, and a batch's ids must be distinct.
+//!
 //! ## Credit-based flow control
 //!
 //! An in-process channel bounds *resident tuples*; a byte stream has no
 //! shared counter to bound against. The sender therefore holds a
 //! `CreditGate` — the channel's own admission window (see the `channel`
 //! module) without the queue: every sent item charges its tuple weight
-//! against the window, and the receiver returns that weight as a `CREDIT`
+//! against the window (a grouped batch: its tuples once per region it
+//! feeds), and the receiver returns that weight as a `CREDIT`
 //! frame once the item is popped from its staging channel. The window's
 //! `used` therefore counts tuples in flight end to end — in the writer's
 //! buffer, on the wire, and staged at the receiver — so
@@ -298,21 +312,52 @@ fn split_batch(batch: &ColumnBatch, at: usize) -> (ColumnBatch, ColumnBatch) {
     )
 }
 
+/// A region id from a header word: one that does not fit a `u32` is
+/// rejected, not truncated into range.
+fn region_id(word: u64) -> Result<u32, String> {
+    u32::try_from(word).map_err(|_| format!("region {word} out of range"))
+}
+
+/// The region ids a delivery off the wire names, checked against the run's
+/// `regions` before any reducer indexes by them: each in range, and a
+/// batch's siblings distinct from its head and from each other.
+fn check_regions(delivery: &Delivery, regions: usize) -> Result<(), String> {
+    let (head, siblings): (u32, &[u32]) = match delivery {
+        Delivery::Batch(rb) => (rb.region, &rb.siblings),
+        Delivery::Migrate { region } | Delivery::Adopt { region, .. } => (*region, &[]),
+        _ => return Ok(()),
+    };
+    let ids = || std::iter::once(head).chain(siblings.iter().copied());
+    for (i, region) in ids().enumerate() {
+        if region as usize >= regions {
+            return Err(format!("region {region} out of range ({regions} regions)"));
+        }
+        if ids().take(i).any(|earlier| earlier == region) {
+            return Err(format!("region {region} named twice in one batch"));
+        }
+    }
+    Ok(())
+}
+
 impl Framed for Delivery {
     /// Tuple-carrying deliveries ship their columns as the frame's two
-    /// slabs (two memcpys on a little-endian target); `Adopt` concatenates
-    /// build + pending and records the split point in header word `b`.
+    /// slabs (two memcpys on a little-endian target); a batch's siblings
+    /// ride in the sidecar; `Adopt` concatenates build + pending and
+    /// records the split point in header word `b`.
     fn encode(&self, out: &mut Vec<u8>) {
         let empty = ColumnBatch::new();
         match self {
-            Delivery::Batch(rb) => encode_frame(
-                out,
-                FRAME_BATCH,
-                rel_code(rb.rel) << 32 | rb.region as u64,
-                rb.epoch,
-                &[],
-                &rb.tuples,
-            ),
+            Delivery::Batch(rb) => {
+                let siblings: Vec<u8> = rb.siblings.iter().flat_map(|s| s.to_le_bytes()).collect();
+                encode_frame(
+                    out,
+                    FRAME_BATCH,
+                    rel_code(rb.rel) << 32 | rb.region as u64,
+                    rb.epoch,
+                    &siblings,
+                    &rb.tuples,
+                )
+            }
             Delivery::SealR1 => encode_frame(out, FRAME_SEAL_R1, 0, 0, &[], &empty),
             Delivery::SealAll => encode_frame(out, FRAME_SEAL_ALL, 0, 0, &[], &empty),
             Delivery::Migrate { region } => {
@@ -344,16 +389,28 @@ impl Framed for Delivery {
 
     fn decode(frame: Frame) -> Result<Delivery, String> {
         match frame.kind {
-            FRAME_BATCH => Ok(Delivery::Batch(RegionBatch {
-                region: (frame.a & 0xFFFF_FFFF) as u32,
-                rel: code_rel(frame.a >> 32)?,
-                epoch: frame.b,
-                tuples: frame.batch,
-            })),
+            FRAME_BATCH => {
+                if !frame.extra.len().is_multiple_of(4) {
+                    return Err(format!(
+                        "a sibling sidecar of {} bytes is not a list of u32 ids",
+                        frame.extra.len()
+                    ));
+                }
+                let siblings = frame.extra.chunks_exact(4);
+                Ok(Delivery::Batch(RegionBatch {
+                    region: (frame.a & 0xFFFF_FFFF) as u32,
+                    rel: code_rel(frame.a >> 32)?,
+                    epoch: frame.b,
+                    tuples: frame.batch,
+                    siblings: siblings
+                        .map(|id| u32::from_le_bytes(id.try_into().expect("4")))
+                        .collect(),
+                }))
+            }
             FRAME_SEAL_R1 => Ok(Delivery::SealR1),
             FRAME_SEAL_ALL => Ok(Delivery::SealAll),
             FRAME_MIGRATE => Ok(Delivery::Migrate {
-                region: frame.a as u32,
+                region: region_id(frame.a)?,
             }),
             FRAME_ADOPT => {
                 let build_len = frame.b as usize;
@@ -372,7 +429,7 @@ impl Framed for Delivery {
                 let spilled_build = meta.runs()?;
                 let spilled_pending = meta.runs()?;
                 Ok(Delivery::Adopt {
-                    region: frame.a as u32,
+                    region: region_id(frame.a)?,
                     state: Box::new(MigratedRegion {
                         build,
                         pending,
@@ -654,10 +711,16 @@ impl<T: Framed> LinkReceiver<T> {
     /// its own.
     pub fn accept(listener: &TcpListener) -> io::Result<Self> {
         let (sock, _) = listener.accept()?;
-        Self::spawn(sock, TransportFailure::new())
+        Self::spawn(sock, TransportFailure::new(), |_| Ok(()))
     }
 
-    fn spawn(sock: TcpStream, failure: Arc<TransportFailure>) -> io::Result<Self> {
+    /// `check` vets every decoded item before it is staged; an `Err` fails
+    /// the link like a corrupt frame.
+    fn spawn(
+        sock: TcpStream,
+        failure: Arc<TransportFailure>,
+        check: impl Fn(&T) -> Result<(), String> + Send + 'static,
+    ) -> io::Result<Self> {
         sock.set_nodelay(true)?;
         // Staging is pushed unbounded: what it holds is bounded by the
         // sender's credit window, which only a pop replenishes.
@@ -672,7 +735,9 @@ impl<T: Framed> LinkReceiver<T> {
         let (staged, tripped) = (staging.clone(), failure.clone());
         let reader = io_thread("ewh-link-rx", move || {
             let ended = pump_frames(&mut src, 64 * 1024, |f| {
-                staged.push_unbounded(T::decode(f)?);
+                let item = T::decode(f)?;
+                check(&item)?;
+                staged.push_unbounded(item);
                 Ok(())
             });
             if let Err(why) = &ended {
@@ -769,18 +834,21 @@ pub struct RemoteQueue {
 
 impl RemoteQueue {
     /// Opens the connection and spawns both halves' four I/O threads.
-    /// `failure` is shared by every link of a run.
+    /// `failure` is shared by every link of a run; a delivery naming a
+    /// region outside the run's `regions` trips it.
     pub fn spawn(
         cfg: &TransportConfig,
         capacity_tuples: usize,
+        regions: usize,
         failure: Arc<TransportFailure>,
     ) -> io::Result<Arc<RemoteQueue>> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let out = TcpStream::connect(listener.local_addr()?)?;
         let (inbound, _) = listener.accept()?;
+        let check = move |d: &Delivery| check_regions(d, regions);
         Ok(Arc::new(RemoteQueue {
             tx: LinkSender::spawn(out, capacity_tuples, failure.clone(), cfg.corrupt_frame)?,
-            rx: LinkReceiver::spawn(inbound, failure)?,
+            rx: LinkReceiver::spawn(inbound, failure, check)?,
         }))
     }
 
@@ -847,13 +915,25 @@ mod tests {
         b
     }
 
+    /// Region count of the test links: every id below it is valid.
+    const REGIONS: usize = 64;
+
     fn batch_delivery(region: u32, n: usize) -> Delivery {
         Delivery::Batch(RegionBatch {
             region,
             rel: Rel::R2,
             epoch: region as u64 + 9,
             tuples: cols(n),
+            siblings: Vec::new(),
         })
+    }
+
+    fn spawn_queue(
+        cfg: &TransportConfig,
+        window: usize,
+        failure: &Arc<TransportFailure>,
+    ) -> Arc<RemoteQueue> {
+        RemoteQueue::spawn(cfg, window, REGIONS, failure.clone()).expect("link")
     }
 
     fn drain_until<T>(timeout: Duration, mut f: impl FnMut() -> Option<T>) -> T {
@@ -973,8 +1053,7 @@ mod tests {
     #[test]
     fn tcp_link_round_trips_in_order() {
         let failure = TransportFailure::new();
-        let q =
-            RemoteQueue::spawn(&TransportConfig::tcp(), 1 << 20, failure.clone()).expect("link");
+        let q = spawn_queue(&TransportConfig::tcp(), 1 << 20, &failure);
         let port: &DeliveryPort = &*q;
         for region in 0..32u32 {
             assert!(port.try_push(batch_delivery(region, 100)).is_ok());
@@ -998,10 +1077,126 @@ mod tests {
         assert!(q.wire_bytes() > 32 * 100 * TUPLE_BYTES);
     }
 
+    /// A grouped batch crosses the link as one frame — its tuples once, its
+    /// siblings in the sidecar — and charges the window a copy per region,
+    /// which its pop credits back in full.
+    #[test]
+    fn a_grouped_batch_crosses_once_and_credits_what_it_charged() {
+        let failure = TransportFailure::new();
+        let q = spawn_queue(&TransportConfig::tcp(), 1 << 20, &failure);
+        let port: &DeliveryPort = &*q;
+        let grouped = |region: u32, siblings: Vec<u32>| {
+            Delivery::Batch(RegionBatch {
+                region,
+                rel: Rel::R1,
+                epoch: 3,
+                tuples: cols(100),
+                siblings,
+            })
+        };
+        let before = q.wire_bytes();
+        assert!(port.try_push(grouped(0, (1..8).collect())).is_ok());
+        assert_eq!(port.used_tuples(), 800, "charged a copy per region");
+        let Delivery::Batch(rb) = next_item(port) else {
+            panic!("expected a batch")
+        };
+        assert_eq!((rb.region, rb.rel, rb.epoch), (0, Rel::R1, 3));
+        assert_eq!(rb.siblings, (1..8).collect::<Vec<u32>>());
+        assert_eq!(rb.tuples, cols(100));
+        drain_until(Duration::from_secs(10), || {
+            (port.used_tuples() == 0).then_some(())
+        });
+        // One slab pair, not eight: the frame is the tuples once plus a
+        // header and seven 4-byte ids.
+        let frame = ewh_core::FRAME_HEADER_BYTES as u64 + 7 * 4 + 100 * TUPLE_BYTES;
+        let wire = drain_until(Duration::from_secs(10), || {
+            let wire = q.wire_bytes() - before;
+            (wire >= frame).then_some(wire)
+        });
+        assert_eq!(wire, frame);
+        assert!(!failure.failed());
+    }
+
+    /// Region ids off the wire are checked before a reducer could index by
+    /// them: a hand-encoded frame naming one out of range, or naming one
+    /// twice, trips the latch with a reason that names it, and the consumer
+    /// gets the in-band `Abort` — never a panic.
+    #[test]
+    fn a_frame_naming_a_bad_region_trips_the_latch() {
+        let ids = |ids: &[u32]| -> Vec<u8> { ids.iter().flat_map(|i| i.to_le_bytes()).collect() };
+        let out_of_range = REGIONS as u64;
+        let cases: [(u8, u64, Vec<u8>, String); 7] = [
+            (
+                FRAME_BATCH,
+                1 << 32 | out_of_range,
+                vec![],
+                format!("region {out_of_range}"),
+            ),
+            (FRAME_BATCH, 1 << 32 | 2, ids(&[3, 70]), "region 70".into()),
+            (
+                FRAME_BATCH,
+                1 << 32 | 2,
+                ids(&[3, 2]),
+                "region 2 named twice".into(),
+            ),
+            (
+                FRAME_BATCH,
+                1 << 32 | 2,
+                ids(&[5, 3, 5]),
+                "region 5 named twice".into(),
+            ),
+            (FRAME_BATCH, 2, vec![0; 6], "6 bytes".into()),
+            (
+                FRAME_MIGRATE,
+                out_of_range,
+                vec![],
+                format!("region {out_of_range}"),
+            ),
+            (
+                FRAME_MIGRATE,
+                1 << 32,
+                vec![],
+                format!("region {}", 1u64 << 32),
+            ),
+        ];
+        for (kind, a, extra, reason) in cases {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let mut peer =
+                TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+            let failure = TransportFailure::new();
+            let accepted = listener.accept().expect("accept").0;
+            let check = |d: &Delivery| check_regions(d, REGIONS);
+            let rx = LinkReceiver::spawn(accepted, failure.clone(), check).expect("receiver");
+            let mut wire = Vec::new();
+            batch_delivery(1, 4).encode(&mut wire);
+            encode_frame(&mut wire, kind, a, 0, &extra, &cols(4));
+            peer.write_all(&wire).expect("write");
+            // The stream then ends without `CLOSE`: a frame that slipped
+            // through would trip the latch for that instead.
+            peer.shutdown(Shutdown::Write).expect("half-close");
+            drain_until(Duration::from_secs(10), || failure.failed().then_some(()));
+            let why = failure.reason().expect("tripped");
+            assert!(why.contains(&reason), "{reason:?} not in {why:?}");
+            let mut got = Vec::new();
+            while let Some(d) = drain_until(Duration::from_secs(10), || match rx.take(None) {
+                PortPop::Item(d) => Some(Some(d)),
+                PortPop::Closed => Some(None),
+                PortPop::Empty => None,
+            }) {
+                got.push(d);
+            }
+            assert!(
+                matches!(got[..], [Delivery::Batch(_), Delivery::Abort]),
+                "{got:?}"
+            );
+            drop(peer);
+        }
+    }
+
     #[test]
     fn the_window_bounces_like_a_full_queue() {
         let failure = TransportFailure::new();
-        let q = RemoteQueue::spawn(&TransportConfig::tcp(), 100, failure).expect("link");
+        let q = spawn_queue(&TransportConfig::tcp(), 100, &failure);
         let port: &DeliveryPort = &*q;
         assert!(port.try_push(batch_delivery(0, 80)).is_ok());
         let bounced = port.try_push(batch_delivery(1, 50));
@@ -1019,7 +1214,7 @@ mod tests {
         let cfg = TransportConfig {
             corrupt_frame: Some(0),
         };
-        let q = RemoteQueue::spawn(&cfg, 1 << 20, failure.clone()).expect("link");
+        let q = spawn_queue(&cfg, 1 << 20, &failure);
         let port: &DeliveryPort = &*q;
         assert!(port.try_push(batch_delivery(0, 64)).is_ok());
         let d = next_item(port);
@@ -1043,7 +1238,8 @@ mod tests {
         let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let failure = TransportFailure::new();
         let accepted = listener.accept().expect("accept").0;
-        let rx = LinkReceiver::<Delivery>::spawn(accepted, failure.clone()).expect("receiver");
+        let check = |d: &Delivery| check_regions(d, REGIONS);
+        let rx = LinkReceiver::spawn(accepted, failure.clone(), check).expect("receiver");
         let mut wire = Vec::new();
         batch_delivery(3, 10).encode(&mut wire);
         Delivery::SealR1.encode(&mut wire);
@@ -1125,7 +1321,7 @@ mod tests {
         for corrupt_frame in [None, Some(1)] {
             let failure = TransportFailure::new();
             let cfg = TransportConfig { corrupt_frame };
-            let q = RemoteQueue::spawn(&cfg, 100, failure.clone()).expect("link");
+            let q = spawn_queue(&cfg, 100, &failure);
             assert!(q.try_push(batch_delivery(0, 80)).is_ok());
             q.push_unbounded(Delivery::SealR1);
             if corrupt_frame.is_some() {

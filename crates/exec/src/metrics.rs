@@ -23,7 +23,9 @@ pub struct JoinStats {
     pub sim_join_secs: f64,
     /// Measured wall-clock of the threaded local-join phase.
     pub wall_join_secs: f64,
-    /// Tuples moved mapper → reducer (replication included).
+    /// Tuples delivered mapper → reducer, once per region they feed
+    /// (replication included) — not the copies on a wire, which carries a
+    /// replicated fragment once per reducer (`wire_bytes`).
     pub network_tuples: u64,
     /// Modeled cluster memory of a full shuffle materialization
     /// (`network_tuples × 16 B`) — what the batch path holds resident.
@@ -96,8 +98,9 @@ pub struct JoinStats {
     /// query, however many runs), else 0.
     pub spill_files: u64,
     /// Bytes the framed transport's data writers put on the wire, frame
-    /// headers included (0 for in-process queues and under batch
-    /// execution).
+    /// headers and sibling ids included: one copy of a replicated fragment
+    /// per reducer that owns some of its regions (0 for in-process queues
+    /// and under batch execution).
     pub wire_bytes: u64,
 }
 

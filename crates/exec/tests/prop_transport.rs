@@ -22,9 +22,10 @@
 use std::panic::AssertUnwindSafe;
 
 use ewh_core::{
-    encode_frame, ColumnBatch, FrameDecoder, FrameError, JoinCondition, Key, KeyRange, SchemeKind,
-    Tuple, TUPLE_BYTES,
+    encode_frame, ColumnBatch, FrameDecoder, FrameError, JoinCondition, Key, KeyRange, Rel,
+    SchemeKind, Tuple, FRAME_HEADER_BYTES, TUPLE_BYTES,
 };
+use ewh_exec::engine::{Delivery, Framed, RegionBatch};
 use ewh_exec::{
     run_operator, run_plan, run_plan_materialized, AdaptiveConfig, ChainStage, EngineRuntime,
     ExecMode, OperatorConfig, SpillConfig, SpillContext, SpillRun, StageSpec, Straggler,
@@ -89,6 +90,45 @@ proptest! {
         prop_assert_eq!(f.batch.keys(), batch.keys());
         prop_assert_eq!(f.batch.payloads(), batch.payloads());
         prop_assert_eq!(dec.pending_bytes(), 0, "no bytes may linger after a full frame");
+    }
+
+    // The delivery codec under the same splits: a batch and the sibling
+    // regions riding with it (none to eight, as the frame's sidecar) come
+    // back exactly, the tuples on the wire once.
+    #[test]
+    fn grouped_batches_survive_arbitrary_chunked_reads(
+        batch in batch_strategy(300),
+        region in any::<u32>(),
+        build in any::<bool>(),
+        epoch in any::<u64>(),
+        siblings in prop::collection::vec(any::<u32>(), 0..9),
+        chunk in 1usize..97,
+    ) {
+        let rel = if build { Rel::R1 } else { Rel::R2 };
+        let sent = Delivery::Batch(RegionBatch {
+            region,
+            rel,
+            epoch,
+            tuples: batch.clone(),
+            siblings: siblings.clone(),
+        });
+        let mut wire = Vec::new();
+        sent.encode(&mut wire);
+        prop_assert_eq!(wire.len(), FRAME_HEADER_BYTES + 4 * siblings.len() + 16 * batch.len());
+        let mut dec = FrameDecoder::new();
+        let mut got = Vec::new();
+        for piece in wire.chunks(chunk) {
+            dec.feed(piece);
+            while let Some(f) = dec.next_frame().expect("clean wire bytes never error") {
+                got.push(Delivery::decode(f).expect("a batch frame decodes"));
+            }
+        }
+        let [Delivery::Batch(rb)] = &got[..] else {
+            panic!("exactly one batch on the wire, got {got:?}");
+        };
+        prop_assert_eq!((rb.region, rb.rel, rb.epoch), (region, rel, epoch));
+        prop_assert_eq!(&rb.siblings, &siblings);
+        prop_assert_eq!(&rb.tuples, &batch);
     }
 
     // An `ADOPT` sidecar is wire input: the run descriptors in it name an
@@ -239,49 +279,70 @@ proptest! {
     // The whole engine over framed TCP links stays bit-identical to the
     // batch oracle on every scheme, with and without forced migration
     // (sealed regions then travel as ADOPT frames on the same stream as the
-    // data they interleave with).
+    // data they interleave with). Each case runs on two reducers and on
+    // four: with up to 16 regions a CI row band or column has several
+    // regions on one reducer, so grouped batches cross the wire — they
+    // deliver what in-process queues do, and CI puts fewer bytes on the
+    // wire than a frame per region would hold — and four reducers add a
+    // past owner forwarding to a third.
     #[test]
     fn transport_engine_equals_batch_oracle(
         k1 in prop::collection::vec(0i64..60, 0..200),
         k2 in prop::collection::vec(0i64..60, 0..200),
         beta in 0i64..3,
-        j in 1usize..6,
+        j in 1usize..17,
         seed in 0u64..1000,
         migrate in any::<bool>(),
     ) {
         let (r1, r2) = (tuples(&k1), tuples(&k2));
         let cond = JoinCondition::Band { beta };
         let rt = EngineRuntime::new(4);
-        let base = OperatorConfig {
+        let configs = [2, 4].map(|threads| OperatorConfig {
             j,
-            threads: 4,
+            threads,
             seed,
             morsel_tuples: 48,
             queue_tuples: 64,
+            adaptive: if migrate { forced_migration() } else { AdaptiveConfig::default() },
             ..Default::default()
-        };
-        for kind in [SchemeKind::Ci, SchemeKind::Csi, SchemeKind::Csio, SchemeKind::Hash] {
+        });
+        let schemes = [SchemeKind::Ci, SchemeKind::Csi, SchemeKind::Csio, SchemeKind::Hash];
+        for (base, kind) in configs.iter().flat_map(|c| schemes.map(|k| (c, k))) {
+            let threads = base.threads;
             let batch = run_operator(
                 &rt, kind, &r1, &r2, &cond,
                 &OperatorConfig { mode: ExecMode::Batch, ..base.clone() },
             );
+            let pipelined = OperatorConfig { mode: ExecMode::Pipelined, ..base.clone() };
+            let in_process = run_operator(&rt, kind, &r1, &r2, &cond, &pipelined);
             let framed = run_operator(
                 &rt, kind, &r1, &r2, &cond,
-                &OperatorConfig {
-                    mode: ExecMode::Pipelined,
-                    transport: Some(TransportConfig::tcp()),
-                    adaptive: if migrate { forced_migration() } else { AdaptiveConfig::default() },
-                    ..base.clone()
-                },
+                &OperatorConfig { transport: Some(TransportConfig::tcp()), ..pipelined },
             );
             prop_assert_eq!(
                 framed.join.output_total, batch.join.output_total,
-                "{} beta={} migrate={}", kind, beta, migrate
+                "{} j={} threads={} beta={} migrate={}", kind, j, threads, beta, migrate
             );
             prop_assert_eq!(
                 framed.join.checksum, batch.join.checksum,
-                "{} beta={} checksum", kind, beta
+                "{} j={} threads={} beta={} checksum", kind, j, threads, beta
             );
+            prop_assert_eq!(
+                framed.join.network_tuples, in_process.join.network_tuples,
+                "{} j={} threads={}: a framed run delivers what an in-process one does",
+                kind, j, threads
+            );
+            // Migration ships sealed state as ADOPT frames beside the data,
+            // which no delivery count holds; frozen, CI's replication is
+            // what the grouping saves on two reducers.
+            let ci_grouped = kind == SchemeKind::Ci && threads == 2 && j >= 4;
+            if ci_grouped && !migrate && k1.len().min(k2.len()) >= 100 {
+                prop_assert!(
+                    framed.join.wire_bytes < framed.join.network_tuples * TUPLE_BYTES,
+                    "CI j={}: {} wire bytes for {} delivered tuples",
+                    j, framed.join.wire_bytes, framed.join.network_tuples
+                );
+            }
         }
     }
 }
