@@ -156,11 +156,12 @@ fn print(args: &Args, report: &mut Report) {
         out.trigger_tuples * TUPLE_BYTES,
         out.transient_bytes
     );
-    // Bounded, not free: replaying every spilled run against every probe
-    // chunk is O(chunks x runs) reloads (`spill_reloads` counts them) plus
-    // their sweeps. The generous cap documents "graceful degradation" as a
-    // testable claim while staying safe under timing noise (measured 4-7x
-    // at scale 1 on a 2-core host).
+    // Bounded, not free: a spilled build comes back once when it fits
+    // under the budget, and a hot region's build that never fits is
+    // replayed against every probe chunk (`reloads_per_run` shows the mix).
+    // The generous cap documents "graceful degradation" as a testable claim
+    // while staying safe under timing noise (measured 2.5-3.7x at scale 1
+    // on a 2-core host).
     let slowdown = held.wall_join_secs / free.wall_join_secs.max(1e-9);
     assert!(
         slowdown < 40.0,
@@ -180,6 +181,8 @@ fn print(args: &Args, report: &mut Report) {
             "spill_bytes",
             "spill_runs",
             "spill_reloads",
+            "reloads_per_run",
+            "respills",
             "spill_files",
             "wall_s",
             "slowdown",
@@ -196,6 +199,8 @@ fn print(args: &Args, report: &mut Report) {
             join.spill_bytes.into(),
             join.spill_runs.into(),
             join.spill_reloads.into(),
+            f(join.spill_reloads as f64 / join.spill_runs.max(1) as f64, 2),
+            join.spill_respills.into(),
             join.spill_files.into(),
             f(join.wall_join_secs, 4),
             f(join.wall_join_secs / free.wall_join_secs.max(1e-9), 2),

@@ -119,9 +119,10 @@ pub struct EngineConfig {
     /// Bounded queue capacity, in tuples, per reducer.
     pub queue_tuples: usize,
     /// The floor of a region's probe buffer: a sealed region sweeps once
-    /// it buffers this many tuples and an eighth of its resident build (the
-    /// floor alone while the query is over its spill budget). Also the cap
-    /// on every spilled run, so a replay reloads at most this many tuples.
+    /// it buffers this many tuples and an eighth of its build, resident and
+    /// spilled (the floor alone while the query is over its spill budget).
+    /// Also the cap on every spilled run, so a reload reads at most this
+    /// many tuples.
     pub probe_chunk: usize,
     pub seed: u64,
     pub work: OutputWork,

@@ -5,8 +5,8 @@
 //! and on the way to disk for a run that spills before it.
 //!
 //! Memory discipline is the point: a sealed region buffers probe fragments
-//! until they make a chunk worth sweeping — an eighth of its resident
-//! build, and never fewer than `probe_chunk` tuples — and frees them right
+//! until they make a chunk worth sweeping — an eighth of its build, and
+//! never fewer than `probe_chunk` tuples — and frees them right
 //! after their sweep, and a region's build state is freed the moment the
 //! region completes — the engine never holds the full shuffle
 //! materialization the batch path does. The buffer is what pays for the
@@ -17,6 +17,14 @@
 //! charges). While the query sits over its spill budget a region sweeps at
 //! the floor, since the sweep then frees memory that would otherwise go to
 //! disk.
+//!
+//! Under a budget the spill ladder sheds a whole region's build at a time,
+//! and a spilled build comes back once, whole, as soon as it and its merge
+//! fit under the budget — the policy of hybrid hash join (DeWitt et al.,
+//! SIGMOD 1984): spill whole partitions, and bring each back once. Only a
+//! build that cannot come back is replayed run by run under every chunk,
+//! and its chunks wait for an eighth of the whole build, spilled runs
+//! included, since each then pays for reloading them too.
 //!
 //! A replicated fragment arrives once per reducer: a delivery names the
 //! sibling regions of this reducer that take the same tuples, and the
@@ -124,11 +132,20 @@ struct RegionState {
     /// Probe tuples waiting for the seal or for a sweep to be due
     /// (`sweep_due`).
     pending: ColumnBatch,
-    /// Build-side runs spilled to disk under budget pressure; each is
-    /// reloaded transiently and swept against every probe chunk (a
-    /// sort-merge join distributes over any run partition of its build
-    /// side), and retired when the region completes.
+    /// Build-side runs spilled to disk under budget pressure. They come
+    /// back once, merged into `build`, as soon as they fit under the budget
+    /// (`bring_build_back`); until then each is reloaded transiently and
+    /// swept against every probe chunk (a sort-merge join distributes over
+    /// any run partition of its build side). Retired on coming back or
+    /// when the region completes.
     spilled_build: Vec<SpillRun>,
+    /// Tuples in `spilled_build`, kept as a running count so `sweep_due`
+    /// does not sum descriptors on every delivery.
+    spilled_build_tuples: u64,
+    /// The build came back from disk since it was last shed: shedding it
+    /// again is a re-spill (`SpillTotals::respills`). A migration does not
+    /// carry it, so an adopter counts no re-spill of what it adopted.
+    came_back: bool,
     /// Probe tuples spilled pre-sweep; replayed as extra probe chunks at
     /// the next flush (or at finish), then retired.
     spilled_pending: Vec<SpillRun>,
@@ -148,22 +165,27 @@ impl RegionState {
         run
     }
 
+    /// Resident build-side tuples: the pre-seal runs plus the sealed build.
+    fn build_side_tuples(&self) -> usize {
+        self.runs.iter().map(ColumnBatch::len).sum::<usize>() + self.build.len()
+    }
+
     fn resident_tuples(&self) -> u64 {
-        (self.runs.iter().map(ColumnBatch::len).sum::<usize>()
-            + self.build.len()
-            + self.pending.len()) as u64
+        (self.build_side_tuples() + self.pending.len()) as u64
     }
 
     /// Whether the sealed region's probe buffer is due for a sweep: at
     /// least `floor` tuples and, unless the query is `pressed` over its
     /// spill budget (a sweep then frees what would otherwise go to disk),
-    /// an eighth of the resident build. A spilled build is not resident, so
-    /// its region keeps the floor.
+    /// an eighth of the whole build, resident and spilled: a chunk swept
+    /// against a spilled build pays for reloading it as well as for
+    /// walking it.
     fn sweep_due(&self, floor: usize, pressed: bool) -> bool {
         let due = if pressed {
             floor
         } else {
-            floor.max(self.build.len() / BUILD_PER_PROBE)
+            let build = self.build.len() + self.spilled_build_tuples as usize;
+            floor.max(build / BUILD_PER_PROBE)
         };
         self.sealed && self.pending.len() >= due
     }
@@ -210,9 +232,9 @@ pub struct ReducerShared<'a> {
     pub cond: &'a JoinCondition,
     pub work: OutputWork,
     /// The fewest probe tuples a region buffers before a sweep (normalized
-    /// to ≥ 1 by the orchestrator); a region with a resident build waits
-    /// for an eighth of it unless the query is over its budget. Also the
-    /// cap on every spilled run.
+    /// to ≥ 1 by the orchestrator); a region waits for an eighth of its
+    /// build, resident and spilled, unless the query is over its budget.
+    /// Also the cap on every spilled run.
     pub probe_chunk: usize,
     /// Tuples routed but not yet absorbed into region state.
     pub in_flight: &'a AtomicU64,
@@ -683,7 +705,9 @@ impl<'a> ReducerTask<'a> {
             runs: Vec::new(),
             build: state.build,
             pending: state.pending,
+            spilled_build_tuples: state.spilled_build.iter().map(SpillRun::tuples).sum(),
             spilled_build: state.spilled_build,
+            came_back: false,
             spilled_pending: state.spilled_pending,
             sealed: state.sealed,
             input: state.input,
@@ -779,12 +803,28 @@ impl<'a> ReducerTask<'a> {
                 .map(|(i, _)| i)
                 .expect("transient > 0 implies a non-empty run");
             let victim = st.take_sorted_run(i);
-            let tail = Self::write_capped(ctx, sh, victim, Some(region), &mut st.spilled_build);
+            let tail = Self::spill_build_run(ctx, sh, st, region, victim);
             if !tail.is_empty() {
                 st.runs.push(tail);
                 return;
             }
         }
+    }
+
+    /// Writes one sorted build-side victim of `region` through
+    /// [`write_capped`](Self::write_capped), counting what reached disk in
+    /// the region's spilled build, and returns the unwritten tail.
+    fn spill_build_run(
+        ctx: &SpillContext,
+        sh: &ReducerShared<'_>,
+        st: &mut RegionState,
+        region: u32,
+        victim: ColumnBatch,
+    ) -> ColumnBatch {
+        let n = victim.len();
+        let tail = Self::write_capped(ctx, sh, victim, Some(region), &mut st.spilled_build);
+        st.spilled_build_tuples += (n - tail.len()) as u64;
+        tail
     }
 
     /// Writes one victim (sorted, unless it is an outbox batch, which
@@ -849,55 +889,57 @@ impl<'a> ReducerTask<'a> {
         }
     }
 
-    /// Writes one victim to disk and drops it from resident state. The
-    /// ladder: build-side state first (a pre-seal run or a sealed build —
-    /// reloaded transiently per probe chunk later, so it stays out of
-    /// memory longest), then the largest pending probe buffer (replayed as
-    /// an extra probe chunk at the next flush), then a staged outbox batch
-    /// (reloaded once the exchange drains). Returns `false` when nothing
-    /// spillable remains or the write failed; the gauge is only debited
-    /// for what was actually written, so an error leaves the rest of the
-    /// victim resident and the discard accounting balanced.
+    /// Sheds one victim to disk and drops it from resident state. The
+    /// ladder: a whole region's build-side state first (the region holding
+    /// the most of it — its pre-seal runs and its sealed build — so spilled
+    /// state sits in few regions and the rest never touch the disk; it
+    /// stays out of memory longest, coming back once when it fits), then
+    /// the largest pending probe buffer (replayed as an extra probe chunk
+    /// at the next flush), then a staged outbox batch (reloaded once the
+    /// exchange drains). Returns `false` when nothing spillable remains or
+    /// a write failed; the gauge is only debited for what was actually
+    /// written, so an error leaves the rest of the victim resident and the
+    /// discard accounting balanced.
     fn spill_once(&mut self, ctx: &SpillContext) -> bool {
         let sh = self.sh;
 
-        // Rung 1: largest build-side victim — a pre-seal run (`Some(i)`)
-        // or the sealed build (`None`).
-        let mut best: Option<(usize, Option<usize>, usize)> = None;
-        for (region, slot) in self.states.iter().enumerate() {
-            let Some(st) = slot.as_ref() else { continue };
-            for (i, run) in st.runs.iter().enumerate() {
-                if run.len() > best.map_or(0, |(_, _, len)| len) {
-                    best = Some((region, Some(i), run.len()));
-                }
-            }
-            if st.build.len() > best.map_or(0, |(_, _, len)| len) {
-                best = Some((region, None, st.build.len()));
-            }
-        }
-        if let Some((region, run_idx, _)) = best {
+        // Rung 1: the region with the most resident build-side tuples,
+        // ties to the lowest id.
+        let victim = self
+            .states
+            .iter()
+            .enumerate()
+            .filter_map(|(region, slot)| Some((region, slot.as_ref()?.build_side_tuples())))
+            .filter(|&(_, n)| n > 0)
+            .max_by_key(|&(region, n)| (n, std::cmp::Reverse(region)));
+        if let Some((region, _)) = victim {
             let st = self.states[region]
                 .as_mut()
                 .expect("chosen from live states");
-            // Either way the victim is key-sorted — the segment's contract,
-            // which the flush replay relies on — and slicing it into capped
-            // sub-runs keeps each slice sorted too (the sweep distributes
-            // over any partition of the build into runs).
-            let victim = match run_idx {
-                Some(i) => st.take_sorted_run(i),
-                None => mem::take(&mut st.build),
-            };
-            let region_id = Some(region as u32);
-            let tail = Self::write_capped(ctx, sh, victim, region_id, &mut st.spilled_build);
+            if mem::take(&mut st.came_back) {
+                ctx.note_respill();
+            }
+            // Each run is sorted on its way out and slicing keeps each slice
+            // sorted — the segment's contract, which the replay relies on —
+            // and the sealed build already is. They are written one by one:
+            // a concatenation would be an uncharged copy of the region.
+            let region = region as u32;
+            while let Some(last) = st.runs.len().checked_sub(1) {
+                let victim = st.take_sorted_run(last);
+                let tail = Self::spill_build_run(ctx, sh, st, region, victim);
+                if !tail.is_empty() {
+                    st.runs.push(tail);
+                    return false;
+                }
+            }
+            let build = mem::take(&mut st.build);
+            let tail = Self::spill_build_run(ctx, sh, st, region, build);
             if tail.is_empty() {
                 return true;
             }
-            // The tail of a sorted victim is sorted, so it is a valid build
-            // (or run) again; the query is being cancelled regardless.
-            match run_idx {
-                Some(_) => st.runs.push(tail),
-                None => st.build = tail,
-            }
+            // The tail of a sorted build is a valid build again; the query
+            // is being cancelled regardless.
+            st.build = tail;
             return false;
         }
 
@@ -951,21 +993,24 @@ impl<'a> ReducerTask<'a> {
 
     /// Sweeps and frees one chunk of the region's buffered probe state and
     /// reports whether more is left, in which case the poll loop gives the
-    /// region the next turn too. The chunk is the resident pending tuples
-    /// or, once those are gone, one probe run spilled under budget pressure
-    /// (replayed one a turn, so the reload transient stays one chunk wide).
-    /// It is swept against the resident build *and* every spilled build run
-    /// — a sort-merge join distributes over any partition of its build side
-    /// into sorted runs and of its probe side into chunks, and the
-    /// order-invariant XOR checksum makes the recombination bit-identical
-    /// to the in-memory sweep.
+    /// region the next turn too. A spilled build that fits under the budget
+    /// comes back first ([`bring_build_back`](Self::bring_build_back)), so
+    /// the chunk sweeps from memory. The chunk is the resident pending
+    /// tuples or, once those are gone, one probe run spilled under budget
+    /// pressure (replayed one a turn, so the reload transient stays one
+    /// chunk wide). It is swept against the resident build *and* every
+    /// build run still on disk — a sort-merge join distributes over any
+    /// partition of its build side into sorted runs and of its probe side
+    /// into chunks, and the order-invariant XOR checksum makes the
+    /// recombination bit-identical to the in-memory sweep.
     ///
     /// With a sink, the same distributivity bounds what a turn stages: only
     /// the chunk's tail whose pairs fit the downstream exchange is swept
     /// ([`tail_within`]; the tail, so a slice copies itself and not the
     /// remainder) and the sorted rest stays in `pending`. The slice is sized
-    /// from the resident build alone: spilled build runs exist only under a
-    /// budget, which then bounds the outbox too (the ladder's last rung).
+    /// from the resident build alone: build runs left on disk exist only
+    /// under a budget, which then bounds the outbox too (the ladder's last
+    /// rung).
     fn flush(
         st: &mut RegionState,
         sh: &ReducerShared<'_>,
@@ -975,6 +1020,9 @@ impl<'a> ReducerTask<'a> {
         pool: &BatchPool,
     ) -> bool {
         debug_assert!(st.sealed);
+        if !st.spilled_build.is_empty() {
+            Self::bring_build_back(st, sh, region, pool);
+        }
         let mut chunk = mem::take(&mut st.pending);
         chunk.sort_by_key();
         if chunk.is_empty() && !st.spilled_pending.is_empty() {
@@ -1013,11 +1061,48 @@ impl<'a> ReducerTask<'a> {
         !(st.pending.is_empty() && st.spilled_pending.is_empty())
     }
 
+    /// Reloads a region's spilled build runs once each and merges them with
+    /// its resident build, when the whole build and `merge_gauged`'s
+    /// transient fit under the budget beside the query's gauge; the region
+    /// then sweeps from memory. The runs' extents become dead space in the
+    /// segment (its high-water is `spill_bytes` anyway). If they do not
+    /// fit, the build stays where it is and every chunk replays its runs
+    /// ([`sweep_chunk`](Self::sweep_chunk)). After a failed reload the
+    /// runs read so far are merged and the rest stay on disk; the query is
+    /// being cancelled.
+    fn bring_build_back(
+        st: &mut RegionState,
+        sh: &ReducerShared<'_>,
+        region: u32,
+        pool: &BatchPool,
+    ) {
+        let (Some(ctx), Some(budget)) = (sh.spill, sh.budget_tuples) else {
+            return;
+        };
+        let whole = st.spilled_build_tuples + st.build.len() as u64;
+        if sh.gauge.current_tuples() + 2 * whole > budget {
+            return;
+        }
+        let mut runs = vec![mem::take(&mut st.build)];
+        while let Some(run) = st.spilled_build.pop() {
+            let Some(build) = Self::reload(ctx, sh, &run, pool, "build") else {
+                st.spilled_build.push(run);
+                break;
+            };
+            sh.board.sub_spilled(region, run.tuples());
+            st.spilled_build_tuples -= run.tuples();
+            runs.push(build);
+        }
+        st.build = Self::merge_gauged(runs, sh);
+        st.came_back = true;
+    }
+
     /// Sweeps one sorted probe chunk against the region's full build side
-    /// (resident build plus each spilled build run, reloaded transiently),
-    /// then frees the chunk. Chunk-outer / build-run-inner keeps peak
-    /// memory at one chunk + one reloaded run, at the price of re-reading
-    /// each spilled run once per chunk — the re-read cost the coordinator
+    /// (resident build plus each build run still on disk, reloaded
+    /// transiently), then frees the chunk. Chunk-outer / build-run-inner
+    /// keeps peak memory at one chunk + one reloaded run, at the price of
+    /// re-reading each spilled run once per chunk — the fallback for a
+    /// build that cannot come back, and the re-read cost the coordinator
     /// charges into migration decisions.
     fn sweep_chunk(
         st: &mut RegionState,
@@ -1161,8 +1246,8 @@ impl<'a> ReducerTask<'a> {
             debug_assert!(st.pending.is_empty() && st.spilled_pending.is_empty());
             sh.gauge.sub(st.build.len() as u64);
             pool.put(mem::take(&mut st.build));
-            // Spilled build runs persist across flushes (each probe chunk
-            // re-reads them); the region completing is what retires them.
+            // Build runs that never came back persist across flushes (each
+            // probe chunk re-reads them); the region completing retires them.
             for run in st.spilled_build.drain(..) {
                 sh.board.sub_spilled(region as u32, run.tuples());
             }
@@ -1812,19 +1897,15 @@ mod tests {
         // The same region under a budget of half its build. Without a spill
         // context nothing sheds, so the gauge sits over the budget from the
         // first delivery to the last and only the pressure clause keeps the
-        // buffer at the floor. With one, the ladder sheds the build (an
-        // empty resident build keeps the floor too) in runs of at most the
-        // floor, and replays them under every chunk.
+        // buffer at the floor.
         const FLOOR: usize = 64;
         let sizes = [(4096, 16_384)];
-        let dir = std::env::temp_dir().join(format!("ewh-reducer-pressed-{}", std::process::id()));
-        let ctx = SpillContext::new(dir.clone(), None);
-        for spill in [None, Some(&ctx)] {
+        {
             let rt = EngineRuntime::new(2);
             let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
             let sh = ReducerShared {
                 budget_tuples: Some(2048),
-                spill,
+                spill: None,
                 ..rig.shared(FLOOR, None)
             };
             let expect = stream_after_seal(&rig, &sizes);
@@ -1834,7 +1915,306 @@ mod tests {
             assert!(swept >= fewest, "{swept} sweeps under pressure");
             assert_eq!(rig.gauge.current_tuples(), 0);
         }
+
+        // With one, the ladder sheds the whole build in runs of at most the
+        // floor. The build and its merge never fit a budget of half the
+        // build, so every chunk replays the runs: at the floor while the
+        // gauge is over the budget, and at an eighth of the whole build,
+        // resident and spilled, once the draining queue takes it under. The
+        // gauge only falls between deliveries, so a poll that ends pressed
+        // absorbed every fragment pressed.
+        let dir = std::env::temp_dir().join(format!("ewh-reducer-pressed-{}", std::process::id()));
+        let ctx = SpillContext::new(dir.clone(), None);
+        let rt = EngineRuntime::new(2);
+        let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
+        let sh = ReducerShared {
+            budget_tuples: Some(2048),
+            spill: Some(&ctx),
+            ..rig.shared(FLOOR, None)
+        };
+        let expect = stream_after_seal(&rig, &sizes);
+        let (mut pressed_most, mut eased_most, mut longest_run) = (0, 0, 0);
+        let outcome = drive_with(&rt, &sh, 0, &[0], |task| {
+            let st = task.states[0].as_ref().expect("the region stays owned");
+            if sh.pressed() {
+                pressed_most = pressed_most.max(st.pending.len());
+            } else {
+                let build = st.build.len() + st.spilled_build_tuples as usize;
+                let due = FLOOR.max(build / BUILD_PER_PROBE);
+                assert!(
+                    st.pending.len() <= due + FRAGMENT,
+                    "{} probe tuples buffered, {due} due",
+                    st.pending.len()
+                );
+                eased_most = eased_most.max(st.pending.len());
+            }
+            for run in st.spilled_build.iter().chain(&st.spilled_pending) {
+                longest_run = longest_run.max(run.tuples());
+            }
+        });
+        assert!(
+            pressed_most <= FLOOR + FRAGMENT,
+            "{pressed_most} buffered pressed"
+        );
+        assert!(
+            eased_most > FLOOR + FRAGMENT,
+            "{eased_most} buffered under the budget: the spilled build set no cadence"
+        );
+        assert!(
+            longest_run <= FLOOR as u64,
+            "a spilled run of {longest_run} tuples"
+        );
+        let tallies: Vec<(u64, u64)> = outcome
+            .results
+            .iter()
+            .map(|r| (r.output, r.checksum))
+            .collect();
+        assert_eq!(tallies, expect);
+        let swept = rig.board.chunks_swept(0);
+        let fewest = (sizes[0].1 / (FLOOR + FRAGMENT)) as u64;
+        assert!(swept >= fewest, "{swept} sweeps under pressure");
+        assert_eq!(rig.gauge.current_tuples(), 0);
         assert!(ctx.totals().runs > 0, "the build went to disk");
+        assert_eq!(ctx.failure(), None);
+        drop(ctx);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Build tuples in the spill replay tests below, on keys cycling over
+    /// 1 024 values, and probe tuples on the same values.
+    const SPILL_BUILD: usize = 4096;
+    const SPILL_PROBE: usize = 2048;
+
+    /// The replay tests' build and probe sides. Every probe fragment holds
+    /// key 0 and key 1 023, so every chunk's zone spans every spilled run's
+    /// and no zone fence skips a reload.
+    fn spill_sides() -> (ColumnBatch, ColumnBatch) {
+        let build = (0..SPILL_BUILD as u64)
+            .map(|i| ewh_core::Tuple::new((i % 1024) as i64, 1 << 32 | i))
+            .collect();
+        let probe = (0..SPILL_PROBE as u64)
+            .map(|i| {
+                let key = match i as usize % FRAGMENT {
+                    0 => 0,
+                    1 => 1023,
+                    _ => (i * 751 % 1024) as i64,
+                };
+                ewh_core::Tuple::new(key, 2 << 32 | i)
+            })
+            .collect();
+        (build, probe)
+    }
+
+    /// Queues `probe` for region 0 in [`FRAGMENT`]-tuple fragments, then
+    /// `SealAll` and `Finish`.
+    fn ship_probe(rig: &Rig, probe: &ColumnBatch) {
+        for off in (0..probe.len()).step_by(FRAGMENT) {
+            let mut fragment = ColumnBatch::new();
+            fragment.extend_from_range(probe, off..(off + FRAGMENT).min(probe.len()));
+            rig.ship(0, 0, Rel::R2, fragment);
+        }
+        rig.queues[0].push_unbounded(Delivery::SealAll);
+        rig.queues[0].push_unbounded(Delivery::Finish);
+    }
+
+    /// One whole-probe sweep of the replay tests' sides.
+    fn whole_sweep(rig: &Rig, build: &ColumnBatch, probe: &ColumnBatch) -> (u64, u64) {
+        let (mut build, mut probe) = (build.clone(), probe.clone());
+        build.sort_by_key();
+        probe.sort_by_key();
+        sweep_columns(&build, &probe, &rig.cond, OutputWork::Touch)
+    }
+
+    #[test]
+    fn a_spilled_build_comes_back_once_it_fits() {
+        // Ballast elsewhere in the query holds the gauge so that the build's
+        // delivery takes it one tuple over the budget: the ladder sheds the
+        // build as it arrives. The ballast is then released and the probe
+        // side queued. The build and its merge transient now fit beside the
+        // probe tuples in the gauge, so the first sweep brings every run
+        // back once and the rest sweep from memory.
+        const FLOOR: usize = 64;
+        const BUDGET: u64 = 12_288;
+        let ballast = BUDGET - SPILL_BUILD as u64 + 1;
+        let dir = std::env::temp_dir().join(format!("ewh-reducer-back-{}", std::process::id()));
+        let ctx = SpillContext::new(dir.clone(), None);
+        let rt = EngineRuntime::new(2);
+        let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
+        let sh = ReducerShared {
+            budget_tuples: Some(BUDGET),
+            spill: Some(&ctx),
+            ..rig.shared(FLOOR, None)
+        };
+        let (build, probe) = spill_sides();
+        rig.gauge.add(ballast);
+        rig.ship(0, 0, Rel::R1, build.clone());
+        rig.queues[0].push_unbounded(Delivery::SealR1);
+        let mut shed = None;
+        let outcome = drive_with(&rt, &sh, 0, &[0], |task| {
+            let st = task.states[0].as_ref().expect("the region stays owned");
+            if shed.is_none() && st.sealed {
+                shed = Some((st.spilled_build_tuples, st.build_side_tuples()));
+                rig.gauge.sub(ballast);
+                ship_probe(&rig, &probe);
+            }
+        });
+        assert_eq!(
+            shed,
+            Some((SPILL_BUILD as u64, 0)),
+            "the build was shed whole"
+        );
+        let runs = SPILL_BUILD.div_ceil(FLOOR) as u64;
+        let totals = ctx.totals();
+        assert_eq!(totals.runs, runs);
+        assert_eq!(totals.reloads, runs, "each run came back once");
+        assert_eq!(totals.respills, 0);
+        assert!(rig.board.chunks_swept(0) > 1);
+        let [result] = &outcome.results[..] else {
+            panic!("one region");
+        };
+        let expect = whole_sweep(&rig, &build, &probe);
+        assert!(expect.0 > 0);
+        assert_eq!((result.output, result.checksum), expect);
+        assert_eq!(rig.board.spilled_tuples(0), 0);
+        assert_eq!(rig.gauge.current_tuples(), 0);
+        let peak = rig.gauge.peak_tuples();
+        assert!(
+            peak <= BUDGET + 1,
+            "peak {peak} over the build's own delivery"
+        );
+        assert_eq!(ctx.failure(), None);
+        drop(ctx);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_spilled_build_that_never_fits_is_replayed_by_every_chunk() {
+        // The fallback: the build and its merge never fit beside the probe
+        // side, so every chunk reloads every spilled run, as the replay
+        // always did, and the output is that of one whole-probe sweep.
+        const FLOOR: usize = 64;
+        const BUDGET: u64 = 3000;
+        let dir = std::env::temp_dir().join(format!("ewh-reducer-replay-{}", std::process::id()));
+        let ctx = SpillContext::new(dir.clone(), None);
+        let rt = EngineRuntime::new(2);
+        let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
+        let sh = ReducerShared {
+            budget_tuples: Some(BUDGET),
+            spill: Some(&ctx),
+            ..rig.shared(FLOOR, None)
+        };
+        let (build, probe) = spill_sides();
+        rig.ship(0, 0, Rel::R1, build.clone());
+        rig.queues[0].push_unbounded(Delivery::SealR1);
+        ship_probe(&rig, &probe);
+        let outcome = drive(&rt, &sh, 0, &[0]);
+        let runs = SPILL_BUILD.div_ceil(FLOOR) as u64;
+        let totals = ctx.totals();
+        assert_eq!(totals.runs, runs, "only the build went to disk");
+        let chunks = rig.board.chunks_swept(0);
+        assert!(chunks > 1);
+        assert_eq!(
+            totals.reloads,
+            chunks * runs,
+            "every chunk replays every run"
+        );
+        let [result] = &outcome.results[..] else {
+            panic!("one region");
+        };
+        assert_eq!(
+            (result.output, result.checksum),
+            whole_sweep(&rig, &build, &probe)
+        );
+        assert_eq!(rig.gauge.current_tuples(), 0);
+        assert_eq!(ctx.failure(), None);
+        drop(ctx);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_ladder_sheds_a_whole_region() {
+        // Region 0 holds the largest single run, region 1 the most build-side
+        // tuples in four smaller runs, region 2 a sealed build as large as
+        // region 0's run. Rung 1 sheds region 1 whole and touches nothing
+        // else; the next tie goes to the lower id. A build that came back
+        // and is shed again is a re-spill.
+        let dir = std::env::temp_dir().join(format!("ewh-reducer-ladder-{}", std::process::id()));
+        let ctx = SpillContext::new(dir.clone(), None);
+        let rig = Rig::new(1, &[0, 0, 0], JoinCondition::Equi);
+        let sh = ReducerShared {
+            budget_tuples: Some(0),
+            spill: Some(&ctx),
+            ..rig.shared(64, None)
+        };
+        let run = |n: i64, tag: u64| -> ColumnBatch {
+            (0..n)
+                .map(|i| ewh_core::Tuple::new((n - i) * 3 % 17, tag << 16 | i as u64))
+                .collect()
+        };
+        let mut task = ReducerTask::new(&sh, 0, &[0, 1, 2]);
+        let [r0, r1, r2] = [0, 1, 2].map(|_| RegionState::default());
+        task.states = vec![Some(r0), Some(r1), Some(r2)];
+        fn state<'t>(task: &'t mut ReducerTask<'_>, r: usize) -> &'t mut RegionState {
+            task.states[r].as_mut().expect("owned")
+        }
+        state(&mut task, 0).runs.push(run(100, 0));
+        for tag in 1..=4 {
+            state(&mut task, 1).runs.push(run(30, tag));
+        }
+        let mut sealed = run(100, 5);
+        sealed.sort_by_key();
+        let st = state(&mut task, 2);
+        st.build = sealed;
+        st.sealed = true;
+        rig.gauge.add(320);
+
+        assert!(task.spill_once(&ctx));
+        let st = state(&mut task, 1);
+        assert!(st.runs.is_empty() && st.build.is_empty());
+        assert_eq!(st.spilled_build_tuples, 120);
+        let mut back = Vec::new();
+        for run in &st.spilled_build {
+            let batch = ctx.read_run(run).expect("reload");
+            assert!(batch.is_sorted_by_key(), "each run lands sorted");
+            back.push(batch);
+        }
+        let multiset = |runs: Vec<ColumnBatch>| {
+            let mut tuples = merge_sorted_runs(runs).to_tuples();
+            tuples.sort_by_key(|t| (t.key, t.payload));
+            tuples
+        };
+        let shed = (1..=4).map(|tag| run(30, tag)).collect();
+        assert_eq!(multiset(back), multiset(shed));
+        assert_eq!(rig.board.spilled_tuples(1), 120);
+        let untouched = |task: &mut ReducerTask<'_>, r: usize, runs: usize, build: usize| {
+            let st = state(task, r);
+            assert_eq!((st.runs.len(), st.build.len()), (runs, build), "region {r}");
+            assert!(st.spilled_build.is_empty(), "region {r}");
+        };
+        untouched(&mut task, 0, 1, 0);
+        untouched(&mut task, 2, 0, 100);
+        assert_eq!(rig.gauge.current_tuples(), 200);
+
+        assert!(task.spill_once(&ctx));
+        assert_eq!(state(&mut task, 0).spilled_build_tuples, 100);
+        untouched(&mut task, 2, 0, 100);
+
+        // Region 1 comes back whole under a roomy budget, then is shed again.
+        let roomy = ReducerShared {
+            budget_tuples: Some(10_000),
+            spill: Some(&ctx),
+            ..rig.shared(64, None)
+        };
+        let pool = BatchPool::new();
+        let st = state(&mut task, 1);
+        st.sealed = true;
+        ReducerTask::bring_build_back(st, &roomy, 1, &pool);
+        assert!(st.spilled_build.is_empty() && st.build.len() == 120);
+        assert!(st.build.is_sorted_by_key());
+        assert_eq!(ctx.totals().respills, 0);
+        assert!(task.spill_once(&ctx));
+        assert_eq!(state(&mut task, 1).spilled_build_tuples, 120);
+        assert_eq!(ctx.totals().respills, 1);
         assert_eq!(ctx.failure(), None);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);

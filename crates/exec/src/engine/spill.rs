@@ -18,11 +18,13 @@
 //! reclaimed inside a query, so its disk high-water is its total
 //! `spill_bytes`, not its live spilled bytes.
 //!
-//! Runs are reloaded transiently during the sweep (build runs) or replayed
-//! as extra probe chunks (pending runs), so the join's output stays
-//! bit-identical to the in-memory path: a sort-merge join distributes over
-//! any partition of its build side into sorted runs and of its probe side
-//! into chunks, and the engine's output checksum is order-invariant.
+//! A region's spilled build runs come back once, merged into its resident
+//! build, as soon as they fit under the budget; until then they are
+//! reloaded transiently for every probe chunk. Pending runs are replayed
+//! as extra probe chunks. Either way the join's output stays bit-identical
+//! to the in-memory path: a sort-merge join distributes over any partition
+//! of its build side into sorted runs and of its probe side into chunks,
+//! and the engine's output checksum is order-invariant.
 //!
 //! The context is shared by every reducer task of one query (all stages of
 //! a chained plan included — the plan-global gauge picks the victim
@@ -145,8 +147,12 @@ pub struct SpillTotals {
     pub bytes: u64,
     /// Runs appended.
     pub runs: u64,
-    /// Runs read back (a build run counts once per replaying chunk).
+    /// Runs read back: a build run once when its region's build comes back
+    /// whole, or once per chunk that replays it while it cannot.
     pub reloads: u64,
+    /// Region builds shed again after they came back from disk, so that a
+    /// budget too tight to hold what comes back shows as thrashing.
+    pub respills: u64,
     /// Files created: 1 once anything spilled (the segment), else 0.
     pub files: u64,
     /// Wall time spent writing runs.
@@ -162,6 +168,7 @@ impl SpillTotals {
             bytes: self.bytes - start.bytes,
             runs: self.runs - start.runs,
             reloads: self.reloads - start.reloads,
+            respills: self.respills - start.respills,
             files: self.files - start.files,
             write_secs: self.write_secs - start.write_secs,
             reload_secs: self.reload_secs - start.reload_secs,
@@ -184,6 +191,7 @@ pub struct SpillContext {
     bytes: AtomicU64,
     runs: AtomicU64,
     reloads: AtomicU64,
+    respills: AtomicU64,
     write_nanos: AtomicU64,
     reload_nanos: AtomicU64,
     fail_after_bytes: Option<u64>,
@@ -201,6 +209,7 @@ impl SpillContext {
             bytes: AtomicU64::new(0),
             runs: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
+            respills: AtomicU64::new(0),
             write_nanos: AtomicU64::new(0),
             reload_nanos: AtomicU64::new(0),
             fail_after_bytes,
@@ -337,6 +346,11 @@ impl SpillContext {
         Ok(ColumnBatch::from_columns(keys, payloads))
     }
 
+    /// Counts a region build shed again after it came back from disk.
+    pub(crate) fn note_respill(&self) {
+        self.respills.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records a spill I/O failure; the first message wins.
     pub fn record_failure(&self, msg: String) {
         let mut slot = self.failure.lock().unwrap_or_else(|e| e.into_inner());
@@ -368,6 +382,7 @@ impl SpillContext {
             bytes: self.bytes.load(Ordering::Relaxed),
             runs: self.runs.load(Ordering::Relaxed),
             reloads: self.reloads.load(Ordering::Relaxed),
+            respills: self.respills.load(Ordering::Relaxed),
             files: self.segment.get().is_some() as u64,
             write_secs: self.write_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
             reload_secs: self.reload_nanos.load(Ordering::Relaxed) as f64 * 1e-9,

@@ -92,8 +92,11 @@ pub struct JoinStats {
     pub reload_secs: f64,
     /// Spill runs appended.
     pub spill_runs: u64,
-    /// Spill runs read back (a build run counts once per replaying chunk).
+    /// Spill runs read back: a build run once when its region's build
+    /// comes back whole, or once per chunk that replays it while it cannot.
     pub spill_reloads: u64,
+    /// Region builds shed again after they came back from disk.
+    pub spill_respills: u64,
     /// Spill files created: 1 once anything spilled (one segment per
     /// query, however many runs), else 0.
     pub spill_files: u64,
@@ -154,17 +157,19 @@ impl JoinStats {
         self.reload_secs += other.reload_secs;
         self.spill_runs += other.spill_runs;
         self.spill_reloads += other.spill_reloads;
+        self.spill_respills += other.spill_respills;
         self.spill_files += other.spill_files;
         self.wire_bytes += other.wire_bytes;
     }
 
-    /// Overwrites the six spill fields from a context's counters.
+    /// Overwrites the seven spill fields from a context's counters.
     pub(crate) fn set_spill(&mut self, t: &SpillTotals) {
         self.spill_bytes = t.bytes;
         self.spill_secs = t.write_secs;
         self.reload_secs = t.reload_secs;
         self.spill_runs = t.runs;
         self.spill_reloads = t.reloads;
+        self.spill_respills = t.respills;
         self.spill_files = t.files;
     }
 
