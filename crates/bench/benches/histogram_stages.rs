@@ -4,9 +4,12 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ewh_bench::{bcb, bicd};
-use ewh_core::histogram::{build_sample_matrix, coarsen_sample_matrix, regionalize};
+use ewh_bench::{bcb, beocd, beocd_gamma, bicd};
+use ewh_core::histogram::{
+    build_sample_matrix, coarsen_sample_matrix, regionalize, regionalize_with_threads,
+};
 use ewh_core::{HistogramParams, Key};
+use ewh_tiling::MonotonicBspSolver;
 
 fn keys_of(ts: &[ewh_core::Tuple]) -> Vec<Key> {
     ts.iter().map(|t| t.key).collect()
@@ -95,10 +98,44 @@ fn bench_bicd_coarsening(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_beocd_regionalization(c: &mut Criterion) {
+    // The regionalization input of the benchmark's `beocd_csio` (3.84M
+    // ORDERS, seed 236, J = 32): the coarse grid is what it costs — 184
+    // candidate cells, 16 836 MONOTONICBSP states, 685 228 splitters — on
+    // the build's two threads.
+    let mut group = c.benchmark_group("regionalization_beocd_csio_shape");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2))
+        .warm_up_time(Duration::from_millis(300));
+    let w = beocd(16.0, beocd_gamma(16.0), 236);
+    let params = HistogramParams {
+        j: 32,
+        seed: 236,
+        threads: 2,
+        ..Default::default()
+    };
+    let ms = build_sample_matrix(&keys_of(&w.r1), &keys_of(&w.r2), &w.cond, &params);
+    let (nc, iters) = (params.nc(), params.coarsen_iters);
+    let mc = coarsen_sample_matrix(&ms, &w.cond, &w.cost, nc, iters, true);
+    let solver = MonotonicBspSolver::new(&mc.grid, params.threads);
+    let id = format!(
+        "ncc{}_states{}_splitters{}",
+        mc.grid.candidate_cells().len(),
+        solver.state_count(),
+        solver.tables().3.len()
+    );
+    group.bench_function(id, |b| {
+        b.iter(|| regionalize_with_threads(&mc, params.j, false, params.threads).delta);
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_stages,
     bench_monotonic_coarsening,
-    bench_bicd_coarsening
+    bench_bicd_coarsening,
+    bench_beocd_regionalization
 );
 criterion_main!(benches);

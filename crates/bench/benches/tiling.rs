@@ -37,7 +37,7 @@ fn bench_solvers(c: &mut Criterion) {
             b.iter(|| solver.solve(delta).map(|r| r.len()));
         });
         group.bench_with_input(BenchmarkId::new("monotonic_bsp", nc), &nc, |b, _| {
-            let solver = MonotonicBspSolver::new(&grid);
+            let solver = MonotonicBspSolver::new(&grid, 2);
             b.iter(|| solver.solve(delta).map(|r| r.len()));
         });
     }
@@ -55,17 +55,17 @@ fn bench_regionalization(c: &mut Criterion) {
     // intractable here, which is the paper's point.
     let grid = band_grid(64, 2);
     group.bench_function("monotonic_tables_nc64", |b| {
-        b.iter(|| MonotonicBspSolver::new(&grid).state_count());
+        b.iter(|| MonotonicBspSolver::new(&grid, 2).state_count());
     });
     group.bench_function("monotonic_j32_nc64", |b| {
-        b.iter(|| partition_max_weight(&grid, 32, TilingAlgo::MonotonicBsp).max_weight);
+        b.iter(|| partition_max_weight(&grid, 32, TilingAlgo::MonotonicBsp, 2).max_weight);
     });
     let small = band_grid(16, 1);
     group.bench_function("dense_j8_nc16", |b| {
-        b.iter(|| partition_max_weight(&small, 8, TilingAlgo::Bsp).max_weight);
+        b.iter(|| partition_max_weight(&small, 8, TilingAlgo::Bsp, 1).max_weight);
     });
     group.bench_function("monotonic_j8_nc16", |b| {
-        b.iter(|| partition_max_weight(&small, 8, TilingAlgo::MonotonicBsp).max_weight);
+        b.iter(|| partition_max_weight(&small, 8, TilingAlgo::MonotonicBsp, 2).max_weight);
     });
     group.finish();
 }

@@ -395,7 +395,7 @@ fn table3(args: &Args, report: &mut Report) {
 
         // State counts: the space story of Table III / Lemma 3.4.
         let dense = BspSolver::new(&mc.grid).state_count();
-        let mono = MonotonicBspSolver::new(&mc.grid).state_count();
+        let mono = MonotonicBspSolver::new(&mc.grid, 1).state_count();
         states.row(vec![
             n.into(),
             nc.into(),

@@ -88,3 +88,35 @@ fn csio_estimate_is_accurate() {
         (est - real).abs() / real * 100.0
     );
 }
+
+#[test]
+fn the_csio_scheme_does_not_depend_on_build_threads() {
+    // At two or more threads the census pair is counted side by side and
+    // MONOTONICBSP's split table is filled in two halves: the scheme — its
+    // regions, the router's grid rectangles and block shapes, δ — must come
+    // out the same as at one thread.
+    use ewh_core::{build_csio, HistogramParams, Key, Router, Tuple};
+    let keys = |ts: &[Tuple]| ts.iter().map(|t| t.key).collect::<Vec<Key>>();
+    for w in [bicd(0.25, 236), beocd(0.25, beocd_gamma(0.25), 236)] {
+        let (k1, k2) = (keys(&w.r1), keys(&w.r2));
+        let build = |threads| {
+            let params = HistogramParams {
+                j: 32,
+                seed: 236,
+                threads,
+                ..Default::default()
+            };
+            let scheme = build_csio(&k1, &k2, &w.cond, &w.cost, &params);
+            let Router::Grid(router) = &scheme.router else {
+                panic!("{}: CSIO routes by grid", w.name);
+            };
+            let router = format!("{router:?}");
+            (scheme.regions, router, scheme.build.delta)
+        };
+        let one = build(1);
+        assert!(one.0.len() > 16, "{}: {} regions", w.name, one.0.len());
+        for threads in [2, 3] {
+            assert!(build(threads) == one, "{}: threads {threads}", w.name);
+        }
+    }
+}

@@ -14,14 +14,15 @@
 //! so later stages can afford more precise (and more expensive per cell)
 //! algorithms — the design that makes the whole chain `O(n)` (Theorem 3.1).
 //! As built here: one sort per relation plus `O(n + so log n)` for stage 1,
-//! and for stage 3 one `O(splitters)` table build plus `log₂(states)` probes.
+//! and for stage 3 one `O(splitters)` table build plus at most
+//! `⌈log₂(δ candidates)⌉ + 2` count-only probes.
 
 mod coarsen;
 mod regionalize;
 mod sample_matrix;
 
 pub use coarsen::{coarsen_sample_matrix, CoarsenedMatrix};
-pub use regionalize::{regionalize, Regionalization};
+pub use regionalize::{regionalize, regionalize_with_threads, Regionalization};
 pub use sample_matrix::{
     build_sample_matrix, censuses, sample_matrix_from_stats, SampleMatrix, SideStats,
 };
@@ -53,9 +54,10 @@ pub struct HistogramParams {
     pub rho_b_opt: bool,
     /// RNG seed (all sampling is deterministic given the seed).
     pub seed: u64,
-    /// Threads for the census pair: at 2 or more the two relations are
-    /// counted side by side. Nothing else in the build reads it, so the
-    /// sample and the scheme do not depend on it.
+    /// Threads of the build: at 2 or more the two relations' censuses are
+    /// counted side by side, and MONOTONICBSP's split table is filled in two
+    /// halves. Neither changes a result, so the sample and the scheme do not
+    /// depend on it.
     pub threads: usize,
 }
 

@@ -16,7 +16,7 @@
 
 use ewh_tiling::{partition_max_weight, TilingAlgo};
 
-use crate::histogram::CoarsenedMatrix;
+use crate::histogram::{CoarsenedMatrix, HistogramParams};
 use crate::schemes::choose_shape;
 use crate::{KeyRange, Region};
 
@@ -39,14 +39,26 @@ pub struct Regionalization {
     pub est_max_weight: u64,
 }
 
-/// Stage 3 driver.
+/// Stage 3, at the default build's thread count
+/// ([`HistogramParams::threads`]).
 pub fn regionalize(mc: &CoarsenedMatrix, j: usize, baseline_bsp: bool) -> Regionalization {
+    regionalize_with_threads(mc, j, baseline_bsp, HistogramParams::default().threads)
+}
+
+/// Stage 3: at `threads >= 2` MONOTONICBSP's tables are filled on
+/// two threads. The result does not depend on `threads`.
+pub fn regionalize_with_threads(
+    mc: &CoarsenedMatrix,
+    j: usize,
+    baseline_bsp: bool,
+    threads: usize,
+) -> Regionalization {
     let algo = if baseline_bsp {
         TilingAlgo::Bsp
     } else {
         TilingAlgo::MonotonicBsp
     };
-    let partition = partition_max_weight(&mc.grid, j, algo);
+    let partition = partition_max_weight(&mc.grid, j, algo, threads);
 
     let ncols = mc.n_cols();
     let mut regions = Vec::with_capacity(partition.regions.len());
@@ -93,7 +105,7 @@ pub fn regionalize(mc: &CoarsenedMatrix, j: usize, baseline_bsp: bool) -> Region
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::{build_sample_matrix, coarsen_sample_matrix, HistogramParams};
+    use crate::histogram::{build_sample_matrix, coarsen_sample_matrix};
     use crate::{CostModel, JoinCondition, Key};
 
     fn mc_for(j: usize) -> CoarsenedMatrix {

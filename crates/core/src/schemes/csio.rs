@@ -9,8 +9,8 @@
 use std::time::Instant;
 
 use crate::histogram::{
-    censuses, coarsen_sample_matrix, regionalize, sample_matrix_from_stats, HistogramParams,
-    SideStats,
+    censuses, coarsen_sample_matrix, regionalize_with_threads, sample_matrix_from_stats,
+    HistogramParams, SideStats,
 };
 use crate::{
     BuildInfo, CostModel, GridRouter, JoinCondition, Key, PartitionScheme, Router, SchemeKind,
@@ -60,7 +60,7 @@ pub fn build_csio_from_stats(
         params.coarsen_iters,
         params.monotonic,
     );
-    let reg = regionalize(&mc, params.j, params.baseline_bsp);
+    let reg = regionalize_with_threads(&mc, params.j, params.baseline_bsp, params.threads);
     let hist_secs = hist_start.elapsed().as_secs_f64();
 
     let router = GridRouter::with_blocks(

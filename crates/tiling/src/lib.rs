@@ -16,10 +16,11 @@
 //!   thereby reduces BSP's `O(nc⁴)` space / `O(nc⁵)` time to `O(ncc²)`
 //!   states and `O(ncc² · nc)` time for monotonic join matrices (the paper's
 //!   `log nc` shrink per splitter is `O(1)` here).
-//! * [`partition_max_weight`] — the regionalization driver: a binary search
-//!   over the maximum region weight δ (BSP solves the dual problem — given δ,
+//! * [`partition_max_weight`] — regionalization: a search over
+//!   the maximum region weight δ (BSP solves the dual problem — given δ,
 //!   minimize the number of regions — so we search the rectangle weights for
-//!   the smallest δ that fits in the available `J` regions). A single cell
+//!   the smallest δ that fits in the available `J` regions), started where
+//!   the count at the δ floor predicts the answer. A single cell
 //!   heavier than δ is charged `⌈w/δ⌉` regions ([`region_shares`]) instead of
 //!   making δ infeasible.
 //! * [`coarsen`] — the grid-partitioning (RTILE, MAX-WEIGHT metric)

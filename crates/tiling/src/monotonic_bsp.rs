@@ -10,30 +10,37 @@
 //!
 //! The solver:
 //! 1. enumerates all rectangles whose UL and LR corners are candidate cells
-//!    (`GENERATECANDIDATERECTANGLES`), closing the set under split+shrink so
-//!    non-staircase grids remain correct (for staircases the closure adds
-//!    nothing — asserted by tests);
-//! 2. sorts them by semi-perimeter (split parts always come strictly
-//!    earlier) and **precomputes**, once, each rectangle's weight and the
-//!    shrunken halves of every splitter;
-//! 3. per δ probe of the regionalization binary search, runs a pure
-//!    array-DP pass over the sorted rectangles — no hashing, no geometry.
+//!    (`GENERATECANDIDATERECTANGLES`) and sorts them by semi-perimeter
+//!    (split parts always come strictly earlier);
+//! 2. in one pass over the sorted rectangles writes, for every splitter, the
+//!    sorted positions of its two shrunken halves — found through a dense
+//!    `(UL rank, LR rank)` table — into a table sized up front, `h − 1 +
+//!    w − 1` entries a rectangle. At two or more threads the pass is cut at
+//!    half the splitters and its halves filled side by side. On a
+//!    non-staircase grid a half can lack candidate corners: the pass reports
+//!    such halves, they join the set, and the pass runs again until it
+//!    reports none — the closure under split + shrink, which adds nothing on
+//!    staircases (asserted by tests);
+//! 3. per δ probe of the regionalization search, runs a pure array-DP pass
+//!    over the sorted rectangles that fills charged region counts only — no
+//!    hashing, no geometry, no plan. A `Bracket` skips every rectangle
+//!    whose count is already pinned by the search's two ends, and the tiling
+//!    is read off the counts once, at the answer.
 //!
 //! Space is `O(ncc² · nc)` for the split tables, and so is the time of both
-//! the constructor and each `solve(δ)`: a rectangle of `h × w` cells gets
-//! the shrunken halves of all its `h + w − 2` splitters from two passes of
+//! the constructor and each probe: a rectangle of `h × w` cells gets the
+//! shrunken halves of all its `h + w − 2` splitters from two passes of
 //! prefix/suffix bounding boxes over per-row and per-column next/previous-
 //! candidate tables — `O(1)` a splitter on any grid, where the paper shrinks
-//! each half in `O(log nc)` — and a probe touches every splitter once.
-//! Regionalization bisects over the distinct rectangle weights, the only
-//! places feasibility can change: `log₂(states)` probes.
+//! each half in `O(log nc)` — and a probe touches every open splitter once.
 
 use std::collections::HashMap;
+use std::thread;
 
+use crate::partition::fits;
 use crate::{region_shares, Grid, Rect, INFEASIBLE};
 
-/// "No candidate cells in this half" marker in the split tables; also "no
-/// such cell / rectangle" in the constructor's lookup tables.
+/// "No such cell / rectangle / candidate" in the constructor's lookup tables.
 const EMPTY: u32 = u32::MAX;
 
 /// The bounding box of the candidate cells met so far while sweeping the
@@ -146,17 +153,46 @@ impl Lines {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Plan {
-    Leaf,
-    /// Index into the split-pair table.
-    Split(u32),
+/// Writes the sorted positions of both shrunken halves of every splitter of
+/// `rects` (`none` for a half without candidates), row splits then column
+/// splits, into `pairs`, which holds exactly `h − 1 + w − 1` entries a
+/// rectangle. Returns the halves `at` does not place.
+fn fill_splits(
+    none: u32,
+    (rows, cols): (&Lines, &Lines),
+    at: &impl Fn(Rect) -> Option<u32>,
+    rects: &[Rect],
+    pairs: &mut [(u32, u32)],
+) -> Vec<Rect> {
+    let mut missing = Vec::new();
+    let mut position = |half: Option<Rect>| match half {
+        None => none,
+        Some(half) => at(half).unwrap_or_else(|| {
+            missing.push(half);
+            none
+        }),
+    };
+    let by_rows = |b: BBox| Rect::new(b.first, b.lo, b.last, b.hi);
+    let by_cols = |b: BBox| Rect::new(b.lo, b.first, b.hi, b.last);
+    let mut suffix = Vec::new();
+    let mut next = 0;
+    for &rm in rects {
+        rows.splits((rm.r0, rm.r1), (rm.c0, rm.c1), &mut suffix, |a, b| {
+            pairs[next] = (position(a.rect(by_rows)), position(b.rect(by_rows)));
+            next += 1;
+        });
+        cols.splits((rm.c0, rm.c1), (rm.r0, rm.r1), &mut suffix, |a, b| {
+            pairs[next] = (position(a.rect(by_cols)), position(b.rect(by_cols)));
+            next += 1;
+        });
+    }
+    debug_assert_eq!(next, pairs.len());
+    missing
 }
 
 /// Reusable MONOTONICBSP solver: enumeration, sorting and split tables are
-/// δ-independent, so the regionalization binary search pays them once.
-pub struct MonotonicBspSolver<'a> {
-    grid: &'a Grid,
+/// δ-independent, so the regionalization search pays them once.
+pub struct MonotonicBspSolver {
     /// All reachable minimal candidate rectangles, sorted by ascending
     /// semi-perimeter (ties by packed key for determinism).
     rects: Vec<Rect>,
@@ -165,119 +201,107 @@ pub struct MonotonicBspSolver<'a> {
     /// Per-rect range into `split_pairs`.
     split_start: Vec<u32>,
     /// For every splitter of every rect: the rect indexes of the two
-    /// shrunken halves (`EMPTY` when a half has no candidates).
+    /// shrunken halves; `rects.len()` for a half without candidates, whose
+    /// count — one slot past every state's — is always zero.
     split_pairs: Vec<(u32, u32)>,
+    /// Index of the shrunken whole grid, the DP's root; `None` when the grid
+    /// has no candidate cells.
+    root: Option<u32>,
 }
 
-impl<'a> MonotonicBspSolver<'a> {
+impl MonotonicBspSolver {
     /// Enumerates candidate-cornered rectangles (Lemma 3.4), closes the set
-    /// under split+shrink, and builds the DP tables.
-    pub fn new(grid: &'a Grid) -> Self {
+    /// under split + shrink, and builds the DP tables — at `threads >= 2`
+    /// filling the split table on two threads. The tables do not depend on
+    /// `threads`.
+    pub fn new(grid: &Grid, threads: usize) -> Self {
         let n_cols = grid.n_cols() as usize;
         let cells = grid.candidate_cells();
         let ncc = cells.len();
-        // Candidate-cornered rectangles are interned through a dense
-        // `(UL cell, LR cell) → arrival id` table; a rectangle's arrival id
-        // is its position in `rects` until the sort.
         let mut cell_rank = vec![EMPTY; grid.n_rows() as usize * n_cols];
         for (rank, &(r, c)) in cells.iter().enumerate() {
             cell_rank[r as usize * n_cols + c as usize] = rank as u32;
         }
-        let mut cornered = vec![EMPTY; ncc * ncc];
+        // The `(UL rank, LR rank)` slot of a rectangle whose corners are
+        // candidate cells.
+        let corners = |r: Rect| {
+            let rank = |row: u32, col: u32| cell_rank[row as usize * n_cols + col as usize];
+            let (ul, lr) = (rank(r.r0, r.c0), rank(r.r1, r.c1));
+            (ul != EMPTY && lr != EMPTY).then(|| ul as usize * ncc + lr as usize)
+        };
         let mut rects = Vec::with_capacity(ncc * ncc / 2 + 1);
         for (a, &(r0, c0)) in cells.iter().enumerate() {
-            for (b, &(r1, c1)) in cells.iter().enumerate().skip(a) {
-                // Cells come in row-major order so r1 >= r0; the staircase
-                // orientation means minimal rects also satisfy c1 >= c0.
+            // Cells come in row-major order so r1 >= r0; the staircase
+            // orientation means minimal rects also satisfy c1 >= c0.
+            for &(r1, c1) in &cells[a..] {
                 if c1 >= c0 {
-                    cornered[a * ncc + b] = rects.len() as u32;
                     rects.push(Rect::new(r0, c0, r1, c1));
                 }
             }
         }
-        // Everything else — the closure's rectangles on non-staircase grids —
-        // goes through a hash map.
-        let mut others: HashMap<u64, u32> = HashMap::new();
-        let mut intern = |rects: &mut Vec<Rect>, r: Rect| -> u32 {
-            let ul = cell_rank[r.r0 as usize * n_cols + r.c0 as usize];
-            let lr = cell_rank[r.r1 as usize * n_cols + r.c1 as usize];
-            if ul != EMPTY && lr != EMPTY {
-                return cornered[ul as usize * ncc + lr as usize];
-            }
-            *others.entry(r.pack()).or_insert_with(|| {
-                rects.push(r);
-                (rects.len() - 1) as u32
-            })
-        };
-        // Seed with the root: on non-staircase matrices its corners need not
-        // be candidate cells, yet the DP always starts there.
-        if let Some(root) = grid.shrink(grid.full()) {
-            intern(&mut rects, root);
-        }
-        // One pass records, by arrival id, the shrunken halves of every
-        // splitter of every rectangle. A half not in the set yet is appended
-        // and processed in turn — the closure, which adds nothing on
-        // monotonic matrices.
+        // On non-staircase matrices the root's corners need not be candidate
+        // cells, yet the DP always starts there (else it is a duplicate).
+        let root = grid.shrink(grid.full());
+        rects.extend(root);
+
         let rows = Lines::new(grid.n_rows(), grid.n_cols(), |r, c| grid.is_candidate(r, c));
         let cols = Lines::new(grid.n_cols(), grid.n_rows(), |c, r| grid.is_candidate(r, c));
-        let mut suffix = Vec::new();
-        let mut arrival_start = Vec::with_capacity(rects.len() + 1);
-        let mut arrival_pairs = Vec::new();
-        arrival_start.push(0usize);
-        let mut i = 0;
-        while i < rects.len() {
-            let rm = rects[i];
-            i += 1;
-            let mut half_id = |half: Option<Rect>| match half {
-                None => EMPTY,
-                Some(half) => intern(&mut rects, half),
+        let (root, split_start, split_pairs) = loop {
+            rects.sort_unstable_by_key(|r| (r.semi_perimeter(), r.pack()));
+            rects.dedup();
+            // Sorted positions: a candidate-cornered rectangle's through a
+            // dense table, the closure's others' through a hash map.
+            let mut cornered = vec![EMPTY; ncc * ncc];
+            let mut others = HashMap::new();
+            for (pos, &r) in rects.iter().enumerate() {
+                match corners(r) {
+                    Some(slot) => cornered[slot] = pos as u32,
+                    None => {
+                        others.insert(r.pack(), pos as u32);
+                    }
+                }
+            }
+            let position = |r: Rect| match corners(r) {
+                Some(slot) => Some(cornered[slot]),
+                None => others.get(&r.pack()).copied(),
             };
-            let by_rows = |b: BBox| Rect::new(b.first, b.lo, b.last, b.hi);
-            rows.splits((rm.r0, rm.r1), (rm.c0, rm.c1), &mut suffix, |a, b| {
-                arrival_pairs.push((half_id(a.rect(by_rows)), half_id(b.rect(by_rows))));
-            });
-            let by_cols = |b: BBox| Rect::new(b.lo, b.first, b.hi, b.last);
-            cols.splits((rm.c0, rm.c1), (rm.r0, rm.r1), &mut suffix, |a, b| {
-                arrival_pairs.push((half_id(a.rect(by_cols)), half_id(b.rect(by_cols))));
-            });
-            arrival_start.push(arrival_pairs.len());
-        }
-
-        // Sort, then resolve arrival ids to sorted positions.
-        let mut order: Vec<u32> = (0..rects.len() as u32).collect();
-        order.sort_unstable_by_key(|&id| {
-            let r = rects[id as usize];
-            (r.semi_perimeter(), r.pack())
-        });
-        let mut position = vec![0u32; rects.len()];
-        for (pos, &id) in order.iter().enumerate() {
-            position[id as usize] = pos as u32;
-        }
-        let resolve = |id: u32| match id {
-            EMPTY => EMPTY,
-            id => position[id as usize],
+            let mut split_start = Vec::with_capacity(rects.len() + 1);
+            let mut total = 0u32;
+            split_start.push(total);
+            for r in &rects {
+                total += r.height() + r.width() - 2;
+                split_start.push(total);
+            }
+            let mut split_pairs = vec![(0, 0); total as usize];
+            let none = rects.len() as u32;
+            let fill = |rects: &[Rect], pairs: &mut [(u32, u32)]| {
+                fill_splits(none, (&rows, &cols), &position, rects, pairs)
+            };
+            let missing = if threads >= 2 {
+                let cut = split_start.partition_point(|&s| s < total / 2);
+                let (head, tail) = split_pairs.split_at_mut(split_start[cut] as usize);
+                thread::scope(|s| {
+                    let tail = s.spawn(|| fill(&rects[cut..], tail));
+                    let mut missing = fill(&rects[..cut], head);
+                    missing.extend(tail.join().expect("split-table worker panicked"));
+                    missing
+                })
+            } else {
+                fill(&rects, &mut split_pairs)
+            };
+            if missing.is_empty() {
+                let root = root.map(|r| position(r).expect("the root is in the set"));
+                break (root, split_start, split_pairs);
+            }
+            rects.extend(missing);
         };
-        let mut split_start = Vec::with_capacity(rects.len() + 1);
-        let mut split_pairs = Vec::with_capacity(arrival_pairs.len());
-        split_start.push(0u32);
-        for &id in &order {
-            let splits = arrival_start[id as usize]..arrival_start[id as usize + 1];
-            split_pairs.extend(
-                arrival_pairs[splits]
-                    .iter()
-                    .map(|&(a, b)| (resolve(a), resolve(b))),
-            );
-            split_start.push(split_pairs.len() as u32);
-        }
-        let rects: Vec<Rect> = order.iter().map(|&id| rects[id as usize]).collect();
-        let weights: Vec<u64> = rects.iter().map(|&r| grid.weight(r)).collect();
-
+        let weights = rects.iter().map(|&r| grid.weight(r)).collect();
         MonotonicBspSolver {
-            grid,
             rects,
             weights,
             split_start,
             split_pairs,
+            root,
         }
     }
 
@@ -294,8 +318,9 @@ impl<'a> MonotonicBspSolver<'a> {
     }
 
     /// The DP tables — rectangles, their weights, each rectangle's range
-    /// into the split pairs, the split pairs — for the test that compares
-    /// them with the shrink-every-half formulation.
+    /// into the split pairs, the split pairs (the rectangle count standing
+    /// for a half without candidates) — for the test that compares them
+    /// with the shrink-every-half formulation.
     #[doc(hidden)]
     #[allow(clippy::type_complexity)]
     pub fn tables(&self) -> (&[Rect], &[u64], &[u32], &[(u32, u32)]) {
@@ -307,74 +332,145 @@ impl<'a> MonotonicBspSolver<'a> {
         )
     }
 
+    fn splits(&self, i: usize) -> &[(u32, u32)] {
+        &self.split_pairs[self.split_start[i] as usize..self.split_start[i + 1] as usize]
+    }
+
+    /// Fills `count[i]` for every `i` of `open` (ascending) with the regions
+    /// rectangle `i` is charged at δ by its best hierarchical tiling; every
+    /// other entry must already hold its count at δ, and the one past the
+    /// last rectangle zero. Two counts never overflow: each is at most
+    /// `INFEASIBLE`, a quarter of `u32::MAX`.
+    fn count(&self, delta: u64, open: &[u32], count: &mut [u32]) {
+        for &i in open {
+            let (i, weight) = (i as usize, self.weights[i as usize]);
+            let splits = self.splits(i);
+            count[i] = if weight <= delta || splits.is_empty() {
+                region_shares(weight, delta)
+            } else {
+                splits.iter().fold(INFEASIBLE, |best, &(a, b)| {
+                    best.min(count[a as usize] + count[b as usize])
+                })
+            };
+        }
+    }
+
+    /// The tiling of rectangle `i` at δ, read off the counts at δ: a leaf,
+    /// or the first splitter whose halves are charged the least.
+    fn extract(&self, i: usize, delta: u64, count: &[u32], out: &mut Vec<Rect>) {
+        let splits = self.splits(i);
+        if self.weights[i] <= delta || splits.is_empty() {
+            out.push(self.rects[i]);
+            return;
+        }
+        let none = self.rects.len() as u32;
+        let mut best = (INFEASIBLE, (none, none));
+        for &(a, b) in splits {
+            let c = count[a as usize] + count[b as usize];
+            if c < best.0 {
+                best = (c, (a, b));
+            }
+        }
+        let (a, b) = best.1;
+        for half in [a, b] {
+            if half != none {
+                self.extract(half as usize, delta, count, out);
+            }
+        }
+    }
+
     /// Solves for a given δ: regions covering every candidate cell exactly
     /// once, minimizing the regions *charged* ([`region_shares`]): a region
     /// weighs at most δ and is charged one, except a single cell heavier
     /// than δ — nothing can split it, so it never fails the test and is
     /// charged `⌈w/δ⌉`. `None` only when the charge overflows.
     pub fn solve(&self, delta: u64) -> Option<Vec<Rect>> {
-        let Some(root) = self.grid.shrink(self.grid.full()) else {
+        let Some(root) = self.root else {
             return Some(Vec::new()); // no candidate cells at all
         };
+        let mut count = vec![0u32; self.rects.len() + 1];
+        let all: Vec<u32> = (0..self.rects.len() as u32).collect();
+        self.count(delta, &all, &mut count);
+        let root = root as usize;
+        (count[root] < INFEASIBLE).then(|| {
+            let mut regions = Vec::with_capacity(count[root] as usize);
+            self.extract(root, delta, &count, &mut regions);
+            regions
+        })
+    }
+}
 
-        let n = self.rects.len();
-        let mut count = vec![0u32; n];
-        let mut plan = vec![Plan::Leaf; n];
-        for i in 0..n {
-            let range = self.split_start[i]..self.split_start[i + 1];
-            if self.weights[i] <= delta || range.is_empty() {
-                count[i] = region_shares(self.weights[i], delta);
-                continue;
-            }
-            let mut best = INFEASIBLE;
-            let mut best_split = 0u32;
-            for s in range {
-                let (a, b) = self.split_pairs[s as usize];
-                let ca = if a == EMPTY { 0 } else { count[a as usize] };
-                let cb = if b == EMPTY { 0 } else { count[b as usize] };
-                let c = ca.saturating_add(cb);
-                if c < best {
-                    best = c;
-                    best_split = s;
-                }
-            }
-            count[i] = best.min(INFEASIBLE);
-            plan[i] = Plan::Split(best_split);
-        }
+/// The count-only probes of one δ search on a grid with candidate cells.
+///
+/// It keeps every rectangle's charged count at the search's feasible end
+/// (`hi`) and at its infeasible end (`lo`). A count never grows with δ, so a
+/// rectangle whose two counts agree has that count at every δ between them:
+/// a probe recomputes only the others (`open`), and narrows them further.
+/// A rectangle leaves `open` with its count written into all three buffers,
+/// so whichever buffer a probe fills already holds it; each buffer ends in
+/// the zero a half without candidates is charged.
+pub(crate) struct Bracket<'s> {
+    solver: &'s MonotonicBspSolver,
+    root: usize,
+    j: usize,
+    lo: Vec<u32>,
+    hi: Vec<u32>,
+    probe: Vec<u32>,
+    open: Vec<u32>,
+}
 
-        let root_idx = self
-            .rects
-            .binary_search_by_key(&(root.semi_perimeter(), root.pack()), |r| {
-                (r.semi_perimeter(), r.pack())
-            })
-            .expect("root is a minimal candidate rectangle");
-        if count[root_idx] >= INFEASIBLE {
-            return None;
+impl<'s> Bracket<'s> {
+    /// A search for at most `j` regions whose feasible end is a δ every
+    /// rectangle fits (count one) and whose infeasible end is not known yet.
+    pub(crate) fn new(solver: &'s MonotonicBspSolver, j: usize) -> Self {
+        let n = solver.rects.len();
+        let buffer = |count: u32| (0..=n).map(|i| if i < n { count } else { 0 }).collect();
+        Bracket {
+            solver,
+            root: solver.root.expect("a bracket needs candidate cells") as usize,
+            j,
+            lo: buffer(u32::MAX), // above every count: agrees with nothing
+            hi: buffer(1),
+            probe: buffer(0),
+            open: (0..n as u32).collect(),
         }
-        let mut regions = Vec::with_capacity(count[root_idx] as usize);
-        self.extract(root_idx, &plan, &mut regions);
-        Some(regions)
     }
 
-    fn extract(&self, idx: usize, plan: &[Plan], out: &mut Vec<Rect>) {
-        match plan[idx] {
-            Plan::Leaf => out.push(self.rects[idx]),
-            Plan::Split(s) => {
-                let (a, b) = self.split_pairs[s as usize];
-                if a != EMPTY {
-                    self.extract(a as usize, plan, out);
-                }
-                if b != EMPTY {
-                    self.extract(b as usize, plan, out);
-                }
+    /// The root's charged count at δ, which must lie strictly inside the
+    /// bracket; the bracket's end on that side moves to δ.
+    pub(crate) fn probe(&mut self, delta: u64) -> u32 {
+        self.solver.count(delta, &self.open, &mut self.probe);
+        let root = self.probe[self.root];
+        let end = if fits(root, self.j) {
+            &mut self.hi
+        } else {
+            &mut self.lo
+        };
+        std::mem::swap(end, &mut self.probe);
+        let (lo, hi, spare) = (&self.lo, &self.hi, &mut self.probe);
+        self.open.retain(|&i| {
+            let i = i as usize;
+            let agreed = lo[i] == hi[i];
+            if agreed {
+                spare[i] = lo[i];
             }
-        }
+            !agreed
+        });
+        root
+    }
+
+    /// The tiling at the bracket's feasible end `delta`.
+    pub(crate) fn regions(&self, delta: u64) -> Vec<Rect> {
+        let mut regions = Vec::new();
+        self.solver
+            .extract(self.root, delta, &self.hi, &mut regions);
+        regions
     }
 }
 
 /// One-shot MONOTONICBSP at a fixed δ.
 pub fn monotonic_bsp(grid: &Grid, delta: u64) -> Option<Vec<Rect>> {
-    MonotonicBspSolver::new(grid).solve(delta)
+    MonotonicBspSolver::new(grid, 1).solve(delta)
 }
 
 #[cfg(test)]
@@ -423,7 +519,7 @@ mod tests {
         // candidate corners: the enumeration is exactly the pairs set.
         let g = band_grid(10, 1, None);
         let ncc = g.candidate_cells().len();
-        let solver = MonotonicBspSolver::new(&g);
+        let solver = MonotonicBspSolver::new(&g, 1);
         let pairs = g
             .candidate_cells()
             .iter()
@@ -522,7 +618,7 @@ mod tests {
     #[test]
     fn state_count_is_quadratic_in_candidates() {
         let g = band_grid(16, 0, None); // 16 diagonal candidates
-        let solver = MonotonicBspSolver::new(&g);
+        let solver = MonotonicBspSolver::new(&g, 1);
         // Pairs (a, b) with a <= b over 16 cells: 16*17/2 = 136.
         assert_eq!(solver.state_count(), 136);
     }

@@ -1,4 +1,4 @@
-//! Regionalization driver: binary search over the maximum region weight δ.
+//! Regionalization: a search over the maximum region weight δ.
 //!
 //! BSP-style tiling solves the dual problem — given δ, minimize the number of
 //! regions. The histogram needs the primal: given `J` machines, minimize the
@@ -6,12 +6,21 @@
 //! search over δ; the region count is non-increasing in δ, so the smallest
 //! feasible δ is well-defined.
 //!
+//! The search here spends its probes near the answer: it probes the floor
+//! `covered / J` first, lets the regions that probe is charged predict the
+//! answer, gallops up from the prediction until a probe fits and bisects
+//! inside — never more than plain bisection's probes plus two. A probe
+//! counts regions and nothing else, skipping every MONOTONICBSP rectangle
+//! whose count the two ends of the bracket already pin (`Bracket`); the
+//! tiling is read off once, at the answer.
+//!
 //! One rule covers what no tiling can split: a single candidate cell heavier
 //! than δ never makes δ infeasible, it is *charged* `⌈w/δ⌉` of the region
 //! budget ([`region_shares`]). The caller gives such a region that many
 //! machines (the histogram lays a 1-Bucket block over it), so one heavy
 //! hitter costs its fair share of `J` instead of setting δ for everyone.
 
+use crate::monotonic_bsp::Bracket;
 use crate::{BspSolver, Grid, MonotonicBspSolver, Rect, INFEASIBLE};
 
 /// Which tiling algorithm regionalization runs.
@@ -36,6 +45,12 @@ pub fn region_shares(weight: u64, delta: u64) -> u32 {
     }
 }
 
+/// Does a tiling charged `charged` regions ([`region_shares`], summed)
+/// fit `j` machines? The overflow sentinel never does.
+pub(crate) fn fits(charged: u32, j: usize) -> bool {
+    charged < INFEASIBLE && charged as u64 <= j as u64
+}
+
 /// The result of regionalization: rectangular regions covering every
 /// candidate cell exactly once, charged at most `j` shares in total, with
 /// `max_weight` = max weight per share.
@@ -49,6 +64,9 @@ pub struct Partition {
     pub delta: u64,
     /// The realized maximum of `⌈weight / shares⌉` over the regions.
     pub max_weight: u64,
+    /// Tiling probes the δ search ran, at most `⌈log₂(candidates)⌉ + 2` for
+    /// its candidate δ values.
+    pub probes: u32,
 }
 
 /// Ways a partition can violate the problem definition of §II.
@@ -126,15 +144,21 @@ pub fn validate_partition(
 }
 
 /// Regionalization: the smallest δ whose tiling is charged at most `j`
-/// regions, found by binary search (§III-C), together with the tiling itself.
+/// regions (§III-C), together with the tiling itself.
 ///
 /// A solver compares δ with rectangle weights and, for a single cell over δ,
-/// with `⌈w/k⌉`, and nothing else, so the search bisects over the sorted
-/// distinct values of both kinds above the lower bound — `log₂(states)`
-/// probes — rather than over every integer.
+/// with `⌈w/k⌉`, and nothing else, so the search runs over the sorted
+/// distinct values of both kinds above the lower bound rather than over
+/// every integer. It probes the lower bound first; the regions that probe is
+/// charged predict the answer, and the search gallops up from the
+/// prediction until a probe fits, then bisects — never more than
+/// `⌈log₂(candidates)⌉ + 2` probes, plain bisection's count plus two. A
+/// probe counts regions only; the tiling is read off once, at the answer.
+/// At `threads >= 2` MONOTONICBSP's split table is filled on two threads;
+/// the result does not depend on `threads`.
 ///
 /// `j >= 1`. Returns an empty partition when the grid has no candidate cells.
-pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partition {
+pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo, threads: usize) -> Partition {
     assert!(j >= 1, "need at least one region");
     let full = grid.full();
     if grid.cand_count(full) == 0 {
@@ -143,22 +167,17 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
             shares: Vec::new(),
             delta: 0,
             max_weight: 0,
+            probes: 0,
         };
     }
 
     enum Solver<'a> {
         Dense(BspSolver<'a>),
-        Monotonic(MonotonicBspSolver<'a>),
+        Monotonic(MonotonicBspSolver),
     }
     let solver = match algo {
         TilingAlgo::Bsp => Solver::Dense(BspSolver::new(grid)),
-        TilingAlgo::MonotonicBsp => Solver::Monotonic(MonotonicBspSolver::new(grid)),
-    };
-    let solve = |delta: u64| -> Option<Vec<Rect>> {
-        match &solver {
-            Solver::Dense(s) => s.solve(delta),
-            Solver::Monotonic(s) => s.solve(delta),
-        }
+        TilingAlgo::MonotonicBsp => Solver::Monotonic(MonotonicBspSolver::new(grid, threads)),
     };
 
     // δ below the per-region share of the weight any partition must cover is
@@ -184,33 +203,30 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
     deltas.sort_unstable();
     deltas.dedup();
 
-    let charged = |regions: &[Rect], delta: u64| -> u64 {
-        regions
-            .iter()
-            .map(|r| region_shares(grid.weight(*r), delta) as u64)
-            .sum()
-    };
-    let feasible = |regions: &Option<Vec<Rect>>, delta: u64| {
-        regions
-            .as_ref()
-            .is_some_and(|r| charged(r, delta) <= j as u64)
-    };
-
-    let (mut lo, mut hi) = (0, deltas.len() - 1);
-    let mut best = solve(deltas[hi]).expect("the heaviest rectangle's weight is always feasible");
-    debug_assert_eq!(best.len(), 1);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let sol = solve(deltas[mid]);
-        if feasible(&sol, deltas[mid]) {
-            best = sol.unwrap();
-            hi = mid;
-        } else {
-            lo = mid + 1;
+    let (at, probes, best) = match &solver {
+        Solver::Dense(s) => {
+            let charged = |delta: u64| -> u32 {
+                s.solve(delta).map_or(INFEASIBLE, |regions| {
+                    let shares = regions
+                        .iter()
+                        .map(|r| region_shares(grid.weight(*r), delta));
+                    shares.fold(0u32, u32::saturating_add).min(INFEASIBLE)
+                })
+            };
+            let (at, probes) = search(&deltas, j, charged);
+            let best = s
+                .solve(deltas[at])
+                .expect("the search ends on a feasible delta");
+            (at, probes, best)
         }
-    }
+        Solver::Monotonic(s) => {
+            let mut bracket = Bracket::new(s, j);
+            let (at, probes) = search(&deltas, j, |delta| bracket.probe(delta));
+            (at, probes, bracket.regions(deltas[at]))
+        }
+    };
 
-    let delta = deltas[hi];
+    let delta = deltas[at];
     let shares: Vec<u32> = best
         .iter()
         .map(|r| region_shares(grid.weight(*r), delta))
@@ -226,7 +242,48 @@ pub fn partition_max_weight(grid: &Grid, j: usize, algo: TilingAlgo) -> Partitio
         shares,
         delta,
         max_weight,
+        probes,
     }
+}
+
+/// The smallest index of `deltas` at which `charged(δ)` — the regions the
+/// tiling at δ is charged, non-increasing in δ — fits `j`; the last index
+/// always does and is not probed. Also returns the probes made.
+///
+/// The first probe is at the floor, `deltas[0]`. Until a probe fits, the
+/// search gallops: a probe at δ charged `c` predicts the answer at
+/// `δ · (c + 1) / j` — `c` regions of weight δ spread over `j`, plus one
+/// region's margin, since undershooting costs more than overshooting — and
+/// the next probe goes there. Once a probe fits it bisects. Every probe stays
+/// where bisection's worst case on what it leaves, added to the probes made,
+/// keeps within `⌈log₂ n⌉ + 2`; a midpoint always does.
+fn search(deltas: &[u64], j: usize, mut charged: impl FnMut(u64) -> u32) -> (usize, u32) {
+    let ceil_log2 = |n: usize| n.next_power_of_two().trailing_zeros();
+    let budget = ceil_log2(deltas.len()) + 2;
+    let top = deltas.len() - 1;
+    // The answer lies in `lo..=hi`, and `hi` fits.
+    let (mut lo, mut hi) = (0, top);
+    let (mut probes, mut at) = (0, 0);
+    while lo < hi {
+        let c = charged(deltas[at]);
+        probes += 1;
+        if fits(c, j) {
+            hi = at;
+        } else {
+            lo = at + 1;
+        }
+        at = lo + (hi - lo) / 2;
+        if lo < hi && hi == top {
+            // After the next probe, bisection may take `budget - probes - 1`
+            // more: each side of it holds at most `room` candidates.
+            let room = 1usize << (budget - probes - 1);
+            let guess = deltas[lo - 1] as u128 * (c as u128 + 1) / j as u128;
+            at = deltas
+                .partition_point(|&d| (d as u128) < guess)
+                .clamp(hi.saturating_sub(room).max(lo), (lo + room - 1).min(hi - 1));
+        }
+    }
+    (hi, probes)
 }
 
 #[cfg(test)]
@@ -250,9 +307,9 @@ mod tests {
     #[test]
     fn binary_search_uses_all_machines_profitably() {
         let g = band_grid(16, 1);
-        let p1 = partition_max_weight(&g, 1, TilingAlgo::MonotonicBsp);
-        let p4 = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp);
-        let p8 = partition_max_weight(&g, 8, TilingAlgo::MonotonicBsp);
+        let p1 = partition_max_weight(&g, 1, TilingAlgo::MonotonicBsp, 1);
+        let p4 = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp, 1);
+        let p8 = partition_max_weight(&g, 8, TilingAlgo::MonotonicBsp, 1);
         assert!(p1.max_weight >= p4.max_weight);
         assert!(p4.max_weight >= p8.max_weight);
         assert!(p4.regions.len() <= 4);
@@ -268,8 +325,8 @@ mod tests {
         // binary searches land on the same δ.
         let g = band_grid(8, 1);
         for j in 1..=6 {
-            let a = partition_max_weight(&g, j, TilingAlgo::Bsp);
-            let b = partition_max_weight(&g, j, TilingAlgo::MonotonicBsp);
+            let a = partition_max_weight(&g, j, TilingAlgo::Bsp, 1);
+            let b = partition_max_weight(&g, j, TilingAlgo::MonotonicBsp, 1);
             assert_eq!(a.delta, b.delta, "j={j}");
         }
     }
@@ -277,7 +334,7 @@ mod tests {
     #[test]
     fn no_candidates_short_circuits() {
         let g = Grid::new(&[1; 3], &[1; 3], &[0; 9], &[false; 9]);
-        let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp);
+        let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp, 1);
         assert!(p.regions.is_empty());
         assert_eq!(p.max_weight, 0);
     }

@@ -37,7 +37,7 @@ fn one_by_one_grid() {
         assert_eq!(validate_partition(&g, &cell, delta), Ok(shares));
     }
     // With j machines the cell gets all of them.
-    let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp);
+    let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp, 1);
     assert_eq!(
         (p.regions, p.shares, p.delta, p.max_weight),
         (cell, vec![4], 3, 3)
@@ -51,7 +51,7 @@ fn single_row_grid_behaves_like_1d_partition() {
     let cand = vec![true; n];
     let g = Grid::new(&[0], &vec![0u64; n], &out, &cand);
     for j in [1usize, 2, 3, 6] {
-        let p = partition_max_weight(&g, j, TilingAlgo::MonotonicBsp);
+        let p = partition_max_weight(&g, j, TilingAlgo::MonotonicBsp, 1);
         validate_partition(&g, &p.regions, p.delta).unwrap();
         assert!(p.regions.len() <= j);
         // Compare against the exact 1-D min-max partition.
@@ -64,7 +64,7 @@ fn single_column_grid() {
     let n = 8;
     let out: Vec<u64> = vec![2; n];
     let g = Grid::new(&vec![1u64; n], &[0], &out, &vec![true; n]);
-    let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp);
+    let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp, 1);
     validate_partition(&g, &p.regions, p.delta).unwrap();
     assert!(p.regions.len() <= 4 && p.regions.len() >= 2);
 }
@@ -74,7 +74,7 @@ fn fully_candidate_grid_covers_everything() {
     let n = 6;
     let out = vec![1u64; n * n];
     let g = Grid::new(&vec![1u64; n], &vec![1u64; n], &out, &vec![true; n * n]);
-    let p = partition_max_weight(&g, 5, TilingAlgo::MonotonicBsp);
+    let p = partition_max_weight(&g, 5, TilingAlgo::MonotonicBsp, 1);
     validate_partition(&g, &p.regions, p.delta).unwrap();
     let covered: u64 = p.regions.iter().map(|r| r.area()).sum();
     assert_eq!(covered, (n * n) as u64, "full grid must be fully covered");
@@ -89,7 +89,7 @@ fn zero_weight_grid_is_trivial() {
         &vec![0u64; n * n],
         &vec![true; n * n],
     );
-    let p = partition_max_weight(&g, 3, TilingAlgo::MonotonicBsp);
+    let p = partition_max_weight(&g, 3, TilingAlgo::MonotonicBsp, 1);
     assert_eq!(p.max_weight, 0);
     validate_partition(&g, &p.regions, 0).unwrap();
 }
@@ -131,7 +131,7 @@ fn extreme_weights_do_not_overflow() {
     );
     // Total weight computation must saturate/behave, and the partition at
     // huge delta must succeed.
-    let p = partition_max_weight(&g, 2, TilingAlgo::MonotonicBsp);
+    let p = partition_max_weight(&g, 2, TilingAlgo::MonotonicBsp, 1);
     validate_partition(&g, &p.regions, p.delta).unwrap();
 }
 
@@ -258,14 +258,14 @@ fn partition_splits_while_it_reduces_max_weight() {
     // instead of one region of weight 8 — and with j = 8 each cell is charged
     // two of them, for a weight of ⌈3/2⌉ a share.
     let g = Grid::new(&[1, 1], &[1, 1], &[1, 1, 1, 1], &[true; 4]);
-    let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp);
+    let p = partition_max_weight(&g, 4, TilingAlgo::MonotonicBsp, 1);
     assert_eq!((p.max_weight, p.regions.len()), (3, 4));
     assert_eq!(p.shares, vec![1; 4]);
-    let p = partition_max_weight(&g, 8, TilingAlgo::MonotonicBsp);
+    let p = partition_max_weight(&g, 8, TilingAlgo::MonotonicBsp, 1);
     assert_eq!((p.max_weight, p.regions.len()), (2, 4));
     assert_eq!(p.shares, vec![2; 4]);
     // With a single machine it must of course be one region.
-    let p1 = partition_max_weight(&g, 1, TilingAlgo::MonotonicBsp);
+    let p1 = partition_max_weight(&g, 1, TilingAlgo::MonotonicBsp, 1);
     assert_eq!(p1.regions.len(), 1);
     assert_eq!(p1.max_weight, 8);
 }

@@ -9,6 +9,7 @@
 //! heavier than δ — the one thing allowed over δ.
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 use ewh::tiling::{
     bsp, monotonic_bsp, partition_max_weight, region_shares, validate_partition, BspSolver, Grid,
@@ -16,14 +17,15 @@ use ewh::tiling::{
 };
 use proptest::prelude::*;
 
-/// "No candidate cells in this half" in the split tables.
+/// "No candidate cells in this half" while the worklist runs.
 const EMPTY: u32 = u32::MAX;
 
 /// MONOTONICBSP's DP tables `(rects, weights, split_start, split_pairs)` the
 /// simple way: enumerate the candidate-cornered rectangles, then run a
 /// worklist that cuts each rectangle at every splitter, shrinks both halves
 /// with [`Grid::shrink`] and interns them through a hash map — the closure
-/// under split + shrink — and sort by (semi-perimeter, packed key).
+/// under split + shrink — and sort by (semi-perimeter, packed key). In the
+/// split pairs, the rectangle count stands for a half without candidates.
 #[allow(clippy::type_complexity)]
 fn oracle_tables(grid: &Grid) -> (Vec<Rect>, Vec<u64>, Vec<u32>, Vec<(u32, u32)>) {
     let cells = grid.candidate_cells();
@@ -77,7 +79,7 @@ fn oracle_tables(grid: &Grid) -> (Vec<Rect>, Vec<u64>, Vec<u32>, Vec<(u32, u32)>
     }
     let resolve = |id: u32| {
         if id == EMPTY {
-            EMPTY
+            rects.len() as u32
         } else {
             position[id as usize]
         }
@@ -111,7 +113,7 @@ fn oracle_partition(grid: &Grid, j: usize, algo: TilingAlgo) -> (Vec<Rect>, u64,
             &|delta| dense.solve(delta)
         }
         TilingAlgo::MonotonicBsp => {
-            monotonic = MonotonicBspSolver::new(grid);
+            monotonic = MonotonicBspSolver::new(grid, 1);
             &|delta| monotonic.solve(delta)
         }
     };
@@ -136,32 +138,97 @@ fn oracle_partition(grid: &Grid, j: usize, algo: TilingAlgo) -> (Vec<Rect>, u64,
     (best, hi, max_weight)
 }
 
-/// Both new formulations against their oracles on one grid.
+/// Both new formulations against their oracles on one grid, the tables
+/// built and the search run at one thread and at two.
 fn check_against_oracles(grid: &Grid, max_j: usize, dense_too: bool) -> Result<(), TestCaseError> {
-    let solver = MonotonicBspSolver::new(grid);
     let (rects, weights, split_start, split_pairs) = oracle_tables(grid);
-    prop_assert_eq!(solver.state_count(), rects.len());
-    let got = solver.tables();
-    prop_assert_eq!(got.0, &rects[..]);
-    prop_assert_eq!(got.1, &weights[..]);
-    prop_assert_eq!(got.2, &split_start[..]);
-    prop_assert_eq!(got.3, &split_pairs[..]);
+    for threads in [1, 2] {
+        let solver = MonotonicBspSolver::new(grid, threads);
+        prop_assert_eq!(solver.state_count(), rects.len());
+        let got = solver.tables();
+        prop_assert_eq!(got.0, &rects[..], "threads={}", threads);
+        prop_assert_eq!(got.1, &weights[..], "threads={}", threads);
+        prop_assert_eq!(got.2, &split_start[..], "threads={}", threads);
+        prop_assert_eq!(got.3, &split_pairs[..], "threads={}", threads);
+    }
     if grid.cand_count(grid.full()) == 0 {
         return Ok(());
     }
     let algos = [TilingAlgo::MonotonicBsp, TilingAlgo::Bsp];
     for &algo in &algos[..1 + dense_too as usize] {
         for j in 1..=max_j {
-            let p = partition_max_weight(grid, j, algo);
             let (regions, delta, max_weight) = oracle_partition(grid, j, algo);
-            prop_assert_eq!(p.delta, delta, "{:?} j={}", algo, j);
-            prop_assert_eq!(p.max_weight, max_weight, "{:?} j={}", algo, j);
-            prop_assert_eq!(&p.regions, &regions, "{:?} j={}", algo, j);
             let shares: Vec<u32> = regions
                 .iter()
                 .map(|r| region_shares(grid.weight(*r), delta))
                 .collect();
-            prop_assert_eq!(&p.shares, &shares, "{:?} j={}", algo, j);
+            for threads in [1, 2] {
+                let p = partition_max_weight(grid, j, algo, threads);
+                let at = format!("{algo:?} j={j} threads={threads}");
+                prop_assert_eq!(p.delta, delta, "{}", at);
+                prop_assert_eq!(p.max_weight, max_weight, "{}", at);
+                prop_assert_eq!(&p.regions, &regions, "{}", at);
+                prop_assert_eq!(&p.shares, &shares, "{}", at);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The δ values a search over `grid` for `j` regions chooses among: the
+/// weights of the rectangles `weights` lists and each candidate cell's
+/// `⌈w/k⌉`, `k ≤ j`, above the floor `covered / j`, and the floor.
+fn delta_candidates(grid: &Grid, j: usize, weights: impl Iterator<Item = u64>) -> usize {
+    let floor = grid.covered_weight() / j as u64;
+    let mut deltas: Vec<u64> = weights.collect();
+    for (row, col) in grid.candidate_cells() {
+        let w = grid.weight(Rect::new(row, col, row, col));
+        deltas.extend((2..=j as u64).map(|k| w.div_ceil(k)));
+    }
+    deltas.retain(|&d| d > floor);
+    deltas.push(floor);
+    deltas.sort_unstable();
+    deltas.dedup();
+    deltas.len()
+}
+
+/// The δ search probes at most `⌈log₂(candidates)⌉ + 2` times — plain
+/// bisection's count plus two — with either solver, and the count does not
+/// depend on the threads that build the tables.
+fn check_probe_bound(
+    grid: &Grid,
+    js: RangeInclusive<usize>,
+    dense_too: bool,
+) -> Result<(), TestCaseError> {
+    if grid.cand_count(grid.full()) == 0 {
+        return Ok(());
+    }
+    let ceil_log2 = |n: usize| n.next_power_of_two().trailing_zeros();
+    let (_, states, _, _) = oracle_tables(grid);
+    let (rows, cols) = (grid.n_rows(), grid.n_cols());
+    let every_rect = || {
+        (0..rows).flat_map(move |r0| {
+            (r0..rows).flat_map(move |r1| {
+                (0..cols).flat_map(move |c0| (c0..cols).map(move |c1| Rect::new(r0, c0, r1, c1)))
+            })
+        })
+    };
+    for j in js {
+        let n = delta_candidates(grid, j, states.iter().copied());
+        let one = partition_max_weight(grid, j, TilingAlgo::MonotonicBsp, 1);
+        let two = partition_max_weight(grid, j, TilingAlgo::MonotonicBsp, 2);
+        prop_assert_eq!(one.probes, two.probes, "j={}", j);
+        prop_assert!(
+            one.probes <= ceil_log2(n) + 2,
+            "j={}: {} probes over {} candidates",
+            j,
+            one.probes,
+            n
+        );
+        if dense_too {
+            let n = delta_candidates(grid, j, every_rect().map(|r| grid.weight(r)));
+            let p = partition_max_weight(grid, j, TilingAlgo::Bsp, 1);
+            prop_assert!(p.probes <= ceil_log2(n) + 2, "dense j={}: {}", j, p.probes);
         }
     }
     Ok(())
@@ -246,6 +313,37 @@ fn tables_and_delta_search_equal_their_oracles_on_shaped_grids() {
     }
 }
 
+#[test]
+fn delta_search_keeps_its_probe_bound_on_shaped_grids() {
+    for (name, grid) in shaped_grids() {
+        check_probe_bound(&grid, 1..=8, true).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+    }
+}
+
+#[test]
+fn delta_search_keeps_its_probe_bound_when_the_prediction_undershoots() {
+    // A diagonal of 32 heavy cells and then a ramp of 90 light ones. From
+    // the floor (just over one heavy cell) until the last heavy cell can
+    // take the whole ramp (about twice that), a tiling is charged 33
+    // regions, and the rectangles the last heavy cell starts put a δ
+    // candidate every few units in between. At j = 32 every prediction
+    // `δ · (c + 1) / j` from below lands short, so a search led by
+    // predictions alone crawls up a few percent a probe.
+    let n = 122;
+    let mut out = vec![0u64; n * n];
+    let mut cand = vec![false; n * n];
+    for i in 0..n {
+        cand[i * n + i] = true;
+        out[i * n + i] = if i < 32 {
+            1000
+        } else {
+            5 + (i as u64 * 7) % 11
+        };
+    }
+    let grid = Grid::new(&vec![1; n], &vec![1; n], &out, &cand);
+    check_probe_bound(&grid, 32..=32, false).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -259,6 +357,17 @@ proptest! {
         // The dense baseline on the small half only: its probes are O(n⁵).
         let small = grid.n_rows() * grid.n_cols() <= 36;
         check_against_oracles(&grid, 8, small)?;
+    }
+
+    #[test]
+    fn delta_search_keeps_its_probe_bound_on_staircase_grids(grid in staircase_grid()) {
+        check_probe_bound(&grid, 1..=8, true)?;
+    }
+
+    #[test]
+    fn delta_search_keeps_its_probe_bound_on_random_grids(grid in random_grid()) {
+        let small = grid.n_rows() * grid.n_cols() <= 36;
+        check_probe_bound(&grid, 1..=8, small)?;
     }
 
     #[test]
@@ -289,7 +398,7 @@ proptest! {
     fn max_weight_is_monotone_in_j(grid in staircase_grid()) {
         let mut prev = u64::MAX;
         for j in [1usize, 2, 4, 8] {
-            let p = partition_max_weight(&grid, j, TilingAlgo::MonotonicBsp);
+            let p = partition_max_weight(&grid, j, TilingAlgo::MonotonicBsp, 1);
             prop_assert!(p.max_weight <= prev, "j={}: {} > {}", j, p.max_weight, prev);
             let shares = validate_partition(&grid, &p.regions, p.delta);
             prop_assert_eq!(shares, Ok(p.shares.iter().sum::<u32>()));
@@ -301,7 +410,7 @@ proptest! {
     #[test]
     fn delta_from_binary_search_is_tight(grid in staircase_grid(), j in 1usize..6) {
         // No smaller delta may admit a partition charged within j regions.
-        let p = partition_max_weight(&grid, j, TilingAlgo::MonotonicBsp);
+        let p = partition_max_weight(&grid, j, TilingAlgo::MonotonicBsp, 1);
         if p.delta > grid.covered_weight() / j as u64 {
             let smaller = monotonic_bsp(&grid, p.delta - 1).expect("every delta has a partition");
             prop_assert!(
@@ -345,7 +454,7 @@ proptest! {
         }
         out[row as usize * nc + col as usize] = hot.1;
         let hot_grid = Grid::new(&vec![1; nr], &vec![1; nc], &out, &cand);
-        let p = partition_max_weight(&hot_grid, j, TilingAlgo::MonotonicBsp);
+        let p = partition_max_weight(&hot_grid, j, TilingAlgo::MonotonicBsp, 1);
         prop_assert_eq!(p.regions.len(), p.shares.len());
         prop_assert!(p.shares.iter().sum::<u32>() as usize <= j);
         let mut max = 0;
