@@ -237,7 +237,6 @@ fn run_worker(args: &Args) {
                 key_from: KeyFrom::Probe,
                 gauge: Some(&gauge),
                 cancel: None,
-                budget_tuples: None,
                 spill: None,
                 links: None,
             },

@@ -2,8 +2,8 @@
 //! reads when deciding whether (and what) to migrate.
 //!
 //! Reducers publish lightweight progress signals as they work — whether they
-//! are blocked on an empty queue, how many of their regions are sealed, how
-//! many probe chunks they have swept, and per-region absorbed volumes. All
+//! are blocked on an empty queue, how many probe chunks they have swept,
+//! and per-region absorbed and spilled volumes. All
 //! fields are relaxed atomics: the board is advisory input to a heuristic,
 //! never part of the correctness protocol (queue FIFO order and the
 //! in-flight accounting in `mod.rs` are what guarantee correctness), so a
@@ -18,8 +18,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub struct ProgressBoard {
     /// Per reducer: currently blocked on (or about to block on) its queue.
     idle: Vec<AtomicBool>,
-    /// Per reducer: regions whose build side has been sealed (merged).
-    regions_sealed: Vec<AtomicU64>,
     /// Per reducer: probe chunks swept so far.
     chunks_swept: Vec<AtomicU64>,
     /// Per region: probe (`R2`) tuples absorbed so far — the coordinator's
@@ -39,20 +37,11 @@ impl ProgressBoard {
     pub fn new(reducers: usize, n_regions: usize) -> Self {
         ProgressBoard {
             idle: (0..reducers).map(|_| AtomicBool::new(false)).collect(),
-            regions_sealed: (0..reducers).map(|_| AtomicU64::new(0)).collect(),
             chunks_swept: (0..reducers).map(|_| AtomicU64::new(0)).collect(),
             region_probe: (0..n_regions).map(|_| AtomicU64::new(0)).collect(),
             region_build: (0..n_regions).map(|_| AtomicU64::new(0)).collect(),
             region_spilled: (0..n_regions).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    pub fn reducers(&self) -> usize {
-        self.idle.len()
-    }
-
-    pub fn n_regions(&self) -> usize {
-        self.region_probe.len()
     }
 
     #[inline]
@@ -63,15 +52,6 @@ impl ProgressBoard {
     #[inline]
     pub fn is_idle(&self, reducer: usize) -> bool {
         self.idle[reducer].load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub fn note_region_sealed(&self, reducer: usize) {
-        self.regions_sealed[reducer].fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn regions_sealed(&self, reducer: usize) -> u64 {
-        self.regions_sealed[reducer].load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -123,8 +103,6 @@ mod tests {
     #[test]
     fn heartbeats_accumulate_per_slot() {
         let b = ProgressBoard::new(2, 3);
-        assert_eq!(b.reducers(), 2);
-        assert_eq!(b.n_regions(), 3);
 
         b.set_idle(1, true);
         assert!(!b.is_idle(0));
@@ -132,11 +110,8 @@ mod tests {
         b.set_idle(1, false);
         assert!(!b.is_idle(1));
 
-        b.note_region_sealed(0);
-        b.note_region_sealed(0);
         b.note_chunk_swept(1);
-        assert_eq!(b.regions_sealed(0), 2);
-        assert_eq!(b.regions_sealed(1), 0);
+        assert_eq!(b.chunks_swept(0), 0);
         assert_eq!(b.chunks_swept(1), 1);
 
         b.add_probe(2, 10);

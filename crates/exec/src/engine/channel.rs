@@ -430,7 +430,8 @@ impl CreditGate {
 
 #[cfg(test)]
 mod tests {
-    use super::super::queue::{Delivery, MigratedRegion, RegionBatch};
+    use super::super::queue::{Delivery, RegionBatch};
+    use super::super::reducer::RegionState;
     use super::super::runtime::{EngineRuntime, Poll};
     use super::*;
     use ewh_core::{ColumnBatch, Rel};
@@ -559,14 +560,14 @@ mod tests {
                     tuples: cols(id, n),
                     siblings: Vec::new(),
                 }),
-                1 => Delivery::Adopt {
-                    region: id,
-                    state: Box::new(MigratedRegion {
-                        build: cols(id, n),
-                        pending: cols(id, 1),
-                        ..Default::default()
-                    }),
-                },
+                1 => {
+                    let mut state = RegionState::default();
+                    (state.build, state.pending) = (cols(id, n), cols(id, 1));
+                    Delivery::Adopt {
+                        region: id,
+                        state: Box::new(state),
+                    }
+                }
                 _ => Delivery::Migrate { region: id },
             }
         }

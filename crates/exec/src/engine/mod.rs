@@ -70,13 +70,13 @@ pub use exchange::{AbandonOnDrop, CloseOnDrop, Exchange, StageSink};
 pub use morsel::{Claim, MemGauge, Morsel, MorselPlan, Source};
 pub use pool::BatchPool;
 pub use port::{DeliveryPort, FragmentPort, PortPop};
-pub use queue::{Delivery, MigratedRegion, RegionBatch};
+pub use queue::{Delivery, RegionBatch};
 pub use reducer::{merge_sorted_runs, RegionResult};
 pub use runtime::{
     CancelToken, EngineRuntime, Poll, QueryTicket, RuntimeConfig, RuntimeMetrics, RuntimeScope,
     TaskCx, TaskGroup, WakeSet, Waker,
 };
-pub use spill::{SpillConfig, SpillContext, SpillRun, SpillTotals};
+pub use spill::{SpillBinding, SpillConfig, SpillContext, SpillRun, SpillTotals};
 pub use transport::{
     Framed, LinkProfile, LinkReceiver, LinkSender, RemoteQueue, TransportConfig, TransportFailure,
 };
@@ -268,12 +268,10 @@ pub struct EngineIo<'a> {
     /// Checked by mappers between morsels; a cancelled run discards all
     /// reducer state and reports [`EngineOutcome::cancelled`].
     pub cancel: Option<&'a CancelToken>,
-    /// Spill trigger, in tuples: reducers shed state to disk while the
-    /// gauge sits above this. `None` disables out-of-core execution.
-    pub budget_tuples: Option<u64>,
-    /// Per-query spill file manager; required whenever `budget_tuples` is
-    /// set (and harmlessly ignored without it).
-    pub spill: Option<&'a SpillContext>,
+    /// The query's spill budget and the spill file manager reducers shed
+    /// state through while the gauge sits above it. `None` disables
+    /// out-of-core execution.
+    pub spill: Option<SpillBinding<'a>>,
     /// Per-reducer inbound [`LinkProfile`]s for the migration
     /// coordinator's communication-aware move-cost gate. `None`: the flat
     /// per-tuple gate.
@@ -383,7 +381,6 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
         straggler: cfg.straggler,
         sink: io.sink,
         key_from: io.key_from,
-        budget_tuples: io.budget_tuples,
         spill: io.spill,
         cancel,
         quiesce: &quiesce,
@@ -409,7 +406,7 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     // report this run's contribution as a delta. Concurrent stages over one
     // context produce overlapping deltas — the plan driver overrides its
     // merged totals from the context's absolute counters.
-    let spill_start = io.spill.map(SpillContext::totals);
+    let spill_start = io.spill.map(|spill| spill.ctx.totals());
 
     let mut owned: Vec<Vec<u32>> = vec![Vec::new(); reducers];
     for (region, &q) in table.snapshot().iter().enumerate() {
@@ -523,7 +520,7 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
     // A recorded I/O failure cancels the run even if no reducer aborted: a
     // reducer drops the chunk it could not reload, and once the mappers are
     // done its cancel stops no one — the join may be short of pairs.
-    let spill_failure = io.spill.and_then(SpillContext::failure);
+    let spill_failure = io.spill.and_then(|spill| spill.ctx.failure());
     let wire_failure = transport_failure.and_then(|latch| latch.reason());
     let failure = match (spill_failure, wire_failure) {
         (Some(why), _) => Some(format!("spill failure: {why}")),
@@ -554,8 +551,8 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
         cancelled,
         failure,
     };
-    if let (Some(ctx), Some(start)) = (io.spill, spill_start) {
-        outcome.spill = ctx.totals().since(&start);
+    if let (Some(spill), Some(start)) = (io.spill, spill_start) {
+        outcome.spill = spill.ctx.totals().since(&start);
     }
     if !cancelled {
         debug_assert_eq!(
@@ -629,7 +626,6 @@ mod tests {
                 key_from: KeyFrom::Probe,
                 gauge: None,
                 cancel,
-                budget_tuples: None,
                 spill: None,
                 links: None,
             },
@@ -906,7 +902,6 @@ mod tests {
                     key_from: crate::local_join::KeyFrom::Probe,
                     gauge: Some(&gauge),
                     cancel: None,
-                    budget_tuples: None,
                     spill: None,
                     links: None,
                 },
@@ -1062,7 +1057,6 @@ mod tests {
                     key_from: crate::local_join::KeyFrom::Probe,
                     gauge: None,
                     cancel: Some(&cancel),
-                    budget_tuples: None,
                     spill: None,
                     links: None,
                 },

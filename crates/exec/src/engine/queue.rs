@@ -14,7 +14,7 @@
 use ewh_core::{ColumnBatch, Rel};
 
 use super::channel::Weigh;
-use super::spill::SpillRun;
+use super::reducer::RegionState;
 
 /// One message on a reducer's queue.
 #[derive(Debug)]
@@ -33,10 +33,10 @@ pub enum Delivery {
     /// Coordinator → current region owner: pack the region's state and ship
     /// it to the routing table's (already updated) new owner.
     Migrate { region: u32 },
-    /// Old owner → new owner: the packed state of a migrated region.
+    /// Old owner → new owner: a migrated region's state, sealed.
     Adopt {
         region: u32,
-        state: Box<MigratedRegion>,
+        state: Box<RegionState>,
     },
     /// Coordinator → every reducer: the run is quiescent (mappers done, no
     /// data or migration state in flight) — flush, report, exit.
@@ -56,7 +56,7 @@ pub struct RegionBatch {
     pub rel: Rel,
     /// Routing epoch observed before the owners of `region` and every
     /// sibling were resolved — the engine's per-region migration fence (see
-    /// `reducer.rs`).
+    /// the `reducer` module).
     pub epoch: u64,
     /// The fragment's tuples, in columnar layout end to end: gathered from
     /// the morsel's columns by the mapper, sorted and swept column-wise by
@@ -67,36 +67,6 @@ pub struct RegionBatch {
     pub siblings: Vec<u32>,
 }
 
-/// The shipped state of one migrated region: the sealed, sorted build side,
-/// any probe tuples buffered below a chunk, and the region's running
-/// tallies. Produced by the old owner on [`Delivery::Migrate`], installed by
-/// the new owner on [`Delivery::Adopt`].
-#[derive(Debug, Default)]
-pub struct MigratedRegion {
-    pub build: ColumnBatch,
-    pub pending: ColumnBatch,
-    /// Descriptors of the region's spilled build runs: the records stay
-    /// where they are (the per-query spill segment is shared by every
-    /// reducer of the query, so offsets stay valid across owners).
-    pub spilled_build: Vec<SpillRun>,
-    /// Descriptors of the region's spilled pre-seal probe runs.
-    pub spilled_pending: Vec<SpillRun>,
-    pub sealed: bool,
-    pub input: u64,
-    pub output: u64,
-    pub checksum: u64,
-}
-
-impl MigratedRegion {
-    /// Resident tuples shipped with this message. Spilled runs are
-    /// descriptors only — they occupy disk, not queue memory, so they are
-    /// deliberately excluded from both the queue weight and the engine's
-    /// `in_flight` accounting.
-    pub fn tuples(&self) -> u64 {
-        (self.build.len() + self.pending.len()) as u64
-    }
-}
-
 impl Weigh for Delivery {
     fn weight(&self) -> usize {
         match self {
@@ -104,7 +74,7 @@ impl Weigh for Delivery {
             // empty batch still occupies a queue slot's worth of space).
             Delivery::Batch(b) => b.tuples.len().max(1) * (1 + b.siblings.len()),
             // Shipped migration state is real resident memory in the queue.
-            Delivery::Adopt { state, .. } => state.tuples() as usize,
+            Delivery::Adopt { state, .. } => state.resident_tuples() as usize,
             _ => 0,
         }
     }
@@ -182,15 +152,11 @@ mod tests {
     #[test]
     fn adopt_messages_carry_their_tuple_weight() {
         let q = Channel::new(4);
+        let mut state = RegionState::default();
+        (state.build, state.pending) = (cols(7), cols(2));
         q.push_unbounded(Delivery::Adopt {
             region: 3,
-            state: Box::new(MigratedRegion {
-                build: cols(7),
-                pending: cols(2),
-                sealed: true,
-                input: 9,
-                ..Default::default()
-            }),
+            state: Box::new(state),
         });
         assert_eq!(q.used_tuples(), 9);
         assert!(matches!(q.pop(), Some(Delivery::Adopt { .. })));

@@ -2,29 +2,16 @@
 //! each owned region's `R1` fragments, sort them into the region's build
 //! side once at the seal, and sweep probe (`R2`) chunks against it from
 //! then on. Order is made where it is needed and nowhere else: at the seal,
-//! and on the way to disk for a run that spills before it.
+//! and on the way to disk for a run that spills before it. A region's
+//! build state is freed the moment the region completes — the engine never
+//! holds the full shuffle materialization the batch path does.
 //!
-//! Memory discipline is the point: a sealed region buffers probe fragments
-//! until they make a chunk worth sweeping — an eighth of its build, and
-//! never fewer than `probe_chunk` tuples — and frees them right
-//! after their sweep, and a region's build state is freed the moment the
-//! region completes — the engine never holds the full shuffle
-//! materialization the batch path does. The buffer is what pays for the
-//! sweep: a chunk of `c` sorted probe tuples against `b` build tuples costs
-//! about `c` gallops across the build while `c ≪ b`, each a cache miss, and
-//! a walk of the build in order once `c` reaches `b / 8` (about eight build
-//! tuples a probe tuple, the per-input cost the paper's region weight
-//! charges). While the query sits over its spill budget a region sweeps at
-//! the floor, since the sweep then frees memory that would otherwise go to
-//! disk.
-//!
-//! Under a budget the spill ladder sheds a whole region's build at a time,
-//! and a spilled build comes back once, whole, as soon as it and its merge
-//! fit under the budget — the policy of hybrid hash join (DeWitt et al.,
-//! SIGMOD 1984): spill whole partitions, and bring each back once. Only a
-//! build that cannot come back is replayed run by run under every chunk,
-//! and its chunks wait for an eighth of the whole build, spilled runs
-//! included, since each then pays for reloading them too.
+//! This module decides the protocol: the poll loop, what each delivery
+//! does to region state, the migration fence, the seals, migrate and
+//! adopt, finish and abort, and the tallies. It must not decide when a
+//! region's probe buffer is due for a sweep or how much of it a turn
+//! sweeps (`sweep`), nor what the budget sheds, when a spilled build comes
+//! back or what a chunk replays (`spill`): a handler here only asks them.
 //!
 //! A replicated fragment arrives once per reducer: a delivery names the
 //! sibling regions of this reducer that take the same tuples, and the
@@ -45,12 +32,8 @@
 //! need, which on a shared pool is a deadlock, not just a stall. While the
 //! outbox is non-empty the reducer processes no further deliveries, so
 //! upstream backpressure still propagates (its queue fills, mappers park);
-//! the price is that at most one *slice's* output can sit staged beyond the
-//! exchange bound, and the shared gauge charges it honestly. A slice is as
-//! much of a sorted probe chunk as joins to one exchange of output — a
-//! single tuple if its partners alone are more — because a hot chunk's
-//! whole output can be twenty exchanges, and every reducer of a stage may
-//! hold one.
+//! the price is that at most one slice's output can sit staged beyond the
+//! exchange bound, and the shared gauge charges it honestly.
 //!
 //! No handler sweeps: a fragment that fills a chunk, a seal, an adoption
 //! only *queue* the regions that need a sweep (`sweep_queue`), and the poll
@@ -72,9 +55,10 @@
 //!
 //! Ownership is dynamic: the coordinator can reassign a region mid-run by
 //! updating the shared routing table and sending the old owner
-//! [`Delivery::Migrate`]. The old owner packs the region's sealed state and
-//! ships it to the new owner as [`Delivery::Adopt`]. Fragments caught on
-//! the wrong side of the reassignment are handled by a *per-region epoch
+//! [`Delivery::Migrate`]. The old owner seals the region if the `SealR1`
+//! broadcast has not reached it yet and ships its [`RegionState`] as it is
+//! to the new owner in a [`Delivery::Adopt`]. Fragments caught on the
+//! wrong side of the reassignment are handled by a *per-region epoch
 //! fence*:
 //!
 //! * a fragment that reaches a reducer which no longer owns the region was
@@ -92,102 +76,96 @@
 //! late fragment. `Finish` is the one way a run completes, whether or not
 //! any region ever moves.
 
+mod spill;
+mod sweep;
+
 use std::collections::VecDeque;
 use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ewh_core::{ColumnBatch, JoinCondition, KeyRange, Rel, RoutingTable};
+use ewh_core::{ColumnBatch, JoinCondition, Rel, RoutingTable};
 
-use crate::local_join::{sweep_columns, sweep_columns_each, tail_within, KeyFrom, OutputWork};
+use crate::local_join::{KeyFrom, OutputWork};
 
 use super::board::ProgressBoard;
 use super::exchange::StageSink;
 use super::morsel::MemGauge;
 use super::pool::BatchPool;
 use super::port::{DeliveryPort, FragmentPort, PortPop};
-use super::queue::{Delivery, MigratedRegion, RegionBatch};
+use super::queue::{Delivery, RegionBatch};
 use super::runtime::{CancelToken, TaskCx, WakeSet, Waker};
-use super::spill::{SpillContext, SpillRun};
+use super::spill::{SpillBinding, SpillRun};
 use super::Straggler;
 
 /// Deliveries processed per poll before the task yields its worker, so a
 /// firehosed reducer cannot monopolize a pool slot against other queries.
 const DELIVERIES_PER_POLL: usize = 32;
 
-/// Resident build tuples per buffered probe tuple at which a sealed region
-/// sweeps (see the module docs for why).
-const BUILD_PER_PROBE: usize = 8;
-
-/// Per-region accumulator.
+/// One region's state at its owner. Sealed, it is also what a migration
+/// ships to the next owner ([`Delivery::Adopt`]), as it is. The default is
+/// an empty sealed region, which a shipped one off the wire is filled in
+/// from: it is sealed by construction. Only an owner's fresh region starts
+/// with runs, unsealed, and only this module sees the runs and the counts
+/// kept beside the spilled build.
 #[derive(Debug, Default)]
-struct RegionState {
-    /// `R1` fragments in arrival order, unsorted: the seal sorts their
-    /// concatenation once, and a run that spills first is sorted on its
-    /// way out (see `take_sorted_run`).
-    runs: Vec<ColumnBatch>,
-    /// The sorted build columns (valid once `sealed` is set).
-    build: ColumnBatch,
-    /// Probe tuples waiting for the seal or for a sweep to be due
-    /// (`sweep_due`).
-    pending: ColumnBatch,
+pub struct RegionState {
+    /// `R1` fragments in arrival order, unsorted, until the seal sorts
+    /// their concatenation once into `build` (a run that spills first is
+    /// sorted on its way out). `None` once sealed.
+    runs: Option<Vec<ColumnBatch>>,
+    /// The sorted build columns (valid once sealed).
+    pub(crate) build: ColumnBatch,
+    /// Probe tuples waiting for the seal or for a sweep to be due.
+    pub(crate) pending: ColumnBatch,
     /// Build-side runs spilled to disk under budget pressure. They come
-    /// back once, merged into `build`, as soon as they fit under the budget
-    /// (`bring_build_back`); until then each is reloaded transiently and
-    /// swept against every probe chunk (a sort-merge join distributes over
-    /// any run partition of its build side). Retired on coming back or
-    /// when the region completes.
-    spilled_build: Vec<SpillRun>,
-    /// Tuples in `spilled_build`, kept as a running count so `sweep_due`
-    /// does not sum descriptors on every delivery.
+    /// back once, merged into `build`, as soon as they fit under the
+    /// budget; until then each chunk replays them. A migration ships them
+    /// as descriptors: the per-query spill segment is shared by every
+    /// reducer of the query, so offsets stay valid across owners.
+    pub(crate) spilled_build: Vec<SpillRun>,
+    /// Tuples in `spilled_build`, kept as a running count so the sweep
+    /// cadence does not sum descriptors on every delivery. The adopter of
+    /// a migrated region recounts it.
     spilled_build_tuples: u64,
     /// The build came back from disk since it was last shed: shedding it
-    /// again is a re-spill (`SpillTotals::respills`). A migration does not
-    /// carry it, so an adopter counts no re-spill of what it adopted.
+    /// again is a re-spill (`SpillTotals::respills`). An adopter starts
+    /// without it, so it counts no re-spill of what it adopted.
     came_back: bool,
     /// Probe tuples spilled pre-sweep; replayed as extra probe chunks at
     /// the next flush (or at finish), then retired.
-    spilled_pending: Vec<SpillRun>,
-    sealed: bool,
-    input: u64,
-    output: u64,
-    checksum: u64,
+    pub(crate) spilled_pending: Vec<SpillRun>,
+    pub(crate) input: u64,
+    pub(crate) output: u64,
+    pub(crate) checksum: u64,
 }
 
 impl RegionState {
-    /// Removes pre-seal run `i` as a spill victim, sorted: every build or
-    /// probe run in the segment is key-sorted (the replay sweeps each as
-    /// it stands), and arrival order does not make it so.
-    fn take_sorted_run(&mut self, i: usize) -> ColumnBatch {
-        let mut run = self.runs.swap_remove(i);
-        run.sort_by_key();
-        run
+    pub(crate) fn is_sealed(&self) -> bool {
+        self.runs.is_none()
     }
 
     /// Resident build-side tuples: the pre-seal runs plus the sealed build.
     fn build_side_tuples(&self) -> usize {
-        self.runs.iter().map(ColumnBatch::len).sum::<usize>() + self.build.len()
+        self.runs
+            .iter()
+            .flatten()
+            .map(ColumnBatch::len)
+            .sum::<usize>()
+            + self.build.len()
     }
 
-    fn resident_tuples(&self) -> u64 {
+    /// Resident tuples. A shipped region's weigh its `Adopt` message and
+    /// count as in flight; its spilled runs travel as descriptors and
+    /// occupy disk, not queue memory.
+    pub(crate) fn resident_tuples(&self) -> u64 {
         (self.build_side_tuples() + self.pending.len()) as u64
     }
 
-    /// Whether the sealed region's probe buffer is due for a sweep: at
-    /// least `floor` tuples and, unless the query is `pressed` over its
-    /// spill budget (a sweep then frees what would otherwise go to disk),
-    /// an eighth of the whole build, resident and spilled: a chunk swept
-    /// against a spilled build pays for reloading it as well as for
-    /// walking it.
-    fn sweep_due(&self, floor: usize, pressed: bool) -> bool {
-        let due = if pressed {
-            floor
-        } else {
-            let build = self.build.len() + self.spilled_build_tuples as usize;
-            floor.max(build / BUILD_PER_PROBE)
-        };
-        self.sealed && self.pending.len() >= due
+    /// Probe tuples wait for a sweep, resident or spilled.
+    fn has_buffered(&self) -> bool {
+        !(self.pending.is_empty() && self.spilled_pending.is_empty())
     }
 }
 
@@ -249,11 +227,10 @@ pub struct ReducerShared<'a> {
     pub sink: Option<StageSink<'a>>,
     /// Which side's key the emitted intermediate carries (see [`KeyFrom`]).
     pub key_from: KeyFrom,
-    /// Spill trigger, in tuples: while the query's gauge sits above this,
-    /// reducers shed state through `spill` (`None` disables the trigger).
-    pub budget_tuples: Option<u64>,
-    /// Per-query spill context; `None` disables out-of-core execution.
-    pub spill: Option<&'a SpillContext>,
+    /// The query's spill budget and the context reducers shed state
+    /// through while its gauge sits above it; `None` disables out-of-core
+    /// execution.
+    pub spill: Option<SpillBinding<'a>>,
     /// Engine-wide cancel token. A failed spill write cancels it, which
     /// makes the mappers exit, breaks the seal chain, and tears the whole
     /// query down cooperatively — a bare panic inside a pool task would
@@ -274,14 +251,6 @@ pub struct ReducerShared<'a> {
     /// Cumulative sweep wall time (one clock pair per build×chunk sweep
     /// pass), aggregated across reducers into `JoinStats::sweep_secs`.
     pub sweep_nanos: &'a AtomicU64,
-}
-
-impl ReducerShared<'_> {
-    /// The query's gauge sits over its spill budget.
-    fn pressed(&self) -> bool {
-        self.budget_tuples
-            .is_some_and(|b| self.gauge.current_tuples() > b)
-    }
 }
 
 /// One reducer task: drains queue `me` until finished or aborted.
@@ -320,7 +289,11 @@ impl<'a> ReducerTask<'a> {
         let n_regions = sh.table.n_regions();
         let mut states: Vec<Option<RegionState>> = (0..n_regions).map(|_| None).collect();
         for &r in owned {
-            states[r as usize] = Some(RegionState::default());
+            let runs = Some(Vec::new());
+            states[r as usize] = Some(RegionState {
+                runs,
+                ..RegionState::default()
+            });
         }
         ReducerTask {
             sh,
@@ -359,15 +332,7 @@ impl<'a> ReducerTask<'a> {
             if processed >= DELIVERIES_PER_POLL {
                 break ReducerStep::Working;
             }
-            if let Some(region) = self.sweep_queue.pop_front() {
-                let st = self.states[region as usize]
-                    .as_mut()
-                    .expect("a queued region stays owned until its sweep");
-                if Self::flush(st, self.sh, self.me, region, &mut self.outbox, pool) {
-                    // More to sweep: its next slice goes before any other
-                    // region's, so a half-swept chunk is finished first.
-                    self.sweep_queue.push_front(region);
-                }
+            if self.sweep_turn(pool) {
                 processed += 1;
                 self.maybe_spill();
                 continue;
@@ -460,36 +425,19 @@ impl<'a> ReducerTask<'a> {
     /// registered with its producer list.
     fn flush_outbox(&mut self, waker: &Waker, pool: &BatchPool) -> bool {
         let Some(sink) = self.sh.sink else {
-            debug_assert!(self.outbox.is_empty(), "outbox without a sink");
-            debug_assert!(
-                self.spilled_outbox.is_empty(),
-                "spilled outbox without a sink"
-            );
+            debug_assert!(self.outbox.is_empty() && self.spilled_outbox.is_empty());
             return true;
         };
         loop {
             while let Some(batch) = self.outbox.pop_front() {
-                match sink.exchange.try_push_or_park(batch, waker) {
-                    Ok(()) => {}
-                    Err(batch) => {
-                        self.outbox.push_front(batch);
-                        return false;
-                    }
+                if let Err(batch) = sink.exchange.try_push_or_park(batch, waker) {
+                    self.outbox.push_front(batch);
+                    return false;
                 }
             }
-            // Resident outbox drained: pull one spilled run back in (the
-            // reload transient is one run; the gauge charge is released by
-            // the downstream mapper, exactly as for a never-spilled
-            // batch).
-            let Some(run) = self.spilled_outbox.pop_front() else {
+            if !self.reload_outbox_run(pool) {
                 return true;
-            };
-            let ctx = self
-                .sh
-                .spill
-                .expect("spilled outbox without a spill context");
-            self.outbox
-                .extend(Self::reload(ctx, self.sh, &run, pool, "outbox"));
+            }
         }
     }
 
@@ -563,9 +511,11 @@ impl<'a> ReducerTask<'a> {
         let st = self.states[region as usize]
             .as_mut()
             .expect("absorb of an unowned region");
-        debug_assert!(!st.sealed, "R1 fragment after the R1 seal");
         st.input += n;
-        st.runs.push(tuples);
+        st.runs
+            .as_mut()
+            .expect("R1 fragment after the R1 seal")
+            .push(tuples);
         sh.board.add_build(region, n);
         Self::sub_in_flight(sh, n);
     }
@@ -583,9 +533,7 @@ impl<'a> ReducerTask<'a> {
         st.pending
             .extend_from_slices(tuples.keys(), tuples.payloads());
         sh.board.add_probe(region, n);
-        if st.sweep_due(sh.probe_chunk, sh.pressed()) {
-            self.queue_sweep(region);
-        }
+        self.queue_if_due(region);
         Self::sub_in_flight(sh, n);
     }
 
@@ -597,13 +545,6 @@ impl<'a> ReducerTask<'a> {
             if s.reducer == self.me && n > 0 {
                 std::thread::sleep(Duration::from_nanos(n.saturating_mul(s.nanos_per_tuple)));
             }
-        }
-    }
-
-    /// Queues `region` for a sweep turn of the poll loop, once.
-    fn queue_sweep(&mut self, region: u32) {
-        if !self.sweep_queue.contains(&region) {
-            self.sweep_queue.push_back(region);
         }
     }
 
@@ -619,19 +560,12 @@ impl<'a> ReducerTask<'a> {
     }
 
     fn on_seal_r1(&mut self) {
-        let sh = self.sh;
-        let me = self.me;
-        for (region, slot) in self.states.iter_mut().enumerate() {
-            let Some(st) = slot.as_mut() else { continue };
-            // Adopted regions arrive pre-sealed, and a region sealed early
-            // by a racing migration is equally fine — skip, don't re-merge.
-            if st.sealed {
-                continue;
-            }
-            Self::seal(st, sh, region as u32);
-            sh.board.note_region_sealed(me);
-            if st.sweep_due(sh.probe_chunk, sh.pressed()) {
-                self.sweep_queue.push_back(region as u32);
+        for region in 0..self.states.len() {
+            // Adopted regions arrive sealed, and a region sealed early by a
+            // racing migration is equally fine — skip, don't re-merge.
+            if let Some(st) = self.states[region].as_mut().filter(|st| !st.is_sealed()) {
+                Self::seal(st, self.sh, region as u32);
+                self.queue_if_due(region as u32);
             }
         }
     }
@@ -641,55 +575,39 @@ impl<'a> ReducerTask<'a> {
     /// what is buffered (freeing the memory early) and keep draining until
     /// `Finish`.
     fn on_seal_all(&mut self) {
-        for (region, slot) in self.states.iter().enumerate() {
-            let Some(st) = slot.as_ref() else { continue };
-            if st.sealed && !(st.pending.is_empty() && st.spilled_pending.is_empty()) {
-                self.sweep_queue.push_back(region as u32);
-            }
+        for region in 0..self.states.len() {
+            self.queue_if_buffered(region as u32);
         }
     }
 
     /// Coordinator asked us to hand the region to its (already published)
-    /// new owner: seal if the `SealR1` broadcast is still in flight, pack,
-    /// and ship.
+    /// new owner: seal if the `SealR1` broadcast is still in flight, and
+    /// ship the state as it is.
     fn on_migrate(&mut self, region: u32) {
         let sh = self.sh;
         let mut st = self.states[region as usize]
             .take()
             .expect("Migrate for a region this reducer does not own");
-        if !st.sealed {
+        if !st.is_sealed() {
             Self::seal(&mut st, sh, region);
-            sh.board.note_region_sealed(self.me);
         }
-        let state = MigratedRegion {
-            build: mem::take(&mut st.build),
-            pending: mem::take(&mut st.pending),
-            // Spilled runs ship as descriptors: the per-query segment is
-            // shared, so the new owner reloads the same records. Their
-            // tuples stay out of `in_flight` (they are not resident), and
-            // the coordinator already charged their re-read cost into the
-            // move decision.
-            spilled_build: mem::take(&mut st.spilled_build),
-            spilled_pending: mem::take(&mut st.spilled_pending),
-            sealed: true,
-            input: st.input,
-            output: st.output,
-            checksum: st.checksum,
-        };
-        let shipped = state.tuples();
+        // Spilled runs stay out of `in_flight` (they are not resident), and
+        // the coordinator already charged their re-read cost into the move
+        // decision.
+        let shipped = st.resident_tuples();
         sh.migration_tuples.fetch_add(shipped, Ordering::Relaxed);
         sh.in_flight.fetch_add(shipped, Ordering::AcqRel);
         let owner = sh.table.owner_of(region);
         debug_assert_ne!(owner as usize, self.me, "migration to self");
         sh.queues[owner as usize].push_unbounded(Delivery::Adopt {
             region,
-            state: Box::new(state),
+            state: Box::new(st),
         });
     }
 
     /// Install a migrated region's state, then absorb any fragments the
     /// fence parked while the state was in flight.
-    fn on_adopt(&mut self, region: u32, state: MigratedRegion, pool: &BatchPool) {
+    fn on_adopt(&mut self, region: u32, mut state: RegionState, pool: &BatchPool) {
         let sh = self.sh;
         debug_assert!(
             self.states[region as usize].is_none(),
@@ -700,30 +618,16 @@ impl<'a> ReducerTask<'a> {
             self.me,
             "adoption does not match the routing table"
         );
-        let shipped = state.tuples();
-        self.states[region as usize] = Some(RegionState {
-            runs: Vec::new(),
-            build: state.build,
-            pending: state.pending,
-            spilled_build_tuples: state.spilled_build.iter().map(SpillRun::tuples).sum(),
-            spilled_build: state.spilled_build,
-            came_back: false,
-            spilled_pending: state.spilled_pending,
-            sealed: state.sealed,
-            input: state.input,
-            output: state.output,
-            checksum: state.checksum,
-        });
+        debug_assert!(state.is_sealed(), "an unsealed region shipped");
+        state.spilled_build_tuples = state.spilled_build.iter().map(SpillRun::tuples).sum();
+        state.came_back = false;
+        let shipped = state.resident_tuples();
+        self.states[region as usize] = Some(state);
         Self::sub_in_flight(sh, shipped);
         for batch in mem::take(&mut self.parked[region as usize]) {
             self.absorb(batch, pool);
         }
-        let st = self.states[region as usize]
-            .as_ref()
-            .expect("just installed");
-        if st.sweep_due(sh.probe_chunk, sh.pressed()) {
-            self.queue_sweep(region);
-        }
+        self.queue_if_due(region);
         // Publish completion last: the coordinator may start the next
         // handshake (or declare quiescence) the moment it sees this.
         sh.adoptions.fetch_add(1, Ordering::Release);
@@ -734,9 +638,8 @@ impl<'a> ReducerTask<'a> {
     /// that overtakes it, and `finish` all take: shed what the budget
     /// cannot hold through the sort, then sort the rest into `build`.
     fn seal(st: &mut RegionState, sh: &ReducerShared<'_>, region: u32) {
-        Self::shed_runs_before_merge(st, sh, region);
-        st.build = Self::merge_gauged(mem::take(&mut st.runs), sh);
-        st.sealed = true;
+        Self::make_room_to_seal(st, sh, region);
+        st.build = Self::merge_gauged(st.runs.take().unwrap_or_default(), sh);
     }
 
     /// Sorts a region's runs into one, charging the memory transient to
@@ -756,483 +659,20 @@ impl<'a> ReducerTask<'a> {
         build
     }
 
-    /// Sheds state to disk while the query's gauge sits above its budget
-    /// slice. Each iteration writes one victim (largest-first down the
-    /// spill ladder); the loop stops when the gauge fits, nothing
-    /// spillable remains on *this* reducer (other reducers of the same
-    /// query shed their own share on their own polls), or a write failed —
-    /// the failure is recorded on the spill context and the cooperative
-    /// cancel flag tears the query down.
-    fn maybe_spill(&mut self) {
-        let sh = self.sh;
-        let (Some(ctx), Some(budget)) = (sh.spill, sh.budget_tuples) else {
-            return;
-        };
-        while sh.gauge.current_tuples() > budget {
-            if ctx.failed() {
-                return;
-            }
-            if !self.spill_once(ctx) {
-                return;
-            }
-        }
-    }
-
-    /// Sheds a region's runs to disk, each sorted on its way out, until
-    /// the seal's transient (`merge_gauged` briefly holds the sorted copy
-    /// alongside its sources) fits under the query's budget. Without
-    /// this, sealing a hot region while the gauge already sits at the
-    /// spill trigger would spike resident memory to roughly twice that
-    /// region's state — the one place the budget could silently leak.
-    /// Shed runs skip the seal and stay on disk as capped sub-runs the
-    /// sweep replays like any other spilled build run.
-    fn shed_runs_before_merge(st: &mut RegionState, sh: &ReducerShared<'_>, region: u32) {
-        let (Some(ctx), Some(budget)) = (sh.spill, sh.budget_tuples) else {
-            return;
-        };
-        loop {
-            let transient: u64 = st.runs.iter().map(|r| r.len() as u64).sum();
-            if transient == 0 || sh.gauge.current_tuples() + transient <= budget || ctx.failed() {
-                return;
-            }
-            let i = st
-                .runs
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, r)| r.len())
-                .map(|(i, _)| i)
-                .expect("transient > 0 implies a non-empty run");
-            let victim = st.take_sorted_run(i);
-            let tail = Self::spill_build_run(ctx, sh, st, region, victim);
-            if !tail.is_empty() {
-                st.runs.push(tail);
-                return;
-            }
-        }
-    }
-
-    /// Writes one sorted build-side victim of `region` through
-    /// [`write_capped`](Self::write_capped), counting what reached disk in
-    /// the region's spilled build, and returns the unwritten tail.
-    fn spill_build_run(
-        ctx: &SpillContext,
-        sh: &ReducerShared<'_>,
-        st: &mut RegionState,
-        region: u32,
-        victim: ColumnBatch,
-    ) -> ColumnBatch {
-        let n = victim.len();
-        let tail = Self::write_capped(ctx, sh, victim, Some(region), &mut st.spilled_build);
-        st.spilled_build_tuples += (n - tail.len()) as u64;
-        tail
-    }
-
-    /// Writes one victim (sorted, unless it is an outbox batch, which
-    /// nothing reads in order) as a sequence of runs of at most
-    /// `probe_chunk` tuples each — capping run granularity keeps the
-    /// reload transient during replay one chunk wide instead of the whole
-    /// victim wide, which is what lets a budgeted run's realized peak
-    /// stay near its trigger. The gauge is debited per written slice.
-    /// Descriptors go to `out` (and, for a region's state, onto the spill
-    /// board). Returns the unwritten tail: empty on success, the
-    /// still-resident remainder when a write failed (the failure is
-    /// recorded and the cooperative cancel flag raised here).
-    fn write_capped(
-        ctx: &SpillContext,
-        sh: &ReducerShared<'_>,
-        mut victim: ColumnBatch,
-        region: Option<u32>,
-        out: &mut impl Extend<SpillRun>,
-    ) -> ColumnBatch {
-        let cap = sh.probe_chunk.max(1);
-        let mut off = 0;
-        while off < victim.len() {
-            let end = (off + cap).min(victim.len());
-            match ctx.write_run(&victim.keys()[off..end], &victim.payloads()[off..end]) {
-                Ok(run) => {
-                    sh.gauge.sub((end - off) as u64);
-                    if let Some(region) = region {
-                        sh.board.add_spilled(region, run.tuples());
-                    }
-                    out.extend([run]);
-                    off = end;
-                }
-                Err(e) => {
-                    ctx.record_failure(format!("spill write failed: {e}"));
-                    sh.cancel.cancel();
-                    break;
-                }
-            }
-        }
-        victim.split_off(off)
-    }
-
-    /// Reloads a spilled run into a pooled buffer and charges it to the
-    /// gauge; a failed read is recorded and cancels the query.
-    fn reload(
-        ctx: &SpillContext,
-        sh: &ReducerShared<'_>,
-        run: &SpillRun,
-        pool: &BatchPool,
-        what: &str,
-    ) -> Option<ColumnBatch> {
-        match ctx.read_run_into(run, pool.take(run.tuples() as usize)) {
-            Ok(batch) => {
-                sh.gauge.add(batch.len() as u64);
-                Some(batch)
-            }
-            Err(e) => {
-                ctx.record_failure(format!("{what} reload failed: {e}"));
-                sh.cancel.cancel();
-                None
-            }
-        }
-    }
-
-    /// Sheds one victim to disk and drops it from resident state. The
-    /// ladder: a whole region's build-side state first (the region holding
-    /// the most of it — its pre-seal runs and its sealed build — so spilled
-    /// state sits in few regions and the rest never touch the disk; it
-    /// stays out of memory longest, coming back once when it fits), then
-    /// the largest pending probe buffer (replayed as an extra probe chunk
-    /// at the next flush), then a staged outbox batch (reloaded once the
-    /// exchange drains). Returns `false` when nothing spillable remains or
-    /// a write failed; the gauge is only debited for what was actually
-    /// written, so an error leaves the rest of the victim resident and the
-    /// discard accounting balanced.
-    fn spill_once(&mut self, ctx: &SpillContext) -> bool {
-        let sh = self.sh;
-
-        // Rung 1: the region with the most resident build-side tuples,
-        // ties to the lowest id.
-        let victim = self
-            .states
-            .iter()
-            .enumerate()
-            .filter_map(|(region, slot)| Some((region, slot.as_ref()?.build_side_tuples())))
-            .filter(|&(_, n)| n > 0)
-            .max_by_key(|&(region, n)| (n, std::cmp::Reverse(region)));
-        if let Some((region, _)) = victim {
-            let st = self.states[region]
-                .as_mut()
-                .expect("chosen from live states");
-            if mem::take(&mut st.came_back) {
-                ctx.note_respill();
-            }
-            // Each run is sorted on its way out and slicing keeps each slice
-            // sorted — the segment's contract, which the replay relies on —
-            // and the sealed build already is. They are written one by one:
-            // a concatenation would be an uncharged copy of the region.
-            let region = region as u32;
-            while let Some(last) = st.runs.len().checked_sub(1) {
-                let victim = st.take_sorted_run(last);
-                let tail = Self::spill_build_run(ctx, sh, st, region, victim);
-                if !tail.is_empty() {
-                    st.runs.push(tail);
-                    return false;
-                }
-            }
-            let build = mem::take(&mut st.build);
-            let tail = Self::spill_build_run(ctx, sh, st, region, build);
-            if tail.is_empty() {
-                return true;
-            }
-            // The tail of a sorted build is a valid build again; the query
-            // is being cancelled regardless.
-            st.build = tail;
-            return false;
-        }
-
-        // Rung 2: largest pending probe buffer.
-        let mut best: Option<(usize, usize)> = None;
-        for (region, slot) in self.states.iter().enumerate() {
-            let Some(st) = slot.as_ref() else { continue };
-            if st.pending.len() > best.map_or(0, |(_, len)| len) {
-                best = Some((region, st.pending.len()));
-            }
-        }
-        if let Some((region, _)) = best {
-            let st = self.states[region]
-                .as_mut()
-                .expect("chosen from live states");
-            let mut victim = mem::take(&mut st.pending);
-            // Probe runs must land sorted: the replay sweeps each run as a
-            // self-contained, pre-sorted probe chunk.
-            victim.sort_by_key();
-            let region_id = Some(region as u32);
-            let tail = Self::write_capped(ctx, sh, victim, region_id, &mut st.spilled_pending);
-            if tail.is_empty() {
-                return true;
-            }
-            st.pending = tail;
-            return false;
-        }
-
-        // Rung 3: largest staged outbox batch, written as it stands. Batch
-        // and tuple order across the exchange are immaterial (the
-        // downstream mapper re-routes per tuple), so pulling one out of
-        // the middle is safe and sorting it would be wasted work.
-        let Some((i, _)) = self
-            .outbox
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (i, b.len()))
-            .filter(|&(_, len)| len > 0)
-            .max_by_key(|&(_, len)| len)
-        else {
-            return false;
-        };
-        let victim = self.outbox.remove(i).expect("indexed above");
-        let tail = Self::write_capped(ctx, sh, victim, None, &mut self.spilled_outbox);
-        if tail.is_empty() {
-            return true;
-        }
-        self.outbox.push_back(tail);
-        false
-    }
-
-    /// Sweeps and frees one chunk of the region's buffered probe state and
-    /// reports whether more is left, in which case the poll loop gives the
-    /// region the next turn too. A spilled build that fits under the budget
-    /// comes back first ([`bring_build_back`](Self::bring_build_back)), so
-    /// the chunk sweeps from memory. The chunk is the resident pending
-    /// tuples or, once those are gone, one probe run spilled under budget
-    /// pressure (replayed one a turn, so the reload transient stays one
-    /// chunk wide). It is swept against the resident build *and* every
-    /// build run still on disk — a sort-merge join distributes over any
-    /// partition of its build side into sorted runs and of its probe side
-    /// into chunks, and the order-invariant XOR checksum makes the
-    /// recombination bit-identical to the in-memory sweep.
-    ///
-    /// With a sink, the same distributivity bounds what a turn stages: only
-    /// the chunk's tail whose pairs fit the downstream exchange is swept
-    /// ([`tail_within`]; the tail, so a slice copies itself and not the
-    /// remainder) and the sorted rest stays in `pending`. The slice is sized
-    /// from the resident build alone: build runs left on disk exist only
-    /// under a budget, which then bounds the outbox too (the ladder's last
-    /// rung).
-    fn flush(
-        st: &mut RegionState,
-        sh: &ReducerShared<'_>,
-        me: usize,
-        region: u32,
-        outbox: &mut VecDeque<ColumnBatch>,
-        pool: &BatchPool,
-    ) -> bool {
-        debug_assert!(st.sealed);
-        if !st.spilled_build.is_empty() {
-            Self::bring_build_back(st, sh, region, pool);
-        }
-        let mut chunk = mem::take(&mut st.pending);
-        chunk.sort_by_key();
-        if chunk.is_empty() && !st.spilled_pending.is_empty() {
-            let ctx = sh.spill.expect("spilled pending without a spill context");
-            let build_zone = Self::build_zone(st);
-            while let Some(run) = st.spilled_pending.pop() {
-                sh.board.sub_spilled(region, run.tuples());
-                // Zone fence: a spilled probe run whose fence can't join any
-                // build key is dropped without reloading a byte — only its
-                // spill-board bookkeeping runs. `candidate` on the
-                // conservative union fence is exact in the negative
-                // direction, so the skipped run provably contributes no pairs.
-                if !sh.cond.candidate(&build_zone, run.key_range()) {
-                    continue;
-                }
-                if let Some(probe) = Self::reload(ctx, sh, &run, pool, "probe") {
-                    chunk = probe;
-                    break;
-                }
-            }
-        }
-        if let Some(sink) = sh.sink {
-            // At most an exchange of tuples is looked at, so the count costs
-            // what a slice may hold, not what a long chunk still does.
-            let cap = sink.exchange.capacity();
-            let tail = &chunk.keys()[chunk.len().saturating_sub(cap)..];
-            let keep = tail_within(&st.build, tail, sh.cond, cap);
-            if keep < chunk.len() {
-                let slice = chunk.split_off(chunk.len() - keep);
-                st.pending = mem::replace(&mut chunk, slice);
-            }
-        }
-        if !chunk.is_empty() {
-            Self::sweep_chunk(st, sh, me, chunk, outbox, pool);
-        }
-        !(st.pending.is_empty() && st.spilled_pending.is_empty())
-    }
-
-    /// Reloads a region's spilled build runs once each and merges them with
-    /// its resident build, when the whole build and `merge_gauged`'s
-    /// transient fit under the budget beside the query's gauge; the region
-    /// then sweeps from memory. The runs' extents become dead space in the
-    /// segment (its high-water is `spill_bytes` anyway). If they do not
-    /// fit, the build stays where it is and every chunk replays its runs
-    /// ([`sweep_chunk`](Self::sweep_chunk)). After a failed reload the
-    /// runs read so far are merged and the rest stay on disk; the query is
-    /// being cancelled.
-    fn bring_build_back(
-        st: &mut RegionState,
-        sh: &ReducerShared<'_>,
-        region: u32,
-        pool: &BatchPool,
-    ) {
-        let (Some(ctx), Some(budget)) = (sh.spill, sh.budget_tuples) else {
-            return;
-        };
-        let whole = st.spilled_build_tuples + st.build.len() as u64;
-        if sh.gauge.current_tuples() + 2 * whole > budget {
-            return;
-        }
-        let mut runs = vec![mem::take(&mut st.build)];
-        while let Some(run) = st.spilled_build.pop() {
-            let Some(build) = Self::reload(ctx, sh, &run, pool, "build") else {
-                st.spilled_build.push(run);
-                break;
-            };
-            sh.board.sub_spilled(region, run.tuples());
-            st.spilled_build_tuples -= run.tuples();
-            runs.push(build);
-        }
-        st.build = Self::merge_gauged(runs, sh);
-        st.came_back = true;
-    }
-
-    /// Sweeps one sorted probe chunk against the region's full build side
-    /// (resident build plus each build run still on disk, reloaded
-    /// transiently), then frees the chunk. Chunk-outer / build-run-inner
-    /// keeps peak memory at one chunk + one reloaded run, at the price of
-    /// re-reading each spilled run once per chunk — the fallback for a
-    /// build that cannot come back, and the re-read cost the coordinator
-    /// charges into migration decisions.
-    fn sweep_chunk(
-        st: &mut RegionState,
-        sh: &ReducerShared<'_>,
-        me: usize,
-        probe: ColumnBatch,
-        outbox: &mut VecDeque<ColumnBatch>,
-        pool: &BatchPool,
-    ) {
-        // Zone fences: a build side (resident or spilled run) whose key
-        // fence can't join this chunk is skipped without touching its
-        // columns — for a spilled run that means no disk reload at all.
-        let probe_zone = Self::zone_of(&probe);
-        let (mut count, mut checksum) = if sh.cond.candidate(&Self::zone_of(&st.build), &probe_zone)
-        {
-            Self::sweep_one(&st.build, &probe, sh, outbox, pool)
-        } else {
-            (0, 0)
-        };
-        if let Some(ctx) = sh.spill {
-            for run in &st.spilled_build {
-                if !sh.cond.candidate(run.key_range(), &probe_zone) {
-                    continue;
-                }
-                if let Some(build) = Self::reload(ctx, sh, run, pool, "build") {
-                    let (c, x) = Self::sweep_one(&build, &probe, sh, outbox, pool);
-                    sh.gauge.sub(build.len() as u64);
-                    pool.put(build);
-                    count += c;
-                    checksum ^= x;
-                }
-            }
-        }
-        st.output += count;
-        st.checksum ^= checksum;
-        sh.board.note_chunk_swept(me);
-        sh.gauge.sub(probe.len() as u64);
-        pool.put(probe);
-    }
-
-    /// A sorted batch's zone fence: its first and last key (empty batches
-    /// fence nothing).
-    fn zone_of(batch: &ColumnBatch) -> KeyRange {
-        match (batch.keys().first(), batch.keys().last()) {
-            (Some(&lo), Some(&hi)) => KeyRange::new(lo, hi),
-            _ => KeyRange::empty(),
-        }
-    }
-
-    /// The region's whole build-side fence: the union of the resident
-    /// build's range and every spilled build run's recorded fence. The
-    /// union may cover gaps, so it is conservative — `candidate` returning
-    /// false against it is exact (no key in the probe range can join), and
-    /// that is the only direction the fence is used in.
-    fn build_zone(st: &RegionState) -> KeyRange {
-        let mut zone = Self::zone_of(&st.build);
-        for run in &st.spilled_build {
-            let r = run.key_range();
-            if !r.is_empty() {
-                zone = if zone.is_empty() {
-                    *r
-                } else {
-                    KeyRange::new(zone.lo.min(r.lo), zone.hi.max(r.hi))
-                };
-            }
-        }
-        zone
-    }
-
-    /// One build × probe sweep. With a sink, the swept pairs are
-    /// materialized in emission-sized batches, charged to the shared gauge,
-    /// and staged on the outbox for the downstream exchange (see the module
-    /// docs — the outbox is what keeps a full exchange from suspending a
-    /// pool worker). The gauge charge is released by the downstream mapper
-    /// once it has routed the batch.
-    fn sweep_one(
-        build: &ColumnBatch,
-        probe: &ColumnBatch,
-        sh: &ReducerShared<'_>,
-        outbox: &mut VecDeque<ColumnBatch>,
-        pool: &BatchPool,
-    ) -> (u64, u64) {
-        let start = Instant::now();
-        let out = match sh.sink {
-            None => sweep_columns(build, probe, sh.cond, sh.work),
-            Some(sink) => {
-                let cap = sink.batch_tuples.max(1);
-                let mut buf = pool.take(cap);
-                let mut ship = |batch: ColumnBatch| {
-                    sh.gauge.add(batch.len() as u64);
-                    outbox.push_back(batch);
-                };
-                let (count, checksum) =
-                    sweep_columns_each(build, probe, sh.cond, sh.key_from, |k, p| {
-                        buf.push(k, p);
-                        if buf.len() >= cap {
-                            ship(mem::replace(&mut buf, pool.take(cap)));
-                        }
-                    });
-                if !buf.is_empty() {
-                    ship(buf);
-                } else {
-                    pool.put(buf);
-                }
-                (count, checksum)
-            }
-        };
-        sh.sweep_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        out
-    }
-
     /// `Finish`: queue the last sweeps; the poll loop tallies once they are
     /// through.
     fn on_finish(&mut self) {
-        let sh = self.sh;
         debug_assert!(
             self.parked.iter().all(Vec::is_empty),
             "finish with fenced fragments still parked"
         );
-        for (region, slot) in self.states.iter_mut().enumerate() {
-            let Some(st) = slot.as_mut() else { continue };
+        for region in 0..self.states.len() {
             // A region that saw no R1 seal can only mean an empty plan where
             // the orchestrator pre-sealed; seal whatever is there.
-            if !st.sealed {
-                Self::seal(st, sh, region as u32);
+            if let Some(st) = self.states[region].as_mut().filter(|st| !st.is_sealed()) {
+                Self::seal(st, self.sh, region as u32);
             }
-            if !st.pending.is_empty() || !st.spilled_pending.is_empty() {
-                self.sweep_queue.push_back(region as u32);
-            }
+            self.queue_if_buffered(region as u32);
         }
         self.finishing = true;
     }
@@ -1243,7 +683,7 @@ impl<'a> ReducerTask<'a> {
         let mut results = Vec::new();
         for (region, slot) in self.states.iter_mut().enumerate() {
             let Some(st) = slot.as_mut() else { continue };
-            debug_assert!(st.pending.is_empty() && st.spilled_pending.is_empty());
+            debug_assert!(!st.has_buffered());
             sh.gauge.sub(st.build.len() as u64);
             pool.put(mem::take(&mut st.build));
             // Build runs that never came back persist across flushes (each
@@ -1301,7 +741,8 @@ pub fn merge_sorted_runs(runs: Vec<ColumnBatch>) -> ColumnBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Channel, EngineRuntime, Poll};
+    use crate::engine::{Channel, EngineRuntime, Poll, SpillContext};
+    use crate::local_join::{sweep_columns, sweep_columns_each};
     use std::sync::Mutex;
 
     /// Polls reducer `me` on `rt` until its terminal delivery.
@@ -1395,7 +836,6 @@ mod tests {
                 straggler: None,
                 sink,
                 key_from: KeyFrom::Probe,
-                budget_tuples: None,
                 spill: None,
                 cancel: &self.cancel,
                 quiesce: &self.quiesce,
@@ -1620,7 +1060,7 @@ mod tests {
         let PortPop::Item(Delivery::Adopt { region: 0, state }) = queues[1].try_pop() else {
             panic!("the donor ships exactly one Adopt");
         };
-        assert!(state.sealed);
+        assert!(state.is_sealed());
         assert_eq!(state.build, merge_sorted_runs(build_runs.to_vec()));
         assert!(state.build.is_sorted_by_key());
         queues[1].push_unbounded(Delivery::Adopt { region: 0, state });
@@ -1882,7 +1322,7 @@ mod tests {
         let rig = Rig::new(1, &[0, 0], JoinCondition::Band { beta: 1 });
         let sh = rig.shared(FLOOR, None);
         let expect = stream_after_seal(&rig, &sizes);
-        let due = |r: usize| FLOOR.max(sizes[r].0 / BUILD_PER_PROBE);
+        let due = |r: usize| sweep::due_at(FLOOR, sizes[r].0);
         drive_within(&rt, &sh, &expect, due);
         let most: u64 = (0..sizes.len())
             .map(|r| sizes[r].1.div_ceil(due(r)) as u64 + 1)
@@ -1894,42 +1334,25 @@ mod tests {
 
     #[test]
     fn a_query_over_its_budget_sweeps_at_the_floor() {
-        // The same region under a budget of half its build. Without a spill
-        // context nothing sheds, so the gauge sits over the budget from the
-        // first delivery to the last and only the pressure clause keeps the
-        // buffer at the floor.
+        // The same region under a budget of half its build. The ladder
+        // sheds the whole build in runs of at most the floor. The build and
+        // its merge never fit a budget of half the build, so every chunk
+        // replays the runs: at the floor while the gauge is over the budget,
+        // and at an eighth of the whole build, resident and spilled, once
+        // the draining queue takes it under. The gauge only falls between
+        // deliveries, so a poll that ends pressed absorbed every fragment
+        // pressed.
         const FLOOR: usize = 64;
         let sizes = [(4096, 16_384)];
-        {
-            let rt = EngineRuntime::new(2);
-            let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
-            let sh = ReducerShared {
-                budget_tuples: Some(2048),
-                spill: None,
-                ..rig.shared(FLOOR, None)
-            };
-            let expect = stream_after_seal(&rig, &sizes);
-            drive_within(&rt, &sh, &expect, |_| FLOOR);
-            let swept = rig.board.chunks_swept(0);
-            let fewest = (sizes[0].1 / (FLOOR + FRAGMENT)) as u64;
-            assert!(swept >= fewest, "{swept} sweeps under pressure");
-            assert_eq!(rig.gauge.current_tuples(), 0);
-        }
-
-        // With one, the ladder sheds the whole build in runs of at most the
-        // floor. The build and its merge never fit a budget of half the
-        // build, so every chunk replays the runs: at the floor while the
-        // gauge is over the budget, and at an eighth of the whole build,
-        // resident and spilled, once the draining queue takes it under. The
-        // gauge only falls between deliveries, so a poll that ends pressed
-        // absorbed every fragment pressed.
         let dir = std::env::temp_dir().join(format!("ewh-reducer-pressed-{}", std::process::id()));
         let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
         let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
         let sh = ReducerShared {
-            budget_tuples: Some(2048),
-            spill: Some(&ctx),
+            spill: Some(SpillBinding {
+                budget_tuples: 2048,
+                ctx: &ctx,
+            }),
             ..rig.shared(FLOOR, None)
         };
         let expect = stream_after_seal(&rig, &sizes);
@@ -1940,7 +1363,7 @@ mod tests {
                 pressed_most = pressed_most.max(st.pending.len());
             } else {
                 let build = st.build.len() + st.spilled_build_tuples as usize;
-                let due = FLOOR.max(build / BUILD_PER_PROBE);
+                let due = sweep::due_at(FLOOR, build);
                 assert!(
                     st.pending.len() <= due + FRAGMENT,
                     "{} probe tuples buffered, {due} due",
@@ -2041,8 +1464,10 @@ mod tests {
         let rt = EngineRuntime::new(2);
         let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
         let sh = ReducerShared {
-            budget_tuples: Some(BUDGET),
-            spill: Some(&ctx),
+            spill: Some(SpillBinding {
+                budget_tuples: BUDGET,
+                ctx: &ctx,
+            }),
             ..rig.shared(FLOOR, None)
         };
         let (build, probe) = spill_sides();
@@ -2052,7 +1477,7 @@ mod tests {
         let mut shed = None;
         let outcome = drive_with(&rt, &sh, 0, &[0], |task| {
             let st = task.states[0].as_ref().expect("the region stays owned");
-            if shed.is_none() && st.sealed {
+            if shed.is_none() && st.is_sealed() {
                 shed = Some((st.spilled_build_tuples, st.build_side_tuples()));
                 rig.gauge.sub(ballast);
                 ship_probe(&rig, &probe);
@@ -2099,8 +1524,10 @@ mod tests {
         let rt = EngineRuntime::new(2);
         let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
         let sh = ReducerShared {
-            budget_tuples: Some(BUDGET),
-            spill: Some(&ctx),
+            spill: Some(SpillBinding {
+                budget_tuples: BUDGET,
+                ctx: &ctx,
+            }),
             ..rig.shared(FLOOR, None)
         };
         let (build, probe) = spill_sides();
@@ -2132,6 +1559,101 @@ mod tests {
     }
 
     #[test]
+    fn a_sink_fed_build_comes_back_only_with_room_for_the_slice_it_comes_back_for() {
+        // One region of 300 build × 256 probe tuples on one key, behind a
+        // 1 024-tuple exchange that the consumer empties after every poll,
+        // under a budget of 700: the seal fits (300 beside its 300-tuple
+        // sort), the chunk fits beside the build, and a 3-tuple slice's
+        // 900 pairs do not. That slice sends the build and the rest of the
+        // chunk to disk. Thirty empty probe fragments ahead of the probe end
+        // the poll right after the slice's output is flushed, so the next
+        // turn finds the exchange emptied and the gauge at zero. The build
+        // and its merge alone would fit then (600 ≤ 700); brought back, it
+        // is shed again by the next slice's 900 pairs, and the rest of the
+        // chunk with it, once per slice. With room left for an exchange of
+        // output it stays on disk, and no probe tuple is written twice.
+        const BUILD: u64 = 300;
+        const PROBE: u64 = 256;
+        let dir = std::env::temp_dir().join(format!("ewh-reducer-sink-{}", std::process::id()));
+        let ctx = SpillContext::new(dir.clone(), None);
+        let rt = EngineRuntime::new(2);
+        let rig = Rig::new(1, &[0], JoinCondition::Equi);
+        let exchange = super::super::Exchange::new(1024);
+        let sink = StageSink {
+            exchange: &exchange,
+            batch_tuples: 64,
+        };
+        let sh = ReducerShared {
+            spill: Some(SpillBinding {
+                budget_tuples: 700,
+                ctx: &ctx,
+            }),
+            ..rig.shared(PROBE as usize, Some(sink))
+        };
+        // Tagged payloads: a build tuple's carry 1 above bit 40, a probe
+        // tuple's 2, an output pair's 33 (`pair_payload` is 31 b + p).
+        let side = |tag: u64, n: u64| -> ColumnBatch {
+            (0..n)
+                .map(|i| ewh_core::Tuple::new(7, tag << 40 | i))
+                .collect()
+        };
+        let probe = side(2, PROBE);
+        rig.ship(0, 0, Rel::R1, side(1, BUILD));
+        rig.queues[0].push_unbounded(Delivery::SealR1);
+        let (mut shipped, mut emitted) = (false, 0);
+        let mut take = |batch: ColumnBatch| {
+            emitted += batch.len() as u64;
+            rig.gauge.sub(batch.len() as u64);
+        };
+        let outcome = drive_with(&rt, &sh, 0, &[0], |task| {
+            let st = task.states[0].as_ref().expect("the region stays owned");
+            if !shipped && st.is_sealed() {
+                shipped = true;
+                for _ in 0..30 {
+                    rig.ship(0, 0, Rel::R2, ColumnBatch::new());
+                }
+                rig.ship(0, 0, Rel::R2, probe.clone());
+                rig.queues[0].push_unbounded(Delivery::SealAll);
+                rig.queues[0].push_unbounded(Delivery::Finish);
+            }
+            while let PortPop::Item(batch) = exchange.try_pop() {
+                take(batch);
+            }
+        });
+        exchange.close();
+        while let Some(batch) = exchange.pop() {
+            take(batch);
+        }
+        assert_eq!(outcome.results[0].output, BUILD * PROBE);
+        assert_eq!(emitted, BUILD * PROBE);
+        assert_eq!(rig.gauge.current_tuples(), 0);
+        assert_eq!(ctx.totals().respills, 0, "the build came back to be shed");
+
+        // Every record in the segment: a length prefix, keys, payloads.
+        let segment = std::fs::read(dir.join("segment.spill")).expect("the segment");
+        let mut words = segment
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
+        let mut probe_written = Vec::new();
+        while let Some(n) = words.next() {
+            words.by_ref().take(n as usize).for_each(drop);
+            let payloads = words.by_ref().take(n as usize);
+            probe_written.extend(payloads.filter(|p| p >> 40 == 2));
+        }
+        let written = probe_written.len();
+        probe_written.sort_unstable();
+        probe_written.dedup();
+        assert_eq!(probe_written.len(), written, "a probe tuple written twice");
+        assert!(
+            (1..PROBE as usize).contains(&written),
+            "{written} probe tuples written: the rest of the first slice"
+        );
+        assert_eq!(ctx.failure(), None);
+        drop(ctx);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn the_ladder_sheds_a_whole_region() {
         // Region 0 holds the largest single run, region 1 the most build-side
         // tuples in four smaller runs, region 2 a sealed build as large as
@@ -2142,8 +1664,10 @@ mod tests {
         let ctx = SpillContext::new(dir.clone(), None);
         let rig = Rig::new(1, &[0, 0, 0], JoinCondition::Equi);
         let sh = ReducerShared {
-            budget_tuples: Some(0),
-            spill: Some(&ctx),
+            spill: Some(SpillBinding {
+                budget_tuples: 0,
+                ctx: &ctx,
+            }),
             ..rig.shared(64, None)
         };
         let run = |n: i64, tag: u64| -> ColumnBatch {
@@ -2152,25 +1676,21 @@ mod tests {
                 .collect()
         };
         let mut task = ReducerTask::new(&sh, 0, &[0, 1, 2]);
-        let [r0, r1, r2] = [0, 1, 2].map(|_| RegionState::default());
-        task.states = vec![Some(r0), Some(r1), Some(r2)];
         fn state<'t>(task: &'t mut ReducerTask<'_>, r: usize) -> &'t mut RegionState {
             task.states[r].as_mut().expect("owned")
         }
-        state(&mut task, 0).runs.push(run(100, 0));
-        for tag in 1..=4 {
-            state(&mut task, 1).runs.push(run(30, tag));
-        }
+        state(&mut task, 0).runs = Some(vec![run(100, 0)]);
+        state(&mut task, 1).runs = Some((1..=4).map(|tag| run(30, tag)).collect());
         let mut sealed = run(100, 5);
         sealed.sort_by_key();
         let st = state(&mut task, 2);
         st.build = sealed;
-        st.sealed = true;
+        st.runs = None;
         rig.gauge.add(320);
 
         assert!(task.spill_once(&ctx));
         let st = state(&mut task, 1);
-        assert!(st.runs.is_empty() && st.build.is_empty());
+        assert_eq!(st.build_side_tuples(), 0);
         assert_eq!(st.spilled_build_tuples, 120);
         let mut back = Vec::new();
         for run in &st.spilled_build {
@@ -2188,7 +1708,8 @@ mod tests {
         assert_eq!(rig.board.spilled_tuples(1), 120);
         let untouched = |task: &mut ReducerTask<'_>, r: usize, runs: usize, build: usize| {
             let st = state(task, r);
-            assert_eq!((st.runs.len(), st.build.len()), (runs, build), "region {r}");
+            let pre_seal = st.runs.iter().flatten().count();
+            assert_eq!((pre_seal, st.build.len()), (runs, build), "region {r}");
             assert!(st.spilled_build.is_empty(), "region {r}");
         };
         untouched(&mut task, 0, 1, 0);
@@ -2201,14 +1722,16 @@ mod tests {
 
         // Region 1 comes back whole under a roomy budget, then is shed again.
         let roomy = ReducerShared {
-            budget_tuples: Some(10_000),
-            spill: Some(&ctx),
+            spill: Some(SpillBinding {
+                budget_tuples: 10_000,
+                ctx: &ctx,
+            }),
             ..rig.shared(64, None)
         };
         let pool = BatchPool::new();
         let st = state(&mut task, 1);
-        st.sealed = true;
-        ReducerTask::bring_build_back(st, &roomy, 1, &pool);
+        st.runs = None;
+        ReducerTask::new(&roomy, 0, &[]).bring_build_back(st, 1, &pool);
         assert!(st.spilled_build.is_empty() && st.build.len() == 120);
         assert!(st.build.is_sorted_by_key());
         assert_eq!(ctx.totals().respills, 0);

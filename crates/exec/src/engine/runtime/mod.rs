@@ -2,10 +2,12 @@
 //! created once and sized to the host, that multiplexes the mapper /
 //! reducer / coordinator work of *many* concurrent operators and plans.
 //!
-//! Before this module existed every `run_operator` / `run_plan` call
-//! spawned a dedicated thread team, so two concurrent queries oversubscribed
-//! the host instead of sharing it. The runtime replaces per-query spawning
-//! with per-query *task batches*:
+//! This module decides the pool, its scopes and task groups, the worker
+//! loop, and the scheduling policy: which job a worker polls next, which
+//! deque a spawned, yielded or woken job lands on, and when a worker parks
+//! — one set of functions on the pool, and nowhere else. It must not
+//! decide a task's park/wake handshake (`waker`), when a timer is due
+//! (`timers`), or which queries may run (`admission`).
 //!
 //! * **Tasks, not threads.** An engine task is a resumable state machine
 //!   behind a `FnMut(&TaskCx) -> Poll` closure. A task that would block — a
@@ -49,33 +51,30 @@
 //!   finished). [`TaskGroup`]s let the orchestrating (non-worker) thread
 //!   wait for a subset — the engine waits for its mappers before deciding
 //!   whether the seal chain broke — while the rest keep running.
-//! * **Admission.** [`EngineRuntime::admit`] gates *queries* (not tasks):
-//!   at most `max_concurrent_queries` tickets are outstanding, and when the
-//!   runtime is built with a global memory budget each ticket carves a
-//!   tuple budget out of it — the per-query [`MemGauge`] hangs off the
-//!   ticket, so a query's peak is measured against the slice it was
-//!   granted. Admission blocks the *client* thread, never a pool worker;
-//!   calling it from inside a task would deadlock the pool and is the one
-//!   usage rule this module imposes.
-//!
-//! Timers are the one legitimately *timed* wait left: [`TaskCx::sleep`]
-//! arms an entry in a shared deadline heap, idle workers bound their park
-//! by the earliest armed deadline, and every worker fires due timers at the
-//! top of its loop — so a cadence task (the coordinator) wakes on schedule
-//! even when every worker is parked, without any worker busy-polling.
+//! * **Admission** ([`EngineRuntime::admit`]) gates *queries*, not tasks,
+//!   on the client thread, and **timers** ([`TaskCx::sleep`]) are the one
+//!   legitimately timed wait: idle workers bound their park by the earliest
+//!   armed deadline.
+
+mod admission;
+mod timers;
+mod waker;
+
+pub use admission::QueryTicket;
+pub use waker::{CancelToken, WakeSet, Waker};
 
 use std::any::Any;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use super::morsel::MemGauge;
 use super::pool::BatchPool;
+use admission::AdmissionGate;
+use timers::TimerHeap;
 
 /// What one task poll reports back to its worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,348 +93,9 @@ pub enum Poll {
     Pending,
 }
 
-// ---------------------------------------------------------------------------
-// Wakers
-// ---------------------------------------------------------------------------
-
-/// Waker lifecycle states (`WakerInner::state`).
-const WAKER_RUNNING: u8 = 0;
-/// The job is stored in the waker's slot, off the deques, awaiting a wake.
-const WAKER_PARKED: u8 = 1;
-/// A wake arrived while the task was being polled; consume it by re-running
-/// the task instead of parking it.
-const WAKER_NOTIFIED: u8 = 2;
-
-struct WakerInner {
-    state: AtomicU8,
-    /// Did the current poll register this waker with any resource? Cleared
-    /// at poll start; set by [`Waker::arm`]. A `Pending` poll that never
-    /// armed is rescheduled rather than parked (nothing would wake it).
-    armed: AtomicBool,
-    /// The worker that last polled the job — wakes re-enqueue there.
-    home: AtomicUsize,
-    /// The parked job itself (plus when it parked, for `parked_time`).
-    /// Invariant: `Some` whenever `state == WAKER_PARKED`; the slot is
-    /// filled *before* the state CAS publishes `PARKED`.
-    slot: Mutex<Option<(Job, Instant)>>,
-    pool: Arc<PoolShared>,
-}
-
-/// The wake handle of one pool task. Clones are registered with blocking
-/// resources; [`Waker::wake`] re-enqueues the parked job on its home
-/// worker's deque and unparks a worker through the injector condvar.
-///
-/// Wakes are idempotent and may come from pool workers or client threads
-/// alike. A wake that lands *during* a poll is latched (`NOTIFIED`) and
-/// converts that poll's `Pending` into an immediate reschedule, so a
-/// transition can never slip between a failed `try_*` and the park.
-#[derive(Clone)]
-pub struct Waker {
-    inner: Arc<WakerInner>,
-}
-
-impl std::fmt::Debug for Waker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Waker")
-            .field("state", &self.inner.state.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl Waker {
-    fn new(pool: Arc<PoolShared>) -> Self {
-        Waker {
-            inner: Arc::new(WakerInner {
-                state: AtomicU8::new(WAKER_RUNNING),
-                armed: AtomicBool::new(false),
-                home: AtomicUsize::new(0),
-                slot: Mutex::new(None),
-                pool,
-            }),
-        }
-    }
-
-    /// Marks that the current poll registered this waker somewhere, making
-    /// a `Pending` return eligible for parking. Resource registries
-    /// (queues, exchanges, [`WakeSet`]) call this for you.
-    pub fn arm(&self) {
-        self.inner.armed.store(true, Ordering::Relaxed);
-    }
-
-    fn is_armed(&self) -> bool {
-        self.inner.armed.load(Ordering::Relaxed)
-    }
-
-    /// Do `self` and `other` wake the same task? (Registries dedupe on
-    /// this, mirroring `std::task::Waker::will_wake`.)
-    pub fn will_wake(&self, other: &Waker) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Registers this waker in a resource's waiter list (deduped per task)
-    /// and arms it. Must be called under the resource's own mutex — that
-    /// lock, shared with the failed `try_*`, is what closes the
-    /// lost-wakeup window for mutex-guarded resources.
-    pub fn register_in(&self, list: &mut Vec<Waker>) {
-        if !list.iter().any(|w| w.will_wake(self)) {
-            list.push(self.clone());
-        }
-        self.arm();
-    }
-
-    /// Wakes the task: a parked job is re-enqueued on its home worker's
-    /// deque; a wake during a poll is latched so that poll's `Pending`
-    /// reschedules instead of parking; a wake of an already-woken (or
-    /// completed) task is a no-op. Returns whether a parked job was
-    /// actually re-enqueued.
-    pub fn wake(&self) -> bool {
-        let inner = &self.inner;
-        loop {
-            match inner.state.compare_exchange(
-                WAKER_PARKED,
-                WAKER_RUNNING,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    let (job, since) = inner
-                        .slot
-                        .lock()
-                        .expect("waker slot poisoned")
-                        .take()
-                        .expect("parked waker without a stored job");
-                    let pool = &inner.pool;
-                    pool.wakeups.fetch_add(1, Ordering::Relaxed);
-                    pool.parked_nanos
-                        .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let home = inner.home.load(Ordering::Relaxed) % pool.deques.len();
-                    enqueue_local(pool, home, job);
-                    return true;
-                }
-                Err(state) if state == WAKER_RUNNING => {
-                    if inner
-                        .state
-                        .compare_exchange(
-                            WAKER_RUNNING,
-                            WAKER_NOTIFIED,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        return false;
-                    }
-                    // Lost the race to a concurrent park or wake; re-read.
-                }
-                Err(_) => return false, // already NOTIFIED
-            }
-        }
-    }
-
-    /// Resets per-poll state before the job's closure runs: pin the home
-    /// worker, clear the armed flag, and consume a notification aimed at
-    /// the *previous* poll (this poll will re-observe whatever that wake
-    /// advertised).
-    fn begin_poll(&self, me: usize) {
-        self.inner.home.store(me, Ordering::Relaxed);
-        self.inner.armed.store(false, Ordering::Relaxed);
-        let _ = self.inner.state.compare_exchange(
-            WAKER_NOTIFIED,
-            WAKER_RUNNING,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-    }
-
-    /// Parks `job` in the waker's slot. Fails — handing the job back for an
-    /// immediate reschedule — if a wake latched during the poll. The slot
-    /// is filled before the state CAS so a concurrent [`Waker::wake`] that
-    /// observes `PARKED` always finds the job.
-    fn try_park(&self, job: Job) -> Result<(), Job> {
-        let inner = &self.inner;
-        *inner.slot.lock().expect("waker slot poisoned") = Some((job, Instant::now()));
-        match inner.state.compare_exchange(
-            WAKER_RUNNING,
-            WAKER_PARKED,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => Ok(()),
-            Err(_) => {
-                // NOTIFIED during the poll: the wake-worthy transition
-                // already happened; take the job back and re-run it.
-                inner.state.store(WAKER_RUNNING, Ordering::Release);
-                let (job, _) = inner
-                    .slot
-                    .lock()
-                    .expect("waker slot poisoned")
-                    .take()
-                    .expect("job stored just above");
-                Err(job)
-            }
-        }
-    }
-}
-
-/// A registry of parked waiters on one lock-free condition (a seal
-/// countdown hitting zero, cancellation, quiescence). The embedded
-/// *wake generation* closes the check-then-register race: read
-/// [`WakeSet::generation`] **before** testing the condition, then hand it
-/// to [`WakeSet::register`] — if any wake fired in between, registration
-/// refuses and the caller re-polls instead of parking on a state change it
-/// missed. Resources guarded by their own mutex (queues, exchanges) don't
-/// need the generation dance: they register under the same lock as the
-/// failed try.
-pub struct WakeSet {
-    inner: Mutex<WakeSetInner>,
-}
-
-struct WakeSetInner {
-    generation: u64,
-    waiters: Vec<Waker>,
-}
-
-impl WakeSet {
-    pub const fn new() -> Self {
-        WakeSet {
-            inner: Mutex::new(WakeSetInner {
-                generation: 0,
-                waiters: Vec::new(),
-            }),
-        }
-    }
-
-    /// The current wake generation. Read it *before* checking the condition
-    /// this set guards.
-    pub fn generation(&self) -> u64 {
-        self.inner.lock().expect("wake set poisoned").generation
-    }
-
-    /// Registers `waker` to be woken by the next [`WakeSet::wake_all`],
-    /// unless the generation moved since `generation` was read — then no
-    /// registration happens and `false` is returned: the condition may have
-    /// transitioned, re-poll instead of parking. Duplicate registrations of
-    /// the same task are coalesced.
-    pub fn register(&self, waker: &Waker, generation: u64) -> bool {
-        let mut inner = self.inner.lock().expect("wake set poisoned");
-        if inner.generation != generation {
-            return false;
-        }
-        if !inner.waiters.iter().any(|w| w.will_wake(waker)) {
-            inner.waiters.push(waker.clone());
-        }
-        drop(inner);
-        waker.arm();
-        true
-    }
-
-    /// Advances the generation and wakes every registered waiter. Safe from
-    /// any thread; waiters that already completed ignore the wake.
-    pub fn wake_all(&self) {
-        let waiters = {
-            let mut inner = self.inner.lock().expect("wake set poisoned");
-            inner.generation += 1;
-            std::mem::take(&mut inner.waiters)
-        };
-        for w in &waiters {
-            w.wake();
-        }
-    }
-}
-
-impl Default for WakeSet {
-    fn default() -> Self {
-        WakeSet::new()
-    }
-}
-
-/// A cancellation flag that *wakes* its waiters. Under event-driven
-/// parking a plain `AtomicBool` cannot cancel a parked task — nothing
-/// re-polls it — so every park site in the engine dual-registers with the
-/// query's `CancelToken`: the resource wake delivers progress, the cancel
-/// wake delivers the abort.
-#[derive(Default)]
-pub struct CancelToken {
-    cancelled: AtomicBool,
-    wake: WakeSet,
-}
-
-impl CancelToken {
-    pub const fn new() -> Self {
-        CancelToken {
-            cancelled: AtomicBool::new(false),
-            wake: WakeSet::new(),
-        }
-    }
-
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
-    }
-
-    /// Raises the flag and wakes every task parked through
-    /// [`CancelToken::park`]. Idempotent; callable from client threads.
-    pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-        self.wake.wake_all();
-    }
-
-    /// Registers `waker` to be woken on cancellation. Returns `false` — do
-    /// **not** park, re-poll instead — if the token is already cancelled
-    /// (or a cancel raced the registration).
-    pub fn park(&self, waker: &Waker) -> bool {
-        let generation = self.wake.generation();
-        if self.is_cancelled() {
-            return false;
-        }
-        self.wake.register(waker, generation)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Timers
-// ---------------------------------------------------------------------------
-
-/// One armed [`TaskCx::sleep`] deadline (nanoseconds since the pool's
-/// epoch). Ordered for a min-heap on (deadline, seq).
-struct TimerEntry {
-    deadline: u64,
-    seq: u64,
-    waker: Waker,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest deadline
-        // on top.
-        other
-            .deadline
-            .cmp(&self.deadline)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-struct Timers {
-    heap: BinaryHeap<TimerEntry>,
-    seq: u64,
-}
-
-/// Sentinel for "no timer armed" in `PoolShared::next_deadline`.
-const NO_DEADLINE: u64 = u64::MAX;
-
 /// The per-poll context handed to every task closure: its [`Waker`] (to
-/// register with blocking resources), the pool's timer wheel, and the
-/// polling worker's batch-recycling pool.
+/// register with blocking resources, or to arm a [`TaskCx::sleep`] timer)
+/// and the polling worker's batch-recycling pool.
 pub struct TaskCx<'a> {
     waker: &'a Waker,
     pool: &'a BatchPool,
@@ -452,66 +112,7 @@ impl TaskCx<'_> {
     pub fn pool(&self) -> &BatchPool {
         self.pool
     }
-
-    /// Arms a one-shot timer `after` from now and marks the waker armed:
-    /// return `Pending` and the task is woken when the deadline passes.
-    /// This is the pool's only sanctioned timed wait — idle workers bound
-    /// their park by the earliest armed deadline, so the wake needs no
-    /// dedicated timer thread.
-    pub fn sleep(&self, after: Duration) {
-        let pool = &self.waker.inner.pool;
-        let deadline = pool
-            .nanos_since_epoch()
-            .saturating_add(after.as_nanos().min(u64::MAX as u128) as u64);
-        {
-            let mut timers = pool.timers.lock().expect("timers poisoned");
-            timers.seq += 1;
-            let seq = timers.seq;
-            timers.heap.push(TimerEntry {
-                deadline,
-                seq,
-                waker: self.waker.clone(),
-            });
-            // Published under the timers lock (fire_due_timers recomputes
-            // under the same lock), read lock-free by the hot path.
-            if deadline < pool.next_deadline.load(Ordering::Relaxed) {
-                pool.next_deadline.store(deadline, Ordering::Release);
-            }
-        }
-        self.waker.arm();
-        // Parked workers must re-derive their park timeout from the new
-        // deadline; the injector lock orders this against their
-        // runnable-check-then-wait.
-        drop(pool.injector.lock().expect("injector poisoned"));
-        pool.work_cv.notify_all();
-    }
 }
-
-/// Pops and wakes every timer whose deadline has passed. Called by every
-/// worker at the top of its loop; the lock-free `next_deadline` check makes
-/// the no-timers-due case two atomic loads.
-fn fire_due_timers(shared: &PoolShared) {
-    let now = shared.nanos_since_epoch();
-    if shared.next_deadline.load(Ordering::Acquire) > now {
-        return;
-    }
-    let mut due = Vec::new();
-    {
-        let mut timers = shared.timers.lock().expect("timers poisoned");
-        while timers.heap.peek().is_some_and(|e| e.deadline <= now) {
-            due.push(timers.heap.pop().expect("peeked entry"));
-        }
-        let next = timers.heap.peek().map_or(NO_DEADLINE, |e| e.deadline);
-        shared.next_deadline.store(next, Ordering::Release);
-    }
-    for entry in &due {
-        entry.waker.wake();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pool
-// ---------------------------------------------------------------------------
 
 /// Construction knobs for [`EngineRuntime`].
 #[derive(Clone, Copy, Debug)]
@@ -603,39 +204,32 @@ impl RuntimeMetrics {
 /// parks.
 struct Job {
     run: Box<dyn FnMut(&TaskCx<'_>) -> Poll + Send + 'static>,
-    scope: Arc<ScopeSync>,
-    group: Option<Arc<GroupSync>>,
+    scope: Arc<Latch>,
+    group: Option<Arc<Latch>>,
     waker: Waker,
 }
 
-struct ScopeSync {
-    state: Mutex<ScopeState>,
+/// A countdown of outstanding tasks — a scope's or a group's — that keeps
+/// the first panic among them.
+#[derive(Default)]
+struct Latch {
+    state: Mutex<LatchState>,
     cv: Condvar,
 }
 
-struct ScopeState {
+#[derive(Default)]
+struct LatchState {
     outstanding: usize,
-    /// First panic payload from any task of this scope.
     panic: Option<Box<dyn Any + Send>>,
 }
 
-impl ScopeSync {
-    fn new() -> Self {
-        ScopeSync {
-            state: Mutex::new(ScopeState {
-                outstanding: 0,
-                panic: None,
-            }),
-            cv: Condvar::new(),
-        }
+impl Latch {
+    fn add(&self) {
+        self.state.lock().expect("latch poisoned").outstanding += 1;
     }
 
-    fn register(&self) {
-        self.state.lock().expect("scope poisoned").outstanding += 1;
-    }
-
-    fn complete(&self, panic: Option<Box<dyn Any + Send>>) {
-        let mut st = self.state.lock().expect("scope poisoned");
+    fn done(&self, panic: Option<Box<dyn Any + Send>>) {
+        let mut st = self.state.lock().expect("latch poisoned");
         st.outstanding -= 1;
         if st.panic.is_none() {
             st.panic = panic;
@@ -645,18 +239,14 @@ impl ScopeSync {
         }
     }
 
-    fn wait_all(&self) -> Option<Box<dyn Any + Send>> {
-        let mut st = self.state.lock().expect("scope poisoned");
+    /// Blocks until the count reaches zero; returns the first panic.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        let mut st = self.state.lock().expect("latch poisoned");
         while st.outstanding > 0 {
-            st = self.cv.wait(st).expect("scope poisoned");
+            st = self.cv.wait(st).expect("latch poisoned");
         }
         st.panic.take()
     }
-}
-
-struct GroupSync {
-    outstanding: Mutex<usize>,
-    cv: Condvar,
 }
 
 /// A handle over a subset of a scope's tasks, so the orchestrating thread
@@ -665,25 +255,18 @@ struct GroupSync {
 /// pool task would deadlock the pool; only the scope's caller thread may
 /// wait.
 pub struct TaskGroup {
-    sync: Arc<GroupSync>,
+    sync: Arc<Latch>,
 }
 
 impl TaskGroup {
     /// Blocks the calling (non-worker) thread until every task spawned
     /// into this group has completed.
     pub fn wait(&self) {
-        let mut n = self.sync.outstanding.lock().expect("group poisoned");
-        while *n > 0 {
-            n = self.sync.cv.wait(n).expect("group poisoned");
-        }
+        self.sync.wait();
     }
 }
 
-struct Admission {
-    active: usize,
-    budget_in_use: u64,
-}
-
+#[derive(Default)]
 struct PoolShared {
     /// Per-worker deques. Plain mutexed deques, not lock-free Chase–Lev:
     /// every slot holds a coarse unit of work (a morsel route, a queue
@@ -699,14 +282,10 @@ struct PoolShared {
     /// injector lock before notifying, so a worker can never park with a
     /// runnable job it failed to observe.
     runnable: AtomicUsize,
-    /// Armed [`TaskCx::sleep`] deadlines (min-heap) …
-    timers: Mutex<Timers>,
-    /// … and the earliest of them, cached for lock-free checks
-    /// ([`NO_DEADLINE`] when the heap is empty). Idle workers bound their
-    /// park by this.
-    next_deadline: AtomicU64,
-    /// Zero point of the timer clock.
-    epoch: Instant,
+    /// Armed [`TaskCx::sleep`] deadlines; idle workers bound their park by
+    /// the earliest.
+    timers: TimerHeap,
+    admission: AdmissionGate,
     // Counters (all relaxed: they are metrics, never synchronization).
     tasks_spawned: AtomicU64,
     tasks_completed: AtomicU64,
@@ -716,31 +295,109 @@ struct PoolShared {
     wakeups: AtomicU64,
     parked_nanos: AtomicU64,
     busy_nanos: AtomicU64,
-    admissions: AtomicU64,
-    admission_wait_nanos: AtomicU64,
-    admission: Mutex<Admission>,
-    admission_cv: Condvar,
 }
+
+// ---------------------------------------------------------------------------
+// Scheduling policy: where a job is queued, which job a worker polls next,
+// and when a worker parks.
+// ---------------------------------------------------------------------------
 
 impl PoolShared {
-    fn nanos_since_epoch(&self) -> u64 {
-        self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
+    /// A freshly spawned job goes on the global injector.
+    fn spawned(&self, job: Job) {
+        self.tasks_spawned.fetch_add(1, Ordering::Relaxed);
+        self.runnable.fetch_add(1, Ordering::Relaxed);
+        self.injector
+            .lock()
+            .expect("injector poisoned")
+            .push_back(job);
+        self.work_cv.notify_one();
     }
-}
 
-/// Enqueues a runnable job on worker `to`'s deque and unparks a worker.
-/// The empty acquire/release of the injector lock before the notify is the
-/// lost-wakeup fence: a parker holds that lock from its runnable-count
-/// check through its condvar wait, so either it sees the bumped count or
-/// the notification reaches its wait.
-fn enqueue_local(pool: &PoolShared, to: usize, job: Job) {
-    pool.runnable.fetch_add(1, Ordering::Relaxed);
-    pool.deques[to]
-        .lock()
-        .expect("deque poisoned")
-        .push_back(job);
-    drop(pool.injector.lock().expect("injector poisoned"));
-    pool.work_cv.notify_one();
+    /// A runnable job goes on worker `to`'s deque: the worker that just
+    /// polled it, when it yielded or its `Pending` could not park. The
+    /// empty acquire/release of the injector lock before the notify is the
+    /// lost-wakeup fence: a parker holds that lock from its runnable-count
+    /// check through its condvar wait, so either it sees the bumped count
+    /// or the notification reaches its wait.
+    fn requeue(&self, to: usize, job: Job) {
+        self.runnable.fetch_add(1, Ordering::Relaxed);
+        self.deques[to]
+            .lock()
+            .expect("deque poisoned")
+            .push_back(job);
+        drop(self.injector.lock().expect("injector poisoned"));
+        self.work_cv.notify_one();
+    }
+
+    /// A woken job goes on the deque of the worker that last polled it
+    /// (locality).
+    fn woken(&self, job: Job) {
+        let to = job.waker.last_worker() % self.deques.len();
+        self.requeue(to, job);
+    }
+
+    /// Picks the next job for worker `me`: own deque first (locality), then
+    /// the injector (fresh work), then the back of a sibling's deque
+    /// (stealing).
+    fn next_job(&self, me: usize) -> Option<Job> {
+        let pop = |q: &Mutex<VecDeque<Job>>, back: bool| {
+            let mut q = q.lock().expect("deque poisoned");
+            if back {
+                q.pop_back()
+            } else {
+                q.pop_front()
+            }
+        };
+        let n = self.deques.len();
+        let job = pop(&self.deques[me], false)
+            .or_else(|| pop(&self.injector, false))
+            .or_else(|| {
+                let job = (1..n).find_map(|off| pop(&self.deques[(me + off) % n], true))?;
+                self.tasks_stolen.fetch_add(1, Ordering::Relaxed);
+                Some(job)
+            })?;
+        self.runnable.fetch_sub(1, Ordering::Relaxed);
+        Some(job)
+    }
+
+    /// Parks a worker that found no job, until an enqueue (wake, spawn,
+    /// requeue) or an arming sleep notifies, or the earliest armed timer is
+    /// due. Returns `false` once the pool shuts down.
+    fn park_worker(&self) -> bool {
+        if self.shutdown.load(Ordering::Acquire) {
+            return false;
+        }
+        let guard = self.injector.lock().expect("injector poisoned");
+        if self.shutdown.load(Ordering::Acquire) {
+            return false;
+        }
+        // Every enqueue bumps `runnable` *before* acquiring this lock to
+        // notify, so a zero read here means any job that appears later
+        // comes with a notification we cannot miss.
+        if self.runnable.load(Ordering::Acquire) == 0 {
+            match self.timers.until_next() {
+                None => drop(self.work_cv.wait(guard).expect("injector poisoned")),
+                Some(wait) if !wait.is_zero() => {
+                    let _ = self
+                        .work_cv
+                        .wait_timeout(guard, wait)
+                        .expect("injector poisoned");
+                }
+                // A timer is already due: loop and fire it.
+                Some(_) => {}
+            }
+        }
+        true
+    }
+
+    /// Wakes every parked worker to re-derive its park: a new earliest
+    /// deadline, or shutdown. The injector lock orders this against their
+    /// runnable-check-then-wait.
+    fn rouse_all(&self) {
+        drop(self.injector.lock().expect("injector poisoned"));
+        self.work_cv.notify_all();
+    }
 }
 
 /// The persistent shared worker-pool runtime (see the module docs). Build
@@ -769,32 +426,8 @@ impl EngineRuntime {
         // "no query ever fits"); treat it as the smallest real budget.
         let memory_budget_tuples = cfg.memory_budget_tuples.map(|t| t.max(1));
         let shared = Arc::new(PoolShared {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            work_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            runnable: AtomicUsize::new(0),
-            timers: Mutex::new(Timers {
-                heap: BinaryHeap::new(),
-                seq: 0,
-            }),
-            next_deadline: AtomicU64::new(NO_DEADLINE),
-            epoch: Instant::now(),
-            tasks_spawned: AtomicU64::new(0),
-            tasks_completed: AtomicU64::new(0),
-            tasks_stolen: AtomicU64::new(0),
-            polls: AtomicU64::new(0),
-            spurious_polls: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            parked_nanos: AtomicU64::new(0),
-            busy_nanos: AtomicU64::new(0),
-            admissions: AtomicU64::new(0),
-            admission_wait_nanos: AtomicU64::new(0),
-            admission: Mutex::new(Admission {
-                active: 0,
-                budget_in_use: 0,
-            }),
-            admission_cv: Condvar::new(),
+            deques: (0..workers).map(|_| Mutex::default()).collect(),
+            ..PoolShared::default()
         });
         let handles = (0..workers)
             .map(|i| {
@@ -843,7 +476,6 @@ impl EngineRuntime {
     /// Snapshot of the runtime counters.
     pub fn metrics(&self) -> RuntimeMetrics {
         let sh = &self.shared;
-        let adm = sh.admission.lock().expect("admission poisoned");
         RuntimeMetrics {
             workers: self.cfg.workers,
             tasks_spawned: sh.tasks_spawned.load(Ordering::Relaxed),
@@ -855,66 +487,7 @@ impl EngineRuntime {
             parked_secs: sh.parked_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
             busy_secs: sh.busy_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
             uptime_secs: self.started.elapsed().as_secs_f64(),
-            admissions: sh.admissions.load(Ordering::Relaxed),
-            admission_wait_secs: sh.admission_wait_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            active_queries: adm.active,
-            budget_in_use_tuples: adm.budget_in_use,
-        }
-    }
-
-    /// Admits one query, blocking the *client* thread until an admission
-    /// slot — and, under a global memory budget, enough unreserved budget —
-    /// is available. `requested_tuples` is the query's own estimate (e.g.
-    /// its configured memory capacity); with a global budget and no
-    /// request, the query gets an equal `total / max_concurrent` slice. A
-    /// request larger than the whole budget is clamped to it rather than
-    /// rejected, and waits for the pool to drain.
-    ///
-    /// Must never be called from inside a pool task: it would park the
-    /// worker the unblocking query needs.
-    pub fn admit(&self, requested_tuples: Option<u64>) -> QueryTicket<'_> {
-        let start = Instant::now();
-        let sh = &self.shared;
-        let max_q = self.cfg.max_concurrent_queries.max(1);
-        let total = self.cfg.memory_budget_tuples;
-        let budget = match total {
-            Some(total) => Some(match requested_tuples {
-                Some(r) => r.clamp(1, total),
-                None => (total / max_q as u64).max(1),
-            }),
-            None => requested_tuples,
-        };
-        // Only a budget-gated runtime carves anything: a bare request on an
-        // un-budgeted runtime is advisory (it sizes the ticket's
-        // over-budget check) and must not show up as budget "in use".
-        let carved = if total.is_some() {
-            budget.unwrap_or(0)
-        } else {
-            0
-        };
-        let mut adm = sh.admission.lock().expect("admission poisoned");
-        // Budget gating only defers while someone else holds budget to
-        // return — an empty pool always admits, so one oversized query
-        // can never wedge the queue.
-        while adm.active >= max_q
-            || total.is_some_and(|t| adm.active > 0 && adm.budget_in_use + carved > t)
-        {
-            adm = sh.admission_cv.wait(adm).expect("admission poisoned");
-        }
-        adm.active += 1;
-        adm.budget_in_use += carved;
-        drop(adm);
-        let wait = start.elapsed();
-        sh.admissions.fetch_add(1, Ordering::Relaxed);
-        sh.admission_wait_nanos
-            .fetch_add(wait.as_nanos() as u64, Ordering::Relaxed);
-        QueryTicket {
-            rt: self,
-            budget_tuples: budget,
-            carved,
-            gauge: MemGauge::default(),
-            wait,
-            spill_dir: OnceLock::new(),
+            ..sh.admission.metrics()
         }
     }
 
@@ -929,12 +502,12 @@ impl EngineRuntime {
     {
         let scope = RuntimeScope {
             rt: self,
-            sync: Arc::new(ScopeSync::new()),
+            sync: Arc::default(),
             _env: PhantomData,
             _scope: PhantomData,
         };
         let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        let task_panic = scope.sync.wait_all();
+        let task_panic = scope.sync.wait();
         match result {
             Err(p) => resume_unwind(p),
             Ok(r) => {
@@ -945,123 +518,17 @@ impl EngineRuntime {
             }
         }
     }
-
-    fn inject(&self, job: Job) {
-        let sh = &self.shared;
-        sh.tasks_spawned.fetch_add(1, Ordering::Relaxed);
-        sh.runnable.fetch_add(1, Ordering::Relaxed);
-        sh.injector
-            .lock()
-            .expect("injector poisoned")
-            .push_back(job);
-        sh.work_cv.notify_one();
-    }
 }
 
 impl Drop for EngineRuntime {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         // Workers park indefinitely now: the store must be ordered against
-        // their check-then-wait, which holds the injector lock.
-        drop(self.shared.injector.lock().expect("injector poisoned"));
-        self.shared.work_cv.notify_all();
+        // their check-then-wait.
+        self.shared.rouse_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-    }
-}
-
-/// An admitted query's handle: its carved memory budget and the per-query
-/// [`MemGauge`] the engine charges. Dropping the ticket releases the
-/// admission slot and returns the budget to the runtime.
-pub struct QueryTicket<'rt> {
-    rt: &'rt EngineRuntime,
-    budget_tuples: Option<u64>,
-    /// Tuples actually reserved against the runtime's global budget
-    /// (0 on an un-budgeted runtime, where requests are advisory).
-    carved: u64,
-    gauge: MemGauge,
-    wait: Duration,
-    /// Lazily named per-query spill directory; removed wholesale when the
-    /// ticket drops (success, cancel and panic paths alike), so spilled
-    /// runs can never outlive their query.
-    spill_dir: OnceLock<PathBuf>,
-}
-
-impl QueryTicket<'_> {
-    /// The per-query gauge; pass it to the engine so this query's peak is
-    /// measured against its own budget slice.
-    pub fn gauge(&self) -> &MemGauge {
-        &self.gauge
-    }
-
-    /// Tuple budget carved for this query (`None`: admission was not
-    /// budget-gated and the query made no request).
-    pub fn budget_tuples(&self) -> Option<u64> {
-        self.budget_tuples
-    }
-
-    /// How long this query sat in the admission queue.
-    pub fn admission_wait_secs(&self) -> f64 {
-        self.wait.as_secs_f64()
-    }
-
-    /// Did the query's realized peak exceed its carved budget?
-    pub fn over_budget(&self) -> bool {
-        self.budget_tuples
-            .map(|b| self.gauge.peak_tuples() > b)
-            .unwrap_or(false)
-    }
-
-    /// This query's private spill directory, a uniquely named child of
-    /// `base` (the system temp dir when `None`). The name is fixed on
-    /// first call; nothing is created on disk here — the engine's spill
-    /// writer makes the directory on the first actual spill — but whatever
-    /// ends up inside is removed when the ticket drops.
-    pub fn spill_dir(&self, base: Option<&Path>) -> &Path {
-        self.spill_dir.get_or_init(|| {
-            static SEQ: AtomicU64 = AtomicU64::new(0);
-            // A pid alone is not unique across time: a worker process that
-            // fork-spawns after a sibling died can recycle its pid while
-            // the dead sibling's spill directory still exists (or worse,
-            // while a survivor still reads from it). The startup nonce —
-            // wall-clock nanos mixed with ASLR entropy, fixed once per
-            // process — keeps directory names distinct across pid reuse.
-            static NONCE: OnceLock<u64> = OnceLock::new();
-            let nonce = *NONCE.get_or_init(|| {
-                let clock = std::time::SystemTime::now()
-                    .duration_since(std::time::SystemTime::UNIX_EPOCH)
-                    .map(|d| d.as_nanos() as u64)
-                    .unwrap_or(0);
-                let aslr = &NONCE as *const _ as u64;
-                clock ^ aslr.rotate_left(32)
-            });
-            let base = base
-                .map(Path::to_path_buf)
-                .unwrap_or_else(std::env::temp_dir);
-            base.join(format!(
-                "ewh-spill-{}-{:016x}-{}",
-                std::process::id(),
-                nonce,
-                SEQ.fetch_add(1, Ordering::Relaxed)
-            ))
-        })
-    }
-}
-
-impl Drop for QueryTicket<'_> {
-    fn drop(&mut self) {
-        // Tmpfile hygiene: the spill directory (if any run was ever
-        // written) dies with the ticket, on every exit path.
-        if let Some(dir) = self.spill_dir.get() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        let sh = &self.rt.shared;
-        let mut adm = sh.admission.lock().expect("admission poisoned");
-        adm.active -= 1;
-        adm.budget_in_use -= self.carved;
-        drop(adm);
-        sh.admission_cv.notify_all();
     }
 }
 
@@ -1070,7 +537,7 @@ impl Drop for QueryTicket<'_> {
 /// region, `'env` the environment tasks may borrow from.
 pub struct RuntimeScope<'scope, 'env: 'scope> {
     rt: &'scope EngineRuntime,
-    sync: Arc<ScopeSync>,
+    sync: Arc<Latch>,
     _env: PhantomData<&'env mut &'env ()>,
     _scope: PhantomData<&'scope mut &'scope ()>,
 }
@@ -1090,10 +557,7 @@ impl<'scope, 'env> RuntimeScope<'scope, 'env> {
     /// A new (empty) task group for [`RuntimeScope::spawn_in`].
     pub fn group(&self) -> TaskGroup {
         TaskGroup {
-            sync: Arc::new(GroupSync {
-                outstanding: Mutex::new(0),
-                cv: Condvar::new(),
-            }),
+            sync: Arc::default(),
         }
     }
 
@@ -1105,21 +569,21 @@ impl<'scope, 'env> RuntimeScope<'scope, 'env> {
         self.spawn_impl(Some(Arc::clone(&group.sync)), f);
     }
 
-    fn spawn_impl<F>(&self, group: Option<Arc<GroupSync>>, f: F)
+    fn spawn_impl<F>(&self, group: Option<Arc<Latch>>, f: F)
     where
         F: FnMut(&TaskCx<'_>) -> Poll + Send + 'env,
     {
         let boxed: Box<dyn FnMut(&TaskCx<'_>) -> Poll + Send + 'env> = Box::new(f);
         // SAFETY: the closure only ever runs — and is dropped — before
-        // `scope` returns (ScopeSync::wait_all), so its `'env` borrows are
+        // `scope` returns (`Latch::wait`), so its `'env` borrows are
         // live for every use. See the `Job` docs.
         let boxed: Box<dyn FnMut(&TaskCx<'_>) -> Poll + Send + 'static> =
             unsafe { std::mem::transmute(boxed) };
-        self.sync.register();
-        if let Some(g) = &group {
-            *g.outstanding.lock().expect("group poisoned") += 1;
+        self.sync.add();
+        if let Some(group) = &group {
+            group.add();
         }
-        self.rt.inject(Job {
+        self.rt.shared.spawned(Job {
             run: boxed,
             scope: Arc::clone(&self.sync),
             group,
@@ -1135,56 +599,11 @@ fn complete_job(shared: &PoolShared, job: Job, panic: Option<Box<dyn Any + Send>
     // Drop the task closure *before* signalling: the moment the scope's
     // counter hits zero the borrowed stack frame may unwind.
     drop(run);
-    if let Some(g) = group {
-        let mut n = g.outstanding.lock().expect("group poisoned");
-        *n -= 1;
-        if *n == 0 {
-            g.cv.notify_all();
-        }
+    if let Some(group) = group {
+        group.done(None);
     }
     shared.tasks_completed.fetch_add(1, Ordering::Relaxed);
-    scope.complete(panic);
-}
-
-/// Picks the next job for worker `me`: own deque first (locality), then
-/// the injector (fresh work), then a sweep over sibling deques (stealing).
-fn next_job(shared: &PoolShared, me: usize) -> Option<Job> {
-    if let Some(job) = shared.deques[me]
-        .lock()
-        .expect("deque poisoned")
-        .pop_front()
-    {
-        shared.runnable.fetch_sub(1, Ordering::Relaxed);
-        return Some(job);
-    }
-    steal_job(shared, me)
-}
-
-/// Fresh or stealable work from anywhere but `me`'s own deque.
-fn steal_job(shared: &PoolShared, me: usize) -> Option<Job> {
-    if let Some(job) = shared
-        .injector
-        .lock()
-        .expect("injector poisoned")
-        .pop_front()
-    {
-        shared.runnable.fetch_sub(1, Ordering::Relaxed);
-        return Some(job);
-    }
-    let n = shared.deques.len();
-    for off in 1..n {
-        let victim = (me + off) % n;
-        if let Some(job) = shared.deques[victim]
-            .lock()
-            .expect("deque poisoned")
-            .pop_back()
-        {
-            shared.runnable.fetch_sub(1, Ordering::Relaxed);
-            shared.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-            return Some(job);
-        }
-    }
-    None
+    scope.done(panic);
 }
 
 fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
@@ -1193,35 +612,10 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
     // happen to land on this worker.
     let pool = BatchPool::new();
     loop {
-        fire_due_timers(shared);
-        let Some(mut job) = next_job(shared, me) else {
-            if shared.shutdown.load(Ordering::Acquire) {
+        shared.timers.fire_due();
+        let Some(mut job) = shared.next_job(me) else {
+            if !shared.park_worker() {
                 return;
-            }
-            let guard = shared.injector.lock().expect("injector poisoned");
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            // Every enqueue bumps `runnable` *before* acquiring this lock
-            // to notify, so a zero read here means any job that appears
-            // later comes with a notification we cannot miss.
-            if shared.runnable.load(Ordering::Acquire) == 0 {
-                let next = shared.next_deadline.load(Ordering::Acquire);
-                if next == NO_DEADLINE {
-                    // Nothing runnable, no timer armed: park until an
-                    // enqueue (wake, spawn, requeue) or an arming sleep
-                    // notifies.
-                    drop(shared.work_cv.wait(guard).expect("injector poisoned"));
-                } else {
-                    let now = shared.nanos_since_epoch();
-                    if next > now {
-                        let _ = shared
-                            .work_cv
-                            .wait_timeout(guard, Duration::from_nanos(next - now))
-                            .expect("injector poisoned");
-                    }
-                    // else: a timer is already due — loop and fire it.
-                }
             }
             continue;
         };
@@ -1240,20 +634,20 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
         match polled {
             Ok(Poll::Ready) => complete_job(shared, job, None),
             Err(panic) => complete_job(shared, job, Some(panic)),
-            Ok(Poll::Yielded) => enqueue_local(shared, me, job),
+            Ok(Poll::Yielded) => shared.requeue(me, job),
             Ok(Poll::Pending) => {
                 shared.spurious_polls.fetch_add(1, Ordering::Relaxed);
                 if waker.is_armed() {
                     if let Err(job) = waker.try_park(job) {
                         // A wake latched mid-poll: the awaited transition
                         // already happened, so run again instead.
-                        enqueue_local(shared, me, job);
+                        shared.requeue(me, job);
                     }
                 } else {
                     // Pending without any registration: nothing would ever
                     // wake it, so fall back to rescheduling. Correct but
                     // poll-driven — engine tasks always register.
-                    enqueue_local(shared, me, job);
+                    shared.requeue(me, job);
                 }
             }
         }
@@ -1264,6 +658,7 @@ fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     #[test]
     fn scope_runs_borrowed_tasks_to_completion() {

@@ -176,6 +176,16 @@ impl SpillTotals {
     }
 }
 
+/// An engine run's spill binding: the budget over which its reducers shed
+/// state, and the context they shed it through. A run has both or neither.
+#[derive(Clone, Copy, Debug)]
+pub struct SpillBinding<'a> {
+    /// Spill trigger, in tuples: reducers shed state while the query's
+    /// gauge sits above this.
+    pub budget_tuples: u64,
+    pub ctx: &'a SpillContext,
+}
+
 /// Per-query spill state shared by reference across all of the query's
 /// reducer tasks (and, for chained plans, across stages).
 #[derive(Debug)]

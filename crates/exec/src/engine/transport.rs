@@ -69,7 +69,8 @@ use ewh_core::{encode_frame, ColumnBatch, Frame, FrameDecoder, Key, Rel, TUPLE_B
 
 use super::channel::{Channel, CreditGate, Weigh};
 use super::port::{FragmentPort, PortPop};
-use super::queue::{Delivery, MigratedRegion, RegionBatch};
+use super::queue::{Delivery, RegionBatch};
+use super::reducer::RegionState;
 use super::runtime::{WakeSet, Waker};
 use super::spill::SpillRun;
 
@@ -175,11 +176,8 @@ impl TransportFailure {
     /// Parks `waker` until a trip or the end-of-run release. `false`: an
     /// event already happened (or raced the registration) — re-poll now.
     pub(crate) fn park(&self, waker: &Waker) -> bool {
-        let generation = self.wake.generation();
-        if self.failed() || self.released() {
-            return false;
-        }
-        self.wake.register(waker, generation)
+        self.wake
+            .park_unless(waker, || self.failed() || self.released())
     }
 }
 
@@ -226,13 +224,13 @@ fn put_run(out: &mut Vec<u8>, run: &SpillRun) {
     out.extend_from_slice(&kr.hi.to_le_bytes());
 }
 
-/// Serializes the non-tuple state of a [`MigratedRegion`]: tallies, seal
-/// flag, and the *descriptors* of its spilled runs. The records
-/// themselves stay in the shared per-query spill segment — they travel by
-/// offset, not by value, exactly like an in-process migration.
-fn encode_region_meta(state: &MigratedRegion) -> Vec<u8> {
+/// Serializes the non-tuple state of a shipped region: tallies and the
+/// *descriptors* of its spilled runs. The records themselves stay in the
+/// shared per-query spill segment — they travel by offset, not by value,
+/// exactly like an in-process migration. No seal flag: a shipped region
+/// is sealed, and the decoder rebuilds it so.
+fn encode_region_meta(state: &RegionState) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    out.push(state.sealed as u8);
     out.extend_from_slice(&state.input.to_le_bytes());
     out.extend_from_slice(&state.output.to_le_bytes());
     out.extend_from_slice(&state.checksum.to_le_bytes());
@@ -262,10 +260,6 @@ impl Meta<'_> {
         let (head, tail) = self.0.split_at(n);
         self.0 = tail;
         Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32, String> {
@@ -420,26 +414,18 @@ impl Framed for Delivery {
                         frame.batch.len()
                     ));
                 }
-                let (build, pending) = split_batch(&frame.batch, build_len);
+                // A shipped region is sealed, and so is the default one.
+                let mut state = RegionState::default();
+                (state.build, state.pending) = split_batch(&frame.batch, build_len);
                 let mut meta = Meta(&frame.extra);
-                let sealed = meta.u8()? != 0;
-                let input = meta.u64()?;
-                let output = meta.u64()?;
-                let checksum = meta.u64()?;
-                let spilled_build = meta.runs()?;
-                let spilled_pending = meta.runs()?;
+                state.input = meta.u64()?;
+                state.output = meta.u64()?;
+                state.checksum = meta.u64()?;
+                state.spilled_build = meta.runs()?;
+                state.spilled_pending = meta.runs()?;
                 Ok(Delivery::Adopt {
                     region: region_id(frame.a)?,
-                    state: Box::new(MigratedRegion {
-                        build,
-                        pending,
-                        spilled_build,
-                        spilled_pending,
-                        sealed,
-                        input,
-                        output,
-                        checksum,
-                    }),
+                    state: Box::new(state),
                 })
             }
             FRAME_FINISH => Ok(Delivery::Finish),
@@ -966,21 +952,12 @@ mod tests {
 
     #[test]
     fn adopt_round_trips_through_the_codec() {
-        let state = MigratedRegion {
-            build: cols(5),
-            pending: cols(3),
-            spilled_build: vec![SpillRun::from_parts(
-                4096,
-                1000,
-                ewh_core::KeyRange { lo: -5, hi: 900 },
-            )
-            .expect("representable extent")],
-            spilled_pending: vec![],
-            sealed: true,
-            input: 77,
-            output: 12,
-            checksum: 0xDEAD_BEEF,
-        };
+        let spilled = SpillRun::from_parts(4096, 1000, ewh_core::KeyRange { lo: -5, hi: 900 })
+            .expect("representable extent");
+        let mut state = RegionState::default();
+        (state.build, state.pending) = (cols(5), cols(3));
+        state.spilled_build = vec![spilled];
+        (state.input, state.output, state.checksum) = (77, 12, 0xDEAD_BEEF);
         let d = Delivery::Adopt {
             region: 4,
             state: Box::new(state),
@@ -991,9 +968,9 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(region, 4);
+        assert!(state.is_sealed(), "a shipped region is sealed");
         assert_eq!(state.build.keys(), cols(5).keys());
         assert_eq!(state.pending.payloads(), cols(3).payloads());
-        assert!(state.sealed);
         assert_eq!(
             (state.input, state.output, state.checksum),
             (77, 12, 0xDEAD_BEEF)
@@ -1006,14 +983,10 @@ mod tests {
 
     #[test]
     fn an_adopt_descriptor_overflowing_the_segment_is_a_decode_error() {
-        let state = MigratedRegion {
-            spilled_pending: vec![
-                SpillRun::from_parts(64, 3, ewh_core::KeyRange { lo: 0, hi: 2 })
-                    .expect("representable extent"),
-            ],
-            sealed: true,
-            ..Default::default()
-        };
+        let spilled = SpillRun::from_parts(64, 3, ewh_core::KeyRange { lo: 0, hi: 2 })
+            .expect("representable extent");
+        let mut state = RegionState::default();
+        state.spilled_pending = vec![spilled];
         let mut meta = encode_region_meta(&state);
         // The descriptor is the sidecar's last 32 bytes; point its offset
         // at the end of the address space.

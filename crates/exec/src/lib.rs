@@ -65,8 +65,8 @@ pub use adaptive::AdaptiveConfig;
 pub use engine::{
     merge_sorted_runs, BatchPool, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange,
     FragmentPort, LinkProfile, LinkReceiver, LinkSender, MemGauge, Morsel, PortPop, ProgressBoard,
-    QueryTicket, RemoteQueue, RuntimeConfig, RuntimeMetrics, Source, SpillConfig, SpillContext,
-    SpillRun, SpillTotals, StageSink, Straggler, TransportConfig, TransportFailure,
+    QueryTicket, RemoteQueue, RuntimeConfig, RuntimeMetrics, Source, SpillBinding, SpillConfig,
+    SpillContext, SpillRun, SpillTotals, StageSink, Straggler, TransportConfig, TransportFailure,
 };
 pub use local_join::{
     local_join, output_tuple, pair_payload, pair_tag, sweep_columns, sweep_columns_each,

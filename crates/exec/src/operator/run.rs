@@ -13,7 +13,7 @@ use ewh_core::{
 
 use crate::engine::{
     run_pipelined_io, AbandonOnDrop, CloseOnDrop, EngineConfig, EngineIo, EngineRuntime,
-    QueryTicket, Source, SpillContext, StageSink,
+    QueryTicket, Source, SpillBinding, SpillContext, StageSink,
 };
 use crate::local_join::KeyFrom;
 use crate::plan::{self, StageSpec};
@@ -303,15 +303,15 @@ fn engine_setup(scheme: &PartitionScheme, cfg: &OperatorConfig) -> (EngineConfig
 }
 
 /// One admitted query on the shared runtime: its ticket (admission slot,
-/// memory gauge, scoped spill directory), the spill budget that binds, and
+/// memory gauge, scoped spill directory) and, when a spill budget binds,
 /// the spill context that goes with it. A query holds one for all of its
 /// stages — they charge one gauge, so the budget bounds the query-global
 /// footprint and any stage may be picked as the spill victim.
 pub(crate) struct AdmittedQuery<'rt> {
+    /// The spill context and the budget, in tuples, that binds it.
     /// Declared before the ticket so it drops first: the segment closes
     /// before the ticket removes the directory it lives in.
-    pub spill: Option<SpillContext>,
-    pub budget_tuples: Option<u64>,
+    pub spill: Option<(SpillContext, u64)>,
     pub ticket: QueryTicket<'rt>,
 }
 
@@ -325,19 +325,21 @@ impl<'rt> AdmittedQuery<'rt> {
     pub fn admit(rt: &'rt EngineRuntime, cfg: &OperatorConfig) -> Self {
         let ticket = rt.admit(cfg.mem_capacity_bytes.map(|b| (b / TUPLE_BYTES).max(1)));
         let budget_tuples = cfg.spill.budget_tuples.or(ticket.budget_tuples());
-        let spill = budget_tuples.map(|_| {
-            SpillContext::new(
-                ticket
-                    .spill_dir(cfg.spill.temp_dir.as_deref())
-                    .to_path_buf(),
-                cfg.spill.fail_after_bytes,
-            )
+        let spill = budget_tuples.map(|budget_tuples| {
+            let dir = ticket.spill_dir(cfg.spill.temp_dir.as_deref());
+            let ctx = SpillContext::new(dir.to_path_buf(), cfg.spill.fail_after_bytes);
+            (ctx, budget_tuples)
         });
-        AdmittedQuery {
-            spill,
-            budget_tuples,
-            ticket,
-        }
+        AdmittedQuery { spill, ticket }
+    }
+
+    /// The binding every stage of the query spills under.
+    fn spill_binding(&self) -> Option<SpillBinding<'_>> {
+        let (ctx, budget_tuples) = self.spill.as_ref()?;
+        Some(SpillBinding {
+            budget_tuples: *budget_tuples,
+            ctx,
+        })
     }
 }
 
@@ -397,8 +399,7 @@ pub(crate) fn run_stage(
             key_from,
             gauge: Some(query.ticket.gauge()),
             cancel: None,
-            budget_tuples: query.budget_tuples,
-            spill: query.spill.as_ref(),
+            spill: query.spill_binding(),
             links: cfg.links.as_deref(),
         },
         &engine_cfg,

@@ -162,7 +162,7 @@ impl PlanRun {
         }
         if let Some(query) = query {
             total.admission_wait_secs = query.ticket.admission_wait_secs();
-            if let Some(ctx) = &query.spill {
+            if let Some((ctx, _)) = &query.spill {
                 total.set_spill(&ctx.totals());
             }
         }

@@ -19,7 +19,7 @@ use ewh_core::{
     build_csio, ColumnBatch, CostModel, GridBlock, HistogramParams, IneqOp, JoinCondition, Key,
     PartitionScheme, Router, RoutingTable, SchemeKind, Tuple,
 };
-use ewh_exec::engine::{run_pipelined_io, CloseOnDrop, SpillContext};
+use ewh_exec::engine::{run_pipelined_io, CloseOnDrop, SpillBinding, SpillContext};
 use ewh_exec::{
     pair_payload, run_plan, run_plan_materialized, shuffle, AdaptiveConfig, ChainStage,
     EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange, KeyFrom, MemGauge,
@@ -183,8 +183,10 @@ fn engine_pairs(
             key_from: KeyFrom::Probe,
             gauge: Some(&gauge),
             cancel: None,
-            budget_tuples: (mode == Mode::Spill).then_some(48),
-            spill: (mode == Mode::Spill).then_some(&spill),
+            spill: (mode == Mode::Spill).then_some(SpillBinding {
+                budget_tuples: 48,
+                ctx: &spill,
+            }),
             links: None,
         };
         let out = run_pipelined_io(&rt, io, &cfg);

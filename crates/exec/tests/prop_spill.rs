@@ -30,7 +30,8 @@ use ewh_core::{
 use ewh_exec::engine::run_pipelined_io;
 use ewh_exec::{
     run_operator, run_plan, AdaptiveConfig, ChainStage, EngineConfig, EngineIo, EngineOutcome,
-    EngineRuntime, ExecMode, KeyFrom, OperatorConfig, Source, SpillConfig, SpillContext, StageSpec,
+    EngineRuntime, ExecMode, KeyFrom, OperatorConfig, Source, SpillBinding, SpillConfig,
+    SpillContext, StageSpec,
 };
 use proptest::prelude::*;
 
@@ -123,8 +124,10 @@ fn run_over_an_owned_segment(
             key_from: KeyFrom::Probe,
             gauge: None,
             cancel: None,
-            budget_tuples: Some(budget),
-            spill: Some(&ctx),
+            spill: Some(SpillBinding {
+                budget_tuples: budget,
+                ctx: &ctx,
+            }),
             links: None,
         },
         &cfg,
@@ -526,8 +529,10 @@ fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
                 cancel: None,
                 // Above build + chunk (and the seal's sort transient), below
                 // build + chunk + a slice of three tuples' 900 pairs.
-                budget_tuples: Some(700),
-                spill: Some(&ctx),
+                spill: Some(SpillBinding {
+                    budget_tuples: 700,
+                    ctx: &ctx,
+                }),
                 links: None,
             },
             &cfg,
