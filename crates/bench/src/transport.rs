@@ -228,7 +228,7 @@ fn run_worker(args: &Args) {
         run_pipelined_io(
             &rt,
             EngineIo {
-                r1: Source::Scan(&r1),
+                r1: &r1,
                 r2: Source::Exchange(&exchange),
                 router: &scheme.router,
                 cond: &w.cond,
@@ -251,8 +251,8 @@ fn run_worker(args: &Args) {
         "RESULT {} {} {} {} {wall:.6}",
         out.output_total(),
         out.checksum(),
-        out.wire_bytes,
-        out.regions_migrated,
+        out.stats.wire_bytes,
+        out.stats.regions_migrated,
     );
     std::io::stdout().flush().expect("flush");
 }

@@ -30,85 +30,24 @@
 //! Like the mappers and reducers, the coordinator is a task on the shared
 //! worker-pool runtime — and it is the engine's one *legitimately timed*
 //! wait. Between polls it parks with two wake sources armed: a timer
-//! ([`TaskCx::sleep`]) for the next cadence tick, and the shared
-//! [`quiesce`](CoordinatorShared::quiesce) wake-set, bumped by reducers on
-//! the events its termination check watches (the in-flight count crossing
-//! zero after the mappers finish, an adoption completing) and by the
-//! orchestrator on abort/mapper-completion — so termination is detected
+//! ([`TaskCx::sleep`]) for the next cadence tick, and the run's
+//! quiescence wake-set, bumped by reducers on the events its termination
+//! check watches (the in-flight count crossing zero after the mappers
+//! finish, an adoption completing) and by the orchestrator on
+//! abort/mapper-completion — so termination is detected
 //! the moment it happens rather than a poll interval later. The
 //! generation of the wake-set is read *before* any condition atomics; a
 //! registration that straddles an event is refused and the task re-polls
-//! immediately ([`CoordinatorStep::Busy`]).
+//! immediately (`Poll::Yielded`). A finished coordinator folds its
+//! migration tally into the run's outcome.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use ewh_core::RoutingTable;
-
-use crate::adaptive::AdaptiveConfig;
-
-use super::board::ProgressBoard;
 use super::mapper::broadcast;
-use super::port::DeliveryPort;
 use super::queue::Delivery;
-use super::runtime::{TaskCx, WakeSet};
-use super::transport::LinkProfile;
-
-/// Everything the coordinator task reads and writes, shared by reference
-/// across the engine's pool tasks.
-pub struct CoordinatorShared<'a> {
-    pub queues: &'a [Arc<DeliveryPort>],
-    pub table: &'a RoutingTable,
-    pub board: &'a ProgressBoard,
-    pub adaptive: &'a AdaptiveConfig,
-    /// Per-reducer *inbound* link profiles. When present, the move-cost
-    /// gate prices a migration in seconds over the target's actual link
-    /// instead of the flat per-tuple factor — the Bala-Join tradeoff: the
-    /// same backlog migrates over a fat loopback link and stays put behind
-    /// a thin one.
-    pub links: Option<&'a [LinkProfile]>,
-    /// Unrouted `R1` morsels; migrations only start at zero (regions must be
-    /// sealable before their build state can ship).
-    pub r1_remaining: &'a AtomicUsize,
-    /// Set by the orchestrator once every mapper has finished cleanly.
-    pub mappers_done: &'a AtomicBool,
-    /// Set by the orchestrator when the run was cancelled; the coordinator
-    /// exits without broadcasting `Finish` (the orchestrator aborts).
-    pub abort: &'a AtomicBool,
-    /// Tuples routed into queues but not yet absorbed into region state.
-    pub in_flight: &'a AtomicU64,
-    /// Completed adoptions (incremented by the adopting reducer).
-    pub adoptions: &'a AtomicU64,
-    /// Wake-set the coordinator parks on between timed polls; woken by
-    /// reducers (quiescence events, adoptions) and the orchestrator
-    /// (abort, mappers done).
-    pub quiesce: &'a WakeSet,
-}
-
-/// What the coordinator did over one run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MigrationTally {
-    /// Regions reassigned at run time.
-    pub regions_migrated: u64,
-    /// Summed handshake latency: decision → adoption installed, including
-    /// the time the old owner spent draining its queue down to the
-    /// `Migrate` message.
-    pub migration_secs: f64,
-}
-
-/// What one [`CoordinatorTask::poll`] reports to the orchestration layer.
-pub enum CoordinatorStep {
-    /// Between polls; the waker is registered with the quiescence wake-set
-    /// and a cadence timer is armed — park.
-    Idle,
-    /// A quiescence event raced the park registration; re-poll soon
-    /// (yield, don't park).
-    Busy,
-    /// The run is quiescent (`Finish` broadcast) or aborted; the task is
-    /// done.
-    Done(MigrationTally),
-}
+use super::runtime::{Poll, TaskCx};
+use super::Run;
 
 /// Polls a starvation pattern must survive before any migration fires at
 /// all: a short blip (an OS scheduling hiccup, a queue momentarily
@@ -128,10 +67,14 @@ const PERSIST_POLLS: u32 = 10;
 
 /// The coordinator's resumable state across polls.
 pub struct CoordinatorTask<'a> {
-    sh: &'a CoordinatorShared<'a>,
-    tally: MigrationTally,
-    /// Handshakes started (compared against completed adoptions).
+    run: &'a Run<'a>,
+    /// Handshakes started (compared against completed adoptions): the
+    /// regions migrated, one handshake each.
     started: u64,
+    /// Summed handshake latency: decision → adoption installed, including
+    /// the time the old owner spent draining its queue down to the
+    /// `Migrate` message.
+    migration_secs: f64,
     /// One-shot flags: each region migrates at most once per run.
     migrated: Vec<bool>,
     /// Decision time of the in-flight handshake.
@@ -142,30 +85,30 @@ pub struct CoordinatorTask<'a> {
 }
 
 impl<'a> CoordinatorTask<'a> {
-    pub fn new(sh: &'a CoordinatorShared<'a>) -> Self {
+    pub fn new(run: &'a Run<'a>) -> Self {
         CoordinatorTask {
-            sh,
-            tally: MigrationTally::default(),
+            run,
             started: 0,
-            migrated: vec![false; sh.table.n_regions()],
+            migration_secs: 0.0,
+            migrated: vec![false; run.io.table.n_regions()],
             pending_since: None,
             starved_polls: 0,
-            poll_interval: Duration::from_micros(sh.adaptive.poll_micros.max(1)),
+            poll_interval: Duration::from_micros(run.cfg.adaptive.poll_micros.max(1)),
             last_poll: None,
         }
     }
 
     /// One coordinator iteration, rate-limited to the configured poll
-    /// cadence. An `Idle` step leaves the task's waker registered with the
-    /// quiescence wake-set *and* armed on a cadence timer.
-    pub fn poll(&mut self, cx: &TaskCx<'_>) -> CoordinatorStep {
-        let sh = self.sh;
+    /// cadence. A `Pending` poll leaves the task's waker registered with
+    /// the quiescence wake-set *and* armed on a cadence timer.
+    pub fn poll(&mut self, cx: &TaskCx<'_>) -> Poll {
+        let run = self.run;
         // Generation before any condition read: an event (abort, adoption,
         // in-flight zero-crossing) landing after the checks below bumps it
         // and refuses the park registration at the bottom.
-        let quiesce_gen = sh.quiesce.generation();
-        if sh.abort.load(Ordering::Acquire) {
-            return CoordinatorStep::Done(self.tally);
+        let quiesce_gen = run.quiesce.generation();
+        if run.abort.load(Ordering::Acquire) {
+            return self.report();
         }
         if let Some(last) = self.last_poll {
             let since = last.elapsed();
@@ -175,28 +118,27 @@ impl<'a> CoordinatorTask<'a> {
         }
         self.last_poll = Some(Instant::now());
 
-        let adopted = sh.adoptions.load(Ordering::Acquire);
+        let adopted = run.adoptions.load(Ordering::Acquire);
         if let Some(t0) = self.pending_since {
             if adopted == self.started {
-                self.tally.migration_secs += t0.elapsed().as_secs_f64();
+                self.migration_secs += t0.elapsed().as_secs_f64();
                 self.pending_since = None;
             }
         }
         if self.pending_since.is_none()
-            && sh.mappers_done.load(Ordering::Acquire)
-            && sh.in_flight.load(Ordering::Acquire) == 0
+            && run.mappers_done.load(Ordering::Acquire)
+            && run.in_flight.load(Ordering::Acquire) == 0
         {
-            broadcast(sh.queues, || Delivery::Finish);
-            return CoordinatorStep::Done(self.tally);
+            broadcast(&run.queues, || Delivery::Finish);
+            return self.report();
         }
-        if sh.adaptive.reassign
+        if run.cfg.adaptive.reassign
             && self.pending_since.is_none()
-            && sh.r1_remaining.load(Ordering::Acquire) == 0
+            && run.seal.r1_remaining.load(Ordering::Acquire) == 0
         {
-            match try_migrate(sh, &mut self.migrated, self.starved_polls) {
+            match try_migrate(run, &mut self.migrated, self.starved_polls) {
                 Decision::Migrated => {
                     self.started += 1;
-                    self.tally.regions_migrated += 1;
                     self.pending_since = Some(Instant::now());
                     self.starved_polls = 0;
                 }
@@ -210,12 +152,20 @@ impl<'a> CoordinatorTask<'a> {
     /// Parks until the next cadence tick or a quiescence event, whichever
     /// comes first. A stale timer firing after a quiescence wake costs one
     /// spurious re-poll, never a hang.
-    fn park_until(&self, cx: &TaskCx<'_>, quiesce_gen: u64, wait: Duration) -> CoordinatorStep {
-        if !self.sh.quiesce.register(cx.waker(), quiesce_gen) {
-            return CoordinatorStep::Busy;
+    fn park_until(&self, cx: &TaskCx<'_>, quiesce_gen: u64, wait: Duration) -> Poll {
+        if !self.run.quiesce.register(cx.waker(), quiesce_gen) {
+            return Poll::Yielded;
         }
         cx.sleep(wait);
-        CoordinatorStep::Idle
+        Poll::Pending
+    }
+
+    /// Folds the migration tally into the run's outcome; the task is done.
+    fn report(&self) -> Poll {
+        let mut out = self.run.outcome();
+        out.stats.regions_migrated = self.started;
+        out.stats.migration_secs = self.migration_secs;
+        Poll::Ready
     }
 }
 
@@ -232,32 +182,32 @@ enum Decision {
 /// prior polls already observed the starvation pattern — migrations need
 /// [`MIN_PERSIST_POLLS`] of history, and [`PERSIST_POLLS`] waive the
 /// move-cost gate entirely.
-fn try_migrate(sh: &CoordinatorShared<'_>, migrated: &mut [bool], starved_polls: u32) -> Decision {
-    let reducers = sh.queues.len();
+fn try_migrate(run: &Run<'_>, migrated: &mut [bool], starved_polls: u32) -> Decision {
+    let (queues, board, adaptive) = (&run.queues, &run.board, &run.cfg.adaptive);
+    let reducers = queues.len();
     // A target must be demonstrably starved: parked on an empty queue.
-    let Some(target) =
-        (0..reducers).find(|&q| sh.board.is_idle(q) && sh.queues[q].used_tuples() == 0)
+    let Some(target) = (0..reducers).find(|&q| board.is_idle(q) && queues[q].used_tuples() == 0)
     else {
         return Decision::Balanced;
     };
     // The victim is the busiest non-idle reducer by queued backlog.
     let Some((victim, backlog)) = (0..reducers)
-        .filter(|&q| q != target && !(sh.board.is_idle(q) && sh.queues[q].used_tuples() == 0))
-        .map(|q| (q, sh.queues[q].used_tuples()))
+        .filter(|&q| q != target && !(board.is_idle(q) && queues[q].used_tuples() == 0))
+        .map(|q| (q, queues[q].used_tuples()))
         .max_by_key(|&(_, used)| used)
     else {
         return Decision::Balanced;
     };
-    if backlog < sh.adaptive.migrate_backlog_tuples.max(1) {
+    if backlog < adaptive.migrate_backlog_tuples.max(1) {
         return Decision::Balanced;
     }
     // Hottest not-yet-migrated region of the victim, by absorbed probe
     // volume (the best available proxy for its share of the remaining
     // stream); ties broken by build volume.
-    let owners = sh.table.snapshot();
+    let owners = run.io.table.snapshot();
     let candidate = (0..owners.len() as u32)
         .filter(|&r| owners[r as usize] as usize == victim && !migrated[r as usize])
-        .max_by_key(|&r| (sh.board.probe_tuples(r), sh.board.build_tuples(r)));
+        .max_by_key(|&r| (board.probe_tuples(r), board.build_tuples(r)));
     let Some(region) = candidate else {
         return Decision::Starved;
     };
@@ -268,8 +218,8 @@ fn try_migrate(sh: &CoordinatorShared<'_>, migrated: &mut [bool], starved_polls:
     // adopting reducer will have to reload: without that charge, budget
     // pressure would make the coordinator thrash exactly the regions that
     // are already paying for their size.
-    let ship_tuples = sh.board.build_tuples(region) + sh.board.spilled_tuples(region);
-    let fire = match sh.links {
+    let ship_tuples = board.build_tuples(region) + board.spilled_tuples(region);
+    let fire = match run.io.links {
         // Communication-aware gate: both sides of the comparison in
         // seconds. The relief is the backlog drained at the configured
         // rate; the cost is shipping the sealed state over the *target's*
@@ -279,9 +229,9 @@ fn try_migrate(sh: &CoordinatorShared<'_>, migrated: &mut [bool], starved_polls:
         // stays unprofitable no matter how long the backlog persists —
         // waiting it out locally is the whole point of the tradeoff.
         Some(links) => {
-            let backlog_secs = backlog as f64 / sh.adaptive.drain_tuples_per_sec.max(1.0);
+            let backlog_secs = backlog as f64 / adaptive.drain_tuples_per_sec.max(1.0);
             let ship_secs = links[target].ship_secs(ship_tuples);
-            let profitable = backlog_secs > ship_secs * sh.adaptive.move_cost_factor;
+            let profitable = backlog_secs > ship_secs * adaptive.move_cost_factor;
             profitable && starved_polls >= MIN_PERSIST_POLLS
         }
         // Flat tuple-count gate, waived under persistent starvation (see
@@ -290,7 +240,7 @@ fn try_migrate(sh: &CoordinatorShared<'_>, migrated: &mut [bool], starved_polls:
         // even a profitable move needs a little history
         // ([`MIN_PERSIST_POLLS`]).
         None => {
-            let profitable = (backlog as f64) > ship_tuples as f64 * sh.adaptive.move_cost_factor;
+            let profitable = (backlog as f64) > ship_tuples as f64 * adaptive.move_cost_factor;
             starved_polls >= PERSIST_POLLS || (profitable && starved_polls >= MIN_PERSIST_POLLS)
         }
     };
@@ -298,7 +248,7 @@ fn try_migrate(sh: &CoordinatorShared<'_>, migrated: &mut [bool], starved_polls:
         return Decision::Starved;
     }
     migrated[region as usize] = true;
-    sh.table.migrate(region, target as u32);
-    sh.queues[victim].push_unbounded(Delivery::Migrate { region });
+    run.io.table.migrate(region, target as u32);
+    queues[victim].push_unbounded(Delivery::Migrate { region });
     Decision::Migrated
 }

@@ -60,13 +60,14 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use ewh_core::{ColumnBatch, Key, Rel, RouteBatch, RouteScatter, Router, RoutingTable};
+use ewh_core::{ColumnBatch, Key, Rel, RouteBatch, RouteScatter};
 
 use super::exchange::Exchange;
-use super::morsel::{Claim, MemGauge, MorselPlan};
+use super::morsel::Claim;
 use super::port::{DeliveryPort, FragmentPort, PortPop};
 use super::queue::{Delivery, RegionBatch};
-use super::runtime::{CancelToken, Poll, TaskCx, WakeSet, Waker};
+use super::runtime::{Poll, TaskCx, WakeSet, Waker};
+use super::Run;
 
 /// The engine's distributed end-of-input detector, shared by every mapper
 /// (and consulted once by the orchestrator for pre-sealing empty inputs).
@@ -132,40 +133,6 @@ impl<'a> SealState<'a> {
     }
 }
 
-/// Everything a mapper task needs, shared by reference across the engine's
-/// pool tasks.
-pub struct MapperShared<'a> {
-    pub plan: &'a MorselPlan,
-    /// Build-side base relation, in columnar layout: morsels route off
-    /// `keys()` windows directly (no per-morsel key scratch).
-    pub r1: &'a ColumnBatch,
-    /// Scan columns of the probe side (empty when the probe streams from
-    /// an exchange — see [`SealState::exchange`]).
-    pub r2: &'a ColumnBatch,
-    pub router: &'a Router,
-    /// Region id → owning reducer, re-read per fragment (see module docs).
-    pub table: &'a RoutingTable,
-    pub queues: &'a [Arc<DeliveryPort>],
-    /// End-of-input tracking for both seals.
-    pub seal: &'a SealState<'a>,
-    pub gauge: &'a MemGauge,
-    pub network_tuples: &'a AtomicU64,
-    pub morsels_routed: &'a AtomicU64,
-    /// Tuples routed but not yet absorbed into some region's state —
-    /// incremented here per delivery, once per region it feeds, and
-    /// decremented by reducers on absorption. The coordinator's quiescence
-    /// test.
-    pub in_flight: &'a AtomicU64,
-    /// Nanoseconds spent in `route_scatter` plus the fragment ship passes
-    /// (taking each built fragment and pushing it; park stalls excluded) —
-    /// the routing-kernel time `JoinStats::route_secs` reports.
-    pub route_nanos: &'a AtomicU64,
-    pub seed: u64,
-    /// Cooperative cancellation: checked every poll, and registered with at
-    /// every park (a parked task only observes the cancel via its wake).
-    pub cancel: &'a CancelToken,
-}
-
 /// What the in-progress unit is routing — a claimed scan morsel, or an
 /// exchange batch (owned here until its fragments ship, because the
 /// shared gauge releases it only once the whole batch is routed).
@@ -196,7 +163,7 @@ struct InFlightUnit {
 /// One mapper task. Routes the scan plan, then drains the probe exchange
 /// (if any); finishes when both are done or the run is cancelled.
 pub struct MapperTask<'a> {
-    shared: &'a MapperShared<'a>,
+    run: &'a Run<'a>,
     /// Two-pass write-combining routing scratch: histogram + staging
     /// lanes + the current unit's built fragments (see
     /// [`RouteScatter`]).
@@ -209,11 +176,10 @@ pub struct MapperTask<'a> {
 }
 
 impl<'a> MapperTask<'a> {
-    pub fn new(shared: &'a MapperShared<'a>) -> Self {
-        let n_regions = shared.table.n_regions();
+    pub fn new(run: &'a Run<'a>) -> Self {
         MapperTask {
-            shared,
-            scatter: RouteScatter::new(n_regions),
+            run,
+            scatter: RouteScatter::new(run.io.table.n_regions()),
             unit: None,
             draining: false,
             blocked: None,
@@ -226,8 +192,8 @@ impl<'a> MapperTask<'a> {
     /// reducer queue, the un-sealed `R2` gate, or an empty upstream
     /// exchange.
     pub fn poll(&mut self, cx: &TaskCx<'_>) -> Poll {
-        let sh = self.shared;
-        if sh.cancel.is_cancelled() {
+        let run = self.run;
+        if run.cancel().is_cancelled() {
             // Seals never fire; the orchestrator aborts the reducers. Undo
             // the accounting of anything routed but never shipped.
             self.discard_unit();
@@ -241,13 +207,12 @@ impl<'a> MapperTask<'a> {
             // backpressure, tracked by the queue).
             let start = Instant::now();
             let shipped = self.ship_fragments(cx.waker());
-            sh.route_nanos
-                .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            run.counters.route_secs.add_since(start);
             if !shipped {
                 // The waker is registered with the full queue; add the
                 // cancel registration so an abort also wakes us. A raced
                 // cancel re-polls instead of parking.
-                return if sh.cancel.park(cx.waker()) {
+                return if run.cancel().park(cx.waker()) {
                     Poll::Pending
                 } else {
                     Poll::Yielded
@@ -265,15 +230,15 @@ impl<'a> MapperTask<'a> {
             // final R1 fragments. Generation before the countdown read:
             // if the final decrement fires in between, registration
             // refuses and we re-poll with the gate open.
-            let r1_gen = sh.seal.r1_wake.generation();
-            let allow_r2 = sh.seal.r1_remaining.load(Ordering::Acquire) == 0;
-            match sh.plan.try_claim(allow_r2) {
+            let r1_gen = run.seal.r1_wake.generation();
+            let allow_r2 = run.seal.r1_remaining.load(Ordering::Acquire) == 0;
+            match run.plan.try_claim(allow_r2) {
                 Claim::Claimed(morsel) => {
                     // Route straight off the base relation's columns — no
                     // per-morsel scratch is materialized from tuples.
                     let side = match morsel.rel {
-                        Rel::R1 => sh.r1,
-                        Rel::R2 => sh.r2,
+                        Rel::R1 => run.io.r1,
+                        Rel::R2 => run.io.r2.scan_cols(),
                     };
                     let keys = &side.keys()[morsel.range()];
                     let payloads = &side.payloads()[morsel.range()];
@@ -283,8 +248,8 @@ impl<'a> MapperTask<'a> {
                     return Poll::Yielded;
                 }
                 Claim::Blocked => {
-                    return if sh.seal.r1_wake.register(cx.waker(), r1_gen)
-                        && sh.cancel.park(cx.waker())
+                    return if run.seal.r1_wake.register(cx.waker(), r1_gen)
+                        && run.cancel().park(cx.waker())
                     {
                         Poll::Pending
                     } else {
@@ -296,12 +261,12 @@ impl<'a> MapperTask<'a> {
         }
         // Scan plan drained: pull streamed probe batches until the upstream
         // operator closes the exchange.
-        let Some(exchange) = sh.seal.exchange else {
+        let Some(exchange) = run.seal.exchange else {
             return Poll::Ready;
         };
         match exchange.try_pop_or_park(cx.waker()) {
             PortPop::Item(batch) => {
-                let seq = sh.seal.exchange_claims.fetch_add(1, Ordering::Relaxed);
+                let seq = run.seal.exchange_claims.fetch_add(1, Ordering::Relaxed);
                 // Disjoint RNG stream space from plan morsel indices.
                 self.route_unit(u64::MAX - seq, Rel::R2, batch.keys(), batch.payloads());
                 let source = UnitSource::Batch { tuples: batch };
@@ -312,13 +277,13 @@ impl<'a> MapperTask<'a> {
                 // Closed and empty. Re-check the seal: the mapper that
                 // routed the final batch may have observed the exchange
                 // still open.
-                sh.seal.maybe_seal_all(sh.queues);
+                run.seal.maybe_seal_all(&run.queues);
                 Poll::Ready
             }
             PortPop::Empty => {
                 // Consumer waker is registered with the exchange; a raced
                 // cancel re-polls instead of parking.
-                if sh.cancel.park(cx.waker()) {
+                if run.cancel().park(cx.waker()) {
                     Poll::Pending
                 } else {
                     Poll::Yielded
@@ -332,17 +297,18 @@ impl<'a> MapperTask<'a> {
     /// a histogram pass records destinations, then a write-combining scatter
     /// builds every fragment exact-sized in one sweep over the columns.
     fn route_unit(&mut self, stream: u64, rel: Rel, keys: &[Key], payloads: &[u64]) {
-        let sh = self.shared;
+        let run = self.run;
         let start = Instant::now();
         // Seed the routing RNG per morsel/batch (not per task) so content-
         // insensitive routing is identical no matter which mapper claims the
         // unit — network volume stays deterministic per seed for scans.
         let stream = stream << 1 | matches!(rel, Rel::R2) as u64;
-        let mut rng = SmallRng::seed_from_u64(sh.seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        sh.router
+        let mut rng =
+            SmallRng::seed_from_u64(run.cfg.seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        run.io
+            .router
             .route_scatter(rel, keys, payloads, &mut rng, &mut self.scatter);
-        sh.route_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        run.counters.route_secs.add_since(start);
     }
 
     /// Ships the in-progress unit's fragments, group by group: one delivery
@@ -352,7 +318,7 @@ impl<'a> MapperTask<'a> {
     /// a push bounces off a full queue — with `waker` registered on that
     /// queue's producer list, so the consumer's next pop re-polls us.
     fn ship_fragments(&mut self, waker: &Waker) -> bool {
-        let sh = self.shared;
+        let run = self.run;
         let unit = self.unit.as_mut().expect("ship without a unit");
         loop {
             if unit.group.is_empty() {
@@ -360,7 +326,7 @@ impl<'a> MapperTask<'a> {
                     // Every fragment shipped; account the final stall (if
                     // any) and report the unit complete.
                     if let Some((q, since)) = self.blocked.take() {
-                        sh.queues[q].note_blocked(since.elapsed().as_nanos() as u64);
+                        run.queues[q].note_blocked(since.elapsed().as_nanos() as u64);
                     }
                     return true;
                 }
@@ -374,12 +340,12 @@ impl<'a> MapperTask<'a> {
             // head and every sibling. All are re-read on every retry, so a
             // delivery parked behind a full queue regroups if one of its
             // regions migrated meanwhile.
-            let epoch = sh.table.epoch();
-            let owner = sh.table.owner_of(unit.group[0]);
+            let epoch = run.io.table.epoch();
+            let owner = run.io.table.owner_of(unit.group[0]);
             // The head's owner's regions to the front: `group[..n]` ride.
             let mut n = 1;
             for i in 1..unit.group.len() {
-                if sh.table.owner_of(unit.group[i]) == owner {
+                if run.io.table.owner_of(unit.group[i]) == owner {
                     unit.group.swap(n, i);
                     n += 1;
                 }
@@ -402,7 +368,7 @@ impl<'a> MapperTask<'a> {
             }
             // Charged as it leaves for the wire: what its regions will hold.
             let charge = (tuples.len() * n) as u64;
-            recharge(sh, charged, charge);
+            recharge(run, charged, charge);
             let delivery = Delivery::Batch(RegionBatch {
                 region: unit.group[0],
                 rel: unit.rel(),
@@ -410,11 +376,11 @@ impl<'a> MapperTask<'a> {
                 tuples,
                 siblings: unit.group[1..n].to_vec(),
             });
-            match sh.queues[owner as usize].try_push_or_park(delivery, waker) {
+            match run.queues[owner as usize].try_push_or_park(delivery, waker) {
                 Ok(()) => {
                     unit.group.drain(..n);
                     if let Some((q, since)) = self.blocked.take() {
-                        sh.queues[q].note_blocked(since.elapsed().as_nanos() as u64);
+                        run.queues[q].note_blocked(since.elapsed().as_nanos() as u64);
                     }
                 }
                 Err(Delivery::Batch(b)) => {
@@ -433,10 +399,10 @@ impl<'a> MapperTask<'a> {
     /// scan morsels, the routed-batch count (and the exchange-buffer gauge
     /// release) for streamed batches.
     fn complete_unit(&mut self) {
-        let sh = self.shared;
+        let run = self.run;
         let unit = self.unit.take().expect("complete without a unit");
         self.scatter.clear();
-        sh.morsels_routed.fetch_add(1, Ordering::Relaxed);
+        run.counters.morsels_routed.fetch_add(1, Ordering::Relaxed);
         match unit.source {
             UnitSource::Scan { rel, .. } => {
                 // AcqRel: the last decrement must observe every other
@@ -444,25 +410,25 @@ impl<'a> MapperTask<'a> {
                 // broadcast *before* this morsel's `scan_remaining`
                 // decrement, so in every queue's FIFO order SealR1 precedes
                 // SealAll.
-                if rel == Rel::R1 && sh.seal.r1_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    broadcast(sh.queues, || Delivery::SealR1);
+                if rel == Rel::R1 && run.seal.r1_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    broadcast(&run.queues, || Delivery::SealR1);
                     // The R2 gate just opened: wake every mapper parked on
                     // `Claim::Blocked` (generation bump also refuses any
                     // registration racing this decrement).
-                    sh.seal.r1_wake.wake_all();
+                    run.seal.r1_wake.wake_all();
                 }
-                if sh.seal.scan_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    sh.seal.maybe_seal_all(sh.queues);
+                if run.seal.scan_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    run.seal.maybe_seal_all(&run.queues);
                 }
             }
             UnitSource::Batch { tuples } => {
                 // The batch leaves the exchange buffer only now — its
                 // routed copies were charged fragment by fragment above.
                 // Its allocation is recycled into future fragment columns.
-                sh.gauge.sub(tuples.len() as u64);
+                run.gauge().sub(tuples.len() as u64);
                 self.scatter.recycle(tuples);
-                sh.seal.routed_batches.fetch_add(1, Ordering::AcqRel);
-                sh.seal.maybe_seal_all(sh.queues);
+                run.seal.routed_batches.fetch_add(1, Ordering::AcqRel);
+                run.seal.maybe_seal_all(&run.queues);
             }
         }
     }
@@ -471,15 +437,15 @@ impl<'a> MapperTask<'a> {
     /// bounced delivery (charged to the gauge and volume counters) and, for
     /// an exchange batch, the batch's own gauge charge.
     fn discard_unit(&mut self) {
-        let sh = self.shared;
+        let run = self.run;
         let Some(unit) = self.unit.take() else {
             return;
         };
         if let Some((_, charged)) = unit.bounced {
-            recharge(sh, charged, 0);
+            recharge(run, charged, 0);
         }
         if let UnitSource::Batch { tuples } = unit.source {
-            sh.gauge.sub(tuples.len() as u64);
+            run.gauge().sub(tuples.len() as u64);
         }
         self.blocked = None;
         self.scatter.clear();
@@ -488,17 +454,21 @@ impl<'a> MapperTask<'a> {
 
 /// Moves a delivery's charge to the gauge, the volume counter and the
 /// in-flight count from `from` tuples to `to`.
-fn recharge(sh: &MapperShared<'_>, from: u64, to: u64) {
+fn recharge(run: &Run<'_>, from: u64, to: u64) {
     if to > from {
         let more = to - from;
-        sh.gauge.add(more);
-        sh.network_tuples.fetch_add(more, Ordering::Relaxed);
-        sh.in_flight.fetch_add(more, Ordering::AcqRel);
+        run.gauge().add(more);
+        run.counters
+            .network_tuples
+            .fetch_add(more, Ordering::Relaxed);
+        run.in_flight.fetch_add(more, Ordering::AcqRel);
     } else if from > to {
         let less = from - to;
-        sh.gauge.sub(less);
-        sh.network_tuples.fetch_sub(less, Ordering::Relaxed);
-        sh.in_flight.fetch_sub(less, Ordering::AcqRel);
+        run.gauge().sub(less);
+        run.counters
+            .network_tuples
+            .fetch_sub(less, Ordering::Relaxed);
+        run.in_flight.fetch_sub(less, Ordering::AcqRel);
     }
 }
 

@@ -71,7 +71,7 @@ pub use morsel::{Claim, MemGauge, Morsel, MorselPlan, Source};
 pub use pool::BatchPool;
 pub use port::{DeliveryPort, FragmentPort, PortPop};
 pub use queue::{Delivery, RegionBatch};
-pub use reducer::{merge_sorted_runs, RegionResult};
+pub use reducer::merge_sorted_runs;
 pub use runtime::{
     CancelToken, EngineRuntime, Poll, QueryTicket, RuntimeConfig, RuntimeMetrics, RuntimeScope,
     TaskCx, TaskGroup, WakeSet, Waker,
@@ -82,17 +82,18 @@ pub use transport::{
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use ewh_core::{JoinCondition, Router, RoutingTable};
+use ewh_core::{ColumnBatch, JoinCondition, Router, RoutingTable};
 
 use crate::adaptive::AdaptiveConfig;
 use crate::local_join::{KeyFrom, OutputWork};
+use crate::JoinStats;
 
-use coordinator::{CoordinatorShared, CoordinatorStep, CoordinatorTask, MigrationTally};
-use mapper::{broadcast, MapperShared, MapperTask, SealState};
-use reducer::{ReducerOutcome, ReducerShared, ReducerStep, ReducerTask};
+use coordinator::CoordinatorTask;
+use mapper::{broadcast, MapperTask, SealState};
+use reducer::ReducerTask;
 
 /// Fault injection: slow one reducer's absorption path down by a fixed cost
 /// per tuple, emulating a straggling node. Used by benchmarks and tests to
@@ -170,56 +171,30 @@ impl EngineConfig {
     }
 }
 
-/// Everything a completed (or cancelled) engine run reports.
+/// Everything a completed (or cancelled) engine run reports: the
+/// [`JoinStats`] counters the engine measures, plus what `JoinStats` has no
+/// field for. `run_stage` completes `stats` from the per-region
+/// tallies (per-worker loads, output total, max weight).
 #[derive(Clone, Debug, Default)]
 pub struct EngineOutcome {
+    /// What the run measured: every counter its tasks bump, each
+    /// reducer's busy and idle time, the migration tally, wall time,
+    /// backpressure, this run's spill I/O and wire bytes. Tallies
+    /// `run_stage` derives are left at zero.
+    pub stats: JoinStats,
     /// Input tuples received per region (replication included).
     pub per_region_input: Vec<u64>,
     pub per_region_output: Vec<u64>,
     pub per_region_checksum: Vec<u64>,
-    /// Tuples delivered mapper → reducer, counted once per region they feed
-    /// (== the batch path's network volume for deterministic routers); a
-    /// grouped delivery carries its tuples once but counts them per region.
-    /// Migration shipping is accounted separately in
-    /// [`EngineOutcome::migration_tuples`].
-    pub network_tuples: u64,
     /// High-water mark of resident routed tuples across the cluster.
     pub peak_resident_tuples: u64,
-    pub morsels_routed: u64,
-    /// Total time mappers spent blocked on full reducer queues.
-    pub backpressure_secs: f64,
-    /// Total time mappers spent routing: the batched router scans plus the
-    /// write-combining scatter that builds every per-region fragment.
-    pub route_secs: f64,
-    /// Total time reducers spent sealing build sides: the one sort of a
-    /// region's collected runs (at the `R1` seal, a migration or finish).
-    pub merge_secs: f64,
-    /// Total time reducers spent sweeping probe chunks against build state.
-    pub sweep_secs: f64,
-    /// Per-reducer time spent processing vs. waiting.
-    pub busy_secs: Vec<f64>,
-    pub idle_secs: Vec<f64>,
-    pub wall_secs: f64,
-    /// Regions reassigned between reducers at run time.
-    pub regions_migrated: u64,
-    /// Tuples of sealed state shipped reducer → reducer by migrations.
-    pub migration_tuples: u64,
-    /// Summed migration handshake latency (decision → adoption installed).
-    pub migration_secs: f64,
-    /// Final routing-table epoch (== `regions_migrated`; separate so tests
-    /// can cross-check the table against the coordinator's tally).
+    /// Final routing-table epoch (== `stats.regions_migrated`; separate so
+    /// tests can cross-check the table against the coordinator's tally).
     pub routing_epoch: u64,
-    /// This run's spill I/O (out-of-core execution under a memory budget;
-    /// all zero without budget pressure).
-    pub spill: SpillTotals,
-    /// Bytes the transport's data writers put on the wire (frame headers
-    /// and sibling ids included), one copy of a replicated fragment per
-    /// reducer; zero for in-process queues.
-    pub wire_bytes: u64,
     /// True when the run was cancelled. Per-region join tallies are zeroed
     /// (reducer state is discarded), but morsel/network counters and the
-    /// migration fields above are preserved: they describe real work done
-    /// before the cancellation landed.
+    /// migration tally are preserved: they describe real work done before
+    /// the cancellation landed.
     pub cancelled: bool,
     /// Why the engine cancelled itself: `spill failure: …` (recorded on the
     /// run's [`SpillContext`], by this run or by another stage sharing it)
@@ -239,15 +214,15 @@ impl EngineOutcome {
 }
 
 /// The inputs and wiring of one pipelined operator execution — what flows
-/// in (two [`Source`]s), how it routes (router + routing table) and where
-/// the output goes (an optional downstream [`StageSink`]). The engine cuts
-/// the scan sources into a fresh [`MorselPlan`] of
+/// in (a scanned build side, a probe [`Source`]), how it routes (router +
+/// routing table) and where the output goes (an optional downstream
+/// [`StageSink`]). The engine cuts the scans into a fresh [`MorselPlan`] of
 /// [`EngineConfig::morsel_tuples`] each run.
 #[derive(Clone, Copy)]
 pub struct EngineIo<'a> {
-    /// Build side. Must be a scan today: a streamed build side would need
-    /// bushy plans (left-deep chains always build on a base relation).
-    pub r1: Source<'a>,
+    /// Build side, a scan: a streamed build side would need bushy plans
+    /// (left-deep chains always build on a base relation).
+    pub r1: &'a ColumnBatch,
     /// Probe side: scan, or the streamed output of an upstream operator.
     pub r2: Source<'a>,
     pub router: &'a Router,
@@ -278,8 +253,286 @@ pub struct EngineIo<'a> {
     pub links: Option<&'a [LinkProfile]>,
 }
 
-/// Runs one pipelined operator over generalized [`Source`]s (see
-/// [`EngineIo`]) — the engine's one entry point.
+/// Summed nanoseconds of one kind of task work, one clock pair per unit of
+/// it (a routed morsel, a seal, a sweep), reported in seconds.
+#[derive(Debug, Default)]
+struct Clock(AtomicU64);
+
+impl Clock {
+    fn add_since(&self, start: Instant) {
+        self.0
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    fn secs(self) -> f64 {
+        self.0.into_inner() as f64 * 1e-9
+    }
+}
+
+/// What tasks count while a run is live, each named after the
+/// [`JoinStats`] field it lands in, and bumped once per morsel, delivery,
+/// seal, sweep or migration — never per tuple.
+#[derive(Debug, Default)]
+struct Counters {
+    network_tuples: AtomicU64,
+    morsels_routed: AtomicU64,
+    migration_tuples: AtomicU64,
+    /// Mapper time in `route_scatter` and the fragment ship passes (park
+    /// stalls excluded: those are backpressure, counted by the queue).
+    route_secs: Clock,
+    /// Reducer time sealing build sides (one sort per seal).
+    merge_secs: Clock,
+    /// Reducer time sweeping probe chunks against build state.
+    sweep_secs: Clock,
+}
+
+impl Counters {
+    /// Moves each count into its field of `stats`.
+    fn fold_into(self, stats: &mut JoinStats) {
+        stats.network_tuples = self.network_tuples.into_inner();
+        stats.morsels_routed = self.morsels_routed.into_inner();
+        stats.migration_tuples = self.migration_tuples.into_inner();
+        stats.route_secs = self.route_secs.secs();
+        stats.merge_secs = self.merge_secs.secs();
+        stats.sweep_secs = self.sweep_secs.secs();
+    }
+}
+
+/// One engine run, declared once: everything its mapper, reducer,
+/// coordinator and transport-watcher tasks read, and the outcome they
+/// report into. Every task holds `&Run`. The counters a task bumps while
+/// the run is live are named after the [`JoinStats`] field each lands in;
+/// a task that finishes folds what it alone measured (region tallies,
+/// busy and idle clocks, the migration tally) into `outcome` under its
+/// lock, once.
+struct Run<'a> {
+    io: EngineIo<'a>,
+    /// The configuration, task counts and probe floor at least one.
+    cfg: EngineConfig,
+    /// Morsels of the scans; an exchange side contributes none — its
+    /// batches arrive pre-cut.
+    plan: MorselPlan,
+    /// One delivery queue per reducer.
+    queues: Vec<Arc<DeliveryPort>>,
+    /// The framed links behind `queues` under a transport (else empty),
+    /// read for their wire bytes before they drop.
+    remote: Vec<Arc<RemoteQueue>>,
+    /// The failure latch every link of the run shares; `None` in process.
+    transport_failure: Option<Arc<TransportFailure>>,
+    board: ProgressBoard,
+    /// End-of-input tracking for both seals.
+    seal: SealState<'a>,
+    /// What `gauge()` and `cancel()` fall back to without `io.gauge` or
+    /// `io.cancel`.
+    own_gauge: MemGauge,
+    own_cancel: CancelToken,
+    /// Wakes the parked coordinator on the events its termination check
+    /// watches: reducers bump it (the in-flight count crossing zero after
+    /// the mappers finish, an adoption completing), and so does the
+    /// orchestrator (abort, mappers done).
+    quiesce: WakeSet,
+    /// Tuples routed but not yet absorbed into some region's state —
+    /// incremented by mappers per delivery, once per region it feeds, and
+    /// by a migration per shipped region; decremented by reducers on
+    /// absorption. The coordinator's quiescence test.
+    in_flight: AtomicU64,
+    /// Migration handshakes completed (incremented by the adopting side).
+    adoptions: AtomicU64,
+    /// Set by the orchestrator once every mapper has finished cleanly. It
+    /// gates the reducers' zero-crossing wake of `quiesce`: an in-flight
+    /// dip to zero mid-run is not quiescence.
+    mappers_done: AtomicBool,
+    /// Set by the orchestrator (or the transport watcher) when the run was
+    /// cancelled; the coordinator exits without broadcasting `Finish`.
+    abort: AtomicBool,
+    counters: Counters,
+    /// Spill counters are cumulative on the (possibly plan-shared)
+    /// context; the run reports its contribution as a delta from here.
+    /// Concurrent stages over one context produce overlapping deltas — the
+    /// plan executor overrides its merged totals from the context's absolute
+    /// counters.
+    spill_start: Option<SpillTotals>,
+    start: Instant,
+    outcome: Mutex<EngineOutcome>,
+}
+
+impl<'a> Run<'a> {
+    /// The one constructor: the run's queues (framed links under a
+    /// transport), morsel plan, seal state, board and zeroed counters.
+    fn new(io: EngineIo<'a>, cfg: &EngineConfig) -> Self {
+        let cfg = EngineConfig {
+            mappers: cfg.mappers.max(1),
+            reducers: cfg.reducers.max(1),
+            probe_chunk: cfg.probe_chunk.max(1),
+            ..*cfg
+        };
+        let plan = MorselPlan::new(io.r1.len(), io.r2.scan_cols().len(), cfg.morsel_tuples);
+        let n_regions = io.table.n_regions();
+        debug_assert!(io
+            .table
+            .snapshot()
+            .iter()
+            .all(|&q| (q as usize) < cfg.reducers));
+        // With a transport every delivery queue is a framed byte-stream
+        // link (same FragmentPort contract, credit-based window in place of
+        // the shared counter), all sharing one failure latch.
+        let transport_failure = cfg.transport.map(|_| TransportFailure::new());
+        let remote: Vec<Arc<RemoteQueue>> = match (&cfg.transport, &transport_failure) {
+            (Some(tcfg), Some(latch)) => (0..cfg.reducers)
+                .map(|_| {
+                    RemoteQueue::spawn(tcfg, cfg.queue_tuples, n_regions, latch.clone())
+                        .expect("transport link setup failed")
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        let queues = if remote.is_empty() {
+            (0..cfg.reducers)
+                .map(|_| Arc::new(Channel::new(cfg.queue_tuples)) as Arc<DeliveryPort>)
+                .collect()
+        } else {
+            remote
+                .iter()
+                .map(|q| q.clone() as Arc<DeliveryPort>)
+                .collect()
+        };
+        let outcome = EngineOutcome {
+            stats: JoinStats {
+                reducer_busy_secs: vec![0.0; cfg.reducers],
+                reducer_idle_secs: vec![0.0; cfg.reducers],
+                ..JoinStats::default()
+            },
+            per_region_input: vec![0; n_regions],
+            per_region_output: vec![0; n_regions],
+            per_region_checksum: vec![0; n_regions],
+            ..EngineOutcome::default()
+        };
+        Run {
+            seal: SealState::new(plan.r1_morsels(), plan.total(), io.r2.exchange()),
+            plan,
+            queues,
+            remote,
+            transport_failure,
+            board: ProgressBoard::new(cfg.reducers, n_regions),
+            own_gauge: MemGauge::default(),
+            own_cancel: CancelToken::new(),
+            quiesce: WakeSet::new(),
+            in_flight: AtomicU64::new(0),
+            adoptions: AtomicU64::new(0),
+            mappers_done: AtomicBool::new(false),
+            abort: AtomicBool::new(false),
+            counters: Counters::default(),
+            spill_start: io.spill.map(|spill| spill.ctx.totals()),
+            start: Instant::now(),
+            outcome: Mutex::new(outcome),
+            io,
+            cfg,
+        }
+    }
+
+    /// The run's gauge: the caller's shared one, else its own.
+    fn gauge(&self) -> &MemGauge {
+        self.io.gauge.unwrap_or(&self.own_gauge)
+    }
+
+    /// The run's cancel token: the caller's, else its own. A failed spill
+    /// write or read cancels it instead of panicking — a panic inside a
+    /// pool task would leave the query's other tasks parked forever on a
+    /// shared pool — which wakes every task parked on it, makes the
+    /// mappers exit, breaks the seal chain and tears the query down.
+    fn cancel(&self) -> &CancelToken {
+        self.io.cancel.unwrap_or(&self.own_cancel)
+    }
+
+    /// The run's outcome, locked, for a finishing task to fold its report
+    /// into.
+    fn outcome(&self) -> MutexGuard<'_, EngineOutcome> {
+        self.outcome.lock().expect("run outcome poisoned")
+    }
+
+    /// The transport watcher: the links' I/O threads are `'static` and
+    /// cannot borrow the run's cancel token, so this task bridges the gap.
+    /// It parks on the failure latch and, on a trip, cancels the query,
+    /// flags the abort (so a coordinator waiting out `in_flight` — which
+    /// discarded deliveries can never drain — exits), and aborts every
+    /// reducer in-band. The orchestrator releases the latch after the
+    /// coordinator, so a clean run parks here exactly once.
+    fn watch_transport(&self, latch: &TransportFailure, cx: &TaskCx<'_>) -> Poll {
+        if latch.failed() {
+            self.cancel().cancel();
+            self.abort.store(true, Ordering::Release);
+            broadcast(&self.queues, || Delivery::Abort);
+            self.quiesce.wake_all();
+            return Poll::Ready;
+        }
+        if latch.released() {
+            return Poll::Ready;
+        }
+        if latch.park(cx.waker()) {
+            Poll::Pending
+        } else {
+            Poll::Yielded
+        }
+    }
+
+    /// The outcome once every task has reported: the counters land in
+    /// their `JoinStats` fields, and a failure recorded on the spill
+    /// context or the transport latch cancels the run.
+    fn finish(self) -> EngineOutcome {
+        let mut out = self.outcome.into_inner().expect("run outcome poisoned");
+        // A recorded I/O failure cancels the run even if no reducer
+        // aborted: a reducer drops the chunk it could not reload, and once
+        // the mappers are done its cancel stops no one — the join may be
+        // short of pairs.
+        let spill_failure = self.io.spill.and_then(|spill| spill.ctx.failure());
+        let wire_failure = self.transport_failure.and_then(|latch| latch.reason());
+        out.failure = match (spill_failure, wire_failure) {
+            (Some(why), _) => Some(format!("spill failure: {why}")),
+            (None, Some(why)) => Some(format!("transport failure: {why}")),
+            (None, None) => None,
+        };
+        out.cancelled |= out.failure.is_some();
+        let stats = &mut out.stats;
+        self.counters.fold_into(stats);
+        stats.backpressure_secs = self.queues.iter().map(|q| q.blocked_secs()).sum();
+        stats.wall_join_secs = self.start.elapsed().as_secs_f64();
+        stats.wire_bytes = self.remote.iter().map(|q| q.wire_bytes()).sum();
+        if let (Some(spill), Some(start)) = (self.io.spill, self.spill_start) {
+            stats.set_spill(&spill.ctx.totals().since(&start));
+        }
+        let gauge = self.io.gauge.unwrap_or(&self.own_gauge);
+        out.peak_resident_tuples = gauge.peak_tuples();
+        out.routing_epoch = self.io.table.epoch();
+        if out.cancelled {
+            for tallies in [
+                &mut out.per_region_input,
+                &mut out.per_region_output,
+                &mut out.per_region_checksum,
+            ] {
+                tallies.fill(0);
+            }
+        } else {
+            debug_assert_eq!(
+                self.in_flight.load(Ordering::Acquire),
+                0,
+                "finished with unabsorbed tuples in flight"
+            );
+            // A completed run must balance its books: every charged tuple
+            // was released by a sweep, a region completion, or a
+            // downstream routing release. A shared gauge is checked by its
+            // owner once every run charging it is done (`plan::pipelined`).
+            debug_assert!(
+                self.io.gauge.is_some() || gauge.current_tuples() == 0,
+                "completed run leaked {} gauge tuples",
+                gauge.current_tuples()
+            );
+        }
+        out
+    }
+}
+
+/// Runs one pipelined operator over a scanned build side and a probe
+/// [`Source`] (see [`EngineIo`]) — the engine's one entry point.
 ///
 /// All mapper/reducer/coordinator work executes as tasks on `rt`'s shared
 /// worker pool; the calling thread only orchestrates (it waits for the
@@ -288,194 +541,34 @@ pub struct EngineIo<'a> {
 /// queries, or the stages of one plan — share a single runtime without
 /// spawning anything.
 pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig) -> EngineOutcome {
-    assert!(
-        io.r1.exchange().is_none(),
-        "streamed build sides are unsupported: left-deep chains build on base relations"
-    );
-    let r1 = io.r1.scan_cols();
-    let r2 = io.r2.scan_cols();
-    let (router, cond, table) = (io.router, io.cond, io.table);
-    // Morsels of the scan sources; an exchange side contributes none — its
-    // batches arrive pre-cut.
-    let plan = &MorselPlan::new(r1.len(), r2.len(), cfg.morsel_tuples);
-    let n_regions = table.n_regions();
-    let reducers = cfg.reducers.max(1);
-    debug_assert!(table.snapshot().iter().all(|&q| (q as usize) < reducers));
-
-    let start = Instant::now();
-    // With a transport configured every delivery queue becomes a framed
-    // byte-stream link (same FragmentPort contract, credit-based window in
-    // place of the shared counter). One failure latch is shared by every
-    // link of the run; a watcher task below converts a trip into a
-    // cooperative cancellation.
-    let transport_failure = cfg.transport.as_ref().map(|_| TransportFailure::new());
-    let mut remote_queues: Vec<Arc<RemoteQueue>> = Vec::new();
-    let queues: Vec<Arc<port::DeliveryPort>> = match (&cfg.transport, &transport_failure) {
-        (Some(tcfg), Some(latch)) => (0..reducers)
-            .map(|_| {
-                let q = RemoteQueue::spawn(tcfg, cfg.queue_tuples, n_regions, latch.clone())
-                    .expect("transport link setup failed");
-                remote_queues.push(q.clone());
-                q as Arc<port::DeliveryPort>
-            })
-            .collect(),
-        _ => (0..reducers)
-            .map(|_| Arc::new(Channel::new(cfg.queue_tuples)) as Arc<port::DeliveryPort>)
-            .collect(),
-    };
-    let local_gauge = MemGauge::default();
-    let gauge = io.gauge.unwrap_or(&local_gauge);
-    let board = ProgressBoard::new(reducers, n_regions);
-    let default_cancel = CancelToken::new();
-    let cancel = io.cancel.unwrap_or(&default_cancel);
-    let seal = SealState::new(plan.r1_morsels(), plan.total(), io.r2.exchange());
-    let network_tuples = AtomicU64::new(0);
-    let morsels_routed = AtomicU64::new(0);
-    let route_nanos = AtomicU64::new(0);
-    let merge_nanos = AtomicU64::new(0);
-    let sweep_nanos = AtomicU64::new(0);
-    let in_flight = AtomicU64::new(0);
-    let adoptions = AtomicU64::new(0);
-    let migration_tuples = AtomicU64::new(0);
-    let mappers_done = AtomicBool::new(false);
-    let abort = AtomicBool::new(false);
-    // Wakes the parked coordinator on the events its termination check
-    // watches; also bumped by the orchestrator after the stores below.
-    let quiesce = WakeSet::new();
-
+    let run = Run::new(io, cfg);
     // An empty relation never triggers a mapper-side seal; pre-seal here.
     // (SealAll further requires a drained exchange when the probe side
     // streams.)
-    if plan.r1_morsels() == 0 {
-        broadcast(&queues, || Delivery::SealR1);
+    if run.plan.r1_morsels() == 0 {
+        broadcast(&run.queues, || Delivery::SealR1);
     }
-    seal.maybe_seal_all(&queues);
-
-    let mapper_shared = MapperShared {
-        plan,
-        r1,
-        r2,
-        router,
-        table,
-        queues: &queues,
-        seal: &seal,
-        gauge,
-        network_tuples: &network_tuples,
-        morsels_routed: &morsels_routed,
-        in_flight: &in_flight,
-        route_nanos: &route_nanos,
-        seed: cfg.seed,
-        cancel,
-    };
-    let reducer_shared = ReducerShared {
-        queues: &queues,
-        table,
-        board: &board,
-        gauge,
-        cond,
-        work: cfg.work,
-        probe_chunk: cfg.probe_chunk.max(1),
-        in_flight: &in_flight,
-        adoptions: &adoptions,
-        migration_tuples: &migration_tuples,
-        straggler: cfg.straggler,
-        sink: io.sink,
-        key_from: io.key_from,
-        spill: io.spill,
-        cancel,
-        quiesce: &quiesce,
-        mappers_done: &mappers_done,
-        merge_nanos: &merge_nanos,
-        sweep_nanos: &sweep_nanos,
-    };
-    let coordinator_shared = CoordinatorShared {
-        queues: &queues,
-        table,
-        board: &board,
-        adaptive: &cfg.adaptive,
-        links: io.links,
-        r1_remaining: &seal.r1_remaining,
-        mappers_done: &mappers_done,
-        abort: &abort,
-        in_flight: &in_flight,
-        adoptions: &adoptions,
-        quiesce: &quiesce,
-    };
-
-    // Spill counters are cumulative on the (possibly plan-shared) context;
-    // report this run's contribution as a delta. Concurrent stages over one
-    // context produce overlapping deltas — the plan driver overrides its
-    // merged totals from the context's absolute counters.
-    let spill_start = io.spill.map(|spill| spill.ctx.totals());
-
-    let mut owned: Vec<Vec<u32>> = vec![Vec::new(); reducers];
-    for (region, &q) in table.snapshot().iter().enumerate() {
+    run.seal.maybe_seal_all(&run.queues);
+    let mut owned: Vec<Vec<u32>> = vec![Vec::new(); run.cfg.reducers];
+    for (region, &q) in io.table.snapshot().iter().enumerate() {
         owned[q as usize].push(region as u32);
     }
 
-    // Result slots the pool tasks write into as they finish (the runtime's
-    // scoped tasks have no join handles — the scope itself is the join).
-    let outcome_slots: Vec<Mutex<Option<ReducerOutcome>>> =
-        (0..reducers).map(|_| Mutex::new(None)).collect();
-    let tally_slot: Mutex<Option<MigrationTally>> = Mutex::new(None);
-
     rt.scope(|s| {
-        // The transport's I/O threads are 'static and cannot borrow the
-        // run's cancel token; this scoped watcher bridges the gap. It
-        // parks on the failure latch and, on a trip, cancels the query,
-        // flags the abort (so a coordinator waiting out `in_flight` —
-        // which discarded deliveries can never drain — exits), and aborts
-        // every reducer in-band. The orchestrator releases the latch after
-        // the coordinator so a clean run parks here exactly once.
-        if let Some(latch) = &transport_failure {
-            let latch = latch.clone();
-            let queues = &queues;
-            let abort = &abort;
-            let quiesce = &quiesce;
-            s.spawn(move |cx| {
-                if latch.failed() {
-                    cancel.cancel();
-                    abort.store(true, Ordering::Release);
-                    broadcast(queues, || Delivery::Abort);
-                    quiesce.wake_all();
-                    return Poll::Ready;
-                }
-                if latch.released() {
-                    return Poll::Ready;
-                }
-                if latch.park(cx.waker()) {
-                    Poll::Pending
-                } else {
-                    Poll::Yielded
-                }
-            });
+        let run = &run;
+        if let Some(latch) = &run.transport_failure {
+            s.spawn(move |cx| run.watch_transport(latch, cx));
         }
         for (q, regions) in owned.iter().enumerate() {
-            let mut task = ReducerTask::new(&reducer_shared, q, regions);
-            let slot = &outcome_slots[q];
-            s.spawn(move |cx| match task.poll(cx) {
-                ReducerStep::Working => Poll::Yielded,
-                ReducerStep::Parked => Poll::Pending,
-                ReducerStep::Done(outcome) => {
-                    *slot.lock().expect("outcome slot poisoned") = Some(outcome);
-                    Poll::Ready
-                }
-            });
+            let mut task = ReducerTask::new(run, q, regions);
+            s.spawn(move |cx| task.poll(cx));
         }
         let coordinator_group = s.group();
-        let mut coordinator = CoordinatorTask::new(&coordinator_shared);
-        let slot = &tally_slot;
-        s.spawn_in(&coordinator_group, move |cx| match coordinator.poll(cx) {
-            CoordinatorStep::Idle => Poll::Pending,
-            CoordinatorStep::Busy => Poll::Yielded,
-            CoordinatorStep::Done(tally) => {
-                *slot.lock().expect("tally slot poisoned") = Some(tally);
-                Poll::Ready
-            }
-        });
+        let mut coordinator = CoordinatorTask::new(run);
+        s.spawn_in(&coordinator_group, move |cx| coordinator.poll(cx));
         let mapper_group = s.group();
-        for _ in 0..cfg.mappers.max(1) {
-            let mut task = MapperTask::new(&mapper_shared);
+        for _ in 0..run.cfg.mappers {
+            let mut task = MapperTask::new(run);
             s.spawn_in(&mapper_group, move |cx| task.poll(cx));
         }
         mapper_group.wait();
@@ -485,99 +578,26 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
         // deadlock. Otherwise hand termination to the coordinator (Finish
         // at quiescence). Either way, wake the parked coordinator to
         // observe the store.
-        let broken = !seal.sealed_all();
+        let broken = !run.seal.sealed_all();
         if broken {
-            abort.store(true, Ordering::Release);
+            run.abort.store(true, Ordering::Release);
         } else {
-            mappers_done.store(true, Ordering::Release);
+            run.mappers_done.store(true, Ordering::Release);
         }
-        quiesce.wake_all();
+        run.quiesce.wake_all();
         coordinator_group.wait();
         // A clean run parks the transport watcher forever; let it exit.
         // (A trip that races this release still aborted the reducers via
         // the in-band injection on the failed link.)
-        if let Some(latch) = &transport_failure {
+        if let Some(latch) = &run.transport_failure {
             latch.release();
         }
         if broken {
-            broadcast(&queues, || Delivery::Abort);
+            broadcast(&run.queues, || Delivery::Abort);
         }
         // Scope exit blocks until the reducer tasks complete.
     });
-    let outcomes: Vec<ReducerOutcome> = outcome_slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("outcome slot poisoned")
-                .expect("reducer task finished without an outcome")
-        })
-        .collect();
-    let tally = tally_slot
-        .into_inner()
-        .expect("tally slot poisoned")
-        .expect("coordinator task finished without a tally");
-
-    // A recorded I/O failure cancels the run even if no reducer aborted: a
-    // reducer drops the chunk it could not reload, and once the mappers are
-    // done its cancel stops no one — the join may be short of pairs.
-    let spill_failure = io.spill.and_then(|spill| spill.ctx.failure());
-    let wire_failure = transport_failure.and_then(|latch| latch.reason());
-    let failure = match (spill_failure, wire_failure) {
-        (Some(why), _) => Some(format!("spill failure: {why}")),
-        (None, Some(why)) => Some(format!("transport failure: {why}")),
-        (None, None) => None,
-    };
-    let cancelled = failure.is_some() || outcomes.iter().any(|o| o.aborted);
-    let mut outcome = EngineOutcome {
-        per_region_input: vec![0; n_regions],
-        per_region_output: vec![0; n_regions],
-        per_region_checksum: vec![0; n_regions],
-        network_tuples: network_tuples.into_inner(),
-        peak_resident_tuples: gauge.peak_tuples(),
-        morsels_routed: morsels_routed.into_inner(),
-        backpressure_secs: queues.iter().map(|q| q.blocked_secs()).sum(),
-        route_secs: route_nanos.into_inner() as f64 * 1e-9,
-        merge_secs: merge_nanos.into_inner() as f64 * 1e-9,
-        sweep_secs: sweep_nanos.into_inner() as f64 * 1e-9,
-        busy_secs: outcomes.iter().map(|o| o.busy_secs).collect(),
-        idle_secs: outcomes.iter().map(|o| o.idle_secs).collect(),
-        wall_secs: start.elapsed().as_secs_f64(),
-        regions_migrated: tally.regions_migrated,
-        migration_tuples: migration_tuples.into_inner(),
-        migration_secs: tally.migration_secs,
-        routing_epoch: table.epoch(),
-        spill: SpillTotals::default(),
-        wire_bytes: remote_queues.iter().map(|q| q.wire_bytes()).sum(),
-        cancelled,
-        failure,
-    };
-    if let (Some(spill), Some(start)) = (io.spill, spill_start) {
-        outcome.spill = spill.ctx.totals().since(&start);
-    }
-    if !cancelled {
-        debug_assert_eq!(
-            in_flight.load(Ordering::Acquire),
-            0,
-            "finished with unabsorbed tuples in flight"
-        );
-        // A completed run over a private gauge must balance its books:
-        // every charged tuple was released by a sweep, a region
-        // completion, or a downstream routing release. (Shared gauges are
-        // checked by the owning plan/ticket instead.)
-        debug_assert!(
-            io.gauge.is_some() || local_gauge.current_tuples() == 0,
-            "completed run leaked {} gauge tuples",
-            local_gauge.current_tuples()
-        );
-        for o in &outcomes {
-            for r in &o.results {
-                outcome.per_region_input[r.region as usize] = r.input;
-                outcome.per_region_output[r.region as usize] = r.output;
-                outcome.per_region_checksum[r.region as usize] = r.checksum;
-            }
-        }
-    }
-    outcome
+    run.finish()
 }
 
 #[cfg(test)]
@@ -617,7 +637,7 @@ mod tests {
         run_pipelined_io(
             rt,
             EngineIo {
-                r1: Source::Scan(&r1),
+                r1: &r1,
                 r2: Source::Scan(&r2),
                 router,
                 cond,
@@ -703,7 +723,7 @@ mod tests {
             assert_eq!(out.checksum(), expect_s, "morsel {morsel}");
             assert!(!out.cancelled);
             assert_eq!(
-                out.morsels_routed as usize,
+                out.stats.morsels_routed as usize,
                 MorselPlan::new(r1.len(), r2.len(), morsel).total()
             );
         }
@@ -793,7 +813,10 @@ mod tests {
         );
         assert!(out.cancelled);
         assert_eq!(out.output_total(), 0);
-        assert_eq!(out.morsels_routed, 0, "cancel was set before any claim");
+        assert_eq!(
+            out.stats.morsels_routed, 0,
+            "cancel was set before any claim"
+        );
     }
 
     #[test]
@@ -844,12 +867,12 @@ mod tests {
         assert_eq!(out.output_total(), expect_c);
         assert_eq!(out.checksum(), expect_s);
         assert!(
-            out.regions_migrated >= 1,
+            out.stats.regions_migrated >= 1,
             "straggler with forced thresholds must trigger migration"
         );
-        assert_eq!(out.routing_epoch, out.regions_migrated);
-        assert!(out.migration_tuples > 0);
-        assert!(out.migration_secs >= 0.0);
+        assert_eq!(out.routing_epoch, out.stats.regions_migrated);
+        assert!(out.stats.migration_tuples > 0);
+        assert!(out.stats.migration_secs >= 0.0);
         // Each region migrates at most once, so the owner map diverges from
         // the initial placement in exactly `regions_migrated` slots.
         let owners = table.snapshot();
@@ -858,7 +881,7 @@ mod tests {
             .zip(&region_to_reducer)
             .filter(|(now, init)| now != init)
             .count() as u64;
-        assert_eq!(moved, out.regions_migrated);
+        assert_eq!(moved, out.stats.regions_migrated);
     }
 
     /// Streams `r2` through an [`Exchange`] in `batch` -sized chunks from a
@@ -893,7 +916,7 @@ mod tests {
             run_pipelined_io(
                 &rt,
                 EngineIo {
-                    r1: Source::Scan(&r1),
+                    r1: &r1,
                     r2: Source::Exchange(&exchange),
                     router,
                     cond,
@@ -964,7 +987,10 @@ mod tests {
             assert!(!out.cancelled, "batch {batch}");
             assert_eq!(out.output_total(), scan.output_total(), "batch {batch}");
             assert_eq!(out.checksum(), scan.checksum(), "batch {batch}");
-            assert_eq!(out.network_tuples, scan.network_tuples, "batch {batch}");
+            assert_eq!(
+                out.stats.network_tuples, scan.stats.network_tuples,
+                "batch {batch}"
+            );
         }
     }
 
@@ -1048,7 +1074,7 @@ mod tests {
             run_pipelined_io(
                 &rt,
                 EngineIo {
-                    r1: Source::Scan(&r1),
+                    r1: &r1,
                     r2: Source::Exchange(&exchange),
                     router: &scheme.router,
                     cond: &cond,
@@ -1135,8 +1161,8 @@ mod tests {
         );
         assert_eq!(out.output_total(), expect_c);
         assert_eq!(out.checksum(), expect_s);
-        assert_eq!(out.regions_migrated, 0);
+        assert_eq!(out.stats.regions_migrated, 0);
         assert_eq!(out.routing_epoch, 0);
-        assert_eq!(out.migration_tuples, 0);
+        assert_eq!(out.stats.migration_tuples, 0);
     }
 }

@@ -91,7 +91,6 @@ pub trait FragmentPort: Send + Sync {
     }
 }
 
-/// The engine's delivery channel as a trait object — what `MapperShared`,
-/// `ReducerShared`, and `CoordinatorShared` hold instead of a concrete
-/// queue slice.
+/// The engine's delivery channel as a trait object — what a run's queues
+/// hold instead of a concrete channel type.
 pub type DeliveryPort = dyn FragmentPort<Item = Delivery>;

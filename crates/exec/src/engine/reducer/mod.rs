@@ -81,23 +81,17 @@ mod sweep;
 
 use std::collections::VecDeque;
 use std::mem;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use ewh_core::{ColumnBatch, JoinCondition, Rel, RoutingTable};
+use ewh_core::{ColumnBatch, Rel};
 
-use crate::local_join::{KeyFrom, OutputWork};
-
-use super::board::ProgressBoard;
-use super::exchange::StageSink;
-use super::morsel::MemGauge;
 use super::pool::BatchPool;
 use super::port::{DeliveryPort, FragmentPort, PortPop};
 use super::queue::{Delivery, RegionBatch};
-use super::runtime::{CancelToken, TaskCx, WakeSet, Waker};
-use super::spill::{SpillBinding, SpillRun};
-use super::Straggler;
+use super::runtime::{Poll, TaskCx, Waker};
+use super::spill::SpillRun;
+use super::Run;
 
 /// Deliveries processed per poll before the task yields its worker, so a
 /// firehosed reducer cannot monopolize a pool slot against other queries.
@@ -169,93 +163,9 @@ impl RegionState {
     }
 }
 
-/// Final tallies of one region.
-#[derive(Clone, Debug)]
-pub struct RegionResult {
-    pub region: u32,
-    pub input: u64,
-    pub output: u64,
-    pub checksum: u64,
-}
-
-/// What one reducer produced.
-#[derive(Debug)]
-pub struct ReducerOutcome {
-    pub results: Vec<RegionResult>,
-    /// Time spent processing deliveries.
-    pub busy_secs: f64,
-    /// Time spent parked on an empty queue (or a full downstream
-    /// exchange).
-    pub idle_secs: f64,
-    pub aborted: bool,
-}
-
-/// What one [`ReducerTask::poll`] reports to the orchestration layer.
-#[derive(Debug)]
-pub enum ReducerStep {
-    /// Made progress; poll again soon.
-    Working,
-    /// Nothing to do right now (empty queue / full downstream exchange).
-    Parked,
-    /// Terminal delivery processed and outbox drained.
-    Done(ReducerOutcome),
-}
-
-/// State shared (by reference) between all reducer tasks of one run.
-pub struct ReducerShared<'a> {
-    pub queues: &'a [Arc<DeliveryPort>],
-    pub table: &'a RoutingTable,
-    pub board: &'a ProgressBoard,
-    pub gauge: &'a MemGauge,
-    pub cond: &'a JoinCondition,
-    pub work: OutputWork,
-    /// The fewest probe tuples a region buffers before a sweep (normalized
-    /// to ≥ 1 by the orchestrator); a region waits for an eighth of its
-    /// build, resident and spilled, unless the query is over its budget.
-    /// Also the cap on every spilled run.
-    pub probe_chunk: usize,
-    /// Tuples routed but not yet absorbed into region state.
-    pub in_flight: &'a AtomicU64,
-    /// Migration handshakes completed (incremented by the adopting side).
-    pub adoptions: &'a AtomicU64,
-    /// Tuples shipped between reducers by migrations.
-    pub migration_tuples: &'a AtomicU64,
-    /// Fault-injection: slow down one reducer's absorption path.
-    pub straggler: Option<Straggler>,
-    /// Chained plans: ship each swept chunk's output downstream instead of
-    /// folding it into a checksum only.
-    pub sink: Option<StageSink<'a>>,
-    /// Which side's key the emitted intermediate carries (see [`KeyFrom`]).
-    pub key_from: KeyFrom,
-    /// The query's spill budget and the context reducers shed state
-    /// through while its gauge sits above it; `None` disables out-of-core
-    /// execution.
-    pub spill: Option<SpillBinding<'a>>,
-    /// Engine-wide cancel token. A failed spill write cancels it, which
-    /// makes the mappers exit, breaks the seal chain, and tears the whole
-    /// query down cooperatively — a bare panic inside a pool task would
-    /// instead leave the query's other tasks parked forever on a shared
-    /// pool. Cancelling also *wakes* every task parked on it.
-    pub cancel: &'a CancelToken,
-    /// Quiescence watchers (the coordinator between timed polls): woken
-    /// when the routed-but-unabsorbed count crosses zero after the mappers
-    /// are done, and after every completed adoption handshake.
-    pub quiesce: &'a WakeSet,
-    /// Set by the orchestrator once every mapper task has finished; gates
-    /// the zero-crossing wake above (an in-flight dip to zero mid-run is
-    /// not quiescence).
-    pub mappers_done: &'a AtomicBool,
-    /// Cumulative seal-sort wall time (one clock pair per `merge_gauged`
-    /// pass), aggregated across reducers into `JoinStats::merge_secs`.
-    pub merge_nanos: &'a AtomicU64,
-    /// Cumulative sweep wall time (one clock pair per build×chunk sweep
-    /// pass), aggregated across reducers into `JoinStats::sweep_secs`.
-    pub sweep_nanos: &'a AtomicU64,
-}
-
 /// One reducer task: drains queue `me` until finished or aborted.
 pub struct ReducerTask<'a> {
-    sh: &'a ReducerShared<'a>,
+    run: &'a Run<'a>,
     me: usize,
     /// Region id → live state for regions this reducer currently owns.
     states: Vec<Option<RegionState>>,
@@ -285,8 +195,8 @@ pub struct ReducerTask<'a> {
 }
 
 impl<'a> ReducerTask<'a> {
-    pub fn new(sh: &'a ReducerShared<'a>, me: usize, owned: &[u32]) -> Self {
-        let n_regions = sh.table.n_regions();
+    pub fn new(run: &'a Run<'a>, me: usize, owned: &[u32]) -> Self {
+        let n_regions = run.io.table.n_regions();
         let mut states: Vec<Option<RegionState>> = (0..n_regions).map(|_| None).collect();
         for &r in owned {
             let runs = Some(Vec::new());
@@ -296,7 +206,7 @@ impl<'a> ReducerTask<'a> {
             });
         }
         ReducerTask {
-            sh,
+            run,
             me,
             states,
             parked: (0..n_regions).map(|_| Vec::new()).collect(),
@@ -312,13 +222,13 @@ impl<'a> ReducerTask<'a> {
 
     /// Takes up to [`DELIVERIES_PER_POLL`] steps — one slice of a queued
     /// region's sweep if there is one, else a delivery — flushing the outbox
-    /// between them, and reports how the orchestrator should reschedule the
-    /// task. A `Parked` step always leaves the task's waker registered with
-    /// whichever resource refused it (the downstream exchange or this
-    /// reducer's own queue).
-    pub fn poll(&mut self, cx: &TaskCx<'_>) -> ReducerStep {
+    /// between them. A `Pending` poll always leaves the task's waker
+    /// registered with whichever resource refused it (the downstream
+    /// exchange or this reducer's own queue); a `Ready` one has reported
+    /// the task into the run.
+    pub fn poll(&mut self, cx: &TaskCx<'_>) -> Poll {
         let start = Instant::now();
-        let queue = &self.sh.queues[self.me];
+        let queue = &self.run.queues[self.me];
         let mut processed = 0usize;
         let pool = cx.pool();
         let step = loop {
@@ -330,7 +240,7 @@ impl<'a> ReducerTask<'a> {
                 break self.park(queue.as_ref(), processed);
             }
             if processed >= DELIVERIES_PER_POLL {
-                break ReducerStep::Working;
+                break Poll::Yielded;
             }
             if self.sweep_turn(pool) {
                 processed += 1;
@@ -340,8 +250,8 @@ impl<'a> ReducerTask<'a> {
             if self.finishing {
                 // Terminal already processed; its last sweep's output just
                 // drained.
-                let results = self.tally(pool);
-                break ReducerStep::Done(self.outcome(results, false));
+                self.free_regions(pool);
+                break Poll::Ready;
             }
             let delivery = match queue.try_pop_or_park(cx.waker()) {
                 PortPop::Item(d) => d,
@@ -363,7 +273,8 @@ impl<'a> ReducerTask<'a> {
                 Delivery::Abort => {
                     self.discard();
                     self.busy_secs += start.elapsed().as_secs_f64();
-                    return ReducerStep::Done(self.outcome(Vec::new(), true));
+                    self.report(true);
+                    return Poll::Ready;
                 }
             }
             // Budget enforcement rides on the delivery cadence: after each
@@ -373,8 +284,11 @@ impl<'a> ReducerTask<'a> {
             // task).
             self.maybe_spill();
         };
-        if processed > 0 || !matches!(step, ReducerStep::Parked) {
+        if processed > 0 || !matches!(step, Poll::Pending) {
             self.busy_secs += start.elapsed().as_secs_f64();
+        }
+        if matches!(step, Poll::Ready) {
+            self.report(false);
         }
         step
     }
@@ -382,8 +296,8 @@ impl<'a> ReducerTask<'a> {
     /// Parks the task: publish the idle heartbeat (the migration
     /// coordinator treats an idle reducer as a migration target) and start
     /// the idle clock.
-    fn park(&mut self, queue: &DeliveryPort, processed: usize) -> ReducerStep {
-        self.sh.board.set_idle(
+    fn park(&mut self, queue: &DeliveryPort, processed: usize) -> Poll {
+        self.run.board.set_idle(
             self.me,
             queue.used_tuples() == 0
                 && self.outbox.is_empty()
@@ -394,28 +308,36 @@ impl<'a> ReducerTask<'a> {
             self.idle_since = Some(Instant::now());
         }
         if processed > 0 {
-            ReducerStep::Working
+            Poll::Yielded
         } else {
-            ReducerStep::Parked
+            Poll::Pending
         }
     }
 
     fn unpark(&mut self) {
-        self.sh.board.set_idle(self.me, false);
+        self.run.board.set_idle(self.me, false);
         if let Some(since) = self.idle_since.take() {
             self.idle_secs += since.elapsed().as_secs_f64();
         }
     }
 
-    fn outcome(&mut self, results: Vec<RegionResult>, aborted: bool) -> ReducerOutcome {
+    /// Folds the task into the run's outcome under one lock: the tallies
+    /// of every region it still owns, its busy and idle clocks, and
+    /// whether it aborted. The one report of a finished reducer.
+    fn report(&mut self, aborted: bool) {
         if let Some(since) = self.idle_since.take() {
             self.idle_secs += since.elapsed().as_secs_f64();
         }
-        ReducerOutcome {
-            results,
-            busy_secs: self.busy_secs,
-            idle_secs: self.idle_secs,
-            aborted,
+        let mut out = self.run.outcome();
+        out.stats.reducer_busy_secs[self.me] = self.busy_secs;
+        out.stats.reducer_idle_secs[self.me] = self.idle_secs;
+        out.cancelled |= aborted;
+        for (region, st) in self.states.iter().enumerate() {
+            if let Some(st) = st {
+                out.per_region_input[region] = st.input;
+                out.per_region_output[region] = st.output;
+                out.per_region_checksum[region] = st.checksum;
+            }
         }
     }
 
@@ -424,7 +346,7 @@ impl<'a> ReducerTask<'a> {
     /// `true` when both are empty. On a full exchange, `waker` is left
     /// registered with its producer list.
     fn flush_outbox(&mut self, waker: &Waker, pool: &BatchPool) -> bool {
-        let Some(sink) = self.sh.sink else {
+        let Some(sink) = self.run.io.sink else {
             debug_assert!(self.outbox.is_empty() && self.spilled_outbox.is_empty());
             return true;
         };
@@ -474,7 +396,7 @@ impl<'a> ReducerTask<'a> {
             self.absorb(batch, pool);
             return;
         }
-        let owner = self.sh.table.owner_of(region);
+        let owner = self.run.io.table.owner_of(region);
         if owner as usize == self.me {
             // We are the region's next owner; its state is still in flight.
             self.parked[region as usize].push(batch);
@@ -483,10 +405,10 @@ impl<'a> ReducerTask<'a> {
             // must predate the region's migration epoch (table ordering
             // contract — see `RoutingTable`).
             debug_assert!(
-                batch.epoch < self.sh.table.migrated_at(region),
+                batch.epoch < self.run.io.table.migrated_at(region),
                 "post-migration fragment for region {region} reached a past owner"
             );
-            self.sh.queues[owner as usize].push_unbounded(Delivery::Batch(batch));
+            self.run.queues[owner as usize].push_unbounded(Delivery::Batch(batch));
         }
     }
 
@@ -507,7 +429,7 @@ impl<'a> ReducerTask<'a> {
         }
         let n = tuples.len() as u64;
         self.straggle(n);
-        let sh = self.sh;
+        let run = self.run;
         let st = self.states[region as usize]
             .as_mut()
             .expect("absorb of an unowned region");
@@ -516,8 +438,8 @@ impl<'a> ReducerTask<'a> {
             .as_mut()
             .expect("R1 fragment after the R1 seal")
             .push(tuples);
-        sh.board.add_build(region, n);
-        Self::sub_in_flight(sh, n);
+        run.board.add_build(region, n);
+        Self::sub_in_flight(run, n);
     }
 
     /// Appends probe tuples to an owned region's buffer, queueing the
@@ -525,23 +447,23 @@ impl<'a> ReducerTask<'a> {
     fn absorb_probe(&mut self, region: u32, tuples: &ColumnBatch) {
         let n = tuples.len() as u64;
         self.straggle(n);
-        let sh = self.sh;
+        let run = self.run;
         let st = self.states[region as usize]
             .as_mut()
             .expect("absorb of an unowned region");
         st.input += n;
         st.pending
             .extend_from_slices(tuples.keys(), tuples.payloads());
-        sh.board.add_probe(region, n);
+        run.board.add_probe(region, n);
         self.queue_if_due(region);
-        Self::sub_in_flight(sh, n);
+        Self::sub_in_flight(run, n);
     }
 
     /// The injected straggler's cost of absorbing `n` tuples. The fault
     /// really does occupy the pool worker — exactly what a slow node does
     /// to a shared cluster.
     fn straggle(&self, n: u64) {
-        if let Some(s) = self.sh.straggler {
+        if let Some(s) = self.run.cfg.straggler {
             if s.reducer == self.me && n > 0 {
                 std::thread::sleep(Duration::from_nanos(n.saturating_mul(s.nanos_per_tuple)));
             }
@@ -551,11 +473,11 @@ impl<'a> ReducerTask<'a> {
     /// Decrements the routed-but-unabsorbed counter, waking the quiescence
     /// watchers on the final crossing to zero once the mappers are done —
     /// the event the coordinator's termination check waits on.
-    fn sub_in_flight(sh: &ReducerShared<'_>, n: u64) {
-        if sh.in_flight.fetch_sub(n, Ordering::AcqRel) == n
-            && sh.mappers_done.load(Ordering::Acquire)
+    fn sub_in_flight(run: &Run<'_>, n: u64) {
+        if run.in_flight.fetch_sub(n, Ordering::AcqRel) == n
+            && run.mappers_done.load(Ordering::Acquire)
         {
-            sh.quiesce.wake_all();
+            run.quiesce.wake_all();
         }
     }
 
@@ -564,7 +486,7 @@ impl<'a> ReducerTask<'a> {
             // Adopted regions arrive sealed, and a region sealed early by a
             // racing migration is equally fine — skip, don't re-merge.
             if let Some(st) = self.states[region].as_mut().filter(|st| !st.is_sealed()) {
-                Self::seal(st, self.sh, region as u32);
+                Self::seal(st, self.run, region as u32);
                 self.queue_if_due(region as u32);
             }
         }
@@ -584,22 +506,24 @@ impl<'a> ReducerTask<'a> {
     /// new owner: seal if the `SealR1` broadcast is still in flight, and
     /// ship the state as it is.
     fn on_migrate(&mut self, region: u32) {
-        let sh = self.sh;
+        let run = self.run;
         let mut st = self.states[region as usize]
             .take()
             .expect("Migrate for a region this reducer does not own");
         if !st.is_sealed() {
-            Self::seal(&mut st, sh, region);
+            Self::seal(&mut st, run, region);
         }
         // Spilled runs stay out of `in_flight` (they are not resident), and
         // the coordinator already charged their re-read cost into the move
         // decision.
         let shipped = st.resident_tuples();
-        sh.migration_tuples.fetch_add(shipped, Ordering::Relaxed);
-        sh.in_flight.fetch_add(shipped, Ordering::AcqRel);
-        let owner = sh.table.owner_of(region);
+        run.counters
+            .migration_tuples
+            .fetch_add(shipped, Ordering::Relaxed);
+        run.in_flight.fetch_add(shipped, Ordering::AcqRel);
+        let owner = run.io.table.owner_of(region);
         debug_assert_ne!(owner as usize, self.me, "migration to self");
-        sh.queues[owner as usize].push_unbounded(Delivery::Adopt {
+        run.queues[owner as usize].push_unbounded(Delivery::Adopt {
             region,
             state: Box::new(st),
         });
@@ -608,13 +532,13 @@ impl<'a> ReducerTask<'a> {
     /// Install a migrated region's state, then absorb any fragments the
     /// fence parked while the state was in flight.
     fn on_adopt(&mut self, region: u32, mut state: RegionState, pool: &BatchPool) {
-        let sh = self.sh;
+        let run = self.run;
         debug_assert!(
             self.states[region as usize].is_none(),
             "adoption of a region already owned"
         );
         debug_assert_eq!(
-            sh.table.owner_of(region) as usize,
+            run.io.table.owner_of(region) as usize,
             self.me,
             "adoption does not match the routing table"
         );
@@ -623,23 +547,23 @@ impl<'a> ReducerTask<'a> {
         state.came_back = false;
         let shipped = state.resident_tuples();
         self.states[region as usize] = Some(state);
-        Self::sub_in_flight(sh, shipped);
+        Self::sub_in_flight(run, shipped);
         for batch in mem::take(&mut self.parked[region as usize]) {
             self.absorb(batch, pool);
         }
         self.queue_if_due(region);
         // Publish completion last: the coordinator may start the next
         // handshake (or declare quiescence) the moment it sees this.
-        sh.adoptions.fetch_add(1, Ordering::Release);
-        sh.quiesce.wake_all();
+        run.adoptions.fetch_add(1, Ordering::Release);
+        run.quiesce.wake_all();
     }
 
     /// Seals a region's build side — the one path `SealR1`, a migration
     /// that overtakes it, and `finish` all take: shed what the budget
     /// cannot hold through the sort, then sort the rest into `build`.
-    fn seal(st: &mut RegionState, sh: &ReducerShared<'_>, region: u32) {
-        Self::make_room_to_seal(st, sh, region);
-        st.build = Self::merge_gauged(st.runs.take().unwrap_or_default(), sh);
+    fn seal(st: &mut RegionState, run: &Run<'_>, region: u32) {
+        Self::make_room_to_seal(st, run, region);
+        st.build = Self::merge_gauged(st.runs.take().unwrap_or_default(), run);
     }
 
     /// Sorts a region's runs into one, charging the memory transient to
@@ -648,14 +572,13 @@ impl<'a> ReducerTask<'a> {
     /// side. Charging the full size for the whole pass is a (slight)
     /// overestimate of the instantaneous extra — the gauge must never
     /// under-report the high-water mark it exists to measure.
-    fn merge_gauged(runs: Vec<ColumnBatch>, sh: &ReducerShared<'_>) -> ColumnBatch {
+    fn merge_gauged(runs: Vec<ColumnBatch>, run: &Run<'_>) -> ColumnBatch {
         let transient = runs.iter().map(ColumnBatch::len).sum::<usize>() as u64;
-        sh.gauge.add(transient);
+        run.gauge().add(transient);
         let start = Instant::now();
         let build = merge_sorted_runs(runs);
-        sh.merge_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        sh.gauge.sub(transient);
+        run.counters.merge_secs.add_since(start);
+        run.gauge().sub(transient);
         build
     }
 
@@ -670,39 +593,32 @@ impl<'a> ReducerTask<'a> {
             // A region that saw no R1 seal can only mean an empty plan where
             // the orchestrator pre-sealed; seal whatever is there.
             if let Some(st) = self.states[region].as_mut().filter(|st| !st.is_sealed()) {
-                Self::seal(st, self.sh, region as u32);
+                Self::seal(st, self.run, region as u32);
             }
             self.queue_if_buffered(region as u32);
         }
         self.finishing = true;
     }
 
-    /// Frees every owned region's build side and reports its tallies.
-    fn tally(&mut self, pool: &BatchPool) -> Vec<RegionResult> {
-        let sh = self.sh;
-        let mut results = Vec::new();
+    /// Frees every owned region's build side; the tallies stay for the
+    /// report.
+    fn free_regions(&mut self, pool: &BatchPool) {
+        let run = self.run;
         for (region, slot) in self.states.iter_mut().enumerate() {
             let Some(st) = slot.as_mut() else { continue };
             debug_assert!(!st.has_buffered());
-            sh.gauge.sub(st.build.len() as u64);
+            run.gauge().sub(st.build.len() as u64);
             pool.put(mem::take(&mut st.build));
             // Build runs that never came back persist across flushes (each
             // probe chunk re-reads them); the region completing retires them.
-            for run in st.spilled_build.drain(..) {
-                sh.board.sub_spilled(region as u32, run.tuples());
+            for spilled in st.spilled_build.drain(..) {
+                run.board.sub_spilled(region as u32, spilled.tuples());
             }
-            results.push(RegionResult {
-                region: region as u32,
-                input: st.input,
-                output: st.output,
-                checksum: st.checksum,
-            });
         }
-        results
     }
 
     fn discard(&mut self) {
-        let gauge = self.sh.gauge;
+        let gauge = self.run.gauge();
         for slot in self.states.iter_mut() {
             if let Some(st) = slot.take() {
                 // Spilled tuples are not in the gauge, and their records
@@ -741,123 +657,108 @@ pub fn merge_sorted_runs(runs: Vec<ColumnBatch>) -> ColumnBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Channel, EngineRuntime, Poll, SpillContext};
-    use crate::local_join::{sweep_columns, sweep_columns_each};
-    use std::sync::Mutex;
+    use crate::engine::{
+        Channel, EngineConfig, EngineIo, EngineRuntime, MemGauge, Source, SpillBinding,
+        SpillContext, StageSink,
+    };
+    use crate::local_join::{sweep_columns, sweep_columns_each, KeyFrom, OutputWork};
+    use ewh_core::{JoinCondition, RandomRouter, Router, RoutingTable};
+    use std::sync::Arc;
 
-    /// Polls reducer `me` on `rt` until its terminal delivery.
-    fn drive(
-        rt: &EngineRuntime,
-        sh: &ReducerShared<'_>,
-        me: usize,
-        owned: &[u32],
-    ) -> ReducerOutcome {
-        drive_with(rt, sh, me, owned, |_| {})
+    /// Polls reducer `me` of `run` on `rt` until it has reported.
+    fn drive(rt: &EngineRuntime, run: &Run<'_>, me: usize, owned: &[u32]) {
+        drive_with(rt, run, me, owned, |_| {})
     }
 
     /// [`drive`], with a look at the task after every poll.
     fn drive_with(
         rt: &EngineRuntime,
-        sh: &ReducerShared<'_>,
+        run: &Run<'_>,
         me: usize,
         owned: &[u32],
         mut after_poll: impl FnMut(&ReducerTask<'_>) + Send,
-    ) -> ReducerOutcome {
-        let slot = Mutex::new(None);
+    ) {
         rt.scope(|s| {
-            let mut task = ReducerTask::new(sh, me, owned);
-            let slot = &slot;
+            let mut task = ReducerTask::new(run, me, owned);
             let after_poll = &mut after_poll;
             s.spawn(move |cx| {
                 let step = task.poll(cx);
                 after_poll(&task);
-                match step {
-                    ReducerStep::Working => Poll::Yielded,
-                    ReducerStep::Parked => Poll::Pending,
-                    ReducerStep::Done(outcome) => {
-                        *slot.lock().expect("outcome slot") = Some(outcome);
-                        Poll::Ready
-                    }
-                }
+                step
             });
         });
-        slot.into_inner()
-            .expect("outcome slot")
-            .expect("reducer finished")
     }
 
-    /// Everything a hand-built [`ReducerShared`] borrows.
-    struct Rig {
-        queues: Vec<Arc<DeliveryPort>>,
-        table: RoutingTable,
-        board: ProgressBoard,
-        gauge: MemGauge,
+    /// What a run borrows, for reducers driven by hand: `reducers` queues
+    /// of 65 536 tuples over the regions of `owners`, no scan input.
+    struct Inputs {
+        r1: ColumnBatch,
+        r2: ColumnBatch,
+        router: Router,
         cond: JoinCondition,
-        cancel: CancelToken,
-        quiesce: WakeSet,
-        counters: [AtomicU64; 5],
-        mappers_done: AtomicBool,
+        table: RoutingTable,
+        cfg: EngineConfig,
     }
 
-    impl Rig {
-        fn new(reducers: usize, owners: &[u32], cond: JoinCondition) -> Self {
-            Rig {
-                queues: (0..reducers)
-                    .map(|_| Arc::new(Channel::new(1 << 16)) as Arc<DeliveryPort>)
-                    .collect(),
-                table: RoutingTable::new(owners),
-                board: ProgressBoard::new(reducers, owners.len()),
-                gauge: MemGauge::default(),
+    impl Inputs {
+        fn new(reducers: usize, owners: &[u32], cond: JoinCondition, probe_chunk: usize) -> Self {
+            let rows = owners.len() as u32;
+            Inputs {
+                r1: ColumnBatch::new(),
+                r2: ColumnBatch::new(),
+                router: Router::Random(RandomRouter { rows, cols: 1 }),
                 cond,
-                cancel: CancelToken::new(),
-                quiesce: WakeSet::new(),
-                counters: Default::default(),
-                mappers_done: AtomicBool::new(false),
+                table: RoutingTable::new(owners),
+                cfg: EngineConfig {
+                    queue_tuples: 1 << 16,
+                    probe_chunk,
+                    ..EngineConfig::for_tasks(reducers, 1024, 0)
+                },
             }
         }
 
-        fn shared<'a>(
-            &'a self,
-            probe_chunk: usize,
-            sink: Option<StageSink<'a>>,
-        ) -> ReducerShared<'a> {
-            let [in_flight, adoptions, migration_tuples, merge_nanos, sweep_nanos] = &self.counters;
-            ReducerShared {
-                queues: &self.queues,
-                table: &self.table,
-                board: &self.board,
-                gauge: &self.gauge,
+        /// The run's wiring: no sink, no spill, its own gauge.
+        fn io(&self) -> EngineIo<'_> {
+            EngineIo {
+                r1: &self.r1,
+                r2: Source::Scan(&self.r2),
+                router: &self.router,
                 cond: &self.cond,
-                work: OutputWork::Touch,
-                probe_chunk,
-                in_flight,
-                adoptions,
-                migration_tuples,
-                straggler: None,
-                sink,
+                table: &self.table,
+                sink: None,
                 key_from: KeyFrom::Probe,
+                gauge: None,
+                cancel: None,
                 spill: None,
-                cancel: &self.cancel,
-                quiesce: &self.quiesce,
-                mappers_done: &self.mappers_done,
-                merge_nanos,
-                sweep_nanos,
+                links: None,
             }
         }
 
-        /// What a mapper does per shipped fragment.
-        fn ship(&self, to: usize, region: u32, rel: Rel, tuples: ColumnBatch) {
-            let n = tuples.len() as u64;
-            self.gauge.add(n);
-            self.counters[0].fetch_add(n, Ordering::AcqRel);
-            self.queues[to].push_unbounded(Delivery::Batch(RegionBatch {
-                region,
-                rel,
-                epoch: self.table.epoch(),
-                tuples,
-                siblings: Vec::new(),
-            }));
+        /// The run over [`io`](Self::io).
+        fn run(&self) -> Run<'_> {
+            Run::new(self.io(), &self.cfg)
         }
+    }
+
+    /// What a mapper does per shipped fragment.
+    fn ship(run: &Run<'_>, to: usize, region: u32, rel: Rel, tuples: ColumnBatch) {
+        let n = tuples.len() as u64;
+        run.gauge().add(n);
+        run.in_flight.fetch_add(n, Ordering::AcqRel);
+        run.queues[to].push_unbounded(Delivery::Batch(RegionBatch {
+            region,
+            rel,
+            epoch: run.io.table.epoch(),
+            tuples,
+            siblings: Vec::new(),
+        }));
+    }
+
+    /// Each region's `(output, checksum)` as reported into the run.
+    fn tallies(run: &Run<'_>) -> Vec<(u64, u64)> {
+        let out = run.outcome();
+        let pairs = out.per_region_output.iter().zip(&out.per_region_checksum);
+        pairs.map(|(&c, &x)| (c, x)).collect()
     }
 
     #[test]
@@ -869,53 +770,58 @@ mod tests {
         // behind a 256-tuple exchange, never much more than one region's.
         const REGIONS: u32 = 16;
         let rt = EngineRuntime::new(2);
-        let rig = Rig::new(1, &[0; REGIONS as usize], JoinCondition::Equi);
+        let inputs = Inputs::new(1, &[0; REGIONS as usize], JoinCondition::Equi, 64);
         let exchange = super::super::Exchange::new(256);
-        let sink = StageSink {
+        let sink = Some(StageSink {
             exchange: &exchange,
             batch_tuples: 64,
-        };
-        let sh = rig.shared(64, Some(sink));
+        });
+        let run = Run::new(
+            EngineIo {
+                sink,
+                ..inputs.io()
+            },
+            &inputs.cfg,
+        );
         let side = |tag: u64| -> ColumnBatch {
             (0..20)
                 .map(|i| ewh_core::Tuple::new(7, tag << 8 | i))
                 .collect()
         };
         for region in 0..REGIONS {
-            rig.ship(0, region, Rel::R1, side(1));
+            ship(&run, 0, region, Rel::R1, side(1));
         }
-        rig.queues[0].push_unbounded(Delivery::SealR1);
+        run.queues[0].push_unbounded(Delivery::SealR1);
         for region in 0..REGIONS {
-            rig.ship(0, region, Rel::R2, side(2));
+            ship(&run, 0, region, Rel::R2, side(2));
         }
-        rig.queues[0].push_unbounded(Delivery::SealAll);
-        rig.queues[0].push_unbounded(Delivery::Finish);
+        run.queues[0].push_unbounded(Delivery::SealAll);
+        run.queues[0].push_unbounded(Delivery::Finish);
         let state = REGIONS as u64 * 40;
-        assert_eq!(rig.gauge.current_tuples(), state);
+        assert_eq!(run.gauge().current_tuples(), state);
 
         let owned: Vec<u32> = (0..REGIONS).collect();
-        let (outcome, emitted) = std::thread::scope(|s| {
+        let emitted = std::thread::scope(|s| {
             // The downstream mapper: take a batch, release its charge.
             let consumer = s.spawn(|| {
                 let mut emitted = 0u64;
                 while let Some(batch) = exchange.pop() {
                     emitted += batch.len() as u64;
-                    rig.gauge.sub(batch.len() as u64);
+                    run.gauge().sub(batch.len() as u64);
                 }
                 emitted
             });
-            let outcome = drive(&rt, &sh, 0, &owned);
+            drive(&rt, &run, 0, &owned);
             exchange.close();
-            (outcome, consumer.join().expect("consumer"))
+            consumer.join().expect("consumer")
         });
         assert_eq!(emitted, REGIONS as u64 * 400);
-        assert_eq!(outcome.results.len(), REGIONS as usize);
-        assert!(outcome.results.iter().all(|r| r.output == 400));
-        assert_eq!(rig.gauge.current_tuples(), 0);
+        assert_eq!(run.outcome().per_region_output, [400; REGIONS as usize]);
+        assert_eq!(run.gauge().current_tuples(), 0);
         // Resident state, a full exchange, one region's sweep, the batch in
         // the consumer's hands.
         let bound = state + 256 + 400 + 64;
-        let peak = rig.gauge.peak_tuples();
+        let peak = run.gauge().peak_tuples();
         assert!(
             peak <= bound,
             "peak {peak} tuples: the seal staged more than a region"
@@ -945,13 +851,19 @@ mod tests {
             (1024, hot_between(200)),
             (256, hot_between(128)),
         ] {
-            let rig = Rig::new(1, &[0], JoinCondition::Equi);
+            let inputs = Inputs::new(1, &[0], JoinCondition::Equi, probe_keys.len());
             let exchange = super::super::Exchange::new(cap);
-            let sink = StageSink {
+            let sink = Some(StageSink {
                 exchange: &exchange,
                 batch_tuples: BATCH,
-            };
-            let sh = rig.shared(probe_keys.len(), Some(sink));
+            });
+            let run = Run::new(
+                EngineIo {
+                    sink,
+                    ..inputs.io()
+                },
+                &inputs.cfg,
+            );
             // Payloads that make `pair_payload` injective.
             let build: ColumnBatch = (0..BUILD)
                 .map(|i| ewh_core::Tuple::new(7, (i + 1) << 12))
@@ -961,21 +873,21 @@ mod tests {
                 .enumerate()
                 .map(|(j, &k)| ewh_core::Tuple::new(k, j as u64 + 1))
                 .collect();
-            rig.ship(0, 0, Rel::R1, build.clone());
-            rig.queues[0].push_unbounded(Delivery::SealR1);
-            rig.ship(0, 0, Rel::R2, probe.clone());
-            rig.queues[0].push_unbounded(Delivery::SealAll);
-            rig.queues[0].push_unbounded(Delivery::Finish);
+            ship(&run, 0, 0, Rel::R1, build.clone());
+            run.queues[0].push_unbounded(Delivery::SealR1);
+            ship(&run, 0, 0, Rel::R2, probe.clone());
+            run.queues[0].push_unbounded(Delivery::SealAll);
+            run.queues[0].push_unbounded(Delivery::Finish);
             let state = BUILD + probe_keys.len() as u64;
 
             let mut emitted = Vec::new();
             let mut take = |batch: ColumnBatch| {
-                rig.gauge.sub(batch.len() as u64);
+                run.gauge().sub(batch.len() as u64);
                 emitted.extend_from_slice(batch.payloads());
             };
             let mut most_staged = 0;
             // The downstream mapper, one batch a turn.
-            let outcome = drive_with(&rt, &sh, 0, &[0], |task| {
+            drive_with(&rt, &run, 0, &[0], |task| {
                 let staged: usize = task.outbox.iter().map(ColumnBatch::len).sum();
                 most_staged = most_staged.max(staged);
                 if let PortPop::Item(batch) = exchange.try_pop() {
@@ -990,22 +902,26 @@ mod tests {
             let mut expect = Vec::new();
             let mut sorted_probe = probe.clone();
             sorted_probe.sort_by_key();
-            sweep_columns_each(&build, &sorted_probe, &rig.cond, KeyFrom::Probe, |_, p| {
-                expect.push(p)
-            });
+            sweep_columns_each(
+                &build,
+                &sorted_probe,
+                &inputs.cond,
+                KeyFrom::Probe,
+                |_, p| expect.push(p),
+            );
             assert!(expect.len() as u64 >= 56 * BUILD);
             expect.sort_unstable();
             emitted.sort_unstable();
             assert_eq!(emitted, expect, "cap {cap}");
-            assert_eq!(outcome.results[0].output, expect.len() as u64);
-            assert_eq!(rig.gauge.current_tuples(), 0);
+            assert_eq!(run.outcome().per_region_output[0], expect.len() as u64);
+            assert_eq!(run.gauge().current_tuples(), 0);
 
             let slice = cap + BUILD as usize + BATCH;
             assert!(
                 most_staged <= slice,
                 "cap {cap}: {most_staged} tuples staged beyond the exchange"
             );
-            let peak = rig.gauge.peak_tuples();
+            let peak = run.gauge().peak_tuples();
             assert!(
                 peak <= state + (cap + slice) as u64,
                 "cap {cap}: peak {peak} tuples"
@@ -1022,17 +938,10 @@ mod tests {
         // no longer sorted on arrival. No schedule forces that order from
         // outside, so the deliveries are queued by hand.
         let rt = EngineRuntime::new(2);
-        let rig = Rig::new(2, &[0], JoinCondition::Band { beta: 1 });
-        let sh = rig.shared(4, None);
-        let Rig {
-            queues,
-            table,
-            gauge,
-            cond,
-            ..
-        } = &rig;
-        let in_flight = &rig.counters[0];
-        let ship = |to: usize, rel: Rel, tuples: ColumnBatch| rig.ship(to, 0, rel, tuples);
+        let inputs = Inputs::new(2, &[0], JoinCondition::Band { beta: 1 }, 4);
+        let run = inputs.run();
+        let (queues, table, cond) = (&run.queues, &inputs.table, &inputs.cond);
+        let ship = |to: usize, rel: Rel, tuples: ColumnBatch| ship(&run, to, 0, rel, tuples);
         let tagged = |tag: u64, keys: &[i64]| -> ColumnBatch {
             keys.iter()
                 .enumerate()
@@ -1046,15 +955,16 @@ mod tests {
         ];
         let probe_runs = [tagged(4, &[6, 0, 3, 9, 1]), tagged(5, &[2, 2, 7])];
 
-        for run in &build_runs {
-            ship(0, Rel::R1, run.clone());
+        for build in &build_runs {
+            ship(0, Rel::R1, build.clone());
         }
         table.migrate(0, 1);
         queues[0].push_unbounded(Delivery::Migrate { region: 0 });
         queues[0].push_unbounded(Delivery::SealR1);
         queues[0].push_unbounded(Delivery::Finish);
-        let donor = drive(&rt, &sh, 0, &[0]);
-        assert!(!donor.aborted && donor.results.is_empty());
+        drive(&rt, &run, 0, &[0]);
+        let donor = run.outcome().clone();
+        assert!(!donor.cancelled && donor.per_region_input == [0]);
 
         // The shipped state is the stable sort of the arrival-order runs.
         let PortPop::Item(Delivery::Adopt { region: 0, state }) = queues[1].try_pop() else {
@@ -1066,14 +976,11 @@ mod tests {
         queues[1].push_unbounded(Delivery::Adopt { region: 0, state });
 
         queues[1].push_unbounded(Delivery::SealR1);
-        for run in &probe_runs {
-            ship(1, Rel::R2, run.clone());
+        for probe in &probe_runs {
+            ship(1, Rel::R2, probe.clone());
         }
         queues[1].push_unbounded(Delivery::Finish);
-        let adopter = drive(&rt, &sh, 1, &[]);
-        let [result] = &adopter.results[..] else {
-            panic!("the adopter owns the one region");
-        };
+        drive(&rt, &run, 1, &[]);
         let (mut count, mut checksum) = (0u64, 0u64);
         for b in build_runs.iter().flat_map(ColumnBatch::iter_tuples) {
             for p in probe_runs.iter().flat_map(ColumnBatch::iter_tuples) {
@@ -1084,11 +991,11 @@ mod tests {
             }
         }
         assert!(count > 0);
-        assert_eq!((result.output, result.checksum), (count, checksum));
-        assert_eq!(result.input, 18);
-        assert_eq!(in_flight.load(Ordering::Acquire), 0);
+        assert_eq!(tallies(&run), [(count, checksum)]);
+        assert_eq!(run.outcome().per_region_input, [18]);
+        assert_eq!(run.in_flight.load(Ordering::Acquire), 0);
         assert_eq!(
-            gauge.current_tuples(),
+            run.gauge().current_tuples(),
             0,
             "every charged tuple was released"
         );
@@ -1096,9 +1003,7 @@ mod tests {
 
     #[test]
     fn a_sibling_that_migrates_between_a_bounced_push_and_its_retry_is_regrouped() {
-        use super::super::mapper::{MapperShared, MapperTask, SealState};
-        use super::super::morsel::MorselPlan;
-        use ewh_core::{RandomRouter, Router};
+        use super::super::mapper::MapperTask;
 
         // A 2 × 1 matrix: an `R1` tuple goes to its row's region, an `R2`
         // tuple to both regions — one group, both on reducer 0, whose queue
@@ -1106,60 +1011,44 @@ mod tests {
         // moves to reducer 1; the retry must split the group and stamp the
         // moved region's delivery after the migration.
         let rt = EngineRuntime::new(2);
-        let rig = Rig {
-            queues: [8, 64]
-                .map(|cap| Arc::new(Channel::new(cap)) as Arc<DeliveryPort>)
-                .to_vec(),
-            ..Rig::new(2, &[0, 0], JoinCondition::Equi)
-        };
-        let sh = rig.shared(4, None);
         let side = |tag: u64| -> ColumnBatch {
             (0..8)
                 .map(|i| ewh_core::Tuple::new(i as i64 % 3, tag << 8 | i))
                 .collect()
         };
-        let (r1, r2) = (side(1), side(2));
-        let plan = MorselPlan::new(r1.len(), r2.len(), 8);
-        let router = Router::Random(RandomRouter { rows: 2, cols: 1 });
-        let seal = SealState::new(plan.r1_morsels(), plan.total(), None);
-        let [network_tuples, morsels_routed, route_nanos] = [0; 3].map(AtomicU64::new);
-        let mappers = MapperShared {
-            plan: &plan,
-            r1: &r1,
-            r2: &r2,
-            router: &router,
-            table: &rig.table,
-            queues: &rig.queues,
-            seal: &seal,
-            gauge: &rig.gauge,
-            network_tuples: &network_tuples,
-            morsels_routed: &morsels_routed,
-            in_flight: &rig.counters[0],
-            route_nanos: &route_nanos,
-            seed: 5,
-            cancel: &rig.cancel,
+        let mut inputs = Inputs {
+            r1: side(1),
+            r2: side(2),
+            ..Inputs::new(2, &[0, 0], JoinCondition::Equi, 4)
         };
-        let mut mapper = MapperTask::new(&mappers);
+        inputs.cfg.morsel_tuples = 8;
+        inputs.cfg.seed = 5;
+        let mut run = inputs.run();
+        run.queues = [8, 64]
+            .map(|cap| Arc::new(Channel::new(cap)) as Arc<DeliveryPort>)
+            .to_vec();
+        let run = &run;
+        let mut mapper = MapperTask::new(run);
         let mut reducers = [
-            ReducerTask::new(&sh, 0, &[0, 1]),
-            ReducerTask::new(&sh, 1, &[]),
+            ReducerTask::new(run, 0, &[0, 1]),
+            ReducerTask::new(run, 1, &[]),
         ];
-        let results = Mutex::new(Vec::new());
+        let mut reported = Vec::new();
         rt.scope(|s| {
-            let (rig, results) = (&rig, &results);
+            let (table, reported) = (&inputs.table, &mut reported);
             s.spawn(move |cx| {
                 // Route and ship the build morsel (8 tuples fill queue 0),
                 // then route the probe morsel: its group bounces.
                 let steps: Vec<Poll> = (0..4).map(|_| mapper.poll(cx)).collect();
                 assert!(matches!(steps[3], Poll::Pending), "{steps:?}");
-                rig.table.migrate(1, 1);
-                rig.queues[0].push_unbounded(Delivery::Migrate { region: 1 });
+                table.migrate(1, 1);
+                run.queues[0].push_unbounded(Delivery::Migrate { region: 1 });
                 // Reducer 0 drains its queue and ships region 1 away; the
                 // retry finds room and regroups.
                 reducers[0].poll(cx);
                 assert!(matches!(mapper.poll(cx), Poll::Yielded));
                 let mut probes = Vec::new();
-                for q in &rig.queues {
+                for q in &run.queues {
                     let mut items = Vec::new();
                     while let PortPop::Item(d) = q.try_pop() {
                         if let Delivery::Batch(b) = &d {
@@ -1172,46 +1061,43 @@ mod tests {
                         q.push_unbounded(d);
                     }
                 }
-                let moved = rig.table.migrated_at(1);
+                let moved = table.migrated_at(1);
                 assert_eq!(probes, vec![(0, moved, vec![]), (1, moved, vec![])]);
+                // The regions each reducer's report adds.
                 for reducer in &mut reducers {
-                    let outcome = loop {
-                        if let ReducerStep::Done(outcome) = reducer.poll(cx) {
-                            break outcome;
-                        }
-                    };
-                    results.lock().expect("results").push(outcome.results);
+                    while !matches!(reducer.poll(cx), Poll::Ready) {}
+                    let input = run.outcome().per_region_input.clone();
+                    reported.push(input.iter().map(|&n| n > 0).collect::<Vec<_>>());
                 }
                 Poll::Ready
             });
         });
-        let results = results.into_inner().expect("results");
-        let regions: Vec<Vec<u32>> = results
-            .iter()
-            .map(|r| r.iter().map(|r| r.region).collect())
-            .collect();
         assert_eq!(
-            regions,
-            [vec![0], vec![1]],
+            reported,
+            [[true, false], [true, true]],
             "region 1 ended at its new owner"
         );
         let (mut count, mut checksum) = (0u64, 0u64);
-        for b in r1.iter_tuples() {
-            for p in r2.iter_tuples().filter(|p| p.key == b.key) {
+        for b in inputs.r1.iter_tuples() {
+            for p in inputs.r2.iter_tuples().filter(|p| p.key == b.key) {
                 count += 1;
                 checksum ^= crate::local_join::pair_payload(b.payload, p.payload);
             }
         }
-        let tallies = results.iter().flatten();
-        let got = tallies.fold((0, 0), |(c, x), r| (c + r.output, x ^ r.checksum));
+        let got = tallies(run)
+            .into_iter()
+            .fold((0, 0), |(c, x), (n, y)| (c + n, x ^ y));
         assert_eq!(got, (count, checksum));
-        assert_eq!(network_tuples.into_inner(), 8 + 2 * 8);
         assert_eq!(
-            rig.counters[0].load(Ordering::Acquire),
+            run.counters.network_tuples.load(Ordering::Relaxed),
+            8 + 2 * 8
+        );
+        assert_eq!(
+            run.in_flight.load(Ordering::Acquire),
             0,
             "nothing in flight"
         );
-        assert_eq!(rig.gauge.current_tuples(), 0, "every charge released");
+        assert_eq!(run.gauge().current_tuples(), 0, "every charge released");
     }
 
     /// Probe tuples a fragment carries in the cadence tests below.
@@ -1223,7 +1109,7 @@ mod tests {
     /// cycle over 1 024 values; probe keys visit the same values out of
     /// order. Returns each region's `(count, checksum)` as one sweep of its
     /// whole sorted probe side computes it.
-    fn stream_after_seal(rig: &Rig, sizes: &[(usize, usize)]) -> Vec<(u64, u64)> {
+    fn stream_after_seal(run: &Run<'_>, sizes: &[(usize, usize)]) -> Vec<(u64, u64)> {
         let side = |region: usize, rel: u64, n: usize, stride: u64| -> ColumnBatch {
             (0..n as u64)
                 .map(|i| {
@@ -1239,28 +1125,28 @@ mod tests {
             .map(|r| side(r, 2, sizes[r].1, 7919))
             .collect();
         for (r, build) in builds.iter().enumerate() {
-            rig.ship(0, r as u32, Rel::R1, build.clone());
+            ship(run, 0, r as u32, Rel::R1, build.clone());
         }
-        rig.queues[0].push_unbounded(Delivery::SealR1);
+        run.queues[0].push_unbounded(Delivery::SealR1);
         let longest = sizes.iter().map(|&(_, p)| p).max().unwrap_or(0);
         for off in (0..longest).step_by(FRAGMENT) {
             for (r, probe) in probes.iter().enumerate() {
                 if off < probe.len() {
                     let mut fragment = ColumnBatch::new();
                     fragment.extend_from_range(probe, off..(off + FRAGMENT).min(probe.len()));
-                    rig.ship(0, r as u32, Rel::R2, fragment);
+                    ship(run, 0, r as u32, Rel::R2, fragment);
                 }
             }
         }
-        rig.queues[0].push_unbounded(Delivery::SealAll);
-        rig.queues[0].push_unbounded(Delivery::Finish);
+        run.queues[0].push_unbounded(Delivery::SealAll);
+        run.queues[0].push_unbounded(Delivery::Finish);
         builds
             .into_iter()
             .zip(probes)
             .map(|(mut build, mut probe)| {
                 build.sort_by_key();
                 probe.sort_by_key();
-                sweep_columns(&build, &probe, &rig.cond, OutputWork::Touch)
+                sweep_columns(&build, &probe, run.io.cond, OutputWork::Touch)
             })
             .collect()
     }
@@ -1268,18 +1154,18 @@ mod tests {
     /// Drives reducer 0 over the regions `stream_after_seal` queued and
     /// checks, after every poll, that no region buffers more than `limit`
     /// (its probe tuples due for a sweep) plus one fragment and that no
-    /// spilled run exceeds the floor; returns the outcome once the tallies
-    /// equal one whole-probe sweep per region.
+    /// spilled run exceeds the floor; then checks that the tallies equal
+    /// one whole-probe sweep per region.
     fn drive_within(
         rt: &EngineRuntime,
-        sh: &ReducerShared<'_>,
+        run: &Run<'_>,
         expect: &[(u64, u64)],
         limit: impl Fn(usize) -> usize + Send,
-    ) -> ReducerOutcome {
+    ) {
         let owned: Vec<u32> = (0..expect.len() as u32).collect();
         let mut most = vec![0; expect.len()];
         let mut longest_run = 0;
-        let outcome = drive_with(rt, sh, 0, &owned, |task| {
+        drive_with(rt, run, 0, &owned, |task| {
             for (r, most) in most.iter_mut().enumerate() {
                 let st = task.states[r].as_ref().expect("the region stays owned");
                 *most = (*most).max(st.pending.len());
@@ -1296,17 +1182,11 @@ mod tests {
             );
         }
         assert!(
-            longest_run <= sh.probe_chunk as u64,
+            longest_run <= run.cfg.probe_chunk as u64,
             "a spilled run of {longest_run} tuples"
         );
-        let tallies: Vec<(u64, u64)> = outcome
-            .results
-            .iter()
-            .map(|r| (r.output, r.checksum))
-            .collect();
-        assert_eq!(tallies, expect);
+        assert_eq!(tallies(run), expect);
         assert!(expect.iter().all(|&(count, _)| count > 0));
-        outcome
     }
 
     #[test]
@@ -1319,17 +1199,17 @@ mod tests {
         const FLOOR: usize = 64;
         let sizes = [(4096, 16_384), (256, 2048)];
         let rt = EngineRuntime::new(2);
-        let rig = Rig::new(1, &[0, 0], JoinCondition::Band { beta: 1 });
-        let sh = rig.shared(FLOOR, None);
-        let expect = stream_after_seal(&rig, &sizes);
+        let inputs = Inputs::new(1, &[0, 0], JoinCondition::Band { beta: 1 }, FLOOR);
+        let run = inputs.run();
+        let expect = stream_after_seal(&run, &sizes);
         let due = |r: usize| sweep::due_at(FLOOR, sizes[r].0);
-        drive_within(&rt, &sh, &expect, due);
+        drive_within(&rt, &run, &expect, due);
         let most: u64 = (0..sizes.len())
             .map(|r| sizes[r].1.div_ceil(due(r)) as u64 + 1)
             .sum();
-        let swept = rig.board.chunks_swept(0);
+        let swept = run.board.chunks_swept(0);
         assert!(swept <= most, "{swept} sweeps, at most {most} are due");
-        assert_eq!(rig.gauge.current_tuples(), 0);
+        assert_eq!(run.gauge().current_tuples(), 0);
     }
 
     #[test]
@@ -1347,19 +1227,23 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ewh-reducer-pressed-{}", std::process::id()));
         let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
-        let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
-        let sh = ReducerShared {
-            spill: Some(SpillBinding {
-                budget_tuples: 2048,
-                ctx: &ctx,
-            }),
-            ..rig.shared(FLOOR, None)
-        };
-        let expect = stream_after_seal(&rig, &sizes);
+        let inputs = Inputs::new(1, &[0], JoinCondition::Band { beta: 1 }, FLOOR);
+        let spill = Some(SpillBinding {
+            budget_tuples: 2048,
+            ctx: &ctx,
+        });
+        let run = Run::new(
+            EngineIo {
+                spill,
+                ..inputs.io()
+            },
+            &inputs.cfg,
+        );
+        let expect = stream_after_seal(&run, &sizes);
         let (mut pressed_most, mut eased_most, mut longest_run) = (0, 0, 0);
-        let outcome = drive_with(&rt, &sh, 0, &[0], |task| {
+        drive_with(&rt, &run, 0, &[0], |task| {
             let st = task.states[0].as_ref().expect("the region stays owned");
-            if sh.pressed() {
+            if run.pressed() {
                 pressed_most = pressed_most.max(st.pending.len());
             } else {
                 let build = st.build.len() + st.spilled_build_tuples as usize;
@@ -1371,8 +1255,8 @@ mod tests {
                 );
                 eased_most = eased_most.max(st.pending.len());
             }
-            for run in st.spilled_build.iter().chain(&st.spilled_pending) {
-                longest_run = longest_run.max(run.tuples());
+            for spilled in st.spilled_build.iter().chain(&st.spilled_pending) {
+                longest_run = longest_run.max(spilled.tuples());
             }
         });
         assert!(
@@ -1387,18 +1271,14 @@ mod tests {
             longest_run <= FLOOR as u64,
             "a spilled run of {longest_run} tuples"
         );
-        let tallies: Vec<(u64, u64)> = outcome
-            .results
-            .iter()
-            .map(|r| (r.output, r.checksum))
-            .collect();
-        assert_eq!(tallies, expect);
-        let swept = rig.board.chunks_swept(0);
+        assert_eq!(tallies(&run), expect);
+        let swept = run.board.chunks_swept(0);
         let fewest = (sizes[0].1 / (FLOOR + FRAGMENT)) as u64;
         assert!(swept >= fewest, "{swept} sweeps under pressure");
-        assert_eq!(rig.gauge.current_tuples(), 0);
+        assert_eq!(run.gauge().current_tuples(), 0);
         assert!(ctx.totals().runs > 0, "the build went to disk");
         assert_eq!(ctx.failure(), None);
+        drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1430,22 +1310,22 @@ mod tests {
 
     /// Queues `probe` for region 0 in [`FRAGMENT`]-tuple fragments, then
     /// `SealAll` and `Finish`.
-    fn ship_probe(rig: &Rig, probe: &ColumnBatch) {
+    fn ship_probe(run: &Run<'_>, probe: &ColumnBatch) {
         for off in (0..probe.len()).step_by(FRAGMENT) {
             let mut fragment = ColumnBatch::new();
             fragment.extend_from_range(probe, off..(off + FRAGMENT).min(probe.len()));
-            rig.ship(0, 0, Rel::R2, fragment);
+            ship(run, 0, 0, Rel::R2, fragment);
         }
-        rig.queues[0].push_unbounded(Delivery::SealAll);
-        rig.queues[0].push_unbounded(Delivery::Finish);
+        run.queues[0].push_unbounded(Delivery::SealAll);
+        run.queues[0].push_unbounded(Delivery::Finish);
     }
 
     /// One whole-probe sweep of the replay tests' sides.
-    fn whole_sweep(rig: &Rig, build: &ColumnBatch, probe: &ColumnBatch) -> (u64, u64) {
+    fn whole_sweep(run: &Run<'_>, build: &ColumnBatch, probe: &ColumnBatch) -> (u64, u64) {
         let (mut build, mut probe) = (build.clone(), probe.clone());
         build.sort_by_key();
         probe.sort_by_key();
-        sweep_columns(&build, &probe, &rig.cond, OutputWork::Touch)
+        sweep_columns(&build, &probe, run.io.cond, OutputWork::Touch)
     }
 
     #[test]
@@ -1462,25 +1342,29 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ewh-reducer-back-{}", std::process::id()));
         let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
-        let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
-        let sh = ReducerShared {
-            spill: Some(SpillBinding {
-                budget_tuples: BUDGET,
-                ctx: &ctx,
-            }),
-            ..rig.shared(FLOOR, None)
-        };
+        let inputs = Inputs::new(1, &[0], JoinCondition::Band { beta: 1 }, FLOOR);
+        let spill = Some(SpillBinding {
+            budget_tuples: BUDGET,
+            ctx: &ctx,
+        });
+        let run = Run::new(
+            EngineIo {
+                spill,
+                ..inputs.io()
+            },
+            &inputs.cfg,
+        );
         let (build, probe) = spill_sides();
-        rig.gauge.add(ballast);
-        rig.ship(0, 0, Rel::R1, build.clone());
-        rig.queues[0].push_unbounded(Delivery::SealR1);
+        run.gauge().add(ballast);
+        ship(&run, 0, 0, Rel::R1, build.clone());
+        run.queues[0].push_unbounded(Delivery::SealR1);
         let mut shed = None;
-        let outcome = drive_with(&rt, &sh, 0, &[0], |task| {
+        drive_with(&rt, &run, 0, &[0], |task| {
             let st = task.states[0].as_ref().expect("the region stays owned");
             if shed.is_none() && st.is_sealed() {
                 shed = Some((st.spilled_build_tuples, st.build_side_tuples()));
-                rig.gauge.sub(ballast);
-                ship_probe(&rig, &probe);
+                run.gauge().sub(ballast);
+                ship_probe(&run, &probe);
             }
         });
         assert_eq!(
@@ -1493,21 +1377,19 @@ mod tests {
         assert_eq!(totals.runs, runs);
         assert_eq!(totals.reloads, runs, "each run came back once");
         assert_eq!(totals.respills, 0);
-        assert!(rig.board.chunks_swept(0) > 1);
-        let [result] = &outcome.results[..] else {
-            panic!("one region");
-        };
-        let expect = whole_sweep(&rig, &build, &probe);
+        assert!(run.board.chunks_swept(0) > 1);
+        let expect = whole_sweep(&run, &build, &probe);
         assert!(expect.0 > 0);
-        assert_eq!((result.output, result.checksum), expect);
-        assert_eq!(rig.board.spilled_tuples(0), 0);
-        assert_eq!(rig.gauge.current_tuples(), 0);
-        let peak = rig.gauge.peak_tuples();
+        assert_eq!(tallies(&run), [expect]);
+        assert_eq!(run.board.spilled_tuples(0), 0);
+        assert_eq!(run.gauge().current_tuples(), 0);
+        let peak = run.gauge().peak_tuples();
         assert!(
             peak <= BUDGET + 1,
             "peak {peak} over the build's own delivery"
         );
         assert_eq!(ctx.failure(), None);
+        drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1522,38 +1404,37 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ewh-reducer-replay-{}", std::process::id()));
         let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
-        let rig = Rig::new(1, &[0], JoinCondition::Band { beta: 1 });
-        let sh = ReducerShared {
-            spill: Some(SpillBinding {
-                budget_tuples: BUDGET,
-                ctx: &ctx,
-            }),
-            ..rig.shared(FLOOR, None)
-        };
+        let inputs = Inputs::new(1, &[0], JoinCondition::Band { beta: 1 }, FLOOR);
+        let spill = Some(SpillBinding {
+            budget_tuples: BUDGET,
+            ctx: &ctx,
+        });
+        let run = Run::new(
+            EngineIo {
+                spill,
+                ..inputs.io()
+            },
+            &inputs.cfg,
+        );
         let (build, probe) = spill_sides();
-        rig.ship(0, 0, Rel::R1, build.clone());
-        rig.queues[0].push_unbounded(Delivery::SealR1);
-        ship_probe(&rig, &probe);
-        let outcome = drive(&rt, &sh, 0, &[0]);
+        ship(&run, 0, 0, Rel::R1, build.clone());
+        run.queues[0].push_unbounded(Delivery::SealR1);
+        ship_probe(&run, &probe);
+        drive(&rt, &run, 0, &[0]);
         let runs = SPILL_BUILD.div_ceil(FLOOR) as u64;
         let totals = ctx.totals();
         assert_eq!(totals.runs, runs, "only the build went to disk");
-        let chunks = rig.board.chunks_swept(0);
+        let chunks = run.board.chunks_swept(0);
         assert!(chunks > 1);
         assert_eq!(
             totals.reloads,
             chunks * runs,
             "every chunk replays every run"
         );
-        let [result] = &outcome.results[..] else {
-            panic!("one region");
-        };
-        assert_eq!(
-            (result.output, result.checksum),
-            whole_sweep(&rig, &build, &probe)
-        );
-        assert_eq!(rig.gauge.current_tuples(), 0);
+        assert_eq!(tallies(&run), [whole_sweep(&run, &build, &probe)]);
+        assert_eq!(run.gauge().current_tuples(), 0);
         assert_eq!(ctx.failure(), None);
+        drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1577,19 +1458,22 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ewh-reducer-sink-{}", std::process::id()));
         let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
-        let rig = Rig::new(1, &[0], JoinCondition::Equi);
+        let inputs = Inputs::new(1, &[0], JoinCondition::Equi, PROBE as usize);
         let exchange = super::super::Exchange::new(1024);
         let sink = StageSink {
             exchange: &exchange,
             batch_tuples: 64,
         };
-        let sh = ReducerShared {
-            spill: Some(SpillBinding {
-                budget_tuples: 700,
-                ctx: &ctx,
-            }),
-            ..rig.shared(PROBE as usize, Some(sink))
+        let spill = Some(SpillBinding {
+            budget_tuples: 700,
+            ctx: &ctx,
+        });
+        let io = EngineIo {
+            sink: Some(sink),
+            spill,
+            ..inputs.io()
         };
+        let run = Run::new(io, &inputs.cfg);
         // Tagged payloads: a build tuple's carry 1 above bit 40, a probe
         // tuple's 2, an output pair's 33 (`pair_payload` is 31 b + p).
         let side = |tag: u64, n: u64| -> ColumnBatch {
@@ -1598,23 +1482,23 @@ mod tests {
                 .collect()
         };
         let probe = side(2, PROBE);
-        rig.ship(0, 0, Rel::R1, side(1, BUILD));
-        rig.queues[0].push_unbounded(Delivery::SealR1);
+        ship(&run, 0, 0, Rel::R1, side(1, BUILD));
+        run.queues[0].push_unbounded(Delivery::SealR1);
         let (mut shipped, mut emitted) = (false, 0);
         let mut take = |batch: ColumnBatch| {
             emitted += batch.len() as u64;
-            rig.gauge.sub(batch.len() as u64);
+            run.gauge().sub(batch.len() as u64);
         };
-        let outcome = drive_with(&rt, &sh, 0, &[0], |task| {
+        drive_with(&rt, &run, 0, &[0], |task| {
             let st = task.states[0].as_ref().expect("the region stays owned");
             if !shipped && st.is_sealed() {
                 shipped = true;
                 for _ in 0..30 {
-                    rig.ship(0, 0, Rel::R2, ColumnBatch::new());
+                    ship(&run, 0, 0, Rel::R2, ColumnBatch::new());
                 }
-                rig.ship(0, 0, Rel::R2, probe.clone());
-                rig.queues[0].push_unbounded(Delivery::SealAll);
-                rig.queues[0].push_unbounded(Delivery::Finish);
+                ship(&run, 0, 0, Rel::R2, probe.clone());
+                run.queues[0].push_unbounded(Delivery::SealAll);
+                run.queues[0].push_unbounded(Delivery::Finish);
             }
             while let PortPop::Item(batch) = exchange.try_pop() {
                 take(batch);
@@ -1624,9 +1508,9 @@ mod tests {
         while let Some(batch) = exchange.pop() {
             take(batch);
         }
-        assert_eq!(outcome.results[0].output, BUILD * PROBE);
+        assert_eq!(run.outcome().per_region_output, [BUILD * PROBE]);
         assert_eq!(emitted, BUILD * PROBE);
-        assert_eq!(rig.gauge.current_tuples(), 0);
+        assert_eq!(run.gauge().current_tuples(), 0);
         assert_eq!(ctx.totals().respills, 0, "the build came back to be shed");
 
         // Every record in the segment: a length prefix, keys, payloads.
@@ -1649,6 +1533,7 @@ mod tests {
             "{written} probe tuples written: the rest of the first slice"
         );
         assert_eq!(ctx.failure(), None);
+        drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1662,50 +1547,59 @@ mod tests {
         // and is shed again is a re-spill.
         let dir = std::env::temp_dir().join(format!("ewh-reducer-ladder-{}", std::process::id()));
         let ctx = SpillContext::new(dir.clone(), None);
-        let rig = Rig::new(1, &[0, 0, 0], JoinCondition::Equi);
-        let sh = ReducerShared {
-            spill: Some(SpillBinding {
-                budget_tuples: 0,
+        let inputs = Inputs::new(1, &[0, 0, 0], JoinCondition::Equi, 64);
+        // A run over the ladder's budget and one over a roomy budget, both
+        // charging one gauge.
+        let gauge = MemGauge::default();
+        let binding = |budget_tuples| {
+            let spill = Some(SpillBinding {
+                budget_tuples,
                 ctx: &ctx,
-            }),
-            ..rig.shared(64, None)
+            });
+            let io = EngineIo {
+                gauge: Some(&gauge),
+                spill,
+                ..inputs.io()
+            };
+            Run::new(io, &inputs.cfg)
         };
-        let run = |n: i64, tag: u64| -> ColumnBatch {
+        let (run, roomy) = (binding(0), binding(10_000));
+        let batch = |n: i64, tag: u64| -> ColumnBatch {
             (0..n)
                 .map(|i| ewh_core::Tuple::new((n - i) * 3 % 17, tag << 16 | i as u64))
                 .collect()
         };
-        let mut task = ReducerTask::new(&sh, 0, &[0, 1, 2]);
+        let mut task = ReducerTask::new(&run, 0, &[0, 1, 2]);
         fn state<'t>(task: &'t mut ReducerTask<'_>, r: usize) -> &'t mut RegionState {
             task.states[r].as_mut().expect("owned")
         }
-        state(&mut task, 0).runs = Some(vec![run(100, 0)]);
-        state(&mut task, 1).runs = Some((1..=4).map(|tag| run(30, tag)).collect());
-        let mut sealed = run(100, 5);
+        state(&mut task, 0).runs = Some(vec![batch(100, 0)]);
+        state(&mut task, 1).runs = Some((1..=4).map(|tag| batch(30, tag)).collect());
+        let mut sealed = batch(100, 5);
         sealed.sort_by_key();
         let st = state(&mut task, 2);
         st.build = sealed;
         st.runs = None;
-        rig.gauge.add(320);
+        gauge.add(320);
 
         assert!(task.spill_once(&ctx));
         let st = state(&mut task, 1);
         assert_eq!(st.build_side_tuples(), 0);
         assert_eq!(st.spilled_build_tuples, 120);
         let mut back = Vec::new();
-        for run in &st.spilled_build {
-            let batch = ctx.read_run(run).expect("reload");
-            assert!(batch.is_sorted_by_key(), "each run lands sorted");
-            back.push(batch);
+        for spilled in &st.spilled_build {
+            let reloaded = ctx.read_run(spilled).expect("reload");
+            assert!(reloaded.is_sorted_by_key(), "each run lands sorted");
+            back.push(reloaded);
         }
         let multiset = |runs: Vec<ColumnBatch>| {
             let mut tuples = merge_sorted_runs(runs).to_tuples();
             tuples.sort_by_key(|t| (t.key, t.payload));
             tuples
         };
-        let shed = (1..=4).map(|tag| run(30, tag)).collect();
+        let shed = (1..=4).map(|tag| batch(30, tag)).collect();
         assert_eq!(multiset(back), multiset(shed));
-        assert_eq!(rig.board.spilled_tuples(1), 120);
+        assert_eq!(run.board.spilled_tuples(1), 120);
         let untouched = |task: &mut ReducerTask<'_>, r: usize, runs: usize, build: usize| {
             let st = state(task, r);
             let pre_seal = st.runs.iter().flatten().count();
@@ -1714,20 +1608,13 @@ mod tests {
         };
         untouched(&mut task, 0, 1, 0);
         untouched(&mut task, 2, 0, 100);
-        assert_eq!(rig.gauge.current_tuples(), 200);
+        assert_eq!(gauge.current_tuples(), 200);
 
         assert!(task.spill_once(&ctx));
         assert_eq!(state(&mut task, 0).spilled_build_tuples, 100);
         untouched(&mut task, 2, 0, 100);
 
         // Region 1 comes back whole under a roomy budget, then is shed again.
-        let roomy = ReducerShared {
-            spill: Some(SpillBinding {
-                budget_tuples: 10_000,
-                ctx: &ctx,
-            }),
-            ..rig.shared(64, None)
-        };
         let pool = BatchPool::new();
         let st = state(&mut task, 1);
         st.runs = None;
@@ -1739,6 +1626,8 @@ mod tests {
         assert_eq!(state(&mut task, 1).spilled_build_tuples, 120);
         assert_eq!(ctx.totals().respills, 1);
         assert_eq!(ctx.failure(), None);
+        drop(task);
+        drop((run, roomy));
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
     }

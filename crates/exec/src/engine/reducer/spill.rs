@@ -24,8 +24,9 @@ use ewh_core::{ColumnBatch, KeyRange};
 
 use super::super::pool::BatchPool;
 use super::super::spill::{SpillContext, SpillRun};
+use super::super::Run;
 use super::sweep::build_zone;
-use super::{ReducerShared, ReducerTask, RegionState};
+use super::{ReducerTask, RegionState};
 
 impl RegionState {
     /// Removes pre-seal run `i` as a spill victim, sorted: every build or
@@ -39,11 +40,12 @@ impl RegionState {
     }
 }
 
-impl ReducerShared<'_> {
+impl Run<'_> {
     /// The query's gauge sits over its spill budget.
     pub(super) fn pressed(&self) -> bool {
-        self.spill
-            .is_some_and(|spill| self.gauge.current_tuples() > spill.budget_tuples)
+        self.io
+            .spill
+            .is_some_and(|spill| self.gauge().current_tuples() > spill.budget_tuples)
     }
 }
 
@@ -55,10 +57,10 @@ impl ReducerTask<'_> {
     /// their own polls), or a write failed — the failure is recorded on the
     /// spill context and the cooperative cancel flag tears the query down.
     pub(super) fn maybe_spill(&mut self) {
-        let Some(spill) = self.sh.spill else {
+        let Some(spill) = self.run.io.spill else {
             return;
         };
-        while self.sh.gauge.current_tuples() > spill.budget_tuples {
+        while self.run.gauge().current_tuples() > spill.budget_tuples {
             if spill.ctx.failed() || !self.spill_once(spill.ctx) {
                 return;
             }
@@ -77,7 +79,7 @@ impl ReducerTask<'_> {
     /// written, so an error leaves the rest of the victim resident and the
     /// discard accounting balanced.
     pub(super) fn spill_once(&mut self, ctx: &SpillContext) -> bool {
-        let sh = self.sh;
+        let run = self.run;
 
         // Rung 1: the region with the most resident build-side tuples,
         // shed whole.
@@ -88,7 +90,7 @@ impl ReducerTask<'_> {
             if mem::take(&mut st.came_back) {
                 ctx.note_respill();
             }
-            return Self::shed_build(st, sh, ctx, region as u32, |_| false);
+            return Self::shed_build(st, run, ctx, region as u32, |_| false);
         }
 
         // Rung 2: the largest pending probe buffer.
@@ -101,7 +103,7 @@ impl ReducerTask<'_> {
             // self-contained, pre-sorted probe chunk.
             victim.sort_by_key();
             let region_id = Some(region as u32);
-            st.pending = Self::write_capped(ctx, sh, victim, region_id, &mut st.spilled_pending);
+            st.pending = Self::write_capped(ctx, run, victim, region_id, &mut st.spilled_pending);
             return st.pending.is_empty();
         }
 
@@ -120,7 +122,7 @@ impl ReducerTask<'_> {
             return false;
         };
         let victim = self.outbox.remove(i).expect("indexed above");
-        let tail = Self::write_capped(ctx, sh, victim, None, &mut self.spilled_outbox);
+        let tail = Self::write_capped(ctx, run, victim, None, &mut self.spilled_outbox);
         if tail.is_empty() {
             return true;
         }
@@ -149,8 +151,8 @@ impl ReducerTask<'_> {
     /// state — the one place the budget could silently leak. Shed runs skip
     /// the seal and stay on disk as capped sub-runs the sweep replays like
     /// any other spilled build run.
-    pub(super) fn make_room_to_seal(st: &mut RegionState, sh: &ReducerShared<'_>, region: u32) {
-        let Some(spill) = sh.spill else {
+    pub(super) fn make_room_to_seal(st: &mut RegionState, run: &Run<'_>, region: u32) {
+        let Some(spill) = run.io.spill else {
             return;
         };
         let fits = |st: &RegionState| {
@@ -160,9 +162,9 @@ impl ReducerTask<'_> {
                 .flatten()
                 .map(ColumnBatch::len)
                 .sum::<usize>() as u64;
-            transient == 0 || sh.gauge.current_tuples() + transient <= spill.budget_tuples
+            transient == 0 || run.gauge().current_tuples() + transient <= spill.budget_tuples
         };
-        Self::shed_build(st, sh, spill.ctx, region, fits);
+        Self::shed_build(st, run, spill.ctx, region, fits);
     }
 
     /// Sheds the region's build side to disk until `done` holds of what is
@@ -174,7 +176,7 @@ impl ReducerTask<'_> {
     /// stays resident where it was.
     fn shed_build(
         st: &mut RegionState,
-        sh: &ReducerShared<'_>,
+        run: &Run<'_>,
         ctx: &SpillContext,
         region: u32,
         done: impl Fn(&RegionState) -> bool,
@@ -196,7 +198,7 @@ impl ReducerTask<'_> {
                 None => mem::take(&mut st.build),
             };
             let n = victim.len();
-            let tail = Self::write_capped(ctx, sh, victim, Some(region), &mut st.spilled_build);
+            let tail = Self::write_capped(ctx, run, victim, Some(region), &mut st.spilled_build);
             st.spilled_build_tuples += (n - tail.len()) as u64;
             if !tail.is_empty() {
                 // The tail of a sorted run is a valid run again, and that of
@@ -224,27 +226,27 @@ impl ReducerTask<'_> {
     /// recorded and the cooperative cancel flag raised here).
     fn write_capped(
         ctx: &SpillContext,
-        sh: &ReducerShared<'_>,
+        run: &Run<'_>,
         mut victim: ColumnBatch,
         region: Option<u32>,
         out: &mut impl Extend<SpillRun>,
     ) -> ColumnBatch {
-        let cap = sh.probe_chunk.max(1);
+        let cap = run.cfg.probe_chunk.max(1);
         let mut off = 0;
         while off < victim.len() {
             let end = (off + cap).min(victim.len());
             match ctx.write_run(&victim.keys()[off..end], &victim.payloads()[off..end]) {
-                Ok(run) => {
-                    sh.gauge.sub((end - off) as u64);
+                Ok(written) => {
+                    run.gauge().sub((end - off) as u64);
                     if let Some(region) = region {
-                        sh.board.add_spilled(region, run.tuples());
+                        run.board.add_spilled(region, written.tuples());
                     }
-                    out.extend([run]);
+                    out.extend([written]);
                     off = end;
                 }
                 Err(e) => {
                     ctx.record_failure(format!("spill write failed: {e}"));
-                    sh.cancel.cancel();
+                    run.cancel().cancel();
                     break;
                 }
             }
@@ -254,17 +256,21 @@ impl ReducerTask<'_> {
 
     /// Reloads a spilled run into a pooled buffer and charges it to the
     /// gauge; a failed read is recorded and cancels the query.
-    fn reload(&self, run: &SpillRun, pool: &BatchPool, what: &str) -> Option<ColumnBatch> {
-        let sh = self.sh;
-        let ctx = sh.spill.expect("a spilled run without a spill binding").ctx;
-        match ctx.read_run_into(run, pool.take(run.tuples() as usize)) {
+    fn reload(&self, spilled: &SpillRun, pool: &BatchPool, what: &str) -> Option<ColumnBatch> {
+        let run = self.run;
+        let ctx = run
+            .io
+            .spill
+            .expect("a spilled run without a spill binding")
+            .ctx;
+        match ctx.read_run_into(spilled, pool.take(spilled.tuples() as usize)) {
             Ok(batch) => {
-                sh.gauge.add(batch.len() as u64);
+                run.gauge().add(batch.len() as u64);
                 Some(batch)
             }
             Err(e) => {
                 ctx.record_failure(format!("{what} reload failed: {e}"));
-                sh.cancel.cancel();
+                run.cancel().cancel();
                 None
             }
         }
@@ -296,26 +302,29 @@ impl ReducerTask<'_> {
     /// failed reload the runs read so far are merged and the rest stay on
     /// disk; the query is being cancelled.
     pub(super) fn bring_build_back(&self, st: &mut RegionState, region: u32, pool: &BatchPool) {
-        let sh = self.sh;
-        let Some(spill) = sh.spill.filter(|_| !st.spilled_build.is_empty()) else {
+        let run = self.run;
+        let Some(spill) = run.io.spill.filter(|_| !st.spilled_build.is_empty()) else {
             return;
         };
         let whole = st.spilled_build_tuples + st.build.len() as u64;
-        let staged = sh.sink.map_or(0, |sink| sink.exchange.capacity() as u64);
-        if sh.gauge.current_tuples() + 2 * whole + staged > spill.budget_tuples {
+        let staged = run
+            .io
+            .sink
+            .map_or(0, |sink| sink.exchange.capacity() as u64);
+        if run.gauge().current_tuples() + 2 * whole + staged > spill.budget_tuples {
             return;
         }
         let mut runs = vec![mem::take(&mut st.build)];
-        while let Some(run) = st.spilled_build.pop() {
-            let Some(build) = self.reload(&run, pool, "build") else {
-                st.spilled_build.push(run);
+        while let Some(spilled) = st.spilled_build.pop() {
+            let Some(build) = self.reload(&spilled, pool, "build") else {
+                st.spilled_build.push(spilled);
                 break;
             };
-            sh.board.sub_spilled(region, run.tuples());
-            st.spilled_build_tuples -= run.tuples();
+            run.board.sub_spilled(region, spilled.tuples());
+            st.spilled_build_tuples -= spilled.tuples();
             runs.push(build);
         }
-        st.build = Self::merge_gauged(runs, sh);
+        st.build = Self::merge_gauged(runs, run);
         st.came_back = true;
     }
 
@@ -332,8 +341,8 @@ impl ReducerTask<'_> {
     ) -> Option<ColumnBatch> {
         let build_zone = build_zone(st);
         while let Some(run) = st.spilled_pending.pop() {
-            self.sh.board.sub_spilled(region, run.tuples());
-            if !self.sh.cond.candidate(&build_zone, run.key_range()) {
+            self.run.board.sub_spilled(region, run.tuples());
+            if !self.run.io.cond.candidate(&build_zone, run.key_range()) {
                 continue;
             }
             if let Some(probe) = self.reload(&run, pool, "probe") {
@@ -360,12 +369,12 @@ impl ReducerTask<'_> {
     ) -> (u64, u64) {
         let (mut count, mut checksum) = (0, 0);
         for run in &st.spilled_build {
-            if !self.sh.cond.candidate(run.key_range(), probe_zone) {
+            if !self.run.io.cond.candidate(run.key_range(), probe_zone) {
                 continue;
             }
             if let Some(build) = self.reload(run, pool, "build") {
                 let (c, x) = self.sweep_one(&build, probe, pool);
-                self.sh.gauge.sub(build.len() as u64);
+                self.run.gauge().sub(build.len() as u64);
                 pool.put(build);
                 count += c;
                 checksum ^= x;

@@ -27,7 +27,6 @@
 //! reducer of a stage may hold one.
 
 use std::mem;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use ewh_core::{ColumnBatch, KeyRange};
@@ -66,9 +65,9 @@ impl ReducerTask<'_> {
     /// Queues `region` for a sweep turn once its probe buffer is due: the
     /// trigger of a probe fragment, a seal and an adoption.
     pub(super) fn queue_if_due(&mut self, region: u32) {
-        let sh = self.sh;
+        let run = self.run;
         if let Some(st) = &self.states[region as usize] {
-            if st.sweep_due(sh.probe_chunk, sh.pressed()) {
+            if st.sweep_due(run.cfg.probe_chunk, run.pressed()) {
                 self.queue_sweep(region);
             }
         }
@@ -134,12 +133,12 @@ impl ReducerTask<'_> {
                 chunk = probe;
             }
         }
-        if let Some(sink) = self.sh.sink {
+        if let Some(sink) = self.run.io.sink {
             // At most an exchange of tuples is looked at, so the count costs
             // what a slice may hold, not what a long chunk still does.
             let cap = sink.exchange.capacity();
             let tail = &chunk.keys()[chunk.len().saturating_sub(cap)..];
-            let keep = tail_within(&st.build, tail, self.sh.cond, cap);
+            let keep = tail_within(&st.build, tail, self.run.io.cond, cap);
             if keep < chunk.len() {
                 let slice = chunk.split_off(chunk.len() - keep);
                 st.pending = mem::replace(&mut chunk, slice);
@@ -158,11 +157,11 @@ impl ReducerTask<'_> {
     /// side into chunks, and the order-invariant XOR checksum makes the
     /// recombination bit-identical to one in-memory sweep.
     fn sweep_chunk(&mut self, st: &mut RegionState, probe: ColumnBatch, pool: &BatchPool) {
-        let sh = self.sh;
+        let run = self.run;
         // Zone fence: a build side whose key fence can't join this chunk is
         // skipped without touching its columns.
         let probe_zone = zone_of(&probe);
-        let (count, checksum) = if sh.cond.candidate(&zone_of(&st.build), &probe_zone) {
+        let (count, checksum) = if run.io.cond.candidate(&zone_of(&st.build), &probe_zone) {
             self.sweep_one(&st.build, &probe, pool)
         } else {
             (0, 0)
@@ -170,8 +169,8 @@ impl ReducerTask<'_> {
         let (c, x) = self.replay_spilled_build(st, &probe, &probe_zone, pool);
         st.output += count + c;
         st.checksum ^= checksum ^ x;
-        sh.board.note_chunk_swept(self.me);
-        sh.gauge.sub(probe.len() as u64);
+        run.board.note_chunk_swept(self.me);
+        run.gauge().sub(probe.len() as u64);
         pool.put(probe);
     }
 
@@ -187,19 +186,19 @@ impl ReducerTask<'_> {
         probe: &ColumnBatch,
         pool: &BatchPool,
     ) -> (u64, u64) {
-        let sh = self.sh;
+        let run = self.run;
         let start = Instant::now();
-        let out = match sh.sink {
-            None => sweep_columns(build, probe, sh.cond, sh.work),
+        let out = match run.io.sink {
+            None => sweep_columns(build, probe, run.io.cond, run.cfg.work),
             Some(sink) => {
                 let cap = sink.batch_tuples.max(1);
                 let mut buf = pool.take(cap);
                 let mut ship = |batch: ColumnBatch| {
-                    sh.gauge.add(batch.len() as u64);
+                    run.gauge().add(batch.len() as u64);
                     self.outbox.push_back(batch);
                 };
                 let (count, checksum) =
-                    sweep_columns_each(build, probe, sh.cond, sh.key_from, |k, p| {
+                    sweep_columns_each(build, probe, run.io.cond, run.io.key_from, |k, p| {
                         buf.push(k, p);
                         if buf.len() >= cap {
                             ship(mem::replace(&mut buf, pool.take(cap)));
@@ -213,8 +212,7 @@ impl ReducerTask<'_> {
                 (count, checksum)
             }
         };
-        sh.sweep_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        run.counters.sweep_secs.add_since(start);
         out
     }
 }

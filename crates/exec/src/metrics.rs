@@ -222,6 +222,11 @@ mod tests {
 
     #[test]
     fn merge_aggregates_volumes_and_maxes_peaks() {
+        // Every numeric field nonzero and distinct from the side's other
+        // fields, `overflowed` different on the two sides, so a field that
+        // `merge` drops or combines the wrong way shows; the destructuring
+        // below has no `..`, so a field added to `JoinStats` and not here
+        // does not compile.
         let mut a = JoinStats {
             output_total: 10,
             per_worker_input: vec![1, 2],
@@ -232,10 +237,27 @@ mod tests {
             network_tuples: 40,
             mem_bytes: 640,
             peak_resident_bytes: 320,
+            overflowed: false,
             checksum: 0b1100,
             morsels_routed: 4,
+            regions_migrated: 3,
+            migration_tuples: 30,
+            migration_secs: 0.125,
+            backpressure_secs: 0.25,
+            route_secs: 0.375,
+            merge_secs: 0.625,
+            sweep_secs: 0.875,
+            admission_wait_secs: 1.125,
+            reducer_busy_secs: vec![1.0, 2.0],
             reducer_idle_secs: vec![0.1, 0.2],
-            ..Default::default()
+            spill_bytes: 1000,
+            spill_secs: 1.5,
+            reload_secs: 2.5,
+            spill_runs: 11,
+            spill_reloads: 21,
+            spill_respills: 31,
+            spill_files: 1,
+            wire_bytes: 5000,
         };
         let b = JoinStats {
             output_total: 7,
@@ -252,25 +274,87 @@ mod tests {
             morsels_routed: 2,
             regions_migrated: 1,
             migration_tuples: 8,
+            migration_secs: 0.0625,
+            backpressure_secs: 0.5,
+            route_secs: 0.75,
+            merge_secs: 1.0,
+            sweep_secs: 1.25,
+            admission_wait_secs: 1.5,
+            reducer_busy_secs: vec![4.0],
             reducer_idle_secs: vec![0.3],
-            ..Default::default()
+            spill_bytes: 24,
+            spill_secs: 1.75,
+            reload_secs: 2.25,
+            spill_runs: 5,
+            spill_reloads: 6,
+            spill_respills: 9,
+            spill_files: 13,
+            wire_bytes: 600,
         };
         a.merge(&b);
-        assert_eq!(a.output_total, 17);
-        assert_eq!(a.per_worker_input, vec![4, 3, 9]);
-        assert_eq!(a.per_worker_output, vec![5, 12]);
-        assert_eq!(a.max_weight_milli, 250);
-        assert_eq!(a.sim_join_secs, 3.0);
-        assert_eq!(a.wall_join_secs, 0.75);
-        assert_eq!(a.network_tuples, 50);
-        assert_eq!(a.mem_bytes, 800);
-        assert_eq!(a.peak_resident_bytes, 1000, "peaks max, not add");
-        assert!(a.overflowed);
-        assert_eq!(a.checksum, 0b0110, "checksums XOR");
-        assert_eq!(a.morsels_routed, 6);
-        assert_eq!(a.regions_migrated, 1);
-        assert_eq!(a.migration_tuples, 8);
-        assert!((a.reducer_idle_total() - 0.6).abs() < 1e-12);
+        let JoinStats {
+            output_total,
+            per_worker_input,
+            per_worker_output,
+            max_weight_milli,
+            sim_join_secs,
+            wall_join_secs,
+            network_tuples,
+            mem_bytes,
+            peak_resident_bytes,
+            overflowed,
+            checksum,
+            morsels_routed,
+            regions_migrated,
+            migration_tuples,
+            migration_secs,
+            backpressure_secs,
+            route_secs,
+            merge_secs,
+            sweep_secs,
+            admission_wait_secs,
+            reducer_busy_secs,
+            reducer_idle_secs,
+            spill_bytes,
+            spill_secs,
+            reload_secs,
+            spill_runs,
+            spill_reloads,
+            spill_respills,
+            spill_files,
+            wire_bytes,
+        } = a;
+        assert_eq!(output_total, 17);
+        assert_eq!(per_worker_input, vec![4, 3, 9]);
+        assert_eq!(per_worker_output, vec![5, 12]);
+        assert_eq!(max_weight_milli, 250, "the slowest worker");
+        assert_eq!(sim_join_secs, 3.0);
+        assert_eq!(wall_join_secs, 0.75);
+        assert_eq!(network_tuples, 50);
+        assert_eq!(mem_bytes, 800);
+        assert_eq!(peak_resident_bytes, 1000, "peaks max, not add");
+        assert!(overflowed);
+        assert_eq!(checksum, 0b0110, "checksums XOR");
+        assert_eq!(morsels_routed, 6);
+        assert_eq!(regions_migrated, 4);
+        assert_eq!(migration_tuples, 38);
+        assert_eq!(migration_secs, 0.1875);
+        assert_eq!(backpressure_secs, 0.75);
+        assert_eq!(route_secs, 1.125);
+        assert_eq!(merge_secs, 1.625);
+        assert_eq!(sweep_secs, 2.125);
+        assert_eq!(admission_wait_secs, 2.625);
+        assert_eq!(reducer_busy_secs, vec![5.0, 2.0]);
+        assert_eq!(reducer_idle_secs.len(), 2);
+        assert!((reducer_idle_secs.iter().sum::<f64>() - 0.6).abs() < 1e-12);
+        assert_eq!(spill_bytes, 1024);
+        assert_eq!(spill_secs, 3.25);
+        assert_eq!(reload_secs, 4.75);
+        assert_eq!(spill_runs, 16);
+        assert_eq!(spill_reloads, 27);
+        assert_eq!(spill_respills, 40);
+        assert_eq!(spill_files, 14);
+        assert_eq!(wire_bytes, 5600);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::thread;
 use std::time::Instant;
 
 use ewh_core::{
-    BuildInfo, CostModel, JoinCondition, PartitionScheme, Region, RoutingTable, SchemeKind, Tuple,
-    TUPLE_BYTES,
+    BuildInfo, ColumnBatch, CostModel, JoinCondition, PartitionScheme, Region, RoutingTable,
+    SchemeKind, Tuple, TUPLE_BYTES,
 };
 
 use crate::engine::{
@@ -142,38 +142,38 @@ pub fn assign_regions(
 }
 
 /// The one accounting of a stage's region tallies, batch and pipelined
-/// alike: folds per-region input and output onto the workers of
-/// `region_to_worker`, and derives the realized max weight, the simulated
-/// join time (at [`UNITS_PER_SEC`]) and the overflow flag — the resident
-/// peak against the configured capacity. `mem_bytes` is the modeled
-/// full-shuffle footprint of `network_tuples`. Each path adds what only it
-/// measures.
+/// alike: completes `join`, what the path measured (`network_tuples`
+/// among it), from each region's `[input, output, checksum]`. It folds
+/// input and output onto the workers of `region_to_worker`, sums the
+/// output, XORs the checksums, and derives the realized max weight, the
+/// simulated join time (at [`UNITS_PER_SEC`]) and the overflow flag — the
+/// resident peak against the configured capacity. `mem_bytes` is the
+/// modeled full-shuffle footprint of `network_tuples`.
 fn tally_regions(
-    per_region_input: &[u64],
-    per_region_output: &[u64],
+    join: JoinStats,
+    [input, output, checksum]: [&[u64]; 3],
     region_to_worker: &[u32],
-    network_tuples: u64,
     peak_resident_bytes: u64,
     cfg: &OperatorConfig,
 ) -> JoinStats {
-    debug_assert_eq!(region_to_worker.len(), per_region_input.len());
+    debug_assert_eq!(region_to_worker.len(), input.len());
     let mut per_worker_input = vec![0u64; cfg.j];
     let mut per_worker_output = vec![0u64; cfg.j];
     for (r, &worker) in region_to_worker.iter().enumerate() {
-        per_worker_input[worker as usize] += per_region_input[r];
-        per_worker_output[worker as usize] += per_region_output[r];
+        per_worker_input[worker as usize] += input[r];
+        per_worker_output[worker as usize] += output[r];
     }
     let mut stats = JoinStats {
-        output_total: per_region_output.iter().sum(),
+        output_total: output.iter().sum(),
+        checksum: checksum.iter().fold(0, |acc, &c| acc ^ c),
         per_worker_input,
         per_worker_output,
-        network_tuples,
-        mem_bytes: network_tuples * TUPLE_BYTES,
+        mem_bytes: join.network_tuples * TUPLE_BYTES,
         peak_resident_bytes,
         overflowed: cfg
             .mem_capacity_bytes
             .is_some_and(|cap| peak_resident_bytes > cap),
-        ..Default::default()
+        ..join
     };
     stats.compute_max_weight(&cfg.cost);
     stats.sim_join_secs = CostModel::milli_to_secs(stats.max_weight_milli, UNITS_PER_SEC);
@@ -238,25 +238,26 @@ pub(crate) fn execute_join_with<R: Send>(
     let wall_join_secs = start.elapsed().as_secs_f64();
 
     let mut per_region_output = vec![0u64; n_regions];
-    let mut checksum = 0u64;
+    let mut per_region_checksum = vec![0u64; n_regions];
     let mut extras = Vec::with_capacity(results.len());
     for (r, count, sum, extra) in results {
         per_region_output[r] = count;
-        checksum ^= sum;
+        per_region_checksum[r] = sum;
         extras.push((r, extra));
     }
-    let stats = JoinStats {
+    let measured = JoinStats {
         wall_join_secs,
-        checksum,
-        ..tally_regions(
-            &per_region_input,
-            &per_region_output,
-            region_to_worker,
-            network_tuples,
-            peak_resident_bytes,
-            cfg,
-        )
+        network_tuples,
+        ..JoinStats::default()
     };
+    let regions = [&per_region_input, &per_region_output, &per_region_checksum];
+    let stats = tally_regions(
+        measured,
+        regions.map(Vec::as_slice),
+        region_to_worker,
+        peak_resident_bytes,
+        cfg,
+    );
     (stats, extras)
 }
 
@@ -364,7 +365,7 @@ impl<'rt> AdmittedQuery<'rt> {
 pub(crate) fn run_stage(
     rt: &EngineRuntime,
     query: &AdmittedQuery<'_>,
-    r1: Source<'_>,
+    r1: &ColumnBatch,
     r2: Source<'_>,
     scheme: &PartitionScheme,
     cond: &JoinCondition,
@@ -411,31 +412,19 @@ pub(crate) fn run_stage(
     }
     drop(close_guard); // close the downstream exchange: upstream quiescence
     let map = assign_regions(scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
-    let mut stats = JoinStats {
-        checksum: out.checksum(),
-        wall_join_secs: out.wall_secs,
-        morsels_routed: out.morsels_routed,
-        regions_migrated: out.regions_migrated,
-        migration_tuples: out.migration_tuples,
-        migration_secs: out.migration_secs,
-        backpressure_secs: out.backpressure_secs,
-        route_secs: out.route_secs,
-        merge_secs: out.merge_secs,
-        sweep_secs: out.sweep_secs,
-        reducer_busy_secs: out.busy_secs,
-        reducer_idle_secs: out.idle_secs,
-        wire_bytes: out.wire_bytes,
-        ..tally_regions(
-            &out.per_region_input,
-            &out.per_region_output,
-            &map,
-            out.network_tuples,
-            out.peak_resident_tuples * TUPLE_BYTES,
-            cfg,
-        )
-    };
-    stats.set_spill(&out.spill);
-    stats
+    let regions = [
+        &out.per_region_input,
+        &out.per_region_output,
+        &out.per_region_checksum,
+    ];
+    let peak_resident_bytes = out.peak_resident_tuples * TUPLE_BYTES;
+    tally_regions(
+        out.stats,
+        regions.map(Vec::as_slice),
+        &map,
+        peak_resident_bytes,
+        cfg,
+    )
 }
 
 /// Runs the full operator with the given scheme kind: a one-stage plan.
@@ -498,7 +487,7 @@ mod tests {
     use super::super::stats::build_scheme_from_keys;
     use super::*;
     use crate::shuffle;
-    use ewh_core::{ColumnBatch, JoinMatrix, Key};
+    use ewh_core::{JoinMatrix, Key};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -803,7 +792,7 @@ mod tests {
             let stats = run_stage(
                 &rt,
                 &query,
-                Source::Scan(&c1),
+                &c1,
                 Source::Scan(&c2),
                 &scheme,
                 &cond,

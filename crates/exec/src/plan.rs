@@ -318,7 +318,6 @@ pub(crate) fn pipelined(
                 ),
             };
             let scheme = &planned[i].scheme;
-            let build = Source::Scan(build);
             run_stage(rt, query, build, probe, scheme, cond, key_from, sink, cfg)
         };
         let last = chain.len();
@@ -334,7 +333,16 @@ pub(crate) fn pipelined(
         joins
     });
 
-    let peak = query.ticket.gauge().peak_tuples() * TUPLE_BYTES;
+    // Every stage has joined, so the query's books balance: each tuple
+    // charged to the shared gauge was released by a sweep, a region
+    // completion or a downstream routing release.
+    let gauge = query.ticket.gauge();
+    debug_assert_eq!(
+        gauge.current_tuples(),
+        0,
+        "completed plan leaked gauge tuples"
+    );
+    let peak = gauge.peak_tuples() * TUPLE_BYTES;
     PlanRun::assemble(planned, joins, peak, start, Some(query))
 }
 

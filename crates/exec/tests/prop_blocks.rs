@@ -174,7 +174,7 @@ fn engine_pairs(
         });
         let _close = CloseOnDrop(sink);
         let io = EngineIo {
-            r1: Source::Scan(&c1),
+            r1: &c1,
             r2: Source::Scan(&c2),
             router: &scheme.router,
             cond,
@@ -235,9 +235,9 @@ fn every_pair_is_produced_exactly_once_on_every_path_and_condition() {
             assert_eq!(pairs, expect, "{cond:?} {mode:?}");
             assert_eq!(out.output_total(), expect.len() as u64, "{cond:?} {mode:?}");
             match mode {
-                Mode::Plain => assert_eq!(out.regions_migrated, 0),
-                Mode::MigrateSubRegion => migrated += out.regions_migrated,
-                Mode::Spill => assert!(out.spill.runs > 0, "{cond:?}: nothing spilled"),
+                Mode::Plain => assert_eq!(out.stats.regions_migrated, 0),
+                Mode::MigrateSubRegion => migrated += out.stats.regions_migrated,
+                Mode::Spill => assert!(out.stats.spill_runs > 0, "{cond:?}: nothing spilled"),
             }
         }
     }

@@ -115,7 +115,7 @@ fn run_over_an_owned_segment(
     let outcome = run_pipelined_io(
         rt,
         EngineIo {
-            r1: Source::Scan(&c1),
+            r1: &c1,
             r2: Source::Scan(&c2),
             router: &scheme.router,
             cond,
@@ -272,7 +272,7 @@ proptest! {
             run_over_an_owned_segment(&rt, &r1, &r2, &cond, &base, adaptive, budget, &owned);
         prop_assert!(!out.cancelled);
         prop_assert_eq!((out.output_total(), out.checksum()), oracle);
-        prop_assert_eq!(out.spill.runs, runs.len() as u64);
+        prop_assert_eq!(out.stats.spill_runs, runs.len() as u64);
         check_segment(&runs, probe_chunk(&base))?;
         let _ = std::fs::remove_dir_all(&base_dir);
     }
@@ -518,7 +518,7 @@ fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
         let out = run_pipelined_io(
             &rt,
             EngineIo {
-                r1: Source::Scan(&c1),
+                r1: &c1,
                 r2: Source::Scan(&c2),
                 router: &scheme.router,
                 cond: &cond,
@@ -557,7 +557,7 @@ fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
         (1..PROBE as usize).contains(&probe_tuples),
         "{probe_tuples} probe tuples in the segment"
     );
-    assert!(out.spill.reloads > 0);
+    assert!(out.stats.spill_reloads > 0);
     drop(ctx);
     let _ = std::fs::remove_dir_all(&dir);
 }
