@@ -183,13 +183,13 @@ fn run_worker(args: &Args) {
     println!("LISTEN {}", listener.local_addr().expect("local_addr"));
     std::io::stdout().flush().expect("flush");
 
-    // R1 first: the build side must be a scan, so drain it to a resident
-    // ColumnBatch before the engine starts. The credit window backpressures
-    // the parent while we drain.
+    // R1 first: the build side must be a scan, so drain it to resident
+    // tuples before the engine starts. The credit window backpressures the
+    // parent while we drain.
     let rx1 = LinkReceiver::<ColumnBatch>::accept(&listener).expect("accept r1");
-    let mut r1 = ColumnBatch::new();
-    while let Some(mut batch) = rx1.pop() {
-        r1.append(&mut batch);
+    let mut r1: Vec<Tuple> = Vec::new();
+    while let Some(batch) = rx1.pop() {
+        r1.extend(batch.iter_tuples());
     }
     rx1.join().expect("r1 stream failed");
 

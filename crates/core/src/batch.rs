@@ -87,6 +87,15 @@ impl ColumnBatch {
         }
     }
 
+    /// Replaces the batch's tuples with `tuples`, transposed into the
+    /// columns it already holds: no stale tail survives, and a column is
+    /// reallocated only to grow past the most it has held.
+    pub fn refill_from_tuples(&mut self, tuples: &[Tuple]) {
+        self.clear();
+        self.keys.extend(tuples.iter().map(|t| t.key));
+        self.payloads.extend(tuples.iter().map(|t| t.payload));
+    }
+
     /// Transposes back to array-of-structs (oracle-side representation).
     pub fn to_tuples(&self) -> Vec<Tuple> {
         self.keys
@@ -348,6 +357,22 @@ mod tests {
         assert_eq!(b.tuple(7), tuples[7]);
         let again: ColumnBatch = tuples.iter().copied().collect();
         assert_eq!(again, b);
+    }
+
+    #[test]
+    fn a_refill_replaces_every_tuple_in_the_columns_it_holds() {
+        let tuples: Vec<Tuple> = (0..50).map(|i| Tuple::new(i - 25, i as u64 * 3)).collect();
+        let mut b = ColumnBatch::new();
+        b.refill_from_tuples(&tuples);
+        assert_eq!(b, ColumnBatch::from_tuples(&tuples));
+        let held = b.capacity();
+        // A shorter fill leaves no stale tail, and reallocates nothing.
+        b.refill_from_tuples(&tuples[43..]);
+        assert_eq!(b, ColumnBatch::from_tuples(&tuples[43..]));
+        assert_eq!(b.capacity(), held);
+        b.refill_from_tuples(&[]);
+        assert!(b.is_empty());
+        assert_eq!(b.capacity(), held);
     }
 
     #[test]

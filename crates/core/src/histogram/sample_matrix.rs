@@ -240,7 +240,7 @@ pub fn build_sample_matrix(
     cond: &JoinCondition,
     params: &HistogramParams,
 ) -> SampleMatrix {
-    let (d1, d2equi) = censuses(r1_keys, r2_keys, params.threads);
+    let (d1, d2equi) = censuses(r1_keys, r2_keys, params.threads, KeyedCounts::census);
     sample_matrix_from_stats(
         SideStats::relation(&d1),
         SideStats::relation(&d2equi),
@@ -249,16 +249,25 @@ pub fn build_sample_matrix(
     )
 }
 
-/// The one sort each relation gets, the two sides side by side.
-pub fn censuses(r1_keys: &[Key], r2_keys: &[Key], threads: usize) -> (KeyedCounts, KeyedCounts) {
+/// The one sort each relation gets, the two sides side by side: `census`
+/// of each side, the second on a thread of its own from `threads >= 2`. A
+/// side is a key column ([`KeyedCounts::census`]) or a relation whose
+/// `census` reads its keys on that side's thread
+/// ([`KeyedCounts::census_of`]).
+pub fn censuses<T: Sync>(
+    r1: &[T],
+    r2: &[T],
+    threads: usize,
+    census: impl Fn(&[T]) -> KeyedCounts + Sync,
+) -> (KeyedCounts, KeyedCounts) {
     if threads >= 2 {
         thread::scope(|s| {
-            let d2equi = s.spawn(|| KeyedCounts::census(r2_keys));
-            let d1 = KeyedCounts::census(r1_keys);
+            let d2equi = s.spawn(|| census(r2));
+            let d1 = census(r1);
             (d1, d2equi.join().expect("census worker panicked"))
         })
     } else {
-        (KeyedCounts::census(r1_keys), KeyedCounts::census(r2_keys))
+        (census(r1), census(r2))
     }
 }
 
@@ -453,7 +462,7 @@ mod tests {
             ns_override: Some(40),
             ..Default::default()
         };
-        let (d1, d2) = censuses(&r1, &r2, 1);
+        let (d1, d2) = censuses(&r1, &r2, 1, KeyedCounts::census);
         let build = |tuples| {
             let s2 = SideStats::counted(&d2, tuples);
             sample_matrix_from_stats(SideStats::relation(&d1), s2, &cond, &params)

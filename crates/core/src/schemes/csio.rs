@@ -8,6 +8,8 @@
 
 use std::time::Instant;
 
+use ewh_sampling::KeyedCounts;
+
 use crate::histogram::{
     censuses, coarsen_sample_matrix, regionalize_with_threads, sample_matrix_from_stats,
     HistogramParams, SideStats,
@@ -24,7 +26,7 @@ pub fn build_csio(
     cost: &CostModel,
     params: &HistogramParams,
 ) -> PartitionScheme {
-    let (d1, d2equi) = censuses(r1_keys, r2_keys, params.threads);
+    let (d1, d2equi) = censuses(r1_keys, r2_keys, params.threads, KeyedCounts::census);
     build_csio_from_stats(
         SideStats::relation(&d1),
         SideStats::relation(&d2equi),

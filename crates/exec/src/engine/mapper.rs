@@ -2,6 +2,12 @@
 //! router, and push per-region fragments into the owning reducers' bounded
 //! queues.
 //!
+//! A scan morsel is a range of the caller's tuples. The mapper that claims
+//! it transposes that range into one pair of scratch columns it owns for
+//! the whole query, and routes those; the transpose is routing work, timed
+//! on the same clock. No scan is ever transposed whole. An exchange batch
+//! arrives in columns already and is routed as it is.
+//!
 //! Ownership is *not* baked into the plan: every fragment resolves its
 //! destination through the shared epoch-versioned
 //! [`RoutingTable`](ewh_core::RoutingTable) at push time, so a region the
@@ -60,7 +66,7 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use ewh_core::{ColumnBatch, Key, Rel, RouteBatch, RouteScatter};
+use ewh_core::{ColumnBatch, Rel, RouteBatch, RouteScatter};
 
 use super::exchange::Exchange;
 use super::morsel::Claim;
@@ -168,6 +174,9 @@ pub struct MapperTask<'a> {
     /// lanes + the current unit's built fragments (see
     /// [`RouteScatter`]).
     scatter: RouteScatter,
+    /// The claimed scan morsel, transposed: one pair of columns the task
+    /// refills for every morsel it routes.
+    scratch: ColumnBatch,
     unit: Option<InFlightUnit>,
     /// Scan plan exhausted; now pulling from the exchange (if any).
     draining: bool,
@@ -180,6 +189,7 @@ impl<'a> MapperTask<'a> {
         MapperTask {
             run,
             scatter: RouteScatter::new(run.io.table.n_regions()),
+            scratch: ColumnBatch::new(),
             unit: None,
             draining: false,
             blocked: None,
@@ -234,17 +244,15 @@ impl<'a> MapperTask<'a> {
             let allow_r2 = run.seal.r1_remaining.load(Ordering::Acquire) == 0;
             match run.plan.try_claim(allow_r2) {
                 Claim::Claimed(morsel) => {
-                    // Route straight off the base relation's columns — no
-                    // per-morsel scratch is materialized from tuples.
+                    // The transpose into the task's columns is routing work.
+                    let start = Instant::now();
                     let side = match morsel.rel {
                         Rel::R1 => run.io.r1,
-                        Rel::R2 => run.io.r2.scan_cols(),
+                        Rel::R2 => run.io.r2.scan(),
                     };
-                    let keys = &side.keys()[morsel.range()];
-                    let payloads = &side.payloads()[morsel.range()];
-                    self.route_unit(morsel.index as u64, morsel.rel, keys, payloads);
+                    self.scratch.refill_from_tuples(&side[morsel.range()]);
                     let source = UnitSource::Scan { rel: morsel.rel };
-                    self.unit = Some(InFlightUnit::new(source, self.scatter.touched()));
+                    self.route_unit(start, morsel.index as u64, source);
                     return Poll::Yielded;
                 }
                 Claim::Blocked => {
@@ -268,9 +276,8 @@ impl<'a> MapperTask<'a> {
             PortPop::Item(batch) => {
                 let seq = run.seal.exchange_claims.fetch_add(1, Ordering::Relaxed);
                 // Disjoint RNG stream space from plan morsel indices.
-                self.route_unit(u64::MAX - seq, Rel::R2, batch.keys(), batch.payloads());
                 let source = UnitSource::Batch { tuples: batch };
-                self.unit = Some(InFlightUnit::new(source, self.scatter.touched()));
+                self.route_unit(Instant::now(), u64::MAX - seq, source);
                 Poll::Yielded
             }
             PortPop::Closed => {
@@ -292,23 +299,31 @@ impl<'a> MapperTask<'a> {
         }
     }
 
-    /// Routes one unit's columns into `self.scatter`'s per-region fragments
-    /// (retained until the unit's fragments have all shipped). Two passes:
-    /// a histogram pass records destinations, then a write-combining scatter
-    /// builds every fragment exact-sized in one sweep over the columns.
-    fn route_unit(&mut self, stream: u64, rel: Rel, keys: &[Key], payloads: &[u64]) {
+    /// Routes one unit's columns — a scan morsel's, transposed into
+    /// `self.scratch`, or an exchange batch's — into `self.scatter`'s
+    /// per-region fragments (retained until the unit's fragments have all
+    /// shipped), on the route clock from `start`, and makes it the unit in
+    /// flight. Two passes: a histogram pass records destinations, then a
+    /// write-combining scatter builds every fragment exact-sized in one
+    /// sweep over the columns.
+    fn route_unit(&mut self, start: Instant, stream: u64, source: UnitSource) {
         let run = self.run;
-        let start = Instant::now();
+        let (rel, batch) = match &source {
+            UnitSource::Scan { rel } => (*rel, &self.scratch),
+            UnitSource::Batch { tuples } => (Rel::R2, tuples),
+        };
         // Seed the routing RNG per morsel/batch (not per task) so content-
         // insensitive routing is identical no matter which mapper claims the
         // unit — network volume stays deterministic per seed for scans.
         let stream = stream << 1 | matches!(rel, Rel::R2) as u64;
         let mut rng =
             SmallRng::seed_from_u64(run.cfg.seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let (keys, payloads) = (batch.keys(), batch.payloads());
         run.io
             .router
             .route_scatter(rel, keys, payloads, &mut rng, &mut self.scatter);
         run.counters.route_secs.add_since(start);
+        self.unit = Some(InFlightUnit::new(source, self.scatter.touched()));
     }
 
     /// Ships the in-progress unit's fragments, group by group: one delivery

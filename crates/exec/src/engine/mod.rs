@@ -12,10 +12,11 @@
 //! finds a runnable task of the other:
 //!
 //! * **Mappers** claim fixed-size [`Morsel`]s of either relation from a
-//!   shared [`MorselPlan`] and batch-route them through the scheme's
-//!   [`Router`] ([`ewh_core::RouteBatch`]), pushing per-region fragments to
-//!   the owning reducer's bounded queue (backpressure: a full queue blocks
-//!   the mapper). Ownership is resolved per fragment through the shared
+//!   shared [`MorselPlan`], transpose each into columns of their own and
+//!   batch-route them through the scheme's [`Router`]
+//!   ([`ewh_core::RouteBatch`]), pushing per-region fragments to the owning
+//!   reducer's bounded queue (backpressure: a full queue blocks the
+//!   mapper). Ownership is resolved per fragment through the shared
 //!   epoch-versioned [`ewh_core::RoutingTable`] — never baked into the plan.
 //! * **Reducers** collect each owned region's `R1` fragments as they
 //!   arrive. When the last `R1` morsel is routed, the finishing mapper
@@ -85,7 +86,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use ewh_core::{ColumnBatch, JoinCondition, Router, RoutingTable};
+use ewh_core::{JoinCondition, Router, RoutingTable, Tuple};
 
 use crate::adaptive::AdaptiveConfig;
 use crate::local_join::{KeyFrom, OutputWork};
@@ -217,12 +218,13 @@ impl EngineOutcome {
 /// in (a scanned build side, a probe [`Source`]), how it routes (router +
 /// routing table) and where the output goes (an optional downstream
 /// [`StageSink`]). The engine cuts the scans into a fresh [`MorselPlan`] of
-/// [`EngineConfig::morsel_tuples`] each run.
+/// [`EngineConfig::morsel_tuples`] each run; scans stay the caller's
+/// tuples, transposed a morsel at a time by the mapper that claims it.
 #[derive(Clone, Copy)]
 pub struct EngineIo<'a> {
     /// Build side, a scan: a streamed build side would need bushy plans
     /// (left-deep chains always build on a base relation).
-    pub r1: &'a ColumnBatch,
+    pub r1: &'a [Tuple],
     /// Probe side: scan, or the streamed output of an upstream operator.
     pub r2: Source<'a>,
     pub router: &'a Router,
@@ -277,8 +279,9 @@ struct Counters {
     network_tuples: AtomicU64,
     morsels_routed: AtomicU64,
     migration_tuples: AtomicU64,
-    /// Mapper time in `route_scatter` and the fragment ship passes (park
-    /// stalls excluded: those are backpressure, counted by the queue).
+    /// Mapper time transposing scan morsels, in `route_scatter` and in the
+    /// fragment ship passes (park stalls excluded: those are backpressure,
+    /// counted by the queue).
     route_secs: Clock,
     /// Reducer time sealing build sides (one sort per seal).
     merge_secs: Clock,
@@ -366,7 +369,7 @@ impl<'a> Run<'a> {
             probe_chunk: cfg.probe_chunk.max(1),
             ..*cfg
         };
-        let plan = MorselPlan::new(io.r1.len(), io.r2.scan_cols().len(), cfg.morsel_tuples);
+        let plan = MorselPlan::new(io.r1.len(), io.r2.scan().len(), cfg.morsel_tuples);
         let n_regions = io.table.n_regions();
         debug_assert!(io
             .table
@@ -619,8 +622,8 @@ mod tests {
             .collect()
     }
 
-    /// Runs the engine over two in-memory relations: one transpose per
-    /// side, no sink, private gauge.
+    /// Runs the engine over two in-memory relations: no sink, private
+    /// gauge.
     #[allow(clippy::too_many_arguments)] // an execution plan, not a builder
     fn run_pipelined(
         rt: &EngineRuntime,
@@ -632,13 +635,11 @@ mod tests {
         cfg: &EngineConfig,
         cancel: Option<&CancelToken>,
     ) -> EngineOutcome {
-        let r1 = ColumnBatch::from_tuples(r1);
-        let r2 = ColumnBatch::from_tuples(r2);
         run_pipelined_io(
             rt,
             EngineIo {
-                r1: &r1,
-                r2: Source::Scan(&r2),
+                r1,
+                r2: Source::Scan(r2),
                 router,
                 cond,
                 table,
@@ -901,7 +902,6 @@ mod tests {
         let region_to_reducer: Vec<u32> =
             (0..n_regions).map(|r| (r % cfg.reducers) as u32).collect();
         let table = RoutingTable::new(&region_to_reducer);
-        let r1 = ColumnBatch::from_tuples(r1);
         let exchange = Exchange::new(capacity);
         let gauge = MemGauge::default();
         let rt = test_rt();
@@ -916,7 +916,7 @@ mod tests {
             run_pipelined_io(
                 &rt,
                 EngineIo {
-                    r1: &r1,
+                    r1,
                     r2: Source::Exchange(&exchange),
                     router,
                     cond,
@@ -1042,7 +1042,7 @@ mod tests {
         // downstream run must still unwind (parked mappers dual-register
         // with the cancel token, whose wake re-polls them) instead of
         // hanging in the exchange forever.
-        let r1 = ColumnBatch::from_tuples(&tuples(&(0..500).collect::<Vec<Key>>()));
+        let r1 = tuples(&(0..500).collect::<Vec<Key>>());
         let cond = JoinCondition::Equi;
         let scheme = build_ci(4, 500, 0, None);
         let region_to_reducer: Vec<u32> =

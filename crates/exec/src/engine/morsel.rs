@@ -6,18 +6,16 @@
 //! morsel-driven parallelism). The [`MorselPlan`] describes the full
 //! decomposition up front and hands out morsels through an atomic cursor, so
 //! any number of mapper tasks can claim work without further coordination.
-//! Every engine run cuts a fresh one.
+//! Every engine run cuts a fresh one. A morsel is a range of the caller's
+//! tuples, never a copy: the mapper that claims it transposes just that
+//! range into the columns it routes from.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use ewh_core::{ColumnBatch, Rel};
+use ewh_core::{Rel, Tuple};
 
 use super::exchange::Exchange;
-
-/// The empty scan — what [`Source::scan_cols`] hands back for exchange
-/// sources, so callers can always borrow columns without an `Option`.
-static EMPTY_COLS: ColumnBatch = ColumnBatch::new();
 
 /// One claimable unit of routing work: a contiguous tuple range of one
 /// relation. `Copy` on purpose: mappers claim morsels in a hot loop and a
@@ -60,20 +58,21 @@ impl Morsel {
 /// the intermediate ever being fully resident.
 #[derive(Clone, Copy, Debug)]
 pub enum Source<'a> {
-    /// A base relation (or any fully materialized input), in columnar
-    /// layout so mappers route straight off the key column.
-    Scan(&'a ColumnBatch),
+    /// A base relation (or any fully materialized input), the caller's
+    /// tuples as they are: a mapper transposes one morsel of them at a time
+    /// into columns of its own.
+    Scan(&'a [Tuple]),
     /// The streamed output of an upstream operator.
     Exchange(&'a Exchange),
 }
 
 impl<'a> Source<'a> {
-    /// The scan columns, empty for exchange sources (their tuples are
+    /// The scanned tuples, none for exchange sources (their tuples are
     /// pulled from the queue, never addressed by morsel range).
-    pub fn scan_cols(&self) -> &'a ColumnBatch {
+    pub fn scan(&self) -> &'a [Tuple] {
         match self {
             Source::Scan(t) => t,
-            Source::Exchange(_) => &EMPTY_COLS,
+            Source::Exchange(_) => &[],
         }
     }
 

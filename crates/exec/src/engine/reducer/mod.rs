@@ -692,8 +692,8 @@ mod tests {
     /// What a run borrows, for reducers driven by hand: `reducers` queues
     /// of 65 536 tuples over the regions of `owners`, no scan input.
     struct Inputs {
-        r1: ColumnBatch,
-        r2: ColumnBatch,
+        r1: Vec<ewh_core::Tuple>,
+        r2: Vec<ewh_core::Tuple>,
         router: Router,
         cond: JoinCondition,
         table: RoutingTable,
@@ -704,8 +704,8 @@ mod tests {
         fn new(reducers: usize, owners: &[u32], cond: JoinCondition, probe_chunk: usize) -> Self {
             let rows = owners.len() as u32;
             Inputs {
-                r1: ColumnBatch::new(),
-                r2: ColumnBatch::new(),
+                r1: Vec::new(),
+                r2: Vec::new(),
                 router: Router::Random(RandomRouter { rows, cols: 1 }),
                 cond,
                 table: RoutingTable::new(owners),
@@ -1011,7 +1011,7 @@ mod tests {
         // moves to reducer 1; the retry must split the group and stamp the
         // moved region's delivery after the migration.
         let rt = EngineRuntime::new(2);
-        let side = |tag: u64| -> ColumnBatch {
+        let side = |tag: u64| -> Vec<ewh_core::Tuple> {
             (0..8)
                 .map(|i| ewh_core::Tuple::new(i as i64 % 3, tag << 8 | i))
                 .collect()
@@ -1078,8 +1078,8 @@ mod tests {
             "region 1 ended at its new owner"
         );
         let (mut count, mut checksum) = (0u64, 0u64);
-        for b in inputs.r1.iter_tuples() {
-            for p in inputs.r2.iter_tuples().filter(|p| p.key == b.key) {
+        for b in &inputs.r1 {
+            for p in inputs.r2.iter().filter(|p| p.key == b.key) {
                 count += 1;
                 checksum ^= crate::local_join::pair_payload(b.payload, p.payload);
             }

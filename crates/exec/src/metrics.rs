@@ -57,10 +57,10 @@ pub struct JoinStats {
     pub migration_secs: f64,
     /// Total mapper time blocked on full reducer queues (backpressure).
     pub backpressure_secs: f64,
-    /// Total mapper time spent routing: the batched router scans over the
-    /// key column plus the write-combining scatter that builds every
-    /// per-region fragment (0 under batch execution, which shuffles up
-    /// front instead).
+    /// Total mapper time spent routing: each scan morsel's transpose into
+    /// the mapper's columns, the batched router scans over the key column
+    /// plus the write-combining scatter that builds every per-region
+    /// fragment (0 under batch execution, which shuffles up front instead).
     pub route_secs: f64,
     /// Total reducer time sealing build sides — the one sort of a region's
     /// collected runs at the `R1` seal, a migration or finish (0 under

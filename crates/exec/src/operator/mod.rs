@@ -28,4 +28,4 @@ pub use run::{
 };
 pub(crate) use run::{execute_join_with, run_stage, AdmittedQuery};
 pub use stats::{build_scheme, build_scheme_from_keys, build_scheme_from_stats};
-pub(crate) use stats::{keys, plan_resident, stats_sim_secs, PlannedStage};
+pub(crate) use stats::{plan_resident, stats_sim_secs, PlannedStage};

@@ -7,8 +7,8 @@ use std::thread;
 use std::time::Instant;
 
 use ewh_core::{
-    BuildInfo, ColumnBatch, CostModel, JoinCondition, PartitionScheme, Region, RoutingTable,
-    SchemeKind, Tuple, TUPLE_BYTES,
+    BuildInfo, CostModel, JoinCondition, PartitionScheme, Region, RoutingTable, SchemeKind, Tuple,
+    TUPLE_BYTES,
 };
 
 use crate::engine::{
@@ -365,7 +365,7 @@ impl<'rt> AdmittedQuery<'rt> {
 pub(crate) fn run_stage(
     rt: &EngineRuntime,
     query: &AdmittedQuery<'_>,
-    r1: &ColumnBatch,
+    r1: &[Tuple],
     r2: Source<'_>,
     scheme: &PartitionScheme,
     cond: &JoinCondition,
@@ -787,13 +787,11 @@ mod tests {
                 &cfg,
             );
             let query = AdmittedQuery::admit(&rt, &cfg);
-            let c1 = ColumnBatch::from_tuples(&r1);
-            let c2 = ColumnBatch::from_tuples(&r2);
             let stats = run_stage(
                 &rt,
                 &query,
-                &c1,
-                Source::Scan(&c2),
+                &r1,
+                Source::Scan(&r2),
                 &scheme,
                 &cond,
                 KeyFrom::Probe,

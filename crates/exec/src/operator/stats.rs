@@ -59,15 +59,15 @@ pub fn build_scheme(
 }
 
 /// A relation's join-key column.
-pub(crate) fn keys(r: &[Tuple]) -> Vec<Key> {
+fn keys(r: &[Tuple]) -> Vec<Key> {
     r.iter().map(|t| t.key).collect()
 }
 
 /// Builds the requested scheme from key slices standing for relations of
 /// `n1` / `n2` tuples. Slices as long as their relations are planned as
-/// `plan_resident` plans them. Where a slice is shorter than its relation
-/// — a sample — every tuple count and the output size read off it are
-/// weighed up by `n / |keys|`: a uniform sample preserves the key
+/// `plan_resident` plans their relations. Where a slice is shorter than its
+/// relation — a sample — every tuple count and the output size read off it
+/// are weighed up by `n / |keys|`: a uniform sample preserves the key
 /// distribution, so boundaries computed on it transfer to the relation, and
 /// its counts do once scaled.
 pub fn build_scheme_from_keys(
@@ -82,14 +82,14 @@ pub fn build_scheme_from_keys(
     let start = Instant::now();
     let resident = (n1, n2) == (k1.len() as u64, k2.len() as u64);
     let scheme = match kind {
-        _ if resident => {
-            let spec = StageSpec { kind, cond: *cond };
-            plan_resident(&spec, k1, k2, cfg, None, false).0.scheme
-        }
         SchemeKind::Ci => build_ci(cfg.j, n1, n2, None),
+        SchemeKind::Csi if resident => build_csi(k1, k2, cond, j_regions(cfg), &csi_params(cfg)),
         _ => {
-            let (d1, d2) = censuses(k1, k2, cfg.threads);
-            let (s1, s2) = (SideStats::counted(&d1, n1), SideStats::counted(&d2, n2));
+            let (d1, d2) = censuses(k1, k2, cfg.threads, KeyedCounts::census);
+            let (s1, s2) = match resident {
+                true => (SideStats::relation(&d1), SideStats::relation(&d2)),
+                false => (SideStats::counted(&d1, n1), SideStats::counted(&d2, n2)),
+            };
             build_scheme_from_stats(kind, s1, s2, cond, cfg)
         }
     };
@@ -111,31 +111,37 @@ pub(crate) struct PlannedStage {
     pub fell_back: bool,
 }
 
-/// Plans one stage over two resident key columns, the one way every query
+/// Plans one stage over two resident relations, the one way every query
 /// driver does: CI reads the cardinalities and no key, CSI's point is to
-/// need no sort — it samples the columns — and CSIO and HASH read a census
-/// pair. `keep_censuses` hands that pair back for a chain to propagate from
-/// its root, counted here if the scheme did not need it: each column is
-/// sorted once either way. Under a `fallback` policy, a CSIO scheme whose
-/// exact `m` reveals a high-selectivity join (§VI-E) is abandoned for CI
-/// before the first morsel is claimed: its statistics time stays on the
-/// books and no tuple is shuffled twice.
+/// need no sort — it samples the key columns — and CSIO and HASH read a
+/// census pair. `keep_censuses` hands that pair back for a chain to
+/// propagate from its root, counted here if the scheme did not need it:
+/// each census reads its relation's keys off the tuples on its own thread,
+/// and only an unsorted relation's are collected and sorted. Under a
+/// `fallback` policy, a CSIO scheme whose exact `m` reveals a
+/// high-selectivity join (§VI-E) is abandoned for CI before the first
+/// morsel is claimed: its statistics time stays on the books and no tuple
+/// is shuffled twice.
 pub(crate) fn plan_resident(
     spec: &StageSpec,
-    k1: &[Key],
-    k2: &[Key],
+    r1: &[Tuple],
+    r2: &[Tuple],
     cfg: &OperatorConfig,
     fallback: Option<&FallbackPolicy>,
     keep_censuses: bool,
 ) -> (PlannedStage, Option<(KeyedCounts, KeyedCounts)>) {
     let start = Instant::now();
-    let (n1, n2) = (k1.len() as u64, k2.len() as u64);
+    let (n1, n2) = (r1.len() as u64, r2.len() as u64);
     let n = n1.max(n2);
     let counted = matches!(spec.kind, SchemeKind::Csio | SchemeKind::Hash) || keep_censuses;
-    let pair = counted.then(|| censuses(k1, k2, cfg.threads));
+    let census = |r: &[Tuple]| KeyedCounts::census_of(r.iter().map(|t| t.key));
+    let pair = counted.then(|| censuses(r1, r2, cfg.threads, census));
     let mut scheme = match spec.kind {
         SchemeKind::Ci => build_ci(cfg.j, n1, n2, None),
-        SchemeKind::Csi => build_csi(k1, k2, &spec.cond, j_regions(cfg), &csi_params(cfg)),
+        SchemeKind::Csi => {
+            let (k1, k2) = (keys(r1), keys(r2));
+            build_csi(&k1, &k2, &spec.cond, j_regions(cfg), &csi_params(cfg))
+        }
         kind => {
             let (d1, d2) = pair.as_ref().expect("counted above");
             let (s1, s2) = (SideStats::relation(d1), SideStats::relation(d2));

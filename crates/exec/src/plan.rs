@@ -74,13 +74,13 @@ use std::panic::resume_unwind;
 use std::thread;
 use std::time::Instant;
 
-use ewh_core::{ColumnBatch, JoinCondition, SchemeKind, SideStats, Tuple, TUPLE_BYTES};
+use ewh_core::{JoinCondition, SchemeKind, SideStats, Tuple, TUPLE_BYTES};
 use ewh_sampling::{join_census_r1, join_census_r2, KeyedCounts};
 
 use crate::engine::{AbandonOnDrop, EngineRuntime, Exchange, Source, StageSink};
 use crate::local_join::{sweep_sorted_into, KeyFrom};
 use crate::operator::{
-    assign_regions, build_scheme_from_stats, execute_join_with, keys, plan_resident, run_stage,
+    assign_regions, build_scheme_from_stats, execute_join_with, plan_resident, run_stage,
     stats_sim_secs, AdmittedQuery, FallbackPolicy, OperatorConfig, OperatorRun, PlannedStage,
 };
 use crate::{execute_join, shuffle, JoinStats, Shuffled};
@@ -182,17 +182,15 @@ impl PlanRun {
 /// its two resident relations, each chain stage from its base relation's
 /// census and its intermediate's census, propagated by induction.
 fn plan_stages(
-    r1: &ColumnBatch,
-    r2: &ColumnBatch,
+    r1: &[Tuple],
+    r2: &[Tuple],
     first: &StageSpec,
     chain: &[ChainStage<'_>],
-    base_cols: &[ColumnBatch],
     cfg: &OperatorConfig,
     fallback: Option<&FallbackPolicy>,
 ) -> Vec<PlannedStage> {
     let start = Instant::now();
-    let (k1, k2) = (r1.keys(), r2.keys());
-    let (mut root, pair) = plan_resident(first, k1, k2, cfg, fallback, !chain.is_empty());
+    let (mut root, pair) = plan_resident(first, r1, r2, cfg, fallback, !chain.is_empty());
     // The root emits its probe side's key.
     let mut probe = match &pair {
         Some((d1, d2)) => join_census_r2(d1, d2, |k| first.cond.joinable_bounds(k)),
@@ -201,9 +199,9 @@ fn plan_stages(
     root.stats_wall_secs = start.elapsed().as_secs_f64();
     let mut planned = Vec::with_capacity(1 + chain.len());
     planned.push(root);
-    for (i, (stage, base)) in chain.iter().zip(base_cols).enumerate() {
+    for (i, stage) in chain.iter().enumerate() {
         let start = Instant::now();
-        let build = KeyedCounts::census(base.keys());
+        let build = KeyedCounts::census_of(stage.base.iter().map(|t| t.key));
         // With nothing to probe there is nothing to balance, and CI routes
         // any key.
         let kind = match probe.total() {
@@ -213,7 +211,7 @@ fn plan_stages(
         let s1 = SideStats::relation(&build);
         let s2 = SideStats::counted(&probe, probe.total());
         let scheme = build_scheme_from_stats(kind, s1, s2, &stage.spec.cond, cfg);
-        let n = (base.len() as u64).max(probe.total());
+        let n = (stage.base.len() as u64).max(probe.total());
         let sample_tuples = probe.num_distinct();
         // A chain stage emits its build side's key.
         if i + 1 < chain.len() {
@@ -273,21 +271,12 @@ pub(crate) fn pipelined(
     fallback: Option<&FallbackPolicy>,
 ) -> PlanRun {
     let start = Instant::now();
-    // Transpose every scan source once, before statistics and before the
-    // stage drivers spawn: scheme builds read the key columns, the engine
-    // routes, sorts, and sweeps on the same batches, and the borrows must
-    // outlive the scoped driver threads below.
-    let r1_cols = &ColumnBatch::from_tuples(r1);
-    let r2_cols = &ColumnBatch::from_tuples(r2);
-    let base_cols: &Vec<ColumnBatch> = &chain
-        .iter()
-        .map(|stage| ColumnBatch::from_tuples(stage.base))
-        .collect();
-
     // Every scheme exists before the query is admitted and before any stage
     // runs: whatever a scheme build can panic on, it panics here, holding
-    // no ticket, with nothing running.
-    let planned = plan_stages(r1_cols, r2_cols, first, chain, base_cols, cfg, fallback);
+    // no ticket, with nothing running. Scan sources stay the caller's
+    // tuples throughout: each census reads its own side's keys off them,
+    // and each mapper transposes only the morsel it claims.
+    let planned = plan_stages(r1, r2, first, chain, cfg, fallback);
 
     // One ticket, gauge, spill budget and spill context for the whole plan.
     let query = &AdmittedQuery::admit(rt, cfg);
@@ -309,9 +298,9 @@ pub(crate) fn pipelined(
                 batch_tuples: cfg.morsel_tuples.max(1),
             });
             let (build, probe, cond, key_from) = match i.checked_sub(1) {
-                None => (r1_cols, Source::Scan(r2_cols), &first.cond, KeyFrom::Probe),
+                None => (r1, Source::Scan(r2), &first.cond, KeyFrom::Probe),
                 Some(c) => (
-                    &base_cols[c],
+                    chain[c].base,
                     Source::Exchange(&exchanges[c]),
                     &chain[c].spec.cond,
                     KeyFrom::Build,
@@ -425,8 +414,7 @@ pub(crate) fn materialized(
         // For a chain stage, the second statistics pass the pipelined
         // executor eliminates: full key extraction over the materialized
         // intermediate.
-        let (k1, k2) = (keys(build), keys(probe));
-        let (stage, _) = plan_resident(spec, &k1, &k2, cfg, fallback, false);
+        let (stage, _) = plan_resident(spec, build, probe, cfg, fallback, false);
         let map = assign_regions(&stage.scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
         let shuffled = shuffle(build, probe, &stage.scheme, cfg.threads, cfg.seed ^ 0x5F);
         let inbound = if i == 0 { 0 } else { probe.len() as u64 } * TUPLE_BYTES;

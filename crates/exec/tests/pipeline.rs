@@ -157,6 +157,54 @@ fn tiny_queues_and_single_tuple_morsels_stay_correct() {
     assert_eq!(stressed.join.morsels_routed, 800);
 }
 
+/// A mapper transposes every scan morsel it claims into the same scratch
+/// columns, so each fill must replace what the last one left. One runtime
+/// runs the pipelined join at morsel sizes `n + 5`, `n - 1`, 7 and 1,
+/// largest first, over relations of `n` tuples, `n` no multiple of 7: the
+/// first three sizes end each relation on a short morsel, and at one
+/// thread a single mapper fills its scratch for every morsel of both
+/// relations. Every run equals the batch oracle in count and checksum,
+/// under CSIO and CI.
+#[test]
+fn a_mapper_scratch_refilled_at_every_morsel_size_matches_the_batch_oracle() {
+    let n = 1000;
+    assert_ne!(n % 7, 0);
+    let (r1, r2) = (
+        tuples(&random_keys(n, 300, 51)),
+        tuples(&random_keys(n, 300, 52)),
+    );
+    let cond = JoinCondition::Band { beta: 1 };
+    let rt = EngineRuntime::new(2);
+    for kind in [SchemeKind::Csio, SchemeKind::Ci] {
+        for threads in [1, 2] {
+            let base = OperatorConfig {
+                j: 4,
+                threads,
+                ..Default::default()
+            };
+            let batch = OperatorConfig {
+                mode: ExecMode::Batch,
+                ..base.clone()
+            };
+            let expect = run_operator(&rt, kind, &r1, &r2, &cond, &batch).join;
+            assert!(expect.output_total > 0);
+            for morsel_tuples in [n + 5, n - 1, 7, 1] {
+                let cfg = OperatorConfig {
+                    morsel_tuples,
+                    ..base.clone()
+                };
+                let got = run_operator(&rt, kind, &r1, &r2, &cond, &cfg).join;
+                assert_eq!(
+                    (got.output_total, got.checksum),
+                    (expect.output_total, expect.checksum),
+                    "{kind}, {threads} threads, morsels of {morsel_tuples}"
+                );
+                assert_eq!(got.morsels_routed, 2 * n.div_ceil(morsel_tuples) as u64);
+            }
+        }
+    }
+}
+
 #[test]
 fn lpt_gives_a_dominant_region_a_thread_of_its_own() {
     // Satellite regression: one hot region among many light ones. The old

@@ -16,8 +16,8 @@ use std::path::PathBuf;
 use std::thread;
 
 use ewh_core::{
-    build_csio, ColumnBatch, CostModel, GridBlock, HistogramParams, IneqOp, JoinCondition, Key,
-    PartitionScheme, Router, RoutingTable, SchemeKind, Tuple,
+    build_csio, CostModel, GridBlock, HistogramParams, IneqOp, JoinCondition, Key, PartitionScheme,
+    Router, RoutingTable, SchemeKind, Tuple,
 };
 use ewh_exec::engine::{run_pipelined_io, CloseOnDrop, SpillBinding, SpillContext};
 use ewh_exec::{
@@ -125,7 +125,6 @@ fn engine_pairs(
     mode: Mode,
 ) -> (Vec<u64>, EngineOutcome) {
     let rt = EngineRuntime::new(4);
-    let (c1, c2) = (ColumnBatch::from_tuples(r1), ColumnBatch::from_tuples(r2));
     let mut cfg = EngineConfig::for_tasks(4, 32, 0xB10C);
     cfg.queue_tuples = 64;
     let in_block = |region: u32| {
@@ -174,8 +173,8 @@ fn engine_pairs(
         });
         let _close = CloseOnDrop(sink);
         let io = EngineIo {
-            r1: &c1,
-            r2: Source::Scan(&c2),
+            r1,
+            r2: Source::Scan(r2),
             router: &scheme.router,
             cond,
             table: &table,

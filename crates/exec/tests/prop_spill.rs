@@ -24,9 +24,7 @@
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
-use ewh_core::{
-    build_ci, ColumnBatch, JoinCondition, Key, RoutingTable, SchemeKind, Tuple, TUPLE_BYTES,
-};
+use ewh_core::{build_ci, JoinCondition, Key, RoutingTable, SchemeKind, Tuple, TUPLE_BYTES};
 use ewh_exec::engine::run_pipelined_io;
 use ewh_exec::{
     run_operator, run_plan, AdaptiveConfig, ChainStage, EngineConfig, EngineIo, EngineOutcome,
@@ -110,13 +108,12 @@ fn run_over_an_owned_segment(
     let owners: Vec<u32> = (0..scheme.num_regions())
         .map(|r| (r % cfg.reducers) as u32)
         .collect();
-    let (c1, c2) = (ColumnBatch::from_tuples(r1), ColumnBatch::from_tuples(r2));
     let ctx = SpillContext::new(dir.to_path_buf(), None);
     let outcome = run_pipelined_io(
         rt,
         EngineIo {
-            r1: &c1,
-            r2: Source::Scan(&c2),
+            r1,
+            r2: Source::Scan(r2),
             router: &scheme.router,
             cond,
             table: &RoutingTable::new(&owners),
@@ -496,7 +493,6 @@ fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
         probe_chunk: PROBE as usize,
         ..EngineConfig::for_tasks(1, PROBE as usize, 5)
     };
-    let (c1, c2) = (ColumnBatch::from_tuples(&r1), ColumnBatch::from_tuples(&r2));
     let exchange = Exchange::new(1024);
     let gauge = MemGauge::default();
     let sink = StageSink {
@@ -518,8 +514,8 @@ fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
         let out = run_pipelined_io(
             &rt,
             EngineIo {
-                r1: &c1,
-                r2: Source::Scan(&c2),
+                r1: &r1,
+                r2: Source::Scan(&r2),
                 router: &scheme.router,
                 cond: &cond,
                 table: &RoutingTable::new(&[0]),

@@ -6,7 +6,7 @@ use crate::Key;
 /// For any join condition whose joinable set is one contiguous key range
 /// (equi, band, inequality, and the encoded equality+band composite), the
 /// joinable-set size `d2(k)` is a single [`KeyedCounts::range_count`] call.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyedCounts {
     keys: Vec<Key>,
     counts: Vec<u64>,
@@ -29,29 +29,39 @@ impl KeyedCounts {
     /// relation once. An already sorted column is aggregated in place, with
     /// no copy and no sort.
     pub fn census(keys: &[Key]) -> Self {
-        if keys.is_sorted() {
+        Self::census_of(keys.iter().copied())
+    }
+
+    /// [`census`](Self::census) of keys read off anything that yields them
+    /// twice, such as the key field of a relation's tuples. Sorted keys are
+    /// run-length encoded as they are read, with no copy; unsorted ones are
+    /// collected into one column, which is sorted in place.
+    pub fn census_of(keys: impl Iterator<Item = Key> + Clone) -> Self {
+        if keys.clone().is_sorted() {
             Self::from_sorted(keys)
         } else {
-            Self::from_keys(keys.to_vec())
+            Self::from_keys(keys.collect())
         }
     }
 
-    /// Aggregates a multiset of keys. `O(n log n)`.
+    /// The census of a key column the caller hands over: the column is
+    /// sorted in place (one pass when it is sorted already: the sort
+    /// detects that) and run-length encoded, never copied. `O(n log n)`.
     pub fn from_keys(mut keys: Vec<Key>) -> Self {
         keys.sort_unstable();
-        Self::from_sorted(&keys)
+        Self::from_sorted(keys.into_iter())
     }
 
-    /// Run-length encodes an ascending key list.
-    fn from_sorted(sorted: &[Key]) -> Self {
-        let mut keys = Vec::new();
-        let mut counts = Vec::new();
-        let mut i = 0;
-        while i < sorted.len() {
-            let run = sorted[i..].iter().take_while(|&&k| k == sorted[i]).count();
-            keys.push(sorted[i]);
-            counts.push(run as u64);
-            i += run;
+    /// Run-length encodes ascending keys.
+    fn from_sorted(sorted: impl Iterator<Item = Key>) -> Self {
+        let (mut keys, mut counts) = (Vec::new(), Vec::<u64>::new());
+        for k in sorted {
+            if keys.last() == Some(&k) {
+                *counts.last_mut().expect("a count per key") += 1;
+            } else {
+                keys.push(k);
+                counts.push(1);
+            }
         }
         Self::from_runs(keys, counts)
     }

@@ -43,6 +43,13 @@ fn columns() -> Vec<(String, Vec<Key>)> {
     out
 }
 
+/// Both entries to a census — keys read off a borrowed column (`census`,
+/// which is `census_of` its keys: a sorted column run-length encoded as it
+/// is read, an unsorted one collected and sorted) and a column handed over
+/// (`from_keys`, which sorts it in place) — on every shape of `columns()`:
+/// sorted, reverse-sorted, all-duplicate, extreme keys and empty among
+/// them. The owned census equals the borrowed one field for field, prefix
+/// sums included.
 #[test]
 fn census_equals_a_btreemap_count() {
     for (name, keys) in columns() {
@@ -51,6 +58,7 @@ fn census_equals_a_btreemap_count() {
             *naive.entry(k).or_insert(0u64) += 1;
         }
         let census = KeyedCounts::census(&keys);
+        assert_eq!(KeyedCounts::from_keys(keys.clone()), census, "{name}");
         let expect_keys: Vec<Key> = naive.keys().copied().collect();
         let expect_counts: Vec<u64> = naive.values().copied().collect();
         assert_eq!(census.keys(), expect_keys, "{name}");
