@@ -25,21 +25,23 @@
 //!    mappers exit. The coordinator broadcasts [`Delivery::Finish`] only when
 //!    the mappers have finished, every routed tuple has been absorbed into
 //!    some region's state (`in_flight == 0`), and no migration handshake is
-//!    pending — at which point no queue can ever receive data again.
+//!    pending — at which point no queue can ever receive data again. A
+//!    cancelled run never gets there (discarded deliveries never drain
+//!    `in_flight`): the coordinator exits on the run's cancel token
+//!    instead, and the orchestrator aborts the reducers.
 //!
 //! Like the mappers and reducers, the coordinator is a task on the shared
 //! worker-pool runtime — and it is the engine's one *legitimately timed*
-//! wait. Between polls it parks with two wake sources armed: a timer
-//! ([`TaskCx::sleep`]) for the next cadence tick, and the run's
-//! quiescence wake-set, bumped by reducers on the events its termination
-//! check watches (the in-flight count crossing zero after the mappers
-//! finish, an adoption completing) and by the orchestrator on
-//! abort/mapper-completion — so termination is detected
-//! the moment it happens rather than a poll interval later. The
-//! generation of the wake-set is read *before* any condition atomics; a
-//! registration that straddles an event is refused and the task re-polls
-//! immediately (`Poll::Yielded`). A finished coordinator folds its
-//! migration tally into the run's outcome.
+//! wait. Between polls it parks with three wake sources armed: a timer
+//! ([`TaskCx::sleep`]) for the next cadence tick, the run's cancel token,
+//! and the run's quiescence wake-set, bumped by reducers on the events its
+//! termination check watches (the in-flight count crossing zero after the
+//! mappers finish, an adoption completing) and by the orchestrator on
+//! mapper completion — so termination is detected the moment it happens
+//! rather than a poll interval later. The generation of the wake-set is
+//! read *before* any condition atomics; a registration that straddles an
+//! event is refused and the task re-polls immediately (`Poll::Yielded`). A
+//! finished coordinator folds its migration tally into the run's outcome.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -100,14 +102,15 @@ impl<'a> CoordinatorTask<'a> {
 
     /// One coordinator iteration, rate-limited to the configured poll
     /// cadence. A `Pending` poll leaves the task's waker registered with
-    /// the quiescence wake-set *and* armed on a cadence timer.
+    /// the quiescence wake-set and the cancel token, *and* armed on a
+    /// cadence timer.
     pub fn poll(&mut self, cx: &TaskCx<'_>) -> Poll {
         let run = self.run;
-        // Generation before any condition read: an event (abort, adoption,
-        // in-flight zero-crossing) landing after the checks below bumps it
-        // and refuses the park registration at the bottom.
+        // Generation before any condition read: an event (adoption,
+        // in-flight zero-crossing, mappers done) landing after the checks
+        // below bumps it and refuses the park registration at the bottom.
         let quiesce_gen = run.quiesce.generation();
-        if run.abort.load(Ordering::Acquire) {
+        if run.cancel().is_cancelled() {
             return self.report();
         }
         if let Some(last) = self.last_poll {
@@ -149,11 +152,12 @@ impl<'a> CoordinatorTask<'a> {
         self.park_until(cx, quiesce_gen, self.poll_interval)
     }
 
-    /// Parks until the next cadence tick or a quiescence event, whichever
-    /// comes first. A stale timer firing after a quiescence wake costs one
-    /// spurious re-poll, never a hang.
+    /// Parks until the next cadence tick, a quiescence event or a cancel,
+    /// whichever comes first. A stale timer firing after a quiescence wake
+    /// costs one spurious re-poll, never a hang.
     fn park_until(&self, cx: &TaskCx<'_>, quiesce_gen: u64, wait: Duration) -> Poll {
-        if !self.run.quiesce.register(cx.waker(), quiesce_gen) {
+        let run = self.run;
+        if !run.quiesce.register(cx.waker(), quiesce_gen) || !run.cancel().park(cx.waker()) {
             return Poll::Yielded;
         }
         cx.sleep(wait);

@@ -36,6 +36,16 @@
 //! completed run reports it alongside per-reducer busy/idle time,
 //! backpressure stalls, routed-morsel counts, and migration tallies.
 //!
+//! ## One failure latch
+//!
+//! A run stops one way: its [`CancelToken`] — the query's, shared by every
+//! stage of a plan, else the run's own — is tripped. A caller cancels it;
+//! a failed spill write or reload and a dead or corrupt link fail it with
+//! their reason. Parked mappers and the coordinator are woken by it and
+//! exit; the orchestrator then aborts the reducers in-band, and the run
+//! reports [`EngineOutcome::cancelled`] with the token's reason as
+//! [`EngineOutcome::failure`].
+//!
 //! ## Composable operators
 //!
 //! The engine's inputs are [`Source`]s, not bare slices: a base-relation
@@ -78,9 +88,7 @@ pub use runtime::{
     TaskCx, TaskGroup, WakeSet, Waker,
 };
 pub use spill::{SpillBinding, SpillConfig, SpillContext, SpillRun, SpillTotals};
-pub use transport::{
-    Framed, LinkProfile, LinkReceiver, LinkSender, RemoteQueue, TransportConfig, TransportFailure,
-};
+pub use transport::{Framed, LinkProfile, LinkReceiver, LinkSender, RemoteQueue, TransportConfig};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -197,10 +205,10 @@ pub struct EngineOutcome {
     /// migration tally are preserved: they describe real work done before
     /// the cancellation landed.
     pub cancelled: bool,
-    /// Why the engine cancelled itself: `spill failure: …` (recorded on the
-    /// run's [`SpillContext`], by this run or by another stage sharing it)
-    /// or `transport failure: …`, with the reason. `None` on a completed
-    /// run and on one cancelled through [`EngineIo::cancel`].
+    /// The reason the run's [`CancelToken`] was failed with — by this run
+    /// or by another stage sharing it: `spill failure: …` or
+    /// `transport failure: …`. `None` on a completed run and on one
+    /// cancelled without a reason ([`CancelToken::cancel`]).
     pub failure: Option<String>,
 }
 
@@ -242,8 +250,11 @@ pub struct EngineIo<'a> {
     /// [`EngineOutcome::peak_resident_tuples`] reports the plan-global
     /// high-water mark (exchange buffers included). `None`: private gauge.
     pub gauge: Option<&'a MemGauge>,
-    /// Checked by mappers between morsels; a cancelled run discards all
-    /// reducer state and reports [`EngineOutcome::cancelled`].
+    /// The query's failure latch. Checked by mappers between morsels and
+    /// by the coordinator between polls; a cancelled run discards all
+    /// reducer state and reports [`EngineOutcome::cancelled`]. A failed
+    /// spill write or reload and a dead or corrupt link fail it with their
+    /// reason. `None`: the run's own token.
     pub cancel: Option<&'a CancelToken>,
     /// The query's spill budget and the spill file manager reducers shed
     /// state through while the gauge sits above it. `None` disables
@@ -301,13 +312,12 @@ impl Counters {
     }
 }
 
-/// One engine run, declared once: everything its mapper, reducer,
-/// coordinator and transport-watcher tasks read, and the outcome they
-/// report into. Every task holds `&Run`. The counters a task bumps while
-/// the run is live are named after the [`JoinStats`] field each lands in;
-/// a task that finishes folds what it alone measured (region tallies,
-/// busy and idle clocks, the migration tally) into `outcome` under its
-/// lock, once.
+/// One engine run, declared once: everything its mapper, reducer and
+/// coordinator tasks read, and the outcome they report into. Every task
+/// holds `&Run`. The counters a task bumps while the run is live are
+/// named after the [`JoinStats`] field each lands in; a task that
+/// finishes folds what it alone measured (region tallies, busy and idle
+/// clocks, the migration tally) into `outcome` under its lock, once.
 struct Run<'a> {
     io: EngineIo<'a>,
     /// The configuration, task counts and probe floor at least one.
@@ -318,10 +328,9 @@ struct Run<'a> {
     /// One delivery queue per reducer.
     queues: Vec<Arc<DeliveryPort>>,
     /// The framed links behind `queues` under a transport (else empty),
-    /// read for their wire bytes before they drop.
+    /// read for their wire bytes before they drop. Each holds a clone of
+    /// the run's token.
     remote: Vec<Arc<RemoteQueue>>,
-    /// The failure latch every link of the run shares; `None` in process.
-    transport_failure: Option<Arc<TransportFailure>>,
     board: ProgressBoard,
     /// End-of-input tracking for both seals.
     seal: SealState<'a>,
@@ -332,7 +341,7 @@ struct Run<'a> {
     /// Wakes the parked coordinator on the events its termination check
     /// watches: reducers bump it (the in-flight count crossing zero after
     /// the mappers finish, an adoption completing), and so does the
-    /// orchestrator (abort, mappers done).
+    /// orchestrator (mappers done).
     quiesce: WakeSet,
     /// Tuples routed but not yet absorbed into some region's state —
     /// incremented by mappers per delivery, once per region it feeds, and
@@ -345,9 +354,6 @@ struct Run<'a> {
     /// gates the reducers' zero-crossing wake of `quiesce`: an in-flight
     /// dip to zero mid-run is not quiescence.
     mappers_done: AtomicBool,
-    /// Set by the orchestrator (or the transport watcher) when the run was
-    /// cancelled; the coordinator exits without broadcasting `Finish`.
-    abort: AtomicBool,
     counters: Counters,
     /// Spill counters are cumulative on the (possibly plan-shared)
     /// context; the run reports its contribution as a delta from here.
@@ -378,16 +384,17 @@ impl<'a> Run<'a> {
             .all(|&q| (q as usize) < cfg.reducers));
         // With a transport every delivery queue is a framed byte-stream
         // link (same FragmentPort contract, credit-based window in place of
-        // the shared counter), all sharing one failure latch.
-        let transport_failure = cfg.transport.map(|_| TransportFailure::new());
-        let remote: Vec<Arc<RemoteQueue>> = match (&cfg.transport, &transport_failure) {
-            (Some(tcfg), Some(latch)) => (0..cfg.reducers)
+        // the shared counter), each failing the run's token.
+        let own_cancel = CancelToken::new();
+        let cancel = io.cancel.unwrap_or(&own_cancel);
+        let remote: Vec<Arc<RemoteQueue>> = match &cfg.transport {
+            Some(tcfg) => (0..cfg.reducers)
                 .map(|_| {
-                    RemoteQueue::spawn(tcfg, cfg.queue_tuples, n_regions, latch.clone())
+                    RemoteQueue::spawn(tcfg, cfg.queue_tuples, n_regions, cancel.clone())
                         .expect("transport link setup failed")
                 })
                 .collect(),
-            _ => Vec::new(),
+            None => Vec::new(),
         };
         let queues = if remote.is_empty() {
             (0..cfg.reducers)
@@ -415,15 +422,13 @@ impl<'a> Run<'a> {
             plan,
             queues,
             remote,
-            transport_failure,
             board: ProgressBoard::new(cfg.reducers, n_regions),
             own_gauge: MemGauge::default(),
-            own_cancel: CancelToken::new(),
+            own_cancel,
             quiesce: WakeSet::new(),
             in_flight: AtomicU64::new(0),
             adoptions: AtomicU64::new(0),
             mappers_done: AtomicBool::new(false),
-            abort: AtomicBool::new(false),
             counters: Counters::default(),
             spill_start: io.spill.map(|spill| spill.ctx.totals()),
             start: Instant::now(),
@@ -439,10 +444,11 @@ impl<'a> Run<'a> {
     }
 
     /// The run's cancel token: the caller's, else its own. A failed spill
-    /// write or read cancels it instead of panicking — a panic inside a
-    /// pool task would leave the query's other tasks parked forever on a
-    /// shared pool — which wakes every task parked on it, makes the
-    /// mappers exit, breaks the seal chain and tears the query down.
+    /// write or read and a dead or corrupt link fail it instead of
+    /// panicking — a panic inside a pool task would leave the query's other
+    /// tasks parked forever on a shared pool — which wakes every task
+    /// parked on it, makes the mappers and the coordinator exit and tears
+    /// the query down.
     fn cancel(&self) -> &CancelToken {
         self.io.cancel.unwrap_or(&self.own_cancel)
     }
@@ -453,48 +459,17 @@ impl<'a> Run<'a> {
         self.outcome.lock().expect("run outcome poisoned")
     }
 
-    /// The transport watcher: the links' I/O threads are `'static` and
-    /// cannot borrow the run's cancel token, so this task bridges the gap.
-    /// It parks on the failure latch and, on a trip, cancels the query,
-    /// flags the abort (so a coordinator waiting out `in_flight` — which
-    /// discarded deliveries can never drain — exits), and aborts every
-    /// reducer in-band. The orchestrator releases the latch after the
-    /// coordinator, so a clean run parks here exactly once.
-    fn watch_transport(&self, latch: &TransportFailure, cx: &TaskCx<'_>) -> Poll {
-        if latch.failed() {
-            self.cancel().cancel();
-            self.abort.store(true, Ordering::Release);
-            broadcast(&self.queues, || Delivery::Abort);
-            self.quiesce.wake_all();
-            return Poll::Ready;
-        }
-        if latch.released() {
-            return Poll::Ready;
-        }
-        if latch.park(cx.waker()) {
-            Poll::Pending
-        } else {
-            Poll::Yielded
-        }
-    }
-
     /// The outcome once every task has reported: the counters land in
-    /// their `JoinStats` fields, and a failure recorded on the spill
-    /// context or the transport latch cancels the run.
+    /// their `JoinStats` fields, and a reason on the run's token cancels
+    /// the run.
     fn finish(self) -> EngineOutcome {
+        // A failure cancels the run even if no reducer aborted: one that
+        // lands after the coordinator's `Finish` — say, a reload that
+        // dropped its chunk — leaves the join short of pairs.
+        let failure = self.cancel().reason();
         let mut out = self.outcome.into_inner().expect("run outcome poisoned");
-        // A recorded I/O failure cancels the run even if no reducer
-        // aborted: a reducer drops the chunk it could not reload, and once
-        // the mappers are done its cancel stops no one — the join may be
-        // short of pairs.
-        let spill_failure = self.io.spill.and_then(|spill| spill.ctx.failure());
-        let wire_failure = self.transport_failure.and_then(|latch| latch.reason());
-        out.failure = match (spill_failure, wire_failure) {
-            (Some(why), _) => Some(format!("spill failure: {why}")),
-            (None, Some(why)) => Some(format!("transport failure: {why}")),
-            (None, None) => None,
-        };
-        out.cancelled |= out.failure.is_some();
+        out.cancelled |= failure.is_some();
+        out.failure = failure;
         let stats = &mut out.stats;
         self.counters.fold_into(stats);
         stats.backpressure_secs = self.queues.iter().map(|q| q.blocked_secs()).sum();
@@ -559,9 +534,6 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
 
     rt.scope(|s| {
         let run = &run;
-        if let Some(latch) = &run.transport_failure {
-            s.spawn(move |cx| run.watch_transport(latch, cx));
-        }
         for (q, regions) in owned.iter().enumerate() {
             let mut task = ReducerTask::new(run, q, regions);
             s.spawn(move |cx| task.poll(cx));
@@ -575,27 +547,22 @@ pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig
             s.spawn_in(&mapper_group, move |cx| task.poll(cx));
         }
         mapper_group.wait();
-        // If the mappers finished without sealing (cancellation), the seal
-        // chain is broken: stop the coordinator and abort the reducers
-        // explicitly. Control messages bypass queue bounds, so this cannot
-        // deadlock. Otherwise hand termination to the coordinator (Finish
-        // at quiescence). Either way, wake the parked coordinator to
-        // observe the store.
-        let broken = !run.seal.sealed_all();
-        if broken {
-            run.abort.store(true, Ordering::Release);
-        } else {
+        // If the mappers finished without sealing, the seal chain is
+        // broken: cancel the run, which stops the coordinator. Otherwise
+        // hand termination to the coordinator (Finish at quiescence, or an
+        // exit on a cancel that lands later) and wake it to observe the
+        // store.
+        if run.seal.sealed_all() {
             run.mappers_done.store(true, Ordering::Release);
+            run.quiesce.wake_all();
+        } else {
+            run.cancel().cancel();
         }
-        run.quiesce.wake_all();
         coordinator_group.wait();
-        // A clean run parks the transport watcher forever; let it exit.
-        // (A trip that races this release still aborted the reducers via
-        // the in-band injection on the failed link.)
-        if let Some(latch) = &run.transport_failure {
-            latch.release();
-        }
-        if broken {
+        // A cancelled run never reaches `Finish`: abort the reducers
+        // explicitly. Control messages bypass queue bounds, so this cannot
+        // deadlock.
+        if run.cancel().is_cancelled() {
             broadcast(&run.queues, || Delivery::Abort);
         }
         // Scope exit blocks until the reducer tasks complete.
@@ -1091,6 +1058,77 @@ mod tests {
         });
         assert!(out.cancelled, "stalled-exchange run must abort, not hang");
         assert_eq!(out.output_total(), 0);
+    }
+
+    #[test]
+    fn a_cancel_after_seal_all_ends_the_run() {
+        // Reducer 0 straggles for seconds after the mappers are done. The
+        // probe side streams through an exchange this test fills and
+        // closes, so once the mappers have drained it every tuple is
+        // routed and `SealAll` is out; a cancel 50 ms later must end the
+        // run as cancelled, not let the reducers drain to `Finish`.
+        let k: Vec<Key> = (0..1000).map(|i| (i % 100) as Key).collect();
+        let (r1, r2) = (tuples(&k), tuples(&k));
+        let cond = JoinCondition::Equi;
+        let scheme = build_ci(4, 1000, 1000, None);
+        let region_to_reducer: Vec<u32> =
+            (0..scheme.num_regions()).map(|r| (r % 2) as u32).collect();
+        let table = RoutingTable::new(&region_to_reducer);
+        let cfg = EngineConfig {
+            mappers: 2,
+            reducers: 2,
+            morsel_tuples: 128,
+            queue_tuples: 1 << 16,
+            probe_chunk: 64,
+            seed: 29,
+            work: OutputWork::Touch,
+            adaptive: AdaptiveConfig {
+                reassign: false,
+                ..Default::default()
+            },
+            straggler: Some(Straggler {
+                reducer: 0,
+                nanos_per_tuple: 1_000_000,
+            }),
+            transport: None,
+        };
+        let exchange = Exchange::new(1 << 16);
+        let (gauge, cancel) = (MemGauge::default(), CancelToken::new());
+        let rt = test_rt();
+        let out = thread::scope(|s| {
+            s.spawn(|| {
+                for chunk in r2.chunks(128) {
+                    gauge.add(chunk.len() as u64);
+                    exchange.push(ColumnBatch::from_tuples(chunk));
+                }
+                exchange.close();
+                while exchange.used_tuples() > 0 {
+                    thread::sleep(std::time::Duration::from_millis(1));
+                }
+                thread::sleep(std::time::Duration::from_millis(50));
+                cancel.cancel();
+            });
+            run_pipelined_io(
+                &rt,
+                EngineIo {
+                    r1: &r1,
+                    r2: Source::Exchange(&exchange),
+                    router: &scheme.router,
+                    cond: &cond,
+                    table: &table,
+                    sink: None,
+                    key_from: KeyFrom::Probe,
+                    gauge: Some(&gauge),
+                    cancel: Some(&cancel),
+                    spill: None,
+                    links: None,
+                },
+                &cfg,
+            )
+        });
+        assert!(out.cancelled, "a cancel after SealAll must end the run");
+        assert_eq!(out.output_total(), 0);
+        assert_eq!(out.failure, None, "a reasonless cancel carries none");
     }
 
     #[test]

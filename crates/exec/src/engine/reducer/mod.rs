@@ -1277,7 +1277,7 @@ mod tests {
         assert!(swept >= fewest, "{swept} sweeps under pressure");
         assert_eq!(run.gauge().current_tuples(), 0);
         assert!(ctx.totals().runs > 0, "the build went to disk");
-        assert_eq!(ctx.failure(), None);
+        assert_eq!(run.cancel().reason(), None);
         drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1388,7 +1388,7 @@ mod tests {
             peak <= BUDGET + 1,
             "peak {peak} over the build's own delivery"
         );
-        assert_eq!(ctx.failure(), None);
+        assert_eq!(run.cancel().reason(), None);
         drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1433,7 +1433,7 @@ mod tests {
         );
         assert_eq!(tallies(&run), [whole_sweep(&run, &build, &probe)]);
         assert_eq!(run.gauge().current_tuples(), 0);
-        assert_eq!(ctx.failure(), None);
+        assert_eq!(run.cancel().reason(), None);
         drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1532,7 +1532,7 @@ mod tests {
             (1..PROBE as usize).contains(&written),
             "{written} probe tuples written: the rest of the first slice"
         );
-        assert_eq!(ctx.failure(), None);
+        assert_eq!(run.cancel().reason(), None);
         drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1625,7 +1625,7 @@ mod tests {
         assert!(task.spill_once(&ctx));
         assert_eq!(state(&mut task, 1).spilled_build_tuples, 120);
         assert_eq!(ctx.totals().respills, 1);
-        assert_eq!(ctx.failure(), None);
+        assert_eq!([&run, &roomy].map(|r| r.cancel().reason()), [None, None]);
         drop(task);
         drop((run, roomy));
         drop(ctx);

@@ -15,8 +15,8 @@
 //!
 //! It must not decide when a region sweeps or how much a turn sweeps
 //! (`sweep`), and it never sweeps but through `sweep`'s kernel. A failed
-//! write or read is recorded on the spill context and cancels the query
-//! cooperatively; nothing here panics or waits on another task.
+//! write or read fails the query's token with its reason, which cancels the
+//! query cooperatively; nothing here panics or waits on another task.
 
 use std::mem;
 
@@ -54,14 +54,14 @@ impl ReducerTask<'_> {
     /// Each iteration writes one victim down the spill ladder; the loop
     /// stops when the gauge fits, nothing spillable remains on *this*
     /// reducer (other reducers of the same query shed their own share on
-    /// their own polls), or a write failed — the failure is recorded on the
-    /// spill context and the cooperative cancel flag tears the query down.
+    /// their own polls), or the query is cancelled — a failed write fails
+    /// its token, which tears the query down.
     pub(super) fn maybe_spill(&mut self) {
         let Some(spill) = self.run.io.spill else {
             return;
         };
         while self.run.gauge().current_tuples() > spill.budget_tuples {
-            if spill.ctx.failed() || !self.spill_once(spill.ctx) {
+            if self.run.cancel().is_cancelled() || !self.spill_once(spill.ctx) {
                 return;
             }
         }
@@ -172,8 +172,8 @@ impl ReducerTask<'_> {
     /// and written one by one (a concatenation would be an uncharged copy
     /// of the region), then its sealed build. What reaches disk is counted
     /// in the region's spilled build. Returns `false` when a write failed
-    /// or the query's spill already had; the unwritten tail of the victim
-    /// stays resident where it was.
+    /// or the query is cancelled; the unwritten tail of the victim stays
+    /// resident where it was.
     fn shed_build(
         st: &mut RegionState,
         run: &Run<'_>,
@@ -182,7 +182,7 @@ impl ReducerTask<'_> {
         done: impl Fn(&RegionState) -> bool,
     ) -> bool {
         while !done(st) {
-            if ctx.failed() {
+            if run.cancel().is_cancelled() {
                 return false;
             }
             let largest = st
@@ -222,8 +222,8 @@ impl ReducerTask<'_> {
     /// stay near its trigger. The gauge is debited per written slice.
     /// Descriptors go to `out` (and, for a region's state, onto the spill
     /// board). Returns the unwritten tail: empty on success, the
-    /// still-resident remainder when a write failed (the failure is
-    /// recorded and the cooperative cancel flag raised here).
+    /// still-resident remainder when a write failed (which fails the
+    /// query's token here).
     fn write_capped(
         ctx: &SpillContext,
         run: &Run<'_>,
@@ -245,8 +245,8 @@ impl ReducerTask<'_> {
                     off = end;
                 }
                 Err(e) => {
-                    ctx.record_failure(format!("spill write failed: {e}"));
-                    run.cancel().cancel();
+                    run.cancel()
+                        .fail(format!("spill failure: spill write failed: {e}"));
                     break;
                 }
             }
@@ -255,7 +255,7 @@ impl ReducerTask<'_> {
     }
 
     /// Reloads a spilled run into a pooled buffer and charges it to the
-    /// gauge; a failed read is recorded and cancels the query.
+    /// gauge; a failed read fails the query's token.
     fn reload(&self, spilled: &SpillRun, pool: &BatchPool, what: &str) -> Option<ColumnBatch> {
         let run = self.run;
         let ctx = run
@@ -269,8 +269,8 @@ impl ReducerTask<'_> {
                 Some(batch)
             }
             Err(e) => {
-                ctx.record_failure(format!("{what} reload failed: {e}"));
-                run.cancel().cancel();
+                run.cancel()
+                    .fail(format!("spill failure: {what} reload failed: {e}"));
                 None
             }
         }

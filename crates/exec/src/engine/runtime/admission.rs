@@ -1,5 +1,5 @@
 //! Query admission: [`EngineRuntime::admit`], the [`QueryTicket`] it hands
-//! out, and the ticket's private spill directory.
+//! out, and the ticket's cancel token and private spill directory.
 //!
 //! This module decides which *queries* (not tasks) may run: at most
 //! `max_concurrent_queries` tickets are outstanding, and when the runtime
@@ -16,7 +16,7 @@ use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use super::super::morsel::MemGauge;
-use super::{EngineRuntime, RuntimeMetrics};
+use super::{CancelToken, EngineRuntime, RuntimeMetrics};
 
 /// The runtime's admission state and counters.
 #[derive(Default)]
@@ -100,15 +100,17 @@ impl EngineRuntime {
             budget_tuples: budget,
             carved,
             gauge: MemGauge::default(),
+            cancel: CancelToken::new(),
             wait,
             spill_dir: OnceLock::new(),
         }
     }
 }
 
-/// An admitted query's handle: its carved memory budget and the per-query
-/// [`MemGauge`] the engine charges. Dropping the ticket releases the
-/// admission slot and returns the budget to the runtime.
+/// An admitted query's handle: its carved memory budget, the per-query
+/// [`MemGauge`] the engine charges and the query's [`CancelToken`], its
+/// one failure latch. Dropping the ticket releases the admission slot and
+/// returns the budget to the runtime.
 pub struct QueryTicket<'rt> {
     rt: &'rt EngineRuntime,
     budget_tuples: Option<u64>,
@@ -116,6 +118,7 @@ pub struct QueryTicket<'rt> {
     /// (0 on an un-budgeted runtime, where requests are advisory).
     carved: u64,
     gauge: MemGauge,
+    cancel: CancelToken,
     wait: Duration,
     /// Lazily named per-query spill directory; removed wholesale when the
     /// ticket drops (success, cancel and panic paths alike), so spilled
@@ -128,6 +131,12 @@ impl QueryTicket<'_> {
     /// measured against its own budget slice.
     pub fn gauge(&self) -> &MemGauge {
         &self.gauge
+    }
+
+    /// The query's failure latch; pass it to every engine run of the query,
+    /// so a failure in any of them cancels them all.
+    pub fn cancel(&self) -> &CancelToken {
+        &self.cancel
     }
 
     /// Tuple budget carved for this query (`None`: admission was not

@@ -274,40 +274,121 @@ impl WakeSet {
     }
 }
 
-/// A cancellation flag that *wakes* its waiters. Under event-driven
-/// parking a plain `AtomicBool` cannot cancel a parked task — nothing
-/// re-polls it — so every park site in the engine dual-registers with the
-/// query's `CancelToken`: the resource wake delivers progress, the cancel
-/// wake delivers the abort.
-#[derive(Default)]
+/// The query's one failure latch: a cancellation flag that *wakes* its
+/// waiters and carries the first reason it was failed with. Under
+/// event-driven parking a plain `AtomicBool` cannot cancel a parked task —
+/// nothing re-polls it — so every park site in the engine dual-registers
+/// with the query's token: the resource wake delivers progress, the cancel
+/// wake delivers the abort. A clone is the same token: the links' `'static`
+/// I/O threads hold one, and a caller, a failed spill write or reload, or
+/// a dead or corrupt wire all trip it.
+#[derive(Clone, Default)]
 pub struct CancelToken {
+    inner: Arc<TokenInner>,
+}
+
+#[derive(Default)]
+struct TokenInner {
     cancelled: AtomicBool,
+    reason: Mutex<Option<String>>,
     wake: WakeSet,
 }
 
 impl CancelToken {
-    pub const fn new() -> Self {
-        CancelToken {
-            cancelled: AtomicBool::new(false),
-            wake: WakeSet::new(),
-        }
+    pub fn new() -> Self {
+        CancelToken::default()
     }
 
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Acquire)
+        self.inner.cancelled.load(Ordering::Acquire)
     }
 
     /// Raises the flag and wakes every task parked through
     /// [`CancelToken::park`]. Idempotent; callable from client threads.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Release);
-        self.wake.wake_all();
+        self.inner.cancelled.store(true, Ordering::Release);
+        self.inner.wake.wake_all();
+    }
+
+    /// Cancels with a reason; the first reason wins. The reason is stored
+    /// before the flag, so whoever observes the cancel finds it.
+    pub fn fail(&self, why: String) {
+        // Every update leaves the slot valid, so a poisoned lock is taken
+        // over rather than propagated into a failure path.
+        let mut reason = self.inner.reason.lock().unwrap_or_else(|e| e.into_inner());
+        reason.get_or_insert(why);
+        drop(reason);
+        self.cancel();
+    }
+
+    /// Why the token was failed; `None` while it stands or after a
+    /// reasonless [`cancel`](Self::cancel).
+    pub fn reason(&self) -> Option<String> {
+        let reason = self.inner.reason.lock().unwrap_or_else(|e| e.into_inner());
+        reason.clone()
     }
 
     /// Registers `waker` to be woken on cancellation. Returns `false` — do
     /// **not** park, re-poll instead — if the token is already cancelled
     /// (or a cancel raced the registration).
     pub fn park(&self, waker: &Waker) -> bool {
-        self.wake.park_unless(waker, || self.is_cancelled())
+        self.inner.wake.park_unless(waker, || self.is_cancelled())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicUsize;
+    use std::thread;
+    use std::time::Duration;
+
+    use super::super::{EngineRuntime, Poll};
+    use super::*;
+
+    #[test]
+    fn the_first_failure_reason_wins() {
+        let token = CancelToken::new();
+        assert_eq!(token.reason(), None);
+        token.fail("boom".into());
+        assert!(token.is_cancelled());
+        token.fail("later".into());
+        assert_eq!(token.clone().reason().as_deref(), Some("boom"));
+    }
+
+    #[test]
+    fn a_reasonless_cancel_leaves_no_reason() {
+        let token = CancelToken::new();
+        token.cancel();
+        assert!(token.is_cancelled());
+        assert_eq!(token.reason(), None);
+    }
+
+    /// Every task parked on the token — through a clone, as a link's I/O
+    /// thread holds one — is woken by a failure from a client thread.
+    #[test]
+    fn a_failure_wakes_every_parked_waker() {
+        const TASKS: usize = 4;
+        let rt = EngineRuntime::new(2);
+        let token = CancelToken::new();
+        let observed = AtomicUsize::new(0);
+        rt.scope(|s| {
+            for _ in 0..TASKS {
+                let (token, observed) = (token.clone(), &observed);
+                s.spawn(move |cx| {
+                    if token.is_cancelled() {
+                        observed.fetch_add(1, Ordering::Relaxed);
+                        Poll::Ready
+                    } else if token.park(cx.waker()) {
+                        Poll::Pending
+                    } else {
+                        Poll::Yielded
+                    }
+                });
+            }
+            thread::sleep(Duration::from_millis(10));
+            token.fail("wire cut".into());
+        });
+        assert_eq!(observed.into_inner(), TASKS);
+        assert_eq!(token.reason().as_deref(), Some("wire cut"));
     }
 }

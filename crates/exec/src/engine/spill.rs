@@ -33,12 +33,11 @@
 //! untrusted: [`SpillRun::from_parts`] rejects an extent that overflows
 //! and every reload checks the extent against the segment tail, so a
 //! corrupt one is an `Err`, never a read outside the query's own records.
-//! I/O failures are not panics inside pool tasks: a failure is recorded
-//! here and the query is cancelled cooperatively through its
-//! [`CancelToken`](super::CancelToken) — whose wake also reaches tasks
-//! parked on queues or exchanges — and the stage driver re-raises it at
-//! the query join, exactly like `Exchange::abandon` surfaces a downstream
-//! unwind.
+//! I/O failures are not panics inside pool tasks: a failed write or reload
+//! fails the query's [`CancelToken`](super::CancelToken) with its reason —
+//! the token's wake also reaches tasks parked on queues or exchanges — and
+//! the stage driver re-raises that reason at the query join, exactly like
+//! `Exchange::abandon` surfaces a downstream unwind.
 //!
 //! Lifetime: the first spilled run creates directory and segment — a query
 //! that never spills touches no file system — and
@@ -51,7 +50,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use ewh_core::{ColumnBatch, Key, KeyRange, TUPLE_BYTES};
@@ -205,7 +204,6 @@ pub struct SpillContext {
     write_nanos: AtomicU64,
     reload_nanos: AtomicU64,
     fail_after_bytes: Option<u64>,
-    failure: Mutex<Option<String>>,
 }
 
 impl SpillContext {
@@ -223,7 +221,6 @@ impl SpillContext {
             write_nanos: AtomicU64::new(0),
             reload_nanos: AtomicU64::new(0),
             fail_after_bytes,
-            failure: Mutex::new(None),
         }
     }
 
@@ -359,31 +356,6 @@ impl SpillContext {
     /// Counts a region build shed again after it came back from disk.
     pub(crate) fn note_respill(&self) {
         self.respills.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a spill I/O failure; the first message wins.
-    pub fn record_failure(&self, msg: String) {
-        let mut slot = self.failure.lock().unwrap_or_else(|e| e.into_inner());
-        slot.get_or_insert(msg);
-    }
-
-    /// The recorded failure, if any. It stays recorded: every stage of a
-    /// plan that the failure cancelled reports the same reason
-    /// ([`EngineOutcome::failure`](super::EngineOutcome::failure)).
-    pub fn failure(&self) -> Option<String> {
-        self.failure
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Has a spill write failed? Reducers stop spilling once set (the
-    /// query is being cancelled; shedding more state would be wasted I/O).
-    pub fn failed(&self) -> bool {
-        self.failure
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
     }
 
     /// Everything spilled and reloaded through this context so far.
@@ -582,11 +554,6 @@ mod tests {
         let ctx = temp_ctx("fault", Some(0));
         assert!(ctx.write_run(&[1], &[1]).is_err());
         assert!(!ctx.dir.exists(), "a refused write creates nothing");
-        assert!(!ctx.failed());
-        ctx.record_failure("boom".into());
-        assert!(ctx.failed());
-        ctx.record_failure("later".into());
-        assert_eq!(ctx.failure().as_deref(), Some("boom"));
     }
 
     #[test]

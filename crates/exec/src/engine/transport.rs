@@ -50,19 +50,21 @@
 //! with `CLOSE` followed by a half-close (`shutdown(Write)`; with a cloned
 //! socket, dropping one handle does not end the stream). Anything else
 //! that ends a stream — EOF without `CLOSE`, an I/O error, a corrupt,
-//! truncated or unexpected frame — trips the link's [`TransportFailure`].
-//! The sender abandons its gate, releasing every parked producer (their
-//! later pushes are discarded — the run is doomed). The receiver hands its
-//! consumer the in-band [`Delivery::Abort`] (on a `Delivery` link), closes
-//! its staging channel and ends its credit stream without `CLOSE`, so the
-//! sender trips too; the engine's watcher task cancels the query
-//! cooperatively. Nothing panics on a bad byte.
+//! truncated or unexpected frame — fails the link's [`CancelToken`] with
+//! `transport failure: <reason>`: on an engine link that is the query's
+//! own token, which every link of the run holds a clone of, so the trip
+//! cancels the query cooperatively. The sender abandons its gate, releasing
+//! every parked producer (their later pushes are discarded — the run is
+//! doomed). The receiver hands its consumer the in-band [`Delivery::Abort`]
+//! (on a `Delivery` link), closes its staging channel and ends its credit
+//! stream without `CLOSE`, so the sender trips too. Nothing panics on a bad
+//! byte.
 
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 use ewh_core::{encode_frame, ColumnBatch, Frame, FrameDecoder, Key, Rel, TUPLE_BYTES};
@@ -71,7 +73,7 @@ use super::channel::{Channel, CreditGate, Weigh};
 use super::port::{FragmentPort, PortPop};
 use super::queue::{Delivery, RegionBatch};
 use super::reducer::RegionState;
-use super::runtime::{WakeSet, Waker};
+use super::runtime::{CancelToken, Waker};
 use super::spill::SpillRun;
 
 // The transport's tag space within the frame codec's opaque `kind` byte.
@@ -120,64 +122,6 @@ impl TransportConfig {
         TransportConfig {
             corrupt_frame: None,
         }
-    }
-}
-
-/// One run's shared transport failure latch. I/O threads own clones (they
-/// are `'static`); the engine's watcher task parks on it and converts a
-/// trip into a cooperative query cancellation.
-pub struct TransportFailure {
-    failed: AtomicBool,
-    released: AtomicBool,
-    reason: Mutex<Option<String>>,
-    wake: WakeSet,
-}
-
-impl TransportFailure {
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> Arc<Self> {
-        Arc::new(TransportFailure {
-            failed: AtomicBool::new(false),
-            released: AtomicBool::new(false),
-            reason: Mutex::new(None),
-            wake: WakeSet::new(),
-        })
-    }
-
-    /// Trips the latch; the first reason wins. The reason is stored before
-    /// the flag, so whoever observes `failed()` finds it.
-    pub(crate) fn trip(&self, why: String) {
-        self.reason
-            .lock()
-            .expect("failure reason poisoned")
-            .get_or_insert(why);
-        self.failed.store(true, Ordering::Release);
-        self.wake.wake_all();
-    }
-
-    pub fn failed(&self) -> bool {
-        self.failed.load(Ordering::Acquire)
-    }
-
-    pub fn reason(&self) -> Option<String> {
-        self.reason.lock().expect("failure reason poisoned").clone()
-    }
-
-    /// End-of-run release: wakes the watcher so it can exit without a trip.
-    pub(crate) fn release(&self) {
-        self.released.store(true, Ordering::Release);
-        self.wake.wake_all();
-    }
-
-    pub(crate) fn released(&self) -> bool {
-        self.released.load(Ordering::Acquire)
-    }
-
-    /// Parks `waker` until a trip or the end-of-run release. `false`: an
-    /// event already happened (or raced the registration) — re-poll now.
-    pub(crate) fn park(&self, waker: &Waker) -> bool {
-        self.wake
-            .park_unless(waker, || self.failed() || self.released())
     }
 }
 
@@ -434,9 +378,9 @@ impl Framed for Delivery {
         }
     }
 
-    /// The reducer's native unwind path. The watcher's broadcast `Abort`
-    /// cannot reach this reducer: it would have to cross the wire that just
-    /// died.
+    /// The reducer's native unwind path. The orchestrator's broadcast
+    /// `Abort` cannot reach this reducer: it would have to cross the wire
+    /// that just died.
     fn abort() -> Option<Delivery> {
         Some(Delivery::Abort)
     }
@@ -504,6 +448,11 @@ fn pump_frames(
     }
 }
 
+/// Fails the link's token; the first reason wins.
+fn trip(cancel: &CancelToken, why: String) {
+    cancel.fail(format!("transport failure: {why}"));
+}
+
 fn join_all(threads: &mut Vec<JoinHandle<()>>) {
     for handle in threads.drain(..) {
         let _ = handle.join();
@@ -519,7 +468,7 @@ fn join_all(threads: &mut Vec<JoinHandle<()>>) {
 /// returns the receiver's `CREDIT`s to the gate.
 pub struct LinkSender<T> {
     gate: Arc<CreditGate>,
-    failure: Arc<TransportFailure>,
+    cancel: CancelToken,
     /// Encoded frames for the writer; `None` once the stream is ended.
     frames: Option<mpsc::Sender<Vec<u8>>>,
     sock: TcpStream,
@@ -530,16 +479,16 @@ pub struct LinkSender<T> {
 
 impl<T: Framed> LinkSender<T> {
     /// Connects to a [`LinkReceiver::accept`]ing peer. `window_tuples`
-    /// bounds the tuples in flight; the link has a failure latch of its own.
+    /// bounds the tuples in flight; the link has a cancel token of its own.
     pub fn connect(addr: &str, window_tuples: usize) -> io::Result<Self> {
         let sock = TcpStream::connect(addr)?;
-        Self::spawn(sock, window_tuples, TransportFailure::new(), None)
+        Self::spawn(sock, window_tuples, CancelToken::new(), None)
     }
 
     fn spawn(
         sock: TcpStream,
         window_tuples: usize,
-        failure: Arc<TransportFailure>,
+        cancel: CancelToken,
         corrupt_frame: Option<u64>,
     ) -> io::Result<Self> {
         sock.set_nodelay(true)?;
@@ -547,9 +496,9 @@ impl<T: Framed> LinkSender<T> {
         let wire_bytes = Arc::new(AtomicU64::new(0));
         let (frames, queued) = mpsc::channel::<Vec<u8>>();
         let fail = {
-            let (failure, gate) = (failure.clone(), gate.clone());
+            let (cancel, gate) = (cancel.clone(), gate.clone());
             move |why: String| {
-                failure.trip(why);
+                trip(&cancel, why);
                 gate.abandon();
             }
         };
@@ -599,7 +548,7 @@ impl<T: Framed> LinkSender<T> {
 
         Ok(LinkSender {
             gate,
-            failure,
+            cancel,
             frames: Some(frames),
             sock,
             wire_bytes,
@@ -609,10 +558,10 @@ impl<T: Framed> LinkSender<T> {
     }
 
     /// Non-blocking bounded push for pool tasks; hands the item back (with
-    /// `park` registered) when the window is full. On a failed link the
-    /// item is discarded: the run is unwinding.
+    /// `park` registered) when the window is full. Once the token is
+    /// cancelled the item is discarded: the run is unwinding.
     pub(crate) fn offer(&self, item: T, park: Option<&Waker>) -> Result<(), T> {
-        if self.failure.failed() {
+        if self.cancel.is_cancelled() {
             return Ok(());
         }
         if !self.gate.admit_or_park(item.weight(), park) {
@@ -632,7 +581,7 @@ impl<T: Framed> LinkSender<T> {
     /// gate.
     pub fn push(&self, item: T) -> Result<(), String> {
         if !self.gate.admit_blocking(item.weight()) {
-            let why = self.failure.reason();
+            let why = self.cancel.reason();
             return Err(why.unwrap_or_else(|| "link failed".into()));
         }
         self.send(&item);
@@ -644,7 +593,7 @@ impl<T: Framed> LinkSender<T> {
         item.encode(&mut buf);
         if let Some(frames) = &self.frames {
             // A send after the writer died parks the frame in a dead
-            // channel; the failure latch is already tripped.
+            // channel; the token is already failed.
             let _ = frames.send(buf);
         }
     }
@@ -660,7 +609,7 @@ impl<T: Framed> LinkSender<T> {
     pub fn finish(mut self) -> Result<u64, String> {
         self.frames = None;
         join_all(&mut self.threads);
-        match self.failure.reason() {
+        match self.cancel.reason() {
             Some(why) => Err(why),
             None => Ok(self.wire_bytes()),
         }
@@ -686,25 +635,25 @@ impl<T> Drop for LinkSender<T> {
 /// as a `CREDIT` frame, coalescing what is pending into one frame per wake.
 pub struct LinkReceiver<T> {
     staging: Arc<Channel<T>>,
-    failure: Arc<TransportFailure>,
+    cancel: CancelToken,
     /// Weights to credit back; `None` once the credit stream is ended.
     credits: Option<mpsc::Sender<u64>>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl<T: Framed> LinkReceiver<T> {
-    /// Accepts one [`LinkSender::connect`]. The link has a failure latch of
+    /// Accepts one [`LinkSender::connect`]. The link has a cancel token of
     /// its own.
     pub fn accept(listener: &TcpListener) -> io::Result<Self> {
         let (sock, _) = listener.accept()?;
-        Self::spawn(sock, TransportFailure::new(), |_| Ok(()))
+        Self::spawn(sock, CancelToken::new(), |_| Ok(()))
     }
 
     /// `check` vets every decoded item before it is staged; an `Err` fails
     /// the link like a corrupt frame.
     fn spawn(
         sock: TcpStream,
-        failure: Arc<TransportFailure>,
+        cancel: CancelToken,
         check: impl Fn(&T) -> Result<(), String> + Send + 'static,
     ) -> io::Result<Self> {
         sock.set_nodelay(true)?;
@@ -718,7 +667,7 @@ impl<T: Framed> LinkReceiver<T> {
         // without `CLOSE`, so the sender trips too, and drains the socket,
         // so its writer never blocks on a reader that is gone.
         let mut src = sock.try_clone()?;
-        let (staged, tripped) = (staging.clone(), failure.clone());
+        let (staged, tripped) = (staging.clone(), cancel.clone());
         let reader = io_thread("ewh-link-rx", move || {
             let ended = pump_frames(&mut src, 64 * 1024, |f| {
                 let item = T::decode(f)?;
@@ -727,7 +676,7 @@ impl<T: Framed> LinkReceiver<T> {
                 Ok(())
             });
             if let Err(why) = &ended {
-                tripped.trip(format!("data stream: {why}"));
+                trip(&tripped, format!("data stream: {why}"));
                 if let Some(abort) = T::abort() {
                     staged.push_unbounded(abort);
                 }
@@ -740,7 +689,7 @@ impl<T: Framed> LinkReceiver<T> {
         })?;
 
         let mut out = sock;
-        let credit_failure = failure.clone();
+        let credit_cancel = cancel.clone();
         let credit_writer = io_thread("ewh-link-credit-tx", move || {
             let empty = ColumnBatch::new();
             let mut buf = Vec::with_capacity(64);
@@ -754,13 +703,13 @@ impl<T: Framed> LinkReceiver<T> {
                 })
                 .and_then(|()| write_close(&mut out));
             if let Err(e) = written {
-                credit_failure.trip(format!("credit write: {e}"));
+                trip(&credit_cancel, format!("credit write: {e}"));
             }
         })?;
 
         Ok(LinkReceiver {
             staging,
-            failure,
+            cancel,
             credits: Some(credits),
             threads: vec![reader, credit_writer],
         })
@@ -795,7 +744,7 @@ impl<T: Framed> LinkReceiver<T> {
     pub fn join(mut self) -> Result<(), String> {
         self.credits = None;
         join_all(&mut self.threads);
-        self.failure.reason().map_or(Ok(()), Err)
+        self.cancel.reason().map_or(Ok(()), Err)
     }
 }
 
@@ -820,21 +769,22 @@ pub struct RemoteQueue {
 
 impl RemoteQueue {
     /// Opens the connection and spawns both halves' four I/O threads.
-    /// `failure` is shared by every link of a run; a delivery naming a
-    /// region outside the run's `regions` trips it.
+    /// `cancel` is the query's token, shared by every link of a run; a dead
+    /// or corrupt stream, or a delivery naming a region outside the run's
+    /// `regions`, fails it.
     pub fn spawn(
         cfg: &TransportConfig,
         capacity_tuples: usize,
         regions: usize,
-        failure: Arc<TransportFailure>,
+        cancel: CancelToken,
     ) -> io::Result<Arc<RemoteQueue>> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let out = TcpStream::connect(listener.local_addr()?)?;
         let (inbound, _) = listener.accept()?;
         let check = move |d: &Delivery| check_regions(d, regions);
         Ok(Arc::new(RemoteQueue {
-            tx: LinkSender::spawn(out, capacity_tuples, failure.clone(), cfg.corrupt_frame)?,
-            rx: LinkReceiver::spawn(inbound, failure, check)?,
+            tx: LinkSender::spawn(out, capacity_tuples, cancel.clone(), cfg.corrupt_frame)?,
+            rx: LinkReceiver::spawn(inbound, cancel, check)?,
         }))
     }
 
@@ -892,6 +842,7 @@ mod tests {
     use super::super::port::DeliveryPort;
     use super::super::runtime::{EngineRuntime, Poll};
     use super::*;
+    use std::sync::Mutex;
 
     fn cols(n: usize) -> ColumnBatch {
         let mut b = ColumnBatch::with_capacity(n);
@@ -914,12 +865,8 @@ mod tests {
         })
     }
 
-    fn spawn_queue(
-        cfg: &TransportConfig,
-        window: usize,
-        failure: &Arc<TransportFailure>,
-    ) -> Arc<RemoteQueue> {
-        RemoteQueue::spawn(cfg, window, REGIONS, failure.clone()).expect("link")
+    fn spawn_queue(cfg: &TransportConfig, window: usize, cancel: &CancelToken) -> Arc<RemoteQueue> {
+        RemoteQueue::spawn(cfg, window, REGIONS, cancel.clone()).expect("link")
     }
 
     fn drain_until<T>(timeout: Duration, mut f: impl FnMut() -> Option<T>) -> T {
@@ -1025,8 +972,8 @@ mod tests {
 
     #[test]
     fn tcp_link_round_trips_in_order() {
-        let failure = TransportFailure::new();
-        let q = spawn_queue(&TransportConfig::tcp(), 1 << 20, &failure);
+        let token = CancelToken::new();
+        let q = spawn_queue(&TransportConfig::tcp(), 1 << 20, &token);
         let port: &DeliveryPort = &*q;
         for region in 0..32u32 {
             assert!(port.try_push(batch_delivery(region, 100)).is_ok());
@@ -1046,7 +993,7 @@ mod tests {
         drain_until(Duration::from_secs(10), || {
             (port.used_tuples() == 0).then_some(())
         });
-        assert!(!failure.failed());
+        assert!(!token.is_cancelled());
         assert!(q.wire_bytes() > 32 * 100 * TUPLE_BYTES);
     }
 
@@ -1055,8 +1002,8 @@ mod tests {
     /// which its pop credits back in full.
     #[test]
     fn a_grouped_batch_crosses_once_and_credits_what_it_charged() {
-        let failure = TransportFailure::new();
-        let q = spawn_queue(&TransportConfig::tcp(), 1 << 20, &failure);
+        let token = CancelToken::new();
+        let q = spawn_queue(&TransportConfig::tcp(), 1 << 20, &token);
         let port: &DeliveryPort = &*q;
         let grouped = |region: u32, siblings: Vec<u32>| {
             Delivery::Batch(RegionBatch {
@@ -1087,7 +1034,7 @@ mod tests {
             (wire >= frame).then_some(wire)
         });
         assert_eq!(wire, frame);
-        assert!(!failure.failed());
+        assert!(!token.is_cancelled());
     }
 
     /// Region ids off the wire are checked before a reducer could index by
@@ -1136,10 +1083,10 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let mut peer =
                 TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-            let failure = TransportFailure::new();
+            let token = CancelToken::new();
             let accepted = listener.accept().expect("accept").0;
             let check = |d: &Delivery| check_regions(d, REGIONS);
-            let rx = LinkReceiver::spawn(accepted, failure.clone(), check).expect("receiver");
+            let rx = LinkReceiver::spawn(accepted, token.clone(), check).expect("receiver");
             let mut wire = Vec::new();
             batch_delivery(1, 4).encode(&mut wire);
             encode_frame(&mut wire, kind, a, 0, &extra, &cols(4));
@@ -1147,8 +1094,10 @@ mod tests {
             // The stream then ends without `CLOSE`: a frame that slipped
             // through would trip the latch for that instead.
             peer.shutdown(Shutdown::Write).expect("half-close");
-            drain_until(Duration::from_secs(10), || failure.failed().then_some(()));
-            let why = failure.reason().expect("tripped");
+            drain_until(Duration::from_secs(10), || {
+                token.is_cancelled().then_some(())
+            });
+            let why = token.reason().expect("tripped");
             assert!(why.contains(&reason), "{reason:?} not in {why:?}");
             let mut got = Vec::new();
             while let Some(d) = drain_until(Duration::from_secs(10), || match rx.take(None) {
@@ -1168,8 +1117,8 @@ mod tests {
 
     #[test]
     fn the_window_bounces_like_a_full_queue() {
-        let failure = TransportFailure::new();
-        let q = spawn_queue(&TransportConfig::tcp(), 100, &failure);
+        let token = CancelToken::new();
+        let q = spawn_queue(&TransportConfig::tcp(), 100, &token);
         let port: &DeliveryPort = &*q;
         assert!(port.try_push(batch_delivery(0, 80)).is_ok());
         let bounced = port.try_push(batch_delivery(1, 50));
@@ -1183,11 +1132,11 @@ mod tests {
 
     #[test]
     fn a_corrupt_frame_trips_the_failure_latch_and_aborts_in_band() {
-        let failure = TransportFailure::new();
+        let token = CancelToken::new();
         let cfg = TransportConfig {
             corrupt_frame: Some(0),
         };
-        let q = spawn_queue(&cfg, 1 << 20, &failure);
+        let q = spawn_queue(&cfg, 1 << 20, &token);
         let port: &DeliveryPort = &*q;
         assert!(port.try_push(batch_delivery(0, 64)).is_ok());
         let d = next_item(port);
@@ -1195,8 +1144,8 @@ mod tests {
             matches!(d, Delivery::Abort),
             "corruption surfaces as an in-band abort, got {d:?}"
         );
-        assert!(failure.failed());
-        assert!(failure.reason().is_some());
+        let why = token.reason().expect("failed with a reason");
+        assert!(why.starts_with("transport failure: "), "got: {why}");
         // Producers are never blocked again; pushes discard quietly.
         assert!(port.try_push(batch_delivery(1, 1 << 19)).is_ok());
         assert!(port.try_push(batch_delivery(2, 1 << 19)).is_ok());
@@ -1209,10 +1158,10 @@ mod tests {
     fn a_sender_that_vanishes_without_close_aborts_the_reducer_in_band() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let failure = TransportFailure::new();
+        let token = CancelToken::new();
         let accepted = listener.accept().expect("accept").0;
         let check = |d: &Delivery| check_regions(d, REGIONS);
-        let rx = LinkReceiver::spawn(accepted, failure.clone(), check).expect("receiver");
+        let rx = LinkReceiver::spawn(accepted, token.clone(), check).expect("receiver");
         let mut wire = Vec::new();
         batch_delivery(3, 10).encode(&mut wire);
         Delivery::SealR1.encode(&mut wire);
@@ -1220,8 +1169,10 @@ mod tests {
         drop(peer);
         // Nothing is popped (so no credit is written) before the trip: the
         // reason is the reader's.
-        drain_until(Duration::from_secs(10), || failure.failed().then_some(()));
-        let reason = failure.reason().expect("tripped");
+        drain_until(Duration::from_secs(10), || {
+            token.is_cancelled().then_some(())
+        });
+        let reason = token.reason().expect("tripped");
         assert!(reason.contains("without CLOSE"), "got: {reason}");
         let mut got = Vec::new();
         while let PortPop::Item(d) = rx.take(None) {
@@ -1249,7 +1200,7 @@ mod tests {
         peer.write_all(&wire).expect("write");
         drop(peer);
         drain_until(Duration::from_secs(10), || {
-            rx.failure.failed().then_some(())
+            rx.cancel.is_cancelled().then_some(())
         });
         assert_eq!(rx.pop().map(|b| b.len()), Some(7));
         assert!(rx.pop().is_none());
@@ -1292,13 +1243,15 @@ mod tests {
         });
         let waker = waker.into_inner().expect("waker").expect("spawned");
         for corrupt_frame in [None, Some(1)] {
-            let failure = TransportFailure::new();
+            let token = CancelToken::new();
             let cfg = TransportConfig { corrupt_frame };
-            let q = spawn_queue(&cfg, 100, &failure);
+            let q = spawn_queue(&cfg, 100, &token);
             assert!(q.try_push(batch_delivery(0, 80)).is_ok());
             q.push_unbounded(Delivery::SealR1);
             if corrupt_frame.is_some() {
-                drain_until(Duration::from_secs(10), || failure.failed().then_some(()));
+                drain_until(Duration::from_secs(10), || {
+                    token.is_cancelled().then_some(())
+                });
             } else {
                 assert!(q.try_push_or_park(batch_delivery(1, 50), &waker).is_err());
             }

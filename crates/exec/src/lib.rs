@@ -66,7 +66,7 @@ pub use engine::{
     merge_sorted_runs, BatchPool, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange,
     FragmentPort, LinkProfile, LinkReceiver, LinkSender, MemGauge, Morsel, PortPop, ProgressBoard,
     QueryTicket, RemoteQueue, RuntimeConfig, RuntimeMetrics, Source, SpillBinding, SpillConfig,
-    SpillContext, SpillRun, SpillTotals, StageSink, Straggler, TransportConfig, TransportFailure,
+    SpillContext, SpillRun, SpillTotals, StageSink, Straggler, TransportConfig,
 };
 pub use local_join::{
     local_join, output_tuple, pair_payload, pair_tag, sweep_columns, sweep_columns_each,

@@ -304,10 +304,11 @@ fn engine_setup(scheme: &PartitionScheme, cfg: &OperatorConfig) -> (EngineConfig
 }
 
 /// One admitted query on the shared runtime: its ticket (admission slot,
-/// memory gauge, scoped spill directory) and, when a spill budget binds,
-/// the spill context that goes with it. A query holds one for all of its
-/// stages — they charge one gauge, so the budget bounds the query-global
-/// footprint and any stage may be picked as the spill victim.
+/// memory gauge, cancel token, scoped spill directory) and, when a spill
+/// budget binds, the spill context that goes with it. A query holds one for
+/// all of its stages — they charge one gauge, so the budget bounds the
+/// query-global footprint and any stage may be picked as the spill victim,
+/// and they share one token, so a failure in any stage cancels them all.
 pub(crate) struct AdmittedQuery<'rt> {
     /// The spill context and the budget, in tuples, that binds it.
     /// Declared before the ticket so it drops first: the segment closes
@@ -356,11 +357,11 @@ impl<'rt> AdmittedQuery<'rt> {
 /// path, `peak_resident_bytes` what the query's gauge actually held at its
 /// high-water mark.
 ///
-/// This is the one place an engine run that cancelled itself — a spill
-/// I/O failure, a dead or corrupt transport link; every pool task unwound
-/// through the normal abort protocol — resurfaces: as a panic carrying the
-/// reason, on the driving thread, where a caller can catch it at the query
-/// join.
+/// This is the one place a failed query — a spill I/O failure or a dead
+/// or corrupt transport link in any of its stages tripped the ticket's
+/// token, and every pool task unwound through the normal abort protocol —
+/// resurfaces: as a panic carrying the token's reason, on the driving
+/// thread, where a caller can catch it at the query join.
 #[allow(clippy::too_many_arguments)] // one stage's wiring, used once each
 pub(crate) fn run_stage(
     rt: &EngineRuntime,
@@ -399,14 +400,14 @@ pub(crate) fn run_stage(
             sink,
             key_from,
             gauge: Some(query.ticket.gauge()),
-            cancel: None,
+            cancel: Some(query.ticket.cancel()),
             spill: query.spill_binding(),
             links: cfg.links.as_deref(),
         },
         &engine_cfg,
     );
     if out.cancelled {
-        // No cancel token goes in above, so the engine cancelled itself.
+        // Nothing outside the query holds its token: the query failed.
         let why = out.failure.as_deref().unwrap_or("an unrecorded failure");
         panic!("query cancelled by {why}");
     }
@@ -800,5 +801,31 @@ mod tests {
             );
             assert_eq!(stats.output_total, expect, "{kind}");
         }
+    }
+
+    /// Every stage of a query runs under the ticket's token: once a failure
+    /// has tripped it, any stage of the query — however healthy its own
+    /// inputs — is cancelled, and its join re-raises the query's reason.
+    #[test]
+    fn a_stage_of_a_failed_query_is_cancelled_with_the_query_reason() {
+        let k = random_keys(2000, 500, 41);
+        let r = tuples(&k);
+        let cond = JoinCondition::Equi;
+        let cfg = OperatorConfig {
+            j: 4,
+            threads: 2,
+            ..Default::default()
+        };
+        let (scheme, _) = build_scheme_from_keys(SchemeKind::Ci, &k, &k, 2000, 2000, &cond, &cfg);
+        let rt = test_rt();
+        let query = AdmittedQuery::admit(&rt, &cfg);
+        let why = "spill failure: in another stage";
+        query.ticket.cancel().fail(why.into());
+        let (probe, key_from) = (Source::Scan(&r), KeyFrom::Probe);
+        let stage = || run_stage(&rt, &query, &r, probe, &scheme, &cond, key_from, None, &cfg);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(stage))
+            .expect_err("a stage of a failed query must not complete");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert_eq!(msg, format!("query cancelled by {why}"));
     }
 }

@@ -129,7 +129,7 @@ fn run_over_an_owned_segment(
         },
         &cfg,
     );
-    assert_eq!(ctx.failure(), None);
+    assert_eq!(outcome.failure, None);
 
     let runs: Vec<Vec<Key>> = segment_records(&ctx, dir)
         .into_iter()

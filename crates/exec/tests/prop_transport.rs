@@ -422,10 +422,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// A corrupted frame on a live link cancels the query *cooperatively*: the
-/// failure latch trips, every parked task is woken and unwinds through the
-/// normal abort protocol (no pool worker deadlocks, no process panic from
-/// an I/O thread), the driver re-raises the failure at the query join —
-/// and the pool then completes a healthy transport query.
+/// query's token is failed, every parked task is woken and unwinds through
+/// the normal abort protocol (no pool worker deadlocks, no process panic
+/// from an I/O thread), the driver re-raises the failure at the query join
+/// — and the pool then completes a healthy transport query.
 #[test]
 fn a_corrupt_frame_cancels_the_query_and_the_pool_survives() {
     let keys: Vec<Key> = (0..3000).map(|i| (i % 150) as Key).collect();
@@ -452,7 +452,7 @@ fn a_corrupt_frame_cancels_the_query_and_the_pool_survives() {
     let err = result.expect_err("a corrupt frame must surface as a panic at the query join");
     let msg = panic_message(err);
     assert!(
-        msg.contains("transport"),
+        msg.contains("transport failure: "),
         "panic should carry the transport failure, got: {msg}"
     );
 
@@ -538,7 +538,7 @@ fn a_corrupt_frame_in_a_plan_stage_fails_the_plan_and_the_pool_survives() {
             Err(payload) => panic_message(payload),
         };
         assert!(
-            msg.contains("transport"),
+            msg.contains("transport failure: "),
             "{} chain stage(s): panic should carry the transport failure, got: {msg}",
             stages.len()
         );
