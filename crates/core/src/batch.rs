@@ -9,30 +9,42 @@
 //! `Vec<Tuple>`: same length, same logical tuples, position `i` of both
 //! columns is one tuple.
 //!
-//! Sorting is where the layout pays off most: large batches use a stable
-//! LSD radix sort over the contiguous key column (sign-bit-biased so
-//! `i64` order matches byte order), with one histogram pass shared by all
-//! eight digits and any digit whose byte is constant across the batch
-//! skipped outright — region keys span a few thousand distinct values, so
-//! typically only two or three of the eight scatter passes run. Small
-//! batches fall back to the index-permutation trick: sort one `u32`
-//! permutation by key, then apply it to both columns with
-//! [`ColumnBatch::gather`]. Both paths are stable, so they produce the
-//! byte-identical ordering of a stable array-of-structs sort.
+//! Sorting is where the layout pays off most, and it sorts only what the
+//! keys need: a stable LSD radix sort over the contiguous key column, on
+//! digits of `key − min` at most 11 bits wide, makes only as many passes
+//! as the batch's key span needs — region keys span a few thousand
+//! distinct values, so one or two passes usually sort a probe chunk.
+//! Routed fragments of a few dozen tuples insertion-sort in place; a
+//! mid-sized batch whose span would take more than two passes falls back
+//! to the index-permutation trick: sort one `u32` permutation by key, then
+//! apply it to both columns with [`ColumnBatch::gather`]. Every path is
+//! stable, so each produces the byte-identical ordering of a stable
+//! array-of-structs sort.
 
 use crate::types::{Key, Tuple};
-
-/// Below this many tuples [`ColumnBatch::sort_by_key`] uses the
-/// permutation comparison sort instead of the radix sort: the radix
-/// scratch buffers and the 8-digit histogram pass cost more than they
-/// save on small batches.
-const RADIX_MIN_TUPLES: usize = 2048;
 
 /// At or below this many tuples [`ColumnBatch::sort_by_key`] insertion-
 /// sorts both columns in place: routed fragments are typically a few
 /// dozen tuples, where any allocating sort (permutation or radix) loses
 /// to an alloc-free quadratic one.
 const INSERTION_MAX_TUPLES: usize = 64;
+
+/// The widest digit the radix sort scatters on: one pass's histogram is
+/// at most 2 048 counters (8 KiB), so a 22-bit key span sorts in two
+/// passes and a full 64-bit one in six.
+const RADIX_DIGIT_BITS: u32 = 11;
+
+/// From this many tuples the radix sort beats the permutation sort at
+/// any key span; below it, only when the span takes at most two passes.
+const RADIX_MIN_TUPLES: usize = 2048;
+
+/// Does the radix sort pay on `n` tuples whose key span takes `passes`
+/// digits? Each pass costs a scatter of both columns plus a histogram
+/// sweep, so few passes win at any size above the insertion sort's, and
+/// many passes (a wide span) only once the batch amortises them.
+fn radix_pays(n: usize, passes: u32) -> bool {
+    passes <= 2 || n >= RADIX_MIN_TUPLES
+}
 
 /// A batch of tuples in columnar (structure-of-arrays) layout: position
 /// `i` of `keys` and `payloads` together form one logical tuple.
@@ -203,7 +215,7 @@ impl ColumnBatch {
     }
 
     /// The batch `[indices[0], indices[1], ..]` — a columnar gather, which
-    /// is how the permutation-sort tier applies its index permutation. Each
+    /// is how the permutation sort applies its index permutation. Each
     /// column is filled by its own pass over the index list: the per-pass
     /// random accesses then stay inside a single source array, and the
     /// exact-size `collect` writes the destination without a per-element
@@ -216,12 +228,13 @@ impl ColumnBatch {
     }
 
     /// Sorts the batch by key, stably (ties keep arrival order), picking
-    /// the strategy by size: tiny batches (routed fragments) insertion-
-    /// sort in place without allocating; large ones take the key-column
-    /// radix sort (see below); the mid range sorts a `u32`
-    /// index permutation and applies it to both columns with one gather
-    /// each. Batches are bounded well below `u32::MAX` tuples by queue
-    /// capacities; asserted here.
+    /// the strategy by the work it will do: a sorted batch is left as it
+    /// is, tiny batches (routed fragments) insertion-sort in place without
+    /// allocating, and the rest take the span radix sort (see below) when
+    /// `radix_pays` for the passes their key span needs, or else sort a
+    /// `u32` index permutation and apply it to both columns with one
+    /// gather each. Batches are bounded well below `u32::MAX` tuples by
+    /// queue capacities; asserted here.
     pub fn sort_by_key(&mut self) {
         let n = self.keys.len();
         if n <= 1 {
@@ -233,12 +246,20 @@ impl ColumnBatch {
         }
         if n <= INSERTION_MAX_TUPLES {
             self.insertion_sort();
-        } else if n < RADIX_MIN_TUPLES {
+            return;
+        }
+        let (min, max) = self
+            .keys
+            .iter()
+            .fold((Key::MAX, Key::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let span_bits = u64::BITS - max.abs_diff(min).leading_zeros();
+        let passes = span_bits.div_ceil(RADIX_DIGIT_BITS);
+        if radix_pays(n, passes) {
+            self.radix_sort(min, span_bits.div_ceil(passes), passes);
+        } else {
             let mut perm: Vec<u32> = (0..n as u32).collect();
             perm.sort_by_key(|&i| self.keys[i as usize]);
             *self = self.gather(&perm);
-        } else {
-            self.radix_sort();
         }
     }
 
@@ -258,49 +279,45 @@ impl ColumnBatch {
         }
     }
 
-    /// Stable LSD radix sort over the key column, payloads carried along.
+    /// Stable LSD radix sort over the key column, payloads carried along,
+    /// in `passes` digits of `digit_bits` each.
     ///
-    /// Keys are viewed through the sign-bit bias (`key as u64 ^ 1 << 63`),
-    /// under which unsigned byte order equals `i64` order. One pass builds
-    /// the histograms of all eight digits at once; each digit whose 256
-    /// counts collapse to a single bucket (every key shares that byte —
-    /// always true for the high digits of small-domain region keys) is
-    /// skipped, and the remaining digits run counting-sort scatter passes
+    /// Keys are sorted on their offset from the batch minimum, `key − min`
+    /// (exact in `u64` whatever the span), whose unsigned order is `i64`
+    /// order and whose top set bit bounds the digits needed. Each pass
+    /// counts its digit into one 8 KiB histogram; a digit that every key
+    /// shares is skipped, and the others run a counting-sort scatter
     /// ping-ponging between the columns and one scratch pair. Each pass is
     /// stable, so the composition reproduces a stable comparison sort
     /// exactly.
-    fn radix_sort(&mut self) {
-        const SIGN: u64 = 1 << 63;
+    fn radix_sort(&mut self, min: Key, digit_bits: u32, passes: u32) {
         let n = self.keys.len();
-        let mut hist = [[0u32; 256]; 8];
-        for &k in &self.keys {
-            let b = (k as u64) ^ SIGN;
-            for (d, h) in hist.iter_mut().enumerate() {
-                h[((b >> (d * 8)) & 0xFF) as usize] += 1;
-            }
-        }
+        let mut hist = [0u32; 1 << RADIX_DIGIT_BITS];
+        let offs = &mut hist[..1 << digit_bits];
+        let mask = (1u64 << digit_bits) - 1;
+        let digit = |k: Key, shift: u32| ((k.wrapping_sub(min) as u64 >> shift) & mask) as usize;
         let mut src_k = std::mem::take(&mut self.keys);
         let mut src_p = std::mem::take(&mut self.payloads);
         let mut dst_k = vec![0 as Key; n];
         let mut dst_p = vec![0u64; n];
-        for (d, h) in hist.iter().enumerate() {
-            if h.iter().any(|&c| c as usize == n) {
-                continue; // constant byte: the pass would be the identity
+        for shift in (0..passes).map(|pass| pass * digit_bits) {
+            offs.fill(0);
+            for &k in &src_k {
+                offs[digit(k, shift)] += 1;
             }
-            let mut offs = [0u32; 256];
+            if offs[digit(src_k[0], shift)] as usize == n {
+                continue; // constant digit: the pass would be the identity
+            }
             let mut sum = 0u32;
-            for (o, &c) in offs.iter_mut().zip(h) {
-                *o = sum;
-                sum += c;
+            for o in offs.iter_mut() {
+                (*o, sum) = (sum, sum + *o);
             }
-            let shift = d * 8;
-            for i in 0..n {
-                let k = src_k[i];
-                let byte = ((((k as u64) ^ SIGN) >> shift) & 0xFF) as usize;
-                let at = offs[byte] as usize;
-                offs[byte] += 1;
+            for (&k, &p) in src_k.iter().zip(&src_p) {
+                let d = digit(k, shift);
+                let at = offs[d] as usize;
+                offs[d] += 1;
                 dst_k[at] = k;
-                dst_p[at] = src_p[i];
+                dst_p[at] = p;
             }
             std::mem::swap(&mut src_k, &mut dst_k);
             std::mem::swap(&mut src_p, &mut dst_p);
@@ -415,12 +432,14 @@ mod tests {
 
     #[test]
     fn every_sort_strategy_is_stable_at_its_size_band() {
-        // Sizes straddling the insertion → permutation → radix cutoffs.
+        // Sizes straddling the selector's edges: insertion up to 64, then
+        // the radix or the permutation sort by span, the radix at any span
+        // from 2 048.
         for n in [
             2,
             INSERTION_MAX_TUPLES,
             INSERTION_MAX_TUPLES + 1,
-            300,
+            RADIX_MIN_TUPLES - 1,
             RADIX_MIN_TUPLES,
         ] {
             let mut b = ColumnBatch::with_capacity(n);
@@ -456,6 +475,65 @@ mod tests {
         oracle.sort_by_key(|t| t.key);
         assert!(b.is_sorted_by_key());
         assert_eq!(b.to_tuples(), oracle, "stable order must match exactly");
+    }
+
+    #[test]
+    fn every_size_and_key_span_sorts_like_a_stable_comparison_sort() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // Sizes across every edge of the selector: the insertion sort's
+        // (64/65) and the radix's any-span floor (2 047/2 048). Spans across
+        // every pass edge: 0 (one key), 1 and 11 bits (one pass), 12 and 22
+        // (two), 23 and 40 (more than two: the permutation sort below
+        // 2 048), and the full 64. Each span sits at `Key::MIN`, straddles
+        // zero, and ends at `Key::MAX`; its two ends are always drawn, so
+        // the span is exact. Keys repeat heavily (n/8 distinct offsets) and
+        // the payload is the arrival index, so any stability slip shows.
+        let sizes = [
+            0, 1, 2, 3, 17, 63, 64, 65, 66, 100, 255, 256, 700, 1_024, 2_046, 2_047, 2_048, 2_049,
+            3_000, 4_095, 4_096, 4_100,
+        ];
+        let mut rng = SmallRng::seed_from_u64(38);
+        for n in sizes {
+            for bits in [0u32, 1, 11, 12, 22, 23, 40, 64] {
+                let top = if bits == 0 {
+                    0
+                } else {
+                    u64::MAX >> (64 - bits)
+                };
+                let pool: Vec<u64> = (0..(n / 8).max(2))
+                    .map(|i| match i {
+                        0 => 0,
+                        1 => top,
+                        _ => rng.gen::<u64>() & top,
+                    })
+                    .collect();
+                for base in [
+                    Key::MIN,
+                    -((top / 2) as Key),
+                    Key::MAX.wrapping_sub(top as Key),
+                ] {
+                    let keys: Vec<Key> = (0..n)
+                        .map(|i| {
+                            let at = match i {
+                                0 | 1 => i,
+                                _ => rng.gen_range(0..pool.len()),
+                            };
+                            base.wrapping_add(pool[at] as Key)
+                        })
+                        .collect();
+                    let mut oracle: Vec<Tuple> =
+                        (0..n).map(|i| Tuple::new(keys[i], i as u64)).collect();
+                    let mut b = ColumnBatch::from_columns(keys, (0..n as u64).collect());
+                    b.sort_by_key();
+                    oracle.sort_by_key(|t| t.key);
+                    assert_eq!(
+                        b.to_tuples(),
+                        oracle,
+                        "n = {n}, span {bits} bits from {base}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

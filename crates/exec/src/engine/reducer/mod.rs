@@ -1,5 +1,5 @@
 //! Reducer tasks: consume routed fragments from a bounded queue, collect
-//! each owned region's `R1` fragments, sort them into the region's build
+//! each owned region's `R1` fragments, merge them into the region's build
 //! side once at the seal, and sweep probe (`R2`) chunks against it from
 //! then on. Order is made where it is needed and nowhere else: at the seal,
 //! and on the way to disk for a run that spills before it. A region's
@@ -105,9 +105,10 @@ const DELIVERIES_PER_POLL: usize = 32;
 /// kept beside the spilled build.
 #[derive(Debug, Default)]
 pub struct RegionState {
-    /// `R1` fragments in arrival order, unsorted, until the seal sorts
-    /// their concatenation once into `build` (a run that spills first is
-    /// sorted on its way out). `None` once sealed.
+    /// `R1` fragments in arrival order, until the seal merges them into
+    /// `build` — concatenated when sorted and disjoint, else sorted once
+    /// (a run that spills first is sorted on its way out). `None` once
+    /// sealed.
     runs: Option<Vec<ColumnBatch>>,
     /// The sorted build columns (valid once sealed).
     pub(crate) build: ColumnBatch,
@@ -560,14 +561,14 @@ impl<'a> ReducerTask<'a> {
 
     /// Seals a region's build side — the one path `SealR1`, a migration
     /// that overtakes it, and `finish` all take: shed what the budget
-    /// cannot hold through the sort, then sort the rest into `build`.
+    /// cannot hold through the merge, then merge the rest into `build`.
     fn seal(st: &mut RegionState, run: &Run<'_>, region: u32) {
         Self::make_room_to_seal(st, run, region);
         st.build = Self::merge_gauged(st.runs.take().unwrap_or_default(), run);
     }
 
-    /// Sorts a region's runs into one, charging the memory transient to
-    /// the gauge: the sorted output (and the sort's scratch) coexists with
+    /// Merges a region's runs into one, charging the memory transient to
+    /// the gauge: the merged output (and a sort's scratch) coexists with
     /// the source runs, so the region briefly holds up to 2× its build
     /// side. Charging the full size for the whole pass is a (slight)
     /// overestimate of the instantaneous extra — the gauge must never
@@ -638,20 +639,40 @@ impl<'a> ReducerTask<'a> {
     }
 }
 
-/// Seals a set of runs into one key-sorted batch: the runs are appended in
-/// order and the concatenation is sorted once, stably — which *is* the
-/// stable k-way merge (equal keys keep run order, then position within the
-/// run), whether or not each run arrived sorted. One
-/// [`ColumnBatch::sort_by_key`] over `n` tuples is a few radix passes over
-/// two contiguous columns; a tournament over hundreds of fragment-sized
-/// runs pays a cache-missing comparison chain per tuple instead.
-pub fn merge_sorted_runs(runs: Vec<ColumnBatch>) -> ColumnBatch {
+/// Seals a set of runs into one key-sorted batch, stably: equal keys keep
+/// run order, then position within the run. When every non-empty run is
+/// sorted and, taken by first key, each ends strictly below the next one's
+/// first key, the runs are concatenated in that order and nothing is
+/// sorted — a key-sorted `R1` routes such runs to every region. Otherwise
+/// they are appended in arrival order and the concatenation is sorted
+/// once with [`ColumnBatch::sort_by_key`], which *is* the stable k-way
+/// merge whether or not each run arrived sorted: a few radix passes over
+/// two contiguous columns, where a tournament over hundreds of
+/// fragment-sized runs pays a cache-missing comparison chain per tuple.
+pub fn merge_sorted_runs(mut runs: Vec<ColumnBatch>) -> ColumnBatch {
     let mut out = ColumnBatch::with_capacity(runs.iter().map(ColumnBatch::len).sum());
-    for mut run in runs {
-        out.append(&mut run);
+    match disjoint_order(&runs) {
+        Some(order) => order.into_iter().for_each(|i| out.append(&mut runs[i])),
+        None => {
+            runs.iter_mut().for_each(|run| out.append(run));
+            out.sort_by_key();
+        }
     }
-    out.sort_by_key();
     out
+}
+
+/// The order (by index) in which `runs` concatenate into one sorted
+/// batch, if they are each sorted and strictly disjoint: ordered by first
+/// key, each non-empty run's last key lies below the next one's first.
+/// Runs that touch at an equal key get `None`, since only a sort keeps
+/// equal keys in run order there.
+fn disjoint_order(runs: &[ColumnBatch]) -> Option<Vec<usize>> {
+    let first = |i: usize| runs[i].keys()[0];
+    let last = |i: usize| runs[i].keys()[runs[i].len() - 1];
+    let mut order: Vec<usize> = (0..runs.len()).filter(|&i| !runs[i].is_empty()).collect();
+    order.sort_unstable_by_key(|&i| first(i));
+    let disjoint = order.windows(2).all(|w| last(w[0]) < first(w[1]));
+    (disjoint && order.iter().all(|&i| runs[i].is_sorted_by_key())).then_some(order)
 }
 
 #[cfg(test)]
@@ -1395,6 +1416,105 @@ mod tests {
     }
 
     #[test]
+    fn a_key_sorted_build_shed_whole_comes_back_as_one_concatenation() {
+        // A key-sorted `R1` as the mappers route it: the region's fragments
+        // are each sorted, disjoint, and arrive shuffled. Ballast holds the
+        // gauge over the budget while they land, so the ladder sheds each
+        // one as it arrives, and the region seals empty. With the ballast
+        // released, the first sweep brings every run back once; reloaded
+        // last-written first, the runs are still disjoint, so the merge
+        // concatenates them. The segment holds only key-sorted runs, the
+        // join is the batch engine's, and the gauge ends at zero.
+        const FLOOR: usize = 64;
+        const BUDGET: u64 = 12_288;
+        let dir = std::env::temp_dir().join(format!("ewh-reducer-sorted-{}", std::process::id()));
+        let ctx = SpillContext::new(dir.clone(), None);
+        let rt = EngineRuntime::new(2);
+        let cond = JoinCondition::Band { beta: 1 };
+        let inputs = Inputs::new(1, &[0], cond, FLOOR);
+        let spill = Some(SpillBinding {
+            budget_tuples: BUDGET,
+            ctx: &ctx,
+        });
+        let run = Run::new(
+            EngineIo {
+                spill,
+                ..inputs.io()
+            },
+            &inputs.cfg,
+        );
+        let r1: Vec<ewh_core::Tuple> = (0..SPILL_BUILD as u64)
+            .map(|i| ewh_core::Tuple::new(2 * i as i64, 1 << 32 | i))
+            .collect();
+        let r2: Vec<ewh_core::Tuple> = (0..SPILL_PROBE as u64)
+            .map(|i| ewh_core::Tuple::new((i * 7_919 % 8_192) as i64, 2 << 32 | i))
+            .collect();
+        let fragments: Vec<ColumnBatch> = r1.chunks(96).map(ColumnBatch::from_tuples).collect();
+        run.gauge().add(BUDGET);
+        for i in 0..fragments.len() {
+            let fragment = fragments[i * 17 % fragments.len()].clone();
+            ship(&run, 0, 0, Rel::R1, fragment);
+        }
+        run.queues[0].push_unbounded(Delivery::SealR1);
+        let mut shed = None;
+        drive_with(&rt, &run, 0, &[0], |task| {
+            let st = task.states[0].as_ref().expect("the region stays owned");
+            if shed.is_none() && st.is_sealed() {
+                shed = Some((st.spilled_build_tuples, st.build_side_tuples()));
+                run.gauge().sub(BUDGET);
+                ship_probe(&run, &ColumnBatch::from_tuples(&r2));
+            }
+        });
+        assert_eq!(
+            shed,
+            Some((SPILL_BUILD as u64, 0)),
+            "the build was shed whole"
+        );
+        let totals = ctx.totals();
+        assert!(totals.runs >= fragments.len() as u64);
+        assert_eq!(totals.reloads, totals.runs, "each run came back once");
+        assert_eq!(totals.respills, 0);
+
+        // Every record in the segment: a length prefix, keys, payloads.
+        let segment = std::fs::read(dir.join("segment.spill")).expect("the segment");
+        let mut words = segment
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
+        let mut records = 0;
+        while let Some(n) = words.next() {
+            let keys: Vec<i64> = words.by_ref().take(n as usize).map(|k| k as i64).collect();
+            assert!(keys.is_sorted(), "spilled run {records} is not key-sorted");
+            words.by_ref().take(n as usize).for_each(drop);
+            records += 1;
+        }
+        assert_eq!(records, totals.runs);
+
+        let batch = crate::run_operator(
+            &rt,
+            ewh_core::SchemeKind::Ci,
+            &r1,
+            &r2,
+            &cond,
+            &crate::OperatorConfig {
+                j: 1,
+                mode: crate::ExecMode::Batch,
+                ..Default::default()
+            },
+        );
+        assert!(batch.join.output_total > 0);
+        assert_eq!(
+            tallies(&run),
+            [(batch.join.output_total, batch.join.checksum)]
+        );
+        assert_eq!(run.board.spilled_tuples(0), 0);
+        assert_eq!(run.gauge().current_tuples(), 0);
+        assert_eq!(run.cancel().reason(), None);
+        drop(run);
+        drop(ctx);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn a_spilled_build_that_never_fits_is_replayed_by_every_chunk() {
         // The fallback: the build and its merge never fit beside the probe
         // side, so every chunk reloads every spilled run, as the replay
@@ -1689,6 +1809,59 @@ mod tests {
                 runs.iter().flat_map(ColumnBatch::iter_tuples).collect();
             expect.sort_by_key(|t| t.key);
             assert_eq!(merge_sorted_runs(runs).to_tuples(), expect);
+        }
+    }
+
+    #[test]
+    fn merge_concatenates_only_sorted_runs_that_do_not_touch() {
+        // Payloads encode (run, position), and the oracle is a std stable
+        // sort of the concatenation in arrival order, as above.
+        let tagged = |runs: &[&[i64]]| -> Vec<ColumnBatch> {
+            runs.iter()
+                .enumerate()
+                .map(|(r, keys)| {
+                    keys.iter()
+                        .enumerate()
+                        .map(|(i, &k)| ewh_core::Tuple::new(k, (r as u64) << 32 | i as u64))
+                        .collect()
+                })
+                .collect()
+        };
+        let cases: [(&str, Vec<ColumnBatch>, bool); 5] = [
+            (
+                "disjoint sorted runs, shuffled",
+                tagged(&[&[20, 21, 25], &[-4, 0, 3], &[40], &[7, 7, 9, 12]]),
+                true,
+            ),
+            // Key order puts run 1 first, so concatenating would emit its
+            // 5 ahead of run 0's: only the fallback keeps run order.
+            (
+                "two runs touching at one key",
+                tagged(&[&[5, 9], &[1, 5]]),
+                false,
+            ),
+            (
+                "sorted runs that overlap",
+                tagged(&[&[10, 20, 30], &[0, 15, 40]]),
+                false,
+            ),
+            (
+                "one unsorted run among sorted ones",
+                tagged(&[&[30, 31], &[12, 10, 11], &[-1, 2]]),
+                false,
+            ),
+            (
+                "empty runs interleaved",
+                tagged(&[&[], &[8, 9], &[], &[], &[1, 2, 2], &[]]),
+                true,
+            ),
+        ];
+        for (name, runs, concatenated) in cases {
+            assert_eq!(disjoint_order(&runs).is_some(), concatenated, "{name}");
+            let mut expect: Vec<ewh_core::Tuple> =
+                runs.iter().flat_map(ColumnBatch::iter_tuples).collect();
+            expect.sort_by_key(|t| t.key);
+            assert_eq!(merge_sorted_runs(runs).to_tuples(), expect, "{name}");
         }
     }
 }

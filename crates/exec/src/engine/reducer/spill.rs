@@ -144,7 +144,7 @@ impl ReducerTask<'_> {
     }
 
     /// Sheds the region's pre-seal runs to disk, each sorted on its way
-    /// out, until the seal's transient (the sort briefly holds the sorted
+    /// out, until the seal's transient (the merge briefly holds the merged
     /// copy alongside its sources) fits under the query's budget. Without
     /// this, sealing a hot region while the gauge already sits at the spill
     /// trigger would spike resident memory to roughly twice that region's

@@ -31,27 +31,65 @@ use rand::{Rng, SeedableRng};
 /// replayed fragment) or in arrival order (what `absorb` hands the seal);
 /// payloads encode `(run, index)` so any reordering of equal keys — a
 /// stability bug — changes the output. The long arm crosses into the radix
-/// tier of `ColumnBatch::sort_by_key`, negative keys included.
+/// tier of `ColumnBatch::sort_by_key`, negative keys included. The third
+/// arm cuts one sorted key column into consecutive runs and hands them
+/// over shuffled, as two mappers deliver a key-sorted `R1`'s fragments: a
+/// cut inside a stretch of equal keys makes two runs touch, which the seal
+/// may not concatenate.
 fn runs_strategy() -> impl Strategy<Value = Vec<ColumnBatch>> {
     let run = prop_oneof![
         prop::collection::vec(-10i64..10, 0..60),
         prop::collection::vec(-300i64..300, 0..700),
     ];
-    prop::collection::vec((run, any::<bool>()), 0..7).prop_map(|key_runs| {
-        key_runs
-            .into_iter()
-            .enumerate()
-            .map(|(r, (mut keys, sorted))| {
-                if sorted {
-                    keys.sort_unstable();
-                }
-                keys.iter()
-                    .enumerate()
-                    .map(|(i, &k)| Tuple::new(k, (r as u64) << 32 | i as u64))
-                    .collect()
-            })
-            .collect()
-    })
+    let arrived = prop::collection::vec((run, any::<bool>()), 0..7).prop_map(|key_runs| {
+        tagged(
+            key_runs
+                .into_iter()
+                .map(|(mut keys, sorted)| {
+                    if sorted {
+                        keys.sort_unstable();
+                    }
+                    keys
+                })
+                .collect(),
+        )
+    });
+    let cut_sorted = (
+        prop::collection::vec(-300i64..300, 0..700),
+        prop::collection::vec(any::<u64>(), 0..8),
+        any::<u64>(),
+    )
+        .prop_map(|(mut keys, cuts, seed)| {
+            keys.sort_unstable();
+            let mut cuts: Vec<usize> = cuts
+                .iter()
+                .map(|&c| (c % (keys.len() as u64 + 1)) as usize)
+                .chain([0, keys.len()])
+                .collect();
+            cuts.sort_unstable();
+            let mut runs: Vec<Vec<Key>> =
+                cuts.windows(2).map(|w| keys[w[0]..w[1]].to_vec()).collect();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for i in (1..runs.len()).rev() {
+                runs.swap(i, rng.gen_range(0..=i));
+            }
+            tagged(runs)
+        });
+    prop_oneof![arrived, cut_sorted]
+}
+
+/// Key runs as batches whose payloads encode `(run, index)`.
+fn tagged(key_runs: Vec<Vec<Key>>) -> Vec<ColumnBatch> {
+    key_runs
+        .iter()
+        .enumerate()
+        .map(|(r, keys)| {
+            keys.iter()
+                .enumerate()
+                .map(|(i, &k)| Tuple::new(k, (r as u64) << 32 | i as u64))
+                .collect()
+        })
+        .collect()
 }
 
 /// Key columns with adversarial shapes: uniform, all-one-key (every tuple
