@@ -13,8 +13,8 @@
 //! Each stage shrinks the next stage's input while the per-cell weights grow,
 //! so later stages can afford more precise (and more expensive per cell)
 //! algorithms — the design that makes the whole chain `O(n)` (Theorem 3.1).
-//! As built here: one sort per relation plus `O(n + so log n)` for stage 1,
-//! and for stage 3 one `O(splitters)` table build plus at most
+//! As built here: one census count per relation plus `O(n + so log n)` for
+//! stage 1, and for stage 3 one `O(splitters)` table build plus at most
 //! `⌈log₂(δ candidates)⌉ + 2` count-only probes.
 
 mod coarsen;

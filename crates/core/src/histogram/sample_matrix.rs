@@ -10,7 +10,7 @@
 //! This is what gives the region-weight proximity property `w(rs) ≈ w(r)`:
 //! multi-attribute histograms track only frequency and cannot provide it.
 //!
-//! Each relation is sorted once, into its census ([`KeyedCounts`]); both
+//! Each relation is counted once, into its census ([`KeyedCounts`]); both
 //! histograms, their per-bucket tuple counts, `d2equi`, every `d2` and the
 //! Appendix A5 rebuilds read the two censuses — and nothing else, so a side
 //! can as well be a census that was never counted from resident tuples
@@ -249,7 +249,7 @@ pub fn build_sample_matrix(
     )
 }
 
-/// The one sort each relation gets, the two sides side by side: `census`
+/// The one census each relation gets, the two sides side by side: `census`
 /// of each side, the second on a thread of its own from `threads >= 2`. A
 /// side is a key column ([`KeyedCounts::census`]) or a relation whose
 /// `census` reads its keys on that side's thread
@@ -422,7 +422,7 @@ mod tests {
         };
         let ms = build_sample_matrix(&r1, &r2, &cond, &params);
         // Exact m by brute d2 sum.
-        let d2equi = ewh_sampling::KeyedCounts::from_keys(r2.clone());
+        let d2equi = ewh_sampling::KeyedCounts::census(&r2);
         let expect: u64 = r1
             .iter()
             .map(|&a| {

@@ -113,11 +113,12 @@ pub(crate) struct PlannedStage {
 
 /// Plans one stage over two resident relations, the one way every query
 /// driver does: CI reads the cardinalities and no key, CSI's point is to
-/// need no sort — it samples the key columns — and CSIO and HASH read a
+/// need no census — it samples the key columns — and CSIO and HASH read a
 /// census pair. `keep_censuses` hands that pair back for a chain to
 /// propagate from its root, counted here if the scheme did not need it:
-/// each census reads its relation's keys off the tuples on its own thread,
-/// and only an unsorted relation's are collected and sorted. Under a
+/// each census counts its relation's keys off the tuples on its own
+/// thread, and only an unsorted relation over a key span wider than twice
+/// its size has them collected into a column and sorted. Under a
 /// `fallback` policy, a CSIO scheme whose exact `m` reveals a
 /// high-selectivity join (§VI-E) is abandoned for CI before the first
 /// morsel is claimed: its statistics time stays on the books and no tuple

@@ -6,12 +6,16 @@
 //!
 //! * under CI, which reads no key, a query allocates no such block: each
 //!   mapper transposes only the morsel it claims into its own columns;
-//! * under CSIO, at most one such block per census side: a side reads its
-//!   keys off the tuples, and collects them into one column, sorted in
-//!   place, only when the relation is unsorted.
+//! * under CSIO, at most one such block per census side. A side reads its
+//!   keys off the tuples. A sorted side is run-length encoded as read, and
+//!   an unsorted side over a span under `2n` is counted into one `u32`
+//!   slot per key of the span: neither allocates a column. Only an
+//!   unsorted side over a wider span is collected into one column, sorted
+//!   in place.
 //!
-//! Keys come from a domain of `n / 8`, so no census's run arrays and no
-//! region of the eight reach the size of a column.
+//! Keys come from a domain of `n / 8` values, so no census's run arrays and
+//! no region of the eight reach the size of a column, and the dense slots
+//! of a side keyed `0..n / 8` take a sixteenth of one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -73,12 +77,30 @@ static SERIAL: Mutex<()> = Mutex::new(());
 const N: usize = 1 << 16;
 
 /// `R1` key-sorted and `R2` in random order, like `bicd_csio`'s inputs, so
-/// both of a census's paths run.
+/// a census's sorted and dense paths both run.
 fn relations() -> (Vec<Tuple>, Vec<Tuple>) {
+    drawn(1, true)
+}
+
+/// Both sides in random order over a span of about `n / 8 · 10⁶`, so both
+/// censuses take the wide path.
+fn wide_relations() -> (Vec<Tuple>, Vec<Tuple>) {
+    drawn(1_000_003, false)
+}
+
+/// Two relations keyed `spread ·` a draw from `0..n / 8`, `R1` key-sorted
+/// if `sort_r1`.
+fn drawn(spread: Key, sort_r1: bool) -> (Vec<Tuple>, Vec<Tuple>) {
     let mut rng = SmallRng::seed_from_u64(0xA110C);
-    let mut draw = || -> Vec<Key> { (0..N).map(|_| rng.gen_range(0..(N / 8) as Key)).collect() };
+    let mut draw = || -> Vec<Key> {
+        (0..N)
+            .map(|_| rng.gen_range(0..(N / 8) as Key) * spread)
+            .collect()
+    };
     let mut k1 = draw();
-    k1.sort_unstable();
+    if sort_r1 {
+        k1.sort_unstable();
+    }
     let k2 = draw();
     let tuples = |keys: Vec<Key>| -> Vec<Tuple> {
         keys.into_iter()
@@ -90,10 +112,16 @@ fn relations() -> (Vec<Tuple>, Vec<Tuple>) {
 }
 
 /// Blocks of at least a key column's size that the second of two equal
-/// queries allocates.
+/// queries over [`relations`] allocates.
 fn column_blocks(kind: SchemeKind) -> usize {
+    column_blocks_over(kind, relations)
+}
+
+/// Blocks of at least a key column's size that the second of two equal
+/// queries over the drawn relations allocates.
+fn column_blocks_over(kind: SchemeKind, draw: fn() -> (Vec<Tuple>, Vec<Tuple>)) -> usize {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (r1, r2) = relations();
+    let (r1, r2) = draw();
     let cond = JoinCondition::Band { beta: 1 };
     let cfg = OperatorConfig {
         j: 8,
@@ -122,5 +150,16 @@ fn a_ci_query_allocates_no_block_the_size_of_a_column() {
 #[test]
 fn a_csio_query_allocates_at_most_one_column_per_census_side() {
     let blocks = column_blocks(SchemeKind::Csio);
+    assert!(blocks <= 2, "{blocks} blocks of a column's size");
+}
+
+#[test]
+fn a_csio_query_over_a_sorted_and_a_dense_side_allocates_no_column() {
+    assert_eq!(column_blocks(SchemeKind::Csio), 0);
+}
+
+#[test]
+fn a_csio_query_over_wide_unsorted_relations_allocates_one_column_per_census_side() {
+    let blocks = column_blocks_over(SchemeKind::Csio, wide_relations);
     assert!(blocks <= 2, "{blocks} blocks of a column's size");
 }

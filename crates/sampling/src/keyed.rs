@@ -22,46 +22,144 @@ pub(crate) fn run_of(cum: &[u64], from: usize, rank: u64) -> usize {
     from + cum[from + 1..].iter().take_while(|&&c| c <= rank).count()
 }
 
+/// How a census counts a column, chosen by [`path`] from one scan of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Path {
+    /// Already ascending: run-length encoded as read.
+    Sorted,
+    /// Unsorted over a span narrower than twice its length: counted into
+    /// one `u32` slot per key of the span.
+    Dense,
+    /// Unsorted over a wider span: collected into one column, sorted in
+    /// place.
+    Wide,
+}
+
+/// The path for `n` keys, ascending or not, whose `max − min` is `span`.
+/// Dense slots are `u32`, so `n` must fit one; `span / 2 < n` is
+/// `span < 2n` without computing `2n` or `span + 1`, and caps the slots at
+/// `8n` bytes, the size of the column they stand in for.
+fn path(n: usize, sorted: bool, span: u64) -> Path {
+    if sorted {
+        Path::Sorted
+    } else if u32::try_from(n).is_ok() && span / 2 < n as u64 {
+        Path::Dense
+    } else {
+        Path::Wide
+    }
+}
+
+/// What one pass over a key column reads: enough to pick its [`Path`] and
+/// to size the census of a sorted one.
+struct Scan {
+    n: usize,
+    min: Key,
+    max: Key,
+    sorted: bool,
+    /// Distinct keys, exact when `sorted` (runs of equal keys otherwise).
+    runs: usize,
+}
+
+impl Scan {
+    fn of(mut keys: impl Iterator<Item = Key>) -> Self {
+        let first = keys.next();
+        let (seen, mut prev) = (usize::from(first.is_some()), first.unwrap_or(0));
+        let mut s = Scan {
+            n: seen,
+            min: prev,
+            max: prev,
+            sorted: true,
+            runs: seen,
+        };
+        for k in keys {
+            s.n += 1;
+            (s.min, s.max) = (s.min.min(k), s.max.max(k));
+            s.sorted &= prev <= k;
+            s.runs += usize::from(prev != k);
+            prev = k;
+        }
+        s
+    }
+
+    /// `max − min` as an offset from `min`: exact over the whole `i64` range.
+    fn span(&self) -> u64 {
+        self.max.wrapping_sub(self.min) as u64
+    }
+}
+
 impl KeyedCounts {
     /// The census of a relation's key column: every consumer of a relation's
     /// statistics (its equi-depth histogram, `d2equi`, Stream-Sample's `R1`
-    /// weights) reads this one structure, so a scheme build sorts each
-    /// relation once. An already sorted column is aggregated in place, with
-    /// no copy and no sort.
+    /// weights) reads this one structure, so a scheme build counts each
+    /// relation once. It is [`census_of`](Self::census_of) the column's keys.
     pub fn census(keys: &[Key]) -> Self {
         Self::census_of(keys.iter().copied())
     }
 
-    /// [`census`](Self::census) of keys read off anything that yields them
-    /// twice, such as the key field of a relation's tuples. Sorted keys are
-    /// run-length encoded as they are read, with no copy; unsorted ones are
-    /// collected into one column, which is sorted in place.
+    /// [`census`](Self::census) of keys read off anything that yields the
+    /// same keys each time it is cloned, such as the key field of a
+    /// relation's tuples. One scan reads the keys' count, minimum, maximum
+    /// and order, and picks how they are counted, in `O(n)` unless the span
+    /// is wide:
+    ///
+    /// * sorted keys are run-length encoded as they are read again, with no
+    ///   column;
+    /// * unsorted keys spanning less than twice their count are counted into
+    ///   one `u32` slot per key of the span (at most `8n` bytes), then
+    ///   compacted to runs;
+    /// * unsorted keys over a wider span are collected into one column,
+    ///   which is sorted in place (`O(n log n)`).
+    ///
+    /// The census's three arrays are allocated once, at their final size.
     pub fn census_of(keys: impl Iterator<Item = Key> + Clone) -> Self {
-        if keys.clone().is_sorted() {
-            Self::from_sorted(keys)
-        } else {
-            Self::from_keys(keys.collect())
+        let scan = Scan::of(keys.clone());
+        match path(scan.n, scan.sorted, scan.span()) {
+            Path::Sorted => Self::from_sorted(keys, scan.runs),
+            Path::Dense => Self::from_slots(keys, &scan),
+            Path::Wide => {
+                let mut column: Vec<Key> = keys.collect();
+                column.sort_unstable();
+                let runs = 1 + column.windows(2).filter(|w| w[0] != w[1]).count();
+                Self::from_sorted(column.into_iter(), runs)
+            }
         }
     }
 
-    /// The census of a key column the caller hands over: the column is
-    /// sorted in place (one pass when it is sorted already: the sort
-    /// detects that) and run-length encoded, never copied. `O(n log n)`.
-    pub fn from_keys(mut keys: Vec<Key>) -> Self {
-        keys.sort_unstable();
-        Self::from_sorted(keys.into_iter())
+    /// Run-length encodes ascending keys that hold `runs` distinct ones,
+    /// without a branch on the data: each key writes its run's key and the
+    /// run's end so far, so a run's last key leaves its end in `prefix`.
+    fn from_sorted(mut sorted: impl Iterator<Item = Key>, runs: usize) -> Self {
+        let (mut keys, mut prefix) = (vec![0; runs], vec![0; runs + 1]);
+        if let Some(first) = sorted.next() {
+            (keys[0], prefix[1]) = (first, 1);
+            let (mut prev, mut run, mut end) = (first, 0, 1);
+            for k in sorted {
+                run += usize::from(k != prev);
+                end += 1;
+                (keys[run], prefix[run + 1]) = (k, end);
+                prev = k;
+            }
+        }
+        let counts = prefix.windows(2).map(|w| w[1] - w[0]).collect();
+        KeyedCounts {
+            keys,
+            counts,
+            prefix,
+        }
     }
 
-    /// Run-length encodes ascending keys.
-    fn from_sorted(sorted: impl Iterator<Item = Key>) -> Self {
-        let (mut keys, mut counts) = (Vec::new(), Vec::<u64>::new());
-        for k in sorted {
-            if keys.last() == Some(&k) {
-                *counts.last_mut().expect("a count per key") += 1;
-            } else {
-                keys.push(k);
-                counts.push(1);
-            }
+    /// Counts keys into one slot per key of the scanned span, then keeps
+    /// the slots that counted any.
+    fn from_slots(keys: impl Iterator<Item = Key>, scan: &Scan) -> Self {
+        let mut slots = vec![0u32; scan.span() as usize + 1];
+        for k in keys {
+            slots[k.wrapping_sub(scan.min) as u64 as usize] += 1;
+        }
+        let runs = slots.iter().filter(|&&c| c > 0).count();
+        let (mut keys, mut counts) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+        for (i, &c) in slots.iter().enumerate().filter(|(_, &c)| c > 0) {
+            keys.push(scan.min.wrapping_add(i as Key));
+            counts.push(u64::from(c));
         }
         Self::from_runs(keys, counts)
     }
@@ -204,7 +302,7 @@ mod tests {
 
     #[test]
     fn aggregates_multiset() {
-        let kc = KeyedCounts::from_keys(vec![5, 3, 5, 5, 3, 9]);
+        let kc = KeyedCounts::census(&[5, 3, 5, 5, 3, 9]);
         assert_eq!(kc.keys(), &[3, 5, 9]);
         assert_eq!(kc.counts(), &[2, 3, 1]);
         assert_eq!(kc.total(), 6);
@@ -214,7 +312,7 @@ mod tests {
     #[test]
     fn range_count_matches_brute_force() {
         let keys = vec![-4, -4, 0, 2, 2, 2, 7, 11, 11];
-        let kc = KeyedCounts::from_keys(keys.clone());
+        let kc = KeyedCounts::census(&keys);
         for lo in -6..14 {
             for hi in lo - 1..14 {
                 let expect = keys.iter().filter(|&&k| lo <= k && k <= hi).count() as u64;
@@ -225,23 +323,61 @@ mod tests {
 
     #[test]
     fn range_count_extremes() {
-        let kc = KeyedCounts::from_keys(vec![1, 2, 3]);
+        let kc = KeyedCounts::census(&[1, 2, 3]);
         assert_eq!(kc.range_count(Key::MIN, Key::MAX), 3);
         assert_eq!(kc.range_count(4, Key::MAX), 0);
         assert_eq!(kc.range_count(3, 2), 0); // inverted
-        let empty = KeyedCounts::from_keys(vec![]);
+        let empty = KeyedCounts::census(&[]);
         assert_eq!(empty.range_count(Key::MIN, Key::MAX), 0);
         assert_eq!(empty.total(), 0);
     }
 
     #[test]
     fn pick_in_range_is_proportional_to_multiplicity() {
-        let kc = KeyedCounts::from_keys(vec![10, 20, 20, 20, 30, 30]);
+        let kc = KeyedCounts::census(&[10, 20, 20, 20, 30, 30]);
         // In range [15, 35] there are 5 tuples: 20,20,20,30,30.
         let picks: Vec<Key> = (0..5).map(|u| kc.pick_in_range(15, 35, u)).collect();
         assert_eq!(picks, vec![20, 20, 20, 30, 30]);
         // Full range.
         assert_eq!(kc.pick_in_range(Key::MIN, Key::MAX, 0), 10);
         assert_eq!(kc.pick_in_range(Key::MIN, Key::MAX, 5), 30);
+    }
+
+    #[test]
+    fn the_path_choice_at_its_edges() {
+        // Ascending keys are encoded as read, whatever their span or count.
+        assert_eq!(path(0, true, 0), Path::Sorted);
+        assert_eq!(path(usize::MAX, true, u64::MAX), Path::Sorted);
+        // The dense cut: a span below `2n`.
+        for n in [1usize, 2, 1000, u32::MAX as usize] {
+            let two_n = 2 * n as u64;
+            assert_eq!(path(n, false, two_n - 1), Path::Dense, "n={n}");
+            assert_eq!(path(n, false, two_n), Path::Wide, "n={n}");
+            assert_eq!(path(n, false, two_n + 1), Path::Wide, "n={n}");
+        }
+        // `u32` slots hold at most `u32::MAX` keys, however narrow the span.
+        let past_u32 = u32::MAX as usize + 1;
+        assert_eq!(path(past_u32, false, 0), Path::Wide);
+        assert_eq!(path(usize::MAX, false, 1), Path::Wide);
+        // `Key::MIN..=Key::MAX`: `span + 1` would overflow; it is never formed.
+        assert_eq!(path(u32::MAX as usize, false, u64::MAX), Path::Wide);
+        assert_eq!(path(usize::MAX, false, u64::MAX), Path::Wide);
+    }
+
+    #[test]
+    fn a_scan_reads_order_span_and_runs() {
+        let s = Scan::of([Key::MAX, Key::MIN, 0, 0].into_iter());
+        assert_eq!(
+            (s.n, s.min, s.max, s.sorted),
+            (4, Key::MIN, Key::MAX, false)
+        );
+        assert_eq!(s.span(), u64::MAX);
+        let s = Scan::of([-3, -3, 5, 9, 9, 9].into_iter());
+        assert_eq!((s.n, s.sorted, s.runs, s.span()), (6, true, 3, 12));
+        // The first key opens a run, whatever its value.
+        let s = Scan::of([Key::MIN, Key::MIN, 0].into_iter());
+        assert_eq!((s.n, s.sorted, s.runs), (3, true, 2));
+        let s = Scan::of(std::iter::empty());
+        assert_eq!((s.n, s.sorted, s.runs), (0, true, 0));
     }
 }

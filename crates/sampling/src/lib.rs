@@ -10,11 +10,12 @@
 //!   uniform sample, with the sample-size bound of Chaudhuri, Motwani &
 //!   Narasayya (SIGMOD 1998).
 //! * [`KeyedCounts`] — a relation's *census*: sorted distinct join keys with
-//!   multiplicities and prefix sums, built by the one sort a scheme build
-//!   spends on the relation. It is the paper's `d2equi` structure; its range
-//!   queries implement the `d2` (joinable-set size) computation for any join
-//!   condition with contiguous joinable ranges, and its prefix sums are the
-//!   exact quantiles of the relation.
+//!   multiplicities and prefix sums, counted in one kernel — run-length
+//!   encoded when the keys arrive sorted, counted into slots over a dense
+//!   key span, collected and sorted over a wide one. It is the paper's
+//!   `d2equi` structure; its range queries implement the `d2` (joinable-set
+//!   size) computation for any join condition with contiguous joinable
+//!   ranges, and its prefix sums are the exact quantiles of the relation.
 //! * [`stream_sample`] — the Stream-Sample algorithm of Chaudhuri, Motwani &
 //!   Narasayya (SIGMOD 1999), extended from equi-joins to band/inequality
 //!   joins: from the two censuses, one monotone sweep and a sorted-rank walk

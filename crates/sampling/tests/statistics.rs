@@ -42,8 +42,8 @@ fn stream_sample_is_uniform_over_output() {
     }
     let beta = 2;
     let jr = |k: Key| (k - beta, k + beta);
-    let d2equi = KeyedCounts::from_keys(r2.clone());
-    let d1 = KeyedCounts::from_keys(r1.clone());
+    let d2equi = KeyedCounts::census(&r2);
+    let d1 = KeyedCounts::census(&r1);
 
     let so = 30_000;
     let s = sample(&r1, &r2, jr, so, 42);
@@ -79,8 +79,8 @@ fn stream_sample_positions_pass_ks_against_output_cdf() {
         .flat_map(|k| std::iter::repeat_n(k, (k % 3 + 1) as usize))
         .collect();
     let jr = |k: Key| (k - 1, k + 1);
-    let d2equi = KeyedCounts::from_keys(r2.clone());
-    let d1 = KeyedCounts::from_keys(r1.clone());
+    let d2equi = KeyedCounts::census(&r2);
+    let d1 = KeyedCounts::census(&r1);
 
     // Cumulative output count before each distinct k1.
     let mut cum = std::collections::HashMap::new();

@@ -92,9 +92,9 @@ fn main() {
     // contributes (joinable A tuples) × (its own multiplicity) × (joinable
     // C tuples) — the band condition is symmetric, so joinability can be
     // counted from either side.
-    let a_counts = KeyedCounts::from_keys(a.iter().map(|t| t.key).collect());
-    let b_counts = KeyedCounts::from_keys(b.iter().map(|t| t.key).collect());
-    let c_counts = KeyedCounts::from_keys(c.iter().map(|t| t.key).collect());
+    let a_counts = KeyedCounts::census_of(a.iter().map(|t| t.key));
+    let b_counts = KeyedCounts::census_of(b.iter().map(|t| t.key));
+    let c_counts = KeyedCounts::census_of(c.iter().map(|t| t.key));
     let expect: u64 = b_counts
         .keys()
         .iter()

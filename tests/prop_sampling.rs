@@ -129,7 +129,7 @@ proptest! {
         lo in -60i64..60,
         span in 0i64..40,
     ) {
-        let kc = KeyedCounts::from_keys(keys.clone());
+        let kc = KeyedCounts::census(&keys);
         let hi = lo + span;
         let expect = keys.iter().filter(|&&k| lo <= k && k <= hi).count() as u64;
         prop_assert_eq!(kc.range_count(lo, hi), expect);
