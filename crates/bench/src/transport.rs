@@ -22,7 +22,7 @@ use std::process::{Command, Stdio};
 use std::time::Instant;
 
 use ewh_core::{ColumnBatch, RoutingTable, SchemeKind, Tuple};
-use ewh_exec::engine::{run_pipelined_io, EngineIo, Source};
+use ewh_exec::engine::{run_pipelined_io, CancelToken, EngineIo, Source};
 use ewh_exec::{
     build_scheme, run_plan, AdaptiveConfig, EngineConfig, EngineRuntime, Exchange, ExecMode,
     KeyFrom, LinkProfile, LinkReceiver, LinkSender, MemGauge, OperatorConfig, OperatorRun,
@@ -196,9 +196,9 @@ fn run_worker(args: &Args) {
     // R2 streams straight into the probe side while the engine runs. The
     // receiver stages without touching any memory gauge, so a forwarding
     // hop pops it and re-pushes each batch under the engine's gauge
-    // contract (producers credit what they push — see `run_pipelined_io`'s
-    // leak check); the bounded exchange stops the pops, which stops the
-    // credits, which parks the parent.
+    // contract (producers charge what they push, see `Channel::push`); the
+    // bounded exchange stops the pops, which stops the credits, which parks
+    // the parent.
     let rx2 = LinkReceiver::<ColumnBatch>::accept(&listener).expect("accept r2");
     let exchange = Exchange::new(WINDOW);
     let gauge = MemGauge::default();
@@ -225,23 +225,20 @@ fn run_worker(args: &Args) {
             }
             exchange.close();
         });
-        run_pipelined_io(
-            &rt,
-            EngineIo {
-                r1: &r1,
-                r2: Source::Exchange(&exchange),
-                router: &scheme.router,
-                cond: &w.cond,
-                table: &table,
-                sink: None,
-                key_from: KeyFrom::Probe,
-                gauge: Some(&gauge),
-                cancel: None,
-                spill: None,
-                links: None,
-            },
-            &engine_cfg,
-        )
+        let io = EngineIo {
+            r1: &r1,
+            r2: Source::Exchange(&exchange),
+            router: &scheme.router,
+            cond: &w.cond,
+            table: &table,
+            sink: None,
+            key_from: KeyFrom::Probe,
+            gauge: &gauge,
+            cancel: &CancelToken::new(),
+            spill: None,
+            links: None,
+        };
+        run_pipelined_io(&rt, [(io, engine_cfg)]).remove(0)
     });
     let wall = start.elapsed().as_secs_f64();
     rx2.join().expect("r2 stream failed");

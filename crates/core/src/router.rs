@@ -66,25 +66,22 @@ const SPARE_FRAGMENTS: usize = 32;
 /// size. Pass 2 writes every tuple through a small cache-resident
 /// *write-combining lane* per region; a full lane flushes in one bulk copy
 /// per column, so the cold fragments are only ever written in
-/// `WC_LANE`-sized bursts. There are two ways through:
+/// `WC_LANE`-sized bursts.
 ///
-/// * **By line**: the grid, the content-insensitive matrix and the hash
-///   partitioner's `R1` side. Within a batch every tuple of one *line* — a
-///   grid row or column, a matrix row band or column, a hash bucket — goes
-///   to the same regions (a block's sub-row is drawn once per batch). Pass
-///   1 records one line per tuple, then each touched line's regions are
-///   listed once, in first-touch order. A line none of whose regions
-///   another touched line reaches (a matrix row band, a hot key's block
-///   confined to one grid row) is scattered into its first region's
-///   fragment only: its regions' slots are a *group* sharing that one
-///   fragment, and a copy is made only when a slot is taken while another
-///   of the group is still untaken ([`take_fragment`](Self::take_fragment)),
-///   or not at all when the group is taken whole
-///   ([`take_group`](Self::take_group)). Any other line is scattered into
-///   each of its regions.
-/// * **By tuple**: the hash partitioner's `R2` band fan-out, whose region
-///   lists differ key by key. Pass 1 records every tuple's region list
-///   (CSR layout) and pass 2 replays it.
+/// A batch is routed by *line*: within a batch every tuple of one line — a
+/// grid row or column, a matrix row band or column, a hash bucket — goes
+/// to the same regions (a block's sub-row is drawn once per batch). The
+/// hash partitioner's `R2` band fan-out, whose region lists differ key by
+/// key, makes each tuple a line of its own. Pass 1 records one line per
+/// tuple, then each touched line's regions are listed once, in first-touch
+/// order. A line none of whose regions another touched line reaches (a
+/// matrix row band, a hot key's block confined to one grid row) is
+/// scattered into its first region's fragment only: its regions' slots are
+/// a *group* sharing that one fragment, and a copy is made only when a slot
+/// is taken while another of the group is still untaken
+/// ([`take_fragment`](Self::take_fragment)), or not at all when the group
+/// is taken whole ([`take_group`](Self::take_group)). Any other line is
+/// scattered into each of its regions.
 ///
 /// Bit-identity contract: for every region, the fragment holds — in batch
 /// order — exactly the tuples a per-tuple [`Router::route_r1`] /
@@ -102,11 +99,8 @@ pub struct RouteScatter {
     slot_of: Vec<u32>,
     /// Regions in first-touch order.
     touched: Vec<u32>,
-    /// Per tuple: its index into `lines` (by line), or its flattened region
-    /// list (by tuple, the CSR values).
+    /// Per tuple: its index into `lines`.
     dests: Vec<u32>,
-    /// CSR offsets (by tuple): tuple `i` goes to `dests[offsets[i]..offsets[i+1]]`.
-    offsets: Vec<u32>,
     /// Per-line tuple count, and line → index into `lines` (valid iff
     /// counted).
     line_counts: Vec<u32>,
@@ -212,7 +206,6 @@ impl RouteScatter {
         }
         self.touched.clear();
         self.dests.clear();
-        self.offsets.clear();
         self.lines.clear();
         self.writes.clear();
         self.copies.clear();
@@ -221,23 +214,6 @@ impl RouteScatter {
             self.recycle(f);
         }
         self.frags = frags;
-    }
-
-    /// Pass 1 by tuple: records one tuple's destination regions (histogram,
-    /// first-touch order, CSR append). Must be called once per tuple, in
-    /// batch order.
-    #[inline]
-    fn record(&mut self, regions: &[u32]) {
-        for &r in regions {
-            let c = &mut self.counts[r as usize];
-            if *c == 0 {
-                self.slot_of[r as usize] = self.touched.len() as u32;
-                self.touched.push(r);
-            }
-            *c += 1;
-        }
-        self.dests.extend_from_slice(regions);
-        self.offsets.push(self.dests.len() as u32);
     }
 
     /// Allocates each touched region's fragment at its exact batch size —
@@ -260,26 +236,10 @@ impl RouteScatter {
         }
     }
 
-    /// Pass 2 by tuple: replays the recorded destinations.
-    fn scatter_columns(&mut self, keys: &[Key], payloads: &[u64]) {
-        debug_assert_eq!(self.offsets.len(), keys.len());
-        self.open_fragments();
-        self.lanes.open(0..self.touched.len() as u32);
-        let mut from = 0usize;
-        for (&to, (&k, &p)) in self.offsets.iter().zip(keys.iter().zip(payloads)) {
-            for &r in &self.dests[from..to as usize] {
-                let lane = self.slot_of[r as usize] as usize;
-                self.lanes.stage(lane, &mut self.frags, k, p);
-            }
-            from = to as usize;
-        }
-        self.lanes.flush(&mut self.frags);
-    }
-
-    /// The by-line path (see the type docs). `line_of` gives each tuple's
-    /// line in batch order, drawing from any RNG exactly as the per-tuple
-    /// router would; `members` appends a line's regions in that router's
-    /// emission order.
+    /// Routes a batch by line (see the type docs). `line_of` gives each
+    /// tuple's line in batch order, drawing from any RNG exactly as the
+    /// per-tuple router would; `members` appends a line's regions in that
+    /// router's emission order.
     fn route_lines(
         &mut self,
         keys: &[Key],
@@ -498,9 +458,9 @@ pub enum Router {
 }
 
 impl RouteBatch for Router {
-    /// One variant dispatch per batch. The grid, the content-insensitive
-    /// matrix and the hash partitioner's `R1` side route by line, the hash
-    /// band fan-out of `R2` by tuple (see [`RouteScatter`]).
+    /// One variant dispatch per batch, each routed by line (see
+    /// [`RouteScatter`]); the hash band fan-out of `R2` makes every tuple a
+    /// line of its own.
     fn route_scatter(
         &self,
         rel: Rel,
@@ -553,14 +513,14 @@ impl RouteBatch for Router {
                 );
             }
             (Router::Hash(h), Rel::R2) => {
-                scatter.clear();
-                let mut out = Vec::with_capacity(8);
-                for &k in keys {
-                    out.clear();
-                    h.route_r2(k, &mut out);
-                    scatter.record(&out);
-                }
-                scatter.scatter_columns(keys, payloads);
+                let mut tuple = 0..;
+                scatter.route_lines(
+                    keys,
+                    payloads,
+                    keys.len(),
+                    |_k| tuple.next().expect("one line per tuple"),
+                    |t, out| h.route_r2(keys[t as usize], out),
+                );
             }
         }
     }

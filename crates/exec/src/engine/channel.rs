@@ -301,6 +301,14 @@ impl<T: Weigh> Channel<T> {
         self.stall.wake(wakers);
     }
 
+    /// Whether the producer closed the channel, and whether the consumer
+    /// abandoned it.
+    #[cfg(test)]
+    pub(crate) fn ended(&self) -> (bool, bool) {
+        let state = self.lock();
+        (state.closed, state.window.abandoned)
+    }
+
     /// Is the stream complete *and* has the consumer finished every item?
     /// `routed` is the consumer's count of items it finished processing —
     /// the downstream seal protocol's end-of-relation test.

@@ -28,7 +28,8 @@
 //!    pending — at which point no queue can ever receive data again. A
 //!    cancelled run never gets there (discarded deliveries never drain
 //!    `in_flight`): the coordinator exits on the run's cancel token
-//!    instead, and the orchestrator aborts the reducers.
+//!    instead, and whichever of it and the last mapper drops last aborts
+//!    the reducers.
 //!
 //! Like the mappers and reducers, the coordinator is a task on the shared
 //! worker-pool runtime — and it is the engine's one *legitimately timed*
@@ -36,12 +37,14 @@
 //! ([`TaskCx::sleep`]) for the next cadence tick, the run's cancel token,
 //! and the run's quiescence wake-set, bumped by reducers on the events its
 //! termination check watches (the in-flight count crossing zero after the
-//! mappers finish, an adoption completing) and by the orchestrator on
-//! mapper completion — so termination is detected the moment it happens
-//! rather than a poll interval later. The generation of the wake-set is
-//! read *before* any condition atomics; a registration that straddles an
-//! event is refused and the task re-polls immediately (`Poll::Yielded`). A
-//! finished coordinator folds its migration tally into the run's outcome.
+//! mappers finish, an adoption completing) and by the last mapper to drop
+//! — so termination is detected the moment it happens rather than a poll
+//! interval later. The generation of the wake-set is read *before* any
+//! condition atomics; a registration that straddles an event is refused
+//! and the task re-polls immediately (`Poll::Yielded`). A coordinator
+//! folds its migration tally into the run's outcome as it drops; one that
+//! drops without having sent `Finish` (a cancel, or a panic) cancels the
+//! run.
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
@@ -84,6 +87,8 @@ pub struct CoordinatorTask<'a> {
     starved_polls: u32,
     poll_interval: Duration,
     last_poll: Option<Instant>,
+    /// `Finish` went out: the run completes.
+    finished: bool,
 }
 
 impl<'a> CoordinatorTask<'a> {
@@ -97,6 +102,7 @@ impl<'a> CoordinatorTask<'a> {
             starved_polls: 0,
             poll_interval: Duration::from_micros(run.cfg.adaptive.poll_micros.max(1)),
             last_poll: None,
+            finished: false,
         }
     }
 
@@ -110,8 +116,8 @@ impl<'a> CoordinatorTask<'a> {
         // in-flight zero-crossing, mappers done) landing after the checks
         // below bumps it and refuses the park registration at the bottom.
         let quiesce_gen = run.quiesce.generation();
-        if run.cancel().is_cancelled() {
-            return self.report();
+        if run.io.cancel.is_cancelled() {
+            return Poll::Ready;
         }
         if let Some(last) = self.last_poll {
             let since = last.elapsed();
@@ -133,7 +139,8 @@ impl<'a> CoordinatorTask<'a> {
             && run.in_flight.load(Ordering::Acquire) == 0
         {
             broadcast(&run.queues, || Delivery::Finish);
-            return self.report();
+            self.finished = true;
+            return Poll::Ready;
         }
         if run.cfg.adaptive.reassign
             && self.pending_since.is_none()
@@ -157,19 +164,28 @@ impl<'a> CoordinatorTask<'a> {
     /// costs one spurious re-poll, never a hang.
     fn park_until(&self, cx: &TaskCx<'_>, quiesce_gen: u64, wait: Duration) -> Poll {
         let run = self.run;
-        if !run.quiesce.register(cx.waker(), quiesce_gen) || !run.cancel().park(cx.waker()) {
+        if !run.quiesce.register(cx.waker(), quiesce_gen) || !run.io.cancel.park(cx.waker()) {
             return Poll::Yielded;
         }
         cx.sleep(wait);
         Poll::Pending
     }
+}
 
-    /// Folds the migration tally into the run's outcome; the task is done.
-    fn report(&self) -> Poll {
-        let mut out = self.run.outcome();
+/// Folds the migration tally into the run's outcome and counts the
+/// coordinator out of the run; without `Finish` the run cannot complete,
+/// so it is cancelled.
+impl Drop for CoordinatorTask<'_> {
+    fn drop(&mut self) {
+        let run = self.run;
+        if !self.finished {
+            run.io.cancel.cancel();
+        }
+        let mut out = run.outcome();
         out.stats.regions_migrated = self.started;
         out.stats.migration_secs = self.migration_secs;
-        Poll::Ready
+        drop(out);
+        run.sender_exited();
     }
 }
 

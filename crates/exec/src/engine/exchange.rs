@@ -8,9 +8,12 @@
 //! backpressure all the way up the chain (upstream reducers park pushing,
 //! their queues fill, upstream mappers park). Because query plans are DAGs
 //! this can only slow the pipeline down, never deadlock it.
-//! [`Channel::close`] (called once the upstream operator has quiesced) is
-//! what lets the downstream seal protocol fire: a closed, fully routed
-//! exchange is the streamed equivalent of "the last morsel was claimed".
+//! [`Channel::close`] — called by the upstream stage's last reducer as it
+//! drops, after `Finish` (or `Abort`) — is what lets the downstream seal
+//! protocol fire: a closed, fully routed exchange is the streamed
+//! equivalent of "the last morsel was claimed". Its consumer's last mapper
+//! abandons it as it drops ([`Channel::abandon`]), so a producer whose
+//! consumer is gone — a cancel, a panic — never waits on it again.
 //!
 //! Under a memory budget, an upstream reducer may spill batches *staged
 //! for* this exchange (its outbox — the last rung of the spill ladder, see
@@ -57,40 +60,6 @@ pub struct StageSink<'a> {
     pub exchange: &'a Exchange,
     /// Emission batch size (a morsel's worth; always ≥ 1).
     pub batch_tuples: usize,
-}
-
-impl StageSink<'_> {
-    /// Closes the exchange. Called (via [`CloseOnDrop`]) when the producing
-    /// operator finishes — or unwinds.
-    pub fn close(&self) {
-        self.exchange.close();
-    }
-}
-
-/// Closes a [`StageSink`] on drop, so a panicking upstream operator still
-/// releases the downstream consumers (they drain and finish; the panic then
-/// propagates at scope join).
-pub struct CloseOnDrop<'a>(pub StageSink<'a>);
-
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// Abandons a stage's *input* exchange on drop — the consumer-side
-/// counterpart of [`CloseOnDrop`]: if the consuming operator unwinds, its
-/// upstream producer must not stay blocked in [`Channel::push`] forever.
-/// Running it after normal completion is harmless (the stream is already
-/// closed and drained).
-pub struct AbandonOnDrop<'a>(pub Option<&'a Exchange>);
-
-impl Drop for AbandonOnDrop<'_> {
-    fn drop(&mut self) {
-        if let Some(ex) = self.0 {
-            ex.abandon();
-        }
-    }
 }
 
 #[cfg(test)]

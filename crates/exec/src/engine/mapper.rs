@@ -76,7 +76,8 @@ use super::runtime::{Poll, TaskCx, WakeSet, Waker};
 use super::Run;
 
 /// The engine's distributed end-of-input detector, shared by every mapper
-/// (and consulted once by the orchestrator for pre-sealing empty inputs).
+/// (and consulted by the last mapper to drop: a run whose mappers are all
+/// gone unsealed is cancelled).
 ///
 /// * `SealR1` fires when the last `R1` scan morsel is routed (`R1` is
 ///   always a scan; streamed build sides would need bushy plans).
@@ -116,7 +117,7 @@ impl<'a> SealState<'a> {
     }
 
     /// Did `SealAll` fire? A completed run must have sealed; a cancelled
-    /// run never seals (the orchestrator's broken-pipeline test).
+    /// run never seals (the last mapper's broken-pipeline test).
     pub fn sealed_all(&self) -> bool {
         self.sealed_all.load(Ordering::Acquire)
     }
@@ -182,6 +183,10 @@ pub struct MapperTask<'a> {
     draining: bool,
     /// Start of the current backpressure stall: (queue index, when).
     blocked: Option<(usize, Instant)>,
+    /// Returned `Ready`. A mapper dropped without it panicked, maybe with
+    /// a claimed `R1` morsel that would keep the others parked on the `R2`
+    /// gate forever, so it cancels the run.
+    ready: bool,
 }
 
 impl<'a> MapperTask<'a> {
@@ -193,6 +198,7 @@ impl<'a> MapperTask<'a> {
             unit: None,
             draining: false,
             blocked: None,
+            ready: false,
         }
     }
 
@@ -203,10 +209,11 @@ impl<'a> MapperTask<'a> {
     /// exchange.
     pub fn poll(&mut self, cx: &TaskCx<'_>) -> Poll {
         let run = self.run;
-        if run.cancel().is_cancelled() {
-            // Seals never fire; the orchestrator aborts the reducers. Undo
-            // the accounting of anything routed but never shipped.
-            self.discard_unit();
+        if run.io.cancel.is_cancelled() {
+            // Seals never fire; the last sender to drop aborts the
+            // reducers, and the drop undoes the accounting of anything
+            // routed but never shipped.
+            self.ready = true;
             return Poll::Ready;
         }
         if self.unit.is_some() {
@@ -222,7 +229,7 @@ impl<'a> MapperTask<'a> {
                 // The waker is registered with the full queue; add the
                 // cancel registration so an abort also wakes us. A raced
                 // cancel re-polls instead of parking.
-                return if run.cancel().park(cx.waker()) {
+                return if run.io.cancel.park(cx.waker()) {
                     Poll::Pending
                 } else {
                     Poll::Yielded
@@ -257,7 +264,7 @@ impl<'a> MapperTask<'a> {
                 }
                 Claim::Blocked => {
                     return if run.seal.r1_wake.register(cx.waker(), r1_gen)
-                        && run.cancel().park(cx.waker())
+                        && run.io.cancel.park(cx.waker())
                     {
                         Poll::Pending
                     } else {
@@ -270,6 +277,7 @@ impl<'a> MapperTask<'a> {
         // Scan plan drained: pull streamed probe batches until the upstream
         // operator closes the exchange.
         let Some(exchange) = run.seal.exchange else {
+            self.ready = true;
             return Poll::Ready;
         };
         match exchange.try_pop_or_park(cx.waker()) {
@@ -285,12 +293,13 @@ impl<'a> MapperTask<'a> {
                 // routed the final batch may have observed the exchange
                 // still open.
                 run.seal.maybe_seal_all(&run.queues);
+                self.ready = true;
                 Poll::Ready
             }
             PortPop::Empty => {
                 // Consumer waker is registered with the exchange; a raced
                 // cancel re-polls instead of parking.
-                if run.cancel().park(cx.waker()) {
+                if run.io.cancel.park(cx.waker()) {
                     Poll::Pending
                 } else {
                     Poll::Yielded
@@ -440,30 +449,34 @@ impl<'a> MapperTask<'a> {
                 // The batch leaves the exchange buffer only now — its
                 // routed copies were charged fragment by fragment above.
                 // Its allocation is recycled into future fragment columns.
-                run.gauge().sub(tuples.len() as u64);
+                run.io.gauge.sub(tuples.len() as u64);
                 self.scatter.recycle(tuples);
                 run.seal.routed_batches.fetch_add(1, Ordering::AcqRel);
                 run.seal.maybe_seal_all(&run.queues);
             }
         }
     }
+}
 
-    /// Rolls back the accounting of a cancelled in-progress unit: the
-    /// bounced delivery (charged to the gauge and volume counters) and, for
-    /// an exchange batch, the batch's own gauge charge.
-    fn discard_unit(&mut self) {
+/// A mapper that exits holding a unit — cancelled, or panicked — rolls
+/// back its accounting: the bounced delivery (charged to the gauge and
+/// volume counters) and, for an exchange batch, the batch's own gauge
+/// charge. One that panicked cancels the run. Then it counts itself out.
+impl Drop for MapperTask<'_> {
+    fn drop(&mut self) {
         let run = self.run;
-        let Some(unit) = self.unit.take() else {
-            return;
-        };
-        if let Some((_, charged)) = unit.bounced {
-            recharge(run, charged, 0);
+        if !self.ready {
+            run.io.cancel.cancel();
         }
-        if let UnitSource::Batch { tuples } = unit.source {
-            run.gauge().sub(tuples.len() as u64);
+        if let Some(unit) = self.unit.take() {
+            if let Some((_, charged)) = unit.bounced {
+                recharge(run, charged, 0);
+            }
+            if let UnitSource::Batch { tuples } = unit.source {
+                run.io.gauge.sub(tuples.len() as u64);
+            }
         }
-        self.blocked = None;
-        self.scatter.clear();
+        run.mapper_exited();
     }
 }
 
@@ -472,14 +485,14 @@ impl<'a> MapperTask<'a> {
 fn recharge(run: &Run<'_>, from: u64, to: u64) {
     if to > from {
         let more = to - from;
-        run.gauge().add(more);
+        run.io.gauge.add(more);
         run.counters
             .network_tuples
             .fetch_add(more, Ordering::Relaxed);
         run.in_flight.fetch_add(more, Ordering::AcqRel);
     } else if from > to {
         let less = from - to;
-        run.gauge().sub(less);
+        run.io.gauge.sub(less);
         run.counters
             .network_tuples
             .fetch_sub(less, Ordering::Relaxed);
@@ -512,5 +525,108 @@ impl InFlightUnit {
 pub fn broadcast(queues: &[Arc<DeliveryPort>], mut make: impl FnMut() -> Delivery) {
     for q in queues {
         q.push_unbounded(make());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+
+    use ewh_core::{build_csio, CostModel, HistogramParams, JoinCondition, Key, RoutingTable};
+    use ewh_core::{SchemeKind, Tuple};
+
+    use super::super::tests::watchdog;
+    use super::super::{CancelToken, EngineConfig, EngineIo, EngineRuntime, MemGauge, Source};
+    use super::*;
+    use crate::local_join::KeyFrom;
+    use crate::{run_operator, ExecMode, OperatorConfig};
+
+    /// The first mapper to claim a morsel panics holding it. The morsel
+    /// never completes, so the run cannot seal: the last mapper to drop
+    /// cancels it, the panic reaches the scope's join, every charge is
+    /// released, and the pool runs the next query as the batch oracle does.
+    #[test]
+    fn a_mapper_that_panics_mid_run_cancels_the_run_and_the_pool_serves_the_next_query() {
+        let k1: Vec<Key> = (0..6000).map(|i| i * 7 % 900).collect();
+        let k2: Vec<Key> = (0..6000).map(|i| i * 11 % 900).collect();
+        let tuples = |keys: &[Key]| -> Vec<Tuple> {
+            let rows = keys.iter().enumerate();
+            rows.map(|(i, &k)| Tuple::new(k, i as u64)).collect()
+        };
+        let (r1, r2) = (tuples(&k1), tuples(&k2));
+        let cond = JoinCondition::Band { beta: 2 };
+        let params = HistogramParams {
+            j: 6,
+            ..Default::default()
+        };
+        let scheme = build_csio(&k1, &k2, &cond, &CostModel::band(), &params);
+        let owners: Vec<u32> = (0..scheme.num_regions() as u32).map(|r| r % 2).collect();
+        let table = RoutingTable::new(&owners);
+        let cfg = EngineConfig {
+            queue_tuples: 512,
+            ..EngineConfig::for_tasks(2, 256, 3)
+        };
+        let (gauge, cancel) = (MemGauge::default(), CancelToken::new());
+        let run = Run::new(
+            EngineIo {
+                r1: &r1,
+                r2: Source::Scan(&r2),
+                router: &scheme.router,
+                cond: &cond,
+                table: &table,
+                sink: None,
+                key_from: KeyFrom::Probe,
+                gauge: &gauge,
+                cancel: &cancel,
+                spill: None,
+                links: None,
+            },
+            &cfg,
+        );
+        let rt = EngineRuntime::new(4);
+        let exploded = AtomicBool::new(false);
+        let joined = watchdog("a mapper panic", || {
+            catch_unwind(AssertUnwindSafe(|| {
+                rt.scope(|s| {
+                    let (reducers, mut coordinator, mappers) = run.tasks();
+                    for mut task in reducers {
+                        s.spawn(move |cx| task.poll(cx));
+                    }
+                    s.spawn(move |cx| coordinator.poll(cx));
+                    for mut task in mappers {
+                        let exploded = &exploded;
+                        s.spawn(move |cx| {
+                            let step = task.poll(cx);
+                            if task.unit.is_some() && !exploded.swap(true, Ordering::AcqRel) {
+                                panic!("a mapper exploded");
+                            }
+                            step
+                        });
+                    }
+                })
+            }))
+        });
+        let payload = joined.expect_err("the mapper's panic reaches the join");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a mapper exploded"));
+        assert!(run.finish().cancelled);
+        assert_eq!(gauge.current_tuples(), 0, "every charge is released");
+
+        let pipelined = OperatorConfig {
+            j: 6,
+            threads: 2,
+            ..Default::default()
+        };
+        let batch = OperatorConfig {
+            mode: ExecMode::Batch,
+            ..pipelined.clone()
+        };
+        let [pipe, oracle] = [pipelined, batch]
+            .map(|cfg| run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &cfg).join);
+        assert!(oracle.output_total > 0);
+        assert_eq!(
+            (pipe.output_total, pipe.checksum),
+            (oracle.output_total, oracle.checksum)
+        );
     }
 }

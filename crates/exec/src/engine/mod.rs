@@ -39,12 +39,23 @@
 //! ## One failure latch
 //!
 //! A run stops one way: its [`CancelToken`] — the query's, shared by every
-//! stage of a plan, else the run's own — is tripped. A caller cancels it;
-//! a failed spill write or reload and a dead or corrupt link fail it with
-//! their reason. Parked mappers and the coordinator are woken by it and
-//! exit; the orchestrator then aborts the reducers in-band, and the run
-//! reports [`EngineOutcome::cancelled`] with the token's reason as
-//! [`EngineOutcome::failure`].
+//! stage of a plan — is tripped. A caller cancels it; a failed spill write
+//! or reload and a dead or corrupt link fail it with their reason; a task
+//! that panics trips it as it drops. Parked mappers and the coordinator
+//! are woken by it and exit; the last of them to drop aborts the reducers
+//! in-band, and the run reports [`EngineOutcome::cancelled`] with the
+//! token's reason as [`EngineOutcome::failure`].
+//!
+//! ## Every actor is a pool task
+//!
+//! A query's stages run as the tasks of one [`EngineRuntime::scope`], and
+//! nothing else drives them: each step that ends a phase is done by the
+//! task whose exit makes it due, in that task's `Drop`, so it holds on a
+//! normal exit, a cancel and a panic alike. The last mapper to drop marks
+//! the mappers done (or, if `SealAll` never fired, cancels the run) and
+//! abandons an input exchange; the last of {mappers, coordinator} to drop
+//! aborts the reducers of a cancelled run; the last reducer to drop closes
+//! the stage's output exchange, which ends the downstream stage's input.
 //!
 //! ## Composable operators
 //!
@@ -77,7 +88,7 @@ mod transport;
 
 pub use board::ProgressBoard;
 pub use channel::{Channel, Weigh};
-pub use exchange::{AbandonOnDrop, CloseOnDrop, Exchange, StageSink};
+pub use exchange::{Exchange, StageSink};
 pub use morsel::{Claim, MemGauge, Morsel, MorselPlan, Source};
 pub use pool::BatchPool;
 pub use port::{DeliveryPort, FragmentPort, PortPop};
@@ -85,12 +96,12 @@ pub use queue::{Delivery, RegionBatch};
 pub use reducer::merge_sorted_runs;
 pub use runtime::{
     CancelToken, EngineRuntime, Poll, QueryTicket, RuntimeConfig, RuntimeMetrics, RuntimeScope,
-    TaskCx, TaskGroup, WakeSet, Waker,
+    TaskCx, WakeSet, Waker,
 };
 pub use spill::{SpillBinding, SpillConfig, SpillContext, SpillRun, SpillTotals};
 pub use transport::{Framed, LinkProfile, LinkReceiver, LinkSender, RemoteQueue, TransportConfig};
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -182,14 +193,14 @@ impl EngineConfig {
 
 /// Everything a completed (or cancelled) engine run reports: the
 /// [`JoinStats`] counters the engine measures, plus what `JoinStats` has no
-/// field for. `run_stage` completes `stats` from the per-region
+/// field for. `run_stages` completes `stats` from the per-region
 /// tallies (per-worker loads, output total, max weight).
 #[derive(Clone, Debug, Default)]
 pub struct EngineOutcome {
     /// What the run measured: every counter its tasks bump, each
     /// reducer's busy and idle time, the migration tally, wall time,
     /// backpressure, this run's spill I/O and wire bytes. Tallies
-    /// `run_stage` derives are left at zero.
+    /// `run_stages` derives are left at zero.
     pub stats: JoinStats,
     /// Input tuples received per region (replication included).
     pub per_region_input: Vec<u64>,
@@ -246,16 +257,16 @@ pub struct EngineIo<'a> {
     pub sink: Option<StageSink<'a>>,
     /// Which side's key emitted intermediates carry.
     pub key_from: KeyFrom,
-    /// Share a cluster-wide gauge across a whole plan so
+    /// The query's gauge, shared by every stage of a plan, so
     /// [`EngineOutcome::peak_resident_tuples`] reports the plan-global
-    /// high-water mark (exchange buffers included). `None`: private gauge.
-    pub gauge: Option<&'a MemGauge>,
+    /// high-water mark (exchange buffers included).
+    pub gauge: &'a MemGauge,
     /// The query's failure latch. Checked by mappers between morsels and
     /// by the coordinator between polls; a cancelled run discards all
     /// reducer state and reports [`EngineOutcome::cancelled`]. A failed
     /// spill write or reload and a dead or corrupt link fail it with their
-    /// reason. `None`: the run's own token.
-    pub cancel: Option<&'a CancelToken>,
+    /// reason.
+    pub cancel: &'a CancelToken,
     /// The query's spill budget and the spill file manager reducers shed
     /// state through while the gauge sits above it. `None` disables
     /// out-of-core execution.
@@ -334,14 +345,16 @@ struct Run<'a> {
     board: ProgressBoard,
     /// End-of-input tracking for both seals.
     seal: SealState<'a>,
-    /// What `gauge()` and `cancel()` fall back to without `io.gauge` or
-    /// `io.cancel`.
-    own_gauge: MemGauge,
-    own_cancel: CancelToken,
+    /// Tasks not yet dropped: mappers, reducers, and the two that send to
+    /// the reducers — the mappers as one, and the coordinator. The task
+    /// that takes a count to zero does what its exit makes due.
+    mappers_live: AtomicUsize,
+    reducers_live: AtomicUsize,
+    senders_live: AtomicUsize,
     /// Wakes the parked coordinator on the events its termination check
     /// watches: reducers bump it (the in-flight count crossing zero after
-    /// the mappers finish, an adoption completing), and so does the
-    /// orchestrator (mappers done).
+    /// the mappers finish, an adoption completing), and so does the last
+    /// mapper to drop (mappers done).
     quiesce: WakeSet,
     /// Tuples routed but not yet absorbed into some region's state —
     /// incremented by mappers per delivery, once per region it feeds, and
@@ -350,9 +363,9 @@ struct Run<'a> {
     in_flight: AtomicU64,
     /// Migration handshakes completed (incremented by the adopting side).
     adoptions: AtomicU64,
-    /// Set by the orchestrator once every mapper has finished cleanly. It
-    /// gates the reducers' zero-crossing wake of `quiesce`: an in-flight
-    /// dip to zero mid-run is not quiescence.
+    /// Set by the last mapper to drop once `SealAll` fired. It gates the
+    /// reducers' zero-crossing wake of `quiesce`: an in-flight dip to zero
+    /// mid-run is not quiescence.
     mappers_done: AtomicBool,
     counters: Counters,
     /// Spill counters are cumulative on the (possibly plan-shared)
@@ -385,12 +398,10 @@ impl<'a> Run<'a> {
         // With a transport every delivery queue is a framed byte-stream
         // link (same FragmentPort contract, credit-based window in place of
         // the shared counter), each failing the run's token.
-        let own_cancel = CancelToken::new();
-        let cancel = io.cancel.unwrap_or(&own_cancel);
         let remote: Vec<Arc<RemoteQueue>> = match &cfg.transport {
             Some(tcfg) => (0..cfg.reducers)
                 .map(|_| {
-                    RemoteQueue::spawn(tcfg, cfg.queue_tuples, n_regions, cancel.clone())
+                    RemoteQueue::spawn(tcfg, cfg.queue_tuples, n_regions, io.cancel.clone())
                         .expect("transport link setup failed")
                 })
                 .collect(),
@@ -423,8 +434,9 @@ impl<'a> Run<'a> {
             queues,
             remote,
             board: ProgressBoard::new(cfg.reducers, n_regions),
-            own_gauge: MemGauge::default(),
-            own_cancel,
+            mappers_live: AtomicUsize::new(cfg.mappers),
+            reducers_live: AtomicUsize::new(cfg.reducers),
+            senders_live: AtomicUsize::new(2),
             quiesce: WakeSet::new(),
             in_flight: AtomicU64::new(0),
             adoptions: AtomicU64::new(0),
@@ -438,25 +450,81 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The run's gauge: the caller's shared one, else its own.
-    fn gauge(&self) -> &MemGauge {
-        self.io.gauge.unwrap_or(&self.own_gauge)
+    /// Every task of the run: a reducer per queue over the regions the
+    /// table gives it, the coordinator, and the mappers. Each counts
+    /// itself out of the run as it drops (see the module docs).
+    fn tasks(
+        &self,
+    ) -> (
+        Vec<ReducerTask<'_>>,
+        CoordinatorTask<'_>,
+        Vec<MapperTask<'_>>,
+    ) {
+        let mut owned: Vec<Vec<u32>> = vec![Vec::new(); self.cfg.reducers];
+        for (region, &q) in self.io.table.snapshot().iter().enumerate() {
+            owned[q as usize].push(region as u32);
+        }
+        let reducers = owned
+            .iter()
+            .enumerate()
+            .map(|(q, regions)| ReducerTask::new(self, q, regions))
+            .collect();
+        let mappers = (0..self.cfg.mappers)
+            .map(|_| MapperTask::new(self))
+            .collect();
+        (reducers, CoordinatorTask::new(self), mappers)
     }
 
-    /// The run's cancel token: the caller's, else its own. A failed spill
-    /// write or read and a dead or corrupt link fail it instead of
-    /// panicking — a panic inside a pool task would leave the query's other
-    /// tasks parked forever on a shared pool — which wakes every task
-    /// parked on it, makes the mappers and the coordinator exit and tears
-    /// the query down.
-    fn cancel(&self) -> &CancelToken {
-        self.io.cancel.unwrap_or(&self.own_cancel)
+    /// A mapper dropped. The last one hands termination to the coordinator
+    /// if `SealAll` fired, and otherwise cancels the run: the seal chain
+    /// broke (a cancel, or a mapper that panicked). No mapper pops the
+    /// input exchange again, so its producers must never wait on it.
+    fn mapper_exited(&self) {
+        if !last(&self.mappers_live) {
+            return;
+        }
+        if self.seal.sealed_all() {
+            self.mappers_done.store(true, Ordering::Release);
+            self.quiesce.wake_all();
+        } else {
+            self.io.cancel.cancel();
+        }
+        if let Some(exchange) = self.io.r2.exchange() {
+            exchange.abandon();
+        }
+        self.sender_exited();
+    }
+
+    /// The mappers as one, or the coordinator, dropped. Once both have, no
+    /// delivery but a reducer's own forwards can reach a queue: a cancelled
+    /// run never reaches `Finish`, so abort the reducers in-band (control
+    /// bypasses queue bounds, so this cannot deadlock).
+    fn sender_exited(&self) {
+        if last(&self.senders_live) && self.io.cancel.is_cancelled() {
+            broadcast(&self.queues, || Delivery::Abort);
+        }
+    }
+
+    /// A reducer dropped; `reported` is false when it panicked, which
+    /// cancels the run. The last one closes the stage's output: the
+    /// downstream stage drains it and seals.
+    fn reducer_exited(&self, reported: bool) {
+        if !reported {
+            self.io.cancel.cancel();
+        }
+        if last(&self.reducers_live) {
+            if let Some(sink) = self.io.sink {
+                sink.exchange.close();
+            }
+        }
     }
 
     /// The run's outcome, locked, for a finishing task to fold its report
     /// into.
     fn outcome(&self) -> MutexGuard<'_, EngineOutcome> {
-        self.outcome.lock().expect("run outcome poisoned")
+        // Taken over if poisoned: a task's `Drop` reports through it, and
+        // must not panic.
+        self.outcome.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The outcome once every task has reported: the counters land in
@@ -466,7 +534,7 @@ impl<'a> Run<'a> {
         // A failure cancels the run even if no reducer aborted: one that
         // lands after the coordinator's `Finish` — say, a reload that
         // dropped its chunk — leaves the join short of pairs.
-        let failure = self.cancel().reason();
+        let failure = self.io.cancel.reason();
         let mut out = self.outcome.into_inner().expect("run outcome poisoned");
         out.cancelled |= failure.is_some();
         out.failure = failure;
@@ -478,8 +546,7 @@ impl<'a> Run<'a> {
         if let (Some(spill), Some(start)) = (self.io.spill, self.spill_start) {
             stats.set_spill(&spill.ctx.totals().since(&start));
         }
-        let gauge = self.io.gauge.unwrap_or(&self.own_gauge);
-        out.peak_resident_tuples = gauge.peak_tuples();
+        out.peak_resident_tuples = self.io.gauge.peak_tuples();
         out.routing_epoch = self.io.table.epoch();
         if out.cancelled {
             for tallies in [
@@ -490,91 +557,93 @@ impl<'a> Run<'a> {
                 tallies.fill(0);
             }
         } else {
+            // The gauge's books are checked by its owner once every run
+            // charging it is done (`plan::pipelined`); the run's own are
+            // the tuples still in flight.
             debug_assert_eq!(
                 self.in_flight.load(Ordering::Acquire),
                 0,
                 "finished with unabsorbed tuples in flight"
-            );
-            // A completed run must balance its books: every charged tuple
-            // was released by a sweep, a region completion, or a
-            // downstream routing release. A shared gauge is checked by its
-            // owner once every run charging it is done (`plan::pipelined`).
-            debug_assert!(
-                self.io.gauge.is_some() || gauge.current_tuples() == 0,
-                "completed run leaked {} gauge tuples",
-                gauge.current_tuples()
             );
         }
         out
     }
 }
 
-/// Runs one pipelined operator over a scanned build side and a probe
-/// [`Source`] (see [`EngineIo`]) — the engine's one entry point.
-///
-/// All mapper/reducer/coordinator work executes as tasks on `rt`'s shared
-/// worker pool; the calling thread only orchestrates (it waits for the
-/// mapper task group, decides whether the seal chain broke, and blocks
-/// until the run's tasks complete). Many engine runs — whole concurrent
-/// queries, or the stages of one plan — share a single runtime without
-/// spawning anything.
-pub fn run_pipelined_io(rt: &EngineRuntime, io: EngineIo<'_>, cfg: &EngineConfig) -> EngineOutcome {
-    let run = Run::new(io, cfg);
-    // An empty relation never triggers a mapper-side seal; pre-seal here.
-    // (SealAll further requires a drained exchange when the probe side
-    // streams.)
-    if run.plan.r1_morsels() == 0 {
-        broadcast(&run.queues, || Delivery::SealR1);
-    }
-    run.seal.maybe_seal_all(&run.queues);
-    let mut owned: Vec<Vec<u32>> = vec![Vec::new(); run.cfg.reducers];
-    for (region, &q) in io.table.snapshot().iter().enumerate() {
-        owned[q as usize].push(region as u32);
-    }
+/// `true` for the caller that takes `live` to zero.
+fn last(live: &AtomicUsize) -> bool {
+    live.fetch_sub(1, Ordering::AcqRel) == 1
+}
 
+/// Runs every stage of one query — each a pipelined operator over a scanned
+/// build side and a probe [`Source`] (see [`EngineIo`]) — and returns their
+/// outcomes in order: the engine's one entry point.
+///
+/// Every stage's run is set up first, so a link setup that fails panics
+/// with nothing running. Then every mapper, reducer and coordinator of every
+/// stage is a task of one scope on `rt`'s shared worker pool; the calling
+/// thread only waits for the scope to join. Many queries share a single
+/// runtime without spawning anything.
+pub fn run_pipelined_io<'a>(
+    rt: &EngineRuntime,
+    stages: impl IntoIterator<Item = (EngineIo<'a>, EngineConfig)>,
+) -> Vec<EngineOutcome> {
+    let runs: Vec<Run<'a>> = stages
+        .into_iter()
+        .map(|(io, cfg)| Run::new(io, &cfg))
+        .collect();
+    for run in &runs {
+        // An empty relation never triggers a mapper-side seal; pre-seal
+        // here. (SealAll further requires a drained exchange when the
+        // probe side streams.)
+        if run.plan.r1_morsels() == 0 {
+            broadcast(&run.queues, || Delivery::SealR1);
+        }
+        run.seal.maybe_seal_all(&run.queues);
+    }
     rt.scope(|s| {
-        let run = &run;
-        for (q, regions) in owned.iter().enumerate() {
-            let mut task = ReducerTask::new(run, q, regions);
-            s.spawn(move |cx| task.poll(cx));
+        for run in &runs {
+            let (reducers, mut coordinator, mappers) = run.tasks();
+            for mut task in reducers {
+                s.spawn(move |cx| task.poll(cx));
+            }
+            s.spawn(move |cx| coordinator.poll(cx));
+            for mut task in mappers {
+                s.spawn(move |cx| task.poll(cx));
+            }
         }
-        let coordinator_group = s.group();
-        let mut coordinator = CoordinatorTask::new(run);
-        s.spawn_in(&coordinator_group, move |cx| coordinator.poll(cx));
-        let mapper_group = s.group();
-        for _ in 0..run.cfg.mappers {
-            let mut task = MapperTask::new(run);
-            s.spawn_in(&mapper_group, move |cx| task.poll(cx));
-        }
-        mapper_group.wait();
-        // If the mappers finished without sealing, the seal chain is
-        // broken: cancel the run, which stops the coordinator. Otherwise
-        // hand termination to the coordinator (Finish at quiescence, or an
-        // exit on a cancel that lands later) and wake it to observe the
-        // store.
-        if run.seal.sealed_all() {
-            run.mappers_done.store(true, Ordering::Release);
-            run.quiesce.wake_all();
-        } else {
-            run.cancel().cancel();
-        }
-        coordinator_group.wait();
-        // A cancelled run never reaches `Finish`: abort the reducers
-        // explicitly. Control messages bypass queue bounds, so this cannot
-        // deadlock.
-        if run.cancel().is_cancelled() {
-            broadcast(&run.queues, || Delivery::Abort);
-        }
-        // Scope exit blocks until the reducer tasks complete.
     });
-    run.finish()
+    runs.into_iter().map(Run::finish).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ewh_core::{build_ci, build_csio, ColumnBatch, CostModel, HistogramParams, Key, Tuple};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::thread;
+    use std::time::Duration;
+
+    /// Runs `f`, aborting the process if it has not returned within a
+    /// minute: a teardown regression hangs rather than fails.
+    pub(super) fn watchdog<R>(what: &str, f: impl FnOnce() -> R) -> R {
+        let done = AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                let start = Instant::now();
+                while !done.load(Ordering::Acquire) {
+                    if start.elapsed() > Duration::from_secs(60) {
+                        eprintln!("{what}: no join after 60 s; aborting");
+                        std::process::abort();
+                    }
+                    thread::sleep(Duration::from_millis(20));
+                }
+            });
+            let out = catch_unwind(AssertUnwindSafe(f));
+            done.store(true, Ordering::Release);
+            out.unwrap_or_else(|payload| resume_unwind(payload))
+        })
+    }
 
     /// A small pool for the unit tests: 4 workers regardless of the host,
     /// mirroring the thread teams the pre-runtime engine spawned.
@@ -589,8 +658,8 @@ mod tests {
             .collect()
     }
 
-    /// Runs the engine over two in-memory relations: no sink, private
-    /// gauge.
+    /// Runs the engine over two in-memory relations: no sink, a gauge of
+    /// its own, whose books a completed run must balance.
     #[allow(clippy::too_many_arguments)] // an execution plan, not a builder
     fn run_pipelined(
         rt: &EngineRuntime,
@@ -600,25 +669,27 @@ mod tests {
         cond: &JoinCondition,
         table: &RoutingTable,
         cfg: &EngineConfig,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> EngineOutcome {
-        run_pipelined_io(
-            rt,
-            EngineIo {
-                r1,
-                r2: Source::Scan(r2),
-                router,
-                cond,
-                table,
-                sink: None,
-                key_from: KeyFrom::Probe,
-                gauge: None,
-                cancel,
-                spill: None,
-                links: None,
-            },
-            cfg,
-        )
+        let gauge = MemGauge::default();
+        let io = EngineIo {
+            r1,
+            r2: Source::Scan(r2),
+            router,
+            cond,
+            table,
+            sink: None,
+            key_from: KeyFrom::Probe,
+            gauge: &gauge,
+            cancel,
+            spill: None,
+            links: None,
+        };
+        let out = run_pipelined_io(rt, [(io, *cfg)]).remove(0);
+        if !out.cancelled {
+            assert_eq!(gauge.current_tuples(), 0, "a completed run leaked");
+        }
+        out
     }
 
     fn nested_loop(r1: &[Tuple], r2: &[Tuple], cond: &JoinCondition) -> (u64, u64) {
@@ -657,7 +728,16 @@ mod tests {
             straggler: None,
             transport: None,
         };
-        run_pipelined(&test_rt(), r1, r2, router, cond, &table, &cfg, None)
+        run_pipelined(
+            &test_rt(),
+            r1,
+            r2,
+            router,
+            cond,
+            &table,
+            &cfg,
+            &CancelToken::new(),
+        )
     }
 
     #[test]
@@ -777,7 +857,7 @@ mod tests {
             &cond,
             &table,
             &cfg,
-            Some(&cancel),
+            &cancel,
         );
         assert!(out.cancelled);
         assert_eq!(out.output_total(), 0);
@@ -829,7 +909,7 @@ mod tests {
             &cond,
             &table,
             &cfg,
-            None,
+            &CancelToken::new(),
         );
         assert!(!out.cancelled);
         assert_eq!(out.output_total(), expect_c);
@@ -882,21 +962,24 @@ mod tests {
             });
             run_pipelined_io(
                 &rt,
-                EngineIo {
-                    r1,
-                    r2: Source::Exchange(&exchange),
-                    router,
-                    cond,
-                    table: &table,
-                    sink: None,
-                    key_from: crate::local_join::KeyFrom::Probe,
-                    gauge: Some(&gauge),
-                    cancel: None,
-                    spill: None,
-                    links: None,
-                },
-                cfg,
+                [(
+                    EngineIo {
+                        r1,
+                        r2: Source::Exchange(&exchange),
+                        router,
+                        cond,
+                        table: &table,
+                        sink: None,
+                        key_from: crate::local_join::KeyFrom::Probe,
+                        gauge: &gauge,
+                        cancel: &CancelToken::new(),
+                        spill: None,
+                        links: None,
+                    },
+                    *cfg,
+                )],
             )
+            .remove(0)
         })
     }
 
@@ -1040,21 +1123,24 @@ mod tests {
             });
             run_pipelined_io(
                 &rt,
-                EngineIo {
-                    r1: &r1,
-                    r2: Source::Exchange(&exchange),
-                    router: &scheme.router,
-                    cond: &cond,
-                    table: &table,
-                    sink: None,
-                    key_from: crate::local_join::KeyFrom::Probe,
-                    gauge: None,
-                    cancel: Some(&cancel),
-                    spill: None,
-                    links: None,
-                },
-                &cfg,
+                [(
+                    EngineIo {
+                        r1: &r1,
+                        r2: Source::Exchange(&exchange),
+                        router: &scheme.router,
+                        cond: &cond,
+                        table: &table,
+                        sink: None,
+                        key_from: crate::local_join::KeyFrom::Probe,
+                        gauge: &MemGauge::default(),
+                        cancel: &cancel,
+                        spill: None,
+                        links: None,
+                    },
+                    cfg,
+                )],
             )
+            .remove(0)
         });
         assert!(out.cancelled, "stalled-exchange run must abort, not hang");
         assert_eq!(out.output_total(), 0);
@@ -1110,25 +1196,112 @@ mod tests {
             });
             run_pipelined_io(
                 &rt,
-                EngineIo {
-                    r1: &r1,
-                    r2: Source::Exchange(&exchange),
-                    router: &scheme.router,
-                    cond: &cond,
-                    table: &table,
-                    sink: None,
-                    key_from: KeyFrom::Probe,
-                    gauge: Some(&gauge),
-                    cancel: Some(&cancel),
-                    spill: None,
-                    links: None,
-                },
-                &cfg,
+                [(
+                    EngineIo {
+                        r1: &r1,
+                        r2: Source::Exchange(&exchange),
+                        router: &scheme.router,
+                        cond: &cond,
+                        table: &table,
+                        sink: None,
+                        key_from: KeyFrom::Probe,
+                        gauge: &gauge,
+                        cancel: &cancel,
+                        spill: None,
+                        links: None,
+                    },
+                    cfg,
+                )],
             )
+            .remove(0)
         });
         assert!(out.cancelled, "a cancel after SealAll must end the run");
         assert_eq!(out.output_total(), 0);
         assert_eq!(out.failure, None, "a reasonless cancel carries none");
+    }
+
+    /// Stage 1 crawls through its build side (a straggling reducer behind a
+    /// small queue), so it never pops the exchange, which fills, and stage
+    /// 0's reducers park pushing to it. A cancel then must end both stages:
+    /// stage 1's last mapper abandons the exchange, which wakes stage 0's
+    /// reducers, whose last one closes it.
+    #[test]
+    fn a_two_stage_plan_cancelled_while_stage_0_is_parked_on_a_full_exchange_joins() {
+        let k: Vec<Key> = (0..4000).map(|i| i % 40).collect();
+        let (a, c) = (tuples(&k), tuples(&k[..2000]));
+        let cond = JoinCondition::Equi;
+        let root = build_ci(4, 4000, 4000, None);
+        let chain = build_ci(1, 2000, 400_000, None);
+        let owners: Vec<u32> = (0..root.num_regions() as u32).map(|r| r % 2).collect();
+        let root_table = RoutingTable::new(&owners);
+        let chain_table = RoutingTable::new(&vec![0; chain.num_regions()]);
+        let exchange = Exchange::new(256);
+        let (gauge, cancel) = (MemGauge::default(), CancelToken::new());
+        let io = |r1, r2, router, table, sink, key_from| EngineIo {
+            r1,
+            r2,
+            router,
+            cond: &cond,
+            table,
+            sink,
+            key_from,
+            gauge: &gauge,
+            cancel: &cancel,
+            spill: None,
+            links: None,
+        };
+        let sink = StageSink {
+            exchange: &exchange,
+            batch_tuples: 64,
+        };
+        let stages = [
+            (
+                io(
+                    &a,
+                    Source::Scan(&a),
+                    &root.router,
+                    &root_table,
+                    Some(sink),
+                    KeyFrom::Probe,
+                ),
+                EngineConfig::for_tasks(2, 128, 31),
+            ),
+            (
+                io(
+                    &c,
+                    Source::Exchange(&exchange),
+                    &chain.router,
+                    &chain_table,
+                    None,
+                    KeyFrom::Build,
+                ),
+                EngineConfig {
+                    queue_tuples: 64,
+                    straggler: Some(Straggler {
+                        reducer: 0,
+                        nanos_per_tuple: 1_000_000,
+                    }),
+                    ..EngineConfig::for_tasks(1, 128, 37)
+                },
+            ),
+        ];
+        let rt = test_rt();
+        let outs = watchdog("a cancelled two-stage plan", || {
+            thread::scope(|s| {
+                s.spawn(|| {
+                    let start = Instant::now();
+                    while exchange.used_tuples() * 2 < exchange.capacity() {
+                        assert!(start.elapsed().as_secs() < 30, "the exchange never filled");
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    thread::sleep(Duration::from_millis(20));
+                    cancel.cancel();
+                });
+                run_pipelined_io(&rt, stages)
+            })
+        });
+        assert!(outs.iter().all(|out| out.cancelled));
+        assert_eq!(exchange.ended(), (true, true), "(closed, abandoned)");
     }
 
     #[test]
@@ -1195,7 +1368,7 @@ mod tests {
             &cond,
             &table,
             &cfg,
-            None,
+            &CancelToken::new(),
         );
         assert_eq!(out.output_total(), expect_c);
         assert_eq!(out.checksum(), expect_s);

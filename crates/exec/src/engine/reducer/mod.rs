@@ -193,6 +193,9 @@ pub struct ReducerTask<'a> {
     idle_secs: f64,
     /// Start of the current park (empty queue / blocked outbox).
     idle_since: Option<Instant>,
+    /// Folded into the run's outcome; a reducer dropped without it
+    /// panicked, and cancels the run.
+    reported: bool,
 }
 
 impl<'a> ReducerTask<'a> {
@@ -218,6 +221,7 @@ impl<'a> ReducerTask<'a> {
             busy_secs: 0.0,
             idle_secs: 0.0,
             idle_since: None,
+            reported: false,
         }
     }
 
@@ -326,6 +330,7 @@ impl<'a> ReducerTask<'a> {
     /// of every region it still owns, its busy and idle clocks, and
     /// whether it aborted. The one report of a finished reducer.
     fn report(&mut self, aborted: bool) {
+        self.reported = true;
         if let Some(since) = self.idle_since.take() {
             self.idle_secs += since.elapsed().as_secs_f64();
         }
@@ -575,11 +580,11 @@ impl<'a> ReducerTask<'a> {
     /// under-report the high-water mark it exists to measure.
     fn merge_gauged(runs: Vec<ColumnBatch>, run: &Run<'_>) -> ColumnBatch {
         let transient = runs.iter().map(ColumnBatch::len).sum::<usize>() as u64;
-        run.gauge().add(transient);
+        run.io.gauge.add(transient);
         let start = Instant::now();
         let build = merge_sorted_runs(runs);
         run.counters.merge_secs.add_since(start);
-        run.gauge().sub(transient);
+        run.io.gauge.sub(transient);
         build
     }
 
@@ -592,7 +597,7 @@ impl<'a> ReducerTask<'a> {
         );
         for region in 0..self.states.len() {
             // A region that saw no R1 seal can only mean an empty plan where
-            // the orchestrator pre-sealed; seal whatever is there.
+            // the engine pre-sealed; seal whatever is there.
             if let Some(st) = self.states[region].as_mut().filter(|st| !st.is_sealed()) {
                 Self::seal(st, self.run, region as u32);
             }
@@ -608,7 +613,7 @@ impl<'a> ReducerTask<'a> {
         for (region, slot) in self.states.iter_mut().enumerate() {
             let Some(st) = slot.as_mut() else { continue };
             debug_assert!(!st.has_buffered());
-            run.gauge().sub(st.build.len() as u64);
+            run.io.gauge.sub(st.build.len() as u64);
             pool.put(mem::take(&mut st.build));
             // Build runs that never came back persist across flushes (each
             // probe chunk re-reads them); the region completing retires them.
@@ -619,7 +624,7 @@ impl<'a> ReducerTask<'a> {
     }
 
     fn discard(&mut self) {
-        let gauge = self.run.gauge();
+        let gauge = self.run.io.gauge;
         for slot in self.states.iter_mut() {
             if let Some(st) = slot.take() {
                 // Spilled tuples are not in the gauge, and their records
@@ -636,6 +641,13 @@ impl<'a> ReducerTask<'a> {
             gauge.sub(batch.len() as u64);
         }
         self.spilled_outbox.clear();
+    }
+}
+
+/// Counts the reducer out of the run (see [`Run::reducer_exited`]).
+impl Drop for ReducerTask<'_> {
+    fn drop(&mut self) {
+        self.run.reducer_exited(self.reported);
     }
 }
 
@@ -679,8 +691,8 @@ fn disjoint_order(runs: &[ColumnBatch]) -> Option<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::engine::{
-        Channel, EngineConfig, EngineIo, EngineRuntime, MemGauge, Source, SpillBinding,
-        SpillContext, StageSink,
+        CancelToken, Channel, EngineConfig, EngineIo, EngineRuntime, MemGauge, Source,
+        SpillBinding, SpillContext, StageSink,
     };
     use crate::local_join::{sweep_columns, sweep_columns_each, KeyFrom, OutputWork};
     use ewh_core::{JoinCondition, RandomRouter, Router, RoutingTable};
@@ -719,6 +731,8 @@ mod tests {
         cond: JoinCondition,
         table: RoutingTable,
         cfg: EngineConfig,
+        gauge: MemGauge,
+        cancel: CancelToken,
     }
 
     impl Inputs {
@@ -735,10 +749,13 @@ mod tests {
                     probe_chunk,
                     ..EngineConfig::for_tasks(reducers, 1024, 0)
                 },
+                gauge: MemGauge::default(),
+                cancel: CancelToken::new(),
             }
         }
 
-        /// The run's wiring: no sink, no spill, its own gauge.
+        /// The run's wiring: no sink, no spill, the inputs' gauge and
+        /// token.
         fn io(&self) -> EngineIo<'_> {
             EngineIo {
                 r1: &self.r1,
@@ -748,8 +765,8 @@ mod tests {
                 table: &self.table,
                 sink: None,
                 key_from: KeyFrom::Probe,
-                gauge: None,
-                cancel: None,
+                gauge: &self.gauge,
+                cancel: &self.cancel,
                 spill: None,
                 links: None,
             }
@@ -764,7 +781,7 @@ mod tests {
     /// What a mapper does per shipped fragment.
     fn ship(run: &Run<'_>, to: usize, region: u32, rel: Rel, tuples: ColumnBatch) {
         let n = tuples.len() as u64;
-        run.gauge().add(n);
+        run.io.gauge.add(n);
         run.in_flight.fetch_add(n, Ordering::AcqRel);
         run.queues[to].push_unbounded(Delivery::Batch(RegionBatch {
             region,
@@ -819,7 +836,7 @@ mod tests {
         run.queues[0].push_unbounded(Delivery::SealAll);
         run.queues[0].push_unbounded(Delivery::Finish);
         let state = REGIONS as u64 * 40;
-        assert_eq!(run.gauge().current_tuples(), state);
+        assert_eq!(run.io.gauge.current_tuples(), state);
 
         let owned: Vec<u32> = (0..REGIONS).collect();
         let emitted = std::thread::scope(|s| {
@@ -828,7 +845,7 @@ mod tests {
                 let mut emitted = 0u64;
                 while let Some(batch) = exchange.pop() {
                     emitted += batch.len() as u64;
-                    run.gauge().sub(batch.len() as u64);
+                    run.io.gauge.sub(batch.len() as u64);
                 }
                 emitted
             });
@@ -838,11 +855,11 @@ mod tests {
         });
         assert_eq!(emitted, REGIONS as u64 * 400);
         assert_eq!(run.outcome().per_region_output, [400; REGIONS as usize]);
-        assert_eq!(run.gauge().current_tuples(), 0);
+        assert_eq!(run.io.gauge.current_tuples(), 0);
         // Resident state, a full exchange, one region's sweep, the batch in
         // the consumer's hands.
         let bound = state + 256 + 400 + 64;
-        let peak = run.gauge().peak_tuples();
+        let peak = run.io.gauge.peak_tuples();
         assert!(
             peak <= bound,
             "peak {peak} tuples: the seal staged more than a region"
@@ -903,7 +920,7 @@ mod tests {
 
             let mut emitted = Vec::new();
             let mut take = |batch: ColumnBatch| {
-                run.gauge().sub(batch.len() as u64);
+                run.io.gauge.sub(batch.len() as u64);
                 emitted.extend_from_slice(batch.payloads());
             };
             let mut most_staged = 0;
@@ -935,14 +952,14 @@ mod tests {
             emitted.sort_unstable();
             assert_eq!(emitted, expect, "cap {cap}");
             assert_eq!(run.outcome().per_region_output[0], expect.len() as u64);
-            assert_eq!(run.gauge().current_tuples(), 0);
+            assert_eq!(run.io.gauge.current_tuples(), 0);
 
             let slice = cap + BUILD as usize + BATCH;
             assert!(
                 most_staged <= slice,
                 "cap {cap}: {most_staged} tuples staged beyond the exchange"
             );
-            let peak = run.gauge().peak_tuples();
+            let peak = run.io.gauge.peak_tuples();
             assert!(
                 peak <= state + (cap + slice) as u64,
                 "cap {cap}: peak {peak} tuples"
@@ -1016,7 +1033,7 @@ mod tests {
         assert_eq!(run.outcome().per_region_input, [18]);
         assert_eq!(run.in_flight.load(Ordering::Acquire), 0);
         assert_eq!(
-            run.gauge().current_tuples(),
+            run.io.gauge.current_tuples(),
             0,
             "every charged tuple was released"
         );
@@ -1118,7 +1135,7 @@ mod tests {
             0,
             "nothing in flight"
         );
-        assert_eq!(run.gauge().current_tuples(), 0, "every charge released");
+        assert_eq!(run.io.gauge.current_tuples(), 0, "every charge released");
     }
 
     /// Probe tuples a fragment carries in the cadence tests below.
@@ -1230,7 +1247,7 @@ mod tests {
             .sum();
         let swept = run.board.chunks_swept(0);
         assert!(swept <= most, "{swept} sweeps, at most {most} are due");
-        assert_eq!(run.gauge().current_tuples(), 0);
+        assert_eq!(run.io.gauge.current_tuples(), 0);
     }
 
     #[test]
@@ -1296,9 +1313,9 @@ mod tests {
         let swept = run.board.chunks_swept(0);
         let fewest = (sizes[0].1 / (FLOOR + FRAGMENT)) as u64;
         assert!(swept >= fewest, "{swept} sweeps under pressure");
-        assert_eq!(run.gauge().current_tuples(), 0);
+        assert_eq!(run.io.gauge.current_tuples(), 0);
         assert!(ctx.totals().runs > 0, "the build went to disk");
-        assert_eq!(run.cancel().reason(), None);
+        assert_eq!(run.io.cancel.reason(), None);
         drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1376,7 +1393,7 @@ mod tests {
             &inputs.cfg,
         );
         let (build, probe) = spill_sides();
-        run.gauge().add(ballast);
+        run.io.gauge.add(ballast);
         ship(&run, 0, 0, Rel::R1, build.clone());
         run.queues[0].push_unbounded(Delivery::SealR1);
         let mut shed = None;
@@ -1384,7 +1401,7 @@ mod tests {
             let st = task.states[0].as_ref().expect("the region stays owned");
             if shed.is_none() && st.is_sealed() {
                 shed = Some((st.spilled_build_tuples, st.build_side_tuples()));
-                run.gauge().sub(ballast);
+                run.io.gauge.sub(ballast);
                 ship_probe(&run, &probe);
             }
         });
@@ -1403,13 +1420,13 @@ mod tests {
         assert!(expect.0 > 0);
         assert_eq!(tallies(&run), [expect]);
         assert_eq!(run.board.spilled_tuples(0), 0);
-        assert_eq!(run.gauge().current_tuples(), 0);
-        let peak = run.gauge().peak_tuples();
+        assert_eq!(run.io.gauge.current_tuples(), 0);
+        let peak = run.io.gauge.peak_tuples();
         assert!(
             peak <= BUDGET + 1,
             "peak {peak} over the build's own delivery"
         );
-        assert_eq!(run.cancel().reason(), None);
+        assert_eq!(run.io.cancel.reason(), None);
         drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1450,7 +1467,7 @@ mod tests {
             .map(|i| ewh_core::Tuple::new((i * 7_919 % 8_192) as i64, 2 << 32 | i))
             .collect();
         let fragments: Vec<ColumnBatch> = r1.chunks(96).map(ColumnBatch::from_tuples).collect();
-        run.gauge().add(BUDGET);
+        run.io.gauge.add(BUDGET);
         for i in 0..fragments.len() {
             let fragment = fragments[i * 17 % fragments.len()].clone();
             ship(&run, 0, 0, Rel::R1, fragment);
@@ -1461,7 +1478,7 @@ mod tests {
             let st = task.states[0].as_ref().expect("the region stays owned");
             if shed.is_none() && st.is_sealed() {
                 shed = Some((st.spilled_build_tuples, st.build_side_tuples()));
-                run.gauge().sub(BUDGET);
+                run.io.gauge.sub(BUDGET);
                 ship_probe(&run, &ColumnBatch::from_tuples(&r2));
             }
         });
@@ -1507,8 +1524,8 @@ mod tests {
             [(batch.join.output_total, batch.join.checksum)]
         );
         assert_eq!(run.board.spilled_tuples(0), 0);
-        assert_eq!(run.gauge().current_tuples(), 0);
-        assert_eq!(run.cancel().reason(), None);
+        assert_eq!(run.io.gauge.current_tuples(), 0);
+        assert_eq!(run.io.cancel.reason(), None);
         drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1552,8 +1569,8 @@ mod tests {
             "every chunk replays every run"
         );
         assert_eq!(tallies(&run), [whole_sweep(&run, &build, &probe)]);
-        assert_eq!(run.gauge().current_tuples(), 0);
-        assert_eq!(run.cancel().reason(), None);
+        assert_eq!(run.io.gauge.current_tuples(), 0);
+        assert_eq!(run.io.cancel.reason(), None);
         drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1607,7 +1624,7 @@ mod tests {
         let (mut shipped, mut emitted) = (false, 0);
         let mut take = |batch: ColumnBatch| {
             emitted += batch.len() as u64;
-            run.gauge().sub(batch.len() as u64);
+            run.io.gauge.sub(batch.len() as u64);
         };
         drive_with(&rt, &run, 0, &[0], |task| {
             let st = task.states[0].as_ref().expect("the region stays owned");
@@ -1630,7 +1647,7 @@ mod tests {
         }
         assert_eq!(run.outcome().per_region_output, [BUILD * PROBE]);
         assert_eq!(emitted, BUILD * PROBE);
-        assert_eq!(run.gauge().current_tuples(), 0);
+        assert_eq!(run.io.gauge.current_tuples(), 0);
         assert_eq!(ctx.totals().respills, 0, "the build came back to be shed");
 
         // Every record in the segment: a length prefix, keys, payloads.
@@ -1652,7 +1669,7 @@ mod tests {
             (1..PROBE as usize).contains(&written),
             "{written} probe tuples written: the rest of the first slice"
         );
-        assert_eq!(run.cancel().reason(), None);
+        assert_eq!(run.io.cancel.reason(), None);
         drop(run);
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1677,7 +1694,7 @@ mod tests {
                 ctx: &ctx,
             });
             let io = EngineIo {
-                gauge: Some(&gauge),
+                gauge: &gauge,
                 spill,
                 ..inputs.io()
             };
@@ -1738,18 +1755,63 @@ mod tests {
         let pool = BatchPool::new();
         let st = state(&mut task, 1);
         st.runs = None;
-        ReducerTask::new(&roomy, 0, &[]).bring_build_back(st, 1, &pool);
+        // A reducer dropped unreported cancels its run (it panicked), so
+        // the one bringing the build back lives to the end of the test.
+        let adopter = ReducerTask::new(&roomy, 0, &[]);
+        adopter.bring_build_back(st, 1, &pool);
         assert!(st.spilled_build.is_empty() && st.build.len() == 120);
         assert!(st.build.is_sorted_by_key());
         assert_eq!(ctx.totals().respills, 0);
         assert!(task.spill_once(&ctx));
         assert_eq!(state(&mut task, 1).spilled_build_tuples, 120);
         assert_eq!(ctx.totals().respills, 1);
-        assert_eq!([&run, &roomy].map(|r| r.cancel().reason()), [None, None]);
-        drop(task);
+        assert_eq!([&run, &roomy].map(|r| r.io.cancel.reason()), [None, None]);
+        drop((task, adopter));
         drop((run, roomy));
         drop(ctx);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Reducer 0 panics on its second poll, mid-run, with its small queue
+    /// filling behind it. Nothing drains that queue again, so the mappers
+    /// park on it: the panic must cancel the run, which wakes them, and the
+    /// scope joins with the panic instead of hanging.
+    #[test]
+    fn a_reducer_that_panics_mid_run_cancels_the_run_instead_of_hanging() {
+        let tuples: Vec<ewh_core::Tuple> = (0..8000)
+            .map(|i| ewh_core::Tuple::new(i % 500, i as u64))
+            .collect();
+        let mut inputs = Inputs::new(2, &[0, 1, 0, 1], JoinCondition::Equi, 64);
+        inputs.r1 = tuples.clone();
+        inputs.r2 = tuples;
+        inputs.cfg.queue_tuples = 256;
+        let run = inputs.run();
+        let rt = EngineRuntime::new(4);
+        let joined = super::super::tests::watchdog("a reducer panic", || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rt.scope(|s| {
+                    let (reducers, mut coordinator, mappers) = run.tasks();
+                    for mut task in reducers {
+                        let mut polls = 0;
+                        s.spawn(move |cx| {
+                            polls += 1;
+                            if task.me == 0 && polls == 2 {
+                                panic!("a reducer exploded");
+                            }
+                            task.poll(cx)
+                        });
+                    }
+                    s.spawn(move |cx| coordinator.poll(cx));
+                    for mut task in mappers {
+                        s.spawn(move |cx| task.poll(cx));
+                    }
+                })
+            }))
+        });
+        let payload = joined.expect_err("the reducer's panic reaches the join");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a reducer exploded"));
+        assert!(inputs.cancel.is_cancelled());
+        assert!(run.finish().cancelled);
     }
 
     fn cols(keys: &[i64]) -> ColumnBatch {

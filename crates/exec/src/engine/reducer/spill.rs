@@ -45,7 +45,7 @@ impl Run<'_> {
     pub(super) fn pressed(&self) -> bool {
         self.io
             .spill
-            .is_some_and(|spill| self.gauge().current_tuples() > spill.budget_tuples)
+            .is_some_and(|spill| self.io.gauge.current_tuples() > spill.budget_tuples)
     }
 }
 
@@ -60,8 +60,8 @@ impl ReducerTask<'_> {
         let Some(spill) = self.run.io.spill else {
             return;
         };
-        while self.run.gauge().current_tuples() > spill.budget_tuples {
-            if self.run.cancel().is_cancelled() || !self.spill_once(spill.ctx) {
+        while self.run.io.gauge.current_tuples() > spill.budget_tuples {
+            if self.run.io.cancel.is_cancelled() || !self.spill_once(spill.ctx) {
                 return;
             }
         }
@@ -162,7 +162,7 @@ impl ReducerTask<'_> {
                 .flatten()
                 .map(ColumnBatch::len)
                 .sum::<usize>() as u64;
-            transient == 0 || run.gauge().current_tuples() + transient <= spill.budget_tuples
+            transient == 0 || run.io.gauge.current_tuples() + transient <= spill.budget_tuples
         };
         Self::shed_build(st, run, spill.ctx, region, fits);
     }
@@ -182,7 +182,7 @@ impl ReducerTask<'_> {
         done: impl Fn(&RegionState) -> bool,
     ) -> bool {
         while !done(st) {
-            if run.cancel().is_cancelled() {
+            if run.io.cancel.is_cancelled() {
                 return false;
             }
             let largest = st
@@ -237,7 +237,7 @@ impl ReducerTask<'_> {
             let end = (off + cap).min(victim.len());
             match ctx.write_run(&victim.keys()[off..end], &victim.payloads()[off..end]) {
                 Ok(written) => {
-                    run.gauge().sub((end - off) as u64);
+                    run.io.gauge.sub((end - off) as u64);
                     if let Some(region) = region {
                         run.board.add_spilled(region, written.tuples());
                     }
@@ -245,7 +245,8 @@ impl ReducerTask<'_> {
                     off = end;
                 }
                 Err(e) => {
-                    run.cancel()
+                    run.io
+                        .cancel
                         .fail(format!("spill failure: spill write failed: {e}"));
                     break;
                 }
@@ -265,11 +266,12 @@ impl ReducerTask<'_> {
             .ctx;
         match ctx.read_run_into(spilled, pool.take(spilled.tuples() as usize)) {
             Ok(batch) => {
-                run.gauge().add(batch.len() as u64);
+                run.io.gauge.add(batch.len() as u64);
                 Some(batch)
             }
             Err(e) => {
-                run.cancel()
+                run.io
+                    .cancel
                     .fail(format!("spill failure: {what} reload failed: {e}"));
                 None
             }
@@ -311,7 +313,7 @@ impl ReducerTask<'_> {
             .io
             .sink
             .map_or(0, |sink| sink.exchange.capacity() as u64);
-        if run.gauge().current_tuples() + 2 * whole + staged > spill.budget_tuples {
+        if run.io.gauge.current_tuples() + 2 * whole + staged > spill.budget_tuples {
             return;
         }
         let mut runs = vec![mem::take(&mut st.build)];
@@ -374,7 +376,7 @@ impl ReducerTask<'_> {
             }
             if let Some(build) = self.reload(run, pool, "build") {
                 let (c, x) = self.sweep_one(&build, probe, pool);
-                self.run.gauge().sub(build.len() as u64);
+                self.run.io.gauge.sub(build.len() as u64);
                 pool.put(build);
                 count += c;
                 checksum ^= x;

@@ -170,7 +170,7 @@ impl ReducerTask<'_> {
         st.output += count + c;
         st.checksum ^= checksum ^ x;
         run.board.note_chunk_swept(self.me);
-        run.gauge().sub(probe.len() as u64);
+        run.io.gauge.sub(probe.len() as u64);
         pool.put(probe);
     }
 
@@ -194,7 +194,7 @@ impl ReducerTask<'_> {
                 let cap = sink.batch_tuples.max(1);
                 let mut buf = pool.take(cap);
                 let mut ship = |batch: ColumnBatch| {
-                    run.gauge().add(batch.len() as u64);
+                    run.io.gauge.add(batch.len() as u64);
                     self.outbox.push_back(batch);
                 };
                 let (count, checksum) =

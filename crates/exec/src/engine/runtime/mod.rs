@@ -2,10 +2,10 @@
 //! created once and sized to the host, that multiplexes the mapper /
 //! reducer / coordinator work of *many* concurrent operators and plans.
 //!
-//! This module decides the pool, its scopes and task groups, the worker
-//! loop, and the scheduling policy: which job a worker polls next, which
-//! deque a spawned, yielded or woken job lands on, and when a worker parks
-//! — one set of functions on the pool, and nowhere else. It must not
+//! This module decides the pool, its scopes, the worker loop, and the
+//! scheduling policy: which job a worker polls next, which deque a
+//! spawned, yielded or woken job lands on, and when a worker parks — one
+//! set of functions on the pool, and nowhere else. It must not
 //! decide a task's park/wake handshake (`waker`), when a timer is due
 //! (`timers`), or which queries may run (`admission`).
 //!
@@ -48,9 +48,9 @@
 //!   `std::thread::scope`: tasks may borrow from the caller's stack, and
 //!   the scope does not return until every spawned task has completed (or
 //!   panicked — the first panic is resent at the join, after all tasks
-//!   finished). [`TaskGroup`]s let the orchestrating (non-worker) thread
-//!   wait for a subset — the engine waits for its mappers before deciding
-//!   whether the seal chain broke — while the rest keep running.
+//!   finished). A task's closure is dropped on the worker that completed
+//!   it, before the scope counts it done, so what a task does as it drops
+//!   — the engine ends its phases there — happens inside the scope.
 //! * **Admission** ([`EngineRuntime::admit`]) gates *queries*, not tasks,
 //!   on the client thread, and **timers** ([`TaskCx::sleep`]) are the one
 //!   legitimately timed wait: idle workers bound their park by the earliest
@@ -191,8 +191,7 @@ impl RuntimeMetrics {
 }
 
 /// One schedulable unit: the type-erased task closure, the completion
-/// hooks of the scope (and optional group) that spawned it, and its
-/// [`Waker`].
+/// latch of the scope that spawned it, and its [`Waker`].
 ///
 /// The closure's true lifetime is the spawning scope's `'env`; it is
 /// transmuted to `'static` so it can sit in the pool's queues. Soundness
@@ -205,12 +204,11 @@ impl RuntimeMetrics {
 struct Job {
     run: Box<dyn FnMut(&TaskCx<'_>) -> Poll + Send + 'static>,
     scope: Arc<Latch>,
-    group: Option<Arc<Latch>>,
     waker: Waker,
 }
 
-/// A countdown of outstanding tasks — a scope's or a group's — that keeps
-/// the first panic among them.
+/// A scope's countdown of outstanding tasks, which keeps the first panic
+/// among them.
 #[derive(Default)]
 struct Latch {
     state: Mutex<LatchState>,
@@ -246,23 +244,6 @@ impl Latch {
             st = self.cv.wait(st).expect("latch poisoned");
         }
         st.panic.take()
-    }
-}
-
-/// A handle over a subset of a scope's tasks, so the orchestrating thread
-/// can wait for just that subset (the engine waits for its mappers while
-/// reducers and the coordinator keep running). Waiting from *inside* a
-/// pool task would deadlock the pool; only the scope's caller thread may
-/// wait.
-pub struct TaskGroup {
-    sync: Arc<Latch>,
-}
-
-impl TaskGroup {
-    /// Blocks the calling (non-worker) thread until every task spawned
-    /// into this group has completed.
-    pub fn wait(&self) {
-        self.sync.wait();
     }
 }
 
@@ -551,28 +532,6 @@ impl<'scope, 'env> RuntimeScope<'scope, 'env> {
     where
         F: FnMut(&TaskCx<'_>) -> Poll + Send + 'env,
     {
-        self.spawn_impl(None, f);
-    }
-
-    /// A new (empty) task group for [`RuntimeScope::spawn_in`].
-    pub fn group(&self) -> TaskGroup {
-        TaskGroup {
-            sync: Arc::default(),
-        }
-    }
-
-    /// Spawns a task whose completion also counts toward `group`.
-    pub fn spawn_in<F>(&self, group: &TaskGroup, f: F)
-    where
-        F: FnMut(&TaskCx<'_>) -> Poll + Send + 'env,
-    {
-        self.spawn_impl(Some(Arc::clone(&group.sync)), f);
-    }
-
-    fn spawn_impl<F>(&self, group: Option<Arc<Latch>>, f: F)
-    where
-        F: FnMut(&TaskCx<'_>) -> Poll + Send + 'env,
-    {
         let boxed: Box<dyn FnMut(&TaskCx<'_>) -> Poll + Send + 'env> = Box::new(f);
         // SAFETY: the closure only ever runs — and is dropped — before
         // `scope` returns (`Latch::wait`), so its `'env` borrows are
@@ -580,30 +539,22 @@ impl<'scope, 'env> RuntimeScope<'scope, 'env> {
         let boxed: Box<dyn FnMut(&TaskCx<'_>) -> Poll + Send + 'static> =
             unsafe { std::mem::transmute(boxed) };
         self.sync.add();
-        if let Some(group) = &group {
-            group.add();
-        }
         self.rt.shared.spawned(Job {
             run: boxed,
             scope: Arc::clone(&self.sync),
-            group,
             waker: Waker::new(Arc::clone(&self.rt.shared)),
         });
     }
 }
 
 fn complete_job(shared: &PoolShared, job: Job, panic: Option<Box<dyn Any + Send>>) {
-    let Job {
-        run, scope, group, ..
-    } = job;
+    let Job { run, scope, .. } = job;
     // Drop the task closure *before* signalling: the moment the scope's
-    // counter hits zero the borrowed stack frame may unwind.
-    drop(run);
-    if let Some(group) = group {
-        group.done(None);
-    }
+    // counter hits zero the borrowed stack frame may unwind. A panic in
+    // the drop is the task's, and must not take the worker down with it.
+    let dropped = catch_unwind(AssertUnwindSafe(|| drop(run))).err();
     shared.tasks_completed.fetch_add(1, Ordering::Relaxed);
-    scope.done(panic);
+    scope.done(panic.or(dropped));
 }
 
 fn worker_loop(shared: &Arc<PoolShared>, me: usize) {
@@ -860,36 +811,6 @@ mod tests {
             });
         });
         assert!(rt.metrics().spurious_polls >= 3);
-    }
-
-    #[test]
-    fn groups_complete_independently_of_the_scope() {
-        let rt = EngineRuntime::new(2);
-        let stop = AtomicBool::new(false);
-        let wake = WakeSet::new();
-        rt.scope(|s| {
-            // A long-runner that parks until told to exit.
-            {
-                let (stop, wake) = (&stop, &wake);
-                s.spawn(move |cx| {
-                    let gen = wake.generation();
-                    if stop.load(Ordering::Acquire) {
-                        Poll::Ready
-                    } else if wake.register(cx.waker(), gen) {
-                        Poll::Pending
-                    } else {
-                        Poll::Yielded
-                    }
-                });
-            }
-            let group = s.group();
-            for _ in 0..4 {
-                s.spawn_in(&group, |_| Poll::Ready);
-            }
-            group.wait(); // must return while the long-runner is parked
-            stop.store(true, Ordering::Release);
-            wake.wake_all();
-        });
     }
 
     #[test]

@@ -378,7 +378,7 @@ impl Framed for Delivery {
         }
     }
 
-    /// The reducer's native unwind path. The orchestrator's broadcast
+    /// The reducer's native unwind path. The run's broadcast
     /// `Abort` cannot reach this reducer: it would have to cross the wire
     /// that just died.
     fn abort() -> Option<Delivery> {

@@ -1,6 +1,6 @@
 //! The query drivers' shared parts: the stage record, region placement,
 //! the batch oracle, the one accounting of region tallies, query admission
-//! and the one pipelined stage driver — and the operator, a one-stage plan
+//! and the one pipelined query driver — and the operator, a one-stage plan
 //! whose own code is the choice of the §VI-E CI fallback.
 
 use std::thread;
@@ -12,12 +12,12 @@ use ewh_core::{
 };
 
 use crate::engine::{
-    run_pipelined_io, AbandonOnDrop, CloseOnDrop, EngineConfig, EngineIo, EngineRuntime,
-    QueryTicket, Source, SpillBinding, SpillContext, StageSink,
+    run_pipelined_io, EngineConfig, EngineIo, EngineRuntime, QueryTicket, Source, SpillBinding,
+    SpillContext, StageSink,
 };
 use crate::local_join::KeyFrom;
 use crate::plan::{self, StageSpec};
-use crate::{local_join, JoinStats, Shuffled};
+use crate::{local_join, EngineOutcome, JoinStats, Shuffled};
 
 use super::config::{ExecMode, FallbackPolicy, OperatorConfig};
 use super::stats::{PlannedStage, UNITS_PER_SEC};
@@ -345,12 +345,23 @@ impl<'rt> AdmittedQuery<'rt> {
     }
 }
 
-/// Runs one pipelined stage of an admitted query — placement, engine,
-/// accounting — as task batches on the shared `rt` pool, never on threads
-/// of its own; the calling thread only orchestrates. `sink` is where the
-/// stage's probe output streams (`None` for a final or only stage); it is
-/// closed when the engine returns — or unwinds — which is what terminates
-/// the downstream operator.
+/// One stage of a pipelined query as its driver wires it: a scanned build
+/// side, a probe [`Source`], the scheme it was planned with, and where its
+/// probe output streams (`None` for a query's last stage).
+pub(crate) struct StageIo<'a> {
+    pub r1: &'a [Tuple],
+    pub r2: Source<'a>,
+    pub scheme: &'a PartitionScheme,
+    pub cond: &'a JoinCondition,
+    pub key_from: KeyFrom,
+    pub sink: Option<StageSink<'a>>,
+}
+
+/// Runs every stage of an admitted query — placement, engine, accounting —
+/// as the tasks of one scope on the shared `rt` pool, never on threads of
+/// its own; the calling thread only waits for that scope. A stage's output
+/// exchange is closed by its own last reducer, which is what terminates
+/// the downstream stage.
 ///
 /// Never materializes the full shuffle: `mem_bytes` still reports the
 /// modeled full-materialization footprint for comparability with the batch
@@ -360,78 +371,76 @@ impl<'rt> AdmittedQuery<'rt> {
 /// This is the one place a failed query — a spill I/O failure or a dead
 /// or corrupt transport link in any of its stages tripped the ticket's
 /// token, and every pool task unwound through the normal abort protocol —
-/// resurfaces: as a panic carrying the token's reason, on the driving
+/// resurfaces: as a panic carrying the token's reason, on the calling
 /// thread, where a caller can catch it at the query join.
-#[allow(clippy::too_many_arguments)] // one stage's wiring, used once each
-pub(crate) fn run_stage(
+pub(crate) fn run_stages(
     rt: &EngineRuntime,
     query: &AdmittedQuery<'_>,
-    r1: &[Tuple],
-    r2: Source<'_>,
-    scheme: &PartitionScheme,
-    cond: &JoinCondition,
-    key_from: KeyFrom,
-    sink: Option<StageSink<'_>>,
+    stages: &[StageIo<'_>],
     cfg: &OperatorConfig,
-) -> JoinStats {
-    // Teardown guards, armed before anything can panic: close this stage's
-    // output (so the downstream consumer terminates) and abandon its input
-    // (so the upstream producer can never stay blocked in `push` against a
-    // consumer that unwound). Both are harmless after normal completion.
-    let close_guard = sink.map(CloseOnDrop);
-    let _abandon_guard = AbandonOnDrop(r2.exchange());
-    let (engine_cfg, table) = engine_setup(scheme, cfg);
+) -> Vec<JoinStats> {
+    let setups: Vec<(EngineConfig, RoutingTable)> = stages
+        .iter()
+        .map(|stage| engine_setup(stage.scheme, cfg))
+        .collect();
     if let Some(links) = &cfg.links {
-        assert!(
-            links.len() >= engine_cfg.reducers,
-            "links must cover every reducer task: {} < {}",
-            links.len(),
-            engine_cfg.reducers
-        );
+        for (engine, _) in &setups {
+            assert!(
+                links.len() >= engine.reducers,
+                "links must cover every reducer task: {} < {}",
+                links.len(),
+                engine.reducers
+            );
+        }
     }
-    let out = run_pipelined_io(
-        rt,
-        EngineIo {
-            r1,
-            r2,
-            router: &scheme.router,
-            cond,
-            table: &table,
-            sink,
-            key_from,
-            gauge: Some(query.ticket.gauge()),
-            cancel: Some(query.ticket.cancel()),
-            spill: query.spill_binding(),
-            links: cfg.links.as_deref(),
-        },
-        &engine_cfg,
-    );
-    if out.cancelled {
+    let runs = stages
+        .iter()
+        .zip(&setups)
+        .map(|(stage, (engine_cfg, table))| {
+            let io = EngineIo {
+                r1: stage.r1,
+                r2: stage.r2,
+                router: &stage.scheme.router,
+                cond: stage.cond,
+                table,
+                sink: stage.sink,
+                key_from: stage.key_from,
+                gauge: query.ticket.gauge(),
+                cancel: query.ticket.cancel(),
+                spill: query.spill_binding(),
+                links: cfg.links.as_deref(),
+            };
+            (io, *engine_cfg)
+        });
+    let outs = run_pipelined_io(rt, runs);
+    if let Some(out) = outs.iter().find(|out| out.cancelled) {
         // Nothing outside the query holds its token: the query failed.
         let why = out.failure.as_deref().unwrap_or("an unrecorded failure");
         panic!("query cancelled by {why}");
     }
-    drop(close_guard); // close the downstream exchange: upstream quiescence
-    let map = assign_regions(scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
-    let regions = [
-        &out.per_region_input,
-        &out.per_region_output,
-        &out.per_region_checksum,
-    ];
-    let peak_resident_bytes = out.peak_resident_tuples * TUPLE_BYTES;
-    tally_regions(
-        out.stats,
-        regions.map(Vec::as_slice),
-        &map,
-        peak_resident_bytes,
-        cfg,
-    )
+    let tally = |(out, stage): (EngineOutcome, &StageIo<'_>)| {
+        let map = assign_regions(stage.scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
+        let regions = [
+            &out.per_region_input,
+            &out.per_region_output,
+            &out.per_region_checksum,
+        ];
+        let peak_resident_bytes = out.peak_resident_tuples * TUPLE_BYTES;
+        tally_regions(
+            out.stats,
+            regions.map(Vec::as_slice),
+            &map,
+            peak_resident_bytes,
+            cfg,
+        )
+    };
+    outs.into_iter().zip(stages).map(tally).collect()
 }
 
 /// Runs the full operator with the given scheme kind: a one-stage plan.
 /// Under [`ExecMode::Pipelined`] it runs what [`crate::run_plan`] runs with
-/// an empty chain — one admitted query whose stage executes as task batches
-/// on `rt`'s shared pool, orchestrated from the calling thread; under
+/// an empty chain — one admitted query whose stage executes as the tasks of
+/// one scope on `rt`'s shared pool; under
 /// [`ExecMode::Batch`] what [`crate::run_plan_materialized`] runs. The
 /// stage's `join.admission_wait_secs` is the query's admission wait.
 pub fn run_operator(
@@ -788,18 +797,16 @@ mod tests {
                 &cfg,
             );
             let query = AdmittedQuery::admit(&rt, &cfg);
-            let stats = run_stage(
-                &rt,
-                &query,
-                &r1,
-                Source::Scan(&r2),
-                &scheme,
-                &cond,
-                KeyFrom::Probe,
-                None,
-                &cfg,
-            );
-            assert_eq!(stats.output_total, expect, "{kind}");
+            let stage = StageIo {
+                r1: &r1,
+                r2: Source::Scan(&r2),
+                scheme: &scheme,
+                cond: &cond,
+                key_from: KeyFrom::Probe,
+                sink: None,
+            };
+            let stats = run_stages(&rt, &query, &[stage], &cfg);
+            assert_eq!(stats[0].output_total, expect, "{kind}");
         }
     }
 
@@ -821,8 +828,15 @@ mod tests {
         let query = AdmittedQuery::admit(&rt, &cfg);
         let why = "spill failure: in another stage";
         query.ticket.cancel().fail(why.into());
-        let (probe, key_from) = (Source::Scan(&r), KeyFrom::Probe);
-        let stage = || run_stage(&rt, &query, &r, probe, &scheme, &cond, key_from, None, &cfg);
+        let stage = StageIo {
+            r1: &r,
+            r2: Source::Scan(&r),
+            scheme: &scheme,
+            cond: &cond,
+            key_from: KeyFrom::Probe,
+            sink: None,
+        };
+        let stage = || run_stages(&rt, &query, &[stage], &cfg);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(stage))
             .expect_err("a stage of a failed query must not complete");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();

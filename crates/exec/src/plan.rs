@@ -57,9 +57,10 @@
 //!
 //! Execution-wise a plan is one *admitted query* on the shared
 //! [`EngineRuntime`], admitted once every scheme is built: all of its
-//! stages' mapper/reducer/coordinator work runs as task batches on the
-//! runtime's fixed worker pool, concurrently with any other query sharing
-//! that pool. No stage owns threads of its own.
+//! stages' mappers, reducers and coordinators are the tasks of one scope on
+//! the runtime's fixed worker pool, concurrently with any other query
+//! sharing that pool. No stage owns threads of its own, and none is driven
+//! from a thread: the calling thread only waits for the scope.
 //!
 //! ## The baseline ([`run_plan_materialized`])
 //!
@@ -70,18 +71,17 @@
 //! (identical `output_total` / `checksum`, property-tested in
 //! `tests/prop_plan.rs`) and as the peak-memory comparison target.
 
-use std::panic::resume_unwind;
-use std::thread;
 use std::time::Instant;
 
 use ewh_core::{JoinCondition, SchemeKind, SideStats, Tuple, TUPLE_BYTES};
 use ewh_sampling::{join_census_r1, join_census_r2, KeyedCounts};
 
-use crate::engine::{AbandonOnDrop, EngineRuntime, Exchange, Source, StageSink};
+use crate::engine::{EngineRuntime, Exchange, Source, StageSink};
 use crate::local_join::{sweep_sorted_into, KeyFrom};
 use crate::operator::{
-    assign_regions, build_scheme_from_stats, execute_join_with, plan_resident, run_stage,
+    assign_regions, build_scheme_from_stats, execute_join_with, plan_resident, run_stages,
     stats_sim_secs, AdmittedQuery, FallbackPolicy, OperatorConfig, OperatorRun, PlannedStage,
+    StageIo,
 };
 use crate::{execute_join, shuffle, JoinStats, Shuffled};
 
@@ -241,13 +241,11 @@ fn plan_stages(
 ///
 /// The whole plan is **one admitted query** on the shared runtime, admitted
 /// after every scheme is built: it holds a single admission ticket, every
-/// stage's mapper/reducer/coordinator work runs as task batches on `rt`'s
-/// fixed pool (concurrent stages, like concurrent queries, just interleave
-/// on the same workers), and all stages charge the ticket's memory gauge so
-/// the reported peak is plan-global. The last stage is driven from the
-/// calling thread; each upstream stage gets one parked *driver* thread —
-/// coordination-only: it spends its life blocked in the stage's scope join,
-/// executing no join work. A one-stage plan spawns none.
+/// stage's mappers, reducers and coordinator are tasks of one scope on
+/// `rt`'s fixed pool (concurrent stages, like concurrent queries, just
+/// interleave on the same workers), and all stages charge the ticket's
+/// memory gauge so the reported peak is plan-global. The calling thread
+/// waits for that scope; no thread is spawned.
 pub fn run_plan(
     rt: &EngineRuntime,
     r1: &[Tuple],
@@ -280,24 +278,17 @@ pub(crate) fn pipelined(
 
     // One ticket, gauge, spill budget and spill context for the whole plan.
     let query = &AdmittedQuery::admit(rt, cfg);
-    let exchanges: &Vec<Exchange> = &(0..chain.len())
+    let exchanges: Vec<Exchange> = (0..chain.len())
         .map(|_| Exchange::new(cfg.exchange_tuples.max(2)))
         .collect();
 
-    let joins: Vec<JoinStats> = thread::scope(|s| {
-        let planned = &planned;
-        // If a stage unwinds, no consumer may ever pop the stages upstream
-        // of it: abandon every exchange on the way out so their producers
-        // cannot stay blocked in `push` and the scope can join. Harmless
-        // after normal completion.
-        let _abandon: Vec<AbandonOnDrop<'_>> =
-            exchanges.iter().map(|ex| AbandonOnDrop(Some(ex))).collect();
-        let run = move |i: usize| {
+    let stages: Vec<StageIo<'_>> = (0..=chain.len())
+        .map(|i| {
             let sink = exchanges.get(i).map(|exchange| StageSink {
                 exchange,
                 batch_tuples: cfg.morsel_tuples.max(1),
             });
-            let (build, probe, cond, key_from) = match i.checked_sub(1) {
+            let (r1, r2, cond, key_from) = match i.checked_sub(1) {
                 None => (r1, Source::Scan(r2), &first.cond, KeyFrom::Probe),
                 Some(c) => (
                     chain[c].base,
@@ -307,20 +298,17 @@ pub(crate) fn pipelined(
                 ),
             };
             let scheme = &planned[i].scheme;
-            run_stage(rt, query, build, probe, scheme, cond, key_from, sink, cfg)
-        };
-        let last = chain.len();
-        let upstream: Vec<_> = (0..last).map(|i| s.spawn(move || run(i))).collect();
-        let tail = run(last);
-        // A stage that failed re-raises here with its own payload — the
-        // reason `run_stage` panicked with reaches the plan's caller.
-        let mut joins: Vec<JoinStats> = upstream
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect();
-        joins.push(tail);
-        joins
-    });
+            StageIo {
+                r1,
+                r2,
+                scheme,
+                cond,
+                key_from,
+                sink,
+            }
+        })
+        .collect();
+    let joins = run_stages(rt, query, &stages, cfg);
 
     // Every stage has joined, so the query's books balance: each tuple
     // charged to the shared gauge was released by a sweep, a region

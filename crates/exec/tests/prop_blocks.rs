@@ -19,7 +19,7 @@ use ewh_core::{
     build_csio, CostModel, GridBlock, HistogramParams, IneqOp, JoinCondition, Key, PartitionScheme,
     Router, RoutingTable, SchemeKind, Tuple,
 };
-use ewh_exec::engine::{run_pipelined_io, CloseOnDrop, SpillBinding, SpillContext};
+use ewh_exec::engine::{run_pipelined_io, CancelToken, SpillBinding, SpillContext};
 use ewh_exec::{
     pair_payload, run_plan, run_plan_materialized, shuffle, AdaptiveConfig, ChainStage,
     EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange, KeyFrom, MemGauge,
@@ -171,7 +171,6 @@ fn engine_pairs(
             }
             pairs
         });
-        let _close = CloseOnDrop(sink);
         let io = EngineIo {
             r1,
             r2: Source::Scan(r2),
@@ -180,16 +179,17 @@ fn engine_pairs(
             table: &table,
             sink: Some(sink),
             key_from: KeyFrom::Probe,
-            gauge: Some(&gauge),
-            cancel: None,
+            gauge: &gauge,
+            cancel: &CancelToken::new(),
             spill: (mode == Mode::Spill).then_some(SpillBinding {
                 budget_tuples: 48,
                 ctx: &spill,
             }),
             links: None,
         };
-        let out = run_pipelined_io(&rt, io, &cfg);
-        exchange.close();
+        // The run's last reducer closes the exchange, which ends the
+        // consumer.
+        let out = run_pipelined_io(&rt, [(io, cfg)]).remove(0);
         (consumer.join().expect("consumer panicked"), out)
     });
     drop(spill);

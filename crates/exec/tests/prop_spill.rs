@@ -25,7 +25,7 @@ use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
 use ewh_core::{build_ci, JoinCondition, Key, RoutingTable, SchemeKind, Tuple, TUPLE_BYTES};
-use ewh_exec::engine::run_pipelined_io;
+use ewh_exec::engine::{run_pipelined_io, CancelToken, MemGauge};
 use ewh_exec::{
     run_operator, run_plan, AdaptiveConfig, ChainStage, EngineConfig, EngineIo, EngineOutcome,
     EngineRuntime, ExecMode, KeyFrom, OperatorConfig, Source, SpillBinding, SpillConfig,
@@ -109,26 +109,23 @@ fn run_over_an_owned_segment(
         .map(|r| (r % cfg.reducers) as u32)
         .collect();
     let ctx = SpillContext::new(dir.to_path_buf(), None);
-    let outcome = run_pipelined_io(
-        rt,
-        EngineIo {
-            r1,
-            r2: Source::Scan(r2),
-            router: &scheme.router,
-            cond,
-            table: &RoutingTable::new(&owners),
-            sink: None,
-            key_from: KeyFrom::Probe,
-            gauge: None,
-            cancel: None,
-            spill: Some(SpillBinding {
-                budget_tuples: budget,
-                ctx: &ctx,
-            }),
-            links: None,
-        },
-        &cfg,
-    );
+    let io = EngineIo {
+        r1,
+        r2: Source::Scan(r2),
+        router: &scheme.router,
+        cond,
+        table: &RoutingTable::new(&owners),
+        sink: None,
+        key_from: KeyFrom::Probe,
+        gauge: &MemGauge::default(),
+        cancel: &CancelToken::new(),
+        spill: Some(SpillBinding {
+            budget_tuples: budget,
+            ctx: &ctx,
+        }),
+        links: None,
+    };
+    let outcome = run_pipelined_io(rt, [(io, cfg)]).remove(0);
     assert_eq!(outcome.failure, None);
 
     let runs: Vec<Vec<Key>> = segment_records(&ctx, dir)
@@ -462,7 +459,7 @@ fn forced_budget_spills_matches_oracle_and_cleans_up() {
 /// oracle's.
 #[test]
 fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
-    use ewh_exec::engine::{CloseOnDrop, Exchange, MemGauge, StageSink};
+    use ewh_exec::engine::{Exchange, StageSink};
 
     const BUILD: u64 = 300;
     const PROBE: u64 = 256;
@@ -510,30 +507,27 @@ fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
             }
             (count, checksum)
         });
-        let _close = CloseOnDrop(sink);
-        let out = run_pipelined_io(
-            &rt,
-            EngineIo {
-                r1: &r1,
-                r2: Source::Scan(&r2),
-                router: &scheme.router,
-                cond: &cond,
-                table: &RoutingTable::new(&[0]),
-                sink: Some(sink),
-                key_from: KeyFrom::Probe,
-                gauge: Some(&gauge),
-                cancel: None,
-                // Above build + chunk (and the seal's sort transient), below
-                // build + chunk + a slice of three tuples' 900 pairs.
-                spill: Some(SpillBinding {
-                    budget_tuples: 700,
-                    ctx: &ctx,
-                }),
-                links: None,
-            },
-            &cfg,
-        );
-        exchange.close();
+        let io = EngineIo {
+            r1: &r1,
+            r2: Source::Scan(&r2),
+            router: &scheme.router,
+            cond: &cond,
+            table: &RoutingTable::new(&[0]),
+            sink: Some(sink),
+            key_from: KeyFrom::Probe,
+            gauge: &gauge,
+            cancel: &CancelToken::new(),
+            // Above build + chunk (and the seal's sort transient), below
+            // build + chunk + a slice of three tuples' 900 pairs.
+            spill: Some(SpillBinding {
+                budget_tuples: 700,
+                ctx: &ctx,
+            }),
+            links: None,
+        };
+        // The run's last reducer closes the exchange, which ends the
+        // consumer.
+        let out = run_pipelined_io(&rt, [(io, cfg)]).remove(0);
         (consumer.join().expect("consumer panicked"), out)
     });
     assert!(!out.cancelled, "{:?}", out.failure);
