@@ -184,6 +184,8 @@ struct State<T> {
     queue: VecDeque<T>,
     /// Items ever enqueued (stable once `closed`).
     pushed: u64,
+    /// Weight pushed after the consumer abandoned the channel, discarded.
+    discarded: usize,
     closed: bool,
     consumers: Vec<Waker>,
 }
@@ -195,6 +197,7 @@ impl<T: Weigh> Channel<T> {
                 window: Window::new(capacity_tuples),
                 queue: VecDeque::new(),
                 pushed: 0,
+                discarded: 0,
                 closed: false,
                 consumers: Vec::new(),
             }),
@@ -213,12 +216,13 @@ impl<T: Weigh> Channel<T> {
     }
 
     /// Enqueues an admitted item and wakes the consumers. On an abandoned
-    /// channel the item is discarded instead, so the producer runs to
-    /// completion and the failure surfaces at the query's join rather than
-    /// as a deadlock.
+    /// channel the item is discarded instead (its weight counted for
+    /// [`close`](Self::close)), so the producer runs to completion and the
+    /// failure surfaces at the query's join rather than as a deadlock.
     fn enqueue(&self, mut state: MutexGuard<'_, State<T>>, item: T) {
         debug_assert!(!state.closed, "push after close");
         if state.window.abandoned {
+            state.discarded += item.weight();
             return;
         }
         state.pushed += 1;
@@ -276,29 +280,37 @@ impl<T: Weigh> Channel<T> {
     }
 
     /// Producer-side end of stream: no item will ever be pushed again.
-    /// Wakes both sides so parked consumers observe it.
-    pub fn close(&self) {
+    /// Wakes both sides so parked consumers observe it. Returns the weight
+    /// pushed after the consumer abandoned the channel and discarded: the
+    /// producers' charges for it are theirs to release.
+    pub fn close(&self) -> usize {
         let mut state = self.lock();
         state.closed = true;
+        let discarded = state.discarded;
         let mut wakers = std::mem::take(&mut state.consumers);
         wakers.append(&mut state.window.producers);
         drop(state);
         self.not_empty.notify_all();
         self.stall.wake(wakers);
+        discarded
     }
 
     /// Consumer-side teardown: the consumer is gone, so producers must
     /// never wait again — parked and blocked ones are released and every
     /// later push is discarded (reported as accepted). Harmless after
     /// normal completion. This is what keeps an unwinding downstream stage
-    /// from deadlocking its upstream producer.
-    pub fn abandon(&self) {
+    /// from deadlocking its upstream producer. Returns the weight the
+    /// channel still holds, which no consumer will take: its producers'
+    /// charges are to be released.
+    pub fn abandon(&self) -> usize {
         let mut state = self.lock();
+        let held = state.window.used;
         let mut wakers = state.window.abandon();
         wakers.append(&mut state.consumers);
         drop(state);
         self.not_empty.notify_all();
         self.stall.wake(wakers);
+        held
     }
 
     /// Whether the producer closed the channel, and whether the consumer

@@ -13,7 +13,10 @@
 //! protocol fire: a closed, fully routed exchange is the streamed
 //! equivalent of "the last morsel was claimed". Its consumer's last mapper
 //! abandons it as it drops ([`Channel::abandon`]), so a producer whose
-//! consumer is gone — a cancel, a panic — never waits on it again.
+//! consumer is gone — a cancel, a panic — never waits on it again. Every
+//! batch in it is charged to the query's gauge: the consumer releases what
+//! the exchange held when it left, the producer's last reducer what it
+//! discarded since.
 //!
 //! Under a memory budget, an upstream reducer may spill batches *staged
 //! for* this exchange (its outbox — the last rung of the spill ladder, see

@@ -530,16 +530,13 @@ pub fn broadcast(queues: &[Arc<DeliveryPort>], mut make: impl FnMut() -> Deliver
 
 #[cfg(test)]
 mod tests {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicBool;
 
-    use ewh_core::{build_csio, CostModel, HistogramParams, JoinCondition, Key, RoutingTable};
-    use ewh_core::{SchemeKind, Tuple};
+    use ewh_core::{build_csio, CostModel, HistogramParams, JoinCondition, Key, SchemeKind};
 
-    use super::super::tests::watchdog;
-    use super::super::{CancelToken, EngineConfig, EngineIo, EngineRuntime, MemGauge, Source};
+    use super::super::testkit::{tuples, Fault, Kit};
+    use super::super::{EngineConfig, EngineRuntime};
     use super::*;
-    use crate::local_join::KeyFrom;
     use crate::{run_operator, ExecMode, OperatorConfig};
 
     /// The first mapper to claim a morsel panics holding it. The morsel
@@ -550,10 +547,6 @@ mod tests {
     fn a_mapper_that_panics_mid_run_cancels_the_run_and_the_pool_serves_the_next_query() {
         let k1: Vec<Key> = (0..6000).map(|i| i * 7 % 900).collect();
         let k2: Vec<Key> = (0..6000).map(|i| i * 11 % 900).collect();
-        let tuples = |keys: &[Key]| -> Vec<Tuple> {
-            let rows = keys.iter().enumerate();
-            rows.map(|(i, &k)| Tuple::new(k, i as u64)).collect()
-        };
         let (r1, r2) = (tuples(&k1), tuples(&k2));
         let cond = JoinCondition::Band { beta: 2 };
         let params = HistogramParams {
@@ -561,56 +554,20 @@ mod tests {
             ..Default::default()
         };
         let scheme = build_csio(&k1, &k2, &cond, &CostModel::band(), &params);
-        let owners: Vec<u32> = (0..scheme.num_regions() as u32).map(|r| r % 2).collect();
-        let table = RoutingTable::new(&owners);
         let cfg = EngineConfig {
             queue_tuples: 512,
             ..EngineConfig::for_tasks(2, 256, 3)
         };
-        let (gauge, cancel) = (MemGauge::default(), CancelToken::new());
-        let run = Run::new(
-            EngineIo {
-                r1: &r1,
-                r2: Source::Scan(&r2),
-                router: &scheme.router,
-                cond: &cond,
-                table: &table,
-                sink: None,
-                key_from: KeyFrom::Probe,
-                gauge: &gauge,
-                cancel: &cancel,
-                spill: None,
-                links: None,
-            },
-            &cfg,
-        );
+        let kit = Kit::new(&r1, &r2, &scheme, cond, cfg);
         let rt = EngineRuntime::new(4);
         let exploded = AtomicBool::new(false);
-        let joined = watchdog("a mapper panic", || {
-            catch_unwind(AssertUnwindSafe(|| {
-                rt.scope(|s| {
-                    let (reducers, mut coordinator, mappers) = run.tasks();
-                    for mut task in reducers {
-                        s.spawn(move |cx| task.poll(cx));
-                    }
-                    s.spawn(move |cx| coordinator.poll(cx));
-                    for mut task in mappers {
-                        let exploded = &exploded;
-                        s.spawn(move |cx| {
-                            let step = task.poll(cx);
-                            if task.unit.is_some() && !exploded.swap(true, Ordering::AcqRel) {
-                                panic!("a mapper exploded");
-                            }
-                            step
-                        });
-                    }
-                })
-            }))
-        });
-        let payload = joined.expect_err("the mapper's panic reaches the join");
+        let holding =
+            |task: &MapperTask<'_>| task.unit.is_some() && !exploded.swap(true, Ordering::AcqRel);
+        let joined = kit.join(&rt, Some(Fault::Mapper(&holding)), |_| {});
+        let payload = joined.panic.expect("the mapper's panic reaches the join");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"a mapper exploded"));
-        assert!(run.finish().cancelled);
-        assert_eq!(gauge.current_tuples(), 0, "every charge is released");
+        assert!(joined.outs[0].cancelled);
+        assert_eq!(kit.gauge.current_tuples(), 0, "every charge is released");
 
         let pipelined = OperatorConfig {
             j: 6,

@@ -208,9 +208,6 @@ pub struct EngineOutcome {
     pub per_region_checksum: Vec<u64>,
     /// High-water mark of resident routed tuples across the cluster.
     pub peak_resident_tuples: u64,
-    /// Final routing-table epoch (== `stats.regions_migrated`; separate so
-    /// tests can cross-check the table against the coordinator's tally).
-    pub routing_epoch: u64,
     /// True when the run was cancelled. Per-region join tallies are zeroed
     /// (reducer state is discarded), but morsel/network counters and the
     /// migration tally are preserved: they describe real work done before
@@ -478,7 +475,8 @@ impl<'a> Run<'a> {
     /// A mapper dropped. The last one hands termination to the coordinator
     /// if `SealAll` fired, and otherwise cancels the run: the seal chain
     /// broke (a cancel, or a mapper that panicked). No mapper pops the
-    /// input exchange again, so its producers must never wait on it.
+    /// input exchange again, so its producers must never wait on it, and
+    /// what it still holds is released from the gauge.
     fn mapper_exited(&self) {
         if !last(&self.mappers_live) {
             return;
@@ -490,7 +488,7 @@ impl<'a> Run<'a> {
             self.io.cancel.cancel();
         }
         if let Some(exchange) = self.io.r2.exchange() {
-            exchange.abandon();
+            self.io.gauge.sub(exchange.abandon() as u64);
         }
         self.sender_exited();
     }
@@ -507,14 +505,15 @@ impl<'a> Run<'a> {
 
     /// A reducer dropped; `reported` is false when it panicked, which
     /// cancels the run. The last one closes the stage's output: the
-    /// downstream stage drains it and seals.
+    /// downstream stage drains it and seals — or, if it was abandoned,
+    /// discarded what the reducers pushed since, whose charges it releases.
     fn reducer_exited(&self, reported: bool) {
         if !reported {
             self.io.cancel.cancel();
         }
         if last(&self.reducers_live) {
             if let Some(sink) = self.io.sink {
-                sink.exchange.close();
+                self.io.gauge.sub(sink.exchange.close() as u64);
             }
         }
     }
@@ -547,7 +546,6 @@ impl<'a> Run<'a> {
             stats.set_spill(&spill.ctx.totals().since(&start));
         }
         out.peak_resident_tuples = self.io.gauge.peak_tuples();
-        out.routing_epoch = self.io.table.epoch();
         if out.cancelled {
             for tallies in [
                 &mut out.per_region_input,
@@ -617,156 +615,73 @@ pub fn run_pipelined_io<'a>(
 }
 
 #[cfg(test)]
+pub(crate) mod testkit;
+
+#[cfg(test)]
 mod tests {
+    use super::testkit::{nested_loop, test_rt, tuples, Kit};
     use super::*;
-    use ewh_core::{build_ci, build_csio, ColumnBatch, CostModel, HistogramParams, Key, Tuple};
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use ewh_core::{build_ci, build_csio, CostModel, HistogramParams, Key, PartitionScheme};
     use std::thread;
     use std::time::Duration;
 
-    /// Runs `f`, aborting the process if it has not returned within a
-    /// minute: a teardown regression hangs rather than fails.
-    pub(super) fn watchdog<R>(what: &str, f: impl FnOnce() -> R) -> R {
-        let done = AtomicBool::new(false);
-        thread::scope(|s| {
-            s.spawn(|| {
-                let start = Instant::now();
-                while !done.load(Ordering::Acquire) {
-                    if start.elapsed() > Duration::from_secs(60) {
-                        eprintln!("{what}: no join after 60 s; aborting");
-                        std::process::abort();
-                    }
-                    thread::sleep(Duration::from_millis(20));
-                }
-            });
-            let out = catch_unwind(AssertUnwindSafe(f));
-            done.store(true, Ordering::Release);
-            out.unwrap_or_else(|payload| resume_unwind(payload))
+    /// Two mappers, queues of 2 048 tuples and a probe floor of a morsel,
+    /// unless a test overrides them.
+    fn shape(reducers: usize, morsel: usize, seed: u64) -> EngineConfig {
+        EngineConfig {
+            mappers: 2,
+            queue_tuples: 2048,
+            probe_chunk: morsel,
+            ..EngineConfig::for_tasks(reducers, morsel, seed)
+        }
+    }
+
+    /// Thresholds at which any backlog migrates.
+    fn forced() -> AdaptiveConfig {
+        AdaptiveConfig {
+            reassign: true,
+            migrate_backlog_tuples: 1,
+            poll_micros: 50,
+            ..Default::default()
+        }
+    }
+
+    fn straggler(nanos_per_tuple: u64) -> Option<Straggler> {
+        Some(Straggler {
+            reducer: 0,
+            nanos_per_tuple,
         })
-    }
-
-    /// A small pool for the unit tests: 4 workers regardless of the host,
-    /// mirroring the thread teams the pre-runtime engine spawned.
-    fn test_rt() -> EngineRuntime {
-        EngineRuntime::new(4)
-    }
-
-    fn tuples(keys: &[Key]) -> Vec<Tuple> {
-        keys.iter()
-            .enumerate()
-            .map(|(i, &k)| Tuple::new(k, i as u64))
-            .collect()
-    }
-
-    /// Runs the engine over two in-memory relations: no sink, a gauge of
-    /// its own, whose books a completed run must balance.
-    #[allow(clippy::too_many_arguments)] // an execution plan, not a builder
-    fn run_pipelined(
-        rt: &EngineRuntime,
-        r1: &[Tuple],
-        r2: &[Tuple],
-        router: &Router,
-        cond: &JoinCondition,
-        table: &RoutingTable,
-        cfg: &EngineConfig,
-        cancel: &CancelToken,
-    ) -> EngineOutcome {
-        let gauge = MemGauge::default();
-        let io = EngineIo {
-            r1,
-            r2: Source::Scan(r2),
-            router,
-            cond,
-            table,
-            sink: None,
-            key_from: KeyFrom::Probe,
-            gauge: &gauge,
-            cancel,
-            spill: None,
-            links: None,
-        };
-        let out = run_pipelined_io(rt, [(io, *cfg)]).remove(0);
-        if !out.cancelled {
-            assert_eq!(gauge.current_tuples(), 0, "a completed run leaked");
-        }
-        out
-    }
-
-    fn nested_loop(r1: &[Tuple], r2: &[Tuple], cond: &JoinCondition) -> (u64, u64) {
-        let (mut c, mut s) = (0u64, 0u64);
-        for a in r1 {
-            for b in r2 {
-                if cond.matches(a.key, b.key) {
-                    c += 1;
-                    s ^= a.payload.wrapping_mul(31).wrapping_add(b.payload);
-                }
-            }
-        }
-        (c, s)
     }
 
     fn run(
         r1: &[Tuple],
         r2: &[Tuple],
-        router: &Router,
-        n_regions: usize,
-        cond: &JoinCondition,
+        scheme: &PartitionScheme,
+        cond: JoinCondition,
         morsel: usize,
         reducers: usize,
     ) -> EngineOutcome {
-        let region_to_reducer: Vec<u32> = (0..n_regions).map(|r| (r % reducers) as u32).collect();
-        let table = RoutingTable::new(&region_to_reducer);
-        let cfg = EngineConfig {
-            mappers: 2,
-            reducers,
-            morsel_tuples: morsel,
-            queue_tuples: 2048,
-            probe_chunk: morsel,
-            seed: 7,
-            work: OutputWork::Touch,
-            adaptive: AdaptiveConfig::default(),
-            straggler: None,
-            transport: None,
+        Kit::new(r1, r2, scheme, cond, shape(reducers, morsel, 7)).run(&test_rt())
+    }
+
+    fn csio(k1: &[Key], k2: &[Key], cond: &JoinCondition, j: usize) -> PartitionScheme {
+        let params = HistogramParams {
+            j,
+            ..Default::default()
         };
-        run_pipelined(
-            &test_rt(),
-            r1,
-            r2,
-            router,
-            cond,
-            &table,
-            &cfg,
-            &CancelToken::new(),
-        )
+        build_csio(k1, k2, cond, &CostModel::band(), &params)
     }
 
     #[test]
     fn csio_pipeline_matches_nested_loop() {
-        let k1: Vec<Key> = (0..3000).map(|i| (i * 7 % 900) as Key).collect();
-        let k2: Vec<Key> = (0..3000).map(|i| (i * 11 % 900) as Key).collect();
+        let k1: Vec<Key> = (0..3000).map(|i| i * 7 % 900).collect();
+        let k2: Vec<Key> = (0..3000).map(|i| i * 11 % 900).collect();
         let cond = JoinCondition::Band { beta: 2 };
-        let scheme = build_csio(
-            &k1,
-            &k2,
-            &cond,
-            &CostModel::band(),
-            &HistogramParams {
-                j: 6,
-                ..Default::default()
-            },
-        );
+        let scheme = csio(&k1, &k2, &cond, 6);
         let (r1, r2) = (tuples(&k1), tuples(&k2));
         let (expect_c, expect_s) = nested_loop(&r1, &r2, &cond);
         for morsel in [64, 997, 5000] {
-            let out = run(
-                &r1,
-                &r2,
-                &scheme.router,
-                scheme.num_regions(),
-                &cond,
-                morsel,
-                3,
-            );
+            let out = run(&r1, &r2, &scheme, cond, morsel, 3);
             assert_eq!(out.output_total(), expect_c, "morsel {morsel}");
             assert_eq!(out.checksum(), expect_s, "morsel {morsel}");
             assert!(!out.cancelled);
@@ -779,20 +694,12 @@ mod tests {
 
     #[test]
     fn ci_pipeline_counts_match_despite_random_routing() {
-        let k: Vec<Key> = (0..2000).map(|i| (i % 50) as Key).collect();
+        let k: Vec<Key> = (0..2000).map(|i| i % 50).collect();
         let (r1, r2) = (tuples(&k), tuples(&k));
         let cond = JoinCondition::Equi;
         let scheme = build_ci(8, 2000, 2000, None);
         let (expect_c, expect_s) = nested_loop(&r1, &r2, &cond);
-        let out = run(
-            &r1,
-            &r2,
-            &scheme.router,
-            scheme.num_regions(),
-            &cond,
-            256,
-            2,
-        );
+        let out = run(&r1, &r2, &scheme, cond, 256, 2);
         assert_eq!(out.output_total(), expect_c);
         assert_eq!(out.checksum(), expect_s);
     }
@@ -801,28 +708,12 @@ mod tests {
     fn empty_inputs_terminate_cleanly() {
         let cond = JoinCondition::Equi;
         let scheme = build_ci(4, 0, 0, None);
-        let out = run(
-            &[],
-            &[],
-            &scheme.router,
-            scheme.num_regions(),
-            &cond,
-            128,
-            2,
-        );
+        let out = run(&[], &[], &scheme, cond, 128, 2);
         assert_eq!(out.output_total(), 0);
         assert!(!out.cancelled);
 
         let r2 = tuples(&[1, 2, 3]);
-        let out = run(
-            &[],
-            &r2,
-            &scheme.router,
-            scheme.num_regions(),
-            &cond,
-            128,
-            2,
-        );
+        let out = run(&[], &r2, &scheme, cond, 128, 2);
         assert_eq!(out.output_total(), 0);
     }
 
@@ -830,35 +721,10 @@ mod tests {
     fn pre_set_cancel_aborts_before_any_claim() {
         let k: Vec<Key> = (0..4000).collect();
         let (r1, r2) = (tuples(&k), tuples(&k));
-        let cond = JoinCondition::Equi;
         let scheme = build_ci(4, 4000, 4000, None);
-        let region_to_reducer: Vec<u32> =
-            (0..scheme.num_regions()).map(|r| (r % 2) as u32).collect();
-        let table = RoutingTable::new(&region_to_reducer);
-        let cfg = EngineConfig {
-            mappers: 2,
-            reducers: 2,
-            morsel_tuples: 256,
-            queue_tuples: 2048,
-            probe_chunk: 256,
-            seed: 3,
-            work: OutputWork::Touch,
-            adaptive: AdaptiveConfig::default(),
-            straggler: None,
-            transport: None,
-        };
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let out = run_pipelined(
-            &test_rt(),
-            &r1,
-            &r2,
-            &scheme.router,
-            &cond,
-            &table,
-            &cfg,
-            &cancel,
-        );
+        let kit = Kit::new(&r1, &r2, &scheme, JoinCondition::Equi, shape(2, 256, 3));
+        kit.cancel.cancel();
+        let out = kit.run(&test_rt());
         assert!(out.cancelled);
         assert_eq!(out.output_total(), 0);
         assert_eq!(
@@ -873,114 +739,73 @@ mod tests {
         // coordinator must move its regions to the idle reducer, and the
         // join must still be exact. The CI router's regions all look alike,
         // so this exercises the full Migrate/Adopt/fence path end to end.
-        let k: Vec<Key> = (0..4000).map(|i| (i % 200) as Key).collect();
+        // The same inputs with `reassign` off are the counter claim of the
+        // wall-time straggler claim: migrating regions off the straggler
+        // leaves it fewer probe chunks to sweep.
+        let k: Vec<Key> = (0..4000).map(|i| i % 200).collect();
         let (r1, r2) = (tuples(&k), tuples(&k));
         let cond = JoinCondition::Equi;
         let scheme = build_ci(8, 4000, 4000, None);
         let (expect_c, expect_s) = nested_loop(&r1, &r2, &cond);
-        let region_to_reducer: Vec<u32> =
-            (0..scheme.num_regions()).map(|r| (r % 2) as u32).collect();
-        let table = RoutingTable::new(&region_to_reducer);
-        let cfg = EngineConfig {
-            mappers: 2,
-            reducers: 2,
-            morsel_tuples: 128,
-            queue_tuples: 512,
-            probe_chunk: 64,
-            seed: 11,
-            work: OutputWork::Touch,
-            adaptive: AdaptiveConfig {
-                reassign: true,
-                migrate_backlog_tuples: 1,
-                poll_micros: 50,
-                ..Default::default()
-            },
-            straggler: Some(Straggler {
-                reducer: 0,
-                nanos_per_tuple: 20_000,
-            }),
-            transport: None,
-        };
-        let out = run_pipelined(
-            &test_rt(),
-            &r1,
-            &r2,
-            &scheme.router,
-            &cond,
-            &table,
-            &cfg,
-            &CancelToken::new(),
-        );
-        assert!(!out.cancelled);
-        assert_eq!(out.output_total(), expect_c);
-        assert_eq!(out.checksum(), expect_s);
+        let mut swept = [0; 2];
+        for reassign in [false, true] {
+            let cfg = EngineConfig {
+                adaptive: AdaptiveConfig {
+                    reassign,
+                    ..forced()
+                },
+                straggler: straggler(20_000),
+                ..EngineConfig::for_tasks(2, 128, 11)
+            };
+            let kit = Kit::new(&r1, &r2, &scheme, cond, cfg);
+            let initial = kit.table().snapshot();
+            let joined = kit.join(&test_rt(), None, |_| {});
+            let out = &joined.outs[0];
+            assert!(!out.cancelled);
+            assert_eq!(out.output_total(), expect_c);
+            assert_eq!(out.checksum(), expect_s);
+            swept[reassign as usize] = joined.boards[0].chunks_swept(0);
+            assert_eq!(kit.table().epoch(), out.stats.regions_migrated);
+            if !reassign {
+                assert_eq!(out.stats.regions_migrated, 0);
+                continue;
+            }
+            assert!(
+                out.stats.regions_migrated >= 1,
+                "straggler with forced thresholds must trigger migration"
+            );
+            assert!(out.stats.migration_tuples > 0);
+            assert!(out.stats.migration_secs >= 0.0);
+            // Each region migrates at most once, so the owner map diverges
+            // from the initial placement in exactly `regions_migrated`
+            // slots.
+            let owners = kit.table().snapshot();
+            let moved = owners.iter().zip(&initial).filter(|(a, b)| a != b);
+            assert_eq!(moved.count() as u64, out.stats.regions_migrated);
+        }
+        let [off, on] = swept;
         assert!(
-            out.stats.regions_migrated >= 1,
-            "straggler with forced thresholds must trigger migration"
+            on < off,
+            "the straggler swept {on} chunks with migration on, {off} with it off"
         );
-        assert_eq!(out.routing_epoch, out.stats.regions_migrated);
-        assert!(out.stats.migration_tuples > 0);
-        assert!(out.stats.migration_secs >= 0.0);
-        // Each region migrates at most once, so the owner map diverges from
-        // the initial placement in exactly `regions_migrated` slots.
-        let owners = table.snapshot();
-        let moved = owners
-            .iter()
-            .zip(&region_to_reducer)
-            .filter(|(now, init)| now != init)
-            .count() as u64;
-        assert_eq!(moved, out.stats.regions_migrated);
     }
 
-    /// Streams `r2` through an [`Exchange`] in `batch` -sized chunks from a
-    /// producer thread (honoring the gauge contract), runs the engine with
-    /// an exchange-fed probe side, and returns the outcome.
-    #[allow(clippy::too_many_arguments)]
-    fn run_exchange_fed(
+    /// The join with its probe side streamed through an exchange of
+    /// `capacity` tuples, pushed `batch` tuples at a time from the test's
+    /// thread.
+    fn run_fed(
         r1: &[Tuple],
         r2: &[Tuple],
-        router: &Router,
-        n_regions: usize,
-        cond: &JoinCondition,
-        cfg: &EngineConfig,
+        scheme: &PartitionScheme,
+        cond: JoinCondition,
+        cfg: EngineConfig,
         batch: usize,
         capacity: usize,
     ) -> EngineOutcome {
-        let region_to_reducer: Vec<u32> =
-            (0..n_regions).map(|r| (r % cfg.reducers) as u32).collect();
-        let table = RoutingTable::new(&region_to_reducer);
-        let exchange = Exchange::new(capacity);
-        let gauge = MemGauge::default();
-        let rt = test_rt();
-        thread::scope(|s| {
-            s.spawn(|| {
-                for chunk in r2.chunks(batch.max(1)) {
-                    gauge.add(chunk.len() as u64);
-                    exchange.push(ColumnBatch::from_tuples(chunk));
-                }
-                exchange.close();
-            });
-            run_pipelined_io(
-                &rt,
-                [(
-                    EngineIo {
-                        r1,
-                        r2: Source::Exchange(&exchange),
-                        router,
-                        cond,
-                        table: &table,
-                        sink: None,
-                        key_from: crate::local_join::KeyFrom::Probe,
-                        gauge: &gauge,
-                        cancel: &CancelToken::new(),
-                        spill: None,
-                        links: None,
-                    },
-                    *cfg,
-                )],
-            )
+        let kit = Kit::new(r1, &[], scheme, cond, cfg).fed(capacity);
+        kit.join(&test_rt(), None, |kit| kit.feed(r2, batch))
+            .outs
             .remove(0)
-        })
     }
 
     #[test]
@@ -988,52 +813,18 @@ mod tests {
         // The same join, probe side streamed through an exchange in awkward
         // batch sizes vs. scanned from memory: identical output, checksum,
         // and network volume (deterministic router).
-        let k1: Vec<Key> = (0..2500).map(|i| (i * 7 % 700) as Key).collect();
-        let k2: Vec<Key> = (0..2500).map(|i| (i * 11 % 700) as Key).collect();
+        let k1: Vec<Key> = (0..2500).map(|i| i * 7 % 700).collect();
+        let k2: Vec<Key> = (0..2500).map(|i| i * 11 % 700).collect();
         let cond = JoinCondition::Band { beta: 1 };
-        let scheme = build_csio(
-            &k1,
-            &k2,
-            &cond,
-            &CostModel::band(),
-            &HistogramParams {
-                j: 5,
-                ..Default::default()
-            },
-        );
+        let scheme = csio(&k1, &k2, &cond, 5);
         let (r1, r2) = (tuples(&k1), tuples(&k2));
-        let scan = run(
-            &r1,
-            &r2,
-            &scheme.router,
-            scheme.num_regions(),
-            &cond,
-            128,
-            2,
-        );
+        let scan = run(&r1, &r2, &scheme, cond, 128, 2);
         let cfg = EngineConfig {
-            mappers: 2,
-            reducers: 2,
-            morsel_tuples: 128,
             queue_tuples: 1024,
-            probe_chunk: 128,
-            seed: 7,
-            work: OutputWork::Touch,
-            adaptive: AdaptiveConfig::default(),
-            straggler: None,
-            transport: None,
+            ..shape(2, 128, 7)
         };
         for batch in [1usize, 97, 4096] {
-            let out = run_exchange_fed(
-                &r1,
-                &r2,
-                &scheme.router,
-                scheme.num_regions(),
-                &cond,
-                &cfg,
-                batch,
-                512,
-            );
+            let out = run_fed(&r1, &r2, &scheme, cond, cfg, batch, 512);
             assert!(!out.cancelled, "batch {batch}");
             assert_eq!(out.output_total(), scan.output_total(), "batch {batch}");
             assert_eq!(out.checksum(), scan.checksum(), "batch {batch}");
@@ -1046,41 +837,17 @@ mod tests {
 
     #[test]
     fn exchange_fed_probe_survives_forced_migrations() {
-        let k: Vec<Key> = (0..3000).map(|i| (i % 150) as Key).collect();
+        let k: Vec<Key> = (0..3000).map(|i| i % 150).collect();
         let (r1, r2) = (tuples(&k), tuples(&k));
-        let cond = JoinCondition::Equi;
         let scheme = build_ci(8, 3000, 3000, None);
+        let cond = JoinCondition::Equi;
         let (expect_c, expect_s) = nested_loop(&r1, &r2, &cond);
         let cfg = EngineConfig {
-            mappers: 2,
-            reducers: 2,
-            morsel_tuples: 128,
-            queue_tuples: 512,
-            probe_chunk: 64,
-            seed: 19,
-            work: OutputWork::Touch,
-            adaptive: AdaptiveConfig {
-                reassign: true,
-                migrate_backlog_tuples: 1,
-                poll_micros: 50,
-                ..Default::default()
-            },
-            straggler: Some(Straggler {
-                reducer: 0,
-                nanos_per_tuple: 10_000,
-            }),
-            transport: None,
+            adaptive: forced(),
+            straggler: straggler(10_000),
+            ..EngineConfig::for_tasks(2, 128, 19)
         };
-        let out = run_exchange_fed(
-            &r1,
-            &r2,
-            &scheme.router,
-            scheme.num_regions(),
-            &cond,
-            &cfg,
-            61,
-            256,
-        );
+        let out = run_fed(&r1, &r2, &scheme, cond, cfg, 61, 256);
         assert!(!out.cancelled);
         assert_eq!(out.output_total(), expect_c);
         assert_eq!(out.checksum(), expect_s);
@@ -1093,55 +860,17 @@ mod tests {
         // with the cancel token, whose wake re-polls them) instead of
         // hanging in the exchange forever.
         let r1 = tuples(&(0..500).collect::<Vec<Key>>());
-        let cond = JoinCondition::Equi;
         let scheme = build_ci(4, 500, 0, None);
-        let region_to_reducer: Vec<u32> =
-            (0..scheme.num_regions()).map(|r| (r % 2) as u32).collect();
-        let table = RoutingTable::new(&region_to_reducer);
-        let exchange = Exchange::new(256); // open for the whole test
-        let cancel = CancelToken::new();
-        let cfg = EngineConfig {
-            mappers: 2,
-            reducers: 2,
-            morsel_tuples: 128,
-            queue_tuples: 512,
-            probe_chunk: 64,
-            seed: 23,
-            work: OutputWork::Touch,
-            adaptive: AdaptiveConfig::default(),
-            straggler: None,
-            transport: None,
-        };
-        let rt = test_rt();
-        let out = thread::scope(|s| {
-            s.spawn(|| {
-                // Let the mappers drain the scan plan and park on the
-                // stalled exchange, then cancel — the token's wake is the
-                // only thing that can reach a parked mapper.
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                cancel.cancel();
-            });
-            run_pipelined_io(
-                &rt,
-                [(
-                    EngineIo {
-                        r1: &r1,
-                        r2: Source::Exchange(&exchange),
-                        router: &scheme.router,
-                        cond: &cond,
-                        table: &table,
-                        sink: None,
-                        key_from: crate::local_join::KeyFrom::Probe,
-                        gauge: &MemGauge::default(),
-                        cancel: &cancel,
-                        spill: None,
-                        links: None,
-                    },
-                    cfg,
-                )],
-            )
-            .remove(0)
+        let cfg = EngineConfig::for_tasks(2, 128, 23);
+        let kit = Kit::new(&r1, &[], &scheme, JoinCondition::Equi, cfg).fed(256);
+        let joined = kit.join(&test_rt(), None, |kit| {
+            // Let the mappers drain the scan plan and park on the stalled
+            // exchange, then cancel — the token's wake is the only thing
+            // that can reach a parked mapper.
+            thread::sleep(Duration::from_millis(20));
+            kit.cancel.cancel();
         });
+        let out = &joined.outs[0];
         assert!(out.cancelled, "stalled-exchange run must abort, not hang");
         assert_eq!(out.output_total(), 0);
     }
@@ -1153,68 +882,28 @@ mod tests {
         // closes, so once the mappers have drained it every tuple is
         // routed and `SealAll` is out; a cancel 50 ms later must end the
         // run as cancelled, not let the reducers drain to `Finish`.
-        let k: Vec<Key> = (0..1000).map(|i| (i % 100) as Key).collect();
+        let k: Vec<Key> = (0..1000).map(|i| i % 100).collect();
         let (r1, r2) = (tuples(&k), tuples(&k));
-        let cond = JoinCondition::Equi;
         let scheme = build_ci(4, 1000, 1000, None);
-        let region_to_reducer: Vec<u32> =
-            (0..scheme.num_regions()).map(|r| (r % 2) as u32).collect();
-        let table = RoutingTable::new(&region_to_reducer);
         let cfg = EngineConfig {
-            mappers: 2,
-            reducers: 2,
-            morsel_tuples: 128,
             queue_tuples: 1 << 16,
-            probe_chunk: 64,
-            seed: 29,
-            work: OutputWork::Touch,
             adaptive: AdaptiveConfig {
                 reassign: false,
                 ..Default::default()
             },
-            straggler: Some(Straggler {
-                reducer: 0,
-                nanos_per_tuple: 1_000_000,
-            }),
-            transport: None,
+            straggler: straggler(1_000_000),
+            ..EngineConfig::for_tasks(2, 128, 29)
         };
-        let exchange = Exchange::new(1 << 16);
-        let (gauge, cancel) = (MemGauge::default(), CancelToken::new());
-        let rt = test_rt();
-        let out = thread::scope(|s| {
-            s.spawn(|| {
-                for chunk in r2.chunks(128) {
-                    gauge.add(chunk.len() as u64);
-                    exchange.push(ColumnBatch::from_tuples(chunk));
-                }
-                exchange.close();
-                while exchange.used_tuples() > 0 {
-                    thread::sleep(std::time::Duration::from_millis(1));
-                }
-                thread::sleep(std::time::Duration::from_millis(50));
-                cancel.cancel();
-            });
-            run_pipelined_io(
-                &rt,
-                [(
-                    EngineIo {
-                        r1: &r1,
-                        r2: Source::Exchange(&exchange),
-                        router: &scheme.router,
-                        cond: &cond,
-                        table: &table,
-                        sink: None,
-                        key_from: KeyFrom::Probe,
-                        gauge: &gauge,
-                        cancel: &cancel,
-                        spill: None,
-                        links: None,
-                    },
-                    cfg,
-                )],
-            )
-            .remove(0)
+        let kit = Kit::new(&r1, &[], &scheme, JoinCondition::Equi, cfg).fed(1 << 16);
+        let joined = kit.join(&test_rt(), None, |kit| {
+            kit.feed(&r2, 128);
+            while kit.exchange(0).used_tuples() > 0 {
+                thread::sleep(Duration::from_millis(1));
+            }
+            thread::sleep(Duration::from_millis(50));
+            kit.cancel.cancel();
         });
+        let out = &joined.outs[0];
         assert!(out.cancelled, "a cancel after SealAll must end the run");
         assert_eq!(out.output_total(), 0);
         assert_eq!(out.failure, None, "a reasonless cancel carries none");
@@ -1224,156 +913,80 @@ mod tests {
     /// small queue), so it never pops the exchange, which fills, and stage
     /// 0's reducers park pushing to it. A cancel then must end both stages:
     /// stage 1's last mapper abandons the exchange, which wakes stage 0's
-    /// reducers, whose last one closes it.
+    /// reducers, whose last one closes it. The exchange's batches are
+    /// charged to the query's gauge, so the kit's join finds it balanced
+    /// only if both ends release what the abandoned exchange held and
+    /// discarded.
     #[test]
     fn a_two_stage_plan_cancelled_while_stage_0_is_parked_on_a_full_exchange_joins() {
         let k: Vec<Key> = (0..4000).map(|i| i % 40).collect();
         let (a, c) = (tuples(&k), tuples(&k[..2000]));
-        let cond = JoinCondition::Equi;
         let root = build_ci(4, 4000, 4000, None);
         let chain = build_ci(1, 2000, 400_000, None);
-        let owners: Vec<u32> = (0..root.num_regions() as u32).map(|r| r % 2).collect();
-        let root_table = RoutingTable::new(&owners);
-        let chain_table = RoutingTable::new(&vec![0; chain.num_regions()]);
-        let exchange = Exchange::new(256);
-        let (gauge, cancel) = (MemGauge::default(), CancelToken::new());
-        let io = |r1, r2, router, table, sink, key_from| EngineIo {
-            r1,
-            r2,
-            router,
-            cond: &cond,
-            table,
-            sink,
-            key_from,
-            gauge: &gauge,
-            cancel: &cancel,
-            spill: None,
-            links: None,
+        let crawl = EngineConfig {
+            queue_tuples: 64,
+            straggler: straggler(1_000_000),
+            ..EngineConfig::for_tasks(1, 128, 37)
         };
-        let sink = StageSink {
-            exchange: &exchange,
-            batch_tuples: 64,
-        };
-        let stages = [
-            (
-                io(
-                    &a,
-                    Source::Scan(&a),
-                    &root.router,
-                    &root_table,
-                    Some(sink),
-                    KeyFrom::Probe,
-                ),
-                EngineConfig::for_tasks(2, 128, 31),
-            ),
-            (
-                io(
-                    &c,
-                    Source::Exchange(&exchange),
-                    &chain.router,
-                    &chain_table,
-                    None,
-                    KeyFrom::Build,
-                ),
-                EngineConfig {
-                    queue_tuples: 64,
-                    straggler: Some(Straggler {
-                        reducer: 0,
-                        nanos_per_tuple: 1_000_000,
-                    }),
-                    ..EngineConfig::for_tasks(1, 128, 37)
-                },
-            ),
-        ];
-        let rt = test_rt();
-        let outs = watchdog("a cancelled two-stage plan", || {
-            thread::scope(|s| {
-                s.spawn(|| {
-                    let start = Instant::now();
-                    while exchange.used_tuples() * 2 < exchange.capacity() {
-                        assert!(start.elapsed().as_secs() < 30, "the exchange never filled");
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                    thread::sleep(Duration::from_millis(20));
-                    cancel.cancel();
-                });
-                run_pipelined_io(&rt, stages)
-            })
+        let kit = Kit::new(
+            &a,
+            &a,
+            &root,
+            JoinCondition::Equi,
+            EngineConfig::for_tasks(2, 128, 31),
+        )
+        .sink(256, 64)
+        .then(&c, &chain, crawl);
+        let joined = kit.join(&test_rt(), None, |kit| {
+            let (exchange, start) = (kit.exchange(1), Instant::now());
+            while exchange.used_tuples() * 2 < exchange.capacity() {
+                assert!(start.elapsed().as_secs() < 30, "the exchange never filled");
+                thread::sleep(Duration::from_millis(1));
+            }
+            thread::sleep(Duration::from_millis(20));
+            kit.cancel.cancel();
         });
-        assert!(outs.iter().all(|out| out.cancelled));
-        assert_eq!(exchange.ended(), (true, true), "(closed, abandoned)");
+        assert!(joined.outs.iter().all(|out| out.cancelled));
+        assert_eq!(kit.exchange(1).ended(), (true, true), "(closed, abandoned)");
+        assert_eq!(kit.gauge.current_tuples(), 0);
     }
 
     #[test]
     fn empty_exchange_terminates_the_downstream_operator() {
         let r1 = tuples(&[1, 2, 3]);
-        let cond = JoinCondition::Equi;
         let scheme = build_ci(4, 3, 0, None);
         let cfg = EngineConfig {
-            mappers: 2,
-            reducers: 2,
-            morsel_tuples: 128,
             queue_tuples: 64,
             probe_chunk: 16,
-            seed: 3,
-            work: OutputWork::Touch,
-            adaptive: AdaptiveConfig::default(),
-            straggler: None,
-            transport: None,
+            ..shape(2, 128, 3)
         };
-        let out = run_exchange_fed(
-            &r1,
-            &[],
-            &scheme.router,
-            scheme.num_regions(),
-            &cond,
-            &cfg,
-            8,
-            64,
-        );
+        let out = run_fed(&r1, &[], &scheme, JoinCondition::Equi, cfg, 8, 64);
         assert!(!out.cancelled);
         assert_eq!(out.output_total(), 0);
     }
 
     #[test]
     fn migration_disabled_finishes_without_moving_a_region() {
-        let k: Vec<Key> = (0..1500).map(|i| (i % 90) as Key).collect();
+        let k: Vec<Key> = (0..1500).map(|i| i % 90).collect();
         let (r1, r2) = (tuples(&k), tuples(&k));
         let cond = JoinCondition::Equi;
         let scheme = build_ci(6, 1500, 1500, None);
         let (expect_c, expect_s) = nested_loop(&r1, &r2, &cond);
-        let region_to_reducer: Vec<u32> =
-            (0..scheme.num_regions()).map(|r| (r % 3) as u32).collect();
-        let table = RoutingTable::new(&region_to_reducer);
         let cfg = EngineConfig {
-            mappers: 2,
-            reducers: 3,
-            morsel_tuples: 200,
             queue_tuples: 1024,
             probe_chunk: 100,
-            seed: 13,
-            work: OutputWork::Touch,
             adaptive: AdaptiveConfig {
                 reassign: false,
                 ..Default::default()
             },
-            straggler: None,
-            transport: None,
+            ..shape(3, 200, 13)
         };
-        let out = run_pipelined(
-            &test_rt(),
-            &r1,
-            &r2,
-            &scheme.router,
-            &cond,
-            &table,
-            &cfg,
-            &CancelToken::new(),
-        );
+        let kit = Kit::new(&r1, &r2, &scheme, cond, cfg);
+        let out = kit.run(&test_rt());
         assert_eq!(out.output_total(), expect_c);
         assert_eq!(out.checksum(), expect_s);
         assert_eq!(out.stats.regions_migrated, 0);
-        assert_eq!(out.routing_epoch, 0);
+        assert_eq!(kit.table().epoch(), 0);
         assert_eq!(out.stats.migration_tuples, 0);
     }
 }

@@ -689,115 +689,12 @@ fn disjoint_order(runs: &[ColumnBatch]) -> Option<Vec<usize>> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testkit::{drive, drive_with, nested_loop, ship, spawn, tallies, Fault, Kit};
     use super::*;
-    use crate::engine::{
-        CancelToken, Channel, EngineConfig, EngineIo, EngineRuntime, MemGauge, Source,
-        SpillBinding, SpillContext, StageSink,
-    };
+    use crate::engine::{Channel, EngineRuntime};
     use crate::local_join::{sweep_columns, sweep_columns_each, KeyFrom, OutputWork};
-    use ewh_core::{JoinCondition, RandomRouter, Router, RoutingTable};
+    use ewh_core::{JoinCondition, Tuple};
     use std::sync::Arc;
-
-    /// Polls reducer `me` of `run` on `rt` until it has reported.
-    fn drive(rt: &EngineRuntime, run: &Run<'_>, me: usize, owned: &[u32]) {
-        drive_with(rt, run, me, owned, |_| {})
-    }
-
-    /// [`drive`], with a look at the task after every poll.
-    fn drive_with(
-        rt: &EngineRuntime,
-        run: &Run<'_>,
-        me: usize,
-        owned: &[u32],
-        mut after_poll: impl FnMut(&ReducerTask<'_>) + Send,
-    ) {
-        rt.scope(|s| {
-            let mut task = ReducerTask::new(run, me, owned);
-            let after_poll = &mut after_poll;
-            s.spawn(move |cx| {
-                let step = task.poll(cx);
-                after_poll(&task);
-                step
-            });
-        });
-    }
-
-    /// What a run borrows, for reducers driven by hand: `reducers` queues
-    /// of 65 536 tuples over the regions of `owners`, no scan input.
-    struct Inputs {
-        r1: Vec<ewh_core::Tuple>,
-        r2: Vec<ewh_core::Tuple>,
-        router: Router,
-        cond: JoinCondition,
-        table: RoutingTable,
-        cfg: EngineConfig,
-        gauge: MemGauge,
-        cancel: CancelToken,
-    }
-
-    impl Inputs {
-        fn new(reducers: usize, owners: &[u32], cond: JoinCondition, probe_chunk: usize) -> Self {
-            let rows = owners.len() as u32;
-            Inputs {
-                r1: Vec::new(),
-                r2: Vec::new(),
-                router: Router::Random(RandomRouter { rows, cols: 1 }),
-                cond,
-                table: RoutingTable::new(owners),
-                cfg: EngineConfig {
-                    queue_tuples: 1 << 16,
-                    probe_chunk,
-                    ..EngineConfig::for_tasks(reducers, 1024, 0)
-                },
-                gauge: MemGauge::default(),
-                cancel: CancelToken::new(),
-            }
-        }
-
-        /// The run's wiring: no sink, no spill, the inputs' gauge and
-        /// token.
-        fn io(&self) -> EngineIo<'_> {
-            EngineIo {
-                r1: &self.r1,
-                r2: Source::Scan(&self.r2),
-                router: &self.router,
-                cond: &self.cond,
-                table: &self.table,
-                sink: None,
-                key_from: KeyFrom::Probe,
-                gauge: &self.gauge,
-                cancel: &self.cancel,
-                spill: None,
-                links: None,
-            }
-        }
-
-        /// The run over [`io`](Self::io).
-        fn run(&self) -> Run<'_> {
-            Run::new(self.io(), &self.cfg)
-        }
-    }
-
-    /// What a mapper does per shipped fragment.
-    fn ship(run: &Run<'_>, to: usize, region: u32, rel: Rel, tuples: ColumnBatch) {
-        let n = tuples.len() as u64;
-        run.io.gauge.add(n);
-        run.in_flight.fetch_add(n, Ordering::AcqRel);
-        run.queues[to].push_unbounded(Delivery::Batch(RegionBatch {
-            region,
-            rel,
-            epoch: run.io.table.epoch(),
-            tuples,
-            siblings: Vec::new(),
-        }));
-    }
-
-    /// Each region's `(output, checksum)` as reported into the run.
-    fn tallies(run: &Run<'_>) -> Vec<(u64, u64)> {
-        let out = run.outcome();
-        let pairs = out.per_region_output.iter().zip(&out.per_region_checksum);
-        pairs.map(|(&c, &x)| (c, x)).collect()
-    }
 
     #[test]
     fn a_seal_sweeps_one_region_a_turn_so_the_outbox_holds_one_regions_output() {
@@ -808,24 +705,10 @@ mod tests {
         // behind a 256-tuple exchange, never much more than one region's.
         const REGIONS: u32 = 16;
         let rt = EngineRuntime::new(2);
-        let inputs = Inputs::new(1, &[0; REGIONS as usize], JoinCondition::Equi, 64);
-        let exchange = super::super::Exchange::new(256);
-        let sink = Some(StageSink {
-            exchange: &exchange,
-            batch_tuples: 64,
-        });
-        let run = Run::new(
-            EngineIo {
-                sink,
-                ..inputs.io()
-            },
-            &inputs.cfg,
-        );
-        let side = |tag: u64| -> ColumnBatch {
-            (0..20)
-                .map(|i| ewh_core::Tuple::new(7, tag << 8 | i))
-                .collect()
-        };
+        let kit = Kit::by_hand(1, &[0; REGIONS as usize], JoinCondition::Equi, 64).sink(256, 64);
+        let run = kit.hand_run();
+        let side =
+            |tag: u64| -> ColumnBatch { (0..20).map(|i| Tuple::new(7, tag << 8 | i)).collect() };
         for region in 0..REGIONS {
             ship(&run, 0, region, Rel::R1, side(1));
         }
@@ -836,30 +719,22 @@ mod tests {
         run.queues[0].push_unbounded(Delivery::SealAll);
         run.queues[0].push_unbounded(Delivery::Finish);
         let state = REGIONS as u64 * 40;
-        assert_eq!(run.io.gauge.current_tuples(), state);
+        assert_eq!(kit.gauge.current_tuples(), state);
 
         let owned: Vec<u32> = (0..REGIONS).collect();
-        let emitted = std::thread::scope(|s| {
-            // The downstream mapper: take a batch, release its charge.
-            let consumer = s.spawn(|| {
-                let mut emitted = 0u64;
-                while let Some(batch) = exchange.pop() {
-                    emitted += batch.len() as u64;
-                    run.io.gauge.sub(batch.len() as u64);
-                }
-                emitted
-            });
+        // The downstream mapper takes the sink until the reducer's drop
+        // closes it.
+        std::thread::scope(|s| {
+            s.spawn(|| kit.take_rest());
             drive(&rt, &run, 0, &owned);
-            exchange.close();
-            consumer.join().expect("consumer")
         });
-        assert_eq!(emitted, REGIONS as u64 * 400);
+        assert_eq!(kit.emitted().len() as u64, REGIONS as u64 * 400);
         assert_eq!(run.outcome().per_region_output, [400; REGIONS as usize]);
-        assert_eq!(run.io.gauge.current_tuples(), 0);
+        kit.assert_balanced();
         // Resident state, a full exchange, one region's sweep, the batch in
         // the consumer's hands.
         let bound = state + 256 + 400 + 64;
-        let peak = run.io.gauge.peak_tuples();
+        let peak = kit.gauge.peak_tuples();
         assert!(
             peak <= bound,
             "peak {peak} tuples: the seal staged more than a region"
@@ -889,27 +764,15 @@ mod tests {
             (1024, hot_between(200)),
             (256, hot_between(128)),
         ] {
-            let inputs = Inputs::new(1, &[0], JoinCondition::Equi, probe_keys.len());
-            let exchange = super::super::Exchange::new(cap);
-            let sink = Some(StageSink {
-                exchange: &exchange,
-                batch_tuples: BATCH,
-            });
-            let run = Run::new(
-                EngineIo {
-                    sink,
-                    ..inputs.io()
-                },
-                &inputs.cfg,
-            );
+            let cond = JoinCondition::Equi;
+            let kit = Kit::by_hand(1, &[0], cond, probe_keys.len()).sink(cap, BATCH);
+            let run = kit.hand_run();
             // Payloads that make `pair_payload` injective.
-            let build: ColumnBatch = (0..BUILD)
-                .map(|i| ewh_core::Tuple::new(7, (i + 1) << 12))
-                .collect();
+            let build: ColumnBatch = (0..BUILD).map(|i| Tuple::new(7, (i + 1) << 12)).collect();
             let probe: ColumnBatch = probe_keys
                 .iter()
                 .enumerate()
-                .map(|(j, &k)| ewh_core::Tuple::new(k, j as u64 + 1))
+                .map(|(j, &k)| Tuple::new(k, j as u64 + 1))
                 .collect();
             ship(&run, 0, 0, Rel::R1, build.clone());
             run.queues[0].push_unbounded(Delivery::SealR1);
@@ -918,48 +781,35 @@ mod tests {
             run.queues[0].push_unbounded(Delivery::Finish);
             let state = BUILD + probe_keys.len() as u64;
 
-            let mut emitted = Vec::new();
-            let mut take = |batch: ColumnBatch| {
-                run.io.gauge.sub(batch.len() as u64);
-                emitted.extend_from_slice(batch.payloads());
-            };
             let mut most_staged = 0;
             // The downstream mapper, one batch a turn.
             drive_with(&rt, &run, 0, &[0], |task| {
                 let staged: usize = task.outbox.iter().map(ColumnBatch::len).sum();
                 most_staged = most_staged.max(staged);
-                if let PortPop::Item(batch) = exchange.try_pop() {
-                    take(batch);
-                }
+                kit.take_one();
             });
-            exchange.close();
-            while let Some(batch) = exchange.pop() {
-                take(batch);
-            }
+            kit.take_rest();
 
             let mut expect = Vec::new();
             let mut sorted_probe = probe.clone();
             sorted_probe.sort_by_key();
-            sweep_columns_each(
-                &build,
-                &sorted_probe,
-                &inputs.cond,
-                KeyFrom::Probe,
-                |_, p| expect.push(p),
-            );
+            sweep_columns_each(&build, &sorted_probe, &cond, KeyFrom::Probe, |_, p| {
+                expect.push(p)
+            });
             assert!(expect.len() as u64 >= 56 * BUILD);
             expect.sort_unstable();
+            let mut emitted = kit.emitted();
             emitted.sort_unstable();
             assert_eq!(emitted, expect, "cap {cap}");
             assert_eq!(run.outcome().per_region_output[0], expect.len() as u64);
-            assert_eq!(run.io.gauge.current_tuples(), 0);
+            kit.assert_balanced();
 
             let slice = cap + BUILD as usize + BATCH;
             assert!(
                 most_staged <= slice,
                 "cap {cap}: {most_staged} tuples staged beyond the exchange"
             );
-            let peak = run.io.gauge.peak_tuples();
+            let peak = kit.gauge.peak_tuples();
             assert!(
                 peak <= state + (cap + slice) as u64,
                 "cap {cap}: peak {peak} tuples"
@@ -976,14 +826,15 @@ mod tests {
         // no longer sorted on arrival. No schedule forces that order from
         // outside, so the deliveries are queued by hand.
         let rt = EngineRuntime::new(2);
-        let inputs = Inputs::new(2, &[0], JoinCondition::Band { beta: 1 }, 4);
-        let run = inputs.run();
-        let (queues, table, cond) = (&run.queues, &inputs.table, &inputs.cond);
+        let cond = JoinCondition::Band { beta: 1 };
+        let kit = Kit::by_hand(2, &[0], cond, 4);
+        let run = kit.hand_run();
+        let queues = &run.queues;
         let ship = |to: usize, rel: Rel, tuples: ColumnBatch| ship(&run, to, 0, rel, tuples);
         let tagged = |tag: u64, keys: &[i64]| -> ColumnBatch {
             keys.iter()
                 .enumerate()
-                .map(|(i, &k)| ewh_core::Tuple::new(k, tag << 16 | i as u64))
+                .map(|(i, &k)| Tuple::new(k, tag << 16 | i as u64))
                 .collect()
         };
         let build_runs = [
@@ -996,7 +847,7 @@ mod tests {
         for build in &build_runs {
             ship(0, Rel::R1, build.clone());
         }
-        table.migrate(0, 1);
+        kit.table().migrate(0, 1);
         queues[0].push_unbounded(Delivery::Migrate { region: 0 });
         queues[0].push_unbounded(Delivery::SealR1);
         queues[0].push_unbounded(Delivery::Finish);
@@ -1019,24 +870,15 @@ mod tests {
         }
         queues[1].push_unbounded(Delivery::Finish);
         drive(&rt, &run, 1, &[]);
-        let (mut count, mut checksum) = (0u64, 0u64);
-        for b in build_runs.iter().flat_map(ColumnBatch::iter_tuples) {
-            for p in probe_runs.iter().flat_map(ColumnBatch::iter_tuples) {
-                if cond.matches(b.key, p.key) {
-                    count += 1;
-                    checksum ^= crate::local_join::pair_payload(b.payload, p.payload);
-                }
-            }
-        }
-        assert!(count > 0);
-        assert_eq!(tallies(&run), [(count, checksum)]);
+        let flat = |runs: &[ColumnBatch]| -> Vec<Tuple> {
+            runs.iter().flat_map(ColumnBatch::iter_tuples).collect()
+        };
+        let expect = nested_loop(&flat(&build_runs), &flat(&probe_runs), &cond);
+        assert!(expect.0 > 0);
+        assert_eq!(tallies(&run), [expect]);
         assert_eq!(run.outcome().per_region_input, [18]);
         assert_eq!(run.in_flight.load(Ordering::Acquire), 0);
-        assert_eq!(
-            run.io.gauge.current_tuples(),
-            0,
-            "every charged tuple was released"
-        );
+        kit.assert_balanced();
     }
 
     #[test]
@@ -1049,19 +891,16 @@ mod tests {
         // moves to reducer 1; the retry must split the group and stamp the
         // moved region's delivery after the migration.
         let rt = EngineRuntime::new(2);
-        let side = |tag: u64| -> Vec<ewh_core::Tuple> {
+        let side = |tag: u64| -> Vec<Tuple> {
             (0..8)
-                .map(|i| ewh_core::Tuple::new(i as i64 % 3, tag << 8 | i))
+                .map(|i| Tuple::new(i as i64 % 3, tag << 8 | i))
                 .collect()
         };
-        let mut inputs = Inputs {
-            r1: side(1),
-            r2: side(2),
-            ..Inputs::new(2, &[0, 0], JoinCondition::Equi, 4)
-        };
-        inputs.cfg.morsel_tuples = 8;
-        inputs.cfg.seed = 5;
-        let mut run = inputs.run();
+        let (r1, r2) = (side(1), side(2));
+        let kit = Kit::by_hand(2, &[0, 0], JoinCondition::Equi, 4)
+            .relations(&r1, &r2)
+            .with(|cfg| (cfg.morsel_tuples, cfg.seed) = (8, 5));
+        let mut run = kit.hand_run();
         run.queues = [8, 64]
             .map(|cap| Arc::new(Channel::new(cap)) as Arc<DeliveryPort>)
             .to_vec();
@@ -1072,9 +911,10 @@ mod tests {
             ReducerTask::new(run, 1, &[]),
         ];
         let mut reported = Vec::new();
-        rt.scope(|s| {
-            let (table, reported) = (&inputs.table, &mut reported);
-            s.spawn(move |cx| {
+        let (table, reported_by) = (kit.table(), &mut reported);
+        spawn(
+            &rt,
+            vec![Box::new(move |cx| {
                 // Route and ship the build morsel (8 tuples fill queue 0),
                 // then route the probe morsel: its group bounces.
                 let steps: Vec<Poll> = (0..4).map(|_| mapper.poll(cx)).collect();
@@ -1105,27 +945,20 @@ mod tests {
                 for reducer in &mut reducers {
                     while !matches!(reducer.poll(cx), Poll::Ready) {}
                     let input = run.outcome().per_region_input.clone();
-                    reported.push(input.iter().map(|&n| n > 0).collect::<Vec<_>>());
+                    reported_by.push(input.iter().map(|&n| n > 0).collect::<Vec<_>>());
                 }
                 Poll::Ready
-            });
-        });
+            })],
+        );
         assert_eq!(
             reported,
             [[true, false], [true, true]],
             "region 1 ended at its new owner"
         );
-        let (mut count, mut checksum) = (0u64, 0u64);
-        for b in &inputs.r1 {
-            for p in inputs.r2.iter().filter(|p| p.key == b.key) {
-                count += 1;
-                checksum ^= crate::local_join::pair_payload(b.payload, p.payload);
-            }
-        }
         let got = tallies(run)
             .into_iter()
             .fold((0, 0), |(c, x), (n, y)| (c + n, x ^ y));
-        assert_eq!(got, (count, checksum));
+        assert_eq!(got, nested_loop(&r1, &r2, &JoinCondition::Equi));
         assert_eq!(
             run.counters.network_tuples.load(Ordering::Relaxed),
             8 + 2 * 8
@@ -1135,7 +968,7 @@ mod tests {
             0,
             "nothing in flight"
         );
-        assert_eq!(run.io.gauge.current_tuples(), 0, "every charge released");
+        kit.assert_balanced();
     }
 
     /// Probe tuples a fragment carries in the cadence tests below.
@@ -1152,7 +985,7 @@ mod tests {
             (0..n as u64)
                 .map(|i| {
                     let key = (i * stride % 1024) as i64;
-                    ewh_core::Tuple::new(key, (region as u64) << 40 | rel << 32 | i)
+                    Tuple::new(key, (region as u64) << 40 | rel << 32 | i)
                 })
                 .collect()
         };
@@ -1179,13 +1012,9 @@ mod tests {
         run.queues[0].push_unbounded(Delivery::SealAll);
         run.queues[0].push_unbounded(Delivery::Finish);
         builds
-            .into_iter()
-            .zip(probes)
-            .map(|(mut build, mut probe)| {
-                build.sort_by_key();
-                probe.sort_by_key();
-                sweep_columns(&build, &probe, run.io.cond, OutputWork::Touch)
-            })
+            .iter()
+            .zip(&probes)
+            .map(|(build, probe)| whole_sweep(run, build, probe))
             .collect()
     }
 
@@ -1237,8 +1066,8 @@ mod tests {
         const FLOOR: usize = 64;
         let sizes = [(4096, 16_384), (256, 2048)];
         let rt = EngineRuntime::new(2);
-        let inputs = Inputs::new(1, &[0, 0], JoinCondition::Band { beta: 1 }, FLOOR);
-        let run = inputs.run();
+        let kit = Kit::by_hand(1, &[0, 0], JoinCondition::Band { beta: 1 }, FLOOR);
+        let run = kit.hand_run();
         let expect = stream_after_seal(&run, &sizes);
         let due = |r: usize| sweep::due_at(FLOOR, sizes[r].0);
         drive_within(&rt, &run, &expect, due);
@@ -1247,7 +1076,7 @@ mod tests {
             .sum();
         let swept = run.board.chunks_swept(0);
         assert!(swept <= most, "{swept} sweeps, at most {most} are due");
-        assert_eq!(run.io.gauge.current_tuples(), 0);
+        kit.assert_balanced();
     }
 
     #[test]
@@ -1262,21 +1091,9 @@ mod tests {
         // pressed.
         const FLOOR: usize = 64;
         let sizes = [(4096, 16_384)];
-        let dir = std::env::temp_dir().join(format!("ewh-reducer-pressed-{}", std::process::id()));
-        let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
-        let inputs = Inputs::new(1, &[0], JoinCondition::Band { beta: 1 }, FLOOR);
-        let spill = Some(SpillBinding {
-            budget_tuples: 2048,
-            ctx: &ctx,
-        });
-        let run = Run::new(
-            EngineIo {
-                spill,
-                ..inputs.io()
-            },
-            &inputs.cfg,
-        );
+        let kit = Kit::by_hand(1, &[0], JoinCondition::Band { beta: 1 }, FLOOR).spill(2048);
+        let run = kit.hand_run();
         let expect = stream_after_seal(&run, &sizes);
         let (mut pressed_most, mut eased_most, mut longest_run) = (0, 0, 0);
         drive_with(&rt, &run, 0, &[0], |task| {
@@ -1313,12 +1130,9 @@ mod tests {
         let swept = run.board.chunks_swept(0);
         let fewest = (sizes[0].1 / (FLOOR + FRAGMENT)) as u64;
         assert!(swept >= fewest, "{swept} sweeps under pressure");
-        assert_eq!(run.io.gauge.current_tuples(), 0);
-        assert!(ctx.totals().runs > 0, "the build went to disk");
+        kit.assert_balanced();
+        assert!(kit.spill_ctx().totals().runs > 0, "the build went to disk");
         assert_eq!(run.io.cancel.reason(), None);
-        drop(run);
-        drop(ctx);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Build tuples in the spill replay tests below, on keys cycling over
@@ -1331,7 +1145,7 @@ mod tests {
     /// and no zone fence skips a reload.
     fn spill_sides() -> (ColumnBatch, ColumnBatch) {
         let build = (0..SPILL_BUILD as u64)
-            .map(|i| ewh_core::Tuple::new((i % 1024) as i64, 1 << 32 | i))
+            .map(|i| Tuple::new((i % 1024) as i64, 1 << 32 | i))
             .collect();
         let probe = (0..SPILL_PROBE as u64)
             .map(|i| {
@@ -1340,7 +1154,7 @@ mod tests {
                     1 => 1023,
                     _ => (i * 751 % 1024) as i64,
                 };
-                ewh_core::Tuple::new(key, 2 << 32 | i)
+                Tuple::new(key, 2 << 32 | i)
             })
             .collect();
         (build, probe)
@@ -1358,7 +1172,7 @@ mod tests {
         run.queues[0].push_unbounded(Delivery::Finish);
     }
 
-    /// One whole-probe sweep of the replay tests' sides.
+    /// One whole-probe sweep of `build` and `probe`.
     fn whole_sweep(run: &Run<'_>, build: &ColumnBatch, probe: &ColumnBatch) -> (u64, u64) {
         let (mut build, mut probe) = (build.clone(), probe.clone());
         build.sort_by_key();
@@ -1377,23 +1191,11 @@ mod tests {
         const FLOOR: usize = 64;
         const BUDGET: u64 = 12_288;
         let ballast = BUDGET - SPILL_BUILD as u64 + 1;
-        let dir = std::env::temp_dir().join(format!("ewh-reducer-back-{}", std::process::id()));
-        let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
-        let inputs = Inputs::new(1, &[0], JoinCondition::Band { beta: 1 }, FLOOR);
-        let spill = Some(SpillBinding {
-            budget_tuples: BUDGET,
-            ctx: &ctx,
-        });
-        let run = Run::new(
-            EngineIo {
-                spill,
-                ..inputs.io()
-            },
-            &inputs.cfg,
-        );
+        let kit = Kit::by_hand(1, &[0], JoinCondition::Band { beta: 1 }, FLOOR).spill(BUDGET);
+        let run = kit.hand_run();
         let (build, probe) = spill_sides();
-        run.io.gauge.add(ballast);
+        kit.gauge.add(ballast);
         ship(&run, 0, 0, Rel::R1, build.clone());
         run.queues[0].push_unbounded(Delivery::SealR1);
         let mut shed = None;
@@ -1401,7 +1203,7 @@ mod tests {
             let st = task.states[0].as_ref().expect("the region stays owned");
             if shed.is_none() && st.is_sealed() {
                 shed = Some((st.spilled_build_tuples, st.build_side_tuples()));
-                run.io.gauge.sub(ballast);
+                kit.gauge.sub(ballast);
                 ship_probe(&run, &probe);
             }
         });
@@ -1411,7 +1213,7 @@ mod tests {
             "the build was shed whole"
         );
         let runs = SPILL_BUILD.div_ceil(FLOOR) as u64;
-        let totals = ctx.totals();
+        let totals = kit.spill_ctx().totals();
         assert_eq!(totals.runs, runs);
         assert_eq!(totals.reloads, runs, "each run came back once");
         assert_eq!(totals.respills, 0);
@@ -1420,16 +1222,13 @@ mod tests {
         assert!(expect.0 > 0);
         assert_eq!(tallies(&run), [expect]);
         assert_eq!(run.board.spilled_tuples(0), 0);
-        assert_eq!(run.io.gauge.current_tuples(), 0);
-        let peak = run.io.gauge.peak_tuples();
+        kit.assert_balanced();
+        let peak = kit.gauge.peak_tuples();
         assert!(
             peak <= BUDGET + 1,
             "peak {peak} over the build's own delivery"
         );
         assert_eq!(run.io.cancel.reason(), None);
-        drop(run);
-        drop(ctx);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1444,30 +1243,18 @@ mod tests {
         // join is the batch engine's, and the gauge ends at zero.
         const FLOOR: usize = 64;
         const BUDGET: u64 = 12_288;
-        let dir = std::env::temp_dir().join(format!("ewh-reducer-sorted-{}", std::process::id()));
-        let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
         let cond = JoinCondition::Band { beta: 1 };
-        let inputs = Inputs::new(1, &[0], cond, FLOOR);
-        let spill = Some(SpillBinding {
-            budget_tuples: BUDGET,
-            ctx: &ctx,
-        });
-        let run = Run::new(
-            EngineIo {
-                spill,
-                ..inputs.io()
-            },
-            &inputs.cfg,
-        );
-        let r1: Vec<ewh_core::Tuple> = (0..SPILL_BUILD as u64)
-            .map(|i| ewh_core::Tuple::new(2 * i as i64, 1 << 32 | i))
+        let kit = Kit::by_hand(1, &[0], cond, FLOOR).spill(BUDGET);
+        let run = kit.hand_run();
+        let r1: Vec<Tuple> = (0..SPILL_BUILD as u64)
+            .map(|i| Tuple::new(2 * i as i64, 1 << 32 | i))
             .collect();
-        let r2: Vec<ewh_core::Tuple> = (0..SPILL_PROBE as u64)
-            .map(|i| ewh_core::Tuple::new((i * 7_919 % 8_192) as i64, 2 << 32 | i))
+        let r2: Vec<Tuple> = (0..SPILL_PROBE as u64)
+            .map(|i| Tuple::new((i * 7_919 % 8_192) as i64, 2 << 32 | i))
             .collect();
         let fragments: Vec<ColumnBatch> = r1.chunks(96).map(ColumnBatch::from_tuples).collect();
-        run.io.gauge.add(BUDGET);
+        kit.gauge.add(BUDGET);
         for i in 0..fragments.len() {
             let fragment = fragments[i * 17 % fragments.len()].clone();
             ship(&run, 0, 0, Rel::R1, fragment);
@@ -1478,7 +1265,7 @@ mod tests {
             let st = task.states[0].as_ref().expect("the region stays owned");
             if shed.is_none() && st.is_sealed() {
                 shed = Some((st.spilled_build_tuples, st.build_side_tuples()));
-                run.io.gauge.sub(BUDGET);
+                kit.gauge.sub(BUDGET);
                 ship_probe(&run, &ColumnBatch::from_tuples(&r2));
             }
         });
@@ -1487,24 +1274,16 @@ mod tests {
             Some((SPILL_BUILD as u64, 0)),
             "the build was shed whole"
         );
-        let totals = ctx.totals();
+        let totals = kit.spill_ctx().totals();
         assert!(totals.runs >= fragments.len() as u64);
         assert_eq!(totals.reloads, totals.runs, "each run came back once");
         assert_eq!(totals.respills, 0);
 
-        // Every record in the segment: a length prefix, keys, payloads.
-        let segment = std::fs::read(dir.join("segment.spill")).expect("the segment");
-        let mut words = segment
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
-        let mut records = 0;
-        while let Some(n) = words.next() {
-            let keys: Vec<i64> = words.by_ref().take(n as usize).map(|k| k as i64).collect();
-            assert!(keys.is_sorted(), "spilled run {records} is not key-sorted");
-            words.by_ref().take(n as usize).for_each(drop);
-            records += 1;
+        let segment = kit.segment();
+        for (i, (keys, _)) in segment.iter().enumerate() {
+            assert!(keys.is_sorted(), "spilled run {i} is not key-sorted");
         }
-        assert_eq!(records, totals.runs);
+        assert_eq!(segment.len() as u64, totals.runs);
 
         let batch = crate::run_operator(
             &rt,
@@ -1524,11 +1303,8 @@ mod tests {
             [(batch.join.output_total, batch.join.checksum)]
         );
         assert_eq!(run.board.spilled_tuples(0), 0);
-        assert_eq!(run.io.gauge.current_tuples(), 0);
+        kit.assert_balanced();
         assert_eq!(run.io.cancel.reason(), None);
-        drop(run);
-        drop(ctx);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1537,29 +1313,16 @@ mod tests {
         // side, so every chunk reloads every spilled run, as the replay
         // always did, and the output is that of one whole-probe sweep.
         const FLOOR: usize = 64;
-        const BUDGET: u64 = 3000;
-        let dir = std::env::temp_dir().join(format!("ewh-reducer-replay-{}", std::process::id()));
-        let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
-        let inputs = Inputs::new(1, &[0], JoinCondition::Band { beta: 1 }, FLOOR);
-        let spill = Some(SpillBinding {
-            budget_tuples: BUDGET,
-            ctx: &ctx,
-        });
-        let run = Run::new(
-            EngineIo {
-                spill,
-                ..inputs.io()
-            },
-            &inputs.cfg,
-        );
+        let kit = Kit::by_hand(1, &[0], JoinCondition::Band { beta: 1 }, FLOOR).spill(3000);
+        let run = kit.hand_run();
         let (build, probe) = spill_sides();
         ship(&run, 0, 0, Rel::R1, build.clone());
         run.queues[0].push_unbounded(Delivery::SealR1);
         ship_probe(&run, &probe);
         drive(&rt, &run, 0, &[0]);
         let runs = SPILL_BUILD.div_ceil(FLOOR) as u64;
-        let totals = ctx.totals();
+        let totals = kit.spill_ctx().totals();
         assert_eq!(totals.runs, runs, "only the build went to disk");
         let chunks = run.board.chunks_swept(0);
         assert!(chunks > 1);
@@ -1569,11 +1332,8 @@ mod tests {
             "every chunk replays every run"
         );
         assert_eq!(tallies(&run), [whole_sweep(&run, &build, &probe)]);
-        assert_eq!(run.io.gauge.current_tuples(), 0);
+        kit.assert_balanced();
         assert_eq!(run.io.cancel.reason(), None);
-        drop(run);
-        drop(ctx);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1592,40 +1352,20 @@ mod tests {
         // output it stays on disk, and no probe tuple is written twice.
         const BUILD: u64 = 300;
         const PROBE: u64 = 256;
-        let dir = std::env::temp_dir().join(format!("ewh-reducer-sink-{}", std::process::id()));
-        let ctx = SpillContext::new(dir.clone(), None);
         let rt = EngineRuntime::new(2);
-        let inputs = Inputs::new(1, &[0], JoinCondition::Equi, PROBE as usize);
-        let exchange = super::super::Exchange::new(1024);
-        let sink = StageSink {
-            exchange: &exchange,
-            batch_tuples: 64,
-        };
-        let spill = Some(SpillBinding {
-            budget_tuples: 700,
-            ctx: &ctx,
-        });
-        let io = EngineIo {
-            sink: Some(sink),
-            spill,
-            ..inputs.io()
-        };
-        let run = Run::new(io, &inputs.cfg);
+        let kit = Kit::by_hand(1, &[0], JoinCondition::Equi, PROBE as usize)
+            .sink(1024, 64)
+            .spill(700);
+        let run = kit.hand_run();
         // Tagged payloads: a build tuple's carry 1 above bit 40, a probe
         // tuple's 2, an output pair's 33 (`pair_payload` is 31 b + p).
         let side = |tag: u64, n: u64| -> ColumnBatch {
-            (0..n)
-                .map(|i| ewh_core::Tuple::new(7, tag << 40 | i))
-                .collect()
+            (0..n).map(|i| Tuple::new(7, tag << 40 | i)).collect()
         };
         let probe = side(2, PROBE);
         ship(&run, 0, 0, Rel::R1, side(1, BUILD));
         run.queues[0].push_unbounded(Delivery::SealR1);
-        let (mut shipped, mut emitted) = (false, 0);
-        let mut take = |batch: ColumnBatch| {
-            emitted += batch.len() as u64;
-            run.io.gauge.sub(batch.len() as u64);
-        };
+        let mut shipped = false;
         drive_with(&rt, &run, 0, &[0], |task| {
             let st = task.states[0].as_ref().expect("the region stays owned");
             if !shipped && st.is_sealed() {
@@ -1637,30 +1377,22 @@ mod tests {
                 run.queues[0].push_unbounded(Delivery::SealAll);
                 run.queues[0].push_unbounded(Delivery::Finish);
             }
-            while let PortPop::Item(batch) = exchange.try_pop() {
-                take(batch);
-            }
+            while kit.take_one() {}
         });
-        exchange.close();
-        while let Some(batch) = exchange.pop() {
-            take(batch);
-        }
+        kit.take_rest();
         assert_eq!(run.outcome().per_region_output, [BUILD * PROBE]);
-        assert_eq!(emitted, BUILD * PROBE);
-        assert_eq!(run.io.gauge.current_tuples(), 0);
-        assert_eq!(ctx.totals().respills, 0, "the build came back to be shed");
+        assert_eq!(kit.emitted().len() as u64, BUILD * PROBE);
+        kit.assert_balanced();
+        let respills = kit.spill_ctx().totals().respills;
+        assert_eq!(respills, 0, "the build came back to be shed");
 
-        // Every record in the segment: a length prefix, keys, payloads.
-        let segment = std::fs::read(dir.join("segment.spill")).expect("the segment");
-        let mut words = segment
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
-        let mut probe_written = Vec::new();
-        while let Some(n) = words.next() {
-            words.by_ref().take(n as usize).for_each(drop);
-            let payloads = words.by_ref().take(n as usize);
-            probe_written.extend(payloads.filter(|p| p >> 40 == 2));
-        }
+        // Every probe tuple in the segment's records.
+        let mut probe_written: Vec<u64> = kit
+            .segment()
+            .into_iter()
+            .flat_map(|(_, payloads)| payloads)
+            .filter(|p| p >> 40 == 2)
+            .collect();
         let written = probe_written.len();
         probe_written.sort_unstable();
         probe_written.dedup();
@@ -1670,9 +1402,6 @@ mod tests {
             "{written} probe tuples written: the rest of the first slice"
         );
         assert_eq!(run.io.cancel.reason(), None);
-        drop(run);
-        drop(ctx);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1682,28 +1411,14 @@ mod tests {
         // region 0's run. Rung 1 sheds region 1 whole and touches nothing
         // else; the next tie goes to the lower id. A build that came back
         // and is shed again is a re-spill.
-        let dir = std::env::temp_dir().join(format!("ewh-reducer-ladder-{}", std::process::id()));
-        let ctx = SpillContext::new(dir.clone(), None);
-        let inputs = Inputs::new(1, &[0, 0, 0], JoinCondition::Equi, 64);
+        let kit = Kit::by_hand(1, &[0, 0, 0], JoinCondition::Equi, 64).spill(0);
         // A run over the ladder's budget and one over a roomy budget, both
-        // charging one gauge.
-        let gauge = MemGauge::default();
-        let binding = |budget_tuples| {
-            let spill = Some(SpillBinding {
-                budget_tuples,
-                ctx: &ctx,
-            });
-            let io = EngineIo {
-                gauge: &gauge,
-                spill,
-                ..inputs.io()
-            };
-            Run::new(io, &inputs.cfg)
-        };
-        let (run, roomy) = (binding(0), binding(10_000));
+        // charging the kit's gauge.
+        let (run, roomy) = (kit.hand_run(), kit.hand_run_under(10_000));
+        let (gauge, ctx) = (&kit.gauge, kit.spill_ctx());
         let batch = |n: i64, tag: u64| -> ColumnBatch {
             (0..n)
-                .map(|i| ewh_core::Tuple::new((n - i) * 3 % 17, tag << 16 | i as u64))
+                .map(|i| Tuple::new((n - i) * 3 % 17, tag << 16 | i as u64))
                 .collect()
         };
         let mut task = ReducerTask::new(&run, 0, &[0, 1, 2]);
@@ -1719,7 +1434,7 @@ mod tests {
         st.runs = None;
         gauge.add(320);
 
-        assert!(task.spill_once(&ctx));
+        assert!(task.spill_once(ctx));
         let st = state(&mut task, 1);
         assert_eq!(st.build_side_tuples(), 0);
         assert_eq!(st.spilled_build_tuples, 120);
@@ -1747,7 +1462,7 @@ mod tests {
         untouched(&mut task, 2, 0, 100);
         assert_eq!(gauge.current_tuples(), 200);
 
-        assert!(task.spill_once(&ctx));
+        assert!(task.spill_once(ctx));
         assert_eq!(state(&mut task, 0).spilled_build_tuples, 100);
         untouched(&mut task, 2, 0, 100);
 
@@ -1762,14 +1477,10 @@ mod tests {
         assert!(st.spilled_build.is_empty() && st.build.len() == 120);
         assert!(st.build.is_sorted_by_key());
         assert_eq!(ctx.totals().respills, 0);
-        assert!(task.spill_once(&ctx));
+        assert!(task.spill_once(ctx));
         assert_eq!(state(&mut task, 1).spilled_build_tuples, 120);
         assert_eq!(ctx.totals().respills, 1);
         assert_eq!([&run, &roomy].map(|r| r.io.cancel.reason()), [None, None]);
-        drop((task, adopter));
-        drop((run, roomy));
-        drop(ctx);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Reducer 0 panics on its second poll, mid-run, with its small queue
@@ -1778,40 +1489,19 @@ mod tests {
     /// scope joins with the panic instead of hanging.
     #[test]
     fn a_reducer_that_panics_mid_run_cancels_the_run_instead_of_hanging() {
-        let tuples: Vec<ewh_core::Tuple> = (0..8000)
-            .map(|i| ewh_core::Tuple::new(i % 500, i as u64))
-            .collect();
-        let mut inputs = Inputs::new(2, &[0, 1, 0, 1], JoinCondition::Equi, 64);
-        inputs.r1 = tuples.clone();
-        inputs.r2 = tuples;
-        inputs.cfg.queue_tuples = 256;
-        let run = inputs.run();
-        let rt = EngineRuntime::new(4);
-        let joined = super::super::tests::watchdog("a reducer panic", || {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                rt.scope(|s| {
-                    let (reducers, mut coordinator, mappers) = run.tasks();
-                    for mut task in reducers {
-                        let mut polls = 0;
-                        s.spawn(move |cx| {
-                            polls += 1;
-                            if task.me == 0 && polls == 2 {
-                                panic!("a reducer exploded");
-                            }
-                            task.poll(cx)
-                        });
-                    }
-                    s.spawn(move |cx| coordinator.poll(cx));
-                    for mut task in mappers {
-                        s.spawn(move |cx| task.poll(cx));
-                    }
-                })
-            }))
-        });
-        let payload = joined.expect_err("the reducer's panic reaches the join");
+        let tuples: Vec<Tuple> = (0..8000).map(|i| Tuple::new(i % 500, i as u64)).collect();
+        let kit = Kit::by_hand(2, &[0, 1, 0, 1], JoinCondition::Equi, 64)
+            .relations(&tuples, &tuples)
+            .with(|cfg| cfg.queue_tuples = 256);
+        let fault = Fault::Reducer {
+            reducer: 0,
+            poll: 2,
+        };
+        let joined = kit.join(&EngineRuntime::new(4), Some(fault), |_| {});
+        let payload = joined.panic.expect("the reducer's panic reaches the join");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"a reducer exploded"));
-        assert!(inputs.cancel.is_cancelled());
-        assert!(run.finish().cancelled);
+        assert!(kit.cancel.is_cancelled());
+        assert!(joined.outs[0].cancelled);
     }
 
     fn cols(keys: &[i64]) -> ColumnBatch {

@@ -496,26 +496,9 @@ fn run(
 mod tests {
     use super::super::stats::build_scheme_from_keys;
     use super::*;
+    use crate::engine::testkit::{random_keys, test_rt, tuples};
     use crate::shuffle;
     use ewh_core::{JoinMatrix, Key};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    fn test_rt() -> EngineRuntime {
-        EngineRuntime::new(4)
-    }
-
-    fn tuples(keys: &[Key]) -> Vec<Tuple> {
-        keys.iter()
-            .enumerate()
-            .map(|(i, &k)| Tuple::new(k, i as u64))
-            .collect()
-    }
-
-    fn random_keys(n: usize, domain: i64, seed: u64) -> Vec<Key> {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        (0..n).map(|_| rng.gen_range(0..domain)).collect()
-    }
 
     #[test]
     fn all_schemes_produce_the_exact_join_output() {

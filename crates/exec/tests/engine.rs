@@ -1,27 +1,15 @@
 //! Execution-engine integration tests: shuffle determinism, load accounting,
 //! CI's statistical output balance, and failure-ish corners.
 
+mod common;
+
+use common::*;
 use ewh_core::{
-    build_ci, build_csio, CostModel, HistogramParams, JoinCondition, Key, SchemeKind, Tuple,
-    TUPLE_BYTES,
+    build_ci, build_csio, CostModel, HistogramParams, JoinCondition, Key, SchemeKind, TUPLE_BYTES,
 };
 use ewh_exec::{
     assign_regions, execute_join, run_operator, shuffle, EngineRuntime, OperatorConfig, OutputWork,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
-
-fn random_keys(n: usize, domain: i64, seed: u64) -> Vec<Key> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(0..domain)).collect()
-}
 
 #[test]
 fn grid_shuffle_is_identical_across_thread_counts() {

@@ -3,31 +3,16 @@
 //! single-tuple morsels), the LPT hot-region fix, and the adaptive
 //! fallback's plan reuse.
 
+mod common;
+
+use common::*;
 use ewh_core::{
-    build_csio, CostModel, HistogramParams, JoinCondition, Key, SchemeKind, Tuple, TUPLE_BYTES,
+    build_csio, CostModel, HistogramParams, JoinCondition, Key, SchemeKind, TUPLE_BYTES,
 };
 use ewh_exec::{
     execute_join, lpt_schedule, run_operator, run_operator_adaptive, shuffle, EngineRuntime,
     ExecMode, FallbackPolicy, OperatorConfig,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-fn test_rt() -> EngineRuntime {
-    EngineRuntime::new(4)
-}
-
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
-
-fn random_keys(n: usize, domain: i64, seed: u64) -> Vec<Key> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(0..domain)).collect()
-}
 
 fn skewed_keys(n: usize, seed: u64) -> Vec<Key> {
     // Half the tuples on one hot key, the rest uniform.

@@ -12,18 +12,16 @@
 //! join condition; chained plans, which expose no pairs, are held to the
 //! materialized baseline instead.
 
-use std::path::PathBuf;
-use std::thread;
+mod common;
 
+use common::*;
 use ewh_core::{
     build_csio, CostModel, GridBlock, HistogramParams, IneqOp, JoinCondition, Key, PartitionScheme,
-    Router, RoutingTable, SchemeKind, Tuple,
+    Router, SchemeKind, Tuple,
 };
-use ewh_exec::engine::{run_pipelined_io, CancelToken, SpillBinding, SpillContext};
 use ewh_exec::{
-    pair_payload, run_plan, run_plan_materialized, shuffle, AdaptiveConfig, ChainStage,
-    EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange, KeyFrom, MemGauge,
-    OperatorConfig, Source, StageSink, StageSpec, Straggler,
+    pair_payload, run_plan, run_plan_materialized, shuffle, ChainStage, EngineConfig,
+    EngineOutcome, EngineRuntime, OperatorConfig, StageSpec, Straggler,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -124,76 +122,34 @@ fn engine_pairs(
     cond: &JoinCondition,
     mode: Mode,
 ) -> (Vec<u64>, EngineOutcome) {
-    let rt = EngineRuntime::new(4);
     let mut cfg = EngineConfig::for_tasks(4, 32, 0xB10C);
     cfg.queue_tuples = 64;
-    let in_block = |region: u32| {
-        let mut blocks = blocks(scheme).into_iter();
-        blocks.any(|b| (b.base..b.base + b.a * b.b).contains(&region))
+    let mut stage = Stage {
+        sink: Some((256, 32)),
+        budget: (mode == Mode::Spill).then_some(48),
+        ..Stage::new(r1, r2, scheme, *cond, cfg)
     };
-    let owners: Vec<u32> = (0..scheme.num_regions() as u32)
-        .map(|r| match mode {
-            Mode::MigrateSubRegion => !in_block(r) as u32,
-            _ => r % cfg.reducers as u32,
-        })
-        .collect();
     if mode == Mode::MigrateSubRegion {
-        cfg.adaptive = AdaptiveConfig {
-            reassign: true,
-            move_cost_factor: 0.0,
-            migrate_backlog_tuples: 1,
-            poll_micros: 20,
-            ..Default::default()
+        let blocks = blocks(scheme);
+        let in_block = |r: &u32| {
+            blocks
+                .iter()
+                .any(|b| (b.base..b.base + b.a * b.b).contains(r))
         };
-        cfg.straggler = Some(Straggler {
+        stage.owners = (0..scheme.num_regions() as u32)
+            .map(|r| !in_block(&r) as u32)
+            .collect();
+        stage.cfg.adaptive = forced_migration();
+        stage.cfg.straggler = Some(Straggler {
             reducer: 0,
             nanos_per_tuple: 30_000,
         });
     }
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("ewh-prop-blocks-{}-{cond:?}", std::process::id()));
-    let spill = SpillContext::new(dir.clone(), None);
-    let table = RoutingTable::new(&owners);
-    let exchange = Exchange::new(256);
-    let gauge = MemGauge::default();
-    let sink = StageSink {
-        exchange: &exchange,
-        batch_tuples: 32,
-    };
-    let (mut pairs, out) = thread::scope(|s| {
-        // What a downstream mapper does with a batch, minus the routing:
-        // take it, and release its charge.
-        let consumer = s.spawn(|| {
-            let mut pairs = Vec::new();
-            while let Some(batch) = exchange.pop() {
-                pairs.extend_from_slice(batch.payloads());
-                gauge.sub(batch.len() as u64);
-            }
-            pairs
-        });
-        let io = EngineIo {
-            r1,
-            r2: Source::Scan(r2),
-            router: &scheme.router,
-            cond,
-            table: &table,
-            sink: Some(sink),
-            key_from: KeyFrom::Probe,
-            gauge: &gauge,
-            cancel: &CancelToken::new(),
-            spill: (mode == Mode::Spill).then_some(SpillBinding {
-                budget_tuples: 48,
-                ctx: &spill,
-            }),
-            links: None,
-        };
-        // The run's last reducer closes the exchange, which ends the
-        // consumer.
-        let out = run_pipelined_io(&rt, [(io, cfg)]).remove(0);
-        (consumer.join().expect("consumer panicked"), out)
-    });
-    drop(spill);
-    let _ = std::fs::remove_dir_all(&dir);
+    let Ran {
+        out,
+        emitted: mut pairs,
+        ..
+    } = stage.run(&EngineRuntime::new(4));
     assert!(!out.cancelled, "{cond:?} {mode:?}: {:?}", out.failure);
     pairs.sort_unstable();
     (pairs, out)

@@ -14,25 +14,18 @@
 //! plans, migration state crossing tenants — shows up as a wrong count or
 //! checksum here.
 
+mod common;
+
 use std::thread;
+
+use common::*;
 
 use ewh_core::{JoinCondition, Key, SchemeKind, Tuple};
 use ewh_exec::{
-    run_plan, run_plan_materialized, AdaptiveConfig, ChainStage, EngineRuntime, OperatorConfig,
-    SpillConfig, StageSpec,
+    run_plan, run_plan_materialized, ChainStage, EngineRuntime, OperatorConfig, SpillConfig,
+    StageSpec,
 };
 use proptest::prelude::*;
-
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
-
-fn keys_strategy(max_len: usize) -> impl Strategy<Value = Vec<Key>> {
-    prop::collection::vec(0i64..50, 0..max_len)
-}
 
 fn scheme_strategy() -> impl Strategy<Value = SchemeKind> {
     prop_oneof![
@@ -41,19 +34,6 @@ fn scheme_strategy() -> impl Strategy<Value = SchemeKind> {
         Just(SchemeKind::Csio),
         Just(SchemeKind::Hash),
     ]
-}
-
-/// Thresholds at which any observed imbalance migrates (the
-/// `prop_migration.rs` forcing config), so concurrent runs exercise the
-/// Migrate/Adopt/fence path under cross-query scheduling noise.
-fn forced_migration() -> AdaptiveConfig {
-    AdaptiveConfig {
-        reassign: true,
-        move_cost_factor: 0.0,
-        migrate_backlog_tuples: 1,
-        poll_micros: 20,
-        ..Default::default()
-    }
 }
 
 /// One query of the concurrent batch: a root join plus an optional second
@@ -94,9 +74,9 @@ proptest! {
     fn concurrent_plans_on_one_runtime_match_their_serial_oracles(
         queries in prop::collection::vec(
             (
-                keys_strategy(180),
-                keys_strategy(180),
-                (0u64..2, keys_strategy(120)),
+                keys_strategy(50, 180),
+                keys_strategy(50, 180),
+                (0u64..2, keys_strategy(50, 120)),
                 scheme_strategy(),
                 scheme_strategy(),
                 0u64..1000,

@@ -7,49 +7,20 @@
 //! handshake, the per-region epoch fence (parking + forwarding), and the
 //! quiescence-driven `Finish` termination under adversarial interleavings.
 
-use ewh_core::{JoinCondition, Key, SchemeKind, Tuple};
-use ewh_exec::{run_operator, AdaptiveConfig, EngineRuntime, ExecMode, OperatorConfig, Straggler};
+mod common;
+
+use common::*;
+use ewh_core::{JoinCondition, Key, SchemeKind};
+use ewh_exec::{run_operator, EngineRuntime, ExecMode, OperatorConfig, Straggler};
 use proptest::prelude::*;
-
-fn condition_strategy() -> impl Strategy<Value = JoinCondition> {
-    // Equi and Band only: the Hash scheme supports nothing else.
-    prop_oneof![
-        Just(JoinCondition::Equi),
-        (0i64..4).prop_map(|beta| JoinCondition::Band { beta }),
-    ]
-}
-
-fn keys_strategy(max_len: usize) -> impl Strategy<Value = Vec<Key>> {
-    prop::collection::vec(0i64..60, 0..max_len)
-}
-
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
-
-/// Thresholds at which any observed imbalance migrates: 1-tuple backlogs
-/// qualify, moves are free, and the coordinator polls as fast as the shim
-/// allows.
-fn forced_migration() -> AdaptiveConfig {
-    AdaptiveConfig {
-        reassign: true,
-        move_cost_factor: 0.0,
-        migrate_backlog_tuples: 1,
-        poll_micros: 20,
-        ..Default::default()
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
     fn migrating_engine_equals_batch_oracle(
-        k1 in keys_strategy(220),
-        k2 in keys_strategy(220),
+        k1 in keys_strategy(60, 220),
+        k2 in keys_strategy(60, 220),
         cond in condition_strategy(),
         j in 1usize..7,
         seed in 0u64..1000,

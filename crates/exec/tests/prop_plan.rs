@@ -11,30 +11,14 @@
 //! stage, and with reassignment off (every stage then ends on its
 //! coordinator's `Finish` without a region ever moving).
 
+mod common;
+
+use common::*;
 use ewh_core::{JoinCondition, Key, SchemeKind, Tuple};
 use ewh_exec::{
     run_plan, run_plan_materialized, ChainStage, EngineRuntime, OperatorConfig, StageSpec,
 };
 use proptest::prelude::*;
-
-fn condition_strategy() -> impl Strategy<Value = JoinCondition> {
-    // Equi and Band only: the Hash scheme supports nothing else.
-    prop_oneof![
-        Just(JoinCondition::Equi),
-        (0i64..4).prop_map(|beta| JoinCondition::Band { beta }),
-    ]
-}
-
-fn keys_strategy(max_len: usize) -> impl Strategy<Value = Vec<Key>> {
-    prop::collection::vec(0i64..60, 0..max_len)
-}
-
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
 
 /// How a plan's stages handle run-time skew.
 #[derive(Clone, Copy, Debug)]
@@ -72,9 +56,9 @@ proptest! {
 
     #[test]
     fn pipelined_plan_equals_materialized_oracle(
-        k1 in keys_strategy(150),
-        k2 in keys_strategy(150),
-        k3 in keys_strategy(150),
+        k1 in keys_strategy(60, 150),
+        k2 in keys_strategy(60, 150),
+        k3 in keys_strategy(60, 150),
         cond1 in condition_strategy(),
         cond2 in condition_strategy(),
         seed in 0u64..1000,

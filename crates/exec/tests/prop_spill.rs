@@ -21,146 +21,54 @@
 //! query cleanly: the panic surfaces at the driver with the write error in
 //! it, no pool worker deadlocks, and the temp dir is still reclaimed.
 
-use std::panic::AssertUnwindSafe;
-use std::path::{Path, PathBuf};
+mod common;
 
-use ewh_core::{build_ci, JoinCondition, Key, RoutingTable, SchemeKind, Tuple, TUPLE_BYTES};
-use ewh_exec::engine::{run_pipelined_io, CancelToken, MemGauge};
+use std::panic::AssertUnwindSafe;
+
+use common::*;
+use ewh_core::{build_ci, JoinCondition, Key, SchemeKind, Tuple, TUPLE_BYTES};
 use ewh_exec::{
-    run_operator, run_plan, AdaptiveConfig, ChainStage, EngineConfig, EngineIo, EngineOutcome,
-    EngineRuntime, ExecMode, KeyFrom, OperatorConfig, Source, SpillBinding, SpillConfig,
-    SpillContext, StageSpec,
+    run_operator, run_plan, AdaptiveConfig, ChainStage, EngineConfig, EngineRuntime, ExecMode,
+    OperatorConfig, SpillConfig, StageSpec,
 };
 use proptest::prelude::*;
 
-fn condition_strategy() -> impl Strategy<Value = JoinCondition> {
-    // Equi and Band only: the Hash scheme supports nothing else.
-    prop_oneof![
-        Just(JoinCondition::Equi),
-        (0i64..4).prop_map(|beta| JoinCondition::Band { beta }),
-    ]
-}
-
-fn keys_strategy(max_len: usize) -> impl Strategy<Value = Vec<Key>> {
-    prop::collection::vec(0i64..60, 0..max_len)
-}
-
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
-
-/// Thresholds at which any observed imbalance migrates (the
-/// `prop_migration.rs` forcing config) — spilled regions must survive the
-/// Migrate/Adopt handshake with their on-disk runs intact.
-fn forced_migration() -> AdaptiveConfig {
-    AdaptiveConfig {
-        reassign: true,
-        move_cost_factor: 0.0,
-        migrate_backlog_tuples: 1,
-        poll_micros: 20,
-        ..Default::default()
-    }
-}
-
-/// A per-test spill base directory, so hygiene assertions can't race other
-/// test binaries using the system temp dir.
-fn spill_base(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("ewh-prop-spill-{}-{tag}", std::process::id()))
-}
-
-/// Asserts no per-query spill directory (and so no run file) survived its
-/// query: `QueryTicket::drop` must have reclaimed each one.
-fn assert_no_leftover_spill(base: &Path) {
-    if let Ok(entries) = std::fs::read_dir(base) {
-        let leftover: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-        assert!(
-            leftover.is_empty(),
-            "spill files leaked past their queries: {leftover:?}"
-        );
-    }
-}
-
-/// Runs the join under CI on the engine itself, spilling into a segment
-/// under `dir` that outlives the run, and returns the outcome with the key
-/// column of every record in that segment, in file order. CI scatters at
-/// random, so every fragment arrives unsorted; without a downstream sink
-/// every record is a build or a probe run.
-#[allow(clippy::too_many_arguments)] // one engine run's inputs, used once each
-fn run_over_an_owned_segment(
+/// Runs the join under CI on the engine itself, spilling under `budget`
+/// into a segment that outlives the run, and returns the run with the
+/// records of that segment, in file order. CI scatters at random, so every
+/// fragment arrives unsorted; without a downstream sink every record is a
+/// build or a probe run.
+fn run_over_a_segment(
     rt: &EngineRuntime,
     r1: &[Tuple],
     r2: &[Tuple],
-    cond: &JoinCondition,
+    cond: JoinCondition,
     base: &OperatorConfig,
     adaptive: AdaptiveConfig,
     budget: u64,
-    dir: &Path,
-) -> (EngineOutcome, Vec<Vec<Key>>) {
+) -> Ran {
     let scheme = build_ci(base.j, r1.len() as u64, r2.len() as u64, None);
     let cfg = EngineConfig {
         queue_tuples: base.queue_tuples,
         adaptive,
         ..EngineConfig::for_tasks(base.threads, base.morsel_tuples, base.seed)
     };
-    let owners: Vec<u32> = (0..scheme.num_regions())
-        .map(|r| (r % cfg.reducers) as u32)
-        .collect();
-    let ctx = SpillContext::new(dir.to_path_buf(), None);
-    let io = EngineIo {
-        r1,
-        r2: Source::Scan(r2),
-        router: &scheme.router,
-        cond,
-        table: &RoutingTable::new(&owners),
-        sink: None,
-        key_from: KeyFrom::Probe,
-        gauge: &MemGauge::default(),
-        cancel: &CancelToken::new(),
-        spill: Some(SpillBinding {
-            budget_tuples: budget,
-            ctx: &ctx,
-        }),
-        links: None,
-    };
-    let outcome = run_pipelined_io(rt, [(io, cfg)]).remove(0);
-    assert_eq!(outcome.failure, None);
-
-    let runs: Vec<Vec<Key>> = segment_records(&ctx, dir)
-        .into_iter()
-        .map(|(keys, _)| keys)
-        .collect();
-    (outcome, runs)
-}
-
-/// Every record of the segment under `dir`, in file order: `count | key
-/// slab | payload slab`, back to back.
-fn segment_records(ctx: &SpillContext, dir: &Path) -> Vec<(Vec<Key>, Vec<u64>)> {
-    let mut runs = Vec::new();
-    if ctx.totals().files == 1 {
-        let bytes = std::fs::read(dir.join("segment.spill")).expect("the segment");
-        let mut words = bytes
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")));
-        while let Some(n) = words.next() {
-            let keys: Vec<Key> = words.by_ref().take(n as usize).map(|k| k as Key).collect();
-            let payloads: Vec<u64> = words.by_ref().take(n as usize).collect();
-            assert_eq!(payloads.len() as u64, n);
-            runs.push((keys, payloads));
-        }
+    let stage = Stage::new(r1, r2, &scheme, cond, cfg);
+    let ran = Stage {
+        budget: Some(budget),
+        ..stage
     }
-    assert_eq!(runs.len() as u64, ctx.totals().runs);
-    runs
+    .run(rt);
+    assert_eq!(ran.out.failure, None);
+    ran
 }
 
 /// The segment's contract: every build and probe run is key-sorted (the
 /// replay sweeps each as it stands) and at most `cap` tuples long — the
 /// `probe_chunk` floor, however far past it a region's probe buffer grew
 /// before it spilled, so a reload charges at most that to the gauge.
-fn check_segment(runs: &[Vec<Key>], cap: usize) -> Result<(), TestCaseError> {
-    for (i, keys) in runs.iter().enumerate() {
+fn check_segment(runs: &[(Vec<Key>, Vec<u64>)], cap: usize) -> Result<(), TestCaseError> {
+    for (i, (keys, _)) in runs.iter().enumerate() {
         prop_assert!(
             keys.is_sorted(),
             "spilled run {} of {} is not key-sorted",
@@ -183,8 +91,8 @@ proptest! {
 
     #[test]
     fn spilling_engine_equals_batch_oracle(
-        k1 in keys_strategy(220),
-        k2 in keys_strategy(220),
+        k1 in keys_strategy(60, 220),
+        k2 in keys_strategy(60, 220),
         cond in condition_strategy(),
         j in 1usize..7,
         seed in 0u64..1000,
@@ -195,7 +103,7 @@ proptest! {
         // round-trip through disk (floor of 8 keeps degenerate tiny inputs
         // from spilling one tuple at a time forever).
         let budget = ((r1.len() + r2.len()) as u64 / 10).max(8);
-        let base_dir = spill_base("oracle");
+        let base_dir = scratch_dir("prop-spill-oracle");
         let rt = EngineRuntime::new(4);
         let base = OperatorConfig {
             j,
@@ -261,13 +169,11 @@ proptest! {
         // The same pressure over a segment that outlives its run: what was
         // spilled — pre-seal runs in arrival order among it — went to disk
         // sorted, and replaying it still computes the oracle's join.
-        let owned = base_dir.join("owned-segment");
-        let (out, runs) =
-            run_over_an_owned_segment(&rt, &r1, &r2, &cond, &base, adaptive, budget, &owned);
-        prop_assert!(!out.cancelled);
-        prop_assert_eq!((out.output_total(), out.checksum()), oracle);
-        prop_assert_eq!(out.stats.spill_runs, runs.len() as u64);
-        check_segment(&runs, probe_chunk(&base))?;
+        let ran = run_over_a_segment(&rt, &r1, &r2, cond, &base, adaptive, budget);
+        prop_assert!(!ran.out.cancelled);
+        prop_assert_eq!((ran.out.output_total(), ran.out.checksum()), oracle);
+        prop_assert_eq!(ran.out.stats.spill_runs, ran.segment.len() as u64);
+        check_segment(&ran.segment, probe_chunk(&base))?;
         let _ = std::fs::remove_dir_all(&base_dir);
     }
 }
@@ -293,7 +199,7 @@ proptest! {
         forced in any::<bool>(),
     ) {
         let (r1, r2) = (tuples(&k1), tuples(&k2));
-        let base_dir = spill_base("loose");
+        let base_dir = scratch_dir("prop-spill-loose");
         let rt = EngineRuntime::new(4);
         let base = OperatorConfig {
             j,
@@ -349,12 +255,10 @@ proptest! {
         }
         assert_no_leftover_spill(&base_dir);
 
-        let owned = base_dir.join("owned-segment");
-        let (out, runs) =
-            run_over_an_owned_segment(&rt, &r1, &r2, &cond, &base, adaptive, ci_budget, &owned);
-        prop_assert!(!out.cancelled);
-        prop_assert_eq!((out.output_total(), out.checksum()), oracle);
-        check_segment(&runs, probe_chunk(&base))?;
+        let ran = run_over_a_segment(&rt, &r1, &r2, cond, &base, adaptive, ci_budget);
+        prop_assert!(!ran.out.cancelled);
+        prop_assert_eq!((ran.out.output_total(), ran.out.checksum()), oracle);
+        check_segment(&ran.segment, probe_chunk(&base))?;
         let _ = std::fs::remove_dir_all(&base_dir);
     }
 }
@@ -373,7 +277,7 @@ fn forced_budget_spills_matches_oracle_and_cleans_up() {
     let keys: Vec<Key> = (0..4000).map(|i| (i % 200) as Key).collect();
     let (r1, r2) = (tuples(&keys), tuples(&keys));
     let cond = JoinCondition::Equi;
-    let base_dir = spill_base("deterministic");
+    let base_dir = scratch_dir("prop-spill-deterministic");
     let base = OperatorConfig {
         j: 8,
         threads: 4,
@@ -459,8 +363,6 @@ fn forced_budget_spills_matches_oracle_and_cleans_up() {
 /// oracle's.
 #[test]
 fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
-    use ewh_exec::engine::{Exchange, StageSink};
-
     const BUILD: u64 = 300;
     const PROBE: u64 = 256;
     // Payloads that tell a record's origin: build, probe, or emitted pair.
@@ -482,63 +384,31 @@ fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
     );
     assert_eq!(batch.join.output_total, BUILD * PROBE);
 
-    let dir = spill_base("sliced");
-    let ctx = SpillContext::new(dir.clone(), None);
     let scheme = build_ci(1, BUILD, PROBE, None);
     // The whole probe side is one morsel, one fragment, one chunk.
     let cfg = EngineConfig {
         probe_chunk: PROBE as usize,
         ..EngineConfig::for_tasks(1, PROBE as usize, 5)
     };
-    let exchange = Exchange::new(1024);
-    let gauge = MemGauge::default();
-    let sink = StageSink {
-        exchange: &exchange,
-        batch_tuples: 64,
-    };
-    let rt = EngineRuntime::new(2);
-    let (emitted, out) = std::thread::scope(|s| {
-        let consumer = s.spawn(|| {
-            let (mut count, mut checksum) = (0u64, 0u64);
-            while let Some(batch) = exchange.pop() {
-                count += batch.len() as u64;
-                checksum = batch.payloads().iter().fold(checksum, |x, p| x ^ p);
-                gauge.sub(batch.len() as u64);
-            }
-            (count, checksum)
-        });
-        let io = EngineIo {
-            r1: &r1,
-            r2: Source::Scan(&r2),
-            router: &scheme.router,
-            cond: &cond,
-            table: &RoutingTable::new(&[0]),
-            sink: Some(sink),
-            key_from: KeyFrom::Probe,
-            gauge: &gauge,
-            cancel: &CancelToken::new(),
-            // Above build + chunk (and the seal's sort transient), below
-            // build + chunk + a slice of three tuples' 900 pairs.
-            spill: Some(SpillBinding {
-                budget_tuples: 700,
-                ctx: &ctx,
-            }),
-            links: None,
-        };
-        // The run's last reducer closes the exchange, which ends the
-        // consumer.
-        let out = run_pipelined_io(&rt, [(io, cfg)]).remove(0);
-        (consumer.join().expect("consumer panicked"), out)
-    });
+    let ran = Stage {
+        sink: Some((1024, 64)),
+        // Above build + chunk (and the seal's sort transient), below build
+        // + chunk + a slice of three tuples' 900 pairs.
+        budget: Some(700),
+        ..Stage::new(&r1, &r2, &scheme, cond, cfg)
+    }
+    .run(&EngineRuntime::new(2));
+    let out = &ran.out;
     assert!(!out.cancelled, "{:?}", out.failure);
+    let checksum = ran.emitted.iter().fold(0, |x, p| x ^ p);
+    let emitted = (ran.emitted.len() as u64, checksum);
     assert_eq!(emitted, (batch.join.output_total, batch.join.checksum));
     assert_eq!((out.output_total(), out.checksum()), emitted);
-    assert_eq!(gauge.current_tuples(), 0);
 
     // Nothing spilled before the first slice, so a probe record is what that
     // slice left behind: sorted, and short of the chunk by the slice.
-    let records = segment_records(&ctx, &dir);
-    let probe_tuples: usize = records
+    let probe_tuples: usize = ran
+        .segment
         .iter()
         .filter(|(_, payloads)| payloads.iter().all(|&p| p <= PROBE))
         .map(|(keys, _)| keys.len())
@@ -548,8 +418,6 @@ fn the_rest_of_a_sliced_chunk_is_spilled_and_replayed_like_any_probe_run() {
         "{probe_tuples} probe tuples in the segment"
     );
     assert!(out.stats.spill_reloads > 0);
-    drop(ctx);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An I/O failure mid-spill cancels the query *cleanly*: the injected
@@ -565,7 +433,7 @@ fn spill_write_fault_cancels_query_and_pool_survives() {
     let keys: Vec<Key> = (0..4000).map(|i| (i % 200) as Key).collect();
     let (r1, r2) = (tuples(&keys), tuples(&keys));
     let cond = JoinCondition::Equi;
-    let base_dir = spill_base("fault");
+    let base_dir = scratch_dir("prop-spill-fault");
     let rt = EngineRuntime::new(4);
     let base = OperatorConfig {
         j: 8,
@@ -667,7 +535,7 @@ fn spill_write_fault_cancels_query_and_pool_survives() {
 /// two tickets may ever agree on a directory, even across runtimes.
 #[test]
 fn spill_dirs_are_nonce_unique_per_ticket() {
-    let base_dir = spill_base("nonce");
+    let base_dir = scratch_dir("prop-spill-nonce");
     let rt_a = EngineRuntime::new(2);
     let rt_b = EngineRuntime::new(2);
     let tickets: Vec<_> = (0..4)

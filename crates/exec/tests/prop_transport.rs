@@ -19,11 +19,15 @@
 //! whichever stage the link belongs to — and the pool survives and
 //! completes the next transport query.
 
+mod common;
+
 use std::panic::AssertUnwindSafe;
+
+use common::*;
 
 use ewh_core::{
     encode_frame, ColumnBatch, FrameDecoder, FrameError, JoinCondition, Key, KeyRange, Rel,
-    SchemeKind, Tuple, FRAME_HEADER_BYTES, TUPLE_BYTES,
+    SchemeKind, FRAME_HEADER_BYTES, TUPLE_BYTES,
 };
 use ewh_exec::engine::{Delivery, Framed, RegionBatch};
 use ewh_exec::{
@@ -145,8 +149,7 @@ proptest! {
         offset in prop_oneof![any::<u64>(), 0u64..4096, Just(u64::MAX - 7)],
         tuples in prop_oneof![any::<u64>(), 0u64..64, Just(u64::MAX / TUPLE_BYTES)],
     ) {
-        let dir = std::env::temp_dir()
-            .join(format!("ewh-prop-transport-{}-forged", std::process::id()));
+        let dir = scratch_dir("prop-transport-forged");
         let ctx = SpillContext::new(dir.clone(), None);
         for batch in &batches {
             let run = ctx.write_batch(batch).expect("append");
@@ -254,25 +257,6 @@ fn corrupt_length_fields_are_typed_errors() {
     );
 }
 
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
-
-/// The `prop_migration.rs` forcing thresholds: any observed imbalance
-/// migrates, so `MIGRATE`/`ADOPT` control frames actually cross the wire.
-fn forced_migration() -> AdaptiveConfig {
-    AdaptiveConfig {
-        reassign: true,
-        move_cost_factor: 0.0,
-        migrate_backlog_tuples: 1,
-        poll_micros: 20,
-        ..Default::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
@@ -287,8 +271,8 @@ proptest! {
     // past owner forwarding to a third.
     #[test]
     fn transport_engine_equals_batch_oracle(
-        k1 in prop::collection::vec(0i64..60, 0..200),
-        k2 in prop::collection::vec(0i64..60, 0..200),
+        k1 in keys_strategy(60, 200),
+        k2 in keys_strategy(60, 200),
         beta in 0i64..3,
         j in 1usize..17,
         seed in 0u64..1000,

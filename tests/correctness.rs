@@ -2,25 +2,13 @@
 //! join output (count and checksum) for every supported condition under a
 //! variety of skew patterns.
 
-use ewh::core::{IneqOp, JoinCondition, JoinMatrix, Key, SchemeKind, Tuple};
-use ewh::exec::{run_operator, EngineRuntime, OperatorConfig};
+mod common;
+
+use common::*;
+use ewh::core::{IneqOp, JoinCondition, JoinMatrix, Key, SchemeKind};
+use ewh::exec::{run_operator, OperatorConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// One pool for the whole test binary (matching the runtime's "build one
-/// per process" model); 4 workers regardless of host, mirroring the
-/// thread teams the pre-runtime engine spawned.
-fn test_rt() -> &'static EngineRuntime {
-    static RT: std::sync::OnceLock<EngineRuntime> = std::sync::OnceLock::new();
-    RT.get_or_init(|| EngineRuntime::new(4))
-}
-
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
 
 /// Key generators exercising the skew taxonomy of the paper: none (uniform),
 /// redistribution skew (heavy hitters), and the segmented JPS pattern.

@@ -2,27 +2,13 @@
 //! adaptive CI fallback, Appendix A5 heterogeneous clusters, and the cost
 //! model calibration loop of §VI-A.
 
-use ewh::core::{CostModel, JoinCondition, JoinMatrix, Key, SchemeKind, Tuple};
-use ewh::exec::{
-    run_operator, run_operator_adaptive, EngineRuntime, FallbackPolicy, OperatorConfig, OutputWork,
-};
+mod common;
+
+use common::*;
+use ewh::core::{CostModel, JoinCondition, JoinMatrix, Key, SchemeKind};
+use ewh::exec::{run_operator, run_operator_adaptive, FallbackPolicy, OperatorConfig, OutputWork};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// One pool for the whole test binary (matching the runtime's "build one
-/// per process" model); 4 workers regardless of host, mirroring the
-/// thread teams the pre-runtime engine spawned.
-fn test_rt() -> &'static EngineRuntime {
-    static RT: std::sync::OnceLock<EngineRuntime> = std::sync::OnceLock::new();
-    RT.get_or_init(|| EngineRuntime::new(4))
-}
-
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
 
 #[test]
 fn adaptive_operator_decision_boundary() {

@@ -1,20 +1,15 @@
 //! Integration tests of the three-stage histogram pipeline: the paper's
 //! lemmas and accuracy claims at realistic (scaled) sizes.
 
+mod common;
+
+use common::*;
 use ewh::core::histogram::{build_sample_matrix, coarsen_sample_matrix, regionalize};
 use ewh::core::{CostModel, HistogramParams, JoinCondition, Key, SchemeKind, Tuple};
-use ewh::exec::{run_operator, EngineRuntime, OperatorConfig};
+use ewh::exec::{run_operator, OperatorConfig};
 use ewh::tiling::{validate_partition, Rect};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// One pool for the whole test binary (matching the runtime's "build one
-/// per process" model); 4 workers regardless of host, mirroring the
-/// thread teams the pre-runtime engine spawned.
-fn test_rt() -> &'static EngineRuntime {
-    static RT: std::sync::OnceLock<EngineRuntime> = std::sync::OnceLock::new();
-    RT.get_or_init(|| EngineRuntime::new(4))
-}
 
 fn skewed_keys(n: usize, seed: u64) -> Vec<Key> {
     let mut rng = SmallRng::seed_from_u64(seed);

@@ -5,45 +5,21 @@
 //! trivially correct, so agreement here certifies the pipeline's routing,
 //! seal protocol, and chunked probe sweeps end to end.
 
-use ewh::core::{JoinCondition, Key, SchemeKind, Tuple};
-use ewh::exec::{run_operator, EngineRuntime, ExecMode, OperatorConfig};
+mod common;
+
+use common::*;
+use ewh::core::SchemeKind;
+use ewh::exec::{run_operator, ExecMode, OperatorConfig};
 use proptest::prelude::*;
-
-/// One pool for the whole test binary (matching the runtime's "build one
-/// per process" model); 4 workers regardless of host, mirroring the
-/// thread teams the pre-runtime engine spawned.
-fn test_rt() -> &'static EngineRuntime {
-    static RT: std::sync::OnceLock<EngineRuntime> = std::sync::OnceLock::new();
-    RT.get_or_init(|| EngineRuntime::new(4))
-}
-
-fn condition_strategy() -> impl Strategy<Value = JoinCondition> {
-    // Equi and Band only: the Hash scheme supports nothing else.
-    prop_oneof![
-        Just(JoinCondition::Equi),
-        (0i64..5).prop_map(|beta| JoinCondition::Band { beta }),
-    ]
-}
-
-fn keys_strategy(max_len: usize) -> impl Strategy<Value = Vec<Key>> {
-    prop::collection::vec(0i64..100, 0..max_len)
-}
-
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
     fn pipelined_engine_equals_batch_oracle(
-        k1 in keys_strategy(250),
-        k2 in keys_strategy(250),
-        cond in condition_strategy(),
+        k1 in keys_strategy(100, 250),
+        k2 in keys_strategy(100, 250),
+        cond in equi_or_band(5),
         j in 1usize..7,
         seed in 0u64..1000,
         morsel_tuples in 1usize..300,

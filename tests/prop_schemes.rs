@@ -1,39 +1,12 @@
 //! Property-based end-to-end tests: for arbitrary relations and conditions,
 //! every scheme computes exactly the reference join.
 
-use ewh::core::{IneqOp, JoinCondition, Key, SchemeKind, Tuple};
-use ewh::exec::{run_operator, EngineRuntime, OperatorConfig, OutputWork};
+mod common;
+
+use common::*;
+use ewh::core::{JoinCondition, Key, SchemeKind};
+use ewh::exec::{run_operator, OperatorConfig, OutputWork};
 use proptest::prelude::*;
-
-/// One pool for the whole test binary (matching the runtime's "build one
-/// per process" model); 4 workers regardless of host, mirroring the
-/// thread teams the pre-runtime engine spawned.
-fn test_rt() -> &'static EngineRuntime {
-    static RT: std::sync::OnceLock<EngineRuntime> = std::sync::OnceLock::new();
-    RT.get_or_init(|| EngineRuntime::new(4))
-}
-
-fn condition_strategy() -> impl Strategy<Value = JoinCondition> {
-    prop_oneof![
-        Just(JoinCondition::Equi),
-        (0i64..6).prop_map(|beta| JoinCondition::Band { beta }),
-        prop_oneof![
-            Just(IneqOp::Lt),
-            Just(IneqOp::Le),
-            Just(IneqOp::Gt),
-            Just(IneqOp::Ge)
-        ]
-        .prop_map(JoinCondition::Inequality),
-        (2i64..8).prop_flat_map(|shift_log| {
-            let shift = 1 << shift_log;
-            (0..shift).prop_map(move |beta| JoinCondition::EquiBand { shift, beta })
-        }),
-    ]
-}
-
-fn keys_strategy(max_len: usize) -> impl Strategy<Value = Vec<Key>> {
-    prop::collection::vec(0i64..120, 0..max_len)
-}
 
 fn reference(k1: &[Key], k2: &[Key], cond: &JoinCondition) -> u64 {
     let mut m = 0;
@@ -47,21 +20,14 @@ fn reference(k1: &[Key], k2: &[Key], cond: &JoinCondition) -> u64 {
     m
 }
 
-fn tuples(keys: &[Key]) -> Vec<Tuple> {
-    keys.iter()
-        .enumerate()
-        .map(|(i, &k)| Tuple::new(k, i as u64))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     #[test]
     fn schemes_equal_nested_loop(
-        k1 in keys_strategy(200),
-        k2 in keys_strategy(200),
-        cond in condition_strategy(),
+        k1 in keys_strategy(120, 200),
+        k2 in keys_strategy(120, 200),
+        cond in any_condition(),
         j in 1usize..7,
         seed in 0u64..1000,
     ) {
@@ -82,8 +48,8 @@ proptest! {
 
     #[test]
     fn csio_matching_pairs_meet_exactly_once(
-        k1 in keys_strategy(150),
-        k2 in keys_strategy(150),
+        k1 in keys_strategy(120, 150),
+        k2 in keys_strategy(120, 150),
         beta in 0i64..5,
         j in 1usize..6,
     ) {
@@ -118,7 +84,7 @@ proptest! {
 
     #[test]
     fn joinable_range_is_exact_and_monotone(
-        cond in condition_strategy(),
+        cond in any_condition(),
         keys in prop::collection::vec(0i64..300, 1..60),
     ) {
         let mut sorted = keys.clone();
