@@ -1,34 +1,32 @@
-//! Length-prefixed wire frames for columnar tuple batches.
+//! The byte layout of a tuple batch, and the length-prefixed wire frames
+//! that carry one.
 //!
-//! The transport layer in `ewh-exec` ships epoch-stamped [`ColumnBatch`]
-//! fragments between processes over byte streams (localhost TCP
-//! connections). The payload layout deliberately reuses the spill-file
-//! layout (`u64` LE tuple count, then the whole key column as one `i64` LE
-//! slab, then the whole payload column as one `u64` LE slab): both columns
-//! are already contiguous fixed-width arrays, so on a little-endian target
-//! encoding is two `Vec` memcpys — no per-tuple work on either end of the
-//! wire.
+//! **A record** ([`encode_record`], whose doc states the layout) is the one
+//! byte layout of a [`ColumnBatch`] outside memory: a spilled run in the
+//! segment file, the tuples of a wire frame, the pending probe side of a
+//! migrated region. [`decode_record`] reads it back and [`record_len`] is
+//! its size.
 //!
-//! One frame on the wire:
+//! **A frame** carries one record behind a header:
 //!
 //! ```text
 //! u32 LE body_len            bytes after this field
 //! u8  kind                   opaque to this codec (the transport's tag space)
 //! u64 LE a, u64 LE b         two scalar header words (region/epoch/credit/…)
 //! u32 LE extra_len | extra   variable sidecar (migration descriptors, …)
-//! u64 LE count | key slab | payload slab
+//! record                     the frame's batch (an empty one is count 0)
 //! ```
 //!
 //! The decoder is *incremental*: feed it byte slices as they arrive off a
 //! socket (arbitrarily split or coalesced) and it yields complete frames in
 //! order. Every length field is validated against `body_len` before any
-//! allocation is sized from it, so a truncated or corrupt stream surfaces
-//! as a [`FrameError`] — never a panic or an unbounded allocation.
+//! allocation is sized from it.
 
 use crate::batch::ColumnBatch;
 use crate::types::Key;
 
-/// Fixed bytes of one frame body: kind + a + b + extra_len + count.
+/// Fixed bytes of one frame body: kind + a + b + extra_len + the record's
+/// count.
 const BODY_FIXED: usize = 1 + 8 + 8 + 4 + 8;
 
 /// Bytes of one encoded frame besides its sidecar and slabs: the length
@@ -72,26 +70,112 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// The key column as raw LE bytes. On little-endian targets this is a
-/// pointer cast (the memcpy happens in the caller's `extend_from_slice`);
-/// the big-endian fallback pays the per-element swap to stay correct.
-#[cfg(target_endian = "little")]
-#[inline]
-fn key_slab(keys: &[Key]) -> &[u8] {
-    // SAFETY: i64 has no padding or invalid bit patterns; the slice covers
-    // exactly `len * 8` initialized bytes and the borrow pins the Vec.
-    unsafe { std::slice::from_raw_parts(keys.as_ptr().cast::<u8>(), keys.len() * 8) }
+/// A column element a record stores as one 8-byte LE word.
+///
+/// # Safety
+///
+/// Implementors are 8 bytes wide, without padding, and valid for every bit
+/// pattern.
+unsafe trait Word: Copy {}
+
+// SAFETY: 8-byte integers: no padding, every bit pattern a value.
+unsafe impl Word for i64 {}
+// SAFETY: as above.
+unsafe impl Word for u64 {}
+
+/// A column's words as bytes, in the target's order.
+fn bytes_of<T: Word>(col: &[T]) -> &[u8] {
+    // SAFETY: `Word` types are 8 plain bytes each, so the slice covers
+    // exactly `len * 8` initialized bytes; the borrow pins the column.
+    unsafe { std::slice::from_raw_parts(col.as_ptr().cast::<u8>(), col.len() * 8) }
 }
 
-#[cfg(target_endian = "little")]
+/// Swaps every 8-byte word of `bytes` between LE and the target's order:
+/// nothing to do on a little-endian target.
+fn swap_words(bytes: &mut [u8]) {
+    if cfg!(target_endian = "big") {
+        bytes.chunks_exact_mut(8).for_each(<[u8]>::reverse);
+    }
+}
+
+fn put_slab<T: Word>(out: &mut Vec<u8>, col: &[T]) {
+    let start = out.len();
+    out.extend_from_slice(bytes_of(col));
+    swap_words(&mut out[start..]);
+}
+
+/// Replaces `col`'s contents with the words of `slab` (a multiple of 8
+/// bytes), reusing its allocation when it has room.
+fn take_slab<T: Word>(col: &mut Vec<T>, slab: &[u8]) {
+    let n = slab.len() / 8;
+    col.clear();
+    if col.capacity() < n {
+        // A fresh block: growing the old one would copy its stale words.
+        *col = Vec::with_capacity(n);
+    }
+    // SAFETY: `col` has room for `n` words and `slab` holds `n * 8` bytes;
+    // every bit pattern is a valid `Word`, so `set_len` exposes only
+    // initialized values.
+    let bytes = unsafe {
+        std::ptr::copy_nonoverlapping(slab.as_ptr(), col.as_mut_ptr().cast::<u8>(), n * 8);
+        col.set_len(n);
+        std::slice::from_raw_parts_mut(col.as_mut_ptr().cast::<u8>(), n * 8)
+    };
+    swap_words(bytes);
+}
+
+/// Bytes of a record of `tuples` tuples (`None`: not representable).
+pub fn record_len(tuples: u64) -> Option<u64> {
+    tuples.checked_mul(16)?.checked_add(8)
+}
+
+/// Appends the parallel `keys` / `payloads` columns to `out` as one record:
+///
+/// ```text
+/// u64 LE count | key slab (count × i64 LE) | payload slab (count × u64 LE)
+/// ```
+///
+/// Both columns are already contiguous fixed-width arrays, so on a
+/// little-endian target this is two bulk copies, and so is
+/// [`decode_record`]; the big-endian fallback swaps each word's bytes.
 #[inline]
-fn payload_slab(payloads: &[u64]) -> &[u8] {
-    // SAFETY: as above, for u64.
-    unsafe { std::slice::from_raw_parts(payloads.as_ptr().cast::<u8>(), payloads.len() * 8) }
+pub fn encode_record(out: &mut Vec<u8>, keys: &[Key], payloads: &[u64]) {
+    assert_eq!(keys.len(), payloads.len(), "column lengths must match");
+    out.reserve(8 + keys.len() * 16);
+    out.extend_from_slice(&(keys.len() as u64).to_le_bytes());
+    put_slab(out, keys);
+    put_slab(out, payloads);
+}
+
+/// Decodes `bytes`, which must be exactly one record, into the columns of
+/// `into` (its contents are discarded, its allocations reused). The count
+/// is checked against the byte length before anything is sized from it, so
+/// a truncated, extended or miscounted record is a [`FrameError`], never a
+/// panic or an unbounded allocation.
+#[inline]
+pub fn decode_record(bytes: &[u8], into: ColumnBatch) -> Result<ColumnBatch, FrameError> {
+    let Some((count, slabs)) = bytes.split_first_chunk::<8>() else {
+        return Err(FrameError::Corrupt(format!(
+            "a record of {} bytes has no tuple count",
+            bytes.len()
+        )));
+    };
+    let count = u64::from_le_bytes(*count);
+    if record_len(count) != Some(bytes.len() as u64) {
+        return Err(FrameError::Corrupt(format!(
+            "tuple count {count} does not match {} slab bytes",
+            slabs.len()
+        )));
+    }
+    let (key_slab, payload_slab) = slabs.split_at(slabs.len() / 2);
+    let (mut keys, mut payloads) = into.into_columns();
+    take_slab(&mut keys, key_slab);
+    take_slab(&mut payloads, payload_slab);
+    Ok(ColumnBatch::from_columns(keys, payloads))
 }
 
 /// Appends one encoded frame to `out` (which callers recycle across
-/// frames). The batch's two columns are appended as two bulk slab copies.
+/// frames), its batch as the record that ends it.
 pub fn encode_frame(
     out: &mut Vec<u8>,
     kind: u8,
@@ -108,63 +192,7 @@ pub fn encode_frame(
     out.extend_from_slice(&b.to_le_bytes());
     out.extend_from_slice(&(extra.len() as u32).to_le_bytes());
     out.extend_from_slice(extra);
-    out.extend_from_slice(&(batch.len() as u64).to_le_bytes());
-    #[cfg(target_endian = "little")]
-    {
-        out.extend_from_slice(key_slab(batch.keys()));
-        out.extend_from_slice(payload_slab(batch.payloads()));
-    }
-    #[cfg(not(target_endian = "little"))]
-    {
-        for &k in batch.keys() {
-            out.extend_from_slice(&k.to_le_bytes());
-        }
-        for &p in batch.payloads() {
-            out.extend_from_slice(&p.to_le_bytes());
-        }
-    }
-}
-
-/// Decodes the key slab back into a column. Little-endian: one bulk copy
-/// into the Vec's spare capacity; the fallback is the per-element loop.
-fn decode_keys(slab: &[u8]) -> Vec<Key> {
-    debug_assert_eq!(slab.len() % 8, 0);
-    let n = slab.len() / 8;
-    #[cfg(target_endian = "little")]
-    {
-        let mut keys = Vec::<Key>::with_capacity(n);
-        // SAFETY: the destination has capacity for `n` i64s, the source
-        // holds exactly `n * 8` bytes, and every bit pattern is a valid
-        // i64; set_len only exposes what was just written.
-        unsafe {
-            std::ptr::copy_nonoverlapping(slab.as_ptr(), keys.as_mut_ptr().cast::<u8>(), n * 8);
-            keys.set_len(n);
-        }
-        keys
-    }
-    #[cfg(not(target_endian = "little"))]
-    slab.chunks_exact(8)
-        .map(|c| Key::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect()
-}
-
-fn decode_payloads(slab: &[u8]) -> Vec<u64> {
-    debug_assert_eq!(slab.len() % 8, 0);
-    let n = slab.len() / 8;
-    #[cfg(target_endian = "little")]
-    {
-        let mut payloads = Vec::<u64>::with_capacity(n);
-        // SAFETY: as in `decode_keys`, for u64.
-        unsafe {
-            std::ptr::copy_nonoverlapping(slab.as_ptr(), payloads.as_mut_ptr().cast::<u8>(), n * 8);
-            payloads.set_len(n);
-        }
-        payloads
-    }
-    #[cfg(not(target_endian = "little"))]
-    slab.chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect()
+    encode_record(out, batch.keys(), batch.payloads());
 }
 
 fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
@@ -179,37 +207,22 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
     let a = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
     let b = u64::from_le_bytes(body[9..17].try_into().expect("8 bytes"));
     let extra_len = u32::from_le_bytes(body[17..21].try_into().expect("4 bytes")) as usize;
-    // extra occupies [21, 21 + extra_len); the count field is the 8 bytes
-    // after. Checked arithmetic: extra_len is attacker-controlled.
+    // extra occupies [21, 21 + extra_len); the record is the rest. Checked
+    // arithmetic: extra_len is attacker-controlled.
     let extra_end = 21usize
         .checked_add(extra_len)
-        .filter(|end| end.checked_add(8).is_some_and(|c| c <= body.len()))
+        .filter(|&end| end <= body.len())
         .ok_or_else(|| {
             FrameError::Corrupt(format!(
-                "extra section of {extra_len} bytes leaves no room for the tuple count"
+                "extra section of {extra_len} bytes overruns the body"
             ))
         })?;
-    let extra = body[21..extra_end].to_vec();
-    let count =
-        u64::from_le_bytes(body[extra_end..extra_end + 8].try_into().expect("8 bytes")) as usize;
-    let slabs = body.len() - extra_end - 8;
-    if count
-        .checked_mul(16)
-        .map(|need| need != slabs)
-        .unwrap_or(true)
-    {
-        return Err(FrameError::Corrupt(format!(
-            "tuple count {count} does not match {slabs} slab bytes"
-        )));
-    }
-    let keys = decode_keys(&body[extra_end + 8..extra_end + 8 + count * 8]);
-    let payloads = decode_payloads(&body[extra_end + 8 + count * 8..]);
     Ok(Frame {
         kind,
         a,
         b,
-        extra,
-        batch: ColumnBatch::from_columns(keys, payloads),
+        extra: body[21..extra_end].to_vec(),
+        batch: decode_record(&body[extra_end..], ColumnBatch::new())?,
     })
 }
 

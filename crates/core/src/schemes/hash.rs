@@ -87,7 +87,7 @@ pub fn build_hash_from_stats(
                 continue;
             }
             let cut = (counts.total() as f64 * frac).max(1.0) as u64;
-            for (&k, &c) in counts.keys().iter().zip(counts.counts()) {
+            for (&k, c) in counts.keys().iter().zip(counts.counts()) {
                 if c >= cut {
                     heavy.push(k);
                 }

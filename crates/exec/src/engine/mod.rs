@@ -335,6 +335,10 @@ struct Run<'a> {
     plan: MorselPlan,
     /// One delivery queue per reducer.
     queues: Vec<Arc<DeliveryPort>>,
+    /// The in-process channels behind `queues` without a transport (else
+    /// empty): a reducer that panics abandons its own, and the run
+    /// releases what they discarded once every task is done.
+    local: Vec<Arc<Channel<Delivery>>>,
     /// The framed links behind `queues` under a transport (else empty),
     /// read for their wire bytes before they drop. Each holds a clone of
     /// the run's token.
@@ -404,16 +408,15 @@ impl<'a> Run<'a> {
                 .collect(),
             None => Vec::new(),
         };
-        let queues = if remote.is_empty() {
-            (0..cfg.reducers)
-                .map(|_| Arc::new(Channel::new(cfg.queue_tuples)) as Arc<DeliveryPort>)
-                .collect()
-        } else {
-            remote
-                .iter()
-                .map(|q| q.clone() as Arc<DeliveryPort>)
-                .collect()
+        let local: Vec<Arc<Channel<Delivery>>> = match cfg.transport {
+            Some(_) => Vec::new(),
+            None => (0..cfg.reducers)
+                .map(|_| Arc::new(Channel::new(cfg.queue_tuples)))
+                .collect(),
         };
+        let queues = (local.iter().map(|q| q.clone() as Arc<DeliveryPort>))
+            .chain(remote.iter().map(|q| q.clone() as Arc<DeliveryPort>))
+            .collect();
         let outcome = EngineOutcome {
             stats: JoinStats {
                 reducer_busy_secs: vec![0.0; cfg.reducers],
@@ -429,6 +432,7 @@ impl<'a> Run<'a> {
             seal: SealState::new(plan.r1_morsels(), plan.total(), io.r2.exchange()),
             plan,
             queues,
+            local,
             remote,
             board: ProgressBoard::new(cfg.reducers, n_regions),
             mappers_live: AtomicUsize::new(cfg.mappers),
@@ -503,13 +507,19 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// A reducer dropped; `reported` is false when it panicked, which
-    /// cancels the run. The last one closes the stage's output: the
-    /// downstream stage drains it and seals — or, if it was abandoned,
-    /// discarded what the reducers pushed since, whose charges it releases.
-    fn reducer_exited(&self, reported: bool) {
+    /// Reducer `me` dropped; `reported` is false when it panicked, which
+    /// cancels the run and abandons its in-process queue: nothing pops it
+    /// again, so what it holds is released now, and what it discards from
+    /// here on at [`finish`](Self::finish). The last reducer closes the
+    /// stage's output: the downstream stage drains it and seals — or, if it
+    /// was abandoned, discarded what the reducers pushed since, whose
+    /// charges it releases.
+    fn reducer_exited(&self, me: usize, reported: bool) {
         if !reported {
             self.io.cancel.cancel();
+            if let Some(queue) = self.local.get(me) {
+                self.io.gauge.sub(queue.abandon() as u64);
+            }
         }
         if last(&self.reducers_live) {
             if let Some(sink) = self.io.sink {
@@ -534,6 +544,9 @@ impl<'a> Run<'a> {
         // lands after the coordinator's `Finish` — say, a reload that
         // dropped its chunk — leaves the join short of pairs.
         let failure = self.io.cancel.reason();
+        for queue in &self.local {
+            self.io.gauge.sub(queue.close() as u64);
+        }
         let mut out = self.outcome.into_inner().expect("run outcome poisoned");
         out.cancelled |= failure.is_some();
         out.failure = failure;

@@ -644,10 +644,14 @@ impl<'a> ReducerTask<'a> {
     }
 }
 
-/// Counts the reducer out of the run (see [`Run::reducer_exited`]).
+/// Counts the reducer out of the run (see [`Run::reducer_exited`]). One
+/// that did not report panicked: what it held is discarded, as on `Abort`.
 impl Drop for ReducerTask<'_> {
     fn drop(&mut self) {
-        self.run.reducer_exited(self.reported);
+        if !self.reported {
+            self.discard();
+        }
+        self.run.reducer_exited(self.me, self.reported);
     }
 }
 
@@ -1502,6 +1506,7 @@ mod tests {
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"a reducer exploded"));
         assert!(kit.cancel.is_cancelled());
         assert!(joined.outs[0].cancelled);
+        kit.assert_balanced();
     }
 
     fn cols(keys: &[i64]) -> ColumnBatch {

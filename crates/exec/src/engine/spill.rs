@@ -1,14 +1,13 @@
 //! Out-of-core spill support: one append-only *segment file* per query
-//! holding length-prefixed sorted runs in columnar slab layout, addressed
-//! by offset.
+//! holding sorted runs, each one record of the batch codec
+//! ([`ewh_core::encode_record`], where the layout is stated), addressed by
+//! offset.
 //!
 //! When a query's [`MemGauge`](super::MemGauge) crosses its budget slice,
 //! reducers shed state through a [`SpillContext`]: each victim (a sealed
 //! build run, a pre-seal probe `pending`, an outbox batch) is appended to
-//! the segment as one record — a `u64` LE tuple count, the whole *key
-//! column* (`i64` LE), then the whole *payload column* (`u64` LE), the
-//! on-disk mirror of a [`ColumnBatch`] — and the gauge is released by
-//! exactly the tuples written. A writer reserves its extent with one
+//! the segment as one record, and the gauge is released by exactly the
+//! tuples written. A writer reserves its extent with one
 //! atomic bump of the segment tail and fills it with one positional
 //! write; a reload is one positional read. Concurrent reducers share no
 //! lock, cursor or byte, and victims being small (a pre-seal victim is one
@@ -30,9 +29,10 @@
 //! a chained plan included — the plan-global gauge picks the victim
 //! stage), so its counters aggregate per query and a migrated region's
 //! descriptors stay valid at its adopter. A descriptor off the wire is
-//! untrusted: [`SpillRun::from_parts`] rejects an extent that overflows
-//! and every reload checks the extent against the segment tail, so a
-//! corrupt one is an `Err`, never a read outside the query's own records.
+//! untrusted: [`SpillRun::from_parts`] rejects an extent that overflows,
+//! every reload checks the extent against the segment tail, and the codec
+//! checks the record's count against the extent, so a corrupt one is an
+//! `Err`, never a read outside the query's own records.
 //! I/O failures are not panics inside pool tasks: a failed write or reload
 //! fails the query's [`CancelToken`](super::CancelToken) with its reason —
 //! the token's wake also reaches tasks parked on queues or exchanges — and
@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use ewh_core::{ColumnBatch, Key, KeyRange, TUPLE_BYTES};
+use ewh_core::{decode_record, encode_record, record_len, ColumnBatch, Key, KeyRange};
 
 /// Out-of-core knobs of one operator / plan run (part of
 /// [`OperatorConfig`](crate::OperatorConfig)).
@@ -76,9 +76,6 @@ pub struct SpillConfig {
 /// The segment's file name inside the query's spill directory.
 const SEGMENT_FILE: &str = "segment.spill";
 
-/// Bytes of a record's length prefix.
-const HEADER_BYTES: u64 = 8;
-
 thread_local! {
     /// Per-worker staging buffer a run is serialized into for its write and
     /// read back through on reload. It grows to the largest run the thread
@@ -87,7 +84,7 @@ thread_local! {
 }
 
 /// Descriptor of one spilled sorted run: where its record starts in the
-/// segment, the tuple count its length prefix promises, and the run's key
+/// segment, the tuple count its record holds, and the run's key
 /// zone fence — observed `[min, max]` keys, kept only here, so sweeps can
 /// skip a non-candidate run without reloading a byte of it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,15 +114,12 @@ impl SpillRun {
 
     /// One past the record's last byte (`None`: overflow).
     fn end(&self) -> Option<u64> {
-        self.tuples
-            .checked_mul(TUPLE_BYTES)?
-            .checked_add(HEADER_BYTES)?
-            .checked_add(self.offset)
+        record_len(self.tuples)?.checked_add(self.offset)
     }
 
     /// Rebuilds a descriptor from untrusted wire parts (`transport`'s
     /// `Adopt` codec): an extent that overflows is rejected here; the
-    /// segment tail and length prefix are checked on reload.
+    /// segment tail and the record's count are checked on reload.
     pub fn from_parts(offset: u64, tuples: u64, key_range: KeyRange) -> Result<Self, String> {
         let run = SpillRun {
             offset,
@@ -242,13 +236,10 @@ impl SpillContext {
     }
 
     /// Appends the parallel `keys` / `payloads` columns to the segment as
-    /// one length-prefixed record — count, then the key slab, then the
-    /// payload slab, each column one contiguous LE block — and returns its
-    /// descriptor. The caller is responsible for releasing the gauge only
-    /// after a successful write (on error the tuples must stay resident so
-    /// the abort path's accounting balances).
+    /// one record and returns its descriptor. The caller is responsible for
+    /// releasing the gauge only after a successful write (on error the
+    /// tuples must stay resident so the abort path's accounting balances).
     pub fn write_run(&self, keys: &[Key], payloads: &[u64]) -> io::Result<SpillRun> {
-        assert_eq!(keys.len(), payloads.len(), "column lengths must match");
         let start = Instant::now();
         if let Some(limit) = self.fail_after_bytes {
             if self.bytes.load(Ordering::Relaxed) >= limit {
@@ -256,25 +247,15 @@ impl SpillContext {
             }
         }
         let file = self.segment()?;
-        let len = HEADER_BYTES + keys.len() as u64 * TUPLE_BYTES;
-        let (mut min, mut max) = (Key::MAX, Key::MIN);
-        let offset = SCRATCH.with_borrow_mut(|buf| {
+        let (offset, len) = SCRATCH.with_borrow_mut(|buf| {
             buf.clear();
-            buf.reserve(len as usize);
-            buf.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-            for &k in keys {
-                min = min.min(k);
-                max = max.max(k);
-                buf.extend_from_slice(&k.to_le_bytes());
-            }
-            for p in payloads {
-                buf.extend_from_slice(&p.to_le_bytes());
-            }
+            encode_record(buf, keys, payloads);
+            let len = buf.len() as u64;
             // Reserve, then fill: concurrent appenders get disjoint
             // extents. A failed write leaves its extent a hole no
             // descriptor points into.
             let offset = self.tail.fetch_add(len, Ordering::Relaxed);
-            file.write_all_at(buf, offset).map(|()| offset)
+            file.write_all_at(buf, offset).map(|()| (offset, len))
         })?;
         self.bytes.fetch_add(len, Ordering::Relaxed);
         self.runs.fetch_add(1, Ordering::Relaxed);
@@ -283,10 +264,9 @@ impl SpillContext {
         Ok(SpillRun {
             offset,
             tuples: keys.len() as u64,
-            key_range: if keys.is_empty() {
-                KeyRange::empty()
-            } else {
-                KeyRange::new(min, max)
+            key_range: match (keys.iter().min(), keys.iter().max()) {
+                (Some(&min), Some(&max)) => KeyRange::new(min, max),
+                _ => KeyRange::empty(),
             },
         })
     }
@@ -306,8 +286,8 @@ impl SpillContext {
     /// [`BatchPool`](super::BatchPool) — whose column allocations are
     /// reused, so a reload with a big-enough donation performs no fresh
     /// column allocation. The donation's contents are discarded. A
-    /// descriptor whose extent is not inside the segment, or whose length
-    /// prefix disagrees with it, is an error.
+    /// descriptor whose extent is not inside the segment, or does not hold
+    /// one record of its tuple count, is an error.
     pub fn read_run_into(&self, run: &SpillRun, into: ColumnBatch) -> io::Result<ColumnBatch> {
         let start = Instant::now();
         let tail = self.tail.load(Ordering::Relaxed);
@@ -320,37 +300,15 @@ impl SpillContext {
                 )))
             }
         };
-        let (mut keys, mut payloads) = into.into_columns();
-        keys.clear();
-        payloads.clear();
-        SCRATCH.with_borrow_mut(|buf| {
+        let batch = SCRATCH.with_borrow_mut(|buf| {
             buf.resize((end - run.offset) as usize, 0);
             file.read_exact_at(buf, run.offset)?;
-            let (prefix, slabs) = buf.split_at(HEADER_BYTES as usize);
-            let n = u64::from_le_bytes(prefix.try_into().expect("8-byte prefix"));
-            if n != run.tuples {
-                return Err(io::Error::other(format!(
-                    "spill run length prefix {n} != descriptor {}",
-                    run.tuples
-                )));
-            }
-            let (key_slab, payload_slab) = slabs.split_at(slabs.len() / 2);
-            keys.extend(
-                key_slab
-                    .chunks_exact(8)
-                    .map(|c| i64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-            );
-            payloads.extend(
-                payload_slab
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-            );
-            Ok(())
+            decode_record(buf, into).map_err(io::Error::other)
         })?;
         self.reloads.fetch_add(1, Ordering::Relaxed);
         self.reload_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        Ok(ColumnBatch::from_columns(keys, payloads))
+        Ok(batch)
     }
 
     /// Counts a region build shed again after it came back from disk.
@@ -375,7 +333,7 @@ impl SpillContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ewh_core::Tuple;
+    use ewh_core::{Tuple, TUPLE_BYTES};
     use std::sync::Barrier;
 
     fn temp_ctx(tag: &str, fail_after: Option<u64>) -> SpillContext {

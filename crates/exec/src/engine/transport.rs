@@ -18,14 +18,18 @@
 //!
 //! A [`Delivery::Batch`] is one `BATCH` frame: header word `a` holds the
 //! relation (high half) and the head region (low half), `b` the epoch
-//! stamp, the two slabs the tuples once, and the `extra` sidecar the
-//! sibling regions as `u32` LE ids — the other regions of the receiving
-//! reducer that take a copy of the same tuples (empty for one region). So a
-//! replicated fragment crosses a link once, whatever number of that
-//! reducer's regions it feeds; the reducer makes the copies. Every region
-//! id off the wire — a batch's head and siblings, a `MIGRATE`'s or an
-//! `ADOPT`'s region — is checked against the run's region count before any
-//! reducer indexes by it, and a batch's ids must be distinct.
+//! stamp, the frame's record (see [`ewh_core::encode_record`]) the tuples
+//! once, and the `extra` sidecar the sibling regions as `u32` LE ids — the
+//! other regions of the receiving reducer that take a copy of the same
+//! tuples (empty for one region). So a replicated fragment crosses a link
+//! once, whatever number of that reducer's regions it feeds; the reducer
+//! makes the copies. A [`Delivery::Adopt`] is one `ADOPT` frame: `a` holds
+//! the region, the frame's record the region's sealed build, and the
+//! sidecar its tallies and spilled-run descriptors, then its pending probe
+//! tuples as a second record. Every region id off the wire — a batch's head
+//! and siblings, a `MIGRATE`'s or an `ADOPT`'s region — is checked against
+//! the run's region count before any reducer indexes by it, and a batch's
+//! ids must be distinct.
 //!
 //! ## Credit-based flow control
 //!
@@ -67,7 +71,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use ewh_core::{encode_frame, ColumnBatch, Frame, FrameDecoder, Key, Rel, TUPLE_BYTES};
+use ewh_core::{
+    decode_record, encode_frame, encode_record, ColumnBatch, Frame, FrameDecoder, Rel, TUPLE_BYTES,
+};
 
 use super::channel::{Channel, CreditGate, Weigh};
 use super::port::{FragmentPort, PortPop};
@@ -241,15 +247,6 @@ impl Meta<'_> {
     }
 }
 
-fn split_batch(batch: &ColumnBatch, at: usize) -> (ColumnBatch, ColumnBatch) {
-    let keys = batch.keys();
-    let payloads = batch.payloads();
-    (
-        ColumnBatch::from_columns(keys[..at].to_vec(), payloads[..at].to_vec()),
-        ColumnBatch::from_columns(keys[at..].to_vec(), payloads[at..].to_vec()),
-    )
-}
-
 /// A region id from a header word: one that does not fit a `u32` is
 /// rejected, not truncated into range.
 fn region_id(word: u64) -> Result<u32, String> {
@@ -278,10 +275,10 @@ fn check_regions(delivery: &Delivery, regions: usize) -> Result<(), String> {
 }
 
 impl Framed for Delivery {
-    /// Tuple-carrying deliveries ship their columns as the frame's two
-    /// slabs (two memcpys on a little-endian target); a batch's siblings
-    /// ride in the sidecar; `Adopt` concatenates build + pending and
-    /// records the split point in header word `b`.
+    /// Tuple-carrying deliveries ship their columns as the frame's record;
+    /// a batch's siblings ride in the sidecar; `Adopt` ships its build as
+    /// the frame's record and its pending probe tuples as a second record
+    /// in the sidecar, after the meta.
     fn encode(&self, out: &mut Vec<u8>) {
         let empty = ColumnBatch::new();
         match self {
@@ -302,23 +299,9 @@ impl Framed for Delivery {
                 encode_frame(out, FRAME_MIGRATE, *region as u64, 0, &[], &empty)
             }
             Delivery::Adopt { region, state } => {
-                let meta = encode_region_meta(state);
-                let mut keys: Vec<Key> =
-                    Vec::with_capacity(state.build.len() + state.pending.len());
-                keys.extend_from_slice(state.build.keys());
-                keys.extend_from_slice(state.pending.keys());
-                let mut payloads: Vec<u64> = Vec::with_capacity(keys.capacity());
-                payloads.extend_from_slice(state.build.payloads());
-                payloads.extend_from_slice(state.pending.payloads());
-                let combined = ColumnBatch::from_columns(keys, payloads);
-                encode_frame(
-                    out,
-                    FRAME_ADOPT,
-                    *region as u64,
-                    state.build.len() as u64,
-                    &meta,
-                    &combined,
-                );
+                let mut extra = encode_region_meta(state);
+                encode_record(&mut extra, state.pending.keys(), state.pending.payloads());
+                encode_frame(out, FRAME_ADOPT, *region as u64, 0, &extra, &state.build);
             }
             Delivery::Finish => encode_frame(out, FRAME_FINISH, 0, 0, &[], &empty),
             Delivery::Abort => encode_frame(out, FRAME_ABORT, 0, 0, &[], &empty),
@@ -351,22 +334,17 @@ impl Framed for Delivery {
                 region: region_id(frame.a)?,
             }),
             FRAME_ADOPT => {
-                let build_len = frame.b as usize;
-                if build_len > frame.batch.len() {
-                    return Err(format!(
-                        "adopt split {build_len} beyond batch of {}",
-                        frame.batch.len()
-                    ));
-                }
                 // A shipped region is sealed, and so is the default one.
                 let mut state = RegionState::default();
-                (state.build, state.pending) = split_batch(&frame.batch, build_len);
+                state.build = frame.batch;
                 let mut meta = Meta(&frame.extra);
                 state.input = meta.u64()?;
                 state.output = meta.u64()?;
                 state.checksum = meta.u64()?;
                 state.spilled_build = meta.runs()?;
                 state.spilled_pending = meta.runs()?;
+                state.pending =
+                    decode_record(meta.0, ColumnBatch::new()).map_err(|e| e.to_string())?;
                 Ok(Delivery::Adopt {
                     region: region_id(frame.a)?,
                     state: Box::new(state),
@@ -842,6 +820,7 @@ mod tests {
     use super::super::port::DeliveryPort;
     use super::super::runtime::{EngineRuntime, Poll};
     use super::*;
+    use ewh_core::Key;
     use std::sync::Mutex;
 
     fn cols(n: usize) -> ColumnBatch {
@@ -887,14 +866,19 @@ mod tests {
         })
     }
 
-    fn decode_all(wire: &[u8]) -> Vec<Delivery> {
+    /// Every delivery framed in `wire`, or the first frame's decode error.
+    fn decode_frames(wire: &[u8]) -> Result<Vec<Delivery>, String> {
         let mut dec = FrameDecoder::new();
         dec.feed(wire);
         let mut got = Vec::new();
         while let Some(f) = dec.next_frame().expect("valid") {
-            got.push(Delivery::decode(f).expect("decodes"));
+            got.push(Delivery::decode(f)?);
         }
-        got
+        Ok(got)
+    }
+
+    fn decode_all(wire: &[u8]) -> Vec<Delivery> {
+        decode_frames(wire).expect("decodes")
     }
 
     #[test]
@@ -926,6 +910,33 @@ mod tests {
         let run = &state.spilled_build[0];
         assert_eq!((run.offset(), run.tuples()), (4096, 1000));
         assert_eq!(run.key_range().lo, -5);
+    }
+
+    #[test]
+    fn adopt_with_a_truncated_or_lying_pending_record_is_a_decode_error() {
+        let mut state = RegionState::default();
+        (state.build, state.pending) = (cols(4), cols(3));
+        let mut extra = encode_region_meta(&state);
+        let meta = extra.len();
+        encode_record(&mut extra, state.pending.keys(), state.pending.payloads());
+        let decode = |extra: &[u8]| {
+            let mut wire = Vec::new();
+            encode_frame(&mut wire, FRAME_ADOPT, 4, 0, extra, &state.build);
+            decode_frames(&wire).map(|mut got| got.pop().expect("one frame"))
+        };
+        let Ok(Delivery::Adopt { state: back, .. }) = decode(&extra) else {
+            panic!("an intact sidecar decodes to an adoption");
+        };
+        assert_eq!((back.build, back.pending), (cols(4), cols(3)));
+        for cut in meta..extra.len() {
+            assert!(decode(&extra[..cut]).is_err(), "sidecar cut at byte {cut}");
+        }
+        for count in [0, 2, 4, u64::MAX / 16, u64::MAX] {
+            let mut lying = extra.clone();
+            lying[meta..meta + 8].copy_from_slice(&count.to_le_bytes());
+            let err = decode(&lying).expect_err("a lying count must not decode");
+            assert!(err.contains("does not match"), "count {count}: {err}");
+        }
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use engine::{
 };
 pub use local_join::{
     local_join, output_tuple, pair_payload, pair_tag, sweep_columns, sweep_columns_each,
-    sweep_sorted, sweep_sorted_each, sweep_sorted_into, KeyFrom, OutputWork,
+    sweep_sorted, sweep_sorted_each, KeyFrom, OutputWork,
 };
 pub use metrics::JoinStats;
 pub use operator::{

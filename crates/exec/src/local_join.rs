@@ -97,10 +97,11 @@ impl CountFold {
     }
 }
 
-/// The canonical output tuple of one matched pair — the single definition
-/// both the pipelined plan executor and the materialize-between-operators
-/// baseline use, so chained results are comparable bit for bit. The payload
-/// is exactly the pair's checksum contribution ([`pair_payload`]), so an
+/// The canonical output tuple of one matched pair, as the
+/// materialize-between-operators baseline emits it. The pipelined plan
+/// executor emits the same key and [`pair_payload`] as columns through
+/// [`sweep_columns_each`], so chained results are comparable bit for bit.
+/// The payload is exactly the pair's checksum contribution, so an
 /// operator's XOR checksum equals the XOR of its emitted payloads.
 #[inline]
 pub fn output_tuple(build: &Tuple, probe: &Tuple, key_from: KeyFrom) -> Tuple {
@@ -225,10 +226,9 @@ pub fn sweep_sorted(
 }
 
 /// [`sweep_sorted`] that *emits* the output: every matched pair is handed
-/// to `emit` as an [`output_tuple`], feeding a chained operator's exchange
-/// (pipelined plans, which flush bounded batches from inside the sweep so
-/// a hot region's output never materializes at once) or the materialized
-/// intermediate (the baseline). Returns `(count, checksum)` exactly like
+/// to `emit` as an [`output_tuple`] — the materialized baseline's
+/// per-region join, whose output becomes the next operator's input.
+/// Returns `(count, checksum)` exactly like
 /// `sweep_sorted(..., OutputWork::Touch)` — the checksum is the XOR of the
 /// emitted payloads.
 pub fn sweep_sorted_each(
@@ -247,18 +247,6 @@ pub fn sweep_sorted_each(
         }
     });
     (count, checksum)
-}
-
-/// [`sweep_sorted_each`] appending into a vector — the materialized
-/// baseline's per-region join.
-pub fn sweep_sorted_into(
-    r1: &[Tuple],
-    r2: &[Tuple],
-    cond: &JoinCondition,
-    key_from: KeyFrom,
-    out: &mut Vec<Tuple>,
-) -> (u64, u64) {
-    sweep_sorted_each(r1, r2, cond, key_from, |t| out.push(t))
 }
 
 /// The columnar staircase kernel: [`sweep_ranges`] rewritten over a bare
@@ -616,7 +604,7 @@ mod tests {
 
         for key_from in [KeyFrom::Build, KeyFrom::Probe] {
             let mut out = Vec::new();
-            let (c, s) = sweep_sorted_into(&r1, &r2, &cond, key_from, &mut out);
+            let (c, s) = sweep_sorted_each(&r1, &r2, &cond, key_from, |t| out.push(t));
             assert_eq!(c, expect_c);
             assert_eq!(s, expect_s);
             assert_eq!(out.len() as u64, expect_c);
@@ -734,7 +722,8 @@ mod tests {
         let cond = JoinCondition::Band { beta: 2 };
         for key_from in [KeyFrom::Build, KeyFrom::Probe] {
             let mut expect = Vec::new();
-            let (expect_c, expect_s) = sweep_sorted_into(&r1, &r2, &cond, key_from, &mut expect);
+            let (expect_c, expect_s) =
+                sweep_sorted_each(&r1, &r2, &cond, key_from, |t| expect.push(t));
 
             let b1 = ColumnBatch::from_tuples(&r1);
             let b2 = ColumnBatch::from_tuples(&r2);

@@ -77,7 +77,7 @@ use ewh_core::{JoinCondition, SchemeKind, SideStats, Tuple, TUPLE_BYTES};
 use ewh_sampling::{join_census_r1, join_census_r2, KeyedCounts};
 
 use crate::engine::{EngineRuntime, Exchange, Source, StageSink};
-use crate::local_join::{sweep_sorted_into, KeyFrom};
+use crate::local_join::{sweep_sorted_each, KeyFrom};
 use crate::operator::{
     assign_regions, build_scheme_from_stats, execute_join_with, plan_resident, run_stages,
     stats_sim_secs, AdmittedQuery, FallbackPolicy, OperatorConfig, OperatorRun, PlannedStage,
@@ -338,7 +338,7 @@ fn execute_join_emit(
         r1.sort_unstable_by_key(|t| t.key);
         r2.sort_unstable_by_key(|t| t.key);
         let mut out = Vec::new();
-        let (count, sum) = sweep_sorted_into(r1, r2, cond, key_from, &mut out);
+        let (count, sum) = sweep_sorted_each(r1, r2, cond, key_from, |t| out.push(t));
         (count, sum, out)
     });
     let mut output = Vec::new();

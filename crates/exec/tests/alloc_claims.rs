@@ -13,6 +13,10 @@
 //!   unsorted side over a wider span is collected into one column, sorted
 //!   in place.
 //!
+//! A census stores each multiplicity once, as a step of its prefix sums:
+//! over `n` distinct sorted keys it allocates two blocks of a column's
+//! size, the keys and the prefix, and no third array of counts.
+//!
 //! Keys come from a domain of `n / 8` values, so no census's run arrays and
 //! no region of the eight reach the size of a column, and the dense slots
 //! of a side keyed `0..n / 8` take a sixteenth of one.
@@ -23,6 +27,7 @@ use std::sync::Mutex;
 
 use ewh_core::{JoinCondition, Key, SchemeKind, Tuple};
 use ewh_exec::{run_operator, EngineRuntime, OperatorConfig};
+use ewh_sampling::KeyedCounts;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -162,4 +167,16 @@ fn a_csio_query_over_a_sorted_and_a_dense_side_allocates_no_column() {
 fn a_csio_query_over_wide_unsorted_relations_allocates_one_column_per_census_side() {
     let blocks = column_blocks_over(SchemeKind::Csio, wide_relations);
     assert!(blocks <= 2, "{blocks} blocks of a column's size");
+}
+
+#[test]
+fn a_census_of_distinct_sorted_keys_allocates_two_run_arrays() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let keys: Vec<Key> = (0..N as Key).collect();
+    LARGE.store(0, Ordering::SeqCst);
+    THRESHOLD.store(N * 8, Ordering::SeqCst);
+    let census = KeyedCounts::census(&keys);
+    THRESHOLD.store(usize::MAX, Ordering::SeqCst);
+    assert_eq!((census.num_distinct(), census.total()), (N, N as u64));
+    assert_eq!(LARGE.load(Ordering::SeqCst), 2, "blocks of a column's size");
 }

@@ -9,8 +9,8 @@ use crate::Key;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyedCounts {
     keys: Vec<Key>,
-    counts: Vec<u64>,
     /// `prefix[i]` = total multiplicity of `keys[..i]`; `prefix.len() == keys.len() + 1`.
+    /// It holds each key's multiplicity once: `prefix[i + 1] - prefix[i]`.
     prefix: Vec<u64>,
 }
 
@@ -110,7 +110,7 @@ impl KeyedCounts {
     /// * unsorted keys over a wider span are collected into one column,
     ///   which is sorted in place (`O(n log n)`).
     ///
-    /// The census's three arrays are allocated once, at their final size.
+    /// The census's two arrays are allocated once, at their final size.
     pub fn census_of(keys: impl Iterator<Item = Key> + Clone) -> Self {
         let scan = Scan::of(keys.clone());
         match path(scan.n, scan.sorted, scan.span()) {
@@ -140,12 +140,7 @@ impl KeyedCounts {
                 prev = k;
             }
         }
-        let counts = prefix.windows(2).map(|w| w[1] - w[0]).collect();
-        KeyedCounts {
-            keys,
-            counts,
-            prefix,
-        }
+        KeyedCounts { keys, prefix }
     }
 
     /// Counts keys into one slot per key of the scanned span, then keeps
@@ -156,19 +151,20 @@ impl KeyedCounts {
             slots[k.wrapping_sub(scan.min) as u64 as usize] += 1;
         }
         let runs = slots.iter().filter(|&&c| c > 0).count();
-        let (mut keys, mut counts) = (Vec::with_capacity(runs), Vec::with_capacity(runs));
+        let (mut keys, mut prefix) = (Vec::with_capacity(runs), Vec::with_capacity(runs + 1));
+        prefix.push(0);
         for (i, &c) in slots.iter().enumerate().filter(|(_, &c)| c > 0) {
             keys.push(scan.min.wrapping_add(i as Key));
-            counts.push(u64::from(c));
+            prefix.push(prefix[prefix.len() - 1] + u64::from(c));
         }
-        Self::from_runs(keys, counts)
+        KeyedCounts { keys, prefix }
     }
 
     /// A census given as runs: strictly ascending `keys`, each with its
     /// multiplicity (a zero run is dropped). This is how a census that was
     /// *computed* rather than counted — the key census of a join's output,
     /// see [`join_census_r1`](crate::join_census_r1) — becomes one. Totals
-    /// saturate at `u64::MAX`.
+    /// saturate at `u64::MAX`, and a run past the cap counts nothing.
     pub fn from_runs(mut keys: Vec<Key>, mut counts: Vec<u64>) -> Self {
         assert_eq!(keys.len(), counts.len());
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "runs not ascending");
@@ -184,11 +180,7 @@ impl KeyedCounts {
             total = total.saturating_add(c);
             prefix.push(total);
         }
-        KeyedCounts {
-            keys,
-            counts,
-            prefix,
-        }
+        KeyedCounts { keys, prefix }
     }
 
     /// Total multiplicity.
@@ -208,9 +200,16 @@ impl KeyedCounts {
         &self.keys
     }
 
+    /// Each distinct key's multiplicity, in key order.
     #[inline]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
+    pub fn counts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.prefix.windows(2).map(|w| w[1] - w[0])
+    }
+
+    /// The multiplicity of `keys()[i]`.
+    #[inline]
+    pub fn count(&self, i: usize) -> u64 {
+        self.prefix[i + 1] - self.prefix[i]
     }
 
     /// `prefix()[i]` = total multiplicity of `keys()[..i]`.
@@ -304,7 +303,7 @@ mod tests {
     fn aggregates_multiset() {
         let kc = KeyedCounts::census(&[5, 3, 5, 5, 3, 9]);
         assert_eq!(kc.keys(), &[3, 5, 9]);
-        assert_eq!(kc.counts(), &[2, 3, 1]);
+        assert_eq!(kc.counts().collect::<Vec<_>>(), [2, 3, 1]);
         assert_eq!(kc.total(), 6);
         assert_eq!(kc.num_distinct(), 3);
     }

@@ -61,7 +61,7 @@ pub fn stream_sample(
     let mut cum = Vec::with_capacity(d1.num_distinct() + 1);
     let mut m = 0u64;
     cum.push(m);
-    for (d2, &c) in d2equi.range_counts(d1.keys(), &joinable).zip(d1.counts()) {
+    for (d2, c) in d2equi.range_counts(d1.keys(), &joinable).zip(d1.counts()) {
         m += c * d2;
         cum.push(m);
     }
@@ -80,7 +80,7 @@ pub fn stream_sample(
             i = run_of(&cum, i, rank);
             let k1 = d1.keys()[i];
             let (lo, hi) = joinable(k1);
-            let d2 = (cum[i + 1] - cum[i]) / d1.counts()[i];
+            let d2 = (cum[i + 1] - cum[i]) / d1.count(i);
             (k1, d2equi.pick_in_range(lo, hi, (rank - cum[i]) % d2))
         })
         .collect();
@@ -99,7 +99,7 @@ pub fn join_census_r1(
     let counts = d2equi
         .range_counts(d1.keys(), &joinable)
         .zip(d1.counts())
-        .map(|(d2, &c)| c.saturating_mul(d2))
+        .map(|(d2, c)| c.saturating_mul(d2))
         .collect();
     KeyedCounts::from_runs(d1.keys().to_vec(), counts)
 }
@@ -118,7 +118,7 @@ pub fn join_census_r2(
     // opens[i] / closes[i]: R1 tuples whose span starts / ended at key i.
     let n = d2equi.num_distinct();
     let (mut opens, mut closes) = (vec![0u64; n + 1], vec![0u64; n + 1]);
-    for ((a, b), &c) in d2equi.range_spans(d1.keys(), &joinable).zip(d1.counts()) {
+    for ((a, b), c) in d2equi.range_spans(d1.keys(), &joinable).zip(d1.counts()) {
         if a < b {
             opens[a] = opens[a].saturating_add(c);
             closes[b] = closes[b].saturating_add(c);
@@ -129,7 +129,7 @@ pub fn join_census_r2(
         .map(|i| {
             // Saturated sums only ever over-count a census already at the cap.
             partners = partners.saturating_add(opens[i]).saturating_sub(closes[i]);
-            partners.saturating_mul(d2equi.counts()[i])
+            partners.saturating_mul(d2equi.count(i))
         })
         .collect();
     KeyedCounts::from_runs(d2equi.keys().to_vec(), counts)

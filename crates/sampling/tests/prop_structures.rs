@@ -75,7 +75,7 @@ proptest! {
         }
         let census = KeyedCounts::census(&keys);
         prop_assert_eq!(census.keys(), naive.keys().copied().collect::<Vec<_>>());
-        prop_assert_eq!(census.counts(), naive.values().copied().collect::<Vec<_>>());
+        prop_assert_eq!(census.counts().collect::<Vec<_>>(), naive.values().copied().collect::<Vec<_>>());
         prop_assert_eq!(census.total(), n as u64);
     }
 }

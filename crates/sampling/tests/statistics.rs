@@ -52,7 +52,7 @@ fn stream_sample_is_uniform_over_output() {
     let mut expected = Vec::new();
     let mut observed = Vec::new();
     let mut index = std::collections::HashMap::new();
-    for (&k, &c) in d1.keys().iter().zip(d1.counts()) {
+    for (&k, c) in d1.keys().iter().zip(d1.counts()) {
         let d2 = d2equi.range_count(k - beta, k + beta);
         if c * d2 > 0 {
             index.insert(k, expected.len());
@@ -85,7 +85,7 @@ fn stream_sample_positions_pass_ks_against_output_cdf() {
     // Cumulative output count before each distinct k1.
     let mut cum = std::collections::HashMap::new();
     let mut acc = 0u64;
-    for (&k, &c) in d1.keys().iter().zip(d1.counts()) {
+    for (&k, c) in d1.keys().iter().zip(d1.counts()) {
         cum.insert(k, acc);
         acc += c * d2equi.range_count(k - 1, k + 1);
     }

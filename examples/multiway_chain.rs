@@ -99,7 +99,7 @@ fn main() {
         .keys()
         .iter()
         .zip(b_counts.counts())
-        .map(|(&bk, &mult)| {
+        .map(|(&bk, mult)| {
             let jr = cond.joinable_range(bk);
             a_counts.range_count(jr.lo, jr.hi) * mult * c_counts.range_count(jr.lo, jr.hi)
         })

@@ -82,7 +82,7 @@ proptest! {
             let swept: Vec<u64> = d2equi.range_counts(d1.keys(), joinable).collect();
             prop_assert_eq!(swept.len(), d1.num_distinct());
             let mut m = 0u64;
-            for ((&k, &c), &d2) in d1.keys().iter().zip(d1.counts()).zip(&swept) {
+            for ((&k, c), &d2) in d1.keys().iter().zip(d1.counts()).zip(&swept) {
                 let jr = cond.joinable_range(k);
                 prop_assert_eq!(d2, d2equi.range_count(jr.lo, jr.hi), "{:?} d2({})", cond, k);
                 m += c * d2;
