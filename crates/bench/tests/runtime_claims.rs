@@ -6,7 +6,9 @@
 //!    output and checksum bit-identical to the serial oracle.
 //! 2. **Sharing beats spawning.** The aggregate makespan of N concurrent
 //!    queries on one shared pool beats the old spawn-per-query model (N
-//!    private pools oversubscribing the host N-fold).
+//!    private pools oversubscribing the host N-fold). Its counter twin
+//!    asserts what the makespan stands for: the shared pool admits all N
+//!    queries and runs their tasks.
 //! 3. **Migration survives multi-tenancy.** An injected straggler in one
 //!    query still triggers run-time region migration while a second,
 //!    healthy query runs beside it on the same pool — the cross-query
@@ -156,6 +158,29 @@ fn shared_pool_beats_spawn_per_query_on_aggregate_makespan() {
         "shared pool median makespan {shared_median:.4}s !< spawn-per-query \
          median {spawn_median:.4}s (+10% noise margin) \
          (shared samples {shared_times:?}, spawn samples {spawn_times:?})"
+    );
+}
+
+#[test]
+fn shared_pool_admits_every_concurrent_query_and_runs_its_tasks() {
+    let _serial = serial();
+    // The counter the makespan claim above stands for, with no clock in
+    // it: QUERIES concurrent queries on the host-sized shared pool are each
+    // admitted to it once, and their mapper and reducer tasks run there.
+    let host = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(2);
+    let rc = claims_rc();
+    let w = retail_hotkey(rc.scale, rc.seed);
+    let cfg = query_config(&rc, &w);
+    let rt = shared_pool(host, QUERIES, None);
+    let before = rt.metrics();
+    run_concurrent(QUERIES, Some(&rt), host, &w, &cfg);
+    let after = rt.metrics();
+    assert_eq!(after.admissions - before.admissions, QUERIES as u64);
+    assert!(
+        after.tasks_spawned - before.tasks_spawned >= 2 * QUERIES as u64,
+        "every query's mapper and reducer tasks ran on the shared pool"
     );
 }
 

@@ -4,7 +4,11 @@
 //! [`SparseGrid`], runs the grid-partitioning optimizer (with the
 //! MonotonicCoarsening shortcut), and materializes the dense coarsened matrix
 //! `MC` with milli-unit weights plus *exact* condition-based candidacy over
-//! the coarse key ranges.
+//! the coarse key ranges. The ranges are the routing bounds, open at the
+//! outer ends; candidacy tests them clamped to each side's key span
+//! ([`SampleMatrix::row_span`] / [`SampleMatrix::col_span`]), so a cell is a
+//! candidate only if keys the two sides hold inside it may pair. A row or
+//! column left without a candidate cell is covered by no region.
 
 use ewh_tiling::{coarsen, CoarsenConfig, Grid, SparseGrid, SparsePoint};
 
@@ -160,13 +164,14 @@ pub(crate) fn materialize(
         .map(|&cnt| scale_count(cnt, ms.m, ms.so.max(1)))
         .collect();
 
-    // Exact candidacy over coarse key ranges (conservative by construction:
-    // the boundary-only check is exact for monotonic conditions).
+    // Exact candidacy over the keys each coarse cell holds: its key ranges
+    // clamped to the two sides' spans (the boundary-only check is exact for
+    // monotonic conditions; on the open outer ranges it is not).
     let mut cand = vec![false; nr * nc];
     for r in 0..nr {
-        let rr = range_of(&row_bounds, r);
+        let rr = range_of(&row_bounds, r).intersect(&ms.row_span);
         for c in 0..nc {
-            let cr = range_of(&col_bounds, c);
+            let cr = range_of(&col_bounds, c).intersect(&ms.col_span);
             cand[r * nc + c] = cond.candidate(&rr, &cr);
         }
     }
@@ -266,15 +271,79 @@ mod tests {
         }
     }
 
+    /// `R1` over `0..8000`, `R2` over `2000..4000`: three quarters of `R1`
+    /// lie outside `R2`'s span, on both sides of it.
+    fn straddling_ms(cond: JoinCondition) -> (SampleMatrix, Vec<Key>, Vec<Key>) {
+        let r1: Vec<Key> = (0..4000).map(|i| (i * 7) % 4000 * 2).collect();
+        let r2: Vec<Key> = (0..2000).map(|i| 2000 + (i * 11) % 2000).collect();
+        let params = HistogramParams {
+            j: 4,
+            ..Default::default()
+        };
+        (build_sample_matrix(&r1, &r2, &cond, &params), r1, r2)
+    }
+
+    const CONDS: [JoinCondition; 5] = [
+        JoinCondition::Equi,
+        JoinCondition::Band { beta: 2 },
+        JoinCondition::Inequality(crate::IneqOp::Lt),
+        JoinCondition::Inequality(crate::IneqOp::Gt),
+        JoinCondition::EquiBand { shift: 16, beta: 3 },
+    ];
+
     #[test]
     fn candidates_are_exact_for_the_condition() {
-        let (ms, cond) = small_ms();
-        let cost = CostModel::band();
-        let mc = coarsen_sample_matrix(&ms, &cond, &cost, 6, 4, true);
-        for r in 0..mc.n_rows() {
-            for c in 0..mc.n_cols() {
-                let expect = cond.candidate(&mc.row_range(r), &mc.col_range(c));
-                assert_eq!(mc.grid.is_candidate(r as u32, c as u32), expect);
+        // Candidacy is the condition's check on each cell's key ranges
+        // clamped to the keys the two sides hold, not on the open ranges
+        // that route: on two sides over one span, and on straddling spans.
+        let straddling = CONDS.map(|cond| (straddling_ms(cond).0, cond));
+        for (ms, cond) in std::iter::once(small_ms()).chain(straddling) {
+            let mc = coarsen_sample_matrix(&ms, &cond, &CostModel::band(), 6, 4, true);
+            for r in 0..mc.n_rows() {
+                for c in 0..mc.n_cols() {
+                    let rows = mc.row_range(r).intersect(&ms.row_span);
+                    let cols = mc.col_range(c).intersect(&ms.col_span);
+                    let expect = cond.candidate(&rows, &cols);
+                    assert_eq!(mc.grid.is_candidate(r as u32, c as u32), expect);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cell_is_non_candidate_only_where_no_pair_of_its_keys_joins() {
+        // Brute force over the census keys: a non-candidate cell holds no
+        // joining pair; and on a band join, the rows of `R1` beyond `R2`'s
+        // keys are cut off, where the open outer ranges made them
+        // candidates.
+        for cond in CONDS {
+            let (ms, r1, r2) = straddling_ms(cond);
+            assert_eq!((ms.row_span.lo, ms.row_span.hi), (0, 7998));
+            assert_eq!((ms.col_span.lo, ms.col_span.hi), (2000, 3999));
+            let mc = coarsen_sample_matrix(&ms, &cond, &CostModel::band(), 8, 4, true);
+            let in_range = |keys: &[Key], range: KeyRange| -> Vec<Key> {
+                keys.iter()
+                    .copied()
+                    .filter(|&k| range.contains(k))
+                    .collect()
+            };
+            let mut dead_rows = 0;
+            for r in 0..mc.n_rows() {
+                let a = in_range(&r1, mc.row_range(r));
+                let mut live = false;
+                for c in 0..mc.n_cols() {
+                    if mc.grid.is_candidate(r as u32, c as u32) {
+                        live = true;
+                        continue;
+                    }
+                    let b = in_range(&r2, mc.col_range(c));
+                    let joins = a.iter().any(|&x| b.iter().any(|&y| cond.matches(x, y)));
+                    assert!(!joins, "{cond:?}: non-candidate cell ({r},{c}) joins");
+                }
+                dead_rows += !live as usize;
+            }
+            if cond == (JoinCondition::Band { beta: 2 }) {
+                assert!(dead_rows > 0, "no row beyond R2's keys was cut off");
             }
         }
     }

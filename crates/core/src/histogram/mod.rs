@@ -10,6 +10,16 @@
 //!                                        MH: ≤ J equi-weight regions
 //! ```
 //!
+//! Candidacy (§II-B) is read on the keys each side holds. The histograms'
+//! outer buckets are open (`Key::MIN` / `Key::MAX`) so that every key routes
+//! to a line, but a side counted whole (a relation, or a stream's exact
+//! census) also knows its first and last key, its *span*
+//! ([`SideStats::span`]), and both the fine staircase and the coarse cells
+//! are tested on ranges clamped to the two spans. A coarse row (column) with
+//! no candidate cell then gets no region, and its tuples are routed nowhere:
+//! they could pair with nothing. A sample's census keeps the whole key space
+//! as its span, since the relation it stands for may hold keys past it.
+//!
 //! Each stage shrinks the next stage's input while the per-cell weights grow,
 //! so later stages can afford more precise (and more expensive per cell)
 //! algorithms — the design that makes the whole chain `O(n)` (Theorem 3.1).
@@ -23,6 +33,7 @@ mod sample_matrix;
 
 pub use coarsen::{coarsen_sample_matrix, CoarsenedMatrix};
 pub use regionalize::{regionalize, regionalize_with_threads, Regionalization};
+pub(crate) use sample_matrix::candidate_intervals;
 pub use sample_matrix::{
     build_sample_matrix, censuses, sample_matrix_from_stats, SampleMatrix, SideStats,
 };

@@ -39,6 +39,10 @@ pub struct SampleMatrix {
     /// Output-sample hits: one `(row bucket, col bucket)` per sampled output
     /// tuple.
     pub points: Vec<(u32, u32)>,
+    /// The keys each side holds ([`SideStats::span`]): candidacy is read
+    /// on them, while the histograms' outer bounds stay open for routing.
+    pub row_span: KeyRange,
+    pub col_span: KeyRange,
     /// Candidate column interval per row bucket (inclusive; staircase).
     pub cand: Vec<(u32, u32)>,
     /// Exact join output size (from Stream-Sample).
@@ -136,6 +140,22 @@ impl<'a> SideStats<'a> {
         }
     }
 
+    /// The keys the side holds, the census's first to last, when the
+    /// census stands for the whole side (`census.total() == tuples`: a
+    /// relation, or the exact census of a stream); empty for an empty side.
+    /// The census of a sample may miss keys of its relation on either end,
+    /// so its span is the whole key space.
+    pub fn span(&self) -> KeyRange {
+        if self.census.total() != self.tuples {
+            return KeyRange::full();
+        }
+        let keys = self.census.keys();
+        match (keys.first(), keys.last()) {
+            (Some(&first), Some(&last)) => KeyRange::new(first, last),
+            _ => KeyRange::empty(),
+        }
+    }
+
     /// `count` census tuples in relation tuples.
     fn scale(&self, count: u64) -> u64 {
         match self.census.total() {
@@ -207,16 +227,23 @@ fn split_buckets(
 }
 
 /// Candidate column interval of each row bucket via the exact O(1)
-/// boundary-only candidacy check; two binary searches per row.
-fn candidate_intervals(
+/// boundary-only candidacy check; two binary searches per row. The check
+/// reads the keys a bucket holds: a row bucket clamped to `R1`'s span
+/// `s1`, its joinable span clamped to `R2`'s `s2` — before the lookup, since
+/// `bucket_of` sends a key past the last bound into the last bucket. The
+/// outer buckets' open bounds would otherwise make every row beyond `R2`'s
+/// keys a candidate against its last column.
+pub(crate) fn candidate_intervals(
     row_hist: &EquiDepthHistogram,
     col_hist: &EquiDepthHistogram,
     cond: &JoinCondition,
+    (s1, s2): (KeyRange, KeyRange),
 ) -> Vec<(u32, u32)> {
     (0..row_hist.num_buckets())
         .map(|i| {
             let (rlo, rhi) = row_hist.bucket_range(i);
-            let KeyRange { lo, hi } = cond.joinable_span(&KeyRange::new(rlo, rhi));
+            let rows = KeyRange::new(rlo, rhi).intersect(&s1);
+            let KeyRange { lo, hi } = cond.joinable_span(&rows).intersect(&s2);
             if lo > hi {
                 (1u32, 0u32)
             } else {
@@ -281,6 +308,7 @@ pub fn sample_matrix_from_stats(
     cond.validate();
     let (d1, d2equi) = (s1.census, s2.census);
     let (n1, n2) = (s1.tuples, s2.tuples);
+    let spans = (s1.span(), s2.span());
     let n = n1.max(n2);
     let mut ns = params
         .ns_override
@@ -311,7 +339,7 @@ pub fn sample_matrix_from_stats(
     };
 
     let (mut row_hist, mut col_hist, si) = histograms(ns);
-    let mut cand = candidate_intervals(&row_hist, &col_hist, cond);
+    let mut cand = candidate_intervals(&row_hist, &col_hist, cond, spans);
     let mut nsc = candidate_cells(&cand);
     let mut so = output_sample_size(nsc);
     let sample = sample_output(so, params.seed ^ 0x33);
@@ -340,7 +368,7 @@ pub fn sample_matrix_from_stats(
         if target_ns != ns {
             ns = target_ns;
             (row_hist, col_hist, _) = histograms(ns);
-            cand = candidate_intervals(&row_hist, &col_hist, cond);
+            cand = candidate_intervals(&row_hist, &col_hist, cond, spans);
             nsc = candidate_cells(&cand);
             let new_so = output_sample_size(nsc);
             if new_so > so {
@@ -376,7 +404,7 @@ pub fn sample_matrix_from_stats(
             let k2s: Vec<Key> = pairs.iter().map(|&(_, k2)| k2).collect();
             row_hist = split_buckets(&row_hist, overweight.iter().map(|&(r, _)| r as usize), &k1s);
             col_hist = split_buckets(&col_hist, overweight.iter().map(|&(_, c)| c as usize), &k2s);
-            cand = candidate_intervals(&row_hist, &col_hist, cond);
+            cand = candidate_intervals(&row_hist, &col_hist, cond, spans);
         }
         nsc = candidate_cells(&cand);
     }
@@ -391,6 +419,8 @@ pub fn sample_matrix_from_stats(
         col_tuples: s2.bucket_tuples(&col_hist),
         row_hist,
         col_hist,
+        row_span: spans.0,
+        col_span: spans.1,
         points,
         cand,
         m,

@@ -3,7 +3,8 @@
 //! Content-sensitive schemes (CSI, CSIO) route by join key: the key maps to a
 //! grid row (column) through the histogram boundaries — one read of a
 //! direct-indexed table per key — and the tuple goes to every region
-//! intersecting that row (column). The content-insensitive
+//! intersecting that row (column): none, on a row no candidate cell lies
+//! on, since its tuples can pair with nothing. The content-insensitive
 //! scheme (CI / 1-Bucket) ignores the key entirely: an `R1` tuple picks a
 //! random row *band* of the J = a×b region grid and is replicated to the `b`
 //! regions of that band (§II-A). A grid region too heavy for one machine and
@@ -81,7 +82,8 @@ const SPARE_FRAGMENTS: usize = 32;
 /// is taken while another of the group is still untaken
 /// ([`take_fragment`](Self::take_fragment)), or not at all when the group
 /// is taken whole ([`take_group`](Self::take_group)). Any other line is
-/// scattered into each of its regions.
+/// scattered into each of its regions; a line with none (no candidate cell
+/// on it) is counted and its tuples go nowhere.
 ///
 /// Bit-identity contract: for every region, the fragment holds — in batch
 /// order — exactly the tuples a per-tuple [`Router::route_r1`] /
@@ -663,7 +665,8 @@ impl LineIndex {
 /// bounds it is built from, one entry per grid row plus a trailing
 /// sentinel, the outer ones `Key::MIN` / `Key::MAX` so every key maps
 /// somewhere (a `LineIndex` per axis holds them). `by_row[i]` lists the
-/// tiling regions whose row range covers grid row `i` (likewise `by_col`);
+/// tiling regions whose row range covers grid row `i` (likewise `by_col`),
+/// none for a row the tiling left uncovered (no candidate cell on it);
 /// tiling region `t` stands for the regions of `blocks[t]`, and when no
 /// region is a block (`blocks` empty) for region `t` itself — such a grid
 /// routes by key alone and draws nothing from the RNG.
@@ -1071,6 +1074,54 @@ mod tests {
             }
             slot = slots.end;
         }
+    }
+
+    #[test]
+    fn a_line_without_regions_leaves_the_others_grouped_and_goes_nowhere() {
+        // Grid row 3 (keys from 30) has no region: no candidate cell lies on
+        // it. Rows 0 and 2 are groups of two regions each, row 1 one region:
+        // the groups keep their shared fragment beside a line that takes no
+        // region, and that line's tuples reach no fragment.
+        let rows = vec![Key::MIN, 10, 20, 30, Key::MAX];
+        let cols = vec![Key::MIN, 10, 20, Key::MAX];
+        let rects = [
+            (0, 0, 0, 1),
+            (0, 0, 2, 2),
+            (1, 1, 0, 2),
+            (2, 2, 0, 0),
+            (2, 2, 1, 2),
+        ];
+        let router = Router::Grid(GridRouter::new(rows, cols, &rects));
+        let keys: Vec<Key> = (0..240).map(|i| (i * 13) % 47).collect();
+        let payloads: Vec<u64> = (0..240).map(|i| i * 3 + 1).collect();
+        let batch = ColumnBatch::from_columns(keys.clone(), payloads.clone());
+        let mut sc = RouteScatter::new(5);
+        let mut rng = SmallRng::seed_from_u64(9);
+        let (touched, buckets) = per_tuple_buckets(&router, Rel::R1, &keys, 5, &mut rng);
+        let expect = |region: u32| batch.gather(&buckets[region as usize]);
+        assert!(keys.iter().any(|&k| k >= 30), "premise: keys on row 3");
+        assert!(buckets.iter().flatten().all(|&i| keys[i as usize] < 30));
+        for take_whole in [false, true] {
+            router.route_scatter(Rel::R1, &keys, &payloads, &mut rng, &mut sc);
+            assert_eq!(sc.touched(), touched);
+            let mut slot = 0;
+            while slot < touched.len() {
+                if take_whole {
+                    let (slots, fragment) = sc.take_group(slot);
+                    let size = if touched[slot] == 2 { 1 } else { 2 };
+                    assert_eq!(slots.len(), size, "rows 0 and 2 are groups of two");
+                    assert!(slots.clone().all(|s| fragment == expect(touched[s])));
+                    slot = slots.end;
+                } else {
+                    assert_eq!(sc.take_fragment(slot), expect(touched[slot]));
+                    slot += 1;
+                }
+            }
+        }
+        // A batch of row 3 alone touches nothing.
+        let dead: Vec<Key> = (30..94).collect();
+        router.route_scatter(Rel::R1, &dead, &payloads[..64], &mut rng, &mut sc);
+        assert!(sc.touched().is_empty());
     }
 
     #[test]

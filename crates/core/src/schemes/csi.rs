@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use ewh_sampling::EquiDepthHistogram;
 
-use crate::histogram::SideStats;
+use crate::histogram::{candidate_intervals, SideStats};
 use crate::{
     BuildInfo, GridRouter, JoinCondition, Key, KeyRange, PartitionScheme, Region, Router,
     SchemeKind,
@@ -194,7 +194,16 @@ pub fn build_csi(
     let (row_hist, si1) = EquiDepthHistogram::from_relation(r1_keys, params.p, params.seed ^ 0xC51);
     let (col_hist, si2) = EquiDepthHistogram::from_relation(r2_keys, params.p, params.seed ^ 0xC52);
     let (n1, n2) = (r1_keys.len() as u64, r2_keys.len() as u64);
-    csi_over(row_hist, col_hist, n1, n2, si1.max(si2), cond, j, params.p)
+    let spans = (span_of(r1_keys), span_of(r2_keys));
+    let hists = (row_hist, col_hist);
+    csi_over(hists, spans, n1, n2, si1.max(si2), cond, j, params.p)
+}
+
+/// The keys a column holds, its least to its greatest, in one pass (an
+/// empty column's is empty: `Key::MAX..=Key::MIN`).
+fn span_of(keys: &[Key]) -> KeyRange {
+    let hull = |s: KeyRange, &k: &Key| KeyRange::new(s.lo.min(k), s.hi.max(k));
+    keys.iter().fold(KeyRange::new(Key::MAX, Key::MIN), hull)
 }
 
 /// [`build_csi`] from the two sides' statistics: the histograms are the
@@ -210,16 +219,16 @@ pub fn build_csi_from_stats(
     let row_hist = EquiDepthHistogram::from_counts(s1.census, params.p);
     let col_hist = EquiDepthHistogram::from_counts(s2.census, params.p);
     let si = s1.census.total().max(s2.census.total()) as usize;
-    csi_over(
-        row_hist, col_hist, s1.tuples, s2.tuples, si, cond, j, params.p,
-    )
+    let (hists, spans) = ((row_hist, col_hist), (s1.span(), s2.span()));
+    csi_over(hists, spans, s1.tuples, s2.tuples, si, cond, j, params.p)
 }
 
-/// The M-Bucket-I cover over two input histograms.
+/// The M-Bucket-I cover over two input histograms; candidacy is read on
+/// the keys each side holds (`spans`, see [`candidate_intervals`]).
 #[allow(clippy::too_many_arguments)] // the two sides' statistics, used once each
 fn csi_over(
-    row_hist: EquiDepthHistogram,
-    col_hist: EquiDepthHistogram,
+    (row_hist, col_hist): (EquiDepthHistogram, EquiDepthHistogram),
+    spans: (KeyRange, KeyRange),
     n1: u64,
     n2: u64,
     si: usize,
@@ -231,20 +240,7 @@ fn csi_over(
     let hist_start = Instant::now();
     let p1 = row_hist.num_buckets();
     let p2 = col_hist.num_buckets();
-
-    // Candidate intervals from bucket boundaries (exact for monotonic
-    // conditions).
-    let iv: Vec<(u32, u32)> = (0..p1)
-        .map(|i| {
-            let (rlo, rhi) = row_hist.bucket_range(i);
-            let KeyRange { lo, hi } = cond.joinable_span(&KeyRange::new(rlo, rhi));
-            if lo > hi {
-                (1u32, 0u32)
-            } else {
-                (col_hist.bucket_of(lo) as u32, col_hist.bucket_of(hi) as u32)
-            }
-        })
-        .collect();
+    let iv = candidate_intervals(&row_hist, &col_hist, cond, spans);
     let g = CandGrid::new(iv, (n1 / p1 as u64).max(1), (n2 / p2 as u64).max(1));
 
     // Binary search the input budget T down to the smallest that still fits

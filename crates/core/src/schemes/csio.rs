@@ -243,10 +243,12 @@ mod tests {
         };
         let s = build_csio(&r1, &r2, &cond, &CostModel::band(), &params);
         assert_eq!(s.build.m_est, 0);
-        // Candidate cells can still exist (the boundary check is
-        // conservative), but no region may claim any output.
-        assert!(s.regions.iter().all(|r| r.est_output == 0));
+        // Read on the keys each side holds, no cell is a candidate: the
+        // scheme has no region, and every tuple is routed nowhere.
+        assert!(s.regions.is_empty());
         assert_eq!(s.build.so, 0);
+        let mut rng = SmallRng::seed_from_u64(4);
+        assert_eq!(route_meet(&s, 0, 10_000, &mut rng), 0);
     }
 
     #[test]

@@ -61,6 +61,13 @@ impl KeyRange {
     pub fn intersects(&self, other: &KeyRange) -> bool {
         !self.is_empty() && !other.is_empty() && self.lo <= other.hi && other.lo <= self.hi
     }
+
+    /// The keys of both ranges (empty when either is, or they are
+    /// disjoint).
+    #[inline]
+    pub fn intersect(&self, other: &KeyRange) -> KeyRange {
+        KeyRange::new(self.lo.max(other.lo), self.hi.min(other.hi))
+    }
 }
 
 #[cfg(test)]
@@ -78,5 +85,8 @@ mod tests {
         assert!(r.intersects(&KeyRange::new(5, 10)));
         assert!(!r.intersects(&KeyRange::new(6, 10)));
         assert!(!r.intersects(&KeyRange::empty()));
+        assert_eq!(r.intersect(&KeyRange::new(3, 10)), KeyRange::new(3, 5));
+        assert!(r.intersect(&KeyRange::new(6, 10)).is_empty());
+        assert!(KeyRange::empty().intersect(&KeyRange::full()).is_empty());
     }
 }

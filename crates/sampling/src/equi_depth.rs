@@ -10,7 +10,11 @@ use crate::{bernoulli_sample, Key, KeyedCounts};
 /// Buckets are half-open key ranges `[bounds[i], bounds[i+1])`; the outermost
 /// bounds are `Key::MIN` / `Key::MAX` so every key maps to some bucket. The
 /// histogram boundaries of the two relations form the `ns × ns` grid that
-/// defines the sample matrix `MS` (§III-A).
+/// defines the sample matrix `MS` (§III-A). The open outer bounds are for
+/// routing: a key a sample missed still finds its line. Candidacy reads the
+/// keys a bucket actually holds — its range clamped to the relation's exact
+/// key span — since on the open ranges every key beyond the other side's
+/// last one is a candidate against its last bucket.
 ///
 /// Because boundaries must be strictly increasing, heavily repeated keys can
 /// collapse adjacent quantiles; the realized bucket count is then smaller
