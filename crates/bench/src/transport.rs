@@ -22,11 +22,11 @@ use std::process::{Command, Stdio};
 use std::time::Instant;
 
 use ewh_core::{ColumnBatch, RoutingTable, SchemeKind, Tuple};
-use ewh_exec::engine::{run_pipelined_io, CancelToken, EngineIo, Source};
+use ewh_exec::engine::{run_pipelined_io, CancelToken, EngineIo, Poll, Source};
 use ewh_exec::{
     build_scheme, run_plan, AdaptiveConfig, EngineConfig, EngineRuntime, Exchange, ExecMode,
-    KeyFrom, LinkProfile, LinkReceiver, LinkSender, MemGauge, OperatorConfig, OperatorRun,
-    OutputWork, PlanRun, StageSpec, Straggler, TransportConfig,
+    FragmentPort, KeyFrom, LinkProfile, LinkReceiver, LinkSender, MemGauge, OperatorConfig,
+    OperatorRun, OutputWork, PlanRun, PortPop, StageSpec, Straggler, TransportConfig,
 };
 
 use crate::cli::{f, Args, Flag, Kind, Report, Subcommand, Table};
@@ -186,19 +186,26 @@ fn run_worker(args: &Args) {
     // R1 first: the build side must be a scan, so drain it to resident
     // tuples before the engine starts. The credit window backpressures the
     // parent while we drain.
+    let rt = rc.runtime();
     let rx1 = LinkReceiver::<ColumnBatch>::accept(&listener).expect("accept r1");
     let mut r1: Vec<Tuple> = Vec::new();
-    while let Some(batch) = rx1.pop() {
-        r1.extend(batch.iter_tuples());
-    }
+    rt.scope(|s| {
+        s.spawn(|cx| loop {
+            match rx1.take(Some(cx.waker())) {
+                PortPop::Item(batch) => r1.extend(batch.iter_tuples()),
+                PortPop::Empty => return Poll::Pending,
+                PortPop::Closed => return Poll::Ready,
+            }
+        })
+    });
     rx1.join().expect("r1 stream failed");
 
     // R2 streams straight into the probe side while the engine runs. The
     // receiver stages without touching any memory gauge, so a forwarding
-    // hop pops it and re-pushes each batch under the engine's gauge
-    // contract (producers charge what they push, see `Channel::push`); the
-    // bounded exchange stops the pops, which stops the credits, which parks
-    // the parent.
+    // task takes it and offers each batch to the exchange under the
+    // engine's gauge contract (a producer charges what it pushes, see the
+    // `exchange` module); the bounded exchange parks the task, which stops
+    // the credits, which parks the parent.
     let rx2 = LinkReceiver::<ColumnBatch>::accept(&listener).expect("accept r2");
     let exchange = Exchange::new(WINDOW);
     let gauge = MemGauge::default();
@@ -215,15 +222,27 @@ fn run_worker(args: &Args) {
         .collect();
     let table = RoutingTable::new(&region_to_reducer);
 
-    let rt = rc.runtime();
     let start = Instant::now();
-    let out = std::thread::scope(|s| {
-        s.spawn(|| {
-            while let Some(batch) = rx2.pop() {
-                gauge.add(batch.len() as u64);
-                exchange.push(batch);
+    let mut held = None;
+    let out = rt.scope(|s| {
+        s.spawn(|cx| loop {
+            if let Some(batch) = held.take() {
+                if let Err(batch) = exchange.offer(batch, Some(cx.waker())) {
+                    held = Some(batch);
+                    return Poll::Pending;
+                }
             }
-            exchange.close();
+            match rx2.take(Some(cx.waker())) {
+                PortPop::Item(batch) => {
+                    gauge.add(batch.len() as u64);
+                    held = Some(batch);
+                }
+                PortPop::Empty => return Poll::Pending,
+                PortPop::Closed => {
+                    gauge.sub(exchange.close() as u64);
+                    return Poll::Ready;
+                }
+            }
         });
         let io = EngineIo {
             r1: &r1,
@@ -270,12 +289,24 @@ pub struct WorkerRun {
 }
 
 /// Ships one relation over a fresh socket connection in morsel-sized
-/// batches. Returns the bytes the sender put on the wire.
+/// batches, from a pool task that parks on the credit window. Returns the
+/// bytes the sender put on the wire.
 fn ship(addr: &str, tuples: &[Tuple]) -> u64 {
     let sender = LinkSender::connect(addr, WINDOW).expect("connect");
-    for part in tuples.chunks(4096) {
-        sender.push(ColumnBatch::from_tuples(part)).expect("push");
-    }
+    let mut parts = tuples.chunks(4096).map(ColumnBatch::from_tuples);
+    let mut next = parts.next();
+    EngineRuntime::global().scope(|s| {
+        s.spawn(|cx| {
+            while let Some(batch) = next.take() {
+                if let Err(batch) = sender.offer(batch, Some(cx.waker())) {
+                    next = Some(batch);
+                    return Poll::Pending;
+                }
+                next = parts.next();
+            }
+            Poll::Ready
+        })
+    });
     sender.finish().expect("finish")
 }
 

@@ -151,13 +151,6 @@ impl JoinCondition {
         self.joinable_span(r1).intersects(r2)
     }
 
-    /// All conditions modeled here are monotonic; exposed for symmetry with
-    /// the paper's taxonomy (hash-partitioned equi-join schemes would return
-    /// false for band conditions, for example).
-    pub fn is_monotonic(&self) -> bool {
-        true
-    }
-
     /// Encodes a `(group, position)` pair for [`JoinCondition::EquiBand`].
     #[inline]
     pub fn encode_composite(group: i64, position: i64, shift: i64) -> Key {

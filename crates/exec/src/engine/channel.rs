@@ -29,14 +29,13 @@
 //! lock drops: a push wakes every parked consumer, a pop or a credit wakes
 //! every parked producer (a big freed weight may admit several small
 //! waiters; those still blocked re-register), close and abandon wake both
-//! sides. The blocking [`Channel::push`] / [`Channel::pop`], for I/O and
-//! client threads outside the pool, wait on condvars signalled by the same
-//! transitions.
+//! sides. A parked task is the only waiter there is: nothing blocks a
+//! thread on a channel or a gate, so no transition signals anything but
+//! the wakers it took.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use super::port::{FragmentPort, PortPop};
 use super::runtime::Waker;
@@ -119,46 +118,18 @@ fn wake_all(wakers: Vec<Waker>) {
     }
 }
 
-/// The producer side of a window outside its lock: the condvar a blocking
-/// push waits on, and the time producers spent blocked (backpressure).
+/// The time producers spent parked on a window (backpressure), charged by
+/// each task once it unparks.
 #[derive(Debug, Default)]
-struct Stall {
-    freed: Condvar,
-    nanos: AtomicU64,
-}
+struct Stall(AtomicU64);
 
 impl Stall {
-    /// The one blocking admission: waits until the window inside `state`
-    /// admits `w` or is abandoned. Time is charged iff the caller waited.
-    fn admit<'a, S>(
-        &self,
-        mut state: MutexGuard<'a, S>,
-        window: fn(&mut S) -> &mut Window,
-        w: usize,
-    ) -> MutexGuard<'a, S> {
-        if !window(&mut state).admit(w, true) {
-            let start = Instant::now();
-            state = self
-                .freed
-                .wait_while(state, |s| !window(s).admit(w, true))
-                .expect("channel poisoned");
-            self.note(start.elapsed().as_nanos() as u64);
-        }
-        state
-    }
-
-    /// Fires what a freeing transition returned — after its lock dropped.
-    fn wake(&self, producers: Vec<Waker>) {
-        self.freed.notify_all();
-        wake_all(producers);
-    }
-
     fn note(&self, nanos: u64) {
-        self.nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.0.fetch_add(nanos, Ordering::Relaxed);
     }
 
     fn secs(&self) -> f64 {
-        self.nanos.load(Ordering::Relaxed) as f64 * 1e-9
+        self.0.load(Ordering::Relaxed) as f64 * 1e-9
     }
 }
 
@@ -166,15 +137,13 @@ impl Stall {
 /// tuples (see the module docs for the admission rule and the wake
 /// protocol). `Channel::new(capacity_tuples)` is the whole configuration.
 ///
-/// The non-blocking surface the engine's tasks use is the channel's
-/// [`FragmentPort`] impl; the inherent methods are the blocking pair for
-/// threads outside the pool and the out-of-band lifecycle. A channel nobody
-/// closes (a reducer's delivery queue, whose end of stream is the in-band
-/// `Finish` / `Abort`) simply never reports [`PortPop::Closed`].
+/// Items go in and out through the [`FragmentPort`] impl only: a task that
+/// cannot push or pop parks. A delivery queue, whose end of stream is the in-band
+/// `Finish` / `Abort`, is closed only once its run is over, so it never
+/// reports [`PortPop::Closed`] to its reducer.
 #[derive(Debug)]
 pub struct Channel<T> {
     state: Mutex<State<T>>,
-    not_empty: Condvar,
     stall: Stall,
 }
 
@@ -201,7 +170,6 @@ impl<T: Weigh> Channel<T> {
                 closed: false,
                 consumers: Vec::new(),
             }),
-            not_empty: Condvar::new(),
             stall: Stall::default(),
         }
     }
@@ -217,8 +185,9 @@ impl<T: Weigh> Channel<T> {
 
     /// Enqueues an admitted item and wakes the consumers. On an abandoned
     /// channel the item is discarded instead (its weight counted for
-    /// [`close`](Self::close)), so the producer runs to completion and the
-    /// failure surfaces at the query's join rather than as a deadlock.
+    /// [`close`](FragmentPort::close)), so the producer runs to completion
+    /// and the failure surfaces at the query's join rather than as a
+    /// deadlock.
     fn enqueue(&self, mut state: MutexGuard<'_, State<T>>, item: T) {
         debug_assert!(!state.closed, "push after close");
         if state.window.abandoned {
@@ -229,7 +198,6 @@ impl<T: Weigh> Channel<T> {
         state.queue.push_back(item);
         let consumers = std::mem::take(&mut state.consumers);
         drop(state);
-        self.not_empty.notify_one();
         wake_all(consumers);
     }
 
@@ -244,73 +212,8 @@ impl<T: Weigh> Channel<T> {
         };
         let producers = state.window.release(item.weight());
         drop(state);
-        self.stall.wake(producers);
+        wake_all(producers);
         Ok(item)
-    }
-
-    /// Blocking bounded push, for threads outside the pool: waits while the
-    /// channel is at capacity (or until it is abandoned).
-    ///
-    /// Memory-accounting contract of an [`Exchange`](super::Exchange): the
-    /// producer charges the batch to the **consuming engine's**
-    /// [`MemGauge`](super::MemGauge) *before* pushing, and the consuming
-    /// mapper releases it after routing — which is why a chained plan
-    /// shares one gauge across all its stages.
-    pub fn push(&self, item: T) {
-        if item.is_void() {
-            return;
-        }
-        let state = self
-            .stall
-            .admit(self.lock(), |s| &mut s.window, item.weight());
-        self.enqueue(state, item);
-    }
-
-    /// Blocking pop: the next item, or `None` once the channel is closed and
-    /// drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut state = self.lock();
-        loop {
-            state = match self.dequeue(state) {
-                Ok(item) => return Some(item),
-                Err(state) if state.closed => return None,
-                Err(state) => self.not_empty.wait(state).expect("channel poisoned"),
-            };
-        }
-    }
-
-    /// Producer-side end of stream: no item will ever be pushed again.
-    /// Wakes both sides so parked consumers observe it. Returns the weight
-    /// pushed after the consumer abandoned the channel and discarded: the
-    /// producers' charges for it are theirs to release.
-    pub fn close(&self) -> usize {
-        let mut state = self.lock();
-        state.closed = true;
-        let discarded = state.discarded;
-        let mut wakers = std::mem::take(&mut state.consumers);
-        wakers.append(&mut state.window.producers);
-        drop(state);
-        self.not_empty.notify_all();
-        self.stall.wake(wakers);
-        discarded
-    }
-
-    /// Consumer-side teardown: the consumer is gone, so producers must
-    /// never wait again — parked and blocked ones are released and every
-    /// later push is discarded (reported as accepted). Harmless after
-    /// normal completion. This is what keeps an unwinding downstream stage
-    /// from deadlocking its upstream producer. Returns the weight the
-    /// channel still holds, which no consumer will take: its producers'
-    /// charges are to be released.
-    pub fn abandon(&self) -> usize {
-        let mut state = self.lock();
-        let held = state.window.used;
-        let mut wakers = state.window.abandon();
-        wakers.append(&mut state.consumers);
-        drop(state);
-        self.not_empty.notify_all();
-        self.stall.wake(wakers);
-        held
     }
 
     /// Whether the producer closed the channel, and whether the consumer
@@ -367,6 +270,30 @@ impl<T: Weigh + Send> FragmentPort for Channel<T> {
         }
     }
 
+    /// Wakes both sides so parked consumers observe the end of stream.
+    fn close(&self) -> usize {
+        let mut state = self.lock();
+        state.closed = true;
+        let discarded = state.discarded;
+        let mut wakers = std::mem::take(&mut state.consumers);
+        wakers.append(&mut state.window.producers);
+        drop(state);
+        wake_all(wakers);
+        discarded
+    }
+
+    /// What the channel holds is what its window charged: a pop releases
+    /// an item's weight.
+    fn abandon(&self) -> usize {
+        let mut state = self.lock();
+        let held = state.window.used;
+        let mut wakers = state.window.abandon();
+        wakers.append(&mut state.consumers);
+        drop(state);
+        wake_all(wakers);
+        held
+    }
+
     fn used_tuples(&self) -> usize {
         self.lock().window.used
     }
@@ -407,12 +334,6 @@ impl CreditGate {
         self.lock().admit_or_park(w, park)
     }
 
-    /// Blocking bounded admission for client threads outside the pool.
-    /// `false`: the gate was abandoned before or while waiting.
-    pub(crate) fn admit_blocking(&self, w: usize) -> bool {
-        !self.stall.admit(self.lock(), |window| window, w).abandoned
-    }
-
     pub(crate) fn admit_unbounded(&self, w: usize) {
         self.lock().admit(w, false);
     }
@@ -425,14 +346,13 @@ impl CreditGate {
             let w = w.min(window.used);
             window.release(w)
         };
-        self.stall.wake(producers);
+        wake_all(producers);
     }
 
-    /// Every parked or blocked producer wakes, and every later admission
-    /// passes uncharged (the caller discards).
+    /// Every parked producer wakes, and every later admission passes
+    /// uncharged (the caller discards).
     pub(crate) fn abandon(&self) {
-        let producers = self.lock().abandon();
-        self.stall.wake(producers);
+        wake_all(self.lock().abandon());
     }
 
     pub(crate) fn used(&self) -> usize {
@@ -542,7 +462,6 @@ mod tests {
         fn new(cap: usize) -> Self;
         fn weigh(n: usize, kind: u8) -> Option<usize>;
         fn offer(&mut self, id: u32, n: usize, kind: u8, waker: Option<&Waker>) -> bool;
-        fn push_blocking(&mut self, id: u32, n: usize, kind: u8);
         fn push_unbounded(&mut self, id: u32, n: usize, kind: u8);
         fn take(&mut self, waker: Option<&Waker>) -> Taken;
         fn credit(&mut self, _w: usize) {}
@@ -646,10 +565,6 @@ mod tests {
             }
         }
 
-        fn push_blocking(&mut self, id: u32, n: usize, kind: u8) {
-            self.push(T::make(id, n, kind));
-        }
-
         fn push_unbounded(&mut self, id: u32, n: usize, kind: u8) {
             FragmentPort::push_unbounded(self, T::make(id, n, kind));
         }
@@ -663,11 +578,11 @@ mod tests {
         }
 
         fn close(&mut self) {
-            Channel::close(self);
+            FragmentPort::close(self);
         }
 
         fn abandon(&mut self) {
-            Channel::abandon(self);
+            FragmentPort::abandon(self);
         }
 
         fn used(&self) -> usize {
@@ -731,11 +646,6 @@ mod tests {
             admitted
         }
 
-        fn push_blocking(&mut self, id: u32, n: usize, _kind: u8) {
-            assert_eq!(self.gate.admit_blocking(n), !self.failed);
-            self.send(id, n);
-        }
-
         fn push_unbounded(&mut self, id: u32, n: usize, _kind: u8) {
             self.gate.admit_unbounded(n);
             self.send(id, n);
@@ -776,9 +686,6 @@ mod tests {
     #[derive(Clone, Copy, Debug)]
     enum Op {
         Offer(usize, u8, Option<usize>),
-        /// Executed only when the model admits it at once: the driver is
-        /// sequential, so a push that had to wait would wait forever.
-        PushBlocking(usize, u8),
         PushUnbounded(usize, u8),
         Take(Option<usize>),
         /// A `CREDIT` frame of arbitrary weight (the gate only).
@@ -797,7 +704,6 @@ mod tests {
                 (item(), waker()).prop_map(|((n, kind), w)| Op::Offer(n, kind, w)),
                 (item(), waker()).prop_map(|((n, kind), w)| Op::Offer(n, kind, w)),
                 (item(), waker()).prop_map(|((n, kind), w)| Op::Offer(n, kind, w)),
-                item().prop_map(|(n, kind)| Op::PushBlocking(n, kind)),
                 item().prop_map(|(n, kind)| Op::PushUnbounded(n, kind)),
                 waker().prop_map(Op::Take),
                 waker().prop_map(Op::Take),
@@ -833,15 +739,9 @@ mod tests {
                 .all(|&i| actual.iter().any(|w| w.will_wake(&pool[i])))
     }
 
-    /// Runs `ops` against a fresh `S` and the model. With `block` off every
-    /// blocking push is a plain offer; [`check`] runs that pass first, so a
-    /// wrong admission rule fails an assertion instead of hanging a push.
-    fn drive<S: Subject>(
-        cap: usize,
-        ops: &[Op],
-        pool: &[Waker],
-        block: bool,
-    ) -> Result<(), TestCaseError> {
+    /// Runs `ops` against a fresh `S` and the model.
+    fn check<S: Subject>(cap: usize, ops: &[Op]) -> Result<(), TestCaseError> {
+        let pool = &waker_pool();
         let mut subject = S::new(cap);
         let mut model = Model {
             cap: cap.max(1),
@@ -850,22 +750,13 @@ mod tests {
         let mut routed = 0u64;
         for (id, &op) in ops.iter().enumerate() {
             let id = id as u32;
-            let op = match op {
-                Op::PushBlocking(n, kind) if !block => Op::Offer(n, kind, None),
-                op => op,
-            };
             match op {
                 // A push after close is a producer bug (debug-asserted).
-                Op::Offer(..) | Op::PushBlocking(..) | Op::PushUnbounded(..) if model.closed => {}
+                Op::Offer(..) | Op::PushUnbounded(..) if model.closed => {}
                 Op::Offer(n, kind, waker) => {
                     let admitted = model.push(id, S::weigh(n, kind), true, waker);
                     let got = subject.offer(id, n, kind, waker.map(|w| &pool[w]));
                     prop_assert_eq!(got, admitted, "{:?}", op);
-                }
-                Op::PushBlocking(n, kind) => {
-                    if model.push(id, S::weigh(n, kind), true, None) {
-                        subject.push_blocking(id, n, kind);
-                    }
                 }
                 Op::PushUnbounded(n, kind) => {
                     model.push(id, S::weigh(n, kind), false, None);
@@ -913,12 +804,6 @@ mod tests {
         // No push ever waited, so none may have been charged for waiting.
         prop_assert_eq!(subject.blocked_secs(), 0.0);
         Ok(())
-    }
-
-    fn check<S: Subject>(cap: usize, ops: &[Op]) -> Result<(), TestCaseError> {
-        let pool = waker_pool();
-        drive::<S>(cap, ops, &pool, false)?;
-        drive::<S>(cap, ops, &pool, true)
     }
 
     proptest! {

@@ -8,15 +8,18 @@
 //! backpressure all the way up the chain (upstream reducers park pushing,
 //! their queues fill, upstream mappers park). Because query plans are DAGs
 //! this can only slow the pipeline down, never deadlock it.
-//! [`Channel::close`] — called by the upstream stage's last reducer as it
-//! drops, after `Finish` (or `Abort`) — is what lets the downstream seal
-//! protocol fire: a closed, fully routed exchange is the streamed
-//! equivalent of "the last morsel was claimed". Its consumer's last mapper
-//! abandons it as it drops ([`Channel::abandon`]), so a producer whose
-//! consumer is gone — a cancel, a panic — never waits on it again. Every
-//! batch in it is charged to the query's gauge: the consumer releases what
-//! the exchange held when it left, the producer's last reducer what it
-//! discarded since.
+//! [`close`](super::FragmentPort::close) — called by the upstream stage's
+//! last reducer as it drops, after `Finish` (or `Abort`) — is what lets the
+//! downstream seal protocol fire: a closed, fully routed exchange is the
+//! streamed equivalent of "the last morsel was claimed". Its consumer's
+//! last mapper abandons it as it drops
+//! ([`abandon`](super::FragmentPort::abandon)), so a producer whose
+//! consumer is gone — a cancel, a panic — never waits on it again. Every batch in it is charged to the query's gauge: the
+//! producer charges a batch to the **consuming engine's**
+//! [`MemGauge`](super::MemGauge) before it pushes it (which is why a
+//! chained plan shares one gauge across its stages), the consuming mapper
+//! releases it after routing, the consumer releases what the exchange held
+//! when it left, and the producer's last reducer what it discarded since.
 //!
 //! Under a memory budget, an upstream reducer may spill batches *staged
 //! for* this exchange (its outbox — the last rung of the spill ladder, see
@@ -67,11 +70,13 @@ pub struct StageSink<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::port::FragmentPort;
+    use super::super::port::{FragmentPort, PortPop};
+    use super::super::runtime::{EngineRuntime, Poll};
     use super::*;
     use ewh_core::Key;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
+    use std::time::Duration;
 
     fn batch(keys: &[Key]) -> ColumnBatch {
         let mut b = ColumnBatch::with_capacity(keys.len());
@@ -84,41 +89,67 @@ mod tests {
     #[test]
     fn exchange_delivers_in_fifo_order_and_ends_cleanly() {
         let ex = Exchange::new(8);
-        let consumed = AtomicU64::new(0);
-        thread::scope(|s| {
-            s.spawn(|| {
-                for i in 0..20i64 {
-                    ex.push(batch(&[i]));
+        let (mut pushed, mut bounced) = (0..20i64, None);
+        let mut next = 0i64;
+        EngineRuntime::new(2).scope(|s| {
+            let ex = &ex;
+            s.spawn(move |cx| loop {
+                let Some(b) = bounced
+                    .take()
+                    .or_else(|| pushed.next().map(|i| batch(&[i])))
+                else {
+                    ex.close();
+                    return Poll::Ready;
+                };
+                if let Err(b) = ex.try_push_or_park(b, cx.waker()) {
+                    bounced = Some(b);
+                    return Poll::Pending;
                 }
-                ex.close();
             });
-            s.spawn(|| {
-                let mut next = 0i64;
-                while let Some(b) = ex.pop() {
-                    assert_eq!(b.keys()[0], next, "FIFO violated");
-                    next += 1;
-                    consumed.fetch_add(1, Ordering::Relaxed);
+            let next = &mut next;
+            s.spawn(move |cx| loop {
+                match ex.try_pop_or_park(cx.waker()) {
+                    PortPop::Item(b) => {
+                        assert_eq!(b.keys()[0], *next, "FIFO violated");
+                        *next += 1;
+                    }
+                    PortPop::Empty => return Poll::Pending,
+                    PortPop::Closed => return Poll::Ready,
                 }
             });
         });
-        assert_eq!(consumed.into_inner(), 20);
+        assert_eq!(next, 20);
         assert!(ex.drained(20));
         assert!(!ex.drained(19));
         assert_eq!(ex.used_tuples(), 0);
     }
 
+    /// A producer parked on a full exchange is woken by `abandon`, and its
+    /// offers pass from then on, discarded: what the exchange held comes
+    /// back from `abandon`, what it discarded from `close`.
     #[test]
     fn abandon_unblocks_a_producer_stuck_in_push() {
         let ex = Exchange::new(2);
-        ex.push(batch(&[1, 2])); // at capacity: the next push would block
-        thread::scope(|s| {
-            let producer = s.spawn(|| {
-                ex.push(batch(&[3, 4])); // blocks until abandon
-                ex.push(batch(&[5])); // discarded post-abandon, no block
+        assert!(ex.try_push(batch(&[1, 2])).is_ok());
+        let parked = AtomicBool::new(false);
+        let mut pending = vec![batch(&[5]), batch(&[3, 4])];
+        EngineRuntime::new(1).scope(|s| {
+            let (ex, parked) = (&ex, &parked);
+            s.spawn(move |cx| {
+                while let Some(b) = pending.pop() {
+                    if let Err(b) = ex.try_push_or_park(b, cx.waker()) {
+                        pending.push(b);
+                        parked.store(true, Ordering::Release);
+                        return Poll::Pending;
+                    }
+                }
+                Poll::Ready
             });
-            thread::sleep(std::time::Duration::from_millis(10));
-            ex.abandon();
-            producer.join().expect("producer must unblock");
+            while !parked.load(Ordering::Acquire) {
+                thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(ex.abandon(), 2, "the exchange held one batch");
         });
+        assert_eq!(ex.close(), 3, "both later batches were discarded");
     }
 }

@@ -333,16 +333,11 @@ struct Run<'a> {
     /// Morsels of the scans; an exchange side contributes none — its
     /// batches arrive pre-cut.
     plan: MorselPlan,
-    /// One delivery queue per reducer.
+    /// One delivery queue per reducer: an in-process channel, or under a
+    /// transport a framed link holding a clone of the run's token. A
+    /// reducer that panics abandons its own, and the run releases what
+    /// each discarded once every task is done.
     queues: Vec<Arc<DeliveryPort>>,
-    /// The in-process channels behind `queues` without a transport (else
-    /// empty): a reducer that panics abandons its own, and the run
-    /// releases what they discarded once every task is done.
-    local: Vec<Arc<Channel<Delivery>>>,
-    /// The framed links behind `queues` under a transport (else empty),
-    /// read for their wire bytes before they drop. Each holds a clone of
-    /// the run's token.
-    remote: Vec<Arc<RemoteQueue>>,
     board: ProgressBoard,
     /// End-of-input tracking for both seals.
     seal: SealState<'a>,
@@ -399,23 +394,16 @@ impl<'a> Run<'a> {
         // With a transport every delivery queue is a framed byte-stream
         // link (same FragmentPort contract, credit-based window in place of
         // the shared counter), each failing the run's token.
-        let remote: Vec<Arc<RemoteQueue>> = match &cfg.transport {
-            Some(tcfg) => (0..cfg.reducers)
-                .map(|_| {
-                    RemoteQueue::spawn(tcfg, cfg.queue_tuples, n_regions, io.cancel.clone())
-                        .expect("transport link setup failed")
-                })
-                .collect(),
-            None => Vec::new(),
-        };
-        let local: Vec<Arc<Channel<Delivery>>> = match cfg.transport {
-            Some(_) => Vec::new(),
-            None => (0..cfg.reducers)
-                .map(|_| Arc::new(Channel::new(cfg.queue_tuples)))
-                .collect(),
-        };
-        let queues = (local.iter().map(|q| q.clone() as Arc<DeliveryPort>))
-            .chain(remote.iter().map(|q| q.clone() as Arc<DeliveryPort>))
+        let queues = (0..cfg.reducers)
+            .map(|_| -> Arc<DeliveryPort> {
+                match &cfg.transport {
+                    Some(tcfg) => {
+                        RemoteQueue::spawn(tcfg, cfg.queue_tuples, n_regions, io.cancel.clone())
+                            .expect("transport link setup failed")
+                    }
+                    None => Arc::new(Channel::new(cfg.queue_tuples)),
+                }
+            })
             .collect();
         let outcome = EngineOutcome {
             stats: JoinStats {
@@ -432,8 +420,6 @@ impl<'a> Run<'a> {
             seal: SealState::new(plan.r1_morsels(), plan.total(), io.r2.exchange()),
             plan,
             queues,
-            local,
-            remote,
             board: ProgressBoard::new(cfg.reducers, n_regions),
             mappers_live: AtomicUsize::new(cfg.mappers),
             reducers_live: AtomicUsize::new(cfg.reducers),
@@ -508,18 +494,16 @@ impl<'a> Run<'a> {
     }
 
     /// Reducer `me` dropped; `reported` is false when it panicked, which
-    /// cancels the run and abandons its in-process queue: nothing pops it
-    /// again, so what it holds is released now, and what it discards from
-    /// here on at [`finish`](Self::finish). The last reducer closes the
-    /// stage's output: the downstream stage drains it and seals — or, if it
-    /// was abandoned, discarded what the reducers pushed since, whose
-    /// charges it releases.
+    /// cancels the run and abandons its queue, whatever carries it: nothing
+    /// pops it again, so what it holds is released now, and what it
+    /// discards from here on at [`finish`](Self::finish). The last reducer
+    /// closes the stage's output: the downstream stage drains it and seals
+    /// — or, if it was abandoned, discarded what the reducers pushed since,
+    /// whose charges it releases.
     fn reducer_exited(&self, me: usize, reported: bool) {
         if !reported {
             self.io.cancel.cancel();
-            if let Some(queue) = self.local.get(me) {
-                self.io.gauge.sub(queue.abandon() as u64);
-            }
+            self.io.gauge.sub(self.queues[me].abandon() as u64);
         }
         if last(&self.reducers_live) {
             if let Some(sink) = self.io.sink {
@@ -544,7 +528,7 @@ impl<'a> Run<'a> {
         // lands after the coordinator's `Finish` — say, a reload that
         // dropped its chunk — leaves the join short of pairs.
         let failure = self.io.cancel.reason();
-        for queue in &self.local {
+        for queue in &self.queues {
             self.io.gauge.sub(queue.close() as u64);
         }
         let mut out = self.outcome.into_inner().expect("run outcome poisoned");
@@ -554,7 +538,7 @@ impl<'a> Run<'a> {
         self.counters.fold_into(stats);
         stats.backpressure_secs = self.queues.iter().map(|q| q.blocked_secs()).sum();
         stats.wall_join_secs = self.start.elapsed().as_secs_f64();
-        stats.wire_bytes = self.remote.iter().map(|q| q.wire_bytes()).sum();
+        stats.wire_bytes = self.queues.iter().map(|q| q.wire_bytes()).sum();
         if let (Some(spill), Some(start)) = (self.io.spill, self.spill_start) {
             stats.set_spill(&spill.ctx.totals().since(&start));
         }
@@ -804,8 +788,8 @@ mod tests {
     }
 
     /// The join with its probe side streamed through an exchange of
-    /// `capacity` tuples, pushed `batch` tuples at a time from the test's
-    /// thread.
+    /// `capacity` tuples, pushed `batch` tuples at a time by the kit's
+    /// feeder.
     fn run_fed(
         r1: &[Tuple],
         r2: &[Tuple],
@@ -815,10 +799,10 @@ mod tests {
         batch: usize,
         capacity: usize,
     ) -> EngineOutcome {
-        let kit = Kit::new(r1, &[], scheme, cond, cfg).fed(capacity);
-        kit.join(&test_rt(), None, |kit| kit.feed(r2, batch))
-            .outs
-            .remove(0)
+        let kit = Kit::new(r1, &[], scheme, cond, cfg)
+            .fed(capacity)
+            .feed(r2, batch);
+        kit.join(&test_rt(), None, |_| {}).outs.remove(0)
     }
 
     #[test]
@@ -891,7 +875,7 @@ mod tests {
     #[test]
     fn a_cancel_after_seal_all_ends_the_run() {
         // Reducer 0 straggles for seconds after the mappers are done. The
-        // probe side streams through an exchange this test fills and
+        // probe side streams through an exchange the kit's feeder fills and
         // closes, so once the mappers have drained it every tuple is
         // routed and `SealAll` is out; a cancel 50 ms later must end the
         // run as cancelled, not let the reducers drain to `Finish`.
@@ -907,10 +891,12 @@ mod tests {
             straggler: straggler(1_000_000),
             ..EngineConfig::for_tasks(2, 128, 29)
         };
-        let kit = Kit::new(&r1, &[], &scheme, JoinCondition::Equi, cfg).fed(1 << 16);
+        let kit = Kit::new(&r1, &[], &scheme, JoinCondition::Equi, cfg)
+            .fed(1 << 16)
+            .feed(&r2, 128);
         let joined = kit.join(&test_rt(), None, |kit| {
-            kit.feed(&r2, 128);
-            while kit.exchange(0).used_tuples() > 0 {
+            let exchange = kit.exchange(0);
+            while !exchange.ended().0 || exchange.used_tuples() > 0 {
                 thread::sleep(Duration::from_millis(1));
             }
             thread::sleep(Duration::from_millis(50));

@@ -1,6 +1,6 @@
 //! The `FragmentPort` trait: the push/pop/park surface every delivery
-//! channel in the engine speaks, so mapper, reducer and coordinator code
-//! never names a concrete channel type.
+//! channel in the engine speaks, so mapper, reducer, coordinator and run
+//! code never names a concrete channel type.
 //!
 //! Two families implement it:
 //!
@@ -18,7 +18,16 @@
 //! as the failed attempt, so the freeing transition can never race past
 //! unobserved (likewise an empty [`take`](FragmentPort::take));
 //! [`push_unbounded`](FragmentPort::push_unbounded) bypasses the bound for
-//! traffic that must never deadlock behind it.
+//! traffic that must never deadlock behind it. Parking is the only way to
+//! wait on a port: none has a blocking push or pop.
+//!
+//! A port also owns what it holds once its consumer is gone. Every item
+//! handed to it is charged to the query's gauge by its producer, and that
+//! charge passes to whoever takes the item. [`abandon`](FragmentPort::abandon)
+//! returns the weight no consumer will take now, and
+//! [`close`](FragmentPort::close) the weight the port discarded instead of
+//! carrying it, so the run releases both without knowing what kind of
+//! port it holds.
 
 use super::queue::Delivery;
 use super::runtime::Waker;
@@ -56,6 +65,21 @@ pub trait FragmentPort: Send + Sync {
     /// after parking means "return `Pending`".
     fn take(&self, park: Option<&Waker>) -> PortPop<Self::Item>;
 
+    /// Producer-side end of stream: no item will ever be pushed again, and
+    /// parked consumers observe it. Returns the weight the port discarded —
+    /// pushed after [`abandon`](Self::abandon), or, on a link, offered once
+    /// its token was cancelled — whose charges the producers are to
+    /// release.
+    fn close(&self) -> usize;
+
+    /// Consumer-side teardown: the consumer is gone, so producers must
+    /// never wait again — parked ones wake, and every later push is
+    /// discarded (reported as accepted) and counted for
+    /// [`close`](Self::close). Harmless after normal completion. Returns
+    /// the weight handed to the port that no consumer took, whose charges
+    /// are to be released now.
+    fn abandon(&self) -> usize;
+
     /// Tuples currently occupying the port — the queue-depth heartbeat the
     /// migration coordinator reads when hunting for stragglers. For a
     /// remote port this includes tuples in flight on the wire (sent but
@@ -69,6 +93,12 @@ pub trait FragmentPort: Send + Sync {
 
     /// Total time producers spent blocked on this port.
     fn blocked_secs(&self) -> f64;
+
+    /// Bytes the port put on a wire, frame headers included (an
+    /// in-process port: none).
+    fn wire_bytes(&self) -> u64 {
+        0
+    }
 
     /// [`offer`](Self::offer) without parking.
     fn try_push(&self, item: Self::Item) -> Result<(), Self::Item> {

@@ -159,7 +159,7 @@ mod tests {
             state: Box::new(state),
         });
         assert_eq!(q.used_tuples(), 9);
-        assert!(matches!(q.pop(), Some(Delivery::Adopt { .. })));
+        assert!(matches!(q.try_pop(), PortPop::Item(Delivery::Adopt { .. })));
         assert_eq!(q.used_tuples(), 0);
     }
 
@@ -185,8 +185,8 @@ mod tests {
         );
         // The window bounces what the regions would hold, not the one copy.
         assert!(q.try_push(grouped(11, vec![5, 6, 7])).is_err());
-        assert!(matches!(q.pop(), Some(Delivery::Batch(_))));
-        assert!(matches!(q.pop(), Some(Delivery::Batch(_))));
+        assert!(matches!(q.try_pop(), PortPop::Item(Delivery::Batch(_))));
+        assert!(matches!(q.try_pop(), PortPop::Item(Delivery::Batch(_))));
         assert_eq!(q.used_tuples(), 0);
     }
 }

@@ -695,7 +695,7 @@ fn disjoint_order(runs: &[ColumnBatch]) -> Option<Vec<usize>> {
 mod tests {
     use super::super::testkit::{drive, drive_with, nested_loop, ship, spawn, tallies, Fault, Kit};
     use super::*;
-    use crate::engine::{Channel, EngineRuntime};
+    use crate::engine::{Channel, EngineRuntime, TransportConfig};
     use crate::local_join::{sweep_columns, sweep_columns_each, KeyFrom, OutputWork};
     use ewh_core::{JoinCondition, Tuple};
     use std::sync::Arc;
@@ -728,10 +728,11 @@ mod tests {
         let owned: Vec<u32> = (0..REGIONS).collect();
         // The downstream mapper takes the sink until the reducer's drop
         // closes it.
-        std::thread::scope(|s| {
-            s.spawn(|| kit.take_rest());
-            drive(&rt, &run, 0, &owned);
-        });
+        let mut reducer = ReducerTask::new(&run, 0, &owned);
+        spawn(
+            &rt,
+            vec![kit.consumer(), Box::new(move |cx| reducer.poll(cx))],
+        );
         assert_eq!(kit.emitted().len() as u64, REGIONS as u64 * 400);
         assert_eq!(run.outcome().per_region_output, [400; REGIONS as usize]);
         kit.assert_balanced();
@@ -1493,10 +1494,24 @@ mod tests {
     /// scope joins with the panic instead of hanging.
     #[test]
     fn a_reducer_that_panics_mid_run_cancels_the_run_instead_of_hanging() {
+        panic_reducer_0_mid_run(None);
+    }
+
+    /// The same over framed links: the panicked reducer's queue releases
+    /// what was put on its wire and never taken, and at the run's end what
+    /// it discarded since — offers after the cancel included.
+    #[test]
+    fn a_reducer_that_panics_over_tcp_leaves_the_gauge_at_zero() {
+        panic_reducer_0_mid_run(Some(TransportConfig::tcp()));
+    }
+
+    /// Reducer 0 of two panics on its second poll: the panic reaches the
+    /// join, the run is cancelled, and every charge is released.
+    fn panic_reducer_0_mid_run(transport: Option<TransportConfig>) {
         let tuples: Vec<Tuple> = (0..8000).map(|i| Tuple::new(i % 500, i as u64)).collect();
         let kit = Kit::by_hand(2, &[0, 1, 0, 1], JoinCondition::Equi, 64)
             .relations(&tuples, &tuples)
-            .with(|cfg| cfg.queue_tuples = 256);
+            .with(|cfg| (cfg.queue_tuples, cfg.transport) = (256, transport));
         let fault = Fault::Reducer {
             reducer: 0,
             poll: 2,

@@ -7,16 +7,17 @@
 //!   condition, and an [`EngineConfig`] — `EngineConfig::for_tasks` with
 //!   the test's overrides.
 //! * **Owned:** each stage's [`RoutingTable`], the query's [`MemGauge`]
-//!   and [`CancelToken`], the exchanges between stages, the last stage's
-//!   sink and its consumer ([`Kit::take`]: keep a batch's payloads,
-//!   release its charge), and a [`SpillContext`] over a directory of the
-//!   kit's own, removed as the kit drops.
+//!   and [`CancelToken`], the exchanges between stages, stage 0's feed
+//!   ([`Kit::feed`]), the last stage's sink and its consumer ([`Kit::take`]:
+//!   keep a batch's payloads, release its charge), and a [`SpillContext`]
+//!   over a directory of the kit's own, removed as the kit drops.
 //! * **Run:** [`spawn`] is the one place a test puts tasks on a runtime.
-//!   [`Kit::join`] spawns every stage's tasks through it — with a [`Fault`]
+//!   [`Kit::join`] spawns every stage's tasks through it, beside the feeder
+//!   and the sink's consumer, which are pool tasks too — with a [`Fault`]
 //!   if the test injects one, and a side closure on a thread of its own
-//!   for what the test does meanwhile (feed the input, cancel). A test that
-//!   ships deliveries by hand takes stage 0's [`Run`] from
-//!   [`Kit::hand_run`] and drives one reducer at a time with [`drive`].
+//!   for what the test does meanwhile (cancel). A test that ships
+//!   deliveries by hand takes stage 0's [`Run`] from [`Kit::hand_run`] and
+//!   drives one reducer at a time with [`drive`].
 //! * **Out:** each stage's outcome and progress board ([`Joined`]); the
 //!   tables, the gauge and the spill totals stay on the kit. Every join
 //!   that completes or is cancelled must leave the gauge at zero
@@ -135,8 +136,10 @@ pub(super) struct Kit<'a> {
     stages: Vec<Stage<'a>>,
     pub gauge: MemGauge,
     pub cancel: CancelToken,
-    /// Stage 0's probe exchange, fed by the test.
+    /// Stage 0's probe exchange.
     input: Option<Exchange>,
+    /// What the feeder pushes into it, and how many tuples a batch.
+    feed: Option<(&'a [Tuple], usize)>,
     /// The spill context over `dir`, and the query's budget.
     spill: Option<(SpillContext, u64)>,
     dir: PathBuf,
@@ -191,6 +194,7 @@ impl<'a> Kit<'a> {
             gauge: MemGauge::default(),
             cancel: CancelToken::new(),
             input: None,
+            feed: None,
             spill: None,
             dir: std::env::temp_dir().join(dir),
             emitted: Mutex::new(Vec::new()),
@@ -210,7 +214,7 @@ impl<'a> Kit<'a> {
     }
 
     /// Stage 0's probe side streams in through an exchange of `capacity`
-    /// tuples, which the test feeds ([`feed`](Self::feed)).
+    /// tuples, fed only if the test asks ([`feed`](Self::feed)).
     pub fn fed(mut self, capacity: usize) -> Self {
         self.stages[0].r2 = None;
         self.input = Some(Exchange::new(capacity));
@@ -290,16 +294,39 @@ impl<'a> Kit<'a> {
         records
     }
 
-    /// An upstream producer: pushes `r2` into stage 0's exchange `batch`
-    /// tuples at a time, each charged to the gauge before its push, then
-    /// closes it, releasing what an abandoned exchange discarded.
-    pub fn feed(&self, r2: &[Tuple], batch: usize) {
+    /// Stage 0's exchange is fed `r2`, `batch` tuples at a time, by an
+    /// upstream producer task in the join's scope.
+    pub fn feed(mut self, r2: &'a [Tuple], batch: usize) -> Self {
+        assert!(self.input.is_some(), "a fed stage reads an exchange");
+        self.feed = Some((r2, batch.max(1)));
+        self
+    }
+
+    /// The upstream producer: pushes each batch charged to the gauge,
+    /// parking while the exchange is full, then closes it, releasing what
+    /// an abandoned exchange discarded.
+    fn feeder(&self, r2: &'a [Tuple], batch: usize) -> Task<'_> {
         let exchange = self.exchange(0);
-        for chunk in r2.chunks(batch.max(1)) {
-            self.gauge.add(chunk.len() as u64);
-            exchange.push(ColumnBatch::from_tuples(chunk));
-        }
-        self.gauge.sub(exchange.close() as u64);
+        let (mut chunks, mut bounced) = (r2.chunks(batch), None);
+        Box::new(move |cx| loop {
+            let batch = match bounced.take() {
+                Some(batch) => batch,
+                None => match chunks.next() {
+                    Some(chunk) => {
+                        self.gauge.add(chunk.len() as u64);
+                        ColumnBatch::from_tuples(chunk)
+                    }
+                    None => {
+                        self.gauge.sub(exchange.close() as u64);
+                        return Poll::Ready;
+                    }
+                },
+            };
+            if let Err(batch) = exchange.try_push_or_park(batch, cx.waker()) {
+                bounced = Some(batch);
+                return Poll::Pending;
+            }
+        })
     }
 
     /// What the downstream mapper does with a batch of the sink, minus the
@@ -319,11 +346,22 @@ impl<'a> Kit<'a> {
         true
     }
 
-    /// [`take`](Self::take)s every batch until the sink closes.
+    /// [`take`](Self::take)s every batch the sink holds, without waiting.
     pub fn take_rest(&self) {
-        while let Some(batch) = self.sink_exchange().pop() {
-            self.take(batch);
-        }
+        while self.take_one() {}
+    }
+
+    /// The downstream mapper, as a task: [`take`](Self::take)s every batch
+    /// until the sink closes, parking while it is empty.
+    pub fn consumer(&self) -> Task<'_> {
+        let sink = self.sink_exchange();
+        Box::new(move |cx| loop {
+            match sink.try_pop_or_park(cx.waker()) {
+                PortPop::Item(batch) => self.take(batch),
+                PortPop::Empty => return Poll::Pending,
+                PortPop::Closed => return Poll::Ready,
+            }
+        })
     }
 
     /// The payloads taken off the sink so far.
@@ -382,8 +420,8 @@ impl<'a> Kit<'a> {
 
     /// Runs every stage as `run_pipelined_io` does — each stage's run set up
     /// and pre-sealed, then every reducer, coordinator and mapper spawned
-    /// as one scope — with `fault` injected, while `beside` runs on a
-    /// thread of its own and a consumer takes the last stage's sink. Then
+    /// as one scope, beside the feeder and the sink's consumer — with
+    /// `fault` injected, while `beside` runs on a thread of its own. Then
     /// asserts the gauge balanced, unless the fault's panic ended the run.
     pub fn join(
         &self,
@@ -402,19 +440,15 @@ impl<'a> Kit<'a> {
         }
         let panic = watchdog("a kit's join", || {
             thread::scope(|s| {
-                let last = self.stages.last().and_then(|stage| stage.sink.as_ref());
-                let consumer = last.map(|_| s.spawn(|| self.take_rest()));
                 let side = s.spawn(|| beside(self));
-                let tasks = runs
-                    .iter()
-                    .flat_map(|run| run_tasks(run, fault.as_ref()))
+                let feeder = self.feed.map(|(r2, batch)| self.feeder(r2, batch));
+                let last = self.stages.last().and_then(|stage| stage.sink.as_ref());
+                let consumer = last.map(|_| self.consumer());
+                let tasks = (feeder.into_iter().chain(consumer))
+                    .chain(runs.iter().flat_map(|run| run_tasks(run, fault.as_ref())))
                     .collect();
                 let panic = catch_unwind(AssertUnwindSafe(|| spawn(rt, tasks))).err();
-                for thread in consumer.into_iter().chain([side]) {
-                    thread
-                        .join()
-                        .unwrap_or_else(|payload| resume_unwind(payload));
-                }
+                side.join().unwrap_or_else(|payload| resume_unwind(payload));
                 panic
             })
         });

@@ -57,18 +57,29 @@
 //! truncated or unexpected frame — fails the link's [`CancelToken`] with
 //! `transport failure: <reason>`: on an engine link that is the query's
 //! own token, which every link of the run holds a clone of, so the trip
-//! cancels the query cooperatively. The sender abandons its gate, releasing
-//! every parked producer (their later pushes are discarded — the run is
+//! cancels the query cooperatively. The sender abandons its gate, waking
+//! every parked producer (their later offers are discarded — the run is
 //! doomed). The receiver hands its consumer the in-band [`Delivery::Abort`]
 //! (on a `Delivery` link), closes its staging channel and ends its credit
 //! stream without `CLOSE`, so the sender trips too. Nothing panics on a bad
 //! byte.
+//!
+//! ## Waiting, and what a link holds
+//!
+//! Both halves are waited on one way, by a pool task that parks: a sender
+//! on its gate ([`LinkSender::offer`]), a receiver on its staging channel
+//! ([`LinkReceiver::take`]). Only the I/O threads block, on their sockets.
+//! A [`RemoteQueue`] reports what it holds like a channel: its
+//! [`abandon`](FragmentPort::abandon) returns the weight put on the wire
+//! and never taken, and its [`close`](FragmentPort::close) the weight its
+//! sender discarded — offered after the cancel, or handed over after the
+//! abandon.
 
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use ewh_core::{
@@ -441,12 +452,23 @@ fn join_all(threads: &mut Vec<JoinHandle<()>>) {
 // The two halves of a link
 // ---------------------------------------------------------------------------
 
+/// What a sender was handed, by weight: put on the wire, or discarded —
+/// offered once its token was cancelled, or handed over after its consumer
+/// abandoned the link.
+#[derive(Debug, Default)]
+struct Books {
+    sent: usize,
+    discarded: usize,
+    abandoned: bool,
+}
+
 /// The producing half of a link: a `CreditGate` charged on send, a writer
 /// thread that puts frames on the socket in order, and a credit reader that
 /// returns the receiver's `CREDIT`s to the gate.
 pub struct LinkSender<T> {
     gate: Arc<CreditGate>,
     cancel: CancelToken,
+    books: Mutex<Books>,
     /// Encoded frames for the writer; `None` once the stream is ended.
     frames: Option<mpsc::Sender<Vec<u8>>>,
     sock: TcpStream,
@@ -527,6 +549,7 @@ impl<T: Framed> LinkSender<T> {
         Ok(LinkSender {
             gate,
             cancel,
+            books: Mutex::default(),
             frames: Some(frames),
             sock,
             wire_bytes,
@@ -535,38 +558,38 @@ impl<T: Framed> LinkSender<T> {
         })
     }
 
-    /// Non-blocking bounded push for pool tasks; hands the item back (with
-    /// `park` registered) when the window is full. Once the token is
-    /// cancelled the item is discarded: the run is unwinding.
-    pub(crate) fn offer(&self, item: T, park: Option<&Waker>) -> Result<(), T> {
-        if self.cancel.is_cancelled() {
-            return Ok(());
-        }
-        if !self.gate.admit_or_park(item.weight(), park) {
+    /// Bounded push; hands the item back (with `park` registered) when the
+    /// window is full. Once the token is cancelled the item is discarded:
+    /// the run is unwinding, and [`finish`](Self::finish) reports why.
+    pub fn offer(&self, item: T, park: Option<&Waker>) -> Result<(), T> {
+        let cut = self.cancel.is_cancelled();
+        if !cut && !self.gate.admit_or_park(item.weight(), park) {
             return Err(item);
         }
-        self.send(&item);
+        self.send(item, cut);
         Ok(())
     }
 
     pub(crate) fn push_unbounded(&self, item: T) {
         self.gate.admit_unbounded(item.weight());
-        self.send(&item);
+        self.send(item, false);
     }
 
-    /// Blocking bounded push, for client threads outside the pool. `Err`
-    /// carries the failure reason: every trip this half sees abandons its
-    /// gate.
-    pub fn push(&self, item: T) -> Result<(), String> {
-        if !self.gate.admit_blocking(item.weight()) {
-            let why = self.cancel.reason();
-            return Err(why.unwrap_or_else(|| "link failed".into()));
+    fn books(&self) -> MutexGuard<'_, Books> {
+        self.books.lock().expect("link books poisoned")
+    }
+
+    /// Puts an admitted item on the wire or — `cut`, or once the consumer
+    /// abandoned the link — discards it, counting its weight either way.
+    fn send(&self, item: T, cut: bool) {
+        {
+            let (mut books, w) = (self.books(), item.weight());
+            if cut || books.abandoned {
+                books.discarded += w;
+                return;
+            }
+            books.sent += w;
         }
-        self.send(&item);
-        Ok(())
-    }
-
-    fn send(&self, item: &T) {
         let mut buf = Vec::new();
         item.encode(&mut buf);
         if let Some(frames) = &self.frames {
@@ -580,6 +603,18 @@ impl<T: Framed> LinkSender<T> {
     /// stream has ended, its `CLOSE`) included.
     fn wire_bytes(&self) -> u64 {
         self.wire_bytes.load(Ordering::Relaxed)
+    }
+
+    /// The consumer is gone: parked producers wake, and every later item
+    /// is discarded. Returns the weight ever put on the wire.
+    fn abandon(&self) -> usize {
+        let sent = {
+            let mut books = self.books();
+            books.abandoned = true;
+            books.sent
+        };
+        self.gate.abandon();
+        sent
     }
 
     /// Ends the stream and waits for the receiver to end its credit stream.
@@ -614,6 +649,10 @@ impl<T> Drop for LinkSender<T> {
 pub struct LinkReceiver<T> {
     staging: Arc<Channel<T>>,
     cancel: CancelToken,
+    /// Weight the consumer took, ever. `Relaxed` suffices: a queue's
+    /// `abandon` reads it only once its consumer's task is gone, and the
+    /// pool's hand-off of that task orders its takes before the read.
+    taken: AtomicUsize,
     /// Weights to credit back; `None` once the credit stream is ended.
     credits: Option<mpsc::Sender<u64>>,
     threads: Vec<JoinHandle<()>>,
@@ -688,14 +727,17 @@ impl<T: Framed> LinkReceiver<T> {
         Ok(LinkReceiver {
             staging,
             cancel,
+            taken: AtomicUsize::new(0),
             credits: Some(credits),
             threads: vec![reader, credit_writer],
         })
     }
 
-    /// Non-blocking pop for pool tasks; a popped item's weight goes back to
-    /// the sender as credit.
-    pub(crate) fn take(&self, park: Option<&Waker>) -> PortPop<T> {
+    /// Takes the next item; on an empty stream `park` (if any) is
+    /// registered to be woken by the next frame or the end of the stream —
+    /// clean or not, which [`join`](Self::join) tells. A taken item's
+    /// weight goes back to the sender as credit.
+    pub fn take(&self, park: Option<&Waker>) -> PortPop<T> {
         let popped = self.staging.take(park);
         if let PortPop::Item(item) = &popped {
             self.credit(item.weight());
@@ -703,15 +745,8 @@ impl<T: Framed> LinkReceiver<T> {
         popped
     }
 
-    /// Blocking pop for client threads: `None` once the stream has ended —
-    /// cleanly or not, which [`join`](Self::join) tells.
-    pub fn pop(&self) -> Option<T> {
-        let item = self.staging.pop()?;
-        self.credit(item.weight());
-        Some(item)
-    }
-
     fn credit(&self, w: usize) {
+        self.taken.fetch_add(w, Ordering::Relaxed);
         if let (true, Some(credits)) = (w > 0, &self.credits) {
             let _ = credits.send(w as u64);
         }
@@ -765,11 +800,6 @@ impl RemoteQueue {
             rx: LinkReceiver::spawn(inbound, cancel, check)?,
         }))
     }
-
-    /// Bytes the data writer put on the wire (frame headers included).
-    pub fn wire_bytes(&self) -> u64 {
-        self.tx.wire_bytes()
-    }
 }
 
 impl Drop for RemoteQueue {
@@ -796,6 +826,20 @@ impl FragmentPort for RemoteQueue {
         self.rx.take(park)
     }
 
+    /// What the link discarded: offered once the token was cancelled, or
+    /// handed over after [`abandon`](FragmentPort::abandon). The stream
+    /// itself ends as the queue drops.
+    fn close(&self) -> usize {
+        self.tx.books().discarded
+    }
+
+    /// What was put on the wire and never taken: in the writer's buffer,
+    /// on the wire, or staged. Not the gate's `used`, which also counts the
+    /// credits still in flight for items the consumer already took.
+    fn abandon(&self) -> usize {
+        self.tx.abandon() - self.rx.taken.load(Ordering::Relaxed)
+    }
+
     /// Window charged but not yet credited back: tuples in the writer's
     /// buffer, on the wire, and staged on the consumer side — the remote
     /// generalization of queue depth the coordinator's backlog heuristics
@@ -810,6 +854,11 @@ impl FragmentPort for RemoteQueue {
 
     fn blocked_secs(&self) -> f64 {
         self.tx.gate.blocked_secs()
+    }
+
+    /// Bytes the data writer put on the wire (frame headers included).
+    fn wire_bytes(&self) -> u64 {
+        self.tx.wire_bytes()
     }
 }
 
@@ -1210,31 +1259,81 @@ mod tests {
         cols(7).encode(&mut wire);
         peer.write_all(&wire).expect("write");
         drop(peer);
-        drain_until(Duration::from_secs(10), || {
-            rx.cancel.is_cancelled().then_some(())
-        });
-        assert_eq!(rx.pop().map(|b| b.len()), Some(7));
-        assert!(rx.pop().is_none());
+        let mut taken = Vec::new();
+        while let Some(b) = drain_until(Duration::from_secs(10), || match rx.take(None) {
+            PortPop::Item(b) => Some(Some(b.len())),
+            PortPop::Closed => Some(None),
+            PortPop::Empty => None,
+        }) {
+            taken.push(b);
+        }
+        assert_eq!(taken, [7]);
         let err = rx.join().expect_err("no CLOSE, no clean end");
         assert!(err.contains("without CLOSE"), "got: {err}");
     }
 
-    /// And in the other direction: a receiver that vanishes releases a
-    /// client blocked on the window with the failure. The credit reader may
-    /// see the end of its stream before the first push, which then fails
-    /// at once; otherwise the empty window admits that oversized batch and
-    /// the second push blocks until the failure lands.
+    /// And in the other direction: a receiver that vanishes wakes a
+    /// producer parked on the window, and `finish` reports the failure.
+    /// The credit reader may see the end of its stream before the first
+    /// offer, which is then discarded at once; otherwise the empty window
+    /// admits that oversized batch and the second offer parks until the
+    /// failure lands.
     #[test]
     fn a_receiver_that_vanishes_fails_a_blocked_push() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
         let tx = LinkSender::<ColumnBatch>::connect(&addr, 4).expect("connect");
         drop(listener.accept().expect("accept"));
-        let err = match tx.push(cols(10)) {
-            Err(err) => err,
-            Ok(()) => tx.push(cols(10)).expect_err("nobody will ever credit it"),
-        };
+        let mut batches = vec![cols(10), cols(10)];
+        EngineRuntime::new(1).scope(|s| {
+            let tx = &tx;
+            s.spawn(move |cx| {
+                while let Some(b) = batches.pop() {
+                    if let Err(b) = tx.offer(b, Some(cx.waker())) {
+                        batches.push(b);
+                        return Poll::Pending;
+                    }
+                }
+                Poll::Ready
+            });
+        });
+        let err = tx.finish().expect_err("nobody will ever credit it");
         assert!(err.contains("credit stream"), "got: {err}");
+    }
+
+    /// An offer once the token is cancelled is discarded, not sent, and
+    /// its weight is the queue's to report at `close`, so the run releases
+    /// its charge.
+    #[test]
+    fn an_offer_after_the_cancel_is_discarded_and_released_at_close() {
+        let token = CancelToken::new();
+        let q = spawn_queue(&TransportConfig::tcp(), 1 << 20, &token);
+        assert!(q.try_push(batch_delivery(0, 10)).is_ok());
+        token.cancel();
+        assert!(q.try_push(batch_delivery(1, 40)).is_ok());
+        assert_eq!(q.close(), 40);
+        let Delivery::Batch(rb) = next_item(&*q) else {
+            panic!("expected a batch")
+        };
+        assert_eq!(rb.region, 0, "only the offer before the cancel was sent");
+    }
+
+    /// `abandon` returns what was put on the wire and never taken, however
+    /// many credits for what was taken are still in flight; from then on
+    /// offers are discarded and counted for `close`.
+    #[test]
+    fn abandon_releases_what_the_link_carried_and_its_consumer_never_took() {
+        let token = CancelToken::new();
+        let q = spawn_queue(&TransportConfig::tcp(), 1 << 20, &token);
+        for (region, n) in [(0, 10), (1, 20), (2, 30)] {
+            assert!(q.try_push(batch_delivery(region, n)).is_ok());
+        }
+        assert!(matches!(next_item(&*q), Delivery::Batch(_)));
+        assert_eq!(q.abandon(), 50);
+        assert!(q.try_push(batch_delivery(3, 7)).is_ok());
+        q.push_unbounded(batch_delivery(4, 5));
+        assert_eq!(q.close(), 12);
+        assert!(!token.is_cancelled());
     }
 
     /// Teardown with deliveries nobody popped and a producer parked on the
@@ -1278,26 +1377,46 @@ mod tests {
         }
     }
 
+    /// Two pool tasks, one per end of a relation-shipping link, each
+    /// parking on its end: the producer on the credit window, the consumer
+    /// on the staged stream. Each end is joined by a thread of its own,
+    /// which ends its stream once its scope is done.
     #[test]
     fn the_remote_exchange_streams_batches_cross_socket() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();
-        let producer = std::thread::spawn(move || {
-            let tx = LinkSender::<ColumnBatch>::connect(&addr, 2048).expect("connect");
-            for i in 0..64 {
-                tx.push(cols(100 + i)).expect("push");
-            }
-            tx.finish().expect("finish")
-        });
+        let tx = LinkSender::<ColumnBatch>::connect(&addr, 2048).expect("connect");
         let rx = LinkReceiver::<ColumnBatch>::accept(&listener).expect("accept");
-        let mut got = 0usize;
-        let mut batches = 0usize;
-        while let Some(b) = rx.pop() {
-            got += b.len();
-            batches += 1;
-        }
-        rx.join().expect("clean close");
-        let wire = producer.join().expect("producer");
+        let rt = EngineRuntime::new(2);
+        let (mut sizes, mut bounced) = ((0..64).map(|i| 100 + i), None);
+        let (mut got, mut batches) = (0usize, 0usize);
+        let wire = std::thread::scope(|s| {
+            let producer = s.spawn(|| {
+                rt.scope(|s| {
+                    s.spawn(|cx| loop {
+                        let Some(b) = bounced.take().or_else(|| sizes.next().map(cols)) else {
+                            return Poll::Ready;
+                        };
+                        if let Err(b) = tx.offer(b, Some(cx.waker())) {
+                            bounced = Some(b);
+                            return Poll::Pending;
+                        }
+                    })
+                });
+                tx.finish().expect("finish")
+            });
+            rt.scope(|s| {
+                s.spawn(|cx| loop {
+                    match rx.take(Some(cx.waker())) {
+                        PortPop::Item(b) => (got, batches) = (got + b.len(), batches + 1),
+                        PortPop::Empty => return Poll::Pending,
+                        PortPop::Closed => return Poll::Ready,
+                    }
+                })
+            });
+            rx.join().expect("clean close");
+            producer.join().expect("producer")
+        });
         assert_eq!(batches, 64);
         assert_eq!(got, (0..64).map(|i| 100 + i).sum::<usize>());
         assert!(wire as usize > got * TUPLE_BYTES as usize);

@@ -7,13 +7,12 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 use ewh_core::{JoinCondition, Key, PartitionScheme, Router, RoutingTable, Tuple};
-use ewh_exec::engine::{run_pipelined_io, CancelToken};
+use ewh_exec::engine::{run_pipelined_io, CancelToken, Poll};
 use ewh_exec::{
-    AdaptiveConfig, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange, KeyFrom,
-    MemGauge, Source, SpillBinding, SpillContext, StageSink,
+    AdaptiveConfig, EngineConfig, EngineIo, EngineOutcome, EngineRuntime, Exchange, FragmentPort,
+    KeyFrom, MemGauge, PortPop, Source, SpillBinding, SpillContext, StageSink,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -149,25 +148,32 @@ impl<'a> Stage<'a> {
         }
     }
 
-    /// Runs the stage. The sink's consumer pops each batch, keeps its
-    /// payloads and releases its charge; the run's last reducer closes the
-    /// exchange, which ends it. The spill segment is read back, then
-    /// removed. Every charge must be released by the join.
+    /// Runs the stage. The sink's consumer, a pool task beside the run,
+    /// takes each batch, keeps its payloads and releases its charge; the
+    /// run's last reducer closes the exchange, which ends it. The spill
+    /// segment is read back, then removed. Every charge must be released
+    /// by the join.
     pub fn run(&self, rt: &EngineRuntime) -> Ran {
         static RUNS: AtomicUsize = AtomicUsize::new(0);
         let dir = scratch_dir(&format!("engine-{}", RUNS.fetch_add(1, Ordering::Relaxed)));
         let ctx = SpillContext::new(dir.clone(), None);
         let (table, gauge) = (RoutingTable::new(&self.owners), MemGauge::default());
         let exchange = self.sink.map(|(capacity, _)| Exchange::new(capacity));
-        let (out, emitted) = thread::scope(|s| {
-            let consumer = s.spawn(|| {
-                let mut emitted = Vec::new();
-                while let Some(batch) = exchange.as_ref().and_then(Exchange::pop) {
-                    emitted.extend_from_slice(batch.payloads());
-                    gauge.sub(batch.len() as u64);
-                }
-                emitted
-            });
+        let mut emitted = Vec::new();
+        let out = rt.scope(|s| {
+            if let Some(exchange) = &exchange {
+                let (emitted, gauge) = (&mut emitted, &gauge);
+                s.spawn(move |cx| loop {
+                    match exchange.try_pop_or_park(cx.waker()) {
+                        PortPop::Item(batch) => {
+                            emitted.extend_from_slice(batch.payloads());
+                            gauge.sub(batch.len() as u64);
+                        }
+                        PortPop::Empty => return Poll::Pending,
+                        PortPop::Closed => return Poll::Ready,
+                    }
+                });
+            }
             let io = EngineIo {
                 r1: self.r1,
                 r2: Source::Scan(self.r2),
@@ -190,8 +196,7 @@ impl<'a> Stage<'a> {
                 }),
                 links: None,
             };
-            let out = run_pipelined_io(rt, [(io, self.cfg)]).remove(0);
-            (out, consumer.join().expect("consumer panicked"))
+            run_pipelined_io(rt, [(io, self.cfg)]).remove(0)
         });
         assert_eq!(gauge.current_tuples(), 0, "a run leaked gauge tuples");
         let segment = segment_records(&ctx, &dir);

@@ -72,11 +72,21 @@ fn pipelined_peak_memory_is_strictly_below_full_materialization() {
     let k2 = skewed_keys(12_000, 32);
     let cond = JoinCondition::Band { beta: 2 };
     let (r1, r2) = (tuples(&k1), tuples(&k2));
+    // Buffers small enough that the input clears the floor below which a
+    // peak comparison against full materialization means nothing.
     let cfg = OperatorConfig {
         j: 16,
         threads: 4,
+        morsel_tuples: 256,
+        queue_tuples: 1024,
         ..Default::default()
     };
+    let floor = cfg.min_pipelined_input_tuples();
+    assert!(
+        (r1.len() + r2.len()) as u64 >= floor,
+        "{} input tuples under the pipelined floor of {floor}",
+        r1.len() + r2.len()
+    );
     let run = run_operator(&test_rt(), SchemeKind::Csio, &r1, &r2, &cond, &cfg);
     // mem_bytes models the full shuffle; the engine must stay strictly
     // below it (the probe side streams through in chunks).
