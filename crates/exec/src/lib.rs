@@ -5,7 +5,8 @@
 //! [`EngineRuntime`] worker pool, the morsel-driven pipelined [`engine`]
 //! (mapper tasks batch-route morsels over bounded per-region queues to
 //! reducer tasks that collect each region's build side, sort it once at
-//! the seal and sweep probe chunks as they stream in), sort+sweep [`local_join`]s, and the
+//! the seal and sweep probe chunks as they stream in), one sort + sweep
+//! local join ([`sweep_columns`], which the batch oracle runs too), and the
 //! [`run_operator`] driver whose [`OperatorRun`] reports the paper's
 //! metrics — simulated time from the validated cost model, measured wall
 //! time, network tuples, cluster memory (modeled and actually-resident
@@ -42,7 +43,8 @@
 //! predicted and realized reassignment counts are comparable.
 //!
 //! The barrier-phased batch path ([`shuffle`] + [`execute_join`]) is kept as
-//! the reference oracle behind [`ExecMode::Batch`]; property tests assert
+//! the reference oracle behind [`ExecMode::Batch`]: its own threads, phases
+//! and per-tuple routing, the engine's sort and sweep. Property tests assert
 //! both modes produce identical joins (including with migration thresholds
 //! forced to fire, `tests/prop_migration.rs`, and across chained plans,
 //! `tests/prop_plan.rs`).
@@ -69,8 +71,7 @@ pub use engine::{
     SpillContext, SpillRun, SpillTotals, StageSink, Straggler, TransportConfig,
 };
 pub use local_join::{
-    local_join, output_tuple, pair_payload, pair_tag, sweep_columns, sweep_columns_each,
-    sweep_sorted, sweep_sorted_each, KeyFrom, OutputWork,
+    pair_payload, pair_tag, sweep_columns, sweep_columns_each, KeyFrom, OutputWork,
 };
 pub use metrics::JoinStats;
 pub use operator::{

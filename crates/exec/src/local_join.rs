@@ -1,11 +1,15 @@
 //! The per-worker local join.
 //!
 //! The paper's scheme is orthogonal to the local algorithm (§IV, "as long as
-//! all the machines run the same algorithm"). We use a sort + sliding-window
-//! sweep that handles every supported monotonic condition in
-//! `O(n log n + output)`: after sorting both sides by key, the joinable range
-//! `jr(a)` has non-decreasing endpoints in `a`, so two cursors sweep `R2`
-//! exactly once per worker.
+//! all the machines run the same algorithm"), and every path here runs the
+//! same one: a sort + sliding-window sweep that handles every supported
+//! monotonic condition in `O(n log n + output)`. After sorting both sides by
+//! key, the joinable range `jr(a)` has non-decreasing endpoints in `a`, so
+//! two cursors sweep `R2` once. There is one staircase (`sweep_ranges_cols`,
+//! over key columns) behind three entry points: [`sweep_columns`] and
+//! [`sweep_columns_each`], which the engine's reducers call per probe chunk
+//! and the batch oracle once per region (`join_region`), and
+//! [`tail_within`], which sizes a sink-bound sweep.
 //!
 //! Output handling is configurable: [`OutputWork::Touch`] folds every output
 //! tuple's payloads into a checksum (standing in for the per-output-tuple
@@ -97,164 +101,29 @@ impl CountFold {
     }
 }
 
-/// The canonical output tuple of one matched pair, as the
-/// materialize-between-operators baseline emits it. The pipelined plan
-/// executor emits the same key and [`pair_payload`] as columns through
-/// [`sweep_columns_each`], so chained results are comparable bit for bit.
-/// The payload is exactly the pair's checksum contribution, so an
-/// operator's XOR checksum equals the XOR of its emitted payloads.
-#[inline]
-pub fn output_tuple(build: &Tuple, probe: &Tuple, key_from: KeyFrom) -> Tuple {
-    let key = match key_from {
-        KeyFrom::Build => build.key,
-        KeyFrom::Probe => probe.key,
-    };
-    Tuple::new(key, pair_payload(build.payload, probe.payload))
-}
-
-/// Joins one worker's buckets in place (sorts both). Returns
-/// `(output_count, checksum)`.
-pub fn local_join(
-    r1: &mut [Tuple],
-    r2: &mut [Tuple],
-    cond: &JoinCondition,
-    work: OutputWork,
-) -> (u64, u64) {
-    r1.sort_unstable_by_key(|t| t.key);
-    r2.sort_unstable_by_key(|t| t.key);
-    sweep_sorted(r1, r2, cond, work)
-}
-
-/// The part of a key-sorted build side the staircase holds on: the keys
+/// The part of a key-sorted build column the staircase holds on: the keys
 /// that have a partner at all ([`JoinCondition::partnered_keys`]). The
 /// others — `Key::MAX` under `<`, `Key::MIN` under `>` — sit at its ends,
 /// and no key is read unless the condition has such keys.
-fn partnered(n: usize, key: impl Fn(usize) -> Key, cond: &JoinCondition) -> Range<usize> {
+fn partnered(keys: &[Key], cond: &JoinCondition) -> Range<usize> {
     let live = cond.partnered_keys();
-    let (mut first, mut last) = (0, n);
+    let (mut first, mut last) = (0, keys.len());
     if live != KeyRange::full() {
-        while first < last && key(first) < live.lo {
+        while first < last && keys[first] < live.lo {
             first += 1;
         }
-        while first < last && key(last - 1) > live.hi {
+        while first < last && keys[last - 1] > live.hi {
             last -= 1;
         }
     }
     first..last
 }
 
-/// The one staircase kernel behind every sweep variant: walks the
-/// pre-sorted sides, and hands each `R1` tuple its contiguous run of
-/// joinable `R2` partners. Returns the pair count; what happens per pair
-/// (checksum fold, emission, nothing) is the caller's closure — inlined
-/// and monomorphized, so a no-op closure costs nothing.
-///
-/// Narrows `r1` to the tuples whose joinable range can reach the probe's
-/// key span first: both `jr` endpoints are non-decreasing in the key (the
-/// staircase property), so those tuples form one contiguous run found by
-/// two binary searches. Every tuple of that run is then visited, matched
-/// or not, so a sweep costs `O(log |r1| + span + |r2| + output)` where
-/// `span` counts the `r1` tuples between the probe's smallest and largest
-/// key — all of `r1` when a small probe chunk spans its key range. That is
-/// the right trade for the batch oracle this kernel serves (one dense
-/// sweep per region); the engine's per-chunk sweeps use the columnar
-/// kernel below, which skips the unmatched stretches.
-#[inline]
-fn sweep_ranges(
-    r1: &[Tuple],
-    r2: &[Tuple],
-    cond: &JoinCondition,
-    mut on_range: impl FnMut(&Tuple, Range<usize>),
-) -> u64 {
-    if r1.is_empty() || r2.is_empty() {
-        return 0;
-    }
-    debug_assert!(r1.windows(2).all(|w| w[0].key <= w[1].key));
-    debug_assert!(r2.windows(2).all(|w| w[0].key <= w[1].key));
-    let probe_min = r2[0].key;
-    let probe_max = r2[r2.len() - 1].key;
-    let r1 = &r1[partnered(r1.len(), |i| r1[i].key, cond)];
-    let start = r1.partition_point(|t| cond.joinable_range(t.key).hi < probe_min);
-    let end = r1.partition_point(|t| cond.joinable_range(t.key).lo <= probe_max);
-
-    let mut count = 0u64;
-    let mut lo = 0usize;
-    let mut hi = 0usize;
-    for t1 in r1[start..end].iter() {
-        let jr = cond.joinable_range(t1.key);
-        while lo < r2.len() && r2[lo].key < jr.lo {
-            lo += 1;
-        }
-        if hi < lo {
-            hi = lo;
-        }
-        while hi < r2.len() && r2[hi].key <= jr.hi {
-            hi += 1;
-        }
-        count += (hi - lo) as u64;
-        on_range(t1, lo..hi);
-    }
-    count
-}
-
-/// The sweep over *pre-sorted* inputs — the batch path's per-region join
-/// once both sides are sorted. See `sweep_ranges` above for the shared
-/// kernel and its complexity.
-pub fn sweep_sorted(
-    r1: &[Tuple],
-    r2: &[Tuple],
-    cond: &JoinCondition,
-    work: OutputWork,
-) -> (u64, u64) {
-    let mut checksum = 0u64;
-    let count = match work {
-        // Count mode never iterates the partner runs: O(relevant), not
-        // O(output).
-        OutputWork::Count => {
-            let fold = CountFold::over(r2.iter().map(|t| t.payload));
-            sweep_ranges(r1, r2, cond, |t1, partners| {
-                checksum ^= fold.run(t1.payload, partners)
-            })
-        }
-        OutputWork::Touch => sweep_ranges(r1, r2, cond, |t1, partners| {
-            for t2 in &r2[partners] {
-                checksum ^= pair_payload(t1.payload, t2.payload);
-            }
-        }),
-    };
-    (count, checksum)
-}
-
-/// [`sweep_sorted`] that *emits* the output: every matched pair is handed
-/// to `emit` as an [`output_tuple`] — the materialized baseline's
-/// per-region join, whose output becomes the next operator's input.
-/// Returns `(count, checksum)` exactly like
-/// `sweep_sorted(..., OutputWork::Touch)` — the checksum is the XOR of the
-/// emitted payloads.
-pub fn sweep_sorted_each(
-    r1: &[Tuple],
-    r2: &[Tuple],
-    cond: &JoinCondition,
-    key_from: KeyFrom,
-    mut emit: impl FnMut(Tuple),
-) -> (u64, u64) {
-    let mut checksum = 0u64;
-    let count = sweep_ranges(r1, r2, cond, |t1, partners| {
-        for t2 in &r2[partners] {
-            let t = output_tuple(t1, t2, key_from);
-            checksum ^= t.payload;
-            emit(t);
-        }
-    });
-    (count, checksum)
-}
-
-/// The columnar staircase kernel: [`sweep_ranges`] rewritten over a bare
-/// key column. The cursor walks and binary searches touch only `Key`
-/// slices (half the bytes per element of a `Tuple` scan), and each
-/// build-side match is reported as an *index range* of probe positions so
-/// callers fold the parallel payload column in tight contiguous loops the
-/// compiler can autovectorize.
+/// The staircase kernel, over bare key columns. The cursor walks and binary
+/// searches touch only `Key` slices (half the bytes per element of a
+/// `Tuple` scan), and each build-side match is reported as an *index range*
+/// of probe positions so callers fold the parallel payload column in tight
+/// contiguous loops the compiler can autovectorize.
 ///
 /// The two sides *leapfrog*: a build key whose probe window comes out
 /// empty does not step to its neighbour but gallops the build cursor to
@@ -327,7 +196,7 @@ fn sweep_ranges_cols(
 /// The key and payload columns of the [`partnered`] part of a sorted build
 /// side: what the columnar kernel sweeps.
 fn partnered_columns<'a>(build: &'a ColumnBatch, cond: &JoinCondition) -> (&'a [Key], &'a [u64]) {
-    let live = partnered(build.len(), |i| build.keys()[i], cond);
+    let live = partnered(build.keys(), cond);
     (&build.keys()[live.clone()], &build.payloads()[live])
 }
 
@@ -365,10 +234,9 @@ fn gallop_while(keys: &[Key], from: usize, too_small: impl Fn(Key) -> bool) -> u
     }
 }
 
-/// Columnar twin of [`sweep_sorted`]: sweeps two key-sorted
-/// [`ColumnBatch`]es and folds the pair checksum over the parallel
-/// payload columns. Bit-identical to the AoS sweep on the same logical
-/// tuples — both derive per-pair values from [`pair_payload`].
+/// Sweeps two key-sorted [`ColumnBatch`]es and folds the pair checksum over
+/// the parallel payload columns: per pair [`pair_payload`] under
+/// [`OutputWork::Touch`], [`pair_tag`] under [`OutputWork::Count`].
 pub fn sweep_columns(
     build: &ColumnBatch,
     probe: &ColumnBatch,
@@ -409,10 +277,12 @@ pub fn sweep_columns(
     (count, checksum)
 }
 
-/// Columnar twin of [`sweep_sorted_each`]: emits every matched pair as
-/// `(key, payload)` — the payload is [`pair_payload`], the key comes from
-/// the `key_from` side — so the engine's sink path can push straight into
-/// an output [`ColumnBatch`] without materializing `Tuple`s.
+/// Sweeps like [`sweep_columns`] under [`OutputWork::Touch`] and *emits*
+/// every matched pair as `(key, payload)`: the payload is [`pair_payload`]
+/// (so the checksum is the XOR of the emitted payloads), the key comes from
+/// the `key_from` side. The engine's sink path pushes them straight into an
+/// output [`ColumnBatch`]; the batch oracle into its materialized
+/// intermediate.
 pub fn sweep_columns_each(
     build: &ColumnBatch,
     probe: &ColumnBatch,
@@ -483,6 +353,34 @@ pub fn tail_within(
     keep
 }
 
+/// The batch oracle's join of one region, on the engine's kernels: each
+/// row bucket is transposed into columns and dropped (a side is never held
+/// in both layouts), sorted with [`ColumnBatch::sort_by_key`] and swept as
+/// a reducer sweeps — [`sweep_columns`] under `work`, or, when the output
+/// feeds a next stage, [`sweep_columns_each`] pushing every pair onto
+/// `emit`'s vector. Returns `(output_count, checksum)`.
+pub(crate) fn join_region(
+    r1: Vec<Tuple>,
+    r2: Vec<Tuple>,
+    cond: &JoinCondition,
+    work: OutputWork,
+    emit: Option<(KeyFrom, &mut Vec<Tuple>)>,
+) -> (u64, u64) {
+    let sorted = |bucket: Vec<Tuple>| {
+        let mut cols = ColumnBatch::from_tuples(&bucket);
+        drop(bucket);
+        cols.sort_by_key();
+        cols
+    };
+    let (build, probe) = (sorted(r1), sorted(r2));
+    match emit {
+        None => sweep_columns(&build, &probe, cond, work),
+        Some((key_from, out)) => sweep_columns_each(&build, &probe, cond, key_from, |k, p| {
+            out.push(Tuple::new(k, p))
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,16 +395,27 @@ mod tests {
             .collect()
     }
 
-    fn nested_loop(r1: &[Tuple], r2: &[Tuple], cond: &JoinCondition) -> u64 {
-        let mut c = 0;
+    /// `tuples(keys)` in columns, sorted as a side is before its sweep.
+    fn sorted(keys: &[Key]) -> ColumnBatch {
+        let mut side = ColumnBatch::from_tuples(&tuples(keys));
+        side.sort_by_key();
+        side
+    }
+
+    /// The nested-loop join: its pair count, and its checksums under
+    /// [`OutputWork::Touch`] and [`OutputWork::Count`].
+    fn nested_loop(r1: &[Tuple], r2: &[Tuple], cond: &JoinCondition) -> (u64, u64, u64) {
+        let (mut count, mut touch, mut tags) = (0, 0, 0);
         for a in r1 {
             for b in r2 {
                 if cond.matches(a.key, b.key) {
-                    c += 1;
+                    count += 1;
+                    touch ^= pair_payload(a.payload, b.payload);
+                    tags ^= pair_tag(a.payload, b.payload);
                 }
             }
         }
-        c
+        (count, touch, tags)
     }
 
     /// Where a saturated range end would invent (or `a - b` overflow on) a
@@ -529,15 +438,14 @@ mod tests {
         for cond in conds {
             let k1: Vec<Key> = (0..300).map(|_| rng.gen_range(0..64)).collect();
             let k2: Vec<Key> = (0..300).map(|_| rng.gen_range(0..64)).collect();
-            let mut r1 = tuples(&k1);
-            let mut r2 = tuples(&k2);
-            let expect = nested_loop(&r1, &r2, &cond);
-            let (got, _) = local_join(&mut r1, &mut r2, &cond, OutputWork::Touch);
-            assert_eq!(got, expect, "{cond:?}");
-            let (mut r1, mut r2) = (tuples(&EXTREMES), tuples(&EXTREMES));
-            let expect = nested_loop(&r1, &r2, &cond);
-            let (got, _) = local_join(&mut r1, &mut r2, &cond, OutputWork::Touch);
-            assert_eq!(got, expect, "{cond:?} at the key extremes");
+            for (k1, k2, at) in [
+                (&k1[..], &k2[..], "random"),
+                (&EXTREMES, &EXTREMES, "extremes"),
+            ] {
+                let (count, touch, _) = nested_loop(&tuples(k1), &tuples(k2), &cond);
+                let got = sweep_columns(&sorted(k1), &sorted(k2), &cond, OutputWork::Touch);
+                assert_eq!(got, (count, touch), "{cond:?} at the {at} keys");
+            }
         }
     }
 
@@ -556,22 +464,19 @@ mod tests {
         for cond in conds {
             let k1: Vec<Key> = (0..500).map(|_| rng.gen_range(0..80)).collect();
             let k2: Vec<Key> = (0..500).map(|_| rng.gen_range(0..80)).collect();
-            let mut r1 = tuples(&k1);
-            let mut r2 = tuples(&k2);
-            let (expect_c, expect_s) = local_join(&mut r1, &mut r2, &cond, OutputWork::Touch);
+            let build = sorted(&k1);
+            let expect = sweep_columns(&build, &sorted(&k2), &cond, OutputWork::Touch);
 
-            // r1 is now sorted; probe it with unsorted chunks of varied size.
-            let probe = tuples(&k2);
+            // Probe in arrival order, in chunks of varied size, each sorted.
             let (mut count, mut checksum) = (0u64, 0u64);
-            for chunk in probe.chunks(37) {
-                let mut chunk = chunk.to_vec();
-                chunk.sort_unstable_by_key(|t| t.key);
-                let (c, s) = sweep_sorted(&r1, &chunk, &cond, OutputWork::Touch);
+            for chunk in tuples(&k2).chunks(37) {
+                let mut chunk = ColumnBatch::from_tuples(chunk);
+                chunk.sort_by_key();
+                let (c, s) = sweep_columns(&build, &chunk, &cond, OutputWork::Touch);
                 count += c;
                 checksum ^= s;
             }
-            assert_eq!(count, expect_c, "{cond:?}");
-            assert_eq!(checksum, expect_s, "{cond:?}");
+            assert_eq!((count, checksum), expect, "{cond:?}");
         }
     }
 
@@ -579,17 +484,21 @@ mod tests {
     fn checksum_is_order_invariant() {
         // XOR-fold must not depend on tuple arrival order (parallel shuffles
         // deliver in nondeterministic order).
-        let mut r1a = tuples(&[5, 1, 3, 3]);
-        let mut r2a = tuples(&[2, 4, 3]);
-        let mut r1b = r1a.clone();
-        r1b.reverse();
-        let mut r2b = r2a.clone();
-        r2b.reverse();
+        let (k1, k2) = ([5, 1, 3, 3], [2, 4, 3]);
+        let reversed = |keys: &[Key]| {
+            let mut arrival = tuples(keys);
+            arrival.reverse();
+            let mut side = ColumnBatch::from_tuples(&arrival);
+            side.sort_by_key();
+            side
+        };
         let cond = JoinCondition::Band { beta: 1 };
-        let (ca, sa) = local_join(&mut r1a, &mut r2a, &cond, OutputWork::Touch);
-        let (cb, sb) = local_join(&mut r1b, &mut r2b, &cond, OutputWork::Touch);
-        assert_eq!(ca, cb);
-        assert_eq!(sa, sb);
+        for work in [OutputWork::Touch, OutputWork::Count] {
+            let forward = sweep_columns(&sorted(&k1), &sorted(&k2), &cond, work);
+            assert_ne!(forward.0, 0);
+            let backward = sweep_columns(&reversed(&k1), &reversed(&k2), &cond, work);
+            assert_eq!(forward, backward, "{work:?}");
+        }
     }
 
     #[test]
@@ -597,27 +506,32 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(17);
         let k1: Vec<Key> = (0..300).map(|_| rng.gen_range(0..50)).collect();
         let k2: Vec<Key> = (0..300).map(|_| rng.gen_range(0..50)).collect();
-        let mut r1 = tuples(&k1);
-        let mut r2 = tuples(&k2);
+        let (build, probe) = (sorted(&k1), sorted(&k2));
         let cond = JoinCondition::Band { beta: 1 };
-        let (expect_c, expect_s) = local_join(&mut r1, &mut r2, &cond, OutputWork::Touch);
+        let (expect_c, expect_s) = sweep_columns(&build, &probe, &cond, OutputWork::Touch);
 
         for key_from in [KeyFrom::Build, KeyFrom::Probe] {
             let mut out = Vec::new();
-            let (c, s) = sweep_sorted_each(&r1, &r2, &cond, key_from, |t| out.push(t));
-            assert_eq!(c, expect_c);
-            assert_eq!(s, expect_s);
+            let (c, s) = sweep_columns_each(&build, &probe, &cond, key_from, |k, p| {
+                out.push(Tuple::new(k, p))
+            });
+            assert_eq!((c, s), (expect_c, expect_s));
             assert_eq!(out.len() as u64, expect_c);
             // The checksum is exactly the XOR of the emitted payloads.
             assert_eq!(out.iter().fold(0u64, |a, t| a ^ t.payload), expect_s);
             // Every emitted key exists on the side it was taken from.
             let side = match key_from {
-                KeyFrom::Build => &r1,
-                KeyFrom::Probe => &r2,
+                KeyFrom::Build => build.keys(),
+                KeyFrom::Probe => probe.keys(),
             };
-            assert!(out
-                .iter()
-                .all(|t| side.binary_search_by_key(&t.key, |s| s.key).is_ok()));
+            assert!(out.iter().all(|t| side.binary_search(&t.key).is_ok()));
+            // The batch oracle's region join emits the same pairs, and like
+            // a reducer with a sink folds the emitted payloads whatever
+            // `work` asks for.
+            let mut joined = Vec::new();
+            let emit = Some((key_from, &mut joined));
+            let got = join_region(tuples(&k1), tuples(&k2), &cond, OutputWork::Count, emit);
+            assert_eq!((got, joined), ((c, s), out));
         }
     }
 
@@ -625,28 +539,20 @@ mod tests {
     fn count_mode_folds_partner_parity() {
         // Count's checksum is the XOR over matched pairs of the two tuples'
         // tags — the tags of the tuples with an odd partner count — whatever
-        // the chunking, on both kernels, without visiting a pair.
+        // the chunking, without visiting a pair.
         let mut rng = SmallRng::seed_from_u64(23);
         let k1: Vec<Key> = (0..200).map(|_| rng.gen_range(0..30)).collect();
         let k2: Vec<Key> = (0..200).map(|_| rng.gen_range(0..30)).collect();
         for cond in [JoinCondition::Equi, JoinCondition::Band { beta: 2 }] {
-            let (mut r1, mut r2) = (tuples(&k1), tuples(&k2));
-            let (mut count, mut expect) = (0u64, 0u64);
-            for (a, b) in r1.iter().flat_map(|a| r2.iter().map(move |b| (a, b))) {
-                if cond.matches(a.key, b.key) {
-                    count += 1;
-                    expect ^= pair_tag(a.payload, b.payload);
-                }
-            }
+            let (count, _, expect) = nested_loop(&tuples(&k1), &tuples(&k2), &cond);
             assert_ne!(expect, 0);
-            assert_eq!(
-                local_join(&mut r1, &mut r2, &cond, OutputWork::Count),
-                (count, expect)
-            );
-            let build = ColumnBatch::from_tuples(&r1);
+            let build = sorted(&k1);
+            let whole = sweep_columns(&build, &sorted(&k2), &cond, OutputWork::Count);
+            assert_eq!(whole, (count, expect), "{cond:?}");
             let (mut c, mut s) = (0u64, 0u64);
-            for chunk in r2.chunks(37) {
-                let probe = ColumnBatch::from_tuples(chunk);
+            for chunk in tuples(&k2).chunks(37) {
+                let mut probe = ColumnBatch::from_tuples(chunk);
+                probe.sort_by_key();
                 let (cc, ss) = sweep_columns(&build, &probe, &cond, OutputWork::Count);
                 c += cc;
                 s ^= ss;
@@ -658,14 +564,26 @@ mod tests {
     #[test]
     fn empty_sides() {
         let cond = JoinCondition::Band { beta: 2 };
-        let (c, _) = local_join(&mut [], &mut tuples(&[1, 2]), &cond, OutputWork::Touch);
-        assert_eq!(c, 0);
-        let (c, _) = local_join(&mut tuples(&[1, 2]), &mut [], &cond, OutputWork::Touch);
-        assert_eq!(c, 0);
+        let (none, some) = (ColumnBatch::new(), sorted(&[1, 2]));
+        for work in [OutputWork::Touch, OutputWork::Count] {
+            assert_eq!(sweep_columns(&none, &some, &cond, work), (0, 0));
+            assert_eq!(sweep_columns(&some, &none, &cond, work), (0, 0));
+            assert_eq!(
+                join_region(vec![], tuples(&[1, 2]), &cond, work, None),
+                (0, 0)
+            );
+            assert_eq!(
+                join_region(tuples(&[1, 2]), vec![], &cond, work, None),
+                (0, 0)
+            );
+        }
+        let mut out = Vec::new();
+        let each = sweep_columns_each(&none, &some, &cond, KeyFrom::Probe, |k, p| out.push((k, p)));
+        assert_eq!((each, out.len()), ((0, 0), 0));
     }
 
     #[test]
-    fn columnar_sweep_matches_aos_sweep_for_all_conditions() {
+    fn columnar_sweep_matches_a_nested_loop_on_every_shape() {
         let mut rng = SmallRng::seed_from_u64(23);
         let conds = [
             JoinCondition::Equi,
@@ -676,9 +594,9 @@ mod tests {
             JoinCondition::EquiBand { shift: 8, beta: 2 },
         ];
         // Dense sides, then the shape the engine sweeps — one probe chunk
-        // against a whole region's build — where the columnar kernel leaps
-        // over the build keys between matches; last (`None`) the key
-        // extremes on both sides, where both kernels also face the oracle.
+        // against a whole region's build — where the kernel leaps over the
+        // build keys between matches; last (`None`) the key extremes on both
+        // sides.
         for shape in [Some((400, 400, 70)), Some((30_000, 256, 30_000)), None] {
             for cond in conds {
                 let (k1, k2): (Vec<Key>, Vec<Key>) = match shape {
@@ -688,50 +606,13 @@ mod tests {
                     }
                     None => (EXTREMES.to_vec(), EXTREMES.to_vec()),
                 };
-                let mut r1 = tuples(&k1);
-                let mut r2 = tuples(&k2);
-                r1.sort_unstable_by_key(|t| t.key);
-                r2.sort_unstable_by_key(|t| t.key);
-                let (expect_c, expect_s) = sweep_sorted(&r1, &r2, &cond, OutputWork::Touch);
-                if shape.is_none() {
-                    assert_eq!(expect_c, nested_loop(&r1, &r2, &cond), "{cond:?}");
-                }
-
-                let b1 = ColumnBatch::from_tuples(&r1);
-                let b2 = ColumnBatch::from_tuples(&r2);
-                let (c, s) = sweep_columns(&b1, &b2, &cond, OutputWork::Touch);
-                assert_eq!(c, expect_c, "{cond:?} {shape:?}");
-                assert_eq!(s, expect_s, "{cond:?} {shape:?}");
+                let (count, touch, tags) = nested_loop(&tuples(&k1), &tuples(&k2), &cond);
+                let (b1, b2) = (sorted(&k1), sorted(&k2));
+                let touched = sweep_columns(&b1, &b2, &cond, OutputWork::Touch);
+                assert_eq!(touched, (count, touch), "{cond:?} {shape:?}");
                 let counted = sweep_columns(&b1, &b2, &cond, OutputWork::Count);
-                let expect = sweep_sorted(&r1, &r2, &cond, OutputWork::Count);
-                assert_eq!(counted, expect, "{cond:?} {shape:?}");
-                assert_eq!(counted.0, expect_c, "{cond:?} {shape:?}");
+                assert_eq!(counted, (count, tags), "{cond:?} {shape:?}");
             }
-        }
-    }
-
-    #[test]
-    fn columnar_emitting_sweep_matches_aos_emitting_sweep() {
-        let mut rng = SmallRng::seed_from_u64(29);
-        let k1: Vec<Key> = (0..300).map(|_| rng.gen_range(0..40)).collect();
-        let k2: Vec<Key> = (0..300).map(|_| rng.gen_range(0..40)).collect();
-        let mut r1 = tuples(&k1);
-        let mut r2 = tuples(&k2);
-        r1.sort_unstable_by_key(|t| t.key);
-        r2.sort_unstable_by_key(|t| t.key);
-        let cond = JoinCondition::Band { beta: 2 };
-        for key_from in [KeyFrom::Build, KeyFrom::Probe] {
-            let mut expect = Vec::new();
-            let (expect_c, expect_s) =
-                sweep_sorted_each(&r1, &r2, &cond, key_from, |t| expect.push(t));
-
-            let b1 = ColumnBatch::from_tuples(&r1);
-            let b2 = ColumnBatch::from_tuples(&r2);
-            let mut out = ColumnBatch::new();
-            let (c, s) = sweep_columns_each(&b1, &b2, &cond, key_from, |k, p| out.push(k, p));
-            assert_eq!(c, expect_c);
-            assert_eq!(s, expect_s);
-            assert_eq!(out.to_tuples(), expect, "same pairs in the same order");
         }
     }
 
@@ -753,7 +634,7 @@ mod tests {
             k1.sort_unstable();
             k2.sort_unstable();
             let build = ColumnBatch::from_tuples(&tuples(&k1));
-            let pairs_of = |tail: &[Key]| nested_loop(&tuples(&k1), &tuples(tail), &cond);
+            let pairs_of = |tail: &[Key]| nested_loop(&tuples(&k1), &tuples(tail), &cond).0;
             for cap in [0, 1, 50, 1000, 5000, usize::MAX] {
                 let keep = tail_within(&build, &k2, &cond, cap);
                 assert!((1..=k2.len()).contains(&keep), "{cond:?} cap {cap}");
@@ -770,12 +651,15 @@ mod tests {
 
     #[test]
     fn pair_payload_is_the_output_tuple_contract() {
-        let b = Tuple::new(1, 0xDEAD);
-        let p = Tuple::new(2, 0xBEEF);
-        assert_eq!(
-            output_tuple(&b, &p, KeyFrom::Build).payload,
-            pair_payload(0xDEAD, 0xBEEF)
-        );
         assert_eq!(pair_payload(3, 4), 3u64.wrapping_mul(31).wrapping_add(4));
+        // An emitted pair carries that payload, keyed by the side asked for.
+        let build = ColumnBatch::from_tuples(&[Tuple::new(1, 0xDEAD)]);
+        let probe = ColumnBatch::from_tuples(&[Tuple::new(2, 0xBEEF)]);
+        let cond = JoinCondition::Band { beta: 1 };
+        for (key_from, key) in [(KeyFrom::Build, 1), (KeyFrom::Probe, 2)] {
+            let mut out = Vec::new();
+            sweep_columns_each(&build, &probe, &cond, key_from, |k, p| out.push((k, p)));
+            assert_eq!(out, [(key, pair_payload(0xDEAD, 0xBEEF))]);
+        }
     }
 }

@@ -26,6 +26,6 @@ pub use config::{ExecMode, FallbackPolicy, OperatorConfig};
 pub use run::{
     assign_regions, execute_join, lpt_schedule, run_operator, run_operator_adaptive, OperatorRun,
 };
-pub(crate) use run::{execute_join_with, run_stages, AdmittedQuery, StageIo};
+pub(crate) use run::{join_regions, run_stages, AdmittedQuery, StageIo};
 pub use stats::{build_scheme, build_scheme_from_keys, build_scheme_from_stats};
 pub(crate) use stats::{plan_resident, stats_sim_secs, PlannedStage};

@@ -15,9 +15,9 @@ use crate::engine::{
     run_pipelined_io, EngineConfig, EngineIo, EngineRuntime, QueryTicket, Source, SpillBinding,
     SpillContext, StageSink,
 };
-use crate::local_join::KeyFrom;
+use crate::local_join::{join_region, KeyFrom};
 use crate::plan::{self, StageSpec};
-use crate::{local_join, EngineOutcome, JoinStats, Shuffled};
+use crate::{EngineOutcome, JoinStats, Shuffled};
 
 use super::config::{ExecMode, FallbackPolicy, OperatorConfig};
 use super::stats::{PlannedStage, UNITS_PER_SEC};
@@ -180,16 +180,19 @@ fn tally_regions(
     stats
 }
 
-/// The batch join core behind [`execute_join`] and the plan baseline's
-/// emitting variant: joins the shuffled regions across threads with a
-/// caller-supplied per-region join (which may carry extra output `R`, e.g.
-/// a materialized intermediate) and assembles the complete [`JoinStats`].
-pub(crate) fn execute_join_with<R: Send>(
-    mut shuffled: Shuffled,
+/// The batch oracle's joins: every shuffled region joined whole by
+/// `join_region` (the engine's sort and sweep), on the oracle's own
+/// threads, scheduled LPT by input weight, with the stage's complete
+/// [`JoinStats`]. With `emit`, the joins also materialize their output,
+/// keyed per the given side — the plan baseline's intermediate; without,
+/// the returned vector is empty.
+pub(crate) fn join_regions(
+    shuffled: Shuffled,
+    cond: &JoinCondition,
     region_to_worker: &[u32],
     cfg: &OperatorConfig,
-    join_region: impl Fn(&mut Vec<Tuple>, &mut Vec<Tuple>) -> (u64, u64, R) + Sync,
-) -> (JoinStats, Vec<(usize, R)>) {
+    emit: Option<KeyFrom>,
+) -> (JoinStats, Vec<Tuple>) {
     let per_region_input = shuffled.per_region_input();
     let network_tuples = shuffled.network_tuples;
     // Batch execution holds the full shuffle resident while joining.
@@ -203,47 +206,44 @@ pub(crate) fn execute_join_with<R: Send>(
     // plus its round-robin neighbors pile onto one thread while others sit
     // idle).
     let thread_of = lpt_schedule(&per_region_input, None, threads);
-    type RegionBucket<'a> = (usize, &'a mut Vec<Tuple>, &'a mut Vec<Tuple>);
-    let join_region = &join_region;
-    let results: Vec<(usize, u64, u64, R)> = thread::scope(|s| {
-        let buckets: Vec<RegionBucket<'_>> = shuffled
-            .r1
-            .iter_mut()
-            .zip(shuffled.r2.iter_mut())
-            .enumerate()
-            .map(|(r, (a, b))| (r, a, b))
-            .collect();
-        let mut per_thread: Vec<Vec<RegionBucket<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, item) in buckets.into_iter().enumerate() {
-            per_thread[thread_of[i] as usize].push(item);
-        }
+    type Region = (usize, Vec<Tuple>, Vec<Tuple>);
+    let mut per_thread: Vec<Vec<Region>> = (0..threads).map(|_| Vec::new()).collect();
+    let buckets = shuffled.r1.into_iter().zip(shuffled.r2).enumerate();
+    for (r, (r1, r2)) in buckets {
+        per_thread[thread_of[r] as usize].push((r, r1, r2));
+    }
+    let work = cfg.output_work;
+    let joined = thread::scope(|s| {
         let handles: Vec<_> = per_thread
             .into_iter()
             .map(|mine| {
                 s.spawn(move || {
-                    mine.into_iter()
-                        .map(|(r, r1, r2)| {
-                            let (count, sum, extra) = join_region(r1, r2);
-                            (r, count, sum, extra)
-                        })
-                        .collect::<Vec<_>>()
+                    let (mut tallies, mut out) = (Vec::with_capacity(mine.len()), Vec::new());
+                    for (r, r1, r2) in mine {
+                        let emit = emit.map(|key_from| (key_from, &mut out));
+                        let (count, sum) = join_region(r1, r2, cond, work, emit);
+                        tallies.push((r, count, sum));
+                    }
+                    (tallies, out)
                 })
             })
             .collect();
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("join worker panicked"))
-            .collect()
+            .map(|h| h.join().expect("join worker panicked"))
+            .collect::<Vec<_>>()
     });
     let wall_join_secs = start.elapsed().as_secs_f64();
 
     let mut per_region_output = vec![0u64; n_regions];
     let mut per_region_checksum = vec![0u64; n_regions];
-    let mut extras = Vec::with_capacity(results.len());
-    for (r, count, sum, extra) in results {
-        per_region_output[r] = count;
-        per_region_checksum[r] = sum;
-        extras.push((r, extra));
+    let mut output = Vec::new();
+    for (tallies, mut out) in joined {
+        for (r, count, sum) in tallies {
+            per_region_output[r] = count;
+            per_region_checksum[r] = sum;
+        }
+        output.append(&mut out);
     }
     let measured = JoinStats {
         wall_join_secs,
@@ -258,7 +258,7 @@ pub(crate) fn execute_join_with<R: Send>(
         peak_resident_bytes,
         cfg,
     );
-    (stats, extras)
+    (stats, output)
 }
 
 /// Executes the local joins across threads; returns complete [`JoinStats`].
@@ -270,12 +270,7 @@ pub fn execute_join(
     region_to_worker: &[u32],
     cfg: &OperatorConfig,
 ) -> JoinStats {
-    let work = cfg.output_work;
-    let (stats, _) = execute_join_with(shuffled, region_to_worker, cfg, |r1, r2| {
-        let (count, sum) = local_join(r1, r2, cond, work);
-        (count, sum, ())
-    });
-    stats
+    join_regions(shuffled, cond, region_to_worker, cfg, None).0
 }
 
 /// Derives one pipelined stage's engine configuration and initial

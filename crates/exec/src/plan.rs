@@ -77,13 +77,13 @@ use ewh_core::{JoinCondition, SchemeKind, SideStats, Tuple, TUPLE_BYTES};
 use ewh_sampling::{join_census_r1, join_census_r2, KeyedCounts};
 
 use crate::engine::{EngineRuntime, Exchange, Source, StageSink};
-use crate::local_join::{sweep_sorted_each, KeyFrom};
+use crate::local_join::KeyFrom;
 use crate::operator::{
-    assign_regions, build_scheme_from_stats, execute_join_with, plan_resident, run_stages,
+    assign_regions, build_scheme_from_stats, join_regions, plan_resident, run_stages,
     stats_sim_secs, AdmittedQuery, FallbackPolicy, OperatorConfig, OperatorRun, PlannedStage,
     StageIo,
 };
-use crate::{execute_join, shuffle, JoinStats, Shuffled};
+use crate::{shuffle, JoinStats};
 
 /// One join operator of a plan: which partitioning scheme to build and the
 /// join condition between its build side and its probe side.
@@ -323,31 +323,6 @@ pub(crate) fn pipelined(
     PlanRun::assemble(planned, joins, peak, start, Some(query))
 }
 
-/// [`execute_join`]'s emitting sibling: joins the shuffled regions across
-/// threads *and materializes the output*, keyed per `key_from` — the
-/// baseline's inter-operator step, sharing the batch core
-/// (`execute_join_with`) so the two accountings cannot drift apart.
-fn execute_join_emit(
-    shuffled: Shuffled,
-    cond: &JoinCondition,
-    region_to_worker: &[u32],
-    cfg: &OperatorConfig,
-    key_from: KeyFrom,
-) -> (JoinStats, Vec<Tuple>) {
-    let (stats, extras) = execute_join_with(shuffled, region_to_worker, cfg, |r1, r2| {
-        r1.sort_unstable_by_key(|t| t.key);
-        r2.sort_unstable_by_key(|t| t.key);
-        let mut out = Vec::new();
-        let (count, sum) = sweep_sorted_each(r1, r2, cond, key_from, |t| out.push(t));
-        (count, sum, out)
-    });
-    let mut output = Vec::new();
-    for (_, mut out) in extras {
-        output.append(&mut out);
-    }
-    (stats, output)
-}
-
 /// The materialize-between-operators baseline: each stage runs to
 /// completion, its output is fully materialized, statistics are rebuilt
 /// from scratch with a second pass over the intermediate, and only then
@@ -406,11 +381,8 @@ pub(crate) fn materialized(
         let map = assign_regions(&stage.scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
         let shuffled = shuffle(build, probe, &stage.scheme, cfg.threads, cfg.seed ^ 0x5F);
         let inbound = if i == 0 { 0 } else { probe.len() as u64 } * TUPLE_BYTES;
-        let (join, next) = if i == chain.len() {
-            (execute_join(shuffled, &spec.cond, &map, cfg), Vec::new())
-        } else {
-            execute_join_emit(shuffled, &spec.cond, &map, cfg, key_from)
-        };
+        let emit = (i < chain.len()).then_some(key_from);
+        let (join, next) = join_regions(shuffled, &spec.cond, &map, cfg, emit);
         let outbound = next.len() as u64 * TUPLE_BYTES;
         peak_model = peak_model.max(join.mem_bytes + inbound.max(outbound));
         planned.push(stage);
