@@ -217,10 +217,9 @@ fn straggler_query_still_migrates_while_a_healthy_query_shares_the_pool() {
 #[test]
 fn budgeted_admission_holds_each_tenant_inside_its_carved_slice() {
     let _serial = serial();
-    // The enforcement follow-through `QueryTicket::over_budget` exists
-    // for: a budget-gated runtime carves `total / max_concurrent` tuples
-    // per un-requesting tenant, and with spill-to-disk landed that slice
-    // is a promise, not a hint. Calibrate the slice to ~25% of one
+    // A budget-gated runtime carves `total / max_concurrent` tuples per
+    // un-requesting tenant, and with spill-to-disk landed that slice is a
+    // promise, not a hint. Calibrate the slice to ~25% of one
     // query's unbudgeted peak, run the full concurrent batch, and require
     // every tenant's realized peak to stay inside slice + one queue
     // transient (the bounded in-flight buffers a budget cannot shed) —

@@ -221,7 +221,8 @@ impl<'a> MapperTask<'a> {
             // timing costs more than the pushes it would measure. A full
             // queue bounces `try_push_or_park` immediately, so the park
             // stall itself never lands in this account (it is
-            // backpressure, tracked by the queue).
+            // backpressure, tracked by the queue); a link's frame encode
+            // and socket write do.
             let start = Instant::now();
             let shipped = self.ship_fragments(cx.waker());
             run.counters.route_secs.add_since(start);

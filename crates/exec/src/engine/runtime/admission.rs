@@ -150,13 +150,6 @@ impl QueryTicket<'_> {
         self.wait.as_secs_f64()
     }
 
-    /// Did the query's realized peak exceed its carved budget?
-    pub fn over_budget(&self) -> bool {
-        self.budget_tuples
-            .map(|b| self.gauge.peak_tuples() > b)
-            .unwrap_or(false)
-    }
-
     /// This query's private spill directory, a uniquely named child of
     /// `base` (the system temp dir when `None`). The name is fixed on
     /// first call; nothing is created on disk here — the engine's spill

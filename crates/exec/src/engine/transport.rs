@@ -4,15 +4,16 @@
 //! A link is a [`LinkSender`] and a [`LinkReceiver`] at the two ends of one
 //! localhost TCP connection: frames (see [`ewh_core::encode_frame`]) flow
 //! from sender to receiver, `CREDIT` frames flow back on the same socket.
-//! Each half owns two I/O threads — the sender a writer and a credit
-//! reader, the receiver a frame reader and a credit writer — so the
-//! engine's pool tasks never block on a socket: a task that would overrun
-//! the link's credit window parks exactly like it would on a full
-//! in-process queue. Both halves are generic over what the link carries
-//! ([`Framed`]): a [`RemoteQueue`] is the two halves of a `Delivery` link
-//! joined in one process behind the engine's mapper → reducer contract;
-//! `ewh-bench transport` ships relations over the two halves of a
-//! `ColumnBatch` link in two processes.
+//! Each half owns one I/O thread, the reader that drains its socket — the
+//! sender's reads `CREDIT`s, the receiver's decodes frames — and every
+//! frame is written by the task that sends it: a data frame by the
+//! producer that offers it, a `CREDIT` by the consumer whose take frees
+//! the window. A task that would overrun the link's credit window parks
+//! exactly like it would on a full in-process queue. Both halves are
+//! generic over what the link carries ([`Framed`]): a [`RemoteQueue`] is
+//! the two halves of a `Delivery` link joined in one process behind the
+//! engine's mapper → reducer contract; `ewh-bench transport` ships
+//! relations over the two halves of a `ColumnBatch` link in two processes.
 //!
 //! ## What a batch looks like on the wire
 //!
@@ -40,35 +41,42 @@
 //! against the window (a grouped batch: its tuples once per region it
 //! feeds), and the receiver returns that weight as a `CREDIT`
 //! frame once the item is popped from its staging channel. The window's
-//! `used` therefore counts tuples in flight end to end — in the writer's
-//! buffer, on the wire, and staged at the receiver — so
+//! `used` therefore counts tuples in flight end to end — in the kernel's
+//! buffers, on the wire, and staged at the receiver — so
 //! [`FragmentPort::used_tuples`] keeps feeding the migration coordinator's
 //! backlog heuristics unchanged, and swapping a local queue for a remote
 //! one cannot introduce a new deadlock: it is the same rule.
 //!
 //! ## End of stream, ordering and failure
 //!
-//! Frames are written by one thread and decoded in arrival order by one
-//! thread: the link is FIFO, which is the same no-reordering assumption the
-//! in-process queues give the epoch-fencing protocol. Each direction ends
-//! with `CLOSE` followed by a half-close (`shutdown(Write)`; with a cloned
-//! socket, dropping one handle does not end the stream). Anything else
-//! that ends a stream — EOF without `CLOSE`, an I/O error, a corrupt,
-//! truncated or unexpected frame — fails the link's [`CancelToken`] with
-//! `transport failure: <reason>`: on an engine link that is the query's
-//! own token, which every link of the run holds a clone of, so the trip
-//! cancels the query cooperatively. The sender abandons its gate, waking
-//! every parked producer (their later offers are discarded — the run is
-//! doomed). The receiver hands its consumer the in-band [`Delivery::Abort`]
-//! (on a `Delivery` link), closes its staging channel and ends its credit
-//! stream without `CLOSE`, so the sender trips too. Nothing panics on a bad
-//! byte.
+//! Frames are written in order, under one lock a direction, and decoded in
+//! arrival order by one thread: the link is FIFO, which is the same
+//! no-reordering assumption the in-process queues give the epoch-fencing
+//! protocol. Each direction ends with `CLOSE` followed by a half-close
+//! (`shutdown(Write)`; with a cloned socket, dropping one handle does not
+//! end the stream). Anything else that ends a stream — EOF without
+//! `CLOSE`, an I/O error, a corrupt, truncated or unexpected frame — fails
+//! the link's [`CancelToken`] with `transport failure: <reason>`: on an
+//! engine link that is the query's own token, which every link of the run
+//! holds a clone of, so the trip cancels the query cooperatively. The
+//! sender abandons its gate, waking every parked producer (their later
+//! offers are discarded — the run is doomed). The receiver hands its
+//! consumer the in-band [`Delivery::Abort`] (on a `Delivery` link), closes
+//! its staging channel and ends its credit stream without `CLOSE`, so the
+//! sender trips too. Nothing panics on a bad byte.
 //!
 //! ## Waiting, and what a link holds
 //!
 //! Both halves are waited on one way, by a pool task that parks: a sender
 //! on its gate ([`LinkSender::offer`]), a receiver on its staging channel
-//! ([`LinkReceiver::take`]). Only the I/O threads block, on their sockets.
+//! ([`LinkReceiver::take`]). A task may also block in a socket `write`, and
+//! that wait is bounded: a write waits only for the peer's reader thread to
+//! drain kernel buffers, and no reader thread ever waits on a pool task —
+//! it only pushes unbounded into staging or releases credit to the gate. A
+//! reader whose stream died drains its socket until EOF, so a write after
+//! the failure never hangs (`push_unbounded` still writes after a cancel:
+//! `Abort` must reach the healthy links).
+//!
 //! A [`RemoteQueue`] reports what it holds like a channel: its
 //! [`abandon`](FragmentPort::abandon) returns the weight put on the wire
 //! and never taken, and its [`close`](FragmentPort::close) the weight its
@@ -78,8 +86,8 @@
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use ewh_core::{
@@ -392,19 +400,52 @@ impl Framed for ColumnBatch {
 // Stream plumbing
 // ---------------------------------------------------------------------------
 
-/// Spawns one named transport I/O thread.
+/// Spawns the one I/O thread of a link endpoint: the reader of its socket.
 fn io_thread(name: &str, body: impl FnOnce() + Send + 'static) -> io::Result<JoinHandle<()>> {
     std::thread::Builder::new().name(name.into()).spawn(body)
 }
 
-/// Ends this side's stream: `CLOSE`, then the half-close. Returns the bytes
-/// written.
-fn write_close(out: &mut TcpStream) -> io::Result<u64> {
-    let mut buf = Vec::with_capacity(64);
-    encode_frame(&mut buf, FRAME_CLOSE, 0, 0, &[], &ColumnBatch::new());
-    out.write_all(&buf)?;
-    out.shutdown(Shutdown::Write)?;
-    Ok(buf.len() as u64)
+/// A frame with no tuples: `CLOSE`, or a `CREDIT` of weight `a`.
+fn control_frame(kind: u8, a: u64) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(64);
+    encode_frame(&mut frame, kind, a, 0, &[], &ColumnBatch::new());
+    frame
+}
+
+/// The writing end of one direction of a link, written by whoever sends
+/// on it: `None` once its stream is ended, cut, or a write has failed.
+#[derive(Default)]
+struct Out(Option<TcpStream>);
+
+impl Out {
+    /// Writes one frame. Returns the bytes written, 0 on a stream that is
+    /// over; a failed write ends it.
+    fn write(&mut self, frame: &[u8]) -> io::Result<u64> {
+        let Some(sock) = &mut self.0 else {
+            return Ok(0);
+        };
+        let written = sock.write_all(frame);
+        if written.is_err() {
+            self.0 = None;
+        }
+        written.map(|()| frame.len() as u64)
+    }
+
+    /// Ends the stream: `CLOSE`, then the half-close.
+    fn end(&mut self) -> io::Result<u64> {
+        let close = self.write(&control_frame(FRAME_CLOSE, 0))?;
+        if let Some(sock) = self.0.take() {
+            sock.shutdown(Shutdown::Write)?;
+        }
+        Ok(close)
+    }
+
+    /// Cuts the stream without `CLOSE`, so the peer fails it.
+    fn cut(&mut self) {
+        if let Some(sock) = self.0.take() {
+            let _ = sock.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// The reader loop of both halves: read into a `buf_len`-byte buffer, feed
@@ -442,38 +483,42 @@ fn trip(cancel: &CancelToken, why: String) {
     cancel.fail(format!("transport failure: {why}"));
 }
 
-fn join_all(threads: &mut Vec<JoinHandle<()>>) {
-    for handle in threads.drain(..) {
-        let _ = handle.join();
-    }
+/// Fails a sender: trips the token and abandons the gate, waking every
+/// parked producer.
+fn fail_send(cancel: &CancelToken, gate: &CreditGate, why: String) {
+    trip(cancel, why);
+    gate.abandon();
 }
 
 // ---------------------------------------------------------------------------
 // The two halves of a link
 // ---------------------------------------------------------------------------
 
-/// What a sender was handed, by weight: put on the wire, or discarded —
+/// What a sender was handed, by weight — put on the wire, or discarded:
 /// offered once its token was cancelled, or handed over after its consumer
-/// abandoned the link.
-#[derive(Debug, Default)]
+/// abandoned the link — and the data stream those sends are written to.
+#[derive(Default)]
 struct Books {
     sent: usize,
     discarded: usize,
     abandoned: bool,
+    out: Out,
+    /// Data frames written, and the bytes put on the wire: frame headers
+    /// and, once the stream has ended, its `CLOSE` included.
+    frames: u64,
+    wire_bytes: u64,
 }
 
-/// The producing half of a link: a `CreditGate` charged on send, a writer
-/// thread that puts frames on the socket in order, and a credit reader that
-/// returns the receiver's `CREDIT`s to the gate.
+/// The producing half of a link: a `CreditGate` charged on send, frames
+/// written in order by the task that sends them, and a credit reader — its
+/// one thread — that returns the receiver's `CREDIT`s to the gate.
 pub struct LinkSender<T> {
     gate: Arc<CreditGate>,
     cancel: CancelToken,
     books: Mutex<Books>,
-    /// Encoded frames for the writer; `None` once the stream is ended.
-    frames: Option<mpsc::Sender<Vec<u8>>>,
-    sock: TcpStream,
-    wire_bytes: Arc<AtomicU64>,
-    threads: Vec<JoinHandle<()>>,
+    /// Test fault: inflates the Nth data frame's `extra_len` field.
+    corrupt_frame: Option<u64>,
+    reader: Option<JoinHandle<()>>,
     item: PhantomData<fn(T)>,
 }
 
@@ -493,47 +538,11 @@ impl<T: Framed> LinkSender<T> {
     ) -> io::Result<Self> {
         sock.set_nodelay(true)?;
         let gate = CreditGate::new(window_tuples);
-        let wire_bytes = Arc::new(AtomicU64::new(0));
-        let (frames, queued) = mpsc::channel::<Vec<u8>>();
-        let fail = {
-            let (cancel, gate) = (cancel.clone(), gate.clone());
-            move |why: String| {
-                trip(&cancel, why);
-                gate.abandon();
-            }
-        };
-
-        // Writer: frames in FIFO order (the optional test fault inflates
-        // the Nth one's extra_len field), then `CLOSE` once the stream is
-        // ended.
-        let mut out = sock.try_clone()?;
-        let (wire, fail_write) = (wire_bytes.clone(), fail.clone());
-        let writer = io_thread("ewh-link-tx", move || {
-            let mut n = 0u64;
-            let written = queued
-                .iter()
-                .try_for_each(|mut buf| {
-                    if corrupt_frame == Some(n) && buf.len() > 21 {
-                        buf[21] ^= 0xFF;
-                    }
-                    n += 1;
-                    out.write_all(&buf)?;
-                    wire.fetch_add(buf.len() as u64, Ordering::Relaxed);
-                    Ok(())
-                })
-                .and_then(|()| write_close(&mut out));
-            match written {
-                Ok(close) => {
-                    wire.fetch_add(close, Ordering::Relaxed);
-                }
-                Err(e) => fail_write(format!("write: {e}")),
-            }
-        })?;
 
         // Credit reader: returns window to the gate, waking parked pushers.
         let mut src = sock.try_clone()?;
-        let credited = gate.clone();
-        let credits = io_thread("ewh-link-credit-rx", move || {
+        let (credited, cancelled) = (gate.clone(), cancel.clone());
+        let reader = io_thread("ewh-link-credit-rx", move || {
             let ended = pump_frames(&mut src, 4096, |f| match f.kind {
                 FRAME_CREDIT => {
                     credited.release(f.a as usize);
@@ -542,18 +551,22 @@ impl<T: Framed> LinkSender<T> {
                 other => Err(format!("unexpected frame kind {other}")),
             });
             if let Err(why) = ended {
-                fail(format!("credit stream: {why}"));
+                fail_send(&cancelled, &credited, format!("credit stream: {why}"));
+                // Drained to EOF, so the consumer's credit writes never wait
+                // on a reader that is gone.
+                let _ = io::copy(&mut src, &mut io::sink());
             }
         })?;
 
         Ok(LinkSender {
             gate,
             cancel,
-            books: Mutex::default(),
-            frames: Some(frames),
-            sock,
-            wire_bytes,
-            threads: vec![writer, credits],
+            books: Mutex::new(Books {
+                out: Out(Some(sock)),
+                ..Books::default()
+            }),
+            corrupt_frame,
+            reader: Some(reader),
             item: PhantomData,
         })
     }
@@ -575,34 +588,26 @@ impl<T: Framed> LinkSender<T> {
         self.send(item, false);
     }
 
-    fn books(&self) -> MutexGuard<'_, Books> {
-        self.books.lock().expect("link books poisoned")
-    }
-
-    /// Puts an admitted item on the wire or — `cut`, or once the consumer
+    /// Writes an admitted item to the wire or — `cut`, or once the consumer
     /// abandoned the link — discards it, counting its weight either way.
+    /// The books' lock orders the frames on the wire.
     fn send(&self, item: T, cut: bool) {
-        {
-            let (mut books, w) = (self.books(), item.weight());
-            if cut || books.abandoned {
-                books.discarded += w;
-                return;
-            }
-            books.sent += w;
+        let (w, mut frame) = (item.weight(), Vec::new());
+        item.encode(&mut frame);
+        let mut books = self.books();
+        if cut || books.abandoned {
+            books.discarded += w;
+            return;
         }
-        let mut buf = Vec::new();
-        item.encode(&mut buf);
-        if let Some(frames) = &self.frames {
-            // A send after the writer died parks the frame in a dead
-            // channel; the token is already failed.
-            let _ = frames.send(buf);
+        books.sent += w;
+        if self.corrupt_frame == Some(books.frames) && frame.len() > 21 {
+            frame[21] ^= 0xFF;
         }
-    }
-
-    /// Bytes the writer put on the wire, frame headers (and, once the
-    /// stream has ended, its `CLOSE`) included.
-    fn wire_bytes(&self) -> u64 {
-        self.wire_bytes.load(Ordering::Relaxed)
+        books.frames += 1;
+        match books.out.write(&frame) {
+            Ok(n) => books.wire_bytes += n,
+            Err(e) => fail_send(&self.cancel, &self.gate, format!("write: {e}")),
+        }
     }
 
     /// The consumer is gone: parked producers wake, and every later item
@@ -620,11 +625,28 @@ impl<T: Framed> LinkSender<T> {
     /// Ends the stream and waits for the receiver to end its credit stream.
     /// Returns the bytes put on the wire, or the failure reason.
     pub fn finish(mut self) -> Result<u64, String> {
-        self.frames = None;
-        join_all(&mut self.threads);
+        self.end();
+        let _ = self.reader.take().map(JoinHandle::join);
         match self.cancel.reason() {
             Some(why) => Err(why),
             None => Ok(self.wire_bytes()),
+        }
+    }
+
+    fn books(&self) -> MutexGuard<'_, Books> {
+        self.books.lock().expect("link books poisoned")
+    }
+
+    fn wire_bytes(&self) -> u64 {
+        self.books().wire_bytes
+    }
+
+    /// Ends the data stream; a stream that is over stays as it is.
+    fn end(&self) {
+        let mut books = self.books();
+        match books.out.end() {
+            Ok(n) => books.wire_bytes += n,
+            Err(e) => fail_send(&self.cancel, &self.gate, format!("write: {e}")),
         }
     }
 }
@@ -632,20 +654,17 @@ impl<T: Framed> LinkSender<T> {
 impl<T> Drop for LinkSender<T> {
     fn drop(&mut self) {
         // A sender dropped before its stream ended (an unwinding client)
-        // must not look finished: cut the socket first, so the writer fails
-        // instead of sending `CLOSE`.
-        if self.frames.is_some() {
-            let _ = self.sock.shutdown(Shutdown::Both);
-            self.frames = None;
-        }
-        join_all(&mut self.threads);
+        // must not look finished: cut the stream instead of ending it.
+        let books = self.books.get_mut();
+        books.unwrap_or_else(PoisonError::into_inner).out.cut();
+        let _ = self.reader.take().map(JoinHandle::join);
     }
 }
 
-/// The consuming half of a link: a reader thread that decodes frames into a
-/// staging [`Channel`] (whose waker plumbing parks and wakes the consumer
-/// unchanged), and a credit writer that returns each popped item's weight
-/// as a `CREDIT` frame, coalescing what is pending into one frame per wake.
+/// The consuming half of a link: a reader — its one thread — that decodes
+/// frames into a staging [`Channel`] (whose waker plumbing parks and wakes
+/// the consumer unchanged), and a credit stream written by the consumer,
+/// each popped item's weight as one `CREDIT` frame.
 pub struct LinkReceiver<T> {
     staging: Arc<Channel<T>>,
     cancel: CancelToken,
@@ -653,9 +672,8 @@ pub struct LinkReceiver<T> {
     /// `abandon` reads it only once its consumer's task is gone, and the
     /// pool's hand-off of that task orders its takes before the read.
     taken: AtomicUsize,
-    /// Weights to credit back; `None` once the credit stream is ended.
-    credits: Option<mpsc::Sender<u64>>,
-    threads: Vec<JoinHandle<()>>,
+    out: Mutex<Out>,
+    reader: Option<JoinHandle<()>>,
 }
 
 impl<T: Framed> LinkReceiver<T> {
@@ -677,12 +695,11 @@ impl<T: Framed> LinkReceiver<T> {
         // Staging is pushed unbounded: what it holds is bounded by the
         // sender's credit window, which only a pop replenishes.
         let staging = Arc::new(Channel::new(usize::MAX));
-        let (credits, returned) = mpsc::channel::<u64>();
 
         // Reader: decodes into the staging channel until the sender's
         // `CLOSE` and half-close. A dying stream also ends the credit stream
-        // without `CLOSE`, so the sender trips too, and drains the socket,
-        // so its writer never blocks on a reader that is gone.
+        // without `CLOSE`, so the sender trips too, and drains the socket to
+        // EOF, so a sender's write never waits on a reader that is gone.
         let mut src = sock.try_clone()?;
         let (staged, tripped) = (staging.clone(), cancel.clone());
         let reader = io_thread("ewh-link-rx", move || {
@@ -705,38 +722,19 @@ impl<T: Framed> LinkReceiver<T> {
             }
         })?;
 
-        let mut out = sock;
-        let credit_cancel = cancel.clone();
-        let credit_writer = io_thread("ewh-link-credit-tx", move || {
-            let empty = ColumnBatch::new();
-            let mut buf = Vec::with_capacity(64);
-            let written = returned
-                .iter()
-                .try_for_each(|w| {
-                    buf.clear();
-                    let w = w + returned.try_iter().sum::<u64>();
-                    encode_frame(&mut buf, FRAME_CREDIT, w, 0, &[], &empty);
-                    out.write_all(&buf)
-                })
-                .and_then(|()| write_close(&mut out));
-            if let Err(e) = written {
-                trip(&credit_cancel, format!("credit write: {e}"));
-            }
-        })?;
-
         Ok(LinkReceiver {
             staging,
             cancel,
             taken: AtomicUsize::new(0),
-            credits: Some(credits),
-            threads: vec![reader, credit_writer],
+            out: Mutex::new(Out(Some(sock))),
+            reader: Some(reader),
         })
     }
 
     /// Takes the next item; on an empty stream `park` (if any) is
     /// registered to be woken by the next frame or the end of the stream —
     /// clean or not, which [`join`](Self::join) tells. A taken item's
-    /// weight goes back to the sender as credit.
+    /// weight goes back to the sender as credit, written here.
     pub fn take(&self, park: Option<&Waker>) -> PortPop<T> {
         let popped = self.staging.take(park);
         if let PortPop::Item(item) = &popped {
@@ -747,24 +745,40 @@ impl<T: Framed> LinkReceiver<T> {
 
     fn credit(&self, w: usize) {
         self.taken.fetch_add(w, Ordering::Relaxed);
-        if let (true, Some(credits)) = (w > 0, &self.credits) {
-            let _ = credits.send(w as u64);
+        if w > 0 {
+            let credit = control_frame(FRAME_CREDIT, w as u64);
+            if let Err(e) = self.out().write(&credit) {
+                trip(&self.cancel, format!("credit write: {e}"));
+            }
         }
     }
 
-    /// Ends the credit stream and joins both threads; `Err` carries the
+    /// Ends the credit stream and joins the reader; `Err` carries the
     /// failure reason if the stream did not end with a clean `CLOSE`.
     pub fn join(mut self) -> Result<(), String> {
-        self.credits = None;
-        join_all(&mut self.threads);
+        self.end();
+        let _ = self.reader.take().map(JoinHandle::join);
         self.cancel.reason().map_or(Ok(()), Err)
+    }
+}
+
+impl<T> LinkReceiver<T> {
+    fn out(&self) -> MutexGuard<'_, Out> {
+        self.out.lock().expect("credit stream poisoned")
+    }
+
+    /// Ends the credit stream; a stream that is over stays as it is.
+    fn end(&self) {
+        if let Err(e) = self.out().end() {
+            trip(&self.cancel, format!("credit write: {e}"));
+        }
     }
 }
 
 impl<T> Drop for LinkReceiver<T> {
     fn drop(&mut self) {
-        self.credits = None;
-        join_all(&mut self.threads);
+        self.end();
+        let _ = self.reader.take().map(JoinHandle::join);
     }
 }
 
@@ -781,10 +795,10 @@ pub struct RemoteQueue {
 }
 
 impl RemoteQueue {
-    /// Opens the connection and spawns both halves' four I/O threads.
-    /// `cancel` is the query's token, shared by every link of a run; a dead
-    /// or corrupt stream, or a delivery naming a region outside the run's
-    /// `regions`, fails it.
+    /// Opens the connection and spawns both halves' readers, its two I/O
+    /// threads. `cancel` is the query's token, shared by every link of a
+    /// run; a dead or corrupt stream, or a delivery naming a region outside
+    /// the run's `regions`, fails it.
     pub fn spawn(
         cfg: &TransportConfig,
         capacity_tuples: usize,
@@ -804,10 +818,10 @@ impl RemoteQueue {
 
 impl Drop for RemoteQueue {
     fn drop(&mut self) {
-        // Both directions end before either half joins: the sender's credit
-        // reader waits for the receiver's `CLOSE`.
-        self.tx.frames = None;
-        self.rx.credits = None;
+        // Both directions end before either half joins its reader: the
+        // sender's credit reader waits for the receiver's `CLOSE`.
+        self.tx.end();
+        self.rx.end();
     }
 }
 
@@ -833,15 +847,15 @@ impl FragmentPort for RemoteQueue {
         self.tx.books().discarded
     }
 
-    /// What was put on the wire and never taken: in the writer's buffer,
+    /// What was put on the wire and never taken: in the kernel's buffers,
     /// on the wire, or staged. Not the gate's `used`, which also counts the
     /// credits still in flight for items the consumer already took.
     fn abandon(&self) -> usize {
         self.tx.abandon() - self.rx.taken.load(Ordering::Relaxed)
     }
 
-    /// Window charged but not yet credited back: tuples in the writer's
-    /// buffer, on the wire, and staged on the consumer side — the remote
+    /// Window charged but not yet credited back: tuples in the kernel's
+    /// buffers, on the wire, and staged on the consumer side — the remote
     /// generalization of queue depth the coordinator's backlog heuristics
     /// expect.
     fn used_tuples(&self) -> usize {
@@ -856,7 +870,7 @@ impl FragmentPort for RemoteQueue {
         self.tx.gate.blocked_secs()
     }
 
-    /// Bytes the data writer put on the wire (frame headers included).
+    /// Bytes the sender put on the wire (frame headers included).
     fn wire_bytes(&self) -> u64 {
         self.tx.wire_bytes()
     }
@@ -870,7 +884,7 @@ mod tests {
     use super::super::runtime::{EngineRuntime, Poll};
     use super::*;
     use ewh_core::Key;
-    use std::sync::Mutex;
+    use std::sync::{mpsc, Mutex};
 
     fn cols(n: usize) -> ColumnBatch {
         let mut b = ColumnBatch::with_capacity(n);
@@ -1209,6 +1223,23 @@ mod tests {
         // Producers are never blocked again; pushes discard quietly.
         assert!(port.try_push(batch_delivery(1, 1 << 19)).is_ok());
         assert!(port.try_push(batch_delivery(2, 1 << 19)).is_ok());
+        // An unbounded push still writes, and returns: the failed reader
+        // drains its socket until EOF, so frames well past the socket
+        // buffers never leave the pusher waiting on a reader that is gone.
+        let (done, pushed) = mpsc::channel();
+        let pusher = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                for region in 3..5 {
+                    q.push_unbounded(batch_delivery(region, 1 << 20));
+                }
+                let _ = done.send(());
+            })
+        };
+        pushed
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a push to a dead link must return");
+        pusher.join().expect("pusher");
     }
 
     /// The uniform end-of-stream rule on a delivery link: a sender that
@@ -1339,7 +1370,7 @@ mod tests {
     /// Teardown with deliveries nobody popped and a producer parked on the
     /// full window, on a healthy link and on one whose reader failed (it
     /// drains the socket until the sender's half-close): the drop ends both
-    /// directions and joins all four I/O threads. Only the reader pushes
+    /// directions and joins both I/O threads. Only the reader pushes
     /// into the staging channel, and only before it closes it.
     #[test]
     fn dropping_a_backlogged_queue_joins_every_io_thread() {

@@ -61,6 +61,8 @@ pub struct JoinStats {
     /// the mapper's columns, the batched router scans over the key column
     /// plus the write-combining scatter that builds every per-region
     /// fragment (0 under batch execution, which shuffles up front instead).
+    /// Under a transport it also holds each delivery's frame encode and
+    /// socket write, which the mapper makes as it ships.
     pub route_secs: f64,
     /// Total reducer time sealing build sides — the one sort of a region's
     /// collected runs at the `R1` seal, a migration or finish (0 under
@@ -80,7 +82,8 @@ pub struct JoinStats {
     /// share of the admission story.
     pub admission_wait_secs: f64,
     /// Per reducer task: time processing deliveries vs. waiting on the
-    /// queue. Empty under batch execution.
+    /// queue. Empty under batch execution. Under a transport the busy time
+    /// holds the `CREDIT` frame each take writes back to the sender.
     pub reducer_busy_secs: Vec<f64>,
     pub reducer_idle_secs: Vec<f64>,
     /// Bytes appended to the query's spill segment under a memory budget
