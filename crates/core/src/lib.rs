@@ -28,6 +28,7 @@ mod matrix;
 mod region;
 mod router;
 mod schemes;
+mod tuple_sort;
 mod types;
 
 pub use batch::ColumnBatch;
@@ -49,4 +50,5 @@ pub use schemes::{
     build_ci, build_csi, build_csi_from_stats, build_csio, build_csio_from_stats, build_hash,
     build_hash_from_stats, BuildInfo, CsiParams, HashParams, PartitionScheme, SchemeKind,
 };
+pub use tuple_sort::sort_tuples_by_key;
 pub use types::{Key, KeyRange, Tuple, TUPLE_BYTES};

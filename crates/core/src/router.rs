@@ -529,6 +529,22 @@ impl RouteBatch for Router {
 }
 
 impl Router {
+    /// Does every key of `lo..=hi` on `rel`'s side go to no region? Only a
+    /// grid has such keys: those on lines no region takes, and a line's
+    /// keys are contiguous, so the lines from `lo`'s to `hi`'s hold every
+    /// key between. Any other router routes every key.
+    pub fn routes_nowhere(&self, rel: Rel, lo: Key, hi: Key) -> bool {
+        match self {
+            Router::Grid(g) => {
+                let (index, lines) = g.axis(rel);
+                lines[index.line_of(lo)..=index.line_of(hi)]
+                    .iter()
+                    .all(Vec::is_empty)
+            }
+            Router::Random(_) | Router::Hash(_) => false,
+        }
+    }
+
     /// Appends the region ids receiving an `R1` tuple with key `k`.
     #[inline]
     pub fn route_r1(&self, k: Key, rng: &mut impl Rng, out: &mut Vec<u32>) {
@@ -1118,10 +1134,13 @@ mod tests {
                 }
             }
         }
-        // A batch of row 3 alone touches nothing.
+        // A batch of row 3 alone touches nothing, which its two ends tell.
         let dead: Vec<Key> = (30..94).collect();
         router.route_scatter(Rel::R1, &dead, &payloads[..64], &mut rng, &mut sc);
         assert!(sc.touched().is_empty());
+        assert!(router.routes_nowhere(Rel::R1, 30, Key::MAX));
+        assert!(!router.routes_nowhere(Rel::R1, 29, 30));
+        assert!(!router.routes_nowhere(Rel::R2, 30, 93));
     }
 
     #[test]

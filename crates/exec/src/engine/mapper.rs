@@ -5,8 +5,14 @@
 //! A scan morsel is a range of the caller's tuples. The mapper that claims
 //! it transposes that range into one pair of scratch columns it owns for
 //! the whole query, and routes those; the transpose is routing work, timed
-//! on the same clock. No scan is ever transposed whole. An exchange batch
-//! arrives in columns already and is routed as it is.
+//! on the same clock. No scan is ever transposed whole. A morsel whose key
+//! bounds fall on grid lines no region takes ([`Router::routes_nowhere`])
+//! is not transposed or routed at all: it counts down the seal like any
+//! other, and since routing RNGs are seeded per morsel, no other morsel's
+//! stream moves. A pipelined query's root probe side is scanned in key
+//! order when it was counted (see [`crate::plan`]), so its morsels are key
+//! ranges. An exchange batch arrives in columns already and is routed as
+//! it is.
 //!
 //! Ownership is *not* baked into the plan: every fragment resolves its
 //! destination through the shared epoch-versioned
@@ -66,7 +72,9 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use ewh_core::{ColumnBatch, Rel, RouteBatch, RouteScatter};
+#[cfg(doc)]
+use ewh_core::Router;
+use ewh_core::{ColumnBatch, Key, Rel, RouteBatch, RouteScatter};
 
 use super::exchange::Exchange;
 use super::morsel::Claim;
@@ -252,13 +260,24 @@ impl<'a> MapperTask<'a> {
             let allow_r2 = run.seal.r1_remaining.load(Ordering::Acquire) == 0;
             match run.plan.try_claim(allow_r2) {
                 Claim::Claimed(morsel) => {
-                    // The transpose into the task's columns is routing work.
+                    // The bounds check and the transpose into the task's
+                    // columns are routing work.
                     let start = Instant::now();
                     let side = match morsel.rel {
                         Rel::R1 => run.io.r1,
                         Rel::R2 => run.io.r2.scan(),
                     };
-                    self.scratch.refill_from_tuples(&side[morsel.range()]);
+                    let tuples = &side[morsel.range()];
+                    let (lo, hi) = tuples.iter().fold((Key::MAX, Key::MIN), |(lo, hi), t| {
+                        (lo.min(t.key), hi.max(t.key))
+                    });
+                    if run.io.router.routes_nowhere(morsel.rel, lo, hi) {
+                        // No region takes a tuple of it: done, unrouted.
+                        run.counters.route_secs.add_since(start);
+                        scan_done(run, morsel.rel);
+                        return Poll::Yielded;
+                    }
+                    self.scratch.refill_from_tuples(tuples);
                     let source = UnitSource::Scan { rel: morsel.rel };
                     self.route_unit(start, morsel.index as u64, source);
                     return Poll::Yielded;
@@ -429,23 +448,7 @@ impl<'a> MapperTask<'a> {
         self.scatter.clear();
         run.counters.morsels_routed.fetch_add(1, Ordering::Relaxed);
         match unit.source {
-            UnitSource::Scan { rel, .. } => {
-                // AcqRel: the last decrement must observe every other
-                // mapper's queue pushes as already completed. The R1 seal is
-                // broadcast *before* this morsel's `scan_remaining`
-                // decrement, so in every queue's FIFO order SealR1 precedes
-                // SealAll.
-                if rel == Rel::R1 && run.seal.r1_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    broadcast(&run.queues, || Delivery::SealR1);
-                    // The R2 gate just opened: wake every mapper parked on
-                    // `Claim::Blocked` (generation bump also refuses any
-                    // registration racing this decrement).
-                    run.seal.r1_wake.wake_all();
-                }
-                if run.seal.scan_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    run.seal.maybe_seal_all(&run.queues);
-                }
-            }
+            UnitSource::Scan { rel, .. } => scan_done(run, rel),
             UnitSource::Batch { tuples } => {
                 // The batch leaves the exchange buffer only now — its
                 // routed copies were charged fragment by fragment above.
@@ -456,6 +459,24 @@ impl<'a> MapperTask<'a> {
                 run.seal.maybe_seal_all(&run.queues);
             }
         }
+    }
+}
+
+/// Counts a scan morsel of `rel` down, routed and shipped or routed
+/// nowhere. AcqRel: the last decrement must observe every other mapper's
+/// queue pushes as already completed. The R1 seal is broadcast *before*
+/// this morsel's `scan_remaining` decrement, so in every queue's FIFO order
+/// SealR1 precedes SealAll.
+fn scan_done(run: &Run<'_>, rel: Rel) {
+    if rel == Rel::R1 && run.seal.r1_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        broadcast(&run.queues, || Delivery::SealR1);
+        // The R2 gate just opened: wake every mapper parked on
+        // `Claim::Blocked` (generation bump also refuses any registration
+        // racing this decrement).
+        run.seal.r1_wake.wake_all();
+    }
+    if run.seal.scan_remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+        run.seal.maybe_seal_all(&run.queues);
     }
 }
 

@@ -42,7 +42,10 @@ pub struct JoinStats {
     /// Fold of all output tuples' payloads; forces the "post-processing
     /// cost per output tuple" to really happen and lets tests compare runs.
     pub checksum: u64,
-    /// Morsels routed by the pipelined engine (0 under batch execution).
+    /// Units the pipelined engine's mappers routed: scan morsels holding a
+    /// key some region takes, and exchange batches (0 under batch
+    /// execution). A scan morsel whose keys all fall on grid lines no region
+    /// takes is completed unrouted and not counted.
     pub morsels_routed: u64,
     /// Regions reassigned between reducer tasks at run time by the
     /// pipelined engine's migration coordinator (0 under batch execution or

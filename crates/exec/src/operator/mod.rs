@@ -28,4 +28,4 @@ pub use run::{
 };
 pub(crate) use run::{join_regions, run_stages, AdmittedQuery, StageIo};
 pub use stats::{build_scheme, build_scheme_from_keys, build_scheme_from_stats};
-pub(crate) use stats::{plan_resident, stats_sim_secs, PlannedStage};
+pub(crate) use stats::{plan_resident, stats_sim_secs, PlannedStage, ResidentPlan};

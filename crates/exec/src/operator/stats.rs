@@ -21,8 +21,8 @@ use std::time::Instant;
 use ewh_core::histogram::censuses;
 use ewh_core::{
     build_ci, build_csi, build_csi_from_stats, build_csio_from_stats, build_hash_from_stats,
-    CostModel, CsiParams, HistogramParams, JoinCondition, Key, PartitionScheme, SchemeKind,
-    SideStats, Tuple,
+    sort_tuples_by_key, CostModel, CsiParams, HistogramParams, JoinCondition, Key, PartitionScheme,
+    SchemeKind, SideStats, Tuple,
 };
 use ewh_sampling::KeyedCounts;
 
@@ -111,6 +111,14 @@ pub(crate) struct PlannedStage {
     pub fell_back: bool,
 }
 
+/// What [`plan_resident`] yields: the planned stage, the census pair a
+/// chain propagates from its root, and the probe side sorted by key.
+pub(crate) struct ResidentPlan {
+    pub stage: PlannedStage,
+    pub censuses: Option<(KeyedCounts, KeyedCounts)>,
+    pub sorted_probe: Option<Vec<Tuple>>,
+}
+
 /// Plans one stage over two resident relations, the one way every query
 /// driver does: CI reads the cardinalities and no key, CSI's point is to
 /// need no census — it samples the key columns — and CSIO and HASH read a
@@ -123,6 +131,14 @@ pub(crate) struct PlannedStage {
 /// high-selectivity join (§VI-E) is abandoned for CI before the first
 /// morsel is claimed: its statistics time stays on the books and no tuple
 /// is shuffled twice.
+///
+/// With `sort_probe`, a counted `r2` is first sorted by key into a buffer
+/// handed back with the plan ([`sort_tuples_by_key`], on the two threads
+/// the censuses use), and its census reads that buffer, sorted, so it is
+/// run-length encoded as read. The sort stands in for the census's count,
+/// on the stage's statistics clock. A side that is not counted keeps the
+/// caller's order, and CSI samples the caller's columns either way, so
+/// every scheme is the one the caller's order plans.
 pub(crate) fn plan_resident(
     spec: &StageSpec,
     r1: &[Tuple],
@@ -130,13 +146,16 @@ pub(crate) fn plan_resident(
     cfg: &OperatorConfig,
     fallback: Option<&FallbackPolicy>,
     keep_censuses: bool,
-) -> (PlannedStage, Option<(KeyedCounts, KeyedCounts)>) {
+    sort_probe: bool,
+) -> ResidentPlan {
     let start = Instant::now();
     let (n1, n2) = (r1.len() as u64, r2.len() as u64);
     let n = n1.max(n2);
     let counted = matches!(spec.kind, SchemeKind::Csio | SchemeKind::Hash) || keep_censuses;
+    let sorted = (counted && sort_probe).then(|| sort_tuples_by_key(r2, cfg.threads.min(2)));
     let census = |r: &[Tuple]| KeyedCounts::census_of(r.iter().map(|t| t.key));
-    let pair = counted.then(|| censuses(r1, r2, cfg.threads, census));
+    let probe = sorted.as_deref().unwrap_or(r2);
+    let pair = counted.then(|| censuses(r1, probe, cfg.threads, census));
     let mut scheme = match spec.kind {
         SchemeKind::Ci => build_ci(cfg.j, n1, n2, None),
         SchemeKind::Csi => {
@@ -163,7 +182,11 @@ pub(crate) fn plan_resident(
         sample_tuples: 0,
         fell_back,
     };
-    (planned, pair.filter(|_| keep_censuses))
+    ResidentPlan {
+        stage: planned,
+        censuses: pair.filter(|_| keep_censuses),
+        sorted_probe: sorted,
+    }
 }
 
 fn j_regions(cfg: &OperatorConfig) -> usize {

@@ -42,6 +42,15 @@
 //!   `Finish`), it closes its output exchange, which is precisely what
 //!   lets the downstream operator's `SealAll` fire — the cross-operator
 //!   extension of the engine's seal protocol.
+//! * The root's probe side is scanned in key order whenever its census is
+//!   taken (CSIO, HASH, or the root of any chain): it is sorted once per
+//!   query into one buffer the query owns ([`ewh_core::sort_tuples_by_key`]),
+//!   on the root's statistics clock, and the census reads the sorted copy.
+//!   A region's probe fragments then arrive nearly in key order, so a
+//!   probe chunk's sort finds it sorted and a sweep pays a probe key's
+//!   staircase step about once instead of once per chunk holding a copy.
+//!   Build sides, CI and CSI probe sides and the batch oracle keep the
+//!   caller's order.
 //! * All stages share one [`MemGauge`](crate::MemGauge), so
 //!   [`PlanRun::peak_resident_bytes`] is the *plan-global* high-water mark
 //!   of everything resident at once: routed fragments, sealed build
@@ -81,7 +90,7 @@ use crate::local_join::KeyFrom;
 use crate::operator::{
     assign_regions, build_scheme_from_stats, join_regions, plan_resident, run_stages,
     stats_sim_secs, AdmittedQuery, FallbackPolicy, OperatorConfig, OperatorRun, PlannedStage,
-    StageIo,
+    ResidentPlan, StageIo,
 };
 use crate::{shuffle, JoinStats};
 
@@ -180,7 +189,8 @@ impl PlanRun {
 
 /// Plans every stage before any runs (see the module docs): the root over
 /// its two resident relations, each chain stage from its base relation's
-/// census and its intermediate's census, propagated by induction.
+/// census and its intermediate's census, propagated by induction. Hands
+/// back the root's probe side sorted by key, when the root counted it.
 fn plan_stages(
     r1: &[Tuple],
     r2: &[Tuple],
@@ -188,11 +198,15 @@ fn plan_stages(
     chain: &[ChainStage<'_>],
     cfg: &OperatorConfig,
     fallback: Option<&FallbackPolicy>,
-) -> Vec<PlannedStage> {
+) -> (Vec<PlannedStage>, Option<Vec<Tuple>>) {
     let start = Instant::now();
-    let (mut root, pair) = plan_resident(first, r1, r2, cfg, fallback, !chain.is_empty());
+    let ResidentPlan {
+        stage: mut root,
+        censuses,
+        sorted_probe,
+    } = plan_resident(first, r1, r2, cfg, fallback, !chain.is_empty(), true);
     // The root emits its probe side's key.
-    let mut probe = match &pair {
+    let mut probe = match &censuses {
         Some((d1, d2)) => join_census_r2(d1, d2, |k| first.cond.joinable_bounds(k)),
         None => KeyedCounts::default(),
     };
@@ -225,7 +239,7 @@ fn plan_stages(
             fell_back: false,
         });
     }
-    planned
+    (planned, sorted_probe)
 }
 
 /// Executes a left-deep chained query plan on the pipelined engine with
@@ -271,10 +285,14 @@ pub(crate) fn pipelined(
     let start = Instant::now();
     // Every scheme exists before the query is admitted and before any stage
     // runs: whatever a scheme build can panic on, it panics here, holding
-    // no ticket, with nothing running. Scan sources stay the caller's
-    // tuples throughout: each census reads its own side's keys off them,
-    // and each mapper transposes only the morsel it claims.
-    let planned = plan_stages(r1, r2, first, chain, cfg, fallback);
+    // no ticket, with nothing running. The root's probe side is scanned in
+    // key order when its census was taken: sorted once, into the one
+    // buffer this query owns, on the root's statistics clock. Every other
+    // scan source stays the caller's tuples: each census reads its own
+    // side's keys off them, and each mapper transposes only the morsel it
+    // claims.
+    let (planned, sorted_probe) = plan_stages(r1, r2, first, chain, cfg, fallback);
+    let r2 = sorted_probe.as_deref().unwrap_or(r2);
 
     // One ticket, gauge, spill budget and spill context for the whole plan.
     let query = &AdmittedQuery::admit(rt, cfg);
@@ -377,7 +395,9 @@ pub(crate) fn materialized(
         // For a chain stage, the second statistics pass the pipelined
         // executor eliminates: full key extraction over the materialized
         // intermediate.
-        let (stage, _) = plan_resident(spec, build, probe, cfg, fallback, false);
+        // The caller's order: a faulty probe sort cannot hide in the
+        // oracle too.
+        let stage = plan_resident(spec, build, probe, cfg, fallback, false, false).stage;
         let map = assign_regions(&stage.scheme, cfg.j, cfg.capacities.as_deref(), &cfg.cost);
         let shuffled = shuffle(build, probe, &stage.scheme, cfg.threads, cfg.seed ^ 0x5F);
         let inbound = if i == 0 { 0 } else { probe.len() as u64 } * TUPLE_BYTES;

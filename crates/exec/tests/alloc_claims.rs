@@ -6,12 +6,13 @@
 //!
 //! * under CI, which reads no key, a query allocates no such block: each
 //!   mapper transposes only the morsel it claims into its own columns;
-//! * under CSIO, at most one such block per census side. A side reads its
-//!   keys off the tuples. A sorted side is run-length encoded as read, and
-//!   an unsorted side over a span under `2n` is counted into one `u32`
-//!   slot per key of the span: neither allocates a column. Only an
-//!   unsorted side over a wider span is collected into one column, sorted
-//!   in place.
+//! * under CSIO, the probe side is sorted by key into one buffer the query
+//!   owns, of exactly `n · 16` bytes, and the sort holds no scratch of a
+//!   column's size. The sorted side's census is run-length encoded as read.
+//!   A sorted build side is too, and an unsorted one over a span under
+//!   `2n` is counted into one `u32` slot per key of the span: neither
+//!   allocates a column. Only an unsorted build side over a wider span is
+//!   collected into one column, sorted in place.
 //!
 //! A census stores each multiplicity once, as a step of its prefix sums:
 //! over `n` distinct sorted keys it allocates two blocks of a column's
@@ -25,21 +26,24 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use ewh_core::{JoinCondition, Key, SchemeKind, Tuple};
+use ewh_core::{JoinCondition, Key, SchemeKind, Tuple, TUPLE_BYTES};
 use ewh_exec::{run_operator, EngineRuntime, OperatorConfig};
 use ewh_sampling::KeyedCounts;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Counts every allocation or reallocation of at least `THRESHOLD` bytes.
+/// Counts every allocation or reallocation of at least `THRESHOLD` bytes,
+/// and their bytes.
 struct Counting;
 
 static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
 static LARGE: AtomicUsize = AtomicUsize::new(0);
+static LARGE_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 fn note(size: usize) {
     if size >= THRESHOLD.load(Ordering::Relaxed) {
         LARGE.fetch_add(1, Ordering::Relaxed);
+        LARGE_BYTES.fetch_add(size, Ordering::Relaxed);
     }
 }
 
@@ -119,12 +123,12 @@ fn drawn(spread: Key, sort_r1: bool) -> (Vec<Tuple>, Vec<Tuple>) {
 /// Blocks of at least a key column's size that the second of two equal
 /// queries over [`relations`] allocates.
 fn column_blocks(kind: SchemeKind) -> usize {
-    column_blocks_over(kind, relations)
+    column_blocks_over(kind, relations).0
 }
 
 /// Blocks of at least a key column's size that the second of two equal
-/// queries over the drawn relations allocates.
-fn column_blocks_over(kind: SchemeKind, draw: fn() -> (Vec<Tuple>, Vec<Tuple>)) -> usize {
+/// queries over the drawn relations allocates, and their bytes.
+fn column_blocks_over(kind: SchemeKind, draw: fn() -> (Vec<Tuple>, Vec<Tuple>)) -> (usize, usize) {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (r1, r2) = draw();
     let cond = JoinCondition::Band { beta: 1 };
@@ -136,6 +140,7 @@ fn column_blocks_over(kind: SchemeKind, draw: fn() -> (Vec<Tuple>, Vec<Tuple>)) 
     let rt = EngineRuntime::new(2);
     let warm = run_operator(&rt, kind, &r1, &r2, &cond, &cfg);
     LARGE.store(0, Ordering::SeqCst);
+    LARGE_BYTES.store(0, Ordering::SeqCst);
     THRESHOLD.store(N * 8, Ordering::SeqCst);
     let run = run_operator(&rt, kind, &r1, &r2, &cond, &cfg);
     THRESHOLD.store(usize::MAX, Ordering::SeqCst);
@@ -144,7 +149,10 @@ fn column_blocks_over(kind: SchemeKind, draw: fn() -> (Vec<Tuple>, Vec<Tuple>)) 
         (run.join.output_total, run.join.checksum),
         (warm.join.output_total, warm.join.checksum)
     );
-    LARGE.load(Ordering::SeqCst)
+    (
+        LARGE.load(Ordering::SeqCst),
+        LARGE_BYTES.load(Ordering::SeqCst),
+    )
 }
 
 #[test]
@@ -158,14 +166,17 @@ fn a_csio_query_allocates_at_most_one_column_per_census_side() {
     assert!(blocks <= 2, "{blocks} blocks of a column's size");
 }
 
+/// The probe side sorted by key is the one block: exactly `n` tuples, no
+/// sort scratch and no census column beside it.
 #[test]
-fn a_csio_query_over_a_sorted_and_a_dense_side_allocates_no_column() {
-    assert_eq!(column_blocks(SchemeKind::Csio), 0);
+fn a_csio_query_over_a_sorted_and_a_dense_side_allocates_one_block_the_size_of_its_probe_side() {
+    let blocks = column_blocks_over(SchemeKind::Csio, relations);
+    assert_eq!(blocks, (1, N * TUPLE_BYTES as usize));
 }
 
 #[test]
 fn a_csio_query_over_wide_unsorted_relations_allocates_one_column_per_census_side() {
-    let blocks = column_blocks_over(SchemeKind::Csio, wide_relations);
+    let (blocks, _) = column_blocks_over(SchemeKind::Csio, wide_relations);
     assert!(blocks <= 2, "{blocks} blocks of a column's size");
 }
 

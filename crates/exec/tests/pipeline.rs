@@ -1,18 +1,21 @@
 //! Integration tests of the morsel-driven pipelined engine: oracle
 //! equivalence, peak-memory discipline, stress configurations (tiny queues,
-//! single-tuple morsels), the LPT hot-region fix, and the adaptive
-//! fallback's plan reuse.
+//! single-tuple morsels), scan morsels that no region takes completed
+//! unrouted, the LPT hot-region fix, and the adaptive fallback's plan reuse.
 
 mod common;
 
 use common::*;
 use ewh_core::{
-    build_csio, CostModel, HistogramParams, JoinCondition, Key, SchemeKind, TUPLE_BYTES,
+    build_csio, sort_tuples_by_key, CostModel, HistogramParams, JoinCondition, Key, Rel,
+    SchemeKind, Tuple, TUPLE_BYTES,
 };
 use ewh_exec::{
-    execute_join, lpt_schedule, run_operator, run_operator_adaptive, shuffle, EngineRuntime,
-    ExecMode, FallbackPolicy, OperatorConfig,
+    build_scheme, execute_join, lpt_schedule, run_operator, run_operator_adaptive, shuffle,
+    EngineRuntime, ExecMode, FallbackPolicy, OperatorConfig,
 };
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn skewed_keys(n: usize, seed: u64) -> Vec<Key> {
     // Half the tuples on one hot key, the rest uniform.
@@ -197,6 +200,68 @@ fn a_mapper_scratch_refilled_at_every_morsel_size_matches_the_batch_oracle() {
                 assert_eq!(got.morsels_routed, 2 * n.div_ceil(morsel_tuples) as u64);
             }
         }
+    }
+}
+
+/// A scan morsel none of whose keys any region takes is completed
+/// unrouted, and only it: `R1` is key-sorted over a span four times
+/// `R2`'s, like `bicd_csio`'s, so candidacy on the two spans leaves most of
+/// `R1`'s grid rows without a region and most of its morsels dead. The
+/// engine routes exactly the morsels of which a per-tuple route sends some
+/// tuple somewhere (`R2`'s counted over its key-sorted copy, which is what
+/// the engine scans), at one thread and at two, and joins what the batch
+/// oracle joins.
+#[test]
+fn a_scan_morsel_that_no_region_takes_is_completed_unrouted() {
+    let k1: Vec<Key> = (0..8000).collect();
+    let k2: Vec<Key> = random_keys(4000, 2000, 71)
+        .iter()
+        .map(|k| k + 6000)
+        .collect();
+    let (r1, r2) = (tuples(&k1), tuples(&k2));
+    let cond = JoinCondition::Band { beta: 1 };
+    let rt = EngineRuntime::new(2);
+    for threads in [1, 2] {
+        let cfg = OperatorConfig {
+            j: 8,
+            threads,
+            morsel_tuples: 256,
+            ..Default::default()
+        };
+        let (scheme, _) = build_scheme(SchemeKind::Csio, &r1, &r2, &cond, &cfg);
+        let mut out = Vec::new();
+        let rng = &mut SmallRng::seed_from_u64(5);
+        let mut live = |side: &[Tuple], rel: Rel| {
+            let morsels = side.chunks(cfg.morsel_tuples);
+            let taken = |m: &&[Tuple]| {
+                m.iter().any(|t| {
+                    out.clear();
+                    match rel {
+                        Rel::R1 => scheme.router.route_r1(t.key, rng, &mut out),
+                        Rel::R2 => scheme.router.route_r2(t.key, rng, &mut out),
+                    }
+                    !out.is_empty()
+                })
+            };
+            morsels.filter(taken).count() as u64
+        };
+        let (live1, live2) = (
+            live(&r1, Rel::R1),
+            live(&sort_tuples_by_key(&r2, 1), Rel::R2),
+        );
+        assert!(live1 < 16, "premise: most of R1's 32 morsels are dead");
+        let batch = OperatorConfig {
+            mode: ExecMode::Batch,
+            ..cfg.clone()
+        };
+        let expect = run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &batch).join;
+        let got = run_operator(&rt, SchemeKind::Csio, &r1, &r2, &cond, &cfg).join;
+        assert!(expect.output_total > 0);
+        assert_eq!(
+            (got.output_total, got.checksum),
+            (expect.output_total, expect.checksum)
+        );
+        assert_eq!(got.morsels_routed, live1 + live2, "{threads} threads");
     }
 }
 

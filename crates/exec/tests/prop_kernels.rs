@@ -7,15 +7,17 @@
 //! grids whose lines share regions, by-line and by-tuple paths) — over a
 //! grid with blocks, the same multiset per tiling region with one sub-row
 //! per block and batch — a grid's line table equals a binary search over
-//! its bounds, zone-fence candidacy never disagrees with a
-//! real sweep, and the leapfrogging columnar sweeps equal a nested-loop
+//! its bounds, a batch whose key bounds `routes_nowhere` has no tuple any
+//! region takes, the relation sort (`sort_tuples_by_key`) is an ascending
+//! permutation of its input, the same at one thread and at two, zone-fence
+//! candidacy never disagrees with a real sweep, and the leapfrogging columnar sweeps equal a nested-loop
 //! join for every condition on the probe-chunk shapes the engine produces
 //! (a small chunk spanning a large build, gaps, exhausted sides, extreme
 //! keys), in one shot and chunk by chunk.
 
 use ewh_core::{
-    ColumnBatch, GridBlock, GridRouter, HashRouter, IneqOp, JoinCondition, Key, KeyRange,
-    RandomRouter, Rel, RouteBatch, RouteScatter, Router, Tuple,
+    sort_tuples_by_key, ColumnBatch, GridBlock, GridRouter, HashRouter, IneqOp, JoinCondition, Key,
+    KeyRange, RandomRouter, Rel, RouteBatch, RouteScatter, Router, Tuple,
 };
 use ewh_exec::{
     merge_sorted_runs, pair_payload, pair_tag, sweep_columns, sweep_columns_each, KeyFrom,
@@ -362,6 +364,56 @@ proptest! {
             prop_assert_eq!(fragments.len() as u32, width, "block {}", base);
             prop_assert!(fragments.iter().all(|f| f.1 == fragments[0].1), "block {}", base);
         }
+    }
+
+    #[test]
+    fn a_batch_routed_nowhere_by_its_key_bounds_has_no_tuple_any_region_takes(
+        keys in keys_strategy(),
+        router_regions in router_strategy(),
+        rel in prop_oneof![Just(Rel::R1), Just(Rel::R2)],
+        seed in any::<u64>(),
+    ) {
+        let (router, n_regions) = router_regions;
+        let (Some(&lo), Some(&hi)) = (keys.iter().min(), keys.iter().max()) else {
+            return Ok(());
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (touched, _) = per_tuple_buckets(&router, rel, &keys, n_regions, &mut rng);
+        let nowhere = router.routes_nowhere(rel, lo, hi);
+        if nowhere {
+            prop_assert!(touched.is_empty(), "{:?} routed {:?}", rel, touched);
+        }
+        // Exact on one key: its line takes no region, or it goes somewhere.
+        let (_, one) = per_tuple_buckets(&router, rel, &[lo], n_regions, &mut rng);
+        let goes = one.iter().any(|bucket| !bucket.is_empty());
+        prop_assert_eq!(router.routes_nowhere(rel, lo, lo), !goes);
+        if !matches!(router, Router::Grid(_)) {
+            prop_assert!(!nowhere, "only a grid has lines that take no region");
+        }
+    }
+
+    #[test]
+    fn the_relation_sort_is_an_ascending_permutation_alike_at_one_and_two_threads(
+        keys in prop_oneof![
+            keys_strategy(),
+            prop::collection::vec(any::<i64>(), 0..5000),
+            prop::collection::vec(-3000i64..3000, 0..5000),
+            (0..5000usize, any::<i64>()).prop_map(|(n, k)| vec![k; n]),
+        ],
+    ) {
+        let input: Vec<Tuple> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| Tuple::new(k, i as u64))
+            .collect();
+        let sorted = sort_tuples_by_key(&input, 1);
+        prop_assert!(sorted.windows(2).all(|w| w[0].key <= w[1].key));
+        prop_assert_eq!(&sort_tuples_by_key(&input, 2), &sorted);
+        let by_both = |mut t: Vec<Tuple>| {
+            t.sort_unstable_by_key(|t| (t.key, t.payload));
+            t
+        };
+        prop_assert_eq!(by_both(sorted), by_both(input));
     }
 
     #[test]
